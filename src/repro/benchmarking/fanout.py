@@ -9,13 +9,11 @@ and because the CI gate uses it as the tolerated margin between the process
 and serial backends on starved runners.
 
 Alongside wall-clock, the benchmark measures the serialization traffic of
-one round two ways — with the legacy per-task payloads (every task carries
-its own pickled strategy + parameters) and with the shared-memory broadcast
-(parameters travel as raw blocks once per round, tasks carry handles) — and
-reports the reduction factor.  Everything lands in ``BENCH_fanout.json``,
-schema-compatible with the ``BENCH_parallel.json`` family (per-backend
-``mean/min/samples_seconds``, ``cpu_count``, ``bench_scale``) so future perf
-PRs have a trajectory to move.
+one round through the shared-memory broadcast (parameters travel as raw
+blocks once per round, tasks carry handles).  Everything lands in
+``BENCH_fanout.json``, schema-compatible with the ``BENCH_parallel.json``
+family (per-backend ``mean/min/samples_seconds``, ``cpu_count``,
+``bench_scale``) so future perf PRs have a trajectory to move.
 """
 
 from __future__ import annotations
@@ -63,10 +61,9 @@ def fanout_preset(scale: float = 1.0):
     return scaled(preset_for("mnist"), **overrides)
 
 
-def _timed_run(preset, executor=None, *, use_broadcast: bool = True) -> float:
+def _timed_run(preset, executor=None) -> float:
     start = time.perf_counter()
-    run_method(BENCH_METHOD, preset, executor=executor,
-               use_broadcast=use_broadcast)
+    run_method(BENCH_METHOD, preset, executor=executor)
     return time.perf_counter() - start
 
 
@@ -113,14 +110,13 @@ def measure_aggregation_modes(preset,
 
 
 def measure_fanout_bytes(preset) -> Dict[str, float]:
-    """Serialized bytes per round: legacy per-task payloads vs broadcast.
+    """Serialized bytes per round of the broadcast fan-out.
 
-    Both passes run on a 2-worker thread pool with a payload witness that
-    pickles every submitted task payload — the payload objects are identical
-    to what the process backend would ship, so the counts transfer.  The
-    broadcast pass additionally reads the server-side broadcast counters:
-    the pickled-once template blob and the raw (never pickled) parameter
-    blocks in shared memory.
+    The run uses a 2-worker thread pool with a payload witness that pickles
+    every submitted task payload — the payload objects are identical to
+    what the process backend would ship, so the counts transfer — and reads
+    the server-side broadcast counters: the pickled-once template blob and
+    the raw (never pickled) parameter blocks in shared memory.
 
     The session broadcast's dataset blocks are a **once-per-run** payload;
     they are reported separately (``session_raw_bytes``) and excluded from
@@ -138,34 +134,25 @@ def measure_fanout_bytes(preset) -> Dict[str, float]:
     session_raw = sum(block.nbytes
                       for block in dataset_to_blocks(dataset)[0].values())
 
-    def _witnessed_run(use_broadcast: bool) -> int:
-        task_bytes = 0
+    task_bytes = 0
 
-        def witness(item) -> None:
-            nonlocal task_bytes
-            task_bytes += len(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+    def witness(item) -> None:
+        nonlocal task_bytes
+        task_bytes += len(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
 
-        with resolve_executor("thread", 2) as executor:
-            executor.payload_witness = witness
-            run_method(BENCH_METHOD, preset, executor=executor,
-                       use_broadcast=use_broadcast)
-        return task_bytes
-
-    legacy_bytes = _witnessed_run(use_broadcast=False)
     reset_broadcast_stats()
-    broadcast_task_bytes = _witnessed_run(use_broadcast=True)
+    with resolve_executor("thread", 2) as executor:
+        executor.payload_witness = witness
+        run_method(BENCH_METHOD, preset, executor=executor)
     stats = broadcast_stats()
-    broadcast_pickled = broadcast_task_bytes + stats["blob_bytes"]
     return {
-        "legacy_pickled_per_round": legacy_bytes / rounds,
-        "broadcast_pickled_per_round": broadcast_pickled / rounds,
-        "broadcast_task_payloads_per_round": broadcast_task_bytes / rounds,
+        "broadcast_pickled_per_round":
+            (task_bytes + stats["blob_bytes"]) / rounds,
+        "broadcast_task_payloads_per_round": task_bytes / rounds,
         "shared_memory_raw_per_round":
             (stats["param_bytes"] - session_raw) / rounds,
         "session_raw_bytes": session_raw,
         "broadcast_publishes": stats["publishes"],
-        "reduction_factor": (legacy_bytes / broadcast_pickled
-                             if broadcast_pickled else float("inf")),
         "clients_per_round": preset.clients_per_round,
         "num_rounds": rounds,
     }
@@ -295,12 +282,11 @@ def format_bench_report(report: Dict[str, object]) -> str:
             f"{str(entry['matches_serial_reference']):>9s}")
     traffic = report["bytes"]
     lines.append(
-        f"bytes/round: legacy {traffic['legacy_pickled_per_round']:.0f} -> "
-        f"broadcast {traffic['broadcast_pickled_per_round']:.0f} pickled "
+        f"bytes/round: broadcast "
+        f"{traffic['broadcast_pickled_per_round']:.0f} pickled "
         f"(+{traffic['shared_memory_raw_per_round']:.0f} raw shared-memory, "
-        f"+{traffic['session_raw_bytes']:.0f} once-per-run session blocks), "
-        f"reduction {traffic['reduction_factor']:.1f}x "
-        f"(clients_per_round={traffic['clients_per_round']})")
+        f"+{traffic['session_raw_bytes']:.0f} once-per-run session blocks, "
+        f"clients_per_round={traffic['clients_per_round']})")
     aggregation = report["aggregation"]
     for name, mode in aggregation["modes"].items():
         tta = mode["sim_time_to_accuracy_seconds"]

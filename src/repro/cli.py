@@ -37,8 +37,8 @@ import argparse
 from typing import List, Optional
 
 from .baselines import TABLE1_METHODS, available_strategies
-from .experiments import (DATASETS, DEFAULT_CACHE_DIR, ResultCache,
-                          format_rows, preset_for, run_method,
+from .experiments import (DATASETS, DEFAULT_CACHE_DIR, DEFAULT_PRESETS,
+                          ResultCache, format_rows, preset_for, run_method,
                           run_scenario_sweep, scaled, summarize,
                           table1_accuracy_flops)
 from .parallel import (available_backends, available_codecs,
@@ -93,10 +93,16 @@ def _dataset_from(args: argparse.Namespace) -> str:
     return args.preset if args.preset is not None else args.dataset
 
 
+#: argparse keywords of every option naming a preset: an unknown name is a
+#: one-line usage error (exit 2) listing the registry, not a traceback from
+#: ``preset_for`` deep inside the run
+_PRESET_NAME = {"type": str.lower, "choices": sorted(DEFAULT_PRESETS)}
+
+
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", default="mnist",
-                        help="mnist / cifar10 / cifar100 / tinyimagenet / reddit")
-    parser.add_argument("--preset", default=None,
+    parser.add_argument("--dataset", default="mnist", **_PRESET_NAME,
+                        help="a paper dataset or a named large-fleet preset")
+    parser.add_argument("--preset", default=None, **_PRESET_NAME,
                         help="alias for --dataset (presets are named after "
                              "their dataset)")
     parser.add_argument("--scenario", default=None,
@@ -227,13 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(compare_parser)
 
     table1_parser = sub.add_parser("table1", help="reproduce Table I rows")
-    table1_parser.add_argument("--datasets", nargs="+", default=["mnist"])
+    table1_parser.add_argument("--datasets", nargs="+", default=["mnist"],
+                               **_PRESET_NAME)
     table1_parser.add_argument("--methods", nargs="+", default=list(TABLE1_METHODS))
     _add_common_arguments(table1_parser)
 
     sweep_parser = sub.add_parser(
         "sweep", help="run a method × dataset × scenario grid with caching")
-    sweep_parser.add_argument("--datasets", nargs="+", default=list(DATASETS))
+    sweep_parser.add_argument("--datasets", nargs="+", default=list(DATASETS),
+                              **_PRESET_NAME)
     sweep_parser.add_argument("--methods", nargs="+",
                               default=["fedavg", "fedlps"])
     sweep_parser.add_argument("--scenarios", nargs="+", default=["ideal"],

@@ -36,7 +36,6 @@ def run_method(method: str, preset: ExperimentPreset, *,
                strategy_kwargs: Optional[dict] = None,
                executor: Optional[Executor] = None,
                cache: Optional[ResultCache] = None,
-               use_broadcast: bool = True,
                checkpoint_dir: Optional[Union[str, Path]] = None,
                checkpoint_every: int = 1,
                resume: bool = False,
@@ -47,10 +46,8 @@ def run_method(method: str, preset: ExperimentPreset, *,
     a pre-built ``strategy`` instance can be passed instead for ablation
     variants that need custom constructor arguments — such runs bypass the
     cache, whose keys only cover registry specs.  ``executor`` parallelizes
-    the per-round client work inside the trainer; ``use_broadcast=False``
-    opts out of the shared-memory round broadcast (legacy per-task payloads,
-    kept for the benchmark harness's bytes accounting — results are
-    bit-identical either way).
+    the per-round client work inside the trainer (default: inline, the
+    serial backend) — results are bit-identical on every backend.
 
     ``checkpoint_dir`` turns on round-boundary checkpointing (see
     :mod:`repro.checkpoint`); with ``resume=True`` the run continues from
@@ -68,8 +65,7 @@ def run_method(method: str, preset: ExperimentPreset, *,
     strat = strategy if strategy is not None \
         else build_strategy(method, **(strategy_kwargs or {}))
     trainer = FederatedTrainer(strat, dataset, model_builder, config=config,
-                               fleet=fleet, executor=executor,
-                               use_broadcast=use_broadcast)
+                               fleet=fleet, executor=executor)
     history = trainer.run(
         checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
         checkpoint_every=checkpoint_every,

@@ -19,11 +19,12 @@ used (``trainer.strategy``, ``trainer.context``, ``trainer.clients``, ...).
 * ``"fedbuff"`` — FedBuff-style buffered aggregation: arrivals accumulate
   and are aggregated every ``buffer_size`` completions.
 
-All three shapes share the executor fan-out (per-round client work crosses
-the worker boundary through the shared-memory broadcast transport) and the
+All three shapes share the executor fan-out (on pool backends per-round
+client work crosses the worker boundary through the shared-memory broadcast
+transport; the serial backend runs it inline on the live objects) and the
 determinism contract: every decision is a pure function of
 ``(seed, round, client)``, so histories are bit-identical across the
-serial/thread/process backends.
+serial/thread/process/socket backends.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ class FederatedTrainer:
     the scheduler selected by ``config.aggregation``.  See the module
     docstring for the available training shapes.
 
-    When an :class:`~repro.parallel.Executor` is supplied, per-round local
-    updates and evaluation fan out across its workers; with a pool backend
-    (``use_broadcast=True``, the default) the round-invariant payload ships
-    through the shared-memory broadcast and each task only carries
-    ``(client_id, client.state)`` plus two small handles.
-    ``use_broadcast=False`` restores the legacy per-task payloads (every
-    task carries its own pickled strategy copy) — the benchmark harness uses
-    it to measure the bytes saved.
+    Per-round local updates and evaluation always go through an
+    :class:`~repro.parallel.Executor` — ``executor=None`` means a
+    :class:`~repro.parallel.SerialExecutor`, which runs the tasks inline on
+    the server's live strategy and fleet.  With a pool backend
+    (``supports_broadcast``) the round-invariant payload ships through the
+    shared-memory broadcast and each task only carries
+    ``(client_ids, client states)`` plus two small handles.
     """
 
     def __init__(self, strategy: Strategy, dataset: FederatedDataset,
@@ -66,12 +66,10 @@ class FederatedTrainer:
                  config: Optional[FederatedConfig] = None,
                  fleet: Optional[DeviceFleet] = None,
                  cost_model: Optional[LocalCostModel] = None,
-                 executor: Optional[Executor] = None,
-                 use_broadcast: bool = True) -> None:
+                 executor: Optional[Executor] = None) -> None:
         self.core = ServerCore(strategy, dataset, model_builder,
                                config=config, fleet=fleet,
-                               cost_model=cost_model, executor=executor,
-                               use_broadcast=use_broadcast)
+                               cost_model=cost_model, executor=executor)
 
     # ------------------------------------------------------------ delegates
     @property
@@ -87,12 +85,8 @@ class FederatedTrainer:
         return self.core.config
 
     @property
-    def executor(self) -> Optional[Executor]:
+    def executor(self) -> Executor:
         return self.core.executor
-
-    @property
-    def use_broadcast(self) -> bool:
-        return self.core.use_broadcast
 
     @property
     def fleet(self) -> DeviceFleet:
@@ -152,14 +146,13 @@ def run_federated(strategy: Strategy, dataset: FederatedDataset,
                   fleet: Optional[DeviceFleet] = None,
                   cost_model: Optional[LocalCostModel] = None,
                   executor: Optional[Executor] = None,
-                  use_broadcast: bool = True,
                   checkpoint_dir: Optional[str] = None,
                   checkpoint_every: int = 1, resume_from=None,
                   stop_after_round: Optional[int] = None) -> TrainingHistory:
     """Convenience wrapper: build a trainer and run it."""
     trainer = FederatedTrainer(strategy, dataset, model_builder, config=config,
                                fleet=fleet, cost_model=cost_model,
-                               executor=executor, use_broadcast=use_broadcast)
+                               executor=executor)
     return trainer.run(checkpoint_dir=checkpoint_dir,
                        checkpoint_every=checkpoint_every,
                        resume_from=resume_from,

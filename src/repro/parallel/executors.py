@@ -29,9 +29,12 @@ the determinism test suite enforces this.
 Backends with ``supports_broadcast`` set participate in the shared-memory
 round broadcast (:mod:`repro.parallel.broadcast`): callers ship the
 round-invariant payload once and hand tasks a small handle instead of a full
-pickled copy.  ``payload_witness`` is an observation hook for tests and the
-benchmark harness: when set, it is called with every task payload at
-submission time, which is how the per-round "bytes crossing the worker
+pickled copy.  A backend without it promises the opposite — tasks run
+*inline, in the caller's thread, on the caller's live objects* — and the
+server core relies on that: it hands such a backend closures over its own
+strategy and fleet.  ``payload_witness`` is an observation hook for tests
+and the benchmark harness: when set, it is called with every task payload
+at submission time, which is how the per-round "bytes crossing the worker
 boundary" counters are measured without touching the pool internals.
 """
 
@@ -65,9 +68,10 @@ class Executor:
     """
 
     backend = "base"
-    #: whether the backend benefits from the shared-memory round broadcast;
-    #: the serial backend runs tasks inline on the real objects, so handing
-    #: it handles would only add (de)serialization work
+    #: whether tasks cross a worker boundary and so bind from the
+    #: shared-memory round broadcast; False means inline on the caller's
+    #: live objects (the serial backend), where handles would only add
+    #: (de)serialization work
     supports_broadcast = False
     #: whether injected faults can be realized for real on this backend —
     #: a worker crash actually kills a process, a hang actually stalls one
@@ -138,7 +142,9 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """Inline execution in the calling thread — the reference backend."""
+    """Inline execution in the calling thread — the reference backend and
+    the null executor (``ServerCore`` substitutes one for ``executor=None``).
+    """
 
     backend = "serial"
 

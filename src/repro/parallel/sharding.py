@@ -222,6 +222,30 @@ def _covers(mapping: Mapping[str, np.ndarray],
         return False
 
 
+def _views(mappings: Sequence[Mapping[str, np.ndarray]],
+           shard_keys: Sequence[str]) -> List[Mapping[str, np.ndarray]]:
+    return [shard_view(mapping, shard_keys) for mapping in mappings]
+
+
+def _reduce_per_shard(plan: ShardPlan, keys: Sequence[str], fan_in: int,
+                      run) -> Dict[str, np.ndarray]:
+    """Run a base kernel once per shard and reassemble in ``keys`` order.
+
+    ``run(shard_keys)`` reduces one shard's key slice of every input; each
+    shard is charged its partial-result bytes times ``fan_in`` (the number
+    of contributing updates).  Callers hold :func:`_suspended`.
+    """
+    plan.reductions += 1
+    merged: Dict[str, np.ndarray] = {}
+    for shard, shard_keys in enumerate(partition_keys(keys, plan.shards)):
+        if not shard_keys:
+            continue
+        reduced = run(shard_keys)
+        plan.charge(shard, _result_nbytes(reduced) * fan_in)
+        merged.update(reduced)
+    return {key: merged[key] for key in keys}
+
+
 def sharded_weighted_average(plan: ShardPlan,
                              param_dicts: Iterable[Mapping[str, np.ndarray]],
                              weights: Iterable[float]):
@@ -245,16 +269,10 @@ def sharded_weighted_average(plan: ShardPlan,
         key_set = set(keys)
         if any(set(other) != key_set for other in dicts[1:]):
             return weighted_average(dicts, weight_list)
-        plan.reductions += 1
-        merged: Dict[str, np.ndarray] = {}
-        for shard, shard_keys in enumerate(partition_keys(keys, plan.shards)):
-            if not shard_keys:
-                continue
-            views = [shard_view(params, shard_keys) for params in dicts]
-            reduced = weighted_average(views, weight_list)
-            plan.charge(shard, _result_nbytes(reduced) * len(dicts))
-            merged.update(reduced)
-        return {key: merged[key] for key in keys}
+        return _reduce_per_shard(
+            plan, keys, len(dicts),
+            lambda shard_keys: weighted_average(_views(dicts, shard_keys),
+                                                weight_list))
 
 
 def sharded_aggregate_residuals(plan: ShardPlan,
@@ -274,18 +292,11 @@ def sharded_aggregate_residuals(plan: ShardPlan,
                        for residual in residual_list)):
             return aggregate_residuals(global_params, residual_list,
                                        weight_list)
-        plan.reductions += 1
-        merged: Dict[str, np.ndarray] = {}
-        for shard, shard_keys in enumerate(partition_keys(keys, plan.shards)):
-            if not shard_keys:
-                continue
-            global_view = shard_view(global_params, shard_keys)
-            views = [shard_view(residual, shard_keys)
-                     for residual in residual_list]
-            reduced = aggregate_residuals(global_view, views, weight_list)
-            plan.charge(shard, _result_nbytes(reduced) * len(residual_list))
-            merged.update(reduced)
-        return {key: merged[key] for key in keys}
+        return _reduce_per_shard(
+            plan, keys, len(residual_list),
+            lambda shard_keys: aggregate_residuals(
+                shard_view(global_params, shard_keys),
+                _views(residual_list, shard_keys), weight_list))
 
 
 def sharded_masked_average(plan: ShardPlan,
@@ -307,17 +318,9 @@ def sharded_masked_average(plan: ShardPlan,
                 or any(not _covers(mask, keys) for mask in mask_list)):
             return masked_average(global_params, update_list, mask_list,
                                   weights)
-        plan.reductions += 1
-        merged: Dict[str, np.ndarray] = {}
-        for shard, shard_keys in enumerate(partition_keys(keys, plan.shards)):
-            if not shard_keys:
-                continue
-            global_view = shard_view(global_params, shard_keys)
-            update_views = [shard_view(update, shard_keys)
-                            for update in update_list]
-            mask_views = [shard_view(mask, shard_keys) for mask in mask_list]
-            reduced = masked_average(global_view, update_views, mask_views,
-                                     weights)
-            plan.charge(shard, _result_nbytes(reduced) * len(update_list))
-            merged.update(reduced)
-        return {key: merged[key] for key in keys}
+        return _reduce_per_shard(
+            plan, keys, len(update_list),
+            lambda shard_keys: masked_average(
+                shard_view(global_params, shard_keys),
+                _views(update_list, shard_keys),
+                _views(mask_list, shard_keys), weights))

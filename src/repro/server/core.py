@@ -11,7 +11,12 @@ provides the services every scheduler composes:
 * deterministic client selection (with scenario over-selection),
 * availability splits and per-client latencies from the scenario engine,
 * local-update fan-out over the executor — ordered for the synchronous
-  scheduler, completion-order (``map_unordered``) for the asynchronous ones,
+  scheduler, completion-order (``map_unordered``) for the asynchronous ones
+  — as one plan: the cohort is partitioned into chunks (the whole cohort
+  when it trains as one batched program, single clients otherwise), every
+  chunk runs through one task body, and the only transport selection is
+  the executor's ``supports_broadcast`` (inline on the live objects vs
+  bound from the shared-memory broadcast handles),
 * cost accounting through the Eq. 14 cost model,
 * personalized evaluation,
 * the session/round shared-memory broadcasts from ``repro.parallel``.
@@ -27,8 +32,7 @@ from __future__ import annotations
 
 import copy
 import threading
-from contextlib import nullcontext
-from dataclasses import replace
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,7 +46,8 @@ from ..federated.fleet import ClientFleet
 from ..federated.strategy import ClientUpdate, Strategy, StrategyContext
 from ..nn.model import Sequential
 from ..nn.params import param_nbytes
-from ..parallel import Broadcast, BroadcastHandle, Executor, materialize
+from ..parallel import (Broadcast, BroadcastHandle, Executor, SerialExecutor,
+                        materialize)
 from ..parallel.codec import EncodedParams, resolve_codec
 from ..parallel.supervision import RetryPolicy, run_supervised
 from ..scenarios.engine import RoundOutcome, ScenarioEngine
@@ -167,98 +172,59 @@ def materialized_session(handle: BroadcastHandle) -> tuple:
     return session
 
 
-# ------------------------------------------------------------ worker tasks
-def _local_update_task(payload: Tuple[Strategy, int, Client]
-                       ) -> Tuple[ClientUpdate, Dict]:
-    """Run one client's local update; executed on a worker.
+# ------------------------------------------------------------- task bodies
+def _run_chunk(strategy: Strategy, round_index: int, clients: List[Client]
+               ) -> List[Tuple[ClientUpdate, Dict]]:
+    """Run one chunk of a cohort's local updates — the one task body.
 
-    Strategies persist per-client information in ``client.state``, so the
-    (possibly mutated) state dictionary is shipped back alongside the update
-    — with the thread/process backends the caller never sees in-place
-    mutations.
+    A multi-client chunk (only planned when the strategy is
+    ``cohort_batchable``) is offered to ``local_update_cohort`` as one
+    batched tensor program; the strategy may still decline at run time by
+    returning ``None``, in which case — as for every size-1 chunk — the
+    per-client loop runs in-task.  Either way the result matches the
+    per-client dispatch, update by update and state by state.  Strategies
+    persist per-client information in ``client.state``, so the (possibly
+    mutated) state dictionary rides back alongside each update: across a
+    worker boundary the caller never sees in-place mutations.
     """
-    strategy, round_index, client = payload
-    update = strategy.local_update(round_index, client)
-    return update, client.state
+    updates = None
+    if len(clients) > 1:
+        updates = strategy.local_update_cohort(round_index, clients)
+    if updates is None:
+        updates = [strategy.local_update(round_index, client)
+                   for client in clients]
+    return [(update, client.state)
+            for update, client in zip(updates, clients)]
 
 
-def _evaluation_task(payload: Tuple[Strategy, Client]) -> float:
-    """Evaluate one client's personalized model; executed on a worker."""
-    strategy, client = payload
+def _evaluate_client(strategy: Strategy, client: Client) -> float:
+    """Accuracy of one client's personalized model on its test shard."""
     params, pattern = strategy.client_evaluation(client)
     result = evaluate_params(strategy.context.model, params, client.test_data,
                              pattern=pattern)
     return result["accuracy"]
 
 
-def _bind_broadcast_client(session_handle: BroadcastHandle,
-                           round_handle: BroadcastHandle, client_id: int,
-                           state: Optional[Dict]) -> Tuple[Strategy, Client]:
-    """Rebuild a dispatch-ready strategy + client from broadcast handles.
+# --------------------------------------------------------- broadcast tasks
+def _bind_broadcast(session_handle: BroadcastHandle,
+                    round_handle: BroadcastHandle,
+                    client_ids: Tuple[int, ...],
+                    states: Tuple[Optional[Dict], ...]
+                    ) -> Tuple[Strategy, List[Client]]:
+    """Rebuild a dispatch-ready strategy + clients from broadcast handles.
 
     The session broadcast carries the run invariants (model architecture,
     dataset shards/spec, fleet, config, cost model); the round broadcast
     carries the strategy template and the global parameter blocks.  Both
     are cached per worker (:func:`repro.parallel.materialize` plus the
-    session memo above), so only ``(client_id, state)`` actually crosses
-    the worker boundary per task.  ``state=None`` marks a client that has
+    session memo above), so only ``(client_ids, states)`` actually crosses
+    the worker boundary per task.  A ``None`` state marks a client that has
     never participated: the worker runs the strategy's (pure per client)
     ``init_client_state`` itself, which is bit-identical to server-side
     initialization and saves the server from materializing the client at
     all.  Reusing the materialized template across a worker's sequential
     tasks mirrors the serial reference, where one strategy/model instance
     serves every client of the round in turn.
-    """
-    model, dataset, fleet, config, cost_model = \
-        materialized_session(session_handle)
-    global_params, (template, rng) = materialize(round_handle)
-    initialize = state is None
-    client = Client(client_id, dataset.client(client_id), fleet[client_id],
-                    state={} if initialize else state)
-    strategy = copy.copy(template)
-    strategy.global_params = global_params
-    strategy.context = StrategyContext(
-        model=model, clients={client_id: client}, dataset=dataset,
-        fleet=fleet, config=config, cost_model=cost_model, rng=rng)
-    if initialize:
-        strategy.init_client_state(client)
-    return strategy, client
-
-
-def _broadcast_local_update_task(
-        payload: Tuple[BroadcastHandle, BroadcastHandle, int, int,
-                       Optional[Dict]]
-        ) -> Tuple[ClientUpdate, Dict]:
-    """Broadcast-era variant of :func:`_local_update_task`.
-
-    Under a non-dense wire codec the worker encodes the update's parameters
-    before returning, so the *actual* cross-process pickle carries the
-    compressed wire form; the server decodes on receipt.  (The serial and
-    legacy paths round-trip ``decode(encode(.))`` server-side instead,
-    which composes to the identical numerics.)
-    """
-    session_handle, round_handle, round_index, client_id, state = payload
-    strategy, client = _bind_broadcast_client(session_handle, round_handle,
-                                              client_id, state)
-    update = strategy.local_update(round_index, client)
-    config = strategy.context.config
-    if config.codec != "dense":
-        update.params = resolve_codec(config.codec).encode(update.params)
-    return update, client.state
-
-
-def _bind_broadcast_cohort(session_handle: BroadcastHandle,
-                           round_handle: BroadcastHandle,
-                           client_ids: Tuple[int, ...],
-                           states: Tuple[Optional[Dict], ...]
-                           ) -> Tuple[Strategy, List[Client]]:
-    """Rebuild a strategy + the whole cohort from broadcast handles.
-
-    The cohort twin of :func:`_bind_broadcast_client`: one worker hosts
-    every selected client so the strategy can fuse their local updates into
-    a single batched tensor program.  State handling is identical — stored
-    states ride the payload, ``None`` marks first-time participants whose
-    (pure per client) ``init_client_state`` runs worker-side.
     """
     model, dataset, fleet, config, cost_model = \
         materialized_session(session_handle)
@@ -279,48 +245,38 @@ def _bind_broadcast_cohort(session_handle: BroadcastHandle,
     return strategy, [clients[client_id] for client_id in client_ids]
 
 
-def _broadcast_cohort_update_task(
+def _broadcast_update_task(
         payload: Tuple[BroadcastHandle, BroadcastHandle, int,
                        Tuple[int, ...], Tuple[Optional[Dict], ...]]
         ) -> List[Tuple[ClientUpdate, Dict]]:
-    """Run a whole cohort's local updates as one batched task.
+    """:func:`_run_chunk` on a worker, bound from the broadcast handles.
 
-    Dispatched instead of per-client :func:`_broadcast_local_update_task`
-    payloads when cohort batching is engaged.  The strategy may still
-    decline at run time (``local_update_cohort`` returning ``None``), in
-    which case the worker falls back to the per-client loop in-task —
-    either way the result list matches the per-client dispatch, update by
-    update and state by state.
+    Under a non-dense wire codec the worker encodes the updates' parameters
+    before returning, so the *actual* cross-process pickle carries the
+    compressed wire form; the server decodes on receipt.  (The inline path
+    round-trips ``decode(encode(.))`` server-side instead, which composes
+    to the identical numerics.)
     """
     session_handle, round_handle, round_index, client_ids, states = payload
-    strategy, clients = _bind_broadcast_cohort(session_handle, round_handle,
-                                               client_ids, states)
-    updates = None
-    if strategy.cohort_batchable():
-        updates = strategy.local_update_cohort(round_index, clients)
-    if updates is None:
-        updates = [strategy.local_update(round_index, client)
-                   for client in clients]
+    strategy, clients = _bind_broadcast(session_handle, round_handle,
+                                        client_ids, states)
+    results = _run_chunk(strategy, round_index, clients)
     config = strategy.context.config
     if config.codec != "dense":
         codec = resolve_codec(config.codec)
-        for update in updates:
+        for update, _ in results:
             update.params = codec.encode(update.params)
-    return [(update, client.state)
-            for update, client in zip(updates, clients)]
+    return results
 
 
 def _broadcast_evaluation_task(
         payload: Tuple[BroadcastHandle, BroadcastHandle, int, Optional[Dict]]
         ) -> float:
-    """Broadcast-era variant of :func:`_evaluation_task`."""
+    """:func:`_evaluate_client` on a worker, bound from the handles."""
     session_handle, round_handle, client_id, state = payload
-    strategy, client = _bind_broadcast_client(session_handle, round_handle,
-                                              client_id, state)
-    params, pattern = strategy.client_evaluation(client)
-    result = evaluate_params(strategy.context.model, params, client.test_data,
-                             pattern=pattern)
-    return result["accuracy"]
+    strategy, (client,) = _bind_broadcast(session_handle, round_handle,
+                                          (client_id,), (state,))
+    return _evaluate_client(strategy, client)
 
 
 # ------------------------------------------------------------------- core
@@ -338,13 +294,12 @@ class ServerCore:
                  config: Optional[FederatedConfig] = None,
                  fleet: Optional[DeviceFleet] = None,
                  cost_model: Optional[LocalCostModel] = None,
-                 executor: Optional[Executor] = None,
-                 use_broadcast: bool = True) -> None:
+                 executor: Optional[Executor] = None) -> None:
         self.strategy = strategy
         self.dataset = dataset
         self.config = config or FederatedConfig()
-        self.executor = executor
-        self.use_broadcast = use_broadcast
+        # the serial executor is the null executor: inline on live objects
+        self.executor = executor if executor is not None else SerialExecutor()
         self._session_broadcast: Optional[Broadcast] = None
         # wire codec of the parameter round trip; the per-round wire report
         # (consumed by the scheduler via take_wire_report) is only produced
@@ -490,11 +445,6 @@ class ServerCore:
         return costs
 
     # ------------------------------------------------------------ broadcast
-    def _broadcast_enabled(self) -> bool:
-        """Whether fan-out should go through the shared-memory broadcast."""
-        return (self.use_broadcast and self.executor is not None
-                and self.executor.supports_broadcast)
-
     def _session_handle(self) -> BroadcastHandle:
         """Publish the run invariants once per trainer (lazily).
 
@@ -538,6 +488,24 @@ class ServerCore:
         return Broadcast((template, self.context.rng),
                          params=self.strategy.global_params,
                          round_index=round_index)
+
+    @contextmanager
+    def _fanout_handles(self, round_index: int,
+                        encoded: Optional[EncodedParams], tasks: int):
+        """The handles a fan-out's tasks bind from — or None to run inline.
+
+        The one transport selection, read off the executor: a backend with
+        ``supports_broadcast`` gets the session handle plus a fresh round
+        broadcast (closed when the fan-out returns); any other — or an
+        empty fan-out — publishes nothing and runs the task bodies inline
+        on the server's live strategy and fleet.
+        """
+        if not (tasks and self.executor.supports_broadcast):
+            yield None
+            return
+        session = self._session_handle()
+        with self._round_broadcast(round_index, encoded=encoded) as broadcast:
+            yield session, broadcast.handle
 
     def _snap_global_params(self) -> Optional[EncodedParams]:
         """Push the global model through the lossy downlink (if any).
@@ -591,49 +559,35 @@ class ServerCore:
             self._session_broadcast = None
 
     # ------------------------------------------------------------- dispatch
-    def _dispatch_strategy(self, client: Client) -> Strategy:
-        """A shallow strategy copy whose context carries only ``client``.
+    def _plan_chunks(self, selected: List[int]) -> List[List[int]]:
+        """Partition a cohort into the chunks its fan-out dispatches.
 
-        The copy shares the (read-only during fan-out) global parameters and
-        model with the original; slimming ``context.clients`` and the
-        dataset's shards down to the one dispatched client keeps
-        thread/process payloads proportional to a single client — the other
-        clients' states and data never cross the worker boundary.  Dataset
-        metadata (name, num_classes, input_shape) stays intact for
-        strategies that consult it during local work.
+        One chunk of the whole cohort when it runs as a single batched
+        tensor program — which requires the config opt-in, a cohort worth
+        batching, no supervision (retry/fault bookkeeping is per client
+        task) and a strategy/model pair whose batched path is bit-identical
+        to the loop (``Strategy.cohort_batchable``) — else per-client tasks.
         """
-        strategy = copy.copy(self.strategy)
-        # a plain FederatedDataset regardless of the server-side flavour:
-        # a virtual dataset's lazy machinery (and any pooled base arrays)
-        # must not ride along in a per-task pickle
-        slim_dataset = FederatedDataset(
-            name=self.dataset.name,
-            clients={client.client_id: client.data},
-            num_classes=self.dataset.num_classes,
-            input_shape=tuple(self.dataset.input_shape),
-            metadata=dict(self.dataset.metadata))
-        strategy.context = replace(self.context,
-                                   clients={client.client_id: client},
-                                   dataset=slim_dataset)
-        return strategy
-
-    def _cohort_batching(self, selected: List[int]) -> bool:
-        """Whether this fan-out runs as one batched cohort program.
-
-        Requires the config opt-in, a cohort worth batching, no supervision
-        (retry/fault bookkeeping is per client task) and a strategy/model
-        pair whose batched path is bit-identical to the loop
-        (``Strategy.cohort_batchable``).
-        """
-        return (self.config.batch_cohort and len(selected) > 1
+        ids = [int(cid) for cid in selected]
+        if (self.config.batch_cohort and len(ids) > 1
                 and not self.supervised
-                and self.strategy.cohort_batchable())
+                and self.strategy.cohort_batchable()):
+            return [ids]
+        return [[cid] for cid in ids]
 
     def run_local_updates(self, round_index: int, selected: List[int], *,
                           ordered: bool = True) -> List[ClientUpdate]:
-        """Run the selected clients' local updates, fanning out if possible.
+        """Run the selected clients' local updates as one chunked fan-out.
 
-        With either mode the pool runs the cohort's clients concurrently and
+        Every chunk of :meth:`_plan_chunks` runs through :func:`_run_chunk`
+        — inline, or on a worker bound from :meth:`_fanout_handles` — and
+        the returned states are folded back into the fleet.  Broadcast
+        payloads carry ``peek_state`` (the stored state, or None for
+        first-time participants, whose pure init runs worker-side), so
+        dispatch materializes nothing server-side: the worker is the only
+        place the cohort's shards are built.
+
+        With either mode the pool runs the cohort's chunks concurrently and
         the call returns once the whole cohort has finished.  ``ordered=False``
         goes through the executor's ``map_unordered``, which skips the
         input-order barrier on the result list (and is the hook for streaming
@@ -652,86 +606,48 @@ class ServerCore:
         ``dropped`` bookkeeping.
         """
         encoded_down = self._snap_global_params()
-        if self.executor is None or not selected:
-            if self.supervised:
-                def inline_task(cid):
-                    return self.strategy.local_update(round_index,
-                                                      self.clients[cid])
-
-                report = run_supervised(
-                    None, inline_task, [(cid, cid) for cid in selected],
-                    policy=self.retry_policy, plan=self.config.faults,
-                    round_index=round_index)
-                self._stash_fault_report(report)
-                updates = [update for update in report.results
-                           if update is not None]
+        chunks = self._plan_chunks(selected)
+        with self._fanout_handles(round_index, encoded_down,
+                                  len(chunks)) as handles:
+            if handles is None:
+                def task(chunk):
+                    return _run_chunk(self.strategy, round_index,
+                                      [self.clients[cid] for cid in chunk])
+                payloads = chunks
             else:
-                updates = None
-                if self._cohort_batching(selected):
-                    updates = self.strategy.local_update_cohort(
-                        round_index, [self.clients[cid] for cid in selected])
-                if updates is None:
-                    updates = [self.strategy.local_update(round_index,
-                                                          self.clients[cid])
-                               for cid in selected]
-        else:
-            if self._broadcast_enabled():
-                session = self._session_handle()
-                with self._round_broadcast(round_index,
-                                           encoded=encoded_down) as broadcast:
-                    # peek_state ships the stored state, or None for
-                    # first-time participants (the worker runs the pure init
-                    # itself), so dispatch materializes nothing server-side —
-                    # the worker is the only place the cohort's shards are
-                    # built
-                    if self._cohort_batching(selected):
-                        # one task hosts the whole cohort: the worker fuses
-                        # the local updates into a single batched tensor
-                        # program (or falls back to the loop in-task)
-                        payload = (session, broadcast.handle, round_index,
-                                   tuple(int(cid) for cid in selected),
-                                   tuple(self.clients.peek_state(cid)
-                                         for cid in selected))
-                        results = self.executor.map_ordered(
-                            _broadcast_cohort_update_task, [payload])[0]
-                    else:
-                        payloads = [(session, broadcast.handle, round_index,
-                                     cid, self.clients.peek_state(cid))
-                                    for cid in selected]
-                        results = self._dispatch(_broadcast_local_update_task,
-                                                 selected, payloads,
-                                                 round_index=round_index,
-                                                 ordered=ordered)
-            else:
-                legacy = [(self._dispatch_strategy(self.clients[cid]),
-                           round_index, self.clients[cid])
-                          for cid in selected]
-                results = self._dispatch(_local_update_task, selected, legacy,
-                                         round_index=round_index,
-                                         ordered=ordered)
-            updates = []
-            for update, state in results:
+                task = _broadcast_update_task
+                payloads = [handles + (round_index, tuple(chunk), tuple(
+                    self.clients.peek_state(cid) for cid in chunk))
+                    for chunk in chunks]
+            # a supervised fan-out only ever plans size-1 chunks, so a
+            # chunk's first id names its task in fault decisions and drops
+            results = self._dispatch(task, [chunk[0] for chunk in chunks],
+                                     payloads, round_index=round_index,
+                                     ordered=ordered)
+        updates = []
+        for chunk_results in results:
+            for update, state in chunk_results:
                 self.clients.update_state(update.client_id, state)
                 updates.append(update)
         if self.codec.name != "dense":
             self._decode_uplinks(updates, encoded_down, len(selected))
         return updates
 
-    def _dispatch(self, fn, selected: List[int], payloads, *,
+    def _dispatch(self, fn, keys: List[int], payloads, *,
                   round_index: int, ordered: bool) -> List:
         """Fan payloads out — supervised when the config asks for it."""
         if not self.supervised:
-            return self._map(fn, payloads, ordered=ordered)
+            if ordered:
+                return self.executor.map_ordered(fn, payloads)
+            return [result for _, result in
+                    self.executor.map_unordered(fn, payloads)]
         report = run_supervised(
-            self.executor, fn, list(zip(selected, payloads)),
+            self.executor, fn, list(zip(keys, payloads)),
             policy=self.retry_policy, plan=self.config.faults,
             round_index=round_index)
-        self._stash_fault_report(report)
-        return [result for result in report.results if result is not None]
-
-    def _stash_fault_report(self, report) -> None:
         self._last_faults = report.counters.as_extras()
         self._last_failed = sorted(report.failed)
+        return [result for result in report.results if result is not None]
 
     def take_fault_report(self) -> Tuple[Dict[str, float], List[int]]:
         """The last fan-out's fault accounting + the clients it gave up on.
@@ -752,8 +668,8 @@ class ServerCore:
         """Decode the cohort's uplinks and record the round's wire bytes.
 
         Broadcast workers hand back :class:`EncodedParams` (the compressed
-        form really crossed the pickling boundary); the serial and legacy
-        paths hand back dense dictionaries that are round-tripped through
+        form really crossed the pickling boundary); the inline path hands
+        back dense dictionaries that are round-tripped through
         ``decode(encode(.))`` here so every backend applies the identical
         codec numerics.  Sparse uplinks decode to lazy indexed mappings the
         aggregation kernels reduce without densifying.
@@ -782,13 +698,6 @@ class ServerCore:
             "wire_upload_density": (float(stored_values / total_values)
                                     if total_values else 1.0),
         }
-
-    def _map(self, fn, payloads, *, ordered: bool) -> List:
-        """Dispatch payloads on the executor, ordered or completion-order."""
-        if ordered:
-            return self.executor.map_ordered(fn, payloads)
-        return [result for _, result in
-                self.executor.map_unordered(fn, payloads)]
 
     # ------------------------------------------------------------ evaluation
     def evaluation_client_ids(self) -> List[int]:
@@ -824,39 +733,24 @@ class ServerCore:
         inherently touches every swept client's test shard somewhere, so
         for mid-size lazy fleets either keep ``fleet.shard_cache`` at or
         above the sweep size or cap the sweep with ``fleet.eval_clients``.
-        (The opt-in legacy path, ``use_broadcast=False`` with an executor,
-        builds the whole sweep's payload list up front — O(sweep) resident
-        shards; it exists for byte-accounting on tiny workloads, not for
-        fleet scale.)
         """
         eval_ids = self.evaluation_client_ids()
         if not eval_ids:
             return 0.0
         # lossy codecs evaluate the model a compressed downlink delivers
-        # (and ship exactly those wire blocks to broadcast workers)
+        # (and ship exactly those wire blocks to broadcast workers); the
+        # broadcast is a fresh one, not the round's: aggregation has moved
+        # the global parameters since the local-update fan-out
         encoded_down = self._snap_global_params()
-        if self.executor is None:
-            accuracies = []
-            for cid in eval_ids:
-                client = self.clients.observer(cid)
-                params, pattern = self.strategy.client_evaluation(client)
-                result = evaluate_params(self.model, params, client.test_data,
-                                         pattern=pattern)
-                accuracies.append(result["accuracy"])
-        elif self._broadcast_enabled():
-            session = self._session_handle()
-            # a fresh broadcast (not the round's): aggregation has moved the
-            # global parameters since the local-update fan-out
-            with self._round_broadcast(-1, encoded=encoded_down) as broadcast:
-                payloads = [(session, broadcast.handle, cid,
-                             self.clients.peek_state(cid))
+        with self._fanout_handles(-1, encoded_down, len(eval_ids)) as handles:
+            if handles is None:
+                def task(cid):
+                    return _evaluate_client(self.strategy,
+                                            self.clients.observer(cid))
+                payloads = eval_ids
+            else:
+                task = _broadcast_evaluation_task
+                payloads = [handles + (cid, self.clients.peek_state(cid))
                             for cid in eval_ids]
-                accuracies = self.executor.map_ordered(
-                    _broadcast_evaluation_task, payloads)
-        else:
-            payloads = []
-            for cid in eval_ids:
-                client = self.clients.observer(cid)
-                payloads.append((self._dispatch_strategy(client), client))
-            accuracies = self.executor.map_ordered(_evaluation_task, payloads)
-        return float(np.mean(accuracies)) if accuracies else 0.0
+            accuracies = self.executor.map_ordered(task, payloads)
+        return float(np.mean(accuracies))

@@ -246,6 +246,73 @@ class TestEndToEnd:
         assert _history_key(default) == _history_key(batched)
 
 
+    def test_cohort_batches_on_every_executor(self, monkeypatch):
+        """``batch_cohort`` engages with no executor, serial and a pool.
+
+        Regression: the serial executor (the CLI's default backend) used to
+        take a per-task path that never consulted the batching opt-in.
+        """
+        from repro.baselines import build_strategy
+        from repro.experiments import run_method
+        from repro.parallel import SerialExecutor, ThreadPoolExecutor
+
+        # the bench's batched-cohort16 shape, shortened
+        preset = _small(num_clients=64, clients_per_round=16,
+                        examples_per_client=16, local_iterations=4,
+                        batch_size=1, eval_clients=16, batch_cohort=True)
+        fedlps = type(build_strategy("fedlps"))
+        original = fedlps.local_update_cohort
+        cohort_sizes = []
+
+        def counting(self, round_index, clients):
+            cohort_sizes.append(len(clients))
+            return original(self, round_index, clients)
+
+        monkeypatch.setattr(fedlps, "local_update_cohort", counting)
+        histories = []
+        for make_executor in (lambda: None, SerialExecutor,
+                              lambda: ThreadPoolExecutor(2)):
+            del cohort_sizes[:]
+            executor = make_executor()
+            try:
+                histories.append(_history_key(
+                    run_method("fedlps", preset, executor=executor)))
+            finally:
+                if executor is not None:
+                    executor.close()
+            assert cohort_sizes == [16] * preset.num_rounds
+        assert histories[0] == histories[1] == histories[2]
+
+
+class TestChunkPlan:
+    """``ServerCore._plan_chunks``: one cohort chunk or per-client tasks."""
+
+    @staticmethod
+    def _core(method="fedavg", **overrides):
+        from repro.baselines import build_strategy
+        from repro.experiments.presets import build_experiment
+        from repro.server.core import ServerCore
+
+        dataset, model_builder, config, fleet = build_experiment(
+            _small(**{"batch_cohort": True, **overrides}))
+        core = ServerCore(build_strategy(method), dataset, model_builder,
+                          config=config, fleet=fleet)
+        core.strategy.setup(core.context)
+        return core
+
+    def test_batchable_opt_in_cohort_is_one_chunk(self):
+        assert self._core()._plan_chunks([3, 1, 2]) == [[3, 1, 2]]
+
+    def test_size_one_chunks_otherwise(self):
+        per_client = [[3], [1], [2]]
+        assert self._core(max_retries=1)._plan_chunks([3, 1, 2]) == per_client
+        assert self._core("heterofl")._plan_chunks([3, 1, 2]) == per_client
+        assert self._core(batch_cohort=False)._plan_chunks([3, 1, 2]) \
+            == per_client
+        assert self._core()._plan_chunks([5]) == [[5]]
+        assert self._core()._plan_chunks([]) == []
+
+
 class TestGoldenParity:
     @pytest.mark.parametrize("method", ["fedavg", "fedlps", "fedprox"])
     def test_batched_run_reproduces_golden_fixture(self, method):

@@ -32,6 +32,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--backend", "gpu"])
 
+    def test_unknown_dataset_or_preset_rejected(self, capsys):
+        for argv in (["run", "--dataset", "nope"],
+                     ["compare", "--preset", "nope"],
+                     ["table1", "--datasets", "mnist", "nope"],
+                     ["sweep", "--datasets", "nope"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+            message = capsys.readouterr().err.strip().splitlines()[-1]
+            assert "invalid choice: 'nope'" in message
+            assert "'mnist-100k'" in message  # lists the preset registry
+        # names stay case-insensitive, as preset_for always was
+        args = build_parser().parse_args(["run", "--preset", "MNIST"])
+        assert args.preset == "mnist"
+
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert "mnist" in args.datasets
@@ -224,5 +239,5 @@ class TestCommands:
                      "thread", "--workers-list", "2", "--repeats", "1",
                      "--output", str(artifact), "--check"]) == 0
         out = capsys.readouterr().out
-        assert "reduction" in out and "thread-2" in out
+        assert "bytes/round: broadcast" in out and "thread-2" in out
         assert artifact.exists()
