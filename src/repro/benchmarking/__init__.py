@@ -1,49 +1,37 @@
-"""Performance benchmarking harness (``repro bench``)."""
+"""Performance benchmarking (``repro bench``): one harness, seven axes.
 
-from .batch import (batch_preset, format_batch_report, measure_batching,
-                    run_batch_bench)
-from .checkpoint import (format_checkpoint_report, measure_checkpoint,
-                         run_checkpoint_bench)
-from .codec import format_codec_report, measure_codec, run_codec_bench
-from .dist import (dist_preset, format_dist_report, measure_dist_cell,
-                   measure_shard_balance, run_dist_bench)
-from .fanout import (BENCH_METHOD, fanout_preset, format_bench_report,
-                     measure_aggregation_modes, measure_fanout_bytes,
-                     run_fanout_bench)
-from .faults import (fault_preset, format_fault_report, measure_faults,
-                     run_fault_bench)
-from .fleet import (fleet_preset, format_fleet_report, measure_construction,
-                    measure_smoke, run_fleet_bench)
+:mod:`~repro.benchmarking.harness` owns the run → gate → write → format
+path; importing the axis modules below is what fills its ``AXES`` table.
+"""
+
+from .harness import AXES, Axis, format_report, run_bench
+from .fanout import (BENCH_METHOD, fanout_preset, measure_aggregation_modes,
+                     measure_fanout_bytes)
+from .fleet import fleet_preset, measure_construction, measure_smoke
+from .checkpoint import measure_checkpoint
+from .codec import measure_codec
+from .faults import fault_preset, measure_faults
+from .batch import batch_preset, measure_batching
+from .dist import measure_dist_cell, measure_shard_balance
 
 __all__ = [
+    "AXES",
+    "Axis",
+    "format_report",
+    "run_bench",
     "BENCH_METHOD",
-    "batch_preset",
-    "format_batch_report",
-    "measure_batching",
-    "run_batch_bench",
-    "format_checkpoint_report",
-    "measure_checkpoint",
-    "run_checkpoint_bench",
-    "format_codec_report",
-    "measure_codec",
-    "run_codec_bench",
-    "dist_preset",
-    "format_dist_report",
-    "measure_dist_cell",
-    "measure_shard_balance",
-    "run_dist_bench",
     "fanout_preset",
-    "format_bench_report",
     "measure_aggregation_modes",
     "measure_fanout_bytes",
-    "run_fanout_bench",
-    "fault_preset",
-    "format_fault_report",
-    "measure_faults",
-    "run_fault_bench",
     "fleet_preset",
-    "format_fleet_report",
     "measure_construction",
     "measure_smoke",
-    "run_fleet_bench",
+    "measure_checkpoint",
+    "measure_codec",
+    "fault_preset",
+    "measure_faults",
+    "batch_preset",
+    "measure_batching",
+    "measure_dist_cell",
+    "measure_shard_balance",
 ]

@@ -1,6 +1,6 @@
 """Cohort-batching benchmark: vectorized local training vs the client loop.
 
-``repro bench --batch-scale`` pins the contract of the vectorized cohort
+``repro bench batch`` pins the contract of the vectorized cohort
 engine (:mod:`repro.federated.batched`, ``FederatedConfig.batch_cohort``):
 
 * at a cross-device-style workload (many small local steps) a cohort of
@@ -12,21 +12,14 @@ engine (:mod:`repro.federated.batched`, ``FederatedConfig.batch_cohort``):
 
 Timing uses the best of ``BENCH_REPEATS`` full runs per cell (min, not
 mean — the minimum is the least noisy location statistic for wall-clock
-benchmarks).  The report lands in ``BENCH_batch.json``, schema-compatible
-with the ``BENCH_fanout``/``BENCH_faults`` family (``bench_scale``,
-``cpu_count``, per-cell ``seconds``).
+benchmarks).  The report lands in ``BENCH_batch.json``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import platform
-import sys
-import time
-from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
+
+from .harness import Axis, history_digest, register, timed
 
 #: the batched program must beat the loop by this factor at the gated cohort
 GATE_MIN_SPEEDUP = 2.0
@@ -70,18 +63,13 @@ def batch_preset(cohort: int, scale: float = 1.0, *, seed: int = 0,
         batch_cohort=batched)
 
 
-def _history_digest(history) -> str:
-    canonical = json.dumps(history.to_dict(), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _one_run(method: str, preset) -> Tuple[float, str]:
     """Wall clock and history digest of one serial run."""
     from ..experiments.runner import run_method
 
-    start = time.perf_counter()
-    history = run_method(method, preset)
-    return time.perf_counter() - start, _history_digest(history)
+    with timed() as clock:
+        history = run_method(method, preset)
+    return clock.seconds, history_digest(history)
 
 
 def measure_batching(method: str, cohort: int, *, scale: float = 1.0,
@@ -138,59 +126,28 @@ def _gate(cells: Sequence[Dict[str, object]]) -> Dict[str, object]:
     }
 
 
-def run_batch_bench(scale: float = 1.0, *,
-                    methods: Optional[Iterable[str]] = None,
-                    cohorts: Optional[Iterable[int]] = None,
-                    seed: int = 0,
-                    output: Optional[str] = None) -> Dict[str, object]:
-    """Run the cohort-batching benchmark, optionally writing the report.
+def run(scale: float) -> Dict[str, object]:
+    """Measure the cohort-batching report body at ``scale``.
 
     ``scale`` multiplies the workload (rounds, local iterations), the same
     convention as the other ``repro bench`` axes.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    cells = [measure_batching(method, cohort, scale=scale, seed=seed)
-             for method in (methods if methods is not None else BENCH_METHODS)
-             for cohort in (cohorts if cohorts is not None else BENCH_COHORTS)]
-    report: Dict[str, object] = {
-        "bench_scale": scale,
+    return {
         "repeats": BENCH_REPEATS,
-        "python": platform.python_version(),
-        "platform": sys.platform,
-        "cpu_count": os.cpu_count(),
-        "cells": cells,
-        "gate": _gate(cells),
+        "cells": [measure_batching(method, cohort, scale=scale)
+                  for method in BENCH_METHODS for cohort in BENCH_COHORTS],
     }
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2, sort_keys=True))
-    return report
 
 
-def format_batch_report(report: Dict[str, object]) -> str:
-    """Render a batching report as the aligned text table the CLI prints."""
-    lines = [f"# repro bench --batch-scale {report['bench_scale']} — "
-             f"cpu_count {report['cpu_count']}, "
-             f"best of {report['repeats']} runs"]
-    header = (f"{'method':>8s} | {'cohort':>6s} | {'loop_s':>8s} | "
-              f"{'batch_s':>8s} | {'speedup':>7s} | {'identical':>9s}")
-    lines += [header, "-" * len(header)]
-    for cell in report["cells"]:
-        lines.append(
-            f"{cell['method']:>8s} | "
-            f"{cell['cohort']:>6d} | "
-            f"{cell['loop_seconds']:>8.3f} | "
-            f"{cell['batched_seconds']:>8.3f} | "
-            f"{cell['speedup']:>6.2f}x | "
-            f"{str(bool(cell['bit_identical'])):>9s}")
-    gate = report["gate"]
-    if "bit_identical" in gate:
-        lines.append(
-            f"gate: histories identical {gate['bit_identical']}, "
-            f"min speedup at cohort >= {gate['gated_cohort']} "
-            f"{gate['min_gated_speedup']:.2f}x "
-            f"(need {gate['min_speedup_required']:.1f}x) "
-            f"-> {'PASS' if gate['pass'] else 'FAIL'}")
-    else:
-        lines.append(f"gate: FAIL ({gate.get('reason', 'unknown')})")
-    return "\n".join(lines)
+register(Axis(
+    name="batch",
+    doc=__doc__,
+    gates=f"the batched program is >= {GATE_MIN_SPEEDUP:.0f}x faster than "
+          f"the loop at cohort >= {GATE_COHORT} and every batched history "
+          "is bit-identical to its loop history",
+    run=run,
+    gate=lambda report: _gate(report["cells"]),
+    columns={"method": "method", "cohort": "cohort",
+             "loop_s": "loop_seconds", "batch_s": "batched_seconds",
+             "speedup": "speedup", "identical": "bit_identical"},
+    cells=lambda report: report["cells"]))

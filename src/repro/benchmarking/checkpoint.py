@@ -1,6 +1,6 @@
 """Checkpoint-cost benchmark: write/restore time and bytes vs fleet size.
 
-``repro bench --checkpoint-scale`` pins the cost contract of
+``repro bench checkpoint`` pins the cost contract of
 :mod:`repro.checkpoint`: a round-boundary checkpoint must be cheap enough
 to take every round (write wall-clock under a second even at the 100k-client
 rung) and must scale with the *cohort* that actually participated, never
@@ -11,27 +11,18 @@ a constant factor of the small rung instead of growing 100x.
 Each rung runs a short training run with per-round checkpointing on a lazy
 virtual fleet, records the manager's write timing/bytes, then restores the
 latest checkpoint into a *fresh* core and times that too.  The report lands
-in ``BENCH_checkpoint.json``, schema-compatible with the ``BENCH_fanout``/
-``BENCH_fleet`` family (``bench_scale``, ``cpu_count``, per-cell
-``seconds``), so future PRs have a trajectory to move.
+in ``BENCH_checkpoint.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
 import tempfile
-import time
-from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
-from ..baselines import build_strategy
 from ..checkpoint import CheckpointManager, restore_run
-from ..federated import FederatedTrainer
 from ..systems.metrics import TrainingHistory
-from .fleet import fleet_preset
+from .fleet import build_trainer, fleet_preset, scaled_ladder
+from .harness import Axis, register, timed
 
 #: the fleet-size rungs at scale 1.0 (small reference + the 100k contract)
 LADDER = (1_000, 100_000)
@@ -46,14 +37,6 @@ GATE_BYTES_FACTOR = 2.0
 GATE_BYTES_SLACK = 1_000_000
 
 
-def _build_trainer(preset):
-    from ..experiments.presets import build_experiment
-
-    dataset, model_builder, config, fleet = build_experiment(preset)
-    return FederatedTrainer(build_strategy("fedavg"), dataset, model_builder,
-                            config=config, fleet=fleet)
-
-
 def measure_checkpoint(num_clients: int) -> Dict[str, object]:
     """Write + restore cost of checkpointing one rung's training run.
 
@@ -66,51 +49,45 @@ def measure_checkpoint(num_clients: int) -> Dict[str, object]:
 
     preset = fleet_preset(num_clients, num_rounds=2, clients_per_round=32,
                           eval_clients=0)
-    trainer = _build_trainer(preset)
+    trainer = build_trainer(preset)
     core = trainer.core
     with tempfile.TemporaryDirectory() as tmp:
         manager = CheckpointManager(tmp, every=1)
         scheduler = build_scheduler(core.config)
-        start = time.perf_counter()
-        history = scheduler.run(core, checkpointer=manager)
-        run_seconds = time.perf_counter() - start
+        with timed() as run_clock:
+            history = scheduler.run(core, checkpointer=manager)
         checkpoint = manager.latest()
 
-        fresh = _build_trainer(preset)
+        fresh = build_trainer(preset)
         fresh_scheduler = build_scheduler(fresh.core.config)
         fresh.core.strategy.setup(fresh.core.context)
         fresh_scheduler.reset()
         restored = TrainingHistory(method=fresh.core.strategy.name,
                                    dataset=fresh.core.dataset.name)
-        start = time.perf_counter()
-        next_round = restore_run(fresh.core, fresh_scheduler, checkpoint,
-                                 restored)
-        restore_seconds = time.perf_counter() - start
+        with timed() as restore_clock:
+            next_round = restore_run(fresh.core, fresh_scheduler, checkpoint,
+                                     restored)
     assert next_round == preset.num_rounds
     assert len(restored.records) == len(history.records)
     return {
         "num_clients": num_clients,
         "rounds": preset.num_rounds,
         "cohort_size": min(32, num_clients),
-        "run_seconds": run_seconds,
+        "run_seconds": run_clock.seconds,
         "seconds": manager.last_save_seconds,
         "mean_write_seconds": manager.total_save_seconds
                               / max(manager.saves, 1),
-        "restore_seconds": restore_seconds,
+        "restore_seconds": restore_clock.seconds,
         "bytes_on_disk": manager.last_bytes,
         "client_states": len(checkpoint.client_states),
         "queued_events": len(checkpoint.scheduler.get("events", ())),
     }
 
 
-def _gate(cells: Dict[str, Dict[str, object]], small_size: int,
-          top_size: int) -> Dict[str, object]:
+def _gate(cells: Dict[str, Dict[str, object]]) -> Dict[str, object]:
     """Pass/fail: the top rung meets the write budget and stays O(cohort)."""
-    small = cells.get(str(small_size))
-    top = cells.get(str(top_size))
-    if small is None or top is None:
-        return {"pass": False,
-                "reason": f"missing rung {small_size} or {top_size}"}
+    rungs = sorted(cells.values(), key=lambda cell: cell["num_clients"])
+    small, top = rungs[0], rungs[-1]
     write_seconds = float(top["seconds"])
     bytes_small = int(small["bytes_on_disk"])
     bytes_top = int(top["bytes_on_disk"])
@@ -124,7 +101,7 @@ def _gate(cells: Dict[str, Dict[str, object]], small_size: int,
                and bytes_top <= bytes_budget and sparse)
     return {
         "pass": bool(verdict),
-        "top_size": top_size,
+        "top_size": top["num_clients"],
         "write_seconds": write_seconds,
         "write_seconds_budget": GATE_WRITE_SECONDS,
         "bytes_on_disk": bytes_top,
@@ -134,60 +111,25 @@ def _gate(cells: Dict[str, Dict[str, object]], small_size: int,
     }
 
 
-def run_checkpoint_bench(scale: float = 1.0,
-                         ladder: Optional[Iterable[int]] = None,
-                         output: Optional[str] = None) -> Dict[str, object]:
-    """Run the checkpoint benchmark and return (optionally write) the report.
+def run(scale: float) -> Dict[str, object]:
+    """Measure the checkpoint report body at ``scale``.
 
     ``scale`` multiplies the fleet-size rungs (1k and 100k at 1.0), the same
-    convention as ``repro bench --scale`` / ``--fleet-scale``.
+    convention as the ``fleet`` axis.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    sizes = list(dict.fromkeys(
-        max(8, int(round(step * scale)))
-        for step in (ladder if ladder is not None else LADDER)))
-    cells: Dict[str, Dict[str, object]] = {}
-    for size in sizes:
-        cells[str(size)] = measure_checkpoint(size)
-    report: Dict[str, object] = {
-        "bench_scale": scale,
-        "python": platform.python_version(),
-        "platform": sys.platform,
-        "cpu_count": os.cpu_count(),
-        "ladder": cells,
-        "gate": _gate(cells, sizes[0], sizes[-1]),
-    }
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2, sort_keys=True))
-    return report
+    return {"ladder": {str(size): measure_checkpoint(size)
+                       for size in scaled_ladder(LADDER, scale)}}
 
 
-def format_checkpoint_report(report: Dict[str, object]) -> str:
-    """Render a checkpoint report as the aligned text table the CLI prints."""
-    lines = [f"# repro bench --checkpoint-scale {report['bench_scale']} — "
-             f"cpu_count {report['cpu_count']}"]
-    header = (f"{'fleet':>10s} | {'write_s':>8s} | {'restore_s':>9s} | "
-              f"{'bytes':>10s} | {'states':>6s} | {'events':>6s}")
-    lines += [header, "-" * len(header)]
-    for cell in report["ladder"].values():
-        lines.append(
-            f"{cell['num_clients']:>10d} | "
-            f"{cell['seconds']:>8.4f} | "
-            f"{cell['restore_seconds']:>9.4f} | "
-            f"{cell['bytes_on_disk']:>10d} | "
-            f"{cell['client_states']:>6d} | "
-            f"{cell['queued_events']:>6d}")
-    gate = report["gate"]
-    if "write_seconds" in gate:
-        lines.append(
-            f"gate: {gate['top_size']} clients -> "
-            f"write {gate['write_seconds']:.4f}s "
-            f"(budget {gate['write_seconds_budget']}s), "
-            f"{gate['bytes_on_disk']} bytes "
-            f"(budget {gate['bytes_budget']}, "
-            f"small rung {gate['bytes_small_rung']}) "
-            f"-> {'PASS' if gate['pass'] else 'FAIL'}")
-    else:
-        lines.append(f"gate: FAIL ({gate.get('reason', 'unknown')})")
-    return "\n".join(lines)
+register(Axis(
+    name="checkpoint",
+    doc=__doc__,
+    gates=f"the top rung's write stays within {GATE_WRITE_SECONDS} s and "
+          "its bytes and client states stay O(cohort) — within a constant "
+          "factor of the small rung",
+    run=run,
+    gate=lambda report: _gate(report["ladder"]),
+    columns={"fleet": "num_clients", "write_s": "seconds",
+             "restore_s": "restore_seconds", "bytes": "bytes_on_disk",
+             "states": "client_states", "events": "queued_events"},
+    cells=lambda report: report["ladder"].values()))

@@ -1,6 +1,6 @@
 """Wire-codec benchmark: bytes crossing the client/server boundary per codec.
 
-``repro bench --codec-scale`` runs the fan-out workload (FedLPS on the MNIST
+``repro bench codec`` runs the fan-out workload (FedLPS on the MNIST
 preset — the method whose uploads are mask-sparse residuals) once per wire
 codec and totals the per-round wire reports the server records in
 ``RoundRecord.extras``: encoded upload/download bytes against the dense
@@ -12,24 +12,18 @@ Two correctness clauses ride along with the byte accounting: lossless codecs
 must reproduce the dense reference history bit-for-bit once the wire-report
 extras are stripped, and lossy codecs report their accuracy delta against
 the same reference (the accuracy-vs-uplink-bytes axis).  The report lands in
-``BENCH_codec.json``, schema-compatible with the ``BENCH_fanout`` family
-(``bench_scale``, ``cpu_count``, ``gate``), so future PRs have a byte
-trajectory to move.
+``BENCH_codec.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
-from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from ..experiments import run_method, scaled
 from ..parallel.codec import LOSSLESS_CODECS
 from ..systems.metrics import TrainingHistory
 from .fanout import BENCH_METHOD, fanout_preset
+from .harness import Axis, history_digest, register, workload
 
 #: codecs benchmarked by default — every registered codec but the baseline
 BENCH_CODECS = ("sparse", "int8", "pq")
@@ -42,21 +36,6 @@ GATE_SPARSE_RATIO = 0.5
 #: the wire-report keys summed over rounds (see ``ServerCore.take_wire_report``)
 _WIRE_TOTALS = ("wire_upload_bytes", "wire_upload_dense_bytes",
                 "wire_download_bytes", "wire_download_dense_bytes")
-
-
-def _strip_wire(history_dict: Dict[str, object]) -> Dict[str, object]:
-    """A deep copy of a history dict with the wire-report extras removed.
-
-    The wire report is the one place a non-dense run's history legitimately
-    differs from the dense reference, so lossless bit-identity is asserted
-    on everything else.
-    """
-    clone = json.loads(json.dumps(history_dict))
-    for record in clone.get("records", []):
-        extras = record.get("extras", {})
-        for key in [key for key in extras if key.startswith("wire_")]:
-            del extras[key]
-    return clone
 
 
 def measure_codec(preset, codec: str,
@@ -92,8 +71,9 @@ def measure_codec(preset, codec: str,
         "best_accuracy": history.best_accuracy(),
     }
     if codec in LOSSLESS_CODECS:
-        cell["matches_dense_reference"] = \
-            _strip_wire(history.to_dict()) == reference.to_dict()
+        cell["matches_dense_reference"] = (
+            history_digest(history, strip_prefix="wire_")
+            == history_digest(reference))
     else:
         cell["accuracy_delta"] = \
             history.final_accuracy() - reference.final_accuracy()
@@ -132,73 +112,39 @@ def _gate(cells: Dict[str, Dict[str, object]]) -> Dict[str, object]:
     }
 
 
-def run_codec_bench(scale: float = 1.0,
-                    codecs: Iterable[str] = BENCH_CODECS,
-                    output: Optional[str] = None) -> Dict[str, object]:
-    """Run the codec benchmark and return (optionally write) the report.
+def run(scale: float,
+        codecs: Iterable[str] = BENCH_CODECS) -> Dict[str, object]:
+    """Measure the codec report body at ``scale``.
 
-    ``scale`` multiplies the fan-out workload, the same convention as
-    ``repro bench --scale``; one dense reference run anchors the lossless
-    and accuracy checks for every codec cell.
+    ``scale`` multiplies the fan-out workload; one dense reference run
+    anchors the lossless and accuracy checks for every codec cell.
     """
     preset = fanout_preset(scale)
     reference = run_method(BENCH_METHOD, preset)
-    cells: Dict[str, Dict[str, object]] = {}
-    for codec in codecs:
-        cells[codec] = measure_codec(preset, codec, reference)
-    report: Dict[str, object] = {
-        "bench_scale": scale,
+    return {
         "method": BENCH_METHOD,
-        "workload": {
-            "dataset": preset.dataset,
-            "num_clients": preset.num_clients,
-            "clients_per_round": preset.clients_per_round,
-            "num_rounds": preset.num_rounds,
-            "local_iterations": preset.local_iterations,
-        },
-        "python": platform.python_version(),
-        "platform": sys.platform,
-        "cpu_count": os.cpu_count(),
+        "workload": workload(preset),
         "dense_reference": {
             "final_accuracy": reference.final_accuracy(),
             "best_accuracy": reference.best_accuracy(),
         },
-        "codecs": cells,
-        "gate": _gate(cells),
+        "codecs": {codec: measure_codec(preset, codec, reference)
+                   for codec in codecs},
     }
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2, sort_keys=True))
-    return report
 
 
-def format_codec_report(report: Dict[str, object]) -> str:
-    """Render a codec report as the aligned text table the CLI prints."""
-    lines = [f"# repro bench --codec-scale {report['bench_scale']} — "
-             f"method {report['method']}, cpu_count {report['cpu_count']}"]
-    header = (f"{'codec':>8s} | {'upload_B':>10s} | {'dense_B':>10s} | "
-              f"{'ratio':>6s} | {'density':>7s} | {'accuracy':>8s} | "
-              f"{'contract':>9s}")
-    lines += [header, "-" * len(header)]
-    for name, cell in report["codecs"].items():
-        density = cell["mask_density"]
-        if cell["lossless"]:
-            contract = ("identical" if cell["matches_dense_reference"]
-                        else "DIVERGED")
-        else:
-            contract = f"{cell['accuracy_delta']:+.4f}"
-        lines.append(
-            f"{name:>8s} | {cell['upload_bytes']:>10.0f} | "
-            f"{cell['upload_dense_bytes']:>10.0f} | "
-            f"{cell['upload_ratio']:>6.3f} | "
-            f"{'-' if density is None else format(density, '.3f'):>7s} | "
-            f"{cell['final_accuracy']:>8.4f} | {contract:>9s}")
-    gate = report["gate"]
-    budget = (f"sparse density {gate['sparse_mask_density']:.3f} <= "
-              f"{gate['density_ceiling']} -> ratio budget "
-              f"{gate['sparse_ratio_budget']}"
-              if gate["sparse_budget_applies"]
-              else "sparse ratio budget not applicable")
-    lines.append(f"gate: all-below-dense {gate['all_below_dense']}, "
-                 f"lossless-identical {gate['lossless_bit_identical']}, "
-                 f"{budget} -> {'PASS' if gate['pass'] else 'FAIL'}")
-    return "\n".join(lines)
+register(Axis(
+    name="codec",
+    doc=__doc__,
+    gates="every codec lands below dense bytes, lossless codecs reproduce "
+          "the dense history bit-for-bit, and sparse meets its "
+          f"{GATE_SPARSE_RATIO}x byte budget at mask density <= "
+          f"{GATE_DENSITY_CEILING}",
+    run=run,
+    gate=lambda report: _gate(report["codecs"]),
+    columns={"codec": "codec", "upload_B": "upload_bytes",
+             "dense_B": "upload_dense_bytes", "ratio": "upload_ratio",
+             "density": "mask_density", "accuracy": "final_accuracy",
+             "identical": "matches_dense_reference",
+             "accuracy_delta": "accuracy_delta"},
+    cells=lambda report: report["codecs"].values()))

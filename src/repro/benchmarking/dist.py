@@ -1,6 +1,6 @@
 """Distributed-execution benchmark: socket rounds and sharded reduction.
 
-``repro bench --dist-scale`` exercises the two halves of the distributed
+``repro bench dist`` exercises the two halves of the distributed
 stack (:mod:`repro.parallel.distributed`, :mod:`repro.parallel.sharding`)
 with gates on both:
 
@@ -19,19 +19,12 @@ with gates on both:
   checks the largest shard against its fair 1/N share.  The real runs'
   per-shard ledgers are reported alongside, un-gated.
 
-The report lands in ``BENCH_dist.json``, schema-compatible with the
-``BENCH_fanout`` family (``bench_scale``, ``cpu_count``, ``gate``).
+The report lands in ``BENCH_dist.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
-import time
-from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -40,6 +33,7 @@ from ..parallel import SocketExecutor
 from ..parallel.sharding import (reset_shard_stats, shard_plan, shard_stats,
                                  sharded_weighted_average)
 from .fanout import BENCH_METHOD, fanout_preset
+from .harness import Axis, register, timed, workload
 
 #: reducer shard counts every distributed bench sweeps
 SHARD_COUNTS = (1, 2, 4)
@@ -56,26 +50,20 @@ BALANCE_UPDATES = 8
 GATE_BALANCE_TOLERANCE = 0.25
 
 
-def dist_preset(scale: float = 1.0):
-    """The distributed workload at ``scale`` — the fan-out workload."""
-    return fanout_preset(scale)
-
-
 def measure_dist_cell(preset, shards: int, reference) -> Dict[str, object]:
     """One socket run at ``shards`` reducer shards, checked bit-identical."""
     reset_shard_stats()
     with SocketExecutor(DIST_WORKERS) as executor:
         executor.warm_up()
-        start = time.perf_counter()
-        history = run_method(BENCH_METHOD,
-                             scaled(preset, reducer_shards=shards),
-                             executor=executor)
-        wall = time.perf_counter() - start
+        with timed() as clock:
+            history = run_method(BENCH_METHOD,
+                                 scaled(preset, reducer_shards=shards),
+                                 executor=executor)
         sent, received = executor.bytes_sent, executor.bytes_received
     stats = shard_stats()
     return {
         "reducer_shards": shards,
-        "wall_seconds": wall,
+        "wall_seconds": clock.seconds,
         "transport_sent_bytes": sent,
         "transport_received_bytes": received,
         "reduce_bytes": stats["reduce_bytes"],
@@ -145,73 +133,48 @@ def _gate(cells: Dict[str, Dict[str, object]],
     }
 
 
-def run_dist_bench(scale: float = 1.0,
-                   shard_counts: Iterable[int] = SHARD_COUNTS,
-                   output: Optional[str] = None) -> Dict[str, object]:
-    """Run the distributed benchmark and return (optionally write) the report.
+def run(scale: float) -> Dict[str, object]:
+    """Measure the distributed report body at ``scale``.
 
-    ``scale`` multiplies the fan-out workload, the same convention as
-    ``repro bench --scale``; one serial unsharded run anchors the
-    bit-identity check for every socket cell.
+    ``scale`` multiplies the fan-out workload; one serial unsharded run
+    anchors the bit-identity check for every socket cell.
     """
-    preset = dist_preset(scale)
-    shard_counts = list(shard_counts)
+    preset = fanout_preset(scale)
     reference = run_method(BENCH_METHOD, preset)
-    cells: Dict[str, Dict[str, object]] = {}
-    for shards in shard_counts:
-        cells[str(shards)] = measure_dist_cell(preset, shards, reference)
-    balance = measure_shard_balance(shard_counts)
-    report: Dict[str, object] = {
-        "bench_scale": scale,
+    return {
         "method": BENCH_METHOD,
         "backend": "socket",
         "workers": DIST_WORKERS,
-        "workload": {
-            "dataset": preset.dataset,
-            "num_clients": preset.num_clients,
-            "clients_per_round": preset.clients_per_round,
-            "num_rounds": preset.num_rounds,
-            "local_iterations": preset.local_iterations,
-        },
-        "python": platform.python_version(),
-        "platform": sys.platform,
-        "cpu_count": os.cpu_count(),
+        "workload": workload(preset),
         "serial_reference": {
             "final_accuracy": reference.final_accuracy(),
             "best_accuracy": reference.best_accuracy(),
         },
-        "shard_counts": shard_counts,
-        "cells": cells,
-        "shard_balance": balance,
-        "gate": _gate(cells, balance),
+        "shard_counts": list(SHARD_COUNTS),
+        "cells": {str(shards): measure_dist_cell(preset, shards, reference)
+                  for shards in SHARD_COUNTS},
+        "shard_balance": measure_shard_balance(SHARD_COUNTS),
     }
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2, sort_keys=True))
-    return report
 
 
-def format_dist_report(report: Dict[str, object]) -> str:
-    """Render a distributed report as the aligned text table the CLI prints."""
-    lines = [f"# repro bench --dist-scale {report['bench_scale']} — "
-             f"method {report['method']}, backend {report['backend']} "
-             f"({report['workers']} workers), cpu_count {report['cpu_count']}"]
-    header = (f"{'shards':>6s} | {'wall_s':>7s} | {'sent_B':>9s} | "
-              f"{'recv_B':>9s} | {'reduce_B':>9s} | {'max_frac':>8s} | "
-              f"{'history':>9s}")
-    lines += [header, "-" * len(header)]
-    balance_cells = report["shard_balance"]["cells"]
-    for count, cell in report["cells"].items():
-        fraction = balance_cells[count]["max_shard_fraction"]
-        lines.append(
-            f"{count:>6s} | {cell['wall_seconds']:>7.3f} | "
-            f"{cell['transport_sent_bytes']:>9d} | "
-            f"{cell['transport_received_bytes']:>9d} | "
-            f"{cell['reduce_bytes']:>9d} | "
-            f"{'-' if fraction is None else format(fraction, '.3f'):>8s} | "
-            f"{'identical' if cell['matches_serial_reference'] else 'DIVERGED':>9s}")
-    gate = report["gate"]
-    lines.append(f"gate: bit-identical {gate['bit_identical']}, "
-                 f"shard-bytes ~1/N {gate['shard_bytes_scale']} "
-                 f"(tolerance {gate['balance_tolerance']}) -> "
-                 f"{'PASS' if gate['pass'] else 'FAIL'}")
-    return "\n".join(lines)
+def _cells(report: Dict[str, object]):
+    balance = report["shard_balance"]["cells"]
+    return [{**cell,
+             "max_shard_fraction": balance[count]["max_shard_fraction"]}
+            for count, cell in report["cells"].items()]
+
+
+register(Axis(
+    name="dist",
+    doc=__doc__,
+    gates="every socket history is bit-identical to the serial unsharded "
+          "reference and the largest shard stays within "
+          f"{GATE_BALANCE_TOLERANCE:.0%} of its fair 1/N byte share",
+    run=run,
+    gate=lambda report: _gate(report["cells"], report["shard_balance"]),
+    columns={"shards": "reducer_shards", "wall_s": "wall_seconds",
+             "sent_B": "transport_sent_bytes",
+             "recv_B": "transport_received_bytes",
+             "reduce_B": "reduce_bytes", "max_frac": "max_shard_fraction",
+             "identical": "matches_serial_reference"},
+    cells=_cells))

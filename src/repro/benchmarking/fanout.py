@@ -1,6 +1,6 @@
 """Round fan-out benchmark: wall-clock and bytes across executor backends.
 
-``repro bench`` times the same federated workload (FedLPS on the MNIST
+``repro bench fanout`` times the same federated workload (FedLPS on the MNIST
 preset — sparse patterns, per-client importance state, the P-UCBV bandit)
 through every executor backend and worker count, with persistent pools warmed
 up before timing so the numbers measure round fan-out rather than worker
@@ -18,17 +18,14 @@ family (per-backend ``mean/min/samples_seconds``, ``cpu_count``,
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
-import platform
-import sys
-import time
-from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List
 
 from ..experiments import preset_for, run_method, scaled
-from ..parallel import broadcast_stats, reset_broadcast_stats, resolve_executor
+from ..parallel import (available_backends, broadcast_stats,
+                        reset_broadcast_stats, resolve_executor)
+from ..server import available_aggregations
+from .harness import Axis, positive, register, scalars, timed, workload
 
 #: the method every fan-out benchmark runs — FedLPS exercises the heaviest
 #: state flows (importance indicators, bandit bookkeeping, sparse patterns)
@@ -46,8 +43,6 @@ def fanout_preset(scale: float = 1.0):
     (6 clients x 30 examples, 3 rounds, 2 local iterations), so fan-out
     numbers stay comparable across the two artifacts.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     num_clients = max(4, int(round(6 * scale)))
     overrides = {
         "num_clients": num_clients,
@@ -59,12 +54,6 @@ def fanout_preset(scale: float = 1.0):
         "seed": 7,
     }
     return scaled(preset_for("mnist"), **overrides)
-
-
-def _timed_run(preset, executor=None) -> float:
-    start = time.perf_counter()
-    run_method(BENCH_METHOD, preset, executor=executor)
-    return time.perf_counter() - start
 
 
 def measure_aggregation_modes(preset,
@@ -87,10 +76,9 @@ def measure_aggregation_modes(preset,
     histories = {}
     for aggregation in ["sync"] + [a for a in aggregations if a != "sync"]:
         agg_preset = scaled(flaky, aggregation=aggregation)
-        start = time.perf_counter()
-        histories[aggregation] = run_method(BENCH_METHOD, agg_preset)
-        wall = time.perf_counter() - start
-        modes[aggregation] = {"wall_seconds": wall}
+        with timed() as clock:
+            histories[aggregation] = run_method(BENCH_METHOD, agg_preset)
+        modes[aggregation] = {"wall_seconds": clock.seconds}
     target = tta_fraction * histories["sync"].best_accuracy()
     for aggregation, history in histories.items():
         modes[aggregation].update({
@@ -158,14 +146,10 @@ def measure_fanout_bytes(preset) -> Dict[str, float]:
     }
 
 
-def run_fanout_bench(scale: float = 1.0,
-                     backends: Iterable[str] = ("serial", "thread", "process"),
-                     worker_counts: Iterable[int] = (1, 2, 4),
-                     repeats: int = 2,
-                     aggregations: Iterable[str] = ("sync", "fedasync",
-                                                    "fedbuff"),
-                     output: Optional[str] = None) -> Dict[str, object]:
-    """Run the fan-out benchmark and return (and optionally write) the report.
+def run(scale: float, *, backends: Iterable[str],
+        workers_list: Iterable[int], repeats: int,
+        aggregations: Iterable[str]) -> Dict[str, object]:
+    """Measure the fan-out report body at ``scale``.
 
     For each pool backend x worker count, one executor is created and kept
     for the whole cell: a warm-up run pays the pool start-up and fills the
@@ -180,52 +164,39 @@ def run_fanout_bench(scale: float = 1.0,
 
     timings: Dict[str, Dict[str, object]] = {}
     for backend in backends:
-        counts = [1] if backend == "serial" else list(worker_counts)
+        counts = [1] if backend == "serial" else list(workers_list)
         for workers in counts:
             label = backend if backend == "serial" else f"{backend}-{workers}"
             with resolve_executor(backend, workers) as executor:
                 # the warm phase pays worker spawn + module imports + the
                 # first run; steady-state samples then measure pure fan-out
-                warm_start = time.perf_counter()
-                executor.warm_up()
-                history = run_method(BENCH_METHOD, preset, executor=executor)
-                warmup_seconds = time.perf_counter() - warm_start
-                samples = [_timed_run(preset, executor)
-                           for _ in range(repeats)]
+                with timed() as warm:
+                    executor.warm_up()
+                    history = run_method(BENCH_METHOD, preset,
+                                         executor=executor)
+                samples = []
+                for _ in range(repeats):
+                    with timed() as clock:
+                        run_method(BENCH_METHOD, preset, executor=executor)
+                    samples.append(clock.seconds)
             mean = sum(samples) / len(samples)
-            spawn_overhead = max(0.0, warmup_seconds - mean)
             timings[label] = {
                 "workers": workers,
                 "samples_seconds": samples,
                 "mean_seconds": mean,
                 "min_seconds": min(samples),
-                "warmup_seconds": warmup_seconds,
-                "spawn_overhead_seconds": spawn_overhead,
+                "warmup_seconds": warm.seconds,
+                "spawn_overhead_seconds": max(0.0, warm.seconds - mean),
                 "matches_serial_reference":
                     history.to_dict() == reference.to_dict(),
             }
-
-    report: Dict[str, object] = {
-        "bench_scale": scale,
+    return {
         "method": BENCH_METHOD,
-        "workload": {
-            "dataset": preset.dataset,
-            "num_clients": preset.num_clients,
-            "clients_per_round": preset.clients_per_round,
-            "num_rounds": preset.num_rounds,
-            "local_iterations": preset.local_iterations,
-        },
-        "python": platform.python_version(),
-        "platform": sys.platform,
-        "cpu_count": os.cpu_count(),
+        "workload": workload(preset),
         "timings": timings,
         "bytes": measure_fanout_bytes(preset),
         "aggregation": measure_aggregation_modes(preset, aggregations),
-        "gate": _gate(timings),
     }
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2, sort_keys=True))
-    return report
 
 
 def _gate(timings: Dict[str, Dict[str, object]]) -> Dict[str, object]:
@@ -267,42 +238,43 @@ def _gate(timings: Dict[str, Dict[str, object]]) -> Dict[str, object]:
     }
 
 
-def format_bench_report(report: Dict[str, object]) -> str:
-    """Render a report as the aligned text table the CLI prints."""
-    lines = [f"# repro bench — scale {report['bench_scale']}, "
-             f"method {report['method']}, cpu_count {report['cpu_count']}"]
-    header = (f"{'backend':>12s} | {'workers':>7s} | {'mean_s':>10s} | "
-              f"{'min_s':>10s} | {'spawn_s':>10s} | {'identical':>9s}")
-    lines += [header, "-" * len(header)]
-    for label, entry in sorted(report["timings"].items()):
-        lines.append(
-            f"{label:>12s} | {entry['workers']:>7d} | "
-            f"{entry['mean_seconds']:>10.4f} | {entry['min_seconds']:>10.4f} | "
-            f"{entry['spawn_overhead_seconds']:>10.4f} | "
-            f"{str(entry['matches_serial_reference']):>9s}")
-    traffic = report["bytes"]
-    lines.append(
-        f"bytes/round: broadcast "
-        f"{traffic['broadcast_pickled_per_round']:.0f} pickled "
-        f"(+{traffic['shared_memory_raw_per_round']:.0f} raw shared-memory, "
-        f"+{traffic['session_raw_bytes']:.0f} once-per-run session blocks, "
-        f"clients_per_round={traffic['clients_per_round']})")
+def _extra_lines(report: Dict[str, object]) -> List[str]:
     aggregation = report["aggregation"]
-    for name, mode in aggregation["modes"].items():
-        tta = mode["sim_time_to_accuracy_seconds"]
-        lines.append(
-            f"aggregation {name:>9s}: wall {mode['wall_seconds']:.4f}s, "
-            f"sim {mode['sim_time_seconds']:.4f}s, "
-            f"sim-to-{aggregation['target_accuracy']:.2f}-acc "
-            f"{'-' if tta is None else format(tta, '.4f')}s, "
-            f"staleness {mode['mean_staleness']:.2f}")
-    gate = report["gate"]
-    if "serial_mean_seconds" in gate:
-        lines.append(
-            f"gate: process {gate['process_mean_seconds']:.4f}s vs serial "
-            f"{gate['serial_mean_seconds']:.4f}s + margin "
-            f"{gate['margin_seconds']:.4f}s -> "
-            f"{'PASS' if gate['pass'] else 'FAIL'}")
-    else:
-        lines.append(f"gate: PASS ({gate.get('reason', 'not applicable')})")
-    return "\n".join(lines)
+    return [f"bytes/round: {scalars(report['bytes'])}",
+            f"aggregation: {scalars(aggregation)}",
+            *(f"aggregation {name}: {scalars(mode)}"
+              for name, mode in aggregation["modes"].items())]
+
+
+register(Axis(
+    name="fanout",
+    doc=__doc__,
+    gates="every backend reproduces the serial history bit-for-bit and the "
+          "best process cell trails serial by no more than its own "
+          "recorded spawn overhead",
+    run=run,
+    gate=lambda report: _gate(report["timings"]),
+    columns={"backend": "backend", "workers": "workers",
+             "mean_s": "mean_seconds", "min_s": "min_seconds",
+             "spawn_s": "spawn_overhead_seconds",
+             "identical": "matches_serial_reference"},
+    cells=lambda report: [{"backend": label, **entry} for label, entry
+                          in sorted(report["timings"].items())],
+    extra_lines=_extra_lines,
+    options={
+        "backends": dict(nargs="+", default=tuple(available_backends()),
+                         choices=available_backends(),
+                         help="executor backends to time"),
+        "workers_list": dict(nargs="+", type=positive(int),
+                             default=(1, 2, 4),
+                             help="worker counts to time for pool backends"),
+        "repeats": dict(type=positive(int), default=2,
+                        help="timed runs per backend/worker cell (after one "
+                             "untimed warm-up run)"),
+        "aggregations": dict(nargs="+",
+                             default=tuple(available_aggregations()),
+                             choices=available_aggregations(),
+                             help="aggregation modes to profile (wall-clock "
+                                  "+ sim-time-to-accuracy under the flaky "
+                                  "scenario)"),
+    }))

@@ -1,6 +1,6 @@
 """Fault-tolerance benchmark: chaos-run cost and determinism per backend.
 
-``repro bench --fault-scale`` pins the contract of the supervised execution
+``repro bench faults`` pins the contract of the supervised execution
 layer (:mod:`repro.parallel.supervision` / :mod:`repro.parallel.faults`):
 
 * a chaos run — injected exceptions, worker crashes and hangs, retried
@@ -13,25 +13,16 @@ layer (:mod:`repro.parallel.supervision` / :mod:`repro.parallel.faults`):
 * the wall-clock overhead of surviving the chaos (retries, backoff, pool
   replenishment) must stay within a budgeted factor of the clean run.
 
-The report lands in ``BENCH_faults.json``, schema-compatible with the
-``BENCH_fanout``/``BENCH_checkpoint`` family (``bench_scale``,
-``cpu_count``, per-cell ``seconds``), so future PRs have a trajectory to
-move.
+The report lands in ``BENCH_faults.json``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import platform
-import sys
-import time
-from pathlib import Path
 from typing import Dict, Iterable, Optional
 
 from ..parallel import resolve_executor
 from ..parallel.faults import available_fault_plans
+from .harness import Axis, history_digest, register, timed
 
 #: chaos may cost this factor of the clean run plus the absolute slack —
 #: real sleeps are capped (hang budget, wall-clock backoff cap), so the
@@ -68,17 +59,6 @@ def fault_preset(scale: float = 1.0, *, plan: Optional[str] = None,
         task_timeout=BENCH_TASK_TIMEOUT if plan is not None else None)
 
 
-def _history_digest(history, *, strip_faults: bool = False) -> str:
-    payload = history.to_dict()
-    if strip_faults:
-        for record in payload["records"]:
-            record["extras"] = {key: value
-                                for key, value in record["extras"].items()
-                                if not key.startswith("fault_")}
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _fault_totals(history) -> Dict[str, float]:
     totals: Dict[str, float] = {}
     for record in history.records:
@@ -98,20 +78,14 @@ def measure_faults(backend: str, *, scale: float = 1.0,
     for label, preset in (("clean", fault_preset(scale, seed=seed)),
                           ("chaos", fault_preset(scale, plan=plan,
                                                  seed=seed))):
-        executor = (None if backend == "serial"
-                    else resolve_executor(backend, workers))
-        try:
-            start = time.perf_counter()
+        with resolve_executor(backend, workers) as executor, \
+                timed() as clock:
             history = run_method("fedlps", preset, executor=executor)
-            seconds = time.perf_counter() - start
-        finally:
-            if executor is not None:
-                executor.close()
-        cell[f"{label}_seconds"] = seconds
-        cell[f"{label}_digest"] = _history_digest(history)
+        cell[f"{label}_seconds"] = clock.seconds
+        cell[f"{label}_digest"] = history_digest(history)
         if label == "chaos":
-            cell["chaos_stripped_digest"] = _history_digest(
-                history, strip_faults=True)
+            cell["chaos_stripped_digest"] = history_digest(
+                history, strip_prefix="fault_")
             cell["fault_totals"] = _fault_totals(history)
     # "seconds" is the family-wide headline column: the chaos run's cost
     cell["seconds"] = cell["chaos_seconds"]
@@ -156,67 +130,37 @@ def _gate(cells: Dict[str, Dict[str, object]]) -> Dict[str, object]:
     }
 
 
-def run_fault_bench(scale: float = 1.0, *, plan: str = "chaos",
-                    backends: Optional[Iterable[str]] = None,
-                    seed: int = 0,
-                    output: Optional[str] = None) -> Dict[str, object]:
-    """Run the fault benchmark and return (optionally write) the report.
+def run(scale: float, *, plan: str,
+        backends: Iterable[str] = BENCH_BACKENDS) -> Dict[str, object]:
+    """Measure the fault report body at ``scale``.
 
     ``scale`` multiplies the workload (rounds, local iterations, shard
     size), the same convention as the other ``repro bench`` axes.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if plan not in available_fault_plans():
-        raise ValueError(f"unknown fault plan {plan!r}; "
-                         f"choose from {available_fault_plans()}")
-    cells: Dict[str, Dict[str, object]] = {}
-    for backend in (backends if backends is not None else BENCH_BACKENDS):
-        cells[backend] = measure_faults(backend, scale=scale, plan=plan,
-                                        seed=seed)
-    report: Dict[str, object] = {
-        "bench_scale": scale,
+    return {
         "fault_plan": plan,
         "max_retries": BENCH_MAX_RETRIES,
         "task_timeout": BENCH_TASK_TIMEOUT,
-        "python": platform.python_version(),
-        "platform": sys.platform,
-        "cpu_count": os.cpu_count(),
-        "backends": cells,
-        "gate": _gate(cells),
+        "backends": {backend: measure_faults(backend, scale=scale, plan=plan)
+                     for backend in backends},
     }
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2, sort_keys=True))
-    return report
 
 
-def format_fault_report(report: Dict[str, object]) -> str:
-    """Render a fault report as the aligned text table the CLI prints."""
-    lines = [f"# repro bench --fault-scale {report['bench_scale']} — "
-             f"plan {report['fault_plan']}, cpu_count {report['cpu_count']}"]
-    header = (f"{'backend':>8s} | {'clean_s':>8s} | {'chaos_s':>8s} | "
-              f"{'retries':>7s} | {'restarts':>8s} | {'timeouts':>8s} | "
-              f"{'exhausted':>9s}")
-    lines += [header, "-" * len(header)]
-    for cell in report["backends"].values():
-        totals = cell["fault_totals"]
-        lines.append(
-            f"{cell['backend']:>8s} | "
-            f"{cell['clean_seconds']:>8.3f} | "
-            f"{cell['chaos_seconds']:>8.3f} | "
-            f"{totals.get('fault_retries', 0.0):>7.0f} | "
-            f"{totals.get('fault_worker_restarts', 0.0):>8.0f} | "
-            f"{totals.get('fault_timeouts', 0.0):>8.0f} | "
-            f"{totals.get('fault_exhausted', 0.0):>9.0f}")
-    gate = report["gate"]
-    if "chaos_bit_identical" in gate:
-        lines.append(
-            f"gate: chaos bit-identical {gate['chaos_bit_identical']}, "
-            f"clean-equivalent {gate['clean_equivalent']}, "
-            f"{gate['faults_injected']:.0f} fault(s) injected "
-            f"({gate['worker_restarts']:.0f} crash(es)), "
-            f"budget {'ok' if gate['within_budget'] else 'BLOWN'} "
-            f"-> {'PASS' if gate['pass'] else 'FAIL'}")
-    else:
-        lines.append(f"gate: FAIL ({gate.get('reason', 'unknown')})")
-    return "\n".join(lines)
+register(Axis(
+    name="faults",
+    doc=__doc__,
+    gates="the chaos history is bit-identical on every backend, equals the "
+          "fault-free run once fault_* extras are stripped, faults and "
+          "crashes were actually injected with none exhausted, and chaos "
+          f"costs at most {GATE_OVERHEAD_FACTOR:.0f}x clean + "
+          f"{GATE_OVERHEAD_SLACK_SECONDS:.0f} s",
+    run=run,
+    gate=lambda report: _gate(report["backends"]),
+    columns={"backend": "backend", "clean_s": "clean_seconds",
+             "chaos_s": "chaos_seconds", "retries": "fault_retries",
+             "restarts": "fault_worker_restarts",
+             "timeouts": "fault_timeouts", "exhausted": "fault_exhausted"},
+    cells=lambda report: [{**cell, **cell["fault_totals"]}
+                          for cell in report["backends"].values()],
+    options={"plan": dict(default="chaos", choices=available_fault_plans(),
+                          help="fault plan of the chaos run")}))

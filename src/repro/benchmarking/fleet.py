@@ -1,6 +1,6 @@
-"""Fleet-scale benchmark: construction cost vs fleet size (``repro bench``).
+"""Fleet-scale benchmark: construction cost vs fleet size.
 
-``repro bench --fleet-scale`` measures what the virtual client fleet was
+``repro bench fleet`` measures what the virtual client fleet was
 built for: the cost of standing up a federation must scale with the
 *cohort* a round dispatches, not with the number of clients that exist.
 For each fleet size on a ladder the benchmark times the full construction
@@ -11,25 +11,19 @@ the contract: under a second and under 100 MB to first dispatch, where the
 eager path would be O(GB).  A final smoke cell (1M clients at scale 1.0)
 runs selection plus two full training rounds.
 
-Everything lands in ``BENCH_fleet.json``, schema-compatible with the
-``BENCH_fanout.json`` family (``bench_scale``, ``cpu_count``, per-cell
-``seconds``), so future PRs have a trajectory to move.
+The report lands in ``BENCH_fleet.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import sys
-import time
 import tracemalloc
-from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..baselines import build_strategy
 from ..experiments import preset_for, run_method, scaled
 from ..federated import FederatedTrainer
+from .harness import Axis, register, scalars, timed
 
 #: the fleet-size ladder at scale 1.0
 LADDER = (1_000, 10_000, 100_000)
@@ -60,6 +54,26 @@ def fleet_preset(num_clients: int, *, num_rounds: int = 2,
                   seed=7)
 
 
+def scaled_ladder(ladder: Iterable[int], scale: float) -> List[int]:
+    """``ladder`` x ``scale``, floored at 8 clients, duplicates dropped.
+
+    Dedup preserves order: tiny scales can collapse neighbouring rungs onto
+    the same size, and silently overwriting a cell would make the report
+    look complete when a rung was dropped.
+    """
+    return list(dict.fromkeys(max(8, int(round(step * scale)))
+                              for step in ladder))
+
+
+def build_trainer(preset) -> FederatedTrainer:
+    """A FedAvg trainer over ``preset``'s federation, nothing run yet."""
+    from ..experiments.presets import build_experiment
+
+    dataset, model_builder, config, fleet = build_experiment(preset)
+    return FederatedTrainer(build_strategy("fedavg"), dataset, model_builder,
+                            config=config, fleet=fleet)
+
+
 def _rss_mb() -> Optional[float]:
     try:
         import resource
@@ -78,22 +92,16 @@ def measure_construction(num_clients: int, *, lazy: bool = True
     setup, round-0 selection and materialization of every selected client —
     i.e. everything a real run pays before the first local update starts.
     """
-    from ..experiments.presets import build_experiment
-
     preset = fleet_preset(num_clients, lazy=lazy)
     tracemalloc.start()
-    start = time.perf_counter()
-    dataset, model_builder, config, fleet = build_experiment(preset)
-    trainer = FederatedTrainer(build_strategy("fedavg"), dataset,
-                               model_builder, config=config, fleet=fleet)
-    core = trainer.core
-    core.strategy.setup(core.context)
-    selected = core.select_clients(0)
-    cohort = [core.clients[cid] for cid in selected]
-    seconds = time.perf_counter() - start
+    with timed() as clock:
+        core = build_trainer(preset).core
+        core.strategy.setup(core.context)
+        selected = core.select_clients(0)
+        cohort = [core.clients[cid] for cid in selected]
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    shard_map = getattr(dataset, "clients", None)
+    shard_map = getattr(core.dataset, "clients", None)
     materializations = getattr(shard_map, "materializations", num_clients)
     shard_bytes = sum(part.x.nbytes + part.y.nbytes
                       for client in cohort
@@ -102,7 +110,7 @@ def measure_construction(num_clients: int, *, lazy: bool = True
     return {
         "num_clients": num_clients,
         "lazy": lazy,
-        "seconds_to_first_dispatch": seconds,
+        "seconds_to_first_dispatch": clock.seconds,
         "traced_peak_mb": peak / 2**20,
         "rss_max_mb": _rss_mb(),
         "cohort_size": len(selected),
@@ -118,24 +126,20 @@ def measure_smoke(num_clients: int) -> Dict[str, object]:
     """Selection + two full training rounds on a virtual fleet."""
     preset = fleet_preset(num_clients, num_rounds=2, clients_per_round=16,
                           eval_clients=16)
-    start = time.perf_counter()
-    history = run_method("fedavg", preset)
-    seconds = time.perf_counter() - start
+    with timed() as clock:
+        history = run_method("fedavg", preset)
     return {
         "num_clients": num_clients,
         "rounds": preset.num_rounds,
-        "seconds": seconds,
+        "seconds": clock.seconds,
         "final_accuracy": history.final_accuracy(),
         "rounds_completed": len(history.records),
     }
 
 
-def _gate(cells: Dict[str, Dict[str, object]],
-          top_size: int) -> Dict[str, object]:
+def _gate(cells: Dict[str, Dict[str, object]]) -> Dict[str, object]:
     """Pass/fail: the ladder's top cell meets the O(cohort) contract."""
-    top = cells.get(str(top_size))
-    if top is None:
-        return {"pass": False, "reason": f"missing top ladder cell {top_size}"}
+    top = max(cells.values(), key=lambda cell: cell["num_clients"])
     seconds = float(top["seconds_to_first_dispatch"])
     peak_mb = float(top["traced_peak_mb"])
     # memory/time must track the cohort, not the fleet: untouched clients
@@ -147,7 +151,7 @@ def _gate(cells: Dict[str, Dict[str, object]],
                and sparse)
     return {
         "pass": bool(verdict),
-        "top_size": top_size,
+        "top_size": top["num_clients"],
         "seconds": seconds,
         "seconds_budget": GATE_SECONDS,
         "traced_peak_mb": peak_mb,
@@ -156,83 +160,44 @@ def _gate(cells: Dict[str, Dict[str, object]],
     }
 
 
-def run_fleet_bench(scale: float = 1.0,
-                    ladder: Optional[Iterable[int]] = None,
-                    smoke_clients: Optional[int] = None,
-                    output: Optional[str] = None) -> Dict[str, object]:
-    """Run the fleet-scale benchmark and return (optionally write) the report.
+def run(scale: float) -> Dict[str, object]:
+    """Measure the fleet report body at ``scale``.
 
     ``scale`` multiplies the fleet-size ladder (1k/10k/100k at 1.0) and the
-    smoke size (1M at 1.0); CI shrinks it the same way ``repro bench
-    --scale`` shrinks the fan-out workload.  The smallest ladder cell is
-    additionally built eagerly (when small enough) so every report carries
-    a measured lazy-vs-eager comparison next to the projected one.
+    smoke size (1M at 1.0).  The smallest ladder cell is additionally built
+    eagerly (when small enough) so every report carries a measured
+    lazy-vs-eager comparison next to the projected one.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    # dedup preserving order: tiny scales can collapse neighbouring rungs
-    # onto the same size, and silently overwriting a cell would make the
-    # report look complete when a rung was dropped
-    sizes = list(dict.fromkeys(
-        max(8, int(round(step * scale)))
-        for step in (ladder if ladder is not None else LADDER)))
-    smoke = (smoke_clients if smoke_clients is not None
-             else max(16, int(round(SMOKE_CLIENTS * scale))))
-    cells: Dict[str, Dict[str, object]] = {}
-    for size in sizes:
-        cells[str(size)] = measure_construction(size, lazy=True)
+    sizes = scaled_ladder(LADDER, scale)
+    cells = {str(size): measure_construction(size, lazy=True)
+             for size in sizes}
     eager_cell = None
-    if sizes and sizes[0] <= EAGER_LIMIT:
+    if sizes[0] <= EAGER_LIMIT:
         eager_cell = measure_construction(sizes[0], lazy=False)
-    report: Dict[str, object] = {
-        "bench_scale": scale,
-        "python": platform.python_version(),
-        "platform": sys.platform,
-        "cpu_count": os.cpu_count(),
+    return {
         "ladder": cells,
         "eager_reference": eager_cell,
-        "smoke": measure_smoke(smoke),
-        "gate": _gate(cells, sizes[-1]),
+        "smoke": measure_smoke(max(16, int(round(SMOKE_CLIENTS * scale)))),
     }
-    if output:
-        Path(output).write_text(json.dumps(report, indent=2, sort_keys=True))
-    return report
 
 
-def format_fleet_report(report: Dict[str, object]) -> str:
-    """Render a fleet report as the aligned text table the CLI prints."""
-    lines = [f"# repro bench --fleet-scale {report['bench_scale']} — "
-             f"cpu_count {report['cpu_count']}"]
-    header = (f"{'fleet':>10s} | {'mode':>5s} | {'dispatch_s':>10s} | "
-              f"{'peak_mb':>8s} | {'shards':>6s} | {'eager_proj_mb':>13s}")
-    lines += [header, "-" * len(header)]
+def _cells(report: Dict[str, object]) -> List[Dict[str, object]]:
+    eager = report["eager_reference"]
+    return [*report["ladder"].values(), *([eager] if eager else [])]
 
-    def row(cell):
-        lines.append(
-            f"{cell['num_clients']:>10d} | "
-            f"{'lazy' if cell['lazy'] else 'eager':>5s} | "
-            f"{cell['seconds_to_first_dispatch']:>10.4f} | "
-            f"{cell['traced_peak_mb']:>8.2f} | "
-            f"{cell['shard_materializations']:>6d} | "
-            f"{cell['projected_eager_shard_mb']:>13.1f}")
 
-    for cell in report["ladder"].values():
-        row(cell)
-    if report.get("eager_reference"):
-        row(report["eager_reference"])
-    smoke = report["smoke"]
-    lines.append(
-        f"smoke: {smoke['num_clients']} clients, {smoke['rounds_completed']}/"
-        f"{smoke['rounds']} rounds in {smoke['seconds']:.2f}s")
-    gate = report["gate"]
-    if "seconds" in gate:
-        lines.append(
-            f"gate: {gate['top_size']} clients -> "
-            f"{gate['seconds']:.3f}s (budget {gate['seconds_budget']}s), "
-            f"{gate['traced_peak_mb']:.1f}MB (budget "
-            f"{gate['megabytes_budget']}MB), O(cohort)="
-            f"{gate['o_cohort_materialization']} -> "
-            f"{'PASS' if gate['pass'] else 'FAIL'}")
-    else:
-        lines.append(f"gate: FAIL ({gate.get('reason')})")
-    return "\n".join(lines)
+register(Axis(
+    name="fleet",
+    doc=__doc__,
+    gates=f"the top rung reaches first dispatch within {GATE_SECONDS} s and "
+          f"{GATE_MEGABYTES:.0f} MB traced peak, materializing shards and "
+          "state for the cohort only",
+    run=run,
+    gate=lambda report: _gate(report["ladder"]),
+    columns={"fleet": "num_clients", "lazy": "lazy",
+             "dispatch_s": "seconds_to_first_dispatch",
+             "peak_mb": "traced_peak_mb",
+             "shards": "shard_materializations",
+             "eager_proj_mb": "projected_eager_shard_mb"},
+    cells=_cells,
+    extra_lines=lambda report: [f"smoke: {scalars(report['smoke'])}"]))

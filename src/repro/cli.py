@@ -11,12 +11,12 @@ Examples::
         --scenarios ideal deadline-tight --backend process --workers 4
     python -m repro.cli run --preset mnist --checkpoint-dir ckpts --resume
     python -m repro.cli sweep --checkpoint-dir ckpts --retries 2
-    python -m repro.cli bench --scale 0.25 --check
-    python -m repro.cli bench --checkpoint-scale 1.0 --check
+    python -m repro.cli bench fanout --scale 0.25 --check
+    python -m repro.cli bench checkpoint --check
 
 Every experiment command accepts ``--workers N`` and ``--backend
-{serial,thread,process}``.  ``run`` and ``compare`` parallelize the per-round
-client work inside each simulation; ``sweep`` dispatches whole
+{process,serial,socket,thread}``.  ``run`` and ``compare`` parallelize the
+per-round client work inside each simulation; ``sweep`` dispatches whole
 method×dataset×scenario runs as parallel jobs and caches their results on
 disk, so rebuilding the paper's table/figure grid is incremental.
 
@@ -29,6 +29,9 @@ arrival; ``fedbuff`` — buffered aggregation every K arrivals); ``sweep
 --aggregations`` grids over several for sync-vs-async time-to-accuracy
 comparisons.  Scenario and aggregation decisions derive from ``(seed,
 round, client)``, so histories stay bit-identical across backends.
+
+``bench <axis>`` runs one gated benchmark axis of ``repro.benchmarking``;
+its sub-commands and their options are generated from the ``AXES`` table.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ import argparse
 from typing import List, Optional
 
 from .baselines import TABLE1_METHODS, available_strategies
+from .benchmarking import AXES, format_report, run_bench
+from .benchmarking.harness import positive
 from .experiments import (DATASETS, DEFAULT_CACHE_DIR, DEFAULT_PRESETS,
                           ResultCache, format_rows, preset_for, run_method,
                           run_scenario_sweep, scaled, summarize,
@@ -49,12 +54,6 @@ from .server import available_aggregations
 #: the headline columns every experiment command prints
 SUMMARY_COLUMNS = ["accuracy", "total_flops", "total_time_seconds",
                    "sim_time_seconds", "time_to_accuracy_seconds"]
-
-#: fan-out bench defaults, shared by build_parser and the --fleet-scale
-#: clash guard so the two can never drift apart
-BENCH_SCALE_DEFAULT = 1.0
-BENCH_WORKERS_DEFAULT = [1, 2, 4]
-BENCH_REPEATS_DEFAULT = 2
 
 
 def _preset_overrides(args: argparse.Namespace) -> dict:
@@ -181,24 +180,6 @@ def _executor_from(args: argparse.Namespace):
                             worker_token=getattr(args, "worker_token", None))
 
 
-def _fanout_only_clashes(args: argparse.Namespace) -> List[str]:
-    """Fan-out bench flags the alternate bench axes would silently ignore.
-
-    Silently dropping them would look like they were honored (e.g. a
-    missing report file, or an unexpectedly long run), so the axis
-    dispatchers reject the invocation instead.
-    """
-    fanout_only = {
-        "--output": args.output is not None,
-        "--scale": args.scale != BENCH_SCALE_DEFAULT,
-        "--backends": args.backends != list(available_backends()),
-        "--workers-list": args.workers_list != BENCH_WORKERS_DEFAULT,
-        "--repeats": args.repeats != BENCH_REPEATS_DEFAULT,
-        "--aggregations": args.aggregations != list(available_aggregations()),
-    }
-    return [flag for flag, used in fanout_only.items() if used]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro",
                                      description="FedLPS reproduction CLI")
@@ -229,13 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare_parser = sub.add_parser("compare",
                                     help="run several methods on one dataset")
-    compare_parser.add_argument("--methods", nargs="+", default=["fedavg", "fedlps"])
+    compare_parser.add_argument("--methods", nargs="+",
+                                default=["fedavg", "fedlps"],
+                                choices=available_strategies())
     _add_common_arguments(compare_parser)
 
     table1_parser = sub.add_parser("table1", help="reproduce Table I rows")
     table1_parser.add_argument("--datasets", nargs="+", default=["mnist"],
                                **_PRESET_NAME)
-    table1_parser.add_argument("--methods", nargs="+", default=list(TABLE1_METHODS))
+    table1_parser.add_argument("--methods", nargs="+",
+                               default=list(TABLE1_METHODS),
+                               choices=available_strategies())
     _add_common_arguments(table1_parser)
 
     sweep_parser = sub.add_parser(
@@ -243,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--datasets", nargs="+", default=list(DATASETS),
                               **_PRESET_NAME)
     sweep_parser.add_argument("--methods", nargs="+",
-                              default=["fedavg", "fedlps"])
+                              default=["fedavg", "fedlps"],
+                              choices=available_strategies())
     sweep_parser.add_argument("--scenarios", nargs="+", default=["ideal"],
                               choices=available_scenarios(),
                               help="system-heterogeneity scenarios to sweep")
@@ -271,106 +257,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(sweep_parser)
 
     bench_parser = sub.add_parser(
-        "bench", help="time round fan-out across executor backends and "
-                      "record the BENCH_fanout.json trajectory")
-    bench_parser.add_argument("--scale", type=float,
-                              default=BENCH_SCALE_DEFAULT,
-                              help="workload scale factor (1.0 = the CI "
-                                   "smoke workload)")
-    bench_parser.add_argument("--backends", nargs="+",
-                              default=list(available_backends()),
-                              choices=available_backends())
-    bench_parser.add_argument("--workers-list", nargs="+", type=int,
-                              default=list(BENCH_WORKERS_DEFAULT),
-                              help="worker counts to time for pool backends")
-    bench_parser.add_argument("--repeats", type=int,
-                              default=BENCH_REPEATS_DEFAULT,
-                              help="timed runs per backend/worker cell "
-                                   "(after one untimed warm-up run)")
-    bench_parser.add_argument("--aggregations", nargs="+",
-                              default=list(available_aggregations()),
-                              choices=available_aggregations(),
-                              help="aggregation modes to profile (wall-clock "
-                                   "+ sim-time-to-accuracy under the flaky "
-                                   "scenario)")
-    bench_parser.add_argument("--output", default=None,
-                              help="where to write the fan-out JSON report "
-                                   "(default BENCH_fanout.json; '' skips "
-                                   "writing; incompatible with "
-                                   "--fleet-scale, whose report path is "
-                                   "--fleet-output)")
-    bench_parser.add_argument("--check", action="store_true",
-                              help="exit non-zero if the process backend is "
-                                   "slower than serial by more than the "
-                                   "recorded spawn overhead")
-    bench_parser.add_argument("--fleet-scale", type=float, default=None,
-                              help="run the fleet-scale axis instead: "
-                                   "construction cost over a 1k/10k/100k "
-                                   "fleet ladder (x SCALE) plus a 1M-client "
-                                   "(x SCALE) selection + 2-round smoke, "
-                                   "written to --fleet-output")
-    bench_parser.add_argument("--fleet-output", default="BENCH_fleet.json",
-                              help="where to write the fleet-scale JSON "
-                                   "report ('' skips writing)")
-    bench_parser.add_argument("--checkpoint-scale", type=float, default=None,
-                              help="run the checkpoint axis instead: "
-                                   "write/restore wall-clock and bytes on "
-                                   "disk over a 1k vs 100k (x SCALE) lazy "
-                                   "fleet, gating that checkpoints stay "
-                                   "O(cohort) and under the write budget; "
-                                   "written to --checkpoint-output")
-    bench_parser.add_argument("--checkpoint-output",
-                              default="BENCH_checkpoint.json",
-                              help="where to write the checkpoint JSON "
-                                   "report ('' skips writing)")
-    bench_parser.add_argument("--codec-scale", type=float, default=None,
-                              help="run the wire-codec axis instead: total "
-                                   "the per-round encoded upload/download "
-                                   "bytes of every codec against the dense "
-                                   "baseline (x SCALE fan-out workload), "
-                                   "gating that lossless codecs stay "
-                                   "bit-identical and sparse meets its "
-                                   "byte budget; written to --codec-output")
-    bench_parser.add_argument("--codec-output", default="BENCH_codec.json",
-                              help="where to write the codec JSON report "
-                                   "('' skips writing)")
-    bench_parser.add_argument("--fault-scale", type=float, default=None,
-                              help="run the fault-tolerance axis instead: "
-                                   "time a clean vs a chaos run (injected "
-                                   "crashes/hangs/exceptions with retries) "
-                                   "per backend on an x SCALE workload, "
-                                   "gating cross-backend bit-identity, "
-                                   "fault-free equivalence and the chaos "
-                                   "overhead budget; written to "
-                                   "--fault-output")
-    bench_parser.add_argument("--fault-output", default="BENCH_faults.json",
-                              help="where to write the fault-tolerance JSON "
-                                   "report ('' skips writing)")
-    bench_parser.add_argument("--fault-plan", default=None,
-                              choices=available_fault_plans(),
-                              help="fault plan for the --fault-scale chaos "
-                                   "run (default: chaos)")
-    bench_parser.add_argument("--batch-scale", type=float, default=None,
-                              help="run the cohort-batching axis instead: "
-                                   "batched vs per-client-loop wall clock "
-                                   "over a cohort-size ladder (x SCALE) on "
-                                   "the serial and process backends, gating "
-                                   "a >= 2x speedup at cohort >= 16 and "
-                                   "bit-identical histories; written to "
-                                   "--batch-output")
-    bench_parser.add_argument("--batch-output", default="BENCH_batch.json",
-                              help="where to write the cohort-batching JSON "
-                                   "report ('' skips writing)")
-    bench_parser.add_argument("--dist-scale", type=float, default=None,
-                              help="run the distributed axis instead: real "
-                                   "socket-backend rounds (x SCALE workload) "
-                                   "at 1/2/4 reducer shards, gating that "
-                                   "every history is bit-identical to serial "
-                                   "and that per-shard aggregate bytes scale "
-                                   "~1/N; written to --dist-output")
-    bench_parser.add_argument("--dist-output", default="BENCH_dist.json",
-                              help="where to write the distributed JSON "
-                                   "report ('' skips writing)")
+        "bench", help="run one gated benchmark axis and record its "
+                      "BENCH_<axis>.json trajectory")
+    axes = bench_parser.add_subparsers(dest="axis", required=True,
+                                       metavar="{" + ",".join(AXES) + "}")
+    for name, axis in AXES.items():
+        axis_parser = axes.add_parser(
+            name, help=axis.doc.splitlines()[0], description=axis.doc,
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        axis_parser.add_argument("--scale", type=positive(float),
+                                 default=1.0,
+                                 help="workload scale factor (1.0 = the "
+                                      "size the gate is calibrated for)")
+        axis_parser.add_argument("--output", default=f"BENCH_{name}.json",
+                                 help="where to write the JSON report "
+                                      "(default %(default)s; '' skips "
+                                      "writing)")
+        axis_parser.add_argument("--check", action="store_true",
+                                 help="exit 1 unless "
+                                      + axis.gates.replace("%", "%%"))
+        for option, keywords in axis.options.items():
+            axis_parser.add_argument("--" + option.replace("_", "-"),
+                                     **keywords)
 
     sub.add_parser("list", help="list available methods")
     return parser
@@ -385,139 +293,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "bench":
-        axes = [flag for flag, value in (
-            ("--fleet-scale", args.fleet_scale),
-            ("--checkpoint-scale", args.checkpoint_scale),
-            ("--codec-scale", args.codec_scale),
-            ("--fault-scale", args.fault_scale),
-            ("--batch-scale", args.batch_scale),
-            ("--dist-scale", args.dist_scale)) if value is not None]
-        if len(axes) > 1:
-            print(f"bench {' and '.join(axes)} are separate axes; run them "
-                  "as separate invocations", flush=True)
-            return 2
-        if args.fault_plan is not None and args.fault_scale is None:
-            print("bench --fault-plan applies only to the --fault-scale "
-                  "axis", flush=True)
-            return 2
-        if args.dist_scale is not None:
-            clashes = _fanout_only_clashes(args)
-            if clashes:
-                print(f"bench --dist-scale ignores {', '.join(clashes)} — "
-                      "those apply only to the fan-out bench (the "
-                      "distributed axis writes its report to --dist-output)",
-                      flush=True)
-                return 2
-            from .benchmarking import format_dist_report, run_dist_bench
-            report = run_dist_bench(scale=args.dist_scale,
-                                    output=args.dist_output or None)
-            print(format_dist_report(report))
-            if args.dist_output:
-                print(f"# report written to {args.dist_output}")
-            if args.check and not report["gate"]["pass"]:
-                return 1
-            return 0
-        if args.batch_scale is not None:
-            clashes = _fanout_only_clashes(args)
-            if clashes:
-                print(f"bench --batch-scale ignores {', '.join(clashes)} — "
-                      "those apply only to the fan-out bench (the batching "
-                      "axis writes its report to --batch-output)",
-                      flush=True)
-                return 2
-            from .benchmarking import format_batch_report, run_batch_bench
-            report = run_batch_bench(scale=args.batch_scale,
-                                     output=args.batch_output or None)
-            print(format_batch_report(report))
-            if args.batch_output:
-                print(f"# report written to {args.batch_output}")
-            if args.check and not report["gate"]["pass"]:
-                return 1
-            return 0
-        if args.fault_scale is not None:
-            clashes = _fanout_only_clashes(args)
-            if clashes:
-                print(f"bench --fault-scale ignores {', '.join(clashes)} — "
-                      "those apply only to the fan-out bench (the fault "
-                      "axis writes its report to --fault-output)",
-                      flush=True)
-                return 2
-            from .benchmarking import format_fault_report, run_fault_bench
-            report = run_fault_bench(scale=args.fault_scale,
-                                     plan=args.fault_plan or "chaos",
-                                     output=args.fault_output or None)
-            print(format_fault_report(report))
-            if args.fault_output:
-                print(f"# report written to {args.fault_output}")
-            if args.check and not report["gate"]["pass"]:
-                return 1
-            return 0
-        if args.codec_scale is not None:
-            clashes = _fanout_only_clashes(args)
-            if clashes:
-                print(f"bench --codec-scale ignores {', '.join(clashes)} — "
-                      "those apply only to the fan-out bench (the codec "
-                      "axis writes its report to --codec-output)",
-                      flush=True)
-                return 2
-            from .benchmarking import format_codec_report, run_codec_bench
-            report = run_codec_bench(scale=args.codec_scale,
-                                     output=args.codec_output or None)
-            print(format_codec_report(report))
-            if args.codec_output:
-                print(f"# report written to {args.codec_output}")
-            if args.check and not report["gate"]["pass"]:
-                return 1
-            return 0
-        if args.checkpoint_scale is not None:
-            clashes = _fanout_only_clashes(args)
-            if clashes:
-                print(f"bench --checkpoint-scale ignores "
-                      f"{', '.join(clashes)} — those apply only to the "
-                      "fan-out bench (the checkpoint axis writes its report "
-                      "to --checkpoint-output)", flush=True)
-                return 2
-            from .benchmarking import (format_checkpoint_report,
-                                       run_checkpoint_bench)
-            report = run_checkpoint_bench(scale=args.checkpoint_scale,
-                                          output=args.checkpoint_output
-                                          or None)
-            print(format_checkpoint_report(report))
-            if args.checkpoint_output:
-                print(f"# report written to {args.checkpoint_output}")
-            if args.check and not report["gate"]["pass"]:
-                return 1
-            return 0
-        if args.fleet_scale is not None:
-            clashes = _fanout_only_clashes(args)
-            if clashes:
-                print(f"bench --fleet-scale ignores {', '.join(clashes)} — "
-                      "those apply only to the fan-out bench (the fleet "
-                      "axis writes its report to --fleet-output)",
-                      flush=True)
-                return 2
-            from .benchmarking import format_fleet_report, run_fleet_bench
-            report = run_fleet_bench(scale=args.fleet_scale,
-                                     output=args.fleet_output or None)
-            print(format_fleet_report(report))
-            if args.fleet_output:
-                print(f"# report written to {args.fleet_output}")
-            if args.check and not report["gate"]["pass"]:
-                return 1
-            return 0
-        output = args.output if args.output is not None else "BENCH_fanout.json"
-        from .benchmarking import format_bench_report, run_fanout_bench
-        report = run_fanout_bench(scale=args.scale, backends=args.backends,
-                                  worker_counts=args.workers_list,
-                                  repeats=args.repeats,
-                                  aggregations=args.aggregations,
-                                  output=output or None)
-        print(format_bench_report(report))
-        if output:
-            print(f"# report written to {output}")
-        if args.check and not report["gate"]["pass"]:
-            return 1
-        return 0
+        report = run_bench(args.axis, args.scale, args.output,
+                           **{option: getattr(args, option)
+                              for option in AXES[args.axis].options})
+        print(format_report(report))
+        if args.output:
+            print(f"# report written to {args.output}")
+        return 1 if args.check and not report["gate"]["pass"] else 0
 
     if args.command == "run":
         dataset = _dataset_from(args)

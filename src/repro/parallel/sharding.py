@@ -30,7 +30,7 @@ dispatch here when one is installed (``ServerCore.reduce_context`` is the
 production entry point).  The wrappers suspend the plan while running the
 base kernels per shard, so dispatch cannot recurse.
 
-Byte accounting (what the ``--dist-scale`` bench gates) is charged on the
+Byte accounting (what the ``bench dist`` axis gates) is charged on the
 plan: each shard is charged its partial-result bytes times the number of
 contributing updates — the bytes that shard's reducer actually streams
 through its accumulators — and :func:`shard_stats` exposes the totals

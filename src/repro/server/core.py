@@ -298,6 +298,13 @@ class ServerCore:
         self.strategy = strategy
         self.dataset = dataset
         self.config = config or FederatedConfig()
+        if (self.config.aggregation == "fedbuff"
+                and self.config.buffer_size > dataset.num_clients):
+            # buffered clients stay blocked until their update is flushed
+            raise ValueError(
+                f"fedbuff buffer_size {self.config.buffer_size} exceeds the "
+                f"{dataset.num_clients} clients: the buffer never fills, "
+                "the global model never moves")
         # the serial executor is the null executor: inline on live objects
         self.executor = executor if executor is not None else SerialExecutor()
         self._session_broadcast: Optional[Broadcast] = None

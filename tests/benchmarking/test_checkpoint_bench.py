@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import json
 
-from repro.benchmarking import (format_checkpoint_report, measure_checkpoint,
-                                run_checkpoint_bench)
-from repro.cli import main
+from repro.benchmarking import format_report, measure_checkpoint, run_bench
 
 
 class TestCheckpointBench:
     def test_report_schema_and_gate(self, tmp_path):
         output = tmp_path / "BENCH_checkpoint.json"
-        report = run_checkpoint_bench(scale=0.02, output=str(output))
+        report = run_bench("checkpoint", 0.02, str(output))
         assert report["gate"]["pass"], report["gate"]
         ladder = report["ladder"]
         assert len(ladder) == 2
@@ -25,7 +23,7 @@ class TestCheckpointBench:
                 <= cell["rounds"] * cell["cohort_size"]
         persisted = json.loads(output.read_text())
         assert persisted["gate"]["pass"] is True
-        assert "PASS" in format_checkpoint_report(report)
+        assert "PASS" in format_report(report)
 
     def test_bytes_track_cohort_not_fleet(self):
         small = measure_checkpoint(40)
@@ -35,20 +33,3 @@ class TestCheckpointBench:
         assert large["bytes_on_disk"] \
             <= max(2 * small["bytes_on_disk"],
                    small["bytes_on_disk"] + 1_000_000)
-
-    def test_cli_checkpoint_scale_axis(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_checkpoint.json"
-        code = main(["bench", "--checkpoint-scale", "0.02",
-                     "--checkpoint-output", str(output), "--check"])
-        assert code == 0
-        assert output.exists()
-        out = capsys.readouterr().out
-        assert "fleet" in out and "gate:" in out
-
-    def test_cli_rejects_mixed_axes_and_fanout_flags(self, capsys):
-        assert main(["bench", "--checkpoint-scale", "0.02",
-                     "--fleet-scale", "0.02"]) == 2
-        assert "separate axes" in capsys.readouterr().out
-        assert main(["bench", "--checkpoint-scale", "0.02",
-                     "--scale", "0.5"]) == 2
-        assert "--scale" in capsys.readouterr().out

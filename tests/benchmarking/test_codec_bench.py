@@ -6,10 +6,9 @@ import json
 
 import pytest
 
-from repro.benchmarking import format_codec_report, run_codec_bench
+from repro.benchmarking import format_report, run_bench
 from repro.benchmarking.codec import BENCH_CODECS
 from repro.benchmarking.fanout import BENCH_METHOD, fanout_preset
-from repro.cli import main
 from repro.experiments import run_method, scaled
 
 
@@ -40,7 +39,7 @@ class TestWireBytesCrossTheBoundaryCompressed:
 class TestCodecBench:
     def test_report_schema_and_gate(self, tmp_path):
         output = tmp_path / "BENCH_codec.json"
-        report = run_codec_bench(scale=0.5, output=str(output))
+        report = run_bench("codec", 0.5, str(output))
         assert report["gate"]["pass"], report["gate"]
         assert set(report["codecs"]) == set(BENCH_CODECS)
         for cell in report["codecs"].values():
@@ -50,31 +49,14 @@ class TestCodecBench:
         assert "accuracy_delta" in report["codecs"]["int8"]
         persisted = json.loads(output.read_text())
         assert persisted["gate"]["pass"] is True
-        assert "PASS" in format_codec_report(report)
+        assert "PASS" in format_report(report)
 
     def test_sparse_meets_its_ratio_budget(self):
         # FedLPS residuals at the benchmark's sparsity sit well under the
         # density ceiling, so the budget clause must actually engage
-        report = run_codec_bench(scale=0.5, codecs=("sparse",))
+        report = run_bench("codec", 0.5, codecs=("sparse",))
         gate = report["gate"]
         assert gate["sparse_budget_applies"]
         assert gate["sparse_mask_density"] <= gate["density_ceiling"]
         assert report["codecs"]["sparse"]["upload_ratio"] \
             <= gate["sparse_ratio_budget"]
-
-    def test_cli_codec_scale_axis(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_codec.json"
-        code = main(["bench", "--codec-scale", "0.5",
-                     "--codec-output", str(output), "--check"])
-        assert code == 0
-        assert output.exists()
-        out = capsys.readouterr().out
-        assert "sparse" in out and "gate:" in out
-
-    def test_cli_rejects_mixed_axes_and_fanout_flags(self, capsys):
-        assert main(["bench", "--codec-scale", "0.5",
-                     "--checkpoint-scale", "0.02"]) == 2
-        assert "separate axes" in capsys.readouterr().out
-        assert main(["bench", "--codec-scale", "0.5",
-                     "--repeats", "1"]) == 2
-        assert "--repeats" in capsys.readouterr().out

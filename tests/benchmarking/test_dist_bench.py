@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 
-from repro.benchmarking import (format_dist_report, measure_shard_balance,
-                                run_dist_bench)
+from repro.benchmarking import (format_report, measure_shard_balance,
+                                run_bench)
 from repro.benchmarking.dist import GATE_BALANCE_TOLERANCE, SHARD_COUNTS
-from repro.cli import main
 
 
 class TestShardBalance:
@@ -30,7 +29,7 @@ class TestShardBalance:
 class TestDistBench:
     def test_report_schema_and_gate(self, tmp_path):
         output = tmp_path / "BENCH_dist.json"
-        report = run_dist_bench(scale=0.5, output=str(output))
+        report = run_bench("dist", 0.5, str(output))
         assert report["gate"]["pass"], report["gate"]
         assert report["gate"]["bit_identical"]
         assert report["gate"]["shard_bytes_scale"]
@@ -48,21 +47,4 @@ class TestDistBench:
                 assert cell["reduce_bytes"] == 0
         persisted = json.loads(output.read_text())
         assert persisted["gate"]["pass"] is True
-        assert "PASS" in format_dist_report(report)
-
-    def test_cli_dist_scale_axis(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_dist.json"
-        code = main(["bench", "--dist-scale", "0.5",
-                     "--dist-output", str(output), "--check"])
-        assert code == 0
-        assert output.exists()
-        out = capsys.readouterr().out
-        assert "backend socket" in out and "gate:" in out
-
-    def test_cli_rejects_mixed_axes_and_fanout_flags(self, capsys):
-        assert main(["bench", "--dist-scale", "0.5",
-                     "--codec-scale", "0.5"]) == 2
-        assert "separate axes" in capsys.readouterr().out
-        assert main(["bench", "--dist-scale", "0.5",
-                     "--repeats", "1"]) == 2
-        assert "--repeats" in capsys.readouterr().out
+        assert "PASS" in format_report(report)

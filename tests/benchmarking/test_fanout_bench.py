@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro.benchmarking import (fanout_preset, format_bench_report,
-                                measure_fanout_bytes, run_fanout_bench)
+from repro.benchmarking import (fanout_preset, format_report,
+                                measure_fanout_bytes, run_bench)
 
 
 class TestFanoutPreset:
@@ -24,10 +24,6 @@ class TestFanoutPreset:
         assert preset.num_clients >= preset.clients_per_round
         assert preset.num_rounds >= 2
 
-    def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            fanout_preset(0.0)
-
 
 class TestRunFanoutBench:
     @pytest.fixture(scope="class")
@@ -35,9 +31,9 @@ class TestRunFanoutBench:
         output = tmp_path_factory.mktemp("bench") / "BENCH_fanout.json"
         # serial + thread keeps the test fast; the process cell is covered
         # by the CI bench job and the determinism suite
-        return run_fanout_bench(scale=0.25, backends=("serial", "thread"),
-                                worker_counts=(2,), repeats=1,
-                                output=str(output)), output
+        return run_bench("fanout", 0.25, str(output),
+                         backends=("serial", "thread"), workers_list=(2,),
+                         repeats=1), output
 
     def test_report_schema(self, report):
         report, _ = report
@@ -96,14 +92,14 @@ class TestRunFanoutBench:
 
     def test_format_report_renders(self, report):
         report, _ = report
-        text = format_bench_report(report)
+        text = format_report(report)
         assert "serial" in text and "thread-2" in text
         assert "bytes/round: broadcast" in text
         assert "fedasync" in text and "fedbuff" in text
 
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError, match="repeats"):
-            run_fanout_bench(scale=0.25, repeats=0)
+            run_bench("fanout", 0.25, repeats=0)
 
 
 class TestGate:

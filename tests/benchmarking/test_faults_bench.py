@@ -6,16 +6,15 @@ import json
 
 import pytest
 
-from repro.benchmarking import (fault_preset, format_fault_report,
-                                measure_faults, run_fault_bench)
-from repro.cli import main
+from repro.benchmarking import (fault_preset, format_report, measure_faults,
+                                run_bench)
 
 
 class TestFaultBench:
     def test_report_schema_and_gate(self, tmp_path):
         output = tmp_path / "BENCH_faults.json"
-        report = run_fault_bench(scale=0.5, backends=("serial", "thread"),
-                                 output=str(output))
+        report = run_bench("faults", 0.5, str(output),
+                           backends=("serial", "thread"))
         assert report["gate"]["pass"], report["gate"]
         assert report["fault_plan"] == "chaos"
         cells = report["backends"]
@@ -34,7 +33,7 @@ class TestFaultBench:
         assert gate["exhausted"] == 0
         persisted = json.loads(output.read_text())
         assert persisted["gate"]["pass"] is True
-        assert "PASS" in format_fault_report(report)
+        assert "PASS" in format_report(report)
 
     def test_measure_cell_counts_faults(self):
         cell = measure_faults("serial", scale=0.5)
@@ -48,29 +47,7 @@ class TestFaultBench:
         assert chaos.fault_plan == "chaos" and chaos.max_retries > 0
         assert chaos.task_timeout is not None
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="positive"):
-            run_fault_bench(scale=0.0)
+    def test_rejects_unknown_plan(self):
         with pytest.raises(ValueError, match="unknown fault plan"):
-            run_fault_bench(scale=0.5, plan="meteor-strike")
-
-    def test_cli_fault_scale_axis(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_faults.json"
-        code = main(["bench", "--fault-scale", "0.5",
-                     "--fault-output", str(output), "--check"])
-        assert code == 0
-        assert output.exists()
-        out = capsys.readouterr().out
-        assert "plan chaos" in out and "gate:" in out
-
-    def test_cli_fault_plan_requires_fault_scale(self, capsys):
-        assert main(["bench", "--fault-plan", "crashy"]) == 2
-        assert "--fault-scale" in capsys.readouterr().out
-
-    def test_cli_rejects_mixed_axes_and_fanout_flags(self, capsys):
-        assert main(["bench", "--fault-scale", "0.5",
-                     "--checkpoint-scale", "0.02"]) == 2
-        assert "separate axes" in capsys.readouterr().out
-        assert main(["bench", "--fault-scale", "0.5",
-                     "--scale", "0.5"]) == 2
-        assert "--scale" in capsys.readouterr().out
+            run_bench("faults", 0.5, plan="meteor-strike",
+                      backends=("serial",))

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import json
 
-from repro.benchmarking import (format_fleet_report, measure_construction,
-                                run_fleet_bench)
-from repro.cli import main
+from repro.benchmarking import format_report, measure_construction, run_bench
 
 
 class TestFleetBench:
     def test_report_schema_and_gate(self, tmp_path):
         output = tmp_path / "BENCH_fleet.json"
-        report = run_fleet_bench(scale=0.01, output=str(output))
+        report = run_bench("fleet", 0.01, str(output))
         assert report["gate"]["pass"], report["gate"]
         ladder = report["ladder"]
         assert len(ladder) == 3
@@ -27,18 +25,9 @@ class TestFleetBench:
         persisted = json.loads(output.read_text())
         assert persisted["gate"]["pass"] is True
         # the rendered table mentions the gate verdict
-        assert "PASS" in format_fleet_report(report)
+        assert "PASS" in format_report(report)
 
     def test_eager_reference_materializes_everything(self):
         cell = measure_construction(24, lazy=False)
         assert cell["lazy"] is False
         assert cell["shard_materializations"] == 24
-
-    def test_cli_fleet_scale_axis(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_fleet.json"
-        code = main(["bench", "--fleet-scale", "0.01",
-                     "--fleet-output", str(output), "--check"])
-        assert code == 0
-        assert output.exists()
-        out = capsys.readouterr().out
-        assert "fleet" in out and "smoke:" in out

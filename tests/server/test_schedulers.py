@@ -180,6 +180,25 @@ class TestAsyncHistories:
                                    fleet=fleet).run()
         assert any(record.buffer_size > 0 for record in history.records)
 
+    def test_fedbuff_buffer_larger_than_the_fleet_is_rejected(self):
+        # buffered clients stay blocked until flushed, so such a buffer can
+        # never fill; the core is the first place that sees both numbers
+        from repro.baselines import build_strategy
+        from repro.experiments.presets import build_experiment
+        from repro.server import ServerCore
+
+        def core(aggregation, buffer_size):
+            dataset, model_builder, config, fleet = build_experiment(
+                tiny_preset("ideal", aggregation))
+            config.buffer_size = buffer_size
+            return ServerCore(build_strategy("fedavg"), dataset,
+                              model_builder, config=config, fleet=fleet)
+
+        with pytest.raises(ValueError, match="never fills.*never moves"):
+            core("fedbuff", TINY["num_clients"] + 1)
+        core("fedbuff", TINY["num_clients"])        # a full-fleet buffer fills
+        core("sync", TINY["num_clients"] + 1)       # unused outside fedbuff
+
     def test_sync_records_keep_legacy_serialization(self):
         history = run_method("fedavg", tiny_preset("flaky", "sync",
                                                    num_rounds=2))

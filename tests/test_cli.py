@@ -20,9 +20,17 @@ class TestParser:
         assert args.backend == "serial"
         assert args.workers == 1
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--method", "nonsense"])
+    def test_unknown_method_rejected(self, capsys):
+        for argv in (["run", "--method", "nope"],
+                     ["compare", "--methods", "fedavg", "nope"],
+                     ["table1", "--methods", "nope"],
+                     ["sweep", "--methods", "nope"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+            message = capsys.readouterr().err.strip().splitlines()[-1]
+            assert "invalid choice: 'nope'" in message
+            assert "'fedlps'" in message  # lists the strategy registry
 
     def test_backend_choices(self):
         args = build_parser().parse_args(
@@ -54,19 +62,21 @@ class TestParser:
         assert not args.no_cache
 
     def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.scale == 1.0
-        assert args.backends == ["process", "serial", "socket", "thread"]
-        assert args.workers_list == [1, 2, 4]
-        # None means "BENCH_fanout.json unless --fleet-scale took over"
-        assert args.output is None
-        assert args.fleet_scale is None
-        assert args.fleet_output == "BENCH_fleet.json"
-        assert not args.check
-
-    def test_bench_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--backends", "gpu"])
+        # one sub-command per axis; misuse and every other axis are covered
+        # by tests/benchmarking/test_harness.py
+        args = build_parser().parse_args(["bench", "fanout"])
+        assert (args.axis, args.scale, args.check) == ("fanout", 1.0, False)
+        assert args.backends == ("process", "serial", "socket", "thread")
+        assert args.workers_list == (1, 2, 4)
+        assert args.output == "BENCH_fanout.json"
+        for axis in ("fleet", "checkpoint", "codec", "faults", "batch",
+                     "dist"):
+            args = build_parser().parse_args(["bench", axis])
+            assert (args.scale, args.check) == (1.0, False)
+            assert args.output == f"BENCH_{axis}.json"
+            assert not hasattr(args, "backends")
+            assert hasattr(args, "plan") == (axis == "faults")
+        assert build_parser().parse_args(["bench", "faults"]).plan == "chaos"
 
     def test_aggregation_choices(self):
         args = build_parser().parse_args(["run", "--aggregation", "fedasync"])
@@ -94,11 +104,6 @@ class TestParser:
             ["sweep", "--codecs", "sparse", "int8"])
         assert args.codecs == ["sparse", "int8"]
 
-    def test_bench_codec_axis_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.codec_scale is None
-        assert args.codec_output == "BENCH_codec.json"
-
     def test_fault_plan_choices(self):
         args = build_parser().parse_args(
             ["run", "--fault-plan", "chaos", "--max-retries", "3",
@@ -116,12 +121,6 @@ class TestParser:
             assert args.fault_plan is None
             assert args.task_timeout is None
             assert args.max_retries is None
-
-    def test_bench_fault_axis_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.fault_scale is None
-        assert args.fault_output == "BENCH_faults.json"
-        assert args.fault_plan is None
 
 
 class TestCommands:
@@ -232,12 +231,3 @@ class TestCommands:
         assert "fedavg" in out
         assert "cache:" not in out
         assert not (tmp_path / "unused").exists()
-
-    def test_bench_writes_artifact(self, capsys, tmp_path):
-        artifact = tmp_path / "BENCH_fanout.json"
-        assert main(["bench", "--scale", "0.25", "--backends", "serial",
-                     "thread", "--workers-list", "2", "--repeats", "1",
-                     "--output", str(artifact), "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "bytes/round: broadcast" in out and "thread-2" in out
-        assert artifact.exists()
