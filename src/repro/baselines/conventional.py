@@ -143,8 +143,8 @@ class Oort(Strategy):
     def _utility(self, context: StrategyContext, client_id: int) -> float:
         # explored clients' sizes were recorded at post_round (identical to
         # num_train_examples) and speed comes from the device fleet, so
-        # scoring never materializes a client's data shard — selection on a
-        # lazy fleet stays O(cohort) in shard builds
+        # scoring never materializes a client's data shard — selection
+        # stays O(cohort) in shard builds
         statistical = self._last_loss.get(client_id, 0.0) * np.sqrt(
             self._num_examples.get(client_id, 0))
         speed = context.fleet[client_id].capability

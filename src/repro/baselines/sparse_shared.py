@@ -277,7 +277,7 @@ class FedMP(SharedSparseStrategy):
         # The bandit bookkeeping lives in ``client.state`` (not on the
         # strategy) so that parallel local updates ship it back to the server
         # like every other per-client quantity.  Initialization is pure per
-        # client, so a lazy fleet can defer it to first participation.
+        # client, so the fleet defers it to first participation.
         context = self._require_context()
         n = len(self.arms)
         baseline = 100.0 / max(context.dataset.num_classes, 2)

@@ -7,8 +7,9 @@ For each fleet size on a ladder the benchmark times the full construction
 path — dataset, device fleet, server core, strategy setup, first selection
 and the materialization of the first cohort — and records the peak traced
 allocation.  At the ladder's top (100k clients at scale 1.0) the gate pins
-the contract: under a second and under 100 MB to first dispatch, where the
-eager path would be O(GB).  A final smoke cell (1M clients at scale 1.0)
+the contract: under a second and under 100 MB to first dispatch, where
+materializing every client's shard would be O(GB)
+(``projected_eager_shard_mb``).  A final smoke cell (1M clients at scale 1.0)
 runs selection plus two full training rounds.
 
 The report lands in ``BENCH_fleet.json``.
@@ -35,13 +36,9 @@ SMOKE_CLIENTS = 1_000_000
 GATE_SECONDS = 1.0
 GATE_MEGABYTES = 100.0
 
-#: largest fleet the eager-comparison cell is allowed to build
-EAGER_LIMIT = 2_000
-
 
 def fleet_preset(num_clients: int, *, num_rounds: int = 2,
-                 clients_per_round: int = 32, eval_clients: int = 32,
-                 lazy: bool = True):
+                 clients_per_round: int = 32, eval_clients: int = 32):
     """The benchmark federation at ``num_clients`` (tiny per-client data)."""
     return scaled(preset_for("mnist"),
                   num_clients=num_clients,
@@ -50,7 +47,6 @@ def fleet_preset(num_clients: int, *, num_rounds: int = 2,
                   clients_per_round=min(clients_per_round, num_clients),
                   local_iterations=1,
                   eval_clients=min(eval_clients, num_clients),
-                  lazy_fleet=lazy,
                   seed=7)
 
 
@@ -84,15 +80,14 @@ def _rss_mb() -> Optional[float]:
         return None
 
 
-def measure_construction(num_clients: int, *, lazy: bool = True
-                         ) -> Dict[str, object]:
+def measure_construction(num_clients: int) -> Dict[str, object]:
     """Time/memory from nothing to the first dispatched cohort.
 
     Covers dataset + device fleet + server core construction, strategy
     setup, round-0 selection and materialization of every selected client —
     i.e. everything a real run pays before the first local update starts.
     """
-    preset = fleet_preset(num_clients, lazy=lazy)
+    preset = fleet_preset(num_clients)
     tracemalloc.start()
     with timed() as clock:
         core = build_trainer(preset).core
@@ -101,15 +96,13 @@ def measure_construction(num_clients: int, *, lazy: bool = True
         cohort = [core.clients[cid] for cid in selected]
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    shard_map = getattr(core.dataset, "clients", None)
-    materializations = getattr(shard_map, "materializations", num_clients)
+    materializations = core.dataset.clients.materializations
     shard_bytes = sum(part.x.nbytes + part.y.nbytes
                       for client in cohort
                       for part in (client.data.train, client.data.test))
     per_client = shard_bytes / max(len(cohort), 1)
     return {
         "num_clients": num_clients,
-        "lazy": lazy,
         "seconds_to_first_dispatch": clock.seconds,
         "traced_peak_mb": peak / 2**20,
         "rss_max_mb": _rss_mb(),
@@ -164,26 +157,13 @@ def run(scale: float) -> Dict[str, object]:
     """Measure the fleet report body at ``scale``.
 
     ``scale`` multiplies the fleet-size ladder (1k/10k/100k at 1.0) and the
-    smoke size (1M at 1.0).  The smallest ladder cell is additionally built
-    eagerly (when small enough) so every report carries a measured
-    lazy-vs-eager comparison next to the projected one.
+    smoke size (1M at 1.0).
     """
-    sizes = scaled_ladder(LADDER, scale)
-    cells = {str(size): measure_construction(size, lazy=True)
-             for size in sizes}
-    eager_cell = None
-    if sizes[0] <= EAGER_LIMIT:
-        eager_cell = measure_construction(sizes[0], lazy=False)
     return {
-        "ladder": cells,
-        "eager_reference": eager_cell,
+        "ladder": {str(size): measure_construction(size)
+                   for size in scaled_ladder(LADDER, scale)},
         "smoke": measure_smoke(max(16, int(round(SMOKE_CLIENTS * scale)))),
     }
-
-
-def _cells(report: Dict[str, object]) -> List[Dict[str, object]]:
-    eager = report["eager_reference"]
-    return [*report["ladder"].values(), *([eager] if eager else [])]
 
 
 register(Axis(
@@ -194,10 +174,10 @@ register(Axis(
           "state for the cohort only",
     run=run,
     gate=lambda report: _gate(report["ladder"]),
-    columns={"fleet": "num_clients", "lazy": "lazy",
+    columns={"fleet": "num_clients",
              "dispatch_s": "seconds_to_first_dispatch",
              "peak_mb": "traced_peak_mb",
              "shards": "shard_materializations",
              "eager_proj_mb": "projected_eager_shard_mb"},
-    cells=_cells,
+    cells=lambda report: report["ladder"].values(),
     extra_lines=lambda report: [f"smoke: {scalars(report['smoke'])}"]))

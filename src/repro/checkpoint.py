@@ -14,7 +14,7 @@ resume-from-checkpoint is provably byte-equal to an uninterrupted run:
   per-client training) is a pure function of ``(seed, round, client)`` and
   needs no capture;
 * the sparse :class:`~repro.federated.fleet.FleetStateStore` — participants
-  only, so a lazy-fleet checkpoint is O(cohort) on disk, never O(fleet);
+  only, so a checkpoint is O(cohort) on disk, never O(fleet);
 * the scheduler's event-driven state: aggregation version, sim clock,
   in-flight pool, the FedBuff buffer and every queued
   :class:`~repro.server.clock.ClientEvent`;
@@ -58,8 +58,9 @@ import numpy as np
 from .systems.metrics import RoundRecord, TrainingHistory
 from .util import BoundedLRU, canonicalize
 
-#: bump whenever the checkpoint layout changes incompatibly
-CHECKPOINT_VERSION = 1
+#: bump whenever the checkpoint layout — or the set of config fields the run
+#: digest hashes — changes incompatibly (2: ``FleetConfig.lazy`` removed)
+CHECKPOINT_VERSION = 2
 
 #: checkpoint files are ``checkpoint-<next_round>.pkl`` inside the directory
 _FILE_PATTERN = re.compile(r"^checkpoint-(\d+)\.pkl$")
@@ -160,7 +161,7 @@ class RunCheckpoint:
     strategy_attrs: Dict[str, Any]
     #: bit-generator state of the shared selection/strategy stream
     rng: Dict[str, Any]
-    #: sparse ``{client_id: state}`` — participants only on a lazy fleet
+    #: sparse ``{client_id: state}`` — participants only
     client_states: Dict[int, Dict[str, Any]]
     #: scheduler-specific state (name, aggregation version, clock, events)
     scheduler: Dict[str, Any] = field(default_factory=dict)

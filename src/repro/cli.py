@@ -126,7 +126,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "from the run seed and cache-keyed like the "
                              "codec; pair with --max-retries so injected "
                              "faults are retried instead of dropped")
-    parser.add_argument("--task-timeout", type=float, default=None,
+    parser.add_argument("--task-timeout", type=positive(float),
+                        default=None,
                         help="per-client-task wall-clock timeout in seconds; "
                              "a timed-out task is retried (then dropped) and "
                              "its hung worker reclaimed on the process "
@@ -141,16 +142,18 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "when the strategy/model pair supports it; "
                              "bit-identical histories, much less Python "
                              "overhead on homogeneous cohorts")
-    parser.add_argument("--reducer-shards", type=int, default=None,
+    parser.add_argument("--reducer-shards", type=positive(int),
+                        default=None,
                         help="partition the aggregation across N "
                              "parameter-server reducer shards (keys are "
                              "assigned by a deterministic hash of their "
                              "name); histories are bit-identical at every "
                              "count (default 1 = unsharded)")
-    parser.add_argument("--rounds", type=int, default=None)
-    parser.add_argument("--clients", type=int, default=None)
-    parser.add_argument("--clients-per-round", type=int, default=None)
-    parser.add_argument("--local-iterations", type=int, default=None)
+    parser.add_argument("--rounds", type=positive(int), default=None)
+    parser.add_argument("--clients", type=positive(int), default=None)
+    parser.add_argument("--clients-per-round", type=positive(int),
+                        default=None)
+    parser.add_argument("--local-iterations", type=positive(int), default=None)
     parser.add_argument("--seed", type=int, default=None)
     _add_executor_arguments(parser)
 
@@ -191,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--checkpoint-dir", default=None,
                             help="checkpoint the run into this directory at "
                                  "round boundaries (see repro.checkpoint)")
-    run_parser.add_argument("--checkpoint-every", type=int, default=1,
+    run_parser.add_argument("--checkpoint-every", type=positive(int),
+                            default=1,
                             help="checkpoint every N rounds (default 1)")
     run_parser.add_argument("--resume", action="store_true",
                             help="resume from the latest checkpoint in "

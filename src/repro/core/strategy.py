@@ -79,9 +79,9 @@ class FedLPS(Strategy):
     def init_client_state(self, client: Client) -> None:
         """One client's persistent state, pure in ``(seed, client_id)``.
 
-        Runs once per client — at setup with an eager fleet, on first
-        materialization with a lazy one; both orders produce identical
-        state because nothing here depends on other clients.
+        Runs once per client, on its first materialization; any order of
+        first appearance produces identical state because nothing here
+        depends on other clients.
         """
         context = self._require_context()
         config = context.config
@@ -90,7 +90,9 @@ class FedLPS(Strategy):
         # a single-client context map, but the session dataset always knows
         # the full federation size
         num_clients = max(context.dataset.num_clients, 1)
-        selection_fraction = config.clients_per_round / num_clients
+        # clamped to the fleet exactly like ``Strategy.select_clients``
+        selection_fraction = (min(config.clients_per_round, num_clients)
+                              / num_clients)
         baseline_accuracy = 100.0 / max(context.dataset.num_classes, 2)
         state = client.state
         state["importance"] = None

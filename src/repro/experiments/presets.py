@@ -21,7 +21,7 @@ from ..nn.model import Sequential
 from ..parallel.codec import available_codecs
 from ..parallel.faults import available_fault_plans, build_fault_plan
 from ..scenarios import available_scenarios, build_scenario
-from ..systems import DeviceFleet, sample_device_fleet
+from ..systems import VirtualDeviceFleet
 from ..systems.devices import HETEROGENEITY_PRESETS
 
 #: the five datasets of the paper's evaluation
@@ -55,9 +55,6 @@ class ExperimentPreset:
     #: "dense" (historical raw blocks), "sparse" (lossless indexed slices),
     #: "int8"/"pq" (lossy low-precision) — keys the result cache
     codec: str = "dense"
-    #: lazy O(cohort) fleet materialization (the default); False retains the
-    #: eager build-everything-up-front path.  Cache-keyed like every field.
-    lazy_fleet: bool = True
     #: personalized-evaluation cap (``None`` = every client, the paper's
     #: metric; large-fleet presets sample a fixed deterministic subset)
     eval_clients: Optional[int] = None
@@ -120,8 +117,8 @@ def scaled(preset: ExperimentPreset, **overrides) -> ExperimentPreset:
 
 def build_experiment(preset: ExperimentPreset
                      ) -> tuple[FederatedDataset, Callable[[], Sequential],
-                                FederatedConfig, DeviceFleet]:
-    """Materialize the dataset, model builder, config and device fleet."""
+                                FederatedConfig, VirtualDeviceFleet]:
+    """The virtual dataset, model builder, config and virtual device fleet."""
     if preset.heterogeneity not in HETEROGENEITY_PRESETS:
         raise ValueError(
             f"unknown heterogeneity level {preset.heterogeneity!r}")
@@ -146,8 +143,7 @@ def build_experiment(preset: ExperimentPreset
         preset.dataset, preset.num_clients,
         classes_per_client=preset.classes_per_client,
         examples_per_client=preset.examples_per_client,
-        style_scale=preset.style_scale, seed=preset.seed,
-        lazy=preset.lazy_fleet)
+        style_scale=preset.style_scale, seed=preset.seed, lazy=True)
     config = FederatedConfig(
         num_rounds=preset.num_rounds,
         clients_per_round=preset.clients_per_round,
@@ -168,14 +164,12 @@ def build_experiment(preset: ExperimentPreset
         max_retries=preset.max_retries,
         batch_cohort=preset.batch_cohort,
         reducer_shards=preset.reducer_shards,
-        fleet=FleetConfig(lazy=preset.lazy_fleet,
-                          eval_clients=preset.eval_clients),
+        fleet=FleetConfig(eval_clients=preset.eval_clients),
         extra=dict(preset.extra_config))
-    fleet = sample_device_fleet(
+    fleet = VirtualDeviceFleet(
         preset.num_clients,
         levels=HETEROGENEITY_PRESETS[preset.heterogeneity],
-        dynamic=preset.dynamic_resources, seed=preset.seed,
-        lazy=preset.lazy_fleet)
+        dynamic=preset.dynamic_resources, seed=preset.seed)
 
     def model_builder() -> Sequential:
         return build_model_for_dataset(preset.dataset, seed=preset.seed)

@@ -21,16 +21,13 @@ AGGREGATIONS = ("sync", "fedasync", "fedbuff")
 class FleetConfig:
     """How the server materializes the client fleet.
 
-    ``lazy=True`` (the default) keeps fleet construction O(cohort): client
-    shards, device profiles and per-client state come into existence only
-    when a client is dispatched (or evaluated).  ``shard_cache`` bounds
-    each of the two pinning layers — the dataset's materialized-shard LRU
-    and the server's client-facade LRU — so resident shard memory is at
-    most 2x ``shard_cache`` in the worst case (disjoint working sets),
-    and typically ~1x because facades reference the same shard objects.
-    ``lazy=False`` retains the historical eager path — every client object
-    built up front — which is bit-identical in results and useful for
-    byte-level comparisons and eager validation.
+    Fleet construction is O(cohort): client shards, device profiles and
+    per-client state come into existence only when a client is dispatched
+    (or evaluated).  ``shard_cache`` bounds each of the two pinning layers
+    — the dataset's materialized-shard LRU and the server's client-facade
+    LRU — so resident shard memory is at most 2x ``shard_cache`` in the
+    worst case (disjoint working sets), and typically ~1x because facades
+    reference the same shard objects.
 
     ``eval_clients`` caps the personalized-evaluation sweep, which is
     otherwise O(num_clients) per evaluated round: ``None`` evaluates every
@@ -40,7 +37,6 @@ class FleetConfig:
     for fleet-scale smoke runs where even one sweep would dominate.
     """
 
-    lazy: bool = True
     shard_cache: int = 256
     eval_clients: Optional[int] = None
 
@@ -114,8 +110,7 @@ class FederatedConfig:
     # task that exhausts its retries degrades into a dropped client
     task_timeout: Optional[float] = None
     max_retries: int = 0
-    # client-fleet materialization: lazy O(cohort) fleets (default) vs the
-    # retained eager path, shard-cache bound, evaluation-sweep cap
+    # client-fleet materialization: shard-cache bound, evaluation-sweep cap
     fleet: FleetConfig = field(default_factory=FleetConfig)
     # vectorized cohort training (``repro.federated.batched``): run a
     # round's same-architecture local updates as ONE batched tensor program

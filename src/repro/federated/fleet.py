@@ -1,29 +1,26 @@
-"""The virtual client fleet: O(cohort) lazy materialization of clients.
+"""The client fleet: O(cohort) materialization of clients.
 
-Before this module, every layer of the simulator eagerly materialized the
-whole federation at construction time: the dataset copied per-client arrays
-into shards, the device sampler built every :class:`DeviceProfile` and the
-server held a ``Dict[int, Client]`` of live objects — O(num_clients) memory
-and start-up even though a round only ever touches ``clients_per_round``
-clients.  A :class:`ClientFleet` replaces that dictionary with a lazy view:
+A round only ever touches ``clients_per_round`` clients, so the server holds
+no ``Dict[int, Client]`` of live objects.  A :class:`ClientFleet` is the one
+view every federation — virtual or hand-built — is served through:
 
-* **shards** come from the dataset's client mapping — a plain dict for an
-  eager federation, or a :class:`~repro.data.dataset.LazyShardMap` whose
-  builder is a pure function of ``(seed, client_id)`` for a virtual one;
-* **device profiles** come from the device fleet, likewise eager or
+* **shards** come from the dataset's client mapping — a plain dict for a
+  hand-built federation, or a :class:`~repro.data.dataset.LazyShardMap`
+  whose builder is a pure function of ``(seed, client_id)`` for a virtual
+  one;
+* **device profiles** come from the device fleet, likewise a sampled
+  :class:`~repro.systems.devices.DeviceFleet` or a
   :class:`~repro.systems.devices.VirtualDeviceFleet`;
 * **per-client state** lives in a sparse :class:`FleetStateStore` that only
   holds entries for clients that have ever participated; strategies
   initialize a client's state through their ``init_client_state`` hook the
-  first time the client is materialized (pure per client, so lazy and eager
-  initialization orders agree bit-for-bit).
+  first time the client is materialized (pure per client, so the order in
+  which clients first appear cannot change a result).
 
 ``fleet[cid]`` (participant access) materializes a :class:`Client` facade
 and persists its state; ``fleet.observer(cid)`` materializes a facade with
 a *transient* initial state when the client has never participated, so
-evaluation sweeps do not grow the store.  With ``lazy=False`` the fleet
-reproduces the old behaviour exactly: every client is built at construction
-and every state initialized up front.
+evaluation sweeps do not grow the store.
 """
 
 from __future__ import annotations
@@ -87,8 +84,7 @@ class FleetStateStore:
 
         The returned dict is a fresh container but shares the state dicts;
         the checkpoint layer deep-copies before persisting, so the sparse
-        O(participants) shape — never O(fleet) on a lazy fleet — is
-        preserved on disk.
+        O(participants) shape — never O(fleet) — is preserved on disk.
         """
         return {cid: self._states[cid] for cid in sorted(self._states)}
 
@@ -108,15 +104,9 @@ class ClientFleet(MappingABC):
     evaluation: a never-participating client gets a transient initial state
     that is dropped afterwards, keeping the store O(participants).
     ``values()``/``items()`` iterate with observer semantics.
-
-    With ``lazy=False`` every client is materialized at construction and
-    binding a state initializer runs it on all of them immediately — the
-    pre-fleet behaviour, retained for bit-for-bit comparison and for callers
-    that want eager failure on malformed federations.
     """
 
     def __init__(self, dataset: FederatedDataset, devices: DeviceFleet, *,
-                 lazy: bool = True,
                  cache_size: int = DEFAULT_FACADE_CACHE) -> None:
         if len(devices) != dataset.num_clients:
             raise ValueError(
@@ -126,49 +116,29 @@ class ClientFleet(MappingABC):
             raise ValueError("cache_size must be positive")
         self.dataset = dataset
         self.devices = devices
-        self.lazy = lazy
         # each cached facade pins its materialized ClientData alongside
         # the dataset's own shard LRU, so both layers share one configured
         # bound (ServerCore resizes the shard map to match); worst-case
         # resident shards are 2x that bound, typically ~1x (shared ids).
-        # The eager fleet keeps every facade alive by design.
         self.cache_size = cache_size
         self.state_store = FleetStateStore()
-        self._facades = BoundedLRU(cache_size if lazy
-                                   else max(cache_size, len(devices)))
+        self._facades = BoundedLRU(cache_size)
         self._ids: Optional[np.ndarray] = None
         self.facade_builds = 0
-        if not lazy:
-            for cid in map(int, self.client_ids):
-                self._facades.put(cid, Client(cid, dataset.client(cid),
-                                              devices[cid]))
 
     # ----------------------------------------------------------- lifecycle
     def bind_state_initializer(self,
                                initializer: Optional[StateInitializer]) -> None:
         """Install a strategy's per-client state initializer (resets states).
 
-        Called from ``Strategy.setup``.  Eagerly initializes every client in
-        the non-lazy fleet (the old per-strategy setup loop); in the lazy
-        fleet initialization happens on first materialization instead.
+        Called from ``Strategy.setup``; the initializer itself runs on a
+        client's first materialization.
         """
         self.state_store.bind(initializer)
-        if self.lazy:
-            # drop cached facades along with the store: a facade built for
-            # the previous binding carries that run's state dict, and
-            # re-adopting it would leak trained state into the fresh run
-            self._facades.clear()
-        else:
-            for cid in self.client_ids:
-                client = self._facades.get(cid)
-                # a FRESH dict per bind, exactly like the lazy path: keys a
-                # previous run's local updates left behind (personal params,
-                # patterns) must not leak into the new run — initializers
-                # only overwrite their own keys, so reusing the old dict
-                # would diverge from a lazily-rebuilt client
-                client.state = {}
-                self.state_store.adopt(cid, client.state)
-                self.state_store.initialize(client)
+        # drop cached facades along with the store: a facade built for the
+        # previous binding carries that run's state dict, and re-adopting
+        # it would leak trained state into the fresh run
+        self._facades.clear()
 
     # ------------------------------------------------------------- access
     def _build_facade(self, client_id: int,
@@ -190,8 +160,6 @@ class ClientFleet(MappingABC):
         facade = self._facades.get(client_id)
         if facade is not None:
             return facade
-        if not self.lazy:
-            raise KeyError(f"no client with id {client_id}")
         stored = self.state_store.get(client_id)
         facade = self._build_facade(client_id,
                                     {} if stored is None else stored)
@@ -231,8 +199,6 @@ class ClientFleet(MappingABC):
         touches no shard at all for evaluation fan-out.
         """
         self._check_id(client_id)
-        if not self.lazy:
-            return self._facades.get(client_id).state
         return self.state_store.get(client_id)
 
     def update_state(self, client_id: int, state: Dict[str, Any]) -> None:
@@ -300,10 +266,10 @@ def bind_client_state_initializer(clients, initializer: StateInitializer
     """Route a strategy's per-client initializer to whatever holds clients.
 
     ``Strategy.setup`` calls this with ``context.clients``: a
-    :class:`ClientFleet` binds it (lazy fleets defer per-client work, eager
-    fleets run it immediately), while a plain ``{cid: Client}`` dict — the
-    shape hand-rolled unit tests build — keeps the historical behaviour of
-    initializing every client on the spot.
+    :class:`ClientFleet` binds it (per-client work is deferred to first
+    materialization), while a plain ``{cid: Client}`` dict — the shape
+    hand-rolled unit tests build — has every client initialized on the
+    spot.
     """
     binder = getattr(clients, "bind_state_initializer", None)
     if binder is not None:

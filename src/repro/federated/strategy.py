@@ -102,11 +102,11 @@ class Strategy:
 
         Strategies that keep per-client state (importance indicators, bandit
         bookkeeping, ...) override this instead of looping over every client
-        in ``setup``: with a lazy fleet the hook runs the first time a
-        client is materialized, so untouched clients cost nothing.  The
+        in ``setup``: the fleet runs the hook the first time a client is
+        materialized, so untouched clients cost nothing.  The
         implementation must depend only on the client (id, capability, data
         sizes) and the context — never on which other clients exist or have
-        been initialized — so lazy and eager initialization orders agree.
+        been initialized — so the order of first appearance cannot matter.
         For the fleet size use ``context.dataset.num_clients``, not
         ``len(context.clients)``: the hook may run on a broadcast worker
         whose context maps only the one client being rebuilt.
@@ -224,7 +224,7 @@ class Strategy:
         """A participant's persistent state without materializing its shard.
 
         ``post_round`` hooks should read state through this instead of
-        ``context.clients[cid].state``: on a lazy fleet the latter builds a
+        ``context.clients[cid].state``: on the fleet the latter builds a
         full ``Client`` facade — synthesizing the client's data — just to
         reach a dict the fleet's sparse store already holds O(1).
         """

@@ -106,7 +106,7 @@ class FederatedTrainer:
 
     @property
     def clients(self) -> ClientFleet:
-        """The (possibly lazy) client fleet view, a ``Mapping[int, Client]``."""
+        """The O(cohort) client fleet view, a ``Mapping[int, Client]``."""
         return self.core.clients
 
     @property

@@ -53,7 +53,7 @@ from ..parallel.supervision import RetryPolicy, run_supervised
 from ..scenarios.engine import RoundOutcome, ScenarioEngine
 from ..sparsity.accounting import SparseCost
 from ..systems.cost import CostBreakdown, LocalCostModel
-from ..systems.devices import DeviceFleet, sample_device_fleet
+from ..systems.devices import DeviceFleet, VirtualDeviceFleet
 from ..systems.metrics import TrainingHistory
 
 #: key prefix of the dataset blocks on the session broadcast manifest
@@ -324,18 +324,17 @@ class ServerCore:
                            or self.retry_policy.active)
         self._last_faults: Optional[Dict[str, float]] = None
         self._last_failed: List[int] = []
-        lazy = self.config.fleet.lazy
-        self.fleet = fleet if fleet is not None else sample_device_fleet(
-            dataset.num_clients, seed=self.config.seed, lazy=lazy)
+        self.fleet = fleet if fleet is not None else VirtualDeviceFleet(
+            dataset.num_clients, seed=self.config.seed)
         self.cost_model = cost_model or LocalCostModel(self.config.cost_alpha,
                                                        seed=self.config.seed)
         self.scenario = (ScenarioEngine(self.config.scenario,
                                         seed=self.config.seed)
                          if self.config.scenario is not None else None)
         self.model = model_builder()
-        # the fleet view replaces the old eager Dict[int, Client]: with
-        # ``fleet.lazy`` (the default) Client facades, shards, device
-        # profiles and state come into existence per dispatched cohort.
+        # the fleet view: Client facades, shards, device profiles and state
+        # come into existence per dispatched cohort, whatever dataset and
+        # device fleet were handed in.
         # ``config.fleet.shard_cache`` is authoritative for both pinning
         # layers — the facade cache here and the dataset's shard LRU (which
         # may have been built with a different bound) — so worst-case
@@ -345,8 +344,7 @@ class ServerCore:
         if hasattr(shard_map, "resize"):
             shard_map.resize(self.config.fleet.shard_cache)
         self.clients: ClientFleet = ClientFleet(
-            dataset, self.fleet, lazy=lazy,
-            cache_size=self.config.fleet.shard_cache)
+            dataset, self.fleet, cache_size=self.config.fleet.shard_cache)
         self._eval_ids: Optional[List[int]] = None
         self.context = StrategyContext(
             model=self.model, clients=self.clients, dataset=dataset,
@@ -738,7 +736,7 @@ class ServerCore:
         ``None`` for never-participants, initialized worker-side) and each
         worker rebuilds only the clients it evaluates.  Evaluation
         inherently touches every swept client's test shard somewhere, so
-        for mid-size lazy fleets either keep ``fleet.shard_cache`` at or
+        for mid-size virtual fleets either keep ``fleet.shard_cache`` at or
         above the sweep size or cap the sweep with ``fleet.eval_clients``.
         """
         eval_ids = self.evaluation_client_ids()

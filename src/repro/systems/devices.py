@@ -245,23 +245,20 @@ class VirtualDeviceFleet(DeviceFleet):
 
 def sample_device_fleet(num_clients: int, *, levels: Sequence[float] = CAPABILITY_LEVELS,
                         dynamic: bool = False, seed: int = 0,
-                        bandwidth_levels: Sequence[float] = DEFAULT_BANDWIDTH_LEVELS,
-                        lazy: bool = False) -> DeviceFleet:
+                        bandwidth_levels: Sequence[float] = DEFAULT_BANDWIDTH_LEVELS
+                        ) -> DeviceFleet:
     """Sample a fleet of devices with capabilities drawn uniformly from ``levels``.
 
     This mirrors the paper's configuration: capability levels are sampled
     uniformly across clients, and bandwidth varies moderately and
-    independently of compute.  ``lazy=True`` returns a
-    :class:`VirtualDeviceFleet` with identical profiles but O(1)
-    construction.
+    independently of compute.  This sequential O(N) sampler is the
+    reference that :class:`VirtualDeviceFleet` reproduces, profile for
+    profile, in O(1) per client.
     """
     if num_clients <= 0:
         raise ValueError("num_clients must be positive")
     if not levels:
         raise ValueError("levels must not be empty")
-    if lazy:
-        return VirtualDeviceFleet(num_clients, levels=levels, dynamic=dynamic,
-                                  seed=seed, bandwidth_levels=bandwidth_levels)
     rng = np.random.default_rng(seed)
     profiles: Dict[int, DeviceProfile] = {}
     for client_id in range(num_clients):
@@ -274,11 +271,11 @@ def sample_device_fleet(num_clients: int, *, levels: Sequence[float] = CAPABILIT
 
 
 def fleet_for_heterogeneity(num_clients: int, level: str, *, dynamic: bool = False,
-                            seed: int = 0, lazy: bool = False) -> DeviceFleet:
+                            seed: int = 0) -> DeviceFleet:
     """Build a fleet for one of the paper's heterogeneity presets."""
     if level not in HETEROGENEITY_PRESETS:
         raise ValueError(
             f"unknown heterogeneity level {level!r}; "
             f"choose from {sorted(HETEROGENEITY_PRESETS)}")
     return sample_device_fleet(num_clients, levels=HETEROGENEITY_PRESETS[level],
-                               dynamic=dynamic, seed=seed, lazy=lazy)
+                               dynamic=dynamic, seed=seed)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.benchmarking import format_report, measure_construction, run_bench
+from repro.benchmarking import format_report, run_bench
 
 
 class TestFleetBench:
@@ -15,7 +15,6 @@ class TestFleetBench:
         ladder = report["ladder"]
         assert len(ladder) == 3
         for cell in ladder.values():
-            assert cell["lazy"] is True
             assert cell["seconds_to_first_dispatch"] >= 0.0
             # materialization scales with the cohort, not the fleet
             assert cell["shard_materializations"] <= max(cell["cohort_size"],
@@ -26,8 +25,3 @@ class TestFleetBench:
         assert persisted["gate"]["pass"] is True
         # the rendered table mentions the gate verdict
         assert "PASS" in format_report(report)
-
-    def test_eager_reference_materializes_everything(self):
-        cell = measure_construction(24, lazy=False)
-        assert cell["lazy"] is False
-        assert cell["shard_materializations"] == 24

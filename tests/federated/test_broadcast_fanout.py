@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import pickle
 
-import pytest
-
-from repro.experiments import preset_for, run_method, scaled
+from repro.experiments import preset_for, scaled
 from repro.federated.trainer import FederatedTrainer
 from repro.baselines import build_strategy
 from repro.experiments.presets import build_experiment
 from repro.parallel import (ThreadPoolExecutor, broadcast_stats,
                             reset_broadcast_stats)
+
+from eager_data import build_eager_experiment, on_both_federations
 
 WORKERS = 2
 TINY = dict(num_clients=5, num_rounds=2, clients_per_round=4,
@@ -118,18 +118,17 @@ class TestReadOnlyFanout:
     fail the run.
     """
 
-    @pytest.mark.parametrize("lazy_fleet", [True, False],
-                             ids=["lazy-fleet", "eager-fleet"])
-    def test_every_registry_strategy_runs_on_read_only_views(self,
-                                                             lazy_fleet):
+    @on_both_federations
+    def test_every_registry_strategy_runs_on_read_only_views(self, run):
         from repro.baselines import available_strategies
 
-        # the eager variant is the one that actually ships dataset arrays
-        # as read-only blocks; the lazy variant covers the spec transport
-        preset = scaled(tiny_preset(), num_rounds=1, lazy_fleet=lazy_fleet)
+        # the eager-data variant is the one that actually ships dataset
+        # arrays as read-only blocks; the virtual one covers the spec
+        # transport
+        preset = scaled(tiny_preset(), num_rounds=1)
         with ThreadPoolExecutor(WORKERS) as executor:
             for method in available_strategies():
-                run_method(method, preset, executor=executor)
+                run(method, preset, executor=executor)
 
 
 class TestSessionDatasetBlocks:
@@ -138,9 +137,9 @@ class TestSessionDatasetBlocks:
     def test_session_blob_excludes_dataset_arrays(self):
         from repro.server.core import dataset_to_blocks
 
-        # the retained eager path: every client's arrays on the manifest
-        preset = scaled(tiny_preset(), lazy_fleet=False)
-        dataset, model_builder, config, fleet = build_experiment(preset)
+        # a hand-built eager dataset: every client's arrays on the manifest
+        dataset, model_builder, config, fleet = build_eager_experiment(
+            tiny_preset())
         strategy = build_strategy("fedavg")
         with ThreadPoolExecutor(WORKERS) as executor:
             trainer = FederatedTrainer(strategy, dataset, model_builder,
@@ -196,8 +195,7 @@ class TestSessionDatasetBlocks:
 
         from repro.server.core import dataset_from_blocks, dataset_to_blocks
 
-        dataset, _, _, _ = build_experiment(
-            scaled(tiny_preset(), lazy_fleet=False))
+        dataset, _, _, _ = build_eager_experiment(tiny_preset())
         blocks, skeleton = dataset_to_blocks(dataset)
         rebuilt = dataset_from_blocks(skeleton, blocks)
         assert rebuilt.name == dataset.name

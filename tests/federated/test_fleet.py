@@ -1,14 +1,15 @@
-"""The virtual client fleet: lazy O(cohort) materialization.
+"""The client fleet: O(cohort) materialization.
 
 Contracts under test:
 
 * **Equivalence** — for every registered partitioner and any fleet size,
-  the lazy path (virtual dataset + virtual device fleet + sparse state
-  store) produces shards, device profiles and histories element-identical
-  to the eager path (hypothesis property tests plus directed cases).
-* **O(cohort)** — a training run on a virtual fleet materializes shards,
-  facades and state entries only for clients that were dispatched or
-  evaluated; untouched clients are never built (counting hooks).
+  the virtual dataset and virtual device fleet produce shards, device
+  profiles and histories element-identical to the eager builders, which
+  stay as the reference (hypothesis property tests plus directed cases).
+* **O(cohort)** — a training run materializes shards, facades and state
+  entries only for clients that were dispatched or evaluated; untouched
+  clients are never built (counting hooks), whether the federation is
+  virtual or hand-built.
 * **No config mutation** — scenario over-selection reaches the strategy as
   an explicit ``count`` argument; ``config.clients_per_round`` is never
   observed widened (regression for the old patch/restore hack).
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eager_data import run_method_eager_data
 from repro.baselines import build_strategy
 from repro.data import build_federated_dataset
 from repro.data.partition import VirtualFederatedDataset
@@ -29,8 +31,11 @@ from repro.experiments.presets import build_experiment
 from repro.federated import FederatedConfig, FederatedTrainer, FleetConfig
 from repro.federated.fleet import ClientFleet
 from repro.federated.strategy import Strategy
+from repro.models import build_model_for_dataset
+from repro.server.core import ServerCore
 from repro.systems.devices import (CAPABILITY_LEVELS, HETEROGENEITY_PRESETS,
-                                   sample_device_fleet, sample_device_profile)
+                                   VirtualDeviceFleet, sample_device_fleet,
+                                   sample_device_profile)
 
 #: every partitioner registered with ``build_federated_dataset``
 PARTITIONERS = ("pathological", "dirichlet", "iid")
@@ -101,7 +106,7 @@ class TestDeviceEquivalence:
     def test_lazy_profiles_match_eager_sampling(self, level, seed):
         levels = HETEROGENEITY_PRESETS[level]
         eager = sample_device_fleet(200, levels=levels, seed=seed)
-        lazy = sample_device_fleet(200, levels=levels, seed=seed, lazy=True)
+        lazy = VirtualDeviceFleet(200, levels=levels, seed=seed)
         for cid in range(200):
             assert lazy[cid].capability == eager[cid].capability
             assert lazy[cid].bandwidth_scale == eager[cid].bandwidth_scale
@@ -120,7 +125,7 @@ class TestDeviceEquivalence:
     def test_virtual_fleet_pickles_without_memo(self):
         import pickle
 
-        fleet = sample_device_fleet(1_000_000, seed=3, lazy=True)
+        fleet = VirtualDeviceFleet(1_000_000, seed=3)
         fleet[123_456]  # populate the memo
         wire = pickle.dumps(fleet, pickle.HIGHEST_PROTOCOL)
         assert len(wire) < 1024
@@ -134,18 +139,18 @@ class TestHistoryEquivalence:
         overrides = dict(num_clients=6, num_rounds=2, clients_per_round=2,
                          examples_per_client=20, local_iterations=2,
                          batch_size=8, seed=5)
-        lazy = run_method(method, scaled(preset_for("mnist"), **overrides))
-        eager = run_method(method, scaled(preset_for("mnist"),
-                                          lazy_fleet=False, **overrides))
+        preset = scaled(preset_for("mnist"), **overrides)
+        lazy = run_method(method, preset)
+        eager = run_method_eager_data(method, preset)
         assert lazy.to_dict() == eager.to_dict()
 
     def test_lazy_and_eager_agree_under_over_selection_scenario(self):
         overrides = dict(num_clients=6, num_rounds=2, clients_per_round=2,
                          examples_per_client=20, local_iterations=2,
                          batch_size=8, seed=5, scenario="deadline-tight")
-        lazy = run_method("fedlps", scaled(preset_for("mnist"), **overrides))
-        eager = run_method("fedlps", scaled(preset_for("mnist"),
-                                            lazy_fleet=False, **overrides))
+        preset = scaled(preset_for("mnist"), **overrides)
+        lazy = run_method("fedlps", preset)
+        eager = run_method_eager_data("fedlps", preset)
         assert lazy.to_dict() == eager.to_dict()
 
 
@@ -279,7 +284,7 @@ class TestFleetView:
     def test_state_persists_across_facade_eviction(self):
         dataset = build_federated_dataset("mnist", 6, examples_per_client=12,
                                           seed=1, lazy=True)
-        fleet = ClientFleet(dataset, sample_device_fleet(6, seed=1, lazy=True))
+        fleet = ClientFleet(dataset, VirtualDeviceFleet(6, seed=1))
         fleet.bind_state_initializer(
             lambda client: client.state.setdefault("marker",
                                                    client.client_id * 10))
@@ -291,7 +296,7 @@ class TestFleetView:
     def test_observer_state_is_transient_until_participation(self):
         dataset = build_federated_dataset("mnist", 6, examples_per_client=12,
                                           seed=1, lazy=True)
-        fleet = ClientFleet(dataset, sample_device_fleet(6, seed=1, lazy=True))
+        fleet = ClientFleet(dataset, VirtualDeviceFleet(6, seed=1))
         fleet.bind_state_initializer(
             lambda client: client.state.setdefault("marker", 1))
         assert fleet.observer(2).state["marker"] == 1
@@ -303,37 +308,57 @@ class TestFleetView:
     def test_rebinding_resets_cached_facade_state(self, method):
         """A second setup() must not leak the previous run's client state.
 
-        Regression, both directions: the lazy path must not re-adopt cached
-        facades' run-1 state, and the eager path must hand out FRESH state
-        dicts on re-bind — initializers only overwrite their own keys, so
-        reusing the old dicts leaks keys like ``personal_params`` or
-        ``pattern`` that only local updates write (efd/ditto/fedrep expose
-        this; fedlps's initializer happens to reset everything it reads).
+        Regression: re-binding must not re-adopt cached facades' run-1
+        state — initializers only overwrite their own keys, so a reused
+        dict leaks keys like ``personal_params`` or ``pattern`` that only
+        local updates write (efd/ditto/fedrep expose this; fedlps's
+        initializer happens to reset everything it reads).  After a run, a
+        second setup must hand run-1's participants the state keys a
+        never-run trainer hands them.
         """
-        overrides = dict(num_clients=8, num_rounds=2, clients_per_round=2,
-                         examples_per_client=16, local_iterations=1,
-                         batch_size=8, seed=5)
+        preset = scaled(preset_for("mnist"), num_clients=8, num_rounds=2,
+                        clients_per_round=2, examples_per_client=16,
+                        local_iterations=1, batch_size=8, seed=5)
 
-        def run_twice(lazy_fleet):
-            preset = scaled(preset_for("mnist"), lazy_fleet=lazy_fleet,
-                            **overrides)
+        def trainer():
             dataset, mb, config, fleet = build_experiment(preset)
-            trainer = FederatedTrainer(build_strategy(method), dataset, mb,
-                                       config=config, fleet=fleet)
-            trainer.run()
-            return trainer.run().to_dict()
+            return FederatedTrainer(build_strategy(method), dataset, mb,
+                                    config=config, fleet=fleet)
 
-        assert run_twice(True) == run_twice(False)
+        reused, fresh = trainer(), trainer()
+        history = reused.run()
+        for each in (reused, fresh):
+            each.core.strategy.setup(each.core.context)
+        assert len(reused.clients.state_store) == 0
+        for record in history.records:
+            for cid in record.selected_clients:
+                assert (set(reused.clients[cid].state)
+                        == set(fresh.clients[cid].state))
 
-    def test_eager_fleet_matches_old_construction(self):
-        dataset = build_federated_dataset("mnist", 4, examples_per_client=12,
+    def test_hand_built_eager_federation_gets_the_sparse_store(self):
+        """Eager dataset + sampled devices go through the one fleet view."""
+        dataset = build_federated_dataset("mnist", 8, examples_per_client=16,
                                           seed=1)
-        fleet = ClientFleet(dataset, sample_device_fleet(4, seed=1),
-                            lazy=False)
-        assert sorted(fleet) == [0, 1, 2, 3]
-        assert fleet[2].client_id == 2
+        config = FederatedConfig(num_rounds=2, clients_per_round=2,
+                                 local_iterations=1, batch_size=8, seed=1)
+        core = ServerCore(build_strategy("fedlps"), dataset,
+                          lambda: build_model_for_dataset("mnist", seed=1),
+                          config=config, fleet=sample_device_fleet(8, seed=1))
+        assert sorted(core.clients) == list(range(8))
+        history = core.run()
+        dispatched = {cid for record in history.records
+                      for cid in record.selected_clients}
+        # the full evaluation sweep touched all 8 clients every round, yet
+        # only participants hold state
+        store = core.clients.state_store
+        assert set(store.known_ids) <= dispatched
+        assert 0 < len(store) and len(dispatched) < 8
+        untouched = next(cid for cid in range(8) if cid not in dispatched)
+        assert core.clients.observer(untouched).state["ratio"] > 0
+        assert core.clients.peek_state(untouched) is None
+        assert untouched not in store
         with pytest.raises(KeyError):
-            fleet[9]
+            core.clients[9]
 
     def test_fleet_size_mismatch_raises(self):
         dataset = build_federated_dataset("mnist", 4, examples_per_client=12,
@@ -353,4 +378,19 @@ class TestFleetConfigValidation:
 
     def test_rejects_non_fleet_config(self):
         with pytest.raises(TypeError):
-            FederatedConfig(fleet={"lazy": True})
+            FederatedConfig(fleet={"shard_cache": 4})
+
+
+def test_the_lazy_switch_family_is_gone():
+    """No spelling of the removed eager/lazy switch is silently accepted."""
+    dataset = build_federated_dataset("mnist", 4, examples_per_client=12,
+                                      seed=1)
+    devices = sample_device_fleet(4, seed=1)
+    with pytest.raises(TypeError):
+        FleetConfig(lazy=False)
+    with pytest.raises(TypeError):
+        scaled(preset_for("mnist"), lazy_fleet=False)
+    with pytest.raises(TypeError):
+        ClientFleet(dataset, devices, lazy=False)
+    with pytest.raises(TypeError):
+        sample_device_fleet(4, seed=1, lazy=True)

@@ -64,25 +64,19 @@ def golden_specs():
 
 
 def golden_preset(scenario: str, aggregation: str = "sync",
-                  codec: str = "dense", *, lazy_fleet: bool = True):
+                  codec: str = "dense"):
     from repro.experiments import preset_for, scaled
 
     return scaled(preset_for("mnist"), scenario=scenario,
-                  aggregation=aggregation, codec=codec,
-                  lazy_fleet=lazy_fleet, **GOLDEN_OVERRIDES)
+                  aggregation=aggregation, codec=codec, **GOLDEN_OVERRIDES)
 
 
 def run_golden(method: str, scenario: str, aggregation: str = "sync",
-               codec: str = "dense", *, lazy_fleet: bool = True):
-    """One pinned run; shared by the regenerator and the regression test.
-
-    ``lazy_fleet`` selects the fleet materialization path; both must
-    reproduce the same fixture bit-for-bit (the virtual-fleet contract).
-    """
+               codec: str = "dense"):
+    """One pinned run of :func:`golden_preset`."""
     from repro.experiments import run_method
 
-    return run_method(method, golden_preset(scenario, aggregation, codec,
-                                            lazy_fleet=lazy_fleet))
+    return run_method(method, golden_preset(scenario, aggregation, codec))
 
 
 def fixture_path(name: str) -> Path:

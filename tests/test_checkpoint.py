@@ -3,8 +3,8 @@
 The acceptance bar is byte equality, not approximation: every golden
 fixture is re-run with a deterministic interruption at a round boundary
 (``stop_after_round``) followed by a resume, and the stitched history must
-match the committed fixture JSON exactly — on both fleet materialization
-paths, and for the fedasync/fedbuff schedulers (whose in-flight event pools
+match the committed fixture JSON exactly — on the virtual and on the
+hand-built eager-data federation, and for the fedasync/fedbuff schedulers (whose in-flight event pools
 and FedBuff buffers cross the checkpoint).  No golden fixture is
 regenerated by this PR: resume correctness is proven against the histories
 that predate the checkpoint subsystem.
@@ -25,6 +25,8 @@ from repro.checkpoint import (CheckpointError, CheckpointManager,
                               resolve_resume, save_checkpoint)
 from repro.experiments import preset_for, run_method, scaled
 
+from eager_data import on_both_federations
+
 _SPEC = importlib.util.spec_from_file_location(
     "golden_fixtures",
     Path(__file__).resolve().parent / "fixtures" / "regenerate_golden.py")
@@ -40,36 +42,34 @@ def history_json(history) -> str:
 
 
 def run_resumed(method, preset_builder, tmp_path, *, stop_after_round=0,
-                **run_kwargs):
+                run=run_method, **run_kwargs):
     """Interrupt a run at a round boundary, then resume it to completion."""
     directory = tmp_path / "ckpt"
     with pytest.raises(TrainingInterrupted):
-        run_method(method, preset_builder(), checkpoint_dir=directory,
-                   stop_after_round=stop_after_round, **run_kwargs)
-    return run_method(method, preset_builder(), checkpoint_dir=directory,
-                      resume=True, **run_kwargs)
+        run(method, preset_builder(), checkpoint_dir=directory,
+            stop_after_round=stop_after_round, **run_kwargs)
+    return run(method, preset_builder(), checkpoint_dir=directory,
+               resume=True, **run_kwargs)
 
 
 class TestGoldenResumeParity:
     """Every pinned run resumes bit-for-bit against its committed fixture."""
 
-    @pytest.mark.parametrize("lazy_fleet", [True, False],
-                             ids=["lazy-fleet", "eager-fleet"])
+    @on_both_federations
     @pytest.mark.parametrize("name,method,scenario,aggregation,codec", SPECS,
                              ids=[spec[0] for spec in SPECS])
     def test_interrupt_resume_matches_fixture(self, name, method, scenario,
-                                              aggregation, codec, lazy_fleet,
+                                              aggregation, codec, run,
                                               tmp_path):
         payload = json.loads(golden.fixture_path(name).read_text())
         resumed = run_resumed(
             method,
-            lambda: golden.golden_preset(scenario, aggregation, codec,
-                                         lazy_fleet=lazy_fleet),
-            tmp_path)
+            lambda: golden.golden_preset(scenario, aggregation, codec),
+            tmp_path, run=run)
         assert json.loads(history_json(resumed)) == payload["history"], (
             f"resumed history diverged from the golden fixture for "
             f"{method!r} ({scenario}, {aggregation}, {codec}, "
-            f"lazy={lazy_fleet})")
+            f"{run.__name__})")
 
 
 def async_preset(aggregation: str):
@@ -172,6 +172,19 @@ class TestDigestRefusal:
         checkpoint.scheduler = dict(checkpoint.scheduler, name="fedasync")
         save_checkpoint(manager.path_for(checkpoint.next_round), checkpoint)
         with pytest.raises(CheckpointMismatch, match="scheduler"):
+            run_method("fedavg", golden.golden_preset("ideal"),
+                       checkpoint_dir=directory, resume=True)
+
+    def test_version_1_capsule_is_refused_by_version(self, tmp_path):
+        # version 1 digests hashed ``fleet.lazy``; the refusal must name
+        # the version, not tell the user to "fix the config"
+        directory = self._checkpoint_for(tmp_path)
+        manager = CheckpointManager(directory)
+        checkpoint = manager.latest()
+        checkpoint.version = 1
+        save_checkpoint(manager.path_for(checkpoint.next_round), checkpoint)
+        with pytest.raises(CheckpointMismatch,
+                           match="checkpoint version 1 != supported 2"):
             run_method("fedavg", golden.golden_preset("ideal"),
                        checkpoint_dir=directory, resume=True)
 

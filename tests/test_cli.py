@@ -55,6 +55,22 @@ class TestParser:
         args = build_parser().parse_args(["run", "--preset", "MNIST"])
         assert args.preset == "mnist"
 
+    def test_nonpositive_counts_rejected(self, capsys):
+        for argv in (["run", "--rounds", "0"],
+                     ["run", "--clients", "0"],
+                     ["compare", "--clients-per-round", "-1"],
+                     ["table1", "--local-iterations", "0"],
+                     ["sweep", "--reducer-shards", "0"],
+                     ["run", "--checkpoint-every", "0"],
+                     ["run", "--task-timeout", "0"],
+                     ["sweep", "--task-timeout", "inf"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+            message = capsys.readouterr().err.strip().splitlines()[-1]
+            assert f"argument {argv[1]}" in message
+            assert "is not a positive" in message
+
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert "mnist" in args.datasets
@@ -133,6 +149,15 @@ class TestCommands:
         assert main(["run", "--method", "fedavg", "--dataset", "mnist"] + TINY) == 0
         out = capsys.readouterr().out
         assert "fedavg" in out and "accuracy" in out
+
+    @pytest.mark.parametrize("method", ["fedlps", "p-ucbv"])
+    def test_run_on_a_fleet_smaller_than_the_cohort(self, method, capsys):
+        # default clients_per_round (4) > 3 clients: selection clamps to the
+        # fleet, and so must the bandit's selection fraction
+        assert main(["run", "--method", method, "--dataset", "mnist",
+                     "--clients", "3", "--rounds", "2",
+                     "--local-iterations", "1"]) == 0
+        assert method in capsys.readouterr().out
 
     def test_compare_prints_one_row_per_method(self, capsys):
         assert main(["compare", "--methods", "fedavg", "fedlps",

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from eager_data import on_both_federations
+
 _SPEC = importlib.util.spec_from_file_location(
     "golden_fixtures",
     Path(__file__).resolve().parent / "fixtures" / "regenerate_golden.py")
@@ -70,19 +72,19 @@ class TestFixturesAreComplete:
             "each aggregation mode needs one pinned lossy-codec run")
 
 
-@pytest.mark.parametrize("lazy_fleet", [True, False],
-                         ids=["lazy-fleet", "eager-fleet"])
+@on_both_federations
 @pytest.mark.parametrize("name,method,scenario,aggregation,codec",
                          SPECS, ids=[spec[0] for spec in SPECS])
 def test_history_matches_golden_fixture(name, method, scenario, aggregation,
-                                        codec, lazy_fleet):
-    """Each fixture must reproduce on BOTH fleet materialization paths.
+                                        codec, run):
+    """Each fixture must reproduce on BOTH kinds of federation.
 
-    The lazy virtual fleet is the default; ``fleet.lazy=False`` retains the
-    eager build-everything construction.  Neither is allowed to drift a
-    bit from the committed fixture (which predates the virtual fleet).
-    Lossy-codec fixtures compare bit-for-bit too — including their
-    per-round wire-byte reports.
+    ``build_experiment``'s virtual dataset and device fleet, and the
+    hand-built eager ones of ``tests/eager_data.py``, are served through
+    the same fleet view; neither is allowed to drift a bit from the
+    committed fixture (which predates the virtual fleet).  Lossy-codec
+    fixtures compare bit-for-bit too — including their per-round wire-byte
+    reports.
     """
     path = golden.fixture_path(name)
     assert path.exists(), (
@@ -93,23 +95,20 @@ def test_history_matches_golden_fixture(name, method, scenario, aggregation,
         "golden preset changed; regenerate the fixtures")
     assert payload.get("codec", "dense") == codec
     assert payload.get("aggregation", "sync") == aggregation
-    history = golden.run_golden(method, scenario, aggregation, codec,
-                                lazy_fleet=lazy_fleet)
+    history = run(method, golden.golden_preset(scenario, aggregation, codec))
     # round-trip through JSON so float formatting cannot mask a mismatch
     fresh = json.loads(json.dumps(history.to_dict()))
     assert fresh == payload["history"], (
         f"numeric drift in {method!r} ({scenario}, {aggregation}, {codec}, "
-        "lazy={lazy_fleet}); if intentional, run "
+        f"{run.__name__}); if intentional, run "
         "`python tests/fixtures/regenerate_golden.py` and commit the diff")
 
 
-@pytest.mark.parametrize("lazy_fleet", [True, False],
-                         ids=["lazy-fleet", "eager-fleet"])
+@on_both_federations
 @pytest.mark.parametrize("name,method,scenario,aggregation,codec",
                          DENSE_SPECS, ids=[spec[0] for spec in DENSE_SPECS])
 def test_sparse_codec_reproduces_dense_fixtures(name, method, scenario,
-                                                aggregation, codec,
-                                                lazy_fleet):
+                                                aggregation, codec, run):
     """The lossless wire codec leaves every pinned trajectory untouched.
 
     Re-running each dense spec under ``codec="sparse"`` must reproduce the
@@ -118,8 +117,8 @@ def test_sparse_codec_reproduces_dense_fixtures(name, method, scenario,
     encoded upload never exceeding the dense baseline.
     """
     payload = json.loads(golden.fixture_path(name).read_text())
-    history = golden.run_golden(method, scenario, aggregation, "sparse",
-                                lazy_fleet=lazy_fleet)
+    history = run(method,
+                  golden.golden_preset(scenario, aggregation, "sparse"))
     raw = history.to_dict()
     uploads = [(record["extras"]["wire_upload_bytes"],
                 record["extras"]["wire_upload_dense_bytes"])
