@@ -20,8 +20,10 @@ from ..nn.model import Sequential
 from ..sparsity.masks import UnitPattern, pattern_from_scores
 
 
-def smoothed_unit_magnitudes(model: Sequential) -> Dict[str, np.ndarray]:
-    """The regularization target ``sigmoid(|omega|_J)`` of Eq. (8).
+def smoothed_targets(magnitudes: Mapping[str, np.ndarray]
+                     ) -> Dict[str, np.ndarray]:
+    """The regularization target ``sigmoid(|omega|_J)`` of Eq. (8), from
+    per-layer unit magnitudes ``|omega|_J``.
 
     The raw per-unit magnitude is the *sum* of absolute parameter values,
     which for any realistic layer is far into the sigmoid's saturated region
@@ -33,7 +35,7 @@ def smoothed_unit_magnitudes(model: Sequential) -> Dict[str, np.ndarray]:
     DESIGN.md.
     """
     targets: Dict[str, np.ndarray] = {}
-    for name, magnitude in model.unit_weight_magnitudes().items():
+    for name, magnitude in magnitudes.items():
         std = float(np.std(magnitude))
         if std < 1e-12:
             centered = np.zeros_like(magnitude)
@@ -41,6 +43,11 @@ def smoothed_unit_magnitudes(model: Sequential) -> Dict[str, np.ndarray]:
             centered = (magnitude - float(np.mean(magnitude))) / std
         targets[name] = sigmoid(centered)
     return targets
+
+
+def smoothed_unit_magnitudes(model: Sequential) -> Dict[str, np.ndarray]:
+    """:func:`smoothed_targets` of ``model``'s current parameters."""
+    return smoothed_targets(model.unit_weight_magnitudes())
 
 
 @dataclass
@@ -81,17 +88,17 @@ class ImportanceIndicator:
                     f"expected {values.shape}")
             self.scores[name] = values - learning_rate * grad
 
-    def regularization_gradient(self, model: Sequential,
+    def regularization_gradient(self, targets: Mapping[str, np.ndarray],
                                 importance_lambda: float) -> Dict[str, np.ndarray]:
-        """Gradient of ``lambda * ||Q - sigmoid(|omega|_J)||^2`` w.r.t. ``Q``."""
-        targets = smoothed_unit_magnitudes(model)
+        """Gradient of ``lambda * ||Q - sigmoid(|omega|_J)||^2`` w.r.t. ``Q``,
+        given the targets ``sigmoid(|omega|_J)`` (:func:`smoothed_targets`)."""
         return {name: 2.0 * importance_lambda * (values - targets[name])
                 for name, values in self.scores.items()}
 
-    def regularization_loss(self, model: Sequential,
+    def regularization_loss(self, targets: Mapping[str, np.ndarray],
                             importance_lambda: float) -> float:
-        """Value of the importance regularizer ``L_ir`` (Eq. 8)."""
-        targets = smoothed_unit_magnitudes(model)
+        """Value of the importance regularizer ``L_ir`` (Eq. 8) against the
+        same targets."""
         total = 0.0
         for name, values in self.scores.items():
             total += float(np.sum((values - targets[name]) ** 2))

@@ -15,13 +15,12 @@ One client-side update round:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..data.dataset import Dataset
 from ..nn import SGD, accuracy, softmax_cross_entropy
-from ..nn.activations import sigmoid
 from ..nn.batched import BatchedModel, stack_param_dicts
 from ..nn.losses import accuracy_cohort, softmax_cross_entropy_cohort
 from ..nn.model import Sequential
@@ -30,7 +29,8 @@ from ..nn.params import ParamDict, copy_params, multiply, subtract
 from ..sparsity.masks import UnitPattern, build_parameter_mask, gates_from_pattern
 from ..federated.batched import client_batch_schedule
 from ..federated.local import iterate_batches
-from .importance import ImportanceIndicator
+from .importance import (ImportanceIndicator, smoothed_targets,
+                         smoothed_unit_magnitudes)
 from .losses import add_gradients, combine_unit_gradients, proximal_gradient, proximal_loss
 
 
@@ -101,7 +101,7 @@ def learnable_sparse_training(model: Sequential,
         logits = model.forward(batch_x, train=True)
         task_loss, grad = softmax_cross_entropy(logits, batch_y)
         accuracies.append(accuracy(logits, batch_y))
-        model.backward(grad)
+        model.backward(grad, input_grad=False)
 
         grads = model.get_gradients()
         gate_grads = _normalize_gate_gradients(model.gate_gradients())
@@ -114,14 +114,17 @@ def learnable_sparse_training(model: Sequential,
         params = model.get_parameters()
 
         # (Eq. 11) importance indicator update: straight-through task gradient
-        # through the unit gates plus the Eq. (8) regularizer gradient
-        reg_grads = importance.regularization_gradient(model, importance_lambda)
+        # through the unit gates plus the Eq. (8) regularizer gradient; the
+        # targets depend on the parameters only, so one pass serves the
+        # gradient here and the loss below
+        targets = smoothed_unit_magnitudes(model)
+        reg_grads = importance.regularization_gradient(targets, importance_lambda)
         q_grads = combine_unit_gradients(gate_grads, reg_grads)
         importance.apply_gradient(q_grads, q_lr)
 
         losses.append(task_loss
                       + proximal_loss(params, global_reference, prox_mu)
-                      + importance.regularization_loss(model, importance_lambda))
+                      + importance.regularization_loss(targets, importance_lambda))
         examples += len(batch_y)
     model.set_unit_gates(None)
 
@@ -247,7 +250,7 @@ def learnable_sparse_training_cohort(
         logits = batched.forward(x_pad, train=True)
         task_losses, grad = softmax_cross_entropy_cohort(logits, y_pad, counts)
         step_accuracies = accuracy_cohort(logits, y_pad, counts)
-        batched.backward(grad)
+        batched.backward(grad, input_grad=False)
 
         grads = batched.get_gradients()
         stacked_gate_grads = batched.gate_gradients()
@@ -268,10 +271,9 @@ def learnable_sparse_training_cohort(
             gate_grads = _normalize_gate_gradients(
                 {name: values[index]
                  for name, values in stacked_gate_grads.items()})
-            targets = _smoothed_targets(batched.unit_weight_magnitudes(index))
-            scores = importances[index].scores
-            reg_grads = {name: 2.0 * importance_lambda * (values - targets[name])
-                         for name, values in scores.items()}
+            targets = smoothed_targets(batched.unit_weight_magnitudes(index))
+            reg_grads = importances[index].regularization_gradient(
+                targets, importance_lambda)
             q_grads = combine_unit_gradients(gate_grads, reg_grads)
             importances[index].apply_gradient(q_grads, q_lr)
 
@@ -279,12 +281,10 @@ def learnable_sparse_training_cohort(
             for key in post:
                 diff = post[key][index] - global_reference[key]
                 prox_total += float(np.sum(diff ** 2))
-            reg_total = 0.0
-            for name, values in importances[index].scores.items():
-                reg_total += float(np.sum((values - targets[name]) ** 2))
-            losses[index].append(float(task_losses[index])
-                                 + prox_mu * prox_total
-                                 + importance_lambda * reg_total)
+            losses[index].append(
+                float(task_losses[index]) + prox_mu * prox_total
+                + importances[index].regularization_loss(
+                    targets, importance_lambda))
             accuracies[index].append(float(step_accuracies[index]))
             examples[index] += int(counts[index])
 
@@ -310,25 +310,6 @@ def learnable_sparse_training_cohort(
                         if losses[index] else 0.0),
             examples_seen=examples[index]))
     return results
-
-
-def _smoothed_targets(magnitudes: Mapping[str, np.ndarray]
-                      ) -> Dict[str, np.ndarray]:
-    """Per-layer ``sigmoid(standardized |omega|_J)`` from given magnitudes.
-
-    The per-client twin of
-    :func:`repro.core.importance.smoothed_unit_magnitudes` — identical math
-    on a magnitude dictionary computed from one client's parameter slice.
-    """
-    targets: Dict[str, np.ndarray] = {}
-    for name, magnitude in magnitudes.items():
-        std = float(np.std(magnitude))
-        if std < 1e-12:
-            centered = np.zeros_like(magnitude)
-        else:
-            centered = (magnitude - float(np.mean(magnitude))) / std
-        targets[name] = sigmoid(centered)
-    return targets
 
 
 def _normalize_gate_gradients(gate_grads: Mapping[str, np.ndarray]

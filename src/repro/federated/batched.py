@@ -168,7 +168,7 @@ def train_cohort_batched(
         logits = batched.forward(x_pad, train=True)
         step_losses, grad = softmax_cross_entropy_cohort(logits, y_pad, counts)
         step_accuracies = accuracy_cohort(logits, y_pad, counts)
-        batched.backward(grad)
+        batched.backward(grad, input_grad=False)
         grads = batched.get_gradients()
         current = batched.get_parameters()
         prox_totals: Optional[List[float]] = None

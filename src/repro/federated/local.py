@@ -105,7 +105,7 @@ def train_locally(model: Sequential, start_params: Mapping[str, np.ndarray],
         logits = model.forward(batch_x, train=True)
         loss, grad = softmax_cross_entropy(logits, batch_y)
         accuracies.append(accuracy(logits, batch_y))
-        model.backward(grad)
+        model.backward(grad, input_grad=False)
         grads = model.get_gradients()
         current = model.get_parameters()
         if prox_mu > 0.0 and center is not None:

@@ -30,6 +30,7 @@ class ReLU(Layer):
     """Rectified linear unit."""
 
     trainable = False
+    _scratch = ("_mask",)
 
     def __init__(self, name: str = "relu") -> None:
         super().__init__(name)
@@ -50,6 +51,7 @@ class Tanh(Layer):
     """Hyperbolic tangent activation."""
 
     trainable = False
+    _scratch = ("_out",)
 
     def __init__(self, name: str = "tanh") -> None:
         super().__init__(name)
@@ -69,6 +71,7 @@ class Sigmoid(Layer):
     """Logistic sigmoid activation."""
 
     trainable = False
+    _scratch = ("_out",)
 
     def __init__(self, name: str = "sigmoid") -> None:
         super().__init__(name)
@@ -88,6 +91,7 @@ class Dropout(Layer):
     """Inverted dropout; active only when ``train=True``."""
 
     trainable = False
+    _scratch = ("_mask",)
 
     def __init__(self, rate: float, name: str = "dropout", seed: int = 0) -> None:
         if not 0.0 <= rate < 1.0:
@@ -116,6 +120,7 @@ class Flatten(Layer):
     """Flatten all non-batch dimensions."""
 
     trainable = False
+    _scratch = ("_input_shape",)
 
     def __init__(self, name: str = "flatten") -> None:
         super().__init__(name)

@@ -41,6 +41,9 @@ class Layer:
     trainable: bool = True
     #: whether structured sparsification may prune this layer's units
     sparsifiable: bool = False
+    #: attributes holding forward-pass scratch (activations, caches): rebuilt
+    #: by the next forward, so pickles and copies carry ``None`` instead
+    _scratch: Tuple[str, ...] = ()
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -56,6 +59,19 @@ class Layer:
 
     def backward(self, grad_out: Array) -> Array:
         raise NotImplementedError
+
+    def backward_params(self, grad_out: Array) -> None:
+        """:meth:`backward` for a caller that will not read the input
+        gradient (the first layer of a training step): accumulate the same
+        parameter and gate gradients.  Layers whose input gradient costs
+        real work override this to skip it."""
+        self.backward(grad_out)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for key in self._scratch:
+            state[key] = None
+        return state
 
     def zero_grad(self) -> None:
         """Reset parameter and gate gradients to zero."""

@@ -26,7 +26,15 @@ sequential :mod:`repro.nn` layers bit-for-bit:
   ``batch_counts`` installed every matmul and ``np.sum`` reduction runs
   the sequential 2-D computation on each client's leading ``counts[c]``
   real rows (padded rows sit in a trailing block and stay exactly zero
-  through forward and backward).
+  through forward and backward);
+* data-movement-only rewrites and elision of unread outputs are bit-safe;
+  anything that changes a GEMM/reduction operand is not.  Where a value
+  lands (im2col padding, pooling through strided views, the scatter of a
+  pooling gradient) and whether an output nobody reads is produced at all
+  (the first layer's input gradient under ``backward(...,
+  input_grad=False)``, the pooling index of an evaluation forward) never
+  touch the arithmetic; the shape, layout or order of a matmul or
+  ``np.sum`` operand does, so those stay exactly as written.
 
 The equivalence suite in ``tests/federated/test_batched.py`` pins this
 contract against the per-client loop across masks, patterns, prox, momentum,
@@ -131,6 +139,11 @@ class _BatchedLayer:
     def backward(self, grad_out: Array) -> Array:
         raise NotImplementedError
 
+    def backward_params(self, grad_out: Array) -> None:
+        """:meth:`backward` minus the input gradient (see
+        :meth:`repro.nn.base.Layer.backward_params`)."""
+        self.backward(grad_out)
+
 
 class BatchedDense(_BatchedLayer):
     """``C`` affine layers as one ``(C, B, in) @ (C, in, out)`` matmul."""
@@ -176,6 +189,20 @@ class BatchedDense(_BatchedLayer):
         return self._pre_gate * self.unit_gate[:, None, :]
 
     def backward(self, grad_out: Array) -> Array:
+        grad_pre = self._backward_params(grad_out)
+        if self.batch_counts is None:
+            return np.matmul(grad_pre, self.params["W"].transpose(0, 2, 1))
+        grad_x = np.zeros_like(self._x)
+        for i, count in enumerate(self.batch_counts):
+            grad_x[i, :count] = grad_pre[i, :count] @ self.params["W"][i].T
+        return grad_x
+
+    def backward_params(self, grad_out: Array) -> None:
+        self._backward_params(grad_out)
+
+    def _backward_params(self, grad_out: Array) -> Array:
+        """Accumulate the gate, ``W`` and ``b`` gradients; return the
+        gradient w.r.t. the pre-gate output."""
         if self._x is None or self._pre_gate is None:
             raise RuntimeError("backward called before forward")
         grad_pre = grad_out
@@ -190,13 +217,11 @@ class BatchedDense(_BatchedLayer):
         if self.batch_counts is None:
             self.grads["W"] += np.matmul(self._x.transpose(0, 2, 1), grad_pre)
             self.grads["b"] += np.sum(grad_pre, axis=1)
-            return np.matmul(grad_pre, self.params["W"].transpose(0, 2, 1))
-        grad_x = np.zeros_like(self._x)
-        for i, count in enumerate(self.batch_counts):
-            self.grads["W"][i] += self._x[i, :count].T @ grad_pre[i, :count]
-            self.grads["b"][i] += np.sum(grad_pre[i, :count], axis=0)
-            grad_x[i, :count] = grad_pre[i, :count] @ self.params["W"][i].T
-        return grad_x
+        else:
+            for i, count in enumerate(self.batch_counts):
+                self.grads["W"][i] += self._x[i, :count].T @ grad_pre[i, :count]
+                self.grads["b"][i] += np.sum(grad_pre[i, :count], axis=0)
+        return grad_pre
 
 
 class BatchedConv2d(_BatchedLayer):
@@ -261,6 +286,29 @@ class BatchedConv2d(_BatchedLayer):
         return out * self.unit_gate[:, None, :, None, None]
 
     def backward(self, grad_out: Array) -> Array:
+        grad_mat = self._backward_params(grad_out)
+        cohort, batch = self._x_shape[:2]
+        out_h, out_w = self._out_hw
+        w_mat = self._weight_matrix()
+        if self.batch_counts is None:
+            grad_cols = np.matmul(grad_mat, w_mat)
+        else:
+            grad_cols = np.zeros_like(self._cols3)
+            for i, count in enumerate(self.batch_counts):
+                rows = count * out_h * out_w
+                grad_cols[i, :rows] = grad_mat[i, :rows] @ w_mat[i]
+        folded_shape = (cohort * batch,) + self._x_shape[2:]
+        grad_x = _col2im(grad_cols.reshape(cohort * batch * out_h * out_w, -1),
+                         folded_shape, self.kernel_size, self.stride,
+                         self.padding, out_h, out_w)
+        return grad_x.reshape(self._x_shape)
+
+    def backward_params(self, grad_out: Array) -> None:
+        self._backward_params(grad_out)
+
+    def _backward_params(self, grad_out: Array) -> Array:
+        """Accumulate the gate, ``W`` and ``b`` gradients; return the
+        ``(C, B * out_h * out_w, out_channels)`` output-gradient matrices."""
         if self._cols3 is None or self._x_shape is None or self._out_hw is None:
             raise RuntimeError("backward called before forward")
         cohort, batch = self._x_shape[:2]
@@ -284,26 +332,18 @@ class BatchedConv2d(_BatchedLayer):
                 grad_mat.transpose(0, 2, 1), self._cols3).reshape(
                     self.params["W"].shape)
             self.grads["b"] += np.sum(grad_mat, axis=1)
-            grad_cols = np.matmul(grad_mat, self._weight_matrix())
         else:
-            # like BatchedDense.backward: the sequential 2-D matmuls per
-            # client on the leading real rows; padded rows stay exactly zero
+            # like BatchedDense: the sequential 2-D matmuls per client on
+            # the leading real rows; padded rows stay exactly zero
             positions = out_h * out_w
             kernel_shape = self.params["W"].shape[1:]
-            w_mat = self._weight_matrix()
-            grad_cols = np.zeros_like(self._cols3)
             for i, count in enumerate(self.batch_counts):
                 rows = count * positions
                 self.grads["W"][i] += (
                     grad_mat[i, :rows].T @ self._cols3[i, :rows]
                 ).reshape(kernel_shape)
                 self.grads["b"][i] += np.sum(grad_mat[i, :rows], axis=0)
-                grad_cols[i, :rows] = grad_mat[i, :rows] @ w_mat[i]
-        folded_shape = (cohort * batch,) + self._x_shape[2:]
-        grad_x = _col2im(grad_cols.reshape(cohort * batch * out_h * out_w, -1),
-                         folded_shape, self.kernel_size, self.stride,
-                         self.padding, out_h, out_w)
-        return grad_x.reshape(self._x_shape)
+        return grad_mat
 
 
 class _FoldedLayer:
@@ -344,6 +384,9 @@ class _FoldedLayer:
         out = self.inner.backward(folded)
         return out.reshape(self._lead + out.shape[1:])
 
+    def backward_params(self, grad_out: Array) -> None:
+        pass  # pooling owns no parameters
+
 
 class _BatchedFlatten:
     """Flatten everything after the ``(C, B)`` leading axes."""
@@ -370,6 +413,9 @@ class _BatchedFlatten:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
         return grad_out.reshape(self._input_shape)
+
+    def backward_params(self, grad_out: Array) -> None:
+        pass  # nothing to accumulate
 
 
 def _batch_layer(layer: Layer, cohort: int):
@@ -420,11 +466,17 @@ class BatchedModel:
             out = layer.forward(out, train=train)
         return out
 
-    def backward(self, grad_out: Array) -> Array:
+    def backward(self, grad_out: Array, *,
+                 input_grad: bool = True) -> Optional[Array]:
+        """Like :meth:`repro.nn.model.Sequential.backward`: with
+        ``input_grad=False`` the first layer skips its input gradient."""
         grad = grad_out
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        if input_grad:
+            return self.layers[0].backward(grad)
+        self.layers[0].backward_params(grad)
+        return None
 
     def zero_grad(self) -> None:
         for layer in self.layers:

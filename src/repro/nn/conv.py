@@ -1,4 +1,14 @@
-"""2-D convolution and pooling layers (im2col implementation)."""
+"""2-D convolution and pooling layers (im2col implementation).
+
+Bit-identity note: the unfold/fold helpers and the pooling kernels here are
+pure data movement — which value lands where — so they may be rewritten
+freely (a zeroed buffer filled in place instead of a padding call, strided
+views instead of a window copy) as long as every value lands unchanged, and
+an output nobody reads (the first layer's input gradient) may be skipped.
+The operands of the matmuls and ``np.sum`` reductions may not change shape,
+layout or order: their bits depend on all three (see the contract in
+:mod:`repro.nn.batched`).
+"""
 
 from __future__ import annotations
 
@@ -17,9 +27,11 @@ def _im2col(x: Array, kernel: int, stride: int, padding: int) -> Tuple[Array, in
     ``(N * out_h * out_w, C * kernel * kernel)``.
     """
     n, c, h, w = x.shape
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     ph, pw = h + 2 * padding, w + 2 * padding
+    if padding > 0:
+        padded = np.zeros((n, c, ph, pw), dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
     out_h = (ph - kernel) // stride + 1
     out_w = (pw - kernel) // stride + 1
     strides = x.strides
@@ -53,6 +65,11 @@ def _col2im(cols: Array, x_shape: Tuple[int, int, int, int], kernel: int,
 
 class Conv2d(Layer):
     """2-D convolution.  Sparsifiable units are the output channels."""
+
+    # the reshape cache is scratch too: the cached view would pickle as a
+    # full copy of W
+    _scratch = ("_cols", "_x_shape", "_out_hw", "_pre_gate", "_w_mat",
+                "_w_mat_base")
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
                  stride: int = 1, padding: int = 0, name: str = "conv",
@@ -100,15 +117,6 @@ class Conv2d(Layer):
             self._w_mat_base = weights
         return self._w_mat
 
-    def __getstate__(self):
-        # drop forward scratch and the reshape cache: they are recomputed on
-        # first use and would otherwise bloat worker payloads (the cached
-        # view pickles as a full copy of W)
-        state = self.__dict__.copy()
-        for key in ("_cols", "_pre_gate", "_w_mat", "_w_mat_base"):
-            state[key] = None
-        return state
-
     def forward(self, x: Array, *, train: bool = True) -> Array:
         x = as_float(x)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -126,6 +134,17 @@ class Conv2d(Layer):
         return self._apply_unit_gate(out, unit_axis=1)
 
     def backward(self, grad_out: Array) -> Array:
+        grad_mat = self._backward_params(grad_out)
+        grad_cols = grad_mat @ self._weight_matrix()
+        return _col2im(grad_cols, self._x_shape, self.kernel_size, self.stride,
+                       self.padding, *self._out_hw)
+
+    def backward_params(self, grad_out: Array) -> None:
+        self._backward_params(grad_out)
+
+    def _backward_params(self, grad_out: Array) -> Array:
+        """Accumulate the gate, ``W`` and ``b`` gradients; return the
+        ``(N * out_h * out_w, out_channels)`` output-gradient matrix."""
         if self._cols is None or self._x_shape is None or self._out_hw is None:
             raise RuntimeError("backward called before forward")
         grad_pre = self._accumulate_gate_grad(grad_out, self._pre_gate, unit_axis=1)
@@ -133,12 +152,9 @@ class Conv2d(Layer):
         out_h, out_w = self._out_hw
         grad_mat = grad_pre.transpose(0, 2, 3, 1).reshape(n * out_h * out_w,
                                                           self.out_channels)
-        w_mat = self._weight_matrix()
         self.grads["W"] += (grad_mat.T @ self._cols).reshape(self.params["W"].shape)
         self.grads["b"] += np.sum(grad_mat, axis=0)
-        grad_cols = grad_mat @ w_mat
-        return _col2im(grad_cols, self._x_shape, self.kernel_size, self.stride,
-                       self.padding, out_h, out_w)
+        return grad_mat
 
     @property
     def n_units(self) -> int:
@@ -170,16 +186,26 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
-    """Non-overlapping max pooling (kernel == stride)."""
+    """Non-overlapping max pooling (kernel == stride).
+
+    Works on the ``k * k`` strided views ``x[:, :, i::k, j::k]`` — one per
+    window position — instead of a copied ``(..., k * k)`` window tensor.
+    The first maximum in row-major window order wins (strict ``>``), and a
+    NaN beats every number, exactly as ``np.argmax`` picks; the output is
+    the selected element itself.  (``np.max`` over the window is ``==`` to
+    it, but among tied zeros of both signs returns whichever its SIMD path
+    meets last; the next affine layer erases the sign of a zero either way.)
+    """
 
     trainable = False
+    _scratch = ("_index", "_x_shape")
 
     def __init__(self, kernel_size: int, name: str = "maxpool") -> None:
         super().__init__(name)
         if kernel_size <= 0:
             raise ValueError("kernel_size must be positive")
         self.kernel_size = kernel_size
-        self._argmax: Array | None = None
+        self._index: Array | None = None
         self._x_shape: Tuple[int, ...] | None = None
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
@@ -189,22 +215,32 @@ class MaxPool2d(Layer):
         if h % k != 0 or w % k != 0:
             raise ValueError(
                 f"{self.name}: spatial dims ({h}, {w}) must be divisible by {k}")
-        reshaped = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-        windows = reshaped.reshape(n, c, h // k, w // k, k * k)
-        self._argmax = np.argmax(windows, axis=-1)
+        out = x[:, :, ::k, ::k]
+        # an evaluation forward feeds no backward: it keeps no winner index
+        index = np.zeros(out.shape, dtype=np.intp) if train else None
+        has_nan = x.size > 0 and np.isnan(x.min())
+        for position in range(1, k * k):
+            candidate = x[:, :, position // k::k, position % k::k]
+            better = candidate > out
+            if has_nan:
+                better |= np.isnan(candidate) & ~np.isnan(out)
+            out = np.where(better, candidate, out)
+            if train:
+                index = np.where(better, position, index)
+        self._index = index
         self._x_shape = x.shape
-        return np.max(windows, axis=-1)
+        return out
 
     def backward(self, grad_out: Array) -> Array:
-        if self._argmax is None or self._x_shape is None:
+        if self._index is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
         k = self.kernel_size
-        grad_windows = np.zeros((n, c, h // k, w // k, k * k), dtype=np.float64)
-        np.put_along_axis(grad_windows, self._argmax[..., None],
-                          grad_out[..., None], axis=-1)
-        grad_x = grad_windows.reshape(n, c, h // k, w // k, k, k)
-        grad_x = grad_x.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        # every slot is written exactly once: the winner takes the gradient,
+        # the others a literal +0.0 (``grad * mask`` would leave -0.0 there)
+        grad_x = np.empty(self._x_shape, dtype=np.float64)
+        for position in range(k * k):
+            grad_x[:, :, position // k::k, position % k::k] = np.where(
+                self._index == position, grad_out, 0.0)
         return grad_x
 
     def flops_per_example(self, input_shape: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
@@ -217,6 +253,7 @@ class AvgPool2d(Layer):
     """Non-overlapping average pooling (kernel == stride)."""
 
     trainable = False
+    _scratch = ("_x_shape",)
 
     def __init__(self, kernel_size: int, name: str = "avgpool") -> None:
         super().__init__(name)

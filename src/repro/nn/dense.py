@@ -19,6 +19,8 @@ class Dense(Layer):
     importance learning.
     """
 
+    _scratch = ("_x", "_pre_gate")
+
     def __init__(self, in_features: int, out_features: int, *,
                  name: str = "dense", sparsifiable: bool = True,
                  rng: np.random.Generator | None = None) -> None:
@@ -50,12 +52,20 @@ class Dense(Layer):
         return self._apply_unit_gate(self._pre_gate, unit_axis=1)
 
     def backward(self, grad_out: Array) -> Array:
+        return self._backward_params(grad_out) @ self.params["W"].T
+
+    def backward_params(self, grad_out: Array) -> None:
+        self._backward_params(grad_out)
+
+    def _backward_params(self, grad_out: Array) -> Array:
+        """Accumulate the gate, ``W`` and ``b`` gradients; return the
+        gradient w.r.t. the pre-gate output."""
         if self._x is None or self._pre_gate is None:
             raise RuntimeError("backward called before forward")
         grad_pre = self._accumulate_gate_grad(grad_out, self._pre_gate, unit_axis=1)
         self.grads["W"] += self._x.T @ grad_pre
         self.grads["b"] += np.sum(grad_pre, axis=0)
-        return grad_pre @ self.params["W"].T
+        return grad_pre
 
     # ------------------------------------------------------------------ units
     @property

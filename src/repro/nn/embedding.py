@@ -18,6 +18,8 @@ class Embedding(Layer):
     than representation units), matching how the paper treats the RNN model.
     """
 
+    _scratch = ("_tokens",)
+
     def __init__(self, vocab_size: int, dim: int, *, name: str = "embedding",
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(name)

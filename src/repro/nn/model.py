@@ -56,11 +56,19 @@ class Sequential:
             out = layer.forward(out, train=train)
         return out
 
-    def backward(self, grad_out: Array) -> Array:
+    def backward(self, grad_out: Array, *,
+                 input_grad: bool = True) -> Optional[Array]:
+        """Back-propagate ``grad_out``; returns the gradient w.r.t. the
+        model input, or ``None`` with ``input_grad=False`` — a training step
+        never reads it, so the first layer skips computing it (every
+        parameter and gate gradient is accumulated either way)."""
         grad = grad_out
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        if input_grad:
+            return self.layers[0].backward(grad)
+        self.layers[0].backward_params(grad)
+        return None
 
     def zero_grad(self) -> None:
         for layer in self.layers:

@@ -19,6 +19,8 @@ from .base import Array, Layer, ParamDict, as_float
 class RNN(Layer):
     """Single-layer vanilla (tanh) recurrent network."""
 
+    _scratch = ("_x", "_h", "_pre_gate")
+
     def __init__(self, input_dim: int, hidden_dim: int, *, name: str = "rnn",
                  sparsifiable: bool = True,
                  rng: np.random.Generator | None = None) -> None:
@@ -103,6 +105,8 @@ class RNN(Layer):
 
 class LSTM(Layer):
     """Single-layer LSTM with gates ordered ``(input, forget, cell, output)``."""
+
+    _scratch = ("_cache", "_x", "_pre_gate")
 
     def __init__(self, input_dim: int, hidden_dim: int, *, name: str = "lstm",
                  sparsifiable: bool = True,
@@ -225,6 +229,7 @@ class LastTimestep(Layer):
     """Select the final timestep of a sequence output ``(N, T, H) -> (N, H)``."""
 
     trainable = False
+    _scratch = ("_shape",)
 
     def __init__(self, name: str = "last") -> None:
         super().__init__(name)

@@ -264,6 +264,9 @@ def _int8_encode(array: np.ndarray) -> EncodedBlock:
                              meta=(0.0, 0.0))
         return block if block.wire_nbytes < array.nbytes else _raw_block(array)
     floor = amax / 127.0
+    if floor == 0.0:
+        # subnormal amax: the scale underflows and nothing can be quantized
+        return _raw_block(array)
     scale = floor
     for _ in range(_INT8_SCALE_ITERS):
         codes = np.rint(flat / scale)

@@ -64,10 +64,10 @@ class TestImportanceIndicator:
         importance = initialize_importance(small_mlp, seed=0)
         targets = smoothed_unit_magnitudes(small_mlp)
         importance.scores = {name: values + 1.0 for name, values in targets.items()}
-        grads = importance.regularization_gradient(small_mlp, 0.5)
+        grads = importance.regularization_gradient(targets, 0.5)
         for values in grads.values():
             np.testing.assert_allclose(values, 1.0)  # 2 * 0.5 * (Q - target)
-        assert importance.regularization_loss(small_mlp, 0.5) > 0
+        assert importance.regularization_loss(targets, 0.5) > 0
 
     def test_vector_roundtrip(self, small_mlp):
         importance = initialize_importance(small_mlp, seed=0)

@@ -1,5 +1,7 @@
 """Tests for the Sequential model container and the model zoo."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,43 @@ class TestModelZoo:
         b = build_model_for_dataset("mnist", seed=3).get_parameters()
         for key in a:
             np.testing.assert_array_equal(a[key], b[key])
+
+
+def _train_step(model, x, y):
+    model.zero_grad()
+    _, grad = softmax_cross_entropy(model.forward(x, train=True), y)
+    model.backward(grad, input_grad=False)
+    model.apply_gradient_step(SGD(0.1))
+
+
+class TestPickling:
+    """Forward scratch (activations, masks, pooling indices, recurrent
+    caches) is rebuilt by the next forward and must not ride along in a
+    pickle: session broadcasts and thread clones ship the model object."""
+
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10", "reddit"])
+    def test_stepped_model_pickles_like_a_fresh_one(self, dataset):
+        model = build_model_for_dataset(dataset, seed=0)
+        fresh_size = len(pickle.dumps(model))
+        rng = np.random.default_rng(0)
+        if dataset == "reddit":
+            x = rng.integers(0, 20, size=(8,) + model.input_shape)
+        else:
+            x = rng.normal(size=(8,) + model.input_shape)
+        y = rng.integers(0, 5, size=8)
+        _train_step(model, x, y)
+        wire = pickle.dumps(model)
+        assert len(wire) == fresh_size
+
+        # the clone lost only scratch: it keeps training bit-identically
+        clone = pickle.loads(wire)
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            clone.backward(np.zeros((8, 5)))
+        _train_step(model, x, y)
+        _train_step(clone, x, y)
+        expected = model.get_parameters()
+        for key, value in clone.get_parameters().items():
+            assert value.tobytes() == expected[key].tobytes()
 
 
 class TestSerialization:
