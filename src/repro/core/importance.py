@@ -11,11 +11,12 @@ smoothed view of the unit weight magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
 from ..nn.activations import sigmoid
+from ..nn.batched import stack_param_dicts, unstack_param_dict
 from ..nn.model import Sequential
 from ..sparsity.masks import UnitPattern, pattern_from_scores
 
@@ -33,15 +34,19 @@ def smoothed_targets(magnitudes: Mapping[str, np.ndarray]
     (0, 1) while preserving the relative ordering of units that Eq. (8) is
     meant to encode.  This is an implementation choice documented in
     DESIGN.md.
+
+    Every statistic reduces the last axis, so a stacked ``(C, n_units)``
+    cohort of magnitudes yields, row for row, the bits of ``C`` separate
+    ``(n_units,)`` calls; a layer whose units all have the same magnitude
+    (``std < 1e-12``) gets the flat target 0.5, decided per row.
     """
     targets: Dict[str, np.ndarray] = {}
     for name, magnitude in magnitudes.items():
-        std = float(np.std(magnitude))
-        if std < 1e-12:
-            centered = np.zeros_like(magnitude)
-        else:
-            centered = (magnitude - float(np.mean(magnitude))) / std
-        targets[name] = sigmoid(centered)
+        std = np.std(magnitude, axis=-1, keepdims=True)
+        flat = std < 1e-12
+        centered = (magnitude - np.mean(magnitude, axis=-1, keepdims=True)) \
+            / np.where(flat, 1.0, std)
+        targets[name] = sigmoid(np.where(flat, 0.0, centered))
     return targets
 
 
@@ -52,9 +57,21 @@ def smoothed_unit_magnitudes(model: Sequential) -> Dict[str, np.ndarray]:
 
 @dataclass
 class ImportanceIndicator:
-    """Per-layer importance scores for one client."""
+    """Per-layer importance scores: ``(n_units,)`` arrays for one client, or
+    ``(C, n_units)`` stacks for a cohort (:meth:`stack`), on which every
+    update below acts row by row."""
 
     scores: Dict[str, np.ndarray]
+
+    @classmethod
+    def stack(cls, indicators: Sequence["ImportanceIndicator"]
+              ) -> "ImportanceIndicator":
+        """One indicator holding copies of ``indicators`` as stacked rows."""
+        return cls(stack_param_dicts([each.scores for each in indicators]))
+
+    def row(self, index: int) -> "ImportanceIndicator":
+        """Client ``index`` of a stacked indicator, as its own copy."""
+        return ImportanceIndicator(unstack_param_dict(self.scores, index))
 
     def copy(self) -> "ImportanceIndicator":
         return ImportanceIndicator(
@@ -96,12 +113,12 @@ class ImportanceIndicator:
                 for name, values in self.scores.items()}
 
     def regularization_loss(self, targets: Mapping[str, np.ndarray],
-                            importance_lambda: float) -> float:
+                            importance_lambda: float) -> float | np.ndarray:
         """Value of the importance regularizer ``L_ir`` (Eq. 8) against the
-        same targets."""
+        same targets: a float, or one per row of stacked scores."""
         total = 0.0
         for name, values in self.scores.items():
-            total += float(np.sum((values - targets[name]) ** 2))
+            total = total + np.sum((values - targets[name]) ** 2, axis=-1)
         return importance_lambda * total
 
 

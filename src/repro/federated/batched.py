@@ -5,7 +5,8 @@
 same-architecture clients along a leading client axis and runs ONE batched
 forward/backward/SGD-step program per mini-batch step.  Per-client masks and
 unit-gate patterns apply as multiplicative gates broadcast along the client
-axis; per-client prox terms and metrics reduce per slice.
+axis; per-client prox terms and metrics are last-axis reductions of the
+stack, slice-identical to the sequential ones.
 
 Ragged cohorts — clients whose shard is smaller than the batch size — pad
 to the widest per-client batch with zero rows and per-client row counts;
@@ -28,10 +29,10 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..data.dataset import Dataset
-from ..nn.batched import BatchedModel, batchable_model, stack_param_dicts
+from ..nn.batched import BatchedModel, stack_param_dicts, unstack_param_dict
 from ..nn.losses import accuracy_cohort, softmax_cross_entropy_cohort
 from ..nn.model import Sequential
-from ..nn.optim import BatchedSGD
+from ..nn.optim import BatchedSGD, cohort_squared_norms
 from ..nn.params import ParamDict, copy_params, multiply
 from ..sparsity.masks import gates_from_pattern
 from .local import LocalUpdateResult
@@ -130,35 +131,30 @@ def train_cohort_batched(
     schedules = [client_batch_schedule(len(datasets[index]), batch_size,
                                        iterations, rng=rngs[index])
                  for index in range(cohort)]
-    counts = np.array([len(schedule[0]) if schedule else 0
+    steps = len(schedules[0])
+    counts = np.array([len(schedule[0]) if steps else 0
                        for schedule in schedules], dtype=np.int64)
-    steps = len(schedules[0]) if schedules else 0
-    width = int(counts.max()) if steps else 0
+    width = int(counts.max())
     if np.any(counts != width):
         batched.set_batch_counts(counts)
 
     optimizer = BatchedSGD(learning_rate, momentum=momentum,
                            clip_norm=clip_norm)
-    losses: List[List[float]] = [[] for _ in range(cohort)]
-    accuracies: List[List[float]] = [[] for _ in range(cohort)]
-    examples = [0] * cohort
+    # the optimizer steps these arrays in place for the whole round
+    params = batched.live_parameters()
+    losses = np.zeros((cohort, steps))
+    accuracies = np.zeros((cohort, steps))
 
     frozen_zeros: Optional[Dict[str, np.ndarray]] = None
     allowed: Optional[set] = None
     if trainable_keys is not None:
         allowed = set(trainable_keys)
         frozen_zeros = {key: np.zeros_like(value)
-                        for key, value in batched.get_parameters().items()
+                        for key, value in params.items()
                         if key not in allowed}
 
-    x_pad = None
-    y_pad = None
-    if steps:
-        sample_shape = datasets[0].x.shape[1:]
-        x_pad = np.zeros((cohort, width) + tuple(sample_shape),
-                         dtype=np.float64)
-        y_pad = np.zeros((cohort, width), dtype=np.int64)
-
+    x_pad = np.zeros((cohort, width) + datasets[0].x.shape[1:])
+    y_pad = np.zeros((cohort, width), dtype=np.int64)
     for step in range(steps):
         for index in range(cohort):
             batch = schedules[index][step]
@@ -166,56 +162,33 @@ def train_cohort_batched(
             y_pad[index, :counts[index]] = datasets[index].y[batch]
         batched.zero_grad()
         logits = batched.forward(x_pad, train=True)
-        step_losses, grad = softmax_cross_entropy_cohort(logits, y_pad, counts)
-        step_accuracies = accuracy_cohort(logits, y_pad, counts)
+        losses[:, step], grad = softmax_cross_entropy_cohort(
+            logits, y_pad, counts)
+        accuracies[:, step] = accuracy_cohort(logits, y_pad, counts)
         batched.backward(grad, input_grad=False)
-        grads = batched.get_gradients()
-        current = batched.get_parameters()
-        prox_totals: Optional[List[float]] = None
-        if prox_mu > 0.0 and centers is not None:
-            # mirror train_locally: grads += (2 * mu) * (w - center) computed
-            # as diff -> in-place scale -> in-place add, and the loss term
-            # accumulates per-key np.sum values with Python-float semantics
-            per_key_sums: List[np.ndarray] = []
-            for key in grads:
-                diff = current[key] - centers[key]
-                squared = (current[key] - centers[key]) ** 2
-                per_key_sums.append(
-                    np.array([np.sum(squared.reshape(cohort, -1)[i])
-                              for i in range(cohort)]))
-                diff *= 2.0 * prox_mu
-                grads[key] += diff
-            prox_totals = [
-                prox_mu * float(sum(sums[i] for sums in per_key_sums))
-                for i in range(cohort)]
+        grads = batched.live_gradients()
+        if centers is not None:
+            # mirror train_locally: grads + (2 * mu) * (w - center), and the
+            # loss term accumulates the per-key sums in dictionary order
+            drift = {key: value - centers[key] for key, value in params.items()}
+            grads = {key: grad + drift[key] * (2.0 * prox_mu)
+                     for key, grad in grads.items()}
+            losses[:, step] += prox_mu * cohort_squared_norms(drift)
         if stacked_masks is not None:
             grads = {key: grads[key] * stacked_masks[key] for key in grads}
         if allowed is not None:
             grads = {key: (value if key in allowed else frozen_zeros[key])
                      for key, value in grads.items()}
-        for index in range(cohort):
-            loss = float(step_losses[index])
-            if prox_totals is not None:
-                loss += prox_totals[index]
-            losses[index].append(loss)
-            accuracies[index].append(float(step_accuracies[index]))
-            examples[index] += int(counts[index])
-        optimizer.step(batched.live_parameters(), grads)
+        optimizer.step(params, grads)
 
-    batched.set_unit_gates(None)
-    final_stacked = batched.get_parameters()
-    results: List[LocalUpdateResult] = []
-    for index in range(cohort):
-        final = {key: np.array(value[index], copy=True)
-                 for key, value in final_stacked.items()}
-        if param_masks is not None:
-            final = multiply(final, param_masks[index])
-        results.append(LocalUpdateResult(
-            params=final,
-            train_accuracy=(float(np.mean(accuracies[index]))
-                            if accuracies[index] else 0.0),
-            train_loss=(float(np.mean(losses[index]))
-                        if losses[index] else 0.0),
-            examples_seen=examples[index],
-        ))
-    return results
+    final_stacked = params
+    if stacked_masks is not None:
+        final_stacked = multiply(params, stacked_masks)
+    train_accuracies = np.mean(accuracies, axis=-1) if steps else np.zeros(cohort)
+    train_losses = np.mean(losses, axis=-1) if steps else np.zeros(cohort)
+    return [LocalUpdateResult(
+        params=unstack_param_dict(final_stacked, index),
+        train_accuracy=float(train_accuracies[index]),
+        train_loss=float(train_losses[index]),
+        examples_seen=steps * int(counts[index]))
+        for index in range(cohort)]

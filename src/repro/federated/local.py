@@ -123,7 +123,7 @@ def train_locally(model: Sequential, start_params: Mapping[str, np.ndarray],
                      for key, value in grads.items()}
         losses.append(loss)
         examples += len(batch_y)
-        _apply_step(model, optimizer, grads)
+        optimizer.step(model.live_parameters(), grads)
     model.set_unit_gates(None)
     final_params = model.get_parameters()
     if param_mask is not None:
@@ -134,15 +134,6 @@ def train_locally(model: Sequential, start_params: Mapping[str, np.ndarray],
         train_loss=float(np.mean(losses)) if losses else 0.0,
         examples_seen=examples,
     )
-
-
-def _apply_step(model: Sequential, optimizer: SGD, grads: ParamDict) -> None:
-    """Apply one optimizer step to the model's live parameter arrays."""
-    live: Dict[str, np.ndarray] = {}
-    for layer in model.layers:
-        for key in layer.params:
-            live[f"{layer.name}.{key}"] = layer.params[key]
-    optimizer.step(live, grads)
 
 
 def average_metric(values: Iterable[float]) -> float:

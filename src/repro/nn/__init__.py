@@ -17,7 +17,7 @@ from .losses import (accuracy, accuracy_cohort, mean_squared_error,
                      softmax_cross_entropy, softmax_cross_entropy_cohort)
 from .model import Sequential, UnitGroup
 from .optim import (SGD, BatchedSGD, clip_gradients, clip_gradients_cohort,
-                    cohort_grad_norms, global_grad_norm)
+                    cohort_grad_norms, cohort_squared_norms, global_grad_norm)
 from .recurrent import LSTM, RNN, LastTimestep
 from .serialization import (load_parameters, nonzero_parameter_bytes,
                             parameter_bytes, save_parameters)
@@ -49,6 +49,7 @@ __all__ = [
     "clip_gradients",
     "clip_gradients_cohort",
     "cohort_grad_norms",
+    "cohort_squared_norms",
     "global_grad_norm",
     "softmax",
     "sigmoid",

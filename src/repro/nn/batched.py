@@ -17,8 +17,21 @@ sequential :mod:`repro.nn` layers bit-for-bit:
   transposed and padded operand layouts used here);
 * single-axis reductions (``axis=1`` of a ``(C, B, U)`` stack) are
   slice-identical to ``axis=0`` of the ``(B, U)`` slice;
-* multi-axis reductions are NOT assumed slice-identical — the conv gate
-  gradient therefore reduces per-client slices in a short Python loop,
+* reductions over the last axis, or over ALL trailing axes, of a
+  C-contiguous stack are slice-identical to the same reduction of each
+  client's own array: ``np.sum`` / ``np.mean`` / ``np.std`` / ``np.max``
+  on ``axis=-1`` of ``(C, U)``, the sum of squares of the ``(C, -1)``
+  view against the full reduction of an N-d slice, ``axis=(2, 3, 4)`` of
+  a ``(C, out, in, k, k)`` kernel stack against ``axis=(1, 2, 3)`` — numpy
+  reduces the same contiguous inner run with the same pairwise tree
+  either way (``tests/nn/test_slice_identity.py`` pins it across the
+  pairwise block sizes, subnormals, signed zeros and non-finite values).
+  The FedLPS bookkeeping (unit magnitudes, Eq. 8 targets, ``L_ir``,
+  ``L_pr``, clipping norms, step metrics) runs on that class with no
+  per-client loop.  What is still NOT proven: a multi-axis reduction
+  with the kept axis in the middle — the conv gate gradient's
+  ``axis=(0, 2, 3)`` with the unit axis between the reduced ones — so
+  that one keeps reducing per-client slices in a short Python loop,
   reproducing the sequential computation on identical shapes;
 * ragged cohorts (clients with fewer examples than the padded batch) are
   NOT fed through the batched matmuls: GEMM results depend on the row
@@ -160,11 +173,10 @@ class BatchedDense(_BatchedLayer):
     def n_units(self) -> int:
         return self.out_features if self.sparsifiable else 0
 
-    def unit_weight_magnitude(self, index: int) -> Array:
-        """Client ``index``'s per-unit ``|omega|_J`` — the sequential
-        computation on the client's contiguous parameter slice."""
-        return (np.sum(np.abs(self.params["W"][index]), axis=0)
-                + np.abs(self.params["b"][index]))
+    def unit_weight_magnitude(self) -> Array:
+        """Stacked ``(C, n_units)`` per-unit ``|omega|_J``: ``axis=1`` of the
+        stack is slice-identical to the sequential ``axis=0``."""
+        return np.sum(np.abs(self.params["W"]), axis=1) + np.abs(self.params["b"])
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
         if x.ndim != 3 or x.shape[0] != self.cohort or x.shape[2] != self.in_features:
@@ -247,11 +259,12 @@ class BatchedConv2d(_BatchedLayer):
     def _weight_matrix(self) -> Array:
         return self.params["W"].reshape(self.cohort, self.out_channels, -1)
 
-    def unit_weight_magnitude(self, index: int) -> Array:
-        """Client ``index``'s per-unit ``|omega|_J`` — the sequential
-        computation on the client's contiguous parameter slice."""
-        return (np.sum(np.abs(self.params["W"][index]), axis=(1, 2, 3))
-                + np.abs(self.params["b"][index]))
+    def unit_weight_magnitude(self) -> Array:
+        """Stacked ``(C, n_units)`` per-unit ``|omega|_J``: all trailing axes
+        of the stack reduce slice-identically to the sequential
+        ``axis=(1, 2, 3)``."""
+        return (np.sum(np.abs(self.params["W"]), axis=(2, 3, 4))
+                + np.abs(self.params["b"]))
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
         if x.ndim != 5 or x.shape[0] != self.cohort or x.shape[2] != self.in_channels:
@@ -315,9 +328,9 @@ class BatchedConv2d(_BatchedLayer):
         out_h, out_w = self._out_hw
         grad_pre = grad_out
         if self.unit_gate is not None:
-            # multi-axis reductions are not in the verified slice-identical
-            # class, so the gate gradient reduces per-client slices exactly
-            # as the sequential layer does
+            # the kept (unit) axis sits between the reduced ones, which is not
+            # in the verified slice-identical class, so the gate gradient
+            # reduces per-client slices exactly as the sequential layer does
             for i in range(cohort):
                 count = None if self.batch_counts is None else self.batch_counts[i]
                 g_slice = grad_out[i] if count is None else grad_out[i, :count]
@@ -513,11 +526,15 @@ class BatchedModel:
 
     def live_parameters(self) -> Dict[str, np.ndarray]:
         """The live stacked parameter arrays (no copies) for in-place SGD."""
-        live: Dict[str, np.ndarray] = {}
-        for layer in self.layers:
-            for key in layer.params:
-                live[f"{layer.name}.{key}"] = layer.params[key]
-        return live
+        return {f"{layer.name}.{key}": value
+                for layer in self.layers for key, value in layer.params.items()}
+
+    def live_gradients(self) -> Dict[str, np.ndarray]:
+        """The live stacked gradient arrays (no copies).  ``zero_grad``
+        rebinds them, so read this after ``backward`` and do not hold it
+        across steps."""
+        return {f"{layer.name}.{key}": value
+                for layer in self.layers for key, value in layer.grads.items()}
 
     # --------------------------------------------------------------- units
     @property
@@ -548,11 +565,12 @@ class BatchedModel:
                 else np.array(grad, copy=True))
         return grads
 
-    def unit_weight_magnitudes(self, index: int) -> Dict[str, np.ndarray]:
-        """Client ``index``'s per-unit magnitudes, keyed like the template's
-        ``unit_weight_magnitudes`` (one entry per sparsifiable layer)."""
+    def unit_weight_magnitudes(self) -> Dict[str, np.ndarray]:
+        """Stacked ``(C, n_units)`` per-unit magnitudes, keyed like the
+        template's ``unit_weight_magnitudes`` (one entry per sparsifiable
+        layer); row ``c`` is client ``c``'s sequential result bit-for-bit."""
         return {group.layer_name:
-                self.layer_by_name(group.layer_name).unit_weight_magnitude(index)
+                self.layer_by_name(group.layer_name).unit_weight_magnitude()
                 for group in self._unit_groups}
 
     # ------------------------------------------------------------- ragged

@@ -48,6 +48,8 @@ def softmax_cross_entropy_cohort(logits: Array, labels: Array,
     softmax/log/pick operations are row-local, the per-client mean reduces a
     contiguous slice with the same summation tree, and the gradient division
     by ``counts[c]`` is the same IEEE operation as the sequential ``/= n``.
+    A uniform cohort (no padded rows) takes the means as one last-axis
+    reduction, which is that same per-slice tree.
     """
     logits = as_float(logits)
     labels = np.asarray(labels)
@@ -61,13 +63,14 @@ def softmax_cross_entropy_cohort(logits: Array, labels: Array,
     client_index = np.arange(cohort)[:, None]
     row_index = np.arange(batch)[None, :]
     logs = np.log(probs[client_index, row_index, labels] + eps)
-    losses = np.empty(cohort, dtype=np.float64)
-    for i in range(cohort):
-        losses[i] = -np.mean(logs[i, :counts[i]])
     grad = probs.copy()
     grad[client_index, row_index, labels] -= 1.0
     grad /= counts.astype(np.float64)[:, None, None]
+    if np.all(counts == batch):
+        return -np.mean(logs, axis=-1), grad
+    losses = np.empty(cohort, dtype=np.float64)
     for i in range(cohort):
+        losses[i] = -np.mean(logs[i, :counts[i]])
         grad[i, counts[i]:] = 0.0
     return losses, grad
 
@@ -78,6 +81,8 @@ def accuracy_cohort(logits: Array, labels: Array, counts: Array) -> np.ndarray:
     labels = np.asarray(labels)
     counts = np.asarray(counts)
     hits = np.argmax(logits, axis=-1) == labels
+    if np.all(counts == hits.shape[1]):
+        return np.mean(hits, axis=-1)
     return np.array([float(np.mean(hits[i, :counts[i]]))
                      for i in range(len(counts))])
 

@@ -105,16 +105,26 @@ class Sequential:
                 grads[f"{layer.name}.{key}"] = np.array(value, copy=True)
         return grads
 
+    def live_parameters(self) -> ParamDict:
+        """The live parameter arrays (no copies) for in-place SGD; valid
+        until the next :meth:`set_parameters`, which rebinds them."""
+        return {f"{layer.name}.{key}": value
+                for layer in self.layers for key, value in layer.params.items()}
+
+    def live_gradients(self) -> ParamDict:
+        """The live gradient arrays (no copies).  ``zero_grad`` rebinds
+        them, so read this after ``backward`` and do not hold it across
+        steps."""
+        return {f"{layer.name}.{key}": value
+                for layer in self.layers for key, value in layer.grads.items()}
+
     def apply_gradient_step(self, optimizer, *, grads: Optional[ParamDict] = None) -> None:
         """Apply one optimizer step using the model's accumulated gradients.
 
         ``grads`` may override the accumulated gradients (e.g. after masking).
         """
-        params_by_key = {}
-        for layer in self.layers:
-            for key in layer.params:
-                params_by_key[f"{layer.name}.{key}"] = layer.params[key]
-        optimizer.step(params_by_key, grads if grads is not None else self.get_gradients())
+        optimizer.step(self.live_parameters(),
+                       grads if grads is not None else self.get_gradients())
 
     @property
     def num_parameters(self) -> int:

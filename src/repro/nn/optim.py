@@ -28,22 +28,25 @@ def clip_gradients(grads: ParamDict, max_norm: float) -> ParamDict:
     return {key: grad * scale for key, grad in grads.items()}
 
 
-def cohort_grad_norms(grads: ParamDict) -> np.ndarray:
-    """Per-client L2 norms of a stacked ``(C, ...)`` gradient dictionary.
+def cohort_squared_norms(stacked: ParamDict) -> np.ndarray:
+    """Per-client sum of squares of a stacked ``(C, ...)`` dictionary.
 
-    Each norm reproduces :func:`global_grad_norm` on that client's slice
-    bit-for-bit: the accumulation runs over keys in dictionary order as
-    Python floats, and each per-key sum reduces the client's contiguous
-    slice with the same tree as the sequential full-array ``np.sum``.
+    Row ``c`` reproduces ``sum(np.sum(value[c] ** 2) for value in ...)``
+    bit-for-bit: the accumulation runs over keys in dictionary order, and
+    each per-key last-axis sum over the ``(C, -1)`` view reduces every
+    client's contiguous row with the same tree as the sequential
+    full-array ``np.sum``.
     """
-    first = next(iter(grads.values()))
-    cohort = first.shape[0]
-    totals = [0.0] * cohort
-    for grad in grads.values():
-        squared = (grad ** 2).reshape(cohort, -1)
-        for index in range(cohort):
-            totals[index] += float(np.sum(squared[index]))
-    return np.sqrt(np.asarray(totals))
+    totals = 0.0
+    for value in stacked.values():
+        totals = totals + np.sum((value ** 2).reshape(len(value), -1), axis=-1)
+    return totals
+
+
+def cohort_grad_norms(grads: ParamDict) -> np.ndarray:
+    """Per-client L2 norms of a stacked ``(C, ...)`` gradient dictionary,
+    each equal to :func:`global_grad_norm` on that client's slice."""
+    return np.sqrt(cohort_squared_norms(grads))
 
 
 def clip_gradients_cohort(grads: ParamDict, max_norm: float) -> ParamDict:
@@ -57,17 +60,13 @@ def clip_gradients_cohort(grads: ParamDict, max_norm: float) -> ParamDict:
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     norms = cohort_grad_norms(grads)
-    scales: Optional[np.ndarray] = None
-    for index, norm in enumerate(norms):
-        norm = float(norm)
-        if norm <= max_norm or norm == 0.0:
-            continue
-        if scales is None:
-            scales = np.ones(len(norms), dtype=np.float64)
-        scales[index] = max_norm / norm
-    if scales is None:
+    # ``not (norm <= max_norm)``: a NaN norm clips (to NaN) as it does
+    # sequentially, and a zero norm never does because max_norm > 0
+    clipped = ~(norms <= max_norm)
+    if not clipped.any():
         return grads
-    return {key: grad * scales.reshape((len(norms),) + (1,) * (grad.ndim - 1))
+    scales = np.divide(max_norm, norms, out=np.ones_like(norms), where=clipped)
+    return {key: grad * scales.reshape((-1,) + (1,) * (grad.ndim - 1))
             for key, grad in grads.items()}
 
 

@@ -18,6 +18,13 @@ additionally pinned to ``windows[argmax]`` bit for bit.
 
 Also here: ``backward(grad, input_grad=False)`` accumulates exactly the
 gradients the default call does, on ``Sequential`` and ``BatchedModel``.
+
+And the FedLPS local update before its per-client bookkeeping moved onto the
+client axis: the old per-client body of ``learnable_sparse_training_cohort``,
+the old ``learnable_sparse_training`` step, ``cohort_grad_norms`` / clipping,
+the cohort losses, ``smoothed_targets`` and the gate-gradient normalisation,
+all verbatim, against which every ``SparseTrainingResult`` field of the
+vectorised code is compared byte for byte.
 """
 
 from __future__ import annotations
@@ -27,11 +34,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.importance import (ImportanceIndicator,
+                                   initialize_importance, smoothed_targets)
+from repro.core.losses import (add_gradients, combine_unit_gradients,
+                               proximal_gradient, proximal_loss)
+from repro.core.sparse_training import (SparseTrainingResult,
+                                        _normalize_gate_gradients,
+                                        learnable_sparse_training,
+                                        learnable_sparse_training_cohort)
+from repro.data.dataset import Dataset
+from repro.federated import client_batch_schedule, iterate_batches
 from repro.models import build_cnn, build_mlp
-from repro.nn import (BatchedModel, MaxPool2d, softmax_cross_entropy,
+from repro.nn import (SGD, BatchedModel, BatchedSGD, MaxPool2d, accuracy,
+                      accuracy_cohort, clip_gradients_cohort,
+                      cohort_grad_norms, sigmoid, softmax,
+                      softmax_cross_entropy, softmax_cross_entropy_cohort,
                       stack_param_dicts)
+from repro.nn.batched import BatchedConv2d
 from repro.nn.conv import _im2col
-from repro.sparsity import gates_from_pattern, random_pattern
+from repro.nn.params import copy_params, multiply, subtract
+from repro.sparsity import (build_parameter_mask, gates_from_pattern,
+                            random_pattern)
 
 SPECIALS = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, 2.0,
                      np.inf, -np.inf, np.nan])
@@ -280,3 +303,521 @@ class TestBackwardWithoutInputGradient:
             runs.append(_accumulated(batched))
         assert any(np.any(g) for g in runs[0][1].values())
         _assert_same_accumulation(*runs)
+
+
+# ------------------------------- FedLPS local update: the per-client oracle
+def _reference_smoothed_targets(magnitudes):
+    targets = {}
+    for name, magnitude in magnitudes.items():
+        std = float(np.std(magnitude))
+        if std < 1e-12:
+            centered = np.zeros_like(magnitude)
+        else:
+            centered = (magnitude - float(np.mean(magnitude))) / std
+        targets[name] = sigmoid(centered)
+    return targets
+
+
+def _reference_normalize_gate_gradients(gate_grads):
+    normalized = {}
+    for name, grad in gate_grads.items():
+        grad = np.asarray(grad, dtype=np.float64)
+        peak = float(np.max(np.abs(grad)))
+        normalized[name] = grad / peak if peak > 0 else grad
+    return normalized
+
+
+def _reference_regularization_loss(importance, targets, importance_lambda):
+    total = 0.0
+    for name, values in importance.scores.items():
+        total += float(np.sum((values - targets[name]) ** 2))
+    return importance_lambda * total
+
+
+def _reference_unit_magnitudes(batched, index):
+    magnitudes = {}
+    for group in batched.unit_groups:
+        layer = batched.layer_by_name(group.layer_name)
+        axis = (1, 2, 3) if isinstance(layer, BatchedConv2d) else 0
+        magnitudes[group.layer_name] = (
+            np.sum(np.abs(layer.params["W"][index]), axis=axis)
+            + np.abs(layer.params["b"][index]))
+    return magnitudes
+
+
+def _reference_cohort_grad_norms(grads):
+    first = next(iter(grads.values()))
+    cohort = first.shape[0]
+    totals = [0.0] * cohort
+    for grad in grads.values():
+        squared = (grad ** 2).reshape(cohort, -1)
+        for index in range(cohort):
+            totals[index] += float(np.sum(squared[index]))
+    return np.sqrt(np.asarray(totals))
+
+
+def _reference_clip_gradients_cohort(grads, max_norm):
+    norms = _reference_cohort_grad_norms(grads)
+    scales = None
+    for index, norm in enumerate(norms):
+        norm = float(norm)
+        if norm <= max_norm or norm == 0.0:
+            continue
+        if scales is None:
+            scales = np.ones(len(norms), dtype=np.float64)
+        scales[index] = max_norm / norm
+    if scales is None:
+        return grads
+    return {key: grad * scales.reshape((len(norms),) + (1,) * (grad.ndim - 1))
+            for key, grad in grads.items()}
+
+
+def _reference_softmax_cross_entropy_cohort(logits, labels, counts):
+    cohort, batch, _ = logits.shape
+    probs = softmax(logits, axis=-1)
+    eps = 1e-12
+    client_index = np.arange(cohort)[:, None]
+    row_index = np.arange(batch)[None, :]
+    logs = np.log(probs[client_index, row_index, labels] + eps)
+    losses = np.empty(cohort, dtype=np.float64)
+    for i in range(cohort):
+        losses[i] = -np.mean(logs[i, :counts[i]])
+    grad = probs.copy()
+    grad[client_index, row_index, labels] -= 1.0
+    grad /= counts.astype(np.float64)[:, None, None]
+    for i in range(cohort):
+        grad[i, counts[i]:] = 0.0
+    return losses, grad
+
+
+def _reference_accuracy_cohort(logits, labels, counts):
+    hits = np.argmax(logits, axis=-1) == labels
+    return np.array([float(np.mean(hits[i, :counts[i]]))
+                     for i in range(len(counts))])
+
+
+def _reference_sparse_training(model, global_params, importance, dataset, *,
+                               sparse_ratio, iterations, batch_size,
+                               learning_rate, momentum=0.0, clip_norm=None,
+                               prox_mu=1.0, importance_lambda=1.0,
+                               importance_learning_rate=None,
+                               refresh_pattern_each_iteration=False, rng=None):
+    """``learnable_sparse_training`` as it stood: parameters and gates
+    re-installed, gradients and parameters snapshotted, every step."""
+    importance = importance.copy()
+    q_lr = importance_learning_rate if importance_learning_rate is not None \
+        else learning_rate
+    params = copy_params(global_params)
+    global_reference = copy_params(global_params)
+    optimizer = SGD(learning_rate, momentum=momentum, clip_norm=clip_norm)
+    losses = []
+    accuracies = []
+    examples = 0
+    pattern = importance.pattern(model, sparse_ratio)
+    param_mask = build_parameter_mask(model, pattern)
+    for batch_x, batch_y in iterate_batches(dataset, batch_size, iterations, rng=rng):
+        if refresh_pattern_each_iteration:
+            pattern = importance.pattern(model, sparse_ratio)
+            param_mask = build_parameter_mask(model, pattern)
+
+        model.set_parameters(params)
+        model.set_unit_gates(gates_from_pattern(pattern))
+        model.zero_grad()
+        logits = model.forward(batch_x, train=True)
+        task_loss, grad = softmax_cross_entropy(logits, batch_y)
+        accuracies.append(accuracy(logits, batch_y))
+        model.backward(grad, input_grad=False)
+
+        grads = model.get_gradients()
+        gate_grads = _reference_normalize_gate_gradients(model.gate_gradients())
+        prox_grads = proximal_gradient(params, global_reference, prox_mu)
+        grads = add_gradients(grads, prox_grads)
+        grads = {key: grads[key] * param_mask[key] for key in grads}
+        live = {}
+        for layer in model.layers:
+            for key in layer.params:
+                live[f"{layer.name}.{key}"] = layer.params[key]
+        optimizer.step(live, grads)
+        params = model.get_parameters()
+
+        targets = _reference_smoothed_targets(model.unit_weight_magnitudes())
+        reg_grads = importance.regularization_gradient(targets, importance_lambda)
+        q_grads = combine_unit_gradients(gate_grads, reg_grads)
+        importance.apply_gradient(q_grads, q_lr)
+
+        losses.append(task_loss
+                      + proximal_loss(params, global_reference, prox_mu)
+                      + _reference_regularization_loss(
+                          importance, targets, importance_lambda))
+        examples += len(batch_y)
+    model.set_unit_gates(None)
+
+    final_pattern = (importance.pattern(model, sparse_ratio)
+                     if refresh_pattern_each_iteration else pattern)
+    final_mask = build_parameter_mask(model, final_pattern)
+    personalized = multiply(params, final_mask)
+    residual = multiply(subtract(global_reference, params), final_mask)
+    return SparseTrainingResult(
+        personalized_params=personalized, residual=residual,
+        pattern=final_pattern, importance=importance, sparse_ratio=sparse_ratio,
+        train_accuracy=float(np.mean(accuracies)) if accuracies else 0.0,
+        train_loss=float(np.mean(losses)) if losses else 0.0,
+        examples_seen=examples)
+
+
+def _reference_sparse_training_cohort(model, global_params, importances,
+                                      datasets, *, sparse_ratios, iterations,
+                                      batch_size, learning_rate, momentum=0.0,
+                                      clip_norm=None, prox_mu=1.0,
+                                      importance_lambda=1.0,
+                                      importance_learning_rate=None,
+                                      refresh_pattern_each_iteration=False,
+                                      rngs=None):
+    """``learnable_sparse_training_cohort`` as it stood: the batched tensor
+    program plus a ``for index in range(cohort)`` body per step."""
+    cohort = len(datasets)
+    importances = [importance.copy() for importance in importances]
+    q_lr = importance_learning_rate if importance_learning_rate is not None \
+        else learning_rate
+
+    global_reference = copy_params(global_params)
+    reference_b = {key: np.asarray(value, dtype=np.float64)[None]
+                   for key, value in global_reference.items()}
+    batched = BatchedModel(model, cohort)
+    batched.set_parameters(
+        {key: np.repeat(np.asarray(value, dtype=np.float64)[None],
+                        cohort, axis=0)
+         for key, value in global_params.items()})
+    # the old optimizer clipped through the old per-client norm loop
+    optimizer = BatchedSGD(learning_rate, momentum=momentum)
+
+    patterns = [importances[i].pattern(model, sparse_ratios[i])
+                for i in range(cohort)]
+    param_masks = [build_parameter_mask(model, pattern)
+                   for pattern in patterns]
+    stacked_masks = stack_param_dicts(param_masks)
+
+    def _stack_gates(pattern_list):
+        gate_dicts = [gates_from_pattern(pattern) for pattern in pattern_list]
+        return {group.layer_name:
+                np.stack([gates[group.layer_name] for gates in gate_dicts])
+                for group in model.unit_groups}
+
+    batched.set_unit_gates(_stack_gates(patterns))
+
+    schedules = [client_batch_schedule(len(datasets[i]), batch_size,
+                                       iterations, rng=rngs[i])
+                 for i in range(cohort)]
+    counts = np.array([len(schedule[0]) if schedule else 0
+                       for schedule in schedules], dtype=np.int64)
+    steps = len(schedules[0]) if schedules else 0
+    width = int(counts.max()) if steps else 0
+    if np.any(counts != width):
+        batched.set_batch_counts(counts)
+
+    losses = [[] for _ in range(cohort)]
+    accuracies = [[] for _ in range(cohort)]
+    examples = [0] * cohort
+    x_pad = None
+    y_pad = None
+    if steps:
+        sample_shape = datasets[0].x.shape[1:]
+        x_pad = np.zeros((cohort, width) + tuple(sample_shape),
+                         dtype=np.float64)
+        y_pad = np.zeros((cohort, width), dtype=np.int64)
+
+    factor = 2.0 * prox_mu
+    for step in range(steps):
+        if refresh_pattern_each_iteration:
+            patterns = [importances[i].pattern(model, sparse_ratios[i])
+                        for i in range(cohort)]
+            param_masks = [build_parameter_mask(model, pattern)
+                           for pattern in patterns]
+            stacked_masks = stack_param_dicts(param_masks)
+            batched.set_unit_gates(_stack_gates(patterns))
+        for index in range(cohort):
+            batch = schedules[index][step]
+            x_pad[index, :counts[index]] = datasets[index].x[batch]
+            y_pad[index, :counts[index]] = datasets[index].y[batch]
+        batched.zero_grad()
+        logits = batched.forward(x_pad, train=True)
+        task_losses, grad = _reference_softmax_cross_entropy_cohort(
+            logits, y_pad, counts)
+        step_accuracies = _reference_accuracy_cohort(logits, y_pad, counts)
+        batched.backward(grad, input_grad=False)
+
+        grads = batched.get_gradients()
+        stacked_gate_grads = batched.gate_gradients()
+        current = batched.get_parameters()
+        grads = {key: grads[key] + factor * (current[key] - reference_b[key])
+                 for key in grads}
+        grads = {key: grads[key] * stacked_masks[key] for key in grads}
+        if clip_norm is not None:
+            grads = _reference_clip_gradients_cohort(grads, clip_norm)
+        optimizer.step(batched.live_parameters(), grads)
+        post = batched.get_parameters()
+
+        for index in range(cohort):
+            gate_grads = _reference_normalize_gate_gradients(
+                {name: values[index]
+                 for name, values in stacked_gate_grads.items()})
+            targets = _reference_smoothed_targets(
+                _reference_unit_magnitudes(batched, index))
+            reg_grads = importances[index].regularization_gradient(
+                targets, importance_lambda)
+            q_grads = combine_unit_gradients(gate_grads, reg_grads)
+            importances[index].apply_gradient(q_grads, q_lr)
+
+            prox_total = 0.0
+            for key in post:
+                diff = post[key][index] - global_reference[key]
+                prox_total += float(np.sum(diff ** 2))
+            losses[index].append(
+                float(task_losses[index]) + prox_mu * prox_total
+                + _reference_regularization_loss(
+                    importances[index], targets, importance_lambda))
+            accuracies[index].append(float(step_accuracies[index]))
+            examples[index] += int(counts[index])
+
+    batched.set_unit_gates(None)
+    final_stacked = batched.get_parameters()
+    results = []
+    for index in range(cohort):
+        params = {key: np.array(value[index], copy=True)
+                  for key, value in final_stacked.items()}
+        final_pattern = (importances[index].pattern(model, sparse_ratios[index])
+                         if refresh_pattern_each_iteration
+                         else patterns[index])
+        final_mask = build_parameter_mask(model, final_pattern)
+        personalized = multiply(params, final_mask)
+        residual = multiply(subtract(global_reference, params), final_mask)
+        results.append(SparseTrainingResult(
+            personalized_params=personalized, residual=residual,
+            pattern=final_pattern, importance=importances[index],
+            sparse_ratio=sparse_ratios[index],
+            train_accuracy=(float(np.mean(accuracies[index]))
+                            if accuracies[index] else 0.0),
+            train_loss=(float(np.mean(losses[index]))
+                        if losses[index] else 0.0),
+            examples_seen=examples[index]))
+    return results
+
+
+def _assert_same_result(got, want):
+    """Every ``SparseTrainingResult`` field, byte for byte."""
+    for field in ("personalized_params", "residual", "pattern"):
+        assert getattr(got, field).keys() == getattr(want, field).keys()
+        for key, value in getattr(want, field).items():
+            _assert_same_bits(getattr(got, field)[key], value)
+    assert got.importance.scores.keys() == want.importance.scores.keys()
+    for name, values in want.importance.scores.items():
+        _assert_same_bits(got.importance.scores[name], values)
+    for field in ("train_loss", "train_accuracy", "sparse_ratio"):
+        _assert_same_bits(np.float64(getattr(got, field)),
+                          np.float64(getattr(want, field)))
+        assert type(getattr(got, field)) is type(getattr(want, field))
+    assert got.examples_seen == want.examples_seen
+    assert type(got.examples_seen) is int
+
+
+_COHORT_SIZES = {
+    "c1": [20], "c3": [20, 20, 20], "c3-ragged": [20, 7, 13],
+    "c16": [12] * 16, "c16-ragged": [3 + (5 * i) % 11 for i in range(16)],
+}
+
+
+@pytest.mark.parametrize("optimizer", [
+    {}, dict(momentum=0.9, clip_norm=0.3)], ids=["plain", "momentum-clip"])
+@pytest.mark.parametrize("refresh", [False, True], ids=["held", "refresh"])
+@pytest.mark.parametrize("sizes", list(_COHORT_SIZES.values()),
+                         ids=list(_COHORT_SIZES))
+@pytest.mark.parametrize("builder", [
+    lambda: build_mlp(6, [5, 4], 3, seed=1),
+    lambda: build_cnn(1, 8, 3, channels=(3, 4), hidden_dim=6, seed=1),
+], ids=["mlp", "cnn"])
+def test_sparse_training_matches_the_per_client_oracle(builder, sizes, refresh,
+                                                       optimizer):
+    model = builder()
+    cohort = len(sizes)
+    rng = np.random.default_rng(5)
+    datasets = [Dataset(rng.normal(size=(n,) + tuple(model.input_shape)),
+                        rng.integers(0, 3, size=n)) for n in sizes]
+    start = model.get_parameters()
+    importances = [initialize_importance(model, seed=1000 + i)
+                   for i in range(cohort)]
+    ratios = [(0.5, 0.75, 1.0)[i % 3] for i in range(cohort)]
+    common = dict(iterations=4, batch_size=8, learning_rate=0.1, prox_mu=0.3,
+                  importance_lambda=0.7, importance_learning_rate=0.05,
+                  refresh_pattern_each_iteration=refresh, **optimizer)
+
+    def rngs():
+        return [np.random.default_rng(100 + i) for i in range(cohort)]
+
+    oracle = _reference_sparse_training_cohort(
+        model, start, importances, datasets, sparse_ratios=ratios,
+        rngs=rngs(), **common)
+    old_loop = [_reference_sparse_training(
+        model, start, importances[i], datasets[i], sparse_ratio=ratios[i],
+        rng=rngs()[i], **common) for i in range(cohort)]
+    before = copy_params(importances[0].scores)
+    new_cohort = learnable_sparse_training_cohort(
+        model, start, importances, datasets, sparse_ratios=ratios,
+        rngs=rngs(), **common)
+    new_loop = [learnable_sparse_training(
+        model, start, importances[i], datasets[i], sparse_ratio=ratios[i],
+        rng=rngs()[i], **common) for i in range(cohort)]
+    for want, *others in zip(oracle, old_loop, new_cohort, new_loop):
+        assert np.any(want.residual["head.W"])
+        for got in others:
+            _assert_same_result(got, want)
+    # the caller's indicators are inputs, and no two results share memory
+    for name, values in before.items():
+        _assert_same_bits(importances[0].scores[name], values)
+    arrays = [value for result in new_cohort for value in (
+        *result.personalized_params.values(), *result.residual.values(),
+        *result.importance.scores.values())]
+    assert all(value.base is None for value in arrays)
+
+
+def test_sparse_training_without_iterations_returns_the_masked_start():
+    model = build_mlp(6, [5, 4], 3, seed=1)
+    datasets = [Dataset(np.zeros((4, 6)), np.zeros(4, dtype=np.int64))] * 2
+    importances = [initialize_importance(model, seed=i) for i in range(2)]
+    kwargs = dict(iterations=0, batch_size=8, learning_rate=0.1)
+    oracle = _reference_sparse_training_cohort(
+        model, model.get_parameters(), importances, datasets,
+        sparse_ratios=[0.5, 1.0], rngs=[np.random.default_rng(i) for i in range(2)],
+        **kwargs)
+    got = learnable_sparse_training_cohort(
+        model, model.get_parameters(), importances, datasets,
+        sparse_ratios=[0.5, 1.0], rngs=[np.random.default_rng(i) for i in range(2)],
+        **kwargs)
+    for new, want in zip(got, oracle):
+        _assert_same_result(new, want)
+        assert new.examples_seen == 0 and new.train_loss == 0.0
+
+
+class TestCohortClipping:
+    @staticmethod
+    def _grads(norm_scales, seed=0):
+        rng = np.random.default_rng(seed)
+        cohort = len(norm_scales)
+        scale = np.asarray(norm_scales, dtype=np.float64)
+        return {"conv.W": rng.normal(size=(cohort, 3, 2, 3, 3))
+                * scale[:, None, None, None, None],
+                "fc.W": rng.normal(size=(cohort, 37, 5)) * scale[:, None, None],
+                "fc.b": rng.normal(size=(cohort, 5)) * scale[:, None]}
+
+    @pytest.mark.parametrize("scales", [
+        [1.0], [1e-3, 1.0, 1e3], [0.0, 1.0, 0.0], [1e-3, 1e-4],
+        [np.nan, 1.0, 1e-3], [np.inf, 1e-3, 1.0], [1e200, 1e-200, 1.0],
+        [10.0 ** (i - 8) for i in range(16)],
+    ], ids=["c1", "mixed", "zero-norms", "none-clip", "nan", "inf",
+            "overflow-underflow", "c16"])
+    def test_norms_and_clipping_match_the_per_client_loop(self, scales):
+        grads = self._grads(scales)
+        with np.errstate(all="ignore"):
+            _assert_same_bits(cohort_grad_norms(grads),
+                              _reference_cohort_grad_norms(grads))
+            got = clip_gradients_cohort(grads, 0.5)
+            want = _reference_clip_gradients_cohort(grads, 0.5)
+        assert (got is grads) == (want is grads)
+        for key in want:
+            _assert_same_bits(got[key], want[key])
+
+    def test_rejects_a_non_positive_bound(self):
+        with pytest.raises(ValueError, match="max_norm must be positive"):
+            clip_gradients_cohort(self._grads([1.0]), 0.0)
+
+
+class TestCohortLosses:
+    @pytest.mark.parametrize("counts", [
+        (5, 5, 5), (5, 2, 4), (1, 1, 1), (3,)],
+        ids=["uniform", "ragged", "single-row", "c1"])
+    def test_match_the_per_client_slices(self, counts):
+        rng = np.random.default_rng(3)
+        width = max(counts)
+        logits = _awkward_array((len(counts), width, 4), 9, special_share=0.1)
+        labels = rng.integers(0, 4, size=(len(counts), width))
+        counts = np.asarray(counts, dtype=np.int64)
+        with np.errstate(all="ignore"):
+            got = softmax_cross_entropy_cohort(logits, labels, counts)
+            want = _reference_softmax_cross_entropy_cohort(logits, labels, counts)
+        for new, old in zip(got, want):
+            _assert_same_bits(new, old)
+        _assert_same_bits(accuracy_cohort(logits, labels, counts),
+                          _reference_accuracy_cohort(logits, labels, counts))
+
+
+class TestImportanceBranchRows:
+    """The per-row branches of the stacked Eq. 8 targets and of the
+    gate-gradient normalisation, each against the 1-D reference."""
+
+    @staticmethod
+    def _rows_match(stacked_fn, reference_fn, stack):
+        with np.errstate(all="ignore"):
+            whole = stacked_fn({"layer": stack})["layer"]
+            for index, row in enumerate(stack):
+                want = reference_fn({"layer": row})["layer"]
+                _assert_same_bits(whole[index], want)
+                _assert_same_bits(stacked_fn({"layer": row})["layer"], want)
+        return whole
+
+    def test_equal_magnitudes_give_the_flat_target(self):
+        noise = np.random.default_rng(0).normal(size=7)
+        stack = np.stack([np.full(7, 3.25), noise, np.zeros(7),
+                          np.full(7, 1e-13) * np.arange(7), noise * 1e-14])
+        targets = self._rows_match(smoothed_targets,
+                                   _reference_smoothed_targets, stack)
+        for flat_row in (0, 2, 3, 4):
+            _assert_same_bits(targets[flat_row], np.full(7, 0.5))
+        assert np.ptp(targets[1]) > 0.1
+
+    def test_single_unit_layer_is_flat(self):
+        self._rows_match(smoothed_targets, _reference_smoothed_targets,
+                         np.array([[2.0], [-1.0], [0.0]]))
+
+    def test_nan_and_inf_magnitudes(self):
+        stack = np.array([[1.0, np.nan, 2.0], [np.inf, 1.0, 2.0],
+                          [1.0, 2.0, 4.0], [-np.inf, np.inf, 0.0]])
+        targets = self._rows_match(smoothed_targets,
+                                   _reference_smoothed_targets, stack)
+        assert np.isnan(targets[[0, 1, 3]]).all()
+        assert np.isfinite(targets[2]).all()
+
+    def test_all_zero_gate_gradient_is_returned_unchanged(self):
+        stack = np.array([[0.0, -0.0, 0.0, -0.0], [0.5, -2.0, 0.0, -0.0],
+                          [-0.0, -0.0, -0.0, -0.0], [5e-324, 0.0, -5e-324, 0.0]])
+        normalized = self._rows_match(_normalize_gate_gradients,
+                                      _reference_normalize_gate_gradients, stack)
+        for zero_row in (0, 2):
+            _assert_same_bits(normalized[zero_row], stack[zero_row])
+        _assert_same_bits(normalized[1], np.array([0.25, -1.0, 0.0, -0.0]))
+
+    def test_nan_and_inf_gate_gradients(self):
+        stack = np.array([[1.0, np.nan, -2.0], [np.inf, 1.0, -0.0],
+                          [np.nan, np.nan, np.nan], [1.0, 2.0, 4.0]])
+        self._rows_match(_normalize_gate_gradients,
+                         _reference_normalize_gate_gradients, stack)
+
+    def test_stacked_indicator_round_trips_its_rows(self):
+        model = build_mlp(6, [5, 4], 3, seed=1)
+        singles = [initialize_importance(model, seed=i) for i in range(3)]
+        stacked = ImportanceIndicator.stack(singles)
+        targets = smoothed_targets(
+            {name: np.stack([values] * 3)
+             for name, values in model.unit_weight_magnitudes().items()})
+        losses = stacked.regularization_loss(targets, 0.7)
+        gradients = stacked.regularization_gradient(targets, 0.7)
+        stacked.apply_gradient(gradients, 0.05)
+        for index, single in enumerate(singles):
+            row_targets = {name: values[index] for name, values in targets.items()}
+            _assert_same_bits(
+                np.float64(losses[index]),
+                np.float64(_reference_regularization_loss(single, row_targets, 0.7)))
+            single.apply_gradient(
+                single.regularization_gradient(row_targets, 0.7), 0.05)
+            row = stacked.row(index)
+            for name, values in single.scores.items():
+                _assert_same_bits(row.scores[name], values)
+                assert row.scores[name].base is None
