@@ -12,7 +12,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..federated.batched import train_cohort_batched
 from ..federated.client import Client
 from ..federated.local import train_locally
 from ..federated.strategy import ClientUpdate, Strategy, StrategyContext
@@ -37,21 +36,13 @@ class FedProx(Strategy):
         self.mu = mu
 
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        context = self._require_context()
-        config = context.config
-        result = train_locally(
-            context.model, self.global_params, client.train_data,
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, prox_mu=self.mu,
-            prox_center=self.global_params,
-            rng=self._client_rng(round_index, client.client_id))
-        flops, upload, download = self._round_footprint(client)
-        return ClientUpdate(
-            client_id=client.client_id, params=result.params,
-            num_examples=client.num_train_examples,
-            train_accuracy=result.train_accuracy, train_loss=result.train_loss,
-            flops=flops, upload_bytes=upload, download_bytes=download)
+        return self._prox_updates(round_index, [client], batched=False)[0]
+
+    def _prox_updates(self, round_index: int, clients: List[Client], *,
+                      batched: bool) -> List[ClientUpdate]:
+        return self._dense_updates(
+            round_index, clients, batched=batched,
+            prox_mu=self.mu, prox_center=self.global_params)
 
     def cohort_batchable(self) -> bool:
         # the proximal term broadcasts along the client axis, so FedProx
@@ -62,28 +53,7 @@ class FedProx(Strategy):
     def local_update_cohort(self, round_index: int,
                             clients: List[Client]
                             ) -> Optional[List[ClientUpdate]]:
-        context = self._require_context()
-        config = context.config
-        results = train_cohort_batched(
-            context.model,
-            [self.global_params] * len(clients),
-            [client.train_data for client in clients],
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, prox_mu=self.mu,
-            prox_center=self.global_params,
-            rngs=[self._client_rng(round_index, client.client_id)
-                  for client in clients])
-        updates = []
-        for client, result in zip(clients, results):
-            flops, upload, download = self._round_footprint(client)
-            updates.append(ClientUpdate(
-                client_id=client.client_id, params=result.params,
-                num_examples=client.num_train_examples,
-                train_accuracy=result.train_accuracy,
-                train_loss=result.train_loss,
-                flops=flops, upload_bytes=upload, download_bytes=download))
-        return updates
+        return self._prox_updates(round_index, clients, batched=True)
 
 
 class Oort(Strategy):

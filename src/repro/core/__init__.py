@@ -4,8 +4,7 @@ from .bandit import PUCBVAgent, RatioPartition
 from .convergence import (empirical_parameter_gap, gradient_norm_trajectory,
                           lemma1_gap_bound, max_learning_rate, theorem1_bound)
 from .importance import ImportanceIndicator, initialize_importance
-from .losses import (LossBreakdown, add_gradients, combine_unit_gradients,
-                     proximal_gradient, proximal_loss)
+from .losses import combine_unit_gradients
 from .sparse_training import SparseTrainingResult, learnable_sparse_training
 from .strategy import PATTERN_MODES, RATIO_POLICIES, FedLPS
 from .utility import accuracy_utility, utility_gain
@@ -22,11 +21,7 @@ __all__ = [
     "RatioPartition",
     "accuracy_utility",
     "utility_gain",
-    "proximal_loss",
-    "proximal_gradient",
-    "add_gradients",
     "combine_unit_gradients",
-    "LossBreakdown",
     "lemma1_gap_bound",
     "theorem1_bound",
     "max_learning_rate",

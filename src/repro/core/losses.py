@@ -8,58 +8,15 @@
 * ``L_ir = ||Q - sigmoid(|omega|_J)||^2`` keeps the importance indicator from
   drifting or over-sharpening (Eq. 8).
 
-The helpers below compute the extra loss values and their parameter
-gradients so the client update can add them to the task gradients produced
-by back-propagation.
+The trainer (:mod:`repro.core.sparse_training`) spells ``L_pr`` and ``L_ir``
+along the client axis; here is how the two importance gradients meet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping
 
 import numpy as np
-
-from ..nn.params import ParamDict
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """The three components of the FedLPS local loss for reporting."""
-
-    task: float
-    proximal: float
-    importance: float
-
-    @property
-    def total(self) -> float:
-        return self.task + self.proximal + self.importance
-
-
-def proximal_loss(params: Mapping[str, np.ndarray],
-                  reference: Mapping[str, np.ndarray], mu: float) -> float:
-    """``mu * ||omega - omega_ref||^2`` (Eq. 7 weighted by ``mu``)."""
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    total = 0.0
-    for key in params:
-        diff = params[key] - reference[key]
-        total += float(np.sum(diff ** 2))
-    return mu * total
-
-
-def proximal_gradient(params: Mapping[str, np.ndarray],
-                      reference: Mapping[str, np.ndarray], mu: float) -> ParamDict:
-    """Gradient of the proximal term with respect to the parameters."""
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    return {key: 2.0 * mu * (params[key] - reference[key]) for key in params}
-
-
-def add_gradients(base: Mapping[str, np.ndarray],
-                  extra: Mapping[str, np.ndarray]) -> ParamDict:
-    """Sum two gradient dictionaries that share the same keys."""
-    return {key: base[key] + extra[key] for key in base}
 
 
 def combine_unit_gradients(task_gate_grads: Mapping[str, np.ndarray],

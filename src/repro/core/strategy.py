@@ -119,56 +119,83 @@ class FedLPS(Strategy):
 
     # --------------------------------------------------------- local update
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
+        if self.pattern_mode == "learnable":
+            return self._learnable_updates(round_index, [client],
+                                           batched=False)[0]
+        return self._heuristic_update(round_index, client)
+
+    def _learnable_updates(self, round_index: int, clients: List[Client], *,
+                           batched: bool) -> List[ClientUpdate]:
+        """Learnable sparse training (Alg. 1 lines 17-27) for ``clients``:
+        one stacked tensor program when ``batched``, else client by client
+        on ``context.model``."""
         context = self._require_context()
         config = context.config
-        state = client.state
-        ratio = self._effective_ratio(client)
-        rng = self._client_rng(round_index, client.client_id)
-
-        if self.pattern_mode == "learnable":
-            importance = state.get("importance")
+        importances: List[ImportanceIndicator] = []
+        for client in clients:
+            importance = client.state.get("importance")
             if importance is None:
                 # initialize from the broadcast global model, not from whatever
                 # scratch state a previous client's training left behind — the
                 # initial importance must be a pure function of the broadcast
-                # so results do not depend on execution order
+                # and the client's seed so results do not depend on execution
+                # order
                 context.model.set_parameters(self.global_params)
                 importance = initialize_importance(
-                    context.model, seed=config.seed * 104_729 + client.client_id)
-            result = learnable_sparse_training(
-                context.model, self.global_params, importance, client.train_data,
-                sparse_ratio=ratio, iterations=config.local_iterations,
-                batch_size=config.batch_size, learning_rate=config.learning_rate,
-                momentum=config.momentum, clip_norm=config.clip_norm,
-                prox_mu=config.prox_mu,
-                importance_lambda=config.importance_lambda,
-                importance_learning_rate=self.importance_learning_rate, rng=rng)
-            pattern = result.pattern
-            residual = result.residual
-            personalized = result.personalized_params
-            state["importance"] = result.importance
-            train_accuracy = result.train_accuracy
-            train_loss = result.train_loss
+                    context.model,
+                    seed=config.seed * 104_729 + client.client_id)
+            importances.append(importance)
+        ratios = [self._effective_ratio(client) for client in clients]
+        datasets = [client.train_data for client in clients]
+        rngs = [self._client_rng(round_index, client.client_id)
+                for client in clients]
+        options = dict(
+            iterations=config.local_iterations, batch_size=config.batch_size,
+            learning_rate=config.learning_rate, momentum=config.momentum,
+            clip_norm=config.clip_norm, prox_mu=config.prox_mu,
+            importance_lambda=config.importance_lambda,
+            importance_learning_rate=self.importance_learning_rate)
+        if batched:
+            results = learnable_sparse_training_cohort(
+                context.model, self.global_params, importances, datasets,
+                sparse_ratios=ratios, rngs=rngs, **options)
         else:
-            pattern, residual, personalized, train_accuracy, train_loss = \
-                self._heuristic_update(round_index, client, ratio, rng)
+            results = [learnable_sparse_training(
+                context.model, self.global_params, importance, dataset,
+                sparse_ratio=ratio, rng=rng, **options)
+                for importance, dataset, ratio, rng
+                in zip(importances, datasets, ratios, rngs)]
+        updates = []
+        for client, ratio, result in zip(clients, ratios, results):
+            client.state["importance"] = result.importance
+            updates.append(self._record_update(
+                client, ratio, result, pattern=result.pattern,
+                residual=result.residual,
+                personalized=result.personalized_params))
+        return updates
 
+    def _record_update(self, client: Client, ratio: float, result, *,
+                       pattern: UnitPattern, residual: ParamDict,
+                       personalized: ParamDict) -> ClientUpdate:
+        """Store the client's personalized sparse model (Alg. 1 line 24) and
+        wrap the masked residual it uploads (line 25); ``result`` carries the
+        trainer's metrics."""
+        state = client.state
         state["personal_params"] = personalized
         state["personal_pattern"] = pattern
         state["last_ratio"] = ratio
-
         flops, upload, download = self._round_footprint(client, pattern=pattern)
         return ClientUpdate(
             client_id=client.client_id, params=residual,
             num_examples=client.num_train_examples,
-            train_accuracy=train_accuracy, train_loss=train_loss,
+            train_accuracy=result.train_accuracy, train_loss=result.train_loss,
             pattern=pattern, sparse_ratio=ratio, flops=flops,
             upload_bytes=upload, download_bytes=download)
 
     # ------------------------------------------------------ cohort batching
     def cohort_batchable(self) -> bool:
-        # only the learnable path has a batched twin; the heuristic pattern
-        # ablations go through train_locally's per-client loop
+        # only the learnable path runs stacked; the heuristic pattern
+        # ablations go through train_locally, one client at a time
         context = self._require_context()
         return (self.pattern_mode == "learnable"
                 and batchable_model(context.model))
@@ -176,56 +203,15 @@ class FedLPS(Strategy):
     def local_update_cohort(self, round_index: int,
                             clients: List[Client]
                             ) -> Optional[List[ClientUpdate]]:
-        context = self._require_context()
-        config = context.config
-        importances: List[ImportanceIndicator] = []
-        ratios: List[float] = []
-        for client in clients:
-            importance = client.state.get("importance")
-            if importance is None:
-                # same pure-function initialization as the per-client path:
-                # from the broadcast global model and the client's seed only
-                context.model.set_parameters(self.global_params)
-                importance = initialize_importance(
-                    context.model,
-                    seed=config.seed * 104_729 + client.client_id)
-            importances.append(importance)
-            ratios.append(self._effective_ratio(client))
-        results = learnable_sparse_training_cohort(
-            context.model, self.global_params, importances,
-            [client.train_data for client in clients],
-            sparse_ratios=ratios, iterations=config.local_iterations,
-            batch_size=config.batch_size, learning_rate=config.learning_rate,
-            momentum=config.momentum, clip_norm=config.clip_norm,
-            prox_mu=config.prox_mu,
-            importance_lambda=config.importance_lambda,
-            importance_learning_rate=self.importance_learning_rate,
-            rngs=[self._client_rng(round_index, client.client_id)
-                  for client in clients])
-        updates = []
-        for client, ratio, result in zip(clients, ratios, results):
-            state = client.state
-            state["importance"] = result.importance
-            state["personal_params"] = result.personalized_params
-            state["personal_pattern"] = result.pattern
-            state["last_ratio"] = ratio
-            flops, upload, download = self._round_footprint(
-                client, pattern=result.pattern)
-            updates.append(ClientUpdate(
-                client_id=client.client_id, params=result.residual,
-                num_examples=client.num_train_examples,
-                train_accuracy=result.train_accuracy,
-                train_loss=result.train_loss,
-                pattern=result.pattern, sparse_ratio=ratio, flops=flops,
-                upload_bytes=upload, download_bytes=download))
-        return updates
+        return self._learnable_updates(round_index, clients, batched=True)
 
-    def _heuristic_update(self, round_index: int, client: Client, ratio: float,
-                          rng: np.random.Generator
-                          ) -> Tuple[UnitPattern, ParamDict, ParamDict, float, float]:
+    def _heuristic_update(self, round_index: int,
+                          client: Client) -> ClientUpdate:
         """Pattern-ablation path: heuristic pattern + masked sparse training."""
         context = self._require_context()
         config = context.config
+        ratio = self._effective_ratio(client)
+        rng = self._client_rng(round_index, client.client_id)
         context.model.set_parameters(self.global_params)
         pattern = heuristic_pattern(self.pattern_mode, context.model, ratio,
                                     round_index=round_index, rng=rng)
@@ -237,9 +223,11 @@ class FedLPS(Strategy):
             clip_norm=config.clip_norm, prox_mu=config.prox_mu,
             prox_center=self.global_params, pattern=pattern,
             param_mask=param_mask, rng=rng)
-        personalized = multiply(result.params, param_mask)
-        residual = multiply(subtract(self.global_params, result.params), param_mask)
-        return pattern, residual, personalized, result.train_accuracy, result.train_loss
+        return self._record_update(
+            client, ratio, result, pattern=pattern,
+            residual=multiply(subtract(self.global_params, result.params),
+                              param_mask),
+            personalized=multiply(result.params, param_mask))
 
     def _effective_ratio(self, client: Client) -> float:
         """Cap the server-decided ratio by the client's capability (Sec. III-B).

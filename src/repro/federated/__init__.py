@@ -7,7 +7,7 @@ from .client import Client
 from .config import AGGREGATIONS, FederatedConfig, FleetConfig
 from .evaluation import average_personalized_accuracy, evaluate_params
 from .fleet import ClientFleet, FleetStateStore, bind_client_state_initializer
-from .local import LocalUpdateResult, iterate_batches, train_locally
+from .local import LocalUpdateResult, train_locally
 from .strategy import ClientUpdate, Strategy, StrategyContext
 from .trainer import FederatedTrainer, run_federated
 
@@ -27,7 +27,6 @@ __all__ = [
     "train_locally",
     "train_cohort_batched",
     "client_batch_schedule",
-    "iterate_batches",
     "LocalUpdateResult",
     "evaluate_params",
     "average_personalized_accuracy",

@@ -1,29 +1,28 @@
-"""Vectorized cohort-local training: the client axis as a tensor dimension.
+"""The generic local trainer: one step body, run as a cohort program.
 
-``train_cohort_batched`` is the batched twin of
-:func:`repro.federated.local.train_locally`: it stacks a cohort's
-same-architecture clients along a leading client axis and runs ONE batched
-forward/backward/SGD-step program per mini-batch step.  Per-client masks and
-unit-gate patterns apply as multiplicative gates broadcast along the client
-axis; per-client prox terms and metrics are last-axis reductions of the
-stack, slice-identical to the sequential ones.
+Local SGD for ``C`` same-architecture clients is ONE body
+(:func:`_train_program`) over a *program* — an object with
+:class:`~repro.nn.batched.BatchedModel`'s training surface, every parameter,
+gradient and gate carrying a leading client axis.
+:func:`train_cohort_batched` runs it on a ``BatchedModel``,
+:func:`repro.federated.local.train_locally` on a
+:class:`~repro.nn.batched.CohortOfOne` (the client's own ``Sequential``,
+trained in place by its own kernels).
 
-Ragged cohorts — clients whose shard is smaller than the batch size — pad
-to the widest per-client batch with zero rows and per-client row counts;
-the padded rows are provable no-ops (the loss gradient zeroes them before
-backward, and count-aware reductions in :mod:`repro.nn.batched` keep every
-summation tree identical to the sequential loop).
-
-Each client's mini-batch index sequence replicates
-:func:`repro.federated.local.iterate_batches` exactly (same RNG consumption,
-same reshuffle-on-exhaustion), so a batched run consumes per-client RNG
-streams identically to the per-client loop and the resulting
-:class:`~repro.federated.local.LocalUpdateResult` list is bit-for-bit equal
-to running ``train_locally`` once per client.
+The body covers what the baselines combine: dense SGD (FedAvg), a proximal
+pull (FedProx, Ditto), parameter masks that keep zeroed entries zero,
+unit-gate patterns for structured sub-models (HeteroFL, FjORD, FedRolex)
+and updates restricted to some keys (FedPer, FedRep heads).  Clients whose
+shard is smaller than the batch pad to the widest batch with zero rows and
+per-client row counts (provable no-ops, see :mod:`repro.nn.batched`), and
+every client draws its mini-batches from its own RNG stream
+(:func:`client_batch_schedule`), so its :class:`LocalUpdateResult` is
+bit-for-bit the same whichever cohort — or none — it trains in.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,22 +32,30 @@ from ..nn.batched import BatchedModel, stack_param_dicts, unstack_param_dict
 from ..nn.losses import accuracy_cohort, softmax_cross_entropy_cohort
 from ..nn.model import Sequential
 from ..nn.optim import BatchedSGD, cohort_squared_norms
-from ..nn.params import ParamDict, copy_params, multiply
-from ..sparsity.masks import gates_from_pattern
-from .local import LocalUpdateResult
+from ..nn.params import ParamDict, multiply
 
-__all__ = ["client_batch_schedule", "train_cohort_batched"]
+__all__ = ["CohortBatches", "LocalUpdateResult", "client_batch_schedule",
+           "train_cohort_batched"]
+
+
+@dataclass
+class LocalUpdateResult:
+    """Outcome of one client's local training pass."""
+
+    params: ParamDict
+    train_accuracy: float
+    train_loss: float
+    examples_seen: int
 
 
 def client_batch_schedule(n_examples: int, batch_size: int, iterations: int, *,
                           rng: np.random.Generator) -> List[np.ndarray]:
-    """Precompute the index batches ``iterate_batches`` would draw.
+    """One client's ``iterations`` mini-batch index arrays for a round.
 
-    Consumes ``rng`` exactly as :func:`repro.federated.local.iterate_batches`
-    does (one permutation up front, reshuffle when fewer than ``batch_size``
-    indices remain), so a batched run and a sequential run advance a
-    client's RNG stream identically.  Every batch has the same length
-    ``min(batch_size, n_examples)``.
+    Draws one permutation up front and reshuffles when fewer than
+    ``batch_size`` indices remain; the draws depend on ``rng`` alone, so a
+    client's stream advances the same way in any cohort.  Every batch has
+    the same length ``min(batch_size, n_examples)``.
     """
     batches: List[np.ndarray] = []
     if iterations <= 0:
@@ -62,6 +69,125 @@ def client_batch_schedule(n_examples: int, batch_size: int, iterations: int, *,
         batches.append(indices[cursor:cursor + batch_size])
         cursor += batch_size
     return batches
+
+
+class CohortBatches:
+    """What both trainer families do around their step: per-client argument
+    checks, batch schedules, the padded ``(C, width, ...)`` gather and the
+    ``(C, steps)`` metric ledgers."""
+
+    def __init__(self, program, datasets: Sequence[Dataset], *,
+                 batch_size: int, iterations: int,
+                 rngs: Optional[Sequence[np.random.Generator]],
+                 **per_client: Optional[Sequence]) -> None:
+        cohort = len(datasets)
+        for name, value in dict(per_client, rngs=rngs).items():
+            if value is not None and len(value) != cohort:
+                raise ValueError(f"{name} must have one entry per client")
+        if rngs is None:
+            rngs = [np.random.default_rng(0) for _ in range(cohort)]
+        self.program = program
+        self.datasets = datasets
+        self.schedules = [client_batch_schedule(len(dataset), batch_size,
+                                                iterations, rng=rng)
+                          for dataset, rng in zip(datasets, rngs)]
+        self.steps = len(self.schedules[0])
+        self.counts = np.array([len(schedule[0]) if self.steps else 0
+                                for schedule in self.schedules], dtype=np.int64)
+        width = int(self.counts.max())
+        if np.any(self.counts != width):
+            program.set_batch_counts(self.counts)
+        # the dataset's own input dtype: token ids reach an Embedding as ints
+        self._x = np.zeros((cohort, width) + datasets[0].x.shape[1:],
+                           dtype=datasets[0].x.dtype)
+        self._y = np.zeros((cohort, width), dtype=np.int64)
+        # one all-zero column when no step runs, so both means read 0.0
+        self.losses = np.zeros((cohort, max(self.steps, 1)))
+        self._accuracies = np.zeros_like(self.losses)
+
+    def step(self, step: int) -> np.ndarray:
+        """Gather every client's batch of ``step``, run forward, loss and
+        backward, record the accuracies and return the ``(C,)`` task losses
+        (the trainer fills in ``losses[:, step]``)."""
+        for index, dataset in enumerate(self.datasets):
+            batch = self.schedules[index][step]
+            self._x[index, :self.counts[index]] = dataset.x[batch]
+            self._y[index, :self.counts[index]] = dataset.y[batch]
+        self.program.zero_grad()
+        logits = self.program.forward(self._x, train=True)
+        task_losses, grad = softmax_cross_entropy_cohort(
+            logits, self._y, self.counts)
+        self._accuracies[:, step] = accuracy_cohort(logits, self._y, self.counts)
+        self.program.backward(grad, input_grad=False)
+        return task_losses
+
+    def metrics(self) -> List[Dict[str, float]]:
+        """Per client: the step means and ``examples_seen`` of a result."""
+        accuracies = np.mean(self._accuracies, axis=-1)
+        losses = np.mean(self.losses, axis=-1)
+        return [dict(train_accuracy=float(accuracies[index]),
+                     train_loss=float(losses[index]),
+                     examples_seen=self.steps * int(count))
+                for index, count in enumerate(self.counts)]
+
+
+def _train_program(program, start_params, datasets, *, iterations, batch_size,
+                   learning_rate, momentum, clip_norm, prox_mu, prox_center,
+                   param_masks, patterns, trainable_keys, rngs
+                   ) -> List[LocalUpdateResult]:
+    """The generic trainer's one body: local SGD for ``len(datasets)``
+    clients on ``program``, whose arrays carry them on the leading axis."""
+    batches = CohortBatches(program, datasets, batch_size=batch_size,
+                            iterations=iterations, rngs=rngs,
+                            start_params=start_params,
+                            param_masks=param_masks, patterns=patterns)
+
+    starts = stack_param_dicts(start_params)
+    stacked_masks = None if param_masks is None \
+        else stack_param_dicts(param_masks)
+    program.set_parameters(starts if stacked_masks is None
+                           else multiply(starts, stacked_masks))
+    if patterns is not None:
+        program.set_unit_gates(stack_param_dicts(patterns))
+    centers: Optional[ParamDict] = None
+    if prox_mu > 0.0:
+        # each client's own unmasked start (set_parameters loaded a copy), or
+        # the shared center as a (1, ...) stack broadcast along the client axis
+        centers = starts if prox_center is None \
+            else stack_param_dicts([prox_center])
+
+    optimizer = BatchedSGD(learning_rate, momentum=momentum,
+                           clip_norm=clip_norm)
+    # the optimizer steps these arrays in place for the whole round
+    params = program.live_parameters()
+    # frozen keys step by zeros: the substitution is step-invariant
+    frozen = {} if trainable_keys is None else {
+        key: np.zeros_like(value) for key, value in params.items()
+        if key not in trainable_keys}
+
+    for step in range(batches.steps):
+        losses = batches.step(step)
+        grads = program.live_gradients()
+        if centers is not None:
+            # grads + (2 * mu) * (w - center) from the PRE-step drift; the
+            # loss term accumulates the per-key sums in dictionary order
+            drift = {key: value - centers[key] for key, value in params.items()}
+            grads = {key: grad + drift[key] * (2.0 * prox_mu)
+                     for key, grad in grads.items()}
+            losses = losses + prox_mu * cohort_squared_norms(drift)
+        if stacked_masks is not None:
+            grads = {key: grads[key] * stacked_masks[key] for key in grads}
+        if frozen:
+            grads = {key: frozen.get(key, grad) for key, grad in grads.items()}
+        batches.losses[:, step] = losses
+        optimizer.step(params, grads)
+    program.set_unit_gates(None)
+
+    if stacked_masks is not None:
+        params = multiply(params, stacked_masks)
+    return [LocalUpdateResult(params=unstack_param_dict(params, index),
+                              **metrics)
+            for index, metrics in enumerate(batches.metrics())]
 
 
 def train_cohort_batched(
@@ -89,106 +215,11 @@ def train_cohort_batched(
     client's own ``start_params`` when ``prox_mu > 0``, matching
     ``train_locally``).
     """
-    cohort = len(datasets)
-    if cohort == 0:
+    if len(datasets) == 0:
         return []
-    if len(start_params) != cohort:
-        raise ValueError("start_params and datasets must have equal length")
-    for name, value in (("param_masks", param_masks), ("patterns", patterns),
-                        ("rngs", rngs)):
-        if value is not None and len(value) != cohort:
-            raise ValueError(f"{name} must have one entry per client")
-    if rngs is None:
-        rngs = [np.random.default_rng(0) for _ in range(cohort)]
-
-    batched = BatchedModel(model, cohort)
-    masked_starts: List[ParamDict] = []
-    for index in range(cohort):
-        params = copy_params(start_params[index])
-        if param_masks is not None:
-            params = multiply(params, param_masks[index])
-        masked_starts.append(params)
-    batched.set_parameters(stack_param_dicts(masked_starts))
-
-    stacked_masks: Optional[ParamDict] = None
-    if param_masks is not None:
-        stacked_masks = stack_param_dicts(param_masks)
-    if patterns is not None:
-        gate_dicts = [gates_from_pattern(pattern) for pattern in patterns]
-        batched.set_unit_gates(
-            {name: np.stack([gates[name] for gates in gate_dicts])
-             for name in gate_dicts[0]})
-
-    centers: Optional[ParamDict] = None
-    if prox_mu > 0.0:
-        if prox_center is not None:
-            # shared center: a (1, ...) view broadcasts along the client axis
-            centers = {key: np.asarray(value, dtype=np.float64)[None]
-                       for key, value in prox_center.items()}
-        else:
-            centers = stack_param_dicts([copy_params(p) for p in start_params])
-
-    schedules = [client_batch_schedule(len(datasets[index]), batch_size,
-                                       iterations, rng=rngs[index])
-                 for index in range(cohort)]
-    steps = len(schedules[0])
-    counts = np.array([len(schedule[0]) if steps else 0
-                       for schedule in schedules], dtype=np.int64)
-    width = int(counts.max())
-    if np.any(counts != width):
-        batched.set_batch_counts(counts)
-
-    optimizer = BatchedSGD(learning_rate, momentum=momentum,
-                           clip_norm=clip_norm)
-    # the optimizer steps these arrays in place for the whole round
-    params = batched.live_parameters()
-    losses = np.zeros((cohort, steps))
-    accuracies = np.zeros((cohort, steps))
-
-    frozen_zeros: Optional[Dict[str, np.ndarray]] = None
-    allowed: Optional[set] = None
-    if trainable_keys is not None:
-        allowed = set(trainable_keys)
-        frozen_zeros = {key: np.zeros_like(value)
-                        for key, value in params.items()
-                        if key not in allowed}
-
-    x_pad = np.zeros((cohort, width) + datasets[0].x.shape[1:])
-    y_pad = np.zeros((cohort, width), dtype=np.int64)
-    for step in range(steps):
-        for index in range(cohort):
-            batch = schedules[index][step]
-            x_pad[index, :counts[index]] = datasets[index].x[batch]
-            y_pad[index, :counts[index]] = datasets[index].y[batch]
-        batched.zero_grad()
-        logits = batched.forward(x_pad, train=True)
-        losses[:, step], grad = softmax_cross_entropy_cohort(
-            logits, y_pad, counts)
-        accuracies[:, step] = accuracy_cohort(logits, y_pad, counts)
-        batched.backward(grad, input_grad=False)
-        grads = batched.live_gradients()
-        if centers is not None:
-            # mirror train_locally: grads + (2 * mu) * (w - center), and the
-            # loss term accumulates the per-key sums in dictionary order
-            drift = {key: value - centers[key] for key, value in params.items()}
-            grads = {key: grad + drift[key] * (2.0 * prox_mu)
-                     for key, grad in grads.items()}
-            losses[:, step] += prox_mu * cohort_squared_norms(drift)
-        if stacked_masks is not None:
-            grads = {key: grads[key] * stacked_masks[key] for key in grads}
-        if allowed is not None:
-            grads = {key: (value if key in allowed else frozen_zeros[key])
-                     for key, value in grads.items()}
-        optimizer.step(params, grads)
-
-    final_stacked = params
-    if stacked_masks is not None:
-        final_stacked = multiply(params, stacked_masks)
-    train_accuracies = np.mean(accuracies, axis=-1) if steps else np.zeros(cohort)
-    train_losses = np.mean(losses, axis=-1) if steps else np.zeros(cohort)
-    return [LocalUpdateResult(
-        params=unstack_param_dict(final_stacked, index),
-        train_accuracy=float(train_accuracies[index]),
-        train_loss=float(train_losses[index]),
-        examples_seen=steps * int(counts[index]))
-        for index in range(cohort)]
+    return _train_program(
+        BatchedModel(model, len(datasets)), start_params, datasets,
+        iterations=iterations, batch_size=batch_size,
+        learning_rate=learning_rate, momentum=momentum, clip_norm=clip_norm,
+        prox_mu=prox_mu, prox_center=prox_center, param_masks=param_masks,
+        patterns=patterns, trainable_keys=trainable_keys, rngs=rngs)

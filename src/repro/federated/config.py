@@ -139,6 +139,16 @@ class FederatedConfig:
             raise ValueError("batch_size must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        # checked here so a bad value fails at construction, not from the
+        # optimizer inside the first worker task (a remote traceback)
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ValueError("clip_norm must be positive (or None)")
+        if self.prox_mu < 0:
+            raise ValueError("prox_mu must be non-negative")
+        if self.importance_lambda < 0:
+            raise ValueError("importance_lambda must be non-negative")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
         if self.aggregation not in AGGREGATIONS:

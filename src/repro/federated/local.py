@@ -1,52 +1,24 @@
-"""Generic local SGD training used by every federated strategy.
+"""One client's local SGD: the ``C = 1`` case of the cohort program.
 
-The helper supports the ingredients the different baselines combine:
-
-* plain dense SGD (FedAvg),
-* proximal regularization towards a reference point (FedProx, Ditto),
-* parameter-level masking so zeroed entries stay zero (sparse training),
-* unit-gate patterns for structured sub-models (HeteroFL, FjORD, FedRolex),
-* restricting updates to a subset of parameters (FedPer, FedRep heads).
+:func:`train_locally`, every strategy's per-client entry point, owns no
+training loop: it runs the one step body of :mod:`repro.federated.batched`
+over a :class:`~repro.nn.batched.CohortOfOne` — the client's ``Sequential``
+trained in place by its own kernels, so models without batched kernels
+(dropout, embeddings, recurrent layers, gated sub-models) train as before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..data.dataset import Dataset
-from ..nn import SGD, accuracy, softmax_cross_entropy
+from ..nn.batched import CohortOfOne
 from ..nn.model import Sequential
-from ..nn.params import ParamDict, add_, copy_params, multiply, scale_, subtract
-from ..sparsity.masks import gates_from_pattern
+from .batched import LocalUpdateResult, _train_program
 
-
-@dataclass
-class LocalUpdateResult:
-    """Outcome of one client's local training pass."""
-
-    params: ParamDict
-    train_accuracy: float
-    train_loss: float
-    examples_seen: int
-
-
-def iterate_batches(dataset: Dataset, batch_size: int, iterations: int, *,
-                    rng: np.random.Generator) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield exactly ``iterations`` mini-batches, reshuffling when exhausted."""
-    if iterations <= 0:
-        return
-    indices = rng.permutation(len(dataset))
-    cursor = 0
-    for _ in range(iterations):
-        if cursor + batch_size > len(indices):
-            indices = rng.permutation(len(dataset))
-            cursor = 0
-        batch = indices[cursor:cursor + batch_size]
-        cursor += batch_size
-        yield dataset.x[batch], dataset.y[batch]
+__all__ = ["LocalUpdateResult", "train_locally"]
 
 
 def train_locally(model: Sequential, start_params: Mapping[str, np.ndarray],
@@ -61,7 +33,8 @@ def train_locally(model: Sequential, start_params: Mapping[str, np.ndarray],
     """Run local SGD and return the resulting parameters and training stats.
 
     Args:
-        model: the shared model object (its parameters are overwritten).
+        model: the shared model object (its parameters are overwritten: it
+            holds the trained parameters, gates cleared, on return).
         start_params: parameters the client starts from.
         dataset: the client's local training shard.
         iterations: number of SGD steps (``E`` in the paper).
@@ -77,66 +50,12 @@ def train_locally(model: Sequential, start_params: Mapping[str, np.ndarray],
         trainable_keys: if given, only these parameter keys are updated.
         rng: randomness source for batch sampling.
     """
-    rng = rng or np.random.default_rng(0)
-    params = copy_params(start_params)
-    if param_mask is not None:
-        params = multiply(params, param_mask)
-    model.set_parameters(params)
-    if pattern is not None:
-        model.set_unit_gates(gates_from_pattern(pattern))
-    center = None
-    if prox_mu > 0.0:
-        center = copy_params(prox_center if prox_center is not None else start_params)
-
-    optimizer = SGD(learning_rate, momentum=momentum, clip_norm=clip_norm)
-    # the frozen-key substitution is step-invariant: resolve the allowed
-    # set and the zero replacements once instead of per SGD step
-    allowed = set(trainable_keys) if trainable_keys is not None else None
-    frozen_zeros: Dict[str, np.ndarray] = {}
-    if allowed is not None:
-        frozen_zeros = {key: np.zeros_like(value)
-                        for key, value in model.get_parameters().items()
-                        if key not in allowed}
-    losses = []
-    accuracies = []
-    examples = 0
-    for batch_x, batch_y in iterate_batches(dataset, batch_size, iterations, rng=rng):
-        model.zero_grad()
-        logits = model.forward(batch_x, train=True)
-        loss, grad = softmax_cross_entropy(logits, batch_y)
-        accuracies.append(accuracy(logits, batch_y))
-        model.backward(grad, input_grad=False)
-        grads = model.get_gradients()
-        current = model.get_parameters()
-        if prox_mu > 0.0 and center is not None:
-            # in-place: grads += (2 * mu) * (w - w_center); ``grads`` is a
-            # fresh snapshot from get_gradients(), so mutating it is safe,
-            # and the operation order matches the former per-key
-            # ``grads + 2.0 * prox_mu * (current - center)`` bit-for-bit
-            add_(grads, scale_(subtract(current, center), 2.0 * prox_mu))
-            loss += prox_mu * float(
-                sum(np.sum((current[key] - center[key]) ** 2) for key in current))
-        if param_mask is not None:
-            grads = {key: grads[key] * param_mask[key] for key in grads}
-        if allowed is not None:
-            grads = {key: (value if key in allowed else frozen_zeros[key])
-                     for key, value in grads.items()}
-        losses.append(loss)
-        examples += len(batch_y)
-        optimizer.step(model.live_parameters(), grads)
-    model.set_unit_gates(None)
-    final_params = model.get_parameters()
-    if param_mask is not None:
-        final_params = multiply(final_params, param_mask)
-    return LocalUpdateResult(
-        params=final_params,
-        train_accuracy=float(np.mean(accuracies)) if accuracies else 0.0,
-        train_loss=float(np.mean(losses)) if losses else 0.0,
-        examples_seen=examples,
-    )
-
-
-def average_metric(values: Iterable[float]) -> float:
-    """Mean of an iterable of floats, 0.0 when empty."""
-    values = list(values)
-    return float(np.mean(values)) if values else 0.0
+    return _train_program(
+        CohortOfOne(model), [start_params], [dataset],
+        iterations=iterations, batch_size=batch_size,
+        learning_rate=learning_rate, momentum=momentum, clip_norm=clip_norm,
+        prox_mu=prox_mu, prox_center=prox_center,
+        param_masks=None if param_mask is None else [param_mask],
+        patterns=None if pattern is None else [pattern],
+        trainable_keys=trainable_keys,
+        rngs=None if rng is None else [rng])[0]

@@ -137,20 +137,40 @@ class Strategy:
     # --------------------------------------------------------- local update
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
         """Dense local SGD starting from the global parameters."""
+        return self._dense_updates(round_index, [client], batched=False)[0]
+
+    def _dense_updates(self, round_index: int, clients: List[Client], *,
+                       batched: bool, **trainer_options) -> List[ClientUpdate]:
+        """Dense local SGD from the global parameters for ``clients``: one
+        stacked tensor program when ``batched``, else client by client on
+        ``context.model``.  ``trainer_options`` reach the trainer as is."""
         context = self._require_context()
         config = context.config
-        result = train_locally(
-            context.model, self.global_params, client.train_data,
+        options = dict(
             iterations=config.local_iterations, batch_size=config.batch_size,
             learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm,
-            rng=self._client_rng(round_index, client.client_id))
-        flops, upload, download = self._round_footprint(client, pattern=None)
-        return ClientUpdate(
-            client_id=client.client_id, params=result.params,
-            num_examples=client.num_train_examples,
-            train_accuracy=result.train_accuracy, train_loss=result.train_loss,
-            flops=flops, upload_bytes=upload, download_bytes=download)
+            clip_norm=config.clip_norm, **trainer_options)
+        datasets = [client.train_data for client in clients]
+        rngs = [self._client_rng(round_index, client.client_id)
+                for client in clients]
+        if batched:
+            results = train_cohort_batched(
+                context.model, [self.global_params] * len(clients), datasets,
+                rngs=rngs, **options)
+        else:
+            results = [train_locally(context.model, self.global_params,
+                                     dataset, rng=rng, **options)
+                       for dataset, rng in zip(datasets, rngs)]
+        updates = []
+        for client, result in zip(clients, results):
+            flops, upload, download = self._round_footprint(client)
+            updates.append(ClientUpdate(
+                client_id=client.client_id, params=result.params,
+                num_examples=client.num_train_examples,
+                train_accuracy=result.train_accuracy,
+                train_loss=result.train_loss,
+                flops=flops, upload_bytes=upload, download_bytes=download))
+        return updates
 
     # ------------------------------------------------------ cohort batching
     def cohort_batchable(self) -> bool:
@@ -177,27 +197,7 @@ class Strategy:
         ``None`` to make the caller fall back to the per-client loop.  Only
         called when :meth:`cohort_batchable` is true.
         """
-        context = self._require_context()
-        config = context.config
-        results = train_cohort_batched(
-            context.model,
-            [self.global_params] * len(clients),
-            [client.train_data for client in clients],
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm,
-            rngs=[self._client_rng(round_index, client.client_id)
-                  for client in clients])
-        updates = []
-        for client, result in zip(clients, results):
-            flops, upload, download = self._round_footprint(client, pattern=None)
-            updates.append(ClientUpdate(
-                client_id=client.client_id, params=result.params,
-                num_examples=client.num_train_examples,
-                train_accuracy=result.train_accuracy,
-                train_loss=result.train_loss,
-                flops=flops, upload_bytes=upload, download_bytes=download))
-        return updates
+        return self._dense_updates(round_index, clients, batched=True)
 
     # ----------------------------------------------------------- aggregation
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:

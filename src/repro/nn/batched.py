@@ -47,11 +47,23 @@ sequential :mod:`repro.nn` layers bit-for-bit:
   (the first layer's input gradient under ``backward(...,
   input_grad=False)``, the pooling index of an evaluation forward) never
   touch the arithmetic; the shape, layout or order of a matmul or
-  ``np.sum`` operand does, so those stay exactly as written.
+  ``np.sum`` operand does, so those stay exactly as written;
+* one client is a cohort of one, but NOT through the batched matmul
+  (``(1, N, K) @ (1, K, M)`` against the 2-D GEMM is not a proven
+  bit-identity): :class:`CohortOfOne` puts this module's training surface
+  over a single ``Sequential`` with leading-axis views only
+  (``value[None]`` out, ``value[0]`` in — no copy, no arithmetic), so the
+  model's own layers see the client's own 2-D / 4-D batch.  That is the
+  sequential Dense / Conv2d GEMMs, and Dropout, Embedding, LSTM and gated
+  sub-models, which have no batched kernel.  Everything the trainers do
+  downstream of the model (cohort losses, ``BatchedSGD``, squared norms,
+  stacked ``Q``) is in the slice-identical classes above.
 
 The equivalence suite in ``tests/federated/test_batched.py`` pins this
 contract against the per-client loop across masks, patterns, prox, momentum,
-clipping and ragged shard sizes.
+clipping and ragged shard sizes; ``tests/nn/test_kernel_equivalence.py``
+keeps the loop the trainers used to own (``_reference_train_locally``,
+``_reference_sparse_training``) as the byte oracle of both layouts.
 """
 
 from __future__ import annotations
@@ -93,8 +105,8 @@ def stack_param_dicts(param_dicts: Sequence[Mapping[str, np.ndarray]]) -> ParamD
     if not param_dicts:
         raise ValueError("cannot stack an empty cohort")
     first = param_dicts[0]
-    return {key: np.stack([np.asarray(params[key], dtype=np.float64)
-                           for params in param_dicts])
+    return {key: np.array([params[key] for params in param_dicts],
+                          dtype=np.float64)
             for key in first}
 
 
@@ -586,3 +598,59 @@ class BatchedModel:
             counts = np.asarray(counts, dtype=np.int64)
         for layer in self.layers:
             layer.batch_counts = counts
+
+
+class CohortOfOne:
+    """:class:`BatchedModel`'s training surface over ONE live ``Sequential``,
+    trained in place by its own kernels: the C = 1 program of the cohort
+    trainers.  No arithmetic happens here.  Every stacked array handed out
+    is a ``value[None]`` view of the model's live array (an in-place
+    optimizer step on it moves the layer's parameter) and every stacked
+    array taken in is unwrapped with ``value[0]``, so each GEMM and
+    reduction operand is the one a per-client loop would pass.
+    """
+
+    def __init__(self, model: Sequential) -> None:
+        self.model = model
+
+    def forward(self, x: Array, *, train: bool = True) -> Array:
+        return self.model.forward(x[0], train=train)[None]
+
+    def backward(self, grad_out: Array, *,
+                 input_grad: bool = True) -> Optional[Array]:
+        grad = self.model.backward(grad_out[0], input_grad=input_grad)
+        return None if grad is None else grad[None]
+
+    def zero_grad(self) -> None:
+        self.model.zero_grad()
+
+    def set_parameters(self, stacked: Mapping[str, np.ndarray]) -> None:
+        self.model.set_parameters(_first(stacked))
+
+    def live_parameters(self) -> Dict[str, np.ndarray]:
+        return _lead(self.model.live_parameters())
+
+    def live_gradients(self) -> Dict[str, np.ndarray]:
+        return _lead(self.model.live_gradients())
+
+    def set_unit_gates(self, gates: Optional[Mapping[str, np.ndarray]]) -> None:
+        self.model.set_unit_gates(None if gates is None else _first(gates))
+
+    def gate_gradients(self) -> Dict[str, np.ndarray]:
+        return _lead(self.model.gate_gradients())
+
+    def unit_weight_magnitudes(self) -> Dict[str, np.ndarray]:
+        return _lead(self.model.unit_weight_magnitudes())
+
+    def set_batch_counts(self, counts: Optional[Sequence[int]]) -> None:
+        """Nothing to install: one client's batch is never padded."""
+
+
+def _lead(arrays: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """``(1, ...)`` views of ``arrays``: a cohort of one, sharing memory."""
+    return {key: value[None] for key, value in arrays.items()}
+
+
+def _first(stacked: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Client 0's views of a stacked ``(1, ...)`` dictionary."""
+    return {key: value[0] for key, value in stacked.items()}

@@ -35,11 +35,14 @@ def cohort_squared_norms(stacked: ParamDict) -> np.ndarray:
     bit-for-bit: the accumulation runs over keys in dictionary order, and
     each per-key last-axis sum over the ``(C, -1)`` view reduces every
     client's contiguous row with the same tree as the sequential
-    full-array ``np.sum``.
+    full-array ``np.sum``.  ``np.square`` / ``np.add.reduce`` are what
+    ``** 2`` / ``np.sum`` dispatch to, called directly: this runs per key,
+    up to twice per training step.
     """
     totals = 0.0
     for value in stacked.values():
-        totals = totals + np.sum((value ** 2).reshape(len(value), -1), axis=-1)
+        totals = totals + np.add.reduce(
+            np.square(value).reshape(len(value), -1), axis=-1)
     return totals
 
 
@@ -79,67 +82,12 @@ class SGD:
     any parameter snapshot (global model, personalized model, masked model).
     """
 
+    _clip = staticmethod(clip_gradients)
+
     def __init__(self, lr: float, *, momentum: float = 0.0,
                  weight_decay: float = 0.0,
                  clip_norm: Optional[float] = None) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.clip_norm = clip_norm
-        self._velocity: ParamDict = {}
-
-    def step(self, params: ParamDict, grads: ParamDict) -> None:
-        """Update ``params`` in place from ``grads``."""
-        if self.clip_norm is not None:
-            grads = clip_gradients(grads, self.clip_norm)
-        for key, param in params.items():
-            grad = grads.get(key)
-            if grad is None:
-                continue
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * param
-            if self.momentum > 0.0:
-                velocity = self._velocity.get(key)
-                if velocity is None:
-                    velocity = np.zeros_like(param)
-                velocity = self.momentum * velocity + grad
-                self._velocity[key] = velocity
-                update = velocity
-            else:
-                update = grad
-            param -= self.lr * update
-
-    def reset_state(self) -> None:
-        """Drop momentum buffers (used when a fresh local round starts)."""
-        self._velocity = {}
-
-
-class BatchedSGD:
-    """SGD over stacked ``(C, ...)`` cohort parameters.
-
-    Mirrors :class:`SGD` exactly per client slice: clipping is per-client
-    (:func:`clip_gradients_cohort`), momentum buffers are stacked, and the
-    update order (clip -> weight decay -> momentum -> ``param -= lr *
-    update``) is element-wise identical to the sequential optimizer.  The
-    learning rate may be a scalar (shared) or a ``(C,)`` vector broadcast
-    along the client axis.
-    """
-
-    def __init__(self, lr, *, momentum: float = 0.0,
-                 weight_decay: float = 0.0,
-                 clip_norm: Optional[float] = None) -> None:
-        if isinstance(lr, np.ndarray):
-            lr = np.asarray(lr, dtype=np.float64)
-            if lr.ndim != 1 or np.any(lr <= 0):
-                raise ValueError("per-client learning rates must be a "
-                                 "positive 1-D vector")
-        elif lr <= 0:
+        if np.any(np.asarray(lr) <= 0):
             raise ValueError("learning rate must be positive")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
@@ -152,15 +100,12 @@ class BatchedSGD:
         self._velocity: ParamDict = {}
 
     def _scaled(self, update: np.ndarray) -> np.ndarray:
-        if isinstance(self.lr, np.ndarray):
-            return self.lr.reshape(
-                (update.shape[0],) + (1,) * (update.ndim - 1)) * update
         return self.lr * update
 
     def step(self, params: ParamDict, grads: ParamDict) -> None:
-        """Update stacked ``params`` in place from stacked ``grads``."""
+        """Update ``params`` in place from ``grads``."""
         if self.clip_norm is not None:
-            grads = clip_gradients_cohort(grads, self.clip_norm)
+            grads = self._clip(grads, self.clip_norm)
         for key, param in params.items():
             grad = grads.get(key)
             if grad is None:
@@ -181,3 +126,32 @@ class BatchedSGD:
     def reset_state(self) -> None:
         """Drop momentum buffers (used when a fresh local round starts)."""
         self._velocity = {}
+
+
+class BatchedSGD(SGD):
+    """:class:`SGD` over stacked ``(C, ...)`` cohort parameters.
+
+    The step is :meth:`SGD.step` itself (element-wise, so every client slice
+    takes the sequential optimizer's step) with two substitutions: clipping
+    is per-client (:func:`clip_gradients_cohort`) and the learning rate may
+    be a ``(C,)`` vector broadcast along the client axis.
+    """
+
+    _clip = staticmethod(clip_gradients_cohort)
+
+    def __init__(self, lr, *, momentum: float = 0.0,
+                 weight_decay: float = 0.0,
+                 clip_norm: Optional[float] = None) -> None:
+        if isinstance(lr, np.ndarray):
+            lr = np.asarray(lr, dtype=np.float64)
+            if lr.ndim != 1 or np.any(lr <= 0):
+                raise ValueError("per-client learning rates must be a "
+                                 "positive 1-D vector")
+        super().__init__(lr, momentum=momentum, weight_decay=weight_decay,
+                         clip_norm=clip_norm)
+
+    def _scaled(self, update: np.ndarray) -> np.ndarray:
+        if isinstance(self.lr, np.ndarray):
+            return self.lr.reshape(
+                (update.shape[0],) + (1,) * (update.ndim - 1)) * update
+        return self.lr * update

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import (FedLPS, ImportanceIndicator, accuracy_utility,
-                        add_gradients, combine_unit_gradients,
-                        initialize_importance, learnable_sparse_training,
-                        proximal_gradient, proximal_loss, utility_gain)
+                        combine_unit_gradients, initialize_importance,
+                        learnable_sparse_training, utility_gain)
 from repro.core.importance import smoothed_unit_magnitudes
 from repro.data import Dataset
 from repro.models import build_mlp
@@ -76,17 +75,7 @@ class TestImportanceIndicator:
 
 
 class TestCoreLosses:
-    def test_proximal_loss_and_gradient(self):
-        params = {"w": np.array([2.0])}
-        center = {"w": np.array([1.0])}
-        assert proximal_loss(params, center, 0.5) == pytest.approx(0.5)
-        np.testing.assert_allclose(proximal_gradient(params, center, 0.5)["w"], [1.0])
-        with pytest.raises(ValueError):
-            proximal_loss(params, center, -1.0)
-
-    def test_add_and_combine_gradients(self):
-        total = add_gradients({"w": np.array([1.0])}, {"w": np.array([2.0])})
-        np.testing.assert_allclose(total["w"], [3.0])
+    def test_combine_unit_gradients(self):
         combined = combine_unit_gradients({"fc": np.array([1.0])},
                                           {"fc": np.array([0.5])})
         np.testing.assert_allclose(combined["fc"], [1.5])

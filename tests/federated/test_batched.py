@@ -22,8 +22,8 @@ from repro.core.importance import initialize_importance
 from repro.core.sparse_training import (learnable_sparse_training,
                                         learnable_sparse_training_cohort)
 from repro.data.dataset import Dataset
-from repro.federated import (client_batch_schedule, iterate_batches,
-                             train_cohort_batched, train_locally)
+from repro.federated import (client_batch_schedule, train_cohort_batched,
+                             train_locally)
 from repro.models import build_mlp
 from repro.sparsity import build_parameter_mask, random_pattern
 
@@ -39,6 +39,22 @@ def _dataset(n, seed):
     rng = np.random.default_rng(seed)
     return Dataset(rng.normal(size=(n, INPUT_DIM)),
                    rng.integers(0, NUM_CLASSES, size=n))
+
+
+def _reference_iterate_batches(dataset, batch_size, iterations, *, rng):
+    """``federated.local.iterate_batches`` as it stood, verbatim: the
+    generator the per-client loop drew its mini-batches from."""
+    if iterations <= 0:
+        return
+    indices = rng.permutation(len(dataset))
+    cursor = 0
+    for _ in range(iterations):
+        if cursor + batch_size > len(indices):
+            indices = rng.permutation(len(dataset))
+            cursor = 0
+        batch = indices[cursor:cursor + batch_size]
+        cursor += batch_size
+        yield dataset.x[batch], dataset.y[batch]
 
 
 def _assert_results_equal(loop_results, batched_results):
@@ -61,7 +77,7 @@ class TestBatchSchedule:
     def test_matches_iterate_batches(self, n_examples, batch_size,
                                      iterations, seed):
         dataset = _dataset(n_examples, seed)
-        loop_batches = list(iterate_batches(
+        loop_batches = list(_reference_iterate_batches(
             dataset, batch_size, iterations,
             rng=np.random.default_rng(seed)))
         schedule = client_batch_schedule(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data import Dataset
 from repro.federated import (aggregate_residuals, average_personalized_accuracy,
-                             evaluate_params, fedavg, iterate_batches,
+                             client_batch_schedule, evaluate_params, fedavg,
                              masked_average, staleness_weighted_average,
                              train_locally)
 from repro.models import build_mlp
@@ -20,16 +20,14 @@ def toy_dataset(n=40, dim=12, classes=4, seed=0):
     return Dataset(x, np.argmax(x @ w, axis=1))
 
 
-class TestIterateBatches:
+class TestClientBatchSchedule:
     def test_yields_requested_number_of_batches(self):
-        ds = toy_dataset(10)
-        batches = list(iterate_batches(ds, 4, 7, rng=np.random.default_rng(0)))
+        batches = client_batch_schedule(10, 4, 7, rng=np.random.default_rng(0))
         assert len(batches) == 7
-        assert all(len(y) == 4 for _, y in batches)
+        assert all(len(batch) == 4 and batch.max() < 10 for batch in batches)
 
     def test_zero_iterations(self):
-        ds = toy_dataset(10)
-        assert list(iterate_batches(ds, 4, 0, rng=np.random.default_rng(0))) == []
+        assert client_batch_schedule(10, 4, 0, rng=np.random.default_rng(0)) == []
 
 
 class TestTrainLocally:

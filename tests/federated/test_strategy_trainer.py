@@ -23,6 +23,27 @@ class TestFederatedConfig:
         with pytest.raises(ValueError):
             FederatedConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("momentum", 1.0, r"momentum must be in \[0, 1\)"),
+        ("momentum", 1.5, r"momentum must be in \[0, 1\)"),
+        ("momentum", -0.1, r"momentum must be in \[0, 1\)"),
+        ("clip_norm", 0, "clip_norm must be positive"),
+        ("clip_norm", -5.0, "clip_norm must be positive"),
+        ("prox_mu", -1, "prox_mu must be non-negative"),
+        ("importance_lambda", -1, "importance_lambda must be non-negative"),
+    ])
+    def test_training_hyper_parameters_rejected_at_construction(
+            self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            FederatedConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("momentum", 0.0), ("momentum", 0.99), ("clip_norm", None),
+        ("clip_norm", 1e-3), ("prox_mu", 0.0), ("importance_lambda", 0.0),
+    ])
+    def test_boundary_training_hyper_parameters_accepted(self, field, value):
+        assert getattr(FederatedConfig(**{field: value}), field) == value
+
 
 class TestClient:
     def test_client_ids_must_match(self, small_fed_dataset):

@@ -36,23 +36,23 @@ from hypothesis import strategies as st
 
 from repro.core.importance import (ImportanceIndicator,
                                    initialize_importance, smoothed_targets)
-from repro.core.losses import (add_gradients, combine_unit_gradients,
-                               proximal_gradient, proximal_loss)
+from repro.core.losses import combine_unit_gradients
 from repro.core.sparse_training import (SparseTrainingResult,
                                         _normalize_gate_gradients,
                                         learnable_sparse_training,
                                         learnable_sparse_training_cohort)
 from repro.data.dataset import Dataset
-from repro.federated import client_batch_schedule, iterate_batches
-from repro.models import build_cnn, build_mlp
-from repro.nn import (SGD, BatchedModel, BatchedSGD, MaxPool2d, accuracy,
-                      accuracy_cohort, clip_gradients_cohort,
-                      cohort_grad_norms, sigmoid, softmax,
-                      softmax_cross_entropy, softmax_cross_entropy_cohort,
-                      stack_param_dicts)
-from repro.nn.batched import BatchedConv2d
+from repro.federated import (LocalUpdateResult, client_batch_schedule,
+                             train_cohort_batched, train_locally)
+from repro.models import build_cnn, build_lstm_lm, build_mlp
+from repro.nn import (SGD, BatchedModel, BatchedSGD, Dense, Dropout, MaxPool2d,
+                      ReLU, Sequential, accuracy, accuracy_cohort,
+                      clip_gradients_cohort, cohort_grad_norms, sigmoid,
+                      softmax, softmax_cross_entropy,
+                      softmax_cross_entropy_cohort, stack_param_dicts)
+from repro.nn.batched import BatchedConv2d, CohortOfOne
 from repro.nn.conv import _im2col
-from repro.nn.params import copy_params, multiply, subtract
+from repro.nn.params import add_, copy_params, multiply, scale_, subtract
 from repro.sparsity import (build_parameter_mask, gates_from_pattern,
                             random_pattern)
 
@@ -396,6 +396,106 @@ def _reference_accuracy_cohort(logits, labels, counts):
                      for i in range(len(counts))])
 
 
+def _reference_iterate_batches(dataset, batch_size, iterations, *, rng):
+    """``federated.local.iterate_batches`` as it stood."""
+    if iterations <= 0:
+        return
+    indices = rng.permutation(len(dataset))
+    cursor = 0
+    for _ in range(iterations):
+        if cursor + batch_size > len(indices):
+            indices = rng.permutation(len(dataset))
+            cursor = 0
+        batch = indices[cursor:cursor + batch_size]
+        cursor += batch_size
+        yield dataset.x[batch], dataset.y[batch]
+
+
+def _reference_proximal_loss(params, reference, mu):
+    """``core.losses.proximal_loss`` as it stood."""
+    if mu < 0:
+        raise ValueError("mu must be non-negative")
+    total = 0.0
+    for key in params:
+        diff = params[key] - reference[key]
+        total += float(np.sum(diff ** 2))
+    return mu * total
+
+
+def _reference_proximal_gradient(params, reference, mu):
+    """``core.losses.proximal_gradient`` as it stood."""
+    if mu < 0:
+        raise ValueError("mu must be non-negative")
+    return {key: 2.0 * mu * (params[key] - reference[key]) for key in params}
+
+
+def _reference_add_gradients(base, extra):
+    """``core.losses.add_gradients`` as it stood."""
+    return {key: base[key] + extra[key] for key in base}
+
+
+def _reference_train_locally(model, start_params, dataset, *, iterations,
+                             batch_size, learning_rate, momentum=0.0,
+                             clip_norm=None, prox_mu=0.0, prox_center=None,
+                             param_mask=None, pattern=None,
+                             trainable_keys=None, rng=None):
+    """``train_locally`` as it stood while it owned a loop: the sequential
+    ``SGD``, ``softmax_cross_entropy`` / ``accuracy`` on the client's own
+    2-D logits, python-list metric ledgers."""
+    rng = rng or np.random.default_rng(0)
+    params = copy_params(start_params)
+    if param_mask is not None:
+        params = multiply(params, param_mask)
+    model.set_parameters(params)
+    if pattern is not None:
+        model.set_unit_gates(gates_from_pattern(pattern))
+    center = None
+    if prox_mu > 0.0:
+        center = copy_params(prox_center if prox_center is not None else start_params)
+
+    optimizer = SGD(learning_rate, momentum=momentum, clip_norm=clip_norm)
+    allowed = set(trainable_keys) if trainable_keys is not None else None
+    frozen_zeros = {}
+    if allowed is not None:
+        frozen_zeros = {key: np.zeros_like(value)
+                        for key, value in model.get_parameters().items()
+                        if key not in allowed}
+    losses = []
+    accuracies = []
+    examples = 0
+    for batch_x, batch_y in _reference_iterate_batches(
+            dataset, batch_size, iterations, rng=rng):
+        model.zero_grad()
+        logits = model.forward(batch_x, train=True)
+        loss, grad = softmax_cross_entropy(logits, batch_y)
+        accuracies.append(accuracy(logits, batch_y))
+        model.backward(grad, input_grad=False)
+        grads = model.get_gradients()
+        current = model.get_parameters()
+        if prox_mu > 0.0 and center is not None:
+            add_(grads, scale_(subtract(current, center), 2.0 * prox_mu))
+            loss += prox_mu * float(
+                sum(np.sum((current[key] - center[key]) ** 2) for key in current))
+        if param_mask is not None:
+            grads = {key: grads[key] * param_mask[key] for key in grads}
+        if allowed is not None:
+            grads = {key: (value if key in allowed else frozen_zeros[key])
+                     for key, value in grads.items()}
+        losses.append(loss)
+        examples += len(batch_y)
+        optimizer.step(model.live_parameters(), grads)
+    model.set_unit_gates(None)
+    final_params = model.get_parameters()
+    if param_mask is not None:
+        final_params = multiply(final_params, param_mask)
+    return LocalUpdateResult(
+        params=final_params,
+        train_accuracy=float(np.mean(accuracies)) if accuracies else 0.0,
+        train_loss=float(np.mean(losses)) if losses else 0.0,
+        examples_seen=examples,
+    )
+
+
 def _reference_sparse_training(model, global_params, importance, dataset, *,
                                sparse_ratio, iterations, batch_size,
                                learning_rate, momentum=0.0, clip_norm=None,
@@ -415,7 +515,8 @@ def _reference_sparse_training(model, global_params, importance, dataset, *,
     examples = 0
     pattern = importance.pattern(model, sparse_ratio)
     param_mask = build_parameter_mask(model, pattern)
-    for batch_x, batch_y in iterate_batches(dataset, batch_size, iterations, rng=rng):
+    for batch_x, batch_y in _reference_iterate_batches(
+            dataset, batch_size, iterations, rng=rng):
         if refresh_pattern_each_iteration:
             pattern = importance.pattern(model, sparse_ratio)
             param_mask = build_parameter_mask(model, pattern)
@@ -430,8 +531,9 @@ def _reference_sparse_training(model, global_params, importance, dataset, *,
 
         grads = model.get_gradients()
         gate_grads = _reference_normalize_gate_gradients(model.gate_gradients())
-        prox_grads = proximal_gradient(params, global_reference, prox_mu)
-        grads = add_gradients(grads, prox_grads)
+        prox_grads = _reference_proximal_gradient(
+            params, global_reference, prox_mu)
+        grads = _reference_add_gradients(grads, prox_grads)
         grads = {key: grads[key] * param_mask[key] for key in grads}
         live = {}
         for layer in model.layers:
@@ -446,7 +548,8 @@ def _reference_sparse_training(model, global_params, importance, dataset, *,
         importance.apply_gradient(q_grads, q_lr)
 
         losses.append(task_loss
-                      + proximal_loss(params, global_reference, prox_mu)
+                      + _reference_proximal_loss(
+                          params, global_reference, prox_mu)
                       + _reference_regularization_loss(
                           importance, targets, importance_lambda))
         examples += len(batch_y)
@@ -695,6 +798,265 @@ def test_sparse_training_without_iterations_returns_the_masked_start():
     for new, want in zip(got, oracle):
         _assert_same_result(new, want)
         assert new.examples_seen == 0 and new.train_loss == 0.0
+
+
+def _assert_same_update(got, want):
+    """Every ``LocalUpdateResult`` field, byte for byte."""
+    assert got.params.keys() == want.params.keys()
+    for key, value in want.params.items():
+        _assert_same_bits(got.params[key], value)
+    for field in ("train_loss", "train_accuracy"):
+        _assert_same_bits(np.float64(getattr(got, field)),
+                          np.float64(getattr(want, field)))
+        assert type(getattr(got, field)) is type(getattr(want, field))
+    assert got.examples_seen == want.examples_seen
+    assert type(got.examples_seen) is int
+
+
+def _assert_same_model_state(got, want):
+    """The shared ``context.model`` contract of the loop path: the trained
+    parameters, byte for byte, and no gate left installed."""
+    got_params, want_params = got.get_parameters(), want.get_parameters()
+    assert got_params.keys() == want_params.keys()
+    for key, value in want_params.items():
+        _assert_same_bits(got_params[key], value)
+    for layer in got.layers:
+        assert getattr(layer, "unit_gate", None) is None
+
+
+def _mlp_with_dropout():
+    rng = np.random.default_rng(2)
+    return Sequential([
+        Dense(6, 7, name="fc1", rng=rng), ReLU(name="relu1"),
+        Dropout(0.4, name="drop", seed=9),
+        Dense(7, 3, name="head", sparsifiable=False, rng=rng)],
+        input_shape=(6,), name="mlp_dropout")
+
+
+def _lstm():
+    return build_lstm_lm(11, embed_dim=4, hidden_dim=5, num_layers=2,
+                         seq_len=4, seed=1)
+
+
+def _client_data(model, n, seed):
+    """A shard in the model's own input dtype: integer token windows for a
+    model that starts with an embedding, float features otherwise."""
+    rng = np.random.default_rng(seed)
+    if model.layers[0].name == "embedding":
+        vocab = model.layers[0].params["W"].shape[0]
+        return Dataset(rng.integers(0, vocab, size=(n,) + tuple(model.input_shape)),
+                       rng.integers(0, vocab, size=n))
+    return Dataset(rng.normal(size=(n,) + tuple(model.input_shape)),
+                   rng.integers(0, 3, size=n))
+
+
+def _shifted(params, seed=11):
+    rng = np.random.default_rng(seed)
+    return {key: value + 0.05 * rng.normal(size=value.shape)
+            for key, value in params.items()}
+
+
+def _heterofl_style(model):
+    """What the HeteroFL family passes: a unit pattern installed as forward
+    gates plus the parameter mask built from it."""
+    pattern = random_pattern(model, 0.5, rng=np.random.default_rng(4))
+    return dict(pattern=pattern,
+                param_mask=build_parameter_mask(model, pattern))
+
+
+_LOCAL_CASES = {
+    "plain": lambda model: {},
+    "param-mask": lambda model: dict(param_mask=build_parameter_mask(
+        model, random_pattern(model, 0.5, rng=np.random.default_rng(3)))),
+    "pattern": lambda model: dict(pattern=random_pattern(
+        model, 0.5, rng=np.random.default_rng(4))),
+    "gated-submodel": _heterofl_style,
+    "prox": lambda model: dict(prox_mu=0.3),
+    # the default center is the UNMASKED start, the first step the masked one
+    "masked-prox": lambda model: dict(prox_mu=0.3, **_heterofl_style(model)),
+    "prox-center": lambda model: dict(
+        prox_mu=0.3, prox_center=_shifted(model.get_parameters())),
+    "momentum-clip": lambda model: dict(momentum=0.9, clip_norm=0.3),
+    "trainable-keys": lambda model: dict(
+        trainable_keys=["head.W", "head.b"], prox_mu=0.1, momentum=0.5),
+    "no-iterations": lambda model: dict(iterations=0, pattern=random_pattern(
+        model, 0.5, rng=np.random.default_rng(4))),
+    "small-shard": lambda model: dict(n_examples=5, momentum=0.9,
+                                      clip_norm=0.3, prox_mu=0.2),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOCAL_CASES.values()),
+                         ids=list(_LOCAL_CASES))
+@pytest.mark.parametrize("builder", [
+    lambda: build_mlp(6, [5, 4], 3, seed=1),
+    lambda: build_cnn(1, 8, 3, channels=(3, 4), hidden_dim=6, seed=1),
+    _lstm, _mlp_with_dropout,
+], ids=["mlp", "cnn", "lstm-tokens", "mlp-dropout"])
+def test_train_locally_matches_reference_train_locally(builder, case):
+    """``train_locally`` is the cohort body over a ``CohortOfOne``; the loop
+    it used to own must be reproduced byte for byte — result and model.  The
+    LSTM (integer token input), the dropout MLP and the gated sub-model have
+    no batched kernels: the adapter is their only path."""
+    # two instances: a Dropout layer's own stream advances with every call
+    new_model, old_model = builder(), builder()
+    kwargs = dict(iterations=5, batch_size=8, learning_rate=0.1)
+    kwargs.update(case(new_model))
+    dataset = _client_data(new_model, kwargs.pop("n_examples", 20), seed=5)
+    start = _shifted(new_model.get_parameters(), seed=12)
+    start_before = copy_params(start)
+
+    want = _reference_train_locally(old_model, start, dataset,
+                                    rng=np.random.default_rng(100), **kwargs)
+    got = train_locally(new_model, start, dataset,
+                        rng=np.random.default_rng(100), **kwargs)
+    _assert_same_update(got, want)
+    _assert_same_model_state(new_model, old_model)
+    if kwargs["iterations"]:
+        assert any(np.any(got.params[key] != start[key]) for key in start)
+    # inputs are inputs, and the result does not alias the live model
+    for key, value in start_before.items():
+        _assert_same_bits(start[key], value)
+    live = new_model.live_parameters()
+    assert not any(np.shares_memory(got.params[key], live[key]) for key in live)
+
+
+@pytest.mark.parametrize("case", ["plain", "gated-submodel", "small-shard"])
+def test_cohort_of_float_models_matches_reference_train_locally(case):
+    """The stacked layout against the same oracle: ``BatchedModel`` rows and
+    the ``CohortOfOne`` are one body, so both reproduce the old loop."""
+    model = build_mlp(6, [5, 4], 3, seed=1)
+    kwargs = dict(iterations=5, batch_size=8, learning_rate=0.1)
+    kwargs.update(_LOCAL_CASES[case](model))
+    sizes = [kwargs.pop("n_examples", 20), 20, 13]
+    datasets = [_client_data(model, n, seed=5 + i) for i, n in enumerate(sizes)]
+    start = _shifted(model.get_parameters(), seed=12)
+    template_before = model.get_parameters()
+    per_client = {"pattern": "patterns", "param_mask": "param_masks"}
+    cohort_kwargs = {per_client.get(key, key):
+                     [value] * 3 if key in per_client else value
+                     for key, value in kwargs.items()}
+    got = train_cohort_batched(
+        model, [start] * 3, datasets,
+        rngs=[np.random.default_rng(100 + i) for i in range(3)],
+        **cohort_kwargs)
+    # the cohort path leaves the template untouched
+    for key, value in template_before.items():
+        _assert_same_bits(model.get_parameters()[key], value)
+    for index, dataset in enumerate(datasets):
+        want = _reference_train_locally(
+            build_mlp(6, [5, 4], 3, seed=1), start, dataset,
+            rng=np.random.default_rng(100 + index), **kwargs)
+        _assert_same_update(got[index], want)
+
+
+@pytest.mark.parametrize("refresh", [False, True], ids=["held", "refresh"])
+def test_sparse_training_on_the_lstm_matches_the_per_client_oracle(refresh):
+    """The FedLPS family on a model only the adapter can run: integer token
+    input through Embedding and two gated LSTM layers."""
+    new_model, old_model = _lstm(), _lstm()
+    dataset = _client_data(new_model, 20, seed=5)
+    start = new_model.get_parameters()
+    importance = initialize_importance(new_model, seed=1000)
+    common = dict(sparse_ratio=0.5, iterations=4, batch_size=8,
+                  learning_rate=0.1, momentum=0.9, clip_norm=0.3, prox_mu=0.3,
+                  importance_lambda=0.7, importance_learning_rate=0.05,
+                  refresh_pattern_each_iteration=refresh)
+    want = _reference_sparse_training(
+        old_model, start, importance, dataset,
+        rng=np.random.default_rng(100), **common)
+    got = learnable_sparse_training(
+        new_model, start, importance, dataset,
+        rng=np.random.default_rng(100), **common)
+    assert np.any(want.residual["head.W"])
+    _assert_same_result(got, want)
+    _assert_same_model_state(new_model, old_model)
+
+
+class TestCohortOfOne:
+    """The C = 1 adapter moves no data: the ``Sequential`` sees the loop's
+    own shapes, and everything handed out is a view of its live arrays."""
+
+    @staticmethod
+    def _trained_step(model):
+        program = CohortOfOne(model)
+        x = np.random.default_rng(0).normal(size=(1, 5) + tuple(model.input_shape))
+        program.zero_grad()
+        logits = program.forward(x, train=True)
+        program.backward(np.ones_like(logits), input_grad=False)
+        return program, x, logits
+
+    def test_layers_see_the_clients_own_batch(self, monkeypatch):
+        model = build_cnn(1, 8, 3, channels=(3, 4), hidden_dim=6, seed=1)
+        seen = []
+        forward, backward = model.forward, model.backward
+        monkeypatch.setattr(model, "forward", lambda x, **kw: (
+            seen.append(("forward", x.shape)), forward(x, **kw))[1])
+        monkeypatch.setattr(model, "backward", lambda grad, **kw: (
+            seen.append(("backward", grad.shape, kw)), backward(grad, **kw))[1])
+        program, x, logits = self._trained_step(model)
+        assert seen == [("forward", (5, 1, 8, 8)),
+                        ("backward", (5, 3), {"input_grad": False})]
+        assert logits.shape == (1, 5, 3)
+        _assert_same_bits(logits[0], forward(x[0], train=True))
+        grad_in = program.backward(np.ones_like(logits))
+        assert grad_in.shape == x.shape
+
+    def test_every_array_is_a_leading_axis_view_of_the_live_one(self):
+        model = build_mlp(6, [5, 4], 3, seed=1)
+        program, _, _ = self._trained_step(model)
+        model.set_unit_gates({name: np.ones(group_units) for name, group_units in
+                              ((g.layer_name, g.n_units) for g in model.unit_groups)})
+        for stacked, live in ((program.live_parameters(), model.live_parameters()),
+                              (program.live_gradients(), model.live_gradients())):
+            assert stacked.keys() == live.keys()
+            for key, value in live.items():
+                assert stacked[key].shape == (1,) + value.shape
+                assert np.shares_memory(stacked[key], value)
+        for stacked, single in (
+                (program.gate_gradients(), model.gate_gradients()),
+                (program.unit_weight_magnitudes(), model.unit_weight_magnitudes())):
+            for name, value in single.items():
+                _assert_same_bits(stacked[name], value[None])
+
+    def test_an_in_place_step_on_the_view_moves_the_layers_parameter(self):
+        model = build_mlp(6, [5, 4], 3, seed=1)
+        program, _, _ = self._trained_step(model)
+        before = model.get_parameters()
+        grads = {key: np.array(value) for key, value in
+                 program.live_gradients().items()}
+        BatchedSGD(0.1).step(program.live_parameters(), grads)
+        for key, value in model.live_parameters().items():
+            _assert_same_bits(value, before[key] - 0.1 * grads[key][0])
+        assert np.any(model.live_parameters()["head.W"] != before["head.W"])
+
+    def test_a_zero_grad_rebinding_is_picked_up(self):
+        model = build_mlp(6, [5, 4], 3, seed=1)
+        program, _, _ = self._trained_step(model)
+        stale = program.live_gradients()
+        assert np.any(stale["head.W"])
+        program.zero_grad()
+        fresh = program.live_gradients()
+        for key, value in model.live_gradients().items():
+            assert np.shares_memory(fresh[key], value)
+            assert not np.any(fresh[key])
+
+    def test_set_parameters_and_gates_unwrap_the_client_axis(self):
+        model = build_mlp(6, [5, 4], 3, seed=1)
+        program = CohortOfOne(model)
+        target = _shifted(model.get_parameters())
+        program.set_parameters({key: value[None] for key, value in target.items()})
+        for key, value in model.get_parameters().items():
+            _assert_same_bits(value, target[key])
+        pattern = random_pattern(model, 0.5, rng=np.random.default_rng(4))
+        program.set_unit_gates({name: gate[None] for name, gate in
+                                gates_from_pattern(pattern).items()})
+        for name, gate in gates_from_pattern(pattern).items():
+            assert model.layer_by_name(name).unit_gate.shape == gate.shape
+            assert np.array_equal(model.layer_by_name(name).unit_gate, gate)
+        program.set_unit_gates(None)
+        assert all(model.layer_by_name(name).unit_gate is None for name in pattern)
+        program.set_batch_counts(np.array([3]))   # nothing to install at C = 1
 
 
 class TestCohortClipping:
