@@ -1,11 +1,26 @@
 """Extending the library: writing a custom federated strategy.
 
-The example implements "FedLPS-TopUp", a toy variant that reuses FedLPS's
-learnable sparse training but tops every client's sparse ratio up by a fixed
-margin above its bandit decision, and plugs it into the same trainer,
-datasets and cost model as every built-in method.  It shows the three hooks a
-custom strategy typically overrides: ``local_update``, ``aggregate`` (here
-inherited) and ``client_evaluation``.
+A method subclasses :class:`repro.federated.strategy.Strategy` (or a built-in
+method), overrides ``local_update`` and says only what differs from dense
+FedAvg.  Two helpers on the base carry everything else:
+
+* ``self._train(round_index, clients, **overrides)`` runs local SGD under the
+  config's optimizer settings — replace any (``learning_rate=``,
+  ``iterations=``) or add a trainer option (``prox_mu=``, ``param_mask=``);
+* ``self._report(client, result, ...)`` wraps the metrics, the upload and
+  the round's FLOPs / traffic footprint into the ``ClientUpdate``.
+
+Two examples, plugged into the same trainer, datasets and cost model as every
+built-in method:
+
+* ``FedLPSTopUp`` reuses FedLPS's learnable sparse training but tops every
+  client's sparse ratio up by a fixed margin above its bandit decision.  It
+  overrides ``local_update`` alone, so under ``batch_cohort`` it keeps
+  running client by client — the override is never bypassed.
+* ``CapabilityStepFedAvg`` is dense FedAvg whose weak devices take smaller
+  steps.  It also supplies ``local_update_cohort``, the same update for a
+  whole cohort (``_train`` runs several clients as one stacked tensor
+  program), so ``batch_cohort=True`` batches it with bit-identical results.
 
 Run with::
 
@@ -20,7 +35,7 @@ from repro.core import FedLPS
 from repro.data import build_federated_dataset
 from repro.federated import FederatedConfig, run_federated
 from repro.federated.client import Client
-from repro.federated.strategy import ClientUpdate
+from repro.federated.strategy import ClientUpdate, Strategy
 from repro.models import build_model_for_dataset
 
 
@@ -41,6 +56,27 @@ class FedLPSTopUp(FedLPS):
         return super().local_update(round_index, client)
 
 
+class CapabilityStepFedAvg(Strategy):
+    """Dense FedAvg with a learning rate scaled by the device capability."""
+
+    name = "capability-step"
+
+    def _step_size(self, client: Client) -> float:
+        return self.context.config.learning_rate * client.capability
+
+    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
+        result = self._train(round_index, [client],
+                             learning_rate=self._step_size(client))[0]
+        return self._report(client, result)
+
+    def local_update_cohort(self, round_index, clients):
+        # the stacked trainer takes one learning rate per client
+        rates = np.array([self._step_size(client) for client in clients])
+        results = self._train(round_index, clients, learning_rate=rates)
+        return [self._report(client, result)
+                for client, result in zip(clients, results)]
+
+
 def main() -> None:
     dataset = build_federated_dataset("mnist", num_clients=10,
                                       examples_per_client=50, seed=11)
@@ -50,7 +86,8 @@ def main() -> None:
     def model_builder():
         return build_model_for_dataset("mnist", seed=11)
 
-    for strategy in (FedLPS(), FedLPSTopUp(margin=0.15)):
+    for strategy in (FedLPS(), FedLPSTopUp(margin=0.15),
+                     CapabilityStepFedAvg()):
         history = run_federated(strategy, dataset, model_builder, config=config)
         ratios = [ratio for record in history.records
                   for ratio in record.sparse_ratios.values()]

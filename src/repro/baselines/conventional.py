@@ -13,9 +13,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..federated.client import Client
-from ..federated.local import train_locally
 from ..federated.strategy import ClientUpdate, Strategy, StrategyContext
-from ..nn.batched import batchable_model
 
 
 class FedAvg(Strategy):
@@ -35,25 +33,13 @@ class FedProx(Strategy):
             raise ValueError("mu must be non-negative")
         self.mu = mu
 
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        return self._prox_updates(round_index, [client], batched=False)[0]
-
-    def _prox_updates(self, round_index: int, clients: List[Client], *,
-                      batched: bool) -> List[ClientUpdate]:
-        return self._dense_updates(
-            round_index, clients, batched=batched,
-            prox_mu=self.mu, prox_center=self.global_params)
-
-    def cohort_batchable(self) -> bool:
-        # the proximal term broadcasts along the client axis, so FedProx
-        # batches whenever the model has batched kernels
-        context = self._require_context()
-        return batchable_model(context.model)
-
-    def local_update_cohort(self, round_index: int,
-                            clients: List[Client]
-                            ) -> Optional[List[ClientUpdate]]:
-        return self._prox_updates(round_index, clients, batched=True)
+    def _dense_updates(self, round_index: int, clients: List[Client],
+                       **overrides) -> List[ClientUpdate]:
+        # the proximal term broadcasts along the client axis, so both the
+        # per-client and the cohort hook of the base go through here
+        return super()._dense_updates(
+            round_index, clients, prox_mu=self.mu,
+            prox_center=self.global_params, **overrides)
 
 
 class Oort(Strategy):
@@ -167,23 +153,13 @@ class REFL(Strategy):
         return sorted(ranked[:count])
 
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        context = self._require_context()
-        config = context.config
-        iterations = max(1, int(round(config.local_iterations * client.capability)))
-        result = train_locally(
-            context.model, self.global_params, client.train_data,
-            iterations=iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm,
-            rng=self._client_rng(round_index, client.client_id))
-        scale = iterations / config.local_iterations
-        flops, upload, download = self._round_footprint(client)
-        return ClientUpdate(
-            client_id=client.client_id, params=result.params,
-            num_examples=client.num_train_examples,
-            train_accuracy=result.train_accuracy, train_loss=result.train_loss,
-            flops=flops * scale, upload_bytes=upload, download_bytes=download,
-            extras={"iterations": float(iterations)})
+        local_iterations = self._require_context().config.local_iterations
+        iterations = max(1, int(round(local_iterations * client.capability)))
+        result = self._train(round_index, [client], iterations=iterations)[0]
+        update = self._report(client, result,
+                              extras={"iterations": float(iterations)})
+        update.flops *= iterations / local_iterations
+        return update
 
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
         if not updates:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..federated.client import Client
-from ..federated.local import train_locally
 from ..federated.strategy import ClientUpdate, Strategy
 from ..federated.aggregation import fedavg
 from ..nn.params import ParamDict, copy_params
@@ -50,29 +49,18 @@ class Ditto(Strategy):
         self.personal_mu = personal_mu
 
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        context = self._require_context()
-        config = context.config
-        rng = self._client_rng(round_index, client.client_id)
-        global_result = train_locally(
-            context.model, self.global_params, client.train_data,
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, rng=rng)
-        personal_start = client.state.get("personal_params", self.global_params)
-        personal_result = train_locally(
-            context.model, personal_start, client.train_data,
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, prox_mu=self.personal_mu,
-            prox_center=self.global_params, rng=rng)
+        # one batch stream feeds both passes, the personal after the global
+        rngs = [self._client_rng(round_index, client.client_id)]
+        global_result = self._train(round_index, [client], rngs=rngs)[0]
+        personal_result = self._train(
+            round_index, [client], rngs=rngs,
+            starts=[client.state.get("personal_params", self.global_params)],
+            prox_mu=self.personal_mu, prox_center=self.global_params)[0]
         client.state["personal_params"] = personal_result.params
-        flops, upload, download = self._round_footprint(client)
-        return ClientUpdate(
-            client_id=client.client_id, params=global_result.params,
-            num_examples=client.num_train_examples,
-            train_accuracy=personal_result.train_accuracy,
-            train_loss=personal_result.train_loss,
-            flops=2.0 * flops, upload_bytes=upload, download_bytes=download)
+        update = self._report(client, personal_result,
+                              params=global_result.params)
+        update.flops *= 2.0
+        return update
 
     def client_evaluation(self, client: Client) -> Tuple[ParamDict, None]:
         personal = client.state.get("personal_params")
@@ -84,33 +72,33 @@ class FedPer(Strategy):
 
     name = "fedper"
 
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        context = self._require_context()
-        config = context.config
-        start = copy_params(self.global_params)
+    def _with_personal_head(self, client: Client) -> ParamDict:
+        """The global parameters under the client's own head, once it has one."""
+        params = copy_params(self.global_params)
         personal_head = client.state.get("personal_head")
         if personal_head is not None:
-            start.update(personal_head)
-        result = train_locally(
-            context.model, start, client.train_data,
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm,
-            rng=self._client_rng(round_index, client.client_id))
+            params.update(personal_head)
+        return params
+
+    def _report_body(self, client: Client, result) -> ClientUpdate:
+        """Keep the trained head on the device and report the rest."""
+        heads = head_keys(result.params)
         client.state["personal_head"] = {key: result.params[key]
-                                         for key in head_keys(result.params)}
+                                         for key in heads}
+        update = self._report(client, result)
+        # the head stays local, so the uplink volume shrinks accordingly
+        head_fraction = sum(result.params[key].size for key in heads) \
+            / max(sum(v.size for v in result.params.values()), 1)
+        update.upload_bytes *= 1.0 - head_fraction
+        return update
+
+    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
+        result = self._train(round_index, [client],
+                             starts=[self._with_personal_head(client)])[0]
+        update = self._report_body(client, result)
         client.state["personal_body"] = {key: result.params[key]
                                          for key in body_keys(result.params)}
-        flops, upload, download = self._round_footprint(client)
-        # the head stays local, so the uplink volume shrinks accordingly
-        head_fraction = sum(result.params[key].size for key in head_keys(result.params)) \
-            / max(sum(v.size for v in result.params.values()), 1)
-        return ClientUpdate(
-            client_id=client.client_id, params=result.params,
-            num_examples=client.num_train_examples,
-            train_accuracy=result.train_accuracy, train_loss=result.train_loss,
-            flops=flops, upload_bytes=upload * (1.0 - head_fraction),
-            download_bytes=download)
+        return update
 
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
         if not updates:
@@ -123,11 +111,7 @@ class FedPer(Strategy):
         self.global_params = merged
 
     def client_evaluation(self, client: Client) -> Tuple[ParamDict, None]:
-        params = copy_params(self.global_params)
-        personal_head = client.state.get("personal_head")
-        if personal_head is not None:
-            params.update(personal_head)
-        return params, None
+        return self._with_personal_head(client), None
 
 
 class FedRep(FedPer):
@@ -140,40 +124,22 @@ class FedRep(FedPer):
         self.head_iterations = head_iterations
 
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        context = self._require_context()
-        config = context.config
-        rng = self._client_rng(round_index, client.client_id)
-        start = copy_params(self.global_params)
-        personal_head = client.state.get("personal_head")
-        if personal_head is not None:
-            start.update(personal_head)
-        head_iters = self.head_iterations or max(1, config.local_iterations // 2)
+        local_iterations = self._require_context().config.local_iterations
+        # one batch stream feeds both phases
+        rngs = [self._client_rng(round_index, client.client_id)]
+        start = self._with_personal_head(client)
+        head_iters = self.head_iterations or max(1, local_iterations // 2)
         # phase 1: adapt the personal head with the body frozen
-        head_result = train_locally(
-            context.model, start, client.train_data,
-            iterations=head_iters, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, trainable_keys=head_keys(start), rng=rng)
+        head_result = self._train(
+            round_index, [client], starts=[start], rngs=rngs,
+            iterations=head_iters, trainable_keys=head_keys(start))[0]
         # phase 2: adapt the shared body with the head frozen
-        body_result = train_locally(
-            context.model, head_result.params, client.train_data,
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, trainable_keys=body_keys(start), rng=rng)
-        client.state["personal_head"] = {key: body_result.params[key]
-                                         for key in head_keys(body_result.params)}
-        flops, upload, download = self._round_footprint(client)
-        head_fraction = sum(body_result.params[key].size
-                            for key in head_keys(body_result.params)) \
-            / max(sum(v.size for v in body_result.params.values()), 1)
-        extra = head_iters / config.local_iterations
-        return ClientUpdate(
-            client_id=client.client_id, params=body_result.params,
-            num_examples=client.num_train_examples,
-            train_accuracy=body_result.train_accuracy,
-            train_loss=body_result.train_loss,
-            flops=flops * (1.0 + extra),
-            upload_bytes=upload * (1.0 - head_fraction), download_bytes=download)
+        body_result = self._train(
+            round_index, [client], starts=[head_result.params], rngs=rngs,
+            trainable_keys=body_keys(start))[0]
+        update = self._report_body(client, body_result)
+        update.flops *= 1.0 + head_iters / local_iterations
+        return update
 
 
 class PerFedAvg(Strategy):
@@ -195,14 +161,10 @@ class PerFedAvg(Strategy):
         self.adaptation_lr = adaptation_lr
 
     def client_evaluation(self, client: Client) -> Tuple[ParamDict, None]:
-        context = self._require_context()
-        config = context.config
         if self.adaptation_steps == 0:
             return self.global_params, None
-        result = train_locally(
-            context.model, self.global_params, client.train_data,
-            iterations=self.adaptation_steps, batch_size=config.batch_size,
-            learning_rate=self.adaptation_lr or config.learning_rate,
-            momentum=0.0, clip_norm=config.clip_norm,
-            rng=self._client_rng(10_000, client.client_id))
-        return result.params, None
+        options = {"iterations": self.adaptation_steps, "momentum": 0.0}
+        if self.adaptation_lr:
+            options["learning_rate"] = self.adaptation_lr
+        # round 10_000: an rng stream no training round uses
+        return self._train(10_000, [client], **options)[0].params, None

@@ -9,16 +9,14 @@ capability.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..federated.aggregation import masked_average
 from ..federated.client import Client
-from ..federated.local import train_locally
 from ..federated.strategy import ClientUpdate, Strategy
-from ..nn.params import ParamDict, copy_params, multiply
-from ..sparsity.masks import UnitPattern, build_parameter_mask
+from ..nn.params import ParamDict, copy_params
+from ..sparsity.masks import UnitPattern
 from ..sparsity.patterns import magnitude_pattern, ordered_pattern, random_pattern
 from ..systems.devices import affordable_ratio
 from .personalized import head_keys
@@ -44,43 +42,20 @@ class PersonalSparseStrategy(Strategy):
 
     # ------------------------------------------------------ local update
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        context = self._require_context()
-        config = context.config
         ratio = float(np.clip(self.current_ratio(client, round_index), 0.05, 1.0))
-        context.model.set_parameters(self.global_params)
+        # magnitude patterns read the model's values
+        self._require_context().model.set_parameters(self.global_params)
         pattern = self.current_pattern(client, ratio, round_index)
-        param_mask = build_parameter_mask(context.model, pattern)
-        result = train_locally(
-            context.model, self.global_params, client.train_data,
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, pattern=pattern, param_mask=param_mask,
-            rng=self._client_rng(round_index, client.client_id))
-        personal = multiply(result.params, param_mask)
-        client.state["personal_params"] = personal
+        result, _ = self._train_submodel(round_index, client, pattern)
+        client.state["personal_params"] = result.params
         client.state["personal_pattern"] = pattern
         self.after_training(client, result.params, pattern, ratio,
                             result.train_accuracy)
-        flops, upload, download = self._round_footprint(client, pattern=pattern)
-        return ClientUpdate(
-            client_id=client.client_id, params=personal,
-            num_examples=client.num_train_examples,
-            train_accuracy=result.train_accuracy, train_loss=result.train_loss,
-            pattern=pattern, sparse_ratio=ratio, flops=flops,
-            upload_bytes=upload, download_bytes=download)
+        return self._report(client, result, pattern=pattern, sparse_ratio=ratio)
 
     # --------------------------------------------------------- aggregation
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
-        if not updates:
-            return
-        context = self._require_context()
-        masks = []
-        for update in updates:
-            context.model.set_parameters(self.global_params)
-            masks.append(build_parameter_mask(context.model, update.pattern))
-        self.global_params = masked_average(
-            self.global_params, [u.params for u in updates], masks,
-            [u.num_examples for u in updates])
+        self._aggregate_submodels(updates)
 
     # ---------------------------------------------------------- evaluation
     def client_evaluation(self, client: Client) -> Tuple[ParamDict, Optional[UnitPattern]]:
@@ -155,15 +130,12 @@ class Hermes(PersonalSparseStrategy):
 
     def current_pattern(self, client: Client, ratio: float,
                         round_index: int) -> UnitPattern:
-        context = self._require_context()
+        model = self._require_context().model
         personal = client.state.get("personal_params")
         if personal is not None:
             # score units by the client's own trained weight magnitudes
-            context.model.set_parameters(personal)
-            pattern = magnitude_pattern(context.model, ratio)
-            context.model.set_parameters(self.global_params)
-            return pattern
-        return magnitude_pattern(context.model, ratio)
+            model.set_parameters(personal)
+        return magnitude_pattern(model, ratio)
 
     def after_training(self, client: Client, params: ParamDict,
                        pattern: UnitPattern, ratio: float,
@@ -214,7 +186,6 @@ class FedSpa(PersonalSparseStrategy):
         personal = client.state.get("personal_params", self.global_params)
         context.model.set_parameters(personal)
         magnitudes = context.model.unit_weight_magnitudes()
-        context.model.set_parameters(self.global_params)
         new_pattern: UnitPattern = {}
         for name, mask in pattern.items():
             mask = np.asarray(mask, dtype=bool).copy()
@@ -250,13 +221,12 @@ class FedP3(PersonalSparseStrategy):
                         round_index: int) -> UnitPattern:
         return ordered_pattern(self._require_context().model, ratio)
 
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        update = super().local_update(round_index, client)
-        # keep the head personal: remember it and strip it from what is shared
-        personal = client.state["personal_params"]
-        client.state["personal_head"] = {key: personal[key]
-                                         for key in head_keys(personal)}
-        return update
+    def after_training(self, client: Client, params: ParamDict,
+                       pattern: UnitPattern, ratio: float,
+                       train_accuracy: float) -> None:
+        # keep the head personal: remember it on the device
+        client.state["personal_head"] = {key: params[key]
+                                         for key in head_keys(params)}
 
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
         if not updates:

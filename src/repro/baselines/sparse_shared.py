@@ -14,12 +14,11 @@ from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..federated.aggregation import fedavg, masked_average
+from ..federated.aggregation import fedavg
 from ..federated.client import Client
-from ..federated.local import train_locally
 from ..federated.strategy import ClientUpdate, Strategy, StrategyContext
-from ..nn.params import ParamDict, copy_params, multiply
-from ..sparsity.masks import UnitPattern, build_parameter_mask
+from ..nn.params import ParamDict
+from ..sparsity.masks import UnitPattern
 from ..sparsity.patterns import (depth_pattern, magnitude_pattern, ordered_pattern,
                                  random_pattern, rolling_pattern)
 from ..systems.cost import CostBreakdown
@@ -49,39 +48,17 @@ class SharedSparseStrategy(Strategy):
 
     # --------------------------------------------------------- local update
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        context = self._require_context()
-        config = context.config
         ratio = float(np.clip(self.client_ratio(client, round_index), 0.05, 1.0))
-        context.model.set_parameters(self.global_params)
+        # magnitude patterns read the model's values
+        self._require_context().model.set_parameters(self.global_params)
         pattern = self.client_pattern(client, ratio, round_index)
-        param_mask = build_parameter_mask(context.model, pattern)
-        result = train_locally(
-            context.model, self.global_params, client.train_data,
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, pattern=pattern, param_mask=param_mask,
-            rng=self._client_rng(round_index, client.client_id))
+        result, _ = self._train_submodel(round_index, client, pattern)
         client.state["pattern"] = pattern
-        flops, upload, download = self._round_footprint(client, pattern=pattern)
-        return ClientUpdate(
-            client_id=client.client_id, params=multiply(result.params, param_mask),
-            num_examples=client.num_train_examples,
-            train_accuracy=result.train_accuracy, train_loss=result.train_loss,
-            pattern=pattern, sparse_ratio=ratio, flops=flops,
-            upload_bytes=upload, download_bytes=download)
+        return self._report(client, result, pattern=pattern, sparse_ratio=ratio)
 
     # ----------------------------------------------------------- aggregation
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
-        if not updates:
-            return
-        context = self._require_context()
-        masks = []
-        for update in updates:
-            context.model.set_parameters(self.global_params)
-            masks.append(build_parameter_mask(context.model, update.pattern))
-        self.global_params = masked_average(
-            self.global_params, [u.params for u in updates], masks,
-            [u.num_examples for u in updates])
+        self._aggregate_submodels(updates)
 
     # ------------------------------------------------------------ evaluation
     def client_evaluation(self, client: Client) -> Tuple[ParamDict, Optional[UnitPattern]]:
@@ -222,25 +199,15 @@ class ComplementSparsification(Strategy):
                 for key, value in params.items()}
 
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        context = self._require_context()
-        config = context.config
         mask = self._unstructured_mask(self.global_params)
-        result = train_locally(
-            context.model, self.global_params, client.train_data,
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, param_mask=mask,
-            rng=self._client_rng(round_index, client.client_id))
-        flops, upload, download = self._round_footprint(
-            client, uniform_ratio=self.keep_ratio)
-        return ClientUpdate(
-            client_id=client.client_id, params=result.params,
-            num_examples=client.num_train_examples,
-            train_accuracy=result.train_accuracy, train_loss=result.train_loss,
-            sparse_ratio=self.keep_ratio, flops=flops,
-            upload_bytes=upload * self.keep_ratio, download_bytes=download,
+        result = self._train(round_index, [client], param_mask=mask)[0]
+        update = self._report(
+            client, result, sparse_ratio=self.keep_ratio,
+            uniform_ratio=self.keep_ratio,
             extras={"mask_nonzero": float(sum(np.count_nonzero(m)
                                               for m in mask.values()))})
+        update.upload_bytes *= self.keep_ratio
+        return update
 
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
         if not updates:

@@ -3,8 +3,8 @@
 from .bandit import PUCBVAgent, RatioPartition
 from .convergence import (empirical_parameter_gap, gradient_norm_trajectory,
                           lemma1_gap_bound, max_learning_rate, theorem1_bound)
-from .importance import ImportanceIndicator, initialize_importance
-from .losses import combine_unit_gradients
+from .importance import (ImportanceIndicator, combine_unit_gradients,
+                         initialize_importance)
 from .sparse_training import SparseTrainingResult, learnable_sparse_training
 from .strategy import PATTERN_MODES, RATIO_POLICIES, FedLPS
 from .utility import accuracy_utility, utility_gain

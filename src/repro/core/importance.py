@@ -32,8 +32,7 @@ def smoothed_targets(magnitudes: Mapping[str, np.ndarray]
     information).  We therefore standardize the magnitudes within each layer
     before applying the sigmoid, which keeps the target in the open interval
     (0, 1) while preserving the relative ordering of units that Eq. (8) is
-    meant to encode.  This is an implementation choice documented in
-    DESIGN.md.
+    meant to encode (README, "Departures from the paper").
 
     Every statistic reduces the last axis, so a stacked ``(C, n_units)``
     cohort of magnitudes yields, row for row, the bits of ``C`` separate
@@ -120,6 +119,20 @@ class ImportanceIndicator:
         for name, values in self.scores.items():
             total = total + np.sum((values - targets[name]) ** 2, axis=-1)
         return importance_lambda * total
+
+
+def combine_unit_gradients(task_gate_grads: Mapping[str, np.ndarray],
+                           regularizer_grads: Mapping[str, np.ndarray]
+                           ) -> Dict[str, np.ndarray]:
+    """Total gradient of the loss with respect to the importance indicator.
+
+    The task contribution arrives through the unit gates (straight-through
+    estimate of Eq. 4's step function); the regularizer contribution comes
+    from Eq. (8).
+    """
+    return {name: np.asarray(grad, dtype=np.float64)
+            + np.asarray(regularizer_grads[name], dtype=np.float64)
+            for name, grad in task_gate_grads.items()}
 
 
 def initialize_importance(model: Sequential, *, seed: int = 0,

@@ -33,8 +33,8 @@ from ..nn.model import Sequential
 from ..nn.optim import BatchedSGD, cohort_squared_norms
 from ..nn.params import ParamDict, multiply, subtract
 from ..sparsity.masks import UnitPattern, build_parameter_mask
-from .importance import ImportanceIndicator, smoothed_targets
-from .losses import combine_unit_gradients
+from .importance import (ImportanceIndicator, combine_unit_gradients,
+                         smoothed_targets)
 
 
 @dataclass
@@ -76,8 +76,9 @@ def learnable_sparse_training(model: Sequential,
             oscillate between marginal units and wastes most of the round's
             training, so by default the pattern is derived once per round from
             the incoming ``Q`` and held fixed while ``Q`` itself keeps being
-            learned for the next round (see DESIGN.md).  Set this flag to True
-            for the paper's literal per-iteration behaviour.
+            learned for the next round (README, "Departures from the paper").
+            Set this flag to True for the paper's literal per-iteration
+            behaviour.
     """
     return _sparse_training_program(
         CohortOfOne(model), model, global_params, [importance], [dataset],

@@ -17,12 +17,10 @@ from typing import List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..federated.client import Client
-from ..federated.local import train_locally
-from ..federated.strategy import ClientUpdate, Strategy, StrategyContext
+from ..federated.strategy import ClientUpdate, Strategy
 from ..federated.aggregation import aggregate_residuals
-from ..nn.batched import batchable_model
 from ..nn.params import ParamDict, multiply, subtract
-from ..sparsity.masks import UnitPattern, build_parameter_mask
+from ..sparsity.masks import UnitPattern
 from ..sparsity.patterns import heuristic_pattern
 from ..systems.cost import CostBreakdown
 from ..systems.devices import affordable_ratio
@@ -48,13 +46,10 @@ class FedLPS(Strategy):
                  accuracy_threshold: float = 0.5,
                  rho: float = 1.0,
                  importance_learning_rate: Optional[float] = 0.02) -> None:
-        # Defaults note: the paper's arm space is [0, 1) and the importance
-        # indicator shares the model's learning rate.  With this
-        # reproduction's scaled-down backbones, sub-models below ~40% of the
-        # architecture cannot represent a client's local task at all, and the
-        # raw learning rate makes the top-k pattern oscillate, so the default
-        # arm-space floor and importance learning rate are re-tuned
-        # (documented in DESIGN.md); both remain constructor arguments.
+        # The paper's arm space is [0, 1) and its indicator shares the model's
+        # learning rate; ``ratio_min`` and ``importance_learning_rate`` are
+        # re-tuned for the scaled-down backbones (README, "Departures from
+        # the paper") and both remain constructor arguments.
         super().__init__()
         if ratio_policy not in RATIO_POLICIES:
             raise ValueError(f"ratio_policy must be one of {RATIO_POLICIES}")
@@ -120,15 +115,14 @@ class FedLPS(Strategy):
     # --------------------------------------------------------- local update
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
         if self.pattern_mode == "learnable":
-            return self._learnable_updates(round_index, [client],
-                                           batched=False)[0]
+            return self._learnable_updates(round_index, [client])[0]
         return self._heuristic_update(round_index, client)
 
-    def _learnable_updates(self, round_index: int, clients: List[Client], *,
-                           batched: bool) -> List[ClientUpdate]:
+    def _learnable_updates(self, round_index: int,
+                           clients: List[Client]) -> List[ClientUpdate]:
         """Learnable sparse training (Alg. 1 lines 17-27) for ``clients``:
-        one stacked tensor program when ``batched``, else client by client
-        on ``context.model``."""
+        several run as one stacked tensor program, one trains on
+        ``context.model`` — bit-identical per client, like ``_train``."""
         context = self._require_context()
         config = context.config
         importances: List[ImportanceIndicator] = []
@@ -149,22 +143,17 @@ class FedLPS(Strategy):
         datasets = [client.train_data for client in clients]
         rngs = [self._client_rng(round_index, client.client_id)
                 for client in clients]
-        options = dict(
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, prox_mu=config.prox_mu,
-            importance_lambda=config.importance_lambda,
+        options = self._trainer_options(
+            prox_mu=config.prox_mu, importance_lambda=config.importance_lambda,
             importance_learning_rate=self.importance_learning_rate)
-        if batched:
+        if len(clients) > 1:
             results = learnable_sparse_training_cohort(
                 context.model, self.global_params, importances, datasets,
                 sparse_ratios=ratios, rngs=rngs, **options)
         else:
             results = [learnable_sparse_training(
-                context.model, self.global_params, importance, dataset,
-                sparse_ratio=ratio, rng=rng, **options)
-                for importance, dataset, ratio, rng
-                in zip(importances, datasets, ratios, rngs)]
+                context.model, self.global_params, importances[0],
+                datasets[0], sparse_ratio=ratios[0], rng=rngs[0], **options)]
         updates = []
         for client, ratio, result in zip(clients, ratios, results):
             client.state["importance"] = result.importance
@@ -184,57 +173,46 @@ class FedLPS(Strategy):
         state["personal_params"] = personalized
         state["personal_pattern"] = pattern
         state["last_ratio"] = ratio
-        flops, upload, download = self._round_footprint(client, pattern=pattern)
-        return ClientUpdate(
-            client_id=client.client_id, params=residual,
-            num_examples=client.num_train_examples,
-            train_accuracy=result.train_accuracy, train_loss=result.train_loss,
-            pattern=pattern, sparse_ratio=ratio, flops=flops,
-            upload_bytes=upload, download_bytes=download)
+        return self._report(client, result, params=residual, pattern=pattern,
+                            sparse_ratio=ratio)
 
     # ------------------------------------------------------ cohort batching
     def cohort_batchable(self) -> bool:
         # only the learnable path runs stacked; the heuristic pattern
-        # ablations go through train_locally, one client at a time
-        context = self._require_context()
-        return (self.pattern_mode == "learnable"
-                and batchable_model(context.model))
+        # ablations train one sub-model at a time
+        return super().cohort_batchable() and self.pattern_mode == "learnable"
 
-    def local_update_cohort(self, round_index: int,
-                            clients: List[Client]
+    def local_update_cohort(self, round_index: int, clients: List[Client]
                             ) -> Optional[List[ClientUpdate]]:
-        return self._learnable_updates(round_index, clients, batched=True)
+        return self._learnable_updates(round_index, clients)
 
     def _heuristic_update(self, round_index: int,
                           client: Client) -> ClientUpdate:
-        """Pattern-ablation path: heuristic pattern + masked sparse training."""
+        """Pattern-ablation path (Figure 9a): a heuristic pattern in place
+        of the learned one; same proximal pull, same residual upload."""
         context = self._require_context()
-        config = context.config
         ratio = self._effective_ratio(client)
+        # one stream: the pattern's draws come first, the batches continue it
         rng = self._client_rng(round_index, client.client_id)
+        # magnitude patterns read the model's values
         context.model.set_parameters(self.global_params)
         pattern = heuristic_pattern(self.pattern_mode, context.model, ratio,
                                     round_index=round_index, rng=rng)
-        param_mask = build_parameter_mask(context.model, pattern)
-        result = train_locally(
-            context.model, self.global_params, client.train_data,
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, prox_mu=config.prox_mu,
-            prox_center=self.global_params, pattern=pattern,
-            param_mask=param_mask, rng=rng)
+        result, param_mask = self._train_submodel(
+            round_index, client, pattern, rngs=[rng],
+            prox_mu=context.config.prox_mu, prox_center=self.global_params)
         return self._record_update(
             client, ratio, result, pattern=pattern,
             residual=multiply(subtract(self.global_params, result.params),
                               param_mask),
-            personalized=multiply(result.params, param_mask))
+            personalized=result.params)
 
     def _effective_ratio(self, client: Client) -> float:
         """Cap the server-decided ratio by the client's capability (Sec. III-B).
 
-        The cap uses :func:`affordable_ratio`, i.e. the capability translated
-        into the largest sub-model fraction the device can host given this
-        reproduction's scaled-down backbones (see DESIGN.md).
+        The cap uses :func:`affordable_ratio`: the capability translated into
+        the largest sub-model fraction the device can host on the scaled-down
+        backbones (README, "Departures from the paper").
         """
         ratio = client.state.get("ratio", self.fixed_ratio)
         cap = affordable_ratio(client.capability)

@@ -67,7 +67,8 @@ class FederatedConfig:
     # FedLPS loss weights (Eq. 9): mu scales the proximal term, lam the
     # importance regularizer.  The paper uses mu = lambda = 1 with full-size
     # backbones; on this reproduction's scaled-down models a mu of 1.0
-    # overwhelms the task gradient, so the default is re-tuned (DESIGN.md).
+    # overwhelms the task gradient, so the default is re-tuned (README,
+    # "Departures from the paper").
     prox_mu: float = 0.05
     importance_lambda: float = 0.1
     # communication/computation trade-off weight in the cost model (Eq. 14)

@@ -1,21 +1,34 @@
 """Strategy interface: how a federated method plugs into the simulator.
 
-A strategy owns the global model state and decides
+A strategy owns the global model state and decides which clients take part
+in a round (``select_clients``), what a client computes and uploads
+(``local_update``), how the server merges uploads (``aggregate``), which
+parameters a client infers with (``client_evaluation``) and any end-of-round
+bookkeeping such as bandit updates (``post_round``).  The server core drives
+the round loop and turns the reported footprints into simulated time.
 
-* which clients participate in a round (``select_clients``),
-* what a client computes locally and what it uploads (``local_update``),
-* how the server merges uploads (``aggregate``),
-* which parameters each client uses for inference (``client_evaluation``),
-* any end-of-round bookkeeping such as bandit updates (``post_round``).
+A method overrides ``local_update`` and says only what differs from dense
+FedAvg; two helpers carry the rest and are the only place a trainer is
+called or a :class:`ClientUpdate` is built:
 
-The :class:`FederatedTrainer` drives the round loop, converts the uploaded
-footprints into simulated time through the cost model and records metrics.
+* ``self._train(round_index, clients, starts=, rngs=, **overrides)`` runs
+  local SGD under the config's optimizer settings (replace any, or add
+  ``prox_mu=``, ``param_mask=``, ``trainable_keys=`` ...), and
+  ``self._train_submodel(round_index, client, pattern)`` is the masked pass
+  every sub-model method shares;
+* ``self._report(client, result, params=, pattern=, sparse_ratio=)`` wraps
+  the metrics, the upload and the round's FLOPs / traffic footprint.
+
+A method that should also run as one stacked tensor program under
+``batch_cohort`` supplies ``local_update_cohort`` next to ``local_update``
+(``_train`` stacks whenever it gets more than one client); a class that
+overrides ``local_update`` alone stays on the per-client loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,12 +36,12 @@ from ..data.dataset import FederatedDataset, mapping_client_ids
 from ..nn.model import Sequential
 from ..nn.params import ParamDict, copy_params
 from ..sparsity.accounting import local_round_cost
-from ..sparsity.masks import UnitPattern
+from ..sparsity.masks import UnitPattern, build_parameter_mask
 from ..systems.cost import CostBreakdown, LocalCostModel
 from ..systems.devices import DeviceFleet
 from ..nn.batched import batchable_model
-from .aggregation import fedavg
-from .batched import train_cohort_batched
+from .aggregation import fedavg, masked_average
+from .batched import LocalUpdateResult, train_cohort_batched
 from .client import Client
 from .config import FederatedConfig
 from .fleet import bind_client_state_initializer
@@ -137,59 +150,101 @@ class Strategy:
     # --------------------------------------------------------- local update
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
         """Dense local SGD starting from the global parameters."""
-        return self._dense_updates(round_index, [client], batched=False)[0]
+        return self._dense_updates(round_index, [client])[0]
 
-    def _dense_updates(self, round_index: int, clients: List[Client], *,
-                       batched: bool, **trainer_options) -> List[ClientUpdate]:
-        """Dense local SGD from the global parameters for ``clients``: one
-        stacked tensor program when ``batched``, else client by client on
-        ``context.model``.  ``trainer_options`` reach the trainer as is."""
-        context = self._require_context()
-        config = context.config
-        options = dict(
-            iterations=config.local_iterations, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, **trainer_options)
+    def _dense_updates(self, round_index: int, clients: List[Client],
+                       **overrides) -> List[ClientUpdate]:
+        """Dense local SGD from the global parameters, one update per client."""
+        results = self._train(round_index, clients, **overrides)
+        return [self._report(client, result)
+                for client, result in zip(clients, results)]
+
+    def _trainer_options(self, **overrides) -> Dict:
+        """The config's optimizer block as trainer keyword arguments."""
+        config = self._require_context().config
+        return {"iterations": config.local_iterations,
+                "batch_size": config.batch_size,
+                "learning_rate": config.learning_rate,
+                "momentum": config.momentum, "clip_norm": config.clip_norm,
+                **overrides}
+
+    def _train(self, round_index: int, clients: List[Client], *,
+               starts: Optional[Sequence[ParamDict]] = None,
+               rngs: Optional[Sequence[np.random.Generator]] = None,
+               **overrides) -> List[LocalUpdateResult]:
+        """Local SGD for ``clients``: the one trainer call site.
+
+        Client ``i`` starts from ``starts[i]`` (default: the global
+        parameters) and draws its batches from ``rngs[i]`` (default: its
+        ``_client_rng`` of this round); ``overrides`` reach the trainer as
+        is.  Several clients run as one stacked tensor program, one trains
+        on ``context.model`` itself and leaves it holding the trained
+        parameters; per client the two are bit-identical, so size decides.
+        """
+        model = self._require_context().model
+        options = self._trainer_options(**overrides)
+        starts = starts or [self.global_params] * len(clients)
+        rngs = rngs or [self._client_rng(round_index, client.client_id)
+                        for client in clients]
         datasets = [client.train_data for client in clients]
-        rngs = [self._client_rng(round_index, client.client_id)
-                for client in clients]
-        if batched:
-            results = train_cohort_batched(
-                context.model, [self.global_params] * len(clients), datasets,
-                rngs=rngs, **options)
-        else:
-            results = [train_locally(context.model, self.global_params,
-                                     dataset, rng=rng, **options)
-                       for dataset, rng in zip(datasets, rngs)]
-        updates = []
-        for client, result in zip(clients, results):
-            flops, upload, download = self._round_footprint(client)
-            updates.append(ClientUpdate(
-                client_id=client.client_id, params=result.params,
-                num_examples=client.num_train_examples,
-                train_accuracy=result.train_accuracy,
-                train_loss=result.train_loss,
-                flops=flops, upload_bytes=upload, download_bytes=download))
-        return updates
+        if len(clients) > 1:
+            return train_cohort_batched(model, starts, datasets, rngs=rngs,
+                                        **options)
+        return [train_locally(model, starts[0], datasets[0], rng=rngs[0],
+                              **options)]
+
+    def _train_submodel(self, round_index: int, client: Client,
+                        pattern: UnitPattern, **overrides
+                        ) -> Tuple[LocalUpdateResult, ParamDict]:
+        """The one sub-model body: expand ``pattern`` to a parameter mask and
+        train the gated, masked model from the global parameters.  Returns
+        ``(result, param_mask)`` with ``result.params`` already zero outside
+        the mask; what is uploaded (those parameters or the masked
+        residual), what ``client.state`` remembers and which model
+        evaluates is the caller's to say."""
+        param_mask = build_parameter_mask(self._require_context().model, pattern)
+        result = self._train(round_index, [client], pattern=pattern,
+                             param_mask=param_mask, **overrides)[0]
+        return result, param_mask
+
+    def _report(self, client: Client, result, *,
+                params: Optional[ParamDict] = None,
+                pattern: Optional[UnitPattern] = None,
+                sparse_ratio: float = 1.0,
+                uniform_ratio: Optional[float] = None,
+                **fields) -> ClientUpdate:
+        """The one place a :class:`ClientUpdate` is built: ``result``'s
+        metrics, the uploaded ``params`` (default: all it trained) and the
+        round's footprint under ``pattern`` / ``uniform_ratio``.  Methods
+        that cost more or upload less than that footprint (double passes,
+        on-device heads) rescale the fields of the returned update."""
+        flops, upload, download = self._round_footprint(
+            client, pattern=pattern, uniform_ratio=uniform_ratio)
+        return ClientUpdate(
+            client_id=client.client_id,
+            params=result.params if params is None else params,
+            num_examples=client.num_train_examples,
+            train_accuracy=result.train_accuracy, train_loss=result.train_loss,
+            pattern=pattern, sparse_ratio=sparse_ratio, flops=flops,
+            upload_bytes=upload, download_bytes=download, **fields)
 
     # ------------------------------------------------------ cohort batching
     def cohort_batchable(self) -> bool:
         """Whether ``local_update_cohort`` reproduces this strategy's
-        per-client ``local_update`` bit-for-bit for a whole cohort.
-
-        The base predicate is conservative: a subclass that overrides
-        ``local_update`` (heterogeneous widths, personalization, custom
-        uploads) automatically falls back to the per-client loop unless it
-        also overrides the cohort hooks, and models containing layers
-        without batched kernels (dropout, embeddings, recurrent cells)
-        always fall back.
+        per-client ``local_update`` bit-for-bit for a whole cohort: the
+        model has batched kernels (dropout, embeddings and recurrent cells
+        do not) and the most derived class that defines either hook defines
+        the cohort one.  A subclass that overrides ``local_update`` alone
+        (heterogeneous widths, personalization, a tweak to ``client.state``)
+        therefore runs the per-client loop until it supplies the twin too.
         """
-        context = self._require_context()
-        return (type(self).local_update is Strategy.local_update
-                and batchable_model(context.model))
+        hooks = ("local_update", "local_update_cohort")
+        supplier = next(cls for cls in type(self).__mro__
+                        if any(hook in vars(cls) for hook in hooks))
+        return ("local_update_cohort" in vars(supplier)
+                and batchable_model(self._require_context().model))
 
-    def local_update_cohort(self, round_index: int,
-                            clients: List[Client]
+    def local_update_cohort(self, round_index: int, clients: List[Client]
                             ) -> Optional[List[ClientUpdate]]:
         """Batched twin of ``local_update`` over a homogeneous cohort.
 
@@ -197,7 +252,7 @@ class Strategy:
         ``None`` to make the caller fall back to the per-client loop.  Only
         called when :meth:`cohort_batchable` is true.
         """
-        return self._dense_updates(round_index, clients, batched=True)
+        return self._dense_updates(round_index, clients)
 
     # ----------------------------------------------------------- aggregation
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
@@ -207,6 +262,20 @@ class Strategy:
         self.global_params = fedavg(
             [update.params for update in updates],
             [update.num_examples for update in updates])
+
+    def _aggregate_submodels(self, updates: List[ClientUpdate]) -> None:
+        """Coverage-aware average of masked uploads: an entry is averaged
+        over the clients whose ``update.pattern`` covers it and keeps its
+        old value where none does."""
+        if not updates:
+            return
+        model = self._require_context().model
+        # mask expansion reads the model's shapes only, never its values
+        masks = [build_parameter_mask(model, update.pattern)
+                 for update in updates]
+        self.global_params = masked_average(
+            self.global_params, [u.params for u in updates], masks,
+            [u.num_examples for u in updates])
 
     # ------------------------------------------------------------ evaluation
     def client_evaluation(self, client: Client) -> Tuple[ParamDict, Optional[UnitPattern]]:

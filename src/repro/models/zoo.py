@@ -119,7 +119,7 @@ def build_model_for_dataset(dataset: str, *, seed: int = 0) -> Sequential:
     """Build the default backbone for one of the five paper datasets.
 
     Supported names: ``mnist``, ``cifar10``, ``cifar100``, ``tinyimagenet``,
-    ``reddit`` (the synthetic stand-ins described in DESIGN.md).
+    ``reddit`` (synthetic stand-ins, see README "Departures from the paper").
     """
     dataset = dataset.lower()
     if dataset == "mnist":

@@ -29,7 +29,8 @@ CAPABILITY_LEVELS = (1.0, 1 / 2, 1 / 4, 1 / 8, 1 / 16)
 #: still hold a quarter of *our* backbone even though it could only hold 1/16
 #: of VGG.  Capability still scales the simulated *time* cost, so stragglers
 #: and heterogeneity effects are preserved; this floor only prevents the
-#: scaled-down models from being pruned into uselessness.  See DESIGN.md.
+#: scaled-down models from being pruned into uselessness (README,
+#: "Departures from the paper").
 MIN_AFFORDABLE_RATIO = 0.4
 
 

@@ -1,12 +1,25 @@
 """Integration-level tests for the FedLPS strategy."""
 
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.baselines import ablations
 from repro.core import FedLPS
+from repro.experiments import build_experiment
 from repro.federated import FederatedConfig, FederatedTrainer, run_federated
 from repro.models import build_model_for_dataset
 from repro.systems import affordable_ratio
+
+_SPEC = importlib.util.spec_from_file_location(
+    "golden_fixtures",
+    Path(__file__).resolve().parents[1] / "fixtures" / "regenerate_golden.py")
+golden = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(golden)
 
 
 def builder():
@@ -116,3 +129,40 @@ class TestFedLPSBehaviour:
         assert len(history) == tiny_config.num_rounds
         ratios = history.records[-1].sparse_ratios
         assert all(0 < r <= 1 for r in ratios.values())
+
+
+#: sha256 of the sorted-key history JSON, recorded at the parent commit of
+#: PR 18 (9d506ca) on the unmodified three-body code
+PINNED_ABLATION_DIGESTS = {
+    "random":
+        "f826de10dd367ccefc4e1a2d035e088e335130deb8feae78cba1465a3e688c8e",
+    "ordered":
+        "b3c6cf7eaf386abd76356156de4f1b22687bcf8709370c5b9e848d292c251bfa",
+    "magnitude":
+        "a65e0c7d48e5d69e6187ba8890e0d292ac7f7b88b0b7ae71bd7c353db961df4e",
+    "learnable@0.5":
+        "aa0f690969b3dc69916a7047bb24c9dbbbc5e8c756db15dbf4215ae89e848298",
+}
+
+
+@pytest.mark.parametrize("variant", list(PINNED_ABLATION_DIGESTS))
+def test_pattern_ablation_histories_are_pinned(variant):
+    """Byte-level oracle for the Figure 9a ablations the goldens do not cover.
+
+    The registry goldens pin only the learnable P-UCBV / fixed / capability
+    variants; the heuristic-pattern path (``FedLPS._heuristic_update``) and
+    the fixed-ratio learnable sweep get their digests here.  The constants
+    were recorded at the parent commit of the PR that folded the three
+    pattern -> mask -> train bodies into one, before any source change, and
+    must never be regenerated by a refactor.
+    """
+    strategy = (ablations.fedlps_learnable_fixed_ratio(0.5)
+                if variant == "learnable@0.5"
+                else ablations.fedlps_with_pattern(variant))
+    dataset, model_builder, config, fleet = build_experiment(
+        golden.golden_preset("ideal"))
+    history = run_federated(strategy, dataset, model_builder, config=config,
+                            fleet=fleet)
+    digest = hashlib.sha256(
+        json.dumps(history.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_ABLATION_DIGESTS[variant]

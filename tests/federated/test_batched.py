@@ -11,13 +11,16 @@ bit anywhere fails them.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import FedProx
 from repro.core.importance import initialize_importance
 from repro.core.sparse_training import (learnable_sparse_training,
                                         learnable_sparse_training_cohort)
@@ -232,6 +235,32 @@ def _small(preset_name="mnist", **overrides):
     return scaled(preset_for(preset_name), **base)
 
 
+def _example_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"examples_{name}",
+        Path(__file__).resolve().parents[2] / "examples" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class VisitCountingFedProx(FedProx):
+    """Overrides ``local_update`` only: must stay on the per-client loop."""
+
+    def local_update(self, round_index, client):
+        client.state["visits"] = client.state.get("visits", 0) + 1
+        return super().local_update(round_index, client)
+
+
+class BatchedVisitCountingFedProx(VisitCountingFedProx):
+    """Supplies the cohort twin of its override too: batches again."""
+
+    def local_update_cohort(self, round_index, clients):
+        for client in clients:
+            client.state["visits"] = client.state.get("visits", 0) + 1
+        return FedProx.local_update_cohort(self, round_index, clients)
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("method", ["fedavg", "fedprox", "fedlps", "oort"])
     def test_histories_identical_with_batching(self, method):
@@ -261,6 +290,45 @@ class TestEndToEnd:
         batched = run_method("fedavg", scaled(preset, batch_cohort=True))
         assert _history_key(default) == _history_key(batched)
 
+
+    @pytest.mark.parametrize("make_strategy", [
+        lambda: _example_module("custom_strategy").FedLPSTopUp(margin=0.15),
+        VisitCountingFedProx], ids=["fedlps-topup", "fedprox-subclass"])
+    def test_subclass_local_update_override_survives_batching(
+            self, make_strategy):
+        """A subclass that replaces ``local_update`` alone keeps its override
+        under ``batch_cohort``: the cohort is planned as per-client tasks
+        and the history matches the unbatched run bit-for-bit.
+
+        Regression: ``FedLPS`` and ``FedProx`` used to answer
+        ``cohort_batchable`` without checking who supplies ``local_update``,
+        so the batched run silently trained through the parent's
+        ``local_update_cohort`` (``FedLPSTopUp`` lost its ratio margin).
+        """
+        from repro.experiments import run_method, scaled
+
+        preset = _small(num_rounds=4)
+        default = run_method("custom", preset, strategy=make_strategy())
+        batched = run_method("custom", scaled(preset, batch_cohort=True),
+                             strategy=make_strategy())
+        assert _history_key(default) == _history_key(batched)
+        core = TestChunkPlan._core(make_strategy())
+        assert core._plan_chunks([3, 1, 2]) == [[3], [1], [2]]
+
+    @pytest.mark.parametrize("make_strategy", [
+        lambda: _example_module("custom_strategy").CapabilityStepFedAvg(),
+        BatchedVisitCountingFedProx], ids=["same-class", "below-the-override"])
+    def test_subclass_with_its_own_cohort_hook_still_batches(
+            self, make_strategy):
+        from repro.experiments import run_method, scaled
+
+        core = TestChunkPlan._core(make_strategy())
+        assert core._plan_chunks([3, 1, 2]) == [[3, 1, 2]]
+        preset = _small()
+        default = run_method("custom", preset, strategy=make_strategy())
+        batched = run_method("custom", scaled(preset, batch_cohort=True),
+                             strategy=make_strategy())
+        assert _history_key(default) == _history_key(batched)
 
     def test_cohort_batches_on_every_executor(self, monkeypatch):
         """``batch_cohort`` engages with no executor, serial and a pool.
@@ -311,7 +379,9 @@ class TestChunkPlan:
 
         dataset, model_builder, config, fleet = build_experiment(
             _small(**{"batch_cohort": True, **overrides}))
-        core = ServerCore(build_strategy(method), dataset, model_builder,
+        strategy = build_strategy(method) if isinstance(method, str) \
+            else method
+        core = ServerCore(strategy, dataset, model_builder,
                           config=config, fleet=fleet)
         core.strategy.setup(core.context)
         return core

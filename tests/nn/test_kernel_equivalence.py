@@ -35,8 +35,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.importance import (ImportanceIndicator,
+                                   combine_unit_gradients,
                                    initialize_importance, smoothed_targets)
-from repro.core.losses import combine_unit_gradients
 from repro.core.sparse_training import (SparseTrainingResult,
                                         _normalize_gate_gradients,
                                         learnable_sparse_training,
