@@ -1,5 +1,9 @@
 """Scheduler behaviour: FedBuff flushes, async records, sim-time wins."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,36 @@ def tiny_preset(scenario="ideal", aggregation="sync", **extra):
     overrides.update(extra)
     return scaled(preset_for("mnist"), scenario=scenario,
                   aggregation=aggregation, **overrides)
+
+
+#: sha256 of every scheduler x scenario x fault x codec history, see
+#: ``test_scheduler_lattice_is_pinned``
+LATTICE_PINS = json.loads(
+    (Path(__file__).resolve().parents[1] / "fixtures"
+     / "scheduler_lattice.json").read_text())
+
+
+@pytest.mark.parametrize("cell", sorted(LATTICE_PINS))
+def test_scheduler_lattice_is_pinned(cell):
+    """Every scheduler x scenario x fault x codec history, byte for byte.
+
+    The goldens pin sync (incl. ``deadline-tight`` / ``trace``) and
+    ``fedlps--int8--fedasync/fedbuff`` only, so the cells a scheduler
+    refactor passes through — drops from unavailability, busy clients,
+    exhausted retries and stragglers, in all three round shapes — had no
+    oracle of their own.  ``tests/fixtures/scheduler_lattice.json`` was
+    recorded on the unmodified code at the parent commit of PR 19 (the
+    two-``_run`` schedulers, commit 10507fc); it is never regenerated by a
+    refactor — a mismatch here is a behaviour change.
+    """
+    aggregation, scenario, faults, codec = cell.split("/")
+    extra = (dict(fault_plan="chaos", max_retries=1)
+             if faults == "chaos" else {})
+    history = run_method("fedlps", tiny_preset(
+        scenario, aggregation, num_rounds=6, clients_per_round=4,
+        codec=codec, **extra))
+    payload = json.dumps(history.to_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == LATTICE_PINS[cell]
 
 
 class _FakeCore:
