@@ -33,7 +33,7 @@ BENCH_CODECS = ("sparse", "int8", "pq")
 GATE_DENSITY_CEILING = 0.5
 GATE_SPARSE_RATIO = 0.5
 
-#: the wire-report keys summed over rounds (see ``ServerCore.take_wire_report``)
+#: the wire-report keys summed over rounds (``ServerCore.take_fanout_report``)
 _WIRE_TOTALS = ("wire_upload_bytes", "wire_upload_dense_bytes",
                 "wire_download_bytes", "wire_download_dense_bytes")
 

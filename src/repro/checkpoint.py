@@ -167,15 +167,6 @@ class RunCheckpoint:
     scheduler: Dict[str, Any] = field(default_factory=dict)
 
 
-def _collect_client_states(clients) -> Dict[int, Dict[str, Any]]:
-    """The per-client states to persist, sparse where the fleet is."""
-    store = getattr(clients, "state_store", None)
-    if store is not None:
-        return store.snapshot()
-    # plain Dict[int, Client] (hand-rolled cores in unit tests)
-    return {cid: client.state for cid, client in sorted(clients.items())}
-
-
 def capture_run(core, scheduler, history: TrainingHistory,
                 next_round: int) -> RunCheckpoint:
     """Snapshot ``core``/``scheduler`` at a round boundary.
@@ -197,7 +188,7 @@ def capture_run(core, scheduler, history: TrainingHistory,
         records=copy.deepcopy(history.records),
         strategy_attrs=copy.deepcopy(strategy_attrs),
         rng=rng_state(core.context.rng),
-        client_states=copy.deepcopy(_collect_client_states(core.clients)),
+        client_states=copy.deepcopy(core.clients.state_store.snapshot()),
         scheduler={"name": scheduler.name,
                    **copy.deepcopy(scheduler.state_dict())},
     )
@@ -237,13 +228,8 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     # the context is shared between core and strategy; swapping its rng
     # resumes the selection/strategy stream mid-sequence
     core.context.rng = restore_rng(checkpoint.rng)
-    clients = core.clients
     for client_id, state in copy.deepcopy(checkpoint.client_states).items():
-        update = getattr(clients, "update_state", None)
-        if update is not None:
-            update(client_id, state)
-        else:
-            clients[client_id].state = state
+        core.clients.update_state(client_id, state)
     history.records = copy.deepcopy(checkpoint.records)
     scheduler.load_state_dict(checkpoint.scheduler)
     return checkpoint.next_round

@@ -56,6 +56,15 @@ SUMMARY_COLUMNS = ["accuracy", "total_flops", "total_time_seconds",
                    "sim_time_seconds", "time_to_accuracy_seconds"]
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse ``type``: an int, rejecting anything below 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative int")
+    return value
+
+
 def _preset_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
     if args.rounds is not None:
@@ -132,7 +141,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "a timed-out task is retried (then dropped) and "
                              "its hung worker reclaimed on the process "
                              "backend")
-    parser.add_argument("--max-retries", type=int, default=None,
+    parser.add_argument("--max-retries", type=non_negative_int, default=None,
                         help="retry a failed client task up to N times with "
                              "capped exponential backoff before dropping "
                              "the client from the round (default 0)")
@@ -202,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "--checkpoint-dir (fresh start if none); "
                                  "the continued history is bit-identical to "
                                  "an uninterrupted run")
-    run_parser.add_argument("--stop-after-round", type=int, default=None,
+    run_parser.add_argument("--stop-after-round", type=non_negative_int,
+                            default=None,
                             help="deterministic preemption: checkpoint round "
                                  "K, then exit with status 3 (CI resume "
                                  "smoke)")
@@ -254,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="root directory for per-cell run "
                                    "checkpoints (each grid cell gets a "
                                    "spec-keyed subdirectory)")
-    sweep_parser.add_argument("--retries", type=int, default=0,
+    sweep_parser.add_argument("--retries", type=non_negative_int, default=0,
                               help="retry a failed cell up to N times, "
                                    "resuming from its last checkpoint when "
                                    "--checkpoint-dir is set")
@@ -289,7 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if ((getattr(args, "hosts", None) or getattr(args, "worker_token", None))
+            and args.backend != "socket"):
+        parser.error("--hosts/--worker-token need --backend socket")
 
     if args.command == "list":
         for name in available_strategies():

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional
 
 from ..data import FederatedDataset, build_federated_dataset
-from ..federated import AGGREGATIONS, FederatedConfig, FleetConfig
+from ..federated import FederatedConfig, FleetConfig
 from ..models import build_model_for_dataset
 from ..nn.model import Sequential
-from ..parallel.codec import available_codecs
-from ..parallel.faults import available_fault_plans, build_fault_plan
-from ..scenarios import available_scenarios, build_scenario
+from ..parallel.faults import build_fault_plan
+from ..scenarios import build_scenario
 from ..systems import VirtualDeviceFleet
 from ..systems.devices import HETEROGENEITY_PRESETS
 
@@ -118,27 +117,16 @@ def scaled(preset: ExperimentPreset, **overrides) -> ExperimentPreset:
 def build_experiment(preset: ExperimentPreset
                      ) -> tuple[FederatedDataset, Callable[[], Sequential],
                                 FederatedConfig, VirtualDeviceFleet]:
-    """The virtual dataset, model builder, config and virtual device fleet."""
+    """The virtual dataset, model builder, config and virtual device fleet.
+
+    Unknown ``scenario`` / ``aggregation`` / ``codec`` / ``fault_plan``
+    names are rejected by their owners below (``build_scenario``,
+    ``FederatedConfig``, ``build_fault_plan``) with an "unknown ...; choose
+    from ..." ``ValueError``.
+    """
     if preset.heterogeneity not in HETEROGENEITY_PRESETS:
         raise ValueError(
             f"unknown heterogeneity level {preset.heterogeneity!r}")
-    if preset.scenario not in available_scenarios():
-        raise ValueError(
-            f"unknown scenario {preset.scenario!r}; "
-            f"choose from {available_scenarios()}")
-    if preset.aggregation not in AGGREGATIONS:
-        raise ValueError(
-            f"unknown aggregation mode {preset.aggregation!r}; "
-            f"choose from {AGGREGATIONS}")
-    if preset.codec not in available_codecs():
-        raise ValueError(
-            f"unknown codec {preset.codec!r}; "
-            f"choose from {available_codecs()}")
-    if (preset.fault_plan is not None
-            and preset.fault_plan not in available_fault_plans()):
-        raise ValueError(
-            f"unknown fault plan {preset.fault_plan!r}; "
-            f"choose from {available_fault_plans()}")
     dataset = build_federated_dataset(
         preset.dataset, preset.num_clients,
         classes_per_client=preset.classes_per_client,

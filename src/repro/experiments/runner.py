@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from ..baselines import build_strategy
 from ..federated import FederatedTrainer
 from ..federated.strategy import Strategy
-from ..parallel import Executor
+from ..parallel import Executor, SerialExecutor
 from ..parallel.supervision import RetryPolicy, retry_call
 from ..systems import TrainingHistory
 from .cache import ResultCache, run_spec, spec_key
@@ -91,27 +91,23 @@ def sweep_cell_dir(checkpoint_root: Union[str, Path], spec: JobSpec) -> Path:
     return Path(checkpoint_root) / f"{safe_method}-{preset.dataset}-{digest}"
 
 
-#: payload of one resilient sweep job: (spec, cell checkpoint dir, retries)
-_ResilientJob = Tuple[JobSpec, Optional[str], int]
+#: payload of one sweep job: (spec, cell checkpoint dir or None, retries)
+_SweepJob = Tuple[JobSpec, Optional[str], int]
 
 
-def _sweep_job(spec: JobSpec) -> TrainingHistory:
-    """Run one sweep job; module-level so process workers can import it."""
-    method, preset, strategy_kwargs = spec
-    return run_method(method, preset, strategy_kwargs=strategy_kwargs)
-
-
-def _sweep_job_resilient(payload: _ResilientJob) -> TrainingHistory:
+def _sweep_job(payload: _SweepJob) -> TrainingHistory:
     """Run one sweep job with in-worker retries from its last checkpoint.
 
-    Retrying must live *inside* the job function: executor backends
-    propagate a worker exception straight to the caller, which would take
-    the whole sweep down with it.  The retry loop is the shared
+    Module-level so process workers can import it.  Retrying must live
+    *inside* the job function: executor backends propagate a worker
+    exception straight to the caller, which would take the whole sweep down
+    with it.  The retry loop is the shared
     :func:`~repro.parallel.supervision.retry_call` machinery (bounded
     attempts, capped backoff); every attempt resumes from the cell's latest
     checkpoint, so attempt N+1 repeats only the rounds attempt N had not
     yet persisted — and the schedulers' emergency checkpoint means a crash
-    mid-round costs at most the crashed round.  The final attempt re-raises.
+    mid-round costs at most the crashed round.  The final attempt re-raises
+    (with ``retries=0`` that is the only attempt: a plain call).
     """
     (method, preset, strategy_kwargs), cell_dir, retries = payload
     return retry_call(
@@ -128,9 +124,9 @@ def run_jobs(specs: List[JobSpec], *, executor: Optional[Executor] = None,
     """Run every job spec, in parallel where possible, returning input order.
 
     Cache hits are filled in without dispatching a job; misses run on the
-    executor and are written back to the cache as each job completes (in
-    completion order, so a long sweep's cache grows incrementally even if it
-    is interrupted).
+    executor (default: inline, the serial backend) and are written back to
+    the cache as each job completes (in completion order, so a long sweep's
+    cache grows incrementally even if it is interrupted).
 
     With ``checkpoint_root`` set, each cell checkpoints into its own
     spec-keyed subdirectory and failed cells are retried up to ``retries``
@@ -151,30 +147,18 @@ def run_jobs(specs: List[JobSpec], *, executor: Optional[Executor] = None,
         else:
             pending.append(spec)
             pending_positions.append(position)
-    if pending:
-        resilient = checkpoint_root is not None or retries > 0
-        if resilient:
-            jobs: List[_ResilientJob] = [
-                (spec,
-                 str(sweep_cell_dir(checkpoint_root, spec))
-                 if checkpoint_root is not None else None,
-                 retries)
-                for spec in pending]
-            if executor is None:
-                completed = [(index, _sweep_job_resilient(job))
-                             for index, job in enumerate(jobs)]
-            else:
-                completed = executor.map_unordered(_sweep_job_resilient, jobs)
-        elif executor is None:
-            completed = [(index, _sweep_job(spec))
-                         for index, spec in enumerate(pending)]
-        else:
-            completed = executor.map_unordered(_sweep_job, pending)
-        for index, history in completed:
-            method, preset, strategy_kwargs = pending[index]
-            if cache is not None:
-                cache.put(method, preset, strategy_kwargs, history)
-            results[pending_positions[index]] = history
+    jobs: List[_SweepJob] = [
+        (spec,
+         str(sweep_cell_dir(checkpoint_root, spec))
+         if checkpoint_root is not None else None,
+         retries)
+        for spec in pending]
+    for index, history in (executor or SerialExecutor()).map_unordered(
+            _sweep_job, jobs):
+        method, preset, strategy_kwargs = pending[index]
+        if cache is not None:
+            cache.put(method, preset, strategy_kwargs, history)
+        results[pending_positions[index]] = history
     return [results[position] for position in range(len(specs))]
 
 

@@ -4,16 +4,17 @@ The server is split into three layers:
 
 * :mod:`repro.server.clock` — a simulated clock and a completion-event
   queue ordered by the pure key ``(finish_time, client_id)``;
-* :mod:`repro.server.scheduler` — the training *shape*: synchronous
-  rounds (:class:`SyncScheduler`), FedAsync-style per-arrival aggregation
-  (:class:`AsyncScheduler`) and FedBuff-style buffered aggregation
-  (:class:`BufferedScheduler`);
+* :mod:`repro.server.scheduler` — the one round loop
+  (:meth:`Scheduler.run`) and the training *shape* as its two hooks:
+  synchronous rounds (:class:`SyncScheduler`), FedAsync-style per-arrival
+  aggregation (:class:`AsyncScheduler`) and FedBuff-style buffered
+  aggregation (:class:`BufferedScheduler`);
 * :mod:`repro.server.policy` — staleness-weighted merging of arrivals
   into the global model, separate from the averaging kernels.
 
 :class:`~repro.server.core.ServerCore` carries the state and services the
-schedulers compose; :class:`~repro.federated.trainer.FederatedTrainer` is a
-thin facade over it.
+schedulers compose; ``repro.federated.FederatedTrainer`` is the same class
+under its historical name.
 """
 
 from .clock import ClientEvent, EventQueue, SimClock

@@ -1,22 +1,22 @@
 """The event-driven server core: state, fan-out transport and services.
 
-:class:`ServerCore` owns everything the old monolithic
-``FederatedTrainer._run`` loop owned — strategy, dataset, device fleet,
-cost model, scenario engine, executor and the shared-memory broadcast
-transport — but no longer hard-codes the synchronous round shape.  The
-*shape* of training (when clients are dispatched, when arrivals are
-aggregated) lives in a :class:`~repro.server.scheduler.Scheduler`; the core
-provides the services every scheduler composes:
+:class:`ServerCore` owns a run's strategy, dataset, device fleet, cost
+model, scenario engine, executor and the shared-memory broadcast transport
+— it *is* the trainer (``repro.federated.FederatedTrainer`` is this class
+under its historical name) — but not the shape of a round.  The round loop
+and its *shape* (when clients are dispatched, when arrivals are aggregated)
+live in :meth:`repro.server.scheduler.Scheduler.run`, which
+:meth:`ServerCore.run` hands the core to; the core provides the services
+the loop composes:
 
 * deterministic client selection (with scenario over-selection),
 * availability splits and per-client latencies from the scenario engine,
-* local-update fan-out over the executor — ordered for the synchronous
-  scheduler, completion-order (``map_unordered``) for the asynchronous ones
-  — as one plan: the cohort is partitioned into chunks (the whole cohort
-  when it trains as one batched program, single clients otherwise), every
-  chunk runs through one task body, and the only transport selection is
-  the executor's ``supports_broadcast`` (inline on the live objects vs
-  bound from the shared-memory broadcast handles),
+* local-update fan-out over the executor, results in dispatch order, as
+  one plan: the cohort is partitioned into chunks (the whole cohort when it
+  trains as one batched program, single clients otherwise), every chunk
+  runs through one task body, and the only transport selection is the
+  executor's ``supports_broadcast`` (inline on the live objects vs bound
+  from the shared-memory broadcast handles),
 * cost accounting through the Eq. 14 cost model,
 * personalized evaluation,
 * the session/round shared-memory broadcasts from ``repro.parallel``.
@@ -308,22 +308,20 @@ class ServerCore:
         # the serial executor is the null executor: inline on live objects
         self.executor = executor if executor is not None else SerialExecutor()
         self._session_broadcast: Optional[Broadcast] = None
-        # wire codec of the parameter round trip; the per-round wire report
-        # (consumed by the scheduler via take_wire_report) is only produced
-        # for non-dense codecs so dense histories stay byte-stable
+        # wire codec of the parameter round trip
         self.codec = resolve_codec(self.config.codec)
-        self._last_wire: Optional[Dict[str, float]] = None
         # supervised execution (retries/timeouts/fault injection): active
-        # whenever the config asks for any of it; the per-fan-out fault
-        # report (take_fault_report) mirrors the wire report's one-shot
-        # shape so default runs attach nothing and stay byte-stable
+        # whenever the config asks for any of it
         self.retry_policy = RetryPolicy(
             max_retries=self.config.max_retries,
             task_timeout=self.config.task_timeout)
         self.supervised = (self.config.faults is not None
                            or self.retry_policy.active)
-        self._last_faults: Optional[Dict[str, float]] = None
-        self._last_failed: List[int] = []
+        # the last fan-out's (extras, failed) for take_fanout_report: wire_*
+        # counters only under a non-dense codec, fault_* counters and
+        # exhausted clients only under supervision, so default runs attach
+        # nothing and their histories stay byte-stable
+        self._last_fanout: Tuple[Dict[str, float], List[int]] = ({}, [])
         self.fleet = fleet if fleet is not None else VirtualDeviceFleet(
             dataset.num_clients, seed=self.config.seed)
         self.cost_model = cost_model or LocalCostModel(self.config.cost_alpha,
@@ -350,6 +348,11 @@ class ServerCore:
             model=self.model, clients=self.clients, dataset=dataset,
             fleet=self.fleet, config=self.config, cost_model=self.cost_model,
             rng=np.random.default_rng(self.config.seed))
+
+    @property
+    def core(self) -> "ServerCore":
+        """The trainer is the core; kept for callers of the old facade."""
+        return self
 
     # ------------------------------------------------------------------ run
     def run(self, *, checkpoint_dir: Optional[str] = None,
@@ -531,16 +534,6 @@ class ServerCore:
         self.strategy.global_params = self.codec.decode(encoded)
         return encoded
 
-    def take_wire_report(self) -> Optional[Dict[str, float]]:
-        """The last fan-out's wire byte accounting (None for dense codec).
-
-        One-shot: the scheduler attaches it to the round's record via
-        ``RoundRecord.extras``.  Evaluation traffic is deliberately
-        excluded — the report measures the training round trip.
-        """
-        report, self._last_wire = self._last_wire, None
-        return report
-
     def reduce_context(self):
         """The context every aggregation/merge runs under.
 
@@ -580,8 +573,8 @@ class ServerCore:
             return [ids]
         return [[cid] for cid in ids]
 
-    def run_local_updates(self, round_index: int, selected: List[int], *,
-                          ordered: bool = True) -> List[ClientUpdate]:
+    def run_local_updates(self, round_index: int, selected: List[int]
+                          ) -> List[ClientUpdate]:
         """Run the selected clients' local updates as one chunked fan-out.
 
         Every chunk of :meth:`_plan_chunks` runs through :func:`_run_chunk`
@@ -592,14 +585,8 @@ class ServerCore:
         dispatch materializes nothing server-side: the worker is the only
         place the cohort's shards are built.
 
-        With either mode the pool runs the cohort's chunks concurrently and
-        the call returns once the whole cohort has finished.  ``ordered=False``
-        goes through the executor's ``map_unordered``, which skips the
-        input-order barrier on the result list (and is the hook for streaming
-        per-arrival consumption later); the asynchronous schedulers use it
-        because they impose their own order — the event queue's pure
-        ``(finish_time, client_id)`` sort — so the per-update contents are
-        identical either way.
+        The pool runs the cohort's chunks concurrently; the call returns
+        once the whole cohort has finished, updates in dispatch order.
 
         With supervision active (``config.faults`` / ``max_retries`` /
         ``task_timeout``) the fan-out goes through
@@ -607,7 +594,7 @@ class ServerCore:
         tasks are retried with backoff, crashed workers replenished, and a
         client that exhausts its retries is *dropped* — it produces no
         update (so it never reaches ``aggregate``/``post_round``) and is
-        reported through :meth:`take_fault_report` for the scheduler's
+        reported through :meth:`take_fanout_report` for the scheduler's
         ``dropped`` bookkeeping.
         """
         encoded_down = self._snap_global_params()
@@ -626,51 +613,53 @@ class ServerCore:
                     for chunk in chunks]
             # a supervised fan-out only ever plans size-1 chunks, so a
             # chunk's first id names its task in fault decisions and drops
-            results = self._dispatch(task, [chunk[0] for chunk in chunks],
-                                     payloads, round_index=round_index,
-                                     ordered=ordered)
+            results, faults, failed = self._dispatch(
+                task, [chunk[0] for chunk in chunks], payloads,
+                round_index=round_index)
         updates = []
         for chunk_results in results:
             for update, state in chunk_results:
                 self.clients.update_state(update.client_id, state)
                 updates.append(update)
-        if self.codec.name != "dense":
-            self._decode_uplinks(updates, encoded_down, len(selected))
+        wire = (self._decode_uplinks(updates, encoded_down, len(selected))
+                if self.codec.name != "dense" else {})
+        self._last_fanout = ({**wire, **faults}, failed)
         return updates
 
-    def _dispatch(self, fn, keys: List[int], payloads, *,
-                  round_index: int, ordered: bool) -> List:
-        """Fan payloads out — supervised when the config asks for it."""
+    def _dispatch(self, fn, keys: List[int], payloads, *, round_index: int
+                  ) -> Tuple[List, Dict[str, float], List[int]]:
+        """Fan payloads out — supervised when the config asks for it.
+
+        Returns the surviving results in dispatch order, the ``fault_*``
+        counters and the keys whose task exhausted its retries (both empty
+        without supervision).
+        """
         if not self.supervised:
-            if ordered:
-                return self.executor.map_ordered(fn, payloads)
-            return [result for _, result in
-                    self.executor.map_unordered(fn, payloads)]
+            return self.executor.map_ordered(fn, payloads), {}, []
         report = run_supervised(
             self.executor, fn, list(zip(keys, payloads)),
             policy=self.retry_policy, plan=self.config.faults,
             round_index=round_index)
-        self._last_faults = report.counters.as_extras()
-        self._last_failed = sorted(report.failed)
-        return [result for result in report.results if result is not None]
+        return ([result for result in report.results if result is not None],
+                report.counters.as_extras(), sorted(report.failed))
 
-    def take_fault_report(self) -> Tuple[Dict[str, float], List[int]]:
-        """The last fan-out's fault accounting + the clients it gave up on.
+    def take_fanout_report(self) -> Tuple[Dict[str, float], List[int]]:
+        """The last fan-out's ``RoundRecord.extras`` + the clients it lost.
 
-        One-shot, like :meth:`take_wire_report`: the scheduler merges the
-        counters into ``RoundRecord.extras`` (``fault_*`` keys, present
-        only when supervision is active so default histories stay
-        byte-stable) and the exhausted clients into the round's ``dropped``
-        list.  Returns ``({}, [])`` when supervision is inactive.
+        One-shot, read by the round loop right after
+        :meth:`run_local_updates`: the deterministic ``wire_*`` / ``fault_*``
+        counters of the training round trip (evaluation traffic is
+        deliberately excluded) and the clients that exhausted their retries,
+        which go into the round's ``dropped`` list.  ``({}, [])`` for a
+        dense, unsupervised run.
         """
-        faults, failed = self._last_faults, self._last_failed
-        self._last_faults, self._last_failed = None, []
-        return (faults or {}, failed)
+        report, self._last_fanout = self._last_fanout, ({}, [])
+        return report
 
     def _decode_uplinks(self, updates: List[ClientUpdate],
                         encoded_down: Optional[EncodedParams],
-                        dispatched: int) -> None:
-        """Decode the cohort's uplinks and record the round's wire bytes.
+                        dispatched: int) -> Dict[str, float]:
+        """Decode the cohort's uplinks; returns the round's wire bytes.
 
         Broadcast workers hand back :class:`EncodedParams` (the compressed
         form really crossed the pickling boundary); the inline path hands
@@ -695,7 +684,7 @@ class ServerCore:
             down_dense = encoded_down.dense_nbytes
         else:
             down_wire = down_dense = param_nbytes(self.strategy.global_params)
-        self._last_wire = {
+        return {
             "wire_upload_bytes": float(upload_wire),
             "wire_upload_dense_bytes": float(upload_dense),
             "wire_download_bytes": float(down_wire * dispatched),

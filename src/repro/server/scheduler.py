@@ -1,14 +1,21 @@
-"""Schedulers: the *shape* of federated training on the server core.
+"""Schedulers: one round loop, and the *shape* of training as two hooks.
 
-A :class:`Scheduler` turns the services of a
-:class:`~repro.server.core.ServerCore` into a complete training run:
+:meth:`Scheduler.run` is the only round loop in the repo.  Each round it
+drives a :class:`~repro.server.core.ServerCore` through: select clients →
+split off the unreachable → :meth:`~Scheduler.admit` → fan the local
+updates out (``run_local_updates``, results in dispatch order) → bill
+costs / flops / bytes → :meth:`~Scheduler.settle` → ``post_round`` →
+evaluate-or-carry → one :class:`~repro.systems.metrics.RoundRecord` →
+checkpoint hook.  The three shapes differ only in the two hooks — *who may
+be dispatched* and *how the round's arrivals are folded into the global
+model*:
 
-* :class:`SyncScheduler` — the paper's synchronous loop, extracted verbatim
-  from the old monolithic ``FederatedTrainer._run``: select, fan out, wait
-  for the whole cohort, aggregate.  Its histories are bit-identical to the
-  pre-refactor trainer (the golden-history fixtures enforce this).
+* :class:`SyncScheduler` — the paper's synchronous round: everyone
+  reachable is admitted; ``settle`` lets the scenario cut stragglers and
+  aggregates the survivors as one batch.  Its histories are bit-identical
+  to the original monolithic trainer loop (the golden fixtures enforce it).
 * :class:`AsyncScheduler` — FedAsync-style (Xie et al., asynchronous
-  federated optimization): the server consumes client completions in sim
+  federated optimization): ``settle`` consumes client completions in sim
   order and folds **every arrival** into the global model immediately, with
   the staleness-decayed weight ``alpha / (1 + staleness)^a``.
 * :class:`BufferedScheduler` — FedBuff-style (Nguyen et al., buffered
@@ -25,40 +32,44 @@ Fleet contract
     sparse: sets of ids for clients that actually have work outstanding.
 
 Determinism contract
-    The asynchronous schedulers consume completions in the order of the
-    pure sort key ``(finish_time, client_id)`` — never real arrival time.
-    Finish times come from the scenario/cost-model latency of the dispatch
-    round, so the consumption order (and every aggregation) is a pure
-    function of ``(seed, round, client)`` and histories stay bit-identical
-    across the serial/thread/process backends.  The pool still runs a
-    dispatch cohort's clients concurrently in *real* time (``map_unordered``
-    fan-out, no result-order barrier); only the simulated order is pinned.
+    The fan-out returns a cohort's updates in dispatch order — ascending
+    client id, since every ``select_clients`` returns a sorted cohort — on
+    every backend, so the loop's float sums never see real completion
+    order.  The event-driven ``settle`` then consumes completions in the
+    order of the pure sort key ``(finish_time, client_id)`` — never real
+    arrival time.  Finish times come from the scenario/cost-model latency
+    of the dispatch round, so the consumption order (and every aggregation)
+    is a pure function of ``(seed, round, client)`` and histories stay
+    bit-identical across the serial/thread/process/socket backends.  The
+    pool still runs a dispatch cohort's clients concurrently in *real*
+    time; only the simulated order is pinned.
 
 Async round shape
     Each simulated "round" dispatches a fresh cohort (same selection,
-    availability and over-selection machinery as sync — clients still busy
-    with an earlier dispatch are skipped) and then consumes
-    ``async_arrivals_per_round`` completions from the global in-flight pool
-    before the next dispatch.  Because the earliest completions win,
-    stragglers no longer gate the round cadence: their updates land rounds
-    later with a staleness discount, while the sim clock advances at the
-    pace of the fast clients.  In-flight work left at run end is discarded
-    (its compute/upload cost was already billed at dispatch), matching the
-    synchronous engine's treatment of dropped stragglers.
+    availability and over-selection machinery as sync — ``admit`` skips
+    clients still busy with an earlier dispatch) and ``settle`` then
+    consumes ``async_arrivals_per_round`` completions from the global
+    in-flight pool before the next dispatch.  Because the earliest
+    completions win, stragglers no longer gate the round cadence: their
+    updates land rounds later with a staleness discount, while the sim
+    clock advances at the pace of the fast clients.  In-flight work left at
+    run end is discarded (its compute/upload cost was already billed at
+    dispatch), matching the synchronous engine's treatment of dropped
+    stragglers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Type
+from contextlib import contextmanager
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 import numpy as np
-
-from contextlib import contextmanager
 
 from ..checkpoint import (CheckpointManager, RunCheckpoint,
                           TrainingInterrupted, restore_run)
 from ..federated.config import AGGREGATIONS, FederatedConfig
+from ..federated.strategy import ClientUpdate
 from ..systems.cost import CostBreakdown, LocalCostModel
 from ..systems.metrics import RoundRecord, TrainingHistory
 from .clock import ClientEvent, EventQueue, SimClock
@@ -90,7 +101,14 @@ def _emergency_guard(checkpointer: Optional[CheckpointManager]):
 
 
 class Scheduler:
-    """Protocol: drive a :class:`ServerCore` through one training run.
+    """The round loop, with two hooks for the shape of training.
+
+    :meth:`run` is the only loop: every round selects, splits off the
+    unreachable clients, lets :meth:`admit` hold back busy ones, fans the
+    local updates out, bills them, lets :meth:`settle` fold arrivals into
+    the global model, then runs ``post_round``, evaluation and the round's
+    record.  A subclass is its ``admit`` + ``settle`` (and whatever run
+    state those keep).
 
     Checkpoint contract
         ``run`` accepts an optional :class:`~repro.checkpoint
@@ -115,105 +133,124 @@ class Scheduler:
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Inverse of :meth:`state_dict`; called on a freshly reset instance."""
 
-    def run(self, core: ServerCore, *,
-            checkpointer: Optional[CheckpointManager] = None,
-            resume: Optional[RunCheckpoint] = None) -> TrainingHistory:
+    def admit(self, available: List[int]) -> Tuple[List[int], List[int]]:
+        """Split the reachable clients into (dispatched now, busy)."""
+        return available, []
+
+    def settle(self, core: ServerCore, round_index: int,
+               updates: List[ClientUpdate], costs: Dict[int, CostBreakdown],
+               history: TrainingHistory
+               ) -> Tuple[List[ClientUpdate], Dict[int, CostBreakdown],
+                          List[int], Dict[str, Any]]:
+        """Fold the round's fan-out into the global model.
+
+        Returns the updates aggregated this round and their costs (what
+        ``post_round`` sees), the dispatched clients cut from aggregation,
+        and the shape-specific :class:`RoundRecord` fields.
+        """
         raise NotImplementedError
-
-
-class SyncScheduler(Scheduler):
-    """The paper's synchronous round loop (select -> fan out -> wait -> merge).
-
-    This is the old ``FederatedTrainer._run`` body verbatim, expressed in
-    terms of the core's services; any numeric drift from the monolithic loop
-    is a bug (the golden-history suite pins it bit-for-bit).
-    """
-
-    name = "sync"
 
     def run(self, core: ServerCore, *,
             checkpointer: Optional[CheckpointManager] = None,
             resume: Optional[RunCheckpoint] = None) -> TrainingHistory:
         with _emergency_guard(checkpointer):
-            return self._run(core, checkpointer=checkpointer, resume=resume)
+            config = core.config
+            history = TrainingHistory(method=core.strategy.name,
+                                      dataset=core.dataset.name)
+            core.strategy.setup(core.context)
+            self.reset()
+            start_round = 0
+            if resume is not None:
+                # after setup/reset: restoration overwrites the fresh-run
+                # state they installed (global params, state store, context
+                # rng, the scheduler's own queue/clock/buffer)
+                start_round = restore_run(core, self, resume, history)
+            for round_index in range(start_round, config.num_rounds):
+                # the cumulative counters are read back from the history
+                # itself, so they are round-boundary state that never needs
+                # separate capture
+                last = history.records[-1] if history.records else None
+                selected = core.select_clients(round_index)
+                available, unavailable = core.split_available(round_index,
+                                                              selected)
+                ready, busy = self.admit(available)
+                updates = core.run_local_updates(round_index, ready)
+                # wire byte accounting is present only under a non-dense
+                # codec, fault_* counters only under supervision (so default
+                # histories stay byte-stable either way); clients that
+                # exhausted their retries produced no update and never
+                # reach settle/post_round
+                extras, failed = core.take_fanout_report()
 
-    def _run(self, core: ServerCore, *,
-             checkpointer: Optional[CheckpointManager],
-             resume: Optional[RunCheckpoint]) -> TrainingHistory:
-        config = core.config
-        history = TrainingHistory(method=core.strategy.name,
-                                  dataset=core.dataset.name)
-        core.strategy.setup(core.context)
-        self.reset()
-        start_round = 0
-        if resume is not None:
-            # after setup: restoration overwrites the fresh-run state that
-            # setup installed (global params, state store, context rng)
-            start_round = restore_run(core, self, resume, history)
-        # the cumulative counters are recoverable from the history itself,
-        # so they are round-boundary state that never needs separate capture
-        last = history.records[-1] if history.records else None
-        cumulative_flops = last.cumulative_flops if last else 0.0
-        cumulative_time = last.cumulative_time_seconds if last else 0.0
-        cumulative_sim_time = last.cumulative_sim_time if last else 0.0
-        for round_index in range(start_round, config.num_rounds):
-            selected = core.select_clients(round_index)
-            active, unavailable = core.split_available(round_index, selected)
-            updates = core.run_local_updates(round_index, active)
-            # supervision accounting of the fan-out (one-shot, like the wire
-            # report): fault_* counters for extras, exhausted-retry clients
-            # for the dropped list — they never reach aggregate/post_round
-            fault_extras, failed = core.take_fault_report()
+                costs = core.client_costs(round_index, updates)
+                round_flops = float(sum(u.flops for u in updates))
+                upload = float(sum(u.upload_bytes for u in updates))
+                download = float(sum(u.download_bytes for u in updates))
+                # the synchronous Eq. 18 round time of the dispatched cohort,
+                # in every shape: it keeps ``cumulative_time_seconds``
+                # comparable between sync and the event-driven schedulers
+                round_time = LocalCostModel.round_time(costs.values())
+                kept_updates, kept_costs, late, fields = self.settle(
+                    core, round_index, updates, costs, history)
+                core.strategy.post_round(round_index, kept_updates,
+                                         kept_costs)
 
-            costs = core.client_costs(round_index, updates)
-            round_flops = float(sum(u.flops for u in updates))
-            upload = float(sum(u.upload_bytes for u in updates))
-            download = float(sum(u.download_bytes for u in updates))
-            round_time = LocalCostModel.round_time(costs.values())
-            outcome = core.resolve_round(round_index, costs)
-            kept = set(outcome.participants)
-            kept_updates = [u for u in updates if u.client_id in kept]
-            kept_costs = {u.client_id: costs[u.client_id]
-                          for u in kept_updates}
-            with core.reduce_context():
-                core.strategy.aggregate(round_index, kept_updates)
-            core.strategy.post_round(round_index, kept_updates, kept_costs)
+                train_accuracy = (float(np.mean([u.train_accuracy
+                                                 for u in kept_updates]))
+                                  if kept_updates else 0.0)
+                should_eval = ((round_index + 1) % config.eval_every == 0
+                               or round_index == config.num_rounds - 1)
+                # when evaluation is skipped this round, the last fresh value
+                # is carried forward and flagged via ``evaluated=False``
+                test_accuracy = (core.evaluate_personalized() if should_eval
+                                 else last.test_accuracy if last else 0.0)
+                history.append(RoundRecord(
+                    round_index=round_index, selected_clients=selected,
+                    train_accuracy=train_accuracy, test_accuracy=test_accuracy,
+                    round_flops=round_flops, round_time_seconds=round_time,
+                    upload_bytes=upload, download_bytes=download,
+                    cumulative_flops=(last.cumulative_flops if last else 0.0)
+                    + round_flops,
+                    cumulative_time_seconds=(last.cumulative_time_seconds
+                                             if last else 0.0) + round_time,
+                    sparse_ratios={u.client_id: u.sparse_ratio
+                                   for u in updates},
+                    extras=extras, evaluated=should_eval,
+                    dropped=sorted(unavailable) + busy + failed + late,
+                    **fields))
+                if checkpointer is not None:
+                    checkpointer.after_round(core, self, history, round_index)
+            # work still in flight (and any partial buffer) at run end is
+            # discarded: the server stopped training, exactly like a
+            # synchronous round drops stragglers — its compute/upload was
+            # billed at dispatch
+            return history
 
-            cumulative_flops += round_flops
-            cumulative_time += round_time
-            cumulative_sim_time += outcome.sim_time
-            train_accuracy = (float(np.mean([u.train_accuracy
-                                             for u in kept_updates]))
-                              if kept_updates else 0.0)
-            should_eval = ((round_index + 1) % config.eval_every == 0
-                           or round_index == config.num_rounds - 1)
-            # when evaluation is skipped this round, the last fresh value is
-            # carried forward and flagged as such via ``evaluated=False``
-            test_accuracy = (core.evaluate_personalized()
-                             if should_eval else
-                             (history.records[-1].test_accuracy
-                              if history.records else 0.0))
-            history.append(RoundRecord(
-                round_index=round_index, selected_clients=selected,
-                train_accuracy=train_accuracy, test_accuracy=test_accuracy,
-                round_flops=round_flops, round_time_seconds=round_time,
-                upload_bytes=upload, download_bytes=download,
-                cumulative_flops=cumulative_flops,
-                cumulative_time_seconds=cumulative_time,
-                sparse_ratios={u.client_id: u.sparse_ratio for u in updates},
-                # wire byte accounting of the fan-out, present only under a
-                # non-dense codec; fault_* counters only under supervision
-                # (so default histories stay byte-stable either way)
-                extras={**(core.take_wire_report() or {}), **fault_extras},
-                evaluated=should_eval,
-                sim_time=outcome.sim_time,
-                cumulative_sim_time=cumulative_sim_time,
-                dropped=sorted(unavailable) + failed
-                        + list(outcome.stragglers),
-                straggler_count=len(outcome.stragglers)))
-            if checkpointer is not None:
-                checkpointer.after_round(core, self, history, round_index)
-        return history
+
+class SyncScheduler(Scheduler):
+    """The paper's synchronous round: wait for the cohort, merge survivors.
+
+    Every reachable client is dispatched; the scenario's participation
+    policy then decides who made the round (``resolve_round``) and the
+    survivors are aggregated as one batch.  The goldens pin its histories
+    bit-for-bit against the original monolithic trainer loop.
+    """
+
+    name = "sync"
+
+    def settle(self, core, round_index, updates, costs, history):
+        outcome = core.resolve_round(round_index, costs)
+        kept = set(outcome.participants)
+        kept_updates = [u for u in updates if u.client_id in kept]
+        kept_costs = {u.client_id: costs[u.client_id] for u in kept_updates}
+        with core.reduce_context():
+            core.strategy.aggregate(round_index, kept_updates)
+        elapsed = (history.records[-1].cumulative_sim_time
+                   if history.records else 0.0)
+        fields = dict(sim_time=outcome.sim_time,
+                      cumulative_sim_time=elapsed + outcome.sim_time,
+                      straggler_count=len(outcome.stragglers))
+        return kept_updates, kept_costs, list(outcome.stragglers), fields
 
 
 class _EventDrivenScheduler(Scheduler):
@@ -221,15 +258,13 @@ class _EventDrivenScheduler(Scheduler):
 
     Subclasses decide what happens per consumed completion
     (:meth:`consume`) and how many completions a round waits for
-    (:meth:`arrivals_per_round`); the base class owns the dispatch loop,
-    the event queue, the sim clock and the per-round record bookkeeping.
+    (:meth:`arrivals_per_round`); the base class owns the two hooks — who
+    is still busy, and pushing a dispatch into the event queue then
+    consuming the round's share of completions off the sim clock.
     """
 
     def __init__(self) -> None:
-        self._version = 0
-        self._queue = EventQueue()
-        self._clock = SimClock()
-        self._in_flight: set = set()
+        self.reset()
 
     # ------------------------------------------------------------- subclass
     def reset(self) -> None:
@@ -237,7 +272,7 @@ class _EventDrivenScheduler(Scheduler):
         self._version = 0
         self._queue = EventQueue()
         self._clock = SimClock()
-        self._in_flight = set()
+        self._in_flight: set = set()
 
     def state_dict(self) -> Dict[str, Any]:
         """Version counter, sim clock, in-flight pool and queued events.
@@ -284,122 +319,49 @@ class _EventDrivenScheduler(Scheduler):
         """
         return set()
 
-    # ------------------------------------------------------------------ run
-    def run(self, core: ServerCore, *,
-            checkpointer: Optional[CheckpointManager] = None,
-            resume: Optional[RunCheckpoint] = None) -> TrainingHistory:
-        with _emergency_guard(checkpointer):
-            return self._run(core, checkpointer=checkpointer, resume=resume)
+    # ---------------------------------------------------------------- hooks
+    def admit(self, available):
+        # a client still computing an earlier dispatch — or whose update is
+        # still waiting in the aggregation buffer — cannot take a new one;
+        # it is reported alongside the unavailable clients
+        blocked = self._in_flight | self.pending_clients()
+        return ([cid for cid in available if cid not in blocked],
+                sorted(cid for cid in available if cid in blocked))
 
-    def _run(self, core: ServerCore, *,
-             checkpointer: Optional[CheckpointManager],
-             resume: Optional[RunCheckpoint]) -> TrainingHistory:
+    def settle(self, core, round_index, updates, costs, history):
         config = core.config
         policy = AggregationPolicy(alpha=config.async_alpha,
                                    exponent=config.staleness_exponent)
-        history = TrainingHistory(method=core.strategy.name,
-                                  dataset=core.dataset.name)
-        core.strategy.setup(core.context)
-        self.reset()
-        start_round = 0
-        if resume is not None:
-            # restores the version counter, sim clock, in-flight pool and
-            # queued events (and the FedBuff buffer) alongside the core
-            start_round = restore_run(core, self, resume, history)
-        queue = self._queue
         clock = self._clock
-        in_flight = self._in_flight
-        last = history.records[-1] if history.records else None
-        cumulative_flops = last.cumulative_flops if last else 0.0
-        cumulative_time = last.cumulative_time_seconds if last else 0.0
-        target = self.arrivals_per_round(config)
-        for round_index in range(start_round, config.num_rounds):
-            round_start = clock.now
-            selected = core.select_clients(round_index)
-            available, unavailable = core.split_available(round_index,
-                                                          selected)
-            # a client still computing an earlier dispatch — or whose update
-            # is still waiting in the aggregation buffer — cannot take a new
-            # one; it is reported alongside the unavailable clients
-            blocked = in_flight | self.pending_clients()
-            busy = sorted(cid for cid in available if cid in blocked)
-            ready = [cid for cid in available if cid not in blocked]
-            updates = core.run_local_updates(round_index, ready,
-                                             ordered=False)
-            # supervision accounting (one-shot): exhausted-retry clients are
-            # dropped — never dispatched into the event queue
-            fault_extras, failed = core.take_fault_report()
-            # completion order is real-time nondeterministic; re-impose the
-            # pure client-id order before any float accumulation so sums and
-            # cost iteration stay bit-identical across backends
-            updates.sort(key=lambda update: update.client_id)
-            costs = core.client_costs(round_index, updates)
-            round_flops = float(sum(u.flops for u in updates))
-            upload = float(sum(u.upload_bytes for u in updates))
-            download = float(sum(u.download_bytes for u in updates))
-            # the synchronous-equivalent Eq. 18 round time of the dispatched
-            # cohort keeps ``cumulative_time_seconds`` comparable with sync
-            round_time = LocalCostModel.round_time(costs.values())
-            for update in updates:
-                client_id = update.client_id
-                latency = core.latency(round_index, client_id,
-                                       costs[client_id].total_seconds)
-                queue.push(ClientEvent(
-                    finish_time=clock.now + latency, client_id=client_id,
-                    round_index=round_index, dispatch_version=self._version,
-                    update=update, cost=costs[client_id]))
-                in_flight.add(client_id)
+        round_start = clock.now
+        for update in updates:
+            client_id = update.client_id
+            latency = core.latency(round_index, client_id,
+                                   costs[client_id].total_seconds)
+            self._queue.push(ClientEvent(
+                finish_time=clock.now + latency, client_id=client_id,
+                round_index=round_index, dispatch_version=self._version,
+                update=update, cost=costs[client_id]))
+            self._in_flight.add(client_id)
 
-            aggregated: List[Arrival] = []
-            aggregated_costs: Dict[int, CostBreakdown] = {}
-            processed = 0
-            while processed < target and queue:
-                event = queue.pop()
-                clock.advance_to(event.finish_time)
-                in_flight.discard(event.client_id)
-                processed += 1
-                for arrival in self.consume(core, policy, round_index, event):
-                    aggregated.append(arrival)
-                    aggregated_costs[arrival.update.client_id] = arrival.cost
-
-            kept_updates = [a.update for a in aggregated]
-            core.strategy.post_round(round_index, kept_updates,
-                                     aggregated_costs)
-
-            cumulative_flops += round_flops
-            cumulative_time += round_time
-            staleness_mean = (float(np.mean([a.staleness for a in aggregated]))
-                              if aggregated else 0.0)
-            train_accuracy = (float(np.mean([u.train_accuracy
-                                             for u in kept_updates]))
-                              if kept_updates else 0.0)
-            should_eval = ((round_index + 1) % config.eval_every == 0
-                           or round_index == config.num_rounds - 1)
-            test_accuracy = (core.evaluate_personalized()
-                             if should_eval else
-                             (history.records[-1].test_accuracy
-                              if history.records else 0.0))
-            history.append(RoundRecord(
-                round_index=round_index, selected_clients=selected,
-                train_accuracy=train_accuracy, test_accuracy=test_accuracy,
-                round_flops=round_flops, round_time_seconds=round_time,
-                upload_bytes=upload, download_bytes=download,
-                cumulative_flops=cumulative_flops,
-                cumulative_time_seconds=cumulative_time,
-                sparse_ratios={u.client_id: u.sparse_ratio for u in updates},
-                extras={**(core.take_wire_report() or {}), **fault_extras},
-                evaluated=should_eval,
-                sim_time=clock.now - round_start,
-                cumulative_sim_time=clock.now,
-                dropped=sorted(unavailable) + busy + failed,
-                staleness_mean=staleness_mean,
-                buffer_size=self.pending_buffer()))
-            if checkpointer is not None:
-                checkpointer.after_round(core, self, history, round_index)
-        # in-flight work (and any partial buffer) at run end is discarded:
-        # the server stopped training, exactly like a synchronous run drops
-        # stragglers — their compute/upload was already billed at dispatch
-        return history
+        aggregated: List[Arrival] = []
+        for _ in range(self.arrivals_per_round(config)):
+            if not self._queue:
+                break
+            event = self._queue.pop()
+            clock.advance_to(event.finish_time)
+            self._in_flight.discard(event.client_id)
+            aggregated += self.consume(core, policy, round_index, event)
+        fields = dict(
+            sim_time=clock.now - round_start,
+            # the clock itself, never a running sum of ``sim_time`` — the
+            # two are not bit-equal
+            cumulative_sim_time=clock.now,
+            staleness_mean=(float(np.mean([a.staleness for a in aggregated]))
+                            if aggregated else 0.0),
+            buffer_size=self.pending_buffer())
+        return ([a.update for a in aggregated],
+                {a.update.client_id: a.cost for a in aggregated}, [], fields)
 
 
 class AsyncScheduler(_EventDrivenScheduler):
@@ -433,15 +395,11 @@ class BufferedScheduler(_EventDrivenScheduler):
 
     name = "fedbuff"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._buffer: List[ClientEvent] = []
-
     def reset(self) -> None:
         # a reused scheduler instance must not leak the previous run's
         # never-flushed tail into the next run's first flush
         super().reset()
-        self._buffer = []
+        self._buffer: List[ClientEvent] = []
 
     def state_dict(self) -> Dict[str, Any]:
         state = super().state_dict()

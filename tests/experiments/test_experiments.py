@@ -43,6 +43,15 @@ class TestPresets:
         with pytest.raises(ValueError):
             build_experiment(preset)
 
+    @pytest.mark.parametrize("field", ["scenario", "aggregation", "codec",
+                                       "fault_plan"])
+    def test_unknown_names_rejected_by_their_owners(self, field):
+        # build_experiment keeps no name check of its own: build_scenario,
+        # FederatedConfig and build_fault_plan reject these
+        preset = scaled(preset_for("mnist"), **{field: "nope"})
+        with pytest.raises(ValueError, match="unknown .*'nope'.*choose from"):
+            build_experiment(preset)
+
 
 class TestRunner:
     def test_run_method_returns_history(self):

@@ -87,10 +87,13 @@ class TestScenarioDeterminism:
 
 
 class TestAsyncDeterminism:
-    """The async schedulers consume completions in (finish_time, client_id)
-    order — a pure function of (seed, round, client) — never in real arrival
-    order.  Fan-out goes through ``map_unordered``, so these tests would
-    catch any leak of real completion order into aggregation."""
+    """One round loop (``Scheduler.run``), two hooks.  The fan-out hands
+    every shape its cohort's updates in dispatch order, and the event-driven
+    ``settle`` consumes completions in (finish_time, client_id) order — a
+    pure function of (seed, round, client) — never in real arrival order.
+    The pool still finishes a cohort's clients in any real-time order, so
+    these tests would catch a leak of it into ``admit``, ``settle`` or the
+    loop's float sums."""
 
     @pytest.mark.parametrize("aggregation", ASYNC_MODES)
     @pytest.mark.parametrize("method", STATEFUL_METHODS)

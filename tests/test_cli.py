@@ -71,6 +71,31 @@ class TestParser:
             assert f"argument {argv[1]}" in message
             assert "is not a positive" in message
 
+    def test_negative_counts_and_stray_hosts_rejected(self, capsys):
+        # a message and exit 2, not a ValueError traceback from the config /
+        # run_jobs / resolve_executor (or, for --stop-after-round, a silent
+        # interruption after round 0)
+        for argv, expected in (
+                (["run", "--max-retries", "-1"], "is not a non-negative"),
+                (["sweep", "--retries", "-1"], "is not a non-negative"),
+                (["run", "--stop-after-round", "-2", "--checkpoint-dir", "d"],
+                 "is not a non-negative"),
+                (["run", "--backend", "thread", "--hosts", "a:1"],
+                 "need --backend socket"),
+                (["sweep", "--worker-token", "secret"],
+                 "need --backend socket")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            message = capsys.readouterr().err.strip().splitlines()[-1]
+            assert argv[1] in message and expected in message
+        # zero stays legal for all three counts
+        args = build_parser().parse_args(
+            ["run", "--max-retries", "0", "--stop-after-round", "0"])
+        assert (args.max_retries, args.stop_after_round) == (0, 0)
+        assert build_parser().parse_args(["sweep", "--retries", "0"]) \
+            .retries == 0
+
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert "mnist" in args.datasets
