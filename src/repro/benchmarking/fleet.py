@@ -61,12 +61,12 @@ def scaled_ladder(ladder: Iterable[int], scale: float) -> List[int]:
                               for step in ladder))
 
 
-def build_trainer(preset) -> FederatedTrainer:
-    """A FedAvg trainer over ``preset``'s federation, nothing run yet."""
+def build_trainer(preset, method: str = "fedavg") -> FederatedTrainer:
+    """A ``method`` trainer over ``preset``'s federation, nothing run yet."""
     from ..experiments.presets import build_experiment
 
     dataset, model_builder, config, fleet = build_experiment(preset)
-    return FederatedTrainer(build_strategy("fedavg"), dataset, model_builder,
+    return FederatedTrainer(build_strategy(method), dataset, model_builder,
                             config=config, fleet=fleet)
 
 

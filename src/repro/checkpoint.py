@@ -14,7 +14,7 @@ resume-from-checkpoint is provably byte-equal to an uninterrupted run:
   per-client training) is a pure function of ``(seed, round, client)`` and
   needs no capture;
 * the sparse :class:`~repro.federated.fleet.FleetStateStore` — participants
-  only, so a checkpoint is O(cohort) on disk, never O(fleet);
+  only, never O(fleet);
 * the scheduler's event-driven state: aggregation version, sim clock,
   in-flight pool, the FedBuff buffer and every queued
   :class:`~repro.server.clock.ClientEvent`;
@@ -33,25 +33,65 @@ suite interrupts every pinned run at a round boundary and proves the
 resumed history matches the committed fixture bit-for-bit, on both fleet
 materialization paths and for the fedasync/fedbuff schedulers.
 
-The on-disk format is one pickle per checkpoint
-(``checkpoint-<next_round>.pkl``) written atomically (tmp + rename) into a
-directory; :class:`CheckpointManager` prunes old files, resolves the latest
-checkpoint and memoizes loads.  Pickles are trusted input: load checkpoints
-only from directories you wrote.
+**What a boundary costs.**  Client states and queued events are the bulk
+of a checkpoint (≈ 40 KB each on the mnist CNN) and almost none of them
+change in a round, so each is pickled **once**, when it changes, into a
+*segment*; the per-boundary *head* only references them.  Nothing but the
+three small parts (history records, strategy attributes, scheduler
+scalars) is deep-copied: ``pickle.dumps`` of a state at the boundary *is*
+its snapshot.  Which states changed comes from the store's dirty set
+(participant access marks an id, evaluation access does not); an event is
+frozen, keyed ``(round_index, client_id)``, and serialized when first seen
+in the queue.
+
+**On disk** (one directory per run; :class:`CheckpointManager` owns it):
+
+``blobs-<next_round>.bin``
+    A segment: the concatenated pickles of the states touched and the
+    events first queued since the previous boundary.  Written once (tmp,
+    fsync, rename), never modified; it carries no header of its own.
+``checkpoint-<next_round>.pkl``
+    A head: a 48-byte header (magic, format version, payload length,
+    payload SHA-256) followed by one pickled :class:`RunCheckpoint` whose
+    ``client_states`` / ``scheduler["events"]`` / ``["buffer"]`` entries are
+    :class:`BlobRef` ``(segment, offset, length)`` references and whose
+    ``segments`` table records the length and SHA-256 of every segment it
+    references.  A head that references nothing (what
+    ``save_checkpoint(path, materialized_capsule)`` writes) is a
+    self-contained checkpoint.
+
+A save writes the new segment *before* the head, and the head's atomic
+rename is the commit point: a crash in between leaves an orphan segment
+that no head names — ignored by loads, overwritten by the retry, removed
+by the next prune.  :func:`load_checkpoint` verifies the head against its
+header and every referenced segment against the head's table *before*
+unpickling a byte of either, then returns the fully materialized capsule —
+so a directory reused by another run (which replaces ``blobs-000001.bin``
+under an old head) is refused, not resumed.  When the referenced segments
+outgrow twice the live blobs (small fleets re-touch the same clients every
+few rounds) a save rewrites every live blob into its segment — amortized
+O(1) — and pruning deletes a segment once no kept head references it.
+
+Pickles are trusted input — heads and segments alike: the checksums detect
+corruption and mix-ups, not malice.  Load checkpoints only from directories
+you wrote.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
 import pickle
 import re
+import struct
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import (Any, Dict, Hashable, List, Mapping, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -59,13 +99,27 @@ from .systems.metrics import RoundRecord, TrainingHistory
 from .util import BoundedLRU, canonicalize
 
 #: bump whenever the checkpoint layout — or the set of config fields the run
-#: digest hashes — changes incompatibly (2: ``FleetConfig.lazy`` removed)
-CHECKPOINT_VERSION = 2
+#: digest hashes — changes incompatibly (2: ``FleetConfig.lazy`` removed;
+#: 3: framed heads that reference blob segments)
+CHECKPOINT_VERSION = 3
 
-#: checkpoint files are ``checkpoint-<next_round>.pkl`` inside the directory
+#: heads are ``checkpoint-<next_round>.pkl`` inside the directory; segments
+#: are ``blobs-<next_round>.bin`` and must sort *before* every head
 _FILE_PATTERN = re.compile(r"^checkpoint-(\d+)\.pkl$")
+_SEGMENT_PATTERN = re.compile(r"^blobs-(\d+)\.bin$")
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+#: head header: magic, format version, payload length, payload SHA-256
+_MAGIC = b"RPCK"
+_HEADER = struct.Struct("<4sIQ32s")
+
+#: the scheduler-state entries that are lists of ``ClientEvent``
+_EVENT_LISTS = ("events", "buffer")
+
+#: a save compacts once referenced segment bytes exceed this many times the
+#: live blob bytes
+_GARBAGE_FACTOR = 2
 
 
 class CheckpointError(RuntimeError):
@@ -146,9 +200,25 @@ def run_digest(core) -> str:
 
 
 # ------------------------------------------------------------- the capsule
+@dataclass(frozen=True)
+class BlobRef:
+    """Where one pickled blob lives: ``length`` bytes at ``offset`` of
+    the segment file ``segment`` (a name inside the head's directory)."""
+
+    segment: str
+    offset: int
+    length: int
+
+
 @dataclass
 class RunCheckpoint:
-    """Everything needed to continue a run from a round boundary."""
+    """Everything needed to continue a run from a round boundary.
+
+    :func:`load_checkpoint` returns it *materialized* (states and events
+    are the objects themselves, ``segments`` is empty); what
+    :func:`capture_run` builds and a head file holds is the same capsule
+    with :class:`BlobRef` entries in their place.
+    """
 
     version: int
     digest: str
@@ -162,24 +232,168 @@ class RunCheckpoint:
     #: bit-generator state of the shared selection/strategy stream
     rng: Dict[str, Any]
     #: sparse ``{client_id: state}`` — participants only
-    client_states: Dict[int, Dict[str, Any]]
+    client_states: Dict[int, Any]
     #: scheduler-specific state (name, aggregation version, clock, events)
     scheduler: Dict[str, Any] = field(default_factory=dict)
+    #: ``{segment name: (length, sha256 hex)}`` of every referenced segment
+    segments: Dict[str, Tuple[int, str]] = field(default_factory=dict)
 
 
-def capture_run(core, scheduler, history: TrainingHistory,
-                next_round: int) -> RunCheckpoint:
-    """Snapshot ``core``/``scheduler`` at a round boundary.
+def _event_key(event) -> Tuple[int, int]:
+    """A queued event's identity: a client is dispatched once per round."""
+    return (event.round_index, event.client_id)
 
-    Everything is deep-copied out of the live objects: training continues
-    mutating the global parameters and client states in place, and a
-    checkpoint that aliased them would silently describe a *later* round
-    than it claims.
+
+def _read_segment(path: Path, length: int, digest: str) -> bytes:
+    """A segment's bytes, verified against the head that references it."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise CheckpointError(
+            f"checkpoint segment {path} is missing") from None
+    if len(data) != length or hashlib.sha256(data).hexdigest() != digest:
+        raise CheckpointError(
+            f"checkpoint segment {path} does not match the head that "
+            "references it (corrupt, or overwritten by another run "
+            "writing into the same directory)")
+    return data
+
+
+class _BlobReader:
+    """Verified, read-once access to the blobs behind a set of references."""
+
+    def __init__(self, directory: Path,
+                 segments: Mapping[str, Tuple[int, str]],
+                 loaded: Optional[Mapping[str, bytes]] = None) -> None:
+        self._directory = directory
+        self._segments = segments
+        self._loaded = dict(loaded or {})
+
+    def __call__(self, ref: BlobRef) -> memoryview:
+        data = self._loaded.get(ref.segment)
+        if data is None:
+            if ref.segment not in self._segments:
+                raise CheckpointError(
+                    f"reference into unlisted segment {ref.segment!r}")
+            data = self._loaded[ref.segment] = _read_segment(
+                self._directory / ref.segment, *self._segments[ref.segment])
+        blob = memoryview(data)[ref.offset:ref.offset + ref.length]
+        if ref.offset < 0 or len(blob) != ref.length:
+            raise CheckpointError(
+                f"reference {ref} reaches outside its segment")
+        return blob
+
+
+class BlobTable:
+    """Which blob holds each live client state and queued event.
+
+    The reference table behind incremental checkpoints: ``refs`` maps a key
+    (a client id, or an event's ``(round_index, client_id)``) to the
+    :class:`BlobRef` of its current serialization, ``segments`` holds the
+    integrity record of every segment ``refs`` points into, and ``pending``
+    the bytes of the segments not yet on disk (more than one only while
+    ``every > 1`` skips saves).  :func:`capture_run` stages each boundary's
+    new blobs here; :func:`save_checkpoint` writes the pending segments.
     """
+
+    def __init__(self, directory: Union[str, Path]) -> None:
+        #: where the non-pending segments live
+        self.directory = Path(directory)
+        self.reset()
+
+    def reset(self) -> None:
+        self.refs: Dict[Hashable, BlobRef] = {}
+        self.segments: Dict[str, Tuple[int, str]] = {}
+        self.pending: Dict[str, bytes] = {}
+        #: the boundary of the last capture (or of the head seeded from)
+        self.next_round = 0
+
+    @property
+    def live_bytes(self) -> int:
+        return sum(ref.length for ref in self.refs.values())
+
+    def seed(self, head: RunCheckpoint, materialized: RunCheckpoint) -> None:
+        """Start from the references of a head on disk in ``directory``.
+
+        ``materialized`` is the same checkpoint as loaded: it supplies the
+        keys of the queued events, which the head stores by position.
+        """
+        self.reset()
+        self.next_round = head.next_round
+        keyed = list(head.client_states.items())
+        for name in _EVENT_LISTS:
+            keyed.extend(zip(map(_event_key,
+                                 materialized.scheduler.get(name, ())),
+                             head.scheduler.get(name, ())))
+        self.refs = {key: ref for key, ref in keyed
+                     if isinstance(ref, BlobRef)}
+        self.segments = dict(head.segments)
+
+    def stage(self, next_round: int, fresh: Dict[Hashable, bytes],
+              live: List[Hashable]) -> None:
+        """Lay ``fresh`` blobs out as this boundary's segment.
+
+        ``live`` lists every key alive at the boundary; references to
+        anything else are forgotten.  When that leaves the referenced
+        segments holding more than ``_GARBAGE_FACTOR`` times the live
+        bytes, every live blob is rewritten into the new segment instead —
+        the segments it replaces lose their last reference and are pruned.
+        """
+        kept = {key: self.refs[key] for key in live if key not in fresh}
+        fresh_bytes = sum(len(blob) for blob in fresh.values())
+        live_bytes = fresh_bytes + sum(ref.length for ref in kept.values())
+        held_bytes = fresh_bytes + sum(
+            self.segments[name][0]
+            for name in {ref.segment for ref in kept.values()})
+        if held_bytes > _GARBAGE_FACTOR * live_bytes:
+            read = _BlobReader(self.directory, self.segments, self.pending)
+            fresh = {key: fresh[key] if key in fresh else bytes(read(kept[key]))
+                     for key in live}
+            kept = {}
+        name = f"blobs-{next_round:06d}.bin"
+        offset = 0
+        for key, blob in fresh.items():
+            kept[key] = BlobRef(name, offset, len(blob))
+            offset += len(blob)
+        held = {ref.segment for ref in kept.values()}
+        self.refs = kept
+        self.segments = {held_name: record
+                         for held_name, record in self.segments.items()
+                         if held_name in held}
+        self.pending = {held_name: data
+                        for held_name, data in self.pending.items()
+                        if held_name in held}
+        if fresh:
+            data = b"".join(fresh.values())
+            self.segments[name] = (len(data),
+                                   hashlib.sha256(data).hexdigest())
+            self.pending[name] = data
+        self.next_round = next_round
+
+
+def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
+                table: BlobTable) -> RunCheckpoint:
+    """Snapshot ``core``/``scheduler`` at a round boundary, incrementally.
+
+    Training continues mutating the global parameters and client states in
+    place, and a checkpoint that aliased them would silently describe a
+    *later* round than it claims — so the small parts are deep-copied and
+    every client state written since the previous boundary (the store's
+    dirty set) and every event new to the queue is pickled *now*, into
+    ``table``'s next pending segment.  Everything else keeps the reference
+    ``table`` already holds.  The returned head is what
+    :func:`save_checkpoint` writes, together with ``table.pending``.
+    """
+    if next_round <= table.next_round:
+        # a boundary at or before the table's last one is another run's
+        table.reset()
     strategy_attrs = {key: value
                       for key, value in core.strategy.__dict__.items()
                       if key != "context"}
-    return RunCheckpoint(
+    scheduler_state = scheduler.state_dict()
+    event_lists = {name: scheduler_state.pop(name)
+                   for name in _EVENT_LISTS if name in scheduler_state}
+    head = RunCheckpoint(
         version=CHECKPOINT_VERSION,
         digest=run_digest(core),
         next_round=int(next_round),
@@ -188,14 +402,40 @@ def capture_run(core, scheduler, history: TrainingHistory,
         records=copy.deepcopy(history.records),
         strategy_attrs=copy.deepcopy(strategy_attrs),
         rng=rng_state(core.context.rng),
-        client_states=copy.deepcopy(core.clients.state_store.snapshot()),
+        client_states={},
         scheduler={"name": scheduler.name,
-                   **copy.deepcopy(scheduler.state_dict())},
+                   **copy.deepcopy(scheduler_state)},
     )
+    store = core.clients.state_store
+    states = store.snapshot()
+    dirty = store.take_dirty()
+    fresh: Dict[Hashable, bytes] = {
+        client_id: pickle.dumps(state, protocol=_PICKLE_PROTOCOL)
+        for client_id, state in states.items()
+        if client_id in dirty or client_id not in table.refs}
+    for events in event_lists.values():
+        for event in events:
+            if _event_key(event) not in table.refs:
+                fresh[_event_key(event)] = pickle.dumps(
+                    event, protocol=_PICKLE_PROTOCOL)
+    # staged last: nothing after this point can fail and leave the table
+    # ahead of the head the manager still holds
+    table.stage(next_round, fresh,
+                [*states, *(_event_key(event)
+                            for events in event_lists.values()
+                            for event in events)])
+    head.client_states = {client_id: table.refs[client_id]
+                          for client_id in states}
+    head.scheduler.update(
+        (name, [table.refs[_event_key(event)] for event in events])
+        for name, events in event_lists.items())
+    head.segments = dict(table.segments)
+    return head
 
 
 def restore_run(core, scheduler, checkpoint: RunCheckpoint,
-                history: TrainingHistory) -> int:
+                history: TrainingHistory,
+                manager: Optional["CheckpointManager"] = None) -> int:
     """Apply ``checkpoint`` to a freshly set-up core/scheduler pair.
 
     Must be called *after* ``strategy.setup(context)`` and
@@ -204,6 +444,11 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     from.  Raises :class:`CheckpointMismatch` when the checkpoint does not
     belong to this run (different config/seed/strategy/dataset/model) or to
     this scheduler.
+
+    The state store is left *clean* (it now equals the checkpoint), and
+    ``manager`` — the run's checkpointer, if it has one — is told which
+    checkpoint the run continues from, so its next save can reference the
+    blobs already in its directory instead of rewriting them.
     """
     if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointMismatch(
@@ -230,37 +475,76 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     core.context.rng = restore_rng(checkpoint.rng)
     for client_id, state in copy.deepcopy(checkpoint.client_states).items():
         core.clients.update_state(client_id, state)
+    core.clients.state_store.take_dirty()
     history.records = copy.deepcopy(checkpoint.records)
     scheduler.load_state_dict(checkpoint.scheduler)
+    if manager is not None:
+        manager.resumed(checkpoint)
     return checkpoint.next_round
 
 
 # ----------------------------------------------------------------- on disk
-def save_checkpoint(path: Union[str, Path],
-                    checkpoint: RunCheckpoint) -> Path:
-    """Atomically persist one checkpoint (write tmp, fsync, rename)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write_atomically(path: Path, *chunks: bytes) -> None:
+    """Write tmp, fsync, rename: ``path`` is either absent/old or complete."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as handle:
-        pickle.dump(checkpoint, handle, protocol=_PICKLE_PROTOCOL)
+        for chunk in chunks:
+            handle.write(chunk)
         handle.flush()
         os.fsync(handle.fileno())
     tmp.replace(path)
+
+
+def _frame(payload: bytes) -> bytes:
+    """The head header for ``payload``."""
+    return _HEADER.pack(_MAGIC, CHECKPOINT_VERSION, len(payload),
+                        hashlib.sha256(payload).digest())
+
+
+def save_checkpoint(path: Union[str, Path], checkpoint: RunCheckpoint,
+                    pending: Optional[Mapping[str, bytes]] = None) -> Path:
+    """Persist one checkpoint: its pending segments, then the head.
+
+    ``pending`` holds the bytes of segments not on disk yet
+    (:attr:`BlobTable.pending`); those ``checkpoint`` references are
+    written next to ``path`` first, each atomically, so the head's own
+    rename commits a checkpoint whose every reference resolves.  A
+    materialized ``checkpoint`` references nothing and becomes one
+    self-contained file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    for name in checkpoint.segments:
+        if pending and name in pending:
+            _write_atomically(path.parent / name, pending[name])
+    payload = pickle.dumps(checkpoint, protocol=_PICKLE_PROTOCOL)
+    _write_atomically(path, _frame(payload), payload)
     return path
 
 
-def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
-    """Load one checkpoint file (see module docstring: trusted input)."""
+def read_head(path: Union[str, Path]) -> RunCheckpoint:
+    """One head file, verified and unpickled, references unresolved."""
     path = Path(path)
     try:
-        with open(path, "rb") as handle:
-            checkpoint = pickle.load(handle)
+        data = path.read_bytes()
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint file at {path}") from None
-    except (pickle.UnpicklingError, EOFError) as error:
+    if len(data) < _HEADER.size or not data.startswith(_MAGIC):
         raise CheckpointError(
-            f"corrupt checkpoint file {path}: {error}") from error
+            f"{path} has no version-{CHECKPOINT_VERSION} checkpoint header: "
+            "corrupt, or written by checkpoint version 2 or older, which "
+            "this code cannot resume")
+    _, version, length, digest = _HEADER.unpack_from(data)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint version {version} != supported "
+            f"{CHECKPOINT_VERSION}")
+    payload = memoryview(data)[_HEADER.size:]
+    if len(payload) != length or hashlib.sha256(payload).digest() != digest:
+        raise CheckpointError(
+            f"corrupt checkpoint file {path}: the payload does not match "
+            "its recorded length and SHA-256")
+    checkpoint = _unpickle(payload, path)
     if not isinstance(checkpoint, RunCheckpoint):
         raise CheckpointError(
             f"{path} does not contain a RunCheckpoint "
@@ -268,20 +552,56 @@ def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
     return checkpoint
 
 
+def _unpickle(blob, source: Path):
+    try:
+        return pickle.loads(blob)
+    except Exception as error:
+        # verified bytes that still fail to load: written by other code
+        # (a renamed class, a missing module) — any exception type
+        raise CheckpointError(
+            f"cannot unpickle checkpoint data from {source}: "
+            f"{type(error).__name__}: {error}") from error
+
+
+def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
+    """Load one checkpoint, fully materialized (module docstring: trusted
+    input).  References resolve against the head's own directory; every
+    file is verified before anything in it is unpickled."""
+    path = Path(path)
+    head = read_head(path)
+    read = _BlobReader(path.parent, head.segments)
+
+    def resolve(entry):
+        if isinstance(entry, BlobRef):
+            return _unpickle(read(entry), path.parent / entry.segment)
+        return entry
+
+    scheduler = dict(head.scheduler)
+    for name in _EVENT_LISTS:
+        if name in scheduler:
+            scheduler[name] = [resolve(entry) for entry in scheduler[name]]
+    return dataclasses.replace(
+        head, scheduler=scheduler, segments={},
+        client_states={client_id: resolve(entry)
+                       for client_id, entry in head.client_states.items()})
+
+
 class CheckpointManager:
     """Round-boundary checkpointing into one directory.
 
     ``every`` selects which round boundaries persist (1 = every round);
-    ``keep`` bounds the files on disk (oldest pruned after a successful
+    ``keep`` bounds the *heads* on disk (oldest pruned after a successful
     write, so at least one complete checkpoint always survives a crash
-    mid-save thanks to the atomic rename).  ``stop_after_round`` turns the
+    mid-save thanks to the atomic rename) — and with them every segment a
+    kept head references, nothing else.  ``stop_after_round`` turns the
     manager into a deterministic preemption: once that round's checkpoint
     is on disk, :class:`TrainingInterrupted` aborts the run — the CI
     resume-smoke job and the golden resume suite interrupt runs this way.
 
     The manager records its last/total save wall-clock and bytes
-    (``last_save_seconds``, ``last_bytes``, ...) so the benchmark harness
-    can gate checkpoint cost without instrumenting the trainer.
+    (``last_save_seconds``, ``last_bytes`` — head plus segments written by
+    that save, ...) so the benchmark harness can gate checkpoint cost
+    without instrumenting the trainer.
     """
 
     def __init__(self, directory: Union[str, Path], *, every: int = 1,
@@ -303,18 +623,22 @@ class CheckpointManager:
         # retries call latest() once per attempt and would otherwise re-read
         # an unchanged multi-MB pickle every time
         self._load_memo = BoundedLRU(2)
-        # last round-boundary capsule, kept in memory even when the boundary
-        # is not due() for disk — the emergency() path persists it when the
-        # run dies between scheduled saves
-        self._last_capsule: Optional[RunCheckpoint] = None
-        self._last_saved_round: Optional[int] = None
+        #: (path, capsule) of the last head loaded from this directory
+        self._loaded: Optional[Tuple[Path, RunCheckpoint]] = None
+        self._table = BlobTable(self.directory)
+        # the latest boundary's head while it is not on disk (``every > 1``
+        # or a failed save): with the table's pending segments, what
+        # emergency() persists
+        self._unsaved: Optional[RunCheckpoint] = None
+        #: head file name -> the segments it references (prune bookkeeping)
+        self._head_segments: Dict[str, frozenset] = {}
 
     # ----------------------------------------------------------------- paths
     def path_for(self, next_round: int) -> Path:
         return self.directory / f"checkpoint-{next_round:06d}.pkl"
 
     def checkpoint_paths(self) -> List[Path]:
-        """Existing checkpoint files, oldest (lowest next_round) first."""
+        """Existing head files, oldest (lowest next_round) first."""
         if not self.directory.is_dir():
             return []
         found = []
@@ -323,6 +647,11 @@ class CheckpointManager:
             if match is not None:
                 found.append((int(match.group(1)), entry))
         return [path for _, path in sorted(found)]
+
+    @property
+    def live_bytes(self) -> int:
+        """Bytes of the blobs the latest boundary references."""
+        return self._table.live_bytes
 
     # ------------------------------------------------------------------- api
     def due(self, round_index: int) -> bool:
@@ -334,28 +663,35 @@ class CheckpointManager:
 
     def save(self, checkpoint: RunCheckpoint) -> Path:
         started = time.perf_counter()
+        pending = self._table.pending
+        segment_bytes = sum(len(pending[name])
+                            for name in checkpoint.segments if name in pending)
         path = save_checkpoint(self.path_for(checkpoint.next_round),
-                               checkpoint)
+                               checkpoint, pending)
+        pending.clear()
+        if checkpoint is self._unsaved:
+            self._unsaved = None
         self.last_save_seconds = time.perf_counter() - started
         self.total_save_seconds += self.last_save_seconds
-        self.last_bytes = path.stat().st_size
+        self.last_bytes = path.stat().st_size + segment_bytes
         self.saves += 1
+        self._head_segments[path.name] = frozenset(checkpoint.segments)
         self._prune()
         return path
 
     def after_round(self, core, scheduler, history: TrainingHistory,
                     round_index: int) -> None:
-        """The scheduler hook: capture/save when due, then maybe interrupt.
+        """The scheduler hook: capture, save when due, then maybe interrupt.
 
-        The capsule is captured at *every* boundary (capture is in-memory
-        deep copies, no disk) so :meth:`emergency` always has the most
-        recent boundary to persist even when ``every > 1`` skips the save.
+        The boundary is captured *every* round (the dirty states are
+        pickled into a pending segment, no disk) so :meth:`emergency`
+        always has the most recent boundary to persist even when
+        ``every > 1`` skips the save.
         """
-        capsule = capture_run(core, scheduler, history, round_index + 1)
-        self._last_capsule = capsule
+        self._unsaved = capture_run(core, scheduler, history,
+                                    round_index + 1, self._table)
         if self.due(round_index):
-            self.save(capsule)
-            self._last_saved_round = capsule.next_round
+            self.save(self._unsaved)
         if (self.stop_after_round is not None
                 and round_index >= self.stop_after_round):
             raise TrainingInterrupted(
@@ -371,12 +707,25 @@ class CheckpointManager:
         instead of the latest scheduled save.  A no-op (returns None) when
         nothing has been captured yet or the boundary was already saved.
         """
-        capsule = self._last_capsule
-        if capsule is None or self._last_saved_round == capsule.next_round:
+        if self._unsaved is None:
             return None
-        path = self.save(capsule)
-        self._last_saved_round = capsule.next_round
-        return path
+        return self.save(self._unsaved)
+
+    def resumed(self, checkpoint: RunCheckpoint) -> None:
+        """The run continues from ``checkpoint`` (called by ``restore_run``).
+
+        When that is the capsule this manager loaded from its own
+        directory, the blobs it references are already here: seed the
+        table from its head, so the next save writes only what changes.
+        From anywhere else the table stays empty and the first save is a
+        full one.
+        """
+        path, loaded = self._loaded or (None, None)
+        if loaded is checkpoint:
+            head = read_head(path)
+            if (head.digest, head.next_round) == (checkpoint.digest,
+                                                  checkpoint.next_round):
+                self._table.seed(head, checkpoint)
 
     def latest(self) -> Optional[RunCheckpoint]:
         """The newest complete checkpoint in the directory, or None."""
@@ -389,20 +738,44 @@ class CheckpointManager:
         path = Path(path)
         stat = path.stat()
         key = (str(path), stat.st_mtime_ns, stat.st_size)
-        hit = self._load_memo.get(key)
-        if hit is not None:
-            return hit
-        checkpoint = load_checkpoint(path)
-        self._load_memo.put(key, checkpoint)
+        checkpoint = self._load_memo.get(key)
+        if checkpoint is None:
+            checkpoint = load_checkpoint(path)
+            self._load_memo.put(key, checkpoint)
+        if path.parent == self.directory:
+            self._loaded = (path, checkpoint)
         return checkpoint
 
     def _prune(self) -> None:
+        """Drop all but the ``keep`` newest heads, then every segment none
+        of the kept heads references (superseded ones and orphans)."""
         paths = self.checkpoint_paths()
         for stale in paths[:-self.keep]:
-            try:
-                stale.unlink()
-            except OSError:  # pragma: no cover - benign cleanup race
-                pass
+            self._head_segments.pop(stale.name, None)
+            _unlink(stale)
+        referenced = set()
+        for path in paths[-self.keep:]:
+            if path.name not in self._head_segments:
+                # a head from before this process (resume): ask the head —
+                # and delete nothing while one cannot say (a stale file of
+                # an older format left in a reused directory)
+                try:
+                    self._head_segments[path.name] = frozenset(
+                        read_head(path).segments)
+                except CheckpointError:
+                    return
+            referenced |= self._head_segments[path.name]
+        for entry in self.directory.iterdir():
+            if (_SEGMENT_PATTERN.match(entry.name)
+                    and entry.name not in referenced):
+                _unlink(entry)
+
+
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:  # pragma: no cover - benign cleanup race
+        pass
 
 
 def resolve_resume(resume_from, manager: Optional[CheckpointManager]

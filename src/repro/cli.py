@@ -37,6 +37,7 @@ its sub-commands and their options are generated from the ``AXES`` table.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import List, Optional
 
 from .baselines import TABLE1_METHODS, available_strategies
@@ -327,7 +328,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("run --resume/--stop-after-round need --checkpoint-dir",
                   flush=True)
             return 2
-        from .checkpoint import TrainingInterrupted
+        from .checkpoint import CheckpointError, TrainingInterrupted
         try:
             with _executor_from(args) as executor:
                 history = run_method(
@@ -339,6 +340,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         except TrainingInterrupted as interrupted:
             print(f"# {interrupted}", flush=True)
             return 3
+        except CheckpointError as error:
+            print(f"repro run: cannot resume from checkpoint directory "
+                  f"{args.checkpoint_dir}: {error} — delete its newest "
+                  "checkpoint-*.pkl to fall back to the previous one (or the "
+                  "directory to start over), or rerun with the settings the "
+                  "checkpoint was written with", file=sys.stderr, flush=True)
+            return 2
         if args.history_out:
             import json as _json
             from pathlib import Path as _Path

@@ -26,7 +26,7 @@ evaluation sweeps do not grow the store.
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 import numpy as np
 
@@ -51,16 +51,24 @@ class FleetStateStore:
     freshly initialized state is indistinguishable from one initialized at
     setup time — which is what lets the fleet skip the O(num_clients)
     initialization sweep entirely.
+
+    The store also keeps the **dirty set**: the ids whose state may have
+    changed since the checkpoint layer last asked (:meth:`take_dirty`).
+    Every way a participant's state can be written goes through
+    :meth:`adopt` or :meth:`touch`; read-only access (:meth:`get`) does
+    not, which is what keeps a round-boundary checkpoint O(cohort).
     """
 
     def __init__(self) -> None:
         self._states: Dict[int, Dict[str, Any]] = {}
         self._initializer: Optional[StateInitializer] = None
+        self._dirty: Set[int] = set()
 
     def bind(self, initializer: Optional[StateInitializer]) -> None:
         """Install the initializer and reset to a fresh run's empty store."""
         self._initializer = initializer
         self._states = {}
+        self._dirty = set()
 
     def initialize(self, client: Client) -> None:
         """Run the bound initializer on a freshly materialized facade."""
@@ -68,11 +76,30 @@ class FleetStateStore:
             self._initializer(client)
 
     def get(self, client_id: int) -> Optional[Dict[str, Any]]:
+        """The stored state for *reading* (evaluation), or None."""
         return self._states.get(client_id)
+
+    def touch(self, client_id: int) -> Optional[Dict[str, Any]]:
+        """The stored state for *writing* (marks it dirty), or None."""
+        state = self._states.get(client_id)
+        if state is not None:
+            self._dirty.add(client_id)
+        return state
 
     def adopt(self, client_id: int, state: Dict[str, Any]) -> None:
         """Persist a participating client's state dict (install or overwrite)."""
         self._states[client_id] = state
+        self._dirty.add(client_id)
+
+    def take_dirty(self) -> Set[int]:
+        """The ids written since the last call; the set starts over.
+
+        One consumer only — the checkpoint layer, once per round boundary
+        (and once after a restore, to declare the store equal to the
+        checkpoint it was loaded from).
+        """
+        dirty, self._dirty = self._dirty, set()
+        return dirty
 
     @property
     def known_ids(self) -> List[int]:
@@ -83,8 +110,9 @@ class FleetStateStore:
         """The ``{client_id: state}`` entries, id-sorted (checkpointing).
 
         The returned dict is a fresh container but shares the state dicts;
-        the checkpoint layer deep-copies before persisting, so the sparse
-        O(participants) shape — never O(fleet) — is preserved on disk.
+        the checkpoint layer pickles the dirty ones at the boundary, so the
+        sparse O(participants) shape — never O(fleet) — is preserved on
+        disk.
         """
         return {cid: self._states[cid] for cid in sorted(self._states)}
 
@@ -171,11 +199,14 @@ class ClientFleet(MappingABC):
         return facade
 
     def client(self, client_id: int) -> Client:
-        """Participant access: the facade's state joins the sparse store."""
+        """Participant access: the facade's state joins the sparse store.
+
+        The caller may train on the facade in place, so the id is marked
+        dirty on every access, not only the first.
+        """
         self._check_id(client_id)
         facade = self._facade(client_id)
-        if client_id not in self.state_store:
-            self.state_store.adopt(client_id, facade.state)
+        self.state_store.adopt(client_id, facade.state)
         return facade
 
     def observer(self, client_id: int) -> Client:
@@ -200,6 +231,16 @@ class ClientFleet(MappingABC):
         """
         self._check_id(client_id)
         return self.state_store.get(client_id)
+
+    def participant_state(self, client_id: int) -> Optional[Dict[str, Any]]:
+        """A participant's stored state *for mutation*, or None.
+
+        Like :meth:`peek_state` it never materializes a facade, but the id
+        is marked dirty: ``post_round`` hooks write bandit feedback and
+        pattern bookkeeping through the returned dict.
+        """
+        self._check_id(client_id)
+        return self.state_store.touch(client_id)
 
     def update_state(self, client_id: int, state: Dict[str, Any]) -> None:
         """Install the state a worker shipped back for a participant."""

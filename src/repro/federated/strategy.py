@@ -295,11 +295,13 @@ class Strategy:
         ``post_round`` hooks should read state through this instead of
         ``context.clients[cid].state``: on the fleet the latter builds a
         full ``Client`` facade — synthesizing the client's data — just to
-        reach a dict the fleet's sparse store already holds O(1).
+        reach a dict the fleet's sparse store already holds O(1).  The
+        hooks write through the returned dict, so the fleet marks the id
+        dirty for the next checkpoint (``participant_state``).
         """
         context = self._require_context()
         clients = context.clients
-        peek = getattr(clients, "peek_state", None)
+        peek = getattr(clients, "participant_state", None)
         if peek is not None:
             state = peek(client_id)
             if state is not None:

@@ -164,7 +164,8 @@ class Scheduler:
                 # after setup/reset: restoration overwrites the fresh-run
                 # state they installed (global params, state store, context
                 # rng, the scheduler's own queue/clock/buffer)
-                start_round = restore_run(core, self, resume, history)
+                start_round = restore_run(core, self, resume, history,
+                                          checkpointer)
             for round_index in range(start_round, config.num_rounds):
                 # the cumulative counters are read back from the history
                 # itself, so they are round-boundary state that never needs

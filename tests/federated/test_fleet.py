@@ -304,6 +304,35 @@ class TestFleetView:
         fleet.client(2)
         assert fleet.state_store.known_ids == [2]
 
+    def test_dirty_set_tracks_participant_access_only(self):
+        """What the checkpoint layer rewrites: every way a state can be
+        written marks its id, no way of reading it does."""
+        dataset = build_federated_dataset("mnist", 6, examples_per_client=12,
+                                          seed=1, lazy=True)
+        fleet = ClientFleet(dataset, VirtualDeviceFleet(6, seed=1))
+        fleet.bind_state_initializer(
+            lambda client: client.state.setdefault("marker", 1))
+        store = fleet.state_store
+        fleet.observer(1)
+        assert fleet.peek_state(1) is None
+        assert fleet.participant_state(1) is None
+        assert store.take_dirty() == set()
+        fleet.client(2)
+        assert store.take_dirty() == {2}
+        assert store.take_dirty() == set()  # taking starts the set over
+        # repeat access hands out the same dict for in-place training
+        fleet[2].state["marker"] = 5
+        assert store.take_dirty() == {2}
+        fleet.observer(2), fleet.peek_state(2), list(fleet.values())
+        assert store.take_dirty() == set()
+        fleet.participant_state(2)["marker"] = 6
+        assert store.take_dirty() == {2}
+        fleet.update_state(4, {"marker": 7})
+        assert store.take_dirty() == {4}
+        fleet.client(3)
+        fleet.bind_state_initializer(None)  # a fresh run starts clean
+        assert store.take_dirty() == set()
+
     @pytest.mark.parametrize("method", ["fedlps", "efd", "ditto", "fedrep"])
     def test_rebinding_resets_cached_facade_state(self, method):
         """A second setup() must not leak the previous run's client state.

@@ -184,7 +184,7 @@ class TestDigestRefusal:
         checkpoint.version = 1
         save_checkpoint(manager.path_for(checkpoint.next_round), checkpoint)
         with pytest.raises(CheckpointMismatch,
-                           match="checkpoint version 1 != supported 2"):
+                           match="checkpoint version 1 != supported 3"):
             run_method("fedavg", golden.golden_preset("ideal"),
                        checkpoint_dir=directory, resume=True)
 
@@ -219,18 +219,27 @@ class TestCheckpointManager:
         assert [p.name for p in manager.checkpoint_paths()] \
             == ["checkpoint-000001.pkl"]
         assert manager.latest().next_round == 1
-        assert manager.last_bytes > 0
+        assert manager.last_bytes \
+            == (tmp_path / "checkpoint-000001.pkl").stat().st_size
         assert manager.last_save_seconds >= 0.0
 
     def test_corrupt_and_foreign_files_raise_checkpoint_error(self, tmp_path):
+        from repro.checkpoint import _frame
+
         corrupt = tmp_path / "corrupt.pkl"
         corrupt.write_bytes(b"\x80\x05 definitely not a checkpoint")
         with pytest.raises(CheckpointError, match="corrupt"):
             load_checkpoint(corrupt)
+        # a well-formed file (header matches payload) of something else
         foreign = tmp_path / "foreign.pkl"
-        foreign.write_bytes(pickle.dumps({"not": "a checkpoint"}))
+        payload = pickle.dumps({"not": "a checkpoint"})
+        foreign.write_bytes(_frame(payload) + payload)
         with pytest.raises(CheckpointError, match="RunCheckpoint"):
             load_checkpoint(foreign)
+        truncated = tmp_path / "truncated.pkl"
+        truncated.write_bytes((_frame(payload) + payload)[:-1])
+        with pytest.raises(CheckpointError, match="corrupt"):
+            load_checkpoint(truncated)
         with pytest.raises(CheckpointError, match="no checkpoint file"):
             load_checkpoint(tmp_path / "missing.pkl")
 

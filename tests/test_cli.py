@@ -281,3 +281,52 @@ class TestCommands:
         assert "fedavg" in out
         assert "cache:" not in out
         assert not (tmp_path / "unused").exists()
+
+
+class TestResumeFailures:
+    """A checkpoint that cannot be resumed is bad input: one stderr line
+    naming the file and the remedy, exit 2 — never a traceback."""
+
+    RUN = ["run", "--method", "fedlps", "--dataset", "mnist", "--rounds", "3",
+           "--clients", "5", "--clients-per-round", "2",
+           "--local-iterations", "1"]
+
+    def _interrupted(self, directory, capsys):
+        args = self.RUN + ["--checkpoint-dir", str(directory)]
+        assert main(args + ["--stop-after-round", "0"]) == 3
+        capsys.readouterr()
+        return args + ["--resume"]
+
+    def _assert_refused(self, args, capsys, *fragments):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.err
+        for fragment in ("checkpoint", "delete") + fragments:
+            assert fragment in lines[0]
+
+    def test_corrupt_head(self, tmp_path, capsys):
+        args = self._interrupted(tmp_path, capsys)
+        head = tmp_path / "checkpoint-000001.pkl"
+        data = bytearray(head.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        head.write_bytes(data)
+        self._assert_refused(args, capsys, "checkpoint-000001.pkl",
+                             "corrupt")
+
+    def test_corrupt_and_missing_segment(self, tmp_path, capsys):
+        args = self._interrupted(tmp_path, capsys)
+        segment = tmp_path / "blobs-000001.bin"
+        data = bytearray(segment.read_bytes())
+        data[-1] ^= 0x01
+        segment.write_bytes(data)
+        self._assert_refused(args, capsys, "blobs-000001.bin")
+        segment.unlink()
+        self._assert_refused(args, capsys, "blobs-000001.bin", "missing")
+
+    def test_digest_mismatch(self, tmp_path, capsys):
+        args = self._interrupted(tmp_path, capsys)
+        self._assert_refused(args + ["--seed", "99"], capsys,
+                             "different run", str(tmp_path))
+
