@@ -158,7 +158,11 @@ class PruneFL(SharedSparseStrategy):
 
     def client_pattern(self, client: Client, ratio: float,
                        round_index: int) -> UnitPattern:
-        return self._shared_pattern
+        # the client keeps what it is handed in its state: a copy, so that
+        # client states share no mutable object (every other method derives
+        # a fresh pattern per client; a checkpoint pickles each state alone)
+        return {name: mask.copy()
+                for name, mask in self._shared_pattern.items()}
 
     def post_round(self, round_index: int, updates: List[ClientUpdate],
                    costs: Mapping[int, CostBreakdown]) -> None:

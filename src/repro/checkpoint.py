@@ -70,7 +70,11 @@ so a directory reused by another run (which replaces ``blobs-000001.bin``
 under an old head) is refused, not resumed.  When the referenced segments
 outgrow twice the live blobs (small fleets re-touch the same clients every
 few rounds) a save rewrites every live blob into its segment — amortized
-O(1) — and pruning deletes a segment once no kept head references it.
+O(1) — and pruning deletes a segment once neither a kept head nor the
+running manager's table references it.  A run started *without* resume in
+a directory that still holds an earlier run's heads treats the heads
+beyond its own boundary as stale and removes them at its first save: it
+is about to replace the segments they name.
 
 Pickles are trusted input — heads and segments alike: the checksums detect
 corruption and mix-ups, not malice.  Load checkpoints only from directories
@@ -128,6 +132,11 @@ class CheckpointError(RuntimeError):
 
 class CheckpointMismatch(CheckpointError):
     """The checkpoint belongs to a different run than the one resuming."""
+
+
+class SegmentError(CheckpointError):
+    """A segment is missing or is not the one a head references — every
+    head that references it is unusable, not only the newest."""
 
 
 class TrainingInterrupted(RuntimeError):
@@ -249,10 +258,10 @@ def _read_segment(path: Path, length: int, digest: str) -> bytes:
     try:
         data = path.read_bytes()
     except FileNotFoundError:
-        raise CheckpointError(
+        raise SegmentError(
             f"checkpoint segment {path} is missing") from None
     if len(data) != length or hashlib.sha256(data).hexdigest() != digest:
-        raise CheckpointError(
+        raise SegmentError(
             f"checkpoint segment {path} does not match the head that "
             "references it (corrupt, or overwritten by another run "
             "writing into the same directory)")
@@ -593,7 +602,9 @@ class CheckpointManager:
     ``keep`` bounds the *heads* on disk (oldest pruned after a successful
     write, so at least one complete checkpoint always survives a crash
     mid-save thanks to the atomic rename) — and with them every segment a
-    kept head references, nothing else.  ``stop_after_round`` turns the
+    kept head or the running table references, nothing else.  Heads beyond
+    the boundary just saved (a directory reused without resume) are not
+    "newest": they are removed, never the head just written.  ``stop_after_round`` turns the
     manager into a deterministic preemption: once that round's checkpoint
     is on disk, :class:`TrainingInterrupted` aborts the run — the CI
     resume-smoke job and the golden resume suite interrupt runs this way.
@@ -637,8 +648,8 @@ class CheckpointManager:
     def path_for(self, next_round: int) -> Path:
         return self.directory / f"checkpoint-{next_round:06d}.pkl"
 
-    def checkpoint_paths(self) -> List[Path]:
-        """Existing head files, oldest (lowest next_round) first."""
+    def _heads(self) -> List[Tuple[int, Path]]:
+        """``(next_round, path)`` of the existing head files, oldest first."""
         if not self.directory.is_dir():
             return []
         found = []
@@ -646,7 +657,11 @@ class CheckpointManager:
             match = _FILE_PATTERN.match(entry.name)
             if match is not None:
                 found.append((int(match.group(1)), entry))
-        return [path for _, path in sorted(found)]
+        return sorted(found)
+
+    def checkpoint_paths(self) -> List[Path]:
+        """Existing head files, oldest (lowest next_round) first."""
+        return [path for _, path in self._heads()]
 
     @property
     def live_bytes(self) -> int:
@@ -676,7 +691,7 @@ class CheckpointManager:
         self.last_bytes = path.stat().st_size + segment_bytes
         self.saves += 1
         self._head_segments[path.name] = frozenset(checkpoint.segments)
-        self._prune()
+        self._prune(checkpoint.next_round)
         return path
 
     def after_round(self, core, scheduler, history: TrainingHistory,
@@ -746,15 +761,27 @@ class CheckpointManager:
             self._loaded = (path, checkpoint)
         return checkpoint
 
-    def _prune(self) -> None:
-        """Drop all but the ``keep`` newest heads, then every segment none
-        of the kept heads references (superseded ones and orphans)."""
-        paths = self.checkpoint_paths()
-        for stale in paths[:-self.keep]:
-            self._head_segments.pop(stale.name, None)
-            _unlink(stale)
-        referenced = set()
-        for path in paths[-self.keep:]:
+    def _prune(self, saved_round: int) -> None:
+        """Drop every head but the ``keep`` newest up to ``saved_round``
+        (the boundary just saved), then every segment that neither a kept
+        head nor the live table references (superseded ones and orphans).
+
+        A head *beyond* ``saved_round`` is the future of a history this run
+        is rewriting — a directory started into again without resume — and
+        goes first: counted among the newest it would push out the head
+        just written, and this run replaces the segments it names anyway.
+        """
+        heads = self._heads()
+        kept = [path for next_round, path in heads
+                if next_round <= saved_round][-self.keep:]
+        for _, stale in heads:
+            if stale not in kept:
+                self._head_segments.pop(stale.name, None)
+                _unlink(stale)
+        # never a segment the running table points into, whatever the heads
+        # on disk say
+        referenced = set(self._table.segments)
+        for path in kept:
             if path.name not in self._head_segments:
                 # a head from before this process (resume): ask the head —
                 # and delete nothing while one cannot say (a stale file of

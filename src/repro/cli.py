@@ -328,7 +328,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("run --resume/--stop-after-round need --checkpoint-dir",
                   flush=True)
             return 2
-        from .checkpoint import CheckpointError, TrainingInterrupted
+        from .checkpoint import (CheckpointError, CheckpointMismatch,
+                                 SegmentError, TrainingInterrupted)
         try:
             with _executor_from(args) as executor:
                 history = run_method(
@@ -341,11 +342,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"# {interrupted}", flush=True)
             return 3
         except CheckpointError as error:
-            print(f"repro run: cannot resume from checkpoint directory "
-                  f"{args.checkpoint_dir}: {error} — delete its newest "
-                  "checkpoint-*.pkl to fall back to the previous one (or the "
-                  "directory to start over), or rerun with the settings the "
-                  "checkpoint was written with", file=sys.stderr, flush=True)
+            if isinstance(error, CheckpointMismatch):
+                remedy = ("rerun with the settings the checkpoint was "
+                          "written with, or delete the directory to start "
+                          "over")
+            elif isinstance(error, SegmentError):
+                # heads share segments: the older kept head usually
+                # references the same file, so there is no fallback to offer
+                remedy = ("every checkpoint-*.pkl that references that "
+                          "segment is unusable, older ones included; delete "
+                          "the directory to start over")
+            else:
+                remedy = ("delete that checkpoint-*.pkl to fall back to an "
+                          "older one if the directory keeps one, or delete "
+                          "the directory to start over")
+            print(f"repro run: checkpoint directory {args.checkpoint_dir}: "
+                  f"{error} — {remedy}", file=sys.stderr, flush=True)
             return 2
         if args.history_out:
             import json as _json

@@ -6,9 +6,13 @@ That is sound only if nothing mutates a state without marking it dirty and
 nothing mutates a queued event at all — so the first suite keeps the old
 full deep-copy capture verbatim as an oracle and compares it, after *every*
 round of every registry method, with what ``load_checkpoint`` reads back
-from disk.  The rest drives the layout through its lifecycle: skipped
-saves + crash, a kill between segment and head, pruning, resuming from
-another directory, the garbage bound, a directory reused by another run,
+from disk.  That comparison is per blob, so it cannot see a mutable object
+aliased *across* states or events (one deep copy kept such aliasing, one
+pickle per blob splits it); the oracle therefore also asserts, on the live
+objects at every boundary, that there is none.  The rest drives the layout
+through its lifecycle: skipped saves + crash, a kill between segment and
+head, pruning, resuming from another directory, rerunning without resume
+in a used directory, the garbage bound, a directory another run died in,
 and seeded corruption.
 """
 
@@ -56,8 +60,59 @@ def segment_files(directory):
 
 
 # ---------------------------------------------------------------- the oracle
+def _mutable_ids(value, found=None) -> set:
+    """``id`` of every mutable object reachable from ``value`` (arrays by
+    their owning buffer, so two views of one array count as shared)."""
+    found = set() if found is None else found
+    if isinstance(value, np.ndarray):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        found.add(id(value))
+        return found
+    if isinstance(value, (str, bytes, int, float, complex, bool, type(None),
+                          np.generic)):
+        return found
+    if not isinstance(value, (tuple, frozenset)):
+        if id(value) in found:
+            return found
+        found.add(id(value))
+    if isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = list(value)
+    else:  # a generator is a leaf; anything else is its attributes
+        children = list(getattr(value, "__dict__", {}).values())
+    for child in children:
+        _mutable_ids(child, found)
+    return found
+
+
+def assert_blobs_share_nothing(blobs) -> None:
+    """No mutable object is reachable from two of ``blobs``.
+
+    The old capture deep-copied the store snapshot — and the scheduler
+    state — in one call each, which preserved such aliasing; one pickle
+    per blob would split it.  The per-blob byte comparison below cannot
+    see that, so the assumption is pinned here, on the live objects.
+    """
+    owner = {}
+    for label, blob in blobs:
+        for identity in _mutable_ids(blob):
+            assert owner.setdefault(identity, label) == label, (
+                f"{label} and {owner[identity]} share a mutable object")
+
+
 def reference_capture(core, scheduler, history, next_round) -> RunCheckpoint:
-    """The full deep-copy capture this layout replaced, kept verbatim."""
+    """The full deep-copy capture this layout replaced, kept verbatim —
+    plus the one property of it the per-blob comparison cannot see."""
+    states = core.clients.state_store.snapshot()
+    assert_blobs_share_nothing(
+        (f"state {client_id}", state) for client_id, state in states.items())
+    scheduler_state = scheduler.state_dict()
+    events = [(f"{name} {index}", event)
+              for name in ("events", "buffer")
+              for index, event in enumerate(scheduler_state.pop(name, ()))]
+    assert_blobs_share_nothing([*events, ("scheduler", scheduler_state)])
     strategy_attrs = {key: value
                       for key, value in core.strategy.__dict__.items()
                       if key != "context"}
@@ -351,21 +406,80 @@ class TestLifecycle:
         assert sum(written) <= 3 * 40 * cohort_bytes
         assert len(segment_files(tmp_path)) < 10
 
-    def test_segment_overwritten_by_another_run_is_refused(self, tmp_path):
-        """(vii) a reused directory: the old head sees the new run's
-        ``blobs-000001.bin`` and refuses it."""
+    def test_segment_overwritten_by_another_run_is_refused(self, tmp_path,
+                                                           monkeypatch):
+        """(vii) another run killed between its first segment and head
+        leaves its ``blobs-000001.bin`` under the old heads: refused."""
         with pytest.raises(TrainingInterrupted):
             run_method("fedlps", small_preset(), checkpoint_dir=tmp_path,
                        stop_after_round=1)
-        with pytest.raises(TrainingInterrupted):
-            run_method("fedlps", small_preset(seed=6),
-                       checkpoint_dir=tmp_path, stop_after_round=0)
+        real = checkpoint_module._write_atomically
+
+        def dying(path, *chunks):
+            if path.suffix == ".pkl":
+                raise _Killed()
+            real(path, *chunks)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(checkpoint_module, "_write_atomically", dying)
+            with pytest.raises(_Killed):
+                run_method("fedlps", small_preset(seed=6),
+                           checkpoint_dir=tmp_path)
         # the newest head is still the first run's checkpoint-000002
         with pytest.raises(CheckpointError, match="blobs-000001.bin"):
             CheckpointManager(tmp_path).latest()
         with pytest.raises(CheckpointError, match="another run"):
             run_method("fedlps", small_preset(), checkpoint_dir=tmp_path,
                        resume=True)
+
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_rerun_without_resume_in_a_used_directory(self, keep, tmp_path,
+                                                      monkeypatch,
+                                                      at_every_boundary):
+        """A finished run's heads are a future the rerun rewrites: they go
+        at its first save, its own newest heads stay loadable through
+        every compaction, and it can be interrupted and resumed."""
+        _force_keep(monkeypatch, keep)
+        preset = lambda **extra: small_preset(
+            num_clients=10, num_rounds=16, clients_per_round=3,
+            local_iterations=1, **extra)
+        run_method("fedlps", preset(), checkpoint_dir=tmp_path)
+        stale = {path.name: path.read_bytes()
+                 for path in CheckpointManager(tmp_path).checkpoint_paths()}
+        assert "checkpoint-000016.pkl" in stale
+        reference = run_method("fedlps", preset(seed=6))
+        compactions = []
+
+        class CompactionSpy(checkpoint_module._BlobReader):
+            def __init__(self, directory, segments, loaded=None):
+                if loaded is not None:  # only ``BlobTable.stage`` passes it
+                    compactions.append(directory)
+                super().__init__(directory, segments, loaded)
+
+        monkeypatch.setattr(checkpoint_module, "_BlobReader", CompactionSpy)
+
+        def check(manager, round_index, oracle):
+            heads = manager.checkpoint_paths()
+            assert [path.name for path in heads] == [
+                manager.path_for(next_round).name
+                for next_round in range(1, round_index + 2)][-keep:]
+            assert capsule_parts(load_checkpoint(heads[-1])) \
+                == capsule_parts(oracle)
+
+        at_every_boundary(check)
+        with pytest.raises(TrainingInterrupted):
+            run_method("fedlps", preset(seed=6), checkpoint_dir=tmp_path,
+                       stop_after_round=11)
+        # the rerun read its own segments back from disk, and will again
+        assert len(compactions) == 1
+        rerun = run_method("fedlps", preset(seed=6), checkpoint_dir=tmp_path,
+                           resume=True)
+        assert history_json(rerun) == history_json(reference)
+        assert len(compactions) == 2
+        manager = CheckpointManager(tmp_path)
+        assert manager.latest().next_round == 16
+        assert all(path.read_bytes() != stale.get(path.name)
+                   for path in manager.checkpoint_paths())
 
     def test_missing_segment_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(TrainingInterrupted):

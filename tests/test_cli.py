@@ -305,6 +305,8 @@ class TestResumeFailures:
         assert len(lines) == 1 and "Traceback" not in captured.err
         for fragment in ("checkpoint", "delete") + fragments:
             assert fragment in lines[0]
+        if "fall back" not in fragments:
+            assert "fall back" not in lines[0]
 
     def test_corrupt_head(self, tmp_path, capsys):
         args = self._interrupted(tmp_path, capsys)
@@ -313,7 +315,7 @@ class TestResumeFailures:
         data[len(data) // 2] ^= 0xFF
         head.write_bytes(data)
         self._assert_refused(args, capsys, "checkpoint-000001.pkl",
-                             "corrupt")
+                             "corrupt", "fall back")
 
     def test_corrupt_and_missing_segment(self, tmp_path, capsys):
         args = self._interrupted(tmp_path, capsys)
@@ -321,9 +323,12 @@ class TestResumeFailures:
         data = bytearray(segment.read_bytes())
         data[-1] ^= 0x01
         segment.write_bytes(data)
-        self._assert_refused(args, capsys, "blobs-000001.bin")
+        # heads share segments: no fallback to an older head is promised
+        self._assert_refused(args, capsys, "blobs-000001.bin",
+                             "older ones included")
         segment.unlink()
-        self._assert_refused(args, capsys, "blobs-000001.bin", "missing")
+        self._assert_refused(args, capsys, "blobs-000001.bin", "missing",
+                             "older ones included")
 
     def test_digest_mismatch(self, tmp_path, capsys):
         args = self._interrupted(tmp_path, capsys)
