@@ -343,9 +343,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 3
         except CheckpointError as error:
             if isinstance(error, CheckpointMismatch):
-                remedy = ("rerun with the settings the checkpoint was "
-                          "written with, or delete the directory to start "
-                          "over")
+                remedy = ("its files are intact: nothing to repair, use "
+                          "another --checkpoint-dir to keep them")
             elif isinstance(error, SegmentError):
                 # heads share segments: the older kept head usually
                 # references the same file, so there is no fallback to offer
