@@ -10,6 +10,19 @@ FedAvg.  Two helpers on the base carry everything else:
 * ``self._report(client, result, ...)`` wraps the metrics, the upload and
   the round's FLOPs / traffic footprint into the ``ClientUpdate``.
 
+Which model a client is tested with is a pair of hooks.
+``client_evaluation(client)`` returns the parameters (and optional sub-model
+pattern) it infers with — the global model unless overridden.
+``evaluates_from_state(state)`` tells the server whether, for a client
+holding ``state``, those come from ``client.state`` and nothing else; the
+server then remembers the client's accuracy until its state is next written
+instead of re-testing it every round.  Return ``True`` only for such states
+(FedLPS does once ``state["personal_params"]`` is set) and leave the default
+``False`` whenever ``client_evaluation`` reads ``self.global_params`` or any
+other attribute of the strategy.  Both examples below inherit the pair
+unchanged: ``FedLPSTopUp`` keeps FedLPS's on-device model and its opt-in,
+``CapabilityStepFedAvg`` tests the global model and is re-tested every round.
+
 Two examples, plugged into the same trainer, datasets and cost model as every
 built-in method:
 

@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from ..federated.client import Client
 from ..federated.strategy import ClientUpdate, Strategy
@@ -65,6 +65,9 @@ class Ditto(Strategy):
     def client_evaluation(self, client: Client) -> Tuple[ParamDict, None]:
         personal = client.state.get("personal_params")
         return (personal if personal is not None else self.global_params), None
+
+    def evaluates_from_state(self, state: Mapping) -> bool:
+        return state.get("personal_params") is not None
 
 
 class FedPer(Strategy):

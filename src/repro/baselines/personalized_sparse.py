@@ -9,7 +9,7 @@ capability.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,9 @@ class PersonalSparseStrategy(Strategy):
         if personal is None:
             return self.global_params, None
         return personal, client.state.get("personal_pattern")
+
+    def evaluates_from_state(self, state: Mapping) -> bool:
+        return state.get("personal_params") is not None
 
 
 class LotteryFL(PersonalSparseStrategy):

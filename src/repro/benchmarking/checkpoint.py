@@ -74,8 +74,7 @@ def measure_checkpoint(num_clients: int) -> Dict[str, object]:
 
     preset = fleet_preset(num_clients, num_rounds=ROUNDS,
                           clients_per_round=32, eval_clients=0)
-    trainer = build_trainer(preset, "fedlps")
-    core = trainer.core
+    core = build_trainer(preset, "fedlps")
     with tempfile.TemporaryDirectory() as tmp:
         manager = _RecordingManager(tmp)
         scheduler = build_scheduler(core.config)
@@ -86,13 +85,13 @@ def measure_checkpoint(num_clients: int) -> Dict[str, object]:
                               for entry in Path(tmp).iterdir())
 
         fresh = build_trainer(preset, "fedlps")
-        fresh_scheduler = build_scheduler(fresh.core.config)
-        fresh.core.strategy.setup(fresh.core.context)
+        fresh_scheduler = build_scheduler(fresh.config)
+        fresh.strategy.setup(fresh.context)
         fresh_scheduler.reset()
-        restored = TrainingHistory(method=fresh.core.strategy.name,
-                                   dataset=fresh.core.dataset.name)
+        restored = TrainingHistory(method=fresh.strategy.name,
+                                   dataset=fresh.dataset.name)
         with timed() as restore_clock:
-            next_round = restore_run(fresh.core, fresh_scheduler, checkpoint,
+            next_round = restore_run(fresh, fresh_scheduler, checkpoint,
                                      restored)
     assert next_round == preset.num_rounds
     assert len(restored.records) == len(history.records)

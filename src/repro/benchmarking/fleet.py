@@ -90,7 +90,7 @@ def measure_construction(num_clients: int) -> Dict[str, object]:
     preset = fleet_preset(num_clients)
     tracemalloc.start()
     with timed() as clock:
-        core = build_trainer(preset).core
+        core = build_trainer(preset)
         core.strategy.setup(core.context)
         selected = core.select_clients(0)
         cohort = [core.clients[cid] for cid in selected]

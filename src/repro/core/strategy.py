@@ -243,6 +243,10 @@ class FedLPS(Strategy):
             return self.global_params, None
         return personal, client.state.get("personal_pattern")
 
+    def evaluates_from_state(self, state: Mapping) -> bool:
+        # the personalized sparse model stays on the device (Alg. 1 line 24)
+        return state.get("personal_params") is not None
+
     # ------------------------------------------------------------- post-round
     def post_round(self, round_index: int, updates: List[ClientUpdate],
                    costs: Mapping[int, CostBreakdown]) -> None:

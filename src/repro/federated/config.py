@@ -30,7 +30,9 @@ class FleetConfig:
     reference the same shard objects.
 
     ``eval_clients`` caps the personalized-evaluation sweep, which is
-    otherwise O(num_clients) per evaluated round: ``None`` evaluates every
+    otherwise O(num_clients) per evaluated round for a method that tests
+    the global model (a method whose clients keep their own model re-tests
+    only the clients written to since the last sweep): ``None`` evaluates every
     client (the paper's metric, the default), ``k > 0`` evaluates a fixed
     deterministic subset of ``k`` clients drawn once from the run seed, and
     ``0`` skips personalized evaluation entirely (reported accuracy 0.0) —

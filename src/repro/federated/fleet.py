@@ -57,18 +57,27 @@ class FleetStateStore:
     Every way a participant's state can be written goes through
     :meth:`adopt` or :meth:`touch`; read-only access (:meth:`get`) does
     not, which is what keeps a round-boundary checkpoint O(cohort).
+
+    The same write path guards the **evaluation memo**: the accuracy the
+    server remembered for a client whose personalized model lives entirely
+    in its state (:meth:`remember_accuracy`) is dropped by every write, so
+    an evaluation sweep re-runs only the clients something has written to
+    since.  The memo is never checkpointed: a resumed run starts without
+    one and recomputes the same values.
     """
 
     def __init__(self) -> None:
         self._states: Dict[int, Dict[str, Any]] = {}
         self._initializer: Optional[StateInitializer] = None
         self._dirty: Set[int] = set()
+        self._remembered: Dict[int, float] = {}
 
     def bind(self, initializer: Optional[StateInitializer]) -> None:
         """Install the initializer and reset to a fresh run's empty store."""
         self._initializer = initializer
         self._states = {}
         self._dirty = set()
+        self._remembered = {}
 
     def initialize(self, client: Client) -> None:
         """Run the bound initializer on a freshly materialized facade."""
@@ -84,12 +93,27 @@ class FleetStateStore:
         state = self._states.get(client_id)
         if state is not None:
             self._dirty.add(client_id)
+            self._remembered.pop(client_id, None)
         return state
 
     def adopt(self, client_id: int, state: Dict[str, Any]) -> None:
         """Persist a participating client's state dict (install or overwrite)."""
         self._states[client_id] = state
         self._dirty.add(client_id)
+        self._remembered.pop(client_id, None)
+
+    def remembered_accuracy(self, client_id: int) -> Optional[float]:
+        """The accuracy remembered since the client's last write, or None."""
+        return self._remembered.get(client_id)
+
+    def remember_accuracy(self, client_id: int, accuracy: float) -> None:
+        """Remember an evaluation result until the client's next write.
+
+        One caller only — ``ServerCore.evaluate_personalized``, and only
+        for a stored state its strategy's ``evaluates_from_state`` vouches
+        for (the result is a function of that state and nothing else).
+        """
+        self._remembered[client_id] = accuracy
 
     def take_dirty(self) -> Set[int]:
         """The ids written since the last call; the set starts over.

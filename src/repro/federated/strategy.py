@@ -3,9 +3,12 @@
 A strategy owns the global model state and decides which clients take part
 in a round (``select_clients``), what a client computes and uploads
 (``local_update``), how the server merges uploads (``aggregate``), which
-parameters a client infers with (``client_evaluation``) and any end-of-round
-bookkeeping such as bandit updates (``post_round``).  The server core drives
-the round loop and turns the reported footprints into simulated time.
+parameters a client infers with (``client_evaluation``, and
+``evaluates_from_state``: whether those come from the client's own state
+alone, so its accuracy need not be recomputed until that state is written)
+and any end-of-round bookkeeping such as bandit updates (``post_round``).
+The server core drives the round loop and turns the reported footprints into
+simulated time.
 
 A method overrides ``local_update`` and says only what differs from dense
 FedAvg; two helpers carry the rest and are the only place a trainer is
@@ -96,6 +99,12 @@ class Strategy:
     Subclasses override the hooks they need; the base implementations are a
     correct dense-FL method on their own (and are what the FedAvg baseline
     uses directly).
+
+    ``client_evaluation`` and ``evaluates_from_state`` are a pair: a
+    subclass that overrides the first to return parameters kept in
+    ``client.state`` may override the second to return ``True`` for exactly
+    the states where it reads nothing else; one that makes
+    ``client_evaluation`` read shared state again must take the opt-in back.
     """
 
     name = "fedavg"
@@ -282,6 +291,23 @@ class Strategy:
         """Parameters (and optional sub-model pattern) the client infers with."""
         self._require_context()
         return self.global_params, None
+
+    def evaluates_from_state(self, state: Mapping) -> bool:
+        """Whether ``client_evaluation`` of a client holding ``state`` reads
+        nothing but that state.
+
+        When true, the client's test accuracy is a function of its state
+        alone, and the server remembers it until the state is next written
+        (``FleetStateStore``) instead of re-running the client every
+        evaluation.  A method whose clients keep their personalized model on
+        the device overrides this to say from when on (typically: once
+        ``state`` holds the trained personal parameters); it must stay
+        ``False`` for any state under which ``client_evaluation`` touches
+        ``global_params`` or anything else on ``self`` — the default,
+        because the base method evaluates the global model, which moves
+        every round.
+        """
+        return False
 
     # ------------------------------------------------------------- post-round
     def post_round(self, round_index: int, updates: List[ClientUpdate],

@@ -270,13 +270,26 @@ def _broadcast_update_task(
 
 
 def _broadcast_evaluation_task(
-        payload: Tuple[BroadcastHandle, BroadcastHandle, int, Optional[Dict]]
-        ) -> float:
-    """:func:`_evaluate_client` on a worker, bound from the handles."""
-    session_handle, round_handle, client_id, state = payload
-    strategy, (client,) = _bind_broadcast(session_handle, round_handle,
-                                          (client_id,), (state,))
-    return _evaluate_client(strategy, client)
+        payload: Tuple[BroadcastHandle, BroadcastHandle,
+                       Tuple[int, ...], Tuple[Optional[Dict], ...]]
+        ) -> List[float]:
+    """One worker's chunk of an evaluation sweep, bound from the handles.
+
+    The strategy is bound once and evaluates the chunk's clients in turn,
+    as the serial reference does on the server's one instance.
+    """
+    session_handle, round_handle, client_ids, states = payload
+    strategy, clients = _bind_broadcast(session_handle, round_handle,
+                                        client_ids, states)
+    return [_evaluate_client(strategy, client) for client in clients]
+
+
+def _balanced_chunks(ids: List[int], count: int) -> List[List[int]]:
+    """``ids`` as ``min(count, len(ids))`` contiguous chunks, sizes within
+    one of each other, order kept (an empty ``ids`` gives no chunk)."""
+    count = min(count, len(ids))
+    return [ids[len(ids) * index // count:len(ids) * (index + 1) // count]
+            for index in range(count)]
 
 
 # ------------------------------------------------------------------- core
@@ -344,6 +357,9 @@ class ServerCore:
         self.clients: ClientFleet = ClientFleet(
             dataset, self.fleet, cache_size=self.config.fleet.shard_cache)
         self._eval_ids: Optional[List[int]] = None
+        # out-of-band ledger (like ``ClientFleet.facade_builds``): clients an
+        # evaluation sweep ran vs. took from the state store's memo
+        self.evaluation_stats: Dict[str, int] = {"evaluated": 0, "reused": 0}
         self.context = StrategyContext(
             model=self.model, clients=self.clients, dataset=dataset,
             fleet=self.fleet, config=self.config, cost_model=self.cost_model,
@@ -351,7 +367,8 @@ class ServerCore:
 
     @property
     def core(self) -> "ServerCore":
-        """The trainer is the core; kept for callers of the old facade."""
+        """The trainer is the core; ``bench/probes.py`` is the last reader of
+        the old facade's attribute (it moves in a ``benchmark`` PR)."""
         return self
 
     # ------------------------------------------------------------------ run
@@ -717,34 +734,62 @@ class ServerCore:
     def evaluate_personalized(self) -> float:
         """Average accuracy of the evaluation sweep's personalized models.
 
+        Only the swept clients without a remembered accuracy are evaluated:
+        a result is remembered (in the fleet's state store, which drops it
+        on the client's next state write) whenever the strategy's
+        ``evaluates_from_state`` says the client's stored state alone
+        determined it, so a personalized method re-runs just the clients
+        written to since their last evaluation while a global-model method
+        re-runs the whole sweep.  The average is over the same id-ordered
+        accuracies either way.
+
         Clients are accessed through the fleet's *observer* path: a client
         that never participated gets a transient initial state (identical
         to what participation would have initialized) and does not enter
         the sparse state store.  With the broadcast transport the server
-        materializes nothing at all — payloads carry the stored state (or
-        ``None`` for never-participants, initialized worker-side) and each
-        worker rebuilds only the clients it evaluates.  Evaluation
-        inherently touches every swept client's test shard somewhere, so
-        for mid-size virtual fleets either keep ``fleet.shard_cache`` at or
-        above the sweep size or cap the sweep with ``fleet.eval_clients``.
+        materializes nothing at all — the ids go out as one contiguous
+        chunk per worker, payloads carry the stored states (or ``None``
+        for never-participants, initialized worker-side) and each worker
+        rebuilds only the clients of its chunk, all of them at once.  A
+        personalized sweep touches only the changed clients' test shards;
+        a global-model sweep inherently touches every swept client's, so
+        for mid-size virtual fleets under such a method either keep
+        ``fleet.shard_cache`` at or above the sweep size or cap the sweep
+        with ``fleet.eval_clients``.
         """
         eval_ids = self.evaluation_client_ids()
         if not eval_ids:
             return 0.0
         # lossy codecs evaluate the model a compressed downlink delivers
         # (and ship exactly those wire blocks to broadcast workers); the
-        # broadcast is a fresh one, not the round's: aggregation has moved
-        # the global parameters since the local-update fan-out
+        # snap happens even when nothing is left to evaluate, because the
+        # next aggregation starts from it.  The broadcast is a fresh one,
+        # not the round's: aggregation has moved the global parameters
+        # since the local-update fan-out
         encoded_down = self._snap_global_params()
-        with self._fanout_handles(-1, encoded_down, len(eval_ids)) as handles:
+        store = self.clients.state_store
+        accuracies = {cid: store.remembered_accuracy(cid) for cid in eval_ids}
+        pending = [cid for cid in eval_ids if accuracies[cid] is None]
+        chunks = _balanced_chunks(pending, self.executor.workers)
+        with self._fanout_handles(-1, encoded_down, len(chunks)) as handles:
             if handles is None:
-                def task(cid):
-                    return _evaluate_client(self.strategy,
-                                            self.clients.observer(cid))
-                payloads = eval_ids
+                def task(chunk):
+                    return [_evaluate_client(self.strategy,
+                                             self.clients.observer(cid))
+                            for cid in chunk]
+                payloads = chunks
             else:
                 task = _broadcast_evaluation_task
-                payloads = [handles + (cid, self.clients.peek_state(cid))
-                            for cid in eval_ids]
-            accuracies = self.executor.map_ordered(task, payloads)
-        return float(np.mean(accuracies))
+                payloads = [handles + (tuple(chunk), tuple(
+                    self.clients.peek_state(cid) for cid in chunk))
+                    for chunk in chunks]
+            results = self.executor.map_ordered(task, payloads)
+        fresh = [accuracy for chunk in results for accuracy in chunk]
+        for cid, accuracy in zip(pending, fresh):
+            accuracies[cid] = accuracy
+            state = self.clients.peek_state(cid)
+            if state is not None and self.strategy.evaluates_from_state(state):
+                store.remember_accuracy(cid, accuracy)
+        self.evaluation_stats["evaluated"] += len(pending)
+        self.evaluation_stats["reused"] += len(eval_ids) - len(pending)
+        return float(np.mean([accuracies[cid] for cid in eval_ids]))

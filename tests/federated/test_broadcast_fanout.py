@@ -3,7 +3,7 @@
 The contract under test: with a pool backend, the round-invariant payload
 (global parameters, model, strategy template, config) crosses the worker
 boundary **at most once per worker per round** — never once per client — and
-per-task payloads shrink to ``(client_id, client.state)`` plus two small
+per-task payloads shrink to ``(client_ids, client states)`` plus two small
 handles.  The thread backend is the instrument of choice because its workers
 share the server process, so both the submission-side payload witness and
 the worker-side materialization counters are observable in-process, while
@@ -95,7 +95,7 @@ class TestBytesPerRound:
             blob_bytes = broadcast_stats()["blob_bytes"]
             # the session blob (model architecture, fleet, config) is a
             # once-per-run payload, not round traffic
-            session_blob = trainer.core._session_handle().blob_nbytes
+            session_blob = trainer._session_handle().blob_nbytes
             trainer.close()
         per_round = (sum(sizes) + blob_bytes - session_blob) / config.num_rounds
         # the acceptance bar: everything pickled for a round — every update
@@ -145,7 +145,7 @@ class TestSessionDatasetBlocks:
             trainer = FederatedTrainer(strategy, dataset, model_builder,
                                        config=config, fleet=fleet,
                                        executor=executor)
-            handle = trainer.core._session_handle()
+            handle = trainer._session_handle()
             blocks, _ = dataset_to_blocks(dataset)
             array_bytes = sum(block.nbytes for block in blocks.values())
             try:
@@ -175,7 +175,7 @@ class TestSessionDatasetBlocks:
                                        config=config, fleet=fleet,
                                        executor=executor)
             try:
-                handle = trainer.core._session_handle()
+                handle = trainer._session_handle()
                 blocks, skeleton = dataset_to_blocks(dataset)
                 # generated federations ship no dataset arrays at all —
                 # the spec rebuilds any client worker-side

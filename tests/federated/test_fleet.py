@@ -174,7 +174,7 @@ class TestOCohortMaterialization:
         # and the sparse store holds exactly the participants
         participants = dispatched - {
             cid for record in history.records for cid in record.dropped}
-        store_ids = set(trainer.core.clients.state_store.known_ids)
+        store_ids = set(trainer.clients.state_store.known_ids)
         assert participants <= store_ids <= dispatched
 
     def test_evaluation_sweep_does_not_grow_state_store(self):
@@ -191,7 +191,7 @@ class TestOCohortMaterialization:
         # every client was evaluated (eval_clients=None) and therefore
         # materialized — but only participants entered the store
         assert dataset.shard_map.materialized_ids == set(range(20))
-        assert set(trainer.core.clients.state_store.known_ids) <= dispatched
+        assert set(trainer.clients.state_store.known_ids) <= dispatched
 
     def test_broadcast_runs_materialize_nothing_server_side(self):
         """With the broadcast transport, shard builds are fully worker-side.
@@ -224,14 +224,14 @@ class TestOCohortMaterialization:
         dataset, model_builder, config, fleet = build_experiment(preset)
         trainer = FederatedTrainer(build_strategy("fedavg"), dataset,
                                    model_builder, config=config, fleet=fleet)
-        first = trainer.core.evaluation_client_ids()
+        first = trainer.evaluation_client_ids()
         assert len(first) == 5
-        assert trainer.core.evaluation_client_ids() == first
+        assert trainer.evaluation_client_ids() == first
         # a fresh identically-configured core draws the same subset
         dataset2, mb2, config2, fleet2 = build_experiment(preset)
         other = FederatedTrainer(build_strategy("fedavg"), dataset2, mb2,
                                  config=config2, fleet=fleet2)
-        assert other.core.evaluation_client_ids() == first
+        assert other.evaluation_client_ids() == first
 
 
 class _SelectionProbe(Strategy):
@@ -357,7 +357,7 @@ class TestFleetView:
         reused, fresh = trainer(), trainer()
         history = reused.run()
         for each in (reused, fresh):
-            each.core.strategy.setup(each.core.context)
+            each.strategy.setup(each.context)
         assert len(reused.clients.state_store) == 0
         for record in history.records:
             for cid in record.selected_clients:

@@ -163,12 +163,35 @@ def capsule_parts(capsule: RunCheckpoint):
 
 @pytest.fixture
 def at_every_boundary(monkeypatch):
-    """Call ``check(manager, round_index, oracle)`` after each boundary."""
+    """Call ``check(manager, round_index, oracle)`` after each boundary.
+
+    The same harness guards the write path's second consumer, the
+    evaluation memo: a state that differs from the previous boundary's full
+    capture when a sweep starts must have no remembered accuracy left.
+    """
     real = CheckpointManager.after_round
+    real_evaluate = ServerCore.evaluate_personalized
     checks = []
+    # the store the last boundary captured, and each state's pickle then
+    boundary = {"store": None, "states": {}}
+
+    def evaluate_personalized(core):
+        store = core.clients.state_store
+        # before this run's first boundary there is nothing to compare with
+        states = store.snapshot() if boundary["store"] is store else {}
+        for client_id, state in states.items():
+            if _canonical_pickle(state) != boundary["states"].get(client_id):
+                assert store.remembered_accuracy(client_id) is None, (
+                    f"state {client_id} was written past adopt/touch: its "
+                    "remembered accuracy survived the write")
+        return real_evaluate(core)
 
     def after_round(self, core, scheduler, history, round_index):
         oracle = reference_capture(core, scheduler, history, round_index + 1)
+        boundary["store"] = core.clients.state_store
+        boundary["states"] = {
+            client_id: _canonical_pickle(state)
+            for client_id, state in oracle.client_states.items()}
         try:
             real(self, core, scheduler, history, round_index)
         finally:
@@ -176,6 +199,8 @@ def at_every_boundary(monkeypatch):
                 check(self, round_index, oracle)
 
     monkeypatch.setattr(CheckpointManager, "after_round", after_round)
+    monkeypatch.setattr(ServerCore, "evaluate_personalized",
+                        evaluate_personalized)
     return checks.append
 
 
