@@ -90,8 +90,8 @@ def _preset_overrides(args: argparse.Namespace) -> dict:
         overrides["task_timeout"] = args.task_timeout
     if getattr(args, "max_retries", None) is not None:
         overrides["max_retries"] = args.max_retries
-    if getattr(args, "batch_cohort", None):
-        overrides["batch_cohort"] = True
+    if getattr(args, "batch_cohort", None) is not None:
+        overrides["batch_cohort"] = args.batch_cohort
     if getattr(args, "reducer_shards", None) is not None:
         overrides["reducer_shards"] = args.reducer_shards
     return overrides
@@ -146,12 +146,16 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                         help="retry a failed client task up to N times with "
                              "capped exponential backoff before dropping "
                              "the client from the round (default 0)")
-    parser.add_argument("--batch-cohort", action="store_true", default=None,
-                        help="fuse each round's local updates into one "
-                             "batched tensor program (client axis leading) "
-                             "when the strategy/model pair supports it; "
-                             "bit-identical histories, much less Python "
-                             "overhead on homogeneous cohorts")
+    parser.add_argument("--batch-cohort",
+                        action=argparse.BooleanOptionalAction, default=None,
+                        help="train each round's cohort as stacked tensor "
+                             "programs (client axis leading): cache-sized "
+                             "chunks, at least one per worker, when the "
+                             "strategy/model pair supports it; bit-identical "
+                             "histories, much less Python overhead per "
+                             "update.  --no-batch-cohort selects the "
+                             "per-client loop; default: the preset's value "
+                             "(on for mnist-100k and mnist-1m)")
     parser.add_argument("--reducer-shards", type=positive(int),
                         default=None,
                         help="partition the aggregation across N "

@@ -11,7 +11,7 @@ smoothed view of the unit weight magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -136,15 +136,20 @@ def combine_unit_gradients(task_gate_grads: Mapping[str, np.ndarray],
 
 
 def initialize_importance(model: Sequential, *, seed: int = 0,
-                          jitter: float = 1e-3) -> ImportanceIndicator:
+                          jitter: float = 1e-3,
+                          targets: Optional[Mapping[str, np.ndarray]] = None
+                          ) -> ImportanceIndicator:
     """Initial importance scores.
 
     Scores start at the smoothed weight magnitudes (the fixed point of the
     Eq. 8 regularizer) plus a tiny jitter so that quantile thresholds break
-    ties differently across clients.
+    ties differently across clients.  ``targets`` hands in
+    ``smoothed_unit_magnitudes(model)`` when the caller initializes several
+    clients from the same parameters.
     """
     rng = np.random.default_rng(seed)
-    targets = smoothed_unit_magnitudes(model)
+    if targets is None:
+        targets = smoothed_unit_magnitudes(model)
     scores = {name: values + jitter * rng.standard_normal(values.shape)
               for name, values in targets.items()}
     return ImportanceIndicator(scores)

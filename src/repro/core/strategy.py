@@ -25,7 +25,8 @@ from ..sparsity.patterns import heuristic_pattern
 from ..systems.cost import CostBreakdown
 from ..systems.devices import affordable_ratio
 from .bandit import PUCBVAgent
-from .importance import ImportanceIndicator, initialize_importance
+from .importance import (ImportanceIndicator, initialize_importance,
+                         smoothed_unit_magnitudes)
 from .sparse_training import (learnable_sparse_training,
                               learnable_sparse_training_cohort)
 
@@ -126,6 +127,7 @@ class FedLPS(Strategy):
         context = self._require_context()
         config = context.config
         importances: List[ImportanceIndicator] = []
+        targets = None
         for client in clients:
             importance = client.state.get("importance")
             if importance is None:
@@ -133,10 +135,13 @@ class FedLPS(Strategy):
                 # scratch state a previous client's training left behind — the
                 # initial importance must be a pure function of the broadcast
                 # and the client's seed so results do not depend on execution
-                # order
-                context.model.set_parameters(self.global_params)
+                # order.  The broadcast's half is the same for every
+                # first-time client of the call, so it is computed once
+                if targets is None:
+                    context.model.set_parameters(self.global_params)
+                    targets = smoothed_unit_magnitudes(context.model)
                 importance = initialize_importance(
-                    context.model,
+                    context.model, targets=targets,
                     seed=config.seed * 104_729 + client.client_id)
             importances.append(importance)
         ratios = [self._effective_ratio(client) for client in clients]

@@ -64,10 +64,11 @@ class ExperimentPreset:
     #: wall-clock timeout and bounded retries with exponential backoff
     task_timeout: Optional[float] = None
     max_retries: int = 0
-    #: vectorized cohort training (``repro.federated.batched``): fuse a
-    #: round's local updates into one batched tensor program when the
-    #: strategy/model pair supports it.  Bit-identical histories either
-    #: way; cache-keyed like every field.
+    #: vectorized cohort training (``repro.federated.batched``): run a
+    #: round's local updates as stacked tensor programs — cache-sized chunks
+    #: of the cohort, at least one per worker — when the strategy/model pair
+    #: supports it.  Bit-identical histories either way; cache-keyed like
+    #: every field.
     batch_cohort: bool = False
     #: reducer shard count (``repro.parallel.sharding``): partition the
     #: parameter manifest by key across N parameter-server reducer shards.
@@ -88,15 +89,17 @@ DEFAULT_PRESETS: Dict[str, ExperimentPreset] = {
                                examples_per_client=80, classes_per_client=2),
     # cross-device-scale virtual fleets: construction is O(cohort), so the
     # fleet size costs (almost) nothing — only the dispatched cohorts and
-    # the capped evaluation subset are ever materialized
+    # the capped evaluation subset are ever materialized.  With 1-2 local
+    # iterations per first-time participant the per-update fixed cost
+    # dominates the client step, so these two train their cohorts stacked
     "mnist-100k": ExperimentPreset(
         dataset="mnist", num_clients=100_000, examples_per_client=24,
         num_rounds=3, clients_per_round=32, local_iterations=2,
-        eval_clients=64),
+        eval_clients=64, batch_cohort=True),
     "mnist-1m": ExperimentPreset(
         dataset="mnist", num_clients=1_000_000, examples_per_client=16,
         num_rounds=2, clients_per_round=16, local_iterations=1,
-        eval_clients=32),
+        eval_clients=32, batch_cohort=True),
 }
 
 

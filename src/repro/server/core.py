@@ -12,9 +12,12 @@ the loop composes:
 * deterministic client selection (with scenario over-selection),
 * availability splits and per-client latencies from the scenario engine,
 * local-update fan-out over the executor, results in dispatch order, as
-  one plan: the cohort is partitioned into chunks (the whole cohort when it
-  trains as one batched program, single clients otherwise), every chunk
-  runs through one task body, and the only transport selection is the
+  one plan: the cohort is partitioned into chunks — the unit of dispatch —
+  by :meth:`ServerCore._plan_chunks` (an opted-in batchable cohort into
+  contiguous balanced chunks, at least one per worker and each stacking
+  at most ``_CHUNK_ROWS`` rows per step; single clients otherwise), every
+  chunk runs through one task body (a multi-client chunk as one stacked
+  ``(C, ...)`` program), and the only transport selection is the
   executor's ``supports_broadcast`` (inline on the live objects vs bound
   from the shared-memory broadcast handles),
 * cost accounting through the Eq. 14 cost model,
@@ -64,6 +67,11 @@ _SESSION_ROUND_INDEX = -2
 
 #: salt of the deterministic evaluation-subset draw (fleet.eval_clients)
 _EVAL_SUBSET_SALT = 0xE7A1
+
+#: rows (clients x batch_size) one stacked chunk trains per step: past this
+#: the ``(C, ...)`` activations fall out of cache and stacking stops paying
+#: (measured optimum 64-128 on the MNIST backbone, <= 128 everywhere)
+_CHUNK_ROWS = 64
 
 
 # ----------------------------------------------------------- session blocks
@@ -577,18 +585,27 @@ class ServerCore:
     def _plan_chunks(self, selected: List[int]) -> List[List[int]]:
         """Partition a cohort into the chunks its fan-out dispatches.
 
-        One chunk of the whole cohort when it runs as a single batched
-        tensor program — which requires the config opt-in, a cohort worth
-        batching, no supervision (retry/fault bookkeeping is per client
-        task) and a strategy/model pair whose batched path is bit-identical
-        to the loop (``Strategy.cohort_batchable``) — else per-client tasks.
+        The one place that decides chunk shape.  A cohort that trains
+        stacked — which requires the config opt-in, no supervision
+        (retry/fault bookkeeping is per client task) and a strategy/model
+        pair whose batched path is bit-identical to the loop
+        (``Strategy.cohort_batchable``) — goes out as contiguous balanced
+        chunks: as few as give every worker of the executor one and keep
+        every chunk within ``_CHUNK_ROWS`` rows (clients x ``batch_size``)
+        per step — a cohort already inside the budget is not split further,
+        which would only hand the per-update fixed cost back.  Any other
+        cohort goes out as per-client tasks.  Each multi-client chunk runs
+        as one ``(C, ...)`` program and a size-1 chunk as the client loop,
+        so the plan never shows in a history.
         """
         ids = [int(cid) for cid in selected]
-        if (self.config.batch_cohort and len(ids) > 1
-                and not self.supervised
-                and self.strategy.cohort_batchable()):
-            return [ids]
-        return [[cid] for cid in ids]
+        stacked = (self.config.batch_cohort and not self.supervised
+                   and self.strategy.cohort_batchable())
+        if not stacked:
+            return [[cid] for cid in ids]
+        per_chunk = max(1, _CHUNK_ROWS // self.config.batch_size)
+        return _balanced_chunks(
+            ids, max(self.executor.workers, -(-len(ids) // per_chunk)))
 
     def run_local_updates(self, round_index: int, selected: List[int]
                           ) -> List[ClientUpdate]:
@@ -602,8 +619,10 @@ class ServerCore:
         dispatch materializes nothing server-side: the worker is the only
         place the cohort's shards are built.
 
-        The pool runs the cohort's chunks concurrently; the call returns
-        once the whole cohort has finished, updates in dispatch order.
+        The pool runs the cohort's chunks concurrently — a stacked cohort
+        is planned as at least one chunk per worker, so batching and a pool
+        compose instead of excluding each other; the call returns once the
+        whole cohort has finished, updates in dispatch order.
 
         With supervision active (``config.faults`` / ``max_retries`` /
         ``task_timeout``) the fan-out goes through

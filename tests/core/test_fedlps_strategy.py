@@ -100,6 +100,42 @@ class TestFedLPSBehaviour:
         assert "prev_accuracy" in client.state
         assert strategy.ratio_min <= client.state["ratio"] <= 1.0
 
+    def test_first_time_importance_is_the_per_client_initialization(
+            self, tiny_config, monkeypatch):
+        """A cohort's first-timers share one ``smoothed_unit_magnitudes`` of
+        the broadcast; each one's scores are still, byte for byte, what
+        ``initialize_importance`` computes for it alone."""
+        from repro.core import initialize_importance
+        from repro.core import strategy as fedlps_module
+        from repro.data import build_federated_dataset
+
+        dataset = build_federated_dataset("mnist", num_clients=8,
+                                          examples_per_client=20, seed=0)
+        trainer = FederatedTrainer(FedLPS(), dataset, builder,
+                                   config=tiny_config)
+        strategy = trainer.strategy
+        strategy.setup(trainer.context)
+        real = fedlps_module.learnable_sparse_training_cohort
+        handed_in = []
+
+        def recording(model, global_params, importances, *args, **kwargs):
+            handed_in.extend(each.copy() for each in importances)
+            return real(model, global_params, importances, *args, **kwargs)
+
+        monkeypatch.setattr(fedlps_module, "learnable_sparse_training_cohort",
+                            recording)
+        clients = [trainer.clients[cid] for cid in range(8)]
+        strategy.local_update_cohort(0, clients)
+        assert len(handed_in) == 8
+        for client, importance in zip(clients, handed_in):
+            trainer.model.set_parameters(strategy.global_params)
+            alone = initialize_importance(
+                trainer.model,
+                seed=tiny_config.seed * 104_729 + client.client_id)
+            assert list(importance.scores) == list(alone.scores)
+            for name, scores in alone.scores.items():
+                assert importance.scores[name].tobytes() == scores.tobytes()
+
     def test_full_run_beats_random_guessing(self, small_fed_dataset):
         config = FederatedConfig(num_rounds=6, clients_per_round=3,
                                  local_iterations=4, batch_size=10, seed=0)

@@ -11,9 +11,12 @@ bit anywhere fails them.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -331,10 +334,12 @@ class TestEndToEnd:
         assert _history_key(default) == _history_key(batched)
 
     def test_cohort_batches_on_every_executor(self, monkeypatch):
-        """``batch_cohort`` engages with no executor, serial and a pool.
+        """``batch_cohort`` engages with no executor, serial and a pool —
+        and on a pool every worker gets a chunk of the cohort.
 
-        Regression: the serial executor (the CLI's default backend) used to
-        take a per-task path that never consulted the batching opt-in.
+        Regressions: the serial executor (the CLI's default backend) used to
+        take a per-task path that never consulted the batching opt-in; and
+        an opted-in cohort used to be ONE task on ONE worker of a pool.
         """
         from repro.baselines import build_strategy
         from repro.experiments import run_method
@@ -354,8 +359,9 @@ class TestEndToEnd:
 
         monkeypatch.setattr(fedlps, "local_update_cohort", counting)
         histories = []
-        for make_executor in (lambda: None, SerialExecutor,
-                              lambda: ThreadPoolExecutor(2)):
+        for make_executor, per_round in (
+                (lambda: None, [16]), (SerialExecutor, [16]),
+                (lambda: ThreadPoolExecutor(2), [8, 8])):
             del cohort_sizes[:]
             executor = make_executor()
             try:
@@ -364,15 +370,17 @@ class TestEndToEnd:
             finally:
                 if executor is not None:
                     executor.close()
-            assert cohort_sizes == [16] * preset.num_rounds
+            assert cohort_sizes == per_round * preset.num_rounds
         assert histories[0] == histories[1] == histories[2]
 
 
 class TestChunkPlan:
-    """``ServerCore._plan_chunks``: one cohort chunk or per-client tasks."""
+    """``ServerCore._plan_chunks``: an opted-in batchable cohort goes out as
+    balanced stacked chunks — one per worker, or more when the row budget
+    asks for it — and every other cohort as per-client tasks."""
 
     @staticmethod
-    def _core(method="fedavg", **overrides):
+    def _core(method="fedavg", *, workers=None, **overrides):
         from repro.baselines import build_strategy
         from repro.experiments.presets import build_experiment
         from repro.server.core import ServerCore
@@ -383,11 +391,47 @@ class TestChunkPlan:
             else method
         core = ServerCore(strategy, dataset, model_builder,
                           config=config, fleet=fleet)
+        if workers is not None:
+            # the planner reads nothing of an executor but its worker count
+            core.executor = SimpleNamespace(workers=workers)
         core.strategy.setup(core.context)
         return core
 
     def test_batchable_opt_in_cohort_is_one_chunk(self):
+        # 3 clients x batch 8 = 24 rows: inside the budget, one worker
         assert self._core()._plan_chunks([3, 1, 2]) == [[3, 1, 2]]
+        # the bench's batched-cohort16 shape: 16 x 1 rows stay one program
+        assert self._core(batch_size=1)._plan_chunks(list(range(16))) \
+            == [list(range(16))]
+
+    def test_one_chunk_per_worker(self):
+        assert self._core(workers=2)._plan_chunks([3, 1, 2]) \
+            == [[3], [1, 2]]
+        assert self._core(workers=2, batch_size=1) \
+            ._plan_chunks(list(range(16))) \
+            == [list(range(8)), list(range(8, 16))]
+        # more workers than clients: one client each, never an empty chunk
+        assert self._core(workers=8)._plan_chunks([3, 1, 2]) \
+            == [[3], [1], [2]]
+
+    def test_chunks_stay_inside_the_row_budget(self):
+        from repro.server.core import _CHUNK_ROWS
+
+        assert _CHUNK_ROWS == 64
+        ids = list(range(35))
+        # fleet100k-fedbuff-ckpt's shape: 35 x 16 rows -> 9 chunks of 3-4
+        chunks = self._core(batch_size=16)._plan_chunks(ids)
+        assert [len(chunk) for chunk in chunks] \
+            == [3, 4, 4, 4, 4, 4, 4, 4, 4]
+        assert [cid for chunk in chunks for cid in chunk] == ids
+        # the budget outranks the worker count, not the other way round
+        assert self._core(batch_size=16, workers=2)._plan_chunks(ids) \
+            == chunks
+        # a batch that fills the budget alone leaves nothing to stack
+        assert self._core(batch_size=64)._plan_chunks([3, 1, 2]) \
+            == [[3], [1], [2]]
+        assert self._core(batch_size=200)._plan_chunks([3, 1, 2]) \
+            == [[3], [1], [2]]
 
     def test_size_one_chunks_otherwise(self):
         per_client = [[3], [1], [2]]
@@ -395,8 +439,129 @@ class TestChunkPlan:
         assert self._core("heterofl")._plan_chunks([3, 1, 2]) == per_client
         assert self._core(batch_cohort=False)._plan_chunks([3, 1, 2]) \
             == per_client
+        assert self._core(batch_cohort=False, workers=2) \
+            ._plan_chunks([3, 1, 2]) == per_client
         assert self._core()._plan_chunks([5]) == [[5]]
         assert self._core()._plan_chunks([]) == []
+
+    @given(ids=st.lists(st.integers(min_value=0, max_value=10_000),
+                        unique=True, max_size=80),
+           workers=st.integers(min_value=1, max_value=12),
+           batch_size=st.integers(min_value=1, max_value=160),
+           off=st.sampled_from(["", "supervised", "non-batchable",
+                                "opted-out"]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_plan_properties(self, ids, workers, batch_size, off):
+        from dataclasses import replace
+
+        from repro.server.core import _CHUNK_ROWS
+
+        core = _planner_core("heterofl" if off == "non-batchable"
+                             else "fedavg")
+        core.executor = SimpleNamespace(workers=workers)
+        core.config = replace(core.config, batch_size=batch_size,
+                              batch_cohort=off != "opted-out")
+        core.supervised = off == "supervised"
+        chunks = core._plan_chunks(ids)
+        assert [cid for chunk in chunks for cid in chunk] == ids
+        if off:
+            assert all(len(chunk) == 1 for chunk in chunks)
+            return
+        sizes = [len(chunk) for chunk in chunks]
+        assert not sizes or max(sizes) - min(sizes) <= 1
+        per_chunk = max(1, _CHUNK_ROWS // batch_size)
+        assert len(chunks) == min(len(ids), max(
+            workers, math.ceil(len(ids) / per_chunk)))
+        assert all(size == 1 or size * batch_size <= _CHUNK_ROWS
+                   for size in sizes)
+        if _CHUNK_ROWS % batch_size == 0:
+            # where a whole number of clients fills the budget, the count
+            # is ceil(rows / budget)
+            assert len(chunks) == max(min(workers, len(ids)), math.ceil(
+                len(ids) * batch_size / _CHUNK_ROWS))
+
+
+@functools.lru_cache(maxsize=None)
+def _planner_core(method):
+    return TestChunkPlan._core(method)
+
+
+#: round-loop shapes of the chunk-boundary cells (the second one is
+#: ``fleet100k-fedbuff-ckpt``'s: arrivals buffered, cohorts thinned)
+_LOOPS = {"sync": dict(aggregation="sync", scenario="ideal"),
+          "fedbuff-flaky": dict(aggregation="fedbuff", scenario="flaky")}
+
+
+@functools.lru_cache(maxsize=None)
+def _looped_history(method, cohort, batch_size, loop, codec):
+    """The reference: the same federation through the per-client loop."""
+    from repro.experiments import run_method
+
+    return _history_key(run_method(method, _boundary_preset(
+        cohort, batch_size, loop, codec, batch_cohort=False)))
+
+
+def _boundary_preset(cohort, batch_size, loop, codec, **overrides):
+    return _small(num_clients=3 * cohort, clients_per_round=cohort,
+                  num_rounds=3, examples_per_client=12,
+                  batch_size=batch_size, codec=codec, **_LOOPS[loop],
+                  **overrides)
+
+
+class TestChunkBoundaries:
+    """Histories do not show where the planner cut the cohort: cohorts of 5
+    and 7 split unevenly (2 + 3, 3 + 4) by the row budget at batch 16 and by
+    the two workers at batch 1, and not at all at batch 64."""
+
+    @pytest.fixture(scope="class")
+    def thread_pool(self):
+        from repro.parallel import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(2) as executor:
+            yield executor
+
+    @pytest.mark.parametrize("codec", ["dense", "sparse"])
+    @pytest.mark.parametrize("loop", sorted(_LOOPS))
+    @pytest.mark.parametrize("batch_size", [1, 16, 64])
+    @pytest.mark.parametrize("cohort", [5, 7])
+    @pytest.mark.parametrize("method", ["fedlps", "fedavg"])
+    def test_histories_equal_the_loop(self, method, cohort, batch_size,
+                                      loop, codec, thread_pool):
+        from repro.experiments import run_method
+
+        expected = _looped_history(method, cohort, batch_size, loop, codec)
+        preset = _boundary_preset(cohort, batch_size, loop, codec,
+                                  batch_cohort=True)
+        assert _history_key(run_method(method, preset)) == expected
+        assert _history_key(run_method(method, preset,
+                                       executor=thread_pool)) == expected
+
+    @pytest.mark.parametrize("loop", sorted(_LOOPS))
+    @pytest.mark.parametrize("cohort", [5, 7])
+    @pytest.mark.parametrize("method", ["fedlps", "fedavg"])
+    def test_across_an_interrupt_and_resume(self, method, cohort, loop,
+                                            tmp_path):
+        from repro.checkpoint import TrainingInterrupted
+        from repro.experiments import run_method
+
+        expected = _looped_history(method, cohort, 16, loop, "dense")
+        preset = _boundary_preset(cohort, 16, loop, "dense",
+                                  batch_cohort=True)
+        with pytest.raises(TrainingInterrupted):
+            run_method(method, preset, checkpoint_dir=tmp_path,
+                       stop_after_round=0)
+        resumed = run_method(method, preset, checkpoint_dir=tmp_path,
+                             resume=True)
+        assert _history_key(resumed) == expected
+
+    def test_fleet_preset_opt_in_does_not_show_in_the_history(self):
+        from repro.experiments import preset_for, run_method, scaled
+
+        preset = preset_for("mnist-100k")
+        assert preset.batch_cohort and preset.num_rounds == 3
+        assert preset_for("mnist-1m").batch_cohort
+        assert _history_key(run_method("fedlps", preset)) == _history_key(
+            run_method("fedlps", scaled(preset, batch_cohort=False)))
 
 
 class TestGoldenParity:

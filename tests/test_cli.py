@@ -156,6 +156,27 @@ class TestParser:
             build_parser().parse_args(["run", "--fault-plan",
                                        "meteor-strike"])
 
+    def test_batch_cohort_spellings(self, capsys):
+        from repro.cli import _preset_overrides
+
+        for command in ("run", "sweep"):
+            parse = build_parser().parse_args
+            # unset = the preset's own value: no override at all
+            assert parse([command]).batch_cohort is None
+            assert "batch_cohort" not in _preset_overrides(parse([command]))
+            for flag, value in (("--batch-cohort", True),
+                                ("--no-batch-cohort", False)):
+                args = parse([command, flag])
+                assert args.batch_cohort is value
+                assert _preset_overrides(args)["batch_cohort"] is value
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--batch-cohort, --no-batch-cohort" in text
+        assert "--no-batch-cohort selects the per-client loop" in text
+        assert "default: the preset's value (on for mnist-100k" in text
+
     def test_fault_flags_default_off(self):
         for command in ("run", "sweep"):
             args = build_parser().parse_args([command])
@@ -334,4 +355,21 @@ class TestResumeFailures:
         args = self._interrupted(tmp_path, capsys)
         self._assert_refused(args + ["--seed", "99"], capsys,
                              "different run", str(tmp_path))
+
+    def test_no_batch_cohort_resumes_a_looped_fleet_preset_checkpoint(
+            self, tmp_path, capsys):
+        """``mnist-100k`` trains stacked by default; a checkpoint of it
+        written by the loop (what every one written before the preset opted
+        in is) holds ``batch_cohort=False`` in its run digest."""
+        run = ["run", "--method", "fedlps", "--preset", "mnist-100k",
+               "--clients", "40", "--clients-per-round", "5",
+               "--checkpoint-dir", str(tmp_path)]
+        assert main(run + ["--no-batch-cohort", "--stop-after-round",
+                           "0"]) == 3
+        capsys.readouterr()
+        self._assert_refused(run + ["--resume"], capsys, "different run")
+        assert main(run + ["--no-batch-cohort", "--resume"]) == 0
+        looped = capsys.readouterr().out
+        assert main(run[:-2]) == 0
+        assert capsys.readouterr().out == looped
 
