@@ -5,25 +5,12 @@ default scale is deliberately small so the whole harness finishes in a few
 minutes on a laptop CPU; set the environment variable ``REPRO_BENCH_SCALE``
 to a value > 1 to enlarge the runs towards paper scale (more clients, more
 rounds, more local work).
-
-The harness also acts as the performance guard for the parallel execution
-subsystem: backend-parameterized benchmarks report their wall-clock through
-the ``record_backend_timing`` fixture, and at session end the collected
-timings land in a ``BENCH_parallel.json`` artifact (path overridable via
-``REPRO_BENCH_ARTIFACT``) that CI uploads on every run, giving per-backend
-wall-clock a visible history.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import sys
-from pathlib import Path
 from typing import Dict, List
-
-import pytest
 
 
 def bench_scale() -> float:
@@ -48,57 +35,6 @@ def bench_overrides(**extra) -> Dict[str, object]:
     }
     overrides.update(extra)
     return overrides
-
-
-# --------------------------------------------------------- parallel timings
-#: per-backend wall-clock samples collected during the session
-_BACKEND_TIMINGS: Dict[str, Dict[str, object]] = {}
-
-
-@pytest.fixture()
-def record_backend_timing():
-    """Record one wall-clock sample for an executor backend.
-
-    Usage: ``record_backend_timing("process", elapsed_seconds, workers=2)``.
-    Everything recorded during the session is written to the
-    ``BENCH_parallel.json`` artifact at exit.
-    """
-
-    def record(backend: str, seconds: float, **extra: object) -> None:
-        entry = _BACKEND_TIMINGS.setdefault(backend, {"samples": []})
-        entry["samples"].append(float(seconds))
-        entry.update(extra)
-
-    return record
-
-
-def bench_artifact_path() -> Path:
-    """Where the per-backend timing artifact is written."""
-    return Path(os.environ.get("REPRO_BENCH_ARTIFACT", "BENCH_parallel.json"))
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    """Persist collected backend timings for CI artifact upload."""
-    if not _BACKEND_TIMINGS:
-        return
-    timings = {}
-    for backend, entry in sorted(_BACKEND_TIMINGS.items()):
-        samples = list(entry["samples"])
-        timings[backend] = {
-            **{key: value for key, value in entry.items() if key != "samples"},
-            "samples_seconds": samples,
-            "mean_seconds": sum(samples) / len(samples),
-            "min_seconds": min(samples),
-        }
-    payload = {
-        "bench_scale": bench_scale(),
-        "python": platform.python_version(),
-        "platform": sys.platform,
-        "cpu_count": os.cpu_count(),
-        "timings": timings,
-    }
-    bench_artifact_path().write_text(json.dumps(payload, indent=2,
-                                                sort_keys=True))
 
 
 def print_rows(title: str, rows: List[Dict[str, object]]) -> None:

@@ -611,8 +611,8 @@ class CheckpointManager:
 
     The manager records its last/total save wall-clock and bytes
     (``last_save_seconds``, ``last_bytes`` — head plus segments written by
-    that save, ...) so the benchmark harness can gate checkpoint cost
-    without instrumenting the trainer.
+    that save, ...) so a caller can read checkpoint cost without
+    instrumenting the trainer.
     """
 
     def __init__(self, directory: Union[str, Path], *, every: int = 1,

@@ -11,8 +11,6 @@ Examples::
         --scenarios ideal deadline-tight --backend process --workers 4
     python -m repro.cli run --preset mnist --checkpoint-dir ckpts --resume
     python -m repro.cli sweep --checkpoint-dir ckpts --retries 2
-    python -m repro.cli bench fanout --scale 0.25 --check
-    python -m repro.cli bench checkpoint --check
 
 Every experiment command accepts ``--workers N`` and ``--backend
 {process,serial,socket,thread}``.  ``run`` and ``compare`` parallelize the
@@ -29,20 +27,16 @@ arrival; ``fedbuff`` — buffered aggregation every K arrivals); ``sweep
 --aggregations`` grids over several for sync-vs-async time-to-accuracy
 comparisons.  Scenario and aggregation decisions derive from ``(seed,
 round, client)``, so histories stay bit-identical across backends.
-
-``bench <axis>`` runs one gated benchmark axis of ``repro.benchmarking``;
-its sub-commands and their options are generated from the ``AXES`` table.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .baselines import TABLE1_METHODS, available_strategies
-from .benchmarking import AXES, format_report, run_bench
-from .benchmarking.harness import positive
 from .experiments import (DATASETS, DEFAULT_CACHE_DIR, DEFAULT_PRESETS,
                           ResultCache, format_rows, preset_for, run_method,
                           run_scenario_sweep, scaled, summarize,
@@ -55,6 +49,18 @@ from .server import available_aggregations
 #: the headline columns every experiment command prints
 SUMMARY_COLUMNS = ["accuracy", "total_flops", "total_time_seconds",
                    "sim_time_seconds", "time_to_accuracy_seconds"]
+
+
+def positive(cast: Callable[[str], float]) -> Callable[[str], float]:
+    """An argparse ``type``: ``cast`` the text, reject anything not > 0."""
+    def parse(text: str) -> float:
+        value = cast(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a positive {cast.__name__}")
+        return value
+    parse.__name__ = f"positive {cast.__name__}"
+    return parse
 
 
 def non_negative_int(text: str) -> int:
@@ -168,12 +174,12 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clients-per-round", type=positive(int),
                         default=None)
     parser.add_argument("--local-iterations", type=positive(int), default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=non_negative_int, default=None)
     _add_executor_arguments(parser)
 
 
 def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=non_negative_int, default=1,
                         help="worker count for the execution backend "
                              "(0 = auto-sized from the CPU count)")
     parser.add_argument("--backend", default="serial",
@@ -275,30 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "--checkpoint-dir is set")
     _add_common_arguments(sweep_parser)
 
-    bench_parser = sub.add_parser(
-        "bench", help="run one gated benchmark axis and record its "
-                      "BENCH_<axis>.json trajectory")
-    axes = bench_parser.add_subparsers(dest="axis", required=True,
-                                       metavar="{" + ",".join(AXES) + "}")
-    for name, axis in AXES.items():
-        axis_parser = axes.add_parser(
-            name, help=axis.doc.splitlines()[0], description=axis.doc,
-            formatter_class=argparse.RawDescriptionHelpFormatter)
-        axis_parser.add_argument("--scale", type=positive(float),
-                                 default=1.0,
-                                 help="workload scale factor (1.0 = the "
-                                      "size the gate is calibrated for)")
-        axis_parser.add_argument("--output", default=f"BENCH_{name}.json",
-                                 help="where to write the JSON report "
-                                      "(default %(default)s; '' skips "
-                                      "writing)")
-        axis_parser.add_argument("--check", action="store_true",
-                                 help="exit 1 unless "
-                                      + axis.gates.replace("%", "%%"))
-        for option, keywords in axis.options.items():
-            axis_parser.add_argument("--" + option.replace("_", "-"),
-                                     **keywords)
-
     sub.add_parser("list", help="list available methods")
     return parser
 
@@ -314,15 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in available_strategies():
             print(name)
         return 0
-
-    if args.command == "bench":
-        report = run_bench(args.axis, args.scale, args.output,
-                           **{option: getattr(args, option)
-                              for option in AXES[args.axis].options})
-        print(format_report(report))
-        if args.output:
-            print(f"# report written to {args.output}")
-        return 1 if args.check and not report["gate"]["pass"] else 0
 
     if args.command == "run":
         dataset = _dataset_from(args)

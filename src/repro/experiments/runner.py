@@ -240,8 +240,7 @@ def run_scenario_sweep(methods: Iterable[str], datasets: Iterable[str],
     each run's *own* best accuracy — comparable across scenarios, but an
     uneven bar between aggregation modes.  For sync-vs-async comparisons
     against a *shared* target use :func:`~repro.experiments.tables
-    .scenario_table` (its ``time_to_sync_target_seconds`` column) or
-    ``repro bench --aggregations``.
+    .scenario_table` (its ``time_to_sync_target_seconds`` column).
     """
     overrides = dict(overrides or {})
     overrides.pop("scenario", None)

@@ -9,13 +9,17 @@ Contracts under test:
 * **O(cohort)** — a training run materializes shards, facades and state
   entries only for clients that were dispatched or evaluated; untouched
   clients are never built (counting hooks), whether the federation is
-  virtual or hand-built.
+  virtual or hand-built; a 100k-client federation reaches its first
+  dispatch within 1 s and 100 MB traced.
 * **No config mutation** — scenario over-selection reaches the strategy as
   an explicit ``count`` argument; ``config.clients_per_round`` is never
   observed widened (regression for the old patch/restore hack).
 """
 
 from __future__ import annotations
+
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +236,47 @@ class TestOCohortMaterialization:
         other = FederatedTrainer(build_strategy("fedavg"), dataset2, mb2,
                                  config=config2, fleet=fleet2)
         assert other.evaluation_client_ids() == first
+
+
+class TestHundredThousandClientBudget:
+    """Standing up a federation costs the cohort, not the fleet.
+
+    Everything a run pays before its first local update — dataset, device
+    fleet, server core, strategy setup, round-0 selection and the first
+    cohort's shards — fits a fixed budget at 100k clients, where
+    materializing every client's shard would be O(GB).
+    """
+
+    FLEET = 100_000
+    COHORT = 32
+    #: the contract's budget to first dispatch
+    GATE_SECONDS = 1.0
+    GATE_MEGABYTES = 100.0
+
+    def test_first_dispatch_within_budget(self):
+        preset = scaled(preset_for("mnist"), num_clients=self.FLEET,
+                        examples_per_client=16, num_rounds=2,
+                        clients_per_round=self.COHORT, local_iterations=1,
+                        eval_clients=self.COHORT, seed=7)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            dataset, model_builder, config, fleet = build_experiment(preset)
+            trainer = FederatedTrainer(build_strategy("fedavg"), dataset,
+                                       model_builder, config=config,
+                                       fleet=fleet)
+            trainer.strategy.setup(trainer.context)
+            selected = trainer.select_clients(0)
+            cohort = [trainer.clients[cid] for cid in selected]
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cohort) == self.COHORT
+        assert seconds <= self.GATE_SECONDS
+        assert peak / 2**20 <= self.GATE_MEGABYTES
+        assert dataset.shard_map.materializations <= len(selected)
+        assert len(trainer.clients.state_store) <= len(selected)
 
 
 class _SelectionProbe(Strategy):

@@ -316,6 +316,51 @@ class TestEncodedParams:
             decode_block(broken)
 
 
+# ------------------------------------------------------ a run's wire report
+class TestWireReportOfARun:
+    """FedLPS's mask-sparse uploads, as the server records them per round."""
+
+    #: at mask density at or under the ceiling, the sparse codec's upload
+    #: bytes come in at or under this fraction of dense
+    GATE_DENSITY_CEILING = 0.5
+    GATE_SPARSE_RATIO = 0.5
+
+    @pytest.fixture(scope="class")
+    def histories(self):
+        from repro.experiments import preset_for, run_method, scaled
+
+        preset = scaled(preset_for("mnist"), num_clients=4,
+                        examples_per_client=16, num_rounds=2,
+                        clients_per_round=3, local_iterations=1,
+                        batch_size=16, seed=7)
+        return {codec: run_method("fedlps", scaled(preset, codec=codec))
+                for codec in available_codecs()}
+
+    @pytest.mark.parametrize("codec_name", ("sparse",) + LOSSY_CODECS)
+    def test_every_round_uploads_below_dense(self, histories, codec_name):
+        for record in histories[codec_name].records:
+            extras = record.extras
+            assert extras["wire_upload_bytes"] \
+                < extras["wire_upload_dense_bytes"]
+            assert extras["wire_download_bytes"] \
+                <= extras["wire_download_dense_bytes"]
+
+    def test_dense_runs_record_no_wire_report(self, histories):
+        for record in histories["dense"].records:
+            assert not any(key.startswith("wire_") for key in record.extras)
+
+    def test_sparse_meets_its_ratio_budget(self, histories):
+        records = histories["sparse"].records
+        densities = [record.extras["wire_upload_density"]
+                     for record in records]
+        # the budget clause must actually engage on FedLPS's residuals
+        assert sum(densities) / len(densities) <= self.GATE_DENSITY_CEILING
+        upload = sum(record.extras["wire_upload_bytes"] for record in records)
+        dense = sum(record.extras["wire_upload_dense_bytes"]
+                    for record in records)
+        assert upload <= self.GATE_SPARSE_RATIO * dense
+
+
 # ---------------------------------------------------------- config plumbing
 class TestConfigPlumbing:
     def test_federated_config_validates_codec(self):

@@ -19,7 +19,8 @@ from repro.federated.aggregation import aggregate_residuals, masked_average
 from repro.nn.params import weighted_average
 from repro.parallel.sharding import (ShardPlan, active_plan, partition_keys,
                                      reset_shard_stats, shard_of_key,
-                                     shard_plan, shard_stats, shard_view)
+                                     shard_plan, shard_stats, shard_view,
+                                     sharded_weighted_average)
 
 #: frozen assignments of the production manifest keys — a changed digest
 #: or modulus would silently repartition live deployments, so the exact
@@ -213,6 +214,32 @@ class TestShardedKernelsAreBitIdentical:
         with shard_plan(2) as plan:
             weighted_average(dicts, [1.0, 1.0])
             assert active_plan() is plan
+
+
+# ----------------------------------------------------------- shard balance
+class TestShardBalance:
+    """Per-shard reduce bytes shrink ~1/N on many equal keys — the
+    parameter-server regime; a real model's manifest is too lumpy (one fc
+    matrix dominates MNIST's bytes) for the split to mean anything."""
+
+    KEYS = 64
+    KEY_ELEMENTS = 256
+    UPDATES = 8
+    #: the largest shard may exceed its fair 1/N byte share by this fraction
+    GATE_BALANCE_TOLERANCE = 0.25
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_largest_shard_near_its_fair_share(self, shards):
+        rng = np.random.default_rng(0)
+        keys = [f"layer{index:03d}.W" for index in range(self.KEYS)]
+        updates = [{key: rng.standard_normal(self.KEY_ELEMENTS)
+                    for key in keys} for _ in range(self.UPDATES)]
+        with shard_plan(shards) as plan:
+            sharded_weighted_average(plan, updates, [1.0] * self.UPDATES)
+            per_shard = list(plan.per_shard_bytes)
+        assert len(per_shard) == shards
+        assert max(per_shard) / sum(per_shard) \
+            <= (1.0 + self.GATE_BALANCE_TOLERANCE) / shards
 
 
 # ------------------------------------------------------------- shard views

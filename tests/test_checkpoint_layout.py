@@ -13,7 +13,8 @@ objects at every boundary, that there is none.  The rest drives the layout
 through its lifecycle: skipped saves + crash, a kill between segment and
 head, pruning, resuming from another directory, rerunning without resume
 in a used directory, the garbage bound, a directory another run died in,
-and seeded corruption.
+the bytes a save costs against the cohort and the fleet, and seeded
+corruption.
 """
 
 from __future__ import annotations
@@ -513,6 +514,74 @@ class TestLifecycle:
         (tmp_path / "blobs-000001.bin").unlink()
         with pytest.raises(CheckpointError, match="is missing"):
             CheckpointManager(tmp_path).latest()
+
+
+class TestCostTracksTheCohort:
+    """A save writes the round's cohort: never the fleet, never the run so
+    far.  FedLPS (the registry's heaviest per-client state) on a lazy fleet,
+    one head kept, a save every round."""
+
+    ROUNDS = 6
+    COHORT = 32
+    #: slack of every byte clause; the fleet comparison may instead exceed
+    #: the small fleet by the absolute allowance, whichever is larger
+    GATE_BYTES_FACTOR = 2
+    GATE_BYTES_SLACK = 1_000_000
+
+    @pytest.fixture
+    def save_sizes(self, monkeypatch):
+        """``(last_bytes, live_bytes)`` of the manager after every save."""
+        _force_keep(monkeypatch, 1)
+        sizes = []
+        real = CheckpointManager.save
+
+        def save(manager, checkpoint):
+            path = real(manager, checkpoint)
+            sizes.append((manager.last_bytes, manager.live_bytes))
+            return path
+
+        monkeypatch.setattr(CheckpointManager, "save", save)
+        return sizes
+
+    def run_fleet(self, num_clients, directory, save_sizes):
+        save_sizes.clear()
+        preset = scaled(preset_for("mnist"), num_clients=num_clients,
+                        examples_per_client=16, num_rounds=self.ROUNDS,
+                        clients_per_round=self.COHORT, local_iterations=1,
+                        eval_clients=0, seed=7)
+        run_method("fedlps", preset, checkpoint_dir=directory)
+        assert len(save_sizes) == self.ROUNDS
+        return {
+            "first_save_bytes": save_sizes[0][0],
+            "last_save_bytes": save_sizes[-1][0],
+            "live_blob_bytes": save_sizes[-1][1],
+            "directory_bytes": sum(path.stat().st_size
+                                   for path in directory.iterdir()),
+            "client_states": len(
+                CheckpointManager(directory).latest().client_states),
+        }
+
+    def test_bytes_track_cohort_not_fleet_nor_rounds(self, tmp_path,
+                                                     save_sizes):
+        small = self.run_fleet(40, tmp_path / "small", save_sizes)
+        large = self.run_fleet(4_000, tmp_path / "large", save_sizes)
+        # a 100x fleet with the same cohort writes no more per save
+        assert large["last_save_bytes"] <= max(
+            self.GATE_BYTES_FACTOR * small["last_save_bytes"],
+            small["last_save_bytes"] + self.GATE_BYTES_SLACK)
+        for cell in (small, large):
+            # flat in the round index (the full-copy layout's sixth save
+            # rewrote all six cohorts) — the first save is one cohort
+            assert cell["last_save_bytes"] \
+                <= self.GATE_BYTES_FACTOR * cell["first_save_bytes"]
+            # bounded garbage: superseded blobs are compacted away
+            assert cell["directory_bytes"] \
+                <= self.GATE_BYTES_FACTOR * cell["live_blob_bytes"] \
+                + cell["first_save_bytes"]
+            # states track participation, never the fleet
+            assert cell["client_states"] <= self.ROUNDS * self.COHORT
+        # many cohorts' states are live, one cohort's worth was written
+        assert large["live_blob_bytes"] > 4 * large["last_save_bytes"]
 
 
 class TestCorruption:

@@ -1,11 +1,131 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, non_negative_int, positive
 
 TINY = ["--rounds", "2", "--clients", "5", "--clients-per-round", "2",
         "--local-iterations", "2", "--seed", "1"]
+
+#: the commands that share ``_add_common_arguments``
+EXPERIMENT_COMMANDS = ["run", "compare", "table1", "sweep"]
+
+#: misuse of a shared option, and what the one usage line must say
+SHARED_OPTION_MISUSE = [
+    (["--rounds", "0"], "argument --rounds: '0' is not a positive int"),
+    (["--clients", "-3"], "argument --clients: '-3' is not a positive int"),
+    (["--clients-per-round", "0"], "is not a positive int"),
+    (["--local-iterations", "0"], "is not a positive int"),
+    (["--reducer-shards", "0"], "is not a positive int"),
+    (["--rounds", "2.5"], "argument --rounds: invalid positive int value"),
+    (["--task-timeout", "0"], "is not a positive float"),
+    (["--task-timeout", "nan"], "is not a positive float"),
+    (["--task-timeout", "inf"], "is not a positive float"),
+    (["--max-retries", "-1"], "is not a non-negative int"),
+    (["--seed", "-1"], "argument --seed: '-1' is not a non-negative int"),
+    (["--seed", "x"], "argument --seed: invalid non_negative_int value"),
+    (["--workers", "-2"],
+     "argument --workers: '-2' is not a non-negative int"),
+    (["--backend", "gpu"], "argument --backend: invalid choice: 'gpu'"),
+    (["--codec", "gzip"], "argument --codec: invalid choice: 'gzip'"),
+    (["--aggregation", "eventually"], "invalid choice: 'eventually'"),
+    (["--fault-plan", "meteor-strike"], "invalid choice: 'meteor-strike'"),
+    (["--scenario", "nope"], "argument --scenario: invalid choice: 'nope'"),
+    (["--hosts", "a:1"], "--hosts/--worker-token need --backend socket"),
+    (["--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+]
+
+#: the axes of the retired ``bench`` command
+RETIRED_BENCH_AXES = ["fanout", "fleet", "checkpoint", "codec", "faults",
+                      "batch", "dist"]
+
+
+def _assert_usage_error(argv, expected, capsys):
+    """``main(argv)`` exits 2 with one usage line — never a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert expected in captured.err.strip().splitlines()[-1]
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("parse, text, value", [
+        (positive(int), "1", 1),
+        (positive(int), "12", 12),
+        (positive(float), "0.5", 0.5),
+        (positive(float), "1e-9", 1e-9),
+        (positive(float), "30", 30.0),
+        (non_negative_int, "0", 0),
+        (non_negative_int, "3", 3),
+    ])
+    def test_accepts(self, parse, text, value):
+        parsed = parse(text)
+        assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize("parse, text, error", [
+        (positive(int), "0", argparse.ArgumentTypeError),
+        (positive(int), "-1", argparse.ArgumentTypeError),
+        (positive(int), "1.5", ValueError),
+        (positive(int), "abc", ValueError),
+        (positive(int), "", ValueError),
+        (positive(float), "0", argparse.ArgumentTypeError),
+        (positive(float), "-0.0", argparse.ArgumentTypeError),
+        (positive(float), "-2", argparse.ArgumentTypeError),
+        (positive(float), "inf", argparse.ArgumentTypeError),
+        (positive(float), "-inf", argparse.ArgumentTypeError),
+        (positive(float), "nan", argparse.ArgumentTypeError),
+        (positive(float), "abc", ValueError),
+        (non_negative_int, "-1", argparse.ArgumentTypeError),
+        (non_negative_int, "2.5", ValueError),
+        (non_negative_int, "x", ValueError),
+    ])
+    def test_rejects(self, parse, text, error):
+        # argparse turns both into a usage error; ArgumentTypeError carries
+        # the reason, a ValueError becomes "invalid <__name__> value"
+        with pytest.raises(error):
+            parse(text)
+
+    def test_names_read_as_usage_text(self):
+        assert positive(int).__name__ == "positive int"
+        assert positive(float).__name__ == "positive float"
+        assert non_negative_int.__name__ == "non_negative_int"
+
+
+class TestSharedOptionMisuse:
+    """Every experiment command validates the options it shares the same
+    way: one usage line and exit 2, before any work starts."""
+
+    @pytest.mark.parametrize("command", EXPERIMENT_COMMANDS)
+    @pytest.mark.parametrize("argv, expected", SHARED_OPTION_MISUSE)
+    def test_exit_2_with_one_usage_error(self, command, argv, expected,
+                                         capsys):
+        _assert_usage_error([command] + argv, expected, capsys)
+
+    @pytest.mark.parametrize("command", EXPERIMENT_COMMANDS)
+    def test_zero_stays_legal(self, command):
+        args = build_parser().parse_args(
+            [command, "--seed", "0", "--workers", "0", "--max-retries", "0"])
+        assert (args.seed, args.workers, args.max_retries) == (0, 0, 0)
+
+
+class TestBenchCommandIsGone:
+    """Timing lives in ``bench/``; the old sub-command has no alias."""
+
+    @pytest.mark.parametrize("argv", [["bench"]] + [
+        ["bench", axis, "--check"] for axis in RETIRED_BENCH_AXES])
+    def test_invalid_choice(self, argv, capsys):
+        _assert_usage_error(argv, "invalid choice: 'bench'", capsys)
+
+    def test_help_lists_no_bench(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        text = capsys.readouterr().out
+        assert "sweep" in text and "bench" not in text
 
 
 class TestParser:
@@ -80,6 +200,8 @@ class TestParser:
                 (["sweep", "--retries", "-1"], "is not a non-negative"),
                 (["run", "--stop-after-round", "-2", "--checkpoint-dir", "d"],
                  "is not a non-negative"),
+                (["run", "--seed", "-1"], "is not a non-negative"),
+                (["run", "--workers", "-2"], "is not a non-negative"),
                 (["run", "--backend", "thread", "--hosts", "a:1"],
                  "need --backend socket"),
                 (["sweep", "--worker-token", "secret"],
@@ -89,10 +211,12 @@ class TestParser:
             assert excinfo.value.code == 2
             message = capsys.readouterr().err.strip().splitlines()[-1]
             assert argv[1] in message and expected in message
-        # zero stays legal for all three counts
+        # zero stays legal for every one of them (--workers 0 = auto-sized)
         args = build_parser().parse_args(
-            ["run", "--max-retries", "0", "--stop-after-round", "0"])
-        assert (args.max_retries, args.stop_after_round) == (0, 0)
+            ["run", "--max-retries", "0", "--stop-after-round", "0",
+             "--seed", "0", "--workers", "0"])
+        assert (args.max_retries, args.stop_after_round, args.seed,
+                args.workers) == (0, 0, 0, 0)
         assert build_parser().parse_args(["sweep", "--retries", "0"]) \
             .retries == 0
 
@@ -101,23 +225,6 @@ class TestParser:
         assert "mnist" in args.datasets
         assert args.methods == ["fedavg", "fedlps"]
         assert not args.no_cache
-
-    def test_bench_defaults(self):
-        # one sub-command per axis; misuse and every other axis are covered
-        # by tests/benchmarking/test_harness.py
-        args = build_parser().parse_args(["bench", "fanout"])
-        assert (args.axis, args.scale, args.check) == ("fanout", 1.0, False)
-        assert args.backends == ("process", "serial", "socket", "thread")
-        assert args.workers_list == (1, 2, 4)
-        assert args.output == "BENCH_fanout.json"
-        for axis in ("fleet", "checkpoint", "codec", "faults", "batch",
-                     "dist"):
-            args = build_parser().parse_args(["bench", axis])
-            assert (args.scale, args.check) == (1.0, False)
-            assert args.output == f"BENCH_{axis}.json"
-            assert not hasattr(args, "backends")
-            assert hasattr(args, "plan") == (axis == "faults")
-        assert build_parser().parse_args(["bench", "faults"]).plan == "chaos"
 
     def test_aggregation_choices(self):
         args = build_parser().parse_args(["run", "--aggregation", "fedasync"])
