@@ -34,12 +34,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from typing import Callable, List, Optional
 
 from .baselines import TABLE1_METHODS, available_strategies
 from .experiments import (DATASETS, DEFAULT_CACHE_DIR, DEFAULT_PRESETS,
-                          ResultCache, format_rows, preset_for, run_method,
-                          run_scenario_sweep, scaled, summarize,
+                          ExperimentPreset, ResultCache, format_rows,
+                          preset_for, run_grid, run_method, scaled, summarize,
                           table1_accuracy_flops)
 from .parallel import (available_backends, available_codecs,
                        available_fault_plans, resolve_executor)
@@ -73,34 +74,16 @@ def non_negative_int(text: str) -> int:
 
 
 def _preset_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    if args.rounds is not None:
-        overrides["num_rounds"] = args.rounds
-    if args.clients is not None:
-        overrides["num_clients"] = args.clients
-    if args.clients_per_round is not None:
-        overrides["clients_per_round"] = args.clients_per_round
-    if args.local_iterations is not None:
-        overrides["local_iterations"] = args.local_iterations
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "scenario", None) is not None:
-        overrides["scenario"] = args.scenario
-    if getattr(args, "aggregation", None) is not None:
-        overrides["aggregation"] = args.aggregation
-    if getattr(args, "codec", None) is not None:
-        overrides["codec"] = args.codec
-    if getattr(args, "fault_plan", None) is not None:
-        overrides["fault_plan"] = args.fault_plan
-    if getattr(args, "task_timeout", None) is not None:
-        overrides["task_timeout"] = args.task_timeout
-    if getattr(args, "max_retries", None) is not None:
-        overrides["max_retries"] = args.max_retries
-    if getattr(args, "batch_cohort", None) is not None:
-        overrides["batch_cohort"] = args.batch_cohort
-    if getattr(args, "reducer_shards", None) is not None:
-        overrides["reducer_shards"] = args.reducer_shards
-    return overrides
+    """The preset fields this command line sets.
+
+    Every run-shaping option's ``dest`` is its :class:`ExperimentPreset`
+    field, so the options left unset (``None``) keep the preset's value.
+    ``dataset`` is not an override: that option names the preset.
+    """
+    return {preset_field.name: getattr(args, preset_field.name)
+            for preset_field in fields(ExperimentPreset)
+            if preset_field.name != "dataset"
+            and getattr(args, preset_field.name, None) is not None}
 
 
 def _dataset_from(args: argparse.Namespace) -> str:
@@ -169,8 +152,10 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                              "assigned by a deterministic hash of their "
                              "name); histories are bit-identical at every "
                              "count (default 1 = unsharded)")
-    parser.add_argument("--rounds", type=positive(int), default=None)
-    parser.add_argument("--clients", type=positive(int), default=None)
+    parser.add_argument("--rounds", type=positive(int), default=None,
+                        dest="num_rounds", metavar="ROUNDS")
+    parser.add_argument("--clients", type=positive(int), default=None,
+                        dest="num_clients", metavar="CLIENTS")
     parser.add_argument("--clients-per-round", type=positive(int),
                         default=None)
     parser.add_argument("--local-iterations", type=positive(int), default=None)
@@ -215,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="checkpoint the run into this directory at "
                                  "round boundaries (see repro.checkpoint)")
     run_parser.add_argument("--checkpoint-every", type=positive(int),
-                            default=1,
+                            default=None,
                             help="checkpoint every N rounds (default 1)")
     run_parser.add_argument("--resume", action="store_true",
                             help="resume from the latest checkpoint in "
@@ -291,6 +276,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ((getattr(args, "hosts", None) or getattr(args, "worker_token", None))
             and args.backend != "socket"):
         parser.error("--hosts/--worker-token need --backend socket")
+    if (args.command == "run" and args.checkpoint_dir is None
+            and (args.resume or args.stop_after_round is not None
+                 or args.checkpoint_every is not None)):
+        parser.error("--resume/--stop-after-round/--checkpoint-every need "
+                     "--checkpoint-dir")
 
     if args.command == "list":
         for name in available_strategies():
@@ -300,11 +290,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "run":
         dataset = _dataset_from(args)
         preset = scaled(preset_for(dataset), **_preset_overrides(args))
-        if ((args.resume or args.stop_after_round is not None)
-                and args.checkpoint_dir is None):
-            print("run --resume/--stop-after-round need --checkpoint-dir",
-                  flush=True)
-            return 2
         from .checkpoint import (CheckpointError, CheckpointMismatch,
                                  SegmentError, TrainingInterrupted)
         try:
@@ -312,7 +297,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 history = run_method(
                     args.method, preset, executor=executor,
                     checkpoint_dir=args.checkpoint_dir,
-                    checkpoint_every=args.checkpoint_every,
+                    checkpoint_every=args.checkpoint_every or 1,
                     resume=args.resume,
                     stop_after_round=args.stop_after_round)
         except TrainingInterrupted as interrupted:
@@ -375,33 +360,20 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "sweep":
         cache = None if args.no_cache else ResultCache(args.cache_dir)
-        overrides = _preset_overrides(args)
-        overrides.pop("scenario", None)
-        overrides.pop("aggregation", None)
-        overrides.pop("codec", None)
-        scenarios = list(args.scenarios)
-        if args.scenario is not None and args.scenario not in scenarios:
-            scenarios.append(args.scenario)
-        aggregations = list(args.aggregations)
-        if (args.aggregation is not None
-                and args.aggregation not in aggregations):
-            aggregations.append(args.aggregation)
-        codecs = list(args.codecs)
-        if args.codec is not None and args.codec not in codecs:
-            codecs.append(args.codec)
-        histories = {}
+        axes = {"scenario": list(args.scenarios),
+                "aggregation": list(args.aggregations),
+                "codec": list(args.codecs)}
+        for name, values in axes.items():
+            # a singular --scenario/--aggregation/--codec joins its axis
+            single = getattr(args, name)
+            if single is not None and single not in values:
+                values.append(single)
         with _executor_from(args) as executor:
-            # the codec axis loops outside run_scenario_sweep: each codec
-            # rides the preset (so cells cache-key like any other field)
-            for codec in codecs:
-                cells = run_scenario_sweep(
-                    args.methods, args.datasets, scenarios, aggregations,
-                    overrides={**overrides, "codec": codec},
-                    executor=executor, cache=cache,
-                    checkpoint_root=args.checkpoint_dir,
-                    retries=args.retries)
-                for key, history in cells.items():
-                    histories[key + (codec,)] = history
+            histories = run_grid(args.methods, args.datasets, axes,
+                                 overrides=_preset_overrides(args),
+                                 executor=executor, cache=cache,
+                                 checkpoint_root=args.checkpoint_dir,
+                                 retries=args.retries)
         rows = [{"method": method, "dataset": dataset, "scenario": scenario,
                  "aggregation": aggregation, "codec": codec,
                  **summarize(history)}
@@ -409,7 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 in histories.items()]
         columns = ["method", "dataset", "scenario", "aggregation"]
         summary_columns = list(SUMMARY_COLUMNS)
-        if codecs != ["dense"]:
+        if axes["codec"] != ["dense"]:
             columns.append("codec")
             summary_columns.append("wire_upload_bytes")
         print(format_rows(rows, columns + summary_columns))

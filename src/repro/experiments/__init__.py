@@ -7,8 +7,8 @@ from .figures import (FIGURE3_METHODS, accuracy_vs_flops, accuracy_vs_time,
                       pattern_ratio_sweep, time_to_accuracy)
 from .presets import (DATASETS, DEFAULT_PRESETS, ExperimentPreset,
                       build_experiment, preset_for, scaled)
-from .runner import (format_rows, run_across_datasets, run_jobs, run_method,
-                     run_methods, run_scenario_sweep, run_sweep, summarize)
+from .runner import (format_rows, run_grid, run_jobs, run_method, run_methods,
+                     summarize)
 from .tables import (histories_to_rows, scenario_table, table1_accuracy_flops,
                      table2_ablation)
 
@@ -21,10 +21,8 @@ __all__ = [
     "build_experiment",
     "run_method",
     "run_methods",
-    "run_across_datasets",
     "run_jobs",
-    "run_sweep",
-    "run_scenario_sweep",
+    "run_grid",
     "ResultCache",
     "DEFAULT_CACHE_DIR",
     "run_spec",

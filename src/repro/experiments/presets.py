@@ -5,13 +5,13 @@ backbones.  The presets below keep the same *structure* (five datasets, five
 capability tiers, pathological non-IID partitions, SGD with dataset-specific
 learning rates) at a scale where every experiment finishes on a CPU in
 seconds to minutes.  Every field can be overridden through
-:func:`scaled`, which the benchmark harness uses to shrink runs further for
-CI and to enlarge them for paper-scale replication.
+:func:`scaled`, which tests and benchmarks use to shrink runs further and
+paper-scale replication uses to enlarge them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Optional
 
 from ..data import FederatedDataset, build_federated_dataset
@@ -29,7 +29,12 @@ DATASETS = ("mnist", "cifar10", "cifar100", "tinyimagenet", "reddit")
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """Everything needed to instantiate one dataset's federated experiment."""
+    """Everything needed to instantiate one dataset's federated experiment.
+
+    Fields named like a :class:`~repro.federated.FederatedConfig` field are
+    copied onto it unchanged (see that class for what they mean), except
+    ``scenario``: it names the scenario ``build_experiment`` builds.
+    """
 
     dataset: str
     num_clients: int = 16
@@ -47,12 +52,7 @@ class ExperimentPreset:
     #: named system-heterogeneity scenario (see ``repro.scenarios``);
     #: "ideal" reproduces the paper's every-client-finishes assumption
     scenario: str = "ideal"
-    #: server aggregation mode (see ``repro.server.scheduler``): "sync",
-    #: "fedasync" or "fedbuff" — keys the result cache like the scenario
     aggregation: str = "sync"
-    #: wire codec for the parameter round trip (``repro.parallel.codec``):
-    #: "dense" (historical raw blocks), "sparse" (lossless indexed slices),
-    #: "int8"/"pq" (lossy low-precision) — keys the result cache
     codec: str = "dense"
     #: personalized-evaluation cap (``None`` = every client, the paper's
     #: metric; large-fleet presets sample a fixed deterministic subset)
@@ -60,22 +60,20 @@ class ExperimentPreset:
     #: named deterministic fault plan (``repro.parallel.faults``), seeded
     #: from the run seed; None runs fault-free.  Cache-keyed like the codec.
     fault_plan: Optional[str] = None
-    #: supervised-execution knobs (``repro.parallel.supervision``): per-task
-    #: wall-clock timeout and bounded retries with exponential backoff
     task_timeout: Optional[float] = None
     max_retries: int = 0
-    #: vectorized cohort training (``repro.federated.batched``): run a
-    #: round's local updates as stacked tensor programs — cache-sized chunks
-    #: of the cohort, at least one per worker — when the strategy/model pair
-    #: supports it.  Bit-identical histories either way; cache-keyed like
-    #: every field.
     batch_cohort: bool = False
-    #: reducer shard count (``repro.parallel.sharding``): partition the
-    #: parameter manifest by key across N parameter-server reducer shards.
-    #: Histories are bit-identical at every count; cache-keyed regardless.
     reducer_shards: int = 1
     seed: int = 0
     extra_config: Dict[str, float] = field(default_factory=dict)
+
+
+#: the preset fields ``build_experiment`` copies onto the same-named config
+#: field; ``scenario`` is the one shared name it resolves instead
+_COPIED = frozenset(
+    {preset_field.name for preset_field in fields(ExperimentPreset)}
+    & {config_field.name for config_field in fields(FederatedConfig)}
+) - {"scenario"}
 
 
 DEFAULT_PRESETS: Dict[str, ExperimentPreset] = {
@@ -136,25 +134,13 @@ def build_experiment(preset: ExperimentPreset
         examples_per_client=preset.examples_per_client,
         style_scale=preset.style_scale, seed=preset.seed, lazy=True)
     config = FederatedConfig(
-        num_rounds=preset.num_rounds,
-        clients_per_round=preset.clients_per_round,
-        local_iterations=preset.local_iterations,
-        batch_size=preset.batch_size,
-        learning_rate=preset.learning_rate,
-        clip_norm=preset.clip_norm,
-        seed=preset.seed,
+        **{name: getattr(preset, name) for name in _COPIED},
         scenario=build_scenario(preset.scenario,
                                 num_clients=preset.num_clients,
                                 num_rounds=preset.num_rounds,
                                 seed=preset.seed),
-        aggregation=preset.aggregation,
-        codec=preset.codec,
         faults=(build_fault_plan(preset.fault_plan, seed=preset.seed)
                 if preset.fault_plan is not None else None),
-        task_timeout=preset.task_timeout,
-        max_retries=preset.max_retries,
-        batch_cohort=preset.batch_cohort,
-        reducer_shards=preset.reducer_shards,
         fleet=FleetConfig(eval_clients=preset.eval_clients),
         extra=dict(preset.extra_config))
     fleet = VirtualDeviceFleet(

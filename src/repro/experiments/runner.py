@@ -1,20 +1,22 @@
-"""Running one method on one preset, and parallel sweep helpers.
+"""Running one method on one preset, and the grids of such runs.
 
 Two levels of parallelism compose here:
 
 * :func:`run_method` accepts an ``executor`` that the trainer uses to fan
   per-round client updates and evaluation across workers;
-* :func:`run_methods`, :func:`run_across_datasets` and :func:`run_sweep`
-  dispatch *whole* (method, preset) runs as independent jobs on an executor,
-  which is the better fit for figure/table grids (each job is a full serial
-  simulation, so there is no cross-worker chatter at all).
+* :func:`run_grid` (method × dataset × any preset-field axes) and
+  :func:`run_methods` (several methods on one preset) dispatch *whole*
+  (method, preset) runs as independent jobs on an executor through
+  :func:`run_jobs`, which is the better fit for figure/table grids (each job
+  is a full serial simulation, so there is no cross-worker chatter at all).
 
-Sweep helpers consult an optional :class:`~repro.experiments.cache.ResultCache`
+Both consult an optional :class:`~repro.experiments.cache.ResultCache`
 so repeated figure builds only pay for the runs whose spec actually changed.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -175,66 +177,23 @@ def run_methods(methods: Iterable[str], preset: ExperimentPreset, *,
     return dict(zip(methods, histories))
 
 
-def run_across_datasets(method: str, datasets: Iterable[str], *,
-                        overrides: Optional[dict] = None,
-                        executor: Optional[Executor] = None,
-                        cache: Optional[ResultCache] = None,
-                        checkpoint_root: Optional[Union[str, Path]] = None,
-                        retries: int = 0) -> Dict[str, TrainingHistory]:
-    """Run one method on several datasets with shared preset overrides."""
-    overrides = overrides or {}
-    datasets = list(datasets)
-    specs: List[JobSpec] = [
-        (method, scaled(preset_for(dataset), **overrides), None)
-        for dataset in datasets]
-    histories = run_jobs(specs, executor=executor, cache=cache,
-                         checkpoint_root=checkpoint_root, retries=retries)
-    return dict(zip(datasets, histories))
+def run_grid(methods: Iterable[str], datasets: Iterable[str],
+             axes: Optional[Dict[str, Iterable]] = None, *,
+             overrides: Optional[dict] = None,
+             executor: Optional[Executor] = None,
+             cache: Optional[ResultCache] = None,
+             checkpoint_root: Optional[Union[str, Path]] = None,
+             retries: int = 0) -> Dict[tuple, TrainingHistory]:
+    """Run the method × dataset × axes grid behind the tables and figures.
 
-
-def run_sweep(methods: Iterable[str], datasets: Iterable[str], *,
-              overrides: Optional[dict] = None,
-              executor: Optional[Executor] = None,
-              cache: Optional[ResultCache] = None,
-              checkpoint_root: Optional[Union[str, Path]] = None,
-              retries: int = 0) -> Dict[Tuple[str, str], TrainingHistory]:
-    """Run the full method × dataset grid behind the tables and figures.
-
-    Returns a mapping from ``(method, dataset)`` to history.  With an
-    executor the grid's jobs run concurrently; with a cache only the specs
-    not seen before are executed.
-    """
-    overrides = overrides or {}
-    methods = list(methods)
-    datasets = list(datasets)
-    grid: List[Tuple[str, str]] = [(method, dataset)
-                                   for method in methods
-                                   for dataset in datasets]
-    specs: List[JobSpec] = [
-        (method, scaled(preset_for(dataset), **overrides), None)
-        for method, dataset in grid]
-    histories = run_jobs(specs, executor=executor, cache=cache,
-                         checkpoint_root=checkpoint_root, retries=retries)
-    return dict(zip(grid, histories))
-
-
-def run_scenario_sweep(methods: Iterable[str], datasets: Iterable[str],
-                       scenarios: Iterable[str] = ("ideal",),
-                       aggregations: Iterable[str] = ("sync",), *,
-                       overrides: Optional[dict] = None,
-                       executor: Optional[Executor] = None,
-                       cache: Optional[ResultCache] = None,
-                       checkpoint_root: Optional[Union[str, Path]] = None,
-                       retries: int = 0
-                       ) -> Dict[Tuple[str, str, str, str], TrainingHistory]:
-    """Run the method × dataset × scenario × aggregation grid.
-
-    The scenario and aggregation mode both ride inside the preset (their
-    names are part of the cache spec), so sweeps get the same incremental
-    caching and parallel job dispatch as plain sweeps.  ``scenario`` /
-    ``aggregation`` keys in ``overrides`` are ignored: the grid axes are
-    authoritative here.  Keys are ``(method, dataset, scenario,
-    aggregation)``.
+    ``axes`` maps preset fields to the values to sweep, e.g. ``{"scenario":
+    [...], "codec": [...]}``.  Keys are ``(method, dataset, *axis values)``,
+    method outermost, then dataset, then the axes in their given order.
+    Each cell is ``scaled(preset_for(dataset), **overrides)`` with its axis
+    values on top: an axis outranks the same key in ``overrides``.  Every
+    axis rides the preset, so cells cache-key and checkpoint like any run;
+    with an executor the grid's jobs run concurrently, and with a cache
+    only the specs not seen before are executed.
 
     Note that ``summarize``'s ``time_to_accuracy_seconds`` targets 90% of
     each run's *own* best accuracy — comparable across scenarios, but an
@@ -242,23 +201,14 @@ def run_scenario_sweep(methods: Iterable[str], datasets: Iterable[str],
     against a *shared* target use :func:`~repro.experiments.tables
     .scenario_table` (its ``time_to_sync_target_seconds`` column).
     """
-    overrides = dict(overrides or {})
-    overrides.pop("scenario", None)
-    overrides.pop("aggregation", None)
-    methods = list(methods)
-    datasets = list(datasets)
-    scenarios = list(scenarios)
-    aggregations = list(aggregations)
-    grid: List[Tuple[str, str, str, str]] = [
-        (method, dataset, scenario, aggregation)
-        for method in methods
-        for dataset in datasets
-        for scenario in scenarios
-        for aggregation in aggregations]
+    axes = axes or {}
+    shared = {name: value for name, value in (overrides or {}).items()
+              if name not in axes}
+    grid = list(product(methods, datasets, *axes.values()))
     specs: List[JobSpec] = [
-        (method, scaled(preset_for(dataset), scenario=scenario,
-                        aggregation=aggregation, **overrides), None)
-        for method, dataset, scenario, aggregation in grid]
+        (method, scaled(preset_for(dataset), **shared,
+                        **dict(zip(axes, values))), None)
+        for method, dataset, *values in grid]
     histories = run_jobs(specs, executor=executor, cache=cache,
                          checkpoint_root=checkpoint_root, retries=retries)
     return dict(zip(grid, histories))

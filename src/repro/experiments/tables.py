@@ -17,8 +17,14 @@ from ..baselines import TABLE1_METHODS, ablations, build_strategy
 from ..parallel import Executor
 from ..systems import TrainingHistory
 from .cache import ResultCache
-from .presets import ExperimentPreset, preset_for, scaled
-from .runner import run_jobs, run_method, run_scenario_sweep, summarize
+from .presets import preset_for, scaled
+from .runner import run_grid, run_method, summarize
+
+
+#: the :func:`~repro.experiments.runner.summarize` columns of a Table I row
+_TABLE1_COLUMNS = ("accuracy", "total_flops", "total_time_seconds",
+                   "sim_time_seconds", "time_to_accuracy_seconds",
+                   "mean_staleness")
 
 
 def table1_accuracy_flops(datasets: Iterable[str] = ("mnist",),
@@ -27,32 +33,27 @@ def table1_accuracy_flops(datasets: Iterable[str] = ("mnist",),
                           executor: Optional[Executor] = None,
                           cache: Optional[ResultCache] = None
                           ) -> List[Dict[str, object]]:
-    """Rows of Table I: one row per (method, dataset).
+    """Rows of Table I: one row per (method, dataset), dataset outermost.
 
-    ``overrides`` shrinks or enlarges the presets (rounds, clients, ...), which
-    is how the benchmark harness keeps the full 21-method sweep tractable.
-    With an ``executor`` the grid's runs dispatch as parallel jobs; a
-    ``cache`` makes repeated table builds incremental.
+    ``overrides`` shrinks or enlarges the presets (rounds, clients, ...),
+    which is how tests and benchmarks keep the full 21-method sweep
+    tractable.  With an ``executor`` the grid's runs dispatch as parallel
+    jobs; a ``cache`` makes repeated table builds incremental.
     """
     methods = list(methods) if methods is not None else list(TABLE1_METHODS)
+    datasets = list(datasets)
     overrides = overrides or {}
-    grid = [(method, dataset) for dataset in datasets for method in methods]
-    specs = [(method, scaled(preset_for(dataset), **overrides), None)
-             for method, dataset in grid]
-    histories = run_jobs(specs, executor=executor, cache=cache)
-    return [{
-        "method": method,
-        "dataset": dataset,
-        "aggregation": spec[1].aggregation,
-        "accuracy": summary["accuracy"],
-        "total_flops": summary["total_flops"],
-        "total_time_seconds": summary["total_time_seconds"],
-        "sim_time_seconds": summary["sim_time_seconds"],
-        "time_to_accuracy_seconds": summary["time_to_accuracy_seconds"],
-        "mean_staleness": summary["mean_staleness"],
-    } for (method, dataset), spec, summary in
-        ((pair, spec, summarize(history))
-         for pair, spec, history in zip(grid, specs, histories))]
+    histories = run_grid(methods, datasets, overrides=overrides,
+                         executor=executor, cache=cache)
+    rows = []
+    for dataset in datasets:
+        aggregation = scaled(preset_for(dataset), **overrides).aggregation
+        for method in methods:
+            summary = summarize(histories[method, dataset])
+            rows.append({"method": method, "dataset": dataset,
+                         "aggregation": aggregation,
+                         **{name: summary[name] for name in _TABLE1_COLUMNS}})
+    return rows
 
 
 def table2_ablation(dataset: str = "mnist",
@@ -112,9 +113,9 @@ def scenario_table(dataset: str = "mnist",
     like-for-like number — ``None`` when the target is never reached or no
     sync run is in the grid.
     """
-    histories = run_scenario_sweep(methods, [dataset], scenarios,
-                                   aggregations, overrides=overrides,
-                                   executor=executor, cache=cache)
+    histories = run_grid(methods, [dataset],
+                         {"scenario": scenarios, "aggregation": aggregations},
+                         overrides=overrides, executor=executor, cache=cache)
     sync_targets = {
         key[:3]: 0.9 * history.best_accuracy()
         for key, history in histories.items() if key[3] == "sync"}

@@ -55,8 +55,9 @@ class FederatedConfig:
 
     The defaults are scaled-down versions of the paper's configuration
     (100 rounds, 10 selected clients per round, batch size 20, SGD with
-    learning rate 0.1) so that simulations finish quickly on a CPU; the
-    benchmark harness overrides them where a sweep requires it.
+    learning rate 0.1) so that simulations finish quickly on a CPU; an
+    experiment preset (``repro.experiments.presets``) overrides the fields
+    it shares with this class by name.
     """
 
     num_rounds: int = 20

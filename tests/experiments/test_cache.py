@@ -6,9 +6,8 @@ import json
 
 import pytest
 
-from repro.experiments import (ResultCache, preset_for, run_method,
-                               run_methods, run_spec, run_sweep, scaled,
-                               spec_key)
+from repro.experiments import (ResultCache, preset_for, run_grid, run_method,
+                               run_methods, run_spec, scaled, spec_key)
 
 TINY = dict(num_clients=4, num_rounds=2, clients_per_round=2,
             examples_per_client=20, local_iterations=2, batch_size=8, seed=5)
@@ -136,14 +135,14 @@ class TestCachedSweeps:
         for method in first:
             assert first[method].to_dict() == second[method].to_dict()
 
-    def test_run_sweep_covers_the_grid(self, tmp_path):
+    def test_run_grid_covers_the_grid(self, tmp_path):
         cache = ResultCache(tmp_path)
-        grid = run_sweep(["fedavg", "fedlps"], ["mnist"],
-                         overrides=dict(TINY), cache=cache)
+        grid = run_grid(["fedavg", "fedlps"], ["mnist"],
+                        overrides=dict(TINY), cache=cache)
         assert set(grid) == {("fedavg", "mnist"), ("fedlps", "mnist")}
         assert len(cache) == 2
-        again = run_sweep(["fedavg", "fedlps"], ["mnist"],
-                          overrides=dict(TINY), cache=cache)
+        again = run_grid(["fedavg", "fedlps"], ["mnist"],
+                         overrides=dict(TINY), cache=cache)
         assert cache.hits == 2
         for key in grid:
             assert grid[key].to_dict() == again[key].to_dict()

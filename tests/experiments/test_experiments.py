@@ -1,14 +1,17 @@
 """Tests for the experiment harness (presets, runner, tables, figures)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.experiments import (DATASETS, ExperimentPreset, accuracy_vs_flops,
                                build_experiment, format_rows,
                                heterogeneity_sweep, noniid_level_sweep,
-                               pattern_ratio_sweep, preset_for, run_method,
-                               run_methods, scaled, summarize,
+                               pattern_ratio_sweep, preset_for, run_grid,
+                               run_method, run_methods, scaled, summarize,
                                table1_accuracy_flops, table2_ablation,
                                time_to_accuracy)
+from repro.federated import FederatedConfig
 
 TINY = {"num_clients": 5, "examples_per_client": 24, "num_rounds": 2,
         "clients_per_round": 2, "local_iterations": 2, "batch_size": 8,
@@ -53,6 +56,60 @@ class TestPresets:
             build_experiment(preset)
 
 
+#: preset fields that shape the federation (dataset, fleet) or name an
+#: object ``build_experiment`` resolves; every other field must be copied
+#: onto the FederatedConfig field of the same name
+NOT_COPIED_BY_NAME = {"dataset", "num_clients", "examples_per_client",
+                      "classes_per_client", "heterogeneity",
+                      "dynamic_resources", "style_scale", "fault_plan",
+                      "eval_clients", "extra_config"}
+
+#: a non-default value for each field a type alone cannot invent one for
+NAMED_VALUES = {"scenario": "flaky", "aggregation": "fedbuff",
+                "codec": "sparse", "task_timeout": 30.0}
+
+
+def _non_default(field):
+    if field.name in NAMED_VALUES:
+        return NAMED_VALUES[field.name]
+    if isinstance(field.default, bool):
+        return not field.default
+    if isinstance(field.default, float):
+        return field.default * 2
+    return field.default + 1
+
+
+class TestByName:
+    """``build_experiment`` copies same-named fields onto the config, so a
+    rename on either side must fail here rather than silently drop a knob."""
+
+    COPIED = [field for field in fields(ExperimentPreset)
+              if field.name not in NOT_COPIED_BY_NAME]
+
+    def test_every_copied_field_is_a_config_field(self):
+        config_fields = {field.name for field in fields(FederatedConfig)}
+        assert {field.name for field in self.COPIED} <= config_fields
+
+    @pytest.mark.parametrize("field", COPIED, ids=lambda field: field.name)
+    def test_non_default_value_reaches_the_config(self, field):
+        value = _non_default(field)
+        assert value != field.default
+        preset = scaled(preset_for("mnist"), **{field.name: value})
+        _, _, config, _ = build_experiment(preset)
+        arrived = getattr(config, field.name)
+        if field.name == "scenario":  # resolved from its name
+            arrived = arrived.name
+        assert arrived == value
+
+    def test_resolved_fields_reach_the_config(self):
+        preset = scaled(preset_for("mnist"), fault_plan="chaos",
+                        eval_clients=3, extra_config={"alpha": 0.5})
+        _, _, config, _ = build_experiment(preset)
+        assert config.faults is not None
+        assert config.fleet.eval_clients == 3
+        assert config.extra == {"alpha": 0.5}
+
+
 class TestRunner:
     def test_run_method_returns_history(self):
         preset = scaled(preset_for("mnist"), **TINY)
@@ -75,6 +132,18 @@ class TestRunner:
         preset = scaled(preset_for("mnist"), **TINY)
         histories = run_methods(["fedavg", "fedlps"], preset)
         assert set(histories) == {"fedavg", "fedlps"}
+
+    def test_run_grid_codec_axis_matches_run_method(self):
+        grid = run_grid(["fedavg", "fedlps"], ["mnist"],
+                        {"codec": ["dense", "sparse"]},
+                        overrides={**TINY, "codec": "int8"})
+        assert list(grid) == [("fedavg", "mnist", "dense"),
+                              ("fedavg", "mnist", "sparse"),
+                              ("fedlps", "mnist", "dense"),
+                              ("fedlps", "mnist", "sparse")]
+        for (method, dataset, codec), history in grid.items():
+            preset = scaled(preset_for(dataset), **TINY, codec=codec)
+            assert history.to_dict() == run_method(method, preset).to_dict()
 
     def test_format_rows_renders_all_columns(self):
         rows = [{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y"}]

@@ -86,12 +86,13 @@ class TestScenarioMetrics:
         assert summary["dropped_clients"] >= summary["straggler_drops"]
 
     def test_scenario_override_in_overrides_is_ignored_by_sweep(self):
-        from repro.experiments import run_scenario_sweep
+        from repro.experiments import run_grid
 
         # a 'scenario' key in overrides (e.g. forwarded CLI --scenario) must
         # not collide with the sweep's own scenarios axis
-        histories = run_scenario_sweep(
-            ["fedavg"], ["mnist"], ["deadline-tight"],
+        histories = run_grid(
+            ["fedavg"], ["mnist"],
+            {"scenario": ["deadline-tight"], "aggregation": ["sync"]},
             overrides={**TINY, "scenario": "ideal", "num_rounds": 2})
         ((method, dataset, scenario, aggregation),) = histories.keys()
         assert (method, dataset, scenario, aggregation) == (

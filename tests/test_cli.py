@@ -194,7 +194,8 @@ class TestParser:
     def test_negative_counts_and_stray_hosts_rejected(self, capsys):
         # a message and exit 2, not a ValueError traceback from the config /
         # run_jobs / resolve_executor (or, for --stop-after-round, a silent
-        # interruption after round 0)
+        # interruption after round 0); a checkpoint flag without
+        # --checkpoint-dir is a usage error too, never silently ignored
         for argv, expected in (
                 (["run", "--max-retries", "-1"], "is not a non-negative"),
                 (["sweep", "--retries", "-1"], "is not a non-negative"),
@@ -205,7 +206,11 @@ class TestParser:
                 (["run", "--backend", "thread", "--hosts", "a:1"],
                  "need --backend socket"),
                 (["sweep", "--worker-token", "secret"],
-                 "need --backend socket")):
+                 "need --backend socket"),
+                (["run", "--resume"], "need --checkpoint-dir"),
+                (["run", "--stop-after-round", "1"], "need --checkpoint-dir"),
+                (["run", "--checkpoint-every", "3"],
+                 "need --checkpoint-dir")):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
