@@ -16,6 +16,7 @@ so repeated figure builds only pay for the runs whose spec actually changed.
 
 from __future__ import annotations
 
+import concurrent.futures
 from itertools import product
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -125,10 +126,12 @@ def run_jobs(specs: List[JobSpec], *, executor: Optional[Executor] = None,
              retries: int = 0) -> List[TrainingHistory]:
     """Run every job spec, in parallel where possible, returning input order.
 
-    Cache hits are filled in without dispatching a job; misses run on the
-    executor (default: inline, the serial backend) and are written back to
-    the cache as each job completes (in completion order, so a long sweep's
-    cache grows incrementally even if it is interrupted).
+    Cache hits are filled in without dispatching a job; misses are submitted
+    to the executor (default: inline, the serial backend, which runs each
+    job as it is submitted) and every job that succeeds is written back to
+    the cache as its result is collected, in completion order.  A failed
+    job does not cost the others: once every job has finished, the error of
+    the failed job earliest in ``specs`` is raised.
 
     With ``checkpoint_root`` set, each cell checkpoints into its own
     spec-keyed subdirectory and failed cells are retried up to ``retries``
@@ -155,12 +158,23 @@ def run_jobs(specs: List[JobSpec], *, executor: Optional[Executor] = None,
          if checkpoint_root is not None else None,
          retries)
         for spec in pending]
-    for index, history in (executor or SerialExecutor()).map_unordered(
-            _sweep_job, jobs):
+    executor = executor or SerialExecutor()
+    futures = {executor.submit(_sweep_job, job): index
+               for index, job in enumerate(jobs)}
+    errors: Dict[int, BaseException] = {}
+    for future in concurrent.futures.as_completed(futures):
+        index = futures[future]
+        try:
+            history = future.result()
+        except Exception as error:  # noqa: BLE001 - raised after the rest
+            errors[index] = error
+            continue
         method, preset, strategy_kwargs = pending[index]
         if cache is not None:
             cache.put(method, preset, strategy_kwargs, history)
         results[pending_positions[index]] = history
+    if errors:
+        raise errors[min(errors)]
     return [results[position] for position in range(len(specs))]
 
 

@@ -291,14 +291,13 @@ class SocketExecutor(Executor):
     with) to connect out to pre-started remote workers instead.
 
     Tasks are pulled from one shared queue by whichever connected worker
-    is free, so ``map_unordered`` overlaps work exactly like the pool
-    backends; determinism is unaffected because callers never depend on
-    assignment (the history sort key is ``(finish_time, client_id)``).
+    is free, so submissions overlap work exactly like the pool backends;
+    determinism is unaffected because callers never depend on assignment
+    (the history sort key is ``(finish_time, client_id)``).
     """
 
     backend = "socket"
     supports_broadcast = True
-    supports_real_faults = True
     can_replenish = True
 
     def __init__(self, workers: int = 1, *,
@@ -469,7 +468,7 @@ class SocketExecutor(Executor):
     def submit(self, fn: Callable[[Any], Any],
                item: Any) -> concurrent.futures.Future:
         self._ensure_open()
-        self._observe([item])
+        self._observe(item)
         future: concurrent.futures.Future = concurrent.futures.Future()
         # [fn, item, future, started] — ``started`` flips once the future
         # is marked running, so a task requeued by a dying connection is
@@ -482,18 +481,6 @@ class SocketExecutor(Executor):
             generation = self._generation
         self._maybe_fail_pending(generation)
         return future
-
-    def map_ordered(self, fn, items):
-        futures = [self.submit(fn, item) for item in list(items)]
-        return [future.result() for future in futures]
-
-    def map_unordered(self, fn, items):
-        futures = {self.submit(fn, item): index
-                   for index, item in enumerate(list(items))}
-        results: List[Tuple[int, Any]] = []
-        for future in concurrent.futures.as_completed(futures):
-            results.append((futures[future], future.result()))
-        return results
 
     def warm_up(self) -> None:
         """Block until the full worker complement is connected."""

@@ -3,28 +3,31 @@
 Every parallel surface of the codebase — per-round client fan-out in
 :class:`~repro.federated.trainer.FederatedTrainer`, whole-run sweep jobs in
 ``repro.experiments.runner`` — goes through the same small :class:`Executor`
-API so that backends can be swapped with a CLI flag:
+API so that backends can be swapped with a CLI flag.  A backend implements
+:meth:`Executor.submit` alone; :meth:`Executor.map_ordered` is built on it:
 
-* :class:`SerialExecutor` runs tasks inline (the reference semantics);
+* :class:`SerialExecutor` runs each task inline as it is submitted and
+  returns a settled future (the reference semantics);
 * :class:`ThreadPoolExecutor` runs tasks on a thread pool, handing every task
   a pickled private copy of its payload so concurrent tasks cannot race on
   shared mutable state (models are used as scratch space during training);
 * :class:`ProcessPoolExecutor` runs tasks in spawned worker processes, which
-  isolates payloads through pickling by construction.
+  isolates payloads through pickling by construction;
+* ``SocketExecutor`` (:mod:`repro.parallel.distributed`) runs them in worker
+  processes connected over TCP.
 
 Pools are **persistent**: the underlying thread/process pool is created once
-per executor and reused by every ``map_ordered``/``map_unordered`` call, so a
-trainer pays worker start-up once per run, not once per round.  ``close()``
-(or exiting the ``with`` block) shuts the pool down exactly once; a closed
-executor raises :class:`RuntimeError` on reuse instead of silently creating
-a new pool.
+per executor and reused by every submission, so a trainer pays worker
+start-up once per run, not once per round.  ``close()`` (or exiting the
+``with`` block) shuts the pool down exactly once; a closed executor raises
+:class:`RuntimeError` on reuse instead of silently creating a new pool.
 
 Task functions must be module-level callables (picklable under the spawn
 start method) and must return everything the caller needs: with the thread
 and process backends, in-place mutations of the payload are invisible to the
 caller.  Combined with deterministic per-task seeding (``default_rng(seed +
-client_id)`` style), results are bit-identical across all three backends —
-the determinism test suite enforces this.
+client_id)`` style), results are bit-identical across all backends — the
+determinism test suite enforces this.
 
 Backends with ``supports_broadcast`` set participate in the shared-memory
 round broadcast (:mod:`repro.parallel.broadcast`): callers ship the
@@ -33,9 +36,10 @@ pickled copy.  A backend without it promises the opposite — tasks run
 *inline, in the caller's thread, on the caller's live objects* — and the
 server core relies on that: it hands such a backend closures over its own
 strategy and fleet.  ``payload_witness`` is an observation hook for tests
-and the benchmark harness: when set, it is called with every task payload
-at submission time, which is how the per-round "bytes crossing the worker
-boundary" counters are measured without touching the pool internals.
+and the benchmark harness: when set, :meth:`~Executor.submit` calls it with
+the payload of every submission (a supervised retry is a new submission),
+which is how the per-round "bytes crossing the worker boundary" counters
+are measured without touching the pool internals.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import multiprocessing
 import os
 import pickle
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 
 
 def clone_via_pickle(obj: Any) -> Any:
@@ -59,12 +63,13 @@ def default_worker_count() -> int:
 
 
 class Executor:
-    """Minimal map-style execution interface shared by all backends.
+    """Minimal execution interface shared by all backends.
 
-    ``map_ordered`` returns results in input order; ``map_unordered`` returns
-    ``(index, result)`` pairs in completion order, which lets callers start
-    consuming results (e.g. writing a sweep cache) before the slowest job
-    finishes.  Exceptions raised by a task propagate to the caller.
+    :meth:`submit` is the one method a backend implements: it schedules one
+    task and returns its future, whose ``result()`` raises the task's
+    exception — ``submit`` itself never does.  :meth:`map_ordered` submits
+    every item, then returns the results in input order; a failed task
+    raises from it only after every task has run.
     """
 
     backend = "base"
@@ -73,12 +78,10 @@ class Executor:
     #: live objects (the serial backend), where handles would only add
     #: (de)serialization work
     supports_broadcast = False
-    #: whether injected faults can be realized for real on this backend —
-    #: a worker crash actually kills a process, a hang actually stalls one
-    #: (see ``repro.parallel.faults``); in-process backends simulate both
-    supports_real_faults = False
-    #: whether :meth:`replenish` can rebuild the worker pool after a dead
-    #: or hung worker (process pools can; threads cannot be killed)
+    #: whether workers can really be lost and :meth:`replenish` rebuilds
+    #: the pool: injected faults are then realized for real — a crash kills
+    #: a worker process, a hang stalls one (see ``repro.parallel.faults``);
+    #: in-process backends (threads cannot be killed) simulate both
     can_replenish = False
 
     def __init__(self, workers: int = 1) -> None:
@@ -87,13 +90,16 @@ class Executor:
         self._closed = False
 
     # ----------------------------------------------------------------- api
-    def map_ordered(self, fn: Callable[[Any], Any],
-                    items: Sequence[Any]) -> List[Any]:
+    def submit(self, fn: Callable[[Any], Any],
+               item: Any) -> concurrent.futures.Future:
+        """Schedule ``fn(item)``; a task's exception lands in its future."""
         raise NotImplementedError
 
-    def map_unordered(self, fn: Callable[[Any], Any],
-                      items: Sequence[Any]) -> List[Tuple[int, Any]]:
-        raise NotImplementedError
+    def map_ordered(self, fn: Callable[[Any], Any],
+                    items: Sequence[Any]) -> List[Any]:
+        self._ensure_open()
+        futures = [self.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
 
     def warm_up(self) -> None:
         """Eagerly start the pool's workers (no-op for inline backends)."""
@@ -124,10 +130,9 @@ class Executor:
                 "across rounds but cannot be reused after close() — create "
                 "a new executor instead")
 
-    def _observe(self, items: Sequence[Any]) -> None:
+    def _observe(self, item: Any) -> None:
         if self.payload_witness is not None:
-            for item in items:
-                self.payload_witness(item)
+            self.payload_witness(item)
 
     def __enter__(self) -> "Executor":
         return self
@@ -151,17 +156,16 @@ class SerialExecutor(Executor):
     def __init__(self, workers: int = 1) -> None:
         super().__init__(1)
 
-    def map_ordered(self, fn, items):
+    def submit(self, fn, item):
+        """Run the task now, on the caller's live objects; return it settled."""
         self._ensure_open()
-        items = list(items)
-        self._observe(items)
-        return [fn(item) for item in items]
-
-    def map_unordered(self, fn, items):
-        self._ensure_open()
-        items = list(items)
-        self._observe(items)
-        return [(index, fn(item)) for index, item in enumerate(items)]
+        self._observe(item)
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(item))
+        except Exception as error:  # noqa: BLE001 - the future carries it
+            future.set_exception(error)
+        return future
 
 
 def _warm_up_task(seconds: float) -> None:
@@ -179,41 +183,11 @@ class _PoolExecutor(Executor):
         """Hook: wrap the task function before submission."""
         return fn
 
-    def submit(self, fn: Callable[[Any], Any],
-               item: Any) -> concurrent.futures.Future:
-        """Submit one task, returning its future (supervision entry point).
-
-        Goes through the same :meth:`_prepare` hook as the ``map`` calls,
-        so per-task payload isolation (the thread backend's pickled clone)
-        applies identically to supervised submissions.
-        """
+    def submit(self, fn, item):
+        """Submit through :meth:`_prepare` (the thread backend's clone)."""
         self._ensure_open()
-        self._observe([item])
+        self._observe(item)
         return self._pool().submit(self._prepare(fn), item)
-
-    def map_ordered(self, fn, items):
-        self._ensure_open()
-        items = list(items)
-        if not items:
-            return []
-        self._observe(items)
-        task = self._prepare(fn)
-        futures = [self._pool().submit(task, item) for item in items]
-        return [future.result() for future in futures]
-
-    def map_unordered(self, fn, items):
-        self._ensure_open()
-        items = list(items)
-        if not items:
-            return []
-        self._observe(items)
-        task = self._prepare(fn)
-        indexed = {self._pool().submit(task, item): index
-                   for index, item in enumerate(items)}
-        results: List[Tuple[int, Any]] = []
-        for future in concurrent.futures.as_completed(indexed):
-            results.append((indexed[future], future.result()))
-        return results
 
     def warm_up(self):
         # concurrent.futures pools start workers lazily on submission; a
@@ -275,7 +249,6 @@ class ProcessPoolExecutor(_PoolExecutor):
 
     backend = "process"
     supports_broadcast = True
-    supports_real_faults = True
     can_replenish = True
 
     def __init__(self, workers: int = 1, *, start_method: str = "spawn") -> None:

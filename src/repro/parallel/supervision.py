@@ -2,12 +2,15 @@
 
 :func:`run_supervised` wraps an executor's fan-out in a supervision loop so
 that a single bad task — an exception, a crashed worker, a hang — degrades
-into a *per-task failure* instead of aborting the whole round:
+into a *per-task failure* instead of aborting the whole round.  One loop
+serves every backend: it submits waves of queued tasks, first in first
+out, and appends retries to the queue:
 
 * every task gets bounded retries with exponential backoff
   (:class:`RetryPolicy`); backoff is *sim-time-aware* — the deterministic
   backoff seconds are recorded in the fault counters, while the real sleep
-  is capped small so chaos runs stay fast;
+  is capped small so chaos runs stay fast (and skipped on the serial
+  backend, where no pool contention exists to back off from);
 * a per-task wall-clock timeout reclaims genuinely hung tasks (pool
   backends only — an inline task cannot be interrupted);
 * a dead worker process (:class:`concurrent.futures.BrokenProcessPool`)
@@ -25,8 +28,9 @@ Determinism contract
     injected fault (and therefore every retry, timeout, restart and
     exhaustion) is a pure function of ``(fault_seed, round, client,
     attempt)``.  The serial/thread backends realize crashes and hangs as
-    immediate in-process exceptions; the process backend realizes them for
-    real (``os._exit``, capped sleeps) — both count the same events, so
+    immediate in-process exceptions; the backends that can replenish
+    (process, socket) realize them for real (``os._exit``, capped sleeps)
+    — both count the same events, so
     :class:`FaultCounters` and the surviving results are bit-identical
     across backends.  Because injected faults fire *before* the task body
     and task functions are pure in their payload, a retried attempt is an
@@ -198,8 +202,7 @@ _Entry = Tuple[int, Any, Any, int]
 class _Supervisor:
     """One fan-out's supervision state (queue, counters, results)."""
 
-    def __init__(self, executor: Optional[Executor],
-                 fn: Callable[[Any], Any],
+    def __init__(self, executor: Executor, fn: Callable[[Any], Any],
                  tasks: Sequence[Tuple[Any, Any]], *,
                  policy: RetryPolicy, plan: Optional[FaultPlan],
                  round_index: int) -> None:
@@ -214,7 +217,7 @@ class _Supervisor:
         self.queue: deque = deque(
             (position, key, payload, 0)
             for position, (key, payload) in enumerate(tasks))
-        self.real = bool(getattr(executor, "supports_real_faults", False))
+        self.real = executor.can_replenish
 
     # ------------------------------------------------------------- plumbing
     def decide(self, key: Any, attempt: int) -> FaultDecision:
@@ -231,7 +234,9 @@ class _Supervisor:
             self.counters.retries += 1
             self.counters.backoff_seconds += \
                 self.policy.backoff_seconds(attempt)
-            if sleep:
+            # an inline backend has no pool contention to back off from,
+            # and the serial reference must stay fast
+            if sleep and self.executor.supports_broadcast:
                 pause = self.policy.sleep_seconds(attempt)
                 if pause > 0:
                     time.sleep(pause)
@@ -253,25 +258,9 @@ class _Supervisor:
             pass
         return SupervisionReport(self.results, self.failed, self.counters)
 
-    # --------------------------------------------------------------- inline
-    def run_inline(self) -> SupervisionReport:
-        """Serial execution with simulated faults (the reference loop)."""
-        while self.queue:
-            entry = self.queue.popleft()
-            position, key, payload, attempt = entry
-            decision = self.decide(key, attempt)
-            try:
-                apply_fault(decision, real=False)
-                self.results[position] = self.fn(payload)
-            except Exception as error:  # noqa: BLE001 - degrade, not abort
-                # no real backoff sleep inline: there is no pool contention
-                # to back off from, and the serial reference must stay fast
-                self.settle_failure(entry, _classify(error), sleep=False)
-        return self.report()
-
-    # ----------------------------------------------------------------- pool
-    def run_pool(self) -> SupervisionReport:
-        """Wave-based supervision over a thread/process pool."""
+    # ----------------------------------------------------------------- loop
+    def run(self) -> SupervisionReport:
+        """Wave-based supervision, the same on every backend."""
         while self.queue:
             wave, crash_entry = self._next_wave()
             if crash_entry is not None:
@@ -349,16 +338,16 @@ class _Supervisor:
             else:
                 self.settle_outcome(entry, outcome)
         if broken is not None:
-            if not getattr(self.executor, "can_replenish", False):
+            if not self.executor.can_replenish:
                 raise broken
             self.executor.replenish()
-        elif timed_out and getattr(self.executor, "can_replenish", False):
+        elif timed_out and self.executor.can_replenish:
             # reclaim workers pinned by abandoned (hung) tasks; anything the
             # teardown kills was already charged and requeued above
             self.executor.replenish()
 
 
-def run_supervised(executor: Optional[Executor], fn: Callable[[Any], Any],
+def run_supervised(executor: Executor, fn: Callable[[Any], Any],
                    tasks: Sequence[Tuple[Any, Any]], *,
                    policy: RetryPolicy,
                    plan: Optional[FaultPlan] = None,
@@ -371,21 +360,13 @@ def run_supervised(executor: Optional[Executor], fn: Callable[[Any], Any],
     backend's completion order; the caller that wants completion-order
     consumption re-sorts by its own pure key (as the async schedulers do).
 
-    With ``executor=None`` (or an inline backend) tasks run serially with
-    simulated faults; pool backends run wave-based supervision with real
-    crashes/hangs on the process backend.  Counters and surviving results
-    are bit-identical either way.
+    Faults are simulated in-process on the serial and thread backends and
+    realized for real on those that can replenish; counters and surviving
+    results are bit-identical either way.  Every attempt is one
+    ``executor.submit``, so ``payload_witness`` sees retries too.
     """
-    supervisor = _Supervisor(executor, fn, tasks, policy=policy, plan=plan,
-                             round_index=round_index)
-    if executor is None or not hasattr(executor, "submit"):
-        return supervisor.run_inline()
-    if executor.payload_witness is not None:
-        # witness the user payloads once, like map_ordered would; retries
-        # deliberately re-observe nothing (the bench counts round fan-out)
-        for _, payload in tasks:
-            executor.payload_witness(payload)
-    return supervisor.run_pool()
+    return _Supervisor(executor, fn, tasks, policy=policy, plan=plan,
+                       round_index=round_index).run()
 
 
 def retry_call(fn: Callable[[], Any], *, policy: RetryPolicy,

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from repro.experiments import (ResultCache, preset_for, run_grid, run_method,
-                               run_methods, run_spec, scaled, spec_key)
+from repro.experiments import (ResultCache, preset_for, run_grid, run_jobs,
+                               run_method, run_methods, run_spec, scaled,
+                               spec_key)
+from repro.parallel import resolve_executor
 
 TINY = dict(num_clients=4, num_rounds=2, clients_per_round=2,
             examples_per_client=20, local_iterations=2, batch_size=8, seed=5)
@@ -154,6 +156,20 @@ class TestCachedSweeps:
         run_method("fedavg", tiny_preset(),
                    strategy=build_strategy("fedavg"), cache=cache)
         assert len(cache) == 0
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_a_failing_cell_keeps_every_finished_cell(self, tmp_path,
+                                                      backend):
+        """Finished cells are cached; the first failed cell's error raises."""
+        cache = ResultCache(tmp_path)
+        specs = [("no-such-method", tiny_preset(), None),
+                 ("fedavg", tiny_preset(), None),
+                 ("no-such-other-method", tiny_preset(), None)]
+        with resolve_executor(backend, 2) as executor:
+            with pytest.raises(ValueError, match="'no-such-method'"):
+                run_jobs(specs, executor=executor, cache=cache)
+        assert len(cache) == 1
+        assert cache.get("fedavg", tiny_preset(), None) is not None
 
     def test_reordered_kwargs_hit_the_same_entry(self, tmp_path):
         cache = ResultCache(tmp_path)

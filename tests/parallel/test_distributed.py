@@ -103,10 +103,6 @@ class TestSocketExecutorBasics:
         assert executor.map_ordered(_square, range(8)) == \
             [x * x for x in range(8)]
 
-    def test_map_unordered_covers_all_indices(self, executor):
-        results = executor.map_unordered(_square, range(8))
-        assert sorted(results) == [(i, i * i) for i in range(8)]
-
     def test_task_exception_propagates(self, executor):
         with pytest.raises(ValueError, match="three"):
             executor.map_ordered(_fail_on_three, range(5))
@@ -156,7 +152,6 @@ class TestSocketExecutorBasics:
     def test_backend_capabilities(self, executor):
         assert executor.backend == "socket"
         assert executor.supports_broadcast
-        assert executor.supports_real_faults
         assert executor.can_replenish
 
     def test_closed_executor_refuses_reuse(self):

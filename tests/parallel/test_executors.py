@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.parallel import (EXECUTOR_BACKENDS, ProcessPoolExecutor,
-                            SerialExecutor, ThreadPoolExecutor,
-                            available_backends, clone_via_pickle,
-                            default_worker_count, resolve_executor)
+from repro.parallel import (EXECUTOR_BACKENDS, SerialExecutor,
+                            ThreadPoolExecutor, available_backends,
+                            clone_via_pickle, default_worker_count,
+                            resolve_executor)
 
 
 # task functions live at module level so the spawn-based process backend can
@@ -26,6 +29,14 @@ def _fail_on_three(x):
 def _bump(payload):
     payload["count"] += 1
     return payload["count"]
+
+
+def _mark_then_fail_on_odd_above_two(item):
+    directory, x = item
+    (Path(directory) / str(x)).touch()
+    if x > 2 and x % 2:
+        raise ValueError(f"task {x} failed")
+    return x
 
 
 class TestResolve:
@@ -66,104 +77,82 @@ class TestCloneViaPickle:
         assert a is b
 
 
-class TestSerialExecutor:
-    def test_map_ordered(self):
-        with SerialExecutor() as executor:
-            assert executor.map_ordered(_square, [1, 2, 3]) == [1, 4, 9]
+class TestExecutorContract:
+    """What every backend owes its caller: one ``submit``, one ``map_ordered``.
 
-    def test_map_unordered_tags_indices(self):
-        with SerialExecutor() as executor:
-            assert executor.map_unordered(_square, [2, 3]) == [(0, 4), (1, 9)]
+    A backend implements ``submit`` only; ``map_ordered`` is the base
+    class's, so these cases run unchanged over serial, thread and process.
+    """
 
-    def test_empty_items(self):
-        with SerialExecutor() as executor:
-            assert executor.map_ordered(_square, []) == []
-            assert executor.map_unordered(_square, []) == []
+    @pytest.fixture(scope="class", params=["serial", "thread", "process"])
+    def executor(self, request):
+        # spawn start-up is expensive; share one pool per backend
+        with resolve_executor(request.param, 2) as shared:
+            yield shared
 
-    def test_errors_propagate(self):
-        with SerialExecutor() as executor:
-            with pytest.raises(ValueError, match="three"):
-                executor.map_ordered(_fail_on_three, [1, 2, 3])
-
-    def test_runs_in_place(self):
-        # the serial backend is the reference: tasks see the real objects
-        payload = {"count": 0}
-        with SerialExecutor() as executor:
-            assert executor.map_ordered(_bump, [payload]) == [1]
-        assert payload["count"] == 1
-
-
-class TestThreadPoolExecutor:
-    def test_map_ordered_preserves_order(self):
-        with ThreadPoolExecutor(4) as executor:
-            assert executor.map_ordered(_square, list(range(10))) == \
-                [x * x for x in range(10)]
-
-    def test_map_unordered_returns_every_result(self):
-        with ThreadPoolExecutor(4) as executor:
-            results = executor.map_unordered(_square, list(range(10)))
-        assert sorted(results) == [(i, i * i) for i in range(10)]
-
-    def test_errors_propagate(self):
-        with ThreadPoolExecutor(2) as executor:
-            with pytest.raises(ValueError, match="three"):
-                executor.map_ordered(_fail_on_three, [1, 2, 3, 4])
-
-    def test_tasks_run_on_private_copies(self):
-        # mutations inside a task must never leak back into the caller's
-        # objects: that is what makes thread results match process results
-        payload = {"count": 0}
-        with ThreadPoolExecutor(2) as executor:
-            assert executor.map_ordered(_bump, [payload, payload]) == [1, 1]
-        assert payload["count"] == 0
-
-
-class TestProcessPoolExecutor:
-    @pytest.fixture(scope="class")
-    def pool(self):
-        # spawn start-up is expensive; share one pool across the class
-        with ProcessPoolExecutor(2) as executor:
-            yield executor
-
-    def test_map_ordered_and_unordered(self, pool):
-        assert pool.map_ordered(_square, [1, 2, 3]) == [1, 4, 9]
-        assert sorted(pool.map_unordered(_square, [2, 3])) == [(0, 4), (1, 9)]
-
-    def test_errors_propagate(self, pool):
+    def test_submit_returns_a_future_and_never_raises(self, executor):
+        future = executor.submit(_fail_on_three, 3)
+        assert isinstance(future, concurrent.futures.Future)
         with pytest.raises(ValueError, match="three"):
-            pool.map_ordered(_fail_on_three, [3])
+            future.result(timeout=60)
+        assert executor.submit(_square, 4).result(timeout=60) == 16
 
-    def test_tasks_run_on_private_copies(self, pool):
+    def test_witness_sees_each_submission_once(self, executor):
+        seen = []
+        executor.payload_witness = seen.append
+        try:
+            executor.map_ordered(_square, [1, 2, 3])
+            executor.submit(_square, 4).result(timeout=60)
+        finally:
+            executor.payload_witness = None
+        assert sorted(seen) == [1, 2, 3, 4]
+
+    def test_map_ordered_returns_input_order(self, executor):
+        assert executor.map_ordered(_square, list(range(10))) == \
+            [x * x for x in range(10)]
+        assert executor.map_ordered(_square, []) == []
+
+    def test_tasks_run_in_place_only_on_serial(self, executor):
+        # the serial backend is the reference: tasks see the real objects;
+        # pool tasks run on private copies, so mutations never leak back
+        # into the caller's objects — which makes thread match process
         payload = {"count": 0}
-        assert pool.map_ordered(_bump, [payload]) == [1]
-        assert payload["count"] == 0
+        assert executor.map_ordered(_bump, [payload, payload]) == \
+            ([1, 2] if executor.backend == "serial" else [1, 1])
+        assert payload["count"] == (2 if executor.backend == "serial" else 0)
 
-    def test_pool_is_persistent_across_maps(self, pool):
+    def test_pool_is_persistent_across_maps(self, executor):
         # the same pool serves many map calls (one per round in the trainer)
         # without re-spawning; warm_up is allowed at any point
-        pool.warm_up()
+        executor.warm_up()
         for _ in range(3):
-            assert pool.map_ordered(_square, [2]) == [4]
+            assert executor.map_ordered(_square, [2]) == [4]
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_first_failure_raises_after_every_task_ran(self, backend,
+                                                       tmp_path):
+        items = [(str(tmp_path), x) for x in range(6)]
+        with resolve_executor(backend, 2) as executor:
+            with pytest.raises(ValueError, match="task 3"):
+                executor.map_ordered(_mark_then_fail_on_odd_above_two,
+                                     items)
+        # close() waited for whatever a pool still had in flight
+        assert sorted(int(path.name) for path in tmp_path.iterdir()) == \
+            list(range(6))
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_closed_executor_refuses_work(self, backend):
+        executor = resolve_executor(backend, 1)
+        executor.close()
+        assert executor.closed
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.submit(_square, 1)
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.map_ordered(_square, [1])
 
 
 class TestLifecycle:
     """close() semantics: exactly once, deterministic, loud on reuse."""
-
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_closed_executor_raises_on_reuse(self, backend):
-        executor = resolve_executor(backend, 2)
-        executor.close()
-        assert executor.closed
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.map_ordered(_square, [1])
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.map_unordered(_square, [1])
-
-    def test_closed_process_executor_raises_on_reuse(self):
-        executor = ProcessPoolExecutor(1)
-        executor.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.map_ordered(_square, [1])
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_close_is_idempotent(self, backend):
@@ -179,16 +168,3 @@ class TestLifecycle:
         assert executor.closed
         with pytest.raises(RuntimeError, match="closed"):
             executor.map_ordered(_square, [1])
-
-
-class TestPayloadWitness:
-    """The observation hook behind the bytes-per-round accounting."""
-
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_witness_sees_every_payload(self, backend):
-        seen = []
-        with resolve_executor(backend, 2) as executor:
-            executor.payload_witness = seen.append
-            executor.map_ordered(_square, [1, 2, 3])
-            executor.map_unordered(_square, [4])
-        assert sorted(seen) == [1, 2, 3, 4]

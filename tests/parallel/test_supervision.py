@@ -8,7 +8,7 @@ import pytest
 
 from repro.parallel import (FaultPlan, ProcessPoolExecutor, RetryPolicy,
                             SerialExecutor, ThreadPoolExecutor,
-                            retry_call, run_supervised)
+                            resolve_executor, retry_call, run_supervised)
 from repro.parallel.supervision import FaultCounters
 
 
@@ -21,6 +21,28 @@ def _double(x):
 def _sleep_forever(x):
     time.sleep(600)
     return x  # pragma: no cover - reclaimed long before this returns
+
+
+#: calls per payload of ``_flaky`` (pool tasks run on copies of the payload,
+#: so the count lives at module level, where the thread backend shares it)
+_FLAKY_CALLS: dict = {}
+
+
+def _flaky(x):
+    _FLAKY_CALLS[x] = _FLAKY_CALLS.get(x, 0) + 1
+    if x == 2 and _FLAKY_CALLS[x] < 3:
+        raise ValueError("transient")
+    return x
+
+
+def _poisoned(x):
+    if x == 1:
+        raise ValueError("always")
+    return x
+
+
+def _always_fail(x):
+    raise ValueError("no")
 
 
 class TestRetryPolicy:
@@ -61,51 +83,46 @@ class TestFaultCounters:
         assert extras["fault_worker_restarts"] == 3.0
 
 
-class TestInlineSupervision:
-    def test_plain_run_returns_results_in_task_order(self):
-        report = run_supervised(None, _double, [(7, 1), (3, 2), (9, 3)],
+class TestSupervision:
+    """One supervision loop: the same cases on serial and on a thread pool."""
+
+    @pytest.fixture(params=["serial", "thread"])
+    def executor(self, request):
+        with resolve_executor(request.param, 2) as executor:
+            yield executor
+
+    def test_plain_run_returns_results_in_task_order(self, executor):
+        report = run_supervised(executor, _double, [(7, 1), (3, 2), (9, 3)],
                                 policy=RetryPolicy())
         assert report.results == [2, 4, 6]
         assert report.failed == []
         assert report.counters.as_extras()["fault_retries"] == 0.0
 
-    def test_transient_failure_is_retried_to_success(self):
-        calls = {}
-
-        def flaky(x):
-            calls[x] = calls.get(x, 0) + 1
-            if x == 2 and calls[x] < 3:
-                raise ValueError("transient")
-            return x
-
-        report = run_supervised(None, flaky, [(i, i) for i in range(4)],
+    def test_transient_failure_is_retried_to_success(self, executor):
+        _FLAKY_CALLS.clear()
+        report = run_supervised(executor, _flaky, [(i, i) for i in range(4)],
                                 policy=RetryPolicy(max_retries=3))
         assert report.results == [0, 1, 2, 3]
         assert report.counters.retries == 2
         assert report.counters.backoff_seconds > 0
 
-    def test_exhausted_task_degrades_to_failed_key(self):
-        def poisoned(x):
-            if x == 1:
-                raise ValueError("always")
-            return x
-
-        report = run_supervised(None, poisoned, [(i, i) for i in range(3)],
+    def test_exhausted_task_degrades_to_failed_key(self, executor):
+        report = run_supervised(executor, _poisoned,
+                                [(i, i) for i in range(3)],
                                 policy=RetryPolicy(max_retries=2))
         assert report.results == [0, None, 2]
         assert report.failed == [1]
         assert report.counters.exhausted == 1
         assert report.counters.retries == 2
 
-    def test_serial_executor_uses_the_inline_path(self):
-        with SerialExecutor() as executor:
-            report = run_supervised(executor, _double, [(0, 5)],
-                                    policy=RetryPolicy(max_retries=1))
+    def test_single_task_with_a_retry_budget(self, executor):
+        report = run_supervised(executor, _double, [(0, 5)],
+                                policy=RetryPolicy(max_retries=1))
         assert report.results == [10]
 
-    def test_injected_plan_faults_are_counted_by_kind(self):
+    def test_injected_plan_faults_are_counted_by_kind(self, executor):
         plan = FaultPlan(seed=1, crash_rate=1.0)
-        report = run_supervised(None, _double, [(0, 1), (1, 2)],
+        report = run_supervised(executor, _double, [(0, 1), (1, 2)],
                                 policy=RetryPolicy(max_retries=1), plan=plan)
         # every attempt crashes: initial + 1 retry each, then exhaustion
         assert report.results == [None, None]
@@ -113,24 +130,49 @@ class TestInlineSupervision:
         assert report.counters.worker_restarts == 4
         assert report.counters.exhausted == 2
 
-    def test_failed_keys_come_back_sorted(self):
-        def always_fail(x):
-            raise ValueError("no")
-
-        report = run_supervised(None, always_fail,
+    def test_failed_keys_come_back_sorted(self, executor):
+        report = run_supervised(executor, _always_fail,
                                 [(9, 9), (1, 1), (5, 5)],
                                 policy=RetryPolicy())
         assert report.failed == [1, 5, 9]
 
+    def test_only_pools_sleep_before_a_retry(self, executor, monkeypatch):
+        # the serial reference has no pool contention to back off from
+        from repro.parallel import supervision
+
+        pauses = []
+        monkeypatch.setattr(supervision.time, "sleep", pauses.append)
+        report = run_supervised(executor, _double, [(0, 1), (1, 2)],
+                                policy=RetryPolicy(max_retries=1),
+                                plan=FaultPlan(seed=1, exception_rate=1.0))
+        assert report.counters.retries == 2
+        assert len(pauses) == (0 if executor.backend == "serial" else 2)
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_witness_sees_every_attempt_once(backend):
+    """Every attempt is one submission, so one witness call — no more."""
+    seen = []
+    with resolve_executor(backend, 2) as executor:
+        executor.payload_witness = seen.append
+        report = run_supervised(executor, _double, [(i, i) for i in range(3)],
+                                policy=RetryPolicy(max_retries=1,
+                                                   wall_sleep_cap=0.0),
+                                plan=FaultPlan(seed=0, exception_rate=1.0))
+    # three tasks x (first attempt + one retry)
+    assert report.counters.retries == 3 and report.failed == [0, 1, 2]
+    assert len(seen) == 6
+
 
 class TestThreadSupervision:
-    def test_pool_path_matches_inline_results(self):
+    def test_pool_matches_serial_results(self):
         tasks = [(i, i) for i in range(6)]
-        inline = run_supervised(None, _double, tasks, policy=RetryPolicy())
+        serial = run_supervised(SerialExecutor(), _double, tasks,
+                                policy=RetryPolicy())
         with ThreadPoolExecutor(2) as executor:
             pooled = run_supervised(executor, _double, tasks,
                                     policy=RetryPolicy())
-        assert pooled.results == inline.results
+        assert pooled.results == serial.results
 
     def test_simulated_crash_is_retried_without_replenish(self):
         # threads cannot lose a worker: crash decisions simulate in-process
@@ -140,10 +182,10 @@ class TestThreadSupervision:
             report = run_supervised(executor, _double, tasks,
                                     policy=RetryPolicy(max_retries=4),
                                     plan=plan)
-        inline = run_supervised(None, _double, tasks,
+        serial = run_supervised(SerialExecutor(), _double, tasks,
                                 policy=RetryPolicy(max_retries=4), plan=plan)
         assert report.results == [i * 2 for i in range(8)]
-        assert report.counters == inline.counters
+        assert report.counters == serial.counters
 
     def test_replenish_refused_on_thread_backend(self):
         with ThreadPoolExecutor(2) as executor:
@@ -164,7 +206,7 @@ class TestProcessSupervision:
         plan = FaultPlan(seed=0, crash_rate=1.0)
         tasks = [(0, 21)]
         with ProcessPoolExecutor(2) as executor:
-            assert executor.supports_real_faults and executor.can_replenish
+            assert executor.can_replenish
             # rate 1.0 crashes every attempt: the task degrades after its
             # bounded retries, charging one restart per kill
             report = run_supervised(executor, _double, tasks,
@@ -192,9 +234,9 @@ class TestProcessSupervision:
                                     plan=plan)
         assert report.results == [i * 2 for i in range(6)]
         assert report.failed == []
-        inline = run_supervised(None, _double, tasks,
+        serial = run_supervised(SerialExecutor(), _double, tasks,
                                 policy=RetryPolicy(max_retries=3), plan=plan)
-        assert report.counters == inline.counters
+        assert report.counters == serial.counters
 
     def test_genuinely_hung_task_times_out_and_pool_recovers(self):
         """A wall-clock hang (not injected) is reclaimed by the timeout."""

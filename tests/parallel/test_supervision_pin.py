@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel import (FaultPlan, RetryPolicy, ThreadPoolExecutor,
-                            run_supervised)
+from repro.parallel import (FaultPlan, RetryPolicy, SerialExecutor,
+                            ThreadPoolExecutor, run_supervised)
 
 FIXTURE = Path(__file__).parent.parent / "fixtures" / "supervision_pin.json"
 
@@ -84,7 +84,8 @@ def test_pin_covers_every_cell(pins):
 
 @pytest.mark.parametrize("name", cell_names())
 def test_serial_reproduces_the_pin(pins, name):
-    assert run_cell(None, name) == pins[name]
+    with SerialExecutor() as executor:
+        assert run_cell(executor, name) == pins[name]
 
 
 @pytest.mark.parametrize("name", cell_names())
