@@ -5,12 +5,28 @@ default scale is deliberately small so the whole harness finishes in a few
 minutes on a laptop CPU; set the environment variable ``REPRO_BENCH_SCALE``
 to a value > 1 to enlarge the runs towards paper scale (more clients, more
 rounds, more local work).
+
+The tables and figures share many runs (Fig. 4 re-plots Fig. 3's, Fig. 8
+and Fig. 9b are slices of Fig. 7 and Fig. 9a, Fig. 3 and Fig. 5 overlap
+Table I), so every call passes the one session-wide ``paper_cache``: a
+spec an earlier module already ran is read back instead of re-trained,
+with byte-identical rows.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Dict, List
+
+import pytest
+
+from repro.experiments import ResultCache
+
+
+@pytest.fixture(scope="session")
+def paper_cache(tmp_path_factory) -> ResultCache:
+    """One result cache shared by every benchmark module of the session."""
+    return ResultCache(tmp_path_factory.mktemp("paper-cache"))
 
 
 def bench_scale() -> float:

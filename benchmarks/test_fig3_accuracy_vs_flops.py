@@ -12,11 +12,12 @@ DATASETS = ("mnist", "cifar10", "cifar100", "reddit")
 
 
 @pytest.mark.benchmark(group="figure3")
-def test_fig3_accuracy_vs_flops(benchmark):
+def test_fig3_accuracy_vs_flops(benchmark, paper_cache):
     overrides = bench_overrides()
 
     def run():
-        return {dataset: accuracy_vs_flops(dataset, FIGURE3_METHODS, overrides)
+        return {dataset: accuracy_vs_flops(dataset, FIGURE3_METHODS, overrides,
+                                           cache=paper_cache)
                 for dataset in DATASETS}
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)

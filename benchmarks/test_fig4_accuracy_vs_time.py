@@ -12,11 +12,12 @@ DATASETS = ("mnist", "cifar10")
 
 
 @pytest.mark.benchmark(group="figure4")
-def test_fig4_accuracy_vs_time(benchmark):
+def test_fig4_accuracy_vs_time(benchmark, paper_cache):
     overrides = bench_overrides()
 
     def run():
-        return {dataset: accuracy_vs_time(dataset, FIGURE3_METHODS, overrides)
+        return {dataset: accuracy_vs_time(dataset, FIGURE3_METHODS, overrides,
+                                          cache=paper_cache)
                 for dataset in DATASETS}
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -13,12 +13,13 @@ METHODS = ("fedper", "hermes", "fedspa", "perfedavg", "fedlps")
 
 
 @pytest.mark.benchmark(group="figure5")
-def test_fig5_time_to_accuracy(benchmark):
+def test_fig5_time_to_accuracy(benchmark, paper_cache):
     overrides = bench_overrides()
 
     def run():
         return time_to_accuracy(datasets=DATASETS, methods=METHODS,
-                                target_fraction=0.7, overrides=overrides)
+                                target_fraction=0.7, overrides=overrides,
+                                cache=paper_cache)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print_rows("Figure 5: time-to-accuracy", rows)

@@ -13,13 +13,14 @@ MISSING_CLASSES = (2, 4, 6, 8)
 
 
 @pytest.mark.benchmark(group="figure6")
-def test_fig6_noniid_level_sweep(benchmark):
+def test_fig6_noniid_level_sweep(benchmark, paper_cache):
     overrides = bench_overrides()
 
     def run():
         return noniid_level_sweep(dataset="mnist",
                                   missing_classes=MISSING_CLASSES,
-                                  methods=METHODS, overrides=overrides)
+                                  methods=METHODS, overrides=overrides,
+                                  cache=paper_cache)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print_rows("Figure 6: accuracy vs non-IID level (missing classes)", rows)

@@ -14,7 +14,7 @@ LEVELS = ("low", "median", "high")
 
 
 @pytest.mark.benchmark(group="figure7")
-def test_fig7_heterogeneity_accuracy(benchmark):
+def test_fig7_heterogeneity_accuracy(benchmark, paper_cache):
     overrides = bench_overrides()
 
     def run():
@@ -22,7 +22,8 @@ def test_fig7_heterogeneity_accuracy(benchmark):
         for dataset in DATASETS:
             rows.extend(heterogeneity_sweep(dataset=dataset, levels=LEVELS,
                                             methods=METHODS,
-                                            overrides=overrides))
+                                            overrides=overrides,
+                                            cache=paper_cache))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

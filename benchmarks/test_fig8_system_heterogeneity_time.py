@@ -13,12 +13,13 @@ LEVELS = ("low", "median", "high")
 
 
 @pytest.mark.benchmark(group="figure8")
-def test_fig8_heterogeneity_time(benchmark):
+def test_fig8_heterogeneity_time(benchmark, paper_cache):
     overrides = bench_overrides()
 
     def run():
         return heterogeneity_sweep(dataset="cifar10", levels=LEVELS,
-                                   methods=METHODS, overrides=overrides)
+                                   methods=METHODS, overrides=overrides,
+                                   cache=paper_cache)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print_rows("Figure 8: running time vs system heterogeneity", rows)

@@ -13,12 +13,13 @@ PATTERNS = ("learnable", "random", "ordered", "magnitude")
 
 
 @pytest.mark.benchmark(group="figure9a")
-def test_fig9a_pattern_ratio_accuracy(benchmark):
+def test_fig9a_pattern_ratio_accuracy(benchmark, paper_cache):
     overrides = bench_overrides()
 
     def run():
         return pattern_ratio_sweep(dataset="mnist", ratios=RATIOS,
-                                   patterns=PATTERNS, overrides=overrides)
+                                   patterns=PATTERNS, overrides=overrides,
+                                   cache=paper_cache)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print_rows("Figure 9a: accuracy vs sparse ratio per pattern", rows)

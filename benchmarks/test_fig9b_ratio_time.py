@@ -14,13 +14,13 @@ RATIOS = (0.2, 0.4, 0.6, 0.8)
 
 
 @pytest.mark.benchmark(group="figure9b")
-def test_fig9b_time_vs_ratio(benchmark):
+def test_fig9b_time_vs_ratio(benchmark, paper_cache):
     overrides = bench_overrides()
 
     def run():
         return pattern_ratio_sweep(dataset="mnist", ratios=RATIOS,
                                    patterns=("learnable",),
-                                   overrides=overrides)
+                                   overrides=overrides, cache=paper_cache)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     for row in rows:

@@ -17,7 +17,7 @@ DATASETS = ("mnist", "cifar10", "cifar100", "tinyimagenet", "reddit")
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_accuracy_and_flops(benchmark):
+def test_table1_accuracy_and_flops(benchmark, paper_cache):
     overrides = bench_overrides()
 
     def run():
@@ -25,7 +25,7 @@ def test_table1_accuracy_and_flops(benchmark):
         for dataset in DATASETS:
             rows.extend(table1_accuracy_flops(
                 datasets=[dataset], methods=TABLE1_METHODS,
-                overrides=overrides))
+                overrides=overrides, cache=paper_cache))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

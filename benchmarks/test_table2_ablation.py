@@ -12,13 +12,14 @@ DATASETS = ("mnist", "cifar10", "reddit")
 
 
 @pytest.mark.benchmark(group="table2")
-def test_table2_ablation(benchmark):
+def test_table2_ablation(benchmark, paper_cache):
     overrides = bench_overrides()
 
     def run():
         rows = []
         for dataset in DATASETS:
-            rows.extend(table2_ablation(dataset=dataset, overrides=overrides))
+            rows.extend(table2_ablation(dataset=dataset, overrides=overrides,
+                                        cache=paper_cache))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -1,20 +1,23 @@
-"""Ablation variants of FedLPS used in Table II and Figure 9.
+"""The Table II ablation variants of FedLPS, as registry entries.
 
-The ablations reuse the :class:`repro.core.FedLPS` implementation with
-different knob settings:
+Each reuses the :class:`repro.core.FedLPS` implementation with one ratio
+policy and registers under its own name (``flst``, ``rcr``, ``p-ucbv``):
 
 * **FLST** — learnable sparse training with a *fixed* ratio (0.5 for every
   client): isolates the contribution of the learnable pattern.
 * **RCR** — learnable pattern but the rigid Resource-Controlled Ratio rule
   (ratio = device capability) used by HeteroFL/FjORD/FedRolex.
 * **P-UCBV** — the full method (adaptive ratio + learnable pattern).
-* pattern ablations — the FedLPS pipeline with heuristic random / ordered /
-  magnitude patterns in place of the learnable one (Figure 9a).
+
+Figure 9's pattern ablations need no factory: each cell is the registry's
+``fedlps`` with constructor kwargs, a ``(label, "fedlps", {"ratio_policy":
+"fixed", "fixed_ratio": r, "pattern_mode": mode, ...})`` entry of
+:func:`~repro.experiments.runner.run_grid`.
 
 The "Fix" vs "Dyn" rows of Table II refer to static vs dynamically
 fluctuating device resources; that is a property of the device fleet
-(``DeviceProfile.dynamic``) rather than of the strategy, so the experiment
-harness toggles it when building the fleet.
+(``DeviceProfile.dynamic``) rather than of the strategy, so Table II sweeps
+the preset's ``dynamic_resources`` field as a grid axis.
 """
 
 from __future__ import annotations
@@ -40,27 +43,4 @@ def pucbv(**kwargs) -> FedLPS:
     """P-UCBV: the full FedLPS (adaptive ratios + learnable patterns)."""
     strategy = FedLPS(ratio_policy="pucbv", **kwargs)
     strategy.name = "p-ucbv"
-    return strategy
-
-
-def fedlps_with_pattern(pattern_mode: str, fixed_ratio: float = 0.5,
-                        **kwargs) -> FedLPS:
-    """FedLPS pipeline with a heuristic pattern at a fixed ratio (Figure 9a).
-
-    The ratio floor is lowered to the requested ratio so that the Figure 9
-    sweep can explore ratios below the default arm-space floor.
-    """
-    kwargs.setdefault("ratio_min", min(fixed_ratio, 0.25))
-    strategy = FedLPS(ratio_policy="fixed", fixed_ratio=fixed_ratio,
-                      pattern_mode=pattern_mode, **kwargs)
-    strategy.name = f"pattern-{pattern_mode}"
-    return strategy
-
-
-def fedlps_learnable_fixed_ratio(fixed_ratio: float, **kwargs) -> FedLPS:
-    """FedLPS learnable pattern at one fixed ratio (Figure 9 ratio sweeps)."""
-    kwargs.setdefault("ratio_min", min(fixed_ratio, 0.25))
-    strategy = FedLPS(ratio_policy="fixed", fixed_ratio=fixed_ratio,
-                      pattern_mode="learnable", **kwargs)
-    strategy.name = f"pattern-learnable@{fixed_ratio:g}"
     return strategy

@@ -9,8 +9,7 @@ from .presets import (DATASETS, DEFAULT_PRESETS, ExperimentPreset,
                       build_experiment, preset_for, scaled)
 from .runner import (format_rows, run_grid, run_jobs, run_method, run_methods,
                      summarize)
-from .tables import (histories_to_rows, scenario_table, table1_accuracy_flops,
-                     table2_ablation)
+from .tables import scenario_table, table1_accuracy_flops, table2_ablation
 
 __all__ = [
     "ExperimentPreset",
@@ -32,7 +31,6 @@ __all__ = [
     "table1_accuracy_flops",
     "table2_ablation",
     "scenario_table",
-    "histories_to_rows",
     "accuracy_vs_flops",
     "accuracy_vs_time",
     "time_to_accuracy",

@@ -55,6 +55,14 @@ def spec_key(spec: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def spec_stem(method: str, preset: ExperimentPreset,
+              strategy_kwargs: Optional[dict] = None) -> str:
+    """File-system name of one run: method, dataset and spec hash prefix."""
+    digest = spec_key(run_spec(method, preset, strategy_kwargs))[:16]
+    safe_method = "".join(c if c.isalnum() else "_" for c in method)
+    return f"{safe_method}-{preset.dataset}-{digest}"
+
+
 class ResultCache:
     """Directory-backed store mapping run specs to training histories."""
 
@@ -67,10 +75,7 @@ class ResultCache:
     # ----------------------------------------------------------------- paths
     def path_for(self, method: str, preset: ExperimentPreset,
                  strategy_kwargs: Optional[dict] = None) -> Path:
-        spec = run_spec(method, preset, strategy_kwargs)
-        digest = spec_key(spec)[:16]
-        safe_method = "".join(c if c.isalnum() else "_" for c in method)
-        return self.directory / f"{safe_method}-{preset.dataset}-{digest}.json"
+        return self.directory / f"{spec_stem(method, preset, strategy_kwargs)}.json"
 
     # ------------------------------------------------------------------- api
     def get(self, method: str, preset: ExperimentPreset,

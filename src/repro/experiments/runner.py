@@ -23,11 +23,10 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..baselines import build_strategy
 from ..federated import FederatedTrainer
-from ..federated.strategy import Strategy
 from ..parallel import Executor, SerialExecutor
 from ..parallel.supervision import RetryPolicy, retry_call
 from ..systems import TrainingHistory
-from .cache import ResultCache, run_spec, spec_key
+from .cache import ResultCache, spec_stem
 from .presets import ExperimentPreset, build_experiment, preset_for, scaled
 
 #: a fully-specified sweep job: (method, preset, strategy constructor kwargs)
@@ -35,7 +34,6 @@ JobSpec = Tuple[str, ExperimentPreset, Optional[dict]]
 
 
 def run_method(method: str, preset: ExperimentPreset, *,
-               strategy: Optional[Strategy] = None,
                strategy_kwargs: Optional[dict] = None,
                executor: Optional[Executor] = None,
                cache: Optional[ResultCache] = None,
@@ -45,12 +43,10 @@ def run_method(method: str, preset: ExperimentPreset, *,
                stop_after_round: Optional[int] = None) -> TrainingHistory:
     """Run one method on one experiment preset and return its history.
 
-    ``method`` is a registry name (see ``repro.baselines.available_strategies``);
-    a pre-built ``strategy`` instance can be passed instead for ablation
-    variants that need custom constructor arguments — such runs bypass the
-    cache, whose keys only cover registry specs.  ``executor`` parallelizes
-    the per-round client work inside the trainer (default: inline, the
-    serial backend) — results are bit-identical on every backend.
+    ``method`` is a registry name (see ``repro.baselines.available_strategies``)
+    and ``strategy_kwargs`` its constructor overrides.  ``executor``
+    parallelizes the per-round client work inside the trainer (default:
+    inline, the serial backend) — results are bit-identical on every backend.
 
     ``checkpoint_dir`` turns on round-boundary checkpointing (see
     :mod:`repro.checkpoint`); with ``resume=True`` the run continues from
@@ -59,15 +55,13 @@ def run_method(method: str, preset: ExperimentPreset, *,
     always pass it.  ``stop_after_round`` deterministically interrupts the
     run after checkpointing that round (testing/CI preemption).
     """
-    cacheable = cache is not None and strategy is None
-    if cacheable:
+    if cache is not None:
         cached = cache.get(method, preset, strategy_kwargs)
         if cached is not None:
             return cached
     dataset, model_builder, config, fleet = build_experiment(preset)
-    strat = strategy if strategy is not None \
-        else build_strategy(method, **(strategy_kwargs or {}))
-    trainer = FederatedTrainer(strat, dataset, model_builder, config=config,
+    strategy = build_strategy(method, **(strategy_kwargs or {}))
+    trainer = FederatedTrainer(strategy, dataset, model_builder, config=config,
                                fleet=fleet, executor=executor)
     history = trainer.run(
         checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
@@ -75,7 +69,7 @@ def run_method(method: str, preset: ExperimentPreset, *,
         resume_from="auto" if resume else None,
         stop_after_round=stop_after_round)
     history.dataset = preset.dataset
-    if cacheable:
+    if cache is not None:
         cache.put(method, preset, strategy_kwargs, history)
     return history
 
@@ -88,10 +82,7 @@ def sweep_cell_dir(checkpoint_root: Union[str, Path], spec: JobSpec) -> Path:
     seed, rounds, scenario) gets a fresh directory instead of tripping the
     checkpoint digest check.
     """
-    method, preset, strategy_kwargs = spec
-    digest = spec_key(run_spec(method, preset, strategy_kwargs))[:16]
-    safe_method = "".join(c if c.isalnum() else "_" for c in method)
-    return Path(checkpoint_root) / f"{safe_method}-{preset.dataset}-{digest}"
+    return Path(checkpoint_root) / spec_stem(*spec)
 
 
 #: payload of one sweep job: (spec, cell checkpoint dir or None, retries)
@@ -191,7 +182,8 @@ def run_methods(methods: Iterable[str], preset: ExperimentPreset, *,
     return dict(zip(methods, histories))
 
 
-def run_grid(methods: Iterable[str], datasets: Iterable[str],
+def run_grid(methods: Iterable[Union[str, Tuple[str, str, Optional[dict]]]],
+             datasets: Iterable[str],
              axes: Optional[Dict[str, Iterable]] = None, *,
              overrides: Optional[dict] = None,
              executor: Optional[Executor] = None,
@@ -202,7 +194,9 @@ def run_grid(methods: Iterable[str], datasets: Iterable[str],
 
     ``axes`` maps preset fields to the values to sweep, e.g. ``{"scenario":
     [...], "codec": [...]}``.  Keys are ``(method, dataset, *axis values)``,
-    method outermost, then dataset, then the axes in their given order.
+    method outermost, then dataset, then the axes in their given order.  A
+    method is a registry name or a ``(label, name, strategy_kwargs)`` variant
+    whose key carries the label and whose cache key the name and kwargs.
     Each cell is ``scaled(preset_for(dataset), **overrides)`` with its axis
     values on top: an axis outranks the same key in ``overrides``.  Every
     axis rides the preset, so cells cache-key and checkpoint like any run;
@@ -218,14 +212,17 @@ def run_grid(methods: Iterable[str], datasets: Iterable[str],
     axes = axes or {}
     shared = {name: value for name, value in (overrides or {}).items()
               if name not in axes}
-    grid = list(product(methods, datasets, *axes.values()))
+    entries = [(entry, entry, None) if isinstance(entry, str) else entry
+               for entry in methods]
+    grid = list(product(entries, datasets, *axes.values()))
     specs: List[JobSpec] = [
-        (method, scaled(preset_for(dataset), **shared,
-                        **dict(zip(axes, values))), None)
-        for method, dataset, *values in grid]
+        (name, scaled(preset_for(dataset), **shared,
+                      **dict(zip(axes, values))), strategy_kwargs)
+        for (_, name, strategy_kwargs), dataset, *values in grid]
     histories = run_jobs(specs, executor=executor, cache=cache,
                          checkpoint_root=checkpoint_root, retries=retries)
-    return dict(zip(grid, histories))
+    return {(label, *cell): history
+            for ((label, _, _), *cell), history in zip(grid, histories)}
 
 
 def summarize(history: TrainingHistory, *, last_rounds: int = 3,
@@ -254,6 +251,14 @@ def summarize(history: TrainingHistory, *, last_rounds: int = 3,
         "straggler_drops": history.total_stragglers,
         "mean_staleness": history.mean_staleness,
     }
+
+
+def summary_row(history: TrainingHistory, columns: Iterable[str],
+                **labels) -> Dict[str, object]:
+    """One table or figure row: the cell's ``labels``, then ``columns`` of
+    :func:`summarize`."""
+    summary = summarize(history)
+    return {**labels, **{name: summary[name] for name in columns}}
 
 
 def format_rows(rows: List[Dict[str, object]], columns: List[str]) -> str:

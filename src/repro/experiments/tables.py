@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..baselines import TABLE1_METHODS, ablations, build_strategy
+from ..baselines import TABLE1_METHODS
 from ..parallel import Executor
-from ..systems import TrainingHistory
 from .cache import ResultCache
 from .presets import preset_for, scaled
-from .runner import run_grid, run_method, summarize
+from .runner import run_grid, summarize, summary_row
 
 
 #: the :func:`~repro.experiments.runner.summarize` columns of a Table I row
@@ -48,45 +47,43 @@ def table1_accuracy_flops(datasets: Iterable[str] = ("mnist",),
     rows = []
     for dataset in datasets:
         aggregation = scaled(preset_for(dataset), **overrides).aggregation
-        for method in methods:
-            summary = summarize(histories[method, dataset])
-            rows.append({"method": method, "dataset": dataset,
-                         "aggregation": aggregation,
-                         **{name: summary[name] for name in _TABLE1_COLUMNS}})
+        rows.extend(summary_row(histories[method, dataset], _TABLE1_COLUMNS,
+                                method=method, dataset=dataset,
+                                aggregation=aggregation)
+                    for method in methods)
     return rows
+
+
+#: Table II's rows: (variant, registry name, dynamic device resources)
+_TABLE2_VARIANTS = (("FLST", "flst", False), ("RCR-Fix", "rcr", False),
+                    ("P-UCBV-Fix", "p-ucbv", False),
+                    ("RCR-Dyn", "rcr", True), ("P-UCBV-Dyn", "p-ucbv", True))
 
 
 def table2_ablation(dataset: str = "mnist",
                     overrides: Optional[dict] = None,
-                    fixed_ratio: float = 0.5) -> List[Dict[str, object]]:
+                    fixed_ratio: float = 0.5, *,
+                    executor: Optional[Executor] = None,
+                    cache: Optional[ResultCache] = None
+                    ) -> List[Dict[str, object]]:
     """Rows of Table II: the FedLPS ablation grid.
 
     * FLST — learnable pattern, fixed ratio, static resources.
     * RCR-Fix / P-UCBV-Fix — rigid vs adaptive ratios, static resources.
     * RCR-Dyn / P-UCBV-Dyn — the same under dynamically fluctuating resources.
+
+    FLST runs under static resources only, so it is a grid of its own.
     """
-    overrides = overrides or {}
-    static = scaled(preset_for(dataset), dynamic_resources=False, **overrides)
-    dynamic = scaled(preset_for(dataset), dynamic_resources=True, **overrides)
-    variants = [
-        ("FLST", static, lambda: ablations.flst(fixed_ratio=fixed_ratio)),
-        ("RCR-Fix", static, ablations.rcr),
-        ("P-UCBV-Fix", static, ablations.pucbv),
-        ("RCR-Dyn", dynamic, ablations.rcr),
-        ("P-UCBV-Dyn", dynamic, ablations.pucbv),
-    ]
-    rows: List[Dict[str, object]] = []
-    for label, preset, factory in variants:
-        history = run_method(label, preset, strategy=factory())
-        summary = summarize(history)
-        rows.append({
-            "variant": label,
-            "dataset": dataset,
-            "accuracy": summary["accuracy"],
-            "total_flops": summary["total_flops"],
-            "total_time_seconds": summary["total_time_seconds"],
-        })
-    return rows
+    grid_kwargs = dict(overrides=overrides, executor=executor, cache=cache)
+    histories = {
+        **run_grid([("flst", "flst", {"fixed_ratio": fixed_ratio})],
+                   [dataset], {"dynamic_resources": [False]}, **grid_kwargs),
+        **run_grid(["rcr", "p-ucbv"], [dataset],
+                   {"dynamic_resources": [False, True]}, **grid_kwargs)}
+    return [summary_row(histories[method, dataset, dynamic],
+                        ("accuracy", "total_flops", "total_time_seconds"),
+                        variant=label, dataset=dataset)
+            for label, method, dynamic in _TABLE2_VARIANTS]
 
 
 def scenario_table(dataset: str = "mnist",
@@ -139,14 +136,4 @@ def scenario_table(dataset: str = "mnist",
             "straggler_drops": summary["straggler_drops"],
             "mean_staleness": summary["mean_staleness"],
         })
-    return rows
-
-
-def histories_to_rows(histories: Dict[str, TrainingHistory]
-                      ) -> List[Dict[str, object]]:
-    """Summarize a ``{method: history}`` mapping into table rows."""
-    rows = []
-    for method, history in histories.items():
-        summary = summarize(history)
-        rows.append({"method": method, "dataset": history.dataset, **summary})
     return rows

@@ -205,8 +205,6 @@ class TestAblations:
         assert ablations.flst().name == "flst"
         assert ablations.rcr().name == "rcr"
         assert ablations.pucbv().name == "p-ucbv"
-        assert "magnitude" in ablations.fedlps_with_pattern("magnitude").name
-        assert "0.6" in ablations.fedlps_learnable_fixed_ratio(0.6).name
 
     def test_flst_uses_fixed_ratio_policy(self):
         strategy = ablations.flst(fixed_ratio=0.7)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines import ablations
+from repro.baselines import build_strategy
 from repro.core import FedLPS
 from repro.experiments import build_experiment
 from repro.federated import FederatedConfig, FederatedTrainer, run_federated
@@ -192,9 +192,12 @@ def test_pattern_ablation_histories_are_pinned(variant):
     pattern -> mask -> train bodies into one, before any source change, and
     must never be regenerated by a refactor.
     """
-    strategy = (ablations.fedlps_learnable_fixed_ratio(0.5)
-                if variant == "learnable@0.5"
-                else ablations.fedlps_with_pattern(variant))
+    strategy = build_strategy("fedlps", ratio_policy="fixed", fixed_ratio=0.5,
+                              pattern_mode=variant.split("@")[0],
+                              ratio_min=0.25)
+    # the digests cover history.method, which is strategy.name: keep the
+    # label each variant was recorded under
+    strategy.name = f"pattern-{variant}"
     dataset, model_builder, config, fleet = build_experiment(
         golden.golden_preset("ideal"))
     history = run_federated(strategy, dataset, model_builder, config=config,

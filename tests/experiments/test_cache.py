@@ -139,23 +139,21 @@ class TestCachedSweeps:
 
     def test_run_grid_covers_the_grid(self, tmp_path):
         cache = ResultCache(tmp_path)
-        grid = run_grid(["fedavg", "fedlps"], ["mnist"],
-                        overrides=dict(TINY), cache=cache)
-        assert set(grid) == {("fedavg", "mnist"), ("fedlps", "mnist")}
-        assert len(cache) == 2
-        again = run_grid(["fedavg", "fedlps"], ["mnist"],
-                         overrides=dict(TINY), cache=cache)
-        assert cache.hits == 2
+        kwargs = {"ratio_policy": "fixed", "fixed_ratio": 0.4,
+                  "pattern_mode": "ordered"}
+        methods = ["fedavg", "fedlps", ("ordered@0.4", "fedlps", kwargs)]
+        grid = run_grid(methods, ["mnist"], overrides=dict(TINY), cache=cache)
+        assert set(grid) == {("fedavg", "mnist"), ("fedlps", "mnist"),
+                             ("ordered@0.4", "mnist")}
+        assert len(cache) == 3
+        again = run_grid(methods, ["mnist"], overrides=dict(TINY), cache=cache)
+        assert cache.hits == 3
         for key in grid:
             assert grid[key].to_dict() == again[key].to_dict()
-
-    def test_prebuilt_strategy_bypasses_cache(self, tmp_path):
-        from repro.baselines import build_strategy
-
-        cache = ResultCache(tmp_path)
-        run_method("fedavg", tiny_preset(),
-                   strategy=build_strategy("fedavg"), cache=cache)
-        assert len(cache) == 0
+        # a labelled entry caches under its registry name and kwargs
+        assert cache.path_for("fedlps", tiny_preset(), kwargs).exists()
+        assert (cache.get("fedlps", tiny_preset(), kwargs).to_dict()
+                == grid["ordered@0.4", "mnist"].to_dict())
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_a_failing_cell_keeps_every_finished_cell(self, tmp_path,

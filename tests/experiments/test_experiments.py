@@ -1,11 +1,12 @@
 """Tests for the experiment harness (presets, runner, tables, figures)."""
 
+import json
 from dataclasses import fields
 
 import pytest
 
-from repro.experiments import (DATASETS, ExperimentPreset, accuracy_vs_flops,
-                               build_experiment, format_rows,
+from repro.experiments import (DATASETS, ExperimentPreset, ResultCache,
+                               accuracy_vs_flops, build_experiment, format_rows,
                                heterogeneity_sweep, noniid_level_sweep,
                                pattern_ratio_sweep, preset_for, run_grid,
                                run_method, run_methods, scaled, summarize,
@@ -188,6 +189,22 @@ class TestFigures:
                                   methods=("fedlps",), overrides=TINY)
         assert len(rows) == 2
         assert {row["missing_classes"] for row in rows} == {6, 8}
+
+    def test_noniid_levels_count_the_dataset_classes(self, tmp_path):
+        """Level 2 of Tiny-ImageNet's 40 classes trains 38 per client."""
+        cache = ResultCache(tmp_path)
+        rows = noniid_level_sweep(dataset="tinyimagenet", missing_classes=(2,),
+                                  methods=("fedavg",), overrides=TINY,
+                                  cache=cache)
+        assert [row["missing_classes"] for row in rows] == [2]
+        (entry,) = tmp_path.glob("*.json")
+        spec = json.loads(entry.read_text())["spec"]
+        assert spec["preset"]["classes_per_client"] == 38
+
+    def test_noniid_levels_reject_a_dataset_without_classes(self):
+        with pytest.raises(ValueError, match="'reddit'"):
+            noniid_level_sweep(dataset="reddit", missing_classes=(2,),
+                               methods=("fedavg",), overrides=TINY)
 
     def test_heterogeneity_sweep_rows(self):
         rows = heterogeneity_sweep(dataset="mnist", levels=("low", "high"),

@@ -11,7 +11,8 @@ Fig. 6 and Fig. 7.
 The rows were recorded while the figure builders still ran one
 ``run_method`` at a time, before they became ``run_grid`` cells.  The
 fixture is never regenerated: a refactor of how the grids are run must
-reproduce it byte for byte, row order included.
+reproduce it byte for byte, row order included, with no executor and with
+every grid dispatched on the serial backend or on two process workers.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.experiments import (accuracy_vs_flops, accuracy_vs_time,
                                pattern_ratio_sweep, scenario_table,
                                table1_accuracy_flops, table2_ablation,
                                time_to_accuracy)
+from repro.parallel import SerialExecutor, resolve_executor
 
 FIXTURE = Path(__file__).parent.parent / "fixtures" / "paper_rows_pin.json"
 
@@ -83,3 +85,12 @@ def test_the_fixture_pins_every_call(pinned):
 @pytest.mark.parametrize("name", list(CALLS))
 def test_rows_are_pinned(name, pinned):
     assert rows_of(name) == pinned[name]
+
+
+@pytest.mark.parametrize("make_executor", [
+    SerialExecutor, lambda: resolve_executor("process", 2)],
+    ids=["serial", "process-2"])
+def test_rows_are_pinned_on_an_executor(make_executor, pinned):
+    with make_executor() as executor:
+        rows = {name: rows_of(name, executor=executor) for name in CALLS}
+    assert rows == pinned

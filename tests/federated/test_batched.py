@@ -28,8 +28,8 @@ from repro.core.importance import initialize_importance
 from repro.core.sparse_training import (learnable_sparse_training,
                                         learnable_sparse_training_cohort)
 from repro.data.dataset import Dataset
-from repro.federated import (client_batch_schedule, train_cohort_batched,
-                             train_locally)
+from repro.federated import (client_batch_schedule, run_federated,
+                             train_cohort_batched, train_locally)
 from repro.models import build_mlp
 from repro.sparsity import build_parameter_mask, random_pattern
 
@@ -228,6 +228,15 @@ def _history_key(history):
                       sort_keys=True)
 
 
+def _run_custom(strategy, preset):
+    """Run a test-local strategy instance (not a registry method) on a preset."""
+    from repro.experiments import build_experiment
+
+    dataset, model_builder, config, fleet = build_experiment(preset)
+    return run_federated(strategy, dataset, model_builder, config=config,
+                         fleet=fleet)
+
+
 def _small(preset_name="mnist", **overrides):
     from repro.experiments import preset_for, scaled
 
@@ -308,12 +317,11 @@ class TestEndToEnd:
         so the batched run silently trained through the parent's
         ``local_update_cohort`` (``FedLPSTopUp`` lost its ratio margin).
         """
-        from repro.experiments import run_method, scaled
+        from repro.experiments import scaled
 
         preset = _small(num_rounds=4)
-        default = run_method("custom", preset, strategy=make_strategy())
-        batched = run_method("custom", scaled(preset, batch_cohort=True),
-                             strategy=make_strategy())
+        default = _run_custom(make_strategy(), preset)
+        batched = _run_custom(make_strategy(), scaled(preset, batch_cohort=True))
         assert _history_key(default) == _history_key(batched)
         core = TestChunkPlan._core(make_strategy())
         assert core._plan_chunks([3, 1, 2]) == [[3], [1], [2]]
@@ -323,14 +331,13 @@ class TestEndToEnd:
         BatchedVisitCountingFedProx], ids=["same-class", "below-the-override"])
     def test_subclass_with_its_own_cohort_hook_still_batches(
             self, make_strategy):
-        from repro.experiments import run_method, scaled
+        from repro.experiments import scaled
 
         core = TestChunkPlan._core(make_strategy())
         assert core._plan_chunks([3, 1, 2]) == [[3, 1, 2]]
         preset = _small()
-        default = run_method("custom", preset, strategy=make_strategy())
-        batched = run_method("custom", scaled(preset, batch_cohort=True),
-                             strategy=make_strategy())
+        default = _run_custom(make_strategy(), preset)
+        batched = _run_custom(make_strategy(), scaled(preset, batch_cohort=True))
         assert _history_key(default) == _history_key(batched)
 
     def test_cohort_batches_on_every_executor(self, monkeypatch):
