@@ -42,12 +42,13 @@ sequential :mod:`repro.nn` layers bit-for-bit:
   through forward and backward);
 * data-movement-only rewrites and elision of unread outputs are bit-safe;
   anything that changes a GEMM/reduction operand is not.  Where a value
-  lands (im2col padding, pooling through strided views, the scatter of a
-  pooling gradient) and whether an output nobody reads is produced at all
-  (the first layer's input gradient under ``backward(...,
-  input_grad=False)``, the pooling index of an evaluation forward) never
-  touch the arithmetic; the shape, layout or order of a matmul or
-  ``np.sum`` operand does, so those stay exactly as written;
+  lands (im2col padding, the im2col gather through its cached index,
+  pooling through strided views, the scatter of a pooling gradient) and
+  whether an output nobody reads is produced at all (the first layer's
+  input gradient under ``backward(..., input_grad=False)``, the pooling
+  index of an evaluation forward) never touch the arithmetic; the shape,
+  layout or order of a matmul or ``np.sum`` operand does, so those stay
+  exactly as written;
 * one client is a cohort of one, but NOT through the batched matmul
   (``(1, N, K) @ (1, K, M)`` against the 2-D GEMM is not a proven
   bit-identity): :class:`CohortOfOne` puts this module's training surface
@@ -74,7 +75,7 @@ import numpy as np
 
 from .activations import Flatten, ReLU, Sigmoid, Tanh
 from .base import Array, Layer
-from .conv import AvgPool2d, Conv2d, MaxPool2d, _col2im, _im2col
+from .conv import AvgPool2d, Conv2d, MaxPool2d, _check_fits_kernel, _col2im, _im2col
 from .dense import Dense
 from .model import Sequential, UnitGroup
 from .params import ParamDict
@@ -283,6 +284,7 @@ class BatchedConv2d(_BatchedLayer):
             raise ValueError(
                 f"{self.name}: expected input "
                 f"({self.cohort}, B, {self.in_channels}, H, W), got {x.shape}")
+        _check_fits_kernel(self.name, *x.shape[3:], self.kernel_size, self.padding)
         cohort, batch = x.shape[:2]
         folded = np.ascontiguousarray(x).reshape((cohort * batch,) + x.shape[2:])
         cols, out_h, out_w = _im2col(folded, self.kernel_size, self.stride,

@@ -1,10 +1,17 @@
 """2-D convolution and pooling layers (im2col implementation).
 
+The unfold is one gather: ``np.take`` of each zero-padded sample through a
+flat index built once per ``(channels, padded H, padded W, kernel, stride)``
+and kept read-only in a bounded cache.  The index does not depend on the
+batch size, so the cache holds at most 64 shapes' worth of per-sample
+offsets however large the cohort folds get.
+
 Bit-identity note: the unfold/fold helpers and the pooling kernels here are
 pure data movement — which value lands where — so they may be rewritten
-freely (a zeroed buffer filled in place instead of a padding call, strided
-views instead of a window copy) as long as every value lands unchanged, and
-an output nobody reads (the first layer's input gradient) may be skipped.
+freely (a zeroed buffer filled in place instead of a padding call, a gather
+instead of a strided transpose copy, strided views instead of a window
+copy) as long as every value lands unchanged, and an output nobody reads
+(the first layer's input gradient) may be skipped.
 The operands of the matmuls and ``np.sum`` reductions may not change shape,
 layout or order: their bits depend on all three (see the contract in
 :mod:`repro.nn.batched`).
@@ -12,6 +19,7 @@ layout or order: their bits depend on all three (see the contract in
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -20,11 +28,41 @@ from . import initializers
 from .base import Array, Layer, ParamDict, as_float
 
 
+def _check_fits_kernel(name: str, h: int, w: int, kernel: int, padding: int) -> None:
+    """Reject a spatial size the kernel does not fit in, even padded."""
+    if min(h, w) + 2 * padding < kernel:
+        raise ValueError(
+            f"{name}: input spatial size ({h}, {w}) with padding {padding} "
+            f"is smaller than the kernel {kernel}")
+
+
+@functools.lru_cache(maxsize=64)
+def _unfold_index(channels: int, padded_h: int, padded_w: int, kernel: int,
+                  stride: int) -> Array:
+    """Flat per-sample gather index of the unfold, read-only.
+
+    Position ``((oh * out_w + ow) * channels + c) * kernel**2 + ki * kernel
+    + kj`` holds the offset of pixel ``(c, oh * stride + ki, ow * stride +
+    kj)`` in one sample's C-contiguous ``(channels, padded_h, padded_w)``
+    image.
+    """
+    out_h = (padded_h - kernel) // stride + 1
+    out_w = (padded_w - kernel) // stride + 1
+    rows = np.arange(out_h)[:, None, None, None, None] * stride \
+        + np.arange(kernel)[None, None, None, :, None]
+    columns = np.arange(out_w)[None, :, None, None, None] * stride \
+        + np.arange(kernel)[None, None, None, None, :]
+    planes = np.arange(channels)[None, None, :, None, None] * (padded_h * padded_w)
+    index = (planes + rows * padded_w + columns).ravel()
+    index.flags.writeable = False
+    return index
+
+
 def _im2col(x: Array, kernel: int, stride: int, padding: int) -> Tuple[Array, int, int]:
     """Unfold ``x`` of shape (N, C, H, W) into columns.
 
-    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N * out_h * out_w, C * kernel * kernel)``.
+    Returns ``(cols, out_h, out_w)`` where ``cols`` is a fresh C-contiguous
+    array of shape ``(N * out_h * out_w, C * kernel * kernel)``.
     """
     n, c, h, w = x.shape
     ph, pw = h + 2 * padding, w + 2 * padding
@@ -34,17 +72,9 @@ def _im2col(x: Array, kernel: int, stride: int, padding: int) -> Tuple[Array, in
         x = padded
     out_h = (ph - kernel) // stride + 1
     out_w = (pw - kernel) // stride + 1
-    strides = x.strides
-    shape = (n, c, out_h, out_w, kernel, kernel)
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=shape,
-        strides=(strides[0], strides[1], strides[2] * stride, strides[3] * stride,
-                 strides[2], strides[3]),
-        writeable=False,
-    )
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel * kernel)
-    return np.ascontiguousarray(cols), out_h, out_w
+    index = _unfold_index(c, ph, pw, kernel, stride)
+    cols = np.take(x.reshape(n, c * ph * pw), index, axis=1)
+    return cols.reshape(n * out_h * out_w, c * kernel * kernel), out_h, out_w
 
 
 def _col2im(cols: Array, x_shape: Tuple[int, int, int, int], kernel: int,
@@ -122,6 +152,7 @@ class Conv2d(Layer):
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"{self.name}: expected input (N, {self.in_channels}, H, W), got {x.shape}")
+        _check_fits_kernel(self.name, *x.shape[2:], self.kernel_size, self.padding)
         n = x.shape[0]
         cols, out_h, out_w = _im2col(x, self.kernel_size, self.stride, self.padding)
         w_mat = self._weight_matrix()
@@ -178,6 +209,7 @@ class Conv2d(Layer):
         if len(input_shape) != 3:
             raise ValueError(f"{self.name}: conv layer expects (C, H, W) input shape")
         _, h, w = input_shape
+        _check_fits_kernel(self.name, h, w, self.kernel_size, self.padding)
         out_h = (h + 2 * self.padding - self.kernel_size) // self.stride + 1
         out_w = (w + 2 * self.padding - self.kernel_size) // self.stride + 1
         flops_per_position = 2 * self.in_channels * self.kernel_size * self.kernel_size

@@ -8,7 +8,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .base import Array, Layer
-from .params import ParamDict, copy_params
+from .params import ParamDict
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,6 @@ class Sequential:
     def num_parameters(self) -> int:
         return int(sum(v.size for layer in self.layers for v in layer.params.values()))
 
-    def parameter_shapes(self) -> Dict[str, Tuple[int, ...]]:
-        return {f"{layer.name}.{key}": value.shape
-                for layer in self.layers for key, value in layer.params.items()}
-
     # --------------------------------------------------------------- units
     def _build_unit_groups(self) -> List[UnitGroup]:
         groups: List[UnitGroup] = []
@@ -241,9 +237,6 @@ class Sequential:
         return breakdown
 
     # ------------------------------------------------------------- utility
-    def clone_parameters(self) -> ParamDict:
-        return copy_params(self.get_parameters())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         inner = ", ".join(type(layer).__name__ for layer in self.layers)
         return f"Sequential(name={self.name!r}, layers=[{inner}])"

@@ -37,10 +37,6 @@ class ClientEvent:
     update: ClientUpdate = field(compare=False)
     cost: CostBreakdown = field(compare=False)
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.finish_time, self.client_id)
-
 
 class EventQueue:
     """Min-heap of :class:`ClientEvent` ordered by ``(finish_time, client_id)``.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import AvgPool2d, Conv2d, MaxPool2d
+from repro.nn.batched import BatchedConv2d
 
 
 def numeric_gradient(f, x, eps=1e-6):
@@ -48,6 +49,32 @@ class TestConvForward:
         conv = Conv2d(2, 3, 3, name="c")
         with pytest.raises(ValueError):
             conv.forward(np.ones((1, 1, 8, 8)))
+
+
+class TestKernelLargerThanInput:
+    """A kernel that does not fit the padded input is refused by name."""
+
+    MESSAGE = r"wide: input spatial size \(1, 3\) with padding 1 is smaller than the kernel 5"
+
+    def test_forward(self):
+        conv = Conv2d(3, 2, 5, padding=1, name="wide")
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            conv.forward(np.ones((2, 3, 1, 3)))
+
+    def test_batched_forward(self):
+        batched = BatchedConv2d(Conv2d(3, 2, 5, padding=1, name="wide"), 2)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            batched.forward(np.ones((2, 4, 3, 1, 3)))
+
+    def test_flops_per_example(self):
+        conv = Conv2d(3, 2, 5, padding=1, name="wide")
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            conv.flops_per_example((3, 1, 3))
+
+    def test_padding_that_makes_it_fit_is_accepted(self):
+        conv = Conv2d(3, 2, 5, padding=2, name="wide")
+        assert conv.forward(np.ones((2, 3, 1, 3))).shape == (2, 2, 1, 3)
+        assert conv.flops_per_example((3, 1, 3))[1] == (2, 1, 3)
 
 
 class TestConvBackward:

@@ -1,7 +1,8 @@
 """The data-movement kernels of ``repro.nn.conv`` against their predecessors.
 
 ``_im2col`` and ``MaxPool2d`` were rewritten for speed (a zeroed buffer
-instead of ``np.pad``; ``k * k`` strided views instead of a window copy plus
+instead of ``np.pad`` and a gather through a cached index instead of a
+strided transpose copy; ``k * k`` strided views instead of a window copy plus
 ``argmax`` / ``max`` / ``put_along_axis``).  The rewrites move data and never
 compute, so the old implementations — kept here verbatim as reference
 functions — must be reproduced bit for bit: equal values AND equal sign bits,
@@ -51,7 +52,7 @@ from repro.nn import (SGD, BatchedModel, BatchedSGD, Dense, Dropout, MaxPool2d,
                       softmax, softmax_cross_entropy,
                       softmax_cross_entropy_cohort, stack_param_dicts)
 from repro.nn.batched import BatchedConv2d, CohortOfOne
-from repro.nn.conv import _im2col
+from repro.nn.conv import _im2col, _unfold_index
 from repro.nn.params import add_, copy_params, multiply, scale_, subtract
 from repro.sparsity import (build_parameter_mask, gates_from_pattern,
                             random_pattern)
@@ -132,19 +133,30 @@ def _post_relu(shape, seed):
 
 # ----------------------------------------------------------------- im2col
 class TestIm2col:
-    @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(1, 3), c=st.integers(1, 3),
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 3), c=st.integers(1, 3),
            extra_h=st.integers(0, 5), extra_w=st.integers(0, 5),
-           kernel=st.sampled_from([2, 3]), stride=st.sampled_from([1, 2]),
-           padding=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2**16))
+           kernel=st.sampled_from([1, 2, 3, 5]), stride=st.sampled_from([1, 2, 3]),
+           padding=st.sampled_from([0, 1, 2]), channels_last=st.booleans(),
+           seed=st.integers(0, 2**16))
     def test_matches_padded_reference_bit_for_bit(self, n, c, extra_h, extra_w,
-                                                  kernel, stride, padding, seed):
-        x = _awkward_array((n, c, kernel + extra_h, kernel + extra_w), seed)
+                                                  kernel, stride, padding,
+                                                  channels_last, seed):
+        h, w = kernel + extra_h, kernel + extra_w
+        if channels_last:
+            # what a conv -> ReLU -> MaxPool output is: NHWC memory, NCHW view
+            x = _awkward_array((n, h, w, c), seed).transpose(0, 3, 1, 2)
+        else:
+            x = _awkward_array((n, c, h, w), seed)
         cols, out_h, out_w = _im2col(x, kernel, stride, padding)
         ref_cols, ref_h, ref_w = _reference_im2col(x, kernel, stride, padding)
         assert (out_h, out_w) == (ref_h, ref_w)
-        assert cols.flags.c_contiguous
+        assert cols.flags.c_contiguous and cols.flags.writeable
         _assert_same_bits(cols, ref_cols)
+        index = _unfold_index(c, h + 2 * padding, w + 2 * padding, kernel, stride)
+        assert not index.flags.writeable
+        assert not np.shares_memory(cols, x)
+        assert not np.shares_memory(cols, index)
 
     def test_padding_border_is_positive_zero(self):
         x = np.full((1, 1, 2, 2), -0.0)
