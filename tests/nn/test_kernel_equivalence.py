@@ -52,7 +52,7 @@ from repro.nn import (SGD, BatchedModel, BatchedSGD, Dense, Dropout, MaxPool2d,
                       softmax, softmax_cross_entropy,
                       softmax_cross_entropy_cohort, stack_param_dicts)
 from repro.nn.batched import BatchedConv2d, CohortOfOne
-from repro.nn.conv import _im2col, _unfold_index
+from repro.nn.conv import _col2im, _im2col, _unfold_index
 from repro.nn.params import add_, copy_params, multiply, scale_, subtract
 from repro.sparsity import (build_parameter_mask, gates_from_pattern,
                             random_pattern)
@@ -80,6 +80,20 @@ def _reference_im2col(x, kernel, stride, padding):
     )
     cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel * kernel)
     return np.ascontiguousarray(cols), out_h, out_w
+
+
+def _reference_col2im(cols, x_shape, kernel, stride, padding, out_h, out_w):
+    n, c, h, w = x_shape
+    ph, pw = h + 2 * padding, w + 2 * padding
+    x_padded = np.zeros((n, c, ph, pw), dtype=np.float64)
+    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+    for i in range(kernel):
+        for j in range(kernel):
+            x_padded[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += \
+                cols[:, :, :, :, i, j]
+    if padding > 0:
+        return x_padded[:, :, padding:padding + h, padding:padding + w]
+    return x_padded
 
 
 def _reference_windows(x, k):
@@ -165,6 +179,30 @@ class TestIm2col:
         # slots, which must be +0.0 exactly as np.pad wrote them
         assert np.signbit(cols).sum(axis=1).tolist() == [4, 4, 4, 4]
         _assert_same_bits(cols, _reference_im2col(x, 3, 1, 1)[0])
+
+
+# ----------------------------------------------------------------- col2im
+class TestCol2im:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 3), c=st.integers(1, 3),
+           extra_h=st.integers(0, 5), extra_w=st.integers(0, 5),
+           kernel=st.sampled_from([1, 2, 3, 5]), stride=st.sampled_from([1, 2, 3]),
+           padding=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2**16))
+    def test_matches_tap_loop_reference_bit_for_bit(self, n, c, extra_h, extra_w,
+                                                    kernel, stride, padding, seed):
+        h, w = kernel + extra_h, kernel + extra_w
+        out_h = (h + 2 * padding - kernel) // stride + 1
+        out_w = (w + 2 * padding - kernel) // stride + 1
+        # overlapping taps sum several columns into one pixel: the order of
+        # those adds (and the +0.0 they start from) decides the bits
+        cols = _awkward_array((n * out_h * out_w, c * kernel * kernel), seed)
+        args = ((n, c, h, w), kernel, stride, padding, out_h, out_w)
+        with np.errstate(invalid="ignore"):     # inf + -inf is NaN on both
+            folded = _col2im(cols, *args)
+            expected = _reference_col2im(cols, *args)
+        _assert_same_bits(folded, expected)
+        assert folded.strides == expected.strides
+        assert not np.shares_memory(folded, cols)
 
 
 # ---------------------------------------------------------------- max-pool
