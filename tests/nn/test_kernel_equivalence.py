@@ -117,6 +117,30 @@ def _reference_pool_backward(argmax, grad_out, x_shape, k):
     return grad_x
 
 
+def _reference_strided_pool_forward(x, k, train):
+    """The strided-view ``MaxPool2d`` loop that replaced the window copy."""
+    out = x[:, :, ::k, ::k]
+    index = np.zeros(out.shape, dtype=np.intp) if train else None
+    has_nan = x.size > 0 and np.isnan(x.min())
+    for position in range(1, k * k):
+        candidate = x[:, :, position // k::k, position % k::k]
+        better = candidate > out
+        if has_nan:
+            better |= np.isnan(candidate) & ~np.isnan(out)
+        out = np.where(better, candidate, out)
+        if train:
+            index = np.where(better, position, index)
+    return out, index
+
+
+def _reference_strided_pool_backward(index, grad_out, x_shape, k):
+    grad_x = np.empty(x_shape, dtype=np.float64)
+    for position in range(k * k):
+        grad_x[:, :, position // k::k, position % k::k] = np.where(
+            index == position, grad_out, 0.0)
+    return grad_x
+
+
 # ----------------------------------------------------------------- helpers
 def _assert_same_bits(actual, expected):
     """Equal shape, dtype and every bit — values, sign of zero, NaN."""
@@ -228,6 +252,11 @@ def _check_pool(x, k, grad_seed):
     assert np.array_equal(np.signbit(out)[~mixed_zero_tie],
                           np.signbit(ref_out)[~mixed_zero_tie])
 
+    # the strided-view loop picked the same element, tied zeros included
+    strided_out, strided_index = _reference_strided_pool_forward(x, k, True)
+    _assert_same_bits(out, strided_out)
+    assert np.array_equal(layer._index, strided_index)
+
     # an evaluation forward returns the same bits
     _assert_same_bits(MaxPool2d(k).forward(x, train=False), out)
 
@@ -235,19 +264,31 @@ def _check_pool(x, k, grad_seed):
     grad_x = layer.backward(grad_out)
     _assert_same_bits(grad_x, _reference_pool_backward(
         ref_argmax, grad_out, x.shape, k))
+    _assert_same_bits(grad_x, _reference_strided_pool_backward(
+        strided_index, grad_out, x.shape, k))
+    # ReLU's backward multiplies into this layout, and the conv gate
+    # gradient reduces that product: a fresh C-contiguous NCHW array
+    assert grad_x.flags.c_contiguous
+    assert not np.shares_memory(grad_x, grad_out)
     return mixed_zero_tie
 
 
 class TestMaxPool:
-    @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(1, 3), c=st.integers(1, 3),
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 3), c=st.integers(1, 3),
            tiles_h=st.integers(1, 4), tiles_w=st.integers(1, 4),
-           k=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**16),
+           k=st.sampled_from([1, 2, 3, 4]), channels_last=st.booleans(),
+           seed=st.integers(0, 2**16),
            special_share=st.sampled_from([0.0, 0.3, 0.9]))
-    def test_matches_window_reference(self, n, c, tiles_h, tiles_w, k, seed,
-                                      special_share):
-        x = _awkward_array((n, c, k * tiles_h, k * tiles_w), seed,
-                           special_share=special_share)
+    def test_matches_window_reference(self, n, c, tiles_h, tiles_w, k,
+                                      channels_last, seed, special_share):
+        h, w = k * tiles_h, k * tiles_w
+        if channels_last:
+            # what a conv -> ReLU output is: NHWC memory, NCHW view
+            x = _awkward_array((n, h, w, c), seed,
+                               special_share=special_share).transpose(0, 3, 1, 2)
+        else:
+            x = _awkward_array((n, c, h, w), seed, special_share=special_share)
         _check_pool(x, k, seed + 1)
 
     @pytest.mark.parametrize("k", [2, 3])
