@@ -42,8 +42,10 @@ sequential :mod:`repro.nn` layers bit-for-bit:
   through forward and backward);
 * data-movement-only rewrites and elision of unread outputs are bit-safe;
   anything that changes a GEMM/reduction operand is not.  Where a value
-  lands (im2col padding, the im2col gather through its cached index,
-  pooling through strided views, the scatter of a pooling gradient) and
+  lands (im2col padding, the im2col and max-pool gathers through their
+  cached indices, the pooling select on bit patterns, the inverse gather
+  of a pooling gradient, the channels-last tap accumulator of the conv
+  input gradient, whose pixels still add in the same order) and
   whether an output nobody reads is produced at all (the first layer's
   input gradient under ``backward(..., input_grad=False)``, the pooling
   index of an evaluation forward) never touch the arithmetic; the shape,
@@ -377,8 +379,14 @@ class _FoldedLayer:
     """Run a per-sample layer on ``(C * B, ...)`` by folding the client axis.
 
     Pooling is sample-local, so folding the cohort into the batch axis
-    reproduces the sequential layer bit-for-bit by construction — the inner
-    layer IS the sequential implementation.
+    reproduces the sequential layer bit-for-bit — the inner layer IS the
+    sequential implementation — provided it sees the same bytes in the
+    same layout.  The fold is a ``reshape``: a view for every stacked
+    activation (the client and batch axes always merge), so a conv -> ReLU
+    stack arrives channels-last in memory exactly as one client's batch
+    does, with no transposing copy.  A reduction that sums in memory order
+    (``AvgPool2d``'s window mean) makes its own contiguous copy on both
+    paths.
     """
 
     trainable = False
@@ -398,15 +406,14 @@ class _FoldedLayer:
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
         self._lead = x.shape[:2]
-        folded = np.ascontiguousarray(x).reshape(
-            (x.shape[0] * x.shape[1],) + x.shape[2:])
+        folded = x.reshape((x.shape[0] * x.shape[1],) + x.shape[2:])
         out = self.inner.forward(folded, train=train)
         return out.reshape(self._lead + out.shape[1:])
 
     def backward(self, grad_out: Array) -> Array:
         if self._lead is None:
             raise RuntimeError("backward called before forward")
-        folded = np.ascontiguousarray(grad_out).reshape(
+        folded = grad_out.reshape(
             (grad_out.shape[0] * grad_out.shape[1],) + grad_out.shape[2:])
         out = self.inner.backward(folded)
         return out.reshape(self._lead + out.shape[1:])

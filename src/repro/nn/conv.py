@@ -1,16 +1,23 @@
 """2-D convolution and pooling layers (im2col implementation).
 
-The unfold is one gather: ``np.take`` of each zero-padded sample through a
-flat index built once per ``(channels, padded H, padded W, kernel, stride)``
-and kept read-only in a bounded cache.  The index does not depend on the
-batch size, so the cache holds at most 64 shapes' worth of per-sample
-offsets however large the cohort folds get.
+Each data-movement kernel reads through a flat per-sample index built once
+per shape and kept read-only in a bounded cache: the unfold is one
+``np.take`` of each zero-padded sample (keyed by channels, padded H, padded
+W, kernel and stride), and max pooling one ``np.take`` of every window
+(keyed by channels, H, W, kernel and the input's memory layout) plus one
+back through the inverse permutation.  The indices do not depend on the
+batch size, so each cache holds at most 64 shapes' worth of per-sample
+offsets however large the cohort folds get.  The fold (``_col2im``)
+accumulates its taps into a channels-last buffer, where each tap adds long
+contiguous runs, and transposes once at the end.
 
 Bit-identity note: the unfold/fold helpers and the pooling kernels here are
 pure data movement — which value lands where — so they may be rewritten
 freely (a zeroed buffer filled in place instead of a padding call, a gather
-instead of a strided transpose copy, strided views instead of a window
-copy) as long as every value lands unchanged, and an output nobody reads
+instead of a strided transpose copy or strided window views, a
+channels-last accumulator, a select on bit patterns instead of
+``np.where``) as long as every value lands unchanged and every pixel of the
+fold adds its contributions in the same order, and an output nobody reads
 (the first layer's input gradient) may be skipped.
 The operands of the matmuls and ``np.sum`` reductions may not change shape,
 layout or order: their bits depend on all three (see the contract in
@@ -79,15 +86,23 @@ def _im2col(x: Array, kernel: int, stride: int, padding: int) -> Tuple[Array, in
 
 def _col2im(cols: Array, x_shape: Tuple[int, int, int, int], kernel: int,
             stride: int, padding: int, out_h: int, out_w: int) -> Array:
-    """Fold columns back into an image, summing overlapping contributions."""
+    """Fold columns back into an image, summing overlapping contributions.
+
+    The taps accumulate into a channels-last buffer, where a tap's slab
+    ``cols6[..., i, j]`` runs ``out_w * C`` values along each output row,
+    then one transposing copy returns the NCHW image.  Every pixel still
+    receives its contributions in ``(i, j)`` order, starting from ``+0.0``.
+    """
     n, c, h, w = x_shape
     ph, pw = h + 2 * padding, w + 2 * padding
-    x_padded = np.zeros((n, c, ph, pw), dtype=np.float64)
-    cols = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+    acc = np.zeros((n, ph, pw, c), dtype=np.float64)
+    cols6 = cols.reshape(n, out_h, out_w, c, kernel, kernel)
     for i in range(kernel):
         for j in range(kernel):
-            x_padded[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += \
-                cols[:, :, :, :, i, j]
+            acc[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += \
+                cols6[..., i, j]
+    # a copy, not ascontiguousarray: at C = 1 that would keep acc's strides
+    x_padded = acc.transpose(0, 3, 1, 2).copy()
     if padding > 0:
         return x_padded[:, :, padding:padding + h, padding:padding + w]
     return x_padded
@@ -217,90 +232,169 @@ class Conv2d(Layer):
         return flops, (self.out_channels, out_h, out_w)
 
 
-class MaxPool2d(Layer):
-    """Non-overlapping max pooling (kernel == stride).
+@functools.lru_cache(maxsize=64)
+def _pool_index(channels: int, h: int, w: int, kernel: int,
+                channels_last: bool) -> Tuple[Array, Array]:
+    """Per-sample window gather of a pooling layer and its inverse, read-only.
 
-    Works on the ``k * k`` strided views ``x[:, :, i::k, j::k]`` — one per
-    window position — instead of a copied ``(..., k * k)`` window tensor.
-    The first maximum in row-major window order wins (strict ``>``), and a
-    NaN beats every number, exactly as ``np.argmax`` picks; the output is
-    the selected element itself.  (``np.max`` over the window is ``==`` to
-    it, but among tied zeros of both signs returns whichever its SIMD path
-    meets last; the next affine layer erases the sign of a zero either way.)
+    ``index[p, (c * out_h + oh) * out_w + ow]`` is the offset of window
+    position ``p = ki * kernel + kj`` of output pixel ``(c, oh, ow)`` in one
+    sample's memory: C-contiguous ``(channels, h, w)``, or ``(h, w,
+    channels)`` when ``channels_last``.  The windows tile the image, so
+    ``index`` is a permutation; ``inverse[s]`` is the flat ``(p, c, oh,
+    ow)`` position that holds NCHW offset ``s`` (whichever memory the
+    forward read).
     """
+    out_h, out_w = h // kernel, w // kernel
+    ki = np.arange(kernel)[:, None, None, None, None]
+    kj = np.arange(kernel)[None, :, None, None, None]
+    c = np.arange(channels)[None, None, :, None, None]
+    rows = np.arange(out_h)[None, None, None, :, None] * kernel + ki
+    columns = np.arange(out_w)[None, None, None, None, :] * kernel + kj
+    nchw = ((c * h + rows) * w + columns).ravel()
+    inverse = np.empty_like(nchw)
+    inverse[nchw] = np.arange(nchw.size)
+    index = ((rows * w + columns) * channels + c).ravel() if channels_last else nchw
+    index = index.reshape(kernel * kernel, channels * out_h * out_w)
+    index.flags.writeable = False
+    inverse.flags.writeable = False
+    return index, inverse
+
+
+class _Pool2d(Layer):
+    """Non-overlapping pooling (kernel == stride) over (N, C, H, W) inputs."""
 
     trainable = False
-    _scratch = ("_index", "_x_shape")
 
-    def __init__(self, kernel_size: int, name: str = "maxpool") -> None:
+    def __init__(self, kernel_size: int, name: str) -> None:
         super().__init__(name)
         if kernel_size <= 0:
             raise ValueError("kernel_size must be positive")
         self.kernel_size = kernel_size
-        self._index: Array | None = None
         self._x_shape: Tuple[int, ...] | None = None
 
-    def forward(self, x: Array, *, train: bool = True) -> Array:
-        x = as_float(x)
-        n, c, h, w = x.shape
+    def _check_spatial(self, h: int, w: int) -> None:
         k = self.kernel_size
         if h % k != 0 or w % k != 0:
             raise ValueError(
                 f"{self.name}: spatial dims ({h}, {w}) must be divisible by {k}")
-        out = x[:, :, ::k, ::k]
-        # an evaluation forward feeds no backward: it keeps no winner index
-        index = np.zeros(out.shape, dtype=np.intp) if train else None
-        has_nan = x.size > 0 and np.isnan(x.min())
-        for position in range(1, k * k):
-            candidate = x[:, :, position // k::k, position % k::k]
-            better = candidate > out
-            if has_nan:
-                better |= np.isnan(candidate) & ~np.isnan(out)
-            out = np.where(better, candidate, out)
-            if train:
-                index = np.where(better, position, index)
-        self._index = index
-        self._x_shape = x.shape
-        return out
 
-    def backward(self, grad_out: Array) -> Array:
-        if self._index is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        k = self.kernel_size
-        # every slot is written exactly once: the winner takes the gradient,
-        # the others a literal +0.0 (``grad * mask`` would leave -0.0 there)
-        grad_x = np.empty(self._x_shape, dtype=np.float64)
-        for position in range(k * k):
-            grad_x[:, :, position // k::k, position % k::k] = np.where(
-                self._index == position, grad_out, 0.0)
-        return grad_x
+    def _checked_input(self, x: Array) -> Array:
+        x = as_float(x)
+        if x.ndim != 4:
+            raise ValueError(
+                f"{self.name}: expected input (N, C, H, W), got {x.shape}")
+        self._check_spatial(*x.shape[2:])
+        return x
 
     def flops_per_example(self, input_shape: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+        if len(input_shape) != 3:
+            raise ValueError(
+                f"{self.name}: expected input shape (C, H, W), got {tuple(input_shape)}")
         c, h, w = input_shape
+        self._check_spatial(h, w)
         k = self.kernel_size
         return 0, (c, h // k, w // k)
 
 
-class AvgPool2d(Layer):
-    """Non-overlapping average pooling (kernel == stride)."""
+class MaxPool2d(_Pool2d):
+    """Non-overlapping max pooling (kernel == stride).
 
-    trainable = False
+    One ``np.take`` through :func:`_pool_index` reads every window into
+    ``(N, k * k, C * out_h * out_w)`` blocks — from the channels-last memory
+    a conv -> ReLU output has, else from the C-contiguous NCHW array — so
+    each selection pass runs over whole samples, one window position at a
+    time.  The first maximum in row-major window order wins (strict ``>``),
+    and a NaN beats every number, exactly as ``np.argmax`` picks; the
+    output is the selected element itself, C-contiguous NCHW.  (``np.max``
+    over the window is ``==`` to it, but among tied zeros of both signs
+    returns whichever its SIMD path meets last; the next affine layer
+    erases the sign of a zero either way.)
+
+    Both directions select on the int64 views of the float bits, ``a ^ ((a
+    ^ b) * wins)`` and ``b * wins`` with ``wins`` 0 or 1, instead of
+    ``np.where``, whose per-element branch mispredicts on pooling's
+    coin-flip masks: the bits move unchanged, as ``np.where`` would move
+    them.  The backward builds the blocks (the winner's gradient, else
+    ``+0.0``) and takes them home through the inverse permutation as a
+    fresh C-contiguous NCHW array.
+    """
+
+    _scratch = ("_index", "_x_shape")
+
+    def __init__(self, kernel_size: int, name: str = "maxpool") -> None:
+        super().__init__(kernel_size, name)
+        self._index: Array | None = None
+
+    def forward(self, x: Array, *, train: bool = True) -> Array:
+        x = self._checked_input(x)
+        n, c, h, w = x.shape
+        k = self.kernel_size
+        nhwc = x.transpose(0, 2, 3, 1)
+        channels_last = nhwc.flags.c_contiguous
+        flat = nhwc if channels_last else np.ascontiguousarray(x)
+        index, _ = _pool_index(c, h, w, k, channels_last)
+        windows = np.take(flat.reshape(n, c * h * w), index, axis=1)
+        window_bits = windows.view(np.int64)
+        out = windows[:, 0].copy()
+        bits = out.view(np.int64)
+        # an evaluation forward feeds no backward: it keeps no winner index
+        winner = np.zeros(out.shape, dtype=np.intp) if train else None
+        has_nan = x.size > 0 and np.isnan(x.min())
+        better = np.empty(out.shape, dtype=bool)
+        step = np.empty(out.shape, dtype=np.int64)
+        for position in range(1, k * k):
+            candidate = windows[:, position]
+            np.greater(candidate, out, out=better)
+            if has_nan:
+                better |= np.isnan(candidate) & ~np.isnan(out)
+            # the bits that turn out into the candidate where it wins, else 0
+            np.bitwise_xor(bits, window_bits[:, position], out=step)
+            np.multiply(step, better, out=step)
+            bits ^= step
+            if train:
+                # positions only rise, so the latest win is the largest
+                np.multiply(better, position, out=step)
+                np.maximum(winner, step, out=winner)
+        out_shape = (n, c, h // k, w // k)
+        self._index = None if winner is None else winner.reshape(out_shape)
+        self._x_shape = x.shape
+        return out.reshape(out_shape)
+
+    def backward(self, grad_out: Array) -> Array:
+        if self._index is None or self._x_shape is None:
+            raise RuntimeError("backward called before forward")
+        n, c, h, w = self._x_shape
+        k = self.kernel_size
+        _, inverse = _pool_index(c, h, w, k, False)
+        block = (n, 1, c * (h // k) * (w // k))
+        # every slot is written exactly once: the winner takes the gradient's
+        # bits (float64, for the int64 view), the others all-zero bits, +0.0
+        # (a float ``grad * mask`` would leave -0.0 there, and NaN under an
+        # infinite gradient)
+        blocks = np.multiply(self._index.reshape(block) == np.arange(k * k)[:, None],
+                             as_float(grad_out).reshape(block).view(np.int64))
+        grad_x = np.take(blocks.view(np.float64).reshape(n, c * h * w), inverse, axis=1)
+        return grad_x.reshape(self._x_shape)
+
+
+class AvgPool2d(_Pool2d):
+    """Non-overlapping average pooling (kernel == stride).
+
+    The window mean sums in memory order, so it reduces a C-contiguous NCHW
+    array whatever layout arrives: a conv -> ReLU output is channels-last
+    in memory, and the cohort-folded layer must see the same bytes.
+    """
+
     _scratch = ("_x_shape",)
 
     def __init__(self, kernel_size: int, name: str = "avgpool") -> None:
-        super().__init__(name)
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self._x_shape: Tuple[int, ...] | None = None
+        super().__init__(kernel_size, name)
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
-        x = as_float(x)
+        x = np.ascontiguousarray(self._checked_input(x))
         n, c, h, w = x.shape
         k = self.kernel_size
-        if h % k != 0 or w % k != 0:
-            raise ValueError(
-                f"{self.name}: spatial dims ({h}, {w}) must be divisible by {k}")
         self._x_shape = x.shape
         reshaped = x.reshape(n, c, h // k, k, w // k, k)
         return reshaped.mean(axis=(3, 5))
@@ -312,8 +406,3 @@ class AvgPool2d(Layer):
         k = self.kernel_size
         grad = np.repeat(np.repeat(grad_out, k, axis=2), k, axis=3) / (k * k)
         return grad
-
-    def flops_per_example(self, input_shape: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
-        c, h, w = input_shape
-        k = self.kernel_size
-        return 0, (c, h // k, w // k)

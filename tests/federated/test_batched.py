@@ -31,6 +31,8 @@ from repro.data.dataset import Dataset
 from repro.federated import (client_batch_schedule, run_federated,
                              train_cohort_batched, train_locally)
 from repro.models import build_mlp
+from repro.nn import (AvgPool2d, BatchedModel, Conv2d, Dense, Flatten, ReLU,
+                      Sequential, softmax_cross_entropy, stack_param_dicts)
 from repro.sparsity import build_parameter_mask, random_pattern
 
 INPUT_DIM = 6
@@ -221,6 +223,56 @@ class TestLearnableSparseCohort:
             assert a.train_accuracy == b.train_accuracy
             assert a.examples_seen == b.examples_seen
             assert a.sparse_ratio == b.sparse_ratio
+
+
+class TestAvgPoolParity:
+    """A folded ``AvgPool2d`` must see the bytes the sequential layer sees.
+
+    The mean of a window sums in memory order, and a conv -> ReLU output is
+    channels-last in memory: the pool has to reduce the same layout on both
+    paths for the cohort stack to reproduce each client's pass.
+    """
+
+    @staticmethod
+    def _model():
+        rng = np.random.default_rng(0)
+        return Sequential([
+            Conv2d(2, 4, 3, padding=1, name="conv", rng=rng),
+            ReLU(name="relu"),
+            AvgPool2d(2, name="pool"),
+            Flatten(name="flatten"),
+            Dense(4 * 4 * 4, NUM_CLASSES, name="head", sparsifiable=False,
+                  rng=rng),
+        ], input_shape=(2, 8, 8), name="avgpool_cnn")
+
+    def test_forward_backward_bit_identical(self):
+        model = self._model()
+        cohort, batch = 3, 4
+        rng = np.random.default_rng(1)
+        base = model.get_parameters()
+        params = [{key: value + 0.1 * rng.normal(size=value.shape)
+                   for key, value in base.items()} for _ in range(cohort)]
+        x = rng.normal(size=(cohort, batch) + model.input_shape)
+        y = rng.integers(0, NUM_CLASSES, size=(cohort, batch))
+
+        batched = BatchedModel(model, cohort)
+        batched.set_parameters(stack_param_dicts(params))
+        batched.zero_grad()
+        logits = batched.forward(x, train=True)
+        grad = np.stack([softmax_cross_entropy(logits[i], y[i])[1]
+                         for i in range(cohort)])
+        grad_x = batched.backward(grad)
+        grads = batched.get_gradients()
+
+        for i in range(cohort):
+            model.set_parameters(params[i])
+            model.zero_grad()
+            ref_logits = model.forward(x[i], train=True)
+            assert logits[i].tobytes() == ref_logits.tobytes()
+            ref_grad_x = model.backward(softmax_cross_entropy(ref_logits, y[i])[1])
+            assert grad_x[i].tobytes() == ref_grad_x.tobytes()
+            for key, value in model.get_gradients().items():
+                assert grads[key][i].tobytes() == value.tobytes(), key
 
 
 def _history_key(history):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import AvgPool2d, Conv2d, MaxPool2d
+from repro.nn import AvgPool2d, Conv2d, MaxPool2d, Sequential
 from repro.nn.batched import BatchedConv2d
 
 
@@ -170,3 +170,32 @@ class TestPooling:
         flops, shape = pool.flops_per_example((3, 8, 8))
         assert flops == 0
         assert shape == (3, 4, 4)
+
+
+@pytest.mark.parametrize("pool_type", [MaxPool2d, AvgPool2d])
+class TestBadPoolingInput:
+    """A shape the pool cannot tile is refused by name at the boundary."""
+
+    def test_indivisible_spatial_dims_fail_the_shape_pass(self, pool_type):
+        pool = pool_type(2, name="p")
+        with pytest.raises(ValueError,
+                           match=r"p: spatial dims \(7, 7\) must be divisible by 2"):
+            pool.flops_per_example((3, 7, 7))
+
+    def test_non_3d_example_shape_fails_the_shape_pass(self, pool_type):
+        pool = pool_type(2, name="p")
+        with pytest.raises(ValueError,
+                           match=r"p: expected input shape \(C, H, W\), got \(8, 8\)"):
+            pool.flops_per_example((8, 8))
+
+    def test_non_4d_input_fails_forward(self, pool_type):
+        pool = pool_type(2, name="p")
+        with pytest.raises(ValueError,
+                           match=r"p: expected input \(N, C, H, W\), got \(3, 4, 4\)"):
+            pool.forward(np.ones((3, 4, 4)))
+
+    def test_model_with_untileable_pool_fails_its_shape_pass(self, pool_type):
+        model = Sequential([Conv2d(1, 2, 3, padding=1, name="c"),
+                            pool_type(2, name="p")], input_shape=(1, 7, 7))
+        with pytest.raises(ValueError, match="p: spatial dims"):
+            model.flops_per_example()

@@ -1,12 +1,15 @@
 """The data-movement kernels of ``repro.nn.conv`` against their predecessors.
 
-``_im2col`` and ``MaxPool2d`` were rewritten for speed (a zeroed buffer
-instead of ``np.pad`` and a gather through a cached index instead of a
-strided transpose copy; ``k * k`` strided views instead of a window copy plus
-``argmax`` / ``max`` / ``put_along_axis``).  The rewrites move data and never
-compute, so the old implementations — kept here verbatim as reference
-functions — must be reproduced bit for bit: equal values AND equal sign bits,
-over exact ties (post-ReLU zeros), ``+-inf``, ``-0.0`` and NaN.
+``_im2col``, ``_col2im`` and ``MaxPool2d`` were rewritten for speed (a
+zeroed buffer instead of ``np.pad`` and a gather through a cached index
+instead of a strided transpose copy; a channels-last tap accumulator instead
+of NCHW tap adds; ``k * k`` strided views instead of a window copy plus
+``argmax`` / ``max`` / ``put_along_axis``, then one window gather, a select
+on bit patterns and an inverse gather instead of the strided views).  The
+rewrites move data and never compute (the fold still adds each pixel's taps
+in the same order), so the old implementations — kept here verbatim as
+reference functions — must be reproduced bit for bit: equal values AND equal
+sign bits, over exact ties (post-ReLU zeros), ``+-inf``, ``-0.0`` and NaN.
 
 One documented exception: the old pooling forward returned
 ``np.max(windows)``, whose result for a window whose maximum is a tie between
@@ -52,7 +55,7 @@ from repro.nn import (SGD, BatchedModel, BatchedSGD, Dense, Dropout, MaxPool2d,
                       softmax, softmax_cross_entropy,
                       softmax_cross_entropy_cohort, stack_param_dicts)
 from repro.nn.batched import BatchedConv2d, CohortOfOne
-from repro.nn.conv import _col2im, _im2col, _unfold_index
+from repro.nn.conv import _col2im, _im2col, _pool_index, _unfold_index
 from repro.nn.params import add_, copy_params, multiply, scale_, subtract
 from repro.sparsity import (build_parameter_mask, gates_from_pattern,
                             random_pattern)
@@ -270,6 +273,11 @@ def _check_pool(x, k, grad_seed):
     # gradient reduces that product: a fresh C-contiguous NCHW array
     assert grad_x.flags.c_contiguous
     assert not np.shares_memory(grad_x, grad_out)
+    # both cached indices are shared by every layer of this shape
+    for channels_last in (False, True):
+        for cached in _pool_index(*x.shape[1:], k, channels_last):
+            assert not cached.flags.writeable
+            assert not np.shares_memory(cached, grad_x)
     return mixed_zero_tie
 
 
