@@ -332,9 +332,10 @@ class MaxPool2d(_Pool2d):
         k = self.kernel_size
         nhwc = x.transpose(0, 2, 3, 1)
         channels_last = nhwc.flags.c_contiguous
-        flat = nhwc if channels_last else np.ascontiguousarray(x)
+        # the reshape is a view of either memory order, else a C-order copy
+        flat = (nhwc if channels_last else x).reshape(n, c * h * w)
         index, _ = _pool_index(c, h, w, k, channels_last)
-        windows = np.take(flat.reshape(n, c * h * w), index, axis=1)
+        windows = np.take(flat, index, axis=1)
         window_bits = windows.view(np.int64)
         out = windows[:, 0].copy()
         bits = out.view(np.int64)
