@@ -28,7 +28,12 @@ client axis: the old per-client body of ``learnable_sparse_training_cohort``,
 the old ``learnable_sparse_training`` step, ``cohort_grad_norms`` / clipping,
 the cohort losses, ``smoothed_targets`` and the gate-gradient normalisation,
 all verbatim, against which every ``SparseTrainingResult`` field of the
-vectorised code is compared byte for byte.
+vectorised code is compared byte for byte.  The oracles own every step they
+take: the dictionary optimizers (``_ReferenceSGD``, ``_ReferenceBatchedSGD``)
+and the ``Q`` update (``_reference_regularization_gradient``,
+``_reference_combine_unit_gradients``, ``_reference_apply_gradient``) are
+copies of the code as it stood, so a rewrite of ``src`` cannot move its own
+oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.importance import (ImportanceIndicator,
-                                   combine_unit_gradients,
                                    initialize_importance, smoothed_targets)
 from repro.core.sparse_training import (SparseTrainingResult,
                                         _normalize_gate_gradients,
@@ -49,7 +53,7 @@ from repro.data.dataset import Dataset
 from repro.federated import (LocalUpdateResult, client_batch_schedule,
                              train_cohort_batched, train_locally)
 from repro.models import build_cnn, build_lstm_lm, build_mlp
-from repro.nn import (SGD, BatchedModel, BatchedSGD, Dense, Dropout, MaxPool2d,
+from repro.nn import (BatchedModel, BatchedSGD, Dense, Dropout, MaxPool2d,
                       ReLU, Sequential, accuracy, accuracy_cohort,
                       clip_gradients_cohort, cohort_grad_norms, sigmoid,
                       softmax, softmax_cross_entropy,
@@ -471,6 +475,121 @@ def _reference_clip_gradients_cohort(grads, max_norm):
             for key, grad in grads.items()}
 
 
+def _reference_global_grad_norm(grads):
+    """``nn.optim.global_grad_norm`` as it stood."""
+    total = 0.0
+    for grad in grads.values():
+        total += float(np.sum(grad ** 2))
+    return float(np.sqrt(total))
+
+
+def _reference_clip_gradients(grads, max_norm):
+    """``nn.optim.clip_gradients`` as it stood."""
+    if max_norm <= 0:
+        raise ValueError("max_norm must be positive")
+    norm = _reference_global_grad_norm(grads)
+    if norm <= max_norm or norm == 0.0:
+        return grads
+    scale = max_norm / norm
+    return {key: grad * scale for key, grad in grads.items()}
+
+
+class _ReferenceSGD:
+    """``nn.optim.SGD`` as it stood: a per-key dictionary step."""
+
+    _clip = staticmethod(_reference_clip_gradients)
+
+    def __init__(self, lr, *, momentum=0.0, weight_decay=0.0,
+                 clip_norm=None):
+        if np.any(np.asarray(lr) <= 0):
+            raise ValueError("learning rate must be positive")
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
+        self.lr = lr
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self.clip_norm = clip_norm
+        self._velocity = {}
+
+    def _scaled(self, update):
+        return self.lr * update
+
+    def step(self, params, grads):
+        if self.clip_norm is not None:
+            grads = self._clip(grads, self.clip_norm)
+        for key, param in params.items():
+            grad = grads.get(key)
+            if grad is None:
+                continue
+            if self.weight_decay > 0.0:
+                grad = grad + self.weight_decay * param
+            if self.momentum > 0.0:
+                velocity = self._velocity.get(key)
+                if velocity is None:
+                    velocity = np.zeros_like(param)
+                velocity = self.momentum * velocity + grad
+                self._velocity[key] = velocity
+                update = velocity
+            else:
+                update = grad
+            param -= self._scaled(update)
+
+
+class _ReferenceBatchedSGD(_ReferenceSGD):
+    """``nn.optim.BatchedSGD`` as it stood: the dictionary step with a
+    per-client ``(C,)`` learning rate broadcast along the client axis and
+    per-client clipping (through the old per-client norm loop)."""
+
+    _clip = staticmethod(_reference_clip_gradients_cohort)
+
+    def __init__(self, lr, *, momentum=0.0, weight_decay=0.0,
+                 clip_norm=None):
+        if isinstance(lr, np.ndarray):
+            lr = np.asarray(lr, dtype=np.float64)
+            if lr.ndim != 1 or np.any(lr <= 0):
+                raise ValueError("per-client learning rates must be a "
+                                 "positive 1-D vector")
+        super().__init__(lr, momentum=momentum, weight_decay=weight_decay,
+                         clip_norm=clip_norm)
+
+    def _scaled(self, update):
+        if isinstance(self.lr, np.ndarray):
+            return self.lr.reshape(
+                (update.shape[0],) + (1,) * (update.ndim - 1)) * update
+        return self.lr * update
+
+
+def _reference_regularization_gradient(importance, targets, importance_lambda):
+    """``ImportanceIndicator.regularization_gradient`` as it stood."""
+    return {name: 2.0 * importance_lambda * (values - targets[name])
+            for name, values in importance.scores.items()}
+
+
+def _reference_apply_gradient(importance, gradients, learning_rate):
+    """``ImportanceIndicator.apply_gradient`` as it stood."""
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be positive")
+    for name, values in importance.scores.items():
+        grad = gradients.get(name)
+        if grad is None:
+            continue
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != values.shape:
+            raise ValueError(
+                f"gradient for {name!r} has shape {grad.shape}, "
+                f"expected {values.shape}")
+        importance.scores[name] = values - learning_rate * grad
+
+
+def _reference_combine_unit_gradients(task_gate_grads, regularizer_grads):
+    """``core.importance.combine_unit_gradients`` as it stood."""
+    return {name: np.asarray(grad, dtype=np.float64)
+            + np.asarray(regularizer_grads[name], dtype=np.float64)
+            for name, grad in task_gate_grads.items()}
+
+
 def _reference_softmax_cross_entropy_cohort(logits, labels, counts):
     cohort, batch, _ = logits.shape
     probs = softmax(logits, axis=-1)
@@ -552,7 +671,8 @@ def _reference_train_locally(model, start_params, dataset, *, iterations,
     if prox_mu > 0.0:
         center = copy_params(prox_center if prox_center is not None else start_params)
 
-    optimizer = SGD(learning_rate, momentum=momentum, clip_norm=clip_norm)
+    optimizer = _ReferenceSGD(learning_rate, momentum=momentum,
+                              clip_norm=clip_norm)
     allowed = set(trainable_keys) if trainable_keys is not None else None
     frozen_zeros = {}
     if allowed is not None:
@@ -608,7 +728,8 @@ def _reference_sparse_training(model, global_params, importance, dataset, *,
         else learning_rate
     params = copy_params(global_params)
     global_reference = copy_params(global_params)
-    optimizer = SGD(learning_rate, momentum=momentum, clip_norm=clip_norm)
+    optimizer = _ReferenceSGD(learning_rate, momentum=momentum,
+                              clip_norm=clip_norm)
     losses = []
     accuracies = []
     examples = 0
@@ -642,9 +763,10 @@ def _reference_sparse_training(model, global_params, importance, dataset, *,
         params = model.get_parameters()
 
         targets = _reference_smoothed_targets(model.unit_weight_magnitudes())
-        reg_grads = importance.regularization_gradient(targets, importance_lambda)
-        q_grads = combine_unit_gradients(gate_grads, reg_grads)
-        importance.apply_gradient(q_grads, q_lr)
+        reg_grads = _reference_regularization_gradient(
+            importance, targets, importance_lambda)
+        q_grads = _reference_combine_unit_gradients(gate_grads, reg_grads)
+        _reference_apply_gradient(importance, q_grads, q_lr)
 
         losses.append(task_loss
                       + _reference_proximal_loss(
@@ -691,7 +813,7 @@ def _reference_sparse_training_cohort(model, global_params, importances,
                         cohort, axis=0)
          for key, value in global_params.items()})
     # the old optimizer clipped through the old per-client norm loop
-    optimizer = BatchedSGD(learning_rate, momentum=momentum)
+    optimizer = _ReferenceBatchedSGD(learning_rate, momentum=momentum)
 
     patterns = [importances[i].pattern(model, sparse_ratios[i])
                 for i in range(cohort)]
@@ -765,10 +887,10 @@ def _reference_sparse_training_cohort(model, global_params, importances,
                  for name, values in stacked_gate_grads.items()})
             targets = _reference_smoothed_targets(
                 _reference_unit_magnitudes(batched, index))
-            reg_grads = importances[index].regularization_gradient(
-                targets, importance_lambda)
-            q_grads = combine_unit_gradients(gate_grads, reg_grads)
-            importances[index].apply_gradient(q_grads, q_lr)
+            reg_grads = _reference_regularization_gradient(
+                importances[index], targets, importance_lambda)
+            q_grads = _reference_combine_unit_gradients(gate_grads, reg_grads)
+            _reference_apply_gradient(importances[index], q_grads, q_lr)
 
             prox_total = 0.0
             for key in post:
@@ -1276,8 +1398,8 @@ class TestImportanceBranchRows:
             _assert_same_bits(
                 np.float64(losses[index]),
                 np.float64(_reference_regularization_loss(single, row_targets, 0.7)))
-            single.apply_gradient(
-                single.regularization_gradient(row_targets, 0.7), 0.05)
+            _reference_apply_gradient(single, _reference_regularization_gradient(
+                single, row_targets, 0.7), 0.05)
             row = stacked.row(index)
             for name, values in single.scores.items():
                 _assert_same_bits(row.scores[name], values)
