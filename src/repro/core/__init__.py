@@ -3,8 +3,7 @@
 from .bandit import PUCBVAgent, RatioPartition
 from .convergence import (empirical_parameter_gap, gradient_norm_trajectory,
                           lemma1_gap_bound, max_learning_rate, theorem1_bound)
-from .importance import (ImportanceIndicator, combine_unit_gradients,
-                         initialize_importance)
+from .importance import ImportanceIndicator, initialize_importance
 from .sparse_training import SparseTrainingResult, learnable_sparse_training
 from .strategy import PATTERN_MODES, RATIO_POLICIES, FedLPS
 from .utility import accuracy_utility, utility_gain
@@ -21,7 +20,6 @@ __all__ = [
     "RatioPartition",
     "accuracy_utility",
     "utility_gain",
-    "combine_unit_gradients",
     "lemma1_gap_bound",
     "theorem1_bound",
     "max_learning_rate",

@@ -1,28 +1,30 @@
-"""The unit-wise importance indicator ``Q`` and its learnable update.
+"""The unit-wise importance indicator ``Q`` and its regularization target.
 
 Every client maintains one importance score per sparsifiable unit of the
 model (Eq. 3).  The scores are optimized by back-propagation together with
 the model parameters: the task gradient reaches ``Q`` through the unit gates
 (a straight-through estimator of the non-differentiable step function in
 Eq. 4), and the importance regularizer of Eq. (8) keeps ``Q`` anchored to a
-smoothed view of the unit weight magnitudes.
+smoothed view of the unit weight magnitudes.  The update itself (Eq. 11) is
+part of the FedLPS trainer's step, in :mod:`repro.core.sparse_training`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..nn.activations import sigmoid
+from ..nn.arena import Arena
 from ..nn.batched import stack_param_dicts, unstack_param_dict
 from ..nn.model import Sequential
 from ..sparsity.masks import UnitPattern, pattern_from_scores
 
 
-def smoothed_targets(magnitudes: Mapping[str, np.ndarray]
-                     ) -> Dict[str, np.ndarray]:
+def smoothed_targets(magnitudes: Mapping[str, np.ndarray], *,
+                     out: Optional[Arena] = None) -> Arena:
     """The regularization target ``sigmoid(|omega|_J)`` of Eq. (8), from
     per-layer unit magnitudes ``|omega|_J``.
 
@@ -37,19 +39,45 @@ def smoothed_targets(magnitudes: Mapping[str, np.ndarray]
     Every statistic reduces the last axis, so a stacked ``(C, n_units)``
     cohort of magnitudes yields, row for row, the bits of ``C`` separate
     ``(n_units,)`` calls; a layer whose units all have the same magnitude
-    (``std < 1e-12``) gets the flat target 0.5, decided per row.
+    (``std < 1e-12``) gets the flat target 0.5, decided per row.  Each
+    layer's mean is computed once and serves both the centering and the
+    standard deviation, spelled with the ufuncs numpy's ``np.mean`` /
+    ``np.std`` run (so the bits are theirs); the sigmoid then runs once over
+    the whole unit arena.  The targets land in ``out`` (an arena laid out
+    like ``magnitudes``), or in a fresh one.
     """
-    targets: Dict[str, np.ndarray] = {}
+    if not isinstance(magnitudes, Arena):
+        magnitudes = Arena.of(magnitudes)
+    if out is None:
+        out = magnitudes.like()
     for name, magnitude in magnitudes.items():
-        std = np.std(magnitude, axis=-1, keepdims=True)
+        centered = out[name]
+        _, std = _mean_and_std(magnitude, centered=centered)
         flat = std < 1e-12
-        centered = (magnitude - np.mean(magnitude, axis=-1, keepdims=True)) \
-            / np.where(flat, 1.0, std)
-        targets[name] = sigmoid(np.where(flat, 0.0, centered))
-    return targets
+        np.true_divide(centered, np.where(flat, 1.0, std), out=centered)
+        np.copyto(centered, 0.0, where=flat)
+    out.flat[...] = sigmoid(out.flat)
+    return out
 
 
-def smoothed_unit_magnitudes(model: Sequential) -> Dict[str, np.ndarray]:
+def _mean_and_std(values: np.ndarray, *, centered: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``np.mean`` and ``np.std`` of ``values`` over the last axis (kept),
+    bit for bit, from ONE mean; ``values - mean`` lands in ``centered``.
+
+    The ufuncs numpy's ``_mean`` / ``_var`` run, in their order: the
+    ``add.reduce`` divided by the count is the mean, and the deviations
+    from it are squared, summed, divided by the count and square-rooted.
+    """
+    count = values.shape[-1]
+    mean = np.true_divide(np.add.reduce(values, axis=-1, keepdims=True), count)
+    np.subtract(values, mean, out=centered)
+    variance = np.true_divide(
+        np.add.reduce(np.square(centered), axis=-1, keepdims=True), count)
+    return mean, np.sqrt(variance, out=variance)
+
+
+def smoothed_unit_magnitudes(model: Sequential) -> Arena:
     """:func:`smoothed_targets` of ``model``'s current parameters."""
     return smoothed_targets(model.unit_weight_magnitudes())
 
@@ -57,16 +85,23 @@ def smoothed_unit_magnitudes(model: Sequential) -> Dict[str, np.ndarray]:
 @dataclass
 class ImportanceIndicator:
     """Per-layer importance scores: ``(n_units,)`` arrays for one client, or
-    ``(C, n_units)`` stacks for a cohort (:meth:`stack`), on which every
-    update below acts row by row."""
+    the ``(C, n_units)`` rows of a unit arena for a cohort (:meth:`stack`),
+    which the FedLPS trainer updates in place (Eq. 11)."""
 
-    scores: Dict[str, np.ndarray]
+    scores: Mapping[str, np.ndarray]
 
     @classmethod
-    def stack(cls, indicators: Sequence["ImportanceIndicator"]
-              ) -> "ImportanceIndicator":
-        """One indicator holding copies of ``indicators`` as stacked rows."""
-        return cls(stack_param_dicts([each.scores for each in indicators]))
+    def stack(cls, indicators: Sequence["ImportanceIndicator"], *,
+              layout: Optional[Arena] = None) -> "ImportanceIndicator":
+        """One indicator holding copies of ``indicators`` as the stacked
+        rows of a unit arena, laid out like ``layout`` (a program's gate
+        gradients) or in the first indicator's layer order."""
+        stacked = stack_param_dicts([each.scores for each in indicators])
+        if layout is None:
+            return cls(Arena.of(stacked))
+        scores = layout.like()
+        scores.load(stacked)
+        return cls(scores)
 
     def row(self, index: int) -> "ImportanceIndicator":
         """Client ``index`` of a stacked indicator, as its own copy."""
@@ -87,52 +122,6 @@ class ImportanceIndicator:
     def pattern(self, model: Sequential, sparse_ratio: float) -> UnitPattern:
         """Importance-derived sparse pattern (Eq. 4, layer-wise quantile)."""
         return pattern_from_scores(model, self.scores, sparse_ratio)
-
-    def apply_gradient(self, gradients: Mapping[str, np.ndarray],
-                       learning_rate: float) -> None:
-        """One SGD step on the importance scores (Eq. 11)."""
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        for name, values in self.scores.items():
-            grad = gradients.get(name)
-            if grad is None:
-                continue
-            grad = np.asarray(grad, dtype=np.float64)
-            if grad.shape != values.shape:
-                raise ValueError(
-                    f"gradient for {name!r} has shape {grad.shape}, "
-                    f"expected {values.shape}")
-            self.scores[name] = values - learning_rate * grad
-
-    def regularization_gradient(self, targets: Mapping[str, np.ndarray],
-                                importance_lambda: float) -> Dict[str, np.ndarray]:
-        """Gradient of ``lambda * ||Q - sigmoid(|omega|_J)||^2`` w.r.t. ``Q``,
-        given the targets ``sigmoid(|omega|_J)`` (:func:`smoothed_targets`)."""
-        return {name: 2.0 * importance_lambda * (values - targets[name])
-                for name, values in self.scores.items()}
-
-    def regularization_loss(self, targets: Mapping[str, np.ndarray],
-                            importance_lambda: float) -> float | np.ndarray:
-        """Value of the importance regularizer ``L_ir`` (Eq. 8) against the
-        same targets: a float, or one per row of stacked scores."""
-        total = 0.0
-        for name, values in self.scores.items():
-            total = total + np.sum((values - targets[name]) ** 2, axis=-1)
-        return importance_lambda * total
-
-
-def combine_unit_gradients(task_gate_grads: Mapping[str, np.ndarray],
-                           regularizer_grads: Mapping[str, np.ndarray]
-                           ) -> Dict[str, np.ndarray]:
-    """Total gradient of the loss with respect to the importance indicator.
-
-    The task contribution arrives through the unit gates (straight-through
-    estimate of Eq. 4's step function); the regularizer contribution comes
-    from Eq. (8).
-    """
-    return {name: np.asarray(grad, dtype=np.float64)
-            + np.asarray(regularizer_grads[name], dtype=np.float64)
-            for name, grad in task_gate_grads.items()}
 
 
 def initialize_importance(model: Sequential, *, seed: int = 0,

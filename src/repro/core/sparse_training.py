@@ -15,7 +15,13 @@ The round is spelled once, in :func:`_sparse_training_program`, over a
 *program* (:class:`~repro.nn.batched.BatchedModel`'s training surface): a
 ``BatchedModel`` for :func:`learnable_sparse_training_cohort`, one client's
 own ``Sequential`` behind a :class:`~repro.nn.batched.CohortOfOne` for
-:func:`learnable_sparse_training`.
+:func:`learnable_sparse_training`.  The program's parameters, gradients and
+gate gradients are flat :class:`~repro.nn.arena.Arena` buffers, and so are
+the round's masks, proximal reference, drift and stacked ``Q``: each step's
+bookkeeping — the Eq. 7 proximal pull, the Eq. 10 masked SGD step and the
+Eq. 11 ``Q`` update against the Eq. 8 targets — is one ufunc call per
+operation over a whole buffer, and only the norms, peaks and Eq. 8
+statistics reduce per key or per unit layer.
 """
 
 from __future__ import annotations
@@ -27,14 +33,14 @@ import numpy as np
 
 from ..data.dataset import Dataset
 from ..federated.batched import CohortBatches
+from ..nn.arena import Arena, cohort_squared_norms
 from ..nn.batched import (BatchedModel, CohortOfOne, stack_param_dicts,
                           unstack_param_dict)
 from ..nn.model import Sequential
-from ..nn.optim import BatchedSGD, cohort_squared_norms
-from ..nn.params import ParamDict, multiply, subtract
+from ..nn.optim import BatchedSGD
+from ..nn.params import ParamDict
 from ..sparsity.masks import UnitPattern, build_parameter_mask
-from .importance import (ImportanceIndicator, combine_unit_gradients,
-                         smoothed_targets)
+from .importance import ImportanceIndicator, smoothed_targets
 
 
 @dataclass
@@ -133,12 +139,13 @@ def _sparse_training_program(
     """The FedLPS trainer's one body: ``len(datasets)`` clients on
     ``program``, with ``model`` as the architecture the patterns refer to.
 
-    Patterns are stacked unit gates, masks broadcast over the gradients and
-    ``Q`` is a ``(C, n_units)`` stack for the round; the per-unit machinery
-    is element-wise or reduces the trailing axes of a C-contiguous stack,
-    slice-identical to one client's own reduction (the contract in
-    :mod:`repro.nn.batched`).  Only pattern derivation and the mini-batch
-    gather visit clients one by one.
+    Patterns are stacked unit gates, masks an arena over the parameters and
+    ``Q`` a ``(C, n_units)`` unit arena for the round.  Every element-wise
+    operation of a step is one ufunc call over a whole arena, and every
+    reduction reduces the trailing axes of one key's (one unit layer's)
+    C-contiguous view, slice-identical to one client's own reduction (the
+    contract in :mod:`repro.nn.batched`).  Only pattern derivation and the
+    mini-batch gather visit clients one by one.
     """
     cohort = len(datasets)
     for ratio in sparse_ratios:
@@ -146,72 +153,88 @@ def _sparse_training_program(
             raise ValueError(f"sparse_ratio must be in (0, 1], got {ratio}")
     if prox_mu < 0:
         raise ValueError("prox_mu must be non-negative")
+    # the optimizer steps these arrays in place for the whole round
+    params = program.live_parameters()
+    grads = program.live_gradients()
+    optimizer = BatchedSGD(params, learning_rate, momentum=momentum,
+                           clip_norm=clip_norm)
+    q_lr = importance_learning_rate if importance_learning_rate is not None \
+        else learning_rate
+    if not q_lr > 0:
+        raise ValueError(
+            f"importance_learning_rate must be positive, got {q_lr}")
     batches = CohortBatches(program, datasets, batch_size=batch_size,
                             iterations=iterations, rngs=rngs,
                             importances=importances,
                             sparse_ratios=sparse_ratios)
-    scores = ImportanceIndicator.stack(importances)
-    q_lr = importance_learning_rate if importance_learning_rate is not None \
-        else learning_rate
+    gate_grads = program.gate_gradients()
+    scores = ImportanceIndicator.stack(importances, layout=gate_grads)
+    q = scores.scores.flat
 
-    reference = stack_param_dicts([global_params])
-    program.set_parameters({key: np.repeat(value, cohort, axis=0)
-                            for key, value in reference.items()})
-    # the optimizer steps these arrays in place for the whole round
-    params = program.live_parameters()
-    optimizer = BatchedSGD(learning_rate, momentum=momentum,
-                           clip_norm=clip_norm)
+    reference = params.like()
+    reference.load(stack_param_dicts([global_params] * cohort))
+    program.set_parameters(reference)
+    masks, drift, scratch = params.like(), params.like(), params.like()
+    normalized, targets, units = (gate_grads.like() for _ in range(3))
 
     def derive_patterns():
         """(Eq. 4/5) every client's pattern from its row of ``Q``, installed
-        as stacked gates; returns the patterns and the stacked masks."""
+        as stacked gates and loaded as the stacked masks."""
         patterns = [scores.row(i).pattern(model, sparse_ratios[i])
                     for i in range(cohort)]
         program.set_unit_gates(stack_param_dicts(patterns))
-        return patterns, stack_param_dicts(
-            [build_parameter_mask(model, pattern) for pattern in patterns])
+        masks.load(stack_param_dicts(
+            [build_parameter_mask(model, pattern) for pattern in patterns]))
+        return patterns
 
-    patterns, masks = derive_patterns()
+    patterns = derive_patterns()
     # omega - omega_global: the operand of this step's Eq. 7 gradient is
-    # the one the previous step's L_pr was computed from; the (1, ...)
-    # reference broadcasts along the client axis
-    drift = subtract(params, reference)
+    # the one the previous step's L_pr was computed from
+    np.subtract(params.flat, reference.flat, out=drift.flat)
     factor = 2.0 * prox_mu
     for step in range(batches.steps):
         if refresh_pattern_each_iteration:
-            patterns, masks = derive_patterns()
+            patterns = derive_patterns()
         task_losses = batches.step(step)
 
-        gate_grads = _normalize_gate_gradients(program.gate_gradients())
+        _normalize_gate_gradients(gate_grads, out=normalized)
         # (Eq. 7) proximal pull towards the global parameters, then
         # (Eq. 10) each client's mask over its own gradients: only the
         # retained sub-model's parameters are updated
-        optimizer.step(params, {
-            key: (grad + factor * drift[key]) * masks[key]
-            for key, grad in program.live_gradients().items()})
-        drift = subtract(params, reference)
+        np.multiply(factor, drift.flat, out=scratch.flat)
+        np.add(grads.flat, scratch.flat, out=grads.flat)
+        np.multiply(grads.flat, masks.flat, out=grads.flat)
+        optimizer.step(grads)
+        np.subtract(params.flat, reference.flat, out=drift.flat)
 
         # (Eq. 11) importance update on the stacked scores: normalized
         # straight-through task gradient through the unit gates plus the
-        # Eq. (8) regularizer derived from the POST-step parameters; the
-        # targets depend on the parameters only, so one pass serves the
-        # gradient here and the loss below
-        targets = smoothed_targets(program.unit_weight_magnitudes())
-        reg_grads = scores.regularization_gradient(targets, importance_lambda)
-        scores.apply_gradient(
-            combine_unit_gradients(gate_grads, reg_grads), q_lr)
+        # Eq. (8) regularizer gradient 2 * lambda * (Q - T), with the
+        # targets T derived from the POST-step parameters; they depend on
+        # the parameters only, so one pass serves the gradient here and
+        # the loss below
+        smoothed_targets(program.unit_weight_magnitudes(), out=targets)
+        np.subtract(q, targets.flat, out=units.flat)
+        np.multiply(2.0 * importance_lambda, units.flat, out=units.flat)
+        np.add(normalized.flat, units.flat, out=units.flat)
+        np.multiply(q_lr, units.flat, out=units.flat)
+        np.subtract(q, units.flat, out=q)
+        # L_ir = lambda * ||Q - T||^2 of the updated scores
+        np.subtract(q, targets.flat, out=units.flat)
         batches.losses[:, step] = (
-            task_losses + prox_mu * cohort_squared_norms(drift)
-            + scores.regularization_loss(targets, importance_lambda))
+            task_losses + prox_mu * cohort_squared_norms(drift, scratch)
+            + importance_lambda * cohort_squared_norms(units, units))
 
     # (Alg. 1 lines 23-25) personalized models and masked residuals.  The
     # masks are the ones the round trained with unless Q moved them; the
     # updated ``Q`` shapes the next round's pattern.
     if refresh_pattern_each_iteration:
-        patterns, masks = derive_patterns()
+        patterns = derive_patterns()
     program.set_unit_gates(None)
-    personalized = multiply(params, masks)
-    residual = multiply(subtract(reference, params), masks)
+    personalized, residual = scratch, drift
+    np.multiply(params.flat, masks.flat, out=personalized.flat)
+    np.subtract(reference.flat, params.flat, out=residual.flat)
+    np.multiply(residual.flat, masks.flat, out=residual.flat)
     return [SparseTrainingResult(
         personalized_params=unstack_param_dict(personalized, index),
         residual=unstack_param_dict(residual, index),
@@ -220,22 +243,23 @@ def _sparse_training_program(
         for index, metrics in enumerate(batches.metrics())]
 
 
-def _normalize_gate_gradients(gate_grads: Mapping[str, np.ndarray]
-                              ) -> dict[str, np.ndarray]:
-    """Scale each layer's gate gradient to unit maximum magnitude.
+def _normalize_gate_gradients(gate_grads: Arena, *, out: Arena) -> Arena:
+    """Scale each layer's gate gradient to unit maximum magnitude, into
+    ``out`` (laid out like ``gate_grads``).
 
     The raw straight-through gradient sums over batch and spatial positions,
     so convolution layers produce values orders of magnitude larger than
     fully-connected layers.  Only the relative ordering within a layer matters
     for the quantile threshold of Eq. (4), so each layer is normalized to make
     the importance learning rate meaningful across architectures.  The peak
-    is taken over the last axis — per client on a stacked ``(C, n_units)``
-    gradient — and a row without a positive peak (all zero, or NaN) divides
-    by ``1.0``, a bitwise identity that keeps its sign bits.
+    is ``np.max``'s ``maximum.reduce`` of one flat ``abs`` over the last
+    axis of each layer's ``(C, n_units)`` block — per client — and a row
+    without a positive peak (all zero, or NaN) divides by ``1.0``, a bitwise
+    identity that keeps its sign bits.  The division is one flat call.
     """
-    normalized = {}
-    for name, grad in gate_grads.items():
-        grad = np.asarray(grad, dtype=np.float64)
-        peak = np.max(np.abs(grad), axis=-1, keepdims=True)
-        normalized[name] = grad / np.where(peak > 0, peak, 1.0)
-    return normalized
+    np.abs(gate_grads.flat, out=out.flat)
+    peaks = np.array([np.maximum.reduce(block, axis=-1)
+                      for block in out.values()])
+    divisors = np.where(peaks > 0, peaks, 1.0)
+    np.divide(gate_grads.flat, out.expand(divisors), out=out.flat)
+    return out

@@ -58,6 +58,10 @@ class FedLPS(Strategy):
             raise ValueError(f"pattern_mode must be one of {PATTERN_MODES}")
         if not 0.0 < fixed_ratio <= 1.0:
             raise ValueError("fixed_ratio must be in (0, 1]")
+        if importance_learning_rate is not None \
+                and not importance_learning_rate > 0:
+            raise ValueError("importance_learning_rate must be positive, "
+                             f"got {importance_learning_rate}")
         self.ratio_policy = ratio_policy
         self.pattern_mode = pattern_mode
         self.fixed_ratio = fixed_ratio

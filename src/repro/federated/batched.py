@@ -28,11 +28,12 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..data.dataset import Dataset
+from ..nn.arena import cohort_squared_norms
 from ..nn.batched import BatchedModel, stack_param_dicts, unstack_param_dict
 from ..nn.losses import accuracy_cohort, softmax_cross_entropy_cohort
 from ..nn.model import Sequential
-from ..nn.optim import BatchedSGD, cohort_squared_norms
-from ..nn.params import ParamDict, multiply
+from ..nn.optim import BatchedSGD
+from ..nn.params import ParamDict
 
 __all__ = ["CohortBatches", "LocalUpdateResult", "client_batch_schedule",
            "train_cohort_batched"]
@@ -136,56 +137,68 @@ def _train_program(program, start_params, datasets, *, iterations, batch_size,
                    param_masks, patterns, trainable_keys, rngs
                    ) -> List[LocalUpdateResult]:
     """The generic trainer's one body: local SGD for ``len(datasets)``
-    clients on ``program``, whose arrays carry them on the leading axis."""
+    clients on ``program``, whose arrays carry them on the leading axis.
+
+    The step's bookkeeping is one ufunc call per operation over the flat
+    parameter and gradient arenas (the gradient arena doubles as the
+    step's scratch: ``zero_grad`` refills it before every backward)."""
+    cohort = len(datasets)
     batches = CohortBatches(program, datasets, batch_size=batch_size,
                             iterations=iterations, rngs=rngs,
                             start_params=start_params,
-                            param_masks=param_masks, patterns=patterns)
-
-    starts = stack_param_dicts(start_params)
-    stacked_masks = None if param_masks is None \
-        else stack_param_dicts(param_masks)
-    program.set_parameters(starts if stacked_masks is None
-                           else multiply(starts, stacked_masks))
-    if patterns is not None:
-        program.set_unit_gates(stack_param_dicts(patterns))
-    centers: Optional[ParamDict] = None
-    if prox_mu > 0.0:
-        # each client's own unmasked start (set_parameters loaded a copy), or
-        # the shared center as a (1, ...) stack broadcast along the client axis
-        centers = starts if prox_center is None \
-            else stack_param_dicts([prox_center])
-
-    optimizer = BatchedSGD(learning_rate, momentum=momentum,
-                           clip_norm=clip_norm)
+                            param_masks=param_masks, patterns=patterns,
+                            learning_rate=None if np.ndim(learning_rate) == 0
+                            else learning_rate)
     # the optimizer steps these arrays in place for the whole round
     params = program.live_parameters()
-    # frozen keys step by zeros: the substitution is step-invariant
-    frozen = {} if trainable_keys is None else {
-        key: np.zeros_like(value) for key, value in params.items()
-        if key not in trainable_keys}
+    grads = program.live_gradients()
+    optimizer = BatchedSGD(params, learning_rate, momentum=momentum,
+                           clip_norm=clip_norm)
+
+    starts = stack_param_dicts(start_params)
+    program.set_parameters(starts)
+    masks = None
+    if param_masks is not None:
+        masks = params.like()
+        masks.load(stack_param_dicts(param_masks))
+        np.multiply(params.flat, masks.flat, out=params.flat)
+    if patterns is not None:
+        program.set_unit_gates(stack_param_dicts(patterns))
+    centers = drift = scratch = None
+    if prox_mu > 0.0:
+        # each client's own unmasked start, or the shared center repeated
+        # along the client axis
+        centers = params.like()
+        centers.load(starts if prox_center is None
+                     else stack_param_dicts([prox_center] * cohort))
+        drift, scratch = params.like(), params.like()
+    # frozen keys step by zeros, written over the gradient (a 0/1 mask
+    # would turn an infinite gradient into NaN)
+    frozen = [] if trainable_keys is None else [
+        grad for key, grad in grads.items() if key not in trainable_keys]
 
     for step in range(batches.steps):
         losses = batches.step(step)
-        grads = program.live_gradients()
         if centers is not None:
             # grads + (2 * mu) * (w - center) from the PRE-step drift; the
-            # loss term accumulates the per-key sums in dictionary order
-            drift = {key: value - centers[key] for key, value in params.items()}
-            grads = {key: grad + drift[key] * (2.0 * prox_mu)
-                     for key, grad in grads.items()}
-            losses = losses + prox_mu * cohort_squared_norms(drift)
-        if stacked_masks is not None:
-            grads = {key: grads[key] * stacked_masks[key] for key in grads}
-        if frozen:
-            grads = {key: frozen.get(key, grad) for key, grad in grads.items()}
+            # loss term accumulates the per-key sums in key order
+            np.subtract(params.flat, centers.flat, out=drift.flat)
+            np.multiply(drift.flat, 2.0 * prox_mu, out=scratch.flat)
+            np.add(grads.flat, scratch.flat, out=grads.flat)
+            losses = losses + prox_mu * cohort_squared_norms(drift, scratch)
+        if masks is not None:
+            np.multiply(grads.flat, masks.flat, out=grads.flat)
+        for grad in frozen:
+            grad.fill(0.0)
         batches.losses[:, step] = losses
-        optimizer.step(params, grads)
+        optimizer.step(grads)
     program.set_unit_gates(None)
 
-    if stacked_masks is not None:
-        params = multiply(params, stacked_masks)
-    return [LocalUpdateResult(params=unstack_param_dict(params, index),
+    trained = params
+    if masks is not None:
+        np.multiply(params.flat, masks.flat, out=masks.flat)
+        trained = masks
+    return [LocalUpdateResult(params=unstack_param_dict(trained, index),
                               **metrics)
             for index, metrics in enumerate(batches.metrics())]
 

@@ -7,6 +7,7 @@ FedLPS's learnable sparsification builds on.
 """
 
 from .activations import Dropout, Flatten, ReLU, Sigmoid, Tanh, sigmoid, softmax
+from .arena import Arena, cohort_squared_norms
 from .base import Layer
 from .batched import (BatchedModel, batchable_model, stack_param_dicts,
                       unstack_param_dict)
@@ -16,8 +17,7 @@ from .embedding import Embedding
 from .losses import (accuracy, accuracy_cohort, mean_squared_error,
                      softmax_cross_entropy, softmax_cross_entropy_cohort)
 from .model import Sequential, UnitGroup
-from .optim import (SGD, BatchedSGD, clip_gradients, clip_gradients_cohort,
-                    cohort_grad_norms, cohort_squared_norms, global_grad_norm)
+from .optim import SGD, BatchedSGD, clip_gradients, global_grad_norm
 from .recurrent import LSTM, RNN, LastTimestep
 from .serialization import (load_parameters, nonzero_parameter_bytes,
                             parameter_bytes, save_parameters)
@@ -25,6 +25,7 @@ from . import params
 
 __all__ = [
     "Layer",
+    "Arena",
     "Dense",
     "Conv2d",
     "MaxPool2d",
@@ -47,8 +48,6 @@ __all__ = [
     "stack_param_dicts",
     "unstack_param_dict",
     "clip_gradients",
-    "clip_gradients_cohort",
-    "cohort_grad_norms",
     "cohort_squared_norms",
     "global_grad_norm",
     "softmax",

@@ -41,6 +41,10 @@ class Layer:
     trainable: bool = True
     #: whether structured sparsification may prune this layer's units
     sparsifiable: bool = False
+    #: for a layer whose ``|omega|_J`` is ``sum(|W|, axes) + |b|`` (unit
+    #: ``j`` owning ``W``'s slice ``j`` on the remaining axis and ``b[j]``),
+    #: the ``axes`` of the ``W`` it holds; ``None`` for its own formula
+    unit_weight_axes: Optional[Tuple[int, ...]] = None
     #: attributes holding forward-pass scratch (activations, caches): rebuilt
     #: by the next forward, so pickles and copies carry ``None`` instead
     _scratch: Tuple[str, ...] = ()
@@ -74,11 +78,18 @@ class Layer:
         return state
 
     def zero_grad(self) -> None:
-        """Reset parameter and gate gradients to zero."""
+        """Reset parameter and gate gradients to zero, in place once they
+        exist: a training program's arena views stay bound."""
         for key, value in self.params.items():
-            self.grads[key] = np.zeros_like(value)
+            if key in self.grads:
+                self.grads[key].fill(0.0)
+            else:
+                self.grads[key] = np.zeros_like(value)
         if self.sparsifiable and self.n_units > 0:
-            self.unit_gate_grad = np.zeros(self.n_units, dtype=np.float64)
+            if self.unit_gate_grad is None:
+                self.unit_gate_grad = np.zeros(self.n_units, dtype=np.float64)
+            else:
+                self.unit_gate_grad.fill(0.0)
 
     # ------------------------------------------------------------ unit API
     @property
@@ -159,6 +170,15 @@ class Layer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def summed_unit_magnitude(abs_weights: Array, abs_bias: Array,
+                          axes: Tuple[int, ...],
+                          out: Optional[Array] = None) -> Array:
+    """``sum(|W|, axes) + |b|`` from the absolute values: the ``|omega|_J``
+    of a layer with :attr:`Layer.unit_weight_axes` (the ``np.sum`` /
+    ``+`` ufuncs, called directly)."""
+    return np.add(np.add.reduce(abs_weights, axis=axes), abs_bias, out=out)
 
 
 def as_float(x: Array) -> Array:

@@ -51,16 +51,28 @@ sequential :mod:`repro.nn` layers bit-for-bit:
   index of an evaluation forward) never touch the arithmetic; the shape,
   layout or order of a matmul or ``np.sum`` operand does, so those stay
   exactly as written;
+* element-wise arithmetic is bit-safe at any grouping: each element's
+  result depends on its own operands only, so one ufunc call over a whole
+  flat buffer equals the same ufunc per key (and a per-client operand
+  broadcast along the client axis equals the same operand expanded per
+  element).  Each program therefore keeps its parameters, gradients and
+  gate gradients in one flat :class:`~repro.nn.arena.Arena` each — the
+  layers hold views — and the trainers run their elementwise bookkeeping
+  (proximal pull, masks, clip scales, momentum, the SGD step, the ``Q``
+  update) over the whole arena, while every reduction still runs on a
+  per-key (per-unit-layer) view of unchanged layout: the C-contiguous
+  ``(C, ...)`` stack it always reduced;
 * one client is a cohort of one, but NOT through the batched matmul
   (``(1, N, K) @ (1, K, M)`` against the 2-D GEMM is not a proven
   bit-identity): :class:`CohortOfOne` puts this module's training surface
-  over a single ``Sequential`` with leading-axis views only
-  (``value[None]`` out, ``value[0]`` in — no copy, no arithmetic), so the
-  model's own layers see the client's own 2-D / 4-D batch.  That is the
-  sequential Dense / Conv2d GEMMs, and Dropout, Embedding, LSTM and gated
-  sub-models, which have no batched kernel.  Everything the trainers do
-  downstream of the model (cohort losses, ``BatchedSGD``, squared norms,
-  stacked ``Q``) is in the slice-identical classes above.
+  over a single ``Sequential`` whose arrays live in ``(1, ...)`` arena
+  blocks — its layers hold ``view[0]``, and ``value[0]`` unwraps every
+  stacked input (no arithmetic) — so the model's own layers see the
+  client's own 2-D / 4-D batch.  That is the sequential Dense / Conv2d
+  GEMMs, and Dropout, Embedding, LSTM and gated sub-models, which have no
+  batched kernel.  Everything the trainers do downstream of the model
+  (cohort losses, ``BatchedSGD``, squared norms, stacked ``Q``) is in the
+  slice-identical classes above.
 
 The equivalence suite in ``tests/federated/test_batched.py`` pins this
 contract against the per-client loop across masks, patterns, prox, momentum,
@@ -71,12 +83,13 @@ keeps the loop the trainers used to own (``_reference_train_locally``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .activations import Flatten, ReLU, Sigmoid, Tanh
-from .base import Array, Layer
+from .arena import Arena
+from .base import Array, Layer, summed_unit_magnitude
 from .conv import AvgPool2d, Conv2d, MaxPool2d, _check_fits_kernel, _col2im, _im2col
 from .dense import Dense
 from .model import Sequential, UnitGroup
@@ -144,11 +157,19 @@ class _BatchedLayer:
         return 0
 
     def zero_grad(self) -> None:
+        """Like :meth:`repro.nn.base.Layer.zero_grad`: in place once the
+        arrays exist."""
         for key, value in self.params.items():
-            self.grads[key] = np.zeros_like(value)
+            if key in self.grads:
+                self.grads[key].fill(0.0)
+            else:
+                self.grads[key] = np.zeros_like(value)
         if self.sparsifiable and self.n_units > 0:
-            self.unit_gate_grad = np.zeros((self.cohort, self.n_units),
-                                           dtype=np.float64)
+            if self.unit_gate_grad is None:
+                self.unit_gate_grad = np.zeros((self.cohort, self.n_units),
+                                               dtype=np.float64)
+            else:
+                self.unit_gate_grad.fill(0.0)
 
     def set_unit_gate(self, gate: Optional[Array]) -> None:
         if gate is None:
@@ -176,6 +197,8 @@ class _BatchedLayer:
 class BatchedDense(_BatchedLayer):
     """``C`` affine layers as one ``(C, B, in) @ (C, in, out)`` matmul."""
 
+    unit_weight_axes = (1,)
+
     def __init__(self, template: Dense, cohort: int) -> None:
         self.in_features = template.in_features
         self.out_features = template.out_features
@@ -191,7 +214,9 @@ class BatchedDense(_BatchedLayer):
     def unit_weight_magnitude(self) -> Array:
         """Stacked ``(C, n_units)`` per-unit ``|omega|_J``: ``axis=1`` of the
         stack is slice-identical to the sequential ``axis=0``."""
-        return np.sum(np.abs(self.params["W"]), axis=1) + np.abs(self.params["b"])
+        return summed_unit_magnitude(np.abs(self.params["W"]),
+                                     np.abs(self.params["b"]),
+                                     self.unit_weight_axes)
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
         if x.ndim != 3 or x.shape[0] != self.cohort or x.shape[2] != self.in_features:
@@ -254,6 +279,8 @@ class BatchedDense(_BatchedLayer):
 class BatchedConv2d(_BatchedLayer):
     """``C`` convolutions as one matmul over the cohort's im2col patches."""
 
+    unit_weight_axes = (2, 3, 4)
+
     def __init__(self, template: Conv2d, cohort: int) -> None:
         self.in_channels = template.in_channels
         self.out_channels = template.out_channels
@@ -278,8 +305,9 @@ class BatchedConv2d(_BatchedLayer):
         """Stacked ``(C, n_units)`` per-unit ``|omega|_J``: all trailing axes
         of the stack reduce slice-identically to the sequential
         ``axis=(1, 2, 3)``."""
-        return (np.sum(np.abs(self.params["W"]), axis=(2, 3, 4))
-                + np.abs(self.params["b"]))
+        return summed_unit_magnitude(np.abs(self.params["W"]),
+                                     np.abs(self.params["b"]),
+                                     self.unit_weight_axes)
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
         if x.ndim != 5 or x.shape[0] != self.cohort or x.shape[2] != self.in_channels:
@@ -471,14 +499,115 @@ def _batch_layer(layer: Layer, cohort: int):
         f"layer {layer.name!r} ({type(layer).__name__}) has no batched kernel")
 
 
-class BatchedModel:
+class _ArenaProgram:
+    """The training surface both programs share: parameters, gradients and
+    gate gradients live in one flat :class:`~repro.nn.arena.Arena` each,
+    and every layer holds views into them.
+
+    Arena blocks are ``(C, ...)`` parameter stacks laid out by key and
+    ``(C, n_units)`` gate-gradient rows laid out by unit layer; a layer of
+    one client's ``Sequential`` (:class:`CohortOfOne`) sees ``view[0]`` of
+    its ``(1, ...)`` block.  Nothing rebinds a layer's array while the
+    program lives, so every arena handed out stays live for its lifetime.
+    """
+
+    def _adopt(self, cohort: int, *, per_client: bool) -> None:
+        """Copy the layers' parameters, gradients and gate gradients into
+        fresh arenas and rebind each layer's arrays to their views;
+        ``per_client`` layers hold one client's unstacked arrays."""
+        lead = (1,) if per_client else ()
+        self._held = (lambda view: view[0]) if per_client else (lambda view: view)
+        owned = [(layer, key) for layer in self.layers for key in layer.params]
+        self._params = Arena({f"{layer.name}.{key}": lead + layer.params[key].shape
+                              for layer, key in owned})
+        self._grads = self._params.like()
+        self._gate_grads = Arena({group.layer_name: (cohort, group.n_units)
+                                  for group in self._unit_groups})
+        self._abs: Optional[Arena] = None
+        self._magnitudes = self._gate_grads.like()
+        for (layer, key), param, grad in zip(owned, self._params.values(),
+                                             self._grads.values()):
+            param[...] = layer.params[key]
+            if key in layer.grads:
+                grad[...] = layer.grads[key]
+            layer.params[key] = self._held(param)
+            layer.grads[key] = self._held(grad)
+        for group in self._unit_groups:
+            layer = self.layer_by_name(group.layer_name)
+            gate_grad = self._gate_grads[group.layer_name]
+            if layer.unit_gate_grad is not None:
+                gate_grad[...] = layer.unit_gate_grad
+            layer.unit_gate_grad = self._held(gate_grad)
+
+    def layer_by_name(self, name: str):
+        for layer in self.layers:
+            if layer.name == name:
+                return layer
+        raise KeyError(f"no layer named {name!r}")
+
+    def zero_grad(self) -> None:
+        """One ``fill(0.0)`` per gradient arena: the same bits as fresh
+        zeros (a ``-0.0`` gradient becomes ``+0.0`` either way)."""
+        self._grads.flat.fill(0.0)
+        self._gate_grads.flat.fill(0.0)
+
+    def set_parameters(self, stacked: Mapping[str, np.ndarray]) -> None:
+        """Copy a stacked ``(C, ...)`` parameter snapshot into the arena."""
+        self._params.load(stacked)
+
+    def live_parameters(self) -> Arena:
+        """The live stacked parameter arena (views, no copies) for the
+        in-place step."""
+        return self._params
+
+    def live_gradients(self) -> Arena:
+        """The live stacked gradient arena, valid for the program's life:
+        ``zero_grad`` refills it in place."""
+        return self._grads
+
+    def gate_gradients(self) -> Arena:
+        """The live stacked ``(C, n_units)`` gate-gradient arena, one block
+        per sparsifiable layer in unit-group order."""
+        return self._gate_grads
+
+    def unit_weight_magnitudes(self) -> Arena:
+        """Stacked ``(C, n_units)`` per-unit magnitudes, keyed like the
+        template's ``unit_weight_magnitudes``; row ``c`` is client ``c``'s
+        sequential result bit-for-bit.  One flat ``abs`` of the parameter
+        arena serves every layer with :attr:`~repro.nn.base.Layer.\
+unit_weight_axes` (its views are the C-contiguous ``|W|`` / ``|b|`` the
+        layer's own formula reduces); the others use their own formula.
+        The arena is the program's, rewritten by the next call."""
+        if self._abs is None:
+            self._abs = self._params.like()
+        np.abs(self._params.flat, out=self._abs.flat)
+        held = self._held
+        for group in self._unit_groups:
+            name = group.layer_name
+            layer = self.layer_by_name(name)
+            out = held(self._magnitudes[name])
+            if layer.unit_weight_axes is None:
+                out[...] = layer.unit_weight_magnitude()
+            else:
+                summed_unit_magnitude(held(self._abs[f"{name}.W"]),
+                                      held(self._abs[f"{name}.b"]),
+                                      layer.unit_weight_axes, out=out)
+        return self._magnitudes
+
+    @property
+    def unit_groups(self) -> List[UnitGroup]:
+        return list(self._unit_groups)
+
+
+class BatchedModel(_ArenaProgram):
     """A cohort of ``C`` same-architecture models as one stacked program.
 
     Built from a :class:`~repro.nn.model.Sequential` template; parameters,
     gradients, unit gates and gate gradients all carry a leading client
-    axis.  The layer/parameter layout (keys ``"layer.param"``, unit groups)
-    mirrors the template so per-client slices drop straight into the
-    sequential code paths.
+    axis, and the parameters, gradients and gate gradients live in arenas
+    (:class:`_ArenaProgram`).  The layer/parameter layout (keys
+    ``"layer.param"``, unit groups) mirrors the template so per-client
+    slices drop straight into the sequential code paths.
     """
 
     def __init__(self, template: Sequential, cohort: int) -> None:
@@ -492,6 +621,7 @@ class BatchedModel:
         self.cohort = cohort
         self.layers = [_batch_layer(layer, cohort) for layer in template.layers]
         self._unit_groups: List[UnitGroup] = template.unit_groups
+        self._adopt(cohort, per_client=False)
 
     # ------------------------------------------------------------- forward
     def forward(self, x: Array, *, train: bool = True) -> Array:
@@ -512,87 +642,22 @@ class BatchedModel:
         self.layers[0].backward_params(grad)
         return None
 
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
     # ---------------------------------------------------------- parameters
-    def set_parameters(self, stacked: Mapping[str, np.ndarray]) -> None:
-        """Load a stacked ``(C, ...)`` parameter snapshot."""
-        for layer in self.layers:
-            for key in layer.params:
-                full_key = f"{layer.name}.{key}"
-                if full_key not in stacked:
-                    raise KeyError(f"missing parameter {full_key!r}")
-                value = np.asarray(stacked[full_key], dtype=np.float64)
-                if value.shape != layer.params[key].shape:
-                    raise ValueError(
-                        f"shape mismatch for {full_key!r}: "
-                        f"{value.shape} vs {layer.params[key].shape}")
-                layer.params[key] = np.array(value, copy=True)
-
     def get_parameters(self) -> ParamDict:
-        snapshot: ParamDict = {}
-        for layer in self.layers:
-            for key, value in layer.params.items():
-                snapshot[f"{layer.name}.{key}"] = np.array(value, copy=True)
-        return snapshot
+        return {key: np.array(value, copy=True)
+                for key, value in self._params.items()}
 
     def get_gradients(self) -> ParamDict:
-        grads: ParamDict = {}
-        for layer in self.layers:
-            for key, value in layer.grads.items():
-                grads[f"{layer.name}.{key}"] = np.array(value, copy=True)
-        return grads
-
-    def live_parameters(self) -> Dict[str, np.ndarray]:
-        """The live stacked parameter arrays (no copies) for in-place SGD."""
-        return {f"{layer.name}.{key}": value
-                for layer in self.layers for key, value in layer.params.items()}
-
-    def live_gradients(self) -> Dict[str, np.ndarray]:
-        """The live stacked gradient arrays (no copies).  ``zero_grad``
-        rebinds them, so read this after ``backward`` and do not hold it
-        across steps."""
-        return {f"{layer.name}.{key}": value
-                for layer in self.layers for key, value in layer.grads.items()}
+        return {key: np.array(value, copy=True)
+                for key, value in self._grads.items()}
 
     # --------------------------------------------------------------- units
-    @property
-    def unit_groups(self) -> List[UnitGroup]:
-        return list(self._unit_groups)
-
-    def layer_by_name(self, name: str):
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"no layer named {name!r}")
-
     def set_unit_gates(self, gates: Optional[Mapping[str, np.ndarray]]) -> None:
         """Install per-client ``(C, n_units)`` gates; ``None`` clears them."""
         for group in self._unit_groups:
             layer = self.layer_by_name(group.layer_name)
             layer.set_unit_gate(
                 None if gates is None else gates.get(group.layer_name))
-
-    def gate_gradients(self) -> Dict[str, np.ndarray]:
-        """Stacked ``(C, n_units)`` gate gradients per sparsifiable layer."""
-        grads: Dict[str, np.ndarray] = {}
-        for group in self._unit_groups:
-            layer = self.layer_by_name(group.layer_name)
-            grad = layer.unit_gate_grad
-            grads[group.layer_name] = (
-                np.zeros((self.cohort, group.n_units)) if grad is None
-                else np.array(grad, copy=True))
-        return grads
-
-    def unit_weight_magnitudes(self) -> Dict[str, np.ndarray]:
-        """Stacked ``(C, n_units)`` per-unit magnitudes, keyed like the
-        template's ``unit_weight_magnitudes`` (one entry per sparsifiable
-        layer); row ``c`` is client ``c``'s sequential result bit-for-bit."""
-        return {group.layer_name:
-                self.layer_by_name(group.layer_name).unit_weight_magnitude()
-                for group in self._unit_groups}
 
     # ------------------------------------------------------------- ragged
     def set_batch_counts(self, counts: Optional[Sequence[int]]) -> None:
@@ -609,18 +674,23 @@ class BatchedModel:
             layer.batch_counts = counts
 
 
-class CohortOfOne:
+class CohortOfOne(_ArenaProgram):
     """:class:`BatchedModel`'s training surface over ONE live ``Sequential``,
     trained in place by its own kernels: the C = 1 program of the cohort
-    trainers.  No arithmetic happens here.  Every stacked array handed out
-    is a ``value[None]`` view of the model's live array (an in-place
-    optimizer step on it moves the layer's parameter) and every stacked
-    array taken in is unwrapped with ``value[0]``, so each GEMM and
-    reduction operand is the one a per-client loop would pass.
+    trainers.  No arithmetic happens here.  The model's parameters,
+    gradients and gate gradients move into ``(1, ...)`` arena blocks and its
+    layers hold ``view[0]`` of them (an in-place optimizer step on the
+    arena moves the layer's parameter); every stacked array taken in by
+    :meth:`forward` / :meth:`backward` / :meth:`set_unit_gates` is unwrapped
+    with ``value[0]``, so each GEMM and reduction operand is the one a
+    per-client loop would pass.
     """
 
     def __init__(self, model: Sequential) -> None:
         self.model = model
+        self.layers = model.layers
+        self._unit_groups = model.unit_groups
+        self._adopt(1, per_client=True)
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
         return self.model.forward(x[0], train=train)[None]
@@ -630,36 +700,10 @@ class CohortOfOne:
         grad = self.model.backward(grad_out[0], input_grad=input_grad)
         return None if grad is None else grad[None]
 
-    def zero_grad(self) -> None:
-        self.model.zero_grad()
-
-    def set_parameters(self, stacked: Mapping[str, np.ndarray]) -> None:
-        self.model.set_parameters(_first(stacked))
-
-    def live_parameters(self) -> Dict[str, np.ndarray]:
-        return _lead(self.model.live_parameters())
-
-    def live_gradients(self) -> Dict[str, np.ndarray]:
-        return _lead(self.model.live_gradients())
-
     def set_unit_gates(self, gates: Optional[Mapping[str, np.ndarray]]) -> None:
-        self.model.set_unit_gates(None if gates is None else _first(gates))
-
-    def gate_gradients(self) -> Dict[str, np.ndarray]:
-        return _lead(self.model.gate_gradients())
-
-    def unit_weight_magnitudes(self) -> Dict[str, np.ndarray]:
-        return _lead(self.model.unit_weight_magnitudes())
+        self.model.set_unit_gates(
+            None if gates is None else {key: value[0]
+                                        for key, value in gates.items()})
 
     def set_batch_counts(self, counts: Optional[Sequence[int]]) -> None:
         """Nothing to install: one client's batch is never padded."""
-
-
-def _lead(arrays: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """``(1, ...)`` views of ``arrays``: a cohort of one, sharing memory."""
-    return {key: value[None] for key, value in arrays.items()}
-
-
-def _first(stacked: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Client 0's views of a stacked ``(1, ...)`` dictionary."""
-    return {key: value[0] for key, value in stacked.items()}

@@ -32,7 +32,7 @@ from typing import Tuple
 import numpy as np
 
 from . import initializers
-from .base import Array, Layer, ParamDict, as_float
+from .base import Array, Layer, ParamDict, as_float, summed_unit_magnitude
 
 
 def _check_fits_kernel(name: str, h: int, w: int, kernel: int, padding: int) -> None:
@@ -115,6 +115,7 @@ class Conv2d(Layer):
     # full copy of W
     _scratch = ("_cols", "_x_shape", "_out_hw", "_pre_gate", "_w_mat",
                 "_w_mat_base")
+    unit_weight_axes = (1, 2, 3)
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
                  stride: int = 1, padding: int = 0, name: str = "conv",
@@ -148,15 +149,19 @@ class Conv2d(Layer):
         """``W`` reshaped to ``(out_channels, fan_in)``, cached per array.
 
         ``set_parameters`` replaces the ``W`` array object, so identity of
-        the base array is a sound cache key; in-place optimizer updates keep
+        the ``W`` array is a sound cache key; in-place optimizer updates keep
         the identity (and the cached view sees them for free).  The cache is
         only kept when the reshape is a true view — a copy would silently
-        detach from subsequent in-place updates.
+        detach from subsequent in-place updates.  A view's ``base`` is the
+        buffer that owns the memory, so when ``W`` is itself a view (of a
+        training program's arena) the reshape's base is that buffer, never
+        ``W``: the test is against ``W``'s owner.
         """
         weights = self.params["W"]
         if self._w_mat_base is not weights:
             w_mat = weights.reshape(self.out_channels, -1)
-            if w_mat.base is not weights:
+            owner = weights if weights.base is None else weights.base
+            if w_mat.base is not owner:
                 return w_mat
             self._w_mat = w_mat
             self._w_mat_base = weights
@@ -217,8 +222,9 @@ class Conv2d(Layer):
         return {"W": w_mask, "b": unit_mask.copy()}
 
     def unit_weight_magnitude(self) -> Array:
-        return (np.sum(np.abs(self.params["W"]), axis=(1, 2, 3))
-                + np.abs(self.params["b"]))
+        return summed_unit_magnitude(np.abs(self.params["W"]),
+                                     np.abs(self.params["b"]),
+                                     self.unit_weight_axes)
 
     def flops_per_example(self, input_shape: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
         if len(input_shape) != 3:

@@ -112,9 +112,8 @@ class Sequential:
                 for layer in self.layers for key, value in layer.params.items()}
 
     def live_gradients(self) -> ParamDict:
-        """The live gradient arrays (no copies).  ``zero_grad`` rebinds
-        them, so read this after ``backward`` and do not hold it across
-        steps."""
+        """The live gradient arrays (no copies); ``zero_grad`` refills them
+        in place, so they stay valid across steps."""
         return {f"{layer.name}.{key}": value
                 for layer in self.layers for key, value in layer.grads.items()}
 

@@ -1,10 +1,13 @@
-"""Gradient-descent optimizers operating on parameter dictionaries."""
+"""Gradient-descent optimizers: per-key dictionaries (:class:`SGD`) and
+flat program arenas (:class:`BatchedSGD`)."""
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
 import numpy as np
+
+from .arena import Arena, cohort_squared_norms
 
 ParamDict = Dict[str, np.ndarray]
 
@@ -28,51 +31,6 @@ def clip_gradients(grads: ParamDict, max_norm: float) -> ParamDict:
     return {key: grad * scale for key, grad in grads.items()}
 
 
-def cohort_squared_norms(stacked: ParamDict) -> np.ndarray:
-    """Per-client sum of squares of a stacked ``(C, ...)`` dictionary.
-
-    Row ``c`` reproduces ``sum(np.sum(value[c] ** 2) for value in ...)``
-    bit-for-bit: the accumulation runs over keys in dictionary order, and
-    each per-key last-axis sum over the ``(C, -1)`` view reduces every
-    client's contiguous row with the same tree as the sequential
-    full-array ``np.sum``.  ``np.square`` / ``np.add.reduce`` are what
-    ``** 2`` / ``np.sum`` dispatch to, called directly: this runs per key,
-    up to twice per training step.
-    """
-    totals = 0.0
-    for value in stacked.values():
-        totals = totals + np.add.reduce(
-            np.square(value).reshape(len(value), -1), axis=-1)
-    return totals
-
-
-def cohort_grad_norms(grads: ParamDict) -> np.ndarray:
-    """Per-client L2 norms of a stacked ``(C, ...)`` gradient dictionary,
-    each equal to :func:`global_grad_norm` on that client's slice."""
-    return np.sqrt(cohort_squared_norms(grads))
-
-
-def clip_gradients_cohort(grads: ParamDict, max_norm: float) -> ParamDict:
-    """Per-client global-norm clipping on stacked ``(C, ...)`` gradients.
-
-    Unclipped clients keep an exact scale of ``1.0`` — ``x * 1.0`` is a
-    bitwise identity for every float (including ``-0.0``/inf/nan) — and the
-    dictionary is returned unchanged when no client clips, matching
-    :func:`clip_gradients` exactly per slice.
-    """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    norms = cohort_grad_norms(grads)
-    # ``not (norm <= max_norm)``: a NaN norm clips (to NaN) as it does
-    # sequentially, and a zero norm never does because max_norm > 0
-    clipped = ~(norms <= max_norm)
-    if not clipped.any():
-        return grads
-    scales = np.divide(max_norm, norms, out=np.ones_like(norms), where=clipped)
-    return {key: grad * scales.reshape((-1,) + (1,) * (grad.ndim - 1))
-            for key, grad in grads.items()}
-
-
 class SGD:
     """Stochastic gradient descent with optional momentum, weight decay and
     global-norm gradient clipping.
@@ -81,8 +39,6 @@ class SGD:
     ``{name: array}`` dictionaries so that the federated stack can apply it to
     any parameter snapshot (global model, personalized model, masked model).
     """
-
-    _clip = staticmethod(clip_gradients)
 
     def __init__(self, lr: float, *, momentum: float = 0.0,
                  weight_decay: float = 0.0,
@@ -99,13 +55,10 @@ class SGD:
         self.clip_norm = clip_norm
         self._velocity: ParamDict = {}
 
-    def _scaled(self, update: np.ndarray) -> np.ndarray:
-        return self.lr * update
-
     def step(self, params: ParamDict, grads: ParamDict) -> None:
         """Update ``params`` in place from ``grads``."""
         if self.clip_norm is not None:
-            grads = self._clip(grads, self.clip_norm)
+            grads = clip_gradients(grads, self.clip_norm)
         for key, param in params.items():
             grad = grads.get(key)
             if grad is None:
@@ -121,37 +74,65 @@ class SGD:
                 update = velocity
             else:
                 update = grad
-            param -= self._scaled(update)
+            param -= self.lr * update
 
     def reset_state(self) -> None:
         """Drop momentum buffers (used when a fresh local round starts)."""
         self._velocity = {}
 
 
-class BatchedSGD(SGD):
-    """:class:`SGD` over stacked ``(C, ...)`` cohort parameters.
+class BatchedSGD:
+    """:class:`SGD` over a program's stacked ``(C, ...)`` parameter arena.
 
-    The step is :meth:`SGD.step` itself (element-wise, so every client slice
-    takes the sequential optimizer's step) with two substitutions: clipping
-    is per-client (:func:`clip_gradients_cohort`) and the learning rate may
-    be a ``(C,)`` vector broadcast along the client axis.
+    Every operation of the step is one ufunc call over the whole arena
+    (element-wise, so every client's slice takes the sequential optimizer's
+    step, operand for operand) with two substitutions: clipping is
+    per-client — each client's norm is its own :func:`global_grad_norm`,
+    from :func:`cohort_squared_norms` — and the learning rate may be a
+    ``(C,)`` vector, expanded once into a per-element vector.  Unclipped
+    clients keep an exact scale of ``1.0`` — ``x * 1.0`` is a bitwise
+    identity for every float (including ``-0.0``/inf/nan) — and nothing is
+    scaled when no client clips, matching :func:`clip_gradients` per slice.
     """
 
-    _clip = staticmethod(clip_gradients_cohort)
-
-    def __init__(self, lr, *, momentum: float = 0.0,
-                 weight_decay: float = 0.0,
+    def __init__(self, params: Arena, lr, *, momentum: float = 0.0,
                  clip_norm: Optional[float] = None) -> None:
         if isinstance(lr, np.ndarray):
             lr = np.asarray(lr, dtype=np.float64)
             if lr.ndim != 1 or np.any(lr <= 0):
                 raise ValueError("per-client learning rates must be a "
                                  "positive 1-D vector")
-        super().__init__(lr, momentum=momentum, weight_decay=weight_decay,
-                         clip_norm=clip_norm)
+            lr = params.expand(lr)
+        elif lr <= 0:
+            raise ValueError("learning rate must be positive")
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if clip_norm is not None and clip_norm <= 0:
+            raise ValueError("max_norm must be positive")
+        self.params = params
+        self.lr = lr
+        self.momentum = momentum
+        self.clip_norm = clip_norm
+        self._velocity = params.like() if momentum > 0.0 else None
+        self._squares = params.like() if clip_norm is not None else None
 
-    def _scaled(self, update: np.ndarray) -> np.ndarray:
-        if isinstance(self.lr, np.ndarray):
-            return self.lr.reshape(
-                (update.shape[0],) + (1,) * (update.ndim - 1)) * update
-        return self.lr * update
+    def step(self, grads: Arena) -> None:
+        """Update the parameters in place from ``grads`` (laid out like
+        them), which the step consumes as its scratch."""
+        grad = grads.flat
+        if self.clip_norm is not None:
+            norms = np.sqrt(cohort_squared_norms(grads, self._squares))
+            # ``not (norm <= max_norm)``: a NaN norm clips (to NaN) as it
+            # does sequentially, and a zero norm never does (max_norm > 0)
+            clipped = ~(norms <= self.clip_norm)
+            if clipped.any():
+                scales = np.divide(self.clip_norm, norms,
+                                   out=np.ones_like(norms), where=clipped)
+                np.multiply(grad, grads.expand(scales), out=grad)
+        update = grad
+        if self._velocity is not None:
+            update = self._velocity.flat
+            np.multiply(self.momentum, update, out=update)
+            np.add(update, grad, out=update)
+        np.multiply(self.lr, update, out=grad)
+        np.subtract(self.params.flat, grad, out=self.params.flat)

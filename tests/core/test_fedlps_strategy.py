@@ -35,6 +35,14 @@ class TestFedLPSConstruction:
         with pytest.raises(ValueError):
             FedLPS(fixed_ratio=0.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.1])
+    def test_non_positive_importance_rate_fails_at_construction(self, rate):
+        with pytest.raises(ValueError, match="importance_learning_rate"):
+            FedLPS(importance_learning_rate=rate)
+
+    def test_importance_rate_none_shares_the_model_rate(self):
+        assert FedLPS(importance_learning_rate=None).importance_learning_rate is None
+
     def test_name_reflects_variant(self):
         assert FedLPS().name == "fedlps"
         assert "fixed" in FedLPS(ratio_policy="fixed").name

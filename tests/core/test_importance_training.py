@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import (FedLPS, ImportanceIndicator, accuracy_utility,
-                        combine_unit_gradients, initialize_importance,
-                        learnable_sparse_training, utility_gain)
-from repro.core.importance import smoothed_unit_magnitudes
+                        initialize_importance, learnable_sparse_training,
+                        utility_gain)
+from repro.core.importance import smoothed_targets, smoothed_unit_magnitudes
+from repro.nn import Arena
 from repro.data import Dataset
 from repro.models import build_mlp
 from repro.nn.params import l2_norm
@@ -44,29 +45,13 @@ class TestImportanceIndicator:
         for group in small_mlp.unit_groups:
             assert pattern[group.layer_name].sum() == units_to_keep(group.n_units, 0.5)
 
-    def test_apply_gradient_moves_scores(self, small_mlp):
-        importance = initialize_importance(small_mlp, seed=0)
-        before = importance.scores["fc1"].copy()
-        grads = {name: np.ones_like(values)
-                 for name, values in importance.scores.items()}
-        importance.apply_gradient(grads, 0.1)
-        np.testing.assert_allclose(importance.scores["fc1"], before - 0.1)
-
-    def test_apply_gradient_validates(self, small_mlp):
-        importance = initialize_importance(small_mlp, seed=0)
-        with pytest.raises(ValueError):
-            importance.apply_gradient({}, 0.0)
-        with pytest.raises(ValueError):
-            importance.apply_gradient({"fc1": np.zeros(3)}, 0.1)
-
-    def test_regularization_pulls_towards_targets(self, small_mlp):
-        importance = initialize_importance(small_mlp, seed=0)
-        targets = smoothed_unit_magnitudes(small_mlp)
-        importance.scores = {name: values + 1.0 for name, values in targets.items()}
-        grads = importance.regularization_gradient(targets, 0.5)
-        for values in grads.values():
-            np.testing.assert_allclose(values, 1.0)  # 2 * 0.5 * (Q - target)
-        assert importance.regularization_loss(targets, 0.5) > 0
+    def test_targets_land_in_the_given_arena(self, small_mlp):
+        magnitudes = small_mlp.unit_weight_magnitudes()
+        fresh = smoothed_targets(magnitudes)
+        assert isinstance(fresh, Arena) and list(fresh) == list(magnitudes)
+        out = fresh.like()
+        assert smoothed_targets(Arena.of(magnitudes), out=out) is out
+        np.testing.assert_array_equal(out.flat, fresh.flat)
 
     def test_vector_roundtrip(self, small_mlp):
         importance = initialize_importance(small_mlp, seed=0)
@@ -75,11 +60,6 @@ class TestImportanceIndicator:
 
 
 class TestCoreLosses:
-    def test_combine_unit_gradients(self):
-        combined = combine_unit_gradients({"fc": np.array([1.0])},
-                                          {"fc": np.array([0.5])})
-        np.testing.assert_allclose(combined["fc"], [1.5])
-
     def test_utility_function_properties(self):
         assert accuracy_utility(0.0) == pytest.approx(0.0)
         assert accuracy_utility(90.0) > accuracy_utility(10.0)
@@ -109,6 +89,26 @@ class TestLearnableSparseTraining:
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):
             self._run(sparse_ratio=0.0)
+
+    @pytest.mark.parametrize("iterations", [8, 0])
+    @pytest.mark.parametrize("rate", [0.0, -0.1])
+    def test_non_positive_importance_rate_is_rejected_untouched(self, rate,
+                                                                iterations):
+        before = self.model.get_parameters()
+        with pytest.raises(ValueError, match="importance_learning_rate"):
+            self._run(importance_learning_rate=rate, iterations=iterations)
+        for key, value in self.model.get_parameters().items():
+            np.testing.assert_array_equal(value, before[key])
+
+    def test_regularizer_pulls_scores_towards_targets(self):
+        targets = smoothed_unit_magnitudes(self.model)
+        self.importance = ImportanceIndicator(
+            {name: values + 1.0 for name, values in targets.items()})
+        result = self._run(iterations=1, importance_lambda=5.0,
+                           importance_learning_rate=0.02)
+        after = smoothed_unit_magnitudes(self.model)
+        for name, values in result.importance.scores.items():
+            assert np.all(np.abs(values - after[name]) < 1.0)
 
     def test_residual_and_personalized_respect_mask(self):
         result = self._run()

@@ -177,6 +177,17 @@ class TestTrainCohortBatched:
             rngs=[np.random.default_rng(60 + i) for i in range(2)])
         _assert_results_equal(loop, batched)
 
+    @pytest.mark.parametrize("rates", [[0.1, 0.1, 0.1], [0.1]])
+    def test_wrong_length_learning_rates_fail_at_the_boundary(self, rates):
+        model = _model()
+        datasets = [_dataset(10, 90 + i) for i in range(2)]
+        with pytest.raises(ValueError,
+                           match="learning_rate must have one entry per client"):
+            train_cohort_batched(
+                model, [model.get_parameters()] * 2, datasets, iterations=3,
+                batch_size=8, learning_rate=np.asarray(rates),
+                rngs=[np.random.default_rng(60 + i) for i in range(2)])
+
 
 class TestLearnableSparseCohort:
     @pytest.mark.parametrize("sizes,kwargs", [

@@ -53,11 +53,11 @@ from repro.data.dataset import Dataset
 from repro.federated import (LocalUpdateResult, client_batch_schedule,
                              train_cohort_batched, train_locally)
 from repro.models import build_cnn, build_lstm_lm, build_mlp
-from repro.nn import (BatchedModel, BatchedSGD, Dense, Dropout, MaxPool2d,
-                      ReLU, Sequential, accuracy, accuracy_cohort,
-                      clip_gradients_cohort, cohort_grad_norms, sigmoid,
-                      softmax, softmax_cross_entropy,
-                      softmax_cross_entropy_cohort, stack_param_dicts)
+from repro.nn import (Arena, BatchedModel, BatchedSGD, Dense, Dropout,
+                      MaxPool2d, ReLU, Sequential, accuracy, accuracy_cohort,
+                      cohort_squared_norms, sigmoid, softmax,
+                      softmax_cross_entropy, softmax_cross_entropy_cohort,
+                      stack_param_dicts)
 from repro.nn.batched import BatchedConv2d, CohortOfOne
 from repro.nn.conv import _col2im, _im2col, _pool_index, _unfold_index
 from repro.nn.params import add_, copy_params, multiply, scale_, subtract
@@ -336,7 +336,9 @@ class TestMaxPool:
 
 # ------------------------------------------ backward without input gradient
 def _accumulated(model):
-    return model.get_gradients(), model.gate_gradients()
+    # a program's gate gradients are its live arena: copy before the rerun
+    return model.get_gradients(), {name: np.array(value) for name, value
+                                   in model.gate_gradients().items()}
 
 
 def _assert_same_accumulation(first, second):
@@ -1246,21 +1248,29 @@ class TestCohortOfOne:
         before = model.get_parameters()
         grads = {key: np.array(value) for key, value in
                  program.live_gradients().items()}
-        BatchedSGD(0.1).step(program.live_parameters(), grads)
+        BatchedSGD(program.live_parameters(), 0.1).step(
+            program.live_gradients())
         for key, value in model.live_parameters().items():
             _assert_same_bits(value, before[key] - 0.1 * grads[key][0])
         assert np.any(model.live_parameters()["head.W"] != before["head.W"])
 
-    def test_a_zero_grad_rebinding_is_picked_up(self):
+    def test_zero_grad_keeps_every_array_bound(self):
         model = build_mlp(6, [5, 4], 3, seed=1)
         program, _, _ = self._trained_step(model)
-        stale = program.live_gradients()
-        assert np.any(stale["head.W"])
+        held = program.live_gradients()
+        layer_grads = model.live_gradients()
+        gate_grads = {name: model.layer_by_name(name).unit_gate_grad
+                      for name in program.gate_gradients()}
+        assert np.any(held["head.W"])
         program.zero_grad()
-        fresh = program.live_gradients()
+        assert program.live_gradients() is held
         for key, value in model.live_gradients().items():
-            assert np.shares_memory(fresh[key], value)
-            assert not np.any(fresh[key])
+            assert value is layer_grads[key]
+            assert np.shares_memory(held[key], value)
+            assert not np.any(held[key])
+        for name, value in gate_grads.items():
+            assert model.layer_by_name(name).unit_gate_grad is value
+            assert not np.any(value)
 
     def test_set_parameters_and_gates_unwrap_the_client_axis(self):
         model = build_mlp(6, [5, 4], 3, seed=1)
@@ -1299,18 +1309,21 @@ class TestCohortClipping:
             "overflow-underflow", "c16"])
     def test_norms_and_clipping_match_the_per_client_loop(self, scales):
         grads = self._grads(scales)
+        arena = Arena.of(grads)
+        optimizer = BatchedSGD(arena.like(), 1.0, clip_norm=0.5)
         with np.errstate(all="ignore"):
-            _assert_same_bits(cohort_grad_norms(grads),
+            _assert_same_bits(np.sqrt(cohort_squared_norms(arena, arena.like())),
                               _reference_cohort_grad_norms(grads))
-            got = clip_gradients_cohort(grads, 0.5)
+            # the step leaves lr * (clipped gradient) in its gradient
+            # arena, and x * 1.0 is a bitwise identity
+            optimizer.step(arena)
             want = _reference_clip_gradients_cohort(grads, 0.5)
-        assert (got is grads) == (want is grads)
         for key in want:
-            _assert_same_bits(got[key], want[key])
+            _assert_same_bits(arena[key], want[key])
 
     def test_rejects_a_non_positive_bound(self):
         with pytest.raises(ValueError, match="max_norm must be positive"):
-            clip_gradients_cohort(self._grads([1.0]), 0.0)
+            BatchedSGD(Arena.of(self._grads([1.0])), 0.1, clip_norm=0.0)
 
 
 class TestCohortLosses:
@@ -1335,6 +1348,15 @@ class TestCohortLosses:
 class TestImportanceBranchRows:
     """The per-row branches of the stacked Eq. 8 targets and of the
     gate-gradient normalisation, each against the 1-D reference."""
+
+    @staticmethod
+    def _normalize(gate_grads):
+        """``_normalize_gate_gradients`` on ``(C, n)`` stacks or 1-D rows."""
+        stacked = Arena.of({name: np.atleast_2d(value)
+                            for name, value in gate_grads.items()})
+        normalized = _normalize_gate_gradients(stacked, out=stacked.like())
+        return {name: normalized[name].reshape(np.shape(value))
+                for name, value in gate_grads.items()}
 
     @staticmethod
     def _rows_match(stacked_fn, reference_fn, stack):
@@ -1371,7 +1393,7 @@ class TestImportanceBranchRows:
     def test_all_zero_gate_gradient_is_returned_unchanged(self):
         stack = np.array([[0.0, -0.0, 0.0, -0.0], [0.5, -2.0, 0.0, -0.0],
                           [-0.0, -0.0, -0.0, -0.0], [5e-324, 0.0, -5e-324, 0.0]])
-        normalized = self._rows_match(_normalize_gate_gradients,
+        normalized = self._rows_match(self._normalize,
                                       _reference_normalize_gate_gradients, stack)
         for zero_row in (0, 2):
             _assert_same_bits(normalized[zero_row], stack[zero_row])
@@ -1380,27 +1402,23 @@ class TestImportanceBranchRows:
     def test_nan_and_inf_gate_gradients(self):
         stack = np.array([[1.0, np.nan, -2.0], [np.inf, 1.0, -0.0],
                           [np.nan, np.nan, np.nan], [1.0, 2.0, 4.0]])
-        self._rows_match(_normalize_gate_gradients,
+        self._rows_match(self._normalize,
                          _reference_normalize_gate_gradients, stack)
 
     def test_stacked_indicator_round_trips_its_rows(self):
         model = build_mlp(6, [5, 4], 3, seed=1)
         singles = [initialize_importance(model, seed=i) for i in range(3)]
-        stacked = ImportanceIndicator.stack(singles)
-        targets = smoothed_targets(
-            {name: np.stack([values] * 3)
-             for name, values in model.unit_weight_magnitudes().items()})
-        losses = stacked.regularization_loss(targets, 0.7)
-        gradients = stacked.regularization_gradient(targets, 0.7)
-        stacked.apply_gradient(gradients, 0.05)
-        for index, single in enumerate(singles):
-            row_targets = {name: values[index] for name, values in targets.items()}
-            _assert_same_bits(
-                np.float64(losses[index]),
-                np.float64(_reference_regularization_loss(single, row_targets, 0.7)))
-            _reference_apply_gradient(single, _reference_regularization_gradient(
-                single, row_targets, 0.7), 0.05)
-            row = stacked.row(index)
-            for name, values in single.scores.items():
-                _assert_same_bits(row.scores[name], values)
-                assert row.scores[name].base is None
+        layout = BatchedModel(model, 3).gate_gradients()
+        # an indicator listing its layers in another order still lands in
+        # the program's unit-group order
+        shuffled = [ImportanceIndicator(dict(reversed(single.scores.items())))
+                    for single in singles]
+        for stacked in (ImportanceIndicator.stack(singles),
+                        ImportanceIndicator.stack(shuffled, layout=layout)):
+            assert isinstance(stacked.scores, Arena)
+            assert list(stacked.scores) == list(layout)
+            for index, single in enumerate(singles):
+                row = stacked.row(index)
+                for name, values in single.scores.items():
+                    _assert_same_bits(row.scores[name], values)
+                    assert row.scores[name].base is None

@@ -12,6 +12,12 @@ values.  CI runs this file first and prints ``numpy.__version__`` — a numpy
 whose reduction order differs fails here by name, in seconds, instead of as
 thirty golden-history mismatches.
 
+Also here, the identities the flat arenas of ``repro.nn.arena`` rest on: a
+per-key element-wise step equals the same ufunc over the whole key-major
+buffer (with per-client operands expanded per element), ``x ** 2`` is
+``np.square(x)``, and the Eq. 8 targets' one-mean spelling of ``np.mean`` /
+``np.std`` reproduces both calls.
+
 What is NOT in the class, and so not here: a reduction with the kept axis in
 the middle (the conv gate gradient's ``axis=(0, 2, 3)``), which
 ``repro.nn.batched`` still runs per client.
@@ -23,6 +29,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.importance import _mean_and_std
+from repro.nn import Arena
 from test_kernel_equivalence import _assert_same_bits, _awkward_array
 
 COHORTS = st.sampled_from([1, 2, 3, 16])
@@ -115,3 +123,63 @@ def test_dense_unit_magnitudes(cohort, length, units, scale, nonfinite, seed):
         for index in range(cohort):
             _assert_same_bits(whole[index],
                               np.sum(np.abs(stack[index]), axis=0))
+
+
+@PROFILE
+@given(cohort=COHORTS, length=LENGTHS, scale=SCALES, nonfinite=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_one_mean_std(cohort, length, scale, nonfinite, seed):
+    """The Eq. 8 targets' statistics: the reused mean is ``np.mean``, the
+    std from it ``np.std``, both ``axis=-1, keepdims=True``, and the
+    centered values ``values - np.mean(...)`` — on stacks and 1-D rows."""
+    stack = _stack((cohort, length), seed, scale, nonfinite)
+    with np.errstate(all="ignore"):
+        for values in (stack, stack[0]):
+            centered = np.empty_like(values)
+            mean, std = _mean_and_std(values, centered=centered)
+            want_mean = np.mean(values, axis=-1, keepdims=True)
+            _assert_same_bits(mean, want_mean)
+            _assert_same_bits(std, np.std(values, axis=-1, keepdims=True))
+            _assert_same_bits(centered, values - want_mean)
+
+
+@PROFILE
+@given(cohort=COHORTS, length=LENGTHS, scale=SCALES, nonfinite=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_power_two_is_square(cohort, length, scale, nonfinite, seed):
+    """``L_ir`` and the squared norms used ``x ** 2``; the arenas call
+    ``np.square``."""
+    stack = _stack((cohort, length), seed, scale, nonfinite)
+    with np.errstate(all="ignore"):
+        _assert_same_bits(stack ** 2, np.square(stack))
+
+
+#: a parameter-shaped layout: conv kernel, bias, dense matrix, bias
+_LAYOUT = (("conv.W", (3, 2, 3, 3)), ("conv.b", (3,)), ("fc.W", (37, 5)),
+           ("fc.b", (5,)))
+
+
+@PROFILE
+@given(cohort=COHORTS, scale=SCALES, nonfinite=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_flat_step_is_the_per_key_step(cohort, scale, nonfinite, seed):
+    """One ufunc over a key-major arena against the same ufunc per key:
+    the masked proximal gradient, a per-client scale broadcast along the
+    client axis (expanded per element on the flat side) and the step."""
+    def arena(offset):
+        return Arena.of({key: _stack((cohort,) + shape, seed + offset + index,
+                                     scale, nonfinite)
+                         for index, (key, shape) in enumerate(_LAYOUT)})
+
+    params, grads, drift, masks = arena(0), arena(10), arena(20), arena(30)
+    rates = np.abs(_stack((cohort,), seed + 40, 1.0, nonfinite))
+    with np.errstate(all="ignore"):
+        want = {key: params[key] - rates.reshape((-1,) + (1,) * len(shape))
+                * ((grads[key] + 0.6 * drift[key]) * masks[key])
+                for key, shape in _LAYOUT}
+        step = np.add(grads.flat, np.multiply(0.6, drift.flat))
+        np.multiply(step, masks.flat, out=step)
+        np.multiply(params.expand(rates), step, out=step)
+        np.subtract(params.flat, step, out=params.flat)
+    for key, _ in _LAYOUT:
+        _assert_same_bits(params[key], want[key])
