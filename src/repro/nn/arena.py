@@ -34,16 +34,19 @@ class Arena(Mapping[str, np.ndarray]):
 
     def __init__(self, layout: Mapping[str, Tuple[int, ...]],
                  flat: Optional[np.ndarray] = None) -> None:
-        self._shapes = {key: tuple(int(n) for n in shape)
-                        for key, shape in layout.items()}
-        sizes = [math.prod(shape) for shape in self._shapes.values()]
-        self.flat = np.zeros(sum(sizes)) if flat is None else flat
-        self._views = {}
-        offset = 0
-        for (key, shape), size in zip(self._shapes.items(), sizes):
-            self._views[key] = self.flat[offset:offset + size].reshape(shape)
-            offset += size
-        self._runs: Optional[np.ndarray] = None
+        blocks, stop = [], 0
+        for key, shape in layout.items():
+            shape = tuple(int(n) for n in shape)
+            start, stop = stop, stop + math.prod(shape)
+            blocks.append((key, shape, start, stop))
+        self._bind(blocks, np.zeros(stop) if flat is None else flat)
+
+    def _bind(self, blocks: list, flat: np.ndarray) -> None:
+        self._blocks = blocks
+        self.flat = flat
+        self._views = {key: flat[start:stop].reshape(shape)
+                       for key, shape, start, stop in blocks}
+        self._index = {}
 
     @classmethod
     def of(cls, arrays: Mapping[str, np.ndarray]) -> "Arena":
@@ -55,7 +58,9 @@ class Arena(Mapping[str, np.ndarray]):
 
     def like(self) -> "Arena":
         """A fresh zeroed arena with the same layout."""
-        return Arena(self._shapes)
+        arena = object.__new__(Arena)
+        arena._bind(self._blocks, np.zeros(self.flat.size))
+        return arena
 
     def load(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Copy ``arrays`` into the views: every key must be present with
@@ -73,13 +78,16 @@ class Arena(Mapping[str, np.ndarray]):
         """A flat per-element vector from per-client ``(C,)`` values, or
         from per-key-and-client ``(len(self), C)`` values: element ``i`` of
         key ``k``'s row ``c`` gets ``values[c]`` / ``values[k, c]``."""
-        if self._runs is None:
-            self._runs = np.array(
-                [math.prod(shape[1:]) for shape in self._shapes.values()
-                 for _ in range(shape[0])], dtype=np.intp)
         values = np.asarray(values, dtype=np.float64)
-        per_row = np.broadcast_to(values, (len(self), values.shape[-1]))
-        return np.repeat(per_row.ravel(), self._runs)
+        index = self._index.get(values.ndim)
+        if index is None:
+            # every element's row k * C + c, each row run in memory order
+            sizes = [math.prod(shape[1:]) for _, shape, _, _ in self._blocks
+                     for _ in range(shape[0])]
+            rows = np.repeat(np.arange(len(sizes)), sizes)
+            index = rows if values.ndim == 2 else rows % values.shape[0]
+            self._index[values.ndim] = index
+        return np.take(values, index)
 
     def __getitem__(self, key: str) -> np.ndarray:
         return self._views[key]
@@ -92,10 +100,11 @@ class Arena(Mapping[str, np.ndarray]):
 
     def __reduce__(self):
         # pickles and copies rebuild the views over their own buffer
-        return Arena, (self._shapes, self.flat)
+        return Arena, ({key: shape for key, shape, _, _ in self._blocks},
+                       self.flat)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Arena({self._shapes!r})"
+        return f"Arena({[block[:2] for block in self._blocks]!r})"
 
 
 def cohort_squared_norms(values: Arena, out: Arena) -> np.ndarray:

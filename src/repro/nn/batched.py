@@ -521,23 +521,24 @@ class _ArenaProgram:
         self._params = Arena({f"{layer.name}.{key}": lead + layer.params[key].shape
                               for layer, key in owned})
         self._grads = self._params.like()
-        self._gate_grads = Arena({group.layer_name: (cohort, group.n_units)
-                                  for group in self._unit_groups})
-        self._abs: Optional[Arena] = None
-        self._magnitudes = self._gate_grads.like()
+        np.concatenate([layer.params[key].ravel() for layer, key in owned],
+                       out=self._params.flat)
+        if all(key in layer.grads for layer, key in owned):
+            np.concatenate([layer.grads[key].ravel() for layer, key in owned],
+                           out=self._grads.flat)
         for (layer, key), param, grad in zip(owned, self._params.values(),
                                              self._grads.values()):
-            param[...] = layer.params[key]
-            if key in layer.grads:
-                grad[...] = layer.grads[key]
             layer.params[key] = self._held(param)
             layer.grads[key] = self._held(grad)
+        self._gate_grads = Arena({group.layer_name: (cohort, group.n_units)
+                                  for group in self._unit_groups})
         for group in self._unit_groups:
             layer = self.layer_by_name(group.layer_name)
             gate_grad = self._gate_grads[group.layer_name]
             if layer.unit_gate_grad is not None:
                 gate_grad[...] = layer.unit_gate_grad
             layer.unit_gate_grad = self._held(gate_grad)
+        self._abs: Optional[Arena] = None
 
     def layer_by_name(self, name: str):
         for layer in self.layers:
@@ -580,18 +581,22 @@ unit_weight_axes` (its views are the C-contiguous ``|W|`` / ``|b|`` the
         The arena is the program's, rewritten by the next call."""
         if self._abs is None:
             self._abs = self._params.like()
+            self._magnitudes = self._gate_grads.like()
+            held = self._held
+            self._magnitude_plan = [
+                (layer, held(self._magnitudes[name]),
+                 None if layer.unit_weight_axes is None
+                 else (held(self._abs[f"{name}.W"]), held(self._abs[f"{name}.b"])))
+                for name, layer in ((group.layer_name,
+                                     self.layer_by_name(group.layer_name))
+                                    for group in self._unit_groups)]
         np.abs(self._params.flat, out=self._abs.flat)
-        held = self._held
-        for group in self._unit_groups:
-            name = group.layer_name
-            layer = self.layer_by_name(name)
-            out = held(self._magnitudes[name])
-            if layer.unit_weight_axes is None:
+        for layer, out, absolute in self._magnitude_plan:
+            if absolute is None:
                 out[...] = layer.unit_weight_magnitude()
             else:
-                summed_unit_magnitude(held(self._abs[f"{name}.W"]),
-                                      held(self._abs[f"{name}.b"]),
-                                      layer.unit_weight_axes, out=out)
+                summed_unit_magnitude(*absolute, layer.unit_weight_axes,
+                                      out=out)
         return self._magnitudes
 
     @property
