@@ -144,32 +144,18 @@ class _BatchedLayer:
         self.params: ParamDict = {
             key: np.repeat(value[None], cohort, axis=0)
             for key, value in template.params.items()}
+        # the gradient and gate-gradient storage is the program's: a
+        # BatchedModel binds them to views of its arenas
         self.grads: ParamDict = {}
         self.unit_gate: Optional[Array] = None
         self.unit_gate_grad: Optional[Array] = None
         #: per-client real-row counts when the padded batch is ragged;
         #: ``None`` selects the fully batched reductions
         self.batch_counts: Optional[np.ndarray] = None
-        self.zero_grad()
 
     @property
     def n_units(self) -> int:
         return 0
-
-    def zero_grad(self) -> None:
-        """Like :meth:`repro.nn.base.Layer.zero_grad`: in place once the
-        arrays exist."""
-        for key, value in self.params.items():
-            if key in self.grads:
-                self.grads[key].fill(0.0)
-            else:
-                self.grads[key] = np.zeros_like(value)
-        if self.sparsifiable and self.n_units > 0:
-            if self.unit_gate_grad is None:
-                self.unit_gate_grad = np.zeros((self.cohort, self.n_units),
-                                               dtype=np.float64)
-            else:
-                self.unit_gate_grad.fill(0.0)
 
     def set_unit_gate(self, gate: Optional[Array]) -> None:
         if gate is None:
@@ -429,9 +415,6 @@ class _FoldedLayer:
         self.batch_counts = None
         self._lead: Optional[Tuple[int, int]] = None
 
-    def zero_grad(self) -> None:
-        pass
-
     def forward(self, x: Array, *, train: bool = True) -> Array:
         self._lead = x.shape[:2]
         folded = x.reshape((x.shape[0] * x.shape[1],) + x.shape[2:])
@@ -463,9 +446,6 @@ class _BatchedFlatten:
         self.grads: ParamDict = {}
         self.batch_counts = None
         self._input_shape: Optional[Tuple[int, ...]] = None
-
-    def zero_grad(self) -> None:
-        pass
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
         self._input_shape = x.shape
