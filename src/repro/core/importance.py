@@ -92,15 +92,12 @@ class ImportanceIndicator:
 
     @classmethod
     def stack(cls, indicators: Sequence["ImportanceIndicator"], *,
-              layout: Optional[Arena] = None) -> "ImportanceIndicator":
+              layout: Arena) -> "ImportanceIndicator":
         """One indicator holding copies of ``indicators`` as the stacked
-        rows of a unit arena, laid out like ``layout`` (a program's gate
-        gradients) or in the first indicator's layer order."""
-        stacked = stack_param_dicts([each.scores for each in indicators])
-        if layout is None:
-            return cls(Arena.of(stacked))
+        rows of a unit arena laid out like ``layout`` (a program's gate
+        gradients), whatever order each indicator lists its layers in."""
         scores = layout.like()
-        scores.load(stacked)
+        scores.load(stack_param_dicts([each.scores for each in indicators]))
         return cls(scores)
 
     def row(self, index: int) -> "ImportanceIndicator":

@@ -1413,7 +1413,7 @@ class TestImportanceBranchRows:
         # the program's unit-group order
         shuffled = [ImportanceIndicator(dict(reversed(single.scores.items())))
                     for single in singles]
-        for stacked in (ImportanceIndicator.stack(singles),
+        for stacked in (ImportanceIndicator.stack(singles, layout=layout),
                         ImportanceIndicator.stack(shuffled, layout=layout)):
             assert isinstance(stacked.scores, Arena)
             assert list(stacked.scores) == list(layout)
