@@ -145,7 +145,7 @@ class TestProgramArenas:
         program.zero_grad()
         assert program.live_gradients() is grads
         assert program.gate_gradients() is gate_grads
-        assert [grads[key] for key in grads] == views
+        assert all(grads[key] is view for key, view in zip(grads, views))
         assert not grads.flat.any() and not gate_grads.flat.any()
         # read before a step, still the step's gradients after it
         _step(program, seed=1)
@@ -166,6 +166,23 @@ class TestProgramArenas:
         with pytest.raises(ValueError, match="shape mismatch"):
             program.set_parameters({key: value[..., None]
                                     for key, value in target.items()})
+
+
+def test_the_models_own_zero_grad_keeps_the_program_bound():
+    """``Sequential.zero_grad`` on a model under a ``CohortOfOne`` fills
+    the arena views in place instead of rebinding them away."""
+    model = _cnn()
+    program = CohortOfOne(model)
+    _step(program)
+    grads, gate_grads = program.live_gradients(), program.gate_gradients()
+    assert grads.flat.any() and gate_grads.flat.any()
+    model.zero_grad()
+    for layer in model.layers:
+        for key, value in layer.grads.items():
+            assert np.shares_memory(value, grads[f"{layer.name}.{key}"])
+        if layer.name in gate_grads:
+            assert np.shares_memory(layer.unit_gate_grad, gate_grads[layer.name])
+    assert not grads.flat.any() and not gate_grads.flat.any()
 
 
 class TestConvWeightCache:
