@@ -555,21 +555,22 @@ class _ArenaProgram:
         """Stacked ``(C, n_units)`` per-unit magnitudes, keyed like the
         template's ``unit_weight_magnitudes``; row ``c`` is client ``c``'s
         sequential result bit-for-bit.  One flat ``abs`` of the parameter
-        arena serves every layer with :attr:`~repro.nn.base.Layer.\
-unit_weight_axes` (its views are the C-contiguous ``|W|`` / ``|b|`` the
-        layer's own formula reduces); the others use their own formula.
-        The arena is the program's, rewritten by the next call."""
+        arena serves every layer with ``unit_weight_axes`` (its views are
+        the C-contiguous ``|W|`` / ``|b|`` the layer's own formula reduces);
+        the others use their own formula.  The arena is the program's,
+        rewritten by the next call."""
         if self._abs is None:
             self._abs = self._params.like()
             self._magnitudes = self._gate_grads.like()
-            held = self._held
-            self._magnitude_plan = [
-                (layer, held(self._magnitudes[name]),
-                 None if layer.unit_weight_axes is None
-                 else (held(self._abs[f"{name}.W"]), held(self._abs[f"{name}.b"])))
-                for name, layer in ((group.layer_name,
-                                     self.layer_by_name(group.layer_name))
-                                    for group in self._unit_groups)]
+            self._magnitude_plan = []
+            for group in self._unit_groups:
+                name = group.layer_name
+                layer = self.layer_by_name(name)
+                absolute = None if layer.unit_weight_axes is None else (
+                    self._held(self._abs[f"{name}.W"]),
+                    self._held(self._abs[f"{name}.b"]))
+                self._magnitude_plan.append(
+                    (layer, self._held(self._magnitudes[name]), absolute))
         np.abs(self._params.flat, out=self._abs.flat)
         for layer, out, absolute in self._magnitude_plan:
             if absolute is None:
