@@ -9,7 +9,8 @@ back through the inverse permutation.  The indices do not depend on the
 batch size, so each cache holds at most 64 shapes' worth of per-sample
 offsets however large the cohort folds get.  The fold (``_col2im``)
 accumulates its taps into a channels-last buffer, where each tap adds long
-contiguous runs, and transposes once at the end.
+contiguous runs, and transposes once at the end; only a fold whose sum holds
+a NaN is redone by the NCHW tap loop, whose NaN signs it must keep.
 
 Bit-identity note: the unfold/fold helpers and the pooling kernels here are
 pure data movement — which value lands where — so they may be rewritten
@@ -92,6 +93,12 @@ def _col2im(cols: Array, x_shape: Tuple[int, int, int, int], kernel: int,
     ``cols6[..., i, j]`` runs ``out_w * C`` values along each output row,
     then one transposing copy returns the NCHW image.  Every pixel still
     receives its contributions in ``(i, j)`` order, starting from ``+0.0``.
+
+    That fixes every bit except a NaN's sign: where two NaNs meet in one
+    pixel's sum (``-inf + inf`` is a negative NaN), which one survives
+    depends on the inner loop numpy's add runs, and that differs between
+    the two layouts.  So a fold holding a NaN is redone by the NCHW tap
+    loop (``_fold_nchw``); any other fold pays one ``min`` to find out.
     """
     n, c, h, w = x_shape
     ph, pw = h + 2 * padding, w + 2 * padding
@@ -101,10 +108,25 @@ def _col2im(cols: Array, x_shape: Tuple[int, int, int, int], kernel: int,
         for j in range(kernel):
             acc[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += \
                 cols6[..., i, j]
-    # a copy, not ascontiguousarray: at C = 1 that would keep acc's strides
-    x_padded = acc.transpose(0, 3, 1, 2).copy()
+    if acc.size and np.isnan(acc.min()):
+        x_padded = _fold_nchw(cols6, ph, pw, stride)
+    else:
+        # a copy, not ascontiguousarray: at C = 1 that would keep acc's strides
+        x_padded = acc.transpose(0, 3, 1, 2).copy()
     if padding > 0:
         return x_padded[:, :, padding:padding + h, padding:padding + w]
+    return x_padded
+
+
+def _fold_nchw(cols6: Array, ph: int, pw: int, stride: int) -> Array:
+    """The fold as an NCHW tap loop: ``_col2im``'s result for a NaN sum."""
+    n, out_h, out_w, c, kernel, _ = cols6.shape
+    x_padded = np.zeros((n, c, ph, pw), dtype=np.float64)
+    taps = cols6.transpose(0, 3, 1, 2, 4, 5)
+    for i in range(kernel):
+        for j in range(kernel):
+            x_padded[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += \
+                taps[:, :, :, :, i, j]
     return x_padded
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.importance import (ImportanceIndicator,
@@ -219,6 +219,10 @@ class TestCol2im:
            extra_h=st.integers(0, 5), extra_w=st.integers(0, 5),
            kernel=st.sampled_from([1, 2, 3, 5]), stride=st.sampled_from([1, 2, 3]),
            padding=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2**16))
+    # -inf + inf, then a positive NaN, in one pixel: the NaN sign the
+    # channels-last loop alone would flip
+    @example(n=3, c=2, extra_h=4, extra_w=4, kernel=5, stride=2, padding=0,
+             seed=1931)
     def test_matches_tap_loop_reference_bit_for_bit(self, n, c, extra_h, extra_w,
                                                     kernel, stride, padding, seed):
         h, w = kernel + extra_h, kernel + extra_w
