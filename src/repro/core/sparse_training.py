@@ -255,11 +255,11 @@ def _normalize_gate_gradients(gate_grads: Arena, *, out: Arena) -> Arena:
     is ``np.max``'s ``maximum.reduce`` of one flat ``abs`` over the last
     axis of each layer's ``(C, n_units)`` block — per client — and a row
     without a positive peak (all zero, or NaN) divides by ``1.0``, a bitwise
-    identity that keeps its sign bits.  The division is one flat call.
+    identity that keeps its sign bits.
     """
     np.abs(gate_grads.flat, out=out.flat)
-    peaks = np.array([np.maximum.reduce(block, axis=-1)
-                      for block in out.values()])
-    divisors = np.where(peaks > 0, peaks, 1.0)
-    np.divide(gate_grads.flat, out.expand(divisors), out=out.flat)
+    for name, block in out.items():
+        peak = np.maximum.reduce(block, axis=-1)
+        np.divide(gate_grads[name], np.where(peak > 0, peak, 1.0)[:, None],
+                  out=block)
     return out

@@ -46,7 +46,7 @@ class Arena(Mapping[str, np.ndarray]):
         self.flat = flat
         self._views = {key: flat[start:stop].reshape(shape)
                        for key, shape, start, stop in blocks}
-        self._index = {}
+        self._index: Optional[np.ndarray] = None
 
     @classmethod
     def of(cls, arrays: Mapping[str, np.ndarray]) -> "Arena":
@@ -75,19 +75,14 @@ class Arena(Mapping[str, np.ndarray]):
             view[...] = value
 
     def expand(self, values: np.ndarray) -> np.ndarray:
-        """A flat per-element vector from per-client ``(C,)`` values, or
-        from per-key-and-client ``(len(self), C)`` values: element ``i`` of
-        key ``k``'s row ``c`` gets ``values[c]`` / ``values[k, c]``."""
-        values = np.asarray(values, dtype=np.float64)
-        index = self._index.get(values.ndim)
-        if index is None:
-            # every element's row k * C + c, each row run in memory order
-            sizes = [math.prod(shape[1:]) for _, shape, _, _ in self._blocks
-                     for _ in range(shape[0])]
-            rows = np.repeat(np.arange(len(sizes)), sizes)
-            index = rows if values.ndim == 2 else rows % values.shape[0]
-            self._index[values.ndim] = index
-        return np.take(values, index)
+        """A flat per-element vector from per-client ``(C,)`` values:
+        every element of a key's row ``c`` gets ``values[c]``."""
+        if self._index is None:
+            # every element's client, each block's rows run in memory order
+            self._index = np.concatenate(
+                [np.repeat(np.arange(shape[0]), math.prod(shape[1:]))
+                 for _, shape, _, _ in self._blocks])
+        return np.take(np.asarray(values, dtype=np.float64), self._index)
 
     def __getitem__(self, key: str) -> np.ndarray:
         return self._views[key]

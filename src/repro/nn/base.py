@@ -41,10 +41,6 @@ class Layer:
     trainable: bool = True
     #: whether structured sparsification may prune this layer's units
     sparsifiable: bool = False
-    #: for a layer whose ``|omega|_J`` is ``sum(|W|, axes) + |b|`` (unit
-    #: ``j`` owning ``W``'s slice ``j`` on the remaining axis and ``b[j]``),
-    #: the ``axes`` of the ``W`` it holds; ``None`` for its own formula
-    unit_weight_axes: Optional[Tuple[int, ...]] = None
     #: attributes holding forward-pass scratch (activations, caches): rebuilt
     #: by the next forward, so pickles and copies carry ``None`` instead
     _scratch: Tuple[str, ...] = ()
@@ -170,15 +166,6 @@ class Layer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def summed_unit_magnitude(abs_weights: Array, abs_bias: Array,
-                          axes: Tuple[int, ...],
-                          out: Optional[Array] = None) -> Array:
-    """``sum(|W|, axes) + |b|`` from the absolute values: the ``|omega|_J``
-    of a layer with :attr:`Layer.unit_weight_axes` (the ``np.sum`` /
-    ``+`` ufuncs, called directly)."""
-    return np.add(np.add.reduce(abs_weights, axis=axes), abs_bias, out=out)
 
 
 def as_float(x: Array) -> Array:

@@ -89,7 +89,7 @@ import numpy as np
 
 from .activations import Flatten, ReLU, Sigmoid, Tanh
 from .arena import Arena
-from .base import Array, Layer, summed_unit_magnitude
+from .base import Array, Layer
 from .conv import AvgPool2d, Conv2d, MaxPool2d, _check_fits_kernel, _col2im, _im2col
 from .dense import Dense
 from .model import Sequential, UnitGroup
@@ -183,8 +183,6 @@ class _BatchedLayer:
 class BatchedDense(_BatchedLayer):
     """``C`` affine layers as one ``(C, B, in) @ (C, in, out)`` matmul."""
 
-    unit_weight_axes = (1,)
-
     def __init__(self, template: Dense, cohort: int) -> None:
         self.in_features = template.in_features
         self.out_features = template.out_features
@@ -200,9 +198,7 @@ class BatchedDense(_BatchedLayer):
     def unit_weight_magnitude(self) -> Array:
         """Stacked ``(C, n_units)`` per-unit ``|omega|_J``: ``axis=1`` of the
         stack is slice-identical to the sequential ``axis=0``."""
-        return summed_unit_magnitude(np.abs(self.params["W"]),
-                                     np.abs(self.params["b"]),
-                                     self.unit_weight_axes)
+        return np.sum(np.abs(self.params["W"]), axis=1) + np.abs(self.params["b"])
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
         if x.ndim != 3 or x.shape[0] != self.cohort or x.shape[2] != self.in_features:
@@ -265,8 +261,6 @@ class BatchedDense(_BatchedLayer):
 class BatchedConv2d(_BatchedLayer):
     """``C`` convolutions as one matmul over the cohort's im2col patches."""
 
-    unit_weight_axes = (2, 3, 4)
-
     def __init__(self, template: Conv2d, cohort: int) -> None:
         self.in_channels = template.in_channels
         self.out_channels = template.out_channels
@@ -291,9 +285,8 @@ class BatchedConv2d(_BatchedLayer):
         """Stacked ``(C, n_units)`` per-unit ``|omega|_J``: all trailing axes
         of the stack reduce slice-identically to the sequential
         ``axis=(1, 2, 3)``."""
-        return summed_unit_magnitude(np.abs(self.params["W"]),
-                                     np.abs(self.params["b"]),
-                                     self.unit_weight_axes)
+        return (np.sum(np.abs(self.params["W"]), axis=(2, 3, 4))
+                + np.abs(self.params["b"]))
 
     def forward(self, x: Array, *, train: bool = True) -> Array:
         if x.ndim != 5 or x.shape[0] != self.cohort or x.shape[2] != self.in_channels:
@@ -518,7 +511,7 @@ class _ArenaProgram:
             if layer.unit_gate_grad is not None:
                 gate_grad[...] = layer.unit_gate_grad
             layer.unit_gate_grad = self._held(gate_grad)
-        self._abs: Optional[Arena] = None
+        self._magnitudes: Optional[Arena] = None
 
     def layer_by_name(self, name: str):
         for layer in self.layers:
@@ -554,30 +547,14 @@ class _ArenaProgram:
     def unit_weight_magnitudes(self) -> Arena:
         """Stacked ``(C, n_units)`` per-unit magnitudes, keyed like the
         template's ``unit_weight_magnitudes``; row ``c`` is client ``c``'s
-        sequential result bit-for-bit.  One flat ``abs`` of the parameter
-        arena serves every layer with ``unit_weight_axes`` (its views are
-        the C-contiguous ``|W|`` / ``|b|`` the layer's own formula reduces);
-        the others use their own formula.  The arena is the program's,
+        sequential result bit-for-bit.  The arena is the program's,
         rewritten by the next call."""
-        if self._abs is None:
-            self._abs = self._params.like()
+        if self._magnitudes is None:
             self._magnitudes = self._gate_grads.like()
-            self._magnitude_plan = []
-            for group in self._unit_groups:
-                name = group.layer_name
-                layer = self.layer_by_name(name)
-                absolute = None if layer.unit_weight_axes is None else (
-                    self._held(self._abs[f"{name}.W"]),
-                    self._held(self._abs[f"{name}.b"]))
-                self._magnitude_plan.append(
-                    (layer, self._held(self._magnitudes[name]), absolute))
-        np.abs(self._params.flat, out=self._abs.flat)
-        for layer, out, absolute in self._magnitude_plan:
-            if absolute is None:
-                out[...] = layer.unit_weight_magnitude()
-            else:
-                summed_unit_magnitude(*absolute, layer.unit_weight_axes,
-                                      out=out)
+        for group in self._unit_groups:
+            name = group.layer_name
+            self._held(self._magnitudes[name])[...] = \
+                self.layer_by_name(name).unit_weight_magnitude()
         return self._magnitudes
 
     @property

@@ -33,7 +33,7 @@ from typing import Tuple
 import numpy as np
 
 from . import initializers
-from .base import Array, Layer, ParamDict, as_float, summed_unit_magnitude
+from .base import Array, Layer, ParamDict, as_float
 
 
 def _check_fits_kernel(name: str, h: int, w: int, kernel: int, padding: int) -> None:
@@ -137,7 +137,6 @@ class Conv2d(Layer):
     # full copy of W
     _scratch = ("_cols", "_x_shape", "_out_hw", "_pre_gate", "_w_mat",
                 "_w_mat_base")
-    unit_weight_axes = (1, 2, 3)
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
                  stride: int = 1, padding: int = 0, name: str = "conv",
@@ -244,9 +243,8 @@ class Conv2d(Layer):
         return {"W": w_mask, "b": unit_mask.copy()}
 
     def unit_weight_magnitude(self) -> Array:
-        return summed_unit_magnitude(np.abs(self.params["W"]),
-                                     np.abs(self.params["b"]),
-                                     self.unit_weight_axes)
+        return (np.sum(np.abs(self.params["W"]), axis=(1, 2, 3))
+                + np.abs(self.params["b"]))
 
     def flops_per_example(self, input_shape: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
         if len(input_shape) != 3:

@@ -7,7 +7,7 @@ from typing import Tuple
 import numpy as np
 
 from . import initializers
-from .base import Array, Layer, ParamDict, as_float, summed_unit_magnitude
+from .base import Array, Layer, ParamDict, as_float
 
 
 class Dense(Layer):
@@ -20,7 +20,6 @@ class Dense(Layer):
     """
 
     _scratch = ("_x", "_pre_gate")
-    unit_weight_axes = (0,)
 
     def __init__(self, in_features: int, out_features: int, *,
                  name: str = "dense", sparsifiable: bool = True,
@@ -85,9 +84,7 @@ class Dense(Layer):
         }
 
     def unit_weight_magnitude(self) -> Array:
-        return summed_unit_magnitude(np.abs(self.params["W"]),
-                                     np.abs(self.params["b"]),
-                                     self.unit_weight_axes)
+        return np.sum(np.abs(self.params["W"]), axis=0) + np.abs(self.params["b"])
 
     # ------------------------------------------------------------ accounting
     def flops_per_example(self, input_shape: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:

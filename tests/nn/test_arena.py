@@ -92,14 +92,11 @@ class TestLayout:
         arena.load({"w": np.arange(6.0).reshape(2, 3), "extra": None})
         assert np.array_equal(arena.flat, np.arange(6.0))
 
-    def test_expand_repeats_per_client_and_per_key_values(self):
+    def test_expand_repeats_per_client_values(self):
         arena = Arena({"w": (2, 3), "b": (2, 1)})
         np.testing.assert_array_equal(
             arena.expand(np.array([1.0, 2.0])),
             [1, 1, 1, 2, 2, 2, 1, 2])
-        np.testing.assert_array_equal(
-            arena.expand(np.array([[1.0, 2.0], [3.0, 4.0]])),
-            [1, 1, 1, 2, 2, 2, 3, 4])
 
     def test_pickle_and_deepcopy_rebuild_views_over_their_own_buffer(self):
         arena = Arena.of({"w": np.arange(6.0).reshape(2, 3)})
