@@ -6,7 +6,7 @@ FedAvg.  Two helpers on the base carry everything else:
 
 * ``self._train(round_index, clients, **overrides)`` runs local SGD under the
   config's optimizer settings — replace any (``learning_rate=``,
-  ``iterations=``) or add a trainer option (``prox_mu=``, ``param_mask=``);
+  ``iterations=``) or add a trainer option (``prox_mu=``, ``param_masks=``);
 * ``self._report(client, result, ...)`` wraps the metrics, the upload and
   the round's FLOPs / traffic footprint into the ``ClientUpdate``.
 

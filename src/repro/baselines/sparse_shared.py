@@ -204,7 +204,7 @@ class ComplementSparsification(Strategy):
 
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
         mask = self._unstructured_mask(self.global_params)
-        result = self._train(round_index, [client], param_mask=mask)[0]
+        result = self._train(round_index, [client], param_masks=[mask])[0]
         update = self._report(
             client, result, sparse_ratio=self.keep_ratio,
             uniform_ratio=self.keep_ratio,

@@ -112,10 +112,6 @@ class ImportanceIndicator:
     def total_units(self) -> int:
         return int(sum(values.size for values in self.scores.values()))
 
-    def as_vector(self, model: Sequential) -> np.ndarray:
-        """Model-wide flattened view (``Q`` as a single vector)."""
-        return model.join_unit_vector(self.scores)
-
     def pattern(self, model: Sequential, sparse_ratio: float) -> UnitPattern:
         """Importance-derived sparse pattern (Eq. 4, layer-wise quantile)."""
         return pattern_from_scores(model, self.scores, sparse_ratio)

@@ -11,13 +11,13 @@ One client-side update round:
    upload only the masked residual ``(omega_global - omega_local) * m``
    (Eq. 12).
 
-The round is spelled once, in :func:`_sparse_training_program`, over a
-*program* (:class:`~repro.nn.batched.BatchedModel`'s training surface): a
-``BatchedModel`` for :func:`learnable_sparse_training_cohort`, one client's
-own ``Sequential`` behind a :class:`~repro.nn.batched.CohortOfOne` for
-:func:`learnable_sparse_training`.  The program's parameters, gradients and
-gate gradients are flat :class:`~repro.nn.arena.Arena` buffers, and so are
-the round's masks, proximal reference, drift and stacked ``Q``: each step's
+The round is spelled once, in :func:`learnable_sparse_training_cohort`, over
+a *program* (:class:`~repro.nn.batched.BatchedModel`'s training surface): a
+``BatchedModel`` for a cohort, one client's own ``Sequential`` behind a
+:class:`~repro.nn.batched.CohortOfOne` for one client.  The program's
+parameters, gradients and gate gradients are flat
+:class:`~repro.nn.arena.Arena` buffers, and so are the round's masks,
+proximal reference, drift and stacked ``Q``: each step's
 bookkeeping — the Eq. 7 proximal pull, the Eq. 10 masked SGD step and the
 Eq. 11 ``Q`` update against the Eq. 8 targets — is one ufunc call per
 operation over a whole buffer, and only the norms, peaks and Eq. 8
@@ -34,8 +34,7 @@ import numpy as np
 from ..data.dataset import Dataset
 from ..federated.batched import CohortBatches
 from ..nn.arena import Arena, cohort_squared_norms
-from ..nn.batched import (BatchedModel, CohortOfOne, stack_param_dicts,
-                          unstack_param_dict)
+from ..nn.batched import cohort_program, stack_param_dicts, unstack_param_dict
 from ..nn.model import Sequential
 from ..nn.optim import BatchedSGD
 from ..nn.params import ParamDict
@@ -57,46 +56,6 @@ class SparseTrainingResult:
     examples_seen: int
 
 
-def learnable_sparse_training(model: Sequential,
-                              global_params: Mapping[str, np.ndarray],
-                              importance: ImportanceIndicator,
-                              dataset: Dataset, *, sparse_ratio: float,
-                              iterations: int, batch_size: int,
-                              learning_rate: float, momentum: float = 0.0,
-                              clip_norm: Optional[float] = None,
-                              prox_mu: float = 1.0,
-                              importance_lambda: float = 1.0,
-                              importance_learning_rate: Optional[float] = None,
-                              refresh_pattern_each_iteration: bool = False,
-                              rng: Optional[np.random.Generator] = None
-                              ) -> SparseTrainingResult:
-    """Run the FedLPS local update and return the personalized sparse model.
-
-    ``model`` is trained in place: on return it holds the round's dense
-    parameters, gates cleared.
-
-    Args:
-        refresh_pattern_each_iteration: Algorithm 1 re-derives the mask from
-            ``Q`` in every local iteration.  With the small backbones of this
-            reproduction that per-iteration re-masking makes the top-k pattern
-            oscillate between marginal units and wastes most of the round's
-            training, so by default the pattern is derived once per round from
-            the incoming ``Q`` and held fixed while ``Q`` itself keeps being
-            learned for the next round (README, "Departures from the paper").
-            Set this flag to True for the paper's literal per-iteration
-            behaviour.
-    """
-    return _sparse_training_program(
-        CohortOfOne(model), model, global_params, [importance], [dataset],
-        sparse_ratios=[sparse_ratio], iterations=iterations,
-        batch_size=batch_size, learning_rate=learning_rate, momentum=momentum,
-        clip_norm=clip_norm, prox_mu=prox_mu,
-        importance_lambda=importance_lambda,
-        importance_learning_rate=importance_learning_rate,
-        refresh_pattern_each_iteration=refresh_pattern_each_iteration,
-        rngs=None if rng is None else [rng])[0]
-
-
 def learnable_sparse_training_cohort(
         model: Sequential,
         global_params: Mapping[str, np.ndarray],
@@ -112,32 +71,15 @@ def learnable_sparse_training_cohort(
         refresh_pattern_each_iteration: bool = False,
         rngs: Optional[Sequence[np.random.Generator]] = None
 ) -> List[SparseTrainingResult]:
-    """Run the FedLPS local update for a whole cohort as one batched program.
+    """Run the FedLPS local update for ``len(datasets)`` clients, client
+    ``i`` from its own ``importances[i]`` at ``sparse_ratios[i]`` on
+    ``datasets[i]``, and return one result each.
 
-    Bit-for-bit equivalent to calling :func:`learnable_sparse_training` once
-    per client in order.  ``model`` is the architecture template; its own
-    parameters are left untouched.
-    """
-    if len(datasets) == 0:
-        return []
-    return _sparse_training_program(
-        BatchedModel(model, len(datasets)), model, global_params, importances,
-        datasets, sparse_ratios=sparse_ratios, iterations=iterations,
-        batch_size=batch_size, learning_rate=learning_rate, momentum=momentum,
-        clip_norm=clip_norm, prox_mu=prox_mu,
-        importance_lambda=importance_lambda,
-        importance_learning_rate=importance_learning_rate,
-        refresh_pattern_each_iteration=refresh_pattern_each_iteration,
-        rngs=rngs)
-
-
-def _sparse_training_program(
-        program, model, global_params, importances, datasets, *,
-        sparse_ratios, iterations, batch_size, learning_rate, momentum,
-        clip_norm, prox_mu, importance_lambda, importance_learning_rate,
-        refresh_pattern_each_iteration, rngs) -> List[SparseTrainingResult]:
-    """The FedLPS trainer's one body: ``len(datasets)`` clients on
-    ``program``, with ``model`` as the architecture the patterns refer to.
+    The program is :func:`~repro.nn.batched.cohort_program`'s: one client
+    trains ``model`` in place (on return it holds the round's dense
+    parameters, gates cleared), a larger cohort runs as one stacked tensor
+    program with ``model`` as its untouched template.  Each client's
+    result is bit-for-bit the same either way.
 
     Patterns are stacked unit gates, masks an arena over the parameters and
     ``Q`` a ``(C, n_units)`` unit arena for the round.  Every element-wise
@@ -146,13 +88,27 @@ def _sparse_training_program(
     C-contiguous view, slice-identical to one client's own reduction (the
     contract in :mod:`repro.nn.batched`).  Only pattern derivation and the
     mini-batch gather visit clients one by one.
+
+    Args:
+        refresh_pattern_each_iteration: Algorithm 1 re-derives the mask from
+            ``Q`` in every local iteration.  With the small backbones of this
+            reproduction that per-iteration re-masking makes the top-k pattern
+            oscillate between marginal units and wastes most of the round's
+            training, so by default the pattern is derived once per round from
+            the incoming ``Q`` and held fixed while ``Q`` itself keeps being
+            learned for the next round (README, "Departures from the paper").
+            Set this flag to True for the paper's literal per-iteration
+            behaviour.
     """
     cohort = len(datasets)
+    if cohort == 0:
+        return []
     for ratio in sparse_ratios:
         if not 0.0 < ratio <= 1.0:
             raise ValueError(f"sparse_ratio must be in (0, 1], got {ratio}")
     if prox_mu < 0:
         raise ValueError("prox_mu must be non-negative")
+    program = cohort_program(model, cohort)
     # the optimizer steps these arrays in place for the whole round
     params = program.live_parameters()
     grads = program.live_gradients()

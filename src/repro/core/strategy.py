@@ -27,8 +27,7 @@ from ..systems.devices import affordable_ratio
 from .bandit import PUCBVAgent
 from .importance import (ImportanceIndicator, initialize_importance,
                          smoothed_unit_magnitudes)
-from .sparse_training import (learnable_sparse_training,
-                              learnable_sparse_training_cohort)
+from .sparse_training import learnable_sparse_training_cohort
 
 RATIO_POLICIES = ("pucbv", "fixed", "capability")
 PATTERN_MODES = ("learnable", "random", "ordered", "magnitude")
@@ -155,14 +154,9 @@ class FedLPS(Strategy):
         options = self._trainer_options(
             prox_mu=config.prox_mu, importance_lambda=config.importance_lambda,
             importance_learning_rate=self.importance_learning_rate)
-        if len(clients) > 1:
-            results = learnable_sparse_training_cohort(
-                context.model, self.global_params, importances, datasets,
-                sparse_ratios=ratios, rngs=rngs, **options)
-        else:
-            results = [learnable_sparse_training(
-                context.model, self.global_params, importances[0],
-                datasets[0], sparse_ratio=ratios[0], rng=rngs[0], **options)]
+        results = learnable_sparse_training_cohort(
+            context.model, self.global_params, importances, datasets,
+            sparse_ratios=ratios, rngs=rngs, **options)
         updates = []
         for client, ratio, result in zip(clients, ratios, results):
             client.state["importance"] = result.importance
@@ -192,7 +186,7 @@ class FedLPS(Strategy):
         return super().cohort_batchable() and self.pattern_mode == "learnable"
 
     def local_update_cohort(self, round_index: int, clients: List[Client]
-                            ) -> Optional[List[ClientUpdate]]:
+                            ) -> List[ClientUpdate]:
         return self._learnable_updates(round_index, clients)
 
     def _heuristic_update(self, round_index: int,

@@ -2,12 +2,12 @@
 
 from .aggregation import (aggregate_residuals, fedavg, masked_average,
                           staleness_weighted_average)
-from .batched import client_batch_schedule, train_cohort_batched
+from .batched import (LocalUpdateResult, client_batch_schedule,
+                      train_cohort_batched)
 from .client import Client
 from .config import AGGREGATIONS, FederatedConfig, FleetConfig
 from .evaluation import average_personalized_accuracy, evaluate_params
 from .fleet import ClientFleet, FleetStateStore, bind_client_state_initializer
-from .local import LocalUpdateResult, train_locally
 from .strategy import ClientUpdate, Strategy, StrategyContext
 from .trainer import FederatedTrainer, run_federated
 
@@ -24,7 +24,6 @@ __all__ = [
     "ClientUpdate",
     "FederatedTrainer",
     "run_federated",
-    "train_locally",
     "train_cohort_batched",
     "client_batch_schedule",
     "LocalUpdateResult",

@@ -1,13 +1,12 @@
 """The generic local trainer: one step body, run as a cohort program.
 
-Local SGD for ``C`` same-architecture clients is ONE body
-(:func:`_train_program`) over a *program* — an object with
+Local SGD for ``C`` same-architecture clients is ONE entry,
+:func:`train_cohort_batched`, over a *program* — an object with
 :class:`~repro.nn.batched.BatchedModel`'s training surface, every parameter,
-gradient and gate carrying a leading client axis.
-:func:`train_cohort_batched` runs it on a ``BatchedModel``,
-:func:`repro.federated.local.train_locally` on a
-:class:`~repro.nn.batched.CohortOfOne` (the client's own ``Sequential``,
-trained in place by its own kernels).
+gradient and gate carrying a leading client axis: a ``BatchedModel`` for a
+cohort, a :class:`~repro.nn.batched.CohortOfOne` for one client (its own
+``Sequential``, trained in place by its own kernels, so models without
+batched kernels — dropout, embeddings, recurrent layers — train too).
 
 The body covers what the baselines combine: dense SGD (FedAvg), a proximal
 pull (FedProx, Ditto), parameter masks that keep zeroed entries zero,
@@ -29,7 +28,7 @@ import numpy as np
 
 from ..data.dataset import Dataset
 from ..nn.arena import cohort_squared_norms
-from ..nn.batched import BatchedModel, stack_param_dicts, unstack_param_dict
+from ..nn.batched import cohort_program, stack_param_dicts, unstack_param_dict
 from ..nn.losses import accuracy_cohort, softmax_cross_entropy_cohort
 from ..nn.model import Sequential
 from ..nn.optim import BatchedSGD
@@ -132,17 +131,53 @@ class CohortBatches:
                 for index, count in enumerate(self.counts)]
 
 
-def _train_program(program, start_params, datasets, *, iterations, batch_size,
-                   learning_rate, momentum, clip_norm, prox_mu, prox_center,
-                   param_masks, patterns, trainable_keys, rngs
-                   ) -> List[LocalUpdateResult]:
-    """The generic trainer's one body: local SGD for ``len(datasets)``
-    clients on ``program``, whose arrays carry them on the leading axis.
+def train_cohort_batched(
+        model: Sequential,
+        start_params: Sequence[Mapping[str, np.ndarray]],
+        datasets: Sequence[Dataset], *,
+        iterations: int, batch_size: int, learning_rate,
+        momentum: float = 0.0, clip_norm: Optional[float] = None,
+        prox_mu: float = 0.0,
+        prox_center: Optional[Mapping[str, np.ndarray]] = None,
+        param_masks: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
+        patterns: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
+        trainable_keys: Optional[Sequence[str]] = None,
+        rngs: Optional[Sequence[np.random.Generator]] = None,
+) -> List[LocalUpdateResult]:
+    """Run local SGD for ``len(datasets)`` clients, client ``i`` starting
+    from ``start_params[i]`` on ``datasets[i]``, and return one result each.
+
+    The program is :func:`~repro.nn.batched.cohort_program`'s: one client
+    trains ``model`` in place (on return it holds the trained parameters,
+    gates cleared), a larger cohort runs as one stacked tensor program
+    with ``model`` as its untouched template.  Each client's result is
+    bit-for-bit the same either way.
+
+    Args:
+        iterations: number of SGD steps (``E`` in the paper).
+        batch_size: mini-batch size.
+        learning_rate, momentum, clip_norm: optimizer settings;
+            ``learning_rate`` may be a scalar or a per-client ``(C,)``
+            vector.
+        prox_mu: weight of the proximal term ``mu * ||w - w_center||^2``.
+        prox_center: the shared reference of the proximal term (defaults
+            to each client's own ``start_params`` when ``prox_mu > 0``).
+        param_masks: per-client binary parameter masks; masked entries are
+            zeroed at the start and their gradients suppressed, so they
+            stay zero.
+        patterns: per-client structured unit patterns, installed as
+            forward gates during training (sub-model training).
+        trainable_keys: if given, only these parameter keys are updated.
+        rngs: per-client randomness sources for batch sampling.
 
     The step's bookkeeping is one ufunc call per operation over the flat
     parameter and gradient arenas (the gradient arena doubles as the
-    step's scratch: ``zero_grad`` refills it before every backward)."""
+    step's scratch: ``zero_grad`` refills it before every backward).
+    """
     cohort = len(datasets)
+    if cohort == 0:
+        return []
+    program = cohort_program(model, cohort)
     batches = CohortBatches(program, datasets, batch_size=batch_size,
                             iterations=iterations, rngs=rngs,
                             start_params=start_params,
@@ -201,38 +236,3 @@ def _train_program(program, start_params, datasets, *, iterations, batch_size,
     return [LocalUpdateResult(params=unstack_param_dict(trained, index),
                               **metrics)
             for index, metrics in enumerate(batches.metrics())]
-
-
-def train_cohort_batched(
-        model: Sequential,
-        start_params: Sequence[Mapping[str, np.ndarray]],
-        datasets: Sequence[Dataset], *,
-        iterations: int, batch_size: int, learning_rate,
-        momentum: float = 0.0, clip_norm: Optional[float] = None,
-        prox_mu: float = 0.0,
-        prox_center: Optional[Mapping[str, np.ndarray]] = None,
-        param_masks: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
-        patterns: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
-        trainable_keys: Optional[Sequence[str]] = None,
-        rngs: Optional[Sequence[np.random.Generator]] = None,
-) -> List[LocalUpdateResult]:
-    """Run local SGD for a whole cohort as one batched tensor program.
-
-    Semantically equivalent to calling ``train_locally(model,
-    start_params[i], datasets[i], ...)`` for each client in order — and
-    bit-for-bit equal on every returned parameter and metric.  ``model`` is
-    the architecture template; its own parameters are left untouched.
-
-    ``learning_rate`` may be a scalar or a per-client ``(C,)`` vector;
-    ``prox_center`` is the shared proximal reference (defaults to each
-    client's own ``start_params`` when ``prox_mu > 0``, matching
-    ``train_locally``).
-    """
-    if len(datasets) == 0:
-        return []
-    return _train_program(
-        BatchedModel(model, len(datasets)), start_params, datasets,
-        iterations=iterations, batch_size=batch_size,
-        learning_rate=learning_rate, momentum=momentum, clip_norm=clip_norm,
-        prox_mu=prox_mu, prox_center=prox_center, param_masks=param_masks,
-        patterns=patterns, trainable_keys=trainable_keys, rngs=rngs)

@@ -16,7 +16,7 @@ called or a :class:`ClientUpdate` is built:
 
 * ``self._train(round_index, clients, starts=, rngs=, **overrides)`` runs
   local SGD under the config's optimizer settings (replace any, or add
-  ``prox_mu=``, ``param_mask=``, ``trainable_keys=`` ...), and
+  ``prox_mu=``, ``param_masks=``, ``trainable_keys=`` ...), and
   ``self._train_submodel(round_index, client, pattern)`` is the masked pass
   every sub-model method shares;
 * ``self._report(client, result, params=, pattern=, sparse_ratio=)`` wraps
@@ -24,8 +24,8 @@ called or a :class:`ClientUpdate` is built:
 
 A method that should also run as one stacked tensor program under
 ``batch_cohort`` supplies ``local_update_cohort`` next to ``local_update``
-(``_train`` stacks whenever it gets more than one client); a class that
-overrides ``local_update`` alone stays on the per-client loop.
+(``_train`` takes a cohort of any size); a class that overrides
+``local_update`` alone stays on the per-client loop.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .batched import LocalUpdateResult, train_cohort_batched
 from .client import Client
 from .config import FederatedConfig
 from .fleet import bind_client_state_initializer
-from .local import train_locally
 
 
 @dataclass
@@ -188,7 +187,7 @@ class Strategy:
         ``_client_rng`` of this round); ``overrides`` reach the trainer as
         is.  Several clients run as one stacked tensor program, one trains
         on ``context.model`` itself and leaves it holding the trained
-        parameters; per client the two are bit-identical, so size decides.
+        parameters (:func:`train_cohort_batched`).
         """
         model = self._require_context().model
         options = self._trainer_options(**overrides)
@@ -196,11 +195,8 @@ class Strategy:
         rngs = rngs or [self._client_rng(round_index, client.client_id)
                         for client in clients]
         datasets = [client.train_data for client in clients]
-        if len(clients) > 1:
-            return train_cohort_batched(model, starts, datasets, rngs=rngs,
-                                        **options)
-        return [train_locally(model, starts[0], datasets[0], rng=rngs[0],
-                              **options)]
+        return train_cohort_batched(model, starts, datasets, rngs=rngs,
+                                    **options)
 
     def _train_submodel(self, round_index: int, client: Client,
                         pattern: UnitPattern, **overrides
@@ -212,8 +208,8 @@ class Strategy:
         residual), what ``client.state`` remembers and which model
         evaluates is the caller's to say."""
         param_mask = build_parameter_mask(self._require_context().model, pattern)
-        result = self._train(round_index, [client], pattern=pattern,
-                             param_mask=param_mask, **overrides)[0]
+        result = self._train(round_index, [client], patterns=[pattern],
+                             param_masks=[param_mask], **overrides)[0]
         return result, param_mask
 
     def _report(self, client: Client, result, *,
@@ -254,11 +250,10 @@ class Strategy:
                 and batchable_model(self._require_context().model))
 
     def local_update_cohort(self, round_index: int, clients: List[Client]
-                            ) -> Optional[List[ClientUpdate]]:
+                            ) -> List[ClientUpdate]:
         """Batched twin of ``local_update`` over a homogeneous cohort.
 
-        Returns one :class:`ClientUpdate` per client in input order, or
-        ``None`` to make the caller fall back to the per-client loop.  Only
+        Returns one :class:`ClientUpdate` per client in input order.  Only
         called when :meth:`cohort_batchable` is true.
         """
         return self._dense_updates(round_index, clients)

@@ -1,7 +1,7 @@
 """``repro.nn``: a from-scratch numpy neural-network substrate.
 
 The package provides layers with hand-written forward/backward passes,
-losses, an SGD optimizer, a :class:`Sequential` model container and the
+losses, the flat-arena SGD step, a :class:`Sequential` model container and the
 structured-unit machinery (unit gates, unit masks, per-unit magnitudes) that
 FedLPS's learnable sparsification builds on.
 """
@@ -17,7 +17,7 @@ from .embedding import Embedding
 from .losses import (accuracy, accuracy_cohort, mean_squared_error,
                      softmax_cross_entropy, softmax_cross_entropy_cohort)
 from .model import Sequential, UnitGroup
-from .optim import SGD, BatchedSGD, clip_gradients, global_grad_norm
+from .optim import BatchedSGD
 from .recurrent import LSTM, RNN, LastTimestep
 from .serialization import (load_parameters, nonzero_parameter_bytes,
                             parameter_bytes, save_parameters)
@@ -41,15 +41,12 @@ __all__ = [
     "LastTimestep",
     "Sequential",
     "UnitGroup",
-    "SGD",
     "BatchedSGD",
     "BatchedModel",
     "batchable_model",
     "stack_param_dicts",
     "unstack_param_dict",
-    "clip_gradients",
     "cohort_squared_norms",
-    "global_grad_norm",
     "softmax",
     "sigmoid",
     "softmax_cross_entropy",

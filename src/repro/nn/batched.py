@@ -64,7 +64,8 @@ sequential :mod:`repro.nn` layers bit-for-bit:
   ``(C, ...)`` stack it always reduced;
 * one client is a cohort of one, but NOT through the batched matmul
   (``(1, N, K) @ (1, K, M)`` against the 2-D GEMM is not a proven
-  bit-identity): :class:`CohortOfOne` puts this module's training surface
+  bit-identity; :func:`cohort_program` is where the trainers make that
+  choice): :class:`CohortOfOne` puts this module's training surface
   over a single ``Sequential`` whose arrays live in ``(1, ...)`` arena
   blocks — its layers hold ``view[0]``, and ``value[0]`` unwraps every
   stacked input (no arithmetic) — so the model's own layers see the
@@ -670,3 +671,17 @@ class CohortOfOne(_ArenaProgram):
 
     def set_batch_counts(self, counts: Optional[Sequence[int]]) -> None:
         """Nothing to install: one client's batch is never padded."""
+
+
+def cohort_program(model: Sequential, cohort: int):
+    """The program a cohort trainer runs ``cohort`` clients of ``model`` on.
+
+    One client trains ``model`` itself through :class:`CohortOfOne` (left
+    holding the trained parameters, gates cleared): ``(1, N, K) @ (1, K,
+    M)`` is not a proven bit-identity of the 2-D GEMM, so C = 1 never runs
+    the batched matmul.  A larger cohort runs on a :class:`BatchedModel`
+    with ``model`` as its untouched template.
+    """
+    if cohort == 1:
+        return CohortOfOne(model)
+    return BatchedModel(model, cohort)

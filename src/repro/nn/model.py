@@ -117,14 +117,6 @@ class Sequential:
         return {f"{layer.name}.{key}": value
                 for layer in self.layers for key, value in layer.grads.items()}
 
-    def apply_gradient_step(self, optimizer, *, grads: Optional[ParamDict] = None) -> None:
-        """Apply one optimizer step using the model's accumulated gradients.
-
-        ``grads`` may override the accumulated gradients (e.g. after masking).
-        """
-        optimizer.step(self.live_parameters(),
-                       grads if grads is not None else self.get_gradients())
-
     @property
     def num_parameters(self) -> int:
         return int(sum(v.size for layer in self.layers for v in layer.params.values()))
@@ -153,29 +145,6 @@ class Sequential:
             if layer.name == name:
                 return layer
         raise KeyError(f"no layer named {name!r}")
-
-    def split_unit_vector(self, vector: Array) -> Dict[str, np.ndarray]:
-        """Split a model-wide unit vector into per-layer slices."""
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.total_units,):
-            raise ValueError(
-                f"unit vector must have shape ({self.total_units},), got {vector.shape}")
-        return {group.layer_name: vector[group.offset:group.offset + group.n_units]
-                for group in self._unit_groups}
-
-    def join_unit_vector(self, per_layer: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Concatenate per-layer unit values into a model-wide vector."""
-        parts = []
-        for group in self._unit_groups:
-            if group.layer_name not in per_layer:
-                raise KeyError(f"missing unit values for layer {group.layer_name!r}")
-            values = np.asarray(per_layer[group.layer_name], dtype=np.float64)
-            if values.shape != (group.n_units,):
-                raise ValueError(
-                    f"unit values for {group.layer_name!r} must have shape "
-                    f"({group.n_units},), got {values.shape}")
-            parts.append(values)
-        return np.concatenate(parts) if parts else np.zeros(0)
 
     def set_unit_gates(self, gates: Optional[Mapping[str, np.ndarray]]) -> None:
         """Install per-layer unit gates; ``None`` clears all gates."""

@@ -46,10 +46,9 @@ def scale(params: Mapping[str, np.ndarray], factor: float) -> ParamDict:
 def add_(left: ParamDict, right: Mapping[str, np.ndarray]) -> ParamDict:
     """In-place element-wise sum: ``left += right``, returning ``left``.
 
-    The in-place variants serve hot paths where the caller owns the left
-    operand and the copying helpers above would allocate a fresh dictionary
-    per call — e.g. the per-step proximal gradient in
-    ``federated.local.train_locally``.
+    The in-place variants are for a caller that owns the left operand and
+    would otherwise pay the fresh dictionary each copying helper above
+    allocates per call.
     """
     _check_same_keys(left, right)
     for key, value in left.items():

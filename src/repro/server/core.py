@@ -186,19 +186,17 @@ def _run_chunk(strategy: Strategy, round_index: int, clients: List[Client]
     """Run one chunk of a cohort's local updates — the one task body.
 
     A multi-client chunk (only planned when the strategy is
-    ``cohort_batchable``) is offered to ``local_update_cohort`` as one
-    batched tensor program; the strategy may still decline at run time by
-    returning ``None``, in which case — as for every size-1 chunk — the
-    per-client loop runs in-task.  Either way the result matches the
-    per-client dispatch, update by update and state by state.  Strategies
-    persist per-client information in ``client.state``, so the (possibly
-    mutated) state dictionary rides back alongside each update: across a
-    worker boundary the caller never sees in-place mutations.
+    ``cohort_batchable``) runs through ``local_update_cohort`` as one
+    batched tensor program, a size-1 chunk through ``local_update``; either
+    way the result matches the per-client dispatch, update by update and
+    state by state.  Strategies persist per-client information in
+    ``client.state``, so the (possibly mutated) state dictionary rides back
+    alongside each update: across a worker boundary the caller never sees
+    in-place mutations.
     """
-    updates = None
     if len(clients) > 1:
         updates = strategy.local_update_cohort(round_index, clients)
-    if updates is None:
+    else:
         updates = [strategy.local_update(round_index, client)
                    for client in clients]
     return [(update, client.state)
@@ -482,8 +480,8 @@ class ServerCore:
         """Publish the run invariants once per trainer (lazily).
 
         The model's parameter *values* at publication time are irrelevant:
-        every task installs the parameters it needs (``train_locally`` /
-        ``evaluate_params`` both call ``set_parameters`` first), so only the
+        every task installs the parameters it needs (the trainers and
+        ``evaluate_params`` all call ``set_parameters`` first), so only the
         architecture matters — exactly as with the serial reference, where
         one model instance is scratch space for every client in turn.  An
         eager dataset's arrays travel as raw manifest blocks with only the

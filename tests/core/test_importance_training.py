@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (FedLPS, ImportanceIndicator, accuracy_utility,
-                        initialize_importance, learnable_sparse_training,
-                        utility_gain)
+from repro.core import (ImportanceIndicator, accuracy_utility,
+                        initialize_importance,
+                        learnable_sparse_training_cohort, utility_gain)
 from repro.core.importance import smoothed_targets, smoothed_unit_magnitudes
 from repro.nn import Arena
 from repro.data import Dataset
@@ -53,11 +53,6 @@ class TestImportanceIndicator:
         assert smoothed_targets(Arena.of(magnitudes), out=out) is out
         np.testing.assert_array_equal(out.flat, fresh.flat)
 
-    def test_vector_roundtrip(self, small_mlp):
-        importance = initialize_importance(small_mlp, seed=0)
-        vector = importance.as_vector(small_mlp)
-        assert vector.shape == (small_mlp.total_units,)
-
 
 class TestCoreLosses:
     def test_utility_function_properties(self):
@@ -82,9 +77,10 @@ class TestLearnableSparseTraining:
                         learning_rate=0.2, prox_mu=0.05, importance_lambda=0.1,
                         rng=np.random.default_rng(0))
         defaults.update(kwargs)
-        return learnable_sparse_training(
-            self.model, self.model.get_parameters(), self.importance,
-            self.dataset, **defaults)
+        ratio, rng = defaults.pop("sparse_ratio"), defaults.pop("rng")
+        return learnable_sparse_training_cohort(
+            self.model, self.model.get_parameters(), [self.importance],
+            [self.dataset], sparse_ratios=[ratio], rngs=[rng], **defaults)[0]
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):

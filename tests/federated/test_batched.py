@@ -25,11 +25,10 @@ from hypothesis import strategies as st
 
 from repro.baselines import FedProx
 from repro.core.importance import initialize_importance
-from repro.core.sparse_training import (learnable_sparse_training,
-                                        learnable_sparse_training_cohort)
+from repro.core.sparse_training import learnable_sparse_training_cohort
 from repro.data.dataset import Dataset
 from repro.federated import (client_batch_schedule, run_federated,
-                             train_cohort_batched, train_locally)
+                             train_cohort_batched)
 from repro.models import build_mlp
 from repro.nn import (AvgPool2d, BatchedModel, Conv2d, Dense, Flatten, ReLU,
                       Sequential, softmax_cross_entropy, stack_param_dicts)
@@ -125,12 +124,11 @@ class TestTrainCohortBatched:
                      for pattern in patterns]
         kwargs = dict(iterations=3, batch_size=8, learning_rate=0.1,
                       momentum=momentum, clip_norm=clip_norm, prox_mu=prox_mu)
-        loop = [train_locally(model, starts[i], datasets[i],
-                              param_mask=None if masks is None else masks[i],
-                              pattern=None if patterns is None
-                              else patterns[i],
-                              rng=np.random.default_rng(seed + 1000 + i),
-                              **kwargs)
+        loop = [train_cohort_batched(
+            model, [starts[i]], [datasets[i]],
+            param_masks=None if masks is None else [masks[i]],
+            patterns=None if patterns is None else [patterns[i]],
+            rngs=[np.random.default_rng(seed + 1000 + i)], **kwargs)[0]
                 for i in range(cohort)]
         batched = train_cohort_batched(
             model, starts, datasets, param_masks=masks, patterns=patterns,
@@ -148,8 +146,9 @@ class TestTrainCohortBatched:
         keys = ["fc1.W", "fc1.b"]
         kwargs = dict(iterations=4, batch_size=8, learning_rate=0.1,
                       prox_mu=0.1, prox_center=center, trainable_keys=keys)
-        loop = [train_locally(model, base, datasets[i],
-                              rng=np.random.default_rng(50 + i), **kwargs)
+        loop = [train_cohort_batched(model, [base], [datasets[i]],
+                                     rngs=[np.random.default_rng(50 + i)],
+                                     **kwargs)[0]
                 for i in range(len(sizes))]
         batched = train_cohort_batched(
             model, [base] * len(sizes), datasets,
@@ -167,9 +166,10 @@ class TestTrainCohortBatched:
         datasets = [_dataset(n, 90 + i) for i, n in enumerate(sizes)]
         base = model.get_parameters()
         rates = [0.1, 0.05]
-        loop = [train_locally(model, base, datasets[i], iterations=3,
-                              batch_size=8, learning_rate=rates[i],
-                              rng=np.random.default_rng(60 + i))
+        loop = [train_cohort_batched(model, [base], [datasets[i]],
+                                     iterations=3, batch_size=8,
+                                     learning_rate=rates[i],
+                                     rngs=[np.random.default_rng(60 + i)])[0]
                 for i in range(2)]
         batched = train_cohort_batched(
             model, [base] * 2, datasets, iterations=3, batch_size=8,
@@ -209,10 +209,10 @@ class TestLearnableSparseCohort:
                        for i in range(cohort)]
         ratios = [0.5, 0.75, 1.0][:cohort]
         common = dict(iterations=3, batch_size=8, learning_rate=0.1, **kwargs)
-        loop = [learnable_sparse_training(
-            model, start, importances[i], datasets[i],
-            sparse_ratio=ratios[i], rng=np.random.default_rng(100 + i),
-            **common) for i in range(cohort)]
+        loop = [learnable_sparse_training_cohort(
+            model, start, [importances[i]], [datasets[i]],
+            sparse_ratios=[ratios[i]], rngs=[np.random.default_rng(100 + i)],
+            **common)[0] for i in range(cohort)]
         batched = learnable_sparse_training_cohort(
             model, start, importances, datasets, sparse_ratios=ratios,
             rngs=[np.random.default_rng(100 + i) for i in range(cohort)],

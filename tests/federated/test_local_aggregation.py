@@ -7,7 +7,7 @@ from repro.data import Dataset
 from repro.federated import (aggregate_residuals, average_personalized_accuracy,
                              client_batch_schedule, evaluate_params, fedavg,
                              masked_average, staleness_weighted_average,
-                             train_locally)
+                             train_cohort_batched)
 from repro.models import build_mlp
 from repro.nn.params import copy_params, l2_distance, multiply, subtract
 from repro.sparsity import build_parameter_mask, ordered_pattern
@@ -30,13 +30,14 @@ class TestClientBatchSchedule:
         assert client_batch_schedule(10, 4, 0, rng=np.random.default_rng(0)) == []
 
 
-class TestTrainLocally:
+class TestTrainOneClient:
     def test_training_improves_accuracy(self):
         model = build_mlp(12, [16], 4, seed=0)
         ds = toy_dataset(60)
-        result = train_locally(model, model.get_parameters(), ds,
-                               iterations=30, batch_size=16, learning_rate=0.3,
-                               rng=np.random.default_rng(0))
+        result = train_cohort_batched(model, [model.get_parameters()], [ds],
+                                      iterations=30, batch_size=16,
+                                      learning_rate=0.3,
+                                      rngs=[np.random.default_rng(0)])[0]
         assert result.train_accuracy > 0.4
         assert result.examples_seen == 30 * 16
 
@@ -44,11 +45,13 @@ class TestTrainLocally:
         model = build_mlp(12, [16], 4, seed=0)
         ds = toy_dataset(60)
         start = model.get_parameters()
-        free = train_locally(model, start, ds, iterations=20, batch_size=16,
-                             learning_rate=0.3, rng=np.random.default_rng(0))
-        anchored = train_locally(model, start, ds, iterations=20, batch_size=16,
-                                 learning_rate=0.3, prox_mu=1.0,
-                                 rng=np.random.default_rng(0))
+        free = train_cohort_batched(model, [start], [ds], iterations=20,
+                                    batch_size=16, learning_rate=0.3,
+                                    rngs=[np.random.default_rng(0)])[0]
+        anchored = train_cohort_batched(model, [start], [ds], iterations=20,
+                                        batch_size=16, learning_rate=0.3,
+                                        prox_mu=1.0,
+                                        rngs=[np.random.default_rng(0)])[0]
         assert l2_distance(anchored.params, start) < l2_distance(free.params, start)
 
     def test_param_mask_keeps_masked_entries_zero(self):
@@ -56,10 +59,11 @@ class TestTrainLocally:
         ds = toy_dataset(40)
         pattern = ordered_pattern(model, 0.5)
         mask = build_parameter_mask(model, pattern)
-        result = train_locally(model, model.get_parameters(), ds,
-                               iterations=10, batch_size=8, learning_rate=0.2,
-                               pattern=pattern, param_mask=mask,
-                               rng=np.random.default_rng(0))
+        result = train_cohort_batched(model, [model.get_parameters()], [ds],
+                                      iterations=10, batch_size=8,
+                                      learning_rate=0.2, patterns=[pattern],
+                                      param_masks=[mask],
+                                      rngs=[np.random.default_rng(0)])[0]
         for key, values in result.params.items():
             assert np.all(values[mask[key] == 0.0] == 0.0)
 
@@ -67,10 +71,10 @@ class TestTrainLocally:
         model = build_mlp(12, [16], 4, seed=0)
         ds = toy_dataset(40)
         start = model.get_parameters()
-        result = train_locally(model, start, ds, iterations=5, batch_size=8,
-                               learning_rate=0.2,
-                               trainable_keys=["head.W", "head.b"],
-                               rng=np.random.default_rng(0))
+        result = train_cohort_batched(model, [start], [ds], iterations=5,
+                                      batch_size=8, learning_rate=0.2,
+                                      trainable_keys=["head.W", "head.b"],
+                                      rngs=[np.random.default_rng(0)])[0]
         for key in start:
             if key.startswith("head."):
                 continue
@@ -80,9 +84,10 @@ class TestTrainLocally:
         model = build_mlp(12, [16], 4, seed=0)
         ds = toy_dataset(40)
         pattern = ordered_pattern(model, 0.5)
-        train_locally(model, model.get_parameters(), ds, iterations=2,
-                      batch_size=8, learning_rate=0.1, pattern=pattern,
-                      rng=np.random.default_rng(0))
+        train_cohort_batched(model, [model.get_parameters()], [ds],
+                             iterations=2, batch_size=8, learning_rate=0.1,
+                             patterns=[pattern],
+                             rngs=[np.random.default_rng(0)])
         assert all(layer.unit_gate is None for layer in model.layers)
 
 

@@ -47,18 +47,17 @@ from repro.core.importance import (ImportanceIndicator,
                                    initialize_importance, smoothed_targets)
 from repro.core.sparse_training import (SparseTrainingResult,
                                         _normalize_gate_gradients,
-                                        learnable_sparse_training,
                                         learnable_sparse_training_cohort)
 from repro.data.dataset import Dataset
 from repro.federated import (LocalUpdateResult, client_batch_schedule,
-                             train_cohort_batched, train_locally)
+                             train_cohort_batched)
 from repro.models import build_cnn, build_lstm_lm, build_mlp
 from repro.nn import (Arena, BatchedModel, BatchedSGD, Dense, Dropout,
                       MaxPool2d, ReLU, Sequential, accuracy, accuracy_cohort,
                       cohort_squared_norms, sigmoid, softmax,
                       softmax_cross_entropy, softmax_cross_entropy_cohort,
                       stack_param_dicts)
-from repro.nn.batched import BatchedConv2d, CohortOfOne
+from repro.nn.batched import BatchedConv2d, CohortOfOne, cohort_program
 from repro.nn.conv import _col2im, _im2col, _pool_index, _unfold_index
 from repro.nn.params import add_, copy_params, multiply, scale_, subtract
 from repro.sparsity import (build_parameter_mask, gates_from_pattern,
@@ -993,9 +992,10 @@ def test_sparse_training_matches_the_per_client_oracle(builder, sizes, refresh,
     new_cohort = learnable_sparse_training_cohort(
         model, start, importances, datasets, sparse_ratios=ratios,
         rngs=rngs(), **common)
-    new_loop = [learnable_sparse_training(
-        model, start, importances[i], datasets[i], sparse_ratio=ratios[i],
-        rng=rngs()[i], **common) for i in range(cohort)]
+    new_loop = [learnable_sparse_training_cohort(
+        model, start, [importances[i]], [datasets[i]],
+        sparse_ratios=[ratios[i]], rngs=[rngs()[i]], **common)[0]
+        for i in range(cohort)]
     for want, *others in zip(oracle, old_loop, new_cohort, new_loop):
         assert np.any(want.residual["head.W"])
         for got in others:
@@ -1113,6 +1113,15 @@ _LOCAL_CASES = {
 }
 
 
+def _cohort_kwargs(kwargs, cohort):
+    """``_reference_train_locally``'s keywords as the cohort entry's: the
+    per-client ``pattern`` / ``param_mask`` repeated ``cohort`` times."""
+    per_client = {"pattern": "patterns", "param_mask": "param_masks"}
+    return {per_client.get(key, key):
+            [value] * cohort if key in per_client else value
+            for key, value in kwargs.items()}
+
+
 @pytest.mark.parametrize("case", list(_LOCAL_CASES.values()),
                          ids=list(_LOCAL_CASES))
 @pytest.mark.parametrize("builder", [
@@ -1120,11 +1129,12 @@ _LOCAL_CASES = {
     lambda: build_cnn(1, 8, 3, channels=(3, 4), hidden_dim=6, seed=1),
     _lstm, _mlp_with_dropout,
 ], ids=["mlp", "cnn", "lstm-tokens", "mlp-dropout"])
-def test_train_locally_matches_reference_train_locally(builder, case):
-    """``train_locally`` is the cohort body over a ``CohortOfOne``; the loop
-    it used to own must be reproduced byte for byte — result and model.  The
-    LSTM (integer token input), the dropout MLP and the gated sub-model have
-    no batched kernels: the adapter is their only path."""
+def test_cohort_of_one_matches_reference_train_locally(builder, case):
+    """One client runs the cohort entry over a ``CohortOfOne``; the loop
+    ``train_locally`` used to own must be reproduced byte for byte — result
+    and model.  The LSTM (integer token input), the dropout MLP and the
+    gated sub-model have no batched kernels: the adapter is their only
+    path."""
     # two instances: a Dropout layer's own stream advances with every call
     new_model, old_model = builder(), builder()
     kwargs = dict(iterations=5, batch_size=8, learning_rate=0.1)
@@ -1135,8 +1145,9 @@ def test_train_locally_matches_reference_train_locally(builder, case):
 
     want = _reference_train_locally(old_model, start, dataset,
                                     rng=np.random.default_rng(100), **kwargs)
-    got = train_locally(new_model, start, dataset,
-                        rng=np.random.default_rng(100), **kwargs)
+    got = train_cohort_batched(new_model, [start], [dataset],
+                               rngs=[np.random.default_rng(100)],
+                               **_cohort_kwargs(kwargs, 1))[0]
     _assert_same_update(got, want)
     _assert_same_model_state(new_model, old_model)
     if kwargs["iterations"]:
@@ -1159,14 +1170,10 @@ def test_cohort_of_float_models_matches_reference_train_locally(case):
     datasets = [_client_data(model, n, seed=5 + i) for i, n in enumerate(sizes)]
     start = _shifted(model.get_parameters(), seed=12)
     template_before = model.get_parameters()
-    per_client = {"pattern": "patterns", "param_mask": "param_masks"}
-    cohort_kwargs = {per_client.get(key, key):
-                     [value] * 3 if key in per_client else value
-                     for key, value in kwargs.items()}
     got = train_cohort_batched(
         model, [start] * 3, datasets,
         rngs=[np.random.default_rng(100 + i) for i in range(3)],
-        **cohort_kwargs)
+        **_cohort_kwargs(kwargs, 3))
     # the cohort path leaves the template untouched
     for key, value in template_before.items():
         _assert_same_bits(model.get_parameters()[key], value)
@@ -1175,6 +1182,62 @@ def test_cohort_of_float_models_matches_reference_train_locally(case):
             build_mlp(6, [5, 4], 3, seed=1), start, dataset,
             rng=np.random.default_rng(100 + index), **kwargs)
         _assert_same_update(got[index], want)
+
+
+@pytest.mark.parametrize("cohort", [1, 3])
+def test_one_entry_trains_one_client_in_place_and_a_cohort_on_a_template(
+        cohort):
+    """Each family's one entry picks its program by cohort size: one client
+    trains ``model`` itself through a ``CohortOfOne`` (left holding the
+    trained parameters, as the loop left it), a cohort of three runs on a
+    ``BatchedModel`` and leaves the template untouched.  Every client
+    stays byte-equal to the per-client oracle either way."""
+    program = cohort_program(build_mlp(6, [5, 4], 3, seed=1), cohort)
+    assert type(program) is (CohortOfOne if cohort == 1 else BatchedModel)
+    model, old_model = (build_mlp(6, [5, 4], 3, seed=1) for _ in range(2))
+    template_before = model.get_parameters()
+    kwargs = dict(iterations=5, batch_size=8, learning_rate=0.1,
+                  **_heterofl_style(model))
+    datasets = [_client_data(model, n, seed=5 + i)
+                for i, n in enumerate([20, 13, 20][:cohort])]
+    start = _shifted(model.get_parameters(), seed=12)
+    got = train_cohort_batched(
+        model, [start] * cohort, datasets,
+        rngs=[np.random.default_rng(100 + i) for i in range(cohort)],
+        **_cohort_kwargs(kwargs, cohort))
+    for index, dataset in enumerate(datasets):
+        want = _reference_train_locally(
+            old_model, start, dataset,
+            rng=np.random.default_rng(100 + index), **kwargs)
+        _assert_same_update(got[index], want)
+    if cohort == 1:
+        _assert_same_model_state(model, old_model)
+    else:
+        for key, value in template_before.items():
+            _assert_same_bits(model.get_parameters()[key], value)
+
+    sparse_model, old_sparse_model = (build_mlp(6, [5, 4], 3, seed=1)
+                                      for _ in range(2))
+    sparse_before = sparse_model.get_parameters()
+    importances = [initialize_importance(sparse_model, seed=1000 + i)
+                   for i in range(cohort)]
+    ratios = [0.5, 0.75, 1.0][:cohort]
+    common = dict(iterations=4, batch_size=8, learning_rate=0.1, prox_mu=0.3)
+    results = learnable_sparse_training_cohort(
+        sparse_model, start, importances, datasets, sparse_ratios=ratios,
+        rngs=[np.random.default_rng(100 + i) for i in range(cohort)],
+        **common)
+    for index, dataset in enumerate(datasets):
+        want = _reference_sparse_training(
+            old_sparse_model, start, importances[index], dataset,
+            sparse_ratio=ratios[index],
+            rng=np.random.default_rng(100 + index), **common)
+        _assert_same_result(results[index], want)
+    if cohort == 1:
+        _assert_same_model_state(sparse_model, old_sparse_model)
+    else:
+        for key, value in sparse_before.items():
+            _assert_same_bits(sparse_model.get_parameters()[key], value)
 
 
 @pytest.mark.parametrize("refresh", [False, True], ids=["held", "refresh"])
@@ -1192,9 +1255,10 @@ def test_sparse_training_on_the_lstm_matches_the_per_client_oracle(refresh):
     want = _reference_sparse_training(
         old_model, start, importance, dataset,
         rng=np.random.default_rng(100), **common)
-    got = learnable_sparse_training(
-        new_model, start, importance, dataset,
-        rng=np.random.default_rng(100), **common)
+    ratio = common.pop("sparse_ratio")
+    got = learnable_sparse_training_cohort(
+        new_model, start, [importance], [dataset], sparse_ratios=[ratio],
+        rngs=[np.random.default_rng(100)], **common)[0]
     assert np.any(want.residual["head.W"])
     _assert_same_result(got, want)
     _assert_same_model_state(new_model, old_model)

@@ -7,7 +7,8 @@ import pytest
 
 from repro.models import (build_cnn, build_lstm_lm, build_mlp,
                           build_model_for_dataset, build_vgg_style)
-from repro.nn import SGD, Dense, ReLU, Sequential, softmax_cross_entropy
+from repro.nn import BatchedSGD, Dense, Sequential, softmax_cross_entropy
+from repro.nn.batched import CohortOfOne
 from repro.nn.serialization import load_parameters, save_parameters
 
 
@@ -56,7 +57,8 @@ class TestSequentialBasics:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((64, 12))
         y = (x[:, 0] > 0).astype(int)
-        opt = SGD(0.2)
+        program = CohortOfOne(small_mlp)
+        opt = BatchedSGD(program.live_parameters(), 0.2)
         losses = []
         for _ in range(30):
             small_mlp.zero_grad()
@@ -64,7 +66,7 @@ class TestSequentialBasics:
             loss, grad = softmax_cross_entropy(logits, y)
             losses.append(loss)
             small_mlp.backward(grad)
-            small_mlp.apply_gradient_step(opt)
+            opt.step(program.live_gradients())
         assert losses[-1] < losses[0] * 0.8
 
 
@@ -73,16 +75,6 @@ class TestUnitLayout:
         names = [group.layer_name for group in small_cnn.unit_groups]
         assert "head" not in names
         assert small_cnn.total_units == sum(g.n_units for g in small_cnn.unit_groups)
-
-    def test_split_and_join_unit_vector(self, small_cnn):
-        vector = np.arange(small_cnn.total_units, dtype=float)
-        per_layer = small_cnn.split_unit_vector(vector)
-        joined = small_cnn.join_unit_vector(per_layer)
-        np.testing.assert_array_equal(joined, vector)
-
-    def test_split_rejects_wrong_length(self, small_cnn):
-        with pytest.raises(ValueError):
-            small_cnn.split_unit_vector(np.zeros(small_cnn.total_units + 1))
 
     def test_expand_unit_masks_covers_all_params(self, small_cnn):
         pattern = {group.layer_name: np.ones(group.n_units)
@@ -159,7 +151,8 @@ def _train_step(model, x, y):
     model.zero_grad()
     _, grad = softmax_cross_entropy(model.forward(x, train=True), y)
     model.backward(grad, input_grad=False)
-    model.apply_gradient_step(SGD(0.1))
+    program = CohortOfOne(model)
+    BatchedSGD(program.live_parameters(), 0.1).step(program.live_gradients())
 
 
 class TestPickling:

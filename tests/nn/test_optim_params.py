@@ -1,75 +1,50 @@
-"""Tests for the SGD optimizer and the parameter-dictionary helpers."""
+"""Tests for the flat-arena SGD step and the parameter-dictionary helpers."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, clip_gradients, global_grad_norm
+from repro.nn import Arena, BatchedSGD
 from repro.nn import params as P
 
 
-class TestSGD:
+def _arena(*rows):
+    """A one-key arena holding one ``(C, n)`` block, a client per row."""
+    return Arena.of({"w": np.array(rows, dtype=np.float64)})
+
+
+class TestBatchedSGD:
     def test_basic_step(self):
-        opt = SGD(0.1)
-        weights = {"w": np.array([1.0, 2.0])}
-        opt.step(weights, {"w": np.array([1.0, 1.0])})
-        np.testing.assert_allclose(weights["w"], [0.9, 1.9])
+        weights = _arena([1.0, 2.0])
+        BatchedSGD(weights, 0.1).step(_arena([1.0, 1.0]))
+        np.testing.assert_allclose(weights["w"], [[0.9, 1.9]])
 
     def test_momentum_accumulates(self):
-        opt = SGD(0.1, momentum=0.9)
-        weights = {"w": np.array([0.0])}
-        opt.step(weights, {"w": np.array([1.0])})
-        opt.step(weights, {"w": np.array([1.0])})
+        weights = _arena([0.0])
+        opt = BatchedSGD(weights, 0.1, momentum=0.9)
+        opt.step(_arena([1.0]))
+        opt.step(_arena([1.0]))
         # second step uses velocity 0.9 * 1 + 1 = 1.9
-        np.testing.assert_allclose(weights["w"], [-0.1 - 0.19])
+        np.testing.assert_allclose(weights["w"], [[-0.1 - 0.19]])
 
-    def test_weight_decay(self):
-        opt = SGD(0.1, weight_decay=0.5)
-        weights = {"w": np.array([2.0])}
-        opt.step(weights, {"w": np.array([0.0])})
-        np.testing.assert_allclose(weights["w"], [2.0 - 0.1 * 1.0])
+    def test_clip_norm_limits_each_client_on_its_own(self):
+        weights = _arena([0.0, 0.0], [0.0, 0.0])
+        BatchedSGD(weights, 1.0, clip_norm=1.0).step(
+            _arena([3.0, 4.0], [0.3, 0.4]))
+        np.testing.assert_allclose(np.linalg.norm(weights["w"][0]), 1.0,
+                                   rtol=1e-6)
+        np.testing.assert_array_equal(weights["w"][1], [-0.3, -0.4])
 
-    def test_clip_norm_limits_update(self):
-        opt = SGD(1.0, clip_norm=1.0)
-        weights = {"w": np.array([0.0, 0.0])}
-        opt.step(weights, {"w": np.array([3.0, 4.0])})
-        np.testing.assert_allclose(np.linalg.norm(weights["w"]), 1.0, rtol=1e-6)
-
-    def test_missing_gradient_key_is_skipped(self):
-        opt = SGD(0.1)
-        weights = {"w": np.array([1.0]), "v": np.array([1.0])}
-        opt.step(weights, {"w": np.array([1.0])})
-        np.testing.assert_allclose(weights["v"], [1.0])
-
-    def test_reset_state_clears_momentum(self):
-        opt = SGD(0.1, momentum=0.9)
-        weights = {"w": np.array([0.0])}
-        opt.step(weights, {"w": np.array([1.0])})
-        opt.reset_state()
-        opt.step(weights, {"w": np.array([1.0])})
-        np.testing.assert_allclose(weights["w"], [-0.2])
-
-    @pytest.mark.parametrize("kwargs", [
-        {"lr": 0.0}, {"lr": -1.0},
-        {"lr": 0.1, "momentum": 1.0},
-        {"lr": 0.1, "weight_decay": -0.1},
-    ])
-    def test_invalid_arguments(self, kwargs):
-        lr = kwargs.pop("lr")
+    @pytest.mark.parametrize("lr,kwargs", [
+        (0.0, {}), (-1.0, {}),
+        (np.array([0.1, 0.0]), {}), (np.array([[0.1, 0.1]]), {}),
+        (0.1, {"momentum": 1.0}), (0.1, {"momentum": -0.1}),
+        (0.1, {"clip_norm": 0.0}), (0.1, {"clip_norm": -1.0}),
+    ], ids=["zero-lr", "negative-lr", "non-positive-client-lr",
+            "2-d-client-lr", "momentum-one", "negative-momentum",
+            "zero-clip", "negative-clip"])
+    def test_invalid_arguments(self, lr, kwargs):
         with pytest.raises(ValueError):
-            SGD(lr, **kwargs)
-
-    def test_global_grad_norm(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        assert global_grad_norm(grads) == pytest.approx(5.0)
-
-    def test_clip_gradients_noop_when_below_threshold(self):
-        grads = {"a": np.array([0.1])}
-        clipped = clip_gradients(grads, 10.0)
-        np.testing.assert_allclose(clipped["a"], [0.1])
-
-    def test_clip_gradients_invalid_norm(self):
-        with pytest.raises(ValueError):
-            clip_gradients({"a": np.ones(2)}, 0.0)
+            BatchedSGD(_arena([0.0], [0.0]), lr, **kwargs)
 
 
 class TestParamHelpers:
