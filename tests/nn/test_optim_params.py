@@ -34,6 +34,26 @@ class TestBatchedSGD:
                                    rtol=1e-6)
         np.testing.assert_array_equal(weights["w"][1], [-0.3, -0.4])
 
+    def test_clip_norm_spans_every_key(self):
+        weights = Arena.of({"a": np.zeros((1, 1)), "b": np.zeros((1, 1))})
+        BatchedSGD(weights, 1.0, clip_norm=1.0).step(
+            Arena.of({"a": np.array([[3.0]]), "b": np.array([[4.0]])}))
+        # the norm is over both keys together (5), not each on its own
+        np.testing.assert_allclose(weights["a"], [[-0.6]])
+        np.testing.assert_allclose(weights["b"], [[-0.8]])
+
+    def test_clip_norm_leaves_small_gradients_unscaled(self):
+        clipped, plain = _arena([1.0, 2.0]), _arena([1.0, 2.0])
+        BatchedSGD(clipped, 0.1, clip_norm=10.0).step(_arena([0.1, 0.2]))
+        BatchedSGD(plain, 0.1).step(_arena([0.1, 0.2]))
+        np.testing.assert_array_equal(clipped["w"], plain["w"])
+
+    def test_per_client_learning_rates(self):
+        weights = _arena([1.0, 1.0], [1.0, 1.0])
+        BatchedSGD(weights, np.array([0.1, 0.5])).step(
+            _arena([1.0, 2.0], [1.0, 2.0]))
+        np.testing.assert_allclose(weights["w"], [[0.9, 0.8], [0.5, 0.0]])
+
     @pytest.mark.parametrize("lr,kwargs", [
         (0.0, {}), (-1.0, {}),
         (np.array([0.1, 0.0]), {}), (np.array([[0.1, 0.1]]), {}),
