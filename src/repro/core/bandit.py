@@ -175,15 +175,3 @@ class PUCBVAgent:
         radicand = max(self.rho * (partition.reward_variance + 2.0) * log_term, 0.0)
         bonus = float(np.sqrt(radicand / (4.0 * (partition.pulls + 1))))
         return partition.mean_reward + bonus
-
-    # ------------------------------------------------------------ inspection
-    @property
-    def num_partitions(self) -> int:
-        return len(self.partitions)
-
-    @property
-    def num_eliminated(self) -> int:
-        return self._eliminated
-
-    def partition_bounds(self) -> List[tuple[float, float]]:
-        return [(p.low, p.high) for p in self.partitions]

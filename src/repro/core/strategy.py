@@ -57,6 +57,10 @@ class FedLPS(Strategy):
             raise ValueError(f"pattern_mode must be one of {PATTERN_MODES}")
         if not 0.0 < fixed_ratio <= 1.0:
             raise ValueError("fixed_ratio must be in (0, 1]")
+        # the P-UCBV agent's own condition (ratio_max = 1), checked here so
+        # that a bad floor fails at construction, not in a worker task
+        if not 0.0 < ratio_min < 1.0:
+            raise ValueError(f"ratio_min must be in (0, 1), got {ratio_min}")
         if importance_learning_rate is not None \
                 and not importance_learning_rate > 0:
             raise ValueError("importance_learning_rate must be positive, "

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
-                    Tuple)
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -45,12 +44,6 @@ class Dataset:
         """Dataset restricted to ``indices`` (copying the selected rows)."""
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(self.x[indices].copy(), self.y[indices].copy())
-
-    def class_counts(self, num_classes: Optional[int] = None) -> np.ndarray:
-        """Histogram of labels, length ``num_classes`` (inferred if omitted)."""
-        if num_classes is None:
-            num_classes = int(self.y.max()) + 1 if len(self.y) else 0
-        return np.bincount(self.y.astype(np.int64), minlength=num_classes)
 
     def split(self, test_fraction: float, *, seed: int = 0) -> Tuple["Dataset", "Dataset"]:
         """Random train/test split preserving no particular class balance."""
@@ -241,12 +234,3 @@ class FederatedDataset:
         if client_id not in self.clients:
             raise KeyError(f"no client with id {client_id}")
         return self.clients[client_id]
-
-    def total_train_examples(self) -> int:
-        """Total |D_k| over the fleet (materializes every shard: O(N))."""
-        return int(sum(len(self.clients[cid].train) for cid in self.client_ids))
-
-    def average_local_accuracy_weights(self) -> Dict[int, float]:
-        """Per-client weights proportional to local train size (|D_k|)."""
-        return {int(cid): float(len(self.clients[cid].train))
-                for cid in self.client_ids}

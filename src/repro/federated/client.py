@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
-from ..data.dataset import ClientData, DataLoader, Dataset
+from ..data.dataset import ClientData, Dataset
 from ..systems.devices import DeviceProfile
 
 
@@ -49,7 +49,3 @@ class Client:
     def capability(self) -> float:
         """Static capability level ``z_k`` of the client's device."""
         return self.device.capability
-
-    def train_loader(self, batch_size: int, *, seed: int = 0) -> DataLoader:
-        return DataLoader(self.data.train, batch_size, shuffle=True,
-                          seed=seed * 100_003 + self.client_id)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -146,18 +147,22 @@ class FederatedConfig:
             raise ValueError("local_iterations must be positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # float fields take the CLI's meaning (``cli.positive``): positive
+        # is 0 < v < inf and non-negative 0 <= v < inf, so NaN and inf fail
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         # checked here so a bad value fails at construction, not from the
         # optimizer inside the first worker task (a remote traceback)
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive (or None)")
-        if self.prox_mu < 0:
-            raise ValueError("prox_mu must be non-negative")
-        if self.importance_lambda < 0:
-            raise ValueError("importance_lambda must be non-negative")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be positive and finite (or None)")
+        if not 0 <= self.prox_mu < math.inf:
+            raise ValueError("prox_mu must be non-negative and finite")
+        if not 0 <= self.importance_lambda < math.inf:
+            raise ValueError("importance_lambda must be non-negative and finite")
+        if not math.isfinite(self.cost_alpha):
+            raise ValueError("cost_alpha must be finite")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
         if self.aggregation not in AGGREGATIONS:
@@ -166,8 +171,8 @@ class FederatedConfig:
                 f"choose from {AGGREGATIONS}")
         if not 0.0 < self.async_alpha <= 1.0:
             raise ValueError("async_alpha must be in (0, 1]")
-        if self.staleness_exponent < 0:
-            raise ValueError("staleness_exponent must be non-negative")
+        if not 0 <= self.staleness_exponent < math.inf:
+            raise ValueError("staleness_exponent must be non-negative and finite")
         if self.buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
         if (self.async_arrivals_per_round is not None
@@ -179,8 +184,8 @@ class FederatedConfig:
         if self.codec not in available_codecs():
             raise ValueError(f"unknown codec {self.codec!r}; "
                              f"choose from {available_codecs()}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
+        if self.task_timeout is not None and not 0 < self.task_timeout < math.inf:
+            raise ValueError("task_timeout must be positive and finite (or None)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if self.faults is not None:

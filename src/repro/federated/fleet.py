@@ -26,7 +26,7 @@ evaluation sweeps do not grow the store.
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Iterator, Optional, Set
 
 import numpy as np
 
@@ -124,11 +124,6 @@ class FleetStateStore:
         """
         dirty, self._dirty = self._dirty, set()
         return dirty
-
-    @property
-    def known_ids(self) -> List[int]:
-        """Ids with a persisted state (i.e. clients that participated)."""
-        return sorted(self._states)
 
     def snapshot(self) -> Dict[int, Dict[str, Any]]:
         """The ``{client_id: state}`` entries, id-sorted (checkpointing).

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..data.dataset import FederatedDataset, mapping_client_ids
 from ..nn.model import Sequential
-from ..nn.params import ParamDict, copy_params
+from ..nn.params import ParamDict
 from ..sparsity.accounting import local_round_cost
 from ..sparsity.masks import UnitPattern, build_parameter_mask
 from ..systems.cost import CostBreakdown, LocalCostModel
@@ -345,8 +345,3 @@ class Strategy:
             context.model, client.num_train_examples, config.local_iterations,
             config.batch_size, pattern=pattern, uniform_ratio=uniform_ratio)
         return cost.flops, cost.upload_bytes, cost.download_bytes
-
-    def snapshot_global(self) -> ParamDict:
-        """A defensive copy of the current global parameters."""
-        self._require_context()
-        return copy_params(self.global_params)

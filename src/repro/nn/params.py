@@ -43,26 +43,6 @@ def scale(params: Mapping[str, np.ndarray], factor: float) -> ParamDict:
     return {key: value * factor for key, value in params.items()}
 
 
-def add_(left: ParamDict, right: Mapping[str, np.ndarray]) -> ParamDict:
-    """In-place element-wise sum: ``left += right``, returning ``left``.
-
-    The in-place variants are for a caller that owns the left operand and
-    would otherwise pay the fresh dictionary each copying helper above
-    allocates per call.
-    """
-    _check_same_keys(left, right)
-    for key, value in left.items():
-        value += right[key]
-    return left
-
-
-def scale_(params: ParamDict, factor: float) -> ParamDict:
-    """In-place scaling: every entry ``*= factor``, returning ``params``."""
-    for value in params.values():
-        value *= factor
-    return params
-
-
 def multiply(left: Mapping[str, np.ndarray], right: Mapping[str, np.ndarray]) -> ParamDict:
     """Element-wise (Hadamard) product, e.g. ``omega * mask``."""
     _check_same_keys(left, right)
@@ -120,16 +100,6 @@ def flatten(params: Mapping[str, np.ndarray]) -> np.ndarray:
     """Concatenate all entries (sorted by key) into a single 1-D vector."""
     return np.concatenate([np.ravel(params[key]) for key in sorted(params)]) \
         if params else np.zeros(0)
-
-
-def l2_norm(params: Mapping[str, np.ndarray]) -> float:
-    """Global L2 norm of a parameter dictionary."""
-    return float(np.sqrt(sum(float(np.sum(v ** 2)) for v in params.values())))
-
-
-def l2_distance(left: Mapping[str, np.ndarray], right: Mapping[str, np.ndarray]) -> float:
-    """Global L2 distance between two parameter dictionaries."""
-    return l2_norm(subtract(left, right))
 
 
 def num_parameters(params: Mapping[str, np.ndarray]) -> int:

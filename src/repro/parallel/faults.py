@@ -88,10 +88,6 @@ class FaultDecision:
     kind: str = "none"
     seconds: float = 0.0
 
-    @property
-    def faulty(self) -> bool:
-        return self.kind not in ("none", "slow")
-
 
 _NO_FAULT = FaultDecision()
 

@@ -123,11 +123,6 @@ class FrameDecoder:
         self._buffer = bytearray()
         self._need: Optional[Tuple[int, int]] = None  # (kind, payload length)
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        return len(self._buffer)
-
     def feed(self, data: bytes) -> List[Tuple[int, bytes]]:
         self._buffer.extend(data)
         frames: List[Tuple[int, bytes]] = []

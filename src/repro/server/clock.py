@@ -60,13 +60,6 @@ class EventQueue:
     def peek(self) -> Optional[ClientEvent]:
         return self._heap[0][2] if self._heap else None
 
-    def drain(self) -> List[ClientEvent]:
-        """Pop every remaining event in sim-time order."""
-        events = []
-        while self._heap:
-            events.append(self.pop())
-        return events
-
     def snapshot(self) -> List[ClientEvent]:
         """Every queued event in ``(finish_time, client_id)`` order.
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..sparsity.accounting import SparseCost
 from .devices import DeviceProfile
@@ -51,8 +51,3 @@ class LocalCostModel:
         """Synchronous round time: the slowest selected client (Eq. 18)."""
         costs = [cost.total_seconds for cost in client_costs]
         return max(costs) if costs else 0.0
-
-    @staticmethod
-    def round_time_by_client(client_costs: Mapping[int, CostBreakdown]) -> float:
-        """Same as :meth:`round_time` for a ``{client_id: cost}`` mapping."""
-        return LocalCostModel.round_time(client_costs.values())

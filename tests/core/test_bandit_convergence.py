@@ -37,7 +37,7 @@ class TestRatioPartition:
 class TestPUCBVAgent:
     def test_initial_partitions_cover_arm_space(self):
         agent = make_agent(ratio_min=0.1, ratio_max=1.0)
-        bounds = agent.partition_bounds()
+        bounds = [(p.low, p.high) for p in agent.partitions]
         assert bounds[0][0] == pytest.approx(0.1)
         assert bounds[-1][1] == pytest.approx(1.0)
         for (_, hi), (lo, _) in zip(bounds[:-1], bounds[1:]):
@@ -59,25 +59,25 @@ class TestPUCBVAgent:
 
     def test_partition_splitting_grows_tree(self):
         agent = make_agent()
-        before = agent.num_partitions
+        before = len(agent.partitions)
         agent.observe_and_select(0.5, 1.0, 60.0, 50.0)
-        assert agent.num_partitions >= before
+        assert len(agent.partitions) >= before
 
     def test_accuracy_drop_triggers_elimination(self):
         agent = make_agent(accuracy_threshold=0.0)
         ratio = 0.5
-        eliminated_before = agent.num_eliminated
+        eliminated_before = agent._eliminated
         # repeated accuracy drops should eventually eliminate lower partitions
         for _ in range(6):
             ratio = agent.observe_and_select(ratio, 1.0, 40.0, 60.0)
-        assert agent.num_eliminated > eliminated_before
+        assert agent._eliminated > eliminated_before
 
     def test_elimination_never_removes_last_partition(self):
         agent = make_agent(num_initial_partitions=1)
         ratio = agent.initial_ratio()
         for _ in range(5):
             ratio = agent.observe_and_select(ratio, 1.0, 10.0, 90.0)
-        assert agent.num_partitions >= 1
+        assert len(agent.partitions) >= 1
 
     def test_low_ratio_penalised_when_it_hurts_accuracy(self):
         rng = np.random.default_rng(0)

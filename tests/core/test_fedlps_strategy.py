@@ -40,6 +40,13 @@ class TestFedLPSConstruction:
         with pytest.raises(ValueError, match="importance_learning_rate"):
             FedLPS(importance_learning_rate=rate)
 
+    @pytest.mark.parametrize("policy", ["pucbv", "fixed"])
+    @pytest.mark.parametrize("ratio_min", [float("nan"), float("inf"), 0.0, 1.0])
+    def test_ratio_min_outside_the_arm_space_fails_at_construction(
+            self, ratio_min, policy):
+        with pytest.raises(ValueError, match="ratio_min"):
+            FedLPS(ratio_min=ratio_min, ratio_policy=policy)
+
     def test_importance_rate_none_shares_the_model_rate(self):
         assert FedLPS(importance_learning_rate=None).importance_learning_rate is None
 

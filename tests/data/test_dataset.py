@@ -28,10 +28,6 @@ class TestDataset:
         sub.x[0, 0] = 123.0
         assert ds.x[0, 0] != 123.0
 
-    def test_class_counts(self):
-        ds = Dataset(np.zeros((4, 1)), np.array([0, 0, 2, 1]))
-        np.testing.assert_array_equal(ds.class_counts(3), [2, 1, 1])
-
     def test_split_sizes(self):
         ds = make_dataset(20)
         train, test = ds.split(0.25, seed=1)
@@ -95,8 +91,3 @@ class TestFederatedContainers:
         assert len(shard.train) > 0 and len(shard.test) > 0
         with pytest.raises(KeyError):
             small_fed_dataset.client(99)
-
-    def test_total_examples_and_weights(self, small_fed_dataset):
-        total = small_fed_dataset.total_train_examples()
-        weights = small_fed_dataset.average_local_accuracy_weights()
-        assert total == sum(weights.values())

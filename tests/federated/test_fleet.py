@@ -178,7 +178,7 @@ class TestOCohortMaterialization:
         # and the sparse store holds exactly the participants
         participants = dispatched - {
             cid for record in history.records for cid in record.dropped}
-        store_ids = set(trainer.clients.state_store.known_ids)
+        store_ids = set(trainer.clients.state_store.snapshot())
         assert participants <= store_ids <= dispatched
 
     def test_evaluation_sweep_does_not_grow_state_store(self):
@@ -195,7 +195,7 @@ class TestOCohortMaterialization:
         # every client was evaluated (eval_clients=None) and therefore
         # materialized — but only participants entered the store
         assert dataset.shard_map.materialized_ids == set(range(20))
-        assert set(trainer.clients.state_store.known_ids) <= dispatched
+        assert set(trainer.clients.state_store.snapshot()) <= dispatched
 
     def test_broadcast_runs_materialize_nothing_server_side(self):
         """With the broadcast transport, shard builds are fully worker-side.
@@ -347,7 +347,7 @@ class TestFleetView:
         assert fleet.observer(2).state["marker"] == 1
         assert len(fleet.state_store) == 0
         fleet.client(2)
-        assert fleet.state_store.known_ids == [2]
+        assert list(fleet.state_store.snapshot()) == [2]
 
     def test_dirty_set_tracks_participant_access_only(self):
         """What the checkpoint layer rewrites: every way a state can be
@@ -425,7 +425,7 @@ class TestFleetView:
         # the full evaluation sweep touched all 8 clients every round, yet
         # only participants hold state
         store = core.clients.state_store
-        assert set(store.known_ids) <= dispatched
+        assert set(store.snapshot()) <= dispatched
         assert 0 < len(store) and len(dispatched) < 8
         untouched = next(cid for cid in range(8) if cid not in dispatched)
         assert core.clients.observer(untouched).state["ratio"] > 0

@@ -9,7 +9,7 @@ from repro.federated import (aggregate_residuals, average_personalized_accuracy,
                              masked_average, staleness_weighted_average,
                              train_cohort_batched)
 from repro.models import build_mlp
-from repro.nn.params import copy_params, l2_distance, multiply, subtract
+from repro.nn.params import copy_params, multiply, subtract
 from repro.sparsity import build_parameter_mask, ordered_pattern
 
 
@@ -52,7 +52,11 @@ class TestTrainOneClient:
                                         batch_size=16, learning_rate=0.3,
                                         prox_mu=1.0,
                                         rngs=[np.random.default_rng(0)])[0]
-        assert l2_distance(anchored.params, start) < l2_distance(free.params, start)
+
+        def drift(params):
+            return sum(np.sum((params[key] - start[key]) ** 2) for key in start)
+
+        assert drift(anchored.params) < drift(free.params)
 
     def test_param_mask_keeps_masked_entries_zero(self):
         model = build_mlp(12, [16], 4, seed=0)

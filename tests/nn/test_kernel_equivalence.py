@@ -59,7 +59,7 @@ from repro.nn import (Arena, BatchedModel, BatchedSGD, Dense, Dropout,
                       stack_param_dicts)
 from repro.nn.batched import BatchedConv2d, CohortOfOne, cohort_program
 from repro.nn.conv import _col2im, _im2col, _pool_index, _unfold_index
-from repro.nn.params import add_, copy_params, multiply, scale_, subtract
+from repro.nn.params import copy_params, multiply, subtract
 from repro.sparsity import (build_parameter_mask, gates_from_pattern,
                             random_pattern)
 
@@ -697,7 +697,8 @@ def _reference_train_locally(model, start_params, dataset, *, iterations,
         grads = model.get_gradients()
         current = model.get_parameters()
         if prox_mu > 0.0 and center is not None:
-            add_(grads, scale_(subtract(current, center), 2.0 * prox_mu))
+            for key, value in grads.items():
+                value += (current[key] - center[key]) * (2.0 * prox_mu)
             loss += prox_mu * float(
                 sum(np.sum((current[key] - center[key]) ** 2) for key in current))
         if param_mask is not None:

@@ -20,13 +20,14 @@ class TestEventQueue:
         queue = EventQueue()
         for finish, cid in [(3.0, 1), (1.0, 2), (2.0, 3)]:
             queue.push(event(finish, cid))
-        assert [e.client_id for e in queue.drain()] == [2, 3, 1]
+        assert [queue.pop().client_id for _ in range(3)] == [2, 3, 1]
+        assert not queue
 
     def test_ties_break_on_client_id(self):
         queue = EventQueue()
         for cid in (5, 1, 3):
             queue.push(event(1.0, cid))
-        assert [e.client_id for e in queue.drain()] == [1, 3, 5]
+        assert [queue.pop().client_id for _ in range(3)] == [1, 3, 5]
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):

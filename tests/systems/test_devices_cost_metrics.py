@@ -97,8 +97,6 @@ class TestCostModel:
         costs = [CostBreakdown(1.0, 0.5), CostBreakdown(0.2, 0.1)]
         assert LocalCostModel.round_time(costs) == pytest.approx(1.5)
         assert LocalCostModel.round_time([]) == 0.0
-        by_client = {0: costs[0], 1: costs[1]}
-        assert LocalCostModel.round_time_by_client(by_client) == pytest.approx(1.5)
 
     def test_total_seconds(self):
         breakdown = CostBreakdown(1.0, 2.0)

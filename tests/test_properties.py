@@ -141,7 +141,7 @@ def test_pucbv_partitions_always_tile_the_arm_space(seed, steps):
         ratio = agent.observe_and_select(ratio, float(rng.uniform(0.1, 2.0)),
                                          accuracy, previous)
         assert agent.ratio_min <= ratio <= agent.ratio_max
-        bounds = agent.partition_bounds()
+        bounds = [(p.low, p.high) for p in agent.partitions]
         # partitions are disjoint, ordered and within the arm space
         for (lo, hi) in bounds:
             assert agent.ratio_min - 1e-9 <= lo < hi <= agent.ratio_max + 1e-9
