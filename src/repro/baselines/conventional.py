@@ -14,6 +14,7 @@ import numpy as np
 
 from ..federated.client import Client
 from ..federated.strategy import ClientUpdate, Strategy, StrategyContext
+from ..util import in_range, non_negative
 
 
 class FedAvg(Strategy):
@@ -29,9 +30,7 @@ class FedProx(Strategy):
 
     def __init__(self, mu: float = 0.01) -> None:
         super().__init__()
-        if mu < 0:
-            raise ValueError("mu must be non-negative")
-        self.mu = mu
+        self.mu = non_negative(mu, "mu")
 
     def _dense_updates(self, round_index: int, clients: List[Client],
                        **overrides) -> List[ClientUpdate]:
@@ -55,10 +54,9 @@ class Oort(Strategy):
     def __init__(self, exploration_fraction: float = 0.3,
                  speed_weight: float = 0.5) -> None:
         super().__init__()
-        if not 0.0 <= exploration_fraction <= 1.0:
-            raise ValueError("exploration_fraction must be in [0, 1]")
-        self.exploration_fraction = exploration_fraction
-        self.speed_weight = speed_weight
+        self.exploration_fraction = in_range(
+            exploration_fraction, "exploration_fraction", 0, 1)
+        self.speed_weight = non_negative(speed_weight, "speed_weight")
         self._last_loss: Dict[int, float] = {}
         self._num_examples: Dict[int, int] = {}
 
@@ -126,9 +124,8 @@ class REFL(Strategy):
 
     def __init__(self, staleness_decay: float = 0.7) -> None:
         super().__init__()
-        if not 0.0 < staleness_decay <= 1.0:
-            raise ValueError("staleness_decay must be in (0, 1]")
-        self.staleness_decay = staleness_decay
+        self.staleness_decay = in_range(staleness_decay, "staleness_decay",
+                                        0, 1, low_open=True)
         self._last_selected: Dict[int, int] = {}
 
     def setup(self, context: StrategyContext) -> None:

@@ -15,6 +15,7 @@ from ..federated.client import Client
 from ..federated.strategy import ClientUpdate, Strategy
 from ..federated.aggregation import fedavg
 from ..nn.params import ParamDict, copy_params
+from ..util import non_negative, non_negative_int, positive, positive_int
 
 
 HEAD_PREFIX = "head."
@@ -44,9 +45,7 @@ class Ditto(Strategy):
 
     def __init__(self, personal_mu: float = 0.1) -> None:
         super().__init__()
-        if personal_mu < 0:
-            raise ValueError("personal_mu must be non-negative")
-        self.personal_mu = personal_mu
+        self.personal_mu = non_negative(personal_mu, "personal_mu")
 
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
         # one batch stream feeds both passes, the personal after the global
@@ -124,7 +123,8 @@ class FedRep(FedPer):
 
     def __init__(self, head_iterations: Optional[int] = None) -> None:
         super().__init__()
-        self.head_iterations = head_iterations
+        self.head_iterations = positive_int(head_iterations, "head_iterations",
+                                            optional=True)
 
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
         local_iterations = self._require_context().config.local_iterations
@@ -158,10 +158,10 @@ class PerFedAvg(Strategy):
     def __init__(self, adaptation_steps: int = 2,
                  adaptation_lr: Optional[float] = None) -> None:
         super().__init__()
-        if adaptation_steps < 0:
-            raise ValueError("adaptation_steps must be non-negative")
-        self.adaptation_steps = adaptation_steps
-        self.adaptation_lr = adaptation_lr
+        self.adaptation_steps = non_negative_int(adaptation_steps,
+                                                 "adaptation_steps")
+        self.adaptation_lr = positive(adaptation_lr, "adaptation_lr",
+                                      optional=True)
 
     def client_evaluation(self, client: Client) -> Tuple[ParamDict, None]:
         if self.adaptation_steps == 0:

@@ -19,6 +19,7 @@ from ..nn.params import ParamDict, copy_params
 from ..sparsity.masks import UnitPattern
 from ..sparsity.patterns import magnitude_pattern, ordered_pattern, random_pattern
 from ..systems.devices import affordable_ratio
+from ..util import in_range, positive_int
 from .personalized import head_keys
 
 
@@ -82,13 +83,11 @@ class LotteryFL(PersonalSparseStrategy):
     def __init__(self, prune_rate: float = 0.8, accuracy_threshold: float = 0.5,
                  min_ratio: float = 0.3) -> None:
         super().__init__()
-        if not 0.0 < prune_rate < 1.0:
-            raise ValueError("prune_rate must be in (0, 1)")
-        if not 0.0 < min_ratio <= 1.0:
-            raise ValueError("min_ratio must be in (0, 1]")
-        self.prune_rate = prune_rate
-        self.accuracy_threshold = accuracy_threshold
-        self.min_ratio = min_ratio
+        self.prune_rate = in_range(prune_rate, "prune_rate", 0, 1,
+                                   low_open=True, high_open=True)
+        self.accuracy_threshold = in_range(accuracy_threshold,
+                                           "accuracy_threshold", 0, 1)
+        self.min_ratio = in_range(min_ratio, "min_ratio", 0, 1, low_open=True)
 
     def current_ratio(self, client: Client, round_index: int) -> float:
         return client.state.get("ratio", 1.0)
@@ -120,13 +119,10 @@ class Hermes(PersonalSparseStrategy):
     def __init__(self, prune_step: float = 0.1, prune_every: int = 2,
                  min_ratio: float = 0.4) -> None:
         super().__init__()
-        if not 0.0 < prune_step < 1.0:
-            raise ValueError("prune_step must be in (0, 1)")
-        if prune_every <= 0:
-            raise ValueError("prune_every must be positive")
-        self.prune_step = prune_step
-        self.prune_every = prune_every
-        self.min_ratio = min_ratio
+        self.prune_step = in_range(prune_step, "prune_step", 0, 1,
+                                   low_open=True, high_open=True)
+        self.prune_every = positive_int(prune_every, "prune_every")
+        self.min_ratio = in_range(min_ratio, "min_ratio", 0, 1, low_open=True)
 
     def current_ratio(self, client: Client, round_index: int) -> float:
         return client.state.get("ratio", 1.0)
@@ -163,12 +159,9 @@ class FedSpa(PersonalSparseStrategy):
 
     def __init__(self, ratio: float = 0.5, regrow_fraction: float = 0.2) -> None:
         super().__init__()
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError("ratio must be in (0, 1]")
-        if not 0.0 <= regrow_fraction <= 1.0:
-            raise ValueError("regrow_fraction must be in [0, 1]")
-        self.ratio = ratio
-        self.regrow_fraction = regrow_fraction
+        self.ratio = in_range(ratio, "ratio", 0, 1, low_open=True)
+        self.regrow_fraction = in_range(regrow_fraction, "regrow_fraction",
+                                        0, 1)
 
     def current_ratio(self, client: Client, round_index: int) -> float:
         return self.ratio

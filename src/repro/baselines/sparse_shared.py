@@ -23,6 +23,7 @@ from ..sparsity.patterns import (depth_pattern, magnitude_pattern, ordered_patte
                                  random_pattern, rolling_pattern)
 from ..systems.cost import CostBreakdown
 from ..systems.devices import affordable_ratio
+from ..util import in_range, non_negative, positive_int
 
 
 class SharedSparseStrategy(Strategy):
@@ -140,12 +141,10 @@ class PruneFL(SharedSparseStrategy):
 
     def __init__(self, keep_ratio: float = 0.8, reconfigure_every: int = 5) -> None:
         super().__init__()
-        if not 0.0 < keep_ratio <= 1.0:
-            raise ValueError("keep_ratio must be in (0, 1]")
-        if reconfigure_every <= 0:
-            raise ValueError("reconfigure_every must be positive")
-        self.keep_ratio = keep_ratio
-        self.reconfigure_every = reconfigure_every
+        self.keep_ratio = in_range(keep_ratio, "keep_ratio", 0, 1,
+                                   low_open=True)
+        self.reconfigure_every = positive_int(reconfigure_every,
+                                              "reconfigure_every")
         self._shared_pattern: Optional[UnitPattern] = None
 
     def setup(self, context: StrategyContext) -> None:
@@ -190,9 +189,8 @@ class ComplementSparsification(Strategy):
 
     def __init__(self, keep_ratio: float = 0.5) -> None:
         super().__init__()
-        if not 0.0 < keep_ratio <= 1.0:
-            raise ValueError("keep_ratio must be in (0, 1]")
-        self.keep_ratio = keep_ratio
+        self.keep_ratio = in_range(keep_ratio, "keep_ratio", 0, 1,
+                                   low_open=True)
 
     def _unstructured_mask(self, params: Mapping[str, np.ndarray]) -> ParamDict:
         """Global top-k magnitude mask over all parameter entries."""
@@ -241,8 +239,10 @@ class FedMP(SharedSparseStrategy):
         super().__init__()
         if not arms:
             raise ValueError("arms must not be empty")
-        self.arms = tuple(sorted(arms, reverse=True))
-        self.exploration = exploration
+        self.arms = tuple(sorted(
+            (in_range(arm, "arms", 0, 1, low_open=True) for arm in arms),
+            reverse=True))
+        self.exploration = non_negative(exploration, "exploration")
 
     def init_client_state(self, client: Client) -> None:
         # The bandit bookkeeping lives in ``client.state`` (not on the

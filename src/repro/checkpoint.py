@@ -100,7 +100,7 @@ from typing import (Any, Dict, Hashable, List, Mapping, Optional, Tuple,
 import numpy as np
 
 from .systems.metrics import RoundRecord, TrainingHistory
-from .util import BoundedLRU, canonicalize
+from .util import BoundedLRU, canonicalize, positive_int
 
 #: bump whenever the checkpoint layout — or the set of config fields the run
 #: digest hashes — changes incompatibly (2: ``FleetConfig.lazy`` removed;
@@ -618,13 +618,9 @@ class CheckpointManager:
     def __init__(self, directory: Union[str, Path], *, every: int = 1,
                  keep: int = 2, stop_after_round: Optional[int] = None
                  ) -> None:
-        if every <= 0:
-            raise ValueError("every must be positive")
-        if keep <= 0:
-            raise ValueError("keep must be positive")
         self.directory = Path(directory)
-        self.every = every
-        self.keep = keep
+        self.every = positive_int(every, "every")
+        self.keep = positive_int(keep, "keep")
         self.stop_after_round = stop_after_round
         self.last_save_seconds = 0.0
         self.last_bytes = 0

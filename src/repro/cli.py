@@ -32,11 +32,11 @@ round, client)``, so histories stay bit-identical across backends.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import fields
 from typing import Callable, List, Optional
 
+from . import util
 from .baselines import TABLE1_METHODS, available_strategies
 from .experiments import (DATASETS, DEFAULT_CACHE_DIR, DEFAULT_PRESETS,
                           ExperimentPreset, ResultCache, format_rows,
@@ -54,23 +54,27 @@ SUMMARY_COLUMNS = ["accuracy", "total_flops", "total_time_seconds",
 
 def positive(cast: Callable[[str], float]) -> Callable[[str], float]:
     """An argparse ``type``: ``cast`` the text, reject anything not > 0."""
+    label = f"positive {cast.__name__}"
+    check = util.positive_int if cast is int else util.positive
+
     def parse(text: str) -> float:
-        value = cast(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not a positive {cast.__name__}")
-        return value
-    parse.__name__ = f"positive {cast.__name__}"
+        return _usage_checked(check, cast(text), text, label)
+    parse.__name__ = label
     return parse
 
 
 def non_negative_int(text: str) -> int:
     """An argparse ``type``: an int, rejecting anything below 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a non-negative int")
-    return value
+    return _usage_checked(util.non_negative_int, int(text), text,
+                          "non-negative int")
+
+
+def _usage_checked(check: Callable, value, text: str, label: str):
+    """``value`` if the :mod:`repro.util` validator ``check`` takes it."""
+    try:
+        return check(value, label)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a {label}") from None
 
 
 def _preset_overrides(args: argparse.Namespace) -> dict:

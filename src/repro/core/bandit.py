@@ -15,6 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..util import in_range, non_negative, positive, positive_int
 from .utility import utility_gain
 
 
@@ -74,14 +75,16 @@ class PUCBVAgent:
                  accuracy_threshold: float = 0.0, rho: float = 1.0,
                  ratio_min: float = 0.05, ratio_max: float = 1.0,
                  min_partition_width: float = 0.02, seed: int = 0) -> None:
-        if total_rounds <= 0 or num_clients <= 0:
-            raise ValueError("total_rounds and num_clients must be positive")
-        if not 0.0 < selection_fraction <= 1.0:
-            raise ValueError("selection_fraction must be in (0, 1]")
-        if num_initial_partitions <= 0:
-            raise ValueError("num_initial_partitions must be positive")
-        if not 0.0 < ratio_min < ratio_max <= 1.0:
-            raise ValueError("need 0 < ratio_min < ratio_max <= 1")
+        positive_int(total_rounds, "total_rounds")
+        positive_int(num_clients, "num_clients")
+        in_range(selection_fraction, "selection_fraction", 0, 1, low_open=True)
+        positive_int(num_initial_partitions, "num_initial_partitions")
+        in_range(accuracy_threshold, "accuracy_threshold")
+        non_negative(rho, "rho")
+        in_range(ratio_max, "ratio_max", 0, 1, low_open=True)
+        in_range(ratio_min, "ratio_min", 0, ratio_max, low_open=True,
+                 high_open=True)
+        positive(min_partition_width, "min_partition_width")
         self.accuracy_threshold = accuracy_threshold
         self.rho = rho
         self.ratio_min = ratio_min
@@ -114,8 +117,7 @@ class PUCBVAgent:
         degraded, record the reward (Eq. 15) and pick the next partition by
         UCB-V score.
         """
-        if local_cost_seconds <= 0:
-            raise ValueError("local_cost_seconds must be positive")
+        positive(local_cost_seconds, "local_cost_seconds")
         ratio = float(np.clip(ratio, self.ratio_min,
                               np.nextafter(self.ratio_max, 0.0)))
         index = self._find_partition(ratio)

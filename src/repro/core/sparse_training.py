@@ -39,6 +39,7 @@ from ..nn.model import Sequential
 from ..nn.optim import BatchedSGD
 from ..nn.params import ParamDict
 from ..sparsity.masks import UnitPattern, build_parameter_mask
+from ..util import in_range, non_negative, positive
 from .importance import ImportanceIndicator, smoothed_targets
 
 
@@ -104,21 +105,17 @@ def learnable_sparse_training_cohort(
     if cohort == 0:
         return []
     for ratio in sparse_ratios:
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError(f"sparse_ratio must be in (0, 1], got {ratio}")
-    if prox_mu < 0:
-        raise ValueError("prox_mu must be non-negative")
+        in_range(ratio, "sparse_ratio", 0, 1, low_open=True)
+    non_negative(prox_mu, "prox_mu")
     program = cohort_program(model, cohort)
     # the optimizer steps these arrays in place for the whole round
     params = program.live_parameters()
     grads = program.live_gradients()
     optimizer = BatchedSGD(params, learning_rate, momentum=momentum,
                            clip_norm=clip_norm)
-    q_lr = importance_learning_rate if importance_learning_rate is not None \
-        else learning_rate
-    if not q_lr > 0:
-        raise ValueError(
-            f"importance_learning_rate must be positive, got {q_lr}")
+    q_lr = positive(importance_learning_rate
+                    if importance_learning_rate is not None
+                    else learning_rate, "importance_learning_rate")
     batches = CohortBatches(program, datasets, batch_size=batch_size,
                             iterations=iterations, rngs=rngs,
                             importances=importances,

@@ -24,6 +24,7 @@ from ..sparsity.masks import UnitPattern
 from ..sparsity.patterns import heuristic_pattern
 from ..systems.cost import CostBreakdown
 from ..systems.devices import affordable_ratio
+from ..util import in_range, positive
 from .bandit import PUCBVAgent
 from .importance import (ImportanceIndicator, initialize_importance,
                          smoothed_unit_magnitudes)
@@ -55,16 +56,15 @@ class FedLPS(Strategy):
             raise ValueError(f"ratio_policy must be one of {RATIO_POLICIES}")
         if pattern_mode not in PATTERN_MODES:
             raise ValueError(f"pattern_mode must be one of {PATTERN_MODES}")
-        if not 0.0 < fixed_ratio <= 1.0:
-            raise ValueError("fixed_ratio must be in (0, 1]")
-        # the P-UCBV agent's own condition (ratio_max = 1), checked here so
-        # that a bad floor fails at construction, not in a worker task
-        if not 0.0 < ratio_min < 1.0:
-            raise ValueError(f"ratio_min must be in (0, 1), got {ratio_min}")
-        if importance_learning_rate is not None \
-                and not importance_learning_rate > 0:
-            raise ValueError("importance_learning_rate must be positive, "
-                             f"got {importance_learning_rate}")
+        in_range(fixed_ratio, "fixed_ratio", 0, 1, low_open=True)
+        # the clients build their agents inside worker tasks; one built now
+        # checks the knobs (ratio_min also floors the capability policy)
+        PUCBVAgent(total_rounds=1, num_clients=1, selection_fraction=1.0,
+                   num_initial_partitions=num_initial_partitions,
+                   accuracy_threshold=accuracy_threshold, rho=rho,
+                   ratio_min=ratio_min)
+        positive(importance_learning_rate, "importance_learning_rate",
+                 optional=True)
         self.ratio_policy = ratio_policy
         self.pattern_mode = pattern_mode
         self.fixed_ratio = fixed_ratio

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..util import in_range
+
 
 def accuracy_utility(accuracy_percent: float, *, scale: float = 0.35,
                      amplitude: float = 10.0) -> float:
@@ -17,9 +19,7 @@ def accuracy_utility(accuracy_percent: float, *, scale: float = 0.35,
     ``accuracy_percent`` is the accuracy in percent (0-100).  The function is
     monotone increasing, equals 0 at 0% and saturates at ``amplitude``.
     """
-    if not 0.0 <= accuracy_percent <= 100.0:
-        raise ValueError(
-            f"accuracy_percent must be in [0, 100], got {accuracy_percent}")
+    in_range(accuracy_percent, "accuracy_percent", 0, 100)
     x = float(accuracy_percent)
     return amplitude - 2.0 * amplitude / (1.0 + float(np.exp(scale * x)))
 

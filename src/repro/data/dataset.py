@@ -11,7 +11,7 @@ import numpy as np
 # BoundedLRU lives in the neutral ``repro.util`` module (shared with the
 # broadcast worker cache and the checkpoint load memo); re-exported here
 # because the lazy data layer is where older callers historically found it.
-from ..util import BoundedLRU  # noqa: F401  (re-export)
+from ..util import BoundedLRU, in_range, positive_int  # noqa: F401  (re-export)
 
 
 @dataclass
@@ -62,8 +62,8 @@ def split_indices(count: int, test_fraction: float, *,
     this function is what keeps the two paths bit-identical by
     construction.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+    in_range(test_fraction, "test_fraction", 0, 1, low_open=True,
+             high_open=True)
     rng = np.random.default_rng(seed)
     order = rng.permutation(count)
     n_test = max(1, int(round(test_fraction * count)))
@@ -83,8 +83,7 @@ class DataLoader:
 
     def __init__(self, dataset: Dataset, batch_size: int, *, shuffle: bool = True,
                  seed: int = 0, drop_last: bool = False) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        positive_int(batch_size, "batch_size")
         if len(dataset) == 0:
             raise ValueError("cannot build a DataLoader over an empty dataset")
         self.dataset = dataset
@@ -141,9 +140,7 @@ class LazyShardMap(MappingABC):
     def __init__(self, num_clients: int,
                  builder: Callable[[int], ClientData], *,
                  cache_size: int = 256) -> None:
-        if num_clients <= 0:
-            raise ValueError("num_clients must be positive")
-        self.num_clients = num_clients
+        self.num_clients = positive_int(num_clients, "num_clients")
         self._builder = builder
         self._cache = BoundedLRU(cache_size)
         self._ids: Optional[np.ndarray] = None
@@ -181,6 +178,9 @@ class LazyShardMap(MappingABC):
     def resize(self, cache_size: int) -> None:
         """Re-bound the LRU (evicting down if shrunk)."""
         self._cache.resize(cache_size)
+
+    def clear(self) -> None:
+        self._cache.clear()
 
     @property
     def client_ids(self) -> np.ndarray:

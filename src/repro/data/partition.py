@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..util import in_range, non_negative, non_negative_int, positive, positive_int
 from .dataset import (ClientData, Dataset, FederatedDataset, LazyShardMap,
                       split_indices)
 from .synthetic import (IMAGE_SPECS, TextSpec, image_prototypes,
@@ -25,8 +26,6 @@ from .synthetic import (IMAGE_SPECS, TextSpec, image_prototypes,
 def iid_partition(dataset: Dataset, num_clients: int, *, seed: int = 0
                   ) -> List[np.ndarray]:
     """Shuffle and deal examples evenly across clients."""
-    if num_clients <= 0:
-        raise ValueError("num_clients must be positive")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset))
     return [np.sort(part) for part in np.array_split(order, num_clients)]
@@ -46,14 +45,10 @@ def pathological_partition(dataset: Dataset, num_clients: int,
     When that is impossible (fewer client-class slots than classes) the
     partition would silently discard whole classes, so it raises instead.
     """
-    if num_clients <= 0:
-        raise ValueError("num_clients must be positive")
     labels = dataset.y.astype(np.int64)
     num_classes = int(labels.max()) + 1
-    if not 1 <= classes_per_client <= num_classes:
-        raise ValueError(
-            f"classes_per_client must be in [1, {num_classes}], "
-            f"got {classes_per_client}")
+    in_range(classes_per_client, "classes_per_client", 1, num_classes,
+             integral=True)
     slots = num_clients * classes_per_client
     if slots < num_classes:
         raise ValueError(
@@ -114,8 +109,7 @@ def pathological_partition(dataset: Dataset, num_clients: int,
 def dirichlet_partition(dataset: Dataset, num_clients: int, alpha: float, *,
                         seed: int = 0, min_examples: int = 2) -> List[np.ndarray]:
     """Dirichlet label-skew partition (lower ``alpha`` = more skew)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    positive(alpha, "alpha")
     labels = dataset.y.astype(np.int64)
     num_classes = int(labels.max()) + 1
     rng = np.random.default_rng(seed)
@@ -194,6 +188,18 @@ class FederationSpec:
     test_fraction: float = 0.25
     style_scale: float = 2.5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # fail fast at build time, eager or lazy: a bad spec must not
+        # surface as a traceback inside a broadcast worker at round 0
+        positive_int(self.num_clients, "num_clients")
+        positive_int(self.classes_per_client, "classes_per_client")
+        positive(self.dirichlet_alpha, "dirichlet_alpha")
+        positive_int(self.examples_per_client, "examples_per_client")
+        in_range(self.test_fraction, "test_fraction", 0, 1,
+                 low_open=True, high_open=True)
+        non_negative(self.style_scale, "style_scale")
+        non_negative_int(self.seed, "seed")
 
     @property
     def generated(self) -> bool:
@@ -400,33 +406,19 @@ def _rebuild_virtual_dataset(spec: FederationSpec,
 
 def _build_virtual_dataset(spec: FederationSpec, *,
                            shard_cache: int = 256) -> VirtualFederatedDataset:
-    # fail fast at build time, like the eager path: a bad spec must not
-    # surface as a traceback inside a broadcast worker at round 0
-    if spec.num_clients <= 0:
-        raise ValueError("num_clients must be positive")
-    if spec.examples_per_client <= 0:
-        raise ValueError("examples_per_client must be positive")
-    if not 0.0 < spec.test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    if spec.name != "reddit" and spec.examples_per_client < 2:
-        # an image client's shard is exactly examples_per_client rows, and
-        # the train/test split needs at least 2 — the eager path fails at
-        # build time, so the lazy path must too, not at round-0 dispatch.
-        # (Reddit user sizes are drawn per user with a floor above 2, and
-        # dirichlet's data-dependent min-examples check still runs on first
-        # pooled materialization.)
-        raise ValueError(
-            "examples_per_client must be at least 2 to split into train/test")
     if spec.name != "reddit":
+        # an image shard is exactly examples_per_client rows and its
+        # train/test split needs 2: the eager path fails at build time, so
+        # this one does too (reddit user sizes have a floor above 2)
+        in_range(spec.examples_per_client, "examples_per_client", 2)
         if spec.name not in IMAGE_SPECS:
             raise ValueError(f"unknown dataset {spec.name!r}")
         if spec.partition not in ("pathological", "dirichlet", "iid"):
             raise ValueError(f"unknown partition strategy {spec.partition!r}")
         num_classes = IMAGE_SPECS[spec.name].num_classes
-        if (spec.partition == "pathological"
-                and not 1 <= spec.classes_per_client <= num_classes):
-            raise ValueError(
-                f"classes_per_client must be in [1, {num_classes}]")
+        if spec.partition == "pathological":
+            in_range(spec.classes_per_client, "classes_per_client", 1,
+                     num_classes)
     pooled = None if spec.generated else _PooledSource(spec)
     builder = _shard_builder(spec, pooled)
     num_classes, input_shape, metadata = _spec_metadata(spec)
@@ -462,18 +454,16 @@ def build_federated_dataset(name: str, num_clients: int, *,
     materialized per client on demand (LRU-bounded by ``shard_cache``) and
     are bit-identical to the eager path for every partition strategy.
     """
+    # the spec checks every number, for the eager path too
     name = name.lower()
-    if num_clients <= 0:
-        raise ValueError("num_clients must be positive")
-
+    federation = FederationSpec(
+        name=name, num_clients=num_clients, partition=partition,
+        classes_per_client=classes_per_client,
+        dirichlet_alpha=dirichlet_alpha,
+        examples_per_client=examples_per_client,
+        test_fraction=test_fraction, style_scale=style_scale, seed=seed)
     if lazy:
-        return FederationSpec(
-            name=name, num_clients=num_clients, partition=partition,
-            classes_per_client=classes_per_client,
-            dirichlet_alpha=dirichlet_alpha,
-            examples_per_client=examples_per_client,
-            test_fraction=test_fraction, style_scale=style_scale,
-            seed=seed).build(shard_cache=shard_cache)
+        return federation.build(shard_cache=shard_cache)
 
     if name == "reddit":
         user_datasets, spec = synthetic_reddit_users(

@@ -21,6 +21,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..util import in_range, positive_int
 from .dataset import Dataset
 
 
@@ -59,8 +60,7 @@ def _smooth_prototype(rng: np.random.Generator, channels: int,
 def make_image_classification(spec: ImageSpec, num_examples: int, *,
                               seed: int = 0) -> Dataset:
     """Generate a class-prototype Gaussian image classification dataset."""
-    if num_examples <= 0:
-        raise ValueError("num_examples must be positive")
+    positive_int(num_examples, "num_examples")
     rng = np.random.default_rng(seed)
     prototypes = np.stack([
         spec.prototype_scale * _smooth_prototype(rng, spec.channels, spec.image_size)
@@ -99,11 +99,9 @@ def personalized_image_shard(spec: ImageSpec, client_id: int,
     out so a virtual fleet can materialize a single client without touching
     the other ``num_clients - 1``.
     """
-    if examples_per_client <= 0:
-        raise ValueError("examples_per_client must be positive")
-    if not 1 <= classes_per_client <= spec.num_classes:
-        raise ValueError(
-            f"classes_per_client must be in [1, {spec.num_classes}]")
+    positive_int(examples_per_client, "examples_per_client")
+    in_range(classes_per_client, "classes_per_client", 1, spec.num_classes,
+             integral=True)
     client_rng = np.random.default_rng(seed * 99_991 + client_id + 17)
     classes = client_rng.choice(spec.num_classes, size=classes_per_client,
                                 replace=False)
@@ -132,8 +130,7 @@ def make_personalized_image_shards(spec: ImageSpec, num_clients: int,
     the property that drives the personalized-vs-conventional accuracy gap in
     the paper's evaluation.
     """
-    if num_clients <= 0 or examples_per_client <= 0:
-        raise ValueError("num_clients and examples_per_client must be positive")
+    positive_int(num_clients, "num_clients")
     prototypes = image_prototypes(spec, seed=seed)
     return [personalized_image_shard(spec, client, classes_per_client,
                                      examples_per_client, prototypes,
@@ -219,8 +216,7 @@ def synthetic_reddit_users(num_users: int, examples_per_user: int = 120, *,
     counts (drawn log-uniformly around ``examples_per_user``) to mirror the
     LEAF Reddit statistics.
     """
-    if num_users <= 0:
-        raise ValueError("num_users must be positive")
+    positive_int(num_users, "num_users")
     spec = spec or TextSpec()
     base = reddit_base_chain(spec, seed=seed)
     datasets = [reddit_user_shard(user, base, spec, examples_per_user,

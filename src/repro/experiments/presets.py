@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Optional
 
-from ..data import FederatedDataset, build_federated_dataset
+from ..data import FederatedDataset, FederationSpec
 from ..federated import FederatedConfig, FleetConfig
 from ..models import build_model_for_dataset
 from ..nn.model import Sequential
@@ -33,7 +33,8 @@ class ExperimentPreset:
 
     Fields named like a :class:`~repro.federated.FederatedConfig` field are
     copied onto it unchanged (see that class for what they mean), except
-    ``scenario``: it names the scenario ``build_experiment`` builds.
+    ``scenario``: it names the scenario ``build_experiment`` builds.  The
+    owners of what the fields feed check them at construction.
     """
 
     dataset: str
@@ -66,6 +67,26 @@ class ExperimentPreset:
     reducer_shards: int = 1
     seed: int = 0
     extra_config: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.heterogeneity not in HETEROGENEITY_PRESETS:
+            raise ValueError(
+                f"unknown heterogeneity level {self.heterogeneity!r}")
+        self._federation()
+        self._config(scenario=None, faults=None)
+
+    def _federation(self) -> FederationSpec:
+        return FederationSpec(
+            name=self.dataset.lower(), num_clients=self.num_clients,
+            classes_per_client=self.classes_per_client,
+            examples_per_client=self.examples_per_client,
+            style_scale=self.style_scale, seed=self.seed)
+
+    def _config(self, **resolved) -> FederatedConfig:
+        return FederatedConfig(
+            **{name: getattr(self, name) for name in _COPIED},
+            fleet=FleetConfig(eval_clients=self.eval_clients),
+            extra=dict(self.extra_config), **resolved)
 
 
 #: the preset fields ``build_experiment`` copies onto the same-named config
@@ -125,24 +146,14 @@ def build_experiment(preset: ExperimentPreset
     ``FederatedConfig``, ``build_fault_plan``) with an "unknown ...; choose
     from ..." ``ValueError``.
     """
-    if preset.heterogeneity not in HETEROGENEITY_PRESETS:
-        raise ValueError(
-            f"unknown heterogeneity level {preset.heterogeneity!r}")
-    dataset = build_federated_dataset(
-        preset.dataset, preset.num_clients,
-        classes_per_client=preset.classes_per_client,
-        examples_per_client=preset.examples_per_client,
-        style_scale=preset.style_scale, seed=preset.seed, lazy=True)
-    config = FederatedConfig(
-        **{name: getattr(preset, name) for name in _COPIED},
+    dataset = preset._federation().build()
+    config = preset._config(
         scenario=build_scenario(preset.scenario,
                                 num_clients=preset.num_clients,
                                 num_rounds=preset.num_rounds,
                                 seed=preset.seed),
         faults=(build_fault_plan(preset.fault_plan, seed=preset.seed)
-                if preset.fault_plan is not None else None),
-        fleet=FleetConfig(eval_clients=preset.eval_clients),
-        extra=dict(preset.extra_config))
+                if preset.fault_plan is not None else None))
     fleet = VirtualDeviceFleet(
         preset.num_clients,
         levels=HETEROGENEITY_PRESETS[preset.heterogeneity],

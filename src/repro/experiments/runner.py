@@ -26,6 +26,7 @@ from ..federated import FederatedTrainer
 from ..parallel import Executor, SerialExecutor
 from ..parallel.supervision import RetryPolicy, retry_call
 from ..systems import TrainingHistory
+from ..util import non_negative_int
 from .cache import ResultCache, spec_stem
 from .presets import ExperimentPreset, build_experiment, preset_for, scaled
 
@@ -131,8 +132,7 @@ def run_jobs(specs: List[JobSpec], *, executor: Optional[Executor] = None,
     rounds, never the sweep.  (``retries`` without a root still retries,
     just from round 0.)
     """
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
+    non_negative_int(retries, "retries")
     results: Dict[int, TrainingHistory] = {}
     pending: List[JobSpec] = []
     pending_positions: List[int] = []

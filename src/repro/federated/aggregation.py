@@ -9,6 +9,7 @@ import numpy as np
 from ..nn.params import (ParamDict, copy_params, indexed_subtract_scaled,
                          indexed_weighted_accumulate, weighted_average,
                          zeros_like, _check_same_keys)
+from ..util import non_negative
 
 
 def _slices_of(update: Mapping[str, np.ndarray], key: str):
@@ -160,8 +161,7 @@ def staleness_weighted_average(
     params_list: List[Mapping[str, np.ndarray]] = []
     weight_list: List[float] = []
     for params, weight, staleness in entries:
-        if staleness < 0:
-            raise ValueError("staleness must be non-negative")
+        non_negative(staleness, "staleness")
         params_list.append(params)
         weight_list.append(weight * (decay ** staleness))
     if not params_list:

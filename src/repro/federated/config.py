@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..scenarios.config import ScenarioConfig
+from ..util import (in_range, non_negative, non_negative_int, positive,
+                    positive_int)
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from ..parallel.faults import FaultPlan
@@ -44,10 +45,8 @@ class FleetConfig:
     eval_clients: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.shard_cache <= 0:
-            raise ValueError("shard_cache must be positive")
-        if self.eval_clients is not None and self.eval_clients < 0:
-            raise ValueError("eval_clients must be non-negative or None")
+        positive_int(self.shard_cache, "shard_cache")
+        non_negative_int(self.eval_clients, "eval_clients", optional=True)
 
 
 @dataclass
@@ -139,55 +138,34 @@ class FederatedConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.num_rounds <= 0:
-            raise ValueError("num_rounds must be positive")
-        if self.clients_per_round <= 0:
-            raise ValueError("clients_per_round must be positive")
-        if self.local_iterations <= 0:
-            raise ValueError("local_iterations must be positive")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        # float fields take the CLI's meaning (``cli.positive``): positive
-        # is 0 < v < inf and non-negative 0 <= v < inf, so NaN and inf fail
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        # checked here so a bad value fails at construction, not from the
-        # optimizer inside the first worker task (a remote traceback)
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
-            raise ValueError("clip_norm must be positive and finite (or None)")
-        if not 0 <= self.prox_mu < math.inf:
-            raise ValueError("prox_mu must be non-negative and finite")
-        if not 0 <= self.importance_lambda < math.inf:
-            raise ValueError("importance_lambda must be non-negative and finite")
-        if not math.isfinite(self.cost_alpha):
-            raise ValueError("cost_alpha must be finite")
-        if self.eval_every <= 0:
-            raise ValueError("eval_every must be positive")
+        # every number is checked here, so a bad value fails at
+        # construction, not from the optimizer inside a worker task
+        for name in ("num_rounds", "clients_per_round", "local_iterations",
+                     "batch_size", "eval_every", "buffer_size",
+                     "reducer_shards"):
+            positive_int(getattr(self, name), name)
+        non_negative_int(self.seed, "seed")
+        non_negative_int(self.max_retries, "max_retries")
+        positive_int(self.async_arrivals_per_round,
+                     "async_arrivals_per_round", optional=True)
+        positive(self.learning_rate, "learning_rate")
+        positive(self.clip_norm, "clip_norm", optional=True)
+        positive(self.task_timeout, "task_timeout", optional=True)
+        for name in ("prox_mu", "importance_lambda", "cost_alpha",
+                     "staleness_exponent"):
+            non_negative(getattr(self, name), name)
+        in_range(self.momentum, "momentum", 0, 1, high_open=True)
+        in_range(self.async_alpha, "async_alpha", 0, 1, low_open=True)
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(
                 f"unknown aggregation mode {self.aggregation!r}; "
                 f"choose from {AGGREGATIONS}")
-        if not 0.0 < self.async_alpha <= 1.0:
-            raise ValueError("async_alpha must be in (0, 1]")
-        if not 0 <= self.staleness_exponent < math.inf:
-            raise ValueError("staleness_exponent must be non-negative and finite")
-        if self.buffer_size <= 0:
-            raise ValueError("buffer_size must be positive")
-        if (self.async_arrivals_per_round is not None
-                and self.async_arrivals_per_round <= 0):
-            raise ValueError("async_arrivals_per_round must be positive")
         # imported here to keep config importable without the parallel stack
         from ..parallel.codec import available_codecs
 
         if self.codec not in available_codecs():
             raise ValueError(f"unknown codec {self.codec!r}; "
                              f"choose from {available_codecs()}")
-        if self.task_timeout is not None and not 0 < self.task_timeout < math.inf:
-            raise ValueError("task_timeout must be positive and finite (or None)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         if self.faults is not None:
             # imported late for the same reason as the codec check above
             from ..parallel.faults import FaultPlan
@@ -196,5 +174,3 @@ class FederatedConfig:
                 raise TypeError("faults must be a FaultPlan")
         if not isinstance(self.fleet, FleetConfig):
             raise TypeError("fleet must be a FleetConfig")
-        if self.reducer_shards <= 0:
-            raise ValueError("reducer_shards must be positive")

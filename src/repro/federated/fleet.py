@@ -30,7 +30,8 @@ from typing import Any, Callable, Dict, Iterator, Optional, Set
 
 import numpy as np
 
-from ..data.dataset import FederatedDataset, mapping_client_ids
+from ..data.dataset import (FederatedDataset, LazyShardMap,
+                            mapping_client_ids)
 from ..util import BoundedLRU
 from ..systems.devices import DeviceFleet
 from .client import Client
@@ -159,8 +160,6 @@ class ClientFleet(MappingABC):
             raise ValueError(
                 f"device fleet has {len(devices)} profiles but the dataset "
                 f"has {dataset.num_clients} clients")
-        if cache_size <= 0:
-            raise ValueError("cache_size must be positive")
         self.dataset = dataset
         self.devices = devices
         # each cached facade pins its materialized ClientData alongside
@@ -186,6 +185,12 @@ class ClientFleet(MappingABC):
         # previous binding carries that run's state dict, and re-adopting
         # it would leak trained state into the fresh run
         self._facades.clear()
+
+    def drop_caches(self) -> None:
+        """Forget cached facades and shards (both rebuild on demand)."""
+        self._facades.clear()
+        if isinstance(self.dataset.clients, LazyShardMap):
+            self.dataset.clients.clear()
 
     # ------------------------------------------------------------- access
     def _build_facade(self, client_id: int,

@@ -184,10 +184,15 @@ class _PoolExecutor(Executor):
         return fn
 
     def submit(self, fn, item):
-        """Submit through :meth:`_prepare` (the thread backend's clone)."""
+        """Submit through :meth:`_prepare`; a broken pool fails the future."""
         self._ensure_open()
         self._observe(item)
-        return self._pool().submit(self._prepare(fn), item)
+        try:
+            return self._pool().submit(self._prepare(fn), item)
+        except concurrent.futures.BrokenExecutor as error:
+            future: concurrent.futures.Future = concurrent.futures.Future()
+            future.set_exception(error)
+            return future
 
     def warm_up(self):
         # concurrent.futures pools start workers lazily on submission; a

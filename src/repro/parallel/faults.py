@@ -54,6 +54,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..util import in_range, non_negative, non_negative_int
+
 #: salt separating fault draws from every other (seed, round, client) stream
 _FAULT_SALT = 0xFA17
 
@@ -118,11 +120,10 @@ class FaultPlan:
     slow_seconds: float = 0.02
 
     def __post_init__(self) -> None:
+        non_negative_int(self.seed, "seed")
         for name in ("exception_rate", "crash_rate", "hang_rate",
                      "slow_rate", "poison_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate!r}")
+            in_range(getattr(self, name), name, 0, 1)
         total = (self.exception_rate + self.crash_rate + self.hang_rate
                  + self.slow_rate)
         if total > 1.0:
@@ -130,8 +131,8 @@ class FaultPlan:
                 "exception_rate + crash_rate + hang_rate + slow_rate must "
                 f"not exceed 1.0 (got {total!r}); the kinds stack on one "
                 "uniform draw")
-        if self.hang_seconds < 0 or self.slow_seconds < 0:
-            raise ValueError("hang_seconds/slow_seconds must be >= 0")
+        non_negative(self.hang_seconds, "hang_seconds")
+        non_negative(self.slow_seconds, "slow_seconds")
 
     def decide(self, round_index: int, client_id: int,
                attempt: int) -> FaultDecision:

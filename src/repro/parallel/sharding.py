@@ -46,6 +46,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..util import positive_int
+
 __all__ = [
     "shard_of_key", "partition_keys", "ShardPlan", "shard_plan",
     "active_plan", "shard_stats", "reset_shard_stats", "shard_view",
@@ -61,8 +63,7 @@ def shard_of_key(key: str, shards: int) -> int:
     per process (PYTHONHASHSEED), and the whole point is that the server
     and every remote reducer agree on the partition without talking.
     """
-    if shards < 1:
-        raise ValueError("shard count must be positive")
+    positive_int(shards, "shard count")
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % shards
 
@@ -79,9 +80,7 @@ class ShardPlan:
     """One activation of sharded reduction: shard count + byte ledger."""
 
     def __init__(self, shards: int) -> None:
-        if shards < 1:
-            raise ValueError("shard count must be positive")
-        self.shards = shards
+        self.shards = positive_int(shards, "shard count")
         self.per_shard_bytes = [0] * shards
         self.reductions = 0
 

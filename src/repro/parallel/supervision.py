@@ -53,6 +53,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..util import non_negative, non_negative_int, positive
 from .executors import Executor
 from .faults import (FaultDecision, FaultPlan, InjectedFault,
                      InjectedTaskError, SimulatedCrash, SimulatedHang,
@@ -78,14 +79,10 @@ class RetryPolicy:
     wall_sleep_cap: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff_base/backoff_cap must be >= 0")
-        if self.wall_sleep_cap < 0:
-            raise ValueError("wall_sleep_cap must be >= 0")
+        non_negative_int(self.max_retries, "max_retries")
+        positive(self.task_timeout, "task_timeout", optional=True)
+        for name in ("backoff_base", "backoff_cap", "wall_sleep_cap"):
+            non_negative(getattr(self, name), name)
 
     @property
     def active(self) -> bool:

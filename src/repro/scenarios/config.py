@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..util import in_range, non_negative_int, positive, positive_int
+
 #: the participation policies the server can apply at the end of a round
 PARTICIPATION_POLICIES = ("wait-all", "deadline", "fastest-k")
 
@@ -61,30 +63,22 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown participation policy {self.policy!r}; "
                 f"choose from {PARTICIPATION_POLICIES}")
-        if not 0.0 < self.availability <= 1.0:
-            raise ValueError(
-                f"availability must be in (0, 1], got {self.availability}")
+        in_range(self.availability, "availability", 0, 1, low_open=True)
         if self.policy == "deadline":
             if (self.deadline_seconds is None) == (self.deadline_factor is None):
                 raise ValueError(
                     "the deadline policy needs exactly one of "
                     "deadline_seconds (absolute) or deadline_factor (relative)")
-            if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-                raise ValueError("deadline_seconds must be positive")
-            if self.deadline_factor is not None and self.deadline_factor < 1.0:
-                raise ValueError(
-                    "deadline_factor must be >= 1 (1 = only the fastest client)")
-        if self.policy == "fastest-k":
-            if self.fastest_k is None or self.fastest_k < 1:
-                raise ValueError("the fastest-k policy needs fastest_k >= 1")
-        if self.over_selection < 1.0:
-            raise ValueError("over_selection must be >= 1")
-        if not 0.0 <= self.straggler_prob <= 1.0:
-            raise ValueError("straggler_prob must be in [0, 1]")
-        if self.straggler_slowdown < 1.0:
-            raise ValueError("straggler_slowdown must be >= 1")
-        if self.min_participants < 0:
-            raise ValueError("min_participants must be non-negative")
+        positive(self.deadline_seconds, "deadline_seconds", optional=True)
+        # 1 = only the fastest client
+        in_range(self.deadline_factor, "deadline_factor", 1, optional=True)
+        if self.policy == "fastest-k" and self.fastest_k is None:
+            raise ValueError("the fastest-k policy needs fastest_k >= 1")
+        positive_int(self.fastest_k, "fastest_k", optional=True)
+        in_range(self.over_selection, "over_selection", 1)
+        in_range(self.straggler_prob, "straggler_prob", 0, 1)
+        in_range(self.straggler_slowdown, "straggler_slowdown", 1)
+        non_negative_int(self.min_participants, "min_participants")
         if self.availability_trace is not None:
             # normalize to plain {int: sorted tuple} so configs built from
             # JSON (string keys, lists) compare and pickle predictably

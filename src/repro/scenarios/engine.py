@@ -16,6 +16,7 @@ from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from ..util import non_negative
 from .config import ScenarioConfig
 
 #: salts separating the engine's independent random decision streams
@@ -99,9 +100,7 @@ class ScenarioEngine:
         by ``straggler_slowdown`` — a background-load spike on top of any
         fluctuation the device profile itself models.
         """
-        if base_seconds < 0:
-            raise ValueError("base_seconds must be non-negative")
-        total = float(base_seconds)
+        total = float(non_negative(base_seconds, "base_seconds"))
         if self.scenario.straggler_prob > 0.0:
             rng = self._rng(round_index, client_id, _STRAGGLER_SALT)
             if rng.random() < self.scenario.straggler_prob:

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..util import in_range, positive_int
 from .config import ScenarioConfig
 
 #: the named scenarios, in the order used by sweeps and docs
@@ -49,12 +50,11 @@ def synthetic_availability_trace(num_clients: int, num_rounds: int, *,
     fallback ``round_index % num_clients``) so a federation never stalls
     completely.
     """
-    if num_clients <= 0 or num_rounds <= 0:
-        raise ValueError("num_clients and num_rounds must be positive")
-    if not 0.0 < duty_cycle <= 1.0:
-        raise ValueError("duty_cycle must be in (0, 1]")
-    if not 2 <= min_period <= max_period:
-        raise ValueError("periods must satisfy 2 <= min_period <= max_period")
+    positive_int(num_clients, "num_clients")
+    positive_int(num_rounds, "num_rounds")
+    in_range(duty_cycle, "duty_cycle", 0, 1, low_open=True)
+    in_range(min_period, "min_period", 2, integral=True)
+    in_range(max_period, "max_period", min_period, integral=True)
     rng = np.random.default_rng((seed, num_clients, num_rounds))
     periods = rng.integers(min_period, max_period + 1, size=num_clients)
     phases = rng.integers(0, max_period, size=num_clients)

@@ -574,10 +574,11 @@ class ServerCore:
         return nullcontext()
 
     def close(self) -> None:
-        """Release broadcast resources (recreated lazily if needed again)."""
+        """Release the broadcast, facade and shard caches (rebuilt lazily)."""
         if self._session_broadcast is not None:
             self._session_broadcast.close()
             self._session_broadcast = None
+        self.clients.drop_caches()
 
     # ------------------------------------------------------------- dispatch
     def _plan_chunks(self, selected: List[int]) -> List[List[int]]:
@@ -649,7 +650,7 @@ class ServerCore:
             # chunk's first id names its task in fault decisions and drops
             results, faults, failed = self._dispatch(
                 task, [chunk[0] for chunk in chunks], payloads,
-                round_index=round_index)
+                round_index=round_index, plan=self.config.faults)
         updates = []
         for chunk_results in results:
             for update, state in chunk_results:
@@ -660,8 +661,8 @@ class ServerCore:
         self._last_fanout = ({**wire, **faults}, failed)
         return updates
 
-    def _dispatch(self, fn, keys: List[int], payloads, *, round_index: int
-                  ) -> Tuple[List, Dict[str, float], List[int]]:
+    def _dispatch(self, fn, keys: List[int], payloads, *, round_index: int,
+                  plan) -> Tuple[List, Dict[str, float], List[int]]:
         """Fan payloads out — supervised when the config asks for it.
 
         Returns the surviving results in dispatch order, the ``fault_*``
@@ -672,8 +673,7 @@ class ServerCore:
             return self.executor.map_ordered(fn, payloads), {}, []
         report = run_supervised(
             self.executor, fn, list(zip(keys, payloads)),
-            policy=self.retry_policy, plan=self.config.faults,
-            round_index=round_index)
+            policy=self.retry_policy, plan=plan, round_index=round_index)
         return ([result for result in report.results if result is not None],
                 report.counters.as_extras(), sorted(report.failed))
 
@@ -800,7 +800,13 @@ class ServerCore:
                 payloads = [handles + (tuple(chunk), tuple(
                     self.clients.peek_state(cid) for cid in chunk))
                     for chunk in chunks]
-            results = self.executor.map_ordered(task, payloads)
+            # supervised like the update fan-out, but free of the fault
+            # plan (it covers update tasks) and of the history
+            results, _, failed = self._dispatch(
+                task, list(range(len(chunks))), payloads, round_index=-1,
+                plan=None)
+        if failed:
+            raise RuntimeError(f"evaluation chunks {failed} ran out of retries")
         fresh = [accuracy for chunk in results for accuracy in chunk]
         for cid, accuracy in zip(pending, fresh):
             accuracies[cid] = accuracy

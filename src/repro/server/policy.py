@@ -31,22 +31,20 @@ import numpy as np
 
 from ..federated.strategy import ClientUpdate, Strategy
 from ..nn.params import ParamDict
+from ..util import in_range, non_negative
 
 
 def staleness_decay(staleness: float, *, exponent: float = 0.5) -> float:
     """The polynomial staleness discount ``1 / (1 + s)^a`` (FedAsync Eq. 5)."""
-    if staleness < 0:
-        raise ValueError("staleness must be non-negative")
-    if exponent < 0:
-        raise ValueError("the staleness exponent must be non-negative")
+    non_negative(staleness, "staleness")
+    non_negative(exponent, "the staleness exponent")
     return float(1.0 / (1.0 + staleness) ** exponent)
 
 
 def staleness_weight(staleness: float, *, alpha: float = 0.6,
                      exponent: float = 0.5) -> float:
     """Mixing weight ``alpha / (1 + s)^a`` of an update ``s`` versions stale."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
+    in_range(alpha, "alpha", 0, 1, low_open=True)
     return alpha * staleness_decay(staleness, exponent=exponent)
 
 
@@ -61,8 +59,7 @@ def mix_params(previous: Mapping[str, np.ndarray],
     allocations — bit-identical, since IEEE-754 addition is commutative and
     the per-entry expression tree is unchanged.
     """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("the mixing weight must be in [0, 1]")
+    in_range(weight, "the mixing weight", 0, 1)
     if previous.keys() != candidate.keys():
         raise ValueError("previous and candidate parameters disagree on keys")
     if out is None:
@@ -92,12 +89,8 @@ class AggregationPolicy:
     """Staleness-weighted merge of arrival batches into the global model."""
 
     def __init__(self, *, alpha: float = 0.6, exponent: float = 0.5) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if exponent < 0:
-            raise ValueError("the staleness exponent must be non-negative")
-        self.alpha = alpha
-        self.exponent = exponent
+        self.alpha = in_range(alpha, "alpha", 0, 1, low_open=True)
+        self.exponent = non_negative(exponent, "the staleness exponent")
 
     def weight(self, staleness: float) -> float:
         """Mixing weight for a single update ``staleness`` versions old."""

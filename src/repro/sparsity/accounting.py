@@ -15,6 +15,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from ..nn.model import Sequential
+from ..util import in_range, non_negative_int, positive_int
 from .masks import per_layer_keep_ratio
 
 #: backward pass costs roughly twice the forward pass; training a batch is
@@ -61,8 +62,7 @@ def sparse_forward_flops(model: Sequential,
     if pattern is not None:
         keep_by_layer = per_layer_keep_ratio(pattern)
     elif uniform_ratio is not None:
-        if not 0.0 < uniform_ratio <= 1.0:
-            raise ValueError("uniform_ratio must be in (0, 1]")
+        in_range(uniform_ratio, "uniform_ratio", 0, 1, low_open=True)
         keep_by_layer = {group.layer_name: float(uniform_ratio)
                          for group in model.unit_groups}
     else:
@@ -87,8 +87,8 @@ def local_training_flops(model: Sequential, num_examples: int, iterations: int,
                          pattern: Optional[Mapping[str, np.ndarray]] = None,
                          uniform_ratio: Optional[float] = None) -> float:
     """Total FLOPs of ``iterations`` local SGD steps over batches of data."""
-    if iterations < 0 or batch_size <= 0:
-        raise ValueError("iterations must be >= 0 and batch_size positive")
+    non_negative_int(iterations, "iterations")
+    positive_int(batch_size, "batch_size")
     per_example = sparse_forward_flops(model, pattern, uniform_ratio)
     examples_processed = iterations * min(batch_size, max(num_examples, 1))
     return TRAIN_FLOP_MULTIPLIER * per_example * examples_processed

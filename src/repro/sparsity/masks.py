@@ -19,6 +19,7 @@ from typing import Dict, Mapping
 import numpy as np
 
 from ..nn.model import Sequential
+from ..util import in_range
 
 UnitPattern = Dict[str, np.ndarray]
 ParamMask = Dict[str, np.ndarray]
@@ -26,10 +27,7 @@ ParamMask = Dict[str, np.ndarray]
 
 def validate_sparse_ratio(ratio: float) -> float:
     """Check that a sparse ratio is usable (fraction of *retained* units)."""
-    ratio = float(ratio)
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"sparse ratio must be in (0, 1], got {ratio}")
-    return ratio
+    return in_range(float(ratio), "sparse ratio", 0, 1, low_open=True)
 
 
 def units_to_keep(n_units: int, ratio: float) -> int:

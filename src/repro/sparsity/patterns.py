@@ -15,6 +15,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from ..nn.model import Sequential
+from ..util import non_negative_int
 from .masks import UnitPattern, pattern_from_scores, units_to_keep, validate_sparse_ratio
 
 
@@ -52,8 +53,7 @@ def ordered_pattern(model: Sequential, ratio: float) -> UnitPattern:
 def rolling_pattern(model: Sequential, ratio: float, round_index: int) -> UnitPattern:
     """FedRolex-style rolling window: the kept block advances every round."""
     validate_sparse_ratio(ratio)
-    if round_index < 0:
-        raise ValueError("round_index must be non-negative")
+    non_negative_int(round_index, "round_index")
     pattern: UnitPattern = {}
     for group in model.unit_groups:
         keep = units_to_keep(group.n_units, ratio)

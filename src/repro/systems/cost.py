@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..sparsity.accounting import SparseCost
+from ..util import non_negative, non_negative_int
 from .devices import DeviceProfile
 
 
@@ -30,10 +31,8 @@ class LocalCostModel:
     """
 
     def __init__(self, alpha: float = 1.0, *, seed: int = 0) -> None:
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        self.alpha = alpha
-        self.seed = seed
+        self.alpha = non_negative(alpha, "alpha")
+        self.seed = non_negative_int(seed, "seed")
 
     def client_cost(self, device: DeviceProfile, cost: SparseCost,
                     round_index: int = 0) -> CostBreakdown:

@@ -14,6 +14,8 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from ..util import in_range, non_negative_int, positive, positive_int
+
 #: peak throughput (FLOP/s) of the z = 1 reference device (Adreno 630).
 REFERENCE_FLOPS_PER_SECOND = 727e9
 
@@ -37,9 +39,8 @@ MIN_AFFORDABLE_RATIO = 0.4
 def affordable_ratio(capability: float, *,
                      floor: float = MIN_AFFORDABLE_RATIO) -> float:
     """Largest sub-model fraction a device of ``capability`` can host."""
-    if not 0.0 < capability <= 1.0:
-        raise ValueError(f"capability must be in (0, 1], got {capability}")
-    return max(float(capability), floor)
+    return max(float(in_range(capability, "capability", 0, 1, low_open=True)),
+               floor)
 
 #: heterogeneity presets of the Figure 7/8 sweep.
 HETEROGENEITY_PRESETS: Dict[str, Sequence[float]] = {
@@ -61,12 +62,9 @@ class DeviceProfile:
     fluctuation: float = 0.3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.capability <= 1.0:
-            raise ValueError(f"capability must be in (0, 1], got {self.capability}")
-        if self.bandwidth_scale <= 0:
-            raise ValueError("bandwidth_scale must be positive")
-        if not 0.0 <= self.fluctuation < 1.0:
-            raise ValueError("fluctuation must be in [0, 1)")
+        in_range(self.capability, "capability", 0, 1, low_open=True)
+        positive(self.bandwidth_scale, "bandwidth_scale")
+        in_range(self.fluctuation, "fluctuation", 0, 1, high_open=True)
 
     @property
     def flops_per_second(self) -> float:
@@ -122,6 +120,18 @@ class DeviceFleet:
 DEFAULT_BANDWIDTH_LEVELS = (1.0, 0.75, 0.5)
 
 
+def _check_fleet(num_clients: int, levels: Sequence[float],
+                 bandwidth_levels: Sequence[float], seed: int) -> None:
+    positive_int(num_clients, "num_clients")
+    non_negative_int(seed, "seed")
+    if len(levels) == 0 or len(bandwidth_levels) == 0:
+        raise ValueError("levels and bandwidth_levels must not be empty")
+    for level in levels:
+        in_range(level, "levels", 0, 1, low_open=True)
+    for level in bandwidth_levels:
+        positive(level, "bandwidth_levels")
+
+
 def sample_device_profile(client_id: int, *,
                           levels: Sequence[float] = CAPABILITY_LEVELS,
                           dynamic: bool = False, seed: int = 0,
@@ -154,10 +164,7 @@ def sample_device_profile(client_id: int, *,
     never built, so the lazy path's own purity in ``(seed, client_id)`` —
     which holds unconditionally — is the operative contract.
     """
-    if client_id < 0:
-        raise ValueError("client_id must be non-negative")
-    if not levels:
-        raise ValueError("levels must not be empty")
+    non_negative_int(client_id, "client_id")
     halves = int(len(levels) > 1) + int(len(bandwidth_levels) > 1)
     rng = np.random.default_rng(seed)
     if halves == 2:
@@ -191,10 +198,7 @@ class VirtualDeviceFleet(DeviceFleet):
                  dynamic: bool = False, seed: int = 0,
                  bandwidth_levels: Sequence[float] = DEFAULT_BANDWIDTH_LEVELS
                  ) -> None:
-        if num_clients <= 0:
-            raise ValueError("num_clients must be positive")
-        if not levels:
-            raise ValueError("levels must not be empty")
+        _check_fleet(num_clients, levels, bandwidth_levels, seed)
         super().__init__(profiles={})
         self.num_clients = num_clients
         self.levels = tuple(levels)
@@ -256,10 +260,7 @@ def sample_device_fleet(num_clients: int, *, levels: Sequence[float] = CAPABILIT
     reference that :class:`VirtualDeviceFleet` reproduces, profile for
     profile, in O(1) per client.
     """
-    if num_clients <= 0:
-        raise ValueError("num_clients must be positive")
-    if not levels:
-        raise ValueError("levels must not be empty")
+    _check_fleet(num_clients, levels, bandwidth_levels, seed)
     rng = np.random.default_rng(seed)
     profiles: Dict[int, DeviceProfile] = {}
     for client_id in range(num_clients):

@@ -2,17 +2,61 @@
 
 This module deliberately has no intra-package imports: the lazy data layer,
 the broadcast transport, the checkpoint subsystem and the experiment cache
-all sit at different depths of the dependency graph, yet share two
-primitives — one bounded-LRU eviction policy (so O(cohort) memory
-accounting is identical everywhere a cache appears) and one canonical-JSON
-reduction (so every content hash in the repo agrees on what "the same
-spec" means).
+all sit at different depths of the dependency graph, yet share one
+bounded-LRU eviction policy (so O(cohort) memory accounting is identical
+everywhere a cache appears), one canonical-JSON reduction (so every content
+hash in the repo agrees on what "the same spec" means) and one meaning of
+"a valid number" (:func:`in_range`, for every config, constructor and CLI
+option).
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
-from typing import Mapping
+from functools import partial
+from numbers import Integral, Real
+from typing import Mapping, Optional
+
+
+def in_range(value, name: str, low: Optional[float] = None,
+             high: Optional[float] = None, *, low_open: bool = False,
+             high_open: bool = False, integral: bool = False,
+             optional: bool = False):
+    """``value`` unchanged if it is a finite number from ``low`` to ``high``
+    (``None``: unbounded; ``*_open``: excluded), or ``None`` and ``optional``.
+
+    NaN, +/-inf and values outside raise ``ValueError``; a ``bool``, ``str``
+    or other non-number (non-int if ``integral``) raises ``TypeError``.
+    """
+    if optional and value is None:
+        return value
+    if isinstance(value, bool) or not isinstance(
+            value, Integral if integral else Real):
+        raise TypeError(f"{name} must be {'an int' if integral else 'a number'}"
+                        f", got {value!r}")
+    if ((integral or math.isfinite(value))
+            and (low is None or (value > low if low_open else value >= low))
+            and (high is None or (value < high if high_open else value <= high))):
+        return value
+    if low is None and high is None:
+        wanted = ""
+    elif low == 0 and high is None:
+        wanted = "positive" if low_open else "non-negative"
+    else:
+        wanted = (f"in {'(' if low_open or low is None else '['}"
+                  f"{'-inf' if low is None else low}, "
+                  f"{'inf' if high is None else high}"
+                  f"{')' if high_open or high is None else ']'}")
+    if not integral and None in (low, high):
+        wanted = f"{wanted} and finite" if wanted else "finite"
+    raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
+positive = partial(in_range, low=0, low_open=True)
+non_negative = partial(in_range, low=0)
+positive_int = partial(in_range, low=0, low_open=True, integral=True)
+non_negative_int = partial(in_range, low=0, integral=True)
 
 
 class BoundedLRU:
@@ -26,9 +70,7 @@ class BoundedLRU:
     """
 
     def __init__(self, bound: int) -> None:
-        if bound <= 0:
-            raise ValueError("cache bound must be positive")
-        self.bound = bound
+        self.bound = positive_int(bound, "cache bound")
         self._entries: "OrderedDict" = OrderedDict()
 
     def get(self, key):
@@ -43,9 +85,7 @@ class BoundedLRU:
         self._evict()
 
     def resize(self, bound: int) -> None:
-        if bound <= 0:
-            raise ValueError("cache bound must be positive")
-        self.bound = bound
+        self.bound = positive_int(bound, "cache bound")
         self._evict()
 
     def _evict(self) -> None:

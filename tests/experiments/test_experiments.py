@@ -43,18 +43,17 @@ class TestPresets:
         assert model_builder().num_parameters > 0
 
     def test_invalid_heterogeneity_level(self):
-        preset = scaled(preset_for("mnist"), heterogeneity="extreme")
-        with pytest.raises(ValueError):
-            build_experiment(preset)
+        with pytest.raises(ValueError, match="heterogeneity"):
+            scaled(preset_for("mnist"), heterogeneity="extreme")
 
     @pytest.mark.parametrize("field", ["scenario", "aggregation", "codec",
                                        "fault_plan"])
     def test_unknown_names_rejected_by_their_owners(self, field):
         # build_experiment keeps no name check of its own: build_scenario,
-        # FederatedConfig and build_fault_plan reject these
-        preset = scaled(preset_for("mnist"), **{field: "nope"})
+        # FederatedConfig (already when the preset is built) and
+        # build_fault_plan reject these
         with pytest.raises(ValueError, match="unknown .*'nope'.*choose from"):
-            build_experiment(preset)
+            build_experiment(scaled(preset_for("mnist"), **{field: "nope"}))
 
 
 #: preset fields that shape the federation (dataset, fleet) or name an

@@ -441,6 +441,22 @@ class TestFleetView:
             ClientFleet(dataset, sample_device_fleet(5, seed=1))
 
 
+class TestCloseReleasesCaches:
+    @pytest.mark.parametrize("method", ["fedavg", "fedlps"])
+    def test_a_finished_run_holds_no_facade_or_shard(self, method):
+        dataset, model_builder, config, fleet = build_experiment(
+            scaled(preset_for("mnist"), num_clients=8, num_rounds=2,
+                   clients_per_round=3, local_iterations=1))
+        trainer = FederatedTrainer(build_strategy(method), dataset,
+                                   model_builder, config=config, fleet=fleet)
+        history = trainer.run()
+        assert len(trainer.clients._facades) == 0
+        assert len(dataset.shard_map._cache) == 0
+        # both rebuild on demand; the state store stayed
+        assert (trainer.evaluate_personalized()
+                == history.records[-1].test_accuracy)
+
+
 class TestFleetConfigValidation:
     def test_rejects_bad_shard_cache(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -76,6 +79,44 @@ def run_golden_supervised(plan=None, *, max_retries=0, task_timeout=None,
         return trainer.run(**run_kwargs)
     finally:
         trainer.close()
+
+
+def kill_idle_worker(executor):
+    """SIGKILL one worker of an idle process pool; return once the pool
+    knows it is broken (so the next submission meets a broken pool)."""
+    pool = executor._executor
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while not pool._broken:
+        assert time.monotonic() < deadline, "the pool never noticed"
+        time.sleep(0.01)
+
+
+def run_with_worker_killed_before(hook, call):
+    """The supervised golden run on process x 2, with one worker killed
+    while the pool is idle, just before the ``call``-th (0-based) call of
+    the server core's ``hook`` method."""
+    preset = golden.golden_preset("ideal", "sync", "dense")
+    dataset, model_builder, config, fleet = build_experiment(preset)
+    config = replace(config, max_retries=2)
+    with ProcessPoolExecutor(2) as executor:
+        executor.warm_up()
+        trainer = FederatedTrainer(build_strategy("fedlps"), dataset,
+                                   model_builder, config=config, fleet=fleet,
+                                   executor=executor)
+        original = getattr(trainer, hook)
+        calls = []
+
+        def killing(*args, **kwargs):
+            if len(calls) == call:
+                kill_idle_worker(executor)
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        setattr(trainer, hook, killing)
+        history = trainer.run()
+        assert len(calls) > call, "the kill never happened"
+        return history
 
 
 def fault_totals(history):
@@ -139,6 +180,33 @@ class TestRecoveredChaosMatchesGolden:
         assert (json.loads(json.dumps(history.to_dict()))
                 == json.loads(json.dumps(inline.to_dict())))
         assert strip_fault_extras(history) == fedlps_fixture
+
+
+class TestWorkerLostOutsideAFanOut:
+    """A worker that dies while the pool is idle costs one restart, never
+    the run: the pool's submissions hand the broken pool back in a future,
+    and the evaluation sweep runs under the run's supervision too."""
+
+    def test_worker_lost_before_a_fan_out_is_replenished(self):
+        history = run_with_worker_killed_before("select_clients", 1)
+        undisturbed = run_golden_supervised(None, max_retries=2)
+        assert fault_totals(history)["fault_worker_restarts"] == 1.0
+        assert strip_fault_extras(history) == strip_fault_extras(undisturbed)
+
+    def test_worker_lost_before_an_evaluation_sweep_is_replenished(self):
+        history = run_with_worker_killed_before("evaluate_personalized", 1)
+        undisturbed = run_golden_supervised(None, max_retries=2)
+        # the sweep's restart and retries stay out of the history
+        assert (json.dumps(history.to_dict(), sort_keys=True)
+                == json.dumps(undisturbed.to_dict(), sort_keys=True))
+
+    def test_an_evaluation_chunk_out_of_retries_raises(self, monkeypatch):
+        def broken(strategy, client):
+            raise RuntimeError("evaluation bug")
+
+        monkeypatch.setattr("repro.server.core._evaluate_client", broken)
+        with pytest.raises(RuntimeError, match="evaluation chunks"):
+            run_golden_supervised(None, max_retries=1)
 
 
 class TestDegradedDrop:

@@ -99,6 +99,9 @@ MUTATIONS = {
         "src/repro/nn/conv.py", None, "window = x[position // k::k]"),
     "no-per-key-step": (
         "src/repro/core/sparse_training.py", None, "drift[key] = 0.0"),
+    "finite-checks-only-in-util": (
+        "src/repro/federated/config.py", None,
+        "assert 0 < learning_rate < math.inf"),
     "dead-definitions": (
         "src/repro/systems/metrics.py", None,
         "def orphaned_helper():\n    return 0"),

@@ -406,6 +406,10 @@ RULES: dict[str, Rule] = {
     "no-per-key-step": Absent(
         r"drift\[key\]|live_gradients\(\).items\(\)",
         ("src/repro/core", "src/repro/federated")),
+    # One meaning of "a valid number": the finite-only validators of
+    # repro.util own every range check (data checks use np.isfinite).
+    "finite-checks-only-in-util": OnlyIn(
+        r"math\.inf|math\.isfinite", ("src",), ("src/repro/util.py",)),
     # Nothing under src/ lives for its tests alone.
     "dead-definitions": dead_definitions,
 }
