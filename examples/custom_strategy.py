@@ -1,11 +1,15 @@
 """Extending the library: writing a custom federated strategy.
 
 A method subclasses :class:`repro.federated.strategy.Strategy` (or a built-in
-method), overrides ``local_update`` and says only what differs from dense
-FedAvg.  Two helpers on the base carry everything else:
+method), overrides one hook, ``local_updates(round_index, clients)``, and says
+only what differs from dense FedAvg.  The hook gets a cohort of any size and
+returns one update per client, in order; the server runs it per client or,
+under ``batch_cohort``, on stacked chunks, with bit-identical results either
+way.  Two helpers on the base carry everything else:
 
-* ``self._train(round_index, clients, **overrides)`` runs local SGD under the
-  config's optimizer settings — replace any (``learning_rate=``,
+* ``self._train(round_index, clients, **overrides)`` runs local SGD for the
+  cohort under the config's optimizer settings (several clients as one
+  stacked tensor program) — replace any (``learning_rate=``,
   ``iterations=``) or add a trainer option (``prox_mu=``, ``param_masks=``);
 * ``self._report(client, result, ...)`` wraps the metrics, the upload and
   the round's FLOPs / traffic footprint into the ``ClientUpdate``.
@@ -27,13 +31,10 @@ Two examples, plugged into the same trainer, datasets and cost model as every
 built-in method:
 
 * ``FedLPSTopUp`` reuses FedLPS's learnable sparse training but tops every
-  client's sparse ratio up by a fixed margin above its bandit decision.  It
-  overrides ``local_update`` alone, so under ``batch_cohort`` it keeps
-  running client by client — the override is never bypassed.
+  client's sparse ratio up by a fixed margin above its bandit decision, then
+  hands the cohort to FedLPS's own ``local_updates``.
 * ``CapabilityStepFedAvg`` is dense FedAvg whose weak devices take smaller
-  steps.  It also supplies ``local_update_cohort``, the same update for a
-  whole cohort (``_train`` runs several clients as one stacked tensor
-  program), so ``batch_cohort=True`` batches it with bit-identical results.
+  steps: the trainer takes one learning rate per client.
 
 Run with::
 
@@ -41,6 +42,8 @@ Run with::
 """
 
 from __future__ import annotations
+
+from typing import List
 
 import numpy as np
 
@@ -61,12 +64,14 @@ class FedLPSTopUp(FedLPS):
         super().__init__(**kwargs)
         self.margin = margin
 
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        state_ratio = client.state.get("ratio")
-        if state_ratio is not None:
-            client.state["ratio"] = float(np.clip(state_ratio + self.margin,
-                                                  self.ratio_min, 1.0))
-        return super().local_update(round_index, client)
+    def local_updates(self, round_index: int, clients: List[Client]
+                      ) -> List[ClientUpdate]:
+        for client in clients:
+            state_ratio = client.state.get("ratio")
+            if state_ratio is not None:
+                client.state["ratio"] = float(np.clip(
+                    state_ratio + self.margin, self.ratio_min, 1.0))
+        return super().local_updates(round_index, clients)
 
 
 class CapabilityStepFedAvg(Strategy):
@@ -77,13 +82,8 @@ class CapabilityStepFedAvg(Strategy):
     def _step_size(self, client: Client) -> float:
         return self.context.config.learning_rate * client.capability
 
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        result = self._train(round_index, [client],
-                             learning_rate=self._step_size(client))[0]
-        return self._report(client, result)
-
-    def local_update_cohort(self, round_index, clients):
-        # the stacked trainer takes one learning rate per client
+    def local_updates(self, round_index: int, clients: List[Client]
+                      ) -> List[ClientUpdate]:
         rates = np.array([self._step_size(client) for client in clients])
         results = self._train(round_index, clients, learning_rate=rates)
         return [self._report(client, result)

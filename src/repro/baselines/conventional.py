@@ -32,13 +32,12 @@ class FedProx(Strategy):
         super().__init__()
         self.mu = non_negative(mu, "mu")
 
-    def _dense_updates(self, round_index: int, clients: List[Client],
-                       **overrides) -> List[ClientUpdate]:
-        # the proximal term broadcasts along the client axis, so both the
-        # per-client and the cohort hook of the base go through here
-        return super()._dense_updates(
-            round_index, clients, prox_mu=self.mu,
-            prox_center=self.global_params, **overrides)
+    def local_updates(self, round_index: int,
+                      clients: List[Client]) -> List[ClientUpdate]:
+        results = self._train(round_index, clients, prox_mu=self.mu,
+                              prox_center=self.global_params)
+        return [self._report(client, result)
+                for client, result in zip(clients, results)]
 
 
 class Oort(Strategy):
@@ -149,14 +148,20 @@ class REFL(Strategy):
                         reverse=True)
         return sorted(ranked[:count])
 
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
+    def local_updates(self, round_index: int,
+                      clients: List[Client]) -> List[ClientUpdate]:
         local_iterations = self._require_context().config.local_iterations
-        iterations = max(1, int(round(local_iterations * client.capability)))
-        result = self._train(round_index, [client], iterations=iterations)[0]
-        update = self._report(client, result,
-                              extras={"iterations": float(iterations)})
-        update.flops *= iterations / local_iterations
-        return update
+        updates = []
+        # each client runs its own iteration count, so each trains alone
+        for client in clients:
+            iterations = max(1, int(round(local_iterations * client.capability)))
+            result = self._train(round_index, [client],
+                                 iterations=iterations)[0]
+            update = self._report(client, result,
+                                  extras={"iterations": float(iterations)})
+            update.flops *= iterations / local_iterations
+            updates.append(update)
+        return updates
 
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
         if not updates:

@@ -47,19 +47,27 @@ class Ditto(Strategy):
         super().__init__()
         self.personal_mu = non_negative(personal_mu, "personal_mu")
 
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        # one batch stream feeds both passes, the personal after the global
-        rngs = [self._client_rng(round_index, client.client_id)]
-        global_result = self._train(round_index, [client], rngs=rngs)[0]
-        personal_result = self._train(
-            round_index, [client], rngs=rngs,
-            starts=[client.state.get("personal_params", self.global_params)],
-            prox_mu=self.personal_mu, prox_center=self.global_params)[0]
-        client.state["personal_params"] = personal_result.params
-        update = self._report(client, personal_result,
-                              params=global_result.params)
-        update.flops *= 2.0
-        return update
+    def local_updates(self, round_index: int,
+                      clients: List[Client]) -> List[ClientUpdate]:
+        # one batch stream per client feeds both passes, the personal after
+        # the global
+        rngs = [self._client_rng(round_index, client.client_id)
+                for client in clients]
+        global_results = self._train(round_index, clients, rngs=rngs)
+        personal_results = self._train(
+            round_index, clients, rngs=rngs,
+            starts=[client.state.get("personal_params", self.global_params)
+                    for client in clients],
+            prox_mu=self.personal_mu, prox_center=self.global_params)
+        updates = []
+        for client, global_result, personal_result in zip(
+                clients, global_results, personal_results):
+            client.state["personal_params"] = personal_result.params
+            update = self._report(client, personal_result,
+                                  params=global_result.params)
+            update.flops *= 2.0
+            updates.append(update)
+        return updates
 
     def client_evaluation(self, client: Client) -> Tuple[ParamDict, None]:
         personal = client.state.get("personal_params")
@@ -94,13 +102,16 @@ class FedPer(Strategy):
         update.upload_bytes *= 1.0 - head_fraction
         return update
 
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        result = self._train(round_index, [client],
-                             starts=[self._with_personal_head(client)])[0]
-        update = self._report_body(client, result)
-        client.state["personal_body"] = {key: result.params[key]
-                                         for key in body_keys(result.params)}
-        return update
+    def local_updates(self, round_index: int,
+                      clients: List[Client]) -> List[ClientUpdate]:
+        results = self._train(round_index, clients, starts=[
+            self._with_personal_head(client) for client in clients])
+        updates = []
+        for client, result in zip(clients, results):
+            updates.append(self._report_body(client, result))
+            client.state["personal_body"] = {
+                key: result.params[key] for key in body_keys(result.params)}
+        return updates
 
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
         if not updates:
@@ -126,23 +137,29 @@ class FedRep(FedPer):
         self.head_iterations = positive_int(head_iterations, "head_iterations",
                                             optional=True)
 
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
+    def local_updates(self, round_index: int,
+                      clients: List[Client]) -> List[ClientUpdate]:
         local_iterations = self._require_context().config.local_iterations
-        # one batch stream feeds both phases
-        rngs = [self._client_rng(round_index, client.client_id)]
-        start = self._with_personal_head(client)
+        # one batch stream per client feeds both phases
+        rngs = [self._client_rng(round_index, client.client_id)
+                for client in clients]
         head_iters = self.head_iterations or max(1, local_iterations // 2)
         # phase 1: adapt the personal head with the body frozen
-        head_result = self._train(
-            round_index, [client], starts=[start], rngs=rngs,
-            iterations=head_iters, trainable_keys=head_keys(start))[0]
+        head_results = self._train(
+            round_index, clients, rngs=rngs, iterations=head_iters,
+            starts=[self._with_personal_head(client) for client in clients],
+            trainable_keys=head_keys(self.global_params))
         # phase 2: adapt the shared body with the head frozen
-        body_result = self._train(
-            round_index, [client], starts=[head_result.params], rngs=rngs,
-            trainable_keys=body_keys(start))[0]
-        update = self._report_body(client, body_result)
-        update.flops *= 1.0 + head_iters / local_iterations
-        return update
+        body_results = self._train(
+            round_index, clients, rngs=rngs,
+            starts=[result.params for result in head_results],
+            trainable_keys=body_keys(self.global_params))
+        updates = []
+        for client, result in zip(clients, body_results):
+            update = self._report_body(client, result)
+            update.flops *= 1.0 + head_iters / local_iterations
+            updates.append(update)
+        return updates
 
 
 class PerFedAvg(Strategy):

@@ -42,17 +42,23 @@ class PersonalSparseStrategy(Strategy):
         """Update per-client mask/ratio state after a round (default: keep)."""
 
     # ------------------------------------------------------ local update
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        ratio = float(np.clip(self.current_ratio(client, round_index), 0.05, 1.0))
-        # magnitude patterns read the model's values
-        self._require_context().model.set_parameters(self.global_params)
-        pattern = self.current_pattern(client, ratio, round_index)
-        result, _ = self._train_submodel(round_index, client, pattern)
-        client.state["personal_params"] = result.params
-        client.state["personal_pattern"] = pattern
-        self.after_training(client, result.params, pattern, ratio,
-                            result.train_accuracy)
-        return self._report(client, result, pattern=pattern, sparse_ratio=ratio)
+    def local_updates(self, round_index: int,
+                      clients: List[Client]) -> List[ClientUpdate]:
+        runs = self._train_sparse(
+            round_index, clients,
+            lambda client: float(np.clip(
+                self.current_ratio(client, round_index), 0.05, 1.0)),
+            lambda client, ratio: self.current_pattern(client, ratio,
+                                                       round_index))
+        updates = []
+        for client, (ratio, pattern, result, _) in zip(clients, runs):
+            client.state["personal_params"] = result.params
+            client.state["personal_pattern"] = pattern
+            self.after_training(client, result.params, pattern, ratio,
+                                result.train_accuracy)
+            updates.append(self._report(client, result, pattern=pattern,
+                                        sparse_ratio=ratio))
+        return updates
 
     # --------------------------------------------------------- aggregation
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:

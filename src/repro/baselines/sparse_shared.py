@@ -48,14 +48,20 @@ class SharedSparseStrategy(Strategy):
         raise NotImplementedError
 
     # --------------------------------------------------------- local update
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        ratio = float(np.clip(self.client_ratio(client, round_index), 0.05, 1.0))
-        # magnitude patterns read the model's values
-        self._require_context().model.set_parameters(self.global_params)
-        pattern = self.client_pattern(client, ratio, round_index)
-        result, _ = self._train_submodel(round_index, client, pattern)
-        client.state["pattern"] = pattern
-        return self._report(client, result, pattern=pattern, sparse_ratio=ratio)
+    def local_updates(self, round_index: int,
+                      clients: List[Client]) -> List[ClientUpdate]:
+        runs = self._train_sparse(
+            round_index, clients,
+            lambda client: float(np.clip(
+                self.client_ratio(client, round_index), 0.05, 1.0)),
+            lambda client, ratio: self.client_pattern(client, ratio,
+                                                      round_index))
+        updates = []
+        for client, (ratio, pattern, result, _) in zip(clients, runs):
+            client.state["pattern"] = pattern
+            updates.append(self._report(client, result, pattern=pattern,
+                                        sparse_ratio=ratio))
+        return updates
 
     # ----------------------------------------------------------- aggregation
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
@@ -200,16 +206,21 @@ class ComplementSparsification(Strategy):
         return {key: (np.abs(value) >= threshold).astype(np.float64)
                 for key, value in params.items()}
 
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
+    def local_updates(self, round_index: int,
+                      clients: List[Client]) -> List[ClientUpdate]:
         mask = self._unstructured_mask(self.global_params)
-        result = self._train(round_index, [client], param_masks=[mask])[0]
-        update = self._report(
-            client, result, sparse_ratio=self.keep_ratio,
-            uniform_ratio=self.keep_ratio,
-            extras={"mask_nonzero": float(sum(np.count_nonzero(m)
-                                              for m in mask.values()))})
-        update.upload_bytes *= self.keep_ratio
-        return update
+        nonzero = float(sum(np.count_nonzero(m) for m in mask.values()))
+        results = self._train(round_index, clients,
+                              param_masks=[mask] * len(clients))
+        updates = []
+        for client, result in zip(clients, results):
+            update = self._report(
+                client, result, sparse_ratio=self.keep_ratio,
+                uniform_ratio=self.keep_ratio,
+                extras={"mask_nonzero": nonzero})
+            update.upload_bytes *= self.keep_ratio
+            updates.append(update)
+        return updates
 
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
         if not updates:

@@ -121,16 +121,12 @@ class FedLPS(Strategy):
             state["ratio"] = affordable_ratio(client.capability)
 
     # --------------------------------------------------------- local update
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        if self.pattern_mode == "learnable":
-            return self._learnable_updates(round_index, [client])[0]
-        return self._heuristic_update(round_index, client)
-
-    def _learnable_updates(self, round_index: int,
-                           clients: List[Client]) -> List[ClientUpdate]:
-        """Learnable sparse training (Alg. 1 lines 17-27) for ``clients``:
-        several run as one stacked tensor program, one trains on
-        ``context.model`` — bit-identical per client, like ``_train``."""
+    def local_updates(self, round_index: int,
+                      clients: List[Client]) -> List[ClientUpdate]:
+        """Learnable sparse training (Alg. 1 lines 17-27) for ``clients``,
+        or a heuristic pattern in its place (``pattern_mode``)."""
+        if self.pattern_mode != "learnable":
+            return self._heuristic_updates(round_index, clients)
         context = self._require_context()
         config = context.config
         importances: List[ImportanceIndicator] = []
@@ -183,36 +179,33 @@ class FedLPS(Strategy):
         return self._report(client, result, params=residual, pattern=pattern,
                             sparse_ratio=ratio)
 
-    # ------------------------------------------------------ cohort batching
-    def cohort_batchable(self) -> bool:
-        # only the learnable path runs stacked; the heuristic pattern
-        # ablations train one sub-model at a time
-        return super().cohort_batchable() and self.pattern_mode == "learnable"
-
-    def local_update_cohort(self, round_index: int, clients: List[Client]
-                            ) -> List[ClientUpdate]:
-        return self._learnable_updates(round_index, clients)
-
-    def _heuristic_update(self, round_index: int,
-                          client: Client) -> ClientUpdate:
+    def _heuristic_updates(self, round_index: int,
+                           clients: List[Client]) -> List[ClientUpdate]:
         """Pattern-ablation path (Figure 9a): a heuristic pattern in place
         of the learned one; same proximal pull, same residual upload."""
         context = self._require_context()
-        ratio = self._effective_ratio(client)
-        # one stream: the pattern's draws come first, the batches continue it
-        rng = self._client_rng(round_index, client.client_id)
-        # magnitude patterns read the model's values
-        context.model.set_parameters(self.global_params)
-        pattern = heuristic_pattern(self.pattern_mode, context.model, ratio,
-                                    round_index=round_index, rng=rng)
-        result, param_mask = self._train_submodel(
-            round_index, client, pattern, rngs=[rng],
-            prox_mu=context.config.prox_mu, prox_center=self.global_params)
-        return self._record_update(
-            client, ratio, result, pattern=pattern,
-            residual=multiply(subtract(self.global_params, result.params),
-                              param_mask),
-            personalized=result.params)
+        # one stream per client: the pattern's draws come first, the
+        # batches continue it
+        rngs = {client.client_id: self._client_rng(round_index,
+                                                   client.client_id)
+                for client in clients}
+
+        def pattern_of(client: Client, ratio: float) -> UnitPattern:
+            return heuristic_pattern(self.pattern_mode, context.model, ratio,
+                                     round_index=round_index,
+                                     rng=rngs[client.client_id])
+
+        runs = self._train_sparse(
+            round_index, clients, self._effective_ratio, pattern_of,
+            rngs=list(rngs.values()), prox_mu=context.config.prox_mu,
+            prox_center=self.global_params)
+        return [self._record_update(
+                    client, ratio, result, pattern=pattern,
+                    residual=multiply(subtract(self.global_params,
+                                               result.params), param_mask),
+                    personalized=result.params)
+                for client, (ratio, pattern, result, param_mask)
+                in zip(clients, runs)]
 
     def _effective_ratio(self, client: Client) -> float:
         """Cap the server-decided ratio by the client's capability (Sec. III-B).

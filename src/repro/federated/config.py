@@ -122,11 +122,11 @@ class FederatedConfig:
     # the cohort into contiguous balanced chunks, at least one per executor
     # worker and each stacking at most 64 rows (clients x batch_size) per
     # step (``ServerCore._plan_chunks``).  Bit-identical to the per-client
-    # loop when the strategy/model pair supports it (the strategy
-    # advertises via ``cohort_batchable``); unsupported pairs and supervised
-    # fan-outs fall back to the loop.  Off by default (the cross-device
-    # presets ``mnist-100k`` / ``mnist-1m`` opt in); it keys result caches
-    # and checkpoint run digests like every field.
+    # loop for every strategy; a model without batched kernels
+    # (``batchable_model``) and supervised fan-outs fall back to the loop.
+    # Off by default (the cross-device presets ``mnist-100k`` / ``mnist-1m``
+    # opt in); it keys result caches and checkpoint run digests like every
+    # field.
     batch_cohort: bool = False
     # sharded parameter-server aggregation (``repro.parallel.sharding``):
     # partition the parameter manifest by key across N reducer shards so

@@ -1,8 +1,8 @@
 """Strategy interface: how a federated method plugs into the simulator.
 
 A strategy owns the global model state and decides which clients take part
-in a round (``select_clients``), what a client computes and uploads
-(``local_update``), how the server merges uploads (``aggregate``), which
+in a round (``select_clients``), what its clients compute and upload
+(``local_updates``), how the server merges uploads (``aggregate``), which
 parameters a client infers with (``client_evaluation``, and
 ``evaluates_from_state``: whether those come from the client's own state
 alone, so its accuracy need not be recomputed until that state is written)
@@ -10,28 +10,29 @@ and any end-of-round bookkeeping such as bandit updates (``post_round``).
 The server core drives the round loop and turns the reported footprints into
 simulated time.
 
-A method overrides ``local_update`` and says only what differs from dense
-FedAvg; two helpers carry the rest and are the only place a trainer is
-called or a :class:`ClientUpdate` is built:
+A method overrides one hook, ``local_updates(round_index, clients)`` (one
+update per client, in order, for a cohort of any size), and says only what
+differs from dense FedAvg; helpers carry the rest and are the only place a
+trainer is called or a :class:`ClientUpdate` is built:
 
 * ``self._train(round_index, clients, starts=, rngs=, **overrides)`` runs
   local SGD under the config's optimizer settings (replace any, or add
-  ``prox_mu=``, ``param_masks=``, ``trainable_keys=`` ...), and
-  ``self._train_submodel(round_index, client, pattern)`` is the masked pass
-  every sub-model method shares;
+  ``prox_mu=``, ``param_masks=``, ``trainable_keys=`` ...),
+  ``self._train_submodels(round_index, clients, patterns)`` is the masked
+  pass every sub-model method shares and ``self._train_sparse`` draws each
+  client's ratio and pattern for it;
 * ``self._report(client, result, params=, pattern=, sparse_ratio=)`` wraps
   the metrics, the upload and the round's FLOPs / traffic footprint.
 
-A method that should also run as one stacked tensor program under
-``batch_cohort`` supplies ``local_update_cohort`` next to ``local_update``
-(``_train`` takes a cohort of any size); a class that overrides
-``local_update`` alone stays on the per-client loop.
+The server calls the hook as ``local_update`` (one client) or
+``local_update_cohort`` (a stacked chunk): two names, timed apart, that a
+subclass may not define, as one path would then skip the override.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from ..sparsity.accounting import local_round_cost
 from ..sparsity.masks import UnitPattern, build_parameter_mask
 from ..systems.cost import CostBreakdown, LocalCostModel
 from ..systems.devices import DeviceFleet
-from ..nn.batched import batchable_model
 from .aggregation import fedavg, masked_average
 from .batched import LocalUpdateResult, train_cohort_batched
 from .client import Client
@@ -156,16 +156,30 @@ class Strategy:
         return sorted(int(cid) for cid in chosen)
 
     # --------------------------------------------------------- local update
-    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        """Dense local SGD starting from the global parameters."""
-        return self._dense_updates(round_index, [client])[0]
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        shims = sorted({"local_update", "local_update_cohort"} & set(vars(cls)))
+        if shims:
+            raise TypeError(
+                f"{cls.__name__} defines {', '.join(shims)}: a strategy "
+                "overrides local_updates(round_index, clients) alone")
 
-    def _dense_updates(self, round_index: int, clients: List[Client],
-                       **overrides) -> List[ClientUpdate]:
-        """Dense local SGD from the global parameters, one update per client."""
-        results = self._train(round_index, clients, **overrides)
+    def local_updates(self, round_index: int, clients: List[Client]
+                      ) -> List[ClientUpdate]:
+        """Dense local SGD from the global parameters, one update per client
+        in input order — the one hook a method overrides."""
+        results = self._train(round_index, clients)
         return [self._report(client, result)
                 for client, result in zip(clients, results)]
+
+    def local_update(self, round_index: int, client: Client) -> ClientUpdate:
+        """One client's :meth:`local_updates` (a size-1 chunk)."""
+        return self.local_updates(round_index, [client])[0]
+
+    def local_update_cohort(self, round_index: int, clients: List[Client]
+                            ) -> List[ClientUpdate]:
+        """A stacked chunk's :meth:`local_updates`."""
+        return self.local_updates(round_index, clients)
 
     def _trainer_options(self, **overrides) -> Dict:
         """The config's optimizer block as trainer keyword arguments."""
@@ -198,19 +212,37 @@ class Strategy:
         return train_cohort_batched(model, starts, datasets, rngs=rngs,
                                     **options)
 
-    def _train_submodel(self, round_index: int, client: Client,
-                        pattern: UnitPattern, **overrides
-                        ) -> Tuple[LocalUpdateResult, ParamDict]:
-        """The one sub-model body: expand ``pattern`` to a parameter mask and
-        train the gated, masked model from the global parameters.  Returns
-        ``(result, param_mask)`` with ``result.params`` already zero outside
-        the mask; what is uploaded (those parameters or the masked
-        residual), what ``client.state`` remembers and which model
-        evaluates is the caller's to say."""
-        param_mask = build_parameter_mask(self._require_context().model, pattern)
-        result = self._train(round_index, [client], patterns=[pattern],
-                             param_masks=[param_mask], **overrides)[0]
-        return result, param_mask
+    def _train_submodels(self, round_index: int, clients: List[Client],
+                         patterns: Sequence[UnitPattern], **overrides
+                         ) -> Tuple[List[LocalUpdateResult], List[ParamDict]]:
+        """The one sub-model pass: expand each pattern to a parameter mask
+        and train the gated, masked models from the global parameters.
+        Returns ``(results, param_masks)``, each ``result.params`` already
+        zero outside its mask; what is uploaded or kept is the caller's."""
+        model = self._require_context().model
+        masks = [build_parameter_mask(model, pattern) for pattern in patterns]
+        return self._train(round_index, clients, patterns=patterns,
+                           param_masks=masks, **overrides), masks
+
+    def _train_sparse(self, round_index: int, clients: List[Client],
+                      ratio_of: Callable[[Client], float],
+                      pattern_of: Callable[[Client, float], UnitPattern],
+                      **overrides) -> List[Tuple]:
+        """Ratio -> pattern -> masked training, every sparse method's body:
+        per client ``ratio_of(client)``, then ``pattern_of(client, ratio)``
+        on a model reloaded with the global parameters (magnitude patterns
+        read them; Hermes and FedSpa load others), then one
+        :meth:`_train_submodels`.  Returns ``(ratio, pattern, result,
+        param_mask)`` per client."""
+        model = self._require_context().model
+        ratios, patterns = [], []
+        for client in clients:
+            ratios.append(ratio_of(client))
+            model.set_parameters(self.global_params)
+            patterns.append(pattern_of(client, ratios[-1]))
+        results, masks = self._train_submodels(round_index, clients, patterns,
+                                               **overrides)
+        return list(zip(ratios, patterns, results, masks))
 
     def _report(self, client: Client, result, *,
                 params: Optional[ParamDict] = None,
@@ -232,31 +264,6 @@ class Strategy:
             train_accuracy=result.train_accuracy, train_loss=result.train_loss,
             pattern=pattern, sparse_ratio=sparse_ratio, flops=flops,
             upload_bytes=upload, download_bytes=download, **fields)
-
-    # ------------------------------------------------------ cohort batching
-    def cohort_batchable(self) -> bool:
-        """Whether ``local_update_cohort`` reproduces this strategy's
-        per-client ``local_update`` bit-for-bit for a whole cohort: the
-        model has batched kernels (dropout, embeddings and recurrent cells
-        do not) and the most derived class that defines either hook defines
-        the cohort one.  A subclass that overrides ``local_update`` alone
-        (heterogeneous widths, personalization, a tweak to ``client.state``)
-        therefore runs the per-client loop until it supplies the twin too.
-        """
-        hooks = ("local_update", "local_update_cohort")
-        supplier = next(cls for cls in type(self).__mro__
-                        if any(hook in vars(cls) for hook in hooks))
-        return ("local_update_cohort" in vars(supplier)
-                and batchable_model(self._require_context().model))
-
-    def local_update_cohort(self, round_index: int, clients: List[Client]
-                            ) -> List[ClientUpdate]:
-        """Batched twin of ``local_update`` over a homogeneous cohort.
-
-        Returns one :class:`ClientUpdate` per client in input order.  Only
-        called when :meth:`cohort_batchable` is true.
-        """
-        return self._dense_updates(round_index, clients)
 
     # ----------------------------------------------------------- aggregation
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:

@@ -32,6 +32,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..util import non_negative_int, positive_int
 from . import initializers
 from .base import Array, Layer, ParamDict, as_float
 
@@ -143,13 +144,11 @@ class Conv2d(Layer):
                  sparsifiable: bool = True,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(name)
-        if kernel_size <= 0 or stride <= 0:
-            raise ValueError("kernel_size and stride must be positive")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
+        self.in_channels = positive_int(in_channels, "in_channels")
+        self.out_channels = positive_int(out_channels, "out_channels")
+        self.kernel_size = positive_int(kernel_size, "kernel_size")
+        self.stride = positive_int(stride, "stride")
+        self.padding = non_negative_int(padding, "padding")
         self.sparsifiable = sparsifiable
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kernel_size * kernel_size
@@ -294,9 +293,7 @@ class _Pool2d(Layer):
 
     def __init__(self, kernel_size: int, name: str) -> None:
         super().__init__(name)
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
+        self.kernel_size = positive_int(kernel_size, "kernel_size")
         self._x_shape: Tuple[int, ...] | None = None
 
     def _check_spatial(self, h: int, w: int) -> None:

@@ -7,6 +7,7 @@ from typing import Tuple
 import numpy as np
 
 from . import initializers
+from ..util import positive_int
 from .base import Array, Layer, ParamDict, as_float
 
 
@@ -25,10 +26,8 @@ class Dense(Layer):
                  name: str = "dense", sparsifiable: bool = True,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(name)
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError("in_features and out_features must be positive")
-        self.in_features = in_features
-        self.out_features = out_features
+        self.in_features = positive_int(in_features, "in_features")
+        self.out_features = positive_int(out_features, "out_features")
         self.sparsifiable = sparsifiable
         rng = rng or np.random.default_rng(0)
         self.params = {

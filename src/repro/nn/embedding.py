@@ -6,6 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..util import positive_int
 from . import initializers
 from .base import Array, Layer
 
@@ -23,10 +24,8 @@ class Embedding(Layer):
     def __init__(self, vocab_size: int, dim: int, *, name: str = "embedding",
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(name)
-        if vocab_size <= 0 or dim <= 0:
-            raise ValueError("vocab_size and dim must be positive")
-        self.vocab_size = vocab_size
-        self.dim = dim
+        self.vocab_size = positive_int(vocab_size, "vocab_size")
+        self.dim = positive_int(dim, "dim")
         rng = rng or np.random.default_rng(0)
         self.params = {"W": initializers.normal(rng, (vocab_size, dim), std=0.1)}
         self.zero_grad()

@@ -11,6 +11,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..util import positive_int
 from . import initializers
 from .activations import sigmoid
 from .base import Array, Layer, ParamDict, as_float
@@ -25,10 +26,8 @@ class RNN(Layer):
                  sparsifiable: bool = True,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(name)
-        if input_dim <= 0 or hidden_dim <= 0:
-            raise ValueError("input_dim and hidden_dim must be positive")
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
+        self.input_dim = positive_int(input_dim, "input_dim")
+        self.hidden_dim = positive_int(hidden_dim, "hidden_dim")
         self.sparsifiable = sparsifiable
         rng = rng or np.random.default_rng(0)
         self.params = {
@@ -112,10 +111,8 @@ class LSTM(Layer):
                  sparsifiable: bool = True,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(name)
-        if input_dim <= 0 or hidden_dim <= 0:
-            raise ValueError("input_dim and hidden_dim must be positive")
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
+        self.input_dim = positive_int(input_dim, "input_dim")
+        self.hidden_dim = positive_int(hidden_dim, "hidden_dim")
         self.sparsifiable = sparsifiable
         rng = rng or np.random.default_rng(0)
         self.params = {

@@ -47,6 +47,7 @@ from ..federated.config import FederatedConfig
 from ..federated.evaluation import evaluate_params
 from ..federated.fleet import ClientFleet
 from ..federated.strategy import ClientUpdate, Strategy, StrategyContext
+from ..nn.batched import batchable_model
 from ..nn.model import Sequential
 from ..nn.params import param_nbytes
 from ..parallel import (Broadcast, BroadcastHandle, Executor, SerialExecutor,
@@ -185,14 +186,13 @@ def _run_chunk(strategy: Strategy, round_index: int, clients: List[Client]
                ) -> List[Tuple[ClientUpdate, Dict]]:
     """Run one chunk of a cohort's local updates — the one task body.
 
-    A multi-client chunk (only planned when the strategy is
-    ``cohort_batchable``) runs through ``local_update_cohort`` as one
-    batched tensor program, a size-1 chunk through ``local_update``; either
-    way the result matches the per-client dispatch, update by update and
-    state by state.  Strategies persist per-client information in
-    ``client.state``, so the (possibly mutated) state dictionary rides back
-    alongside each update: across a worker boundary the caller never sees
-    in-place mutations.
+    Both names are ``Strategy.local_updates``: a multi-client chunk runs
+    through ``local_update_cohort`` as one stacked tensor program, a size-1
+    chunk through ``local_update``; either way the result matches the
+    per-client dispatch, update by update and state by state.  Strategies
+    persist per-client information in ``client.state``, so the (possibly
+    mutated) state dictionary rides back alongside each update: across a
+    worker boundary the caller never sees in-place mutations.
     """
     if len(clients) > 1:
         updates = strategy.local_update_cohort(round_index, clients)
@@ -586,9 +586,9 @@ class ServerCore:
 
         The one place that decides chunk shape.  A cohort that trains
         stacked — which requires the config opt-in, no supervision
-        (retry/fault bookkeeping is per client task) and a strategy/model
-        pair whose batched path is bit-identical to the loop
-        (``Strategy.cohort_batchable``) — goes out as contiguous balanced
+        (retry/fault bookkeeping is per client task) and a model with
+        batched kernels (``batchable_model``; every strategy's
+        ``local_updates`` takes a cohort) — goes out as contiguous balanced
         chunks: as few as give every worker of the executor one and keep
         every chunk within ``_CHUNK_ROWS`` rows (clients x ``batch_size``)
         per step — a cohort already inside the budget is not split further,
@@ -599,7 +599,7 @@ class ServerCore:
         """
         ids = [int(cid) for cid in selected]
         stacked = (self.config.batch_cohort and not self.supervised
-                   and self.strategy.cohort_batchable())
+                   and batchable_model(self.model))
         if not stacked:
             return [[cid] for cid in ids]
         per_chunk = max(1, _CHUNK_ROWS // self.config.batch_size)

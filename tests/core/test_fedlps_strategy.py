@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines import build_strategy
 from repro.core import FedLPS
-from repro.experiments import build_experiment
+from repro.experiments import build_experiment, scaled
 from repro.federated import FederatedConfig, FederatedTrainer, run_federated
 from repro.models import build_model_for_dataset
 from repro.systems import affordable_ratio
@@ -196,16 +196,19 @@ PINNED_ABLATION_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("batch_cohort", [False, True],
+                         ids=["loop", "stacked"])
 @pytest.mark.parametrize("variant", list(PINNED_ABLATION_DIGESTS))
-def test_pattern_ablation_histories_are_pinned(variant):
+def test_pattern_ablation_histories_are_pinned(variant, batch_cohort):
     """Byte-level oracle for the Figure 9a ablations the goldens do not cover.
 
     The registry goldens pin only the learnable P-UCBV / fixed / capability
-    variants; the heuristic-pattern path (``FedLPS._heuristic_update``) and
-    the fixed-ratio learnable sweep get their digests here.  The constants
-    were recorded at the parent commit of the PR that folded the three
-    pattern -> mask -> train bodies into one, before any source change, and
-    must never be regenerated by a refactor.
+    variants; the heuristic-pattern path (``FedLPS._heuristic_updates``) and
+    the fixed-ratio learnable sweep get their digests here, per client and
+    on stacked chunks alike.  The constants were recorded at the parent
+    commit of the PR that folded the three pattern -> mask -> train bodies
+    into one, before any source change, and must never be regenerated by a
+    refactor.
     """
     strategy = build_strategy("fedlps", ratio_policy="fixed", fixed_ratio=0.5,
                               pattern_mode=variant.split("@")[0],
@@ -214,7 +217,7 @@ def test_pattern_ablation_histories_are_pinned(variant):
     # label each variant was recorded under
     strategy.name = f"pattern-{variant}"
     dataset, model_builder, config, fleet = build_experiment(
-        golden.golden_preset("ideal"))
+        scaled(golden.golden_preset("ideal"), batch_cohort=batch_cohort))
     history = run_federated(strategy, dataset, model_builder, config=config,
                             fleet=fleet)
     digest = hashlib.sha256(

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import FedProx
+from repro.baselines import FedProx, available_strategies
 from repro.core.importance import initialize_importance
 from repro.core.sparse_training import learnable_sparse_training_cohort
 from repro.data.dataset import Dataset
@@ -36,6 +36,13 @@ from repro.sparsity import build_parameter_mask, random_pattern
 
 INPUT_DIM = 6
 NUM_CLASSES = 3
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_fixtures",
+    Path(__file__).resolve().parents[1] / "fixtures" / "regenerate_golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+GOLDEN_SPECS = golden.golden_specs()
 
 
 def _model():
@@ -319,40 +326,34 @@ def _example_module(name):
     return module
 
 
-class VisitCountingFedProx(FedProx):
-    """Overrides ``local_update`` only: must stay on the per-client loop."""
-
-    def local_update(self, round_index, client):
-        client.state["visits"] = client.state.get("visits", 0) + 1
-        return super().local_update(round_index, client)
-
-
-class BatchedVisitCountingFedProx(VisitCountingFedProx):
-    """Supplies the cohort twin of its override too: batches again."""
-
-    def local_update_cohort(self, round_index, clients):
-        for client in clients:
-            client.state["visits"] = client.state.get("visits", 0) + 1
-        return FedProx.local_update_cohort(self, round_index, clients)
-
-
 class TestEndToEnd:
-    @pytest.mark.parametrize("method", ["fedavg", "fedprox", "fedlps", "oort"])
-    def test_histories_identical_with_batching(self, method):
+    @pytest.mark.parametrize("method", available_strategies())
+    def test_histories_identical_with_batching(self, method, monkeypatch):
+        """Every registry method trains each round's cohort as one stacked
+        chunk and matches its per-client history bit-for-bit."""
         from repro.experiments import run_method, scaled
+        from repro.federated import Strategy
 
         preset = _small()
         default = run_method(method, preset)
+        stacked = []
+        original = Strategy.local_update_cohort
+
+        def counting(self, round_index, clients):
+            stacked.append(len(clients))
+            return original(self, round_index, clients)
+
+        monkeypatch.setattr(Strategy, "local_update_cohort", counting)
         batched = run_method(method, scaled(preset, batch_cohort=True))
+        assert stacked == [preset.clients_per_round] * preset.num_rounds
         assert _history_key(default) == _history_key(batched)
 
-    @pytest.mark.parametrize("method", ["heterofl", "fedavg"],
-                             ids=["strategy-fallback", "model-fallback"])
-    def test_fallback_paths_identical(self, method):
-        """Strategies/models without a batched path fall back to the loop."""
+    @pytest.mark.parametrize("method", ["heterofl", "fedavg"])
+    def test_model_fallback_identical(self, method):
+        """A model without batched kernels falls back to the loop."""
         from repro.experiments import run_method, scaled
 
-        preset = _small("reddit" if method == "fedavg" else "mnist")
+        preset = _small("reddit")
         default = run_method(method, preset)
         batched = run_method(method, scaled(preset, batch_cohort=True))
         assert _history_key(default) == _history_key(batched)
@@ -366,39 +367,26 @@ class TestEndToEnd:
         assert _history_key(default) == _history_key(batched)
 
 
+    @pytest.mark.parametrize("shim", ["local_update", "local_update_cohort"])
+    def test_a_subclass_cannot_override_a_shim(self, shim):
+        """``local_updates`` is the one hook: the server calls it through
+        ``local_update`` or ``local_update_cohort`` by chunk size, so an
+        override of either name alone would be skipped on the other path."""
+        with pytest.raises(TypeError, match=f"defines {shim}: .*local_updates"):
+            type("Stray", (FedProx,), {shim: lambda self, *args: None})
+
     @pytest.mark.parametrize("make_strategy", [
         lambda: _example_module("custom_strategy").FedLPSTopUp(margin=0.15),
-        VisitCountingFedProx], ids=["fedlps-topup", "fedprox-subclass"])
-    def test_subclass_local_update_override_survives_batching(
-            self, make_strategy):
-        """A subclass that replaces ``local_update`` alone keeps its override
-        under ``batch_cohort``: the cohort is planned as per-client tasks
-        and the history matches the unbatched run bit-for-bit.
-
-        Regression: ``FedLPS`` and ``FedProx`` used to answer
-        ``cohort_batchable`` without checking who supplies ``local_update``,
-        so the batched run silently trained through the parent's
-        ``local_update_cohort`` (``FedLPSTopUp`` lost its ratio margin).
-        """
-        from repro.experiments import scaled
-
-        preset = _small(num_rounds=4)
-        default = _run_custom(make_strategy(), preset)
-        batched = _run_custom(make_strategy(), scaled(preset, batch_cohort=True))
-        assert _history_key(default) == _history_key(batched)
-        core = TestChunkPlan._core(make_strategy())
-        assert core._plan_chunks([3, 1, 2]) == [[3], [1], [2]]
-
-    @pytest.mark.parametrize("make_strategy", [
-        lambda: _example_module("custom_strategy").CapabilityStepFedAvg(),
-        BatchedVisitCountingFedProx], ids=["same-class", "below-the-override"])
-    def test_subclass_with_its_own_cohort_hook_still_batches(
-            self, make_strategy):
+        lambda: _example_module("custom_strategy").CapabilityStepFedAvg()],
+        ids=["fedlps-topup", "capability-step"])
+    def test_a_subclass_hook_batches(self, make_strategy):
+        """A subclass's ``local_updates`` runs on stacked chunks and matches
+        its own per-client run bit-for-bit, so neither path skips it."""
         from repro.experiments import scaled
 
         core = TestChunkPlan._core(make_strategy())
         assert core._plan_chunks([3, 1, 2]) == [[3, 1, 2]]
-        preset = _small()
+        preset = _small(num_rounds=4)
         default = _run_custom(make_strategy(), preset)
         batched = _run_custom(make_strategy(), scaled(preset, batch_cohort=True))
         assert _history_key(default) == _history_key(batched)
@@ -450,13 +438,13 @@ class TestChunkPlan:
     asks for it — and every other cohort as per-client tasks."""
 
     @staticmethod
-    def _core(method="fedavg", *, workers=None, **overrides):
+    def _core(method="fedavg", *, workers=None, preset="mnist", **overrides):
         from repro.baselines import build_strategy
         from repro.experiments.presets import build_experiment
         from repro.server.core import ServerCore
 
         dataset, model_builder, config, fleet = build_experiment(
-            _small(**{"batch_cohort": True, **overrides}))
+            _small(preset, **{"batch_cohort": True, **overrides}))
         strategy = build_strategy(method) if isinstance(method, str) \
             else method
         core = ServerCore(strategy, dataset, model_builder,
@@ -470,6 +458,8 @@ class TestChunkPlan:
     def test_batchable_opt_in_cohort_is_one_chunk(self):
         # 3 clients x batch 8 = 24 rows: inside the budget, one worker
         assert self._core()._plan_chunks([3, 1, 2]) == [[3, 1, 2]]
+        # a sub-model method stacks like any other
+        assert self._core("heterofl")._plan_chunks([3, 1, 2]) == [[3, 1, 2]]
         # the bench's batched-cohort16 shape: 16 x 1 rows stay one program
         assert self._core(batch_size=1)._plan_chunks(list(range(16))) \
             == [list(range(16))]
@@ -506,7 +496,8 @@ class TestChunkPlan:
     def test_size_one_chunks_otherwise(self):
         per_client = [[3], [1], [2]]
         assert self._core(max_retries=1)._plan_chunks([3, 1, 2]) == per_client
-        assert self._core("heterofl")._plan_chunks([3, 1, 2]) == per_client
+        assert self._core(preset="reddit")._plan_chunks([3, 1, 2]) \
+            == per_client
         assert self._core(batch_cohort=False)._plan_chunks([3, 1, 2]) \
             == per_client
         assert self._core(batch_cohort=False, workers=2) \
@@ -526,8 +517,7 @@ class TestChunkPlan:
 
         from repro.server.core import _CHUNK_ROWS
 
-        core = _planner_core("heterofl" if off == "non-batchable"
-                             else "fedavg")
+        core = _planner_core("reddit" if off == "non-batchable" else "mnist")
         core.executor = SimpleNamespace(workers=workers)
         core.config = replace(core.config, batch_size=batch_size,
                               batch_cohort=off != "opted-out")
@@ -552,8 +542,8 @@ class TestChunkPlan:
 
 
 @functools.lru_cache(maxsize=None)
-def _planner_core(method):
-    return TestChunkPlan._core(method)
+def _planner_core(preset):
+    return TestChunkPlan._core(preset=preset)
 
 
 #: round-loop shapes of the chunk-boundary cells (the second one is
@@ -635,21 +625,17 @@ class TestChunkBoundaries:
 
 
 class TestGoldenParity:
-    @pytest.mark.parametrize("method", ["fedavg", "fedlps", "fedprox"])
-    def test_batched_run_reproduces_golden_fixture(self, method):
-        """The batched path replays pinned fixtures with ZERO regeneration."""
-        import importlib.util
-        from pathlib import Path
-
+    @pytest.mark.parametrize("name,method,scenario,aggregation,codec",
+                             GOLDEN_SPECS, ids=[spec[0] for spec in GOLDEN_SPECS])
+    def test_batched_run_reproduces_golden_fixture(self, name, method,
+                                                   scenario, aggregation,
+                                                   codec):
+        """The batched path replays every pinned fixture with ZERO
+        regeneration."""
         from repro.experiments import run_method, scaled
 
-        spec = importlib.util.spec_from_file_location(
-            "golden_fixtures",
-            Path(__file__).resolve().parents[1] / "fixtures"
-            / "regenerate_golden.py")
-        golden = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(golden)
-        payload = json.loads(golden.fixture_path(method).read_text())
-        preset = scaled(golden.golden_preset("ideal"), batch_cohort=True)
+        payload = json.loads(golden.fixture_path(name).read_text())
+        preset = scaled(golden.golden_preset(scenario, aggregation, codec),
+                        batch_cohort=True)
         history = run_method(method, preset)
         assert json.loads(json.dumps(history.to_dict())) == payload["history"]

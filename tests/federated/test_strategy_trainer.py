@@ -96,6 +96,36 @@ class TestStrategyDefaults:
         assert update.num_examples == trainer.clients[0].num_train_examples
         assert set(update.params) == set(trainer.strategy.global_params)
 
+    def test_every_pattern_hook_sees_the_global_parameters(
+            self, small_fed_dataset, tiny_config):
+        """``_train_sparse`` reloads the global parameters before each
+        client's pattern hook, so a hook that loads other values into the
+        model (Hermes and FedSpa load the client's own) cannot leak them
+        into the next client's pattern."""
+        from repro.sparsity import ordered_pattern
+
+        trainer = FederatedTrainer(Strategy(), small_fed_dataset,
+                                   lambda: build_model_for_dataset("mnist"),
+                                   config=tiny_config)
+        strategy = trainer.strategy
+        strategy.setup(trainer.context)
+        model = trainer.model
+        seen = []
+
+        def pattern_of(client, ratio):
+            seen.append(model.get_parameters())
+            model.set_parameters({key: value + 1.0 for key, value
+                                  in strategy.global_params.items()})
+            return ordered_pattern(model, ratio)
+
+        clients = [trainer.clients[cid] for cid in (0, 1, 2)]
+        runs = strategy._train_sparse(0, clients, lambda client: 0.5,
+                                      pattern_of)
+        assert [ratio for ratio, _, _, _ in runs] == [0.5, 0.5, 0.5]
+        for params in seen:
+            for key, value in strategy.global_params.items():
+                assert params[key].tobytes() == value.tobytes(), key
+
     def test_aggregate_moves_global_params(self, small_fed_dataset, tiny_config):
         trainer = FederatedTrainer(Strategy(), small_fed_dataset,
                                    lambda: build_model_for_dataset("mnist"),

@@ -8,7 +8,9 @@ strategy's constructor kwargs (read with ``inspect.signature``), from the
 boundary values below plus wrong lengths for sequence kwargs.  Every draw
 must either raise ``ValueError`` / ``TypeError`` at construction, with a
 message naming a field it changed, or complete a one-round federation
-whose history is finite.
+whose history is finite.  The ``nn`` layers' size arguments are fuzzed the
+same way; a layer that builds must take a fitting input through forward and
+backward, with the output shape its ``flops_per_example`` promises.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import inspect
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from repro.baselines import STRATEGY_REGISTRY, available_strategies, build_strat
 from repro.core import FedLPS
 from repro.experiments import ExperimentPreset, build_experiment, preset_for, scaled
 from repro.federated import FederatedConfig, FederatedTrainer
+from repro.nn import LSTM, AvgPool2d, Conv2d, Dense, Embedding, MaxPool2d
 
 BOUNDARY = (0, -1, math.nan, math.inf, -math.inf, 1e300, "x")
 
@@ -159,6 +163,72 @@ def test_strategy_kwargs_fail_at_construction_or_run(method, data):
     run_one_round(strategy)
 
 
+# ------------------------------------------------------------------ layers
+#: each layer's numeric constructor arguments, at small valid values
+LAYERS = {
+    Dense: dict(in_features=3, out_features=2),
+    Conv2d: dict(in_channels=2, out_channels=3, kernel_size=2, stride=2,
+                 padding=1),
+    MaxPool2d: dict(kernel_size=2),
+    AvgPool2d: dict(kernel_size=2),
+    LSTM: dict(input_dim=3, hidden_dim=2),
+    Embedding: dict(vocab_size=5, dim=2),
+}
+
+
+def example_shape(layer, side):
+    """One example's input shape, ``side`` long wherever a layer takes any
+    length (spatial sides, sequence length)."""
+    if isinstance(layer, Dense):
+        return (layer.in_features,)
+    if isinstance(layer, Conv2d):
+        return (layer.in_channels, side, side)
+    if isinstance(layer, (MaxPool2d, AvgPool2d)):
+        return (2, side, side)
+    if isinstance(layer, LSTM):
+        return (side, layer.input_dim)
+    return (side,)
+
+
+def batch_of_two(layer, shape):
+    rng = np.random.default_rng(0)
+    if isinstance(layer, Embedding):
+        return rng.integers(0, layer.vocab_size, size=(2,) + shape)
+    return rng.normal(size=(2,) + shape)
+
+
+@pytest.mark.parametrize("layer_type", list(LAYERS),
+                         ids=lambda layer_type: layer_type.__name__)
+@settings(FUZZ, max_examples=20)
+@given(data=st.data())
+def test_layer_shapes_fail_at_construction_or_agree(layer_type, data):
+    """A layer's sizes fail at construction naming the argument; a built
+    layer's ``flops_per_example`` and ``forward`` reject the same input
+    shapes (naming the layer) and otherwise agree on the output shape."""
+    defaults = LAYERS[layer_type]
+    draw = data.draw(perturbations(defaults))
+    side = data.draw(st.integers(min_value=1, max_value=6))
+    try:
+        layer = layer_type(**{**defaults, **draw})
+    except Exception as error:  # noqa: BLE001 - the check is on its kind
+        assert_names_a_field(error, changed(draw, defaults))
+        return
+    shape = example_shape(layer, side)
+    x = batch_of_two(layer, shape)
+    try:
+        _, out_shape = layer.flops_per_example(shape)
+    except ValueError as error:
+        assert layer.name in str(error)
+        with pytest.raises(ValueError, match=layer.name):
+            layer.forward(x)
+        return
+    out = layer.forward(x)
+    assert out.shape == (2,) + tuple(out_shape)
+    grad = layer.backward(np.ones_like(out))
+    assert grad.shape == x.shape
+    assert np.isfinite(out).all() and np.isfinite(grad).all()
+
+
 # ------------------------------------------------------------------ defects
 # each of these used to construct (and run, or fail inside the run)
 
@@ -182,6 +252,17 @@ def test_fedlps_pucbv_knobs_fail_at_construction(kwargs, field):
 def test_baseline_knobs_fail_at_construction(method, kwargs, field):
     with pytest.raises(ValueError, match=field):
         build_strategy(method, **kwargs)
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: Conv2d(1, 0, 3), "out_channels"),
+    (lambda: Conv2d(0, 2, 3), "in_channels"),
+    (lambda: Conv2d(1, 2, 3, padding=-1), "padding"),
+    (lambda: Dense(math.nan, 2), "in_features"),
+])
+def test_layer_sizes_fail_at_construction(build, field):
+    with pytest.raises((ValueError, TypeError), match=field):
+        build()
 
 
 @pytest.mark.parametrize("value", [math.nan, -1.0])

@@ -29,6 +29,8 @@ MUTATIONS = {
         "examples/custom_strategy.py", None, "train_locally(model)"),
     "retired-dictionary-optimizer": (
         "src/repro/federated/__init__.py", None, "from .local import train"),
+    "retired-client-hook-fallback": (
+        "README.md", None, "A strategy answers `cohort_" "batchable()`."),
     **{f"one-{call}-call": (SCHEDULER, None, f"{call}()")
        for call in ("run_local_updates", "take_fanout_report", "RoundRecord",
                     "after_round", "restore_run")},

@@ -319,6 +319,13 @@ RULES: dict[str, Rule] = {
     "retired-dictionary-optimizer": Absent(
         r"apply_gradient_step|class SGD|from \.local import",
         ("src", "examples")),
+    # One client hook: a method overrides Strategy.local_updates alone (the
+    # base class raises on a subclass that defines local_update or
+    # local_update_cohort), so the batchability probe, the per-client
+    # sub-model pass and the dense-update helper it chose between stay gone.
+    "retired-client-hook-fallback": Absent(
+        r"cohort_batchable|_train_submodel\b|_dense_updates",
+        ("src", "tests", "examples", "README.md")),
     # One round loop: Scheduler.run is the only one; a second call site of
     # any of these is a re-forked loop body.  One fan-out report channel.
     **{f"one-{call}-call": Count(re.escape(call) + r"\(", (SCHEDULER,), 1)
