@@ -106,12 +106,8 @@ class FedPer(Strategy):
                       clients: List[Client]) -> List[ClientUpdate]:
         results = self._train(round_index, clients, starts=[
             self._with_personal_head(client) for client in clients])
-        updates = []
-        for client, result in zip(clients, results):
-            updates.append(self._report_body(client, result))
-            client.state["personal_body"] = {
-                key: result.params[key] for key in body_keys(result.params)}
-        return updates
+        return [self._report_body(client, result)
+                for client, result in zip(clients, results)]
 
     def aggregate(self, round_index: int, updates: List[ClientUpdate]) -> None:
         if not updates:

@@ -6,7 +6,8 @@ from .batched import (LocalUpdateResult, client_batch_schedule,
                       train_cohort_batched)
 from .client import Client
 from .config import AGGREGATIONS, FederatedConfig, FleetConfig
-from .evaluation import average_personalized_accuracy, evaluate_params
+from .evaluation import (average_personalized_accuracy, evaluate_cohort,
+                         evaluate_params)
 from .fleet import ClientFleet, FleetStateStore, bind_client_state_initializer
 from .strategy import ClientUpdate, Strategy, StrategyContext
 from .trainer import FederatedTrainer, run_federated
@@ -28,6 +29,7 @@ __all__ = [
     "client_batch_schedule",
     "LocalUpdateResult",
     "evaluate_params",
+    "evaluate_cohort",
     "average_personalized_accuracy",
     "fedavg",
     "aggregate_residuals",

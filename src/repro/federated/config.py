@@ -124,6 +124,9 @@ class FederatedConfig:
     # step (``ServerCore._plan_chunks``).  Bit-identical to the per-client
     # loop for every strategy; a model without batched kernels
     # (``batchable_model``) and supervised fan-outs fall back to the loop.
+    # The personalized-evaluation sweep stacks under the same opt-in:
+    # clients with equal test lengths share forwards of at most 64 rows
+    # (``repro.federated.evaluation.evaluate_cohort``), supervised or not.
     # Off by default (the cross-device presets ``mnist-100k`` / ``mnist-1m``
     # opt in); it keys result caches and checkpoint run digests like every
     # field.

@@ -36,7 +36,7 @@ from __future__ import annotations
 import copy
 import threading
 from contextlib import contextmanager, nullcontext
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from ..data.dataset import ClientData, Dataset, FederatedDataset
 from ..data.partition import VirtualFederatedDataset
 from ..federated.client import Client
 from ..federated.config import FederatedConfig
-from ..federated.evaluation import evaluate_params
+from ..federated.evaluation import evaluate_cohort, evaluate_params
 from ..federated.fleet import ClientFleet
 from ..federated.strategy import ClientUpdate, Strategy, StrategyContext
 from ..nn.batched import batchable_model
@@ -203,12 +203,32 @@ def _run_chunk(strategy: Strategy, round_index: int, clients: List[Client]
             for update, client in zip(updates, clients)]
 
 
-def _evaluate_client(strategy: Strategy, client: Client) -> float:
-    """Accuracy of one client's personalized model on its test shard."""
-    params, pattern = strategy.client_evaluation(client)
-    result = evaluate_params(strategy.context.model, params, client.test_data,
-                             pattern=pattern)
-    return result["accuracy"]
+def _evaluate_clients(strategy: Strategy, clients: Iterable[Client]
+                      ) -> List[float]:
+    """Accuracies of the clients' personalized models on their test shards.
+
+    The one evaluation body, of the inline and of the worker sweep.  A run
+    that trains stacked (``config.batch_cohort`` on a batchable model)
+    evaluates stacked too: the chunk goes through
+    :func:`~repro.federated.evaluation.evaluate_cohort`, each forward within
+    ``_CHUNK_ROWS`` rows like a training step.  Any other run evaluates
+    client by client, each inference model built right before its forward.
+    Every accuracy is the float ``evaluate_params`` returns either way.
+    """
+    context = strategy.context
+    if context.config.batch_cohort and batchable_model(context.model):
+        clients = list(clients)
+        return evaluate_cohort(
+            context.model, [strategy.client_evaluation(client)
+                            for client in clients],
+            [client.test_data for client in clients], max_rows=_CHUNK_ROWS)
+    accuracies = []
+    for client in clients:
+        params, pattern = strategy.client_evaluation(client)
+        accuracies.append(evaluate_params(context.model, params,
+                                          client.test_data,
+                                          pattern=pattern)["accuracy"])
+    return accuracies
 
 
 # --------------------------------------------------------- broadcast tasks
@@ -281,13 +301,14 @@ def _broadcast_evaluation_task(
         ) -> List[float]:
     """One worker's chunk of an evaluation sweep, bound from the handles.
 
-    The strategy is bound once and evaluates the chunk's clients in turn,
-    as the serial reference does on the server's one instance.
+    The strategy is bound once and evaluates the chunk's clients through
+    the inline sweep's body, as the serial reference does on the server's
+    one instance.
     """
     session_handle, round_handle, client_ids, states = payload
     strategy, clients = _bind_broadcast(session_handle, round_handle,
                                         client_ids, states)
-    return [_evaluate_client(strategy, client) for client in clients]
+    return _evaluate_clients(strategy, clients)
 
 
 def _balanced_chunks(ids: List[int], count: int) -> List[List[int]]:
@@ -767,7 +788,12 @@ class ServerCore:
         materializes nothing at all — the ids go out as one contiguous
         chunk per worker, payloads carry the stored states (or ``None``
         for never-participants, initialized worker-side) and each worker
-        rebuilds only the clients of its chunk, all of them at once.  A
+        rebuilds only the clients of its chunk, all of them at once.  A run
+        that trains stacked (``config.batch_cohort`` on a batchable model)
+        evaluates each chunk stacked too — clients with equal test lengths
+        share ``(C, ...)`` forwards of at most ``_CHUNK_ROWS`` rows
+        (:func:`~repro.federated.evaluation.evaluate_cohort`) — and returns
+        the per-client loop's floats bit for bit.  A
         personalized sweep touches only the changed clients' test shards;
         a global-model sweep inherently touches every swept client's, so
         for mid-size virtual fleets under such a method either keep
@@ -791,9 +817,8 @@ class ServerCore:
         with self._fanout_handles(-1, encoded_down, len(chunks)) as handles:
             if handles is None:
                 def task(chunk):
-                    return [_evaluate_client(self.strategy,
-                                             self.clients.observer(cid))
-                            for cid in chunk]
+                    return _evaluate_clients(self.strategy, (
+                        self.clients.observer(cid) for cid in chunk))
                 payloads = chunks
             else:
                 task = _broadcast_evaluation_task

@@ -129,6 +129,22 @@ class TestPersonalizedStrategies:
         np.testing.assert_array_equal(params["head.W"],
                                       client.state["personal_head"]["head.W"])
 
+    @pytest.mark.parametrize("strategy_class", [FedPer, FedRep])
+    def test_only_the_head_stays_on_the_device(self, strategy_class,
+                                               small_fed_dataset, tiny_config):
+        """The body is shared: a participant's state keeps the trained head
+        and no copy of the body."""
+        trainer = make_trainer(strategy_class(), small_fed_dataset,
+                               tiny_config)
+        strategy = trainer.strategy
+        strategy.setup(trainer.context)
+        client = trainer.clients[0]
+        strategy.local_update(0, client)
+        assert "personal_head" in client.state
+        assert "personal_body" not in client.state
+        assert set(client.state["personal_head"]) == set(
+            head_keys(strategy.global_params))
+
     def test_fedrep_uploads_cost_more_flops_than_fedper(self, small_fed_dataset,
                                                         tiny_config):
         fedrep = make_trainer(FedRep(), small_fed_dataset, tiny_config)

@@ -18,6 +18,11 @@ buffer (with per-client operands expanded per element), ``x ** 2`` is
 ``np.square(x)``, and the Eq. 8 targets' one-mean spelling of ``np.mean`` /
 ``np.std`` reproduces both calls.
 
+And the shapes a stacked evaluation sweep runs
+(``repro.federated.evaluation.evaluate_cohort``): a ``train=False``
+forward of ``C >= 2`` clients of each zoo backbone on 4 to 64 test rows,
+gated or not, gives each client exactly its own ``Sequential`` logits.
+
 What is NOT in the class, and so not here: a reduction with the kept axis in
 the middle (the conv gate gradient's ``axis=(0, 2, 3)``), which
 ``repro.nn.batched`` still runs per client.
@@ -26,11 +31,14 @@ the middle (the conv gate gradient's ``axis=(0, 2, 3)``), which
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.importance import _mean_and_std
-from repro.nn import Arena
+from repro.models import build_model_for_dataset
+from repro.nn import Arena, BatchedModel, stack_param_dicts
+from repro.sparsity import gates_from_pattern, random_pattern
 from test_kernel_equivalence import _assert_same_bits, _awkward_array
 
 COHORTS = st.sampled_from([1, 2, 3, 16])
@@ -183,3 +191,32 @@ def test_flat_step_is_the_per_key_step(cohort, scale, nonfinite, seed):
         np.subtract(params.flat, step, out=params.flat)
     for key, _ in _LAYOUT:
         _assert_same_bits(params[key], want[key])
+
+
+@pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+@pytest.mark.parametrize("rows", [4, 6, 15, 64])
+@pytest.mark.parametrize("cohort", [2, "sweep"])
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+def test_evaluation_forward_is_the_per_client_forward(dataset, rows, cohort,
+                                                      gated):
+    """A stacked evaluation forward of the zoo backbone (``cnn_mnist``,
+    ``vgg11_small``) against each client's own: ``"sweep"`` is the cohort
+    an evaluation sweep stacks at that row count (64 rows per forward)."""
+    model = build_model_for_dataset(dataset, seed=0)
+    cohort = max(2, 64 // rows) if cohort == "sweep" else cohort
+    rng = np.random.default_rng(rows * 100 + cohort)
+    params = [{key: value + rng.normal(scale=0.1, size=value.shape)
+               for key, value in model.get_parameters().items()}
+              for _ in range(cohort)]
+    gates = [gates_from_pattern(random_pattern(model, 0.5, rng=rng))
+             for _ in range(cohort)] if gated else None
+    x = rng.normal(size=(cohort, rows) + model.input_shape)
+    program = BatchedModel(model, cohort)
+    program.set_parameters(stack_param_dicts(params))
+    if gated:
+        program.set_unit_gates(stack_param_dicts(gates))
+    stacked = program.forward(x, train=False)
+    for index in range(cohort):
+        model.set_parameters(params[index])
+        model.set_unit_gates(gates[index] if gated else None)
+        _assert_same_bits(stacked[index], model.forward(x[index], train=False))

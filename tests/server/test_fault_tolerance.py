@@ -201,10 +201,10 @@ class TestWorkerLostOutsideAFanOut:
                 == json.dumps(undisturbed.to_dict(), sort_keys=True))
 
     def test_an_evaluation_chunk_out_of_retries_raises(self, monkeypatch):
-        def broken(strategy, client):
+        def broken(strategy, clients):
             raise RuntimeError("evaluation bug")
 
-        monkeypatch.setattr("repro.server.core._evaluate_client", broken)
+        monkeypatch.setattr("repro.server.core._evaluate_clients", broken)
         with pytest.raises(RuntimeError, match="evaluation chunks"):
             run_golden_supervised(None, max_retries=1)
 

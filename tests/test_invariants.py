@@ -45,10 +45,12 @@ MUTATIONS = {
         SERVER_CORE, None, "store.remember_accuracy(0, 1.0)"),
     "memo-dropped-only-by-fleet": (
         SERVER_CORE, None, "store._remembered.clear()"),
-    "two-_evaluate_client-calls": (
-        SCHEDULER, None, "_evaluate_client(strategy, client)"),
-    "_evaluate_client-in-server-core": (
-        SERVER_CORE, None, "_evaluate_client(strategy, client)"),
+    "two-_evaluate_clients-calls": (
+        SCHEDULER, None, "_evaluate_clients(strategy, clients)"),
+    "_evaluate_clients-in-server-core": (
+        SERVER_CORE, None, "_evaluate_clients(strategy, clients)"),
+    "no-cohort-program-in-server": (
+        SERVER_CORE, None, "program = BatchedModel(self.model, 2)"),
     "evaluates-from-state-opt-in": (
         "src/repro/baselines/conventional.py", None,
         'class Stray:\n    name = "stray"\n\n'

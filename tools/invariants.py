@@ -340,7 +340,7 @@ RULES: dict[str, Rule] = {
         r"deepcopy\(.*state_store\.snapshot\(\)", ("src",)),
     # One evaluation memo: evaluate_personalized is its only writer, only
     # FleetStateStore's write hooks drop an entry, and the sweep has one
-    # inline and one worker body.
+    # body, called once inline and once on a worker.
     "one-remember_accuracy-call": Count(
         r"remember_accuracy\(", ("src",), 1, unless=r"def remember_accuracy\("),
     "remember_accuracy-called-in-server-core": Count(
@@ -348,11 +348,16 @@ RULES: dict[str, Rule] = {
         unless=r"def remember_accuracy\("),
     "memo-dropped-only-by-fleet": OnlyIn(
         r"\._remembered", ("src",), ("src/repro/federated/fleet.py",)),
-    "two-_evaluate_client-calls": Count(
-        r"_evaluate_client\(", ("src",), 2, unless=r"def _evaluate_client\("),
-    "_evaluate_client-in-server-core": Count(
-        r"_evaluate_client\(", (SERVER_CORE,), 3),
+    "two-_evaluate_clients-calls": Count(
+        r"_evaluate_clients\(", ("src",), 2,
+        unless=r"def _evaluate_clients\("),
+    "_evaluate_clients-in-server-core": Count(
+        r"_evaluate_clients\(", (SERVER_CORE,), 3),
     "evaluates-from-state-opt-in": evaluates_from_state_opt_in,
+    # The server plans chunks and never builds a stacked program: training
+    # and evaluation programs come from federated/ (nn.batched underneath).
+    "no-cohort-program-in-server": Absent(
+        r"BatchedModel\(|cohort_program\(", ("src/repro/server",)),
     # One chunk planner, one splitter, one row budget: _plan_chunks shapes
     # every training chunk, _balanced_chunks is the only id-list cutter
     # under server/, and the row budget is a constant, not an environment
