@@ -82,16 +82,15 @@ class FedLPS(Strategy):
     def init_client_state(self, client: Client) -> None:
         """One client's persistent state, pure in ``(seed, client_id)``.
 
-        Runs once per client, on its first materialization; any order of
+        Runs once per client, when it is first dispatched; any order of
         first appearance produces identical state because nothing here
         depends on other clients.
         """
         context = self._require_context()
         config = context.config
         # fleet size from the dataset, NOT len(context.clients): a broadcast
-        # worker initializing a never-participating evaluation client holds
-        # a single-client context map, but the session dataset always knows
-        # the full federation size
+        # worker binding a chunk holds none of the fleet's other clients,
+        # but the session dataset always knows the full federation size
         num_clients = max(context.dataset.num_clients, 1)
         # clamped to the fleet exactly like ``Strategy.select_clients``
         selection_fraction = (min(config.clients_per_round, num_clients)

@@ -25,11 +25,10 @@ class FleetConfig:
 
     Fleet construction is O(cohort): client shards, device profiles and
     per-client state come into existence only when a client is dispatched
-    (or evaluated).  ``shard_cache`` bounds each of the two pinning layers
-    — the dataset's materialized-shard LRU and the server's client-facade
-    LRU — so resident shard memory is at most 2x ``shard_cache`` in the
-    worst case (disjoint working sets), and typically ~1x because facades
-    reference the same shard objects.
+    (or evaluated).  ``shard_cache`` bounds the one pinning layer, the
+    dataset's materialized-shard LRU: no ``Client`` outlives the fan-out
+    chunk it was built for, so resident shard memory is ``shard_cache``
+    shards plus those of the chunks running at that moment.
 
     ``eval_clients`` caps the personalized-evaluation sweep, which is
     otherwise O(num_clients) per evaluated round for a method that tests

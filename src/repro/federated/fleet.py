@@ -17,10 +17,15 @@ view every federation — virtual or hand-built — is served through:
   first time the client is materialized (pure per client, so the order in
   which clients first appear cannot change a result).
 
-``fleet[cid]`` (participant access) materializes a :class:`Client` facade
-and persists its state; ``fleet.observer(cid)`` materializes a facade with
-a *transient* initial state when the client has never participated, so
-evaluation sweeps do not grow the store.
+``fleet[cid]`` (participant access) builds a new :class:`Client` over the
+stored state and persists it; ``fleet.observer(cid)`` builds one whose
+freshly initialized state is dropped afterwards when the client has never
+participated, so reading does not grow the store.  Nothing caches a
+``Client``: every access builds one over the dataset's shard LRU (the one
+cache, bounded by ``FleetConfig.shard_cache``) and the store's state dict,
+so a rebuilt client carries the same state.  The server's fan-outs do not
+come through here at all — they read ``peek_state`` and bind their
+chunks' clients themselves (``repro.server.core._bind_clients``).
 """
 
 from __future__ import annotations
@@ -32,15 +37,11 @@ import numpy as np
 
 from ..data.dataset import (FederatedDataset, LazyShardMap,
                             mapping_client_ids)
-from ..util import BoundedLRU
 from ..systems.devices import DeviceFleet
 from .client import Client
 
 #: per-client state initializer installed by ``Strategy.setup``
 StateInitializer = Callable[[Client], None]
-
-#: default facade-cache bound (matches ``FleetConfig.shard_cache``'s default)
-DEFAULT_FACADE_CACHE = 256
 
 
 class FleetStateStore:
@@ -81,7 +82,7 @@ class FleetStateStore:
         self._remembered = {}
 
     def initialize(self, client: Client) -> None:
-        """Run the bound initializer on a freshly materialized facade."""
+        """Run the bound initializer on a freshly built client."""
         if self._initializer is not None:
             self._initializer(client)
 
@@ -146,112 +147,76 @@ class FleetStateStore:
 class ClientFleet(MappingABC):
     """Lazy ``Mapping[int, Client]`` over a dataset + device fleet.
 
-    ``fleet[cid]`` is *participant* access: the facade's state is persisted
+    ``fleet[cid]`` is *participant* access: the client's state is persisted
     in the sparse :class:`FleetStateStore` (initializing it first if the
-    client was never seen).  ``observer(cid)`` is read-only access for
-    evaluation: a never-participating client gets a transient initial state
-    that is dropped afterwards, keeping the store O(participants).
+    client was never seen).  ``observer(cid)`` is read-only access: a
+    never-participating client gets a transient initial state that is
+    dropped afterwards, keeping the store O(participants).
     ``values()``/``items()`` iterate with observer semantics.
     """
 
-    def __init__(self, dataset: FederatedDataset, devices: DeviceFleet, *,
-                 cache_size: int = DEFAULT_FACADE_CACHE) -> None:
+    def __init__(self, dataset: FederatedDataset, devices: DeviceFleet) -> None:
         if len(devices) != dataset.num_clients:
             raise ValueError(
                 f"device fleet has {len(devices)} profiles but the dataset "
                 f"has {dataset.num_clients} clients")
         self.dataset = dataset
         self.devices = devices
-        # each cached facade pins its materialized ClientData alongside
-        # the dataset's own shard LRU, so both layers share one configured
-        # bound (ServerCore resizes the shard map to match); worst-case
-        # resident shards are 2x that bound, typically ~1x (shared ids).
-        self.cache_size = cache_size
         self.state_store = FleetStateStore()
-        self._facades = BoundedLRU(cache_size)
         self._ids: Optional[np.ndarray] = None
-        self.facade_builds = 0
 
     # ----------------------------------------------------------- lifecycle
     def bind_state_initializer(self,
                                initializer: Optional[StateInitializer]) -> None:
         """Install a strategy's per-client state initializer (resets states).
 
-        Called from ``Strategy.setup``; the initializer itself runs on a
-        client's first materialization.
+        Called from ``Strategy.setup``; the initializer itself runs when
+        this view builds a client that has no stored state (the server's
+        fan-outs run ``init_client_state`` through their own binder).
         """
         self.state_store.bind(initializer)
-        # drop cached facades along with the store: a facade built for the
-        # previous binding carries that run's state dict, and re-adopting
-        # it would leak trained state into the fresh run
-        self._facades.clear()
 
     def drop_caches(self) -> None:
-        """Forget cached facades and shards (both rebuild on demand)."""
-        self._facades.clear()
+        """Forget the materialized shards (they rebuild on demand)."""
         if isinstance(self.dataset.clients, LazyShardMap):
             self.dataset.clients.clear()
 
     # ------------------------------------------------------------- access
-    def _build_facade(self, client_id: int,
-                      state: Dict[str, Any]) -> Client:
-        self.facade_builds += 1
-        client_id = int(client_id)  # numpy ids from client_ids arrays
-        return Client(client_id, self.dataset.client(client_id),
-                      self.devices[client_id], state=state)
-
-    def _facade(self, client_id: int, *, transient: bool = False) -> Client:
-        """The cached facade, building (and state-initializing) on demand.
-
-        ``transient=True`` (observer access to a never-participating
-        client) returns an *uncached* facade: its freshly initialized state
-        really is dropped afterwards, so an evaluation path that mutated
-        state could never leak into a later participation through the
-        facade cache.
-        """
-        facade = self._facades.get(client_id)
-        if facade is not None:
-            return facade
-        stored = self.state_store.get(client_id)
-        facade = self._build_facade(client_id,
-                                    {} if stored is None else stored)
-        if stored is None:
-            self.state_store.initialize(facade)
-            if transient:
-                return facade
-        self._facades.put(client_id, facade)
-        return facade
-
     def client(self, client_id: int) -> Client:
-        """Participant access: the facade's state joins the sparse store.
+        """Participant access: the client's state joins the sparse store.
 
-        The caller may train on the facade in place, so the id is marked
+        The caller may train on the client in place, so the id is marked
         dirty on every access, not only the first.
         """
-        self._check_id(client_id)
-        facade = self._facade(client_id)
-        self.state_store.adopt(client_id, facade.state)
-        return facade
+        client = self.observer(client_id)
+        self.state_store.adopt(client.client_id, client.state)
+        return client
 
     def observer(self, client_id: int) -> Client:
-        """Evaluation access: never grows the state store.
+        """Read-only access: a new client that never grows the store.
 
         A participant's stored state is used as-is; an untouched client
-        gets a transient, freshly initialized, never-cached state —
-        identical in content to what participant access would persist
-        (initialization is pure per client) and genuinely discarded after
-        use.
+        gets a transient, freshly initialized state — identical in content
+        to what participant access would persist (initialization is pure
+        per client) and discarded after use.
         """
         self._check_id(client_id)
-        return self._facade(client_id, transient=True)
+        client_id = int(client_id)  # numpy ids from client_ids arrays
+        stored = self.state_store.get(client_id)
+        client = Client(client_id, self.dataset.client(client_id),
+                        self.devices[client_id],
+                        state={} if stored is None else stored)
+        if stored is None:
+            self.state_store.initialize(client)
+        return client
 
     def peek_state(self, client_id: int) -> Optional[Dict[str, Any]]:
         """A participant's stored state, or None — never materializes.
 
-        The broadcast evaluation path uses this instead of building
-        facades: ``None`` tells the worker to run the (pure per client)
-        state initializer on its own locally-built facade, so the server
-        touches no shard at all for evaluation fan-out.
+        The server's fan-outs ship this instead of building clients: a
+        ``None`` state tells the binder to run the (pure per client) state
+        initializer on the client it builds where the chunk runs, so on a
+        broadcast backend the server touches no shard at all.
         """
         self._check_id(client_id)
         return self.state_store.get(client_id)
@@ -259,7 +224,7 @@ class ClientFleet(MappingABC):
     def participant_state(self, client_id: int) -> Optional[Dict[str, Any]]:
         """A participant's stored state *for mutation*, or None.
 
-        Like :meth:`peek_state` it never materializes a facade, but the id
+        Like :meth:`peek_state` it never materializes a client, but the id
         is marked dirty: ``post_round`` hooks write bandit feedback and
         pattern bookkeeping through the returned dict.
         """
@@ -267,11 +232,8 @@ class ClientFleet(MappingABC):
         return self.state_store.touch(client_id)
 
     def update_state(self, client_id: int, state: Dict[str, Any]) -> None:
-        """Install the state a worker shipped back for a participant."""
+        """Install the state a fan-out chunk handed back for a participant."""
         self._check_id(client_id)
-        facade = self._facades.get(client_id)
-        if facade is not None:
-            facade.state = state
         self.state_store.adopt(client_id, state)
 
     def _check_id(self, client_id: int) -> None:
@@ -309,7 +271,7 @@ class _ObserverView:
 
     Mapping views must survive repeated iteration (a one-shot generator
     silently yields nothing the second time); each pass lazily
-    materializes facades via :meth:`ClientFleet.observer`, so iterating is
+    builds clients via :meth:`ClientFleet.observer`, so iterating is
     an O(num_clients) sweep but holding the view costs nothing.
     """
 

@@ -56,7 +56,7 @@ class StrategyContext:
 
     ``clients`` is any ``Mapping[int, Client]`` — a plain dict in
     hand-built setups, or a :class:`~repro.federated.fleet.ClientFleet`
-    that materializes client facades lazily.  Strategies should index it by
+    that builds clients lazily.  Strategies should index it by
     id and treat whole-mapping iteration as an O(num_clients)
     materialization.
     """
@@ -123,14 +123,15 @@ class Strategy:
 
         Strategies that keep per-client state (importance indicators, bandit
         bookkeeping, ...) override this instead of looping over every client
-        in ``setup``: the fleet runs the hook the first time a client is
-        materialized, so untouched clients cost nothing.  The
+        in ``setup``: the hook runs when a client is first dispatched (or
+        first read through the fleet), so untouched clients cost nothing
+        and an evaluation sweep never runs it.  The
         implementation must depend only on the client (id, capability, data
         sizes) and the context — never on which other clients exist or have
         been initialized — so the order of first appearance cannot matter.
         For the fleet size use ``context.dataset.num_clients``, not
         ``len(context.clients)``: the hook may run on a broadcast worker
-        whose context maps only the one client being rebuilt.
+        whose context maps none of the fleet's other clients.
         """
 
     def _require_context(self) -> StrategyContext:
@@ -290,7 +291,13 @@ class Strategy:
 
     # ------------------------------------------------------------ evaluation
     def client_evaluation(self, client: Client) -> Tuple[ParamDict, Optional[UnitPattern]]:
-        """Parameters (and optional sub-model pattern) the client infers with."""
+        """Parameters (and optional sub-model pattern) the client infers with.
+
+        A client that has never trained is evaluated with an empty
+        ``state``: the evaluation sweep does not run ``init_client_state``,
+        so an override must give such a client what it would give it after
+        initialization (typically the global model).
+        """
         self._require_context()
         return self.global_params, None
 
@@ -322,7 +329,7 @@ class Strategy:
 
         ``post_round`` hooks should read state through this instead of
         ``context.clients[cid].state``: on the fleet the latter builds a
-        full ``Client`` facade — synthesizing the client's data — just to
+        full ``Client`` — synthesizing the client's data — just to
         reach a dict the fleet's sparse store already holds O(1).  The
         hooks write through the returned dict, so the fleet marks the id
         dirty for the next checkpoint (``participant_state``).

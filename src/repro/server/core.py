@@ -11,17 +11,23 @@ the loop composes:
 
 * deterministic client selection (with scenario over-selection),
 * availability splits and per-client latencies from the scenario engine,
-* local-update fan-out over the executor, results in dispatch order, as
-  one plan: the cohort is partitioned into chunks — the unit of dispatch —
-  by :meth:`ServerCore._plan_chunks` (an opted-in batchable cohort into
-  contiguous balanced chunks, at least one per worker and each stacking
-  at most ``_CHUNK_ROWS`` rows per step; single clients otherwise), every
-  chunk runs through one task body (a multi-client chunk as one stacked
-  ``(C, ...)`` program), and the only transport selection is the
-  executor's ``supports_broadcast`` (inline on the live objects vs bound
-  from the shared-memory broadcast handles),
+* one fan-out, :meth:`ServerCore._fan_out`, for local updates and
+  personalized evaluation alike: a list of ``(ids, states)`` chunks — the
+  unit of dispatch — goes over the executor, results in dispatch order;
+  every chunk's clients are built by one binder (:func:`_bind_clients`)
+  and run through the body the caller names (:func:`_run_chunk` or
+  :func:`_evaluate_clients`, one signature), and the only transport
+  selection is the executor's ``supports_broadcast`` (inline on the live
+  strategy vs bound from the shared-memory broadcast handles in the one
+  worker task, :func:`_fanout_task`),
+* the training plan: :meth:`ServerCore._plan_chunks` partitions a cohort
+  (an opted-in batchable cohort into contiguous balanced chunks, at least
+  one per worker and each stacking at most ``_CHUNK_ROWS`` rows per step,
+  a multi-client chunk running as one ``(C, ...)`` program; single
+  clients otherwise),
 * cost accounting through the Eq. 14 cost model,
-* personalized evaluation,
+* personalized evaluation, one contiguous chunk per worker (more when
+  the sweep outgrows the shard cache),
 * the session/round shared-memory broadcasts from ``repro.parallel``.
 
 The session broadcast ships the run invariants once per trainer; since the
@@ -36,7 +42,7 @@ from __future__ import annotations
 import copy
 import threading
 from contextlib import contextmanager, nullcontext
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,7 +190,7 @@ def materialized_session(handle: BroadcastHandle) -> tuple:
 # ------------------------------------------------------------- task bodies
 def _run_chunk(strategy: Strategy, round_index: int, clients: List[Client]
                ) -> List[Tuple[ClientUpdate, Dict]]:
-    """Run one chunk of a cohort's local updates — the one task body.
+    """Run one chunk of a cohort's local updates — the training body.
 
     Both names are ``Strategy.local_updates``: a multi-client chunk runs
     through ``local_update_cohort`` as one stacked tensor program, a size-1
@@ -193,22 +199,32 @@ def _run_chunk(strategy: Strategy, round_index: int, clients: List[Client]
     persist per-client information in ``client.state``, so the (possibly
     mutated) state dictionary rides back alongside each update: across a
     worker boundary the caller never sees in-place mutations.
+
+    Under a non-dense wire codec the updates' parameters leave the body
+    encoded, wherever it runs: on a worker the cross-process pickle carries
+    the compressed wire form, and the server decodes every uplink the same
+    way on receipt.
     """
     if len(clients) > 1:
         updates = strategy.local_update_cohort(round_index, clients)
     else:
         updates = [strategy.local_update(round_index, client)
                    for client in clients]
+    codec = resolve_codec(strategy.context.config.codec)
+    if codec.name != "dense":
+        for update in updates:
+            update.params = codec.encode(update.params)
     return [(update, client.state)
             for update, client in zip(updates, clients)]
 
 
-def _evaluate_clients(strategy: Strategy, clients: Iterable[Client]
-                      ) -> List[float]:
+def _evaluate_clients(strategy: Strategy, round_index: int,
+                      clients: List[Client]) -> List[float]:
     """Accuracies of the clients' personalized models on their test shards.
 
-    The one evaluation body, of the inline and of the worker sweep.  A run
-    that trains stacked (``config.batch_cohort`` on a batchable model)
+    The evaluation body; its signature is the training body's, so one
+    fan-out runs both (``round_index`` is the sweep's ``-1`` and unread).  A
+    run that trains stacked (``config.batch_cohort`` on a batchable model)
     evaluates stacked too: the chunk goes through
     :func:`~repro.federated.evaluation.evaluate_cohort`, each forward within
     ``_CHUNK_ROWS`` rows like a training step.  Any other run evaluates
@@ -217,7 +233,6 @@ def _evaluate_clients(strategy: Strategy, clients: Iterable[Client]
     """
     context = strategy.context
     if context.config.batch_cohort and batchable_model(context.model):
-        clients = list(clients)
         return evaluate_cohort(
             context.model, [strategy.client_evaluation(client)
                             for client in clients],
@@ -231,84 +246,56 @@ def _evaluate_clients(strategy: Strategy, clients: Iterable[Client]
     return accuracies
 
 
-# --------------------------------------------------------- broadcast tasks
-def _bind_broadcast(session_handle: BroadcastHandle,
-                    round_handle: BroadcastHandle,
-                    client_ids: Tuple[int, ...],
-                    states: Tuple[Optional[Dict], ...]
-                    ) -> Tuple[Strategy, List[Client]]:
-    """Rebuild a dispatch-ready strategy + clients from broadcast handles.
+def _bind_clients(strategy: Strategy, dataset: FederatedDataset,
+                  fleet: DeviceFleet, ids: Sequence[int],
+                  states: Sequence[Optional[Dict]]) -> List[Client]:
+    """Build a chunk's clients from the states its fan-out ships.
+
+    The one place a fan-out makes a :class:`Client`, inline on the server's
+    live strategy and on a worker alike.  A ``None`` state marks a client
+    that is about to train for the first time: the strategy's (pure per
+    client) ``init_client_state`` runs on it here, bit-identical wherever
+    it runs, so the server never materializes the client to initialize it.
+    An evaluation sweep ships ``{}`` for a client that has never trained
+    instead, which is evaluated with that empty state.
+    """
+    clients = []
+    for client_id, state in zip(ids, states):
+        client = Client(client_id, dataset.client(client_id),
+                        fleet[client_id], state={} if state is None else state)
+        if state is None:
+            strategy.init_client_state(client)
+        clients.append(client)
+    return clients
+
+
+def _fanout_task(payload: Tuple[Callable, BroadcastHandle, BroadcastHandle,
+                                int, Tuple[int, ...],
+                                Tuple[Optional[Dict], ...]]) -> List:
+    """One chunk of either fan-out on a worker, bound from the handles.
 
     The session broadcast carries the run invariants (model architecture,
     dataset shards/spec, fleet, config, cost model); the round broadcast
     carries the strategy template and the global parameter blocks.  Both
     are cached per worker (:func:`repro.parallel.materialize` plus the
-    session memo above), so only ``(client_ids, states)`` actually crosses
-    the worker boundary per task.  A ``None`` state marks a client that has
-    never participated: the worker runs the strategy's (pure per client)
-    ``init_client_state`` itself, which is bit-identical to server-side
-    initialization and saves the server from materializing the client at
-    all.  Reusing the materialized template across a worker's sequential
-    tasks mirrors the serial reference, where one strategy/model instance
-    serves every client of the round in turn.
+    session memo above), so only the body's name and ``(ids, states)``
+    actually cross the worker boundary per task.  Reusing the materialized
+    template across a worker's sequential tasks mirrors the inline run,
+    where one strategy/model instance serves every client in turn.
     """
+    body, session_handle, round_handle, round_index, ids, states = payload
     model, dataset, fleet, config, cost_model = \
         materialized_session(session_handle)
     global_params, (template, rng) = materialize(round_handle)
-    clients: Dict[int, Client] = {}
-    for client_id, state in zip(client_ids, states):
-        clients[client_id] = Client(
-            client_id, dataset.client(client_id), fleet[client_id],
-            state={} if state is None else state)
+    bound: Dict[int, Client] = {}
     strategy = copy.copy(template)
     strategy.global_params = global_params
     strategy.context = StrategyContext(
-        model=model, clients=clients, dataset=dataset,
+        model=model, clients=bound, dataset=dataset,
         fleet=fleet, config=config, cost_model=cost_model, rng=rng)
-    for client_id, state in zip(client_ids, states):
-        if state is None:
-            strategy.init_client_state(clients[client_id])
-    return strategy, [clients[client_id] for client_id in client_ids]
-
-
-def _broadcast_update_task(
-        payload: Tuple[BroadcastHandle, BroadcastHandle, int,
-                       Tuple[int, ...], Tuple[Optional[Dict], ...]]
-        ) -> List[Tuple[ClientUpdate, Dict]]:
-    """:func:`_run_chunk` on a worker, bound from the broadcast handles.
-
-    Under a non-dense wire codec the worker encodes the updates' parameters
-    before returning, so the *actual* cross-process pickle carries the
-    compressed wire form; the server decodes on receipt.  (The inline path
-    round-trips ``decode(encode(.))`` server-side instead, which composes
-    to the identical numerics.)
-    """
-    session_handle, round_handle, round_index, client_ids, states = payload
-    strategy, clients = _bind_broadcast(session_handle, round_handle,
-                                        client_ids, states)
-    results = _run_chunk(strategy, round_index, clients)
-    config = strategy.context.config
-    if config.codec != "dense":
-        codec = resolve_codec(config.codec)
-        for update, _ in results:
-            update.params = codec.encode(update.params)
-    return results
-
-
-def _broadcast_evaluation_task(
-        payload: Tuple[BroadcastHandle, BroadcastHandle,
-                       Tuple[int, ...], Tuple[Optional[Dict], ...]]
-        ) -> List[float]:
-    """One worker's chunk of an evaluation sweep, bound from the handles.
-
-    The strategy is bound once and evaluates the chunk's clients through
-    the inline sweep's body, as the serial reference does on the server's
-    one instance.
-    """
-    session_handle, round_handle, client_ids, states = payload
-    strategy, clients = _bind_broadcast(session_handle, round_handle,
-                                        client_ids, states)
-    return _evaluate_clients(strategy, clients)
+    clients = _bind_clients(strategy, dataset, fleet, ids, states)
+    bound.update(zip(ids, clients))
+    return body(strategy, round_index, clients)
 
 
 def _balanced_chunks(ids: List[int], count: int) -> List[List[int]]:
@@ -370,22 +357,18 @@ class ServerCore:
                                         seed=self.config.seed)
                          if self.config.scenario is not None else None)
         self.model = model_builder()
-        # the fleet view: Client facades, shards, device profiles and state
-        # come into existence per dispatched cohort, whatever dataset and
-        # device fleet were handed in.
-        # ``config.fleet.shard_cache`` is authoritative for both pinning
-        # layers — the facade cache here and the dataset's shard LRU (which
-        # may have been built with a different bound) — so worst-case
-        # resident shards are <= 2x shard_cache (disjoint id sets in the
-        # two caches), documented in FleetConfig.
+        # the fleet view: shards, device profiles and state come into
+        # existence per dispatched cohort, whatever dataset and device fleet
+        # were handed in.  ``config.fleet.shard_cache`` is authoritative for
+        # the one pinning layer, the dataset's shard LRU (which may have
+        # been built with a different bound), documented in FleetConfig.
         shard_map = dataset.clients
         if hasattr(shard_map, "resize"):
             shard_map.resize(self.config.fleet.shard_cache)
-        self.clients: ClientFleet = ClientFleet(
-            dataset, self.fleet, cache_size=self.config.fleet.shard_cache)
+        self.clients: ClientFleet = ClientFleet(dataset, self.fleet)
         self._eval_ids: Optional[List[int]] = None
-        # out-of-band ledger (like ``ClientFleet.facade_builds``): clients an
-        # evaluation sweep ran vs. took from the state store's memo
+        # out-of-band ledger: clients an evaluation sweep ran vs. took from
+        # the state store's memo
         self.evaluation_stats: Dict[str, int] = {"evaluated": 0, "reused": 0}
         self.context = StrategyContext(
             model=self.model, clients=self.clients, dataset=dataset,
@@ -549,8 +532,8 @@ class ServerCore:
         The one transport selection, read off the executor: a backend with
         ``supports_broadcast`` gets the session handle plus a fresh round
         broadcast (closed when the fan-out returns); any other — or an
-        empty fan-out — publishes nothing and runs the task bodies inline
-        on the server's live strategy and fleet.
+        empty fan-out — publishes nothing and :meth:`_fan_out` runs the
+        task bodies inline on the server's live strategy.
         """
         if not (tasks and self.executor.supports_broadcast):
             yield None
@@ -595,7 +578,7 @@ class ServerCore:
         return nullcontext()
 
     def close(self) -> None:
-        """Release the broadcast, facade and shard caches (rebuilt lazily)."""
+        """Release the session broadcast and the shard cache (rebuilt lazily)."""
         if self._session_broadcast is not None:
             self._session_broadcast.close()
             self._session_broadcast = None
@@ -632,12 +615,12 @@ class ServerCore:
         """Run the selected clients' local updates as one chunked fan-out.
 
         Every chunk of :meth:`_plan_chunks` runs through :func:`_run_chunk`
-        — inline, or on a worker bound from :meth:`_fanout_handles` — and
-        the returned states are folded back into the fleet.  Broadcast
-        payloads carry ``peek_state`` (the stored state, or None for
-        first-time participants, whose pure init runs worker-side), so
-        dispatch materializes nothing server-side: the worker is the only
-        place the cohort's shards are built.
+        in :meth:`_fan_out`, and the returned states are folded back into
+        the fleet.  Chunks carry ``peek_state`` (the stored state, or None
+        for first-time participants, whose pure init runs where the chunk
+        is bound), so dispatch materializes nothing server-side: on a
+        broadcast backend the worker is the only place the cohort's shards
+        are built.
 
         The pool runs the cohort's chunks concurrently — a stacked cohort
         is planned as at least one chunk per worker, so batching and a pool
@@ -645,33 +628,17 @@ class ServerCore:
         whole cohort has finished, updates in dispatch order.
 
         With supervision active (``config.faults`` / ``max_retries`` /
-        ``task_timeout``) the fan-out goes through
-        :func:`repro.parallel.supervision.run_supervised` instead: failed
-        tasks are retried with backoff, crashed workers replenished, and a
-        client that exhausts its retries is *dropped* — it produces no
-        update (so it never reaches ``aggregate``/``post_round``) and is
-        reported through :meth:`take_fanout_report` for the scheduler's
-        ``dropped`` bookkeeping.
+        ``task_timeout``) a client that exhausts its retries is *dropped* —
+        it produces no update (so it never reaches ``aggregate``/
+        ``post_round``) and is reported through :meth:`take_fanout_report`
+        for the scheduler's ``dropped`` bookkeeping.
         """
         encoded_down = self._snap_global_params()
-        chunks = self._plan_chunks(selected)
-        with self._fanout_handles(round_index, encoded_down,
-                                  len(chunks)) as handles:
-            if handles is None:
-                def task(chunk):
-                    return _run_chunk(self.strategy, round_index,
-                                      [self.clients[cid] for cid in chunk])
-                payloads = chunks
-            else:
-                task = _broadcast_update_task
-                payloads = [handles + (round_index, tuple(chunk), tuple(
-                    self.clients.peek_state(cid) for cid in chunk))
-                    for chunk in chunks]
-            # a supervised fan-out only ever plans size-1 chunks, so a
-            # chunk's first id names its task in fault decisions and drops
-            results, faults, failed = self._dispatch(
-                task, [chunk[0] for chunk in chunks], payloads,
-                round_index=round_index, plan=self.config.faults)
+        chunks = [(ids, [self.clients.peek_state(cid) for cid in ids])
+                  for ids in self._plan_chunks(selected)]
+        results, faults, failed = self._fan_out(
+            round_index, _run_chunk, chunks, encoded=encoded_down,
+            plan=self.config.faults)
         updates = []
         for chunk_results in results:
             for update, state in chunk_results:
@@ -682,19 +649,49 @@ class ServerCore:
         self._last_fanout = ({**wire, **faults}, failed)
         return updates
 
-    def _dispatch(self, fn, keys: List[int], payloads, *, round_index: int,
-                  plan) -> Tuple[List, Dict[str, float], List[int]]:
-        """Fan payloads out — supervised when the config asks for it.
+    def _fan_out(self, round_index: int,
+                 body: Callable[[Strategy, int, List[Client]], List],
+                 chunks: List[Tuple[List[int], List[Optional[Dict]]]], *,
+                 encoded: Optional[EncodedParams], plan
+                 ) -> Tuple[List, Dict[str, float], List[int]]:
+        """Run ``body`` over every ``(ids, states)`` chunk — the one fan-out.
 
-        Returns the surviving results in dispatch order, the ``fault_*``
-        counters and the keys whose task exhausted its retries (both empty
-        without supervision).
+        Training (:func:`_run_chunk`) and evaluation
+        (:func:`_evaluate_clients`) share it.  Without broadcast handles
+        (:meth:`_fanout_handles`) a chunk runs inline on the server's live
+        strategy; with them it runs in :func:`_fanout_task`, which rebuilds
+        the strategy worker-side.  Either way :func:`_bind_clients` builds
+        the chunk's clients from its states, and the results come back in
+        dispatch order.
+
+        With supervision active the chunks go through
+        :func:`repro.parallel.supervision.run_supervised`, keyed by their
+        first id (a supervised training fan-out only plans size-1 chunks,
+        so that is the client the fault ``plan`` decides for): failed
+        tasks are retried with backoff and crashed workers replenished.
+        Returns the surviving results, the ``fault_*`` counters and the
+        keys whose task exhausted its retries (both empty without
+        supervision).
         """
-        if not self.supervised:
-            return self.executor.map_ordered(fn, payloads), {}, []
-        report = run_supervised(
-            self.executor, fn, list(zip(keys, payloads)),
-            policy=self.retry_policy, plan=plan, round_index=round_index)
+        with self._fanout_handles(round_index, encoded,
+                                  len(chunks)) as handles:
+            if handles is None:
+                def inline_task(chunk):
+                    ids, states = chunk
+                    return body(self.strategy, round_index, _bind_clients(
+                        self.strategy, self.dataset, self.fleet, ids, states))
+                task, payloads = inline_task, chunks
+            else:
+                task = _fanout_task
+                payloads = [(body, *handles, round_index, tuple(ids),
+                             tuple(states)) for ids, states in chunks]
+            if not self.supervised:
+                return self.executor.map_ordered(task, payloads), {}, []
+            report = run_supervised(
+                self.executor, task,
+                [(ids[0], payload)
+                 for (ids, _), payload in zip(chunks, payloads)],
+                policy=self.retry_policy, plan=plan, round_index=round_index)
         return ([result for result in report.results if result is not None],
                 report.counters.as_extras(), sorted(report.failed))
 
@@ -716,19 +713,16 @@ class ServerCore:
                         dispatched: int) -> Dict[str, float]:
         """Decode the cohort's uplinks; returns the round's wire bytes.
 
-        Broadcast workers hand back :class:`EncodedParams` (the compressed
-        form really crossed the pickling boundary); the inline path hands
-        back dense dictionaries that are round-tripped through
-        ``decode(encode(.))`` here so every backend applies the identical
-        codec numerics.  Sparse uplinks decode to lazy indexed mappings the
+        :func:`_run_chunk` hands back :class:`EncodedParams` on every
+        backend (on a worker the compressed form really crossed the
+        pickling boundary), so every backend applies the identical codec
+        numerics.  Sparse uplinks decode to lazy indexed mappings the
         aggregation kernels reduce without densifying.
         """
         upload_wire = upload_dense = 0
         stored_values = total_values = 0
         for update in updates:
-            encoded = (update.params
-                       if isinstance(update.params, EncodedParams)
-                       else self.codec.encode(update.params))
+            encoded = update.params
             upload_wire += encoded.wire_nbytes
             upload_dense += encoded.dense_nbytes
             stored_values += encoded.stored_values
@@ -781,24 +775,25 @@ class ServerCore:
         re-runs the whole sweep.  The average is over the same id-ordered
         accuracies either way.
 
-        Clients are accessed through the fleet's *observer* path: a client
-        that never participated gets a transient initial state (identical
-        to what participation would have initialized) and does not enter
-        the sparse state store.  With the broadcast transport the server
-        materializes nothing at all — the ids go out as one contiguous
-        chunk per worker, payloads carry the stored states (or ``None``
-        for never-participants, initialized worker-side) and each worker
+        The swept ids go out through :meth:`_fan_out` as contiguous chunks,
+        one per worker unless that would bind more clients at once than
+        ``fleet.shard_cache`` keeps shards, each chunk carrying the stored
+        states — or ``{}``
+        for a client that has never trained, which is evaluated with that
+        empty state (no strategy's ``client_evaluation`` reads what
+        ``init_client_state`` would write before a client trains, so none
+        runs) and never enters the sparse state store.  With the broadcast
+        transport the server materializes nothing at all: each worker
         rebuilds only the clients of its chunk, all of them at once.  A run
         that trains stacked (``config.batch_cohort`` on a batchable model)
         evaluates each chunk stacked too — clients with equal test lengths
         share ``(C, ...)`` forwards of at most ``_CHUNK_ROWS`` rows
         (:func:`~repro.federated.evaluation.evaluate_cohort`) — and returns
-        the per-client loop's floats bit for bit.  A
-        personalized sweep touches only the changed clients' test shards;
-        a global-model sweep inherently touches every swept client's, so
-        for mid-size virtual fleets under such a method either keep
-        ``fleet.shard_cache`` at or above the sweep size or cap the sweep
-        with ``fleet.eval_clients``.
+        the per-client loop's floats bit for bit.  A personalized sweep
+        touches only the changed clients' test shards; a global-model sweep
+        inherently touches every swept client's, so for mid-size virtual
+        fleets under such a method either keep ``fleet.shard_cache`` at or
+        above the sweep size or cap the sweep with ``fleet.eval_clients``.
         """
         eval_ids = self.evaluation_client_ids()
         if not eval_ids:
@@ -813,29 +808,23 @@ class ServerCore:
         store = self.clients.state_store
         accuracies = {cid: store.remembered_accuracy(cid) for cid in eval_ids}
         pending = [cid for cid in eval_ids if accuracies[cid] is None]
-        chunks = _balanced_chunks(pending, self.executor.workers)
-        with self._fanout_handles(-1, encoded_down, len(chunks)) as handles:
-            if handles is None:
-                def task(chunk):
-                    return _evaluate_clients(self.strategy, (
-                        self.clients.observer(cid) for cid in chunk))
-                payloads = chunks
-            else:
-                task = _broadcast_evaluation_task
-                payloads = [handles + (tuple(chunk), tuple(
-                    self.clients.peek_state(cid) for cid in chunk))
-                    for chunk in chunks]
-            # supervised like the update fan-out, but free of the fault
-            # plan (it covers update tasks) and of the history
-            results, _, failed = self._dispatch(
-                task, list(range(len(chunks))), payloads, round_index=-1,
-                plan=None)
+        # one chunk per worker, but none larger than the shard cache: a
+        # chunk's clients are bound, and hold their shards, all at once
+        count = max(self.executor.workers,
+                    -(-len(pending) // self.config.fleet.shard_cache))
+        chunks = [(ids, [store.get(cid) or {} for cid in ids])
+                  for ids in _balanced_chunks(pending, count)]
+        # supervised like the update fan-out, but free of the fault plan (it
+        # covers update tasks) and of the history
+        results, _, failed = self._fan_out(-1, _evaluate_clients, chunks,
+                                           encoded=encoded_down, plan=None)
         if failed:
-            raise RuntimeError(f"evaluation chunks {failed} ran out of retries")
+            raise RuntimeError(f"evaluation chunks starting at clients "
+                               f"{failed} ran out of retries")
         fresh = [accuracy for chunk in results for accuracy in chunk]
         for cid, accuracy in zip(pending, fresh):
             accuracies[cid] = accuracy
-            state = self.clients.peek_state(cid)
+            state = store.get(cid)
             if state is not None and self.strategy.evaluates_from_state(state):
                 store.remember_accuracy(cid, accuracy)
         self.evaluation_stats["evaluated"] += len(pending)

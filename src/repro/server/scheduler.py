@@ -25,8 +25,8 @@ model*:
 
 Fleet contract
     Schedulers operate on client *ids* against the core's fleet view: the
-    only ``Client`` objects that come into existence are the facades the
-    core materializes for the dispatched cohort (and the evaluation sweep),
+    only ``Client`` objects that come into existence are the ones the
+    core binds for the dispatched cohort (and the evaluation sweep),
     so a scheduler never needs — and never causes — O(num_clients) work.
     Per-client bookkeeping here (``in_flight``, FedBuff buffers) must stay
     sparse: sets of ids for clients that actually have work outstanding.

@@ -63,7 +63,7 @@ class BoundedLRU:
     """A small bounded LRU over an ``OrderedDict``.
 
     The one cache-eviction policy shared by the lazy layers (shard map,
-    client-facade cache, broadcast worker cache, checkpoint load memo):
+    broadcast worker cache, socket handle registry, checkpoint load memo):
     touch on hit, insert then evict oldest while over the bound.  Keeping
     it in one place keeps the O(cohort) memory accounting identical
     everywhere it is used.

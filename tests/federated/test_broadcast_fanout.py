@@ -3,11 +3,12 @@
 The contract under test: with a pool backend, the round-invariant payload
 (global parameters, model, strategy template, config) crosses the worker
 boundary **at most once per worker per round** — never once per client — and
-per-task payloads shrink to ``(client_ids, client states)`` plus two small
-handles.  The thread backend is the instrument of choice because its workers
-share the server process, so both the submission-side payload witness and
-the worker-side materialization counters are observable in-process, while
-the payload objects are byte-for-byte what the process backend would ship.
+per-task payloads shrink to the body's name, ``(client_ids, client
+states)`` and two small handles.  The thread backend is the instrument of
+choice because its workers share the server process, so both the
+submission-side payload witness and the worker-side materialization
+counters are observable in-process, while the payload objects are
+byte-for-byte what the process backend would ship.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import pickle
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -29,12 +29,15 @@ import pytest
 
 from repro.baselines import available_strategies, build_strategy
 from repro.checkpoint import TrainingInterrupted
+from repro.core.strategy import FedLPS
 from repro.experiments import preset_for, run_method, scaled
 from repro.experiments.presets import build_experiment
-from repro.federated import FederatedTrainer
+from repro.federated import Client, FederatedTrainer
+from repro.federated.config import FleetConfig
 from repro.federated.fleet import FleetStateStore
-from repro.parallel import FaultPlan, ThreadPoolExecutor
-from repro.server.core import ServerCore, _balanced_chunks
+from repro.parallel import (FaultPlan, ProcessPoolExecutor,
+                            ThreadPoolExecutor)
+from repro.server.core import ServerCore, _balanced_chunks, _evaluate_clients
 
 #: the registry methods whose clients keep their evaluation model entirely
 #: in ``client.state`` once they have trained — the only ones allowed to
@@ -187,6 +190,28 @@ class TestHistoriesEqualTheForgetfulRun:
         assert history_json(resumed) == expected
 
 
+class TestUplinkCodecOnAProcessPool:
+    """The training body encodes the uplink on every backend, so a process
+    worker's encoded updates make the inline run's history, byte for byte,
+    wire report included."""
+
+    @pytest.fixture(scope="class")
+    def process_pool(self):
+        with ProcessPoolExecutor(2) as executor:
+            yield executor
+
+    @pytest.mark.parametrize("codec", ["sparse", "int8"])
+    def test_fedlps_history_equals_the_inline_run(self, codec, process_pool):
+        preset = tiny_preset(codec=codec)
+        inline = run_method("fedlps", preset)
+        assert all(record.extras["wire_upload_bytes"]
+                   < record.extras["wire_upload_dense_bytes"]
+                   for record in inline.records)
+        assert (history_json(run_method("fedlps", preset,
+                                        executor=process_pool))
+                == history_json(inline))
+
+
 # -------------------------------------------------------------- the ledger
 def trained_before(history):
     """Per round: the clients some earlier round already trained."""
@@ -264,11 +289,28 @@ class TestLedger:
             trainer = build_trainer("fedavg", tiny_preset(),
                                     executor=executor)
             trainer.run()
-        # (session, round, client ids, states) vs. the update task's five
-        sweeps = [payload for payload in payloads if len(payload) == 4]
+        # (body, session, round, round_index, client ids, states)
+        sweeps = [payload for payload in payloads
+                  if payload[0] is _evaluate_clients]
         assert len(sweeps) == 2 * 4
         assert sorted(cid for payload in sweeps[:2]
-                      for cid in payload[2]) == list(range(6))
+                      for cid in payload[4]) == list(range(6))
+
+    def test_no_sweep_chunk_outgrows_the_shard_cache(self, monkeypatch):
+        """An inline sweep binds its clients chunk by chunk, so it never
+        holds more shards at once than the cache keeps."""
+        expected = history_json(build_trainer("fedavg", tiny_preset()).run())
+        real, sizes = _evaluate_clients, []
+
+        def recording(strategy, round_index, clients):
+            sizes.append(len(clients))
+            return real(strategy, round_index, clients)
+
+        monkeypatch.setattr("repro.server.core._evaluate_clients", recording)
+        history = build_trainer("fedavg", tiny_preset(),
+                                fleet=FleetConfig(shard_cache=4)).run()
+        assert sizes[:2] == [3, 3] and max(sizes) <= 4
+        assert history_json(history) == expected
 
     def test_nothing_to_evaluate_publishes_nothing(self):
         from repro.parallel import broadcast_stats, reset_broadcast_stats
@@ -327,3 +369,52 @@ def test_balanced_chunks(size, count):
     assert [cid for chunk in chunks for cid in chunk] == ids
     lengths = [len(chunk) for chunk in chunks]
     assert not lengths or max(lengths) - min(lengths) <= 1
+
+
+# ------------------------------------------------- never-trained clients
+#: ids whose state a ``_RecordingFedLPS`` initialized, in call order;
+#: module-level so that a thread worker's copy of the template records here
+INITIALIZED = []
+
+
+class _RecordingFedLPS(FedLPS):
+    def init_client_state(self, client):
+        INITIALIZED.append(client.client_id)
+        super().init_client_state(client)
+
+
+class TestInitClientState:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_the_sweep_initializes_no_client(self, workers):
+        """A never-trained client is evaluated with an empty state: the
+        sweep runs no ``init_client_state`` (under FedLPS, no throwaway
+        P-UCBV agent), the training fan-out still does."""
+        dataset, model_builder, config, fleet = build_experiment(
+            tiny_preset())
+        with (ThreadPoolExecutor(workers) if workers
+              else nullcontext()) as executor:
+            trainer = FederatedTrainer(_RecordingFedLPS(), dataset,
+                                       model_builder, config=config,
+                                       fleet=fleet, executor=executor)
+            trainer.strategy.setup(trainer.context)
+            INITIALIZED.clear()
+            trainer.evaluate_personalized()
+            assert INITIALIZED == []
+            trainer.run_local_updates(0, [1, 4])
+            assert sorted(INITIALIZED) == [1, 4]
+            INITIALIZED.clear()
+            trainer.evaluate_personalized()
+            trainer.close()
+        assert INITIALIZED == []
+        assert trainer.evaluation_stats == {"evaluated": 12, "reused": 0}
+
+    @pytest.mark.parametrize("method", available_strategies())
+    def test_an_empty_state_evaluates_like_an_initialized_one(self, method):
+        trainer = build_trainer(method, tiny_preset())
+        strategy = trainer.strategy
+        strategy.setup(trainer.context)
+        for cid in range(6):
+            initialized = trainer.clients.observer(cid)
+            empty = Client(cid, initialized.data, initialized.device)
+            assert (pickle.dumps(strategy.client_evaluation(empty))
+                    == pickle.dumps(strategy.client_evaluation(initialized)))

@@ -6,7 +6,7 @@ Contracts under test:
   the virtual dataset and virtual device fleet produce shards, device
   profiles and histories element-identical to the eager builders, which
   stay as the reference (hypothesis property tests plus directed cases).
-* **O(cohort)** — a training run materializes shards, facades and state
+* **O(cohort)** — a training run materializes shards, clients and state
   entries only for clients that were dispatched or evaluated; untouched
   clients are never built (counting hooks), whether the federation is
   virtual or hand-built; a 100k-client federation reaches its first
@@ -18,8 +18,10 @@ Contracts under test:
 
 from __future__ import annotations
 
+import gc
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -326,17 +328,23 @@ class TestSelectionConfigIsNeverMutated:
 
 
 class TestFleetView:
-    def test_state_persists_across_facade_eviction(self):
+    def test_state_survives_a_rebuilt_client(self):
+        """Every access builds a new ``Client``; the state is the store's."""
         dataset = build_federated_dataset("mnist", 6, examples_per_client=12,
                                           seed=1, lazy=True)
         fleet = ClientFleet(dataset, VirtualDeviceFleet(6, seed=1))
         fleet.bind_state_initializer(
             lambda client: client.state.setdefault("marker",
                                                    client.client_id * 10))
-        assert fleet[3].state["marker"] == 30
-        fleet[3].state["marker"] = 99
-        fleet._facades.clear()  # force facade rebuild
-        assert fleet[3].state["marker"] == 99
+        first = fleet[3]
+        assert first.state["marker"] == 30
+        first.state["marker"] = 99
+        dataset.shard_map.clear()  # the shard is rebuilt too
+        rebuilt = fleet[3]
+        assert rebuilt is not first
+        assert rebuilt.state is first.state
+        assert rebuilt.state["marker"] == 99
+        assert fleet.observer(3).state["marker"] == 99
 
     def test_observer_state_is_transient_until_participation(self):
         dataset = build_federated_dataset("mnist", 6, examples_per_client=12,
@@ -379,16 +387,16 @@ class TestFleetView:
         assert store.take_dirty() == set()
 
     @pytest.mark.parametrize("method", ["fedlps", "efd", "ditto", "fedrep"])
-    def test_rebinding_resets_cached_facade_state(self, method):
+    def test_rebinding_starts_from_fresh_states(self, method):
         """A second setup() must not leak the previous run's client state.
 
-        Regression: re-binding must not re-adopt cached facades' run-1
-        state — initializers only overwrite their own keys, so a reused
-        dict leaks keys like ``personal_params`` or ``pattern`` that only
-        local updates write (efd/ditto/fedrep expose this; fedlps's
-        initializer happens to reset everything it reads).  After a run, a
-        second setup must hand run-1's participants the state keys a
-        never-run trainer hands them.
+        Re-binding must not hand run-1's state dicts back out —
+        initializers only overwrite their own keys, so a reused dict leaks
+        keys like ``personal_params`` or ``pattern`` that only local updates
+        write (efd/ditto/fedrep expose this; fedlps's initializer happens to
+        reset everything it reads).  After a run, a second setup must hand
+        run-1's participants the state keys a never-run trainer hands them
+        (and the training fan-out, which reads ``peek_state``, no state).
         """
         preset = scaled(preset_for("mnist"), num_clients=8, num_rounds=2,
                         clients_per_round=2, examples_per_client=16,
@@ -443,16 +451,28 @@ class TestFleetView:
 
 class TestCloseReleasesCaches:
     @pytest.mark.parametrize("method", ["fedavg", "fedlps"])
-    def test_a_finished_run_holds_no_facade_or_shard(self, method):
+    def test_a_finished_run_holds_no_shard(self, method):
         dataset, model_builder, config, fleet = build_experiment(
             scaled(preset_for("mnist"), num_clients=8, num_rounds=2,
                    clients_per_round=3, local_iterations=1))
         trainer = FederatedTrainer(build_strategy(method), dataset,
                                    model_builder, config=config, fleet=fleet)
+        shard_map = dataset.shard_map
+        built, builder = [], shard_map._builder
+
+        def recording_builder(client_id):
+            shard = builder(client_id)
+            built.append(weakref.ref(shard))
+            return shard
+
+        shard_map._builder = recording_builder
         history = trainer.run()
-        assert len(trainer.clients._facades) == 0
-        assert len(dataset.shard_map._cache) == 0
-        # both rebuild on demand; the state store stayed
+        assert len(shard_map._cache) == 0
+        # no Client outlived its chunk to pin a shard past the cache: every
+        # shard the run built is garbage once the run is over
+        gc.collect()
+        assert built and all(shard() is None for shard in built)
+        # the shards rebuild on demand; the state store stayed
         assert (trainer.evaluate_personalized()
                 == history.records[-1].test_accuracy)
 

@@ -201,7 +201,7 @@ class TestWorkerLostOutsideAFanOut:
                 == json.dumps(undisturbed.to_dict(), sort_keys=True))
 
     def test_an_evaluation_chunk_out_of_retries_raises(self, monkeypatch):
-        def broken(strategy, clients):
+        def broken(strategy, round_index, clients):
             raise RuntimeError("evaluation bug")
 
         monkeypatch.setattr("repro.server.core._evaluate_clients", broken)

@@ -45,10 +45,13 @@ MUTATIONS = {
         SERVER_CORE, None, "store.remember_accuracy(0, 1.0)"),
     "memo-dropped-only-by-fleet": (
         SERVER_CORE, None, "store._remembered.clear()"),
-    "two-_evaluate_clients-calls": (
-        SCHEDULER, None, "_evaluate_clients(strategy, clients)"),
-    "_evaluate_clients-in-server-core": (
-        SERVER_CORE, None, "_evaluate_clients(strategy, clients)"),
+    "_bind_clients-callers": (
+        SERVER_CORE, None,
+        "def stray(ids): return _bind_clients(None, None, None, ids, ids)"),
+    "one-worker-task": (
+        SERVER_CORE, None, "def _evaluation_task(payload):\n    return payload"),
+    "retired-second-fan-out": (
+        "tests/federated/test_fleet.py", None, "fleet._fa" "cades.clear()"),
     "no-cohort-program-in-server": (
         SERVER_CORE, None, "program = BatchedModel(self.model, 2)"),
     "evaluates-from-state-opt-in": (

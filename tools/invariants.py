@@ -338,9 +338,8 @@ RULES: dict[str, Rule] = {
     # tests/test_checkpoint_layout.py.
     "no-deep-copied-state-store": Absent(
         r"deepcopy\(.*state_store\.snapshot\(\)", ("src",)),
-    # One evaluation memo: evaluate_personalized is its only writer, only
-    # FleetStateStore's write hooks drop an entry, and the sweep has one
-    # body, called once inline and once on a worker.
+    # One evaluation memo: evaluate_personalized is its only writer and only
+    # FleetStateStore's write hooks drop an entry.
     "one-remember_accuracy-call": Count(
         r"remember_accuracy\(", ("src",), 1, unless=r"def remember_accuracy\("),
     "remember_accuracy-called-in-server-core": Count(
@@ -348,12 +347,21 @@ RULES: dict[str, Rule] = {
         unless=r"def remember_accuracy\("),
     "memo-dropped-only-by-fleet": OnlyIn(
         r"\._remembered", ("src",), ("src/repro/federated/fleet.py",)),
-    "two-_evaluate_clients-calls": Count(
-        r"_evaluate_clients\(", ("src",), 2,
-        unless=r"def _evaluate_clients\("),
-    "_evaluate_clients-in-server-core": Count(
-        r"_evaluate_clients\(", (SERVER_CORE,), 3),
     "evaluates-from-state-opt-in": evaluates_from_state_opt_in,
+    # One fan-out: training and evaluation both run through
+    # ServerCore._fan_out, whose chunks bind their clients in one binder —
+    # inline (the nested task's call counts for _fan_out too) or in the one
+    # worker task — so the per-fan-out worker tasks, their binder and the
+    # fleet's facade cache stay gone.
+    "_bind_clients-callers": Callers(
+        "_bind_clients", (SERVER_CORE,),
+        (f"{SERVER_CORE}:_fan_out", f"{SERVER_CORE}:inline_task",
+         f"{SERVER_CORE}:_fanout_task")),
+    "one-worker-task": Count(r"^def \w*_task\(", (SERVER_CORE,), 1),
+    "retired-second-fan-out": Absent(
+        r"_broadcast_update_task|_broadcast_evaluation_task|_bind_broadcast"
+        r"|facade_builds|_facades|transient=",
+        ("src", "tests", "examples", "README.md")),
     # The server plans chunks and never builds a stacked program: training
     # and evaluation programs come from federated/ (nn.batched underneath).
     "no-cohort-program-in-server": Absent(
