@@ -1,12 +1,9 @@
-"""Synthetic datasets, non-IID partitioners and loaders."""
+"""Synthetic datasets, non-IID partitioners and the federated containers."""
 
-from .dataset import (ClientData, DataLoader, Dataset, FederatedDataset,
-                      LazyShardMap)
+from .dataset import ClientData, Dataset, FederatedDataset, LazyShardMap
 from .partition import (FederationSpec, VirtualFederatedDataset,
                         build_federated_dataset, dirichlet_partition,
                         iid_partition, partition_to_clients,
-                        pathological_partition,
-                        pathological_partition_missing_classes,
                         split_client_shard)
 from .synthetic import (DATASET_BUILDERS, IMAGE_SPECS, ImageSpec, TextSpec,
                         image_prototypes, make_image_classification,
@@ -17,7 +14,6 @@ from .synthetic import (DATASET_BUILDERS, IMAGE_SPECS, ImageSpec, TextSpec,
 
 __all__ = [
     "Dataset",
-    "DataLoader",
     "ClientData",
     "FederatedDataset",
     "LazyShardMap",
@@ -28,8 +24,6 @@ __all__ = [
     "image_prototypes",
     "personalized_image_shard",
     "iid_partition",
-    "pathological_partition",
-    "pathological_partition_missing_classes",
     "dirichlet_partition",
     "partition_to_clients",
     "ImageSpec",

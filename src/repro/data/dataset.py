@@ -1,4 +1,4 @@
-"""Dataset containers and batching utilities for federated simulation."""
+"""Dataset containers for federated simulation."""
 
 from __future__ import annotations
 
@@ -71,42 +71,6 @@ def split_indices(count: int, test_fraction: float, *,
     if len(train_idx) == 0:
         raise ValueError("split left no training examples")
     return train_idx, test_idx
-
-
-class DataLoader:
-    """Mini-batch iterator with deterministic shuffling.
-
-    Each call to :meth:`__iter__` reshuffles with a fresh stream drawn from
-    the loader's generator, so successive epochs see different orders while
-    the whole sequence stays reproducible for a given seed.
-    """
-
-    def __init__(self, dataset: Dataset, batch_size: int, *, shuffle: bool = True,
-                 seed: int = 0, drop_last: bool = False) -> None:
-        positive_int(batch_size, "batch_size")
-        if len(dataset) == 0:
-            raise ValueError("cannot build a DataLoader over an empty dataset")
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
-        self._rng = np.random.default_rng(seed)
-
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        indices = np.arange(len(self.dataset))
-        if self.shuffle:
-            self._rng.shuffle(indices)
-        for start in range(0, len(indices), self.batch_size):
-            batch = indices[start:start + self.batch_size]
-            if self.drop_last and len(batch) < self.batch_size:
-                break
-            yield self.dataset.x[batch], self.dataset.y[batch]
 
 
 @dataclass

@@ -31,81 +31,6 @@ def iid_partition(dataset: Dataset, num_clients: int, *, seed: int = 0
     return [np.sort(part) for part in np.array_split(order, num_clients)]
 
 
-def pathological_partition(dataset: Dataset, num_clients: int,
-                           classes_per_client: int, *, seed: int = 0
-                           ) -> List[np.ndarray]:
-    """Pathological label-skew partition.
-
-    Every client is assigned ``classes_per_client`` classes and receives an
-    equal share of the examples of each assigned class, following the shard
-    construction used by the paper (and originally by McMahan et al.).
-
-    The assignment guarantees every class lands on at least one client, so
-    the returned partitions are disjoint AND exactly cover the dataset.
-    When that is impossible (fewer client-class slots than classes) the
-    partition would silently discard whole classes, so it raises instead.
-    """
-    labels = dataset.y.astype(np.int64)
-    num_classes = int(labels.max()) + 1
-    in_range(classes_per_client, "classes_per_client", 1, num_classes,
-             integral=True)
-    slots = num_clients * classes_per_client
-    if slots < num_classes:
-        raise ValueError(
-            f"{num_clients} clients x {classes_per_client} classes each "
-            f"cannot cover all {num_classes} classes; examples would be "
-            "discarded — use more clients or classes_per_client")
-    rng = np.random.default_rng(seed)
-
-    # Spread the client-class slots as evenly as possible over the classes:
-    # every class at least once (coverage) and never more often than there
-    # are clients (a client holds each class at most once).
-    multiplicity = np.full(num_classes, slots // num_classes, dtype=np.int64)
-    remainder = slots - int(multiplicity.sum())
-    if remainder:
-        multiplicity[rng.choice(num_classes, size=remainder,
-                                replace=False)] += 1
-
-    # Deal the slots to clients, always taking the classes with the most
-    # slots left (random stable tie-break).  Because no class ever has more
-    # remaining slots than there are remaining clients, the greedy deal
-    # always finds ``classes_per_client`` distinct classes per client.
-    assignments: List[np.ndarray] = []
-    remaining = multiplicity.copy()
-    for _ in range(num_clients):
-        order = rng.permutation(num_classes)
-        ranked = sorted(order.tolist(), key=lambda c: -remaining[c])
-        chosen = ranked[:classes_per_client]
-        remaining[chosen] -= 1
-        assignments.append(np.array(chosen))
-
-    # Split every class's examples into equal shards among the clients that
-    # requested the class.
-    per_class_indices = {c: rng.permutation(np.where(labels == c)[0])
-                         for c in range(num_classes)}
-    demand = {c: 0 for c in range(num_classes)}
-    for chosen in assignments:
-        for c in chosen:
-            demand[int(c)] += 1
-    shards: Dict[int, List[np.ndarray]] = {}
-    for c, indices in per_class_indices.items():
-        splits = np.array_split(indices, max(demand[c], 1))
-        shards[c] = list(splits)
-    cursors = {c: 0 for c in range(num_classes)}
-
-    partitions: List[np.ndarray] = []
-    for chosen in assignments:
-        pieces = []
-        for c in chosen:
-            c = int(c)
-            shard = shards[c][cursors[c] % len(shards[c])]
-            cursors[c] += 1
-            pieces.append(shard)
-        indices = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
-        partitions.append(np.sort(indices.astype(np.int64)))
-    return partitions
-
-
 def dirichlet_partition(dataset: Dataset, num_clients: int, alpha: float, *,
                         seed: int = 0, min_examples: int = 2) -> List[np.ndarray]:
     """Dirichlet label-skew partition (lower ``alpha`` = more skew)."""
@@ -510,21 +435,3 @@ def build_federated_dataset(name: str, num_clients: int, *,
                   "classes_per_client": classes_per_client,
                   "dirichlet_alpha": dirichlet_alpha,
                   "style_scale": style_scale})
-
-
-def pathological_partition_missing_classes(dataset: Dataset, num_clients: int,
-                                           missing_classes: int, *,
-                                           seed: int = 0) -> List[np.ndarray]:
-    """Partition used by the non-IID-level sweep (Figure 6).
-
-    The paper's sweep is parameterized by how many classes each client *lacks*
-    (``x`` on the horizontal axis); this wrapper converts that to the
-    classes-per-client parameter of :func:`pathological_partition`.
-    """
-    labels = dataset.y.astype(np.int64)
-    num_classes = int(labels.max()) + 1
-    classes_per_client = num_classes - missing_classes
-    if classes_per_client < 1:
-        raise ValueError(
-            f"missing_classes={missing_classes} leaves no class for clients")
-    return pathological_partition(dataset, num_clients, classes_per_client, seed=seed)

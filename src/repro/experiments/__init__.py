@@ -7,8 +7,7 @@ from .figures import (FIGURE3_METHODS, accuracy_vs_flops, accuracy_vs_time,
                       pattern_ratio_sweep, time_to_accuracy)
 from .presets import (DATASETS, DEFAULT_PRESETS, ExperimentPreset,
                       build_experiment, preset_for, scaled)
-from .runner import (format_rows, run_grid, run_jobs, run_method, run_methods,
-                     summarize)
+from .runner import format_rows, run_grid, run_jobs, run_method, summarize
 from .tables import scenario_table, table1_accuracy_flops, table2_ablation
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "scaled",
     "build_experiment",
     "run_method",
-    "run_methods",
     "run_jobs",
     "run_grid",
     "ResultCache",

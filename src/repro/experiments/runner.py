@@ -4,9 +4,8 @@ Two levels of parallelism compose here:
 
 * :func:`run_method` accepts an ``executor`` that the trainer uses to fan
   per-round client updates and evaluation across workers;
-* :func:`run_grid` (method × dataset × any preset-field axes) and
-  :func:`run_methods` (several methods on one preset) dispatch *whole*
-  (method, preset) runs as independent jobs on an executor through
+* :func:`run_grid` (method × dataset × any preset-field axes) dispatches
+  *whole* (method, preset) runs as independent jobs on an executor through
   :func:`run_jobs`, which is the better fit for figure/table grids (each job
   is a full serial simulation, so there is no cross-worker chatter at all).
 
@@ -167,19 +166,6 @@ def run_jobs(specs: List[JobSpec], *, executor: Optional[Executor] = None,
     if errors:
         raise errors[min(errors)]
     return [results[position] for position in range(len(specs))]
-
-
-def run_methods(methods: Iterable[str], preset: ExperimentPreset, *,
-                executor: Optional[Executor] = None,
-                cache: Optional[ResultCache] = None,
-                checkpoint_root: Optional[Union[str, Path]] = None,
-                retries: int = 0) -> Dict[str, TrainingHistory]:
-    """Run several registry methods on the same preset."""
-    methods = list(methods)
-    histories = run_jobs([(method, preset, None) for method in methods],
-                         executor=executor, cache=cache,
-                         checkpoint_root=checkpoint_root, retries=retries)
-    return dict(zip(methods, histories))
 
 
 def run_grid(methods: Iterable[Union[str, Tuple[str, str, Optional[dict]]]],

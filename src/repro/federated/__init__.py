@@ -1,14 +1,12 @@
 """Federated-learning substrate: clients, strategies, trainer, aggregation."""
 
-from .aggregation import (aggregate_residuals, fedavg, masked_average,
-                          staleness_weighted_average)
+from .aggregation import aggregate_residuals, fedavg, masked_average
 from .batched import (LocalUpdateResult, client_batch_schedule,
                       train_cohort_batched)
 from .client import Client
 from .config import AGGREGATIONS, FederatedConfig, FleetConfig
-from .evaluation import (average_personalized_accuracy, evaluate_cohort,
-                         evaluate_params)
-from .fleet import ClientFleet, FleetStateStore, bind_client_state_initializer
+from .evaluation import evaluate_cohort, evaluate_params
+from .fleet import ClientFleet, FleetStateStore
 from .strategy import ClientUpdate, Strategy, StrategyContext
 from .trainer import FederatedTrainer, run_federated
 
@@ -18,7 +16,6 @@ __all__ = [
     "FleetConfig",
     "ClientFleet",
     "FleetStateStore",
-    "bind_client_state_initializer",
     "AGGREGATIONS",
     "Strategy",
     "StrategyContext",
@@ -30,9 +27,7 @@ __all__ = [
     "LocalUpdateResult",
     "evaluate_params",
     "evaluate_cohort",
-    "average_personalized_accuracy",
     "fedavg",
     "aggregate_residuals",
     "masked_average",
-    "staleness_weighted_average",
 ]

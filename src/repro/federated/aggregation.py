@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..nn.params import (ParamDict, copy_params, indexed_subtract_scaled,
                          indexed_weighted_accumulate, weighted_average,
                          zeros_like, _check_same_keys)
-from ..util import non_negative
 
 
 def _slices_of(update: Mapping[str, np.ndarray], key: str):
@@ -148,22 +147,3 @@ def masked_average(global_params: Mapping[str, np.ndarray],
         merged[covered] = numerator[key][covered] / denominator[key][covered]
         result[key] = merged
     return result
-
-
-def staleness_weighted_average(
-        entries: Iterable[Tuple[Mapping[str, np.ndarray], float, int]],
-        *, decay: float = 0.5) -> ParamDict:
-    """REFL-style aggregation that discounts stale updates.
-
-    ``entries`` yields ``(params, weight, staleness)`` triples; an update that
-    is ``staleness`` rounds old is discounted by ``decay ** staleness``.
-    """
-    params_list: List[Mapping[str, np.ndarray]] = []
-    weight_list: List[float] = []
-    for params, weight, staleness in entries:
-        non_negative(staleness, "staleness")
-        params_list.append(params)
-        weight_list.append(weight * (decay ** staleness))
-    if not params_list:
-        raise ValueError("cannot aggregate zero updates")
-    return weighted_average(params_list, weight_list)

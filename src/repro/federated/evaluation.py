@@ -7,7 +7,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..data.dataset import Dataset
-from ..nn import accuracy, softmax_cross_entropy
+from ..nn import accuracy
 from ..nn.batched import BatchedModel, stack_param_dicts
 from ..nn.model import Sequential
 from ..sparsity.masks import gates_from_pattern
@@ -19,8 +19,8 @@ Evaluation = Tuple[Mapping[str, np.ndarray], Optional[Mapping[str, np.ndarray]]]
 def evaluate_params(model: Sequential, params: Mapping[str, np.ndarray],
                     dataset: Dataset, *, batch_size: int = 64,
                     pattern: Optional[Mapping[str, np.ndarray]] = None
-                    ) -> Dict[str, float]:
-    """Loss and accuracy of ``params`` on ``dataset``.
+                    ) -> float:
+    """Accuracy of ``params`` on ``dataset``.
 
     ``pattern`` installs structured gates for methods whose inference model is
     a sub-model of the global architecture.
@@ -30,19 +30,16 @@ def evaluate_params(model: Sequential, params: Mapping[str, np.ndarray],
     model.set_parameters(params)
     if pattern is not None:
         model.set_unit_gates(gates_from_pattern(pattern))
-    losses = []
     correct = 0.0
     total = 0
     for start in range(0, len(dataset), batch_size):
         batch_x = dataset.x[start:start + batch_size]
         batch_y = dataset.y[start:start + batch_size]
         logits = model.forward(batch_x, train=False)
-        loss, _ = softmax_cross_entropy(logits, batch_y)
-        losses.append(loss * len(batch_y))
         correct += accuracy(logits, batch_y) * len(batch_y)
         total += len(batch_y)
     model.set_unit_gates(None)
-    return {"loss": float(np.sum(losses) / total), "accuracy": float(correct / total)}
+    return float(correct / total)
 
 
 def evaluate_cohort(model: Sequential, evaluations: Sequence[Evaluation],
@@ -65,7 +62,7 @@ def evaluate_cohort(model: Sequential, evaluations: Sequence[Evaluation],
     ``batch_size`` windows, each client's slice of the stacked logits is
     its own forward's bit for bit (C > 1 batched matmuls and last-axis
     reductions, ``tests/nn/test_slice_identity.py``), and the hits add up
-    in the same order.  The loss, which nothing reads, is not computed.
+    in the same order.
     """
     if len(evaluations) != len(test_sets):
         raise ValueError("evaluations and test_sets must pair up")
@@ -87,7 +84,7 @@ def evaluate_cohort(model: Sequential, evaluations: Sequence[Evaluation],
                 params, pattern = evaluations[stack[0]]
                 accuracies[stack[0]] = evaluate_params(
                     model, params, test_sets[stack[0]], batch_size=batch_size,
-                    pattern=pattern)["accuracy"]
+                    pattern=pattern)
                 continue
             if len(stack) not in programs:
                 programs[len(stack)] = BatchedModel(model, len(stack))
@@ -121,23 +118,3 @@ def _stacked_accuracies(program: BatchedModel,
             batch_y = dataset.y[start:start + batch_size]
             correct[index] += accuracy(logits[index], batch_y) * len(batch_y)
     return [float(hits / length) for hits in correct]
-
-
-def average_personalized_accuracy(model: Sequential,
-                                  params_by_client: Mapping[int, Mapping[str, np.ndarray]],
-                                  test_sets: Mapping[int, Dataset], *,
-                                  patterns_by_client: Optional[
-                                      Mapping[int, Mapping[str, np.ndarray]]] = None,
-                                  batch_size: int = 64) -> float:
-    """The paper's headline metric: mean local-test accuracy across clients."""
-    if not params_by_client:
-        raise ValueError("no client parameters to evaluate")
-    accuracies = []
-    for client_id, params in params_by_client.items():
-        pattern = None
-        if patterns_by_client is not None:
-            pattern = patterns_by_client.get(client_id)
-        result = evaluate_params(model, params, test_sets[client_id],
-                                 batch_size=batch_size, pattern=pattern)
-        accuracies.append(result["accuracy"])
-    return float(np.mean(accuracies))

@@ -286,21 +286,3 @@ class _ObserverView:
 
     def __len__(self) -> int:
         return len(self._fleet)
-
-
-def bind_client_state_initializer(clients, initializer: StateInitializer
-                                  ) -> None:
-    """Route a strategy's per-client initializer to whatever holds clients.
-
-    ``Strategy.setup`` calls this with ``context.clients``: a
-    :class:`ClientFleet` binds it (per-client work is deferred to first
-    materialization), while a plain ``{cid: Client}`` dict — the shape
-    hand-rolled unit tests build — has every client initialized on the
-    spot.
-    """
-    binder = getattr(clients, "bind_state_initializer", None)
-    if binder is not None:
-        binder(initializer)
-        return
-    for client in clients.values():
-        initializer(client)

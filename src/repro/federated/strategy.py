@@ -47,18 +47,17 @@ from .aggregation import fedavg, masked_average
 from .batched import LocalUpdateResult, train_cohort_batched
 from .client import Client
 from .config import FederatedConfig
-from .fleet import bind_client_state_initializer
 
 
 @dataclass
 class StrategyContext:
     """Everything a strategy needs to run: model, data, devices, config.
 
-    ``clients`` is any ``Mapping[int, Client]`` — a plain dict in
-    hand-built setups, or a :class:`~repro.federated.fleet.ClientFleet`
-    that builds clients lazily.  Strategies should index it by
-    id and treat whole-mapping iteration as an O(num_clients)
-    materialization.
+    ``clients`` is the :class:`~repro.federated.fleet.ClientFleet` on the
+    server (``setup`` and ``post_round`` run there), which builds clients
+    lazily, and the chunk's bound ``{id: Client}`` on a worker.  Strategies
+    should index it by id and treat whole-mapping iteration as an
+    O(num_clients) materialization.
     """
 
     model: Sequential
@@ -116,7 +115,7 @@ class Strategy:
     def setup(self, context: StrategyContext) -> None:
         self.context = context
         self.global_params = context.model.get_parameters()
-        bind_client_state_initializer(context.clients, self.init_client_state)
+        context.clients.bind_state_initializer(self.init_client_state)
 
     def init_client_state(self, client: Client) -> None:
         """Initialize one client's persistent ``state`` (pure per client).
@@ -334,14 +333,9 @@ class Strategy:
         hooks write through the returned dict, so the fleet marks the id
         dirty for the next checkpoint (``participant_state``).
         """
-        context = self._require_context()
-        clients = context.clients
-        peek = getattr(clients, "participant_state", None)
-        if peek is not None:
-            state = peek(client_id)
-            if state is not None:
-                return state
-        return clients[client_id].state
+        clients = self._require_context().clients
+        state = clients.participant_state(client_id)
+        return clients[client_id].state if state is None else state
 
     def _client_rng(self, round_index: int, client_id: int) -> np.random.Generator:
         context = self._require_context()

@@ -19,23 +19,6 @@ from ..nn import (LSTM, Conv2d, Dense, Embedding, Flatten, LastTimestep,
                   MaxPool2d, ReLU, Sequential)
 
 
-def build_mlp(input_dim: int, hidden_dims: Sequence[int], num_classes: int, *,
-              seed: int = 0, name: str = "mlp") -> Sequential:
-    """Multi-layer perceptron; hidden neurons are the sparsifiable units."""
-    if not hidden_dims:
-        raise ValueError("an MLP needs at least one hidden layer")
-    rng = np.random.default_rng(seed)
-    layers = []
-    previous = input_dim
-    for index, width in enumerate(hidden_dims):
-        layers.append(Dense(previous, width, name=f"fc{index + 1}", rng=rng))
-        layers.append(ReLU(name=f"relu{index + 1}"))
-        previous = width
-    layers.append(Dense(previous, num_classes, name="head",
-                        sparsifiable=False, rng=rng))
-    return Sequential(layers, input_shape=(input_dim,), name=name)
-
-
 def build_cnn(in_channels: int, image_size: int, num_classes: int, *,
               channels: Sequence[int] = (8, 16), hidden_dim: int = 32,
               seed: int = 0, name: str = "cnn") -> Sequential:

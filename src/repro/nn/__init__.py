@@ -6,7 +6,7 @@ structured-unit machinery (unit gates, unit masks, per-unit magnitudes) that
 FedLPS's learnable sparsification builds on.
 """
 
-from .activations import Dropout, Flatten, ReLU, Sigmoid, Tanh, sigmoid, softmax
+from .activations import Flatten, ReLU, Sigmoid, Tanh, sigmoid, softmax
 from .arena import Arena, cohort_squared_norms
 from .base import Layer
 from .batched import (BatchedModel, batchable_model, stack_param_dicts,
@@ -14,13 +14,11 @@ from .batched import (BatchedModel, batchable_model, stack_param_dicts,
 from .conv import AvgPool2d, Conv2d, MaxPool2d
 from .dense import Dense
 from .embedding import Embedding
-from .losses import (accuracy, accuracy_cohort, mean_squared_error,
-                     softmax_cross_entropy, softmax_cross_entropy_cohort)
+from .losses import (accuracy, accuracy_cohort, softmax_cross_entropy,
+                     softmax_cross_entropy_cohort)
 from .model import Sequential, UnitGroup
 from .optim import BatchedSGD
-from .recurrent import LSTM, RNN, LastTimestep
-from .serialization import (load_parameters, nonzero_parameter_bytes,
-                            parameter_bytes, save_parameters)
+from .recurrent import LSTM, LastTimestep
 from . import params
 
 __all__ = [
@@ -34,9 +32,7 @@ __all__ = [
     "ReLU",
     "Tanh",
     "Sigmoid",
-    "Dropout",
     "Embedding",
-    "RNN",
     "LSTM",
     "LastTimestep",
     "Sequential",
@@ -51,12 +47,7 @@ __all__ = [
     "sigmoid",
     "softmax_cross_entropy",
     "softmax_cross_entropy_cohort",
-    "mean_squared_error",
     "accuracy",
     "accuracy_cohort",
-    "save_parameters",
-    "load_parameters",
-    "parameter_bytes",
-    "nonzero_parameter_bytes",
     "params",
 ]

@@ -87,35 +87,6 @@ class Sigmoid(Layer):
         return grad_out * self._out * (1.0 - self._out)
 
 
-class Dropout(Layer):
-    """Inverted dropout; active only when ``train=True``."""
-
-    trainable = False
-    _scratch = ("_mask",)
-
-    def __init__(self, rate: float, name: str = "dropout", seed: int = 0) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        super().__init__(name)
-        self.rate = rate
-        self._rng = np.random.default_rng(seed)
-        self._mask: Array | None = None
-
-    def forward(self, x: Array, *, train: bool = True) -> Array:
-        x = as_float(x)
-        if not train or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: Array) -> Array:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
 class Flatten(Layer):
     """Flatten all non-batch dimensions."""
 

@@ -137,9 +137,6 @@ class Layer:
         """
         return 0, input_shape
 
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        return self.flops_per_example(input_shape)[1]
-
     # ------------------------------------------------------------ internals
     def _apply_unit_gate(self, out: Array, unit_axis: int) -> Array:
         """Multiply ``out`` by the installed gate along ``unit_axis``."""

@@ -70,8 +70,8 @@ sequential :mod:`repro.nn` layers bit-for-bit:
   blocks — its layers hold ``view[0]``, and ``value[0]`` unwraps every
   stacked input (no arithmetic) — so the model's own layers see the
   client's own 2-D / 4-D batch.  That is the sequential Dense / Conv2d
-  GEMMs, and Dropout, Embedding, LSTM and gated sub-models, which have no
-  batched kernel.  Everything the trainers do downstream of the model
+  GEMMs, and Embedding, LSTM and gated sub-models, which have no batched
+  kernel.  Everything the trainers do downstream of the model
   (cohort losses, ``BatchedSGD``, squared norms, stacked ``Q``) is in the
   slice-identical classes above.
 
@@ -106,9 +106,8 @@ _ELEMENTWISE_TYPES = (ReLU, Tanh, Sigmoid)
 def batchable_model(model: Sequential) -> bool:
     """True when every layer of ``model`` has a batched kernel.
 
-    Dropout (its own sequential RNG stream), embeddings and recurrent layers
-    have no batched counterpart — models containing them fall back to the
-    per-client loop.
+    Embeddings and recurrent layers have no batched counterpart — models
+    containing them fall back to the per-client loop.
     """
     layers = getattr(model, "layers", None)
     if not layers:
@@ -610,10 +609,6 @@ class BatchedModel(_ArenaProgram):
     def get_parameters(self) -> ParamDict:
         return {key: np.array(value, copy=True)
                 for key, value in self._params.items()}
-
-    def get_gradients(self) -> ParamDict:
-        return {key: np.array(value, copy=True)
-                for key, value in self._grads.items()}
 
     # --------------------------------------------------------------- units
     def set_unit_gates(self, gates: Optional[Mapping[str, np.ndarray]]) -> None:

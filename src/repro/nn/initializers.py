@@ -30,11 +30,3 @@ def normal(rng: np.random.Generator, shape: Tuple[int, ...],
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     """All-zeros initialization (biases)."""
     return np.zeros(shape, dtype=np.float64)
-
-
-def orthogonal(rng: np.random.Generator, shape: Tuple[int, int]) -> np.ndarray:
-    """Orthogonal initialization for recurrent weight matrices."""
-    a = rng.standard_normal(size=shape)
-    q, _ = np.linalg.qr(a if shape[0] >= shape[1] else a.T)
-    q = q if shape[0] >= shape[1] else q.T
-    return q[: shape[0], : shape[1]].astype(np.float64)

@@ -87,19 +87,6 @@ def accuracy_cohort(logits: Array, labels: Array, counts: Array) -> np.ndarray:
                      for i in range(len(counts))])
 
 
-def mean_squared_error(predictions: Array, targets: Array) -> Tuple[float, Array]:
-    """Mean squared error averaged over every element."""
-    predictions = as_float(predictions)
-    targets = as_float(targets)
-    if predictions.shape != targets.shape:
-        raise ValueError(
-            f"prediction/target shape mismatch: {predictions.shape} vs {targets.shape}")
-    diff = predictions - targets
-    loss = float(np.mean(diff ** 2))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
-
-
 def accuracy(logits: Array, labels: Array) -> float:
     """Top-1 classification accuracy for ``(N, C)`` or ``(N, T, C)`` logits."""
     logits = as_float(logits)

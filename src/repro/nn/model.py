@@ -97,14 +97,6 @@ class Sequential:
                         f"{value.shape} vs {layer.params[key].shape}")
                 layer.params[key] = np.array(value, copy=True)
 
-    def get_gradients(self) -> ParamDict:
-        """Snapshot of accumulated parameter gradients."""
-        grads: ParamDict = {}
-        for layer in self.layers:
-            for key, value in layer.grads.items():
-                grads[f"{layer.name}.{key}"] = np.array(value, copy=True)
-        return grads
-
     def live_parameters(self) -> ParamDict:
         """The live parameter arrays (no copies) for in-place SGD; valid
         until the next :meth:`set_parameters`, which rebinds them."""

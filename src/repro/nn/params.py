@@ -96,12 +96,6 @@ def weighted_average(param_dicts: Iterable[Mapping[str, np.ndarray]],
     return result
 
 
-def flatten(params: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Concatenate all entries (sorted by key) into a single 1-D vector."""
-    return np.concatenate([np.ravel(params[key]) for key in sorted(params)]) \
-        if params else np.zeros(0)
-
-
 def num_parameters(params: Mapping[str, np.ndarray]) -> int:
     """Total number of scalar parameters."""
     return int(sum(value.size for value in params.values()))

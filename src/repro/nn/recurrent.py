@@ -1,8 +1,8 @@
-"""Recurrent layers (vanilla RNN and LSTM) with full back-propagation
-through time, implemented in numpy.
+"""The LSTM layer, with full back-propagation through time, implemented in
+numpy, and the ``LastTimestep`` head adapter.
 
-Both layers consume input of shape ``(N, T, D)`` and return the full hidden
-sequence ``(N, T, H)``.  Their sparsifiable units are the hidden units.
+The LSTM consumes input of shape ``(N, T, D)`` and returns the full hidden
+sequence ``(N, T, H)``.  Its sparsifiable units are the hidden units.
 """
 
 from __future__ import annotations
@@ -15,91 +15,6 @@ from ..util import positive_int
 from . import initializers
 from .activations import sigmoid
 from .base import Array, Layer, ParamDict, as_float
-
-
-class RNN(Layer):
-    """Single-layer vanilla (tanh) recurrent network."""
-
-    _scratch = ("_x", "_h", "_pre_gate")
-
-    def __init__(self, input_dim: int, hidden_dim: int, *, name: str = "rnn",
-                 sparsifiable: bool = True,
-                 rng: np.random.Generator | None = None) -> None:
-        super().__init__(name)
-        self.input_dim = positive_int(input_dim, "input_dim")
-        self.hidden_dim = positive_int(hidden_dim, "hidden_dim")
-        self.sparsifiable = sparsifiable
-        rng = rng or np.random.default_rng(0)
-        self.params = {
-            "Wx": initializers.glorot_uniform(rng, (input_dim, hidden_dim),
-                                              input_dim, hidden_dim),
-            "Wh": initializers.orthogonal(rng, (hidden_dim, hidden_dim)),
-            "b": initializers.zeros((hidden_dim,)),
-        }
-        self.zero_grad()
-        self._x: Array | None = None
-        self._h: Array | None = None
-        self._pre_gate: Array | None = None
-
-    def forward(self, x: Array, *, train: bool = True) -> Array:
-        x = as_float(x)
-        if x.ndim != 3 or x.shape[2] != self.input_dim:
-            raise ValueError(
-                f"{self.name}: expected input (N, T, {self.input_dim}), got {x.shape}")
-        n, t, _ = x.shape
-        h = np.zeros((n, t + 1, self.hidden_dim), dtype=np.float64)
-        for step in range(t):
-            pre = (x[:, step] @ self.params["Wx"] + h[:, step] @ self.params["Wh"]
-                   + self.params["b"])
-            h[:, step + 1] = np.tanh(pre)
-        self._x = x
-        self._h = h
-        self._pre_gate = h[:, 1:]
-        return self._apply_unit_gate(self._pre_gate, unit_axis=2)
-
-    def backward(self, grad_out: Array) -> Array:
-        if self._x is None or self._h is None or self._pre_gate is None:
-            raise RuntimeError("backward called before forward")
-        grad_seq = self._accumulate_gate_grad(grad_out, self._pre_gate, unit_axis=2)
-        n, t, _ = self._x.shape
-        grad_x = np.zeros_like(self._x)
-        grad_h_next = np.zeros((n, self.hidden_dim), dtype=np.float64)
-        for step in reversed(range(t)):
-            h_t = self._h[:, step + 1]
-            grad_h = grad_seq[:, step] + grad_h_next
-            grad_pre = grad_h * (1.0 - h_t ** 2)
-            self.grads["Wx"] += self._x[:, step].T @ grad_pre
-            self.grads["Wh"] += self._h[:, step].T @ grad_pre
-            self.grads["b"] += grad_pre.sum(axis=0)
-            grad_x[:, step] = grad_pre @ self.params["Wx"].T
-            grad_h_next = grad_pre @ self.params["Wh"].T
-        return grad_x
-
-    @property
-    def n_units(self) -> int:
-        return self.hidden_dim if self.sparsifiable else 0
-
-    def expand_unit_mask(self, unit_mask: Array) -> ParamDict:
-        unit_mask = np.asarray(unit_mask, dtype=np.float64)
-        if unit_mask.shape != (self.hidden_dim,):
-            raise ValueError(
-                f"{self.name}: unit mask must have shape ({self.hidden_dim},)")
-        wh_mask = np.outer(unit_mask, unit_mask)
-        return {
-            "Wx": np.broadcast_to(unit_mask, (self.input_dim, self.hidden_dim)).copy(),
-            "Wh": wh_mask,
-            "b": unit_mask.copy(),
-        }
-
-    def unit_weight_magnitude(self) -> Array:
-        return (np.sum(np.abs(self.params["Wx"]), axis=0)
-                + np.sum(np.abs(self.params["Wh"]), axis=0)
-                + np.abs(self.params["b"]))
-
-    def flops_per_example(self, input_shape: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
-        seq_len, _ = input_shape
-        per_step = 2 * self.input_dim * self.hidden_dim + 2 * self.hidden_dim ** 2
-        return per_step * seq_len, (seq_len, self.hidden_dim)
 
 
 class LSTM(Layer):

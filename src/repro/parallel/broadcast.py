@@ -75,12 +75,6 @@ def _stats_template() -> Dict[str, int]:
 _STATS.update(_stats_template())
 
 
-def reset_broadcast_stats() -> None:
-    """Zero the module counters (bench/test bookkeeping)."""
-    with _stats_lock:
-        _STATS.update(_stats_template())
-
-
 def broadcast_stats() -> Dict[str, int]:
     """Snapshot of the module counters.
 

@@ -115,10 +115,6 @@ class Executor:
             f"{type(self).__name__} cannot replenish workers "
             "(can_replenish is False)")
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Release pool resources; the executor must not be reused after."""
         self._closed = True

@@ -50,7 +50,7 @@ from ..util import positive_int
 
 __all__ = [
     "shard_of_key", "partition_keys", "ShardPlan", "shard_plan",
-    "active_plan", "shard_stats", "reset_shard_stats", "shard_view",
+    "active_plan", "shard_stats", "shard_view",
     "sharded_weighted_average", "sharded_aggregate_residuals",
     "sharded_masked_average",
 ]
@@ -151,13 +151,6 @@ def shard_stats() -> Dict[str, object]:
             "per_shard_bytes": {count: list(values) for count, values
                                 in _STATS["per_shard_bytes"].items()},
         }
-
-
-def reset_shard_stats() -> None:
-    with _stats_lock:
-        _STATS["reductions"] = 0
-        _STATS["reduce_bytes"] = 0
-        _STATS["per_shard_bytes"] = {}
 
 
 class _ShardView(Mapping):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..federated.strategy import ClientUpdate
 from ..systems.cost import CostBreakdown
@@ -56,9 +56,6 @@ class EventQueue:
         if not self._heap:
             raise IndexError("pop from an empty event queue")
         return heapq.heappop(self._heap)[2]
-
-    def peek(self) -> Optional[ClientEvent]:
-        return self._heap[0][2] if self._heap else None
 
     def snapshot(self) -> List[ClientEvent]:
         """Every queued event in ``(finish_time, client_id)`` order.

@@ -241,8 +241,7 @@ def _evaluate_clients(strategy: Strategy, round_index: int,
     for client in clients:
         params, pattern = strategy.client_evaluation(client)
         accuracies.append(evaluate_params(context.model, params,
-                                          client.test_data,
-                                          pattern=pattern)["accuracy"])
+                                          client.test_data, pattern=pattern))
     return accuracies
 
 

@@ -1,23 +1,20 @@
 """Structured sparsification: patterns, masks and cost accounting."""
 
 from .accounting import (BYTES_PER_PARAMETER, TRAIN_FLOP_MULTIPLIER, SparseCost,
-                         dense_forward_flops, download_bytes,
-                         local_round_cost, local_training_flops,
-                         masked_parameter_count, sparse_forward_flops,
-                         upload_bytes)
-from .masks import (build_parameter_mask, full_pattern, gates_from_pattern,
-                    importance_threshold, pattern_from_scores,
-                    pattern_keep_ratio, pattern_overlap, per_layer_keep_ratio,
-                    units_to_keep, validate_sparse_ratio)
+                         download_bytes, local_round_cost,
+                         local_training_flops, masked_parameter_count,
+                         sparse_forward_flops, upload_bytes)
+from .masks import (build_parameter_mask, gates_from_pattern,
+                    pattern_from_scores, per_layer_keep_ratio, units_to_keep,
+                    validate_sparse_ratio)
 from .patterns import (PATTERN_STRATEGIES, depth_pattern, heuristic_pattern,
-                       importance_pattern, magnitude_pattern, ordered_pattern,
-                       random_pattern, rolling_pattern)
+                       magnitude_pattern, ordered_pattern, random_pattern,
+                       rolling_pattern)
 
 __all__ = [
     "SparseCost",
     "TRAIN_FLOP_MULTIPLIER",
     "BYTES_PER_PARAMETER",
-    "dense_forward_flops",
     "sparse_forward_flops",
     "local_training_flops",
     "local_round_cost",
@@ -27,18 +24,13 @@ __all__ = [
     "validate_sparse_ratio",
     "units_to_keep",
     "pattern_from_scores",
-    "importance_threshold",
-    "full_pattern",
     "build_parameter_mask",
-    "pattern_keep_ratio",
     "per_layer_keep_ratio",
-    "pattern_overlap",
     "gates_from_pattern",
     "random_pattern",
     "ordered_pattern",
     "rolling_pattern",
     "magnitude_pattern",
-    "importance_pattern",
     "depth_pattern",
     "heuristic_pattern",
     "PATTERN_STRATEGIES",

@@ -40,11 +40,6 @@ class SparseCost:
                           self.download_bytes * factor)
 
 
-def dense_forward_flops(model: Sequential) -> int:
-    """Forward FLOPs of the dense model for a single example."""
-    return model.flops_per_example()
-
-
 def sparse_forward_flops(model: Sequential,
                          pattern: Optional[Mapping[str, np.ndarray]] = None,
                          uniform_ratio: Optional[float] = None) -> float:

@@ -66,36 +66,12 @@ def pattern_from_scores(model: Sequential, scores: Mapping[str, np.ndarray],
     return pattern
 
 
-def importance_threshold(scores: np.ndarray, ratio: float) -> float:
-    """The ``(1 - s)``-quantile threshold ``tau`` of Eq. (4) for one layer."""
-    ratio = validate_sparse_ratio(ratio)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("cannot compute a threshold over zero units")
-    return float(np.quantile(scores, 1.0 - ratio))
-
-
-def full_pattern(model: Sequential) -> UnitPattern:
-    """A pattern keeping every unit (the dense model)."""
-    return {group.layer_name: np.ones(group.n_units, dtype=bool)
-            for group in model.unit_groups}
-
-
 def build_parameter_mask(model: Sequential, pattern: Mapping[str, np.ndarray]
                          ) -> ParamMask:
     """Expand a unit pattern into a parameter-level binary mask, ``M(P|omega, s)``."""
     unit_masks = {name: np.asarray(mask, dtype=np.float64)
                   for name, mask in pattern.items()}
     return model.expand_unit_masks(unit_masks)
-
-
-def pattern_keep_ratio(pattern: Mapping[str, np.ndarray]) -> float:
-    """Fraction of units retained across the whole pattern."""
-    total = sum(int(np.asarray(mask).size) for mask in pattern.values())
-    kept = sum(int(np.count_nonzero(mask)) for mask in pattern.values())
-    if total == 0:
-        return 1.0
-    return kept / total
 
 
 def per_layer_keep_ratio(pattern: Mapping[str, np.ndarray]) -> Dict[str, float]:
@@ -105,19 +81,6 @@ def per_layer_keep_ratio(pattern: Mapping[str, np.ndarray]) -> Dict[str, float]:
         mask = np.asarray(mask)
         ratios[name] = float(np.count_nonzero(mask)) / mask.size if mask.size else 1.0
     return ratios
-
-
-def pattern_overlap(left: Mapping[str, np.ndarray],
-                    right: Mapping[str, np.ndarray]) -> float:
-    """Jaccard overlap between two patterns' retained unit sets."""
-    intersection = 0
-    union = 0
-    for name in left:
-        a = np.asarray(left[name], dtype=bool)
-        b = np.asarray(right[name], dtype=bool)
-        intersection += int(np.count_nonzero(a & b))
-        union += int(np.count_nonzero(a | b))
-    return intersection / union if union else 1.0
 
 
 def gates_from_pattern(pattern: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:

@@ -10,7 +10,7 @@ abstraction so the ablation benches (Figure 9a) can compare them directly.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -70,12 +70,6 @@ def magnitude_pattern(model: Sequential, ratio: float) -> UnitPattern:
     validate_sparse_ratio(ratio)
     magnitudes = model.unit_weight_magnitudes()
     return pattern_from_scores(model, magnitudes, ratio)
-
-
-def importance_pattern(model: Sequential, importance: Mapping[str, np.ndarray],
-                       ratio: float) -> UnitPattern:
-    """Keep the units with the largest learned importance scores (Eq. 4)."""
-    return pattern_from_scores(model, importance, ratio)
 
 
 def depth_pattern(model: Sequential, ratio: float) -> UnitPattern:

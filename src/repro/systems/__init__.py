@@ -5,18 +5,15 @@ from .devices import (CAPABILITY_LEVELS, DEFAULT_BANDWIDTH_LEVELS,
                       HETEROGENEITY_PRESETS, MIN_AFFORDABLE_RATIO,
                       REFERENCE_BANDWIDTH_BYTES, REFERENCE_FLOPS_PER_SECOND,
                       DeviceFleet, DeviceProfile, VirtualDeviceFleet,
-                      affordable_ratio, fleet_for_heterogeneity,
-                      sample_device_fleet, sample_device_profile)
+                      affordable_ratio, sample_device_profile)
 from .metrics import RoundRecord, TrainingHistory
 
 __all__ = [
     "DeviceProfile",
     "DeviceFleet",
     "VirtualDeviceFleet",
-    "sample_device_fleet",
     "sample_device_profile",
     "DEFAULT_BANDWIDTH_LEVELS",
-    "fleet_for_heterogeneity",
     "CAPABILITY_LEVELS",
     "HETEROGENEITY_PRESETS",
     "MIN_AFFORDABLE_RATIO",

@@ -112,11 +112,8 @@ class DeviceFleet:
         ids.flags.writeable = False
         return ids
 
-    def capabilities(self) -> Dict[int, float]:
-        return {cid: profile.capability for cid, profile in self.profiles.items()}
 
-
-#: default bandwidth tiers of :func:`sample_device_fleet`
+#: default bandwidth tiers of a sampled fleet
 DEFAULT_BANDWIDTH_LEVELS = (1.0, 0.75, 0.5)
 
 
@@ -139,14 +136,15 @@ def sample_device_profile(client_id: int, *,
                           ) -> DeviceProfile:
     """One client's profile, pure in ``(seed, client_id)``.
 
-    Bit-identical to the profile :func:`sample_device_fleet` assigns the
-    same client: the eager sampler draws ``choice(levels)`` then
-    ``choice(bandwidth_levels)`` per client from one sequential PCG64
-    stream, and each bounded ``choice`` over a non-singleton population
-    consumes exactly one buffered 32-bit half of a 64-bit PCG64 word (a
-    singleton population consumes nothing).  Jumping the bit generator to
-    client ``k``'s half-word offset with ``advance`` therefore reproduces
-    the sequential draws without generating clients ``0..k-1``.
+    Bit-identical to the profile the eager federation's sequential sampler
+    (``tests/eager_data.py``) assigns the same client: it draws
+    ``choice(levels)`` then ``choice(bandwidth_levels)`` per client from one
+    sequential PCG64 stream, and each bounded ``choice`` over a
+    non-singleton population consumes exactly one buffered 32-bit half of a
+    64-bit PCG64 word (a singleton population consumes nothing).  Jumping
+    the bit generator to client ``k``'s half-word offset with ``advance``
+    therefore reproduces the sequential draws without generating clients
+    ``0..k-1``.
 
     This deliberately mirrors the historical stream instead of seeding an
     independent generator per client, because the contract is bit-identity
@@ -185,9 +183,8 @@ class VirtualDeviceFleet(DeviceFleet):
 
     Profiles come from :func:`sample_device_profile`, so any client's device
     is available in O(1) without sampling the rest of the fleet and matches
-    :func:`sample_device_fleet` bit-for-bit.  A small memo keeps the current
-    working set of profiles; ``capabilities()`` (an O(N) summary) remains
-    available but materializes every profile.
+    the sequential sampler of ``tests/eager_data.py`` bit-for-bit.  A small
+    memo keeps the current working set of profiles.
     """
 
     #: memoized profiles kept per fleet (a cohort plus slack)
@@ -232,9 +229,6 @@ class VirtualDeviceFleet(DeviceFleet):
             self._ids = ids
         return ids
 
-    def capabilities(self) -> Dict[int, float]:
-        return {cid: self[cid].capability for cid in range(self.num_clients)}
-
     def __getstate__(self) -> Dict[str, object]:
         # the memo is a cache, not state: ship only the pure description so
         # broadcast payloads stay O(1) regardless of fleet size
@@ -246,38 +240,3 @@ class VirtualDeviceFleet(DeviceFleet):
         self.__init__(state["num_clients"], levels=state["levels"],
                       dynamic=state["dynamic"], seed=state["seed"],
                       bandwidth_levels=state["bandwidth_levels"])
-
-
-def sample_device_fleet(num_clients: int, *, levels: Sequence[float] = CAPABILITY_LEVELS,
-                        dynamic: bool = False, seed: int = 0,
-                        bandwidth_levels: Sequence[float] = DEFAULT_BANDWIDTH_LEVELS
-                        ) -> DeviceFleet:
-    """Sample a fleet of devices with capabilities drawn uniformly from ``levels``.
-
-    This mirrors the paper's configuration: capability levels are sampled
-    uniformly across clients, and bandwidth varies moderately and
-    independently of compute.  This sequential O(N) sampler is the
-    reference that :class:`VirtualDeviceFleet` reproduces, profile for
-    profile, in O(1) per client.
-    """
-    _check_fleet(num_clients, levels, bandwidth_levels, seed)
-    rng = np.random.default_rng(seed)
-    profiles: Dict[int, DeviceProfile] = {}
-    for client_id in range(num_clients):
-        capability = float(rng.choice(levels))
-        bandwidth = float(rng.choice(bandwidth_levels))
-        profiles[client_id] = DeviceProfile(
-            client_id=client_id, capability=capability,
-            bandwidth_scale=bandwidth, dynamic=dynamic)
-    return DeviceFleet(profiles)
-
-
-def fleet_for_heterogeneity(num_clients: int, level: str, *, dynamic: bool = False,
-                            seed: int = 0) -> DeviceFleet:
-    """Build a fleet for one of the paper's heterogeneity presets."""
-    if level not in HETEROGENEITY_PRESETS:
-        raise ValueError(
-            f"unknown heterogeneity level {level!r}; "
-            f"choose from {sorted(HETEROGENEITY_PRESETS)}")
-    return sample_device_fleet(num_clients, levels=HETEROGENEITY_PRESETS[level],
-                               dynamic=dynamic, seed=seed)

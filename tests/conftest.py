@@ -7,8 +7,10 @@ import pytest
 
 from repro.data import build_federated_dataset
 from repro.federated import FederatedConfig
-from repro.models import build_cnn, build_mlp
-from repro.systems import sample_device_fleet
+from repro.models import build_cnn
+
+from eager_data import sample_device_fleet
+from mlp import build_mlp
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,9 @@
-"""Tests for Dataset, DataLoader and the federated containers."""
+"""Tests for Dataset and the federated containers."""
 
 import numpy as np
 import pytest
 
-from repro.data import ClientData, DataLoader, Dataset, FederatedDataset
+from repro.data import ClientData, Dataset, FederatedDataset
 
 
 def make_dataset(n=20, num_classes=4, seed=0):
@@ -46,36 +46,6 @@ class TestDataset:
         a_train, _ = ds.split(0.2, seed=3)
         b_train, _ = ds.split(0.2, seed=3)
         np.testing.assert_array_equal(a_train.y, b_train.y)
-
-
-class TestDataLoader:
-    def test_batches_cover_all_examples(self):
-        ds = make_dataset(23)
-        loader = DataLoader(ds, batch_size=5, shuffle=False)
-        total = sum(len(y) for _, y in loader)
-        assert total == 23
-        assert len(loader) == 5
-
-    def test_drop_last(self):
-        ds = make_dataset(23)
-        loader = DataLoader(ds, batch_size=5, drop_last=True)
-        sizes = [len(y) for _, y in loader]
-        assert all(size == 5 for size in sizes)
-        assert len(loader) == 4
-
-    def test_shuffling_changes_order_between_epochs(self):
-        ds = make_dataset(50)
-        loader = DataLoader(ds, batch_size=50, shuffle=True, seed=0)
-        first = next(iter(loader))[1]
-        second = next(iter(loader))[1]
-        assert not np.array_equal(first, second)
-
-    def test_invalid_arguments(self):
-        ds = make_dataset(5)
-        with pytest.raises(ValueError):
-            DataLoader(ds, batch_size=0)
-        with pytest.raises(ValueError):
-            DataLoader(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)), 2)
 
 
 class TestFederatedContainers:

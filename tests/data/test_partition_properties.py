@@ -4,21 +4,17 @@ The invariants every partitioner must uphold:
 
 * the client index sets are pairwise disjoint,
 * together they cover the dataset exactly (no example lost or duplicated),
-* the pathological partition gives each client at most ``classes_per_client``
-  distinct labels (and exactly that many when the data allows it),
 * the Dirichlet partition honours its ``min_examples`` floor.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import Dataset
-from repro.data.partition import (dirichlet_partition, iid_partition,
-                                  pathological_partition)
+from repro.data.partition import dirichlet_partition, iid_partition
 
 
 def label_dataset(num_classes: int, examples_per_class: int,
@@ -53,55 +49,6 @@ def test_iid_partition_is_an_exact_cover(num_clients, num_classes,
     # the deal is even: client sizes differ by at most one example
     sizes = [len(part) for part in partitions]
     assert max(sizes) - min(sizes) <= 1
-
-
-@given(num_clients=st.integers(min_value=1, max_value=10),
-       num_classes=st.integers(min_value=2, max_value=6),
-       classes_per_client=st.integers(min_value=1, max_value=6),
-       examples_per_class=st.integers(min_value=6, max_value=14),
-       seed=st.integers(min_value=0, max_value=1000))
-@settings(max_examples=40, deadline=None)
-def test_pathological_partition_properties(num_clients, num_classes,
-                                           classes_per_client,
-                                           examples_per_class, seed):
-    classes_per_client = min(classes_per_client, num_classes)
-    dataset = label_dataset(num_classes, examples_per_class, seed)
-    if num_clients * classes_per_client < num_classes:
-        # coverage is impossible: rejecting beats silently dropping classes
-        with pytest.raises(ValueError):
-            pathological_partition(dataset, num_clients, classes_per_client,
-                                   seed=seed)
-        return
-    partitions = pathological_partition(dataset, num_clients,
-                                        classes_per_client, seed=seed)
-    assert len(partitions) == num_clients
-    assert_exact_cover(partitions, dataset)
-    labels = dataset.y
-    for part in partitions:
-        distinct = np.unique(labels[np.asarray(part, dtype=np.int64)]) \
-            if len(part) else np.zeros(0)
-        # label-skew contract: never more classes than requested
-        assert len(distinct) <= classes_per_client
-
-
-@given(num_classes=st.integers(min_value=2, max_value=6),
-       examples_per_class=st.integers(min_value=6, max_value=14),
-       seed=st.integers(min_value=0, max_value=1000))
-@settings(max_examples=25, deadline=None)
-def test_pathological_partition_uses_all_requested_classes(
-        num_classes, examples_per_class, seed):
-    # with one client per class bundle and ample data, every client gets
-    # exactly classes_per_client distinct labels
-    dataset = label_dataset(num_classes, examples_per_class, seed)
-    classes_per_client = 2 if num_classes >= 2 else 1
-    partitions = pathological_partition(dataset, num_clients=num_classes,
-                                        classes_per_client=classes_per_client,
-                                        seed=seed)
-    labels = dataset.y
-    for part in partitions:
-        assert len(part) > 0
-        distinct = np.unique(labels[np.asarray(part, dtype=np.int64)])
-        assert len(distinct) == classes_per_client
 
 
 @given(num_clients=st.integers(min_value=2, max_value=8),
@@ -144,9 +91,6 @@ def test_dirichlet_raises_rather_than_violating_min_size():
 @settings(max_examples=25, deadline=None)
 def test_partitions_are_deterministic_in_the_seed(num_clients, seed):
     dataset = label_dataset(3, 8, seed)
-    for partition in (lambda: iid_partition(dataset, num_clients, seed=seed),
-                      lambda: pathological_partition(dataset, num_clients, 2,
-                                                     seed=seed)):
-        first = partition()
-        second = partition()
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    first = iid_partition(dataset, num_clients, seed=seed)
+    second = iid_partition(dataset, num_clients, seed=seed)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))

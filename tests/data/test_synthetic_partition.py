@@ -7,8 +7,6 @@ from repro.data import (IMAGE_SPECS, Dataset, build_federated_dataset,
                         dirichlet_partition, iid_partition,
                         make_image_classification,
                         make_personalized_image_shards,
-                        pathological_partition,
-                        pathological_partition_missing_classes,
                         partition_to_clients, synthetic_mnist,
                         synthetic_reddit, synthetic_reddit_users)
 from repro.data.synthetic import TextSpec
@@ -95,31 +93,6 @@ class TestPartitioners:
         parts = iid_partition(ds, 7, seed=0)
         joined = np.sort(np.concatenate(parts))
         np.testing.assert_array_equal(joined, np.arange(100))
-
-    def test_pathological_limits_classes_per_client(self):
-        ds = _pooled(400, classes=10)
-        parts = pathological_partition(ds, 10, 2, seed=0)
-        for indices in parts:
-            assert len(np.unique(ds.y[indices])) <= 2
-
-    def test_pathological_partitions_are_disjoint(self):
-        ds = _pooled(400, classes=10)
-        parts = pathological_partition(ds, 10, 2, seed=0)
-        joined = np.concatenate(parts)
-        assert len(joined) == len(np.unique(joined))
-
-    def test_pathological_invalid_classes(self):
-        ds = _pooled(100, classes=4)
-        with pytest.raises(ValueError):
-            pathological_partition(ds, 5, 9)
-
-    def test_missing_classes_wrapper(self):
-        ds = _pooled(400, classes=10)
-        parts = pathological_partition_missing_classes(ds, 8, 8, seed=0)
-        for indices in parts:
-            assert len(np.unique(ds.y[indices])) <= 2
-        with pytest.raises(ValueError):
-            pathological_partition_missing_classes(ds, 8, 10)
 
     def test_dirichlet_partition_respects_min_examples(self):
         ds = _pooled(500, classes=5)

@@ -7,8 +7,7 @@ import json
 import pytest
 
 from repro.experiments import (ResultCache, preset_for, run_grid, run_jobs,
-                               run_method, run_methods, run_spec, scaled,
-                               spec_key)
+                               run_method, run_spec, scaled, spec_key)
 from repro.parallel import resolve_executor
 
 TINY = dict(num_clients=4, num_rounds=2, clients_per_round=2,
@@ -128,14 +127,15 @@ class TestResultCache:
 
 
 class TestCachedSweeps:
-    def test_run_methods_is_incremental(self, tmp_path):
+    def test_run_jobs_is_incremental(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = run_methods(["fedavg", "fedlps"], tiny_preset(), cache=cache)
+        specs = [(method, tiny_preset(), None) for method in ("fedavg", "fedlps")]
+        first = run_jobs(specs, cache=cache)
         assert cache.misses == 2 and cache.hits == 0
-        second = run_methods(["fedavg", "fedlps"], tiny_preset(), cache=cache)
+        second = run_jobs(specs, cache=cache)
         assert cache.hits == 2
-        for method in first:
-            assert first[method].to_dict() == second[method].to_dict()
+        for was, now in zip(first, second):
+            assert was.to_dict() == now.to_dict()
 
     def test_run_grid_covers_the_grid(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -9,7 +9,7 @@ from repro.experiments import (DATASETS, ExperimentPreset, ResultCache,
                                accuracy_vs_flops, build_experiment, format_rows,
                                heterogeneity_sweep, noniid_level_sweep,
                                pattern_ratio_sweep, preset_for, run_grid,
-                               run_method, run_methods, scaled, summarize,
+                               run_jobs, run_method, scaled, summarize,
                                table1_accuracy_flops, table2_ablation,
                                time_to_accuracy)
 from repro.federated import FederatedConfig
@@ -128,10 +128,10 @@ class TestRunner:
         assert summary["sim_time_seconds"] == pytest.approx(
             summary["total_time_seconds"])
 
-    def test_run_methods_multiple(self):
+    def test_run_jobs_runs_several_methods(self):
         preset = scaled(preset_for("mnist"), **TINY)
-        histories = run_methods(["fedavg", "fedlps"], preset)
-        assert set(histories) == {"fedavg", "fedlps"}
+        histories = run_jobs([("fedavg", preset, None), ("fedlps", preset, None)])
+        assert [history.method for history in histories] == ["fedavg", "fedlps"]
 
     def test_run_grid_codec_axis_matches_run_method(self):
         grid = run_grid(["fedavg", "fedlps"], ["mnist"],

@@ -19,8 +19,7 @@ from repro.experiments import preset_for, scaled
 from repro.federated.trainer import FederatedTrainer
 from repro.baselines import build_strategy
 from repro.experiments.presets import build_experiment
-from repro.parallel import (ThreadPoolExecutor, broadcast_stats,
-                            reset_broadcast_stats)
+from repro.parallel import ThreadPoolExecutor, broadcast_stats
 
 from eager_data import build_eager_experiment, on_both_federations
 
@@ -43,7 +42,7 @@ class TestBytesPerRound:
         dataset, model_builder, config, fleet = build_experiment(preset)
         strategy = build_strategy("fedavg")
         task_payload_sizes = []
-        reset_broadcast_stats()
+        before = broadcast_stats()
         with ThreadPoolExecutor(WORKERS) as executor:
             executor.payload_witness = \
                 lambda item: task_payload_sizes.append(_dumps_size(item))
@@ -51,7 +50,8 @@ class TestBytesPerRound:
                                        config=config, fleet=fleet,
                                        executor=executor)
             trainer.run()
-        stats = broadcast_stats()
+        stats = {key: value - before[key]
+                 for key, value in broadcast_stats().items()}
         params_size = _dumps_size(strategy.global_params)
         rounds = config.num_rounds
 
@@ -85,7 +85,7 @@ class TestBytesPerRound:
         dataset, model_builder, config, fleet = build_experiment(preset)
         strategy = build_strategy("fedavg")
         sizes = []
-        reset_broadcast_stats()
+        before = broadcast_stats()["blob_bytes"]
         with ThreadPoolExecutor(WORKERS) as executor:
             executor.payload_witness = \
                 lambda item: sizes.append(_dumps_size(item))
@@ -93,7 +93,7 @@ class TestBytesPerRound:
                                        config=config, fleet=fleet,
                                        executor=executor)
             trainer.run()
-            blob_bytes = broadcast_stats()["blob_bytes"]
+            blob_bytes = broadcast_stats()["blob_bytes"] - before
             # the session blob (model architecture, fleet, config) is a
             # once-per-run payload, not round traffic
             session_blob = trainer._session_handle().blob_nbytes

@@ -46,8 +46,7 @@ def build_trainer(method, preset, *, executor=None):
 
 
 def per_client(model, evaluations, test_sets):
-    return [evaluate_params(model, params, dataset,
-                            pattern=pattern)["accuracy"]
+    return [evaluate_params(model, params, dataset, pattern=pattern)
             for (params, pattern), dataset in zip(evaluations, test_sets)]
 
 

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager_data import run_method_eager_data
+from eager_data import run_method_eager_data, sample_device_fleet
 from repro.baselines import build_strategy
 from repro.data import build_federated_dataset
 from repro.data.partition import VirtualFederatedDataset
@@ -40,8 +40,7 @@ from repro.federated.strategy import Strategy
 from repro.models import build_model_for_dataset
 from repro.server.core import ServerCore
 from repro.systems.devices import (CAPABILITY_LEVELS, HETEROGENEITY_PRESETS,
-                                   VirtualDeviceFleet, sample_device_fleet,
-                                   sample_device_profile)
+                                   VirtualDeviceFleet, sample_device_profile)
 
 #: every partitioner registered with ``build_federated_dataset``
 PARTITIONERS = ("pathological", "dirichlet", "iid")
@@ -503,4 +502,4 @@ def test_the_lazy_switch_family_is_gone():
     with pytest.raises(TypeError):
         ClientFleet(dataset, devices, lazy=False)
     with pytest.raises(TypeError):
-        sample_device_fleet(4, seed=1, lazy=True)
+        VirtualDeviceFleet(4, seed=1, lazy=True)

@@ -154,14 +154,13 @@ class TestProcessBackendDeterminism:
     def test_sweep_jobs_through_processes(self, pool):
         # the acceptance-criteria scenario: a >=2-method sweep dispatched as
         # whole-run jobs through a 2-worker process pool
-        from repro.experiments import run_methods
+        from repro.experiments import run_jobs
 
-        reference = run_methods(["fedavg", "fedlps"], tiny_preset())
-        candidate = run_methods(["fedavg", "fedlps"], tiny_preset(),
-                                executor=pool)
-        assert set(reference) == set(candidate)
-        for method in reference:
-            assert_histories_identical(reference[method], candidate[method])
+        specs = [(method, tiny_preset(), None) for method in ("fedavg", "fedlps")]
+        reference = run_jobs(specs)
+        candidate = run_jobs(specs, executor=pool)
+        for want, got in zip(reference, candidate, strict=True):
+            assert_histories_identical(want, got)
 
 
 class TestStrategyPickling:

@@ -10,7 +10,7 @@ from repro.federated import (Client, FederatedConfig, FederatedTrainer,
                              Strategy, run_federated)
 from repro.models import build_model_for_dataset
 from repro.nn.params import copy_params
-from repro.systems import DeviceProfile, sample_device_fleet
+from repro.systems import DeviceProfile, VirtualDeviceFleet
 
 
 class TestFederatedConfig:
@@ -166,7 +166,7 @@ class TestTrainer:
         assert history.cumulative_time == sorted(history.cumulative_time)
 
     def test_fleet_size_mismatch_rejected(self, small_fed_dataset, tiny_config):
-        fleet = sample_device_fleet(3, seed=0)
+        fleet = VirtualDeviceFleet(3, seed=0)
         with pytest.raises(ValueError):
             FederatedTrainer(Strategy(), small_fed_dataset,
                              lambda: build_model_for_dataset("mnist"),

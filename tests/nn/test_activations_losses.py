@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import (Dropout, Embedding, Flatten, ReLU, Sigmoid, Tanh, accuracy,
-                      mean_squared_error, sigmoid, softmax,
-                      softmax_cross_entropy)
+from repro.nn import (Embedding, Flatten, ReLU, Sigmoid, Tanh, accuracy, sigmoid,
+                      softmax, softmax_cross_entropy)
 
 
 class TestActivations:
@@ -52,21 +51,6 @@ class TestActivations:
         assert out.shape == (2, 12)
         back = layer.backward(out)
         np.testing.assert_array_equal(back, x)
-
-    def test_dropout_disabled_at_eval(self):
-        layer = Dropout(0.5, seed=0)
-        x = np.ones((4, 10))
-        np.testing.assert_array_equal(layer.forward(x, train=False), x)
-
-    def test_dropout_scales_kept_values(self):
-        layer = Dropout(0.5, seed=0)
-        out = layer.forward(np.ones((1000, 1)), train=True)
-        kept = out[out > 0]
-        np.testing.assert_allclose(kept, 2.0)
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestEmbedding:
@@ -136,17 +120,6 @@ class TestLosses:
     def test_cross_entropy_shape_mismatch(self):
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((2, 3)), np.zeros(3, dtype=int))
-
-    def test_mse_value_and_gradient(self):
-        predictions = np.array([[1.0, 2.0]])
-        targets = np.array([[0.0, 0.0]])
-        loss, grad = mean_squared_error(predictions, targets)
-        assert loss == pytest.approx(2.5)
-        np.testing.assert_allclose(grad, [[1.0, 2.0]])
-
-    def test_mse_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mean_squared_error(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_accuracy(self):
         logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])

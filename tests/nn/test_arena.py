@@ -17,11 +17,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.models import build_cnn, build_mlp
+from repro.models import build_cnn
 from repro.nn import (Arena, BatchedModel, BatchedSGD, cohort_squared_norms,
                       softmax_cross_entropy)
 from repro.nn.batched import CohortOfOne
 from repro.sparsity import gates_from_pattern, random_pattern
+
+from mlp import build_mlp
 
 
 def _cnn():

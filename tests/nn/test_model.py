@@ -5,11 +5,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.models import (build_cnn, build_lstm_lm, build_mlp,
-                          build_model_for_dataset, build_vgg_style)
+from repro.models import (build_cnn, build_lstm_lm, build_model_for_dataset,
+                          build_vgg_style)
 from repro.nn import BatchedSGD, Dense, Sequential, softmax_cross_entropy
 from repro.nn.batched import CohortOfOne
-from repro.nn.serialization import load_parameters, save_parameters
+
+from mlp import build_mlp
 
 
 class TestSequentialBasics:
@@ -183,17 +184,3 @@ class TestPickling:
         expected = model.get_parameters()
         for key, value in clone.get_parameters().items():
             assert value.tobytes() == expected[key].tobytes()
-
-
-class TestSerialization:
-    def test_save_and_load_roundtrip(self, small_mlp, tmp_path):
-        params = small_mlp.get_parameters()
-        path = save_parameters(tmp_path / "snapshot", params)
-        loaded = load_parameters(path)
-        assert set(loaded) == set(params)
-        for key in params:
-            np.testing.assert_array_equal(loaded[key], params[key])
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_parameters(tmp_path / "missing.npz")

@@ -111,10 +111,6 @@ class TestParamHelpers:
         assert P.num_parameters(self.a) == 3
         assert P.count_nonzero({"x": np.array([0.0, 1.0, 2.0])}) == 2
 
-    def test_flatten_sorted_by_key(self):
-        flat = P.flatten({"b": np.array([2.0]), "a": np.array([1.0])})
-        np.testing.assert_allclose(flat, [1.0, 2.0])
-
     def test_zeros_like(self):
         zeros = P.zeros_like(self.a)
         assert all(np.all(v == 0) for v in zeros.values())

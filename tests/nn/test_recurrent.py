@@ -1,9 +1,9 @@
-"""Unit tests for the recurrent layers (RNN, LSTM, LastTimestep)."""
+"""Unit tests for the recurrent layers (LSTM, LastTimestep)."""
 
 import numpy as np
 import pytest
 
-from repro.nn import LSTM, RNN, LastTimestep
+from repro.nn import LSTM, LastTimestep
 
 
 def numeric_gradient(f, x, eps=1e-6):
@@ -22,64 +22,46 @@ def numeric_gradient(f, x, eps=1e-6):
     return grad
 
 
-@pytest.mark.parametrize("layer_cls", [RNN, LSTM])
-class TestRecurrentCommon:
-    def test_output_shape(self, layer_cls):
-        layer = layer_cls(3, 5, name="r")
+class TestLSTMCommon:
+    def test_output_shape(self):
+        layer = LSTM(3, 5, name="r")
         out = layer.forward(np.ones((2, 7, 3)))
         assert out.shape == (2, 7, 5)
 
-    def test_rejects_wrong_input_dim(self, layer_cls):
-        layer = layer_cls(3, 5, name="r")
+    def test_rejects_wrong_input_dim(self):
+        layer = LSTM(3, 5, name="r")
         with pytest.raises(ValueError):
             layer.forward(np.ones((2, 7, 4)))
 
-    def test_n_units_is_hidden_dim(self, layer_cls):
-        assert layer_cls(3, 5, name="r").n_units == 5
+    def test_n_units_is_hidden_dim(self):
+        assert LSTM(3, 5, name="r").n_units == 5
 
-    def test_gate_zeroes_hidden_units(self, layer_cls):
-        layer = layer_cls(3, 4, name="r")
+    def test_gate_zeroes_hidden_units(self):
+        layer = LSTM(3, 4, name="r")
         gate = np.array([1.0, 0.0, 1.0, 0.0])
         layer.set_unit_gate(gate)
         out = layer.forward(np.random.default_rng(0).standard_normal((2, 5, 3)))
         assert np.all(out[:, :, 1] == 0.0)
         assert np.all(out[:, :, 3] == 0.0)
 
-    def test_backward_returns_input_shaped_gradient(self, layer_cls):
-        layer = layer_cls(3, 4, name="r")
+    def test_backward_returns_input_shaped_gradient(self):
+        layer = LSTM(3, 4, name="r")
         x = np.random.default_rng(0).standard_normal((2, 5, 3))
         out = layer.forward(x)
         grad_in = layer.backward(np.ones_like(out))
         assert grad_in.shape == x.shape
 
-    def test_unit_weight_magnitude_positive(self, layer_cls):
-        layer = layer_cls(3, 4, name="r")
+    def test_unit_weight_magnitude_positive(self):
+        layer = LSTM(3, 4, name="r")
         magnitude = layer.unit_weight_magnitude()
         assert magnitude.shape == (4,)
         assert np.all(magnitude >= 0)
 
-    def test_flops_scale_with_sequence_length(self, layer_cls):
-        layer = layer_cls(3, 4, name="r")
+    def test_flops_scale_with_sequence_length(self):
+        layer = LSTM(3, 4, name="r")
         short, _ = layer.flops_per_example((5, 3))
         long, _ = layer.flops_per_example((10, 3))
         assert long == 2 * short
-
-
-class TestRNNGradients:
-    def test_wx_gradient_matches_numeric(self):
-        rng = np.random.default_rng(0)
-        layer = RNN(2, 3, name="r", rng=rng)
-        x = rng.standard_normal((2, 4, 2))
-        target = rng.standard_normal((2, 4, 3))
-
-        def loss():
-            return 0.5 * float(np.sum((layer.forward(x) - target) ** 2))
-
-        layer.zero_grad()
-        out = layer.forward(x)
-        layer.backward(out - target)
-        numeric = numeric_gradient(loss, layer.params["Wx"])
-        np.testing.assert_allclose(layer.grads["Wx"], numeric, atol=1e-5)
 
 
 class TestLSTMGradients:

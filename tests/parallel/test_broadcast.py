@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from repro.parallel import (Broadcast, broadcast_stats, materialize,
-                            reset_broadcast_stats, resolve_codec)
+                            resolve_codec)
 from repro.parallel import broadcast as broadcast_module
 
 
-@pytest.fixture(autouse=True)
-def fresh_stats():
-    reset_broadcast_stats()
-    yield
-    reset_broadcast_stats()
+@pytest.fixture
+def stats_delta():
+    """The broadcast counters' change since the test started."""
+    before = broadcast_stats()
+    return lambda: {key: value - before[key]
+                    for key, value in broadcast_stats().items()}
 
 
 @pytest.fixture(autouse=True)
@@ -89,7 +90,7 @@ class TestRoundTrip:
                 np.asarray(expected[key]).tobytes()
             assert not got_params[key].flags.writeable
 
-    def test_encoded_broadcast_param_bytes_count_wire_bytes(self):
+    def test_encoded_broadcast_param_bytes_count_wire_bytes(self, stats_delta):
         """The param_bytes stat measures the encoded (wire) size."""
         rng = np.random.default_rng(1)
         residual = np.where(rng.random((64, 64)) < 0.2,
@@ -98,7 +99,7 @@ class TestRoundTrip:
         assert encoded.wire_nbytes < encoded.dense_nbytes
         with Broadcast(None, encoded_params=encoded, round_index=0):
             pass
-        stats = broadcast_stats()
+        stats = stats_delta()
         assert stats["param_bytes"] == encoded.wire_nbytes
 
     def test_params_and_encoded_params_are_exclusive(self):
@@ -145,13 +146,13 @@ class TestHandle:
 
 
 class TestWorkerCache:
-    def test_second_materialize_is_a_cache_hit(self):
+    def test_second_materialize_is_a_cache_hit(self, stats_delta):
         with Broadcast("payload", sample_params(), round_index=5) as broadcast:
             first = materialize(broadcast.handle)
         # segment is unlinked now: only the cache can serve this handle
         second = materialize(broadcast.handle)
         assert second[1] is first[1]
-        stats = broadcast_stats()
+        stats = stats_delta()
         assert stats["materializations"] == 1
         assert stats["materialize_hits"] == 1
 
@@ -169,14 +170,14 @@ class TestWorkerCache:
 
 
 class TestStats:
-    def test_publish_counters(self):
+    def test_publish_counters(self, stats_delta):
         params = sample_params()
         raw = sum(np.ascontiguousarray(v).nbytes for v in params.values())
         with Broadcast("payload", params):
             pass
         with Broadcast("payload-only"):
             pass
-        stats = broadcast_stats()
+        stats = stats_delta()
         assert stats["publishes"] == 2
         assert stats["param_packs"] == 1
         assert stats["param_bytes"] == raw

@@ -18,9 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.federated.aggregation import aggregate_residuals, masked_average
 from repro.nn.params import weighted_average
 from repro.parallel.sharding import (ShardPlan, active_plan, partition_keys,
-                                     reset_shard_stats, shard_of_key,
-                                     shard_plan, shard_stats, shard_view,
-                                     sharded_weighted_average)
+                                     shard_of_key, shard_plan, shard_stats,
+                                     shard_view, sharded_weighted_average)
 
 #: frozen assignments of the production manifest keys — a changed digest
 #: or modulus would silently repartition live deployments, so the exact
@@ -110,21 +109,22 @@ class TestShardPlanScope:
             ShardPlan(0)
 
     def test_stats_accumulate_per_count(self):
-        reset_shard_stats()
+        before = shard_stats()
         rng = np.random.default_rng(0)
         dicts = [_params(rng, KEYS) for _ in range(3)]
         for shards in (2, 2, 4):
             with shard_plan(shards):
                 weighted_average(dicts, [1.0, 2.0, 3.0])
         stats = shard_stats()
-        assert stats["reductions"] == 3
-        assert set(stats["per_shard_bytes"]) == {2, 4}
+        assert stats["reductions"] - before["reductions"] == 3
+        added = {count: sum(values)
+                 - sum(before["per_shard_bytes"].get(count, []))
+                 for count, values in stats["per_shard_bytes"].items()}
+        assert {count for count, nbytes in added.items() if nbytes} == {2, 4}
         assert len(stats["per_shard_bytes"][2]) == 2
         assert len(stats["per_shard_bytes"][4]) == 4
-        assert sum(stats["per_shard_bytes"][2]) \
-            + sum(stats["per_shard_bytes"][4]) == stats["reduce_bytes"]
-        reset_shard_stats()
-        assert shard_stats()["reductions"] == 0
+        assert sum(added.values()) \
+            == stats["reduce_bytes"] - before["reduce_bytes"]
 
     def test_charge_is_result_bytes_times_updates(self):
         rng = np.random.default_rng(1)

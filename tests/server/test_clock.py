@@ -33,12 +33,6 @@ class TestEventQueue:
         with pytest.raises(IndexError):
             EventQueue().pop()
 
-    def test_peek_does_not_remove(self):
-        queue = EventQueue()
-        queue.push(event(1.0, 4))
-        assert queue.peek().client_id == 4
-        assert len(queue) == 1
-
     def test_len_and_bool(self):
         queue = EventQueue()
         assert not queue and len(queue) == 0

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.sparsity import SparseCost
-from repro.systems import (CAPABILITY_LEVELS, HETEROGENEITY_PRESETS,
-                           MIN_AFFORDABLE_RATIO, CostBreakdown, DeviceFleet,
-                           DeviceProfile, LocalCostModel, RoundRecord,
-                           TrainingHistory, affordable_ratio,
-                           fleet_for_heterogeneity, sample_device_fleet)
+from repro.systems import (CAPABILITY_LEVELS, MIN_AFFORDABLE_RATIO,
+                           CostBreakdown, DeviceFleet, DeviceProfile,
+                           LocalCostModel, RoundRecord, TrainingHistory,
+                           VirtualDeviceFleet, affordable_ratio)
 
 
 class TestDeviceProfile:
@@ -46,27 +45,21 @@ class TestDeviceProfile:
 
 class TestFleet:
     def test_sample_fleet_size_and_levels(self):
-        fleet = sample_device_fleet(20, seed=0)
+        fleet = VirtualDeviceFleet(20, seed=0)
         assert len(fleet) == 20
-        assert set(fleet.capabilities().values()) <= set(CAPABILITY_LEVELS)
+        assert {fleet[cid].capability for cid in range(20)} \
+            <= set(CAPABILITY_LEVELS)
 
     def test_fleet_lookup_errors(self):
-        fleet = sample_device_fleet(3, seed=0)
+        fleet = VirtualDeviceFleet(3, seed=0)
         with pytest.raises(KeyError):
             fleet[99]
 
-    def test_heterogeneity_presets(self):
-        for level, levels in HETEROGENEITY_PRESETS.items():
-            fleet = fleet_for_heterogeneity(10, level, seed=0)
-            assert set(fleet.capabilities().values()) <= set(levels)
-        with pytest.raises(ValueError):
-            fleet_for_heterogeneity(10, "extreme")
-
     def test_invalid_sampling(self):
         with pytest.raises(ValueError):
-            sample_device_fleet(0)
+            VirtualDeviceFleet(0)
         with pytest.raises(ValueError):
-            sample_device_fleet(5, levels=())
+            VirtualDeviceFleet(5, levels=())
 
     def test_device_fleet_container(self):
         fleet = DeviceFleet({0: DeviceProfile(0, 1.0)})

@@ -8,7 +8,7 @@ from repro.core import FedLPS
 from repro.data import build_federated_dataset
 from repro.federated import FederatedConfig, run_federated
 from repro.models import build_model_for_dataset
-from repro.systems import HETEROGENEITY_PRESETS, sample_device_fleet
+from repro.systems import HETEROGENEITY_PRESETS, VirtualDeviceFleet
 
 
 class TestEndToEnd:
@@ -60,7 +60,7 @@ class TestEndToEnd:
         times = {}
         for level in ("none", "high"):
             # fix the bandwidth so only the compute capability varies
-            fleet = sample_device_fleet(
+            fleet = VirtualDeviceFleet(
                 dataset.num_clients, levels=HETEROGENEITY_PRESETS[level],
                 bandwidth_levels=(1.0,), seed=2)
             history = run_federated(build_strategy("fedavg"), dataset, builder,

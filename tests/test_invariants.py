@@ -3,6 +3,7 @@ every rule fires, by name and ``file:line``, on a breach planted in a copy
 of the files it scans."""
 
 import importlib.util
+import re
 import shutil
 import sys
 from itertools import zip_longest
@@ -156,10 +157,76 @@ def test_rule_fires_on_a_planted_breach(name, tmp_path):
                for finding in findings), findings
 
 
+METRICS = "src/repro/systems/metrics.py"
+
+#: what dead-definitions let through when it counted words: each case is a
+#: list of plants (file, text to replace or None to append, planted text),
+#: the first of which is the unreached definition, and the name it defines
+DEAD_DEFINITION_HOLES = {
+    # the __init__ import and the __all__ entry are words, not readers
+    "named-only-by-a-package-re-export": ([
+        (METRICS, None, "def exported_helper():\n    return 0"),
+        ("src/repro/systems/__init__.py",
+         "from .metrics import RoundRecord, TrainingHistory",
+         "from .metrics import RoundRecord, TrainingHistory, exported_helper"),
+        ("src/repro/systems/__init__.py", '    "TrainingHistory",\n]',
+         '    "TrainingHistory",\n    "exported_helper",\n]'),
+    ], "exported_helper"),
+    # the word count read def lines only
+    "a-class-nobody-instantiates": ([
+        (METRICS, None,
+         'class OrphanedRecord:\n    """An OrphanedRecord nobody builds."""'),
+    ], "OrphanedRecord"),
+    # a getattr name is a string
+    "a-method-reached-only-through-getattr": ([
+        (METRICS, "    def as_rows(self",
+         "    def orphaned_probe(self):\n        return 0\n\n"
+         "    def as_rows(self"),
+        ("src/repro/experiments/tables.py", None,
+         'probe = getattr(TrainingHistory, "orphaned_probe")'),
+    ], "orphaned_probe"),
+}
+
+
+@pytest.mark.parametrize("hole", sorted(DEAD_DEFINITION_HOLES))
+def test_dead_definitions_sees_through_what_a_word_count_cannot(hole,
+                                                                tmp_path):
+    copy_scanned_files("dead-definitions", tmp_path)
+    plants, name = DEAD_DEFINITION_HOLES[hole]
+    lines = [plant(tmp_path / path, old, new) for path, old, new in plants]
+    # a word count passes each: the name is a word beyond its def line, or
+    # it names a class, and the word count read def lines only
+    words = sum(re.findall(r"\w+", (tmp_path / path).read_text()).count(name)
+                for path in invariants.Tree(tmp_path).files(("src",), ".py"))
+    assert words > 1 or plants[0][2].startswith("class ")
+    findings = invariants.check(tmp_path, ["dead-definitions"])
+    assert any(finding.startswith(
+        f"{plants[0][0]}:{lines[0]}: [dead-definitions] ") and name in finding
+        for finding in findings), findings
+
+
+def test_allowlist_keys_tell_same_named_methods_apart(tmp_path, monkeypatch):
+    copy_scanned_files("dead-definitions", tmp_path)
+    plant(tmp_path / METRICS, None, "".join(
+        f"\n\nclass {owner}:\n    def orphaned_twin(self):\n        return 0\n"
+        for owner in ("First", "Second")))
+    monkeypatch.setitem(invariants.DEAD_ALLOWED,
+                        f"{METRICS}::First.orphaned_twin", "planted")
+    # the line of Second's method
+    line = (tmp_path / METRICS).read_text().split("\n").index(
+        "class Second:") + 2
+    assert [finding for finding in invariants.check(
+        tmp_path, ["dead-definitions"]) if "orphaned_twin" in finding] == [
+        f"{METRICS}:{line}: [dead-definitions] Second.orphaned_twin is "
+        "reached from nowhere in src, bench, examples, benchmarks: delete it "
+        "(a test utility moves under tests/)"]
+
+
 def test_a_stale_allowlist_entry_is_reported(tmp_path):
     copy_scanned_files("dead-definitions", tmp_path)
     plant(tmp_path / "src/repro/experiments/tables.py", None,
           "rows_of = TrainingHistory.as_rows")
     assert invariants.check(tmp_path, ["dead-definitions"]) == [
         "src/repro/systems/metrics.py: [dead-definitions] DEAD_ALLOWED lists "
-        "src/repro/systems/metrics.py::as_rows, which is in use or gone"]
+        "src/repro/systems/metrics.py::TrainingHistory.as_rows, which is in "
+        "use or gone"]

@@ -24,7 +24,6 @@ temporary copy instead.
 import ast
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
@@ -259,43 +258,68 @@ def run_method_takes_no_strategy(tree: Tree) -> Iterator[Finding]:
                    "name and strategy_kwargs")
 
 
-#: definitions that only tests use, kept on purpose: ``path::name`` -> why
+#: definitions that only tests use, kept on purpose: ``path::Qualified.name``
+#: -> why
 DEAD_ALLOWED = {
-    "src/repro/systems/metrics.py::cumulative_time":
-        "a TrainingHistory metric the paper-claims ledger is to read",
-    "src/repro/systems/metrics.py::flops_to_accuracy":
-        "a TrainingHistory metric the paper-claims ledger is to read",
-    "src/repro/systems/metrics.py::accuracy_at_flops":
-        "a TrainingHistory metric the paper-claims ledger is to read",
-    "src/repro/systems/metrics.py::as_rows":
-        "a TrainingHistory metric the paper-claims ledger is to read",
+    **{f"src/repro/core/convergence.py::{name}":
+       "paper Theorem 1 / Lemma 1, checked by "
+       "tests/core/test_bandit_convergence.py; the paper-claims ledger is "
+       "to read it"
+       for name in ("theorem1_bound", "lemma1_gap_bound", "max_learning_rate",
+                    "empirical_parameter_gap", "gradient_norm_trajectory")},
+    **{f"src/repro/systems/metrics.py::TrainingHistory.{name}":
+       "a TrainingHistory metric the paper-claims ledger is to read"
+       for name in ("cumulative_time", "flops_to_accuracy",
+                    "accuracy_at_flops", "as_rows")},
+    "src/repro/experiments/tables.py::scenario_table":
+        "pinned in tests/fixtures/paper_rows_pin.json; the paper-claims "
+        "ledger is to read it",
 }
 
+#: where a definition under src/ may be reached from
+READERS = ("src", "bench", "examples", "benchmarks")
 
-DEF_LINE = r"^[ \t]*(?:async[ \t]+)?def[ \t]+(\w+)"
+
+def _definitions(body: list[ast.stmt], prefix: str = ""
+                 ) -> Iterator[tuple[str, ast.stmt]]:
+    """``(qualified name, node)`` for every ``def`` and ``class`` of a module
+    or class body, class bodies searched recursively."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node.body, f"{prefix}{node.name}.")
 
 
-@scans("src", "bench", "examples")
+@scans(*READERS)
 def dead_definitions(tree: Tree) -> Iterator[Finding]:
-    """Every function under ``src/`` is named in ``src/``, ``bench/`` or
-    ``examples/`` besides its own ``def`` line, or is in :data:`DEAD_ALLOWED`.
+    """Every module-level and class-body ``def``/``class`` under ``src/`` is
+    reached, or is in :data:`DEAD_ALLOWED`; dunders are exempt.
 
-    A word match over the text, comments and docstrings included, so it
+    A definition is reached when its name appears as an ``ast.Name`` or an
+    ``ast.Attribute`` in a module under :data:`READERS` other than an
+    ``__init__.py``.  Strings never count -- not ``__all__``, a docstring or
+    a ``getattr`` name -- and neither does an import.  The rule matches
+    names, not objects (one call of ``x.run`` reaches every ``run``), so it
     finds a lower bound of what is dead.
     """
-    words = Counter()
-    for path in tree.files(("src", "bench", "examples")):
-        words.update(re.findall(r"\w+", tree.text(path)))
-    dead = {}
-    for path, number, line in tree.grep(DEF_LINE, ("src",)):
-        name = re.match(DEF_LINE, line).group(1)
-        if words[name] <= 1 and not re.fullmatch(r"__\w+__", name):
-            dead[f"{path}::{name}"] = (path, number)
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for path in tree.files(READERS, ".py")
+             if not path.endswith("__init__.py")
+             for node in ast.walk(tree.syntax(path))
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    dead = {f"{path}::{qualified}": (path, node.lineno)
+            for path in tree.files(("src",), ".py")
+            for qualified, node in _definitions(tree.syntax(path).body)
+            if node.name not in names
+            and not re.fullmatch(r"__\w+__", node.name)}
     for key, (path, number) in dead.items():
         if key not in DEAD_ALLOWED:
             yield (path, number,
-                   f"{key.split('::')[1]} is named nowhere in src/, bench/ or "
-                   "examples/: delete it (a test utility moves under tests/)")
+                   f"{key.split('::')[1]} is reached from nowhere in "
+                   f"{', '.join(READERS)}: delete it (a test utility moves "
+                   "under tests/)")
     for key in sorted(DEAD_ALLOWED.keys() - dead.keys()):
         yield (key.split("::")[0], 0,
                f"DEAD_ALLOWED lists {key}, which is in use or gone")
@@ -388,9 +412,9 @@ RULES: dict[str, Rule] = {
         r"repro\.benchmarking|repro bench|run_bench|\bBENCH_",
         ("src", "tests", "benchmarks", "examples", ".github", ".gitignore")),
     # One declaration per knob, one grid: an option's dest is its preset
-    # field, run_grid is the one grid over run_jobs (run_methods the
-    # one-preset case), every table and figure is run_grid cells and an
-    # ablation variant is a (label, name, kwargs) spec.
+    # field, run_grid is the one grid over run_jobs, every table and figure
+    # is run_grid cells and an ablation variant is a (label, name, kwargs)
+    # spec.
     "retired-grid-helpers": Absent(
         r"run_sweep|run_scenario_sweep|run_across_datasets",
         ("src", "tests", "examples", "README.md")),
@@ -401,8 +425,7 @@ RULES: dict[str, Rule] = {
         r"histories_to_rows", ("src", "tests", "examples", "README.md")),
     "no-hand-copied-override": Absent(
         re.escape('overrides["'), ("src/repro/cli.py",)),
-    "run_jobs-callers": Callers(
-        "run_jobs", ("src",), (f"{RUNNER}:run_grid", f"{RUNNER}:run_methods")),
+    "run_jobs-callers": Callers("run_jobs", ("src",), (f"{RUNNER}:run_grid",)),
     "run_method-takes-no-strategy": run_method_takes_no_strategy,
     "no-run_method-in-paper-artifacts": Callers(
         "run_method", ("src/repro/experiments/figures.py",
