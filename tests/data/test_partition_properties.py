@@ -4,7 +4,9 @@ The invariants every partitioner must uphold:
 
 * the client index sets are pairwise disjoint,
 * together they cover the dataset exactly (no example lost or duplicated),
-* the Dirichlet partition honours its ``min_examples`` floor.
+* the Dirichlet partition honours its ``min_examples`` floor,
+* a label-skew client shard holds at most ``classes_per_client`` distinct
+  labels and is pure in ``(seed, client_id)``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import Dataset
+from repro.data import IMAGE_SPECS, Dataset
 from repro.data.partition import dirichlet_partition, iid_partition
+from repro.data.synthetic import image_prototypes, personalized_image_shard
 
 
 def label_dataset(num_classes: int, examples_per_class: int,
@@ -94,3 +97,26 @@ def test_partitions_are_deterministic_in_the_seed(num_clients, seed):
     first = iid_partition(dataset, num_clients, seed=seed)
     second = iid_partition(dataset, num_clients, seed=seed)
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+@given(classes_per_client=st.integers(min_value=1, max_value=10),
+       examples_per_client=st.integers(min_value=1, max_value=30),
+       client_id=st.integers(min_value=0, max_value=10_000),
+       seed=st.integers(min_value=0, max_value=1000))
+@settings(max_examples=40, deadline=None)
+def test_label_skew_shard_properties(classes_per_client, examples_per_client,
+                                     client_id, seed):
+    spec = IMAGE_SPECS["mnist"]
+
+    def shard():
+        return personalized_image_shard(
+            spec, client_id, classes_per_client, examples_per_client,
+            image_prototypes(spec, seed=seed), seed=seed)
+
+    first, second = shard(), shard()
+    assert len(first) == examples_per_client
+    # label-skew contract: never more classes than requested
+    assert len(np.unique(first.y)) <= classes_per_client
+    assert 0 <= first.y.min() and first.y.max() < spec.num_classes
+    np.testing.assert_array_equal(first.x, second.x)
+    np.testing.assert_array_equal(first.y, second.y)

@@ -127,6 +127,12 @@ class TestFederatedBuilder:
         with pytest.raises(ValueError):
             build_federated_dataset("mnist", 4, partition="quantity")
 
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_more_classes_per_client_than_exist_rejected(self, lazy):
+        with pytest.raises(ValueError, match="classes_per_client"):
+            build_federated_dataset("mnist", 4, classes_per_client=11,
+                                    lazy=lazy)
+
     def test_iid_partition_option(self):
         fed = build_federated_dataset("mnist", 4, partition="iid",
                                       examples_per_client=40, seed=0)

@@ -13,6 +13,7 @@ from repro.experiments import (DATASETS, ExperimentPreset, ResultCache,
                                table1_accuracy_flops, table2_ablation,
                                time_to_accuracy)
 from repro.federated import FederatedConfig
+from repro.systems import HETEROGENEITY_PRESETS
 
 TINY = {"num_clients": 5, "examples_per_client": 24, "num_rounds": 2,
         "clients_per_round": 2, "local_iterations": 2, "batch_size": 8,
@@ -41,6 +42,14 @@ class TestPresets:
         assert config.num_rounds == TINY["num_rounds"]
         assert len(fleet) == TINY["num_clients"]
         assert model_builder().num_parameters > 0
+
+    @pytest.mark.parametrize("level", sorted(HETEROGENEITY_PRESETS))
+    def test_fleet_draws_from_the_heterogeneity_level(self, level):
+        preset = scaled(preset_for("mnist"), heterogeneity=level,
+                        **{**TINY, "num_clients": 20})
+        fleet = build_experiment(preset)[3]
+        assert {fleet[cid].capability for cid in range(len(fleet))} \
+            <= set(HETEROGENEITY_PRESETS[level])
 
     def test_invalid_heterogeneity_level(self):
         with pytest.raises(ValueError, match="heterogeneity"):

@@ -7,6 +7,7 @@ from repro.data import Dataset
 from repro.federated import (aggregate_residuals, client_batch_schedule,
                              evaluate_params, fedavg, masked_average,
                              train_cohort_batched)
+from repro.models import build_lstm_lm
 from repro.nn.params import multiply, subtract
 from repro.sparsity import build_parameter_mask, ordered_pattern
 
@@ -152,6 +153,39 @@ class TestEvaluation:
         result = evaluate_params(model, model.get_parameters(), ds)
         assert type(result) is float
         assert 0.0 <= result <= 1.0
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_evaluate_params_is_the_fraction_predicted_right(self,
+                                                             batch_size):
+        model = build_mlp(12, [16], 4, seed=0)
+        ds = toy_dataset(30)
+        params = model.get_parameters()
+        want = np.mean(np.argmax(model.forward(ds.x, train=False), axis=1)
+                       == ds.y)
+        got = evaluate_params(model, params, ds, batch_size=batch_size)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_evaluate_params_on_token_windows(self):
+        model = build_lstm_lm(9, embed_dim=4, hidden_dim=5, seq_len=3, seed=0)
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.integers(0, 9, size=(11, 3)),
+                     rng.integers(0, 9, size=11))
+        params = model.get_parameters()
+        want = np.mean(np.argmax(model.forward(ds.x, train=False), axis=1)
+                       == ds.y)
+        assert evaluate_params(model, params, ds, batch_size=4) == \
+            pytest.approx(want, abs=1e-12)
+
+    def test_evaluate_params_removes_the_pattern_gates(self):
+        model = build_mlp(12, [16], 4, seed=0)
+        ds = toy_dataset(30)
+        params = model.get_parameters()
+        ungated = evaluate_params(model, params, ds)
+        evaluate_params(model, params, ds,
+                        pattern=ordered_pattern(model, 0.25))
+        assert all(getattr(layer, "unit_gate", None) is None
+                   for layer in model.layers)
+        assert evaluate_params(model, params, ds) == ungated
 
     def test_evaluate_params_empty_dataset_rejected(self):
         model = build_mlp(12, [16], 4, seed=0)

@@ -126,6 +126,34 @@ class TestStrategyDefaults:
             for key, value in strategy.global_params.items():
                 assert params[key].tobytes() == value.tobytes(), key
 
+    def test_setup_binds_init_client_state_on_the_fleet(self, small_fed_dataset,
+                                                        tiny_config):
+        class Marking(Strategy):
+            def init_client_state(self, client):
+                client.state.setdefault("marker", client.client_id + 1)
+
+        trainer = FederatedTrainer(Marking(), small_fed_dataset,
+                                   lambda: build_model_for_dataset("mnist"),
+                                   config=tiny_config)
+        trainer.strategy.setup(trainer.context)
+        assert trainer.context.clients is trainer.clients
+        assert trainer.clients[3].state["marker"] == 4
+
+    def test_client_state_hands_out_the_stored_dict(self, small_fed_dataset,
+                                                    tiny_config):
+        trainer = FederatedTrainer(Strategy(), small_fed_dataset,
+                                   lambda: build_model_for_dataset("mnist"),
+                                   config=tiny_config)
+        strategy = trainer.strategy
+        strategy.setup(trainer.context)
+        # nothing stored yet: the client is built and its state stored
+        assert trainer.clients.participant_state(2) is None
+        first = strategy._client_state(2)
+        first["marker"] = 7
+        # from then on the store's dict itself, seen by a rebuilt client
+        assert strategy._client_state(2) is first
+        assert trainer.clients[2].state["marker"] == 7
+
     def test_aggregate_moves_global_params(self, small_fed_dataset, tiny_config):
         trainer = FederatedTrainer(Strategy(), small_fed_dataset,
                                    lambda: build_model_for_dataset("mnist"),

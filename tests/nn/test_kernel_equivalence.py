@@ -51,7 +51,7 @@ from repro.core.sparse_training import (SparseTrainingResult,
 from repro.data.dataset import Dataset
 from repro.federated import (LocalUpdateResult, client_batch_schedule,
                              train_cohort_batched)
-from repro.models import build_cnn, build_lstm_lm
+from repro.models import build_cnn, build_lstm_lm, build_vgg_style
 from repro.nn import (Arena, BatchedModel, BatchedSGD, MaxPool2d, accuracy,
                       accuracy_cohort, cohort_squared_norms, sigmoid, softmax,
                       softmax_cross_entropy, softmax_cross_entropy_cohort,
@@ -362,7 +362,8 @@ def _assert_same_accumulation(first, second):
 @pytest.mark.parametrize("builder", [
     lambda: build_mlp(6, [5, 4], 3, seed=1),
     lambda: build_cnn(1, 8, 4, seed=1),
-], ids=["mlp", "cnn"])
+    lambda: build_vgg_style(3, 8, 4, blocks=(3, 4, 5), hidden_dim=6, seed=1),
+], ids=["mlp", "cnn", "vgg"])
 class TestBackwardWithoutInputGradient:
     def test_sequential(self, builder):
         model = builder()
@@ -1065,6 +1066,10 @@ def _lstm():
                          seq_len=4, seed=1)
 
 
+def _vgg():
+    return build_vgg_style(3, 8, 3, blocks=(3, 4, 5), hidden_dim=6, seed=1)
+
+
 def _client_data(model, n, seed):
     """A shard in the model's own input dtype: integer token windows for a
     model that starts with an embedding, float features otherwise."""
@@ -1127,13 +1132,14 @@ def _cohort_kwargs(kwargs, cohort):
 @pytest.mark.parametrize("builder", [
     lambda: build_mlp(6, [5, 4], 3, seed=1),
     lambda: build_cnn(1, 8, 3, channels=(3, 4), hidden_dim=6, seed=1),
-    _lstm,
-], ids=["mlp", "cnn", "lstm-tokens"])
+    _lstm, _vgg,
+], ids=["mlp", "cnn", "lstm-tokens", "vgg"])
 def test_cohort_of_one_matches_reference_train_locally(builder, case):
     """One client runs the cohort entry over a ``CohortOfOne``; the loop
     ``train_locally`` used to own must be reproduced byte for byte — result
     and model.  The LSTM (integer token input) and the gated sub-model
-    have no batched kernels: the adapter is their only path."""
+    have no batched kernels: the adapter is their only path.  The VGG
+    stack is the CIFAR backbone: three conv-relu-pool blocks on RGB."""
     # two instances: each path trains its own model in place
     new_model, old_model = builder(), builder()
     kwargs = dict(iterations=5, batch_size=8, learning_rate=0.1)

@@ -95,6 +95,35 @@ class TestLSTMGradients:
         numeric = numeric_gradient(loss, layer.params["Wh"])
         np.testing.assert_allclose(layer.grads["Wh"], numeric, atol=1e-5)
 
+    def test_b_gradient_matches_numeric(self):
+        rng = np.random.default_rng(2)
+        layer = LSTM(2, 3, name="l", rng=rng)
+        x = rng.standard_normal((2, 3, 2))
+        target = rng.standard_normal((2, 3, 3))
+
+        def loss():
+            return 0.5 * float(np.sum((layer.forward(x) - target) ** 2))
+
+        layer.zero_grad()
+        out = layer.forward(x)
+        layer.backward(out - target)
+        numeric = numeric_gradient(loss, layer.params["b"])
+        np.testing.assert_allclose(layer.grads["b"], numeric, atol=1e-5)
+
+    def test_input_gradient_matches_numeric(self):
+        rng = np.random.default_rng(3)
+        layer = LSTM(2, 3, name="l", rng=rng)
+        x = rng.standard_normal((2, 3, 2))
+        target = rng.standard_normal((2, 3, 3))
+
+        def loss():
+            return 0.5 * float(np.sum((layer.forward(x) - target) ** 2))
+
+        out = layer.forward(x)
+        grad_x = layer.backward(out - target)
+        np.testing.assert_allclose(grad_x, numeric_gradient(loss, x),
+                                   atol=1e-5)
+
     def test_forget_bias_initialized_to_one(self):
         layer = LSTM(2, 3, name="l")
         np.testing.assert_allclose(layer.params["b"][3:6], 1.0)

@@ -33,6 +33,19 @@ class TestEventQueue:
         with pytest.raises(IndexError):
             EventQueue().pop()
 
+    def test_snapshot_is_ordered_and_does_not_remove(self):
+        queue = EventQueue()
+        for finish, cid in [(3.0, 1), (1.0, 4), (1.0, 2)]:
+            queue.push(event(finish, cid))
+        assert [e.client_id for e in queue.snapshot()] == [2, 4, 1]
+        assert len(queue) == 3
+        # a queue rebuilt from the snapshot pops in the same order
+        rebuilt = EventQueue()
+        for queued in queue.snapshot():
+            rebuilt.push(queued)
+        assert [rebuilt.pop().client_id for _ in range(3)] == \
+            [queue.pop().client_id for _ in range(3)]
+
     def test_len_and_bool(self):
         queue = EventQueue()
         assert not queue and len(queue) == 0

@@ -5,6 +5,7 @@ of the files it scans."""
 import importlib.util
 import re
 import shutil
+import subprocess
 import sys
 from itertools import zip_longest
 from pathlib import Path
@@ -120,6 +121,15 @@ def test_the_tree_keeps_every_invariant():
     assert invariants.check(ROOT) == []
 
 
+def test_the_tool_runs_on_the_standard_library_alone():
+    # -S: no site-packages, so a third-party import would fail here
+    done = subprocess.run([sys.executable, "-S",
+                           str(ROOT / "tools" / "invariants.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == f"{len(invariants.RULES)} invariants, 0 findings\n"
+
+
 def test_every_rule_has_a_mutation_case():
     assert sorted(MUTATIONS) == sorted(invariants.RULES)
 
@@ -158,6 +168,7 @@ def test_rule_fires_on_a_planted_breach(name, tmp_path):
 
 
 METRICS = "src/repro/systems/metrics.py"
+TABLES = "src/repro/experiments/tables.py"
 
 #: what dead-definitions let through when it counted words: each case is a
 #: list of plants (file, text to replace or None to append, planted text),
@@ -185,6 +196,30 @@ DEAD_DEFINITION_HOLES = {
         ("src/repro/experiments/tables.py", None,
          'probe = getattr(TrainingHistory, "orphaned_probe")'),
     ], "orphaned_probe"),
+    # a docstring is a string
+    "named-only-in-a-docstring": ([
+        (METRICS, None, "def documented_helper():\n    return 0"),
+        (TABLES, None,
+         'def stray():\n    """Unlike documented_helper, returns one."""\n'
+         "    return 1"),
+    ], "documented_helper"),
+    # a comment is not in the syntax tree at all
+    "named-only-in-a-comment": ([
+        (METRICS, None, "def commented_helper():\n    return 0"),
+        (TABLES, None, "# commented_helper would return 0 here"),
+    ], "commented_helper"),
+    # an import binds a name, it does not read one
+    "imported-but-never-read": ([
+        (METRICS, None, "def imported_helper():\n    return 0"),
+        (TABLES, None, "from ..systems.metrics import imported_helper"),
+    ], "imported_helper"),
+    # a package __init__ is no reader, even where it calls the name
+    "called-only-from-a-package-init": ([
+        (METRICS, None, "def init_only_helper():\n    return 0"),
+        ("src/repro/systems/__init__.py", None,
+         "from .metrics import init_only_helper\n\n"
+         "DEFAULT = init_only_helper()"),
+    ], "init_only_helper"),
 }
 
 
@@ -224,9 +259,73 @@ def test_allowlist_keys_tell_same_named_methods_apart(tmp_path, monkeypatch):
 
 def test_a_stale_allowlist_entry_is_reported(tmp_path):
     copy_scanned_files("dead-definitions", tmp_path)
-    plant(tmp_path / "src/repro/experiments/tables.py", None,
-          "rows_of = TrainingHistory.as_rows")
+    plant(tmp_path / TABLES, None, "rows_of = TrainingHistory.as_rows")
     assert invariants.check(tmp_path, ["dead-definitions"]) == [
         "src/repro/systems/metrics.py: [dead-definitions] DEAD_ALLOWED lists "
         "src/repro/systems/metrics.py::TrainingHistory.as_rows, which is in "
         "use or gone"]
+
+
+def _dead_findings(root, name):
+    return [finding for finding in invariants.check(root, ["dead-definitions"])
+            if name in finding]
+
+
+#: a module under each reader root to plant a call in
+READER_MODULES = {"src": TABLES, "bench": "bench/run.py",
+                  "examples": "examples/custom_strategy.py",
+                  "benchmarks": "benchmarks/conftest.py"}
+
+
+@pytest.mark.parametrize("root", invariants.READERS)
+def test_a_name_under_any_reader_root_reaches_a_definition(root, tmp_path):
+    assert sorted(READER_MODULES) == sorted(invariants.READERS)
+    copy_scanned_files("dead-definitions", tmp_path)
+    plant(tmp_path / METRICS, None, "def reached_helper():\n    return 0")
+    assert _dead_findings(tmp_path, "reached_helper")
+    plant(tmp_path / READER_MODULES[root], None, "value = reached_helper()")
+    assert _dead_findings(tmp_path, "reached_helper") == []
+
+
+def test_a_caller_under_tests_reaches_nothing(tmp_path):
+    copy_scanned_files("dead-definitions", tmp_path)
+    line = plant(tmp_path / METRICS, None,
+                 "def tested_helper():\n    return 0")
+    caller = tmp_path / "tests" / "test_tested_helper.py"
+    caller.parent.mkdir()
+    caller.write_text("from repro.systems.metrics import tested_helper\n\n\n"
+                      "def test_it():\n    assert tested_helper() == 0\n")
+    assert [finding.split(" is ")[0] for finding in _dead_findings(
+        tmp_path, "tested_helper")] == [
+        f"{METRICS}:{line}: [dead-definitions] tested_helper"]
+
+
+def test_dunders_are_exempt(tmp_path):
+    copy_scanned_files("dead-definitions", tmp_path)
+    plant(tmp_path / METRICS, "    def as_rows(self",
+          "    def __orphaned__(self):\n        return 0\n\n"
+          "    def as_rows(self")
+    assert invariants.check(tmp_path, ["dead-definitions"]) == []
+
+
+def test_nested_class_bodies_are_checked_under_qualified_names(tmp_path):
+    copy_scanned_files("dead-definitions", tmp_path)
+    plant(tmp_path / METRICS, None,
+          "class NestOuter:\n    class NestInner:\n"
+          "        def nested_probe(self):\n            return 0")
+    lines = (tmp_path / METRICS).read_text().split("\n")
+    start = lines.index("class NestOuter:") + 1
+    assert [finding.split(" is ")[0] for finding in _dead_findings(
+        tmp_path, "Nest")] == [
+        f"{METRICS}:{start}: [dead-definitions] NestOuter",
+        f"{METRICS}:{start + 1}: [dead-definitions] NestOuter.NestInner",
+        f"{METRICS}:{start + 2}: [dead-definitions] "
+        "NestOuter.NestInner.nested_probe"]
+
+
+def test_every_allowlist_entry_names_a_source_definition_and_a_reason():
+    for key, reason in invariants.DEAD_ALLOWED.items():
+        path, qualified = key.split("::")
+        assert path.startswith("src/") and (ROOT / path).is_file(), key
+        assert re.fullmatch(r"\w+(\.\w+)*", qualified), key
+        assert reason.strip(), key
