@@ -8,10 +8,7 @@ from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-# BoundedLRU lives in the neutral ``repro.util`` module (shared with the
-# broadcast worker cache and the checkpoint load memo); re-exported here
-# because the lazy data layer is where older callers historically found it.
-from ..util import BoundedLRU, in_range, positive_int  # noqa: F401  (re-export)
+from ..util import BoundedLRU, in_range, positive_int
 
 
 @dataclass

@@ -120,9 +120,9 @@ class FederatedConfig:
     # with the client dimension as the leading axis — the server core plans
     # the cohort into contiguous balanced chunks, at least one per executor
     # worker and each stacking at most 64 rows (clients x batch_size) per
-    # step (``ServerCore._plan_chunks``).  Bit-identical to the per-client
-    # loop for every strategy; a model without batched kernels
-    # (``batchable_model``) and supervised fan-outs fall back to the loop.
+    # step (``ServerCore._plan_chunks``, supervised or not).  Bit-identical
+    # to the per-client loop for every strategy; a model without batched
+    # kernels (``batchable_model``) falls back to the loop.
     # The personalized-evaluation sweep stacks under the same opt-in:
     # clients with equal test lengths share forwards of at most 64 rows
     # (``repro.federated.evaluation.evaluate_cohort``), supervised or not.

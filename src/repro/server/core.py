@@ -20,11 +20,11 @@ the loop composes:
   selection is the executor's ``supports_broadcast`` (inline on the live
   strategy vs bound from the shared-memory broadcast handles in the one
   worker task, :func:`_fanout_task`),
-* the training plan: :meth:`ServerCore._plan_chunks` partitions a cohort
-  (an opted-in batchable cohort into contiguous balanced chunks, at least
-  one per worker and each stacking at most ``_CHUNK_ROWS`` rows per step,
-  a multi-client chunk running as one ``(C, ...)`` program; single
-  clients otherwise),
+* the training plan: :meth:`ServerCore._plan_chunks` partitions a cohort,
+  supervised or not (an opted-in batchable cohort into contiguous balanced
+  chunks of at most ``_CHUNK_ROWS`` rows per step, at least one per worker,
+  each a ``(C, ...)`` program, with every client the fault plan hits cut
+  out alone; single clients otherwise),
 * cost accounting through the Eq. 14 cost model,
 * personalized evaluation, one contiguous chunk per worker (more when
   the sweep outgrows the shard cache),
@@ -42,6 +42,7 @@ from __future__ import annotations
 import copy
 import threading
 from contextlib import contextmanager, nullcontext
+from itertools import groupby
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -584,30 +585,36 @@ class ServerCore:
         self.clients.drop_caches()
 
     # ------------------------------------------------------------- dispatch
-    def _plan_chunks(self, selected: List[int]) -> List[List[int]]:
+    def _plan_chunks(self, round_index: int,
+                     selected: List[int]) -> List[List[int]]:
         """Partition a cohort into the chunks its fan-out dispatches.
 
-        The one place that decides chunk shape.  A cohort that trains
-        stacked — which requires the config opt-in, no supervision
-        (retry/fault bookkeeping is per client task) and a model with
-        batched kernels (``batchable_model``; every strategy's
+        The one place that decides chunk shape, supervised or not.  A cohort
+        that trains stacked — which requires the config opt-in and a model
+        with batched kernels (``batchable_model``; every strategy's
         ``local_updates`` takes a cohort) — goes out as contiguous balanced
         chunks: as few as give every worker of the executor one and keep
         every chunk within ``_CHUNK_ROWS`` rows (clients x ``batch_size``)
         per step — a cohort already inside the budget is not split further,
-        which would only hand the per-update fixed cost back.  Any other
-        cohort goes out as per-client tasks.  Each multi-client chunk runs
-        as one ``(C, ...)`` program and a size-1 chunk as the client loop,
-        so the plan never shows in a history.
+        which would only hand the per-update fixed cost back.  A client the
+        fault plan hits at attempt 0 (``slow`` too) is cut out of its chunk
+        in place, so every chunk's key (its first id) draws the per-client
+        plan's faults.  Any other cohort goes out as per-client tasks.  Each
+        multi-client chunk runs as one ``(C, ...)`` program and a size-1
+        chunk as the client loop, so the plan never shows in a history.
         """
         ids = [int(cid) for cid in selected]
-        stacked = (self.config.batch_cohort and not self.supervised
-                   and batchable_model(self.model))
-        if not stacked:
+        if not (self.config.batch_cohort and batchable_model(self.model)):
             return [[cid] for cid in ids]
         per_chunk = max(1, _CHUNK_ROWS // self.config.batch_size)
-        return _balanced_chunks(
+        chunks = _balanced_chunks(
             ids, max(self.executor.workers, -(-len(ids) // per_chunk)))
+        plan = self.config.faults
+        # clean neighbours share the key None; a faulted client's key is its
+        # own id, which makes it a group of one
+        return [list(run) for chunk in chunks for _, run in groupby(
+            chunk, lambda cid: None if plan is None or plan.decide(
+                round_index, cid, 0).kind == "none" else cid)]
 
     def run_local_updates(self, round_index: int, selected: List[int]
                           ) -> List[ClientUpdate]:
@@ -622,19 +629,19 @@ class ServerCore:
         are built.
 
         The pool runs the cohort's chunks concurrently — a stacked cohort
-        is planned as at least one chunk per worker, so batching and a pool
-        compose instead of excluding each other; the call returns once the
-        whole cohort has finished, updates in dispatch order.
+        is planned as at least one chunk per worker, so batching, a pool and
+        supervision compose; the call returns once the whole cohort has
+        finished, updates in dispatch order.
 
         With supervision active (``config.faults`` / ``max_retries`` /
-        ``task_timeout``) a client that exhausts its retries is *dropped* —
-        it produces no update (so it never reaches ``aggregate``/
-        ``post_round``) and is reported through :meth:`take_fanout_report`
-        for the scheduler's ``dropped`` bookkeeping.
+        ``task_timeout``) every client of a chunk that exhausts its retries
+        is *dropped* — no update (so no ``aggregate``/``post_round``), and
+        reported through :meth:`take_fanout_report` for the scheduler's
+        ``dropped`` bookkeeping.
         """
         encoded_down = self._snap_global_params()
         chunks = [(ids, [self.clients.peek_state(cid) for cid in ids])
-                  for ids in self._plan_chunks(selected)]
+                  for ids in self._plan_chunks(round_index, selected)]
         results, faults, failed = self._fan_out(
             round_index, _run_chunk, chunks, encoded=encoded_down,
             plan=self.config.faults)
@@ -665,12 +672,11 @@ class ServerCore:
 
         With supervision active the chunks go through
         :func:`repro.parallel.supervision.run_supervised`, keyed by their
-        first id (a supervised training fan-out only plans size-1 chunks,
-        so that is the client the fault ``plan`` decides for): failed
-        tasks are retried with backoff and crashed workers replenished.
-        Returns the surviving results, the ``fault_*`` counters and the
-        keys whose task exhausted its retries (both empty without
-        supervision).
+        first id, the client the fault ``plan`` decides for: a failed chunk
+        is retried whole with backoff and crashed workers replenished.
+        Returns the surviving results, the ``fault_*`` counters and every
+        client of the chunks that exhausted their retries, sorted (both
+        empty without supervision).
         """
         with self._fanout_handles(round_index, encoded,
                                   len(chunks)) as handles:
@@ -691,8 +697,10 @@ class ServerCore:
                 [(ids[0], payload)
                  for (ids, _), payload in zip(chunks, payloads)],
                 policy=self.retry_policy, plan=plan, round_index=round_index)
+        failed = sorted(cid for (ids, _), result in zip(chunks, report.results)
+                        if result is None for cid in ids)
         return ([result for result in report.results if result is not None],
-                report.counters.as_extras(), sorted(report.failed))
+                report.counters.as_extras(), failed)
 
     def take_fanout_report(self) -> Tuple[Dict[str, float], List[int]]:
         """The last fan-out's ``RoundRecord.extras`` + the clients it lost.
@@ -818,8 +826,8 @@ class ServerCore:
         results, _, failed = self._fan_out(-1, _evaluate_clients, chunks,
                                            encoded=encoded_down, plan=None)
         if failed:
-            raise RuntimeError(f"evaluation chunks starting at clients "
-                               f"{failed} ran out of retries")
+            raise RuntimeError(f"evaluation of clients {failed} ran out "
+                               "of retries")
         fresh = [accuracy for chunk in results for accuracy in chunk]
         for cid, accuracy in zip(pending, fresh):
             accuracies[cid] = accuracy

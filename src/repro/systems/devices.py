@@ -162,7 +162,7 @@ def sample_device_profile(client_id: int, *,
     never built, so the lazy path's own purity in ``(seed, client_id)`` —
     which holds unconditionally — is the operative contract.
     """
-    non_negative_int(client_id, "client_id")
+    client_id = int(non_negative_int(client_id, "client_id"))
     halves = int(len(levels) > 1) + int(len(bandwidth_levels) > 1)
     rng = np.random.default_rng(seed)
     if halves == 2:

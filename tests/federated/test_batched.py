@@ -359,14 +359,56 @@ class TestEndToEnd:
         batched = run_method(method, scaled(preset, batch_cohort=True))
         assert _history_key(default) == _history_key(batched)
 
-    def test_supervised_execution_disables_batching(self):
+    @pytest.mark.parametrize("supervision", [
+        dict(max_retries=1), dict(fault_plan="chaos", max_retries=4)],
+        ids=["retries", "chaos"])
+    def test_supervised_execution_batches(self, supervision, monkeypatch):
+        """Supervision keeps the one chunk plan: the cohort trains stacked
+        and the history (``fault_*`` extras and drops included) is the
+        per-client run's, byte for byte."""
         from repro.experiments import run_method, scaled
+        from repro.federated import Strategy
 
-        preset = _small(max_retries=1)
+        preset = _small(**supervision)
         default = run_method("fedavg", preset)
+        stacked = []
+        original = Strategy.local_update_cohort
+
+        def counting(self, round_index, clients):
+            stacked.append(len(clients))
+            return original(self, round_index, clients)
+
+        monkeypatch.setattr(Strategy, "local_update_cohort", counting)
         batched = run_method("fedavg", scaled(preset, batch_cohort=True))
+        if "fault_plan" in supervision:
+            # faulted clients fly alone, the rest of the cohort stacks
+            assert stacked and max(stacked) > 1
+        else:
+            assert stacked == [preset.clients_per_round] * preset.num_rounds
         assert _history_key(default) == _history_key(batched)
 
+    def test_a_genuine_chunk_failure_drops_the_whole_chunk(self, monkeypatch):
+        """A body exception fails its stacked chunk as one task: retried
+        whole, then every client of it dropped, counted once."""
+        from repro.experiments import run_method
+        from repro.server import core
+
+        # batch 32 of a 64-row budget: the cohort of 4 plans as two chunks
+        preset = _small(max_retries=1, batch_size=32, batch_cohort=True)
+        cohort = run_method("fedavg", preset).records[0].selected_clients
+        original = core._run_chunk
+
+        def failing(strategy, round_index, clients):
+            if round_index == 0 and clients[0].client_id == cohort[2]:
+                raise RuntimeError("a bug in the stacked body")
+            return original(strategy, round_index, clients)
+
+        monkeypatch.setattr(core, "_run_chunk", failing)
+        first = run_method("fedavg", preset).records[0]
+        assert first.dropped == cohort[2:]
+        assert sorted(first.sparse_ratios) == cohort[:2]
+        assert (first.extras["fault_retries"], first.extras["fault_exhausted"]) \
+            == (1.0, 1.0)
 
     @pytest.mark.parametrize("shim", ["local_update", "local_update_cohort"])
     def test_a_subclass_cannot_override_a_shim(self, shim):
@@ -386,7 +428,7 @@ class TestEndToEnd:
         from repro.experiments import scaled
 
         core = TestChunkPlan._core(make_strategy())
-        assert core._plan_chunks([3, 1, 2]) == [[3, 1, 2]]
+        assert core._plan_chunks(0, [3, 1, 2]) == [[3, 1, 2]]
         preset = _small(num_rounds=4)
         default = _run_custom(make_strategy(), preset)
         batched = _run_custom(make_strategy(), scaled(preset, batch_cohort=True))
@@ -458,21 +500,21 @@ class TestChunkPlan:
 
     def test_batchable_opt_in_cohort_is_one_chunk(self):
         # 3 clients x batch 8 = 24 rows: inside the budget, one worker
-        assert self._core()._plan_chunks([3, 1, 2]) == [[3, 1, 2]]
+        assert self._core()._plan_chunks(0, [3, 1, 2]) == [[3, 1, 2]]
         # a sub-model method stacks like any other
-        assert self._core("heterofl")._plan_chunks([3, 1, 2]) == [[3, 1, 2]]
+        assert self._core("heterofl")._plan_chunks(0, [3, 1, 2]) == [[3, 1, 2]]
         # the bench's batched-cohort16 shape: 16 x 1 rows stay one program
-        assert self._core(batch_size=1)._plan_chunks(list(range(16))) \
+        assert self._core(batch_size=1)._plan_chunks(0, list(range(16))) \
             == [list(range(16))]
 
     def test_one_chunk_per_worker(self):
-        assert self._core(workers=2)._plan_chunks([3, 1, 2]) \
+        assert self._core(workers=2)._plan_chunks(0, [3, 1, 2]) \
             == [[3], [1, 2]]
         assert self._core(workers=2, batch_size=1) \
-            ._plan_chunks(list(range(16))) \
+            ._plan_chunks(0, list(range(16))) \
             == [list(range(8)), list(range(8, 16))]
         # more workers than clients: one client each, never an empty chunk
-        assert self._core(workers=8)._plan_chunks([3, 1, 2]) \
+        assert self._core(workers=8)._plan_chunks(0, [3, 1, 2]) \
             == [[3], [1], [2]]
 
     def test_chunks_stay_inside_the_row_budget(self):
@@ -481,51 +523,92 @@ class TestChunkPlan:
         assert _CHUNK_ROWS == 64
         ids = list(range(35))
         # fleet100k-fedbuff-ckpt's shape: 35 x 16 rows -> 9 chunks of 3-4
-        chunks = self._core(batch_size=16)._plan_chunks(ids)
+        chunks = self._core(batch_size=16)._plan_chunks(0, ids)
         assert [len(chunk) for chunk in chunks] \
             == [3, 4, 4, 4, 4, 4, 4, 4, 4]
         assert [cid for chunk in chunks for cid in chunk] == ids
         # the budget outranks the worker count, not the other way round
-        assert self._core(batch_size=16, workers=2)._plan_chunks(ids) \
+        assert self._core(batch_size=16, workers=2)._plan_chunks(0, ids) \
             == chunks
         # a batch that fills the budget alone leaves nothing to stack
-        assert self._core(batch_size=64)._plan_chunks([3, 1, 2]) \
+        assert self._core(batch_size=64)._plan_chunks(0, [3, 1, 2]) \
             == [[3], [1], [2]]
-        assert self._core(batch_size=200)._plan_chunks([3, 1, 2]) \
+        assert self._core(batch_size=200)._plan_chunks(0, [3, 1, 2]) \
             == [[3], [1], [2]]
 
     def test_size_one_chunks_otherwise(self):
         per_client = [[3], [1], [2]]
-        assert self._core(max_retries=1)._plan_chunks([3, 1, 2]) == per_client
-        assert self._core(preset="reddit")._plan_chunks([3, 1, 2]) \
+        # supervision does not shape the plan
+        assert self._core(max_retries=1)._plan_chunks(0, [3, 1, 2]) \
+            == [[3, 1, 2]]
+        assert self._core(preset="reddit")._plan_chunks(0, [3, 1, 2]) \
             == per_client
-        assert self._core(batch_cohort=False)._plan_chunks([3, 1, 2]) \
+        assert self._core(batch_cohort=False)._plan_chunks(0, [3, 1, 2]) \
             == per_client
         assert self._core(batch_cohort=False, workers=2) \
-            ._plan_chunks([3, 1, 2]) == per_client
-        assert self._core()._plan_chunks([5]) == [[5]]
-        assert self._core()._plan_chunks([]) == []
+            ._plan_chunks(0, [3, 1, 2]) == per_client
+        assert self._core()._plan_chunks(0, [5]) == [[5]]
+        assert self._core()._plan_chunks(0, []) == []
+
+    def test_a_faulted_client_is_cut_out_in_place(self):
+        from dataclasses import replace
+
+        from repro.parallel import FaultPlan
+
+        # seed 34 slows client 4 alone of 1..8 at round 0, attempt 0: a
+        # slow-down counts as a fault, and the chunk around it keeps order
+        plan = FaultPlan(seed=34, slow_rate=0.1)
+        ids = list(range(1, 9))
+        assert [cid for cid in ids
+                if plan.decide(0, cid, 0).kind != "none"] == [4]
+        core = self._core(batch_size=1)
+        assert core._plan_chunks(0, ids) == [ids]
+        core.config = replace(core.config, faults=plan)
+        assert core._plan_chunks(0, ids) == [[1, 2, 3], [4], [5, 6, 7, 8]]
 
     @given(ids=st.lists(st.integers(min_value=0, max_value=10_000),
                         unique=True, max_size=80),
            workers=st.integers(min_value=1, max_value=12),
            batch_size=st.integers(min_value=1, max_value=160),
-           off=st.sampled_from(["", "supervised", "non-batchable",
-                                "opted-out"]))
+           off=st.sampled_from(["", "fault-plan", "non-batchable",
+                                "opted-out"]),
+           round_index=st.integers(min_value=0, max_value=5))
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_plan_properties(self, ids, workers, batch_size, off):
+    def test_plan_properties(self, ids, workers, batch_size, off,
+                             round_index):
         from dataclasses import replace
 
+        from repro.parallel import FaultPlan
         from repro.server.core import _CHUNK_ROWS
 
         core = _planner_core("reddit" if off == "non-batchable" else "mnist")
         core.executor = SimpleNamespace(workers=workers)
         core.config = replace(core.config, batch_size=batch_size,
-                              batch_cohort=off != "opted-out")
-        core.supervised = off == "supervised"
-        chunks = core._plan_chunks(ids)
+                              batch_cohort=off != "opted-out", faults=None)
+        chunks = core._plan_chunks(round_index, ids)
         assert [cid for chunk in chunks for cid in chunk] == ids
-        if off:
+        if off == "fault-plan":
+            plan = FaultPlan(seed=3, exception_rate=0.1, crash_rate=0.1,
+                             slow_rate=0.1)
+            core.config = replace(core.config, faults=plan)
+            faulted = [cid for cid in ids
+                       if plan.decide(round_index, cid, 0).kind != "none"]
+            cut = core._plan_chunks(round_index, ids)
+            assert [cid for chunk in cut for cid in chunk] == ids
+            # each faulted client flies alone, every cut chunk lies inside
+            # one clean chunk, and two neighbouring clean clients of one
+            # clean chunk are never parted
+            assert [[cid] for cid in faulted] == [
+                chunk for chunk in cut if set(chunk) & set(faulted)]
+            owner = {cid: index for index, chunk in enumerate(chunks)
+                     for cid in chunk}
+            assert all(len({owner[cid] for cid in chunk}) == 1
+                       for chunk in cut)
+            assert not any(
+                owner[left[-1]] == owner[right[0]]
+                and not set(left + right) & set(faulted)
+                for left, right in zip(cut, cut[1:]))
+        elif off:
             assert all(len(chunk) == 1 for chunk in chunks)
             return
         sizes = [len(chunk) for chunk in chunks]

@@ -21,11 +21,13 @@ The golden fixtures are NEVER regenerated by this suite.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import os
 import signal
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,7 +63,7 @@ POISON_PLAN = FaultPlan(seed=0, poison_rate=0.5)
 
 
 def run_golden_supervised(plan=None, *, max_retries=0, task_timeout=None,
-                          executor=None, **run_kwargs):
+                          executor=None, batch_cohort=False, **run_kwargs):
     """The fedlps golden run with supervision knobs spliced into its config.
 
     The preset layer only exposes *named* fault plans; tests splice custom
@@ -71,7 +73,7 @@ def run_golden_supervised(plan=None, *, max_retries=0, task_timeout=None,
     preset = golden.golden_preset("ideal", "sync", "dense")
     dataset, model_builder, config, fleet = build_experiment(preset)
     config = replace(config, faults=plan, max_retries=max_retries,
-                     task_timeout=task_timeout)
+                     task_timeout=task_timeout, batch_cohort=batch_cohort)
     trainer = FederatedTrainer(build_strategy("fedlps"), dataset,
                                model_builder, config=config, fleet=fleet,
                                executor=executor)
@@ -182,6 +184,63 @@ class TestRecoveredChaosMatchesGolden:
         assert strip_fault_extras(history) == fedlps_fixture
 
 
+#: the chaos replayed with batching on: (plan, max_retries) by name
+BATCHED_CHAOS = {"recoverable": (RECOVERABLE_PLAN, RECOVERABLE_RETRIES),
+                 "poison": (POISON_PLAN, 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def per_client_history(name):
+    """The inline, unbatched run of a ``BATCHED_CHAOS`` plan, as JSON."""
+    plan, retries = BATCHED_CHAOS[name]
+    return json.dumps(run_golden_supervised(
+        plan, max_retries=retries).to_dict(), sort_keys=True)
+
+
+class TestBatchedChaos:
+    """A supervised cohort trains stacked: the clients the plan leaves alone
+    at attempt 0 share one chunk, the others fly alone, and the history —
+    ``fault_*`` extras and drops included — is the per-client run's."""
+
+    def test_the_clean_clients_train_stacked(self, monkeypatch):
+        from repro.federated import Strategy
+
+        stacked = []
+        original = Strategy.local_update_cohort
+
+        def counting(self, round_index, clients):
+            stacked.append([client.client_id for client in clients])
+            return original(self, round_index, clients)
+
+        monkeypatch.setattr(Strategy, "local_update_cohort", counting)
+        run_golden_supervised(RECOVERABLE_PLAN,
+                              max_retries=RECOVERABLE_RETRIES,
+                              batch_cohort=True)
+        # round 0's cohort [0, 3] draws no fault at attempt 0; round 1's
+        # client 2 does, so [1, 2] runs as two single-client chunks
+        assert stacked == [[0, 3]]
+
+    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("name", sorted(BATCHED_CHAOS))
+    def test_batched_chaos_replays_the_per_client_run(
+            self, name, backend, fedlps_fixture):
+        plan, retries = BATCHED_CHAOS[name]
+        executor = {"inline": None, "thread": ThreadPoolExecutor,
+                    "process": ProcessPoolExecutor}[backend]
+        with (executor(2) if executor else nullcontext()) as pool:
+            history = run_golden_supervised(
+                plan, max_retries=retries, task_timeout=60.0,
+                executor=pool, batch_cohort=True)
+        assert (json.dumps(history.to_dict(), sort_keys=True)
+                == per_client_history(name))
+        if name == "recoverable":
+            assert fault_totals(history)["fault_worker_restarts"] > 0
+            assert strip_fault_extras(history) == fedlps_fixture
+        else:
+            assert [record.dropped
+                    for record in history.records] == [[0], [1]]
+
+
 class TestWorkerLostOutsideAFanOut:
     """A worker that dies while the pool is idle costs one restart, never
     the run: the pool's submissions hand the broken pool back in a future,
@@ -205,7 +264,7 @@ class TestWorkerLostOutsideAFanOut:
             raise RuntimeError("evaluation bug")
 
         monkeypatch.setattr("repro.server.core._evaluate_clients", broken)
-        with pytest.raises(RuntimeError, match="evaluation chunks"):
+        with pytest.raises(RuntimeError, match="evaluation of clients"):
             run_golden_supervised(None, max_retries=1)
 
 

@@ -34,8 +34,12 @@ LATTICE_PINS = json.loads(
      / "scheduler_lattice.json").read_text())
 
 
-@pytest.mark.parametrize("cell", sorted(LATTICE_PINS))
-def test_scheduler_lattice_is_pinned(cell):
+@pytest.mark.parametrize("cell, batch_cohort", [
+    pytest.param(cell, batch_cohort,
+                 id=f"{cell}-batched" if batch_cohort else cell)
+    for cell in sorted(LATTICE_PINS)
+    for batch_cohort in ((False, True) if "/chaos/" in cell else (False,))])
+def test_scheduler_lattice_is_pinned(cell, batch_cohort):
     """Every scheduler x scenario x fault x codec history, byte for byte.
 
     The goldens pin sync (incl. ``deadline-tight`` / ``trace``) and
@@ -46,13 +50,17 @@ def test_scheduler_lattice_is_pinned(cell):
     recorded on the unmodified code at the parent commit of PR 19 (the
     two-``_run`` schedulers, commit 10507fc); it is never regenerated by a
     refactor — a mismatch here is a behaviour change.
+
+    The chaos cells also run with ``batch_cohort`` on, against the same
+    pins: a supervised cohort trains stacked, its faulted clients alone,
+    and nothing of that shows in the history.
     """
     aggregation, scenario, faults, codec = cell.split("/")
     extra = (dict(fault_plan="chaos", max_retries=1)
              if faults == "chaos" else {})
     history = run_method("fedlps", tiny_preset(
         scenario, aggregation, num_rounds=6, clients_per_round=4,
-        codec=codec, **extra))
+        codec=codec, batch_cohort=batch_cohort, **extra))
     payload = json.dumps(history.to_dict(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == LATTICE_PINS[cell]
 

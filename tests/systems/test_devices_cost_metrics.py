@@ -50,6 +50,25 @@ class TestFleet:
         assert {fleet[cid].capability for cid in range(20)} \
             <= set(CAPABILITY_LEVELS)
 
+    @pytest.mark.parametrize("bandwidth_levels", [(1.0, 0.5), (1.0,)],
+                             ids=["two-draws", "one-draw"])
+    def test_numpy_integer_ids_index_like_ints(self, bandwidth_levels):
+        """A numpy integer id — the fleet's own ``client_ids`` yield them —
+        gets the profile its ``int`` gets (each fleet fresh, so no memo
+        hides the sampler)."""
+        def fresh():
+            return VirtualDeviceFleet(20, seed=0,
+                                      bandwidth_levels=bandwidth_levels)
+
+        expected = [fresh()[cid] for cid in range(20)]
+        fleet = fresh()
+        assert [fleet[cid] for cid in fleet.client_ids] == expected
+        for dtype in (np.int64, np.int32):
+            fleet = fresh()
+            profiles = [fleet[dtype(cid)] for cid in range(20)]
+            assert profiles == expected
+            assert {type(profile.client_id) for profile in profiles} == {int}
+
     def test_fleet_lookup_errors(self):
         fleet = VirtualDeviceFleet(3, seed=0)
         with pytest.raises(KeyError):

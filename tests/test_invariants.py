@@ -70,6 +70,9 @@ MUTATIONS = {
                         "_CHUNK_ROWS = 32"),
     "no-environment-in-server": (
         SERVER_CORE, None, 'rows = os.environ.get("ROWS")'),
+    "two-self.supervised-lines-in-server": (
+        SERVER_CORE, None,
+        "if self.supervised:\n    chunks = [[cid] for cid in ids]"),
     "_balanced_chunks-callers": (
         SERVER_CORE, None, "def stray(ids): return _balanced_chunks(ids, 2)"),
     "retired-second-benchmark-harness": (".gitignore", None, "BEN" "CH_*.json"),

@@ -402,6 +402,10 @@ RULES: dict[str, Rule] = {
         r"array_split|np\.split\(|range\(0, len\(", ("src/repro/server",)),
     "one-_CHUNK_ROWS": Count(r"_CHUNK_ROWS = ", ("src",), 1),
     "no-environment-in-server": Absent(r"environ|getenv", ("src/repro/server",)),
+    # Supervision picks how a fan-out dispatches, never how it is chunked:
+    # the flag's assignment and _fan_out's branch are its only reads.
+    "two-self.supervised-lines-in-server": Count(
+        r"self\.supervised", ("src/repro/server",), 2),
     "_balanced_chunks-callers": Callers(
         "_balanced_chunks", (SERVER_CORE,),
         (f"{SERVER_CORE}:_plan_chunks", f"{SERVER_CORE}:evaluate_personalized")),
