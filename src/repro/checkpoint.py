@@ -42,7 +42,10 @@ scalars) is deep-copied: ``pickle.dumps`` of a state at the boundary *is*
 its snapshot.  Which states changed comes from the store's dirty set
 (participant access marks an id, evaluation access does not); an event is
 frozen, keyed ``(round_index, client_id)``, and serialized when first seen
-in the queue.
+in the queue.  A resume holds one copy of every state: the loaded capsule
+keeps only the references, and each read of a state re-reads and
+re-verifies its segment and unpickles a fresh object, which
+:func:`restore_run` adopts into the store as it is.
 
 **On disk** (one directory per run; :class:`CheckpointManager` owns it):
 
@@ -65,9 +68,12 @@ rename is the commit point: a crash in between leaves an orphan segment
 that no head names — ignored by loads, overwritten by the retry, removed
 by the next prune.  :func:`load_checkpoint` verifies the head against its
 header and every referenced segment against the head's table *before*
-unpickling a byte of either, then returns the fully materialized capsule —
-so a directory reused by another run (which replaces ``blobs-000001.bin``
-under an old head) is refused, not resumed.  When the referenced segments
+unpickling a byte of either, then returns a capsule whose queued events
+are materialized and whose client states stay references — so a
+directory reused by another run (which replaces ``blobs-000001.bin``
+under an old head) is refused, not resumed, and a segment pruned or
+replaced *after* the load makes the capsule's next read of a state raise
+:class:`SegmentError` naming the file.  When the referenced segments
 outgrow twice the live blobs (small fleets re-touch the same clients every
 few rounds) a save rewrites every live blob into its segment — amortized
 O(1) — and pruning deletes a segment once neither a kept head nor the
@@ -92,10 +98,11 @@ import pickle
 import re
 import struct
 import time
+from collections.abc import ItemsView
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import (Any, Dict, Hashable, List, Mapping, Optional, Tuple,
-                    Union)
+from typing import (Any, Dict, Hashable, Iterator, List, Mapping, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -223,10 +230,11 @@ class BlobRef:
 class RunCheckpoint:
     """Everything needed to continue a run from a round boundary.
 
-    :func:`load_checkpoint` returns it *materialized* (states and events
-    are the objects themselves, ``segments`` is empty); what
-    :func:`capture_run` builds and a head file holds is the same capsule
-    with :class:`BlobRef` entries in their place.
+    :func:`load_checkpoint` returns it *loaded*: the events are the
+    objects themselves, ``client_states`` is a read-only mapping that
+    unpickles a fresh state on every read (:class:`_ClientStates`) and
+    ``segments`` is empty.  What :func:`capture_run` builds and a head file
+    holds is the same capsule with :class:`BlobRef` entries in their place.
     """
 
     version: int
@@ -241,7 +249,7 @@ class RunCheckpoint:
     #: bit-generator state of the shared selection/strategy stream
     rng: Dict[str, Any]
     #: sparse ``{client_id: state}`` — participants only
-    client_states: Dict[int, Any]
+    client_states: Mapping[int, Any]
     #: scheduler-specific state (name, aggregation version, clock, events)
     scheduler: Dict[str, Any] = field(default_factory=dict)
     #: ``{segment name: (length, sha256 hex)}`` of every referenced segment
@@ -291,6 +299,63 @@ class _BlobReader:
             raise CheckpointError(
                 f"reference {ref} reaches outside its segment")
         return blob
+
+
+class _ClientStates(Mapping):
+    """The read-only ``{client_id: state}`` of a loaded capsule.
+
+    It holds references, not states: every read hands back a fresh state
+    its caller owns — for a :class:`BlobRef`, the segment re-read (from the
+    page cache), re-verified and the blob unpickled; for a state stored in
+    the head itself (a self-contained checkpoint), a deep copy.  So
+    :func:`restore_run` adopts what it reads with no copy of its own, a
+    resumed run holds one copy of every state, and the capsule stays
+    reusable: a second restore from it reads untouched states.  A segment
+    pruned or overwritten since the load raises :class:`SegmentError`
+    naming the file.  One pass over ``items()`` reads each segment once;
+    pickling materializes the mapping into a plain dict.
+    """
+
+    def __init__(self, entries: Mapping[int, Any],
+                 directory: Optional[Path] = None,
+                 segments: Optional[Mapping[str, Tuple[int, str]]] = None
+                 ) -> None:
+        self._entries = dict(entries)
+        self._directory = directory
+        self._segments = dict(segments or {})
+
+    def _fresh(self, entry, read: _BlobReader):
+        if isinstance(entry, BlobRef):
+            return _unpickle(read(entry), self._directory / entry.segment)
+        return copy.deepcopy(entry)
+
+    def _read(self) -> Iterator[Tuple[int, Any]]:
+        read = _BlobReader(self._directory, self._segments)
+        for client_id, entry in self._entries.items():
+            yield client_id, self._fresh(entry, read)
+
+    def __getitem__(self, client_id: int):
+        return self._fresh(self._entries[client_id],
+                           _BlobReader(self._directory, self._segments))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def items(self) -> "_FreshItems":
+        return _FreshItems(self)
+
+    def __reduce__(self):
+        return dict, (dict(self._read()),)
+
+
+class _FreshItems(ItemsView):
+    """``items()`` of :class:`_ClientStates`: one reader per pass."""
+
+    def __iter__(self):
+        return self._mapping._read()
 
 
 class BlobTable:
@@ -454,6 +519,10 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     belong to this run (different config/seed/strategy/dataset/model) or to
     this scheduler.
 
+    The client states are adopted as ``checkpoint.client_states`` hands
+    them out — a loaded capsule unpickles fresh ones on every read, a
+    capsule built in memory deep-copies its own — so the store owns them,
+    nothing is copied twice, and the same capsule restores again unchanged.
     The state store is left *clean* (it now equals the checkpoint), and
     ``manager`` — the run's checkpointer, if it has one — is told which
     checkpoint the run continues from, so its next save can reference the
@@ -482,7 +551,10 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     # the context is shared between core and strategy; swapping its rng
     # resumes the selection/strategy stream mid-sequence
     core.context.rng = restore_rng(checkpoint.rng)
-    for client_id, state in copy.deepcopy(checkpoint.client_states).items():
+    states = checkpoint.client_states
+    if not isinstance(states, _ClientStates):  # a capsule built in memory
+        states = _ClientStates(states)
+    for client_id, state in states.items():
         core.clients.update_state(client_id, state)
     core.clients.state_store.take_dirty()
     history.records = copy.deepcopy(checkpoint.records)
@@ -573,12 +645,21 @@ def _unpickle(blob, source: Path):
 
 
 def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
-    """Load one checkpoint, fully materialized (module docstring: trusted
-    input).  References resolve against the head's own directory; every
-    file is verified before anything in it is unpickled."""
+    """Load one checkpoint (module docstring: trusted input).
+
+    References resolve against the head's own directory, and the head and
+    every segment it references are verified before anything in them is
+    unpickled and before this returns.  The queued events are
+    materialized; the client states stay references behind a read-only
+    :class:`_ClientStates` that unpickles fresh states on each read, so
+    the capsule holds no state of its own.
+    """
     path = Path(path)
     head = read_head(path)
     read = _BlobReader(path.parent, head.segments)
+    for entry in head.client_states.values():
+        if isinstance(entry, BlobRef):
+            read(entry)  # its segment verified, its range checked
 
     def resolve(entry):
         if isinstance(entry, BlobRef):
@@ -591,8 +672,8 @@ def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
             scheduler[name] = [resolve(entry) for entry in scheduler[name]]
     return dataclasses.replace(
         head, scheduler=scheduler, segments={},
-        client_states={client_id: resolve(entry)
-                       for client_id, entry in head.client_states.items()})
+        client_states=_ClientStates(head.client_states, path.parent,
+                                    head.segments))
 
 
 class CheckpointManager:
@@ -626,9 +707,10 @@ class CheckpointManager:
         self.last_bytes = 0
         self.total_save_seconds = 0.0
         self.saves = 0
-        # loaded-checkpoint memo keyed by (path, mtime_ns, size): sweep
-        # retries call latest() once per attempt and would otherwise re-read
-        # an unchanged multi-MB pickle every time
+        # loaded-checkpoint memo keyed by (path, mtime_ns, size): a second
+        # load of an unchanged head returns the same capsule instead of
+        # re-reading and re-verifying its segments; a capsule holds
+        # references, not states, so the memo keeps no state alive
         self._load_memo = BoundedLRU(2)
         #: (path, capsule) of the last head loaded from this directory
         self._loaded: Optional[Tuple[Path, RunCheckpoint]] = None
@@ -811,7 +893,9 @@ def resolve_resume(resume_from, manager: Optional[CheckpointManager]
     * ``"auto"`` (or ``True``) — the latest checkpoint in the manager's
       directory, or a fresh start when there is none yet (so "always run
       with resume" is a safe spot/preemptible idiom);
-    * a :class:`RunCheckpoint` — used as-is;
+    * a :class:`RunCheckpoint` — used as-is; a loaded one can resume any
+      number of runs, each reading fresh states from its segments (which
+      must still be on disk);
     * a path to a checkpoint file, or to a directory of them (latest wins;
       an empty or missing explicit path is an error, unlike ``"auto"``).
     """

@@ -19,9 +19,9 @@ out, and appends retries to the queue:
   nothing: the run-invariant broadcast session still lives in the server's
   shared-memory manifest, so the first task on a fresh worker simply
   re-materializes from the same handles (no re-pickle of params);
-* a task that exhausts its retries lands in the report's ``failed`` list;
-  the server turns it into a dropped client (graceful degradation) instead
-  of a crashed run.
+* a task that exhausts its retries leaves ``None`` at its position of the
+  report's ``results``; the server turns it into a dropped client (graceful
+  degradation) instead of a crashed run.
 
 Determinism contract
     With a :class:`~repro.parallel.faults.FaultPlan` attached, every
@@ -145,11 +145,10 @@ class SupervisionReport:
     """What :func:`run_supervised` hands back to the caller.
 
     ``results`` is in task order with ``None`` at the positions whose task
-    exhausted its retries; ``failed`` lists those tasks' keys (sorted).
+    exhausted its retries (a task body never returns ``None``).
     """
 
     results: List[Any]
-    failed: List[Any] = field(default_factory=list)
     counters: FaultCounters = field(default_factory=FaultCounters)
 
 
@@ -210,7 +209,6 @@ class _Supervisor:
         self.round_index = round_index
         self.counters = FaultCounters()
         self.results: List[Any] = [None] * len(tasks)
-        self.failed: List[Any] = []
         self.queue: deque = deque(
             (position, key, payload, 0)
             for position, (key, payload) in enumerate(tasks))
@@ -240,20 +238,12 @@ class _Supervisor:
             self.queue.append((position, key, payload, attempt + 1))
         else:
             self.counters.exhausted += 1
-            self.failed.append(key)
 
     def settle_outcome(self, entry: _Entry, outcome: Any) -> None:
         if isinstance(outcome, TaskFailure):
             self.settle_failure(entry, outcome.kind, sleep=True)
         else:
             self.results[entry[0]] = outcome
-
-    def report(self) -> SupervisionReport:
-        try:
-            self.failed.sort()
-        except TypeError:  # pragma: no cover - heterogeneous keys
-            pass
-        return SupervisionReport(self.results, self.failed, self.counters)
 
     # ----------------------------------------------------------------- loop
     def run(self) -> SupervisionReport:
@@ -265,7 +255,7 @@ class _Supervisor:
                 continue
             if wave:
                 self._run_wave(wave)
-        return self.report()
+        return SupervisionReport(self.results, self.counters)
 
     def _next_wave(self) -> Tuple[List[Tuple[_Entry, FaultDecision]],
                                   Optional[_Entry]]:
@@ -352,10 +342,12 @@ def run_supervised(executor: Executor, fn: Callable[[Any], Any],
     """Run ``fn`` over ``tasks`` under supervision; never raises per-task.
 
     ``tasks`` is a sequence of ``(key, payload)`` pairs — the key (a client
-    id in the server) names the task in fault decisions and in the
-    ``failed`` list.  Results come back in task order regardless of the
-    backend's completion order; the caller that wants completion-order
-    consumption re-sorts by its own pure key (as the async schedulers do).
+    id in the server) names the task in fault decisions.  Results come back
+    in task order regardless of the backend's completion order; the caller
+    that wants completion-order consumption re-sorts by its own pure key
+    (as the async schedulers do).  ``results`` holds ``None`` exactly at
+    the tasks that ran out of retries, so ``fn`` must never return
+    ``None``: the failed tasks are read off the ``None`` positions.
 
     Faults are simulated in-process on the serial and thread backends and
     realized for real on those that can replenish; counters and surviving

@@ -45,6 +45,13 @@ def _always_fail(x):
     raise ValueError("no")
 
 
+def failed_keys(tasks, report):
+    """The keys of the tasks that ran out of retries, sorted: ``results``
+    holds ``None`` exactly there (no task body here returns ``None``)."""
+    return sorted(key for (key, _), result in zip(tasks, report.results)
+                  if result is None)
+
+
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -92,10 +99,11 @@ class TestSupervision:
             yield executor
 
     def test_plain_run_returns_results_in_task_order(self, executor):
-        report = run_supervised(executor, _double, [(7, 1), (3, 2), (9, 3)],
+        tasks = [(7, 1), (3, 2), (9, 3)]
+        report = run_supervised(executor, _double, tasks,
                                 policy=RetryPolicy())
         assert report.results == [2, 4, 6]
-        assert report.failed == []
+        assert failed_keys(tasks, report) == []
         assert report.counters.as_extras()["fault_retries"] == 0.0
 
     def test_transient_failure_is_retried_to_success(self, executor):
@@ -107,11 +115,11 @@ class TestSupervision:
         assert report.counters.backoff_seconds > 0
 
     def test_exhausted_task_degrades_to_failed_key(self, executor):
-        report = run_supervised(executor, _poisoned,
-                                [(i, i) for i in range(3)],
+        tasks = [(i, i) for i in range(3)]
+        report = run_supervised(executor, _poisoned, tasks,
                                 policy=RetryPolicy(max_retries=2))
         assert report.results == [0, None, 2]
-        assert report.failed == [1]
+        assert failed_keys(tasks, report) == [1]
         assert report.counters.exhausted == 1
         assert report.counters.retries == 2
 
@@ -122,19 +130,21 @@ class TestSupervision:
 
     def test_injected_plan_faults_are_counted_by_kind(self, executor):
         plan = FaultPlan(seed=1, crash_rate=1.0)
-        report = run_supervised(executor, _double, [(0, 1), (1, 2)],
+        tasks = [(0, 1), (1, 2)]
+        report = run_supervised(executor, _double, tasks,
                                 policy=RetryPolicy(max_retries=1), plan=plan)
         # every attempt crashes: initial + 1 retry each, then exhaustion
         assert report.results == [None, None]
-        assert report.failed == [0, 1]
+        assert failed_keys(tasks, report) == [0, 1]
         assert report.counters.worker_restarts == 4
         assert report.counters.exhausted == 2
 
-    def test_failed_keys_come_back_sorted(self, executor):
-        report = run_supervised(executor, _always_fail,
-                                [(9, 9), (1, 1), (5, 5)],
+    def test_every_failed_task_leaves_none_in_task_order(self, executor):
+        tasks = [(9, 9), (1, 1), (5, 5)]
+        report = run_supervised(executor, _always_fail, tasks,
                                 policy=RetryPolicy())
-        assert report.failed == [1, 5, 9]
+        assert report.results == [None, None, None]
+        assert failed_keys(tasks, report) == [1, 5, 9]
 
     def test_only_pools_sleep_before_a_retry(self, executor, monkeypatch):
         # the serial reference has no pool contention to back off from
@@ -155,12 +165,14 @@ def test_witness_sees_every_attempt_once(backend):
     seen = []
     with resolve_executor(backend, 2) as executor:
         executor.payload_witness = seen.append
-        report = run_supervised(executor, _double, [(i, i) for i in range(3)],
+        tasks = [(i, i) for i in range(3)]
+        report = run_supervised(executor, _double, tasks,
                                 policy=RetryPolicy(max_retries=1,
                                                    wall_sleep_cap=0.0),
                                 plan=FaultPlan(seed=0, exception_rate=1.0))
     # three tasks x (first attempt + one retry)
-    assert report.counters.retries == 3 and report.failed == [0, 1, 2]
+    assert report.counters.retries == 3
+    assert failed_keys(tasks, report) == [0, 1, 2]
     assert len(seen) == 6
 
 
@@ -213,7 +225,7 @@ class TestProcessSupervision:
                                     policy=RetryPolicy(max_retries=1),
                                     plan=plan)
             assert report.results == [None]
-            assert report.failed == [0]
+            assert failed_keys(tasks, report) == [0]
             assert report.counters.worker_restarts == 2
             # the replenished pool is immediately usable for real work
             assert executor.map_ordered(_double, [1, 2]) == [2, 4]
@@ -233,7 +245,7 @@ class TestProcessSupervision:
                                     policy=RetryPolicy(max_retries=3),
                                     plan=plan)
         assert report.results == [i * 2 for i in range(6)]
-        assert report.failed == []
+        assert failed_keys(tasks, report) == []
         serial = run_supervised(SerialExecutor(), _double, tasks,
                                 policy=RetryPolicy(max_retries=3), plan=plan)
         assert report.counters == serial.counters
@@ -243,10 +255,11 @@ class TestProcessSupervision:
         policy = RetryPolicy(max_retries=0, task_timeout=1.0)
         with ProcessPoolExecutor(2) as executor:
             executor.warm_up()
-            report = run_supervised(executor, _sleep_forever, [(0, 1)],
+            tasks = [(0, 1)]
+            report = run_supervised(executor, _sleep_forever, tasks,
                                     policy=policy)
             assert report.results == [None]
-            assert report.failed == [0]
+            assert failed_keys(tasks, report) == [0]
             assert report.counters.timeouts == 1
             assert report.counters.exhausted == 1
             # replenish() reclaimed the hung worker; the pool still works
@@ -257,12 +270,13 @@ class TestProcessSupervision:
         plan = FaultPlan(seed=0, hang_rate=1.0, hang_seconds=600.0)
         with ProcessPoolExecutor(2) as executor:
             start = time.perf_counter()
-            report = run_supervised(executor, _double, [(0, 1)],
+            tasks = [(0, 1)]
+            report = run_supervised(executor, _double, tasks,
                                     policy=RetryPolicy(max_retries=0,
                                                        task_timeout=2.0),
                                     plan=plan)
             elapsed = time.perf_counter() - start
-        assert report.failed == [0]
+        assert failed_keys(tasks, report) == [0]
         assert report.counters.timeouts == 1
         # the injected stall was capped at half the timeout budget: the
         # worker returned a failure sentinel instead of tripping the wall

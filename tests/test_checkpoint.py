@@ -12,18 +12,28 @@ that predate the checkpoint subsystem.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import pickle
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.baselines import build_strategy
 from repro.checkpoint import (CheckpointError, CheckpointManager,
-                              CheckpointMismatch, RunCheckpoint,
+                              CheckpointMismatch, RunCheckpoint, SegmentError,
                               TrainingInterrupted, load_checkpoint,
-                              resolve_resume, save_checkpoint)
+                              read_head, resolve_resume, restore_run,
+                              save_checkpoint)
 from repro.experiments import preset_for, run_method, scaled
+from repro.experiments.presets import build_experiment
+from repro.federated import FederatedTrainer
+from repro.parallel import ThreadPoolExecutor
+from repro.server.scheduler import build_scheduler
+from repro.systems.metrics import TrainingHistory
 
 from eager_data import on_both_federations
 
@@ -317,3 +327,125 @@ class TestSweepRetries:
 
         with pytest.raises(ValueError):
             runner.run_jobs([], retries=-1)
+
+
+def build_trainer(method, preset, executor=None):
+    dataset, model_builder, config, fleet = build_experiment(preset)
+    return FederatedTrainer(build_strategy(method), dataset, model_builder,
+                            config=config, fleet=fleet, executor=executor)
+
+
+def _backend(name):
+    return (ThreadPoolExecutor(2) if name == "thread"
+            else contextlib.nullcontext())
+
+
+def _tamper(value):
+    """Mutate every array and dict reachable from ``value`` in place."""
+    if isinstance(value, np.ndarray) and value.size:
+        value[...] = value.flat[0] + 1
+    elif isinstance(value, dict):
+        for item in list(value.values()):
+            _tamper(item)
+        value["tampered"] = True
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _tamper(item)
+
+
+class TestCapsuleReuse:
+    """A loaded capsule holds references: each read unpickles fresh states,
+    so a restore adopts them without a copy and the capsule stays reusable."""
+
+    METHOD = "fedlps"
+
+    @pytest.fixture(params=["sync", "fedbuff"])
+    def interrupted(self, request, tmp_path):
+        """(uninterrupted history, directory interrupted after round 2)."""
+        preset = lambda: async_preset(request.param)
+        reference = history_json(run_method(self.METHOD, preset()))
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            run_method(self.METHOD, preset(), checkpoint_dir=directory,
+                       stop_after_round=2)
+        return reference, preset, directory
+
+    def _resume(self, preset, capsule, executor=None):
+        return history_json(build_trainer(self.METHOD, preset(), executor)
+                            .run(resume_from=capsule))
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_two_resumes_from_one_capsule(self, interrupted, backend):
+        reference, preset, directory = interrupted
+        capsule = load_checkpoint(
+            CheckpointManager(directory).checkpoint_paths()[-1])
+        with _backend(backend) as executor:
+            assert self._resume(preset, capsule, executor) == reference
+            assert self._resume(preset, capsule, executor) == reference
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_two_resumes_through_one_manager_memo(self, interrupted,
+                                                  backend):
+        reference, preset, directory = interrupted
+        manager = CheckpointManager(directory)
+        with _backend(backend) as executor:
+            first = manager.latest()
+            assert self._resume(preset, first, executor) == reference
+            assert manager.latest() is first
+            assert self._resume(preset, first, executor) == reference
+
+    @pytest.mark.parametrize("form", ["segments", "self-contained"])
+    def test_a_restored_run_never_writes_into_the_capsule(
+            self, interrupted, form, tmp_path):
+        _, preset, directory = interrupted
+        capsule = CheckpointManager(directory).latest()
+        if form == "self-contained":
+            whole = save_checkpoint(tmp_path / "whole" / "checkpoint.pkl",
+                                    capsule)
+            assert read_head(whole).segments == {}
+            capsule = load_checkpoint(whole)
+        before = {client_id: pickle.dumps(state)
+                  for client_id, state in capsule.client_states.items()}
+        core = build_trainer(self.METHOD, preset())
+        scheduler = build_scheduler(core.config)
+        core.strategy.setup(core.context)
+        scheduler.reset()
+        restore_run(core, scheduler, capsule,
+                    TrainingHistory(method=self.METHOD, dataset="mnist"))
+        restored = core.clients.state_store.snapshot()
+        assert sorted(restored) == sorted(before)
+        for state in restored.values():
+            _tamper(state)
+        for client_id, state in restored.items():
+            assert pickle.dumps(state) != before[client_id]
+        assert {client_id: pickle.dumps(state)
+                for client_id, state in capsule.client_states.items()} \
+            == before
+        assert pickle.dumps(capsule.client_states[min(before)]) \
+            == before[min(before)]
+
+    def test_pickling_a_capsule_materializes_it(self, interrupted):
+        _, _, directory = interrupted
+        capsule = CheckpointManager(directory).latest()
+        copied = pickle.loads(pickle.dumps(capsule))
+        assert type(copied.client_states) is dict
+        assert {client_id: pickle.dumps(state)
+                for client_id, state in copied.client_states.items()} \
+            == {client_id: pickle.dumps(state)
+                for client_id, state in capsule.client_states.items()}
+
+    @pytest.mark.parametrize("fate", ["pruned", "overwritten"])
+    def test_a_segment_gone_since_the_load_is_named(self, interrupted, fate):
+        _, _, directory = interrupted
+        path = CheckpointManager(directory).checkpoint_paths()[-1]
+        capsule = load_checkpoint(path)
+        client_id, ref = next(iter(read_head(path).client_states.items()))
+        segment = directory / ref.segment
+        if fate == "pruned":
+            segment.unlink()
+        else:
+            segment.write_bytes(b"another run's blobs")
+        with pytest.raises(SegmentError, match=re.escape(str(segment))):
+            capsule.client_states[client_id]
+        with pytest.raises(SegmentError, match=re.escape(str(segment))):
+            dict(capsule.client_states.items())

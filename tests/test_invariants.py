@@ -41,6 +41,9 @@ MUTATIONS = {
     "no-deep-copied-state-store": (
         "src/repro/checkpoint.py", None,
         "copy.deepcopy(fleet.state_store.snapshot())"),
+    "no-deep-copied-restored-states": (
+        "src/repro/checkpoint.py", None,
+        "copy.deepcopy(checkpoint.client_states)"),
     "one-remember_accuracy-call": (
         "src/repro/federated/fleet.py", None, "store.remember_accuracy(0, 1.0)"),
     "remember_accuracy-called-in-server-core": (

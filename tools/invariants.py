@@ -362,6 +362,10 @@ RULES: dict[str, Rule] = {
     # tests/test_checkpoint_layout.py.
     "no-deep-copied-state-store": Absent(
         r"deepcopy\(.*state_store\.snapshot\(\)", ("src",)),
+    # One copy of a restored state: restore_run adopts the fresh states a
+    # loaded capsule unpickles on every read, never a deep copy of them.
+    "no-deep-copied-restored-states": Absent(
+        r"deepcopy\(.*client_states", ("src",)),
     # One evaluation memo: evaluate_personalized is its only writer and only
     # FleetStateStore's write hooks drop an entry.
     "one-remember_accuracy-call": Count(
