@@ -107,7 +107,7 @@ from typing import (Any, Dict, Hashable, Iterator, List, Mapping, Optional,
 import numpy as np
 
 from .systems.metrics import RoundRecord, TrainingHistory
-from .util import BoundedLRU, canonicalize, positive_int
+from .util import canonicalize, positive_int
 
 #: bump whenever the checkpoint layout — or the set of config fields the run
 #: digest hashes — changes incompatibly (2: ``FleetConfig.lazy`` removed;
@@ -118,6 +118,8 @@ CHECKPOINT_VERSION = 3
 #: are ``blobs-<next_round>.bin`` and must sort *before* every head
 _FILE_PATTERN = re.compile(r"^checkpoint-(\d+)\.pkl$")
 _SEGMENT_PATTERN = re.compile(r"^blobs-(\d+)\.bin$")
+#: what a save crashed between write and rename leaves of either file
+_TMP_PATTERN = re.compile(r"^(checkpoint-\d+\.pkl|blobs-\d+\.bin)\.tmp$")
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -707,11 +709,6 @@ class CheckpointManager:
         self.last_bytes = 0
         self.total_save_seconds = 0.0
         self.saves = 0
-        # loaded-checkpoint memo keyed by (path, mtime_ns, size): a second
-        # load of an unchanged head returns the same capsule instead of
-        # re-reading and re-verifying its segments; a capsule holds
-        # references, not states, so the memo keeps no state alive
-        self._load_memo = BoundedLRU(2)
         #: (path, capsule) of the last head loaded from this directory
         self._loaded: Optional[Tuple[Path, RunCheckpoint]] = None
         self._table = BlobTable(self.directory)
@@ -829,12 +826,7 @@ class CheckpointManager:
 
     def load(self, path: Union[str, Path]) -> RunCheckpoint:
         path = Path(path)
-        stat = path.stat()
-        key = (str(path), stat.st_mtime_ns, stat.st_size)
-        checkpoint = self._load_memo.get(key)
-        if checkpoint is None:
-            checkpoint = load_checkpoint(path)
-            self._load_memo.put(key, checkpoint)
+        checkpoint = load_checkpoint(path)
         if path.parent == self.directory:
             self._loaded = (path, checkpoint)
         return checkpoint
@@ -843,12 +835,17 @@ class CheckpointManager:
         """Drop every head but the ``keep`` newest up to ``saved_round``
         (the boundary just saved), then every segment that neither a kept
         head nor the live table references (superseded ones and orphans).
+        The ``.tmp`` files of a crashed save go first: every save of this
+        manager has renamed its own by the time it prunes.
 
         A head *beyond* ``saved_round`` is the future of a history this run
         is rewriting — a directory started into again without resume — and
         goes first: counted among the newest it would push out the head
         just written, and this run replaces the segments it names anyway.
         """
+        for entry in self.directory.iterdir():
+            if _TMP_PATTERN.match(entry.name):
+                _unlink(entry)
         heads = self._heads()
         kept = [path for next_round, path in heads
                 if next_round <= saved_round][-self.keep:]

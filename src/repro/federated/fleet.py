@@ -113,7 +113,9 @@ class FleetStateStore:
 
         One caller only — ``ServerCore.evaluate_personalized``, and only
         for a stored state its strategy's ``evaluates_from_state`` vouches
-        for (the result is a function of that state and nothing else).
+        for (the result is a function of that state and nothing else),
+        whether the sweep computed the accuracy or took it from the
+        client's training chunk.
         """
         self._remembered[client_id] = accuracy
 

@@ -173,7 +173,8 @@ class Strategy:
                 for client, result in zip(clients, results)]
 
     def local_update(self, round_index: int, client: Client) -> ClientUpdate:
-        """One client's :meth:`local_updates` (a size-1 chunk)."""
+        """One client's :meth:`local_updates` (a loop chunk runs it per
+        client)."""
         return self.local_updates(round_index, [client])[0]
 
     def local_update_cohort(self, round_index: int, clients: List[Client]
@@ -314,13 +315,28 @@ class Strategy:
         ``global_params`` or anything else on ``self`` — the default,
         because the base method evaluates the global model, which moves
         every round.
+
+        The server also asks it of every state ``local_updates`` has just
+        written, and evaluates a vouched client right there, inside its
+        training chunk, before ``post_round`` runs: so a state vouched for
+        must stay vouched for, and read the same by ``client_evaluation``,
+        through ``post_round`` (see there).
         """
         return False
 
     # ------------------------------------------------------------- post-round
     def post_round(self, round_index: int, updates: List[ClientUpdate],
                    costs: Mapping[int, CostBreakdown]) -> None:
-        """Hook for bandit updates, staleness bookkeeping, etc."""
+        """Hook for bandit updates, staleness bookkeeping, etc.
+
+        Contract: for a client whose state ``evaluates_from_state`` vouches
+        for, this hook may write to the state (bandit feedback, ratios) but
+        never anything ``client_evaluation`` reads of it, nor anything that
+        withdraws the vouching — the server has already evaluated that
+        client inside its training chunk and uses the accuracy at the next
+        sweep (``tests/federated/test_evaluation_memo.py`` checks every
+        opted-in method).
+        """
 
     # --------------------------------------------------------------- helpers
     def _client_state(self, client_id: int) -> Dict:

@@ -118,6 +118,15 @@ class Layer:
         """
         return {}
 
+    def kept_parameter_count(self, unit_mask: Array) -> int:
+        """Parameters of this layer that ``unit_mask`` keeps: the nonzero
+        entries of :meth:`expand_unit_mask`, every entry of a parameter it
+        does not mask.  Layers whose masks have a closed-form count override
+        this to skip building them."""
+        masks = self.expand_unit_mask(unit_mask)
+        return int(sum(np.count_nonzero(masks[key]) if key in masks
+                       else value.size for key, value in self.params.items()))
+
     def unit_weight_magnitude(self) -> Array:
         """Per-unit sum of absolute parameter values (``|omega|_J`` in Eq. 8).
 

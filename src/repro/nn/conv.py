@@ -231,15 +231,25 @@ class Conv2d(Layer):
     def n_units(self) -> int:
         return self.out_channels if self.sparsifiable else 0
 
-    def expand_unit_mask(self, unit_mask: Array) -> ParamDict:
+    def _unit_mask(self, unit_mask: Array) -> Array:
         unit_mask = np.asarray(unit_mask, dtype=np.float64)
         if unit_mask.shape != (self.out_channels,):
             raise ValueError(
                 f"{self.name}: unit mask must have shape ({self.out_channels},), "
                 f"got {unit_mask.shape}")
+        return unit_mask
+
+    def expand_unit_mask(self, unit_mask: Array) -> ParamDict:
+        unit_mask = self._unit_mask(unit_mask)
         w_mask = np.broadcast_to(
             unit_mask[:, None, None, None], self.params["W"].shape).copy()
         return {"W": w_mask, "b": unit_mask.copy()}
+
+    def kept_parameter_count(self, unit_mask: Array) -> int:
+        # a kept output channel keeps its filter and its bias entry
+        kept = np.count_nonzero(self._unit_mask(unit_mask))
+        return int(sum(kept * (value.size // self.out_channels)
+                       for value in self.params.values()))
 
     def unit_weight_magnitude(self) -> Array:
         return (np.sum(np.abs(self.params["W"]), axis=(1, 2, 3))

@@ -20,14 +20,17 @@ the loop composes:
   selection is the executor's ``supports_broadcast`` (inline on the live
   strategy vs bound from the shared-memory broadcast handles in the one
   worker task, :func:`_fanout_task`),
-* the training plan: :meth:`ServerCore._plan_chunks` partitions a cohort,
-  supervised or not (an opted-in batchable cohort into contiguous balanced
+* the training plan: :meth:`ServerCore._plan_chunks` partitions every
+  cohort, batched or not, supervised or not, into contiguous balanced
   chunks of at most ``_CHUNK_ROWS`` rows per step, at least one per worker,
-  each a ``(C, ...)`` program, with every client the fault plan hits cut
-  out alone; single clients otherwise),
+  with every client the fault plan hits cut out alone; a chunk runs as one
+  ``(C, ...)`` program when the run trains stacked, as the client loop
+  otherwise,
 * cost accounting through the Eq. 14 cost model,
-* personalized evaluation, one contiguous chunk per worker (more when
-  the sweep outgrows the shard cache),
+* personalized evaluation: a training chunk returns the accuracies of its
+  clients whose state alone decides them (when the sweep is uncapped), and
+  the sweep fans out the rest, one contiguous chunk per worker (more when
+  it outgrows the shard cache),
 * the session/round shared-memory broadcasts from ``repro.parallel``.
 
 The session broadcast ships the run invariants once per trainer; since the
@@ -189,51 +192,85 @@ def materialized_session(handle: BroadcastHandle) -> tuple:
 
 
 # ------------------------------------------------------------- task bodies
+def _trains_stacked(context: StrategyContext) -> bool:
+    """Whether a multi-client chunk runs as one ``(C, ...)`` program: the
+    ``config.batch_cohort`` opt-in on a model with batched kernels.  Both
+    task bodies ask; the chunk plan never does."""
+    return context.config.batch_cohort and batchable_model(context.model)
+
+
+def _sweep_is_uncapped(config: FederatedConfig, num_clients: int) -> bool:
+    """Whether the evaluation sweep covers all ``num_clients`` clients
+    (``fleet.eval_clients`` unset or at least the fleet size)."""
+    cap = config.fleet.eval_clients
+    return cap is None or cap >= num_clients
+
+
 def _run_chunk(strategy: Strategy, round_index: int, clients: List[Client]
-               ) -> List[Tuple[ClientUpdate, Dict]]:
+               ) -> List[Tuple[ClientUpdate, Dict, Optional[float]]]:
     """Run one chunk of a cohort's local updates — the training body.
 
-    Both names are ``Strategy.local_updates``: a multi-client chunk runs
-    through ``local_update_cohort`` as one stacked tensor program, a size-1
-    chunk through ``local_update``; either way the result matches the
-    per-client dispatch, update by update and state by state.  Strategies
-    persist per-client information in ``client.state``, so the (possibly
-    mutated) state dictionary rides back alongside each update: across a
-    worker boundary the caller never sees in-place mutations.
+    Both names are ``Strategy.local_updates``: a multi-client chunk of a
+    run that trains stacked (:func:`_trains_stacked`) runs through
+    ``local_update_cohort`` as one ``(C, ...)`` program, any other chunk
+    as the client loop, ``local_update`` per client; either way the result
+    matches the per-client dispatch, update by update and state by state.
+    Strategies persist per-client information in ``client.state``, so the
+    (possibly mutated) state dictionary rides back alongside each update:
+    across a worker boundary the caller never sees in-place mutations.
+
+    When the sweep covers every client (:func:`_sweep_is_uncapped`), each
+    client whose new state ``evaluates_from_state`` vouches for is
+    evaluated here too, through :func:`_evaluate_clients` (stacked when
+    the run trains stacked), and its accuracy rides back as the third
+    element — ``None`` for every other client — so the sweep need not ship
+    the state out again.  ``post_round`` never changes what
+    ``client_evaluation`` reads of a vouched state, so this is the float
+    the sweep would compute.
 
     Under a non-dense wire codec the updates' parameters leave the body
     encoded, wherever it runs: on a worker the cross-process pickle carries
     the compressed wire form, and the server decodes every uplink the same
     way on receipt.
     """
-    if len(clients) > 1:
+    context = strategy.context
+    if len(clients) > 1 and _trains_stacked(context):
         updates = strategy.local_update_cohort(round_index, clients)
     else:
         updates = [strategy.local_update(round_index, client)
                    for client in clients]
-    codec = resolve_codec(strategy.context.config.codec)
+    uncapped = _sweep_is_uncapped(context.config, context.dataset.num_clients)
+    vouched = [index for index, client in enumerate(clients)
+               if uncapped and strategy.evaluates_from_state(client.state)]
+    accuracies: List[Optional[float]] = [None] * len(clients)
+    if vouched:
+        for index, accuracy in zip(vouched, _evaluate_clients(
+                strategy, round_index, [clients[index] for index in vouched])):
+            accuracies[index] = accuracy
+    codec = resolve_codec(context.config.codec)
     if codec.name != "dense":
         for update in updates:
             update.params = codec.encode(update.params)
-    return [(update, client.state)
-            for update, client in zip(updates, clients)]
+    return [(update, client.state, accuracy)
+            for update, client, accuracy in zip(updates, clients, accuracies)]
 
 
 def _evaluate_clients(strategy: Strategy, round_index: int,
                       clients: List[Client]) -> List[float]:
     """Accuracies of the clients' personalized models on their test shards.
 
-    The evaluation body; its signature is the training body's, so one
-    fan-out runs both (``round_index`` is the sweep's ``-1`` and unread).  A
-    run that trains stacked (``config.batch_cohort`` on a batchable model)
-    evaluates stacked too: the chunk goes through
-    :func:`~repro.federated.evaluation.evaluate_cohort`, each forward within
-    ``_CHUNK_ROWS`` rows like a training step.  Any other run evaluates
-    client by client, each inference model built right before its forward.
-    Every accuracy is the float ``evaluate_params`` returns either way.
+    The evaluation body of the sweep, and of a training chunk's vouched
+    clients (:func:`_run_chunk`); its signature is the training body's, so
+    one fan-out runs both (``round_index`` is unread).  A run that trains
+    stacked (:func:`_trains_stacked`) evaluates stacked too: the chunk goes
+    through :func:`~repro.federated.evaluation.evaluate_cohort`, each
+    forward within ``_CHUNK_ROWS`` rows like a training step.  Any other
+    run evaluates client by client, each inference model built right
+    before its forward.  Every accuracy is the float ``evaluate_params``
+    returns either way.
     """
     context = strategy.context
-    if context.config.batch_cohort and batchable_model(context.model):
+    if _trains_stacked(context):
         return evaluate_cohort(
             context.model, [strategy.client_evaluation(client)
                             for client in clients],
@@ -367,9 +404,13 @@ class ServerCore:
             shard_map.resize(self.config.fleet.shard_cache)
         self.clients: ClientFleet = ClientFleet(dataset, self.fleet)
         self._eval_ids: Optional[List[int]] = None
-        # out-of-band ledger: clients an evaluation sweep ran vs. took from
-        # the state store's memo
-        self.evaluation_stats: Dict[str, int] = {"evaluated": 0, "reused": 0}
+        # accuracies the training chunks returned since the last sweep, by
+        # client id (None: the chunk did not evaluate the client)
+        self._trained_accuracies: Dict[int, Optional[float]] = {}
+        # out-of-band ledger: clients an evaluation sweep ran, took from the
+        # training chunks, and took from the state store's memo
+        self.evaluation_stats: Dict[str, int] = {
+            "evaluated": 0, "from_training": 0, "reused": 0}
         self.context = StrategyContext(
             model=self.model, clients=self.clients, dataset=dataset,
             fleet=self.fleet, config=self.config, cost_model=self.cost_model,
@@ -589,23 +630,19 @@ class ServerCore:
                      selected: List[int]) -> List[List[int]]:
         """Partition a cohort into the chunks its fan-out dispatches.
 
-        The one place that decides chunk shape, supervised or not.  A cohort
-        that trains stacked — which requires the config opt-in and a model
-        with batched kernels (``batchable_model``; every strategy's
-        ``local_updates`` takes a cohort) — goes out as contiguous balanced
+        The one place that decides chunk shape, for every run — batched or
+        not, supervised or not.  A cohort goes out as contiguous balanced
         chunks: as few as give every worker of the executor one and keep
         every chunk within ``_CHUNK_ROWS`` rows (clients x ``batch_size``)
-        per step — a cohort already inside the budget is not split further,
-        which would only hand the per-update fixed cost back.  A client the
-        fault plan hits at attempt 0 (``slow`` too) is cut out of its chunk
-        in place, so every chunk's key (its first id) draws the per-client
-        plan's faults.  Any other cohort goes out as per-client tasks.  Each
-        multi-client chunk runs as one ``(C, ...)`` program and a size-1
-        chunk as the client loop, so the plan never shows in a history.
+        — a cohort already inside the budget is not split further, which
+        would only hand the per-task fixed cost back.  A client the fault
+        plan hits at attempt 0 (``slow`` too) is cut out of its chunk in
+        place, so every chunk's key (its first id) draws the per-client
+        plan's faults.  How a chunk runs — one ``(C, ...)`` program or the
+        client loop — is :func:`_run_chunk`'s business, so the plan never
+        shows in a history.
         """
         ids = [int(cid) for cid in selected]
-        if not (self.config.batch_cohort and batchable_model(self.model)):
-            return [[cid] for cid in ids]
         per_chunk = max(1, _CHUNK_ROWS // self.config.batch_size)
         chunks = _balanced_chunks(
             ids, max(self.executor.workers, -(-len(ids) // per_chunk)))
@@ -626,10 +663,12 @@ class ServerCore:
         for first-time participants, whose pure init runs where the chunk
         is bound), so dispatch materializes nothing server-side: on a
         broadcast backend the worker is the only place the cohort's shards
-        are built.
+        are built.  The accuracies the chunks return are kept by client id
+        for the next :meth:`evaluate_personalized`, a newer training result
+        replacing an older one.
 
-        The pool runs the cohort's chunks concurrently — a stacked cohort
-        is planned as at least one chunk per worker, so batching, a pool and
+        The pool runs the cohort's chunks concurrently — every cohort is
+        planned as at least one chunk per worker, so batching, a pool and
         supervision compose; the call returns once the whole cohort has
         finished, updates in dispatch order.
 
@@ -647,8 +686,9 @@ class ServerCore:
             plan=self.config.faults)
         updates = []
         for chunk_results in results:
-            for update, state in chunk_results:
+            for update, state, accuracy in chunk_results:
                 self.clients.update_state(update.client_id, state)
+                self._trained_accuracies[update.client_id] = accuracy
                 updates.append(update)
         wire = (self._decode_uplinks(updates, encoded_down, len(selected))
                 if self.codec.name != "dense" else {})
@@ -759,14 +799,14 @@ class ServerCore:
         a pure function of the config across backends — or no clients at
         all when the cap is 0 (fleet-scale smoke runs).
         """
-        cap = self.config.fleet.eval_clients
         ids = self.clients.client_ids
-        if cap is None or cap >= len(ids):
+        if _sweep_is_uncapped(self.config, len(ids)):
             return [int(cid) for cid in ids]
         if self._eval_ids is None:
             rng = np.random.default_rng(
                 (self.config.seed, len(ids), _EVAL_SUBSET_SALT))
-            chosen = rng.choice(len(ids), size=cap, replace=False)
+            chosen = rng.choice(len(ids), size=self.config.fleet.eval_clients,
+                                replace=False)
             self._eval_ids = sorted(int(ids[position]) for position in chosen)
         return self._eval_ids
 
@@ -779,13 +819,18 @@ class ServerCore:
         ``evaluates_from_state`` says the client's stored state alone
         determined it, so a personalized method re-runs just the clients
         written to since their last evaluation while a global-model method
-        re-runs the whole sweep.  The average is over the same id-ordered
-        accuracies either way.
+        re-runs the whole sweep.  Of those, a client whose training chunk
+        since the last sweep already evaluated it (:func:`_run_chunk`, only
+        when the sweep is uncapped) takes that accuracy, which is the one
+        the sweep would compute; the map of them is emptied here, every
+        sweep.  The average is over the same id-ordered accuracies either
+        way.  ``evaluation_stats`` counts the three sources: ``evaluated``
+        (fanned out here), ``from_training`` and ``reused`` (remembered).
 
-        The swept ids go out through :meth:`_fan_out` as contiguous chunks,
-        one per worker unless that would bind more clients at once than
-        ``fleet.shard_cache`` keeps shards, each chunk carrying the stored
-        states — or ``{}``
+        The ids left to evaluate go out through :meth:`_fan_out` as
+        contiguous chunks, one per worker unless that would bind more
+        clients at once than ``fleet.shard_cache`` keeps shards, each chunk
+        carrying the stored states — or ``{}``
         for a client that has never trained, which is evaluated with that
         empty state (no strategy's ``client_evaluation`` reads what
         ``init_client_state`` would write before a client trains, so none
@@ -802,6 +847,7 @@ class ServerCore:
         fleets under such a method either keep ``fleet.shard_cache`` at or
         above the sweep size or cap the sweep with ``fleet.eval_clients``.
         """
+        trained, self._trained_accuracies = self._trained_accuracies, {}
         eval_ids = self.evaluation_client_ids()
         if not eval_ids:
             return 0.0
@@ -814,7 +860,10 @@ class ServerCore:
         encoded_down = self._snap_global_params()
         store = self.clients.state_store
         accuracies = {cid: store.remembered_accuracy(cid) for cid in eval_ids}
-        pending = [cid for cid in eval_ids if accuracies[cid] is None]
+        stale = [cid for cid in eval_ids if accuracies[cid] is None]
+        for cid in stale:
+            accuracies[cid] = trained.get(cid)
+        pending = [cid for cid in stale if accuracies[cid] is None]
         # one chunk per worker, but none larger than the shard cache: a
         # chunk's clients are bound, and hold their shards, all at once
         count = max(self.executor.workers,
@@ -829,11 +878,12 @@ class ServerCore:
             raise RuntimeError(f"evaluation of clients {failed} ran out "
                                "of retries")
         fresh = [accuracy for chunk in results for accuracy in chunk]
-        for cid, accuracy in zip(pending, fresh):
-            accuracies[cid] = accuracy
+        accuracies.update(zip(pending, fresh))
+        for cid in stale:
             state = store.get(cid)
             if state is not None and self.strategy.evaluates_from_state(state):
-                store.remember_accuracy(cid, accuracy)
+                store.remember_accuracy(cid, accuracies[cid])
         self.evaluation_stats["evaluated"] += len(pending)
-        self.evaluation_stats["reused"] += len(eval_ids) - len(pending)
+        self.evaluation_stats["from_training"] += len(stale) - len(pending)
+        self.evaluation_stats["reused"] += len(eval_ids) - len(stale)
         return float(np.mean([accuracies[cid] for cid in eval_ids]))

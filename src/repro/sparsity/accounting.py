@@ -95,10 +95,13 @@ def masked_parameter_count(model: Sequential,
     """Number of parameters retained by a pattern (all of them when None)."""
     if pattern is None:
         return model.num_parameters
-    mask = model.expand_unit_masks(
-        {name: np.asarray(values, dtype=np.float64)
-         for name, values in pattern.items()})
-    return int(sum(np.count_nonzero(values) for values in mask.values()))
+    # the nonzeros of model.expand_unit_masks(pattern), counted per layer
+    # without building the parameter-level masks
+    return int(sum(
+        layer.kept_parameter_count(pattern[layer.name])
+        if layer.sparsifiable and layer.n_units > 0 and layer.name in pattern
+        else sum(value.size for value in layer.params.values())
+        for layer in model.layers))
 
 
 def upload_bytes(model: Sequential,

@@ -410,6 +410,41 @@ class TestEndToEnd:
         assert (first.extras["fault_retries"], first.extras["fault_exhausted"]) \
             == (1.0, 1.0)
 
+    def test_a_loop_chunk_runs_the_client_loop(self, monkeypatch):
+        """A cohort that does not train stacked goes out as one chunk per
+        worker too; each chunk runs ``local_update`` once per client and
+        never ``local_update_cohort``, and the history is the inline one."""
+        from repro.experiments import run_method
+        from repro.federated import Strategy
+        from repro.parallel import ThreadPoolExecutor
+        from repro.server.core import _run_chunk
+
+        preset = _small()
+        expected = _history_key(run_method("fedavg", preset))
+        calls, chunks = [], []
+        one = Strategy.local_update
+
+        def local_update(self, round_index, client):
+            calls.append((round_index, client.client_id))
+            return one(self, round_index, client)
+
+        def local_update_cohort(self, round_index, clients):
+            raise AssertionError("a loop chunk ran stacked")
+
+        monkeypatch.setattr(Strategy, "local_update", local_update)
+        monkeypatch.setattr(Strategy, "local_update_cohort",
+                            local_update_cohort)
+        with ThreadPoolExecutor(2) as executor:
+            # (body, session, round, round_index, client ids, states)
+            executor.payload_witness = lambda payload: chunks.append(
+                payload[4]) if payload[0] is _run_chunk else None
+            history = run_method("fedavg", preset, executor=executor)
+        assert [len(chunk) for chunk in chunks] == [2, 2] * preset.num_rounds
+        assert sorted(calls) == sorted(
+            (record.round_index, cid) for record in history.records
+            for cid in record.selected_clients)
+        assert _history_key(history) == expected
+
     @pytest.mark.parametrize("shim", ["local_update", "local_update_cohort"])
     def test_a_subclass_cannot_override_a_shim(self, shim):
         """``local_updates`` is the one hook: the server calls it through
@@ -476,9 +511,9 @@ class TestEndToEnd:
 
 
 class TestChunkPlan:
-    """``ServerCore._plan_chunks``: an opted-in batchable cohort goes out as
-    balanced stacked chunks — one per worker, or more when the row budget
-    asks for it — and every other cohort as per-client tasks."""
+    """``ServerCore._plan_chunks``: every cohort goes out as balanced chunks
+    — one per worker, or more when the row budget asks for it — whether its
+    chunks then train stacked or as the client loop."""
 
     @staticmethod
     def _core(method="fedavg", *, workers=None, preset="mnist", **overrides):
@@ -536,19 +571,32 @@ class TestChunkPlan:
         assert self._core(batch_size=200)._plan_chunks(0, [3, 1, 2]) \
             == [[3], [1], [2]]
 
-    def test_size_one_chunks_otherwise(self):
-        per_client = [[3], [1], [2]]
+    def test_a_loop_cohort_plans_like_a_batched_one(self):
+        # batching decides how a chunk runs, never how the cohort is cut:
+        # an opted-out run and a model without batched kernels plan alike
+        ids = list(range(35))
+        for workers in (None, 2):
+            for batch_size in (1, 16):
+                batched = self._core(workers=workers, batch_size=batch_size) \
+                    ._plan_chunks(0, ids)
+                for loop in (dict(batch_cohort=False), dict(preset="reddit")):
+                    assert self._core(workers=workers, batch_size=batch_size,
+                                      **loop)._plan_chunks(0, ids) == batched
+        # 16 rows per client: 4 clients fill the budget of a loop task too
+        assert [len(chunk) for chunk in self._core(
+            batch_cohort=False, batch_size=16)._plan_chunks(0, ids)] \
+            == [3, 4, 4, 4, 4, 4, 4, 4, 4]
         # supervision does not shape the plan
         assert self._core(max_retries=1)._plan_chunks(0, [3, 1, 2]) \
             == [[3, 1, 2]]
+        assert self._core(batch_cohort=False, max_retries=1) \
+            ._plan_chunks(0, [3, 1, 2]) == [[3, 1, 2]]
         assert self._core(preset="reddit")._plan_chunks(0, [3, 1, 2]) \
-            == per_client
-        assert self._core(batch_cohort=False)._plan_chunks(0, [3, 1, 2]) \
-            == per_client
+            == [[3, 1, 2]]
         assert self._core(batch_cohort=False, workers=2) \
-            ._plan_chunks(0, [3, 1, 2]) == per_client
+            ._plan_chunks(0, [3, 1, 2]) == [[3], [1, 2]]
         assert self._core()._plan_chunks(0, [5]) == [[5]]
-        assert self._core()._plan_chunks(0, []) == []
+        assert self._core(batch_cohort=False)._plan_chunks(0, []) == []
 
     def test_a_faulted_client_is_cut_out_in_place(self):
         from dataclasses import replace
@@ -561,33 +609,39 @@ class TestChunkPlan:
         ids = list(range(1, 9))
         assert [cid for cid in ids
                 if plan.decide(0, cid, 0).kind != "none"] == [4]
-        core = self._core(batch_size=1)
-        assert core._plan_chunks(0, ids) == [ids]
-        core.config = replace(core.config, faults=plan)
-        assert core._plan_chunks(0, ids) == [[1, 2, 3], [4], [5, 6, 7, 8]]
+        for batch_cohort in (True, False):
+            core = self._core(batch_size=1, batch_cohort=batch_cohort)
+            assert core._plan_chunks(0, ids) == [ids]
+            core.config = replace(core.config, faults=plan)
+            assert core._plan_chunks(0, ids) \
+                == [[1, 2, 3], [4], [5, 6, 7, 8]]
 
     @given(ids=st.lists(st.integers(min_value=0, max_value=10_000),
                         unique=True, max_size=80),
            workers=st.integers(min_value=1, max_value=12),
            batch_size=st.integers(min_value=1, max_value=160),
-           off=st.sampled_from(["", "fault-plan", "non-batchable",
-                                "opted-out"]),
+           batching=st.sampled_from(["stacked", "non-batchable",
+                                     "opted-out"]),
+           faulted=st.booleans(),
            round_index=st.integers(min_value=0, max_value=5))
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_plan_properties(self, ids, workers, batch_size, off,
-                             round_index):
+    def test_plan_properties(self, ids, workers, batch_size, batching,
+                             faulted, round_index):
         from dataclasses import replace
 
         from repro.parallel import FaultPlan
         from repro.server.core import _CHUNK_ROWS
 
-        core = _planner_core("reddit" if off == "non-batchable" else "mnist")
+        # every cohort has these properties, whether it trains stacked or not
+        core = _planner_core("reddit" if batching == "non-batchable"
+                             else "mnist")
         core.executor = SimpleNamespace(workers=workers)
         core.config = replace(core.config, batch_size=batch_size,
-                              batch_cohort=off != "opted-out", faults=None)
+                              batch_cohort=batching != "opted-out",
+                              faults=None)
         chunks = core._plan_chunks(round_index, ids)
         assert [cid for chunk in chunks for cid in chunk] == ids
-        if off == "fault-plan":
+        if faulted:
             plan = FaultPlan(seed=3, exception_rate=0.1, crash_rate=0.1,
                              slow_rate=0.1)
             core.config = replace(core.config, faults=plan)
@@ -608,9 +662,6 @@ class TestChunkPlan:
                 owner[left[-1]] == owner[right[0]]
                 and not set(left + right) & set(faulted)
                 for left, right in zip(cut, cut[1:]))
-        elif off:
-            assert all(len(chunk) == 1 for chunk in chunks)
-            return
         sizes = [len(chunk) for chunk in chunks]
         assert not sizes or max(sizes) - min(sizes) <= 1
         per_chunk = max(1, _CHUNK_ROWS // batch_size)

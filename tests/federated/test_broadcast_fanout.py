@@ -38,7 +38,12 @@ def _dumps_size(obj) -> int:
 
 class TestBytesPerRound:
     def test_global_params_serialized_once_per_worker_per_round(self):
-        preset = tiny_preset()
+        # a batch that fills the 64-row chunk budget alone plans one training
+        # chunk per client, so each round's 4 training tasks outnumber the 2
+        # workers and some worker runs two tasks of one broadcast (with the
+        # default batch the cohort is one chunk per worker and reuse would
+        # depend on scheduling)
+        preset = scaled(tiny_preset(), batch_size=64)
         dataset, model_builder, config, fleet = build_experiment(preset)
         strategy = build_strategy("fedavg")
         task_payload_sizes = []
@@ -67,8 +72,8 @@ class TestBytesPerRound:
         assert stats["param_packs"] == 2 * rounds + 1
 
         # 3. worker-side, each broadcast is deserialized at most once per
-        #    worker; with clients_per_round > workers this is strictly fewer
-        #    materializations than the per-client legacy behaviour.  The
+        #    worker; with more training tasks than workers this is strictly
+        #    fewer materializations than the per-client legacy behaviour.  The
         #    session broadcast adds one materialization per worker for the
         #    whole run.
         publishes = stats["publishes"]

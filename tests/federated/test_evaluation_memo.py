@@ -7,12 +7,14 @@ alone determined it.  Three things keep that sound:
 
 * **the predicate tells the truth** — for every registry method, whenever
   it says ``True`` for a state, ``client_evaluation`` returns the very same
-  bytes after everything shared on the strategy is replaced by garbage;
-  and exactly the methods in :data:`OPT_IN` ever say ``True`` (the CI
-  ``lint`` job reads that set: an override elsewhere needs a row here);
+  bytes after everything shared on the strategy is replaced by garbage,
+  and the same bytes right after ``local_updates`` as at sweep time, after
+  ``post_round``; and exactly the methods in :data:`OPT_IN` ever say
+  ``True`` (the CI ``lint`` job reads that set: an override elsewhere
+  needs a row here);
 * **a remembered float is the float** — histories equal those of a run
-  that remembers nothing, across backends, codecs, schedulers and an
-  interrupt + resume;
+  that remembers nothing and takes no accuracy from a training chunk,
+  across backends, codecs, schedulers and an interrupt + resume;
 * **the ledger** (``ServerCore.evaluation_stats``, out-of-band) shows the
   sweep costing what the round changed.
 """
@@ -84,17 +86,36 @@ def forgetful():
         yield
 
 
+@contextmanager
+def untrained_sweeps():
+    """No accuracy reaches a sweep from a training chunk: the server drops
+    what the chunks returned, so every sweep evaluates what is stale."""
+    real = ServerCore.run_local_updates
+
+    def run_local_updates(core, round_index, selected):
+        updates = real(core, round_index, selected)
+        core._trained_accuracies.clear()
+        return updates
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ServerCore, "run_local_updates", run_local_updates)
+        yield
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
-    """``(evaluated, reused)`` of every sweep, read off the ledger."""
+    """``(evaluated, from_training, reused)`` of every sweep, read off the
+    ledger; each sweep's three counts add up to the ids it swept."""
     real = ServerCore.evaluate_personalized
     seen = []
 
     def evaluate_personalized(core):
         before = dict(core.evaluation_stats)
         accuracy = real(core)
-        seen.append(tuple(core.evaluation_stats[key] - before[key]
-                          for key in ("evaluated", "reused")))
+        counts = tuple(core.evaluation_stats[key] - before[key]
+                       for key in ("evaluated", "from_training", "reused"))
+        assert sum(counts) == len(core.evaluation_client_ids())
+        seen.append(counts)
         return accuracy
 
     monkeypatch.setattr(ServerCore, "evaluate_personalized",
@@ -139,6 +160,58 @@ class TestPredicateTruth:
                 strategy.client_evaluation(trainer.clients.observer(cid)))
             assert after == before[cid], (
                 f"{method}: client {cid}'s evaluation read shared state")
+
+    @pytest.mark.parametrize("shape", ["sync", "fedbuff-flaky"])
+    @pytest.mark.parametrize("method", sorted(OPT_IN))
+    def test_post_round_keeps_what_a_vouched_evaluation_reads(
+            self, method, shape, monkeypatch):
+        """A training chunk evaluates its vouched clients before
+        ``post_round`` runs; the sweep would evaluate them after it.  So for
+        every state vouched for right after ``local_updates``,
+        ``client_evaluation`` must give the same bytes then and at the next
+        sweep, and the state must still be vouched for."""
+        from repro.federated import Strategy
+
+        trained, checked = {}, []
+
+        def note(strategy, clients):
+            for client in clients:
+                if strategy.evaluates_from_state(client.state):
+                    trained[client.client_id] = pickle.dumps(
+                        strategy.client_evaluation(client))
+
+        one, cohort = Strategy.local_update, Strategy.local_update_cohort
+
+        def local_update(strategy, round_index, client):
+            update = one(strategy, round_index, client)
+            note(strategy, [client])
+            return update
+
+        def local_update_cohort(strategy, round_index, clients):
+            updates = cohort(strategy, round_index, clients)
+            note(strategy, clients)
+            return updates
+
+        sweep = ServerCore.evaluate_personalized
+
+        def evaluate_personalized(core):
+            for cid, expected in trained.items():
+                client = core.clients.observer(cid)
+                assert core.strategy.evaluates_from_state(client.state)
+                assert pickle.dumps(
+                    core.strategy.client_evaluation(client)) == expected, (
+                    f"{method}: post_round changed client {cid}'s evaluation")
+                checked.append(cid)
+            trained.clear()
+            return sweep(core)
+
+        monkeypatch.setattr(Strategy, "local_update", local_update)
+        monkeypatch.setattr(Strategy, "local_update_cohort",
+                            local_update_cohort)
+        monkeypatch.setattr(ServerCore, "evaluate_personalized",
+                            evaluate_personalized)
+        build_trainer(method, tiny_preset(**SHAPES[shape])).run()
+        assert checked, f"{method}: no client was ever vouched for"
 
     @pytest.mark.parametrize("method", sorted(OPT_IN))
     def test_untrained_state_is_not_vouched_for(self, method):
@@ -190,6 +263,45 @@ class TestHistoriesEqualTheForgetfulRun:
         assert history_json(resumed) == expected
 
 
+class TestHistoriesEqualTheUntrainedSweepRun:
+    """A training chunk's accuracy is the float the sweep would compute:
+    every registry method's history equals that of a run whose sweeps take
+    nothing from a training chunk (nor from the memo), on every backend,
+    stacked or not, and across an interrupt + resume."""
+
+    @pytest.fixture(scope="class")
+    def backends(self):
+        with ThreadPoolExecutor(2) as thread, \
+                ProcessPoolExecutor(2) as process:
+            yield {"inline": None, "thread": thread, "process": process}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("method", available_strategies())
+    def test_every_method_on_every_backend(self, method, shape, backends):
+        preset = tiny_preset(**SHAPES[shape])
+        with forgetful(), untrained_sweeps():
+            expected = history_json(run_method(method, preset))
+        for name, executor in backends.items():
+            assert history_json(run_method(
+                method, preset, executor=executor)) == expected, name
+        assert history_json(run_method(
+            method, replace(preset, batch_cohort=True))) == expected
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_across_an_interrupt_and_resume(self, shape, tmp_path):
+        """The accuracies a run took from training before the interrupt are
+        not checkpointed; the resumed run recomputes them."""
+        preset = tiny_preset(**SHAPES[shape])
+        with forgetful(), untrained_sweeps():
+            expected = history_json(run_method("fedlps", preset))
+        with pytest.raises(TrainingInterrupted):
+            run_method("fedlps", preset, checkpoint_dir=tmp_path,
+                       stop_after_round=1)
+        resumed = run_method("fedlps", preset, checkpoint_dir=tmp_path,
+                             resume=True)
+        assert history_json(resumed) == expected
+
+
 class TestUplinkCodecOnAProcessPool:
     """The training body encodes the uplink on every backend, so a process
     worker's encoded updates make the inline run's history, byte for byte,
@@ -229,32 +341,36 @@ class TestLedger:
         fleet = set(range(6))
         all_trained = [fleet <= seen for seen in trained_before(history)]
         assert any(all_trained), "preset drift: some client never trains"
-        for record, (evaluated, reused), settled in zip(
+        for record, (evaluated, from_training, reused), settled in zip(
                 history.records, sweeps, all_trained):
-            assert evaluated + reused == len(fleet)
+            assert evaluated + from_training + reused == len(fleet)
+            # the cohort's accuracies rode its training chunks
+            assert from_training == len(record.selected_clients)
             if settled:
                 # exactly the cohort: the only states written this round
-                assert evaluated == len(record.selected_clients)
+                assert evaluated == 0
         assert trainer.evaluation_stats == {
-            "evaluated": sum(evaluated for evaluated, _ in sweeps),
-            "reused": sum(reused for _, reused in sweeps)}
+            key: sum(counts[index] for counts in sweeps) for index, key
+            in enumerate(("evaluated", "from_training", "reused"))}
         # out-of-band: the ledger reaches no record
-        assert not any("evaluated" in key or "reused" in key
-                       for record in history.records
-                       for key in record.extras)
+        assert not any(name in key for record in history.records
+                       for key in record.extras
+                       for name in trainer.evaluation_stats)
 
     def test_untrained_clients_are_evaluated_every_round(self, sweeps):
         """Before its first update a client infers with the global model."""
         history = build_trainer("fedlps", tiny_preset()).run()
-        for record, (evaluated, _), before in zip(
+        for record, (evaluated, from_training, _), before in zip(
                 history.records, sweeps, trained_before(history)):
             untouched = set(range(6)) - before - set(record.selected_clients)
-            assert evaluated == len(untouched) + len(record.selected_clients)
+            assert evaluated == len(untouched)
+            assert from_training == len(record.selected_clients)
 
     def test_a_global_model_method_never_reuses(self):
         trainer = build_trainer("fedavg", tiny_preset())
         trainer.run()
-        assert trainer.evaluation_stats == {"evaluated": 4 * 6, "reused": 0}
+        assert trainer.evaluation_stats == {"evaluated": 4 * 6,
+                                            "from_training": 0, "reused": 0}
 
     def test_exhausted_retries_keep_the_memo_on_a_broadcast_backend(
             self, sweeps):
@@ -271,14 +387,16 @@ class TestLedger:
                                max_retries=1).run()
         assert history_json(history) == history_json(inline)
         kept = 0
-        for record, (evaluated, _), before in zip(
+        for record, (evaluated, from_training, _), before in zip(
                 history.records, sweeps, trained_before(history)):
             failed = set(record.dropped)
             assert failed <= set(record.selected_clients)
             kept += len(failed & before)
             untouched = set(range(4)) - before - set(record.selected_clients)
-            assert evaluated == (len(untouched) + len(record.sparse_ratios)
-                                 + len(failed - before))
+            # a failed client's chunk returned nothing, so the sweep
+            # evaluates it unless it kept its memo
+            assert evaluated == len(untouched) + len(failed - before)
+            assert from_training == len(record.sparse_ratios)
         assert kept, "plan drift: no trained client ever exhausted retries"
 
     def test_one_evaluation_task_per_worker(self):
@@ -406,7 +524,9 @@ class TestInitClientState:
             trainer.evaluate_personalized()
             trainer.close()
         assert INITIALIZED == []
-        assert trainer.evaluation_stats == {"evaluated": 12, "reused": 0}
+        # the trained pair's accuracies rode their training chunk
+        assert trainer.evaluation_stats == {"evaluated": 10,
+                                            "from_training": 2, "reused": 0}
 
     @pytest.mark.parametrize("method", available_strategies())
     def test_an_empty_state_evaluates_like_an_initialized_one(self, method):

@@ -157,6 +157,38 @@ class TestAccounting:
         half = masked_parameter_count(small_cnn, ordered_pattern(small_cnn, 0.5))
         assert half < total == small_cnn.num_parameters
 
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10", "cifar100",
+                                         "tinyimagenet", "reddit"])
+    def test_masked_parameter_count_is_the_expanded_count(self, dataset):
+        """The per-layer count equals the nonzeros of the expanded
+        parameter masks (the count before it stopped building them) on
+        every zoo backbone, for patterns keeping 0-100 % of the units and
+        leaving some layers out."""
+        from repro.models import build_model_for_dataset
+
+        def expanded_count(model, pattern):
+            mask = model.expand_unit_masks(
+                {name: np.asarray(values, dtype=np.float64)
+                 for name, values in pattern.items()})
+            return int(sum(np.count_nonzero(values)
+                           for values in mask.values()))
+
+        model = build_model_for_dataset(dataset)
+        rng = np.random.default_rng(7)
+        layers = [group.layer_name for group in model.unit_groups]
+        ratios = [0.0, 1.0, *rng.random(48)]
+        for index, ratio in enumerate(ratios):
+            pattern = {name: (rng.random(model.layer_by_name(name).n_units)
+                              < ratio).astype(np.float64)
+                       for name in layers
+                       if index < 2 or rng.random() < 0.8}
+            count = masked_parameter_count(model, pattern)
+            assert type(count) is int
+            assert count == expanded_count(model, pattern)
+        assert masked_parameter_count(
+            model, {name: np.zeros(model.layer_by_name(name).n_units)
+                    for name in layers}) < model.num_parameters
+
     def test_upload_and_download_bytes(self, small_cnn):
         dense_up = upload_bytes(small_cnn)
         sparse_up = upload_bytes(small_cnn, ordered_pattern(small_cnn, 0.5))

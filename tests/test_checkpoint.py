@@ -233,6 +233,20 @@ class TestCheckpointManager:
             == (tmp_path / "checkpoint-000001.pkl").stat().st_size
         assert manager.last_save_seconds >= 0.0
 
+    def test_the_next_save_removes_a_crashed_saves_tmp_files(self, tmp_path):
+        manager = CheckpointManager(tmp_path)
+        manager.save(self._dummy(1))
+        # what a save killed between write and rename leaves behind
+        litter = ["checkpoint-000002.pkl.tmp", "blobs-000002.bin.tmp"]
+        for name in litter:
+            (tmp_path / name).write_bytes(b"partial")
+        # a file of another name is not the manager's to remove
+        (tmp_path / "notes.tmp").write_bytes(b"keep")
+        manager.save(self._dummy(2))
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "checkpoint-000001.pkl", "checkpoint-000002.pkl", "notes.tmp"]
+        assert manager.latest().next_round == 2
+
     def test_corrupt_and_foreign_files_raise_checkpoint_error(self, tmp_path):
         from repro.checkpoint import _frame
 
@@ -384,15 +398,21 @@ class TestCapsuleReuse:
             assert self._resume(preset, capsule, executor) == reference
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_two_resumes_through_one_manager_memo(self, interrupted,
-                                                  backend):
+    def test_two_resumes_through_one_manager(self, interrupted, backend):
+        """Each ``latest()`` loads the head afresh (the manager keeps no
+        memo of loaded capsules); a capsule it handed out resumes twice,
+        and so does the one a second ``latest()`` loads."""
         reference, preset, directory = interrupted
         manager = CheckpointManager(directory)
         with _backend(backend) as executor:
             first = manager.latest()
             assert self._resume(preset, first, executor) == reference
-            assert manager.latest() is first
+            second = manager.latest()
+            assert second is not first
+            assert (second.digest, second.next_round) \
+                == (first.digest, first.next_round)
             assert self._resume(preset, first, executor) == reference
+            assert self._resume(preset, second, executor) == reference
 
     @pytest.mark.parametrize("form", ["segments", "self-contained"])
     def test_a_restored_run_never_writes_into_the_capsule(

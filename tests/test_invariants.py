@@ -76,6 +76,10 @@ MUTATIONS = {
     "two-self.supervised-lines-in-server": (
         SERVER_CORE, None,
         "if self.supervised:\n    chunks = [[cid] for cid in ids]"),
+    "one-stacked-predicate": (
+        SERVER_CORE, None,
+        "if not (self.config.batch_cohort and batchable_model(self.model)):\n"
+        "    chunks = [[cid] for cid in ids]"),
     "_balanced_chunks-callers": (
         SERVER_CORE, None, "def stray(ids): return _balanced_chunks(ids, 2)"),
     "retired-second-benchmark-harness": (".gitignore", None, "BEN" "CH_*.json"),

@@ -410,6 +410,10 @@ RULES: dict[str, Rule] = {
     # the flag's assignment and _fan_out's branch are its only reads.
     "two-self.supervised-lines-in-server": Count(
         r"self\.supervised", ("src/repro/server",), 2),
+    # One stacked predicate: whether a chunk runs as a (C, ...) program is
+    # read by the task bodies through _trains_stacked alone, so batching
+    # never shapes the chunk plan again.
+    "one-stacked-predicate": Count(r"batchable_model\(", (SERVER_CORE,), 1),
     "_balanced_chunks-callers": Callers(
         "_balanced_chunks", (SERVER_CORE,),
         (f"{SERVER_CORE}:_plan_chunks", f"{SERVER_CORE}:evaluate_personalized")),
