@@ -528,7 +528,10 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     The state store is left *clean* (it now equals the checkpoint), and
     ``manager`` — the run's checkpointer, if it has one — is told which
     checkpoint the run continues from, so its next save can reference the
-    blobs already in its directory instead of rewriting them.
+    blobs already in its directory instead of rewriting them; the manager
+    keeps the head's references, not the capsule.  Nothing restored points
+    back at ``checkpoint``, so it lives only as long as the caller's
+    reference: the round loop drops its own once this returns.
     """
     if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointMismatch(
@@ -709,7 +712,8 @@ class CheckpointManager:
         self.last_bytes = 0
         self.total_save_seconds = 0.0
         self.saves = 0
-        #: (path, capsule) of the last head loaded from this directory
+        #: (path, capsule) of the last head loaded from this directory, until
+        #: a run resumes (:meth:`resumed` takes it)
         self._loaded: Optional[Tuple[Path, RunCheckpoint]] = None
         self._table = BlobTable(self.directory)
         # the latest boundary's head while it is not on disk (``every > 1``
@@ -808,9 +812,12 @@ class CheckpointManager:
         directory, the blobs it references are already here: seed the
         table from its head, so the next save writes only what changes.
         From anywhere else the table stays empty and the first save is a
-        full one.
+        full one.  One-shot, like the store's ``take_dirty``: the manager
+        lets go of the loaded capsule here, so once ``restore_run`` returns
+        only a caller that holds it keeps it alive.
         """
         path, loaded = self._loaded or (None, None)
+        self._loaded = None
         if loaded is checkpoint:
             head = read_head(path)
             if (head.digest, head.next_round) == (checkpoint.digest,

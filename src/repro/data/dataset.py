@@ -90,12 +90,17 @@ class LazyShardMap(MappingABC):
     a pure function of the client id, so any shard can be materialized at any
     time (and on any worker) with identical contents.  Materialized shards
     live in an LRU cache of ``cache_size`` entries, bounding memory by the
-    working set (the dispatched cohort plus evaluation clients) instead of
-    the fleet size.  ``materializations`` counts builder invocations — tests
-    use it to prove untouched clients are never built.  ``materialized_ids``
-    records which clients were ever built; like the sparse state store it
-    grows with the *cumulative touched* set (a few bytes per touched
-    client), never with the fleet size.
+    working set instead of the fleet size.  Two reads fill it: indexing
+    pins every shard it builds (the evaluation sweep's read), while
+    :meth:`transient` (a training chunk's read) pins only while the whole
+    fleet fits the cache — so a fleet larger than the cache keeps the
+    sweep's shards there, and a training shard lives as long as its chunk.
+    Both return a cached shard on a hit.  ``materializations`` counts
+    builder invocations — tests use it to prove untouched clients are
+    never built.  ``materialized_ids`` records which clients were ever
+    built; like the sparse state store it grows with the *cumulative
+    touched* set (a few bytes per touched client), never with the fleet
+    size.
     """
 
     def __init__(self, num_clients: int,
@@ -114,6 +119,21 @@ class LazyShardMap(MappingABC):
 
     # ------------------------------------------------------------- mapping
     def __getitem__(self, client_id: int) -> ClientData:
+        return self._read(client_id, pin=True)
+
+    def transient(self, client_id: int) -> ClientData:
+        """A shard for one fan-out chunk: pinned only if the fleet fits.
+
+        A cached shard is returned as on any read.  A miss builds the shard
+        and inserts it only when every client fits the cache; in a larger
+        fleet the shard lives as long as its chunk's clients do, so the LRU
+        keeps what the evaluation sweep reads again instead of training
+        shards that a fleet of that size rarely revisits.
+        """
+        return self._read(client_id,
+                          pin=self.num_clients <= self.cache_size)
+
+    def _read(self, client_id: int, *, pin: bool) -> ClientData:
         if not 0 <= client_id < self.num_clients:
             raise KeyError(f"no client with id {client_id}")
         hit = self._cache.get(client_id)
@@ -122,7 +142,8 @@ class LazyShardMap(MappingABC):
         shard = self._builder(client_id)
         self.materializations += 1
         self.materialized_ids.add(client_id)
-        self._cache.put(client_id, shard)
+        if pin:
+            self._cache.put(client_id, shard)
         return shard
 
     def __iter__(self) -> Iterator[int]:
@@ -191,7 +212,11 @@ class FederatedDataset:
     def client_ids(self) -> np.ndarray:
         return mapping_client_ids(self.clients)
 
-    def client(self, client_id: int) -> ClientData:
+    def client(self, client_id: int, *, pin: bool = True) -> ClientData:
+        """One client's shard; ``pin=False`` reads a lazy map's shard with
+        :meth:`LazyShardMap.transient` (a plain dict holds every shard)."""
         if client_id not in self.clients:
             raise KeyError(f"no client with id {client_id}")
+        if not pin and isinstance(self.clients, LazyShardMap):
+            return self.clients.transient(client_id)
         return self.clients[client_id]

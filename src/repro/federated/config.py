@@ -26,9 +26,11 @@ class FleetConfig:
     Fleet construction is O(cohort): client shards, device profiles and
     per-client state come into existence only when a client is dispatched
     (or evaluated).  ``shard_cache`` bounds the one pinning layer, the
-    dataset's materialized-shard LRU: no ``Client`` outlives the fan-out
-    chunk it was built for, so resident shard memory is ``shard_cache``
-    shards plus those of the chunks running at that moment.
+    dataset's materialized-shard LRU, and no ``Client`` outlives the
+    fan-out chunk it was built for.  While the fleet fits the cache, every
+    shard read is pinned; once the fleet outgrows it, only the evaluation
+    sweep's reads are, so resident shard memory is the sweep's shards (at
+    most ``shard_cache``) plus those of the chunks running at that moment.
 
     ``eval_clients`` caps the personalized-evaluation sweep, which is
     otherwise O(num_clients) per evaluated round for a method that tests

@@ -578,6 +578,9 @@ class SocketExecutor(Executor):
             except queue.Empty:
                 break
             self._settle_closed(entry)
+        # one wake-up per connection thread, so none sits out its poll
+        for _ in connections:
+            self._queue.put(None)
         for connection in connections:
             if connection.thread.is_alive() \
                     and connection.thread is not threading.current_thread():
@@ -587,10 +590,11 @@ class SocketExecutor(Executor):
     def _next_task(self, connection: _WorkerConnection):
         """The next queued entry, or None when this connection should exit.
 
-        Staleness is re-checked *after* the blocking ``get``: a retiring
-        connection (``replenish()`` closed its socket while it waited) can
-        win the race for a freshly queued task, and must hand it back for
-        the new generation instead of failing it on a dead socket.
+        A ``None`` entry is :meth:`close` waking the thread up.  Staleness
+        is re-checked *after* the blocking ``get``: a retiring connection
+        (``replenish()`` closed its socket while it waited) can win the race
+        for a freshly queued task, and must hand it back for the new
+        generation instead of failing it on a dead socket.
         """
         while True:
             with self._lock:
@@ -601,6 +605,8 @@ class SocketExecutor(Executor):
                 entry = self._queue.get(timeout=0.1)
             except queue.Empty:
                 continue
+            if entry is None:
+                return None
             with self._lock:
                 stale = (self._closed or connection.dead
                          or connection.generation != self._generation)

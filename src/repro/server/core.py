@@ -285,7 +285,8 @@ def _evaluate_clients(strategy: Strategy, round_index: int,
 
 def _bind_clients(strategy: Strategy, dataset: FederatedDataset,
                   fleet: DeviceFleet, ids: Sequence[int],
-                  states: Sequence[Optional[Dict]]) -> List[Client]:
+                  states: Sequence[Optional[Dict]], *,
+                  pin: bool) -> List[Client]:
     """Build a chunk's clients from the states its fan-out ships.
 
     The one place a fan-out makes a :class:`Client`, inline on the server's
@@ -294,11 +295,14 @@ def _bind_clients(strategy: Strategy, dataset: FederatedDataset,
     client) ``init_client_state`` runs on it here, bit-identical wherever
     it runs, so the server never materializes the client to initialize it.
     An evaluation sweep ships ``{}`` for a client that has never trained
-    instead, which is evaluated with that empty state.
+    instead, which is evaluated with that empty state.  ``pin`` is true for
+    the sweep: its shards go into the shard LRU, while a training chunk's
+    are read with ``pin=False`` (:meth:`FederatedDataset.client`) and, in a
+    fleet larger than the cache, die with the chunk.
     """
     clients = []
     for client_id, state in zip(ids, states):
-        client = Client(client_id, dataset.client(client_id),
+        client = Client(client_id, dataset.client(client_id, pin=pin),
                         fleet[client_id], state={} if state is None else state)
         if state is None:
             strategy.init_client_state(client)
@@ -330,7 +334,8 @@ def _fanout_task(payload: Tuple[Callable, BroadcastHandle, BroadcastHandle,
     strategy.context = StrategyContext(
         model=model, clients=bound, dataset=dataset,
         fleet=fleet, config=config, cost_model=cost_model, rng=rng)
-    clients = _bind_clients(strategy, dataset, fleet, ids, states)
+    clients = _bind_clients(strategy, dataset, fleet, ids, states,
+                            pin=body is _evaluate_clients)
     bound.update(zip(ids, clients))
     return body(strategy, round_index, clients)
 
@@ -452,10 +457,12 @@ class ServerCore:
             raise ValueError("stop_after_round requires a checkpoint_dir "
                              "(interrupting without a checkpoint would "
                              "discard the run)")
-        resume = resolve_resume(resume_from, checkpointer)
         try:
-            return scheduler.run(self, checkpointer=checkpointer,
-                                 resume=resume)
+            # no local keeps the capsule: the scheduler drops it once
+            # restored
+            return scheduler.run(
+                self, checkpointer=checkpointer,
+                resume=resolve_resume(resume_from, checkpointer))
         finally:
             self.close()
 
@@ -724,7 +731,8 @@ class ServerCore:
                 def inline_task(chunk):
                     ids, states = chunk
                     return body(self.strategy, round_index, _bind_clients(
-                        self.strategy, self.dataset, self.fleet, ids, states))
+                        self.strategy, self.dataset, self.fleet, ids, states,
+                        pin=body is _evaluate_clients))
                 task, payloads = inline_task, chunks
             else:
                 task = _fanout_task

@@ -166,6 +166,8 @@ class Scheduler:
                 # rng, the scheduler's own queue/clock/buffer)
                 start_round = restore_run(core, self, resume, history,
                                           checkpointer)
+                # the run reads nothing more from the capsule: let it go
+                resume = None
             for round_index in range(start_round, config.num_rounds):
                 # the cumulative counters are read back from the history
                 # itself, so they are round-boundary state that never needs

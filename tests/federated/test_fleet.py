@@ -18,7 +18,10 @@ Contracts under test:
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import hashlib
+import json
 import time
 import tracemalloc
 import weakref
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 
 from eager_data import run_method_eager_data, sample_device_fleet
 from repro.baselines import build_strategy
-from repro.data import build_federated_dataset
+from repro.data import LazyShardMap, build_federated_dataset
 from repro.data.partition import VirtualFederatedDataset
 from repro.experiments import preset_for, run_method, scaled
 from repro.experiments.presets import build_experiment
@@ -38,6 +41,7 @@ from repro.federated import FederatedConfig, FederatedTrainer, FleetConfig
 from repro.federated.fleet import ClientFleet
 from repro.federated.strategy import Strategy
 from repro.models import build_model_for_dataset
+from repro.parallel import ThreadPoolExecutor
 from repro.server.core import ServerCore
 from repro.systems.devices import (CAPABILITY_LEVELS, HETEROGENEITY_PRESETS,
                                    VirtualDeviceFleet, sample_device_profile)
@@ -208,8 +212,6 @@ class TestOCohortMaterialization:
         touches ``context.clients`` still materialize their participants
         server-side; fedavg's does not.)
         """
-        from repro.parallel import ThreadPoolExecutor
-
         preset = scaled(preset_for("mnist"), num_clients=20, num_rounds=2,
                         clients_per_round=2, examples_per_client=16,
                         local_iterations=1, batch_size=8, seed=9)
@@ -474,6 +476,113 @@ class TestCloseReleasesCaches:
         # the shards rebuild on demand; the state store stayed
         assert (trainer.evaluate_personalized()
                 == history.records[-1].test_accuracy)
+
+
+@pytest.fixture
+def shard_maps(monkeypatch):
+    """Every ``LazyShardMap`` a run builds (server and worker sessions),
+    and the cached ids of each, snapshot when the server core closes."""
+    built, snapshots = [], []
+    real_init, real_close = LazyShardMap.__init__, ServerCore.close
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self)
+
+    def close(core):
+        snapshots.append([{cid for cid in range(shard_map.num_clients)
+                           if cid in shard_map._cache}
+                          for shard_map in built])
+        real_close(core)
+
+    monkeypatch.setattr(LazyShardMap, "__init__", init)
+    monkeypatch.setattr(ServerCore, "close", close)
+    return built, snapshots
+
+
+def _history_digest(history) -> str:
+    canonical = json.dumps(history.to_dict(), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _run_fedlps(preset, workers, fleet_config=None):
+    dataset, model_builder, config, fleet = build_experiment(preset)
+    if fleet_config is not None:
+        config.fleet = fleet_config
+    with (ThreadPoolExecutor(workers) if workers
+          else contextlib.nullcontext()) as executor:
+        trainer = FederatedTrainer(build_strategy("fedlps"), dataset,
+                                   model_builder, config=config, fleet=fleet,
+                                   executor=executor)
+        return trainer.run(), trainer
+
+
+class TestTrainingShardsAreNotPinned:
+    """In a fleet larger than ``shard_cache`` a training chunk's shards live
+    as long as the chunk: the LRU keeps what the evaluation sweep reads."""
+
+    #: 40 clients, a cache of 8, a sweep capped at 5: 24 dispatches
+    CAPPED = scaled(preset_for("mnist"), num_clients=40, num_rounds=4,
+                    clients_per_round=6, examples_per_client=16,
+                    local_iterations=1, batch_size=8, seed=11,
+                    eval_clients=5)
+    #: recorded on the code that pinned every training shard
+    CAPPED_DIGEST = ("57b9871760e04dbdde90bab2d075274b"
+                     "fbaf43b9bb0b903c1e0e287ef8993e52")
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["inline", "thread2"])
+    def test_the_lru_holds_only_swept_clients(self, shard_maps, workers):
+        _, snapshots = shard_maps
+        history, trainer = _run_fedlps(
+            self.CAPPED, workers, FleetConfig(shard_cache=8, eval_clients=5))
+        assert _history_digest(history) == self.CAPPED_DIGEST
+        swept = set(trainer.evaluation_client_ids())
+        trained = {cid for record in history.records
+                   for cid in record.selected_clients}
+        assert trained - swept  # training read shards the sweep never does
+        (cached,) = snapshots
+        assert all(ids <= swept for ids in cached)
+        # the sweep's shards stayed pinned where the sweep ran them (on a
+        # pool, whichever worker took each chunk)
+        assert set().union(*cached) == swept
+
+    #: the mnist preset's 16 clients fit the default cache of 256
+    FITS = scaled(preset_for("mnist"), num_rounds=3, local_iterations=2)
+    FITS_DIGEST = ("aff33dab3e05ec4351ed6e852e9f2bbc"
+                   "2127344899e0ff2c23dcb72e0ee8ee4e")
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["inline", "thread2"])
+    def test_a_fleet_that_fits_builds_each_shard_once(self, shard_maps,
+                                                      workers):
+        built, _ = shard_maps
+        history, _ = _run_fedlps(self.FITS, workers)
+        assert _history_digest(history) == self.FITS_DIGEST
+        for shard_map in built:
+            assert shard_map.materializations \
+                == len(shard_map.materialized_ids)
+        if not workers:
+            # recorded on the code that pinned every training shard
+            assert [shard_map.materializations for shard_map in built] \
+                == [16]
+
+    def test_a_transient_read_pins_only_what_fits(self):
+        lazy = build_federated_dataset("mnist", 10, examples_per_client=12,
+                                       seed=5, lazy=True, shard_cache=2)
+        shard_map = lazy.shard_map
+        shard = lazy.client(3, pin=False)
+        assert 3 not in shard_map._cache and shard_map.materializations == 1
+        assert lazy.client(3, pin=False) is not shard
+        np.testing.assert_array_equal(lazy.client(3, pin=False).train.x,
+                                      shard.train.x)
+        pinned = lazy.client(3)
+        assert 3 in shard_map._cache
+        assert lazy.client(3, pin=False) is pinned  # a hit is a hit
+        shard_map.resize(10)
+        lazy.client(4, pin=False)
+        assert 4 in shard_map._cache  # the whole fleet fits now
+        eager = build_federated_dataset("mnist", 4, examples_per_client=12,
+                                        seed=1)
+        assert eager.client(2, pin=False) is eager.client(2)
 
 
 class TestFleetConfigValidation:

@@ -160,6 +160,24 @@ class TestSocketExecutorBasics:
         with pytest.raises(RuntimeError, match="closed"):
             ex.map_ordered(_square, [1])
 
+    def test_close_wakes_every_connection_thread(self):
+        """A connection thread idle in the queue poll is woken by close(),
+        not left to its poll timeout: with a poll far longer than close()'s
+        join, every thread is gone when close() returns."""
+        ex = SocketExecutor(workers=2)
+        try:
+            ex.warm_up()
+            real_get = ex._queue.get
+            # a blocking get polls for 10 s (get_nowait stays non-blocking)
+            ex._queue.get = lambda block=True, timeout=None: real_get(
+                block, timeout=10)
+            time.sleep(0.3)  # every thread is back in the (long) poll
+            threads = [c.thread for c in ex._connections]
+            assert len(threads) == 2
+        finally:
+            ex.close()
+        assert not any(thread.is_alive() for thread in threads)
+
     def test_replenish_restores_service(self):
         with SocketExecutor(workers=2) as ex:
             ex.warm_up()

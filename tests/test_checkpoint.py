@@ -13,15 +13,18 @@ that predate the checkpoint subsystem.
 from __future__ import annotations
 
 import contextlib
+import gc
 import importlib.util
 import json
 import pickle
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import checkpoint as checkpoint_module
 from repro.baselines import build_strategy
 from repro.checkpoint import (CheckpointError, CheckpointManager,
                               CheckpointMismatch, RunCheckpoint, SegmentError,
@@ -469,3 +472,49 @@ class TestCapsuleReuse:
             capsule.client_states[client_id]
         with pytest.raises(SegmentError, match=re.escape(str(segment))):
             dict(capsule.client_states.items())
+
+
+class TestTheLoadedCapsuleIsLetGo:
+    """Once ``restore_run`` returns, nothing the run holds keeps the capsule
+    ``load_checkpoint`` returned: not the manager, not the round loop."""
+
+    def test_no_loaded_capsule_survives_the_first_resumed_round(
+            self, monkeypatch, tmp_path):
+        preset = lambda: async_preset("fedbuff")
+        reference = history_json(run_method("fedlps", preset()))
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            run_method("fedlps", preset(), checkpoint_dir=directory,
+                       stop_after_round=2)
+        loaded, seen = [], []
+        real_load = checkpoint_module.load_checkpoint
+        real_after_round = CheckpointManager.after_round
+
+        def load(path):
+            capsule = real_load(path)
+            loaded.append(weakref.ref(capsule))
+            return capsule
+
+        def after_round(manager, core, scheduler, history, round_index):
+            real_after_round(manager, core, scheduler, history, round_index)
+            if seen:
+                return
+            gc.collect()
+            seen.append([obj for obj in gc.get_objects()
+                         if isinstance(obj, RunCheckpoint)
+                         and any(obj is ref() for ref in loaded)])
+            # the manager was still seeded from the loaded head: the first
+            # save after the resume references the blobs already on disk
+            head = read_head(manager.path_for(round_index + 1))
+            own = f"blobs-{round_index + 1:06d}.bin"
+            seen.append(set(head.segments) - {own})
+
+        monkeypatch.setattr(checkpoint_module, "load_checkpoint", load)
+        monkeypatch.setattr(CheckpointManager, "after_round", after_round)
+        resumed = run_method("fedlps", preset(), checkpoint_dir=directory,
+                             resume=True)
+        assert history_json(resumed) == reference
+        assert len(loaded) == 1
+        survivors, carried = seen
+        assert survivors == []
+        assert carried
