@@ -212,11 +212,7 @@ class FederatedDataset:
     def client_ids(self) -> np.ndarray:
         return mapping_client_ids(self.clients)
 
-    def client(self, client_id: int, *, pin: bool = True) -> ClientData:
-        """One client's shard; ``pin=False`` reads a lazy map's shard with
-        :meth:`LazyShardMap.transient` (a plain dict holds every shard)."""
+    def client(self, client_id: int) -> ClientData:
         if client_id not in self.clients:
             raise KeyError(f"no client with id {client_id}")
-        if not pin and isinstance(self.clients, LazyShardMap):
-            return self.clients.transient(client_id)
         return self.clients[client_id]

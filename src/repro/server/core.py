@@ -50,7 +50,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.dataset import ClientData, Dataset, FederatedDataset
+from ..data.dataset import (ClientData, Dataset, FederatedDataset,
+                            LazyShardMap)
 from ..data.partition import VirtualFederatedDataset
 from ..federated.client import Client
 from ..federated.config import FederatedConfig
@@ -283,10 +284,10 @@ def _evaluate_clients(strategy: Strategy, round_index: int,
     return accuracies
 
 
-def _bind_clients(strategy: Strategy, dataset: FederatedDataset,
-                  fleet: DeviceFleet, ids: Sequence[int],
-                  states: Sequence[Optional[Dict]], *,
-                  pin: bool) -> List[Client]:
+def _bind_clients(body: Callable, strategy: Strategy,
+                  dataset: FederatedDataset, fleet: DeviceFleet,
+                  ids: Sequence[int],
+                  states: Sequence[Optional[Dict]]) -> List[Client]:
     """Build a chunk's clients from the states its fan-out ships.
 
     The one place a fan-out makes a :class:`Client`, inline on the server's
@@ -295,14 +296,19 @@ def _bind_clients(strategy: Strategy, dataset: FederatedDataset,
     client) ``init_client_state`` runs on it here, bit-identical wherever
     it runs, so the server never materializes the client to initialize it.
     An evaluation sweep ships ``{}`` for a client that has never trained
-    instead, which is evaluated with that empty state.  ``pin`` is true for
-    the sweep: its shards go into the shard LRU, while a training chunk's
-    are read with ``pin=False`` (:meth:`FederatedDataset.client`) and, in a
-    fleet larger than the cache, die with the chunk.
+    instead, which is evaluated with that empty state.  The chunk's
+    ``body`` decides how a lazy fleet's shards are read: the sweep's are
+    pinned in the shard LRU, a training chunk's are read with
+    :meth:`LazyShardMap.transient` and, in a fleet larger than the cache,
+    die with the chunk.
     """
+    read = dataset.client
+    if body is not _evaluate_clients and isinstance(dataset.clients,
+                                                    LazyShardMap):
+        read = dataset.clients.transient
     clients = []
     for client_id, state in zip(ids, states):
-        client = Client(client_id, dataset.client(client_id, pin=pin),
+        client = Client(client_id, read(client_id),
                         fleet[client_id], state={} if state is None else state)
         if state is None:
             strategy.init_client_state(client)
@@ -334,8 +340,7 @@ def _fanout_task(payload: Tuple[Callable, BroadcastHandle, BroadcastHandle,
     strategy.context = StrategyContext(
         model=model, clients=bound, dataset=dataset,
         fleet=fleet, config=config, cost_model=cost_model, rng=rng)
-    clients = _bind_clients(strategy, dataset, fleet, ids, states,
-                            pin=body is _evaluate_clients)
+    clients = _bind_clients(body, strategy, dataset, fleet, ids, states)
     bound.update(zip(ids, clients))
     return body(strategy, round_index, clients)
 
@@ -444,7 +449,7 @@ class ServerCore:
         :class:`~repro.checkpoint.TrainingInterrupted`), which is how the
         resume tests and the CI smoke job simulate preemption.
         """
-        from ..checkpoint import CheckpointManager, resolve_resume
+        from ..checkpoint import CheckpointManager
         from .scheduler import build_scheduler
 
         scheduler = build_scheduler(self.config)
@@ -458,11 +463,11 @@ class ServerCore:
                              "(interrupting without a checkpoint would "
                              "discard the run)")
         try:
-            # no local keeps the capsule: the scheduler drops it once
-            # restored
-            return scheduler.run(
-                self, checkpointer=checkpointer,
-                resume=resolve_resume(resume_from, checkpointer))
+            # the scheduler loads the checkpoint itself: a capsule passed
+            # down as a call argument would stay on this frame's stack (on
+            # CPython before 3.11) for the whole resumed run
+            return scheduler.run(self, checkpointer=checkpointer,
+                                 resume_from=resume_from)
         finally:
             self.close()
 
@@ -731,8 +736,8 @@ class ServerCore:
                 def inline_task(chunk):
                     ids, states = chunk
                     return body(self.strategy, round_index, _bind_clients(
-                        self.strategy, self.dataset, self.fleet, ids, states,
-                        pin=body is _evaluate_clients))
+                        body, self.strategy, self.dataset, self.fleet, ids,
+                        states))
                 task, payloads = inline_task, chunks
             else:
                 task = _fanout_task

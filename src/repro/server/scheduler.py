@@ -66,8 +66,8 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from ..checkpoint import (CheckpointManager, RunCheckpoint,
-                          TrainingInterrupted, restore_run)
+from ..checkpoint import (CheckpointManager, TrainingInterrupted,
+                          resolve_resume, restore_run)
 from ..federated.config import AGGREGATIONS, FederatedConfig
 from ..federated.strategy import ClientUpdate
 from ..systems.cost import CostBreakdown, LocalCostModel
@@ -113,7 +113,9 @@ class Scheduler:
     Checkpoint contract
         ``run`` accepts an optional :class:`~repro.checkpoint
         .CheckpointManager` (round-boundary snapshots) and an optional
-        :class:`~repro.checkpoint.RunCheckpoint` to resume from.  A
+        ``resume_from`` (any form :func:`~repro.checkpoint.resolve_resume`
+        takes).  ``run`` resolves it itself, so the one reference to a
+        checkpoint it loads is its own local, dropped once restored.  A
         scheduler exposes its *own* mutable run state — beyond what the
         core/strategy/history carry — through ``state_dict`` /
         ``load_state_dict``; restoration happens after ``setup``/``reset``
@@ -152,7 +154,8 @@ class Scheduler:
 
     def run(self, core: ServerCore, *,
             checkpointer: Optional[CheckpointManager] = None,
-            resume: Optional[RunCheckpoint] = None) -> TrainingHistory:
+            resume_from=None) -> TrainingHistory:
+        resume = resolve_resume(resume_from, checkpointer)
         with _emergency_guard(checkpointer):
             config = core.config
             history = TrainingHistory(method=core.strategy.name,

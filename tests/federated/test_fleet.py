@@ -569,20 +569,17 @@ class TestTrainingShardsAreNotPinned:
         lazy = build_federated_dataset("mnist", 10, examples_per_client=12,
                                        seed=5, lazy=True, shard_cache=2)
         shard_map = lazy.shard_map
-        shard = lazy.client(3, pin=False)
+        shard = shard_map.transient(3)
         assert 3 not in shard_map._cache and shard_map.materializations == 1
-        assert lazy.client(3, pin=False) is not shard
-        np.testing.assert_array_equal(lazy.client(3, pin=False).train.x,
+        assert shard_map.transient(3) is not shard
+        np.testing.assert_array_equal(shard_map.transient(3).train.x,
                                       shard.train.x)
         pinned = lazy.client(3)
         assert 3 in shard_map._cache
-        assert lazy.client(3, pin=False) is pinned  # a hit is a hit
+        assert shard_map.transient(3) is pinned  # a hit is a hit
         shard_map.resize(10)
-        lazy.client(4, pin=False)
+        shard_map.transient(4)
         assert 4 in shard_map._cache  # the whole fleet fits now
-        eager = build_federated_dataset("mnist", 4, examples_per_client=12,
-                                        seed=1)
-        assert eager.client(2, pin=False) is eager.client(2)
 
 
 class TestFleetConfigValidation:
