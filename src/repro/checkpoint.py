@@ -42,10 +42,20 @@ scalars) is deep-copied: ``pickle.dumps`` of a state at the boundary *is*
 its snapshot.  Which states changed comes from the store's dirty set
 (participant access marks an id, evaluation access does not); an event is
 frozen, keyed ``(round_index, client_id)``, and serialized when first seen
-in the queue.  A resume holds one copy of every state: the loaded capsule
-keeps only the references, and each read of a state re-reads and
-re-verifies its segment and unpickles a fresh object, which
-:func:`restore_run` adopts into the store as it is.
+in the queue.  The run digest is computed once per core, not per boundary.
+
+**What a run holds.**  Once a checkpointed run's fleet outgrows
+``fleet.shard_cache``, each committed save lets the state store go of every
+clean state outside the boundary's dirty set — its blob is on disk — and
+the next read of one is a *cold read*: :meth:`BlobTable.load` finds the blob
+through the table's references (which follow compaction), checks it
+against the SHA-256 the table took of the bytes it wrote and unpickles a
+fresh state, resident until the next save.  A resume from the manager's
+own directory adopts every saved state the same way, unread.  Elsewhere a
+resume holds one copy of every state: the loaded capsule keeps only the
+references, and each read of a state re-reads and re-verifies its blob and
+unpickles a fresh object, which :func:`restore_run` adopts into the store
+as it is.  Queued events stay resident (they are read every round).
 
 **On disk** (one directory per run; :class:`CheckpointManager` owns it):
 
@@ -66,14 +76,20 @@ re-verifies its segment and unpickles a fresh object, which
 A save writes the new segment *before* the head, and the head's atomic
 rename is the commit point: a crash in between leaves an orphan segment
 that no head names — ignored by loads, overwritten by the retry, removed
-by the next prune.  :func:`load_checkpoint` verifies the head against its
-header and every referenced segment against the head's table *before*
-unpickling a byte of either, then returns a capsule whose queued events
-are materialized and whose client states stay references — so a
-directory reused by another run (which replaces ``blobs-000001.bin``
-under an old head) is refused, not resumed, and a segment pruned or
-replaced *after* the load makes the capsule's next read of a state raise
-:class:`SegmentError` naming the file.  When the referenced segments
+by the next prune.  Each file is fsynced before its rename, which covers a
+crash that would otherwise leave a renamed but partly written file.  The
+directory is fsynced twice: after the segment's rename, so a crash cannot
+persist the head's rename without the segment's; and after the head's
+rename, before the prune unlinks anything, so a crash cannot lose the new
+head after the heads and segments it replaces are gone.
+:func:`load_checkpoint` verifies the head against its header, then each
+referenced segment in turn against the head's table *before* unpickling a
+byte of it, then returns a capsule whose queued events are materialized
+and whose client states stay references — so a directory reused by
+another run (which replaces ``blobs-000001.bin`` under an old head) is
+refused, not resumed, and a segment pruned or replaced *after* the load
+makes the capsule's next read of a state raise :class:`SegmentError`
+naming the file.  When the referenced segments
 outgrow twice the live blobs (small fleets re-touch the same clients every
 few rounds) a save rewrites every live blob into its segment — amortized
 O(1) — and pruning deletes a segment once neither a kept head nor the
@@ -98,11 +114,11 @@ import pickle
 import re
 import struct
 import time
-from collections.abc import ItemsView
+import weakref
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (Any, Dict, Hashable, Iterator, List, Mapping, Optional,
-                    Tuple, Union)
+                    Set, Tuple, Union)
 
 import numpy as np
 
@@ -217,6 +233,20 @@ def run_digest(core) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: :func:`run_digest` of each live core.  Nothing it hashes changes during
+#: a core's life (shared config is never mutated), so the boundaries of a
+#: run read it from here instead of rehashing the config and manifest.
+_DIGESTS: "weakref.WeakKeyDictionary[Any, str]" = weakref.WeakKeyDictionary()
+
+
+def _digest_of(core) -> str:
+    """:func:`run_digest` of ``core``, computed once per core."""
+    digest = _DIGESTS.get(core)
+    if digest is None:
+        digest = _DIGESTS[core] = run_digest(core)
+    return digest
+
+
 # ------------------------------------------------------------- the capsule
 @dataclass(frozen=True)
 class BlobRef:
@@ -278,8 +308,41 @@ def _read_segment(path: Path, length: int, digest: str) -> bytes:
     return data
 
 
+def _slice(data: bytes, ref: BlobRef) -> memoryview:
+    """``ref``'s bytes inside its segment's ``data``, range-checked."""
+    blob = memoryview(data)[ref.offset:ref.offset + ref.length]
+    if ref.offset < 0 or len(blob) != ref.length:
+        raise CheckpointError(f"reference {ref} reaches outside its segment")
+    return blob
+
+
+def _read_blob(path: Path, ref: BlobRef, digest: str,
+               data: Optional[bytes] = None):
+    """One blob — from ``data``, else from the segment file ``path`` —
+    verified against the SHA-256 recorded for it, so a segment pruned or
+    replaced since is a :class:`SegmentError` naming the file, and no
+    unverified byte reaches ``pickle.loads``."""
+    if data is None:
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(ref.offset)
+                blob = handle.read(ref.length)
+        except FileNotFoundError:
+            raise SegmentError(
+                f"checkpoint segment {path} is missing") from None
+    else:
+        blob = _slice(data, ref)
+    if len(blob) != ref.length or hashlib.sha256(blob).hexdigest() != digest:
+        raise SegmentError(
+            f"checkpoint segment {path} does not hold the blob "
+            f"{ref.offset}+{ref.length} it was written with (corrupt, or "
+            "overwritten by another run writing into the same directory)")
+    return blob
+
+
 class _BlobReader:
-    """Verified, read-once access to the blobs behind a set of references."""
+    """Verified access to the blobs behind a set of references: each
+    segment is read and verified whole, once (a compaction's read)."""
 
     def __init__(self, directory: Path,
                  segments: Mapping[str, Tuple[int, str]],
@@ -296,49 +359,40 @@ class _BlobReader:
                     f"reference into unlisted segment {ref.segment!r}")
             data = self._loaded[ref.segment] = _read_segment(
                 self._directory / ref.segment, *self._segments[ref.segment])
-        blob = memoryview(data)[ref.offset:ref.offset + ref.length]
-        if ref.offset < 0 or len(blob) != ref.length:
-            raise CheckpointError(
-                f"reference {ref} reaches outside its segment")
-        return blob
+        return _slice(data, ref)
 
 
 class _ClientStates(Mapping):
     """The read-only ``{client_id: state}`` of a loaded capsule.
 
     It holds references, not states: every read hands back a fresh state
-    its caller owns — for a :class:`BlobRef`, the segment re-read (from the
-    page cache), re-verified and the blob unpickled; for a state stored in
-    the head itself (a self-contained checkpoint), a deep copy.  So
-    :func:`restore_run` adopts what it reads with no copy of its own, a
-    resumed run holds one copy of every state, and the capsule stays
-    reusable: a second restore from it reads untouched states.  A segment
-    pruned or overwritten since the load raises :class:`SegmentError`
-    naming the file.  One pass over ``items()`` reads each segment once;
-    pickling materializes the mapping into a plain dict.
+    its caller owns — for a :class:`BlobRef`, the blob re-read (from the
+    page cache), re-verified against the SHA-256 :func:`load_checkpoint`
+    took of it from the verified segment (``digests``) and unpickled; for
+    a state stored in the head itself (a self-contained checkpoint), a
+    deep copy.  So :func:`restore_run` adopts what it reads with no copy of
+    its own, a resumed run holds one copy of every state, and the capsule
+    stays reusable: a second restore from it reads untouched states.  A
+    segment pruned or overwritten since the load raises
+    :class:`SegmentError` naming the file.  Pickling materializes the
+    mapping into a plain dict.
     """
 
     def __init__(self, entries: Mapping[int, Any],
                  directory: Optional[Path] = None,
-                 segments: Optional[Mapping[str, Tuple[int, str]]] = None
-                 ) -> None:
+                 digests: Optional[Mapping[int, str]] = None) -> None:
         self._entries = dict(entries)
         self._directory = directory
-        self._segments = dict(segments or {})
-
-    def _fresh(self, entry, read: _BlobReader):
-        if isinstance(entry, BlobRef):
-            return _unpickle(read(entry), self._directory / entry.segment)
-        return copy.deepcopy(entry)
-
-    def _read(self) -> Iterator[Tuple[int, Any]]:
-        read = _BlobReader(self._directory, self._segments)
-        for client_id, entry in self._entries.items():
-            yield client_id, self._fresh(entry, read)
+        #: SHA-256 hex of each referenced state's blob
+        self.digests = dict(digests or {})
 
     def __getitem__(self, client_id: int):
-        return self._fresh(self._entries[client_id],
-                           _BlobReader(self._directory, self._segments))
+        entry = self._entries[client_id]
+        if not isinstance(entry, BlobRef):
+            return copy.deepcopy(entry)
+        path = self._directory / entry.segment
+        return _unpickle(_read_blob(path, entry, self.digests[client_id]),
+                         path)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._entries)
@@ -346,18 +400,8 @@ class _ClientStates(Mapping):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def items(self) -> "_FreshItems":
-        return _FreshItems(self)
-
     def __reduce__(self):
-        return dict, (dict(self._read()),)
-
-
-class _FreshItems(ItemsView):
-    """``items()`` of :class:`_ClientStates`: one reader per pass."""
-
-    def __iter__(self):
-        return self._mapping._read()
+        return dict, (dict(self.items()),)
 
 
 class BlobTable:
@@ -365,20 +409,33 @@ class BlobTable:
 
     The reference table behind incremental checkpoints: ``refs`` maps a key
     (a client id, or an event's ``(round_index, client_id)``) to the
-    :class:`BlobRef` of its current serialization, ``segments`` holds the
+    :class:`BlobRef` of its current serialization, ``digests`` the SHA-256
+    of each client state's blob (taken from the bytes staged here, or from
+    the verified segment a seeded head references), ``segments`` holds the
     integrity record of every segment ``refs`` points into, and ``pending``
     the bytes of the segments not yet on disk (more than one only while
     ``every > 1`` skips saves).  :func:`capture_run` stages each boundary's
     new blobs here; :func:`save_checkpoint` writes the pending segments.
+
+    The table is also the loader of a state store's spilled entries
+    (:meth:`load`): ``holder`` is the store that spilled against ``refs``,
+    and :meth:`reset` has it read every spilled state back first, so a
+    spilled entry never outlives the reference it reads through.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
         #: where the non-pending segments live
         self.directory = Path(directory)
+        #: the state store whose spilled entries :meth:`load` reads back
+        self.holder = None
         self.reset()
 
     def reset(self) -> None:
+        if self.holder is not None:
+            self.holder.unspill()
+            self.holder = None
         self.refs: Dict[Hashable, BlobRef] = {}
+        self.digests: Dict[int, str] = {}
         self.segments: Dict[str, Tuple[int, str]] = {}
         self.pending: Dict[str, bytes] = {}
         #: the boundary of the last capture (or of the head seeded from)
@@ -392,7 +449,9 @@ class BlobTable:
         """Start from the references of a head on disk in ``directory``.
 
         ``materialized`` is the same checkpoint as loaded: it supplies the
-        keys of the queued events, which the head stores by position.
+        keys of the queued events, which the head stores by position, and
+        the digests of the state blobs, which the load took from their
+        verified segments.
         """
         self.reset()
         self.next_round = head.next_round
@@ -403,11 +462,13 @@ class BlobTable:
                              head.scheduler.get(name, ())))
         self.refs = {key: ref for key, ref in keyed
                      if isinstance(ref, BlobRef)}
+        self.digests = dict(materialized.client_states.digests)
         self.segments = dict(head.segments)
 
-    def stage(self, next_round: int, fresh: Dict[Hashable, bytes],
-              live: List[Hashable]) -> None:
-        """Lay ``fresh`` blobs out as this boundary's segment.
+    def stage(self, next_round: int, states: Dict[int, bytes],
+              events: Dict[Hashable, bytes], live: List[Hashable]) -> None:
+        """Lay the fresh ``states`` and ``events`` blobs out as this
+        boundary's segment.
 
         ``live`` lists every key alive at the boundary; references to
         anything else are forgotten.  When that leaves the referenced
@@ -415,7 +476,12 @@ class BlobTable:
         bytes, every live blob is rewritten into the new segment instead —
         the segments it replaces lose their last reference and are pruned.
         """
+        fresh = {**states, **events}
         kept = {key: self.refs[key] for key in live if key not in fresh}
+        digests = {key: self.digests[key] for key in kept
+                   if key in self.digests}
+        digests.update((client_id, hashlib.sha256(blob).hexdigest())
+                       for client_id, blob in states.items())
         fresh_bytes = sum(len(blob) for blob in fresh.values())
         live_bytes = fresh_bytes + sum(ref.length for ref in kept.values())
         held_bytes = fresh_bytes + sum(
@@ -433,6 +499,7 @@ class BlobTable:
             offset += len(blob)
         held = {ref.segment for ref in kept.values()}
         self.refs = kept
+        self.digests = digests
         self.segments = {held_name: record
                          for held_name, record in self.segments.items()
                          if held_name in held}
@@ -446,6 +513,19 @@ class BlobTable:
             self.pending[name] = data
         self.next_round = next_round
 
+    def load(self, client_id: int) -> Dict[str, Any]:
+        """A fresh copy of ``client_id``'s state, read back from its blob.
+
+        The blob is found through ``refs`` (which follows a compaction into
+        the new segment, pending or not) and checked against its digest
+        before it is unpickled; a missing or mismatched blob raises
+        :class:`SegmentError` naming the file.
+        """
+        ref = self.refs[client_id]
+        path = self.directory / ref.segment
+        return _unpickle(_read_blob(path, ref, self.digests[client_id],
+                                    self.pending.get(ref.segment)), path)
+
 
 def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
                 table: BlobTable) -> RunCheckpoint:
@@ -457,7 +537,8 @@ def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
     every client state written since the previous boundary (the store's
     dirty set) and every event new to the queue is pickled *now*, into
     ``table``'s next pending segment.  Everything else keeps the reference
-    ``table`` already holds.  The returned head is what
+    ``table`` already holds — a spilled state is never read back: it is
+    clean, and its reference is live.  The returned head is what
     :func:`save_checkpoint` writes, together with ``table.pending``.
     """
     if next_round <= table.next_round:
@@ -471,7 +552,7 @@ def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
                    for name in _EVENT_LISTS if name in scheduler_state}
     head = RunCheckpoint(
         version=CHECKPOINT_VERSION,
-        digest=run_digest(core),
+        digest=_digest_of(core),
         next_round=int(next_round),
         method=history.method,
         dataset=history.dataset,
@@ -483,28 +564,30 @@ def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
                    **copy.deepcopy(scheduler_state)},
     )
     store = core.clients.state_store
-    states = store.snapshot()
+    ids = store.ids()
     dirty = store.take_dirty()
-    fresh: Dict[Hashable, bytes] = {
-        client_id: pickle.dumps(state, protocol=_PICKLE_PROTOCOL)
-        for client_id, state in states.items()
+    states: Dict[int, bytes] = {
+        client_id: pickle.dumps(store.get(client_id),
+                                protocol=_PICKLE_PROTOCOL)
+        for client_id in ids
         if client_id in dirty or client_id not in table.refs}
-    for events in event_lists.values():
-        for event in events:
+    events: Dict[Hashable, bytes] = {}
+    for queued in event_lists.values():
+        for event in queued:
             if _event_key(event) not in table.refs:
-                fresh[_event_key(event)] = pickle.dumps(
+                events[_event_key(event)] = pickle.dumps(
                     event, protocol=_PICKLE_PROTOCOL)
     # staged last: nothing after this point can fail and leave the table
     # ahead of the head the manager still holds
-    table.stage(next_round, fresh,
-                [*states, *(_event_key(event)
-                            for events in event_lists.values()
-                            for event in events)])
+    table.stage(next_round, states, events,
+                [*ids, *(_event_key(event)
+                         for queued in event_lists.values()
+                         for event in queued)])
     head.client_states = {client_id: table.refs[client_id]
-                          for client_id in states}
+                          for client_id in ids}
     head.scheduler.update(
-        (name, [table.refs[_event_key(event)] for event in events])
-        for name, events in event_lists.items())
+        (name, [table.refs[_event_key(event)] for event in queued])
+        for name, queued in event_lists.items())
     head.segments = dict(table.segments)
     return head
 
@@ -521,23 +604,26 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     belong to this run (different config/seed/strategy/dataset/model) or to
     this scheduler.
 
-    The client states are adopted as ``checkpoint.client_states`` hands
-    them out — a loaded capsule unpickles fresh ones on every read, a
-    capsule built in memory deep-copies its own — so the store owns them,
-    nothing is copied twice, and the same capsule restores again unchanged.
-    The state store is left *clean* (it now equals the checkpoint), and
-    ``manager`` — the run's checkpointer, if it has one — is told which
-    checkpoint the run continues from, so its next save can reference the
-    blobs already in its directory instead of rewriting them; the manager
-    keeps the head's references, not the capsule.  Nothing restored points
-    back at ``checkpoint``, so it lives only as long as the caller's
-    reference: the round loop drops its own once this returns.
+    ``manager`` — the run's checkpointer, if it has one — is told first
+    which checkpoint the run continues from, so its next save can reference
+    the blobs already in its directory instead of rewriting them; the
+    manager keeps the head's references, not the capsule.  When those blobs
+    are its own and the run spills (:meth:`CheckpointManager.resumed`), the
+    manager adopts the states into the store *unread*: each is unpickled
+    when the run first reads it.  Every other state is adopted as
+    ``checkpoint.client_states`` hands it out — a loaded capsule unpickles
+    a fresh one on every read, a capsule built in memory deep-copies its
+    own — so the store owns it, nothing is copied twice, and the same
+    capsule restores again unchanged.  The state store is left *clean* (it
+    now equals the checkpoint).  Nothing restored points back at
+    ``checkpoint``, so it lives only as long as the caller's reference: the
+    round loop drops its own once this returns.
     """
     if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointMismatch(
             f"checkpoint version {checkpoint.version} != supported "
             f"{CHECKPOINT_VERSION}")
-    digest = run_digest(core)
+    digest = _digest_of(core)
     if checkpoint.digest != digest:
         raise CheckpointMismatch(
             "checkpoint belongs to a different run (digest "
@@ -559,26 +645,40 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     states = checkpoint.client_states
     if not isinstance(states, _ClientStates):  # a capsule built in memory
         states = _ClientStates(states)
-    for client_id, state in states.items():
-        core.clients.update_state(client_id, state)
+    unread = manager.resumed(checkpoint, core) if manager is not None else ()
+    for client_id in states:
+        if client_id not in unread:
+            core.clients.update_state(client_id, states[client_id])
     core.clients.state_store.take_dirty()
     history.records = copy.deepcopy(checkpoint.records)
     scheduler.load_state_dict(checkpoint.scheduler)
-    if manager is not None:
-        manager.resumed(checkpoint)
     return checkpoint.next_round
 
 
 # ----------------------------------------------------------------- on disk
 def _write_atomically(path: Path, *chunks: bytes) -> None:
-    """Write tmp, fsync, rename: ``path`` is either absent/old or complete."""
+    """Write tmp, fsync, rename: ``path`` is either absent/old or complete.
+
+    The rename itself is durable only once the directory is synced
+    (:func:`_sync_directory`), which the caller does when the order of
+    renames matters.
+    """
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as handle:
         for chunk in chunks:
             handle.write(chunk)
         handle.flush()
         os.fsync(handle.fileno())
-    tmp.replace(path)
+    os.replace(tmp, path)
+
+
+def _sync_directory(directory: Path) -> None:
+    """Make the renames and unlinks done in ``directory`` so far durable."""
+    handle = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(handle)
+    finally:
+        os.close(handle)
 
 
 def _frame(payload: bytes) -> bytes:
@@ -600,11 +700,18 @@ def save_checkpoint(path: Union[str, Path], checkpoint: RunCheckpoint,
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    for name in checkpoint.segments:
-        if pending and name in pending:
-            _write_atomically(path.parent / name, pending[name])
+    written = [name for name in checkpoint.segments
+               if pending and name in pending]
+    for name in written:
+        _write_atomically(path.parent / name, pending[name])
+    if written:
+        # a crash after the head's rename must not find it naming a
+        # segment whose own rename was lost
+        _sync_directory(path.parent)
     payload = pickle.dumps(checkpoint, protocol=_PICKLE_PROTOCOL)
     _write_atomically(path, _frame(payload), payload)
+    # the commit is durable before anything prunes what it replaces
+    _sync_directory(path.parent)
     return path
 
 
@@ -652,33 +759,50 @@ def _unpickle(blob, source: Path):
 def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
     """Load one checkpoint (module docstring: trusted input).
 
-    References resolve against the head's own directory, and the head and
-    every segment it references are verified before anything in them is
-    unpickled and before this returns.  The queued events are
-    materialized; the client states stay references behind a read-only
-    :class:`_ClientStates` that unpickles fresh states on each read, so
-    the capsule holds no state of its own.
+    References resolve against the head's own directory.  The head is
+    verified before it is unpickled, and then each referenced segment in
+    turn: its bytes are read and checked against the head's table, the
+    references into it are range-checked, the queued events it holds are
+    unpickled and the SHA-256 of each state blob it holds is taken — and
+    its bytes are dropped before the next segment is read.  The client
+    states stay references behind a read-only :class:`_ClientStates` that
+    unpickles fresh, re-verified states on each read, so the capsule holds
+    no state of its own.
     """
     path = Path(path)
     head = read_head(path)
-    read = _BlobReader(path.parent, head.segments)
-    for entry in head.client_states.values():
-        if isinstance(entry, BlobRef):
-            read(entry)  # its segment verified, its range checked
-
-    def resolve(entry):
-        if isinstance(entry, BlobRef):
-            return _unpickle(read(entry), path.parent / entry.segment)
-        return entry
-
     scheduler = dict(head.scheduler)
+    # segment name -> (event list or None for a state, key, ref)
+    blobs: Dict[str, List[Tuple[Optional[list], Hashable, BlobRef]]] = {}
+    for client_id, entry in head.client_states.items():
+        if isinstance(entry, BlobRef):
+            blobs.setdefault(entry.segment, []).append(
+                (None, client_id, entry))
     for name in _EVENT_LISTS:
         if name in scheduler:
-            scheduler[name] = [resolve(entry) for entry in scheduler[name]]
+            events = scheduler[name] = list(scheduler[name])
+            for index, entry in enumerate(events):
+                if isinstance(entry, BlobRef):
+                    blobs.setdefault(entry.segment, []).append(
+                        (events, index, entry))
+    digests: Dict[int, str] = {}
+    for segment, members in blobs.items():
+        if segment not in head.segments:
+            raise CheckpointError(
+                f"reference into unlisted segment {segment!r}")
+        source = path.parent / segment
+        data = _read_segment(source, *head.segments[segment])
+        for events, key, ref in members:
+            blob = _slice(data, ref)
+            if events is None:
+                digests[key] = hashlib.sha256(blob).hexdigest()
+            else:
+                events[key] = _unpickle(blob, source)
+        del data, blob
     return dataclasses.replace(
         head, scheduler=scheduler, segments={},
         client_states=_ClientStates(head.client_states, path.parent,
-                                    head.segments))
+                                    digests))
 
 
 class CheckpointManager:
@@ -780,12 +904,21 @@ class CheckpointManager:
         The boundary is captured *every* round (the dirty states are
         pickled into a pending segment, no disk) so :meth:`emergency`
         always has the most recent boundary to persist even when
-        ``every > 1`` skips the save.
+        ``every > 1`` skips the save.  Once a save has committed — every
+        blob the table references is then on disk — a run that spills
+        (:meth:`spills`) lets the state store go of every state outside
+        the boundary's dirty set, and :meth:`BlobTable.load` reads one back
+        when the run next reads it.  Between saves, the states of the
+        pending boundaries stay resident.
         """
         self._unsaved = capture_run(core, scheduler, history,
                                     round_index + 1, self._table)
         if self.due(round_index):
             self.save(self._unsaved)
+            if self.spills(core):
+                store = core.clients.state_store
+                store.spill(self._table.load)
+                self._table.holder = store
         if (self.stop_after_round is not None
                 and round_index >= self.stop_after_round):
             raise TrainingInterrupted(
@@ -805,24 +938,47 @@ class CheckpointManager:
             return None
         return self.save(self._unsaved)
 
-    def resumed(self, checkpoint: RunCheckpoint) -> None:
+    @staticmethod
+    def spills(core) -> bool:
+        """Whether ``core``'s run keeps its clean states in their segments.
+
+        Only once the fleet outgrows ``fleet.shard_cache`` — the regime in
+        which a training chunk stops pinning its shards too: a client is
+        then rarely read again soon, so a cold read is cheaper than the
+        memory.  A fleet that fits the cache keeps every state resident.
+        """
+        return core.dataset.num_clients > core.config.fleet.shard_cache
+
+    def resumed(self, checkpoint: RunCheckpoint, core) -> Set[int]:
         """The run continues from ``checkpoint`` (called by ``restore_run``).
 
         When that is the capsule this manager loaded from its own
         directory, the blobs it references are already here: seed the
-        table from its head, so the next save writes only what changes.
-        From anywhere else the table stays empty and the first save is a
-        full one.  One-shot, like the store's ``take_dirty``: the manager
-        lets go of the loaded capsule here, so once ``restore_run`` returns
-        only a caller that holds it keeps it alive.
+        table from its head, so the next save writes only what changes,
+        and — when ``core``'s run :meth:`spills` — adopt every state whose
+        blob is on disk into the store unread.  Returns the ids so adopted.
+        From anywhere else the table stays empty, the first save is a full
+        one, and nothing is adopted here.  One-shot, like the store's
+        ``take_dirty``: the manager lets go of the loaded capsule here, so
+        once ``restore_run`` returns only a caller that holds it keeps it
+        alive.
         """
         path, loaded = self._loaded or (None, None)
         self._loaded = None
-        if loaded is checkpoint:
-            head = read_head(path)
-            if (head.digest, head.next_round) == (checkpoint.digest,
-                                                  checkpoint.next_round):
-                self._table.seed(head, checkpoint)
+        if loaded is not checkpoint:
+            return set()
+        head = read_head(path)
+        if (head.digest, head.next_round) != (checkpoint.digest,
+                                              checkpoint.next_round):
+            return set()
+        self._table.seed(head, checkpoint)
+        if not self.spills(core):
+            return set()
+        unread = set(self._table.digests)
+        store = core.clients.state_store
+        store.adopt_spilled(unread, self._table.load)
+        self._table.holder = store
+        return unread
 
     def latest(self) -> Optional[RunCheckpoint]:
         """The newest complete checkpoint in the directory, or None."""
@@ -882,7 +1038,7 @@ class CheckpointManager:
 
 def _unlink(path: Path) -> None:
     try:
-        path.unlink()
+        os.unlink(path)
     except OSError:  # pragma: no cover - benign cleanup race
         pass
 

@@ -15,7 +15,10 @@ view every federation — virtual or hand-built — is served through:
   holds entries for clients that have ever participated; strategies
   initialize a client's state through their ``init_client_state`` hook the
   first time the client is materialized (pure per client, so the order in
-  which clients first appear cannot change a result).
+  which clients first appear cannot change a result).  In a checkpointed
+  run whose fleet outgrows ``FleetConfig.shard_cache`` a clean entry keeps
+  no state in memory: it is read back from its checkpoint segment when
+  next read (:meth:`FleetStateStore.spill`).
 
 ``fleet[cid]`` (participant access) builds a new :class:`Client` over the
 stored state and persists it; ``fleet.observer(cid)`` builds one whose
@@ -31,7 +34,8 @@ chunks' clients themselves (``repro.server.core._bind_clients``).
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
-from typing import Any, Callable, Dict, Iterator, Optional, Set
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Set)
 
 import numpy as np
 
@@ -42,6 +46,11 @@ from .client import Client
 
 #: per-client state initializer installed by ``Strategy.setup``
 StateInitializer = Callable[[Client], None]
+#: reads a spilled client state back (installed by the checkpoint layer)
+StateLoader = Callable[[int], Dict[str, Any]]
+
+#: what a spilled entry holds in place of its state
+_SPILLED = object()
 
 
 class FleetStateStore:
@@ -60,6 +69,18 @@ class FleetStateStore:
     :meth:`adopt` or :meth:`touch`; read-only access (:meth:`get`) does
     not, which is what keeps a round-boundary checkpoint O(cohort).
 
+    An entry need not be resident.  Once a checkpointed boundary is on
+    disk, the checkpoint layer may **spill** every clean state outside the
+    boundary's dirty set (:meth:`spill`), or adopt a resumed run's states
+    unread (:meth:`adopt_spilled`): the entry then holds no state, and the
+    next :meth:`get` / :meth:`touch` reads it back through the loader the
+    checkpoint layer installed, into a fresh dict that stays resident
+    until the next spill.  So the store holds a run's working set, not
+    every state it ever touched, and imports nothing from the checkpoint
+    layer.  The loader reads the run's checkpoint directory: once a later
+    run there has pruned a segment, reading a state spilled into it raises
+    the loader's error.
+
     The same write path guards the **evaluation memo**: the accuracy the
     server remembered for a client whose personalized model lives entirely
     in its state (:meth:`remember_accuracy`) is dropped by every write, so
@@ -69,17 +90,20 @@ class FleetStateStore:
     """
 
     def __init__(self) -> None:
-        self._states: Dict[int, Dict[str, Any]] = {}
-        self._initializer: Optional[StateInitializer] = None
-        self._dirty: Set[int] = set()
-        self._remembered: Dict[int, float] = {}
+        self.bind(None)
 
     def bind(self, initializer: Optional[StateInitializer]) -> None:
         """Install the initializer and reset to a fresh run's empty store."""
         self._initializer = initializer
-        self._states = {}
-        self._dirty = set()
-        self._remembered = {}
+        #: a state dict, or ``_SPILLED`` where the loader reads one back
+        self._states: Dict[int, Any] = {}
+        self._dirty: Set[int] = set()
+        self._remembered: Dict[int, float] = {}
+        self._loader: Optional[StateLoader] = None
+        #: the ids made resident since the last spill: all a spill visits
+        self._resident: Set[int] = set()
+        #: the dirty set taken last, a boundary's working set
+        self._working: Set[int] = set()
 
     def initialize(self, client: Client) -> None:
         """Run the bound initializer on a freshly built client."""
@@ -88,11 +112,15 @@ class FleetStateStore:
 
     def get(self, client_id: int) -> Optional[Dict[str, Any]]:
         """The stored state for *reading* (evaluation), or None."""
-        return self._states.get(client_id)
+        state = self._states.get(client_id)
+        if state is _SPILLED:
+            state = self._states[client_id] = self._loader(client_id)
+            self._resident.add(client_id)
+        return state
 
     def touch(self, client_id: int) -> Optional[Dict[str, Any]]:
         """The stored state for *writing* (marks it dirty), or None."""
-        state = self._states.get(client_id)
+        state = self.get(client_id)
         if state is not None:
             self._dirty.add(client_id)
             self._remembered.pop(client_id, None)
@@ -101,6 +129,7 @@ class FleetStateStore:
     def adopt(self, client_id: int, state: Dict[str, Any]) -> None:
         """Persist a participating client's state dict (install or overwrite)."""
         self._states[client_id] = state
+        self._resident.add(client_id)
         self._dirty.add(client_id)
         self._remembered.pop(client_id, None)
 
@@ -124,20 +153,59 @@ class FleetStateStore:
 
         One consumer only — the checkpoint layer, once per round boundary
         (and once after a restore, to declare the store equal to the
-        checkpoint it was loaded from).
+        checkpoint it was loaded from).  The ids taken are the boundary's
+        working set, which :meth:`spill` keeps resident.
         """
-        dirty, self._dirty = self._dirty, set()
-        return dirty
+        self._working, self._dirty = self._dirty, set()
+        return self._working
+
+    # ------------------------------------------------------------- spilling
+    def spill(self, loader: StateLoader) -> None:
+        """Let go of the clean states; ``loader`` reads them back.
+
+        Called by the checkpoint layer once a boundary is on disk, so every
+        state outside that boundary's working set (the last
+        :meth:`take_dirty`) has a blob ``loader`` can read.  Only the ids
+        made resident since the previous spill are visited, never the whole
+        store; the working set stays resident and is visited again next
+        time.
+        """
+        self._loader = loader
+        kept = self._resident & self._working
+        for client_id in self._resident - kept:
+            self._states[client_id] = _SPILLED
+        self._resident = kept
+
+    def adopt_spilled(self, client_ids: Iterable[int],
+                      loader: StateLoader) -> None:
+        """Install states unread: ``loader`` reads each back on first use.
+
+        A resume's adoption, so nothing is marked dirty.
+        """
+        self._loader = loader
+        for client_id in client_ids:
+            self._states[client_id] = _SPILLED
+
+    def unspill(self) -> None:
+        """Read every spilled state back (before its loader goes away)."""
+        for client_id in [client_id for client_id, state
+                          in self._states.items() if state is _SPILLED]:
+            self.get(client_id)
+
+    def ids(self) -> List[int]:
+        """Every stored id, sorted; reads nothing back."""
+        return sorted(self._states)
 
     def snapshot(self) -> Dict[int, Dict[str, Any]]:
-        """The ``{client_id: state}`` entries, id-sorted (checkpointing).
+        """The ``{client_id: state}`` entries, id-sorted.
 
-        The returned dict is a fresh container but shares the state dicts;
-        the checkpoint layer pickles the dirty ones at the boundary, so the
-        sparse O(participants) shape — never O(fleet) — is preserved on
-        disk.
+        The returned dict is a fresh container but shares the state dicts,
+        spilled ones read back first.  The checkpoint layer does not use
+        it: a boundary pickles only the dirty states (:meth:`ids`,
+        :meth:`get`), so the sparse O(participants) shape — never
+        O(fleet) — is preserved on disk and nothing spilled is read.
         """
-        return {cid: self._states[cid] for cid in sorted(self._states)}
+        return {cid: self.get(cid) for cid in self.ids()}
 
     def __len__(self) -> int:
         return len(self._states)

@@ -38,10 +38,12 @@ from repro.data.partition import VirtualFederatedDataset
 from repro.experiments import preset_for, run_method, scaled
 from repro.experiments.presets import build_experiment
 from repro.federated import FederatedConfig, FederatedTrainer, FleetConfig
-from repro.federated.fleet import ClientFleet
+from repro.checkpoint import (BlobTable, CheckpointManager,
+                              TrainingInterrupted)
+from repro.federated.fleet import _SPILLED, ClientFleet, FleetStateStore
 from repro.federated.strategy import Strategy
 from repro.models import build_model_for_dataset
-from repro.parallel import ThreadPoolExecutor
+from repro.parallel import ProcessPoolExecutor, ThreadPoolExecutor
 from repro.server.core import ServerCore
 from repro.systems.devices import (CAPABILITY_LEVELS, HETEROGENEITY_PRESETS,
                                    VirtualDeviceFleet, sample_device_profile)
@@ -580,6 +582,168 @@ class TestTrainingShardsAreNotPinned:
         shard_map.resize(10)
         shard_map.transient(4)
         assert 4 in shard_map._cache  # the whole fleet fits now
+
+
+def _resident(store) -> dict:
+    """The store's resident ``{client_id: state}`` — spilled ones left out."""
+    return {cid: state for cid, state in store._states.items()
+            if state is not _SPILLED}
+
+
+class TestStoreSpill:
+    """``FleetStateStore``'s spill mechanics, with a stand-in loader."""
+
+    def _store(self, ids):
+        store = FleetStateStore()
+        for cid in ids:
+            store.adopt(cid, {"v": cid})
+        return store
+
+    def test_spill_keeps_the_working_set_and_reads_back_on_use(self):
+        store = self._store(range(6))
+        store.take_dirty()
+        store.adopt(1, {"v": 10})
+        store.take_dirty()  # boundary: {1} is the working set
+        loads = []
+
+        def loader(cid):
+            loads.append(cid)
+            return {"v": cid, "loaded": True}
+
+        store.spill(loader)
+        assert sorted(_resident(store)) == [1]
+        assert len(store) == 6 and 3 in store
+        assert store.ids() == list(range(6))
+        assert store.get(3) == {"v": 3, "loaded": True}
+        assert store.get(3) is store.get(3)  # resident until the next spill
+        assert store.touch(5)["loaded"] and loads == [3, 5]
+        assert store.take_dirty() == {5}
+
+    def test_a_spill_visits_only_what_became_resident_since_the_last(self):
+        store = self._store(range(50))
+        store.take_dirty()
+        store.take_dirty()  # a boundary that wrote nothing
+        store.spill(lambda cid: {"v": cid})
+        assert _resident(store) == {} and store._resident == set()
+        store.get(7)
+        store.adopt(60, {"v": 60})
+        assert store._resident == {7, 60}  # what the next spill visits
+        store.take_dirty()  # {60}: kept, and visited again next time
+        store.spill(lambda cid: {"v": cid})
+        assert sorted(_resident(store)) == [60] and store._resident == {60}
+        store.take_dirty()
+        store.spill(lambda cid: {"v": cid})
+        assert _resident(store) == {} and len(store) == 51
+
+    def test_unspill_and_adopt_spilled(self):
+        store = FleetStateStore()
+        store.adopt_spilled([2, 3], lambda cid: {"v": cid})
+        assert len(store) == 2 and _resident(store) == {}
+        assert store.take_dirty() == set()
+        store.unspill()
+        assert _resident(store) == {2: {"v": 2}, 3: {"v": 3}}
+        assert store.snapshot() == {2: {"v": 2}, 3: {"v": 3}}
+
+
+class TestSpilledStates:
+    """A checkpointed fleet larger than ``fleet.shard_cache`` keeps only its
+    working set of client states resident: a clean state lives in its
+    verified segment and is read back when the run next reads it."""
+
+    ROUNDS = 6
+
+    def _trainer(self, aggregation, executor=None, shard_cache=8):
+        preset = scaled(preset_for("mnist"), num_clients=40,
+                        num_rounds=self.ROUNDS, clients_per_round=6,
+                        examples_per_client=16, local_iterations=1,
+                        batch_size=8, seed=3, scenario="flaky",
+                        aggregation=aggregation)
+        dataset, model_builder, config, fleet = build_experiment(preset)
+        config.fleet = FleetConfig(shard_cache=shard_cache)
+        return FederatedTrainer(build_strategy("fedlps"), dataset,
+                                model_builder, config=config, fleet=fleet,
+                                executor=executor)
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        return {aggregation: _history_digest(self._trainer(aggregation).run())
+                for aggregation in ("sync", "fedasync", "fedbuff")}
+
+    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("aggregation", ["sync", "fedasync", "fedbuff"])
+    def test_spilled_and_resumed_histories_equal_the_plain_run(
+            self, aggregation, backend, references, tmp_path, monkeypatch):
+        loads = []
+        real_load = BlobTable.load
+
+        def load(table, client_id):
+            loads.append(client_id)
+            return real_load(table, client_id)
+
+        monkeypatch.setattr(BlobTable, "load", load)
+        pool = {"inline": contextlib.nullcontext,
+                "thread": lambda: ThreadPoolExecutor(2),
+                "process": lambda: ProcessPoolExecutor(2)}[backend]
+        with pool() as executor:
+            whole = self._trainer(aggregation, executor)
+            spilled = whole.run(checkpoint_dir=tmp_path / "whole")
+            store = whole.clients.state_store
+            # the run spilled, and read spilled states back
+            assert len(_resident(store)) < len(store)
+            assert loads
+            with pytest.raises(TrainingInterrupted):
+                self._trainer(aggregation, executor).run(
+                    checkpoint_dir=tmp_path / "resumed", stop_after_round=2)
+            resumed = self._trainer(aggregation, executor).run(
+                checkpoint_dir=tmp_path / "resumed", resume_from="auto")
+        assert _history_digest(spilled) == references[aggregation]
+        assert _history_digest(resumed) == references[aggregation]
+
+    @pytest.mark.parametrize("every", [1, 2])
+    def test_after_a_save_only_the_boundarys_dirty_set_is_resident(
+            self, every, tmp_path, monkeypatch):
+        real = CheckpointManager.after_round
+        seen = []
+
+        def after_round(manager, core, scheduler, history, round_index):
+            store = core.clients.state_store
+            dirty = set(store._dirty)
+            before = set(_resident(store))
+            real(manager, core, scheduler, history, round_index)
+            resident = set(_resident(store))
+            if manager.due(round_index):
+                assert resident <= dirty
+            else:  # the pending boundary's states stay resident
+                assert resident == before
+            seen.append((len(store), len(resident)))
+
+        monkeypatch.setattr(CheckpointManager, "after_round", after_round)
+        trainer = self._trainer("fedbuff")
+        trainer.run(checkpoint_dir=tmp_path, checkpoint_every=every)
+        assert len(seen) == self.ROUNDS
+        assert seen[-1][1] < seen[-1][0]
+
+    def test_a_fleet_that_fits_the_cache_spills_nothing(self, tmp_path,
+                                                         monkeypatch):
+        real = CheckpointManager.after_round
+        previous = {}
+
+        def after_round(manager, core, scheduler, history, round_index):
+            working = set(core.clients.state_store._dirty)
+            real(manager, core, scheduler, history, round_index)
+            states = _resident(core.clients.state_store)
+            assert len(states) == len(core.clients.state_store)
+            for cid, state in previous.items():
+                if cid not in working:
+                    assert states[cid] is state
+            previous.clear()
+            previous.update(states)
+
+        monkeypatch.setattr(BlobTable, "load", None)  # never called
+        monkeypatch.setattr(CheckpointManager, "after_round", after_round)
+        trainer = self._trainer("fedbuff", shard_cache=40)
+        trainer.run(checkpoint_dir=tmp_path)
+        assert previous
 
 
 class TestFleetConfigValidation:

@@ -16,8 +16,10 @@ import contextlib
 import gc
 import importlib.util
 import json
+import os
 import pickle
 import re
+import stat
 import weakref
 from pathlib import Path
 
@@ -33,7 +35,8 @@ from repro.checkpoint import (CheckpointError, CheckpointManager,
                               save_checkpoint)
 from repro.experiments import preset_for, run_method, scaled
 from repro.experiments.presets import build_experiment
-from repro.federated import FederatedTrainer
+from repro.federated import FederatedTrainer, FleetConfig
+from repro.federated.fleet import _SPILLED
 from repro.parallel import ThreadPoolExecutor
 from repro.server.scheduler import build_scheduler
 from repro.systems.metrics import TrainingHistory
@@ -518,3 +521,219 @@ class TestTheLoadedCapsuleIsLetGo:
         survivors, carried = seen
         assert survivors == []
         assert carried
+
+
+def spill_trainer(aggregation="fedbuff"):
+    """40 clients, a shard cache of 8: a fleet whose checkpointed runs
+    keep clean client states in their segments."""
+    preset = scaled(preset_for("mnist"), num_clients=40, num_rounds=8,
+                    clients_per_round=6, examples_per_client=16,
+                    local_iterations=1, batch_size=8, seed=3,
+                    scenario="flaky", aggregation=aggregation)
+    dataset, model_builder, config, fleet = build_experiment(preset)
+    config.fleet = FleetConfig(shard_cache=8)
+    return FederatedTrainer(build_strategy("fedlps"), dataset, model_builder,
+                            config=config, fleet=fleet)
+
+
+def spilled_ids(store) -> list:
+    return [cid for cid in store.ids() if store._states[cid] is _SPILLED]
+
+
+class TestSpilledStatesOnDisk:
+    """A spilled or unread-adopted state is read back from its blob:
+    verified first, wherever compaction moved it."""
+
+    @pytest.fixture
+    def interrupted(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            spill_trainer().run(checkpoint_dir=directory, stop_after_round=3)
+        return directory
+
+    @staticmethod
+    def _restored(directory):
+        """A fresh core restored from the directory's latest checkpoint
+        by the manager that loaded it, and the capsule."""
+        core = spill_trainer()
+        manager = CheckpointManager(directory)
+        capsule = manager.latest()
+        scheduler = build_scheduler(core.config)
+        core.strategy.setup(core.context)
+        scheduler.reset()
+        restore_run(core, scheduler, capsule,
+                    TrainingHistory(method="fedlps", dataset="mnist"),
+                    manager)
+        return core, capsule
+
+    def test_a_resume_unpickles_no_state_until_it_is_read(
+            self, interrupted, monkeypatch):
+        unpickled = []
+        real = checkpoint_module._unpickle
+
+        def counting(blob, source):
+            value = real(blob, source)
+            if isinstance(value, dict):  # a client state (not a head/event)
+                unpickled.append(value)
+            return value
+
+        monkeypatch.setattr(checkpoint_module, "_unpickle", counting)
+        core, capsule = self._restored(interrupted)
+        store = core.clients.state_store
+        assert len(store) == len(capsule.client_states) > 0
+        assert unpickled == []
+        assert spilled_ids(store) == store.ids()
+        client_id = store.ids()[0]
+        state = store.get(client_id)
+        assert unpickled == [state]
+        assert spilled_ids(store) == store.ids()[1:]
+        assert pickle.dumps(state) \
+            == pickle.dumps(capsule.client_states[client_id])
+
+    @pytest.mark.parametrize("how", ["resumed", "spilled"])
+    def test_a_flipped_byte_in_a_spilled_blob_names_the_file(
+            self, interrupted, how, tmp_path):
+        if how == "resumed":
+            core, _ = self._restored(interrupted)
+            directory = interrupted
+        else:
+            core, directory = spill_trainer(), tmp_path / "run"
+            core.run(checkpoint_dir=directory)
+        store = core.clients.state_store
+        head = read_head(CheckpointManager(directory).checkpoint_paths()[-1])
+        client_id = spilled_ids(store)[0]
+        ref = head.client_states[client_id]
+        segment = directory / ref.segment
+        data = bytearray(segment.read_bytes())
+        data[ref.offset + ref.length // 2] ^= 0xFF
+        segment.write_bytes(data)
+        with pytest.raises(SegmentError, match=re.escape(str(segment))):
+            store.get(client_id)
+        segment.unlink()
+        with pytest.raises(SegmentError, match="is missing"):
+            store.touch(client_id)
+
+    def test_a_spilled_state_moved_by_compaction_still_loads(
+            self, tmp_path, monkeypatch):
+        # compact whenever a segment holds any superseded blob
+        monkeypatch.setattr(checkpoint_module, "_GARBAGE_FACTOR", 1)
+        real = CheckpointManager.after_round
+        moved = {}
+
+        def after_round(manager, core, scheduler, history, round_index):
+            store, table = core.clients.state_store, manager._table
+            before = {cid: table.refs[cid].segment
+                      for cid in spilled_ids(store)}
+            real(manager, core, scheduler, history, round_index)
+            still = set(spilled_ids(store))
+            for cid, segment in before.items():
+                # untouched (still spilled), yet its blob moved: a
+                # compaction relocated it
+                if cid in still and table.refs[cid].segment != segment:
+                    moved.setdefault(cid, segment)
+
+        monkeypatch.setattr(CheckpointManager, "after_round", after_round)
+        reference = history_json(spill_trainer().run())
+        trainer = spill_trainer()
+        assert history_json(trainer.run(checkpoint_dir=tmp_path)) \
+            == reference
+        # ... out of a segment that has been pruned since
+        gone = [cid for cid, segment in moved.items()
+                if not (tmp_path / segment).exists()]
+        assert gone
+        latest = load_checkpoint(
+            CheckpointManager(tmp_path).checkpoint_paths()[-1])
+        store = trainer.clients.state_store
+        assert set(gone) & set(spilled_ids(store))
+        for cid in gone:
+            assert pickle.dumps(store.get(cid)) \
+                == pickle.dumps(latest.client_states[cid])
+
+
+    def test_a_table_reset_reads_spilled_states_back_first(self, tmp_path):
+        from repro.checkpoint import BlobTable
+        from repro.federated.fleet import FleetStateStore
+
+        table, store = BlobTable(tmp_path), FleetStateStore()
+        states = {cid: {"params": np.full(3, float(cid))} for cid in (1, 2)}
+        for cid, state in states.items():
+            store.adopt(cid, state)
+        table.stage(1, {cid: pickle.dumps(state)
+                        for cid, state in states.items()}, {}, [1, 2])
+        store.take_dirty()
+        store.take_dirty()
+        store.spill(table.load)  # reads ``pending``: nothing is on disk
+        table.holder = store
+        assert spilled_ids(store) == [1, 2]
+        table.reset()
+        assert spilled_ids(store) == [] and table.holder is None
+        assert {cid: pickle.dumps(state)
+                for cid, state in store.snapshot().items()} \
+            == {cid: pickle.dumps(state) for cid, state in states.items()}
+
+
+class TestBoundaryOverheads:
+    def test_the_run_digest_is_computed_once_per_core(self, monkeypatch,
+                                                      tmp_path):
+        calls = []
+        real = checkpoint_module.run_digest
+
+        def counting(core):
+            calls.append(core)
+            return real(core)
+
+        monkeypatch.setattr(checkpoint_module, "run_digest", counting)
+        trainer = build_trainer("fedlps", async_preset("fedbuff"))
+        with pytest.raises(TrainingInterrupted):
+            trainer.run(checkpoint_dir=tmp_path, stop_after_round=2)
+        resumed = build_trainer("fedlps", async_preset("fedbuff"))
+        resumed.run(checkpoint_dir=tmp_path, resume_from="auto")
+        assert calls == [trainer, resumed]
+        assert checkpoint_module._digest_of(resumed) == real(resumed)
+        assert checkpoint_module._digest_of(trainer) \
+            == real(build_trainer("fedlps", async_preset("fedbuff")))
+
+    def test_the_directory_is_synced_after_each_commit_and_before_a_prune(
+            self, monkeypatch, tmp_path):
+        """Per save: the segment (fsync, rename), a directory fsync so no
+        head can name a segment whose rename was lost, the head (fsync,
+        rename), a directory fsync so the commit is durable — and only
+        then the prune's unlinks."""
+        events = []
+        real_fsync, real_replace, real_unlink = (os.fsync, os.replace,
+                                                 os.unlink)
+        ours = re.compile(r"^(checkpoint-\d+\.pkl|blobs-\d+\.bin)$")
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(source, target, **kwargs):
+            if ours.match(Path(target).name):
+                events.append(("replace", Path(target).name))
+            real_replace(source, target, **kwargs)
+
+        def unlink(path, **kwargs):
+            if ours.match(Path(path).name):
+                events.append(("unlink", Path(path).name))
+            real_unlink(path, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "unlink", unlink)
+        run_method("fedlps", async_preset("fedbuff"), checkpoint_dir=tmp_path)
+        monkeypatch.undo()
+        position, unlinked = 0, 0
+        for boundary in range(1, 7):
+            assert events[position:position + 6] == [
+                ("fsync", "file"), ("replace", f"blobs-{boundary:06d}.bin"),
+                ("fsync", "dir"),
+                ("fsync", "file"),
+                ("replace", f"checkpoint-{boundary:06d}.pkl"),
+                ("fsync", "dir")], events[position:]
+            position += 6
+            while position < len(events) and events[position][0] == "unlink":
+                position, unlinked = position + 1, unlinked + 1
+        assert position == len(events)
+        assert unlinked >= 4  # keep=2: every save from the third prunes

@@ -50,6 +50,8 @@ MUTATIONS = {
         SERVER_CORE, None, "store.remember_accuracy(0, 1.0)"),
     "memo-dropped-only-by-fleet": (
         SERVER_CORE, None, "store._remembered.clear()"),
+    "states-read-only-through-the-store": (
+        SERVER_CORE, None, "state = store._states.get(0)"),
     "_bind_clients-callers": (
         SERVER_CORE, None,
         "def stray(ids): return _bind_clients(None, None, None, ids, ids)"),

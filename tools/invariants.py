@@ -375,6 +375,11 @@ RULES: dict[str, Rule] = {
         unless=r"def remember_accuracy\("),
     "memo-dropped-only-by-fleet": OnlyIn(
         r"\._remembered", ("src",), ("src/repro/federated/fleet.py",)),
+    # One owner of the stored client states: every read goes through
+    # FleetStateStore's loading accessors (get / touch / snapshot), so a
+    # state the checkpoint layer spilled is read back wherever it is read.
+    "states-read-only-through-the-store": OnlyIn(
+        r"\._states\b", ("src",), ("src/repro/federated/fleet.py",)),
     "evaluates-from-state-opt-in": evaluates_from_state_opt_in,
     # One fan-out: training and evaluation both run through
     # ServerCore._fan_out, whose chunks bind their clients in one binder —
