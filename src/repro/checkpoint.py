@@ -46,23 +46,32 @@ in the queue.  The run digest is computed once per core, not per boundary.
 
 **What a run holds.**  Once a checkpointed run's fleet outgrows
 ``fleet.shard_cache``, each committed save lets the state store go of every
-clean state outside the boundary's dirty set — its blob is on disk — and
-the next read of one is a *cold read*: :meth:`BlobTable.load` finds the blob
-through the table's references (which follow compaction), checks it
-against the SHA-256 the table took of the bytes it wrote and unpickles a
-fresh state, resident until the next save.  A resume from the manager's
-own directory adopts every saved state the same way, unread.  Elsewhere a
+clean state outside the boundary's dirty set, and the scheduler's event
+queue of every queued event — their blobs are on disk.  The next read of
+such a state, or the pop of such an event, is a *cold read*:
+:meth:`BlobTable.load` finds the blob through the table's references
+(which follow compaction), checks it against the SHA-256 the table took
+of the bytes it wrote and unpickles a fresh object; a state stays resident
+until the next save, an event is consumed.  The FedBuff buffer (fewer than
+``buffer_size`` events) stays resident.  A resume from the manager's own
+directory adopts every saved state the same way, unread; it unpickles the
+loaded queue once, and its first committed save spills it.  Elsewhere a
 resume holds one copy of every state: the loaded capsule keeps only the
 references, and each read of a state re-reads and re-verifies its blob and
 unpickles a fresh object, which :func:`restore_run` adopts into the store
-as it is.  Queued events stay resident (they are read every round).
+as it is.  A boundary never holds its segment twice: the pending segment
+is its blobs, hashed as they are laid out and streamed to disk by the
+save, never one joined copy.
 
 **On disk** (one directory per run; :class:`CheckpointManager` owns it):
 
 ``blobs-<next_round>.bin``
     A segment: the concatenated pickles of the states touched and the
-    events first queued since the previous boundary.  Written once (tmp,
-    fsync, rename), never modified; it carries no header of its own.
+    events first queued since the previous boundary (or, after a
+    compaction, of every live blob).  Written once, blob by blob (tmp,
+    fsync, rename), never modified; it carries no header of its own.  A
+    spilled state or queued event is read back from here, one blob at a
+    time.
 ``checkpoint-<next_round>.pkl``
     A head: a 48-byte header (magic, format version, payload length,
     payload SHA-256) followed by one pickled :class:`RunCheckpoint` whose
@@ -316,13 +325,23 @@ def _slice(data: bytes, ref: BlobRef) -> memoryview:
     return blob
 
 
+def _pending_blob(blobs: Mapping[int, bytes], ref: BlobRef) -> bytes:
+    """``ref``'s blob among a pending segment's ``{offset: blob}``."""
+    blob = blobs.get(ref.offset)
+    if blob is None or len(blob) != ref.length:
+        raise CheckpointError(
+            f"reference {ref} does not name a blob of its pending segment")
+    return blob
+
+
 def _read_blob(path: Path, ref: BlobRef, digest: str,
-               data: Optional[bytes] = None):
-    """One blob — from ``data``, else from the segment file ``path`` —
-    verified against the SHA-256 recorded for it, so a segment pruned or
-    replaced since is a :class:`SegmentError` naming the file, and no
-    unverified byte reaches ``pickle.loads``."""
-    if data is None:
+               pending: Optional[Mapping[int, bytes]] = None):
+    """One blob — from ``pending`` (its segment's blobs, not on disk yet),
+    else from the segment file ``path`` — verified against the SHA-256
+    recorded for it, so a segment pruned or replaced since is a
+    :class:`SegmentError` naming the file, and no unverified byte reaches
+    ``pickle.loads``."""
+    if pending is None:
         try:
             with open(path, "rb") as handle:
                 handle.seek(ref.offset)
@@ -331,7 +350,7 @@ def _read_blob(path: Path, ref: BlobRef, digest: str,
             raise SegmentError(
                 f"checkpoint segment {path} is missing") from None
     else:
-        blob = _slice(data, ref)
+        blob = _pending_blob(pending, ref)
     if len(blob) != ref.length or hashlib.sha256(blob).hexdigest() != digest:
         raise SegmentError(
             f"checkpoint segment {path} does not hold the blob "
@@ -341,17 +360,23 @@ def _read_blob(path: Path, ref: BlobRef, digest: str,
 
 
 class _BlobReader:
-    """Verified access to the blobs behind a set of references: each
-    segment is read and verified whole, once (a compaction's read)."""
+    """Access to the blobs behind a set of references (a compaction's
+    read): a blob of a ``pending`` segment is reached by its offset, and
+    each segment on disk is read and verified whole, once."""
 
     def __init__(self, directory: Path,
                  segments: Mapping[str, Tuple[int, str]],
-                 loaded: Optional[Mapping[str, bytes]] = None) -> None:
+                 pending: Optional[Mapping[str, Mapping[int, bytes]]] = None
+                 ) -> None:
         self._directory = directory
         self._segments = segments
-        self._loaded = dict(loaded or {})
+        self._pending = pending or {}
+        self._loaded: Dict[str, bytes] = {}
 
-    def __call__(self, ref: BlobRef) -> memoryview:
+    def __call__(self, ref: BlobRef) -> Union[bytes, memoryview]:
+        blobs = self._pending.get(ref.segment)
+        if blobs is not None:
+            return _pending_blob(blobs, ref)
         data = self._loaded.get(ref.segment)
         if data is None:
             if ref.segment not in self._segments:
@@ -368,7 +393,7 @@ class _ClientStates(Mapping):
     It holds references, not states: every read hands back a fresh state
     its caller owns — for a :class:`BlobRef`, the blob re-read (from the
     page cache), re-verified against the SHA-256 :func:`load_checkpoint`
-    took of it from the verified segment (``digests``) and unpickled; for
+    took of it from the verified segment and unpickled; for
     a state stored in the head itself (a self-contained checkpoint), a
     deep copy.  So :func:`restore_run` adopts what it reads with no copy of
     its own, a resumed run holds one copy of every state, and the capsule
@@ -380,10 +405,12 @@ class _ClientStates(Mapping):
 
     def __init__(self, entries: Mapping[int, Any],
                  directory: Optional[Path] = None,
-                 digests: Optional[Mapping[int, str]] = None) -> None:
+                 digests: Optional[Mapping[Hashable, str]] = None) -> None:
         self._entries = dict(entries)
         self._directory = directory
-        #: SHA-256 hex of each referenced state's blob
+        #: SHA-256 hex of every blob the load verified, keyed like
+        #: :attr:`BlobTable.refs`: a state's by its client id, a queued
+        #: event's by ``(round_index, client_id)``
         self.digests = dict(digests or {})
 
     def __getitem__(self, client_id: int):
@@ -410,17 +437,19 @@ class BlobTable:
     The reference table behind incremental checkpoints: ``refs`` maps a key
     (a client id, or an event's ``(round_index, client_id)``) to the
     :class:`BlobRef` of its current serialization, ``digests`` the SHA-256
-    of each client state's blob (taken from the bytes staged here, or from
-    the verified segment a seeded head references), ``segments`` holds the
-    integrity record of every segment ``refs`` points into, and ``pending``
-    the bytes of the segments not yet on disk (more than one only while
-    ``every > 1`` skips saves).  :func:`capture_run` stages each boundary's
-    new blobs here; :func:`save_checkpoint` writes the pending segments.
+    of each blob (taken from the bytes staged here, or from the verified
+    segment a seeded head references), ``segments`` holds the integrity
+    record of every segment ``refs`` points into, and ``pending`` the blobs
+    of the segments not yet on disk, each as ``{offset: blob}`` in segment
+    order (more than one segment only while ``every > 1`` skips saves).
+    :func:`capture_run` stages each boundary's new blobs here;
+    :func:`save_checkpoint` streams the pending segments to disk.
 
-    The table is also the loader of a state store's spilled entries
-    (:meth:`load`): ``holder`` is the store that spilled against ``refs``,
-    and :meth:`reset` has it read every spilled state back first, so a
-    spilled entry never outlives the reference it reads through.
+    The table is also the loader of spilled entries (:meth:`load`):
+    ``holder`` is the state store and ``queue`` the event queue that
+    spilled against ``refs``, and :meth:`reset` has both read every spilled
+    entry back first, so a spilled entry never outlives the reference it
+    reads through.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -428,16 +457,19 @@ class BlobTable:
         self.directory = Path(directory)
         #: the state store whose spilled entries :meth:`load` reads back
         self.holder = None
+        #: the event queue whose spilled events :meth:`load` reads back
+        self.queue = None
         self.reset()
 
     def reset(self) -> None:
-        if self.holder is not None:
-            self.holder.unspill()
-            self.holder = None
+        for holder in (self.holder, self.queue):
+            if holder is not None:
+                holder.unspill()
+        self.holder = self.queue = None
         self.refs: Dict[Hashable, BlobRef] = {}
-        self.digests: Dict[int, str] = {}
+        self.digests: Dict[Hashable, str] = {}
         self.segments: Dict[str, Tuple[int, str]] = {}
-        self.pending: Dict[str, bytes] = {}
+        self.pending: Dict[str, Dict[int, bytes]] = {}
         #: the boundary of the last capture (or of the head seeded from)
         self.next_round = 0
 
@@ -450,8 +482,8 @@ class BlobTable:
 
         ``materialized`` is the same checkpoint as loaded: it supplies the
         keys of the queued events, which the head stores by position, and
-        the digests of the state blobs, which the load took from their
-        verified segments.
+        the digests of the blobs, which the load took from their verified
+        segments.
         """
         self.reset()
         self.next_round = head.next_round
@@ -480,8 +512,8 @@ class BlobTable:
         kept = {key: self.refs[key] for key in live if key not in fresh}
         digests = {key: self.digests[key] for key in kept
                    if key in self.digests}
-        digests.update((client_id, hashlib.sha256(blob).hexdigest())
-                       for client_id, blob in states.items())
+        digests.update((key, hashlib.sha256(blob).hexdigest())
+                       for key, blob in fresh.items())
         fresh_bytes = sum(len(blob) for blob in fresh.values())
         live_bytes = fresh_bytes + sum(ref.length for ref in kept.values())
         held_bytes = fresh_bytes + sum(
@@ -493,9 +525,15 @@ class BlobTable:
                      for key in live}
             kept = {}
         name = f"blobs-{next_round:06d}.bin"
+        # the segment is never joined: its blobs stay separate objects, and
+        # its digest is taken as they are laid out
+        blobs: Dict[int, bytes] = {}
+        digest = hashlib.sha256()
         offset = 0
         for key, blob in fresh.items():
             kept[key] = BlobRef(name, offset, len(blob))
+            blobs[offset] = blob
+            digest.update(blob)
             offset += len(blob)
         held = {ref.segment for ref in kept.values()}
         self.refs = kept
@@ -506,24 +544,23 @@ class BlobTable:
         self.pending = {held_name: data
                         for held_name, data in self.pending.items()
                         if held_name in held}
-        if fresh:
-            data = b"".join(fresh.values())
-            self.segments[name] = (len(data),
-                                   hashlib.sha256(data).hexdigest())
-            self.pending[name] = data
+        if blobs:
+            self.segments[name] = (offset, digest.hexdigest())
+            self.pending[name] = blobs
         self.next_round = next_round
 
-    def load(self, client_id: int) -> Dict[str, Any]:
-        """A fresh copy of ``client_id``'s state, read back from its blob.
+    def load(self, key: Hashable) -> Any:
+        """A fresh copy of the state or event ``key`` names, read back
+        from its blob.
 
         The blob is found through ``refs`` (which follows a compaction into
         the new segment, pending or not) and checked against its digest
         before it is unpickled; a missing or mismatched blob raises
         :class:`SegmentError` naming the file.
         """
-        ref = self.refs[client_id]
+        ref = self.refs[key]
         path = self.directory / ref.segment
-        return _unpickle(_read_blob(path, ref, self.digests[client_id],
+        return _unpickle(_read_blob(path, ref, self.digests[key],
                                     self.pending.get(ref.segment)), path)
 
 
@@ -537,8 +574,8 @@ def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
     every client state written since the previous boundary (the store's
     dirty set) and every event new to the queue is pickled *now*, into
     ``table``'s next pending segment.  Everything else keeps the reference
-    ``table`` already holds — a spilled state is never read back: it is
-    clean, and its reference is live.  The returned head is what
+    ``table`` already holds — a spilled state or event is never read back:
+    it is clean, and its reference is live.  The returned head is what
     :func:`save_checkpoint` writes, together with ``table.pending``.
     """
     if next_round <= table.next_round:
@@ -688,22 +725,23 @@ def _frame(payload: bytes) -> bytes:
 
 
 def save_checkpoint(path: Union[str, Path], checkpoint: RunCheckpoint,
-                    pending: Optional[Mapping[str, bytes]] = None) -> Path:
+                    pending: Optional[Mapping[str, Mapping[int, bytes]]] = None
+                    ) -> Path:
     """Persist one checkpoint: its pending segments, then the head.
 
-    ``pending`` holds the bytes of segments not on disk yet
-    (:attr:`BlobTable.pending`); those ``checkpoint`` references are
-    written next to ``path`` first, each atomically, so the head's own
-    rename commits a checkpoint whose every reference resolves.  A
-    materialized ``checkpoint`` references nothing and becomes one
-    self-contained file.
+    ``pending`` holds the blobs of segments not on disk yet
+    (:attr:`BlobTable.pending`, ``{offset: blob}`` in segment order);
+    those ``checkpoint`` references are streamed next to ``path`` first,
+    blob by blob and each segment atomically, so the head's own rename
+    commits a checkpoint whose every reference resolves.  A materialized
+    ``checkpoint`` references nothing and becomes one self-contained file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     written = [name for name in checkpoint.segments
                if pending and name in pending]
     for name in written:
-        _write_atomically(path.parent / name, pending[name])
+        _write_atomically(path.parent / name, *pending[name].values())
     if written:
         # a crash after the head's rename must not find it naming a
         # segment whose own rename was lost
@@ -762,12 +800,14 @@ def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
     References resolve against the head's own directory.  The head is
     verified before it is unpickled, and then each referenced segment in
     turn: its bytes are read and checked against the head's table, the
-    references into it are range-checked, the queued events it holds are
-    unpickled and the SHA-256 of each state blob it holds is taken — and
-    its bytes are dropped before the next segment is read.  The client
-    states stay references behind a read-only :class:`_ClientStates` that
+    references into it are range-checked, the SHA-256 of each blob it
+    holds is taken, the queued events it holds are unpickled — and its
+    bytes are dropped before the next segment is read.  The client states
+    stay references behind a read-only :class:`_ClientStates` that
     unpickles fresh, re-verified states on each read, so the capsule holds
-    no state of its own.
+    no state of its own; its ``digests`` also carry the events' (keyed
+    ``(round_index, client_id)``), which a manager seeded from this load
+    verifies a spilled event's blob against.
     """
     path = Path(path)
     head = read_head(path)
@@ -785,7 +825,7 @@ def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
                 if isinstance(entry, BlobRef):
                     blobs.setdefault(entry.segment, []).append(
                         (events, index, entry))
-    digests: Dict[int, str] = {}
+    digests: Dict[Hashable, str] = {}
     for segment, members in blobs.items():
         if segment not in head.segments:
             raise CheckpointError(
@@ -794,10 +834,11 @@ def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
         data = _read_segment(source, *head.segments[segment])
         for events, key, ref in members:
             blob = _slice(data, ref)
-            if events is None:
-                digests[key] = hashlib.sha256(blob).hexdigest()
-            else:
+            digest = hashlib.sha256(blob).hexdigest()
+            if events is not None:
                 events[key] = _unpickle(blob, source)
+                key = _event_key(events[key])
+            digests[key] = digest
         del data, blob
     return dataclasses.replace(
         head, scheduler=scheduler, segments={},
@@ -882,7 +923,7 @@ class CheckpointManager:
     def save(self, checkpoint: RunCheckpoint) -> Path:
         started = time.perf_counter()
         pending = self._table.pending
-        segment_bytes = sum(len(pending[name])
+        segment_bytes = sum(checkpoint.segments[name][0]
                             for name in checkpoint.segments if name in pending)
         path = save_checkpoint(self.path_for(checkpoint.next_round),
                                checkpoint, pending)
@@ -907,18 +948,23 @@ class CheckpointManager:
         ``every > 1`` skips the save.  Once a save has committed — every
         blob the table references is then on disk — a run that spills
         (:meth:`spills`) lets the state store go of every state outside
-        the boundary's dirty set, and :meth:`BlobTable.load` reads one back
-        when the run next reads it.  Between saves, the states of the
-        pending boundaries stay resident.
+        the boundary's dirty set and the event queue of every queued
+        event, and :meth:`BlobTable.load` reads one back when the run next
+        reads the state or pops the event.  Between saves, the states and
+        events of the pending boundaries stay resident.
         """
         self._unsaved = capture_run(core, scheduler, history,
                                     round_index + 1, self._table)
         if self.due(round_index):
             self.save(self._unsaved)
             if self.spills(core):
+                table = self._table
                 store = core.clients.state_store
-                store.spill(self._table.load)
-                self._table.holder = store
+                store.spill(table.load)
+                table.holder = store
+                if scheduler.queue is not None:
+                    scheduler.queue.spill(table.load)
+                    table.queue = scheduler.queue
         if (self.stop_after_round is not None
                 and round_index >= self.stop_after_round):
             raise TrainingInterrupted(
@@ -940,7 +986,8 @@ class CheckpointManager:
 
     @staticmethod
     def spills(core) -> bool:
-        """Whether ``core``'s run keeps its clean states in their segments.
+        """Whether ``core``'s run keeps its clean states and its queued
+        events in their segments.
 
         Only once the fleet outgrows ``fleet.shard_cache`` — the regime in
         which a training chunk stops pinning its shards too: a client is
@@ -974,7 +1021,9 @@ class CheckpointManager:
         self._table.seed(head, checkpoint)
         if not self.spills(core):
             return set()
-        unread = set(self._table.digests)
+        # the table's digests cover the queued events' blobs too
+        unread = {client_id for client_id in checkpoint.client_states
+                  if client_id in self._table.digests}
         store = core.clients.state_store
         store.adopt_spilled(unread, self._table.load)
         self._table.holder = store

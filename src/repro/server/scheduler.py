@@ -121,9 +121,14 @@ class Scheduler:
         ``load_state_dict``; restoration happens after ``setup``/``reset``
         and must make the continued run bit-identical to one that never
         stopped (the golden resume suite enforces this per scheduler).
+        A scheduler with a :attr:`queue` lets the checkpoint layer spill
+        it after a committed save
+        (:meth:`~repro.server.clock.EventQueue.spill`).
     """
 
     name = "base"
+    #: the completion events waiting to be consumed (event-driven shapes)
+    queue: Optional[EventQueue] = None
 
     def reset(self) -> None:
         """Clear per-run state; called at the start of every :meth:`run`."""
@@ -276,7 +281,7 @@ class _EventDrivenScheduler(Scheduler):
     def reset(self) -> None:
         """Clear per-run state; called at the start of every :meth:`run`."""
         self._version = 0
-        self._queue = EventQueue()
+        self.queue = EventQueue()
         self._clock = SimClock()
         self._in_flight: set = set()
 
@@ -285,22 +290,25 @@ class _EventDrivenScheduler(Scheduler):
 
         The events ride in the queue's deterministic ``(finish_time,
         client_id)`` snapshot order, so two checkpoints of the same run
-        state are byte-identical regardless of internal heap layout.
+        state are byte-identical regardless of internal heap layout.  An
+        event the checkpoint layer spilled rides as its
+        :class:`~repro.server.clock.SpilledEvent` stub, unread: the
+        capture that asks already references its blob.
         """
         return {
             "version": self._version,
             "clock_now": self._clock.now,
             "in_flight": sorted(self._in_flight),
-            "events": self._queue.snapshot(),
+            "events": self.queue.snapshot(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         self._version = int(state["version"])
         self._clock = SimClock(state["clock_now"])
         self._in_flight = set(state["in_flight"])
-        self._queue = EventQueue()
+        self.queue = EventQueue()
         for event in state["events"]:
-            self._queue.push(event)
+            self.queue.push(event)
 
     def arrivals_per_round(self, config: FederatedConfig) -> int:
         raise NotImplementedError
@@ -344,7 +352,7 @@ class _EventDrivenScheduler(Scheduler):
             client_id = update.client_id
             latency = core.latency(round_index, client_id,
                                    costs[client_id].total_seconds)
-            self._queue.push(ClientEvent(
+            self.queue.push(ClientEvent(
                 finish_time=clock.now + latency, client_id=client_id,
                 round_index=round_index, dispatch_version=self._version,
                 update=update, cost=costs[client_id]))
@@ -352,9 +360,9 @@ class _EventDrivenScheduler(Scheduler):
 
         aggregated: List[Arrival] = []
         for _ in range(self.arrivals_per_round(config)):
-            if not self._queue:
+            if not self.queue:
                 break
-            event = self._queue.pop()
+            event = self.queue.pop()
             clock.advance_to(event.finish_time)
             self._in_flight.discard(event.client_id)
             aggregated += self.consume(core, policy, round_index, event)

@@ -22,6 +22,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import pickle
 import time
 import tracemalloc
 import weakref
@@ -32,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eager_data import run_method_eager_data, sample_device_fleet
+from repro import checkpoint as checkpoint_module
 from repro.baselines import build_strategy
 from repro.data import LazyShardMap, build_federated_dataset
 from repro.data.partition import VirtualFederatedDataset
@@ -44,6 +46,7 @@ from repro.federated.fleet import _SPILLED, ClientFleet, FleetStateStore
 from repro.federated.strategy import Strategy
 from repro.models import build_model_for_dataset
 from repro.parallel import ProcessPoolExecutor, ThreadPoolExecutor
+from repro.server.clock import SpilledEvent
 from repro.server.core import ServerCore
 from repro.systems.devices import (CAPABILITY_LEVELS, HETEROGENEITY_PRESETS,
                                    VirtualDeviceFleet, sample_device_profile)
@@ -584,6 +587,12 @@ class TestTrainingShardsAreNotPinned:
         assert 4 in shard_map._cache  # the whole fleet fits now
 
 
+def _resident_events(queue) -> list:
+    """The queue's resident events in pop order — spilled ones left out."""
+    return [entry for entry in queue.snapshot()
+            if not isinstance(entry, SpilledEvent)]
+
+
 def _resident(store) -> dict:
     """The store's resident ``{client_id: state}`` — spilled ones left out."""
     return {cid: state for cid, state in store._states.items()
@@ -647,8 +656,9 @@ class TestStoreSpill:
 
 class TestSpilledStates:
     """A checkpointed fleet larger than ``fleet.shard_cache`` keeps only its
-    working set of client states resident: a clean state lives in its
-    verified segment and is read back when the run next reads it."""
+    working set of client states resident, and none of its queued events:
+    a clean state or a queued event lives in its verified segment and is
+    read back when the run next reads the state or pops the event."""
 
     ROUNDS = 6
 
@@ -676,9 +686,9 @@ class TestSpilledStates:
         loads = []
         real_load = BlobTable.load
 
-        def load(table, client_id):
-            loads.append(client_id)
-            return real_load(table, client_id)
+        def load(table, key):
+            loads.append(key)
+            return real_load(table, key)
 
         monkeypatch.setattr(BlobTable, "load", load)
         pool = {"inline": contextlib.nullcontext,
@@ -688,9 +698,12 @@ class TestSpilledStates:
             whole = self._trainer(aggregation, executor)
             spilled = whole.run(checkpoint_dir=tmp_path / "whole")
             store = whole.clients.state_store
-            # the run spilled, and read spilled states back
+            # the run spilled, and read spilled states back — and popped
+            # spilled events through the table
             assert len(_resident(store)) < len(store)
-            assert loads
+            assert any(isinstance(key, int) for key in loads)
+            assert any(isinstance(key, tuple) for key in loads) \
+                == (aggregation != "sync")
             with pytest.raises(TrainingInterrupted):
                 self._trainer(aggregation, executor).run(
                     checkpoint_dir=tmp_path / "resumed", stop_after_round=2)
@@ -709,19 +722,64 @@ class TestSpilledStates:
             store = core.clients.state_store
             dirty = set(store._dirty)
             before = set(_resident(store))
+            queued = _resident_events(scheduler.queue)
             real(manager, core, scheduler, history, round_index)
             resident = set(_resident(store))
+            events = _resident_events(scheduler.queue)
             if manager.due(round_index):
                 assert resident <= dirty
-            else:  # the pending boundary's states stay resident
+                # every queued event, this boundary's fresh ones too
+                assert events == []
+            else:  # the pending boundary's states and events stay resident
                 assert resident == before
-            seen.append((len(store), len(resident)))
+                assert [id(event) for event in events] \
+                    == [id(event) for event in queued]
+            seen.append((len(store), len(resident), len(scheduler.queue),
+                         len(queued)))
 
         monkeypatch.setattr(CheckpointManager, "after_round", after_round)
         trainer = self._trainer("fedbuff")
         trainer.run(checkpoint_dir=tmp_path, checkpoint_every=every)
         assert len(seen) == self.ROUNDS
         assert seen[-1][1] < seen[-1][0]
+        # the queue carried events across boundaries, resident until a save
+        assert all(length for _, _, length, _ in seen)
+        assert any(queued for _, _, _, queued in seen)
+
+    def test_a_cold_read_from_a_pending_segment_returns_its_blob(
+            self, tmp_path, monkeypatch):
+        """``every=2`` with a compaction at every boundary: a skipped
+        save's compaction moves spilled blobs into its pending segment, and
+        a read through the table reaches one blob there, unjoined."""
+        monkeypatch.setattr(checkpoint_module, "_GARBAGE_FACTOR", 1)
+        real = BlobTable.load
+        pending_reads = []
+
+        def load(table, key):
+            value = real(table, key)
+            ref = table.refs[key]
+            blobs = table.pending.get(ref.segment)
+            if blobs is not None:
+                pending_reads.append(key)
+                assert pickle.dumps(value) == pickle.dumps(
+                    pickle.loads(blobs[ref.offset]))
+                # the state or event the last committed head holds
+                head = CheckpointManager(table.directory).latest()
+                expected = (head.client_states[key] if isinstance(key, int)
+                            else next(event for event
+                                      in head.scheduler["events"]
+                                      if (event.round_index,
+                                          event.client_id) == key))
+                assert pickle.dumps(value) == pickle.dumps(expected)
+            return value
+
+        monkeypatch.setattr(BlobTable, "load", load)
+        trainer = self._trainer("fedbuff")
+        assert _history_digest(trainer.run(checkpoint_dir=tmp_path,
+                                           checkpoint_every=2)) \
+            == _history_digest(self._trainer("fedbuff").run())
+        assert any(isinstance(key, tuple) for key in pending_reads)
+        assert any(isinstance(key, int) for key in pending_reads)
 
     def test_a_fleet_that_fits_the_cache_spills_nothing(self, tmp_path,
                                                          monkeypatch):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.server.clock import ClientEvent, EventQueue, SimClock
+from repro.server.clock import (ClientEvent, EventQueue, SimClock,
+                                SpilledEvent)
 from repro.federated.strategy import ClientUpdate
 from repro.systems.cost import CostBreakdown
 
@@ -52,6 +53,42 @@ class TestEventQueue:
         queue.push(event(1.0, 0))
         assert queue and len(queue) == 1
 
+
+    def test_a_spilled_event_is_read_back_when_popped(self):
+        queue = EventQueue()
+        events = {cid: event(finish, cid, round_index=3)
+                  for finish, cid in [(3.0, 1), (1.0, 4), (1.0, 2)]}
+        for queued in events.values():
+            queue.push(queued)
+        loads = []
+
+        def loader(stub):
+            loads.append(stub)
+            return events[stub.client_id]
+
+        queue.spill(loader)
+        assert queue.snapshot() == [SpilledEvent(3, 2), SpilledEvent(3, 4),
+                                    SpilledEvent(3, 1)]
+        queue.push(event(0.5, 9))  # queued after the spill: resident
+        assert queue.pop().client_id == 9 and loads == []
+        assert queue.pop() is events[2] and loads == [(3, 2)]
+        queue.unspill()
+        assert queue.snapshot() == [events[4], events[1]]
+        assert loads == [(3, 2), (3, 4), (3, 1)]
+
+    def test_a_failed_read_leaves_the_queue_as_it_was(self):
+        queue = EventQueue()
+        for finish, cid in [(2.0, 1), (1.0, 2)]:
+            queue.push(event(finish, cid))
+
+        def loader(stub):
+            raise OSError(f"no blob for {stub}")
+
+        queue.spill(loader)
+        before = queue.snapshot()
+        with pytest.raises(OSError, match="no blob"):
+            queue.pop()
+        assert queue.snapshot() == before and len(queue) == 2
 
 class TestSimClock:
     def test_advances_forward(self):

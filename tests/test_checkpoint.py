@@ -38,6 +38,7 @@ from repro.experiments.presets import build_experiment
 from repro.federated import FederatedTrainer, FleetConfig
 from repro.federated.fleet import _SPILLED
 from repro.parallel import ThreadPoolExecutor
+from repro.server.clock import SpilledEvent
 from repro.server.scheduler import build_scheduler
 from repro.systems.metrics import TrainingHistory
 
@@ -670,6 +671,104 @@ class TestSpilledStatesOnDisk:
         assert {cid: pickle.dumps(state)
                 for cid, state in store.snapshot().items()} \
             == {cid: pickle.dumps(state) for cid, state in states.items()}
+
+
+def spilled_run(directory, monkeypatch):
+    """Run ``spill_trainer("fedbuff")`` to completion checkpointing into
+    ``directory``; returns its manager and scheduler, whose queue the last
+    committed save spilled."""
+    real = CheckpointManager.after_round
+    seen = {}
+
+    def after_round(manager, core, scheduler, history, round_index):
+        real(manager, core, scheduler, history, round_index)
+        seen.update(manager=manager, scheduler=scheduler)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(CheckpointManager, "after_round", after_round)
+        spill_trainer().run(checkpoint_dir=directory)
+    return seen["manager"], seen["scheduler"]
+
+
+def spilled_events(queue) -> list:
+    return [entry for entry in queue.snapshot()
+            if isinstance(entry, SpilledEvent)]
+
+
+class TestSpilledEventsOnDisk:
+    """A spilled queued event is read back from its blob when it is
+    popped: verified first, wherever compaction moved it."""
+
+    @pytest.mark.parametrize("fate", ["flipped", "missing"])
+    def test_a_damaged_spilled_blob_names_the_file_when_popped(
+            self, fate, tmp_path, monkeypatch):
+        manager, scheduler = spilled_run(tmp_path, monkeypatch)
+        queue = scheduler.queue
+        queued = queue.snapshot()
+        assert queued and spilled_events(queue) == queued
+        head = read_head(manager.checkpoint_paths()[-1])
+        ref = head.scheduler["events"][0]  # the first to pop
+        segment = tmp_path / ref.segment
+        if fate == "flipped":
+            data = bytearray(segment.read_bytes())
+            data[ref.offset + ref.length // 2] ^= 0xFF
+            segment.write_bytes(data)
+        else:
+            segment.unlink()
+        with pytest.raises(SegmentError, match=re.escape(str(segment))):
+            queue.pop()
+        # a failed read leaves the queue as it was
+        assert queue.snapshot() == queued
+
+    def test_an_event_moved_by_compaction_still_pops(self, tmp_path,
+                                                      monkeypatch):
+        # compact whenever a segment holds any superseded blob
+        monkeypatch.setattr(checkpoint_module, "_GARBAGE_FACTOR", 1)
+        manager, scheduler = spilled_run(tmp_path, monkeypatch)
+        queue, refs = scheduler.queue, manager._table.refs
+        queued = spilled_events(queue)
+        assert queued and queued == queue.snapshot()
+
+        def first_written(entry):
+            # an event is first written at the boundary after its dispatch
+            return f"blobs-{entry.round_index + 1:06d}.bin"
+
+        # ... out of a segment that has been pruned since
+        gone = [entry for entry in queued
+                if refs[entry].segment != first_written(entry)
+                and not (tmp_path / first_written(entry)).exists()]
+        assert gone
+        latest = load_checkpoint(manager.checkpoint_paths()[-1])
+        assert [pickle.dumps(queue.pop()) for _ in queued] \
+            == [pickle.dumps(event) for event in latest.scheduler["events"]]
+
+    def test_a_table_reset_reads_spilled_events_back_first(self, tmp_path):
+        from repro.checkpoint import BlobTable
+        from repro.federated.strategy import ClientUpdate
+        from repro.server.clock import ClientEvent, EventQueue
+        from repro.systems.cost import CostBreakdown
+
+        events = [ClientEvent(
+            finish_time=float(finish), client_id=client_id, round_index=0,
+            dispatch_version=0, cost=CostBreakdown(1.0, 2.0),
+            update=ClientUpdate(client_id=client_id,
+                                params={"w": np.full(3, float(client_id))},
+                                num_examples=4, train_accuracy=0.5,
+                                train_loss=1.0))
+            for finish, client_id in ((2, 1), (1, 2))]
+        table, queue = BlobTable(tmp_path), EventQueue()
+        for event in events:
+            queue.push(event)
+        keys = [(event.round_index, event.client_id) for event in events]
+        table.stage(1, {}, {key: pickle.dumps(event)
+                            for key, event in zip(keys, events)}, keys)
+        queue.spill(table.load)  # reads ``pending``: nothing is on disk
+        table.queue = queue
+        assert len(spilled_events(queue)) == 2
+        table.reset()
+        assert spilled_events(queue) == [] and table.queue is None
+        assert [pickle.dumps(queue.pop()) for _ in events] \
+            == [pickle.dumps(event) for event in events[::-1]]
 
 
 class TestBoundaryOverheads:

@@ -52,6 +52,8 @@ MUTATIONS = {
         SERVER_CORE, None, "store._remembered.clear()"),
     "states-read-only-through-the-store": (
         SERVER_CORE, None, "state = store._states.get(0)"),
+    "queue-entries-through-the-queue": (
+        SCHEDULER, None, "event = self.queue._heap[0][2]"),
     "_bind_clients-callers": (
         SERVER_CORE, None,
         "def stray(ids): return _bind_clients(None, None, None, ids, ids)"),

@@ -380,6 +380,11 @@ RULES: dict[str, Rule] = {
     # state the checkpoint layer spilled is read back wherever it is read.
     "states-read-only-through-the-store": OnlyIn(
         r"\._states\b", ("src",), ("src/repro/federated/fleet.py",)),
+    # One reader of the event queue's entries: an event the checkpoint
+    # layer spilled sits in the heap as its stub, and EventQueue.pop reads
+    # it back, so nothing else may reach into the heap.
+    "queue-entries-through-the-queue": OnlyIn(
+        r"\._heap\b", ("src",), ("src/repro/server/clock.py",)),
     "evaluates-from-state-opt-in": evaluates_from_state_opt_in,
     # One fan-out: training and evaluation both run through
     # ServerCore._fan_out, whose chunks bind their clients in one binder —
