@@ -54,14 +54,16 @@ such a state, or the pop of such an event, is a *cold read*:
 of the bytes it wrote and unpickles a fresh object; a state stays resident
 until the next save, an event is consumed.  The FedBuff buffer (fewer than
 ``buffer_size`` events) stays resident.  A resume from the manager's own
-directory adopts every saved state the same way, unread; it unpickles the
-loaded queue once, and its first committed save spills it.  Elsewhere a
-resume holds one copy of every state: the loaded capsule keeps only the
-references, and each read of a state re-reads and re-verifies its blob and
-unpickles a fresh object, which :func:`restore_run` adopts into the store
-as it is.  A boundary never holds its segment twice: the pending segment
-is its blobs, hashed as they are laid out and streamed to disk by the
-save, never one joined copy.
+directory (``"auto"``, or a path to a head or to the directory there)
+continues from a copy of the loaded capsule's table, so its first save
+writes only what changed, and adopts every saved state the same way,
+unread; it unpickles the loaded queue once, and its first committed save
+spills it.  Elsewhere a resume holds one copy of every state: the loaded
+capsule keeps only the references, and each read of a state re-reads and
+re-verifies its blob and unpickles a fresh object, which
+:func:`restore_run` adopts into the store as it is.  A boundary never
+holds its segment twice: the pending segment is its blobs, hashed as they
+are laid out and streamed to disk by the save, never one joined copy.
 
 **On disk** (one directory per run; :class:`CheckpointManager` owns it):
 
@@ -70,8 +72,9 @@ save, never one joined copy.
     events first queued since the previous boundary (or, after a
     compaction, of every live blob).  Written once, blob by blob (tmp,
     fsync, rename), never modified; it carries no header of its own.  A
-    spilled state or queued event is read back from here, one blob at a
-    time.
+    loaded capsule's state, a spilled state or queued event and a blob a
+    compaction rewrites are read back from here, one verified blob at a
+    time (:meth:`BlobTable.read`).
 ``checkpoint-<next_round>.pkl``
     A head: a 48-byte header (magic, format version, payload length,
     payload SHA-256) followed by one pickled :class:`RunCheckpoint` whose
@@ -91,21 +94,22 @@ directory is fsynced twice: after the segment's rename, so a crash cannot
 persist the head's rename without the segment's; and after the head's
 rename, before the prune unlinks anything, so a crash cannot lose the new
 head after the heads and segments it replaces are gone.
-:func:`load_checkpoint` verifies the head against its header, then each
-referenced segment in turn against the head's table *before* unpickling a
-byte of it, then returns a capsule whose queued events are materialized
-and whose client states stay references — so a directory reused by
-another run (which replaces ``blobs-000001.bin`` under an old head) is
-refused, not resumed, and a segment pruned or replaced *after* the load
-makes the capsule's next read of a state raise :class:`SegmentError`
-naming the file.  When the referenced segments
-outgrow twice the live blobs (small fleets re-touch the same clients every
-few rounds) a save rewrites every live blob into its segment — amortized
-O(1) — and pruning deletes a segment once neither a kept head nor the
-running manager's table references it.  A run started *without* resume in
-a directory that still holds an earlier run's heads treats the heads
-beyond its own boundary as stale and removes them at its first save: it
-is about to replace the segments they name.
+:func:`load_checkpoint` is the trust root: it verifies the head against
+its header, then each referenced segment in turn against the head's table
+*before* unpickling a byte of it, records the reference and SHA-256 of
+every blob in the capsule's :class:`BlobTable`, and returns a capsule
+whose queued events are materialized and whose client states stay
+references — so a directory reused by another run (which replaces
+``blobs-000001.bin`` under an old head) is refused, not resumed, and a
+segment pruned or replaced *after* the load makes the next read of one of
+its blobs raise :class:`SegmentError` naming the file.  When the referenced
+segments outgrow twice the live blobs (small fleets re-touch the same
+clients every few rounds) a save rewrites every live blob into its segment
+— amortized O(1) — and pruning deletes a segment once neither a kept head
+nor the running manager's table references it.  A run started *without*
+resume in a directory that still holds an earlier run's heads treats the
+heads beyond its own boundary as stale and removes them at its first save:
+it is about to replace the segments they name.
 
 Pickles are trusted input — heads and segments alike: the checksums detect
 corruption and mix-ups, not malice.  Load checkpoints only from directories
@@ -272,10 +276,11 @@ class RunCheckpoint:
     """Everything needed to continue a run from a round boundary.
 
     :func:`load_checkpoint` returns it *loaded*: the events are the
-    objects themselves, ``client_states`` is a read-only mapping that
-    unpickles a fresh state on every read (:class:`_ClientStates`) and
-    ``segments`` is empty.  What :func:`capture_run` builds and a head file
-    holds is the same capsule with :class:`BlobRef` entries in their place.
+    objects themselves, ``client_states`` is a read-only mapping over the
+    head's :class:`BlobTable` that unpickles a fresh state on every read
+    (:class:`_ClientStates`) and ``segments`` is empty.  What
+    :func:`capture_run` builds and a head file holds is the same capsule
+    with :class:`BlobRef` entries in their place.
     """
 
     version: int
@@ -317,28 +322,11 @@ def _read_segment(path: Path, length: int, digest: str) -> bytes:
     return data
 
 
-def _slice(data: bytes, ref: BlobRef) -> memoryview:
-    """``ref``'s bytes inside its segment's ``data``, range-checked."""
-    blob = memoryview(data)[ref.offset:ref.offset + ref.length]
-    if ref.offset < 0 or len(blob) != ref.length:
-        raise CheckpointError(f"reference {ref} reaches outside its segment")
-    return blob
-
-
-def _pending_blob(blobs: Mapping[int, bytes], ref: BlobRef) -> bytes:
-    """``ref``'s blob among a pending segment's ``{offset: blob}``."""
-    blob = blobs.get(ref.offset)
-    if blob is None or len(blob) != ref.length:
-        raise CheckpointError(
-            f"reference {ref} does not name a blob of its pending segment")
-    return blob
-
-
 def _read_blob(path: Path, ref: BlobRef, digest: str,
-               pending: Optional[Mapping[int, bytes]] = None):
-    """One blob — from ``pending`` (its segment's blobs, not on disk yet),
-    else from the segment file ``path`` — verified against the SHA-256
-    recorded for it, so a segment pruned or replaced since is a
+               pending: Optional[Mapping[int, bytes]]) -> bytes:
+    """One blob — from ``pending`` (its segment's ``{offset: blob}``, not
+    on disk yet), else from the segment file ``path`` — verified against
+    the SHA-256 recorded for it, so a segment pruned or replaced since is a
     :class:`SegmentError` naming the file, and no unverified byte reaches
     ``pickle.loads``."""
     if pending is None:
@@ -350,7 +338,7 @@ def _read_blob(path: Path, ref: BlobRef, digest: str,
             raise SegmentError(
                 f"checkpoint segment {path} is missing") from None
     else:
-        blob = _pending_blob(pending, ref)
+        blob = pending.get(ref.offset, b"")
     if len(blob) != ref.length or hashlib.sha256(blob).hexdigest() != digest:
         raise SegmentError(
             f"checkpoint segment {path} does not hold the blob "
@@ -359,67 +347,37 @@ def _read_blob(path: Path, ref: BlobRef, digest: str,
     return blob
 
 
-class _BlobReader:
-    """Access to the blobs behind a set of references (a compaction's
-    read): a blob of a ``pending`` segment is reached by its offset, and
-    each segment on disk is read and verified whole, once."""
-
-    def __init__(self, directory: Path,
-                 segments: Mapping[str, Tuple[int, str]],
-                 pending: Optional[Mapping[str, Mapping[int, bytes]]] = None
-                 ) -> None:
-        self._directory = directory
-        self._segments = segments
-        self._pending = pending or {}
-        self._loaded: Dict[str, bytes] = {}
-
-    def __call__(self, ref: BlobRef) -> Union[bytes, memoryview]:
-        blobs = self._pending.get(ref.segment)
-        if blobs is not None:
-            return _pending_blob(blobs, ref)
-        data = self._loaded.get(ref.segment)
-        if data is None:
-            if ref.segment not in self._segments:
-                raise CheckpointError(
-                    f"reference into unlisted segment {ref.segment!r}")
-            data = self._loaded[ref.segment] = _read_segment(
-                self._directory / ref.segment, *self._segments[ref.segment])
-        return _slice(data, ref)
-
-
 class _ClientStates(Mapping):
     """The read-only ``{client_id: state}`` of a loaded capsule.
 
-    It holds references, not states: every read hands back a fresh state
-    its caller owns — for a :class:`BlobRef`, the blob re-read (from the
-    page cache), re-verified against the SHA-256 :func:`load_checkpoint`
-    took of it from the verified segment and unpickled; for
-    a state stored in the head itself (a self-contained checkpoint), a
-    deep copy.  So :func:`restore_run` adopts what it reads with no copy of
-    its own, a resumed run holds one copy of every state, and the capsule
-    stays reusable: a second restore from it reads untouched states.  A
-    segment pruned or overwritten since the load raises
-    :class:`SegmentError` naming the file.  Pickling materializes the
-    mapping into a plain dict.
+    A view over the capsule's :class:`BlobTable`: it holds references, not
+    states, and every read hands back a fresh state its caller owns — for a
+    :class:`BlobRef`, what :meth:`BlobTable.load` reads: the blob re-read
+    (from the page cache), re-verified against the SHA-256
+    :func:`load_checkpoint` took of it from the verified segment and
+    unpickled; for a state stored in the head itself (a self-contained
+    checkpoint, or a capsule built in memory), a deep copy.  So
+    :func:`restore_run` adopts what it reads with no copy of its own, a
+    resumed run holds one copy of every state, and the capsule stays
+    reusable: a second restore from it reads untouched states.  A segment
+    pruned or overwritten since the load raises :class:`SegmentError`
+    naming the file.  Pickling materializes the mapping into a plain dict,
+    without the table.
     """
 
     def __init__(self, entries: Mapping[int, Any],
-                 directory: Optional[Path] = None,
-                 digests: Optional[Mapping[Hashable, str]] = None) -> None:
+                 table: Optional[BlobTable] = None) -> None:
         self._entries = dict(entries)
-        self._directory = directory
-        #: SHA-256 hex of every blob the load verified, keyed like
-        #: :attr:`BlobTable.refs`: a state's by its client id, a queued
-        #: event's by ``(round_index, client_id)``
-        self.digests = dict(digests or {})
+        #: the references and digests of every blob the load verified —
+        #: the states' and the queued events' — or None for a capsule
+        #: built in memory
+        self.table = table
 
     def __getitem__(self, client_id: int):
         entry = self._entries[client_id]
-        if not isinstance(entry, BlobRef):
-            return copy.deepcopy(entry)
-        path = self._directory / entry.segment
-        return _unpickle(_read_blob(path, entry, self.digests[client_id]),
-                         path)
+        if isinstance(entry, BlobRef):
+            return self.table.load(client_id)
+        return copy.deepcopy(entry)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._entries)
@@ -437,15 +395,20 @@ class BlobTable:
     The reference table behind incremental checkpoints: ``refs`` maps a key
     (a client id, or an event's ``(round_index, client_id)``) to the
     :class:`BlobRef` of its current serialization, ``digests`` the SHA-256
-    of each blob (taken from the bytes staged here, or from the verified
-    segment a seeded head references), ``segments`` holds the integrity
-    record of every segment ``refs`` points into, and ``pending`` the blobs
-    of the segments not yet on disk, each as ``{offset: blob}`` in segment
-    order (more than one segment only while ``every > 1`` skips saves).
-    :func:`capture_run` stages each boundary's new blobs here;
-    :func:`save_checkpoint` streams the pending segments to disk.
+    of each blob (taken from the bytes staged here, or by
+    :func:`load_checkpoint` from the verified segment), ``segments`` holds
+    the integrity record of every segment ``refs`` points into, and
+    ``pending`` the blobs of the segments not yet on disk, each as
+    ``{offset: blob}`` in segment order (more than one segment only while
+    ``every > 1`` skips saves).  :func:`capture_run` stages each boundary's
+    new blobs here; :func:`save_checkpoint` streams the pending segments to
+    disk.  A loaded capsule carries the table of its head, which
+    :meth:`CheckpointManager.resumed` copies to continue from it.
 
-    The table is also the loader of spilled entries (:meth:`load`):
+    Every blob read after the load goes through :meth:`read`, which
+    verifies the one blob against its digest: a spilled entry's
+    (:meth:`load`), a loaded capsule's state and a blob a compaction
+    rewrites.  The table is also the loader of spilled entries:
     ``holder`` is the state store and ``queue`` the event queue that
     spilled against ``refs``, and :meth:`reset` has both read every spilled
     entry back first, so a spilled entry never outlives the reference it
@@ -470,32 +433,12 @@ class BlobTable:
         self.digests: Dict[Hashable, str] = {}
         self.segments: Dict[str, Tuple[int, str]] = {}
         self.pending: Dict[str, Dict[int, bytes]] = {}
-        #: the boundary of the last capture (or of the head seeded from)
+        #: the boundary of the last capture (or of the head loaded)
         self.next_round = 0
 
     @property
     def live_bytes(self) -> int:
         return sum(ref.length for ref in self.refs.values())
-
-    def seed(self, head: RunCheckpoint, materialized: RunCheckpoint) -> None:
-        """Start from the references of a head on disk in ``directory``.
-
-        ``materialized`` is the same checkpoint as loaded: it supplies the
-        keys of the queued events, which the head stores by position, and
-        the digests of the blobs, which the load took from their verified
-        segments.
-        """
-        self.reset()
-        self.next_round = head.next_round
-        keyed = list(head.client_states.items())
-        for name in _EVENT_LISTS:
-            keyed.extend(zip(map(_event_key,
-                                 materialized.scheduler.get(name, ())),
-                             head.scheduler.get(name, ())))
-        self.refs = {key: ref for key, ref in keyed
-                     if isinstance(ref, BlobRef)}
-        self.digests = dict(materialized.client_states.digests)
-        self.segments = dict(head.segments)
 
     def stage(self, next_round: int, states: Dict[int, bytes],
               events: Dict[Hashable, bytes], live: List[Hashable]) -> None:
@@ -510,8 +453,7 @@ class BlobTable:
         """
         fresh = {**states, **events}
         kept = {key: self.refs[key] for key in live if key not in fresh}
-        digests = {key: self.digests[key] for key in kept
-                   if key in self.digests}
+        digests = {key: self.digests[key] for key in kept}
         digests.update((key, hashlib.sha256(blob).hexdigest())
                        for key, blob in fresh.items())
         fresh_bytes = sum(len(blob) for blob in fresh.values())
@@ -520,8 +462,7 @@ class BlobTable:
             self.segments[name][0]
             for name in {ref.segment for ref in kept.values()})
         if held_bytes > _GARBAGE_FACTOR * live_bytes:
-            read = _BlobReader(self.directory, self.segments, self.pending)
-            fresh = {key: fresh[key] if key in fresh else bytes(read(kept[key]))
+            fresh = {key: fresh[key] if key in fresh else self.read(key)
                      for key in live}
             kept = {}
         name = f"blobs-{next_round:06d}.bin"
@@ -549,19 +490,23 @@ class BlobTable:
             self.pending[name] = blobs
         self.next_round = next_round
 
-    def load(self, key: Hashable) -> Any:
-        """A fresh copy of the state or event ``key`` names, read back
-        from its blob.
+    def read(self, key: Hashable) -> bytes:
+        """The blob of the state or event ``key`` names, verified.
 
         The blob is found through ``refs`` (which follows a compaction into
-        the new segment, pending or not) and checked against its digest
-        before it is unpickled; a missing or mismatched blob raises
-        :class:`SegmentError` naming the file.
+        the new segment, pending or not) and checked against its digest; a
+        missing or mismatched blob raises :class:`SegmentError` naming the
+        file.
         """
         ref = self.refs[key]
-        path = self.directory / ref.segment
-        return _unpickle(_read_blob(path, ref, self.digests[key],
-                                    self.pending.get(ref.segment)), path)
+        return _read_blob(self.directory / ref.segment, ref,
+                          self.digests[key], self.pending.get(ref.segment))
+
+    def load(self, key: Hashable) -> Any:
+        """A fresh copy of the state or event ``key`` names, unpickled
+        from its verified blob (:meth:`read`)."""
+        return _unpickle(self.read(key),
+                         self.directory / self.refs[key].segment)
 
 
 def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
@@ -642,19 +587,19 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     this scheduler.
 
     ``manager`` — the run's checkpointer, if it has one — is told first
-    which checkpoint the run continues from, so its next save can reference
-    the blobs already in its directory instead of rewriting them; the
-    manager keeps the head's references, not the capsule.  When those blobs
-    are its own and the run spills (:meth:`CheckpointManager.resumed`), the
-    manager adopts the states into the store *unread*: each is unpickled
-    when the run first reads it.  Every other state is adopted as
-    ``checkpoint.client_states`` hands it out — a loaded capsule unpickles
-    a fresh one on every read, a capsule built in memory deep-copies its
-    own — so the store owns it, nothing is copied twice, and the same
-    capsule restores again unchanged.  The state store is left *clean* (it
-    now equals the checkpoint).  Nothing restored points back at
-    ``checkpoint``, so it lives only as long as the caller's reference: the
-    round loop drops its own once this returns.
+    which checkpoint the run continues from
+    (:meth:`CheckpointManager.resumed`): when the capsule was loaded from
+    the manager's own directory, the manager copies the capsule's table, so
+    its next save references the blobs already there instead of rewriting
+    them, and when the run spills it adopts the states into the store
+    *unread*: each is unpickled when the run first reads it.  Every other
+    state is adopted as ``checkpoint.client_states`` hands it out — a
+    loaded capsule unpickles a fresh one on every read, a capsule built in
+    memory deep-copies its own — so the store owns it, nothing is copied
+    twice, and the same capsule restores again unchanged.  The state store
+    is left *clean* (it now equals the checkpoint).  Nothing restored points
+    back at ``checkpoint``, so it lives only as long as the caller's
+    reference: the round loop drops its own once this returns.
     """
     if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointMismatch(
@@ -797,20 +742,24 @@ def _unpickle(blob, source: Path):
 def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
     """Load one checkpoint (module docstring: trusted input).
 
-    References resolve against the head's own directory.  The head is
-    verified before it is unpickled, and then each referenced segment in
-    turn: its bytes are read and checked against the head's table, the
-    references into it are range-checked, the SHA-256 of each blob it
-    holds is taken, the queued events it holds are unpickled — and its
-    bytes are dropped before the next segment is read.  The client states
-    stay references behind a read-only :class:`_ClientStates` that
-    unpickles fresh, re-verified states on each read, so the capsule holds
-    no state of its own; its ``digests`` also carry the events' (keyed
-    ``(round_index, client_id)``), which a manager seeded from this load
-    verifies a spilled event's blob against.
+    The trust root of every blob read: references resolve against the
+    head's own directory.  The head is verified before it is unpickled, and
+    then each referenced segment in turn: its bytes are read and checked
+    against the head's table, the references into it are range-checked, the
+    reference and SHA-256 of each blob it holds go into the capsule's
+    :class:`BlobTable` (a state keyed by its client id, a queued event by
+    ``(round_index, client_id)``, as the running table keys them), the
+    queued events it holds are unpickled — and its bytes are dropped before
+    the next segment is read.  The client states stay references behind a
+    read-only :class:`_ClientStates` over that table, which unpickles
+    fresh, re-verified states on each read, so the capsule holds no state
+    of its own.
     """
     path = Path(path)
     head = read_head(path)
+    table = BlobTable(path.parent)
+    table.next_round = head.next_round
+    table.segments = dict(head.segments)
     scheduler = dict(head.scheduler)
     # segment name -> (event list or None for a state, key, ref)
     blobs: Dict[str, List[Tuple[Optional[list], Hashable, BlobRef]]] = {}
@@ -825,7 +774,6 @@ def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
                 if isinstance(entry, BlobRef):
                     blobs.setdefault(entry.segment, []).append(
                         (events, index, entry))
-    digests: Dict[Hashable, str] = {}
     for segment, members in blobs.items():
         if segment not in head.segments:
             raise CheckpointError(
@@ -833,17 +781,19 @@ def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
         source = path.parent / segment
         data = _read_segment(source, *head.segments[segment])
         for events, key, ref in members:
-            blob = _slice(data, ref)
-            digest = hashlib.sha256(blob).hexdigest()
+            blob = memoryview(data)[ref.offset:ref.offset + ref.length]
+            if ref.offset < 0 or len(blob) != ref.length:
+                raise CheckpointError(
+                    f"reference {ref} reaches outside its segment")
             if events is not None:
                 events[key] = _unpickle(blob, source)
                 key = _event_key(events[key])
-            digests[key] = digest
+            table.refs[key] = ref
+            table.digests[key] = hashlib.sha256(blob).hexdigest()
         del data, blob
     return dataclasses.replace(
         head, scheduler=scheduler, segments={},
-        client_states=_ClientStates(head.client_states, path.parent,
-                                    digests))
+        client_states=_ClientStates(head.client_states, table))
 
 
 class CheckpointManager:
@@ -877,9 +827,6 @@ class CheckpointManager:
         self.last_bytes = 0
         self.total_save_seconds = 0.0
         self.saves = 0
-        #: (path, capsule) of the last head loaded from this directory, until
-        #: a run resumes (:meth:`resumed` takes it)
-        self._loaded: Optional[Tuple[Path, RunCheckpoint]] = None
         self._table = BlobTable(self.directory)
         # the latest boundary's head while it is not on disk (``every > 1``
         # or a failed save): with the table's pending segments, what
@@ -999,49 +946,41 @@ class CheckpointManager:
     def resumed(self, checkpoint: RunCheckpoint, core) -> Set[int]:
         """The run continues from ``checkpoint`` (called by ``restore_run``).
 
-        When that is the capsule this manager loaded from its own
-        directory, the blobs it references are already here: seed the
-        table from its head, so the next save writes only what changes,
-        and — when ``core``'s run :meth:`spills` — adopt every state whose
-        blob is on disk into the store unread.  Returns the ids so adopted.
-        From anywhere else the table stays empty, the first save is a full
-        one, and nothing is adopted here.  One-shot, like the store's
-        ``take_dirty``: the manager lets go of the loaded capsule here, so
-        once ``restore_run`` returns only a caller that holds it keeps it
-        alive.
+        When the capsule was loaded from this manager's own directory —
+        ``"auto"``, or a path to a head or to the directory — the blobs it
+        references are already here: the table starts as a copy of the
+        capsule's (its dicts copied, never shared, so one capsule resumes
+        any number of runs), the next save writes only what changes, and —
+        when ``core``'s run :meth:`spills` — every state whose blob is on
+        disk is adopted into the store unread.  Returns the ids so adopted.
+        From anywhere else, or for a capsule built in memory, the table
+        stays empty, the first save is a full one, and nothing is adopted
+        here.  The manager keeps the copy, never the capsule.
         """
-        path, loaded = self._loaded or (None, None)
-        self._loaded = None
-        if loaded is not checkpoint:
+        states = checkpoint.client_states
+        loaded = states.table if isinstance(states, _ClientStates) else None
+        if (loaded is None
+                or loaded.directory.resolve() != self.directory.resolve()):
             return set()
-        head = read_head(path)
-        if (head.digest, head.next_round) != (checkpoint.digest,
-                                              checkpoint.next_round):
-            return set()
-        self._table.seed(head, checkpoint)
+        table = self._table
+        table.reset()
+        table.next_round = loaded.next_round
+        table.refs = dict(loaded.refs)
+        table.digests = dict(loaded.digests)
+        table.segments = dict(loaded.segments)
         if not self.spills(core):
             return set()
-        # the table's digests cover the queued events' blobs too
-        unread = {client_id for client_id in checkpoint.client_states
-                  if client_id in self._table.digests}
+        unread = {client_id for client_id in states
+                  if client_id in table.refs}
         store = core.clients.state_store
-        store.adopt_spilled(unread, self._table.load)
-        self._table.holder = store
+        store.adopt_spilled(unread, table.load)
+        table.holder = store
         return unread
 
     def latest(self) -> Optional[RunCheckpoint]:
         """The newest complete checkpoint in the directory, or None."""
         paths = self.checkpoint_paths()
-        if not paths:
-            return None
-        return self.load(paths[-1])
-
-    def load(self, path: Union[str, Path]) -> RunCheckpoint:
-        path = Path(path)
-        checkpoint = load_checkpoint(path)
-        if path.parent == self.directory:
-            self._loaded = (path, checkpoint)
-        return checkpoint
+        return load_checkpoint(paths[-1]) if paths else None
 
     def _prune(self, saved_round: int) -> None:
         """Drop every head but the ``keep`` newest up to ``saved_round``

@@ -691,6 +691,18 @@ class TestSpilledStates:
             return real_load(table, key)
 
         monkeypatch.setattr(BlobTable, "load", load)
+        real_after_round = CheckpointManager.after_round
+
+        def after_round(manager, core, scheduler, history, round_index):
+            try:
+                real_after_round(manager, core, scheduler, history,
+                                 round_index)
+            finally:
+                # every reference the table keeps has a digest to verify
+                table = manager._table
+                assert table.refs.keys() <= table.digests.keys()
+
+        monkeypatch.setattr(CheckpointManager, "after_round", after_round)
         pool = {"inline": contextlib.nullcontext,
                 "thread": lambda: ThreadPoolExecutor(2),
                 "process": lambda: ProcessPoolExecutor(2)}[backend]

@@ -673,6 +673,98 @@ class TestSpilledStatesOnDisk:
             == {cid: pickle.dumps(state) for cid, state in states.items()}
 
 
+class TestResumeByPathFromTheRunsOwnDirectory:
+    """A resume by the path of a head, or of the directory, that is the
+    run's own checkpoint directory continues from the loaded capsule's
+    table, as ``"auto"`` does: the first save writes only what changed,
+    and a spilling run adopts the saved states unread."""
+
+    @pytest.mark.parametrize("form", ["head", "directory"])
+    def test_a_resume_by_path_is_incremental(self, form, tmp_path,
+                                             monkeypatch):
+        reference = history_json(spill_trainer().run())
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            spill_trainer().run(checkpoint_dir=directory, stop_after_round=3)
+        written = {path.name for path in directory.glob("blobs-*.bin")}
+        resume_from = {"head": CheckpointManager(directory)
+                       .checkpoint_paths()[-1],
+                       "directory": directory}[form]
+        adopted, carried = [], []
+        real_resumed = CheckpointManager.resumed
+        real_after_round = CheckpointManager.after_round
+
+        def resumed(manager, checkpoint, core):
+            unread = real_resumed(manager, checkpoint, core)
+            adopted.append((set(unread), set(checkpoint.client_states)))
+            return unread
+
+        def after_round(manager, core, scheduler, history, round_index):
+            real_after_round(manager, core, scheduler, history, round_index)
+            if not carried:
+                head = read_head(manager.path_for(round_index + 1))
+                carried.append(set(head.segments) & written)
+
+        monkeypatch.setattr(CheckpointManager, "resumed", resumed)
+        monkeypatch.setattr(CheckpointManager, "after_round", after_round)
+        resumed_run = spill_trainer().run(checkpoint_dir=directory,
+                                          resume_from=resume_from)
+        assert history_json(resumed_run) == reference
+        [(unread, saved)] = adopted
+        assert saved and unread == saved
+        # the first save references segments written before the resume
+        assert carried[0]
+
+
+class TestACorruptBlobMetByACompaction:
+    """A compaction reads every kept blob through the verified per-blob
+    read: a blob corrupted on disk fails the save, naming the file, and
+    leaves the table as it was."""
+
+    def test_the_save_names_the_file_and_keeps_the_table(self, tmp_path,
+                                                         monkeypatch):
+        # compact whenever a segment holds any superseded blob
+        monkeypatch.setattr(checkpoint_module, "_GARBAGE_FACTOR", 1)
+        real = CheckpointManager.after_round
+        met = []
+
+        def after_round(manager, core, scheduler, history, round_index):
+            table, store = manager._table, core.clients.state_store
+            # the states the next stage keeps (clean) and finds on disk
+            kept = [cid for cid in store.ids()
+                    if cid in table.refs and cid not in store._dirty
+                    and table.refs[cid].segment not in table.pending]
+            originals = {}
+            for cid in kept:
+                ref = table.refs[cid]
+                path = tmp_path / ref.segment
+                if path not in originals:
+                    originals[path] = path.read_bytes()
+                data = bytearray(path.read_bytes())
+                data[ref.offset + ref.length // 2] ^= 0xFF
+                path.write_bytes(data)
+            before = (dict(table.refs), dict(table.digests),
+                      dict(table.segments))
+            try:
+                real(manager, core, scheduler, history, round_index)
+            except SegmentError as error:
+                met.append((str(error), originals, before,
+                            (table.refs, table.digests, table.segments)))
+                raise
+            # no compaction at this boundary: undo the corruption
+            for path, data in originals.items():
+                if path.exists():
+                    path.write_bytes(data)
+
+        monkeypatch.setattr(CheckpointManager, "after_round", after_round)
+        with pytest.raises(SegmentError):
+            run_method("fedlps", async_preset("sync"),
+                       checkpoint_dir=tmp_path)
+        [(message, corrupted, before, after)] = met
+        assert any(str(path) in message for path in corrupted)
+        assert after == before
+
+
 def spilled_run(directory, monkeypatch):
     """Run ``spill_trainer("fedbuff")`` to completion checkpointing into
     ``directory``; returns its manager and scheduler, whose queue the last

@@ -476,13 +476,20 @@ class TestLifecycle:
         reference = run_method("fedlps", preset(seed=6))
         compactions = []
 
-        class CompactionSpy(checkpoint_module._BlobReader):
-            def __init__(self, directory, segments, loaded=None):
-                if loaded is not None:  # only ``BlobTable.stage`` passes it
-                    compactions.append(directory)
-                super().__init__(directory, segments, loaded)
+        class CompactionSpy(checkpoint_module.BlobTable):
+            reads = 0
 
-        monkeypatch.setattr(checkpoint_module, "_BlobReader", CompactionSpy)
+            def stage(self, *args):
+                self.reads = 0
+                super().stage(*args)
+                if self.reads:  # only a compaction reads blobs back
+                    compactions.append(self.directory)
+
+            def read(self, key):
+                self.reads += 1
+                return super().read(key)
+
+        monkeypatch.setattr(checkpoint_module, "BlobTable", CompactionSpy)
 
         def check(manager, round_index, oracle):
             heads = manager.checkpoint_paths()

@@ -44,6 +44,15 @@ MUTATIONS = {
     "no-deep-copied-restored-states": (
         "src/repro/checkpoint.py", None,
         "copy.deepcopy(checkpoint.client_states)"),
+    "_read_segment-callers": (
+        "src/repro/checkpoint.py", None,
+        "def reread(path, record): return _read_segment(path, *record)"),
+    "_read_blob-callers": (
+        "src/repro/checkpoint.py", None,
+        "def compact(path, ref, sha): return _read_blob(path, ref, sha, None)"),
+    "retired-second-blob-readers": (
+        "src/repro/checkpoint.py", None,
+        "def _pending" "_blob(blobs, ref):\n    return blobs[ref.offset]"),
     "one-remember_accuracy-call": (
         "src/repro/federated/fleet.py", None, "store.remember_accuracy(0, 1.0)"),
     "remember_accuracy-called-in-server-core": (

@@ -329,6 +329,7 @@ Rule = Callable[[Tree], Iterable[Finding]]
 
 SCHEDULER = "src/repro/server/scheduler.py"
 SERVER_CORE = "src/repro/server/core.py"
+CHECKPOINT = "src/repro/checkpoint.py"
 
 RULES: dict[str, Rule] = {
     # One trainer call site: strategies train through Strategy._train and
@@ -366,6 +367,17 @@ RULES: dict[str, Rule] = {
     # loaded capsule unpickles on every read, never a deep copy of them.
     "no-deep-copied-restored-states": Absent(
         r"deepcopy\(.*client_states", ("src",)),
+    # One verified reader per checkpoint blob: load_checkpoint verifies
+    # whole segments (the trust root) and records every blob's reference
+    # and digest in the capsule's BlobTable; every later read of a blob (a
+    # capsule's state, a spilled entry, a compaction) is BlobTable.read.
+    "_read_segment-callers": Callers(
+        "_read_segment", ("src",), (f"{CHECKPOINT}:load_checkpoint",)),
+    "_read_blob-callers": Callers(
+        "_read_blob", ("src",), (f"{CHECKPOINT}:read",)),
+    "retired-second-blob-readers": Absent(
+        r"_BlobReader|_pending_blob",
+        ("src", "tests", "examples", "README.md")),
     # One evaluation memo: evaluate_personalized is its only writer and only
     # FleetStateStore's write hooks drop an entry.
     "one-remember_accuracy-call": Count(
