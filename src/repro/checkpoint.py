@@ -55,12 +55,13 @@ of the bytes it wrote and unpickles a fresh object; a state stays resident
 until the next save, an event is consumed.  The FedBuff buffer (fewer than
 ``buffer_size`` events) stays resident.  A resume from the manager's own
 directory (``"auto"``, or a path to a head or to the directory there)
-continues from a copy of the loaded capsule's table, so its first save
-writes only what changed, and adopts every saved state the same way,
-unread; it unpickles the loaded queue once, and its first committed save
-spills it.  Elsewhere a resume holds one copy of every state: the loaded
-capsule keeps only the references, and each read of a state re-reads and
-re-verifies its blob and unpickles a fresh object, which
+that still holds what it was loaded from continues from a copy of the
+loaded capsule's table, so its first save writes only what changed, and
+adopts every saved state the same way, unread; it unpickles the loaded
+queue once, and its first committed save spills it.  Elsewhere a resume
+holds one copy of every state: the loaded capsule keeps only the
+references, and each read of a state re-reads and re-verifies its blob
+and unpickles a fresh object, which
 :func:`restore_run` adopts into the store as it is.  A boundary never
 holds its segment twice: the pending segment is its blobs, hashed as they
 are laid out and streamed to disk by the save, never one joined copy.
@@ -588,11 +589,12 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
 
     ``manager`` — the run's checkpointer, if it has one — is told first
     which checkpoint the run continues from
-    (:meth:`CheckpointManager.resumed`): when the capsule was loaded from
-    the manager's own directory, the manager copies the capsule's table, so
-    its next save references the blobs already there instead of rewriting
-    them, and when the run spills it adopts the states into the store
-    *unread*: each is unpickled when the run first reads it.  Every other
+    (:meth:`CheckpointManager.resumed`): when the manager's directory
+    still holds what the capsule was loaded from, the manager copies the
+    capsule's table, so its next save references the blobs already there
+    instead of rewriting them, and when the run spills it adopts the
+    states into the store *unread*: each is unpickled when the run first
+    reads it.  Every other
     state is adopted as ``checkpoint.client_states`` hands it out — a
     loaded capsule unpickles a fresh one on every read, a capsule built in
     memory deep-copies its own — so the store owns it, nothing is copied
@@ -946,21 +948,24 @@ class CheckpointManager:
     def resumed(self, checkpoint: RunCheckpoint, core) -> Set[int]:
         """The run continues from ``checkpoint`` (called by ``restore_run``).
 
-        When the capsule was loaded from this manager's own directory —
-        ``"auto"``, or a path to a head or to the directory — the blobs it
-        references are already here: the table starts as a copy of the
-        capsule's (its dicts copied, never shared, so one capsule resumes
-        any number of runs), the next save writes only what changes, and —
-        when ``core``'s run :meth:`spills` — every state whose blob is on
-        disk is adopted into the store unread.  Returns the ids so adopted.
-        From anywhere else, or for a capsule built in memory, the table
-        stays empty, the first save is a full one, and nothing is adopted
-        here.  The manager keeps the copy, never the capsule.
+        When this manager's directory still holds what the capsule was
+        loaded from (:meth:`_holds`) — after ``"auto"``, or a path to a
+        head or to the directory, unless a later run there pruned or
+        replaced it — the blobs it references are here: the table starts as
+        a copy of the capsule's (its dicts copied, never shared, so one
+        capsule resumes any number of runs), the next save writes only what
+        changes, and — when ``core``'s run :meth:`spills` — every state
+        whose blob is on disk is adopted into the store unread.  Returns
+        the ids so adopted.
+        Otherwise the table stays empty, the first save is a full one, and
+        nothing is adopted here: ``restore_run`` reads every state through
+        the capsule, so a blob gone since the load raises
+        :class:`SegmentError` before anything is written.  The manager
+        keeps the copy, never the capsule.
         """
         states = checkpoint.client_states
         loaded = states.table if isinstance(states, _ClientStates) else None
-        if (loaded is None
-                or loaded.directory.resolve() != self.directory.resolve()):
+        if loaded is None or not self._holds(loaded):
             return set()
         table = self._table
         table.reset()
@@ -976,6 +981,20 @@ class CheckpointManager:
         store.adopt_spilled(unread, table.load)
         table.holder = store
         return unread
+
+    def _holds(self, loaded: BlobTable) -> bool:
+        """Whether this directory still holds what ``loaded`` was read
+        from: its head, listing the same segments (names, lengths,
+        SHA-256s), each still its recorded length.  A later run here
+        removes that head when it replaces or prunes one of them, unless it
+        writes the same head again."""
+        try:
+            head = read_head(self.path_for(loaded.next_round))
+            return head.segments == loaded.segments and all(
+                (self.directory / name).stat().st_size == length
+                for name, (length, _) in loaded.segments.items())
+        except (CheckpointError, FileNotFoundError):
+            return False
 
     def latest(self) -> Optional[RunCheckpoint]:
         """The newest complete checkpoint in the directory, or None."""

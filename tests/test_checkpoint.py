@@ -716,6 +716,72 @@ class TestResumeByPathFromTheRunsOwnDirectory:
         assert carried[0]
 
 
+class TestACapsuleReusedInItsOwnDirectory:
+    """A loaded capsule resumed into its own directory after a later run
+    there has pruned or replaced what it references is refused before
+    anything is written, or resumes to the uninterrupted history: it never
+    leaves a head that cannot be loaded."""
+
+    @staticmethod
+    def _resume(trainer, capsule, directory):
+        """("refused", None) when the resume raised before writing
+        anything, else ("resumed", its history); every head left in
+        ``directory`` must load, with all its states read."""
+        before = {path.name: path.read_bytes()
+                  for path in directory.iterdir()}
+        try:
+            resumed = trainer().run(checkpoint_dir=directory,
+                                    resume_from=capsule)
+        except SegmentError:
+            assert {path.name: path.read_bytes()
+                    for path in directory.iterdir()} == before
+            outcome = ("refused", None)
+        else:
+            outcome = ("resumed", history_json(resumed))
+        for path in CheckpointManager(directory).checkpoint_paths():
+            dict(load_checkpoint(path).client_states.items())
+        return outcome
+
+    def test_resumed_twice_while_compacting(self, tmp_path, monkeypatch):
+        # compact whenever a segment holds any superseded blob
+        monkeypatch.setattr(checkpoint_module, "_GARBAGE_FACTOR", 1)
+        reference = history_json(spill_trainer().run())
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            spill_trainer().run(checkpoint_dir=directory, stop_after_round=3)
+        capsule = CheckpointManager(directory).latest()
+        assert self._resume(spill_trainer, capsule, directory) \
+            == ("resumed", reference)
+        # the first resume ran to the end and pruned the capsule's segments
+        assert self._resume(spill_trainer, capsule, directory) \
+            == ("refused", None)
+
+    @staticmethod
+    def sparse_trainer(seed=3):
+        """400 clients, 4 a round, 4 evaluated: the rounds after a resume
+        at round 1 never read a state the capsule holds."""
+        preset = scaled(preset_for("mnist"), num_clients=400, num_rounds=4,
+                        clients_per_round=4, examples_per_client=16,
+                        local_iterations=1, batch_size=8, seed=seed,
+                        scenario="flaky", aggregation="sync")
+        dataset, model_builder, config, fleet = build_experiment(preset)
+        config.fleet = FleetConfig(shard_cache=8, eval_clients=4)
+        return FederatedTrainer(build_strategy("fedlps"), dataset,
+                                model_builder, config=config, fleet=fleet)
+
+    def test_resumed_after_another_run_replaced_its_segments(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            self.sparse_trainer().run(checkpoint_dir=directory,
+                                      stop_after_round=0)
+        capsule = CheckpointManager(directory).latest()
+        # a run with another seed, started without resume: it rewrites
+        # blobs-000001.bin, which the capsule references
+        self.sparse_trainer(seed=4).run(checkpoint_dir=directory)
+        assert self._resume(self.sparse_trainer, capsule, directory) \
+            == ("refused", None)
+
+
 class TestACorruptBlobMetByACompaction:
     """A compaction reads every kept blob through the verified per-blob
     read: a blob corrupted on disk fails the save, naming the file, and

@@ -50,9 +50,6 @@ MUTATIONS = {
     "_read_blob-callers": (
         "src/repro/checkpoint.py", None,
         "def compact(path, ref, sha): return _read_blob(path, ref, sha, None)"),
-    "retired-second-blob-readers": (
-        "src/repro/checkpoint.py", None,
-        "def _pending" "_blob(blobs, ref):\n    return blobs[ref.offset]"),
     "one-remember_accuracy-call": (
         "src/repro/federated/fleet.py", None, "store.remember_accuracy(0, 1.0)"),
     "remember_accuracy-called-in-server-core": (

@@ -375,9 +375,6 @@ RULES: dict[str, Rule] = {
         "_read_segment", ("src",), (f"{CHECKPOINT}:load_checkpoint",)),
     "_read_blob-callers": Callers(
         "_read_blob", ("src",), (f"{CHECKPOINT}:read",)),
-    "retired-second-blob-readers": Absent(
-        r"_BlobReader|_pending_blob",
-        ("src", "tests", "examples", "README.md")),
     # One evaluation memo: evaluate_personalized is its only writer and only
     # FleetStateStore's write hooks drop an entry.
     "one-remember_accuracy-call": Count(
