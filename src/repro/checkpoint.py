@@ -37,12 +37,13 @@ materialization paths and for the fedasync/fedbuff schedulers.
 of a checkpoint (≈ 40 KB each on the mnist CNN) and almost none of them
 change in a round, so each is pickled **once**, when it changes, into a
 *segment*; the per-boundary *head* only references them.  Nothing but the
-three small parts (history records, strategy attributes, scheduler
-scalars) is deep-copied: ``pickle.dumps`` of a state at the boundary *is*
-its snapshot.  Which states changed comes from the store's dirty set
-(participant access marks an id, evaluation access does not); an event is
-frozen, keyed ``(round_index, client_id)``, and serialized when first seen
-in the queue.  The run digest is computed once per core, not per boundary.
+strategy attributes and scheduler scalars is deep-copied — the history's
+records are append-only, so the head lists them — and ``pickle.dumps`` of
+a state at the boundary *is* its snapshot.  Which states changed comes
+from the store's dirty set (participant access marks an id, evaluation
+access does not); an event is frozen, keyed ``(round_index, client_id)``,
+and serialized when first seen in the queue.  The run digest is computed
+once per core, not per boundary.
 
 **What a run holds.**  Once a checkpointed run's fleet outgrows
 ``fleet.shard_cache``, each committed save lets the state store go of every
@@ -50,21 +51,22 @@ clean state outside the boundary's dirty set, and the scheduler's event
 queue of every queued event — their blobs are on disk.  The next read of
 such a state, or the pop of such an event, is a *cold read*:
 :meth:`BlobTable.load` finds the blob through the table's references
-(which follow compaction), checks it against the SHA-256 the table took
-of the bytes it wrote and unpickles a fresh object; a state stays resident
-until the next save, an event is consumed.  The FedBuff buffer (fewer than
+(which follow compaction), checks it against the SHA-256 its reference
+carries and unpickles a fresh object; a state stays resident until the
+next save, an event is consumed.  The FedBuff buffer (fewer than
 ``buffer_size`` events) stays resident.  A resume from the manager's own
 directory (``"auto"``, or a path to a head or to the directory there)
 that still holds what it was loaded from continues from a copy of the
 loaded capsule's table, so its first save writes only what changed, and
-adopts every saved state the same way, unread; it unpickles the loaded
-queue once, and its first committed save spills it.  Elsewhere a resume
-holds one copy of every state: the loaded capsule keeps only the
-references, and each read of a state re-reads and re-verifies its blob
-and unpickles a fresh object, which
-:func:`restore_run` adopts into the store as it is.  A boundary never
-holds its segment twice: the pending segment is its blobs, hashed as they
-are laid out and streamed to disk by the save, never one joined copy.
+adopts every saved state and queued event the same way, unread: the
+queue is rebuilt from the head's stubs and each pop reads through the
+table.  Elsewhere a resume holds one copy of every state and event: the
+loaded capsule keeps only the references, and each read re-reads and
+re-verifies one blob and unpickles a fresh object, which
+:func:`restore_run` adopts into the store or pushes into the queue as it
+is.  A boundary never holds its segment twice: the pending segment is its
+blobs, each hashed once as it is laid out and streamed to disk by the
+save, never one joined copy.
 
 **On disk** (one directory per run; :class:`CheckpointManager` owns it):
 
@@ -73,15 +75,18 @@ are laid out and streamed to disk by the save, never one joined copy.
     events first queued since the previous boundary (or, after a
     compaction, of every live blob).  Written once, blob by blob (tmp,
     fsync, rename), never modified; it carries no header of its own.  A
-    loaded capsule's state, a spilled state or queued event and a blob a
-    compaction rewrites are read back from here, one verified blob at a
-    time (:meth:`BlobTable.read`).
+    loaded capsule's state or event, a spilled state or queued event and a
+    blob a compaction rewrites are read back from here, one verified blob
+    at a time (:meth:`BlobTable.read`).
 ``checkpoint-<next_round>.pkl``
     A head: a 48-byte header (magic, format version, payload length,
     payload SHA-256) followed by one pickled :class:`RunCheckpoint` whose
-    ``client_states`` / ``scheduler["events"]`` / ``["buffer"]`` entries are
-    :class:`BlobRef` ``(segment, offset, length)`` references and whose
-    ``segments`` table records the length and SHA-256 of every segment it
+    ``client_states`` entries are :class:`BlobRef` ``(segment, offset,
+    length, sha256)`` references, whose ``scheduler["events"]`` /
+    ``["buffer"]`` entries pair each event's
+    :class:`~repro.server.clock.SpilledEvent` stub — its heap position
+    ``(finish_time, client_id)`` and its round — with such a reference,
+    and whose ``segments`` table records the length of every segment it
     references.  A head that references nothing (what
     ``save_checkpoint(path, materialized_capsule)`` writes) is a
     self-contained checkpoint.
@@ -96,14 +101,17 @@ persist the head's rename without the segment's; and after the head's
 rename, before the prune unlinks anything, so a crash cannot lose the new
 head after the heads and segments it replaces are gone.
 :func:`load_checkpoint` is the trust root: it verifies the head against
-its header, then each referenced segment in turn against the head's table
-*before* unpickling a byte of it, records the reference and SHA-256 of
-every blob in the capsule's :class:`BlobTable`, and returns a capsule
-whose queued events are materialized and whose client states stay
-references — so a directory reused by another run (which replaces
-``blobs-000001.bin`` under an old head) is refused, not resumed, and a
-segment pruned or replaced *after* the load makes the next read of one of
-its blobs raise :class:`SegmentError` naming the file.  When the referenced
+its header, reads every blob it references once and checks it against
+its reference's SHA-256, unpickles nothing else, and returns a capsule
+whose client states and queued events stay references behind the
+:class:`BlobTable` it built — so a directory reused by another run (which
+replaces ``blobs-000001.bin`` under an old head) is refused, not resumed,
+and a segment pruned or replaced *after* the load makes the next read of
+one of its blobs raise :class:`SegmentError` naming the file.  Every blob
+a run unpickles is checked against its reference first — at the load,
+and again at every later read or compaction; bytes no reference names
+(the dead blobs of an uncompacted segment) are never unpickled, and never
+checked.  When the referenced
 segments outgrow twice the live blobs (small fleets re-touch the same
 clients every few rounds) a save rewrites every live blob into its segment
 — amortized O(1) — and pruning deletes a segment once neither a kept head
@@ -132,17 +140,22 @@ import weakref
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (Any, Dict, Hashable, Iterator, List, Mapping, Optional,
-                    Set, Tuple, Union)
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
+from .server.clock import ClientEvent, SpilledEvent
 from .systems.metrics import RoundRecord, TrainingHistory
 from .util import canonicalize, positive_int
 
-#: bump whenever the checkpoint layout — or the set of config fields the run
-#: digest hashes — changes incompatibly (2: ``FleetConfig.lazy`` removed;
-#: 3: framed heads that reference blob segments)
-CHECKPOINT_VERSION = 3
+#: the layout version every head's header carries (3: framed heads that
+#: reference blob segments; 4: a SHA-256 per blob reference, and queued
+#: events referenced with their heap position)
+CHECKPOINT_VERSION = 4
+#: :func:`run_digest`'s version: bump it when the fields the digest hashes
+#: change (2: ``FleetConfig.lazy`` removed).  Frozen at 3, the layout
+#: version it hashed until 4, so a layout change keeps a run's identity.
+_RUN_DIGEST_VERSION = 3
 
 #: heads are ``checkpoint-<next_round>.pkl`` inside the directory; segments
 #: are ``blobs-<next_round>.bin`` and must sort *before* every head
@@ -230,7 +243,7 @@ def run_digest(core) -> str:
         (key, str(value.dtype), tuple(int(n) for n in value.shape))
         for key, value in core.model.get_parameters().items())
     spec = {
-        "checkpoint_version": CHECKPOINT_VERSION,
+        "checkpoint_version": _RUN_DIGEST_VERSION,
         "strategy_class": (type(strategy).__module__ + "."
                            + type(strategy).__qualname__),
         "strategy_name": strategy.name,
@@ -264,24 +277,29 @@ def _digest_of(core) -> str:
 # ------------------------------------------------------------- the capsule
 @dataclass(frozen=True)
 class BlobRef:
-    """Where one pickled blob lives: ``length`` bytes at ``offset`` of
-    the segment file ``segment`` (a name inside the head's directory)."""
+    """Where one pickled blob lives — ``length`` bytes at ``offset`` of
+    the segment file ``segment`` (a name inside the head's directory) —
+    and the SHA-256 every read of it is checked against."""
 
     segment: str
     offset: int
     length: int
+    sha256: str
 
 
 @dataclass
 class RunCheckpoint:
     """Everything needed to continue a run from a round boundary.
 
-    :func:`load_checkpoint` returns it *loaded*: the events are the
-    objects themselves, ``client_states`` is a read-only mapping over the
-    head's :class:`BlobTable` that unpickles a fresh state on every read
-    (:class:`_ClientStates`) and ``segments`` is empty.  What
+    :func:`load_checkpoint` returns it *loaded*: ``client_states`` is a
+    read-only mapping and ``scheduler["events"]`` / ``["buffer"]`` are
+    read-only sequences over the head's :class:`BlobTable` that unpickle a
+    fresh state or event on every read (:class:`_ClientStates`,
+    :class:`_QueuedEvents`), and ``segments`` is empty.  What
     :func:`capture_run` builds and a head file holds is the same capsule
-    with :class:`BlobRef` entries in their place.
+    with :class:`BlobRef` entries in their place — for an event, the pair
+    of its :class:`~repro.server.clock.SpilledEvent` stub and its
+    reference.
     """
 
     version: int
@@ -299,37 +317,23 @@ class RunCheckpoint:
     client_states: Mapping[int, Any]
     #: scheduler-specific state (name, aggregation version, clock, events)
     scheduler: Dict[str, Any] = field(default_factory=dict)
-    #: ``{segment name: (length, sha256 hex)}`` of every referenced segment
-    segments: Dict[str, Tuple[int, str]] = field(default_factory=dict)
+    #: ``{segment name: length}`` of every referenced segment
+    segments: Dict[str, int] = field(default_factory=dict)
 
 
 def _event_key(event) -> Tuple[int, int]:
-    """A queued event's identity: a client is dispatched once per round."""
+    """A queued event's identity — a client is dispatched once per round —
+    for the event itself and for its stub alike."""
     return (event.round_index, event.client_id)
 
 
-def _read_segment(path: Path, length: int, digest: str) -> bytes:
-    """A segment's bytes, verified against the head that references it."""
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise SegmentError(
-            f"checkpoint segment {path} is missing") from None
-    if len(data) != length or hashlib.sha256(data).hexdigest() != digest:
-        raise SegmentError(
-            f"checkpoint segment {path} does not match the head that "
-            "references it (corrupt, or overwritten by another run "
-            "writing into the same directory)")
-    return data
-
-
-def _read_blob(path: Path, ref: BlobRef, digest: str,
+def _read_blob(path: Path, ref: BlobRef,
                pending: Optional[Mapping[int, bytes]]) -> bytes:
     """One blob — from ``pending`` (its segment's ``{offset: blob}``, not
     on disk yet), else from the segment file ``path`` — verified against
-    the SHA-256 recorded for it, so a segment pruned or replaced since is a
-    :class:`SegmentError` naming the file, and no unverified byte reaches
-    ``pickle.loads``."""
+    its reference's SHA-256, so a corrupt blob, or a segment missing,
+    pruned or replaced since, is a :class:`SegmentError` naming the file,
+    and no unverified byte reaches ``pickle.loads``."""
     if pending is None:
         try:
             with open(path, "rb") as handle:
@@ -340,7 +344,8 @@ def _read_blob(path: Path, ref: BlobRef, digest: str,
                 f"checkpoint segment {path} is missing") from None
     else:
         blob = pending.get(ref.offset, b"")
-    if len(blob) != ref.length or hashlib.sha256(blob).hexdigest() != digest:
+    if (len(blob) != ref.length
+            or hashlib.sha256(blob).hexdigest() != ref.sha256):
         raise SegmentError(
             f"checkpoint segment {path} does not hold the blob "
             f"{ref.offset}+{ref.length} it was written with (corrupt, or "
@@ -354,8 +359,7 @@ class _ClientStates(Mapping):
     A view over the capsule's :class:`BlobTable`: it holds references, not
     states, and every read hands back a fresh state its caller owns — for a
     :class:`BlobRef`, what :meth:`BlobTable.load` reads: the blob re-read
-    (from the page cache), re-verified against the SHA-256
-    :func:`load_checkpoint` took of it from the verified segment and
+    (from the page cache), re-verified against its reference's SHA-256 and
     unpickled; for a state stored in the head itself (a self-contained
     checkpoint, or a capsule built in memory), a deep copy.  So
     :func:`restore_run` adopts what it reads with no copy of its own, a
@@ -369,9 +373,7 @@ class _ClientStates(Mapping):
     def __init__(self, entries: Mapping[int, Any],
                  table: Optional[BlobTable] = None) -> None:
         self._entries = dict(entries)
-        #: the references and digests of every blob the load verified —
-        #: the states' and the queued events' — or None for a capsule
-        #: built in memory
+        #: the loaded head's table, or None for a capsule built in memory
         self.table = table
 
     def __getitem__(self, client_id: int):
@@ -390,16 +392,46 @@ class _ClientStates(Mapping):
         return dict, (dict(self.items()),)
 
 
+class _QueuedEvents(Sequence):
+    """A read-only event list of a loaded capsule (``scheduler["events"]``
+    or ``["buffer"]``), a view over its :class:`BlobTable` as
+    :class:`_ClientStates` is.
+
+    Built from a head's entries, ``stubs`` holds each event's
+    :class:`~repro.server.clock.SpilledEvent` (or, in a self-contained
+    checkpoint, the event itself); every read of a stub hands back a fresh
+    event, re-read, re-verified and unpickled by :meth:`BlobTable.load`.
+    So a resume that adopts the capsule unread pushes the stubs, and any
+    other reads the events here, at restore.  Pickling materializes the
+    sequence into a plain list, without the table.
+    """
+
+    def __init__(self, entries: List[Any], table: BlobTable) -> None:
+        self.stubs = [entry if isinstance(entry, ClientEvent) else entry[0]
+                      for entry in entries]
+        self.table = table
+
+    def __getitem__(self, index: int):
+        entry = self.stubs[index]
+        if isinstance(entry, SpilledEvent):
+            return self.table.load(_event_key(entry))
+        return entry
+
+    def __len__(self) -> int:
+        return len(self.stubs)
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
 class BlobTable:
     """Which blob holds each live client state and queued event.
 
     The reference table behind incremental checkpoints: ``refs`` maps a key
     (a client id, or an event's ``(round_index, client_id)``) to the
-    :class:`BlobRef` of its current serialization, ``digests`` the SHA-256
-    of each blob (taken from the bytes staged here, or by
-    :func:`load_checkpoint` from the verified segment), ``segments`` holds
-    the integrity record of every segment ``refs`` points into, and
-    ``pending`` the blobs of the segments not yet on disk, each as
+    :class:`BlobRef` of its current serialization, SHA-256 included,
+    ``segments`` holds the length of every segment ``refs`` points into,
+    and ``pending`` the blobs of the segments not yet on disk, each as
     ``{offset: blob}`` in segment order (more than one segment only while
     ``every > 1`` skips saves).  :func:`capture_run` stages each boundary's
     new blobs here; :func:`save_checkpoint` streams the pending segments to
@@ -407,13 +439,13 @@ class BlobTable:
     :meth:`CheckpointManager.resumed` copies to continue from it.
 
     Every blob read after the load goes through :meth:`read`, which
-    verifies the one blob against its digest: a spilled entry's
-    (:meth:`load`), a loaded capsule's state and a blob a compaction
-    rewrites.  The table is also the loader of spilled entries:
+    verifies the one blob against its reference: a spilled entry's
+    (:meth:`load`), a loaded capsule's state or event and a blob a
+    compaction rewrites.  The table is also the loader of spilled entries:
     ``holder`` is the state store and ``queue`` the event queue that
-    spilled against ``refs``, and :meth:`reset` has both read every spilled
-    entry back first, so a spilled entry never outlives the reference it
-    reads through.
+    spilled against ``refs`` (:meth:`hold`), and :meth:`reset` has both
+    read every spilled entry back first, so a spilled entry never outlives
+    the reference it reads through.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -431,8 +463,7 @@ class BlobTable:
                 holder.unspill()
         self.holder = self.queue = None
         self.refs: Dict[Hashable, BlobRef] = {}
-        self.digests: Dict[Hashable, str] = {}
-        self.segments: Dict[str, Tuple[int, str]] = {}
+        self.segments: Dict[str, int] = {}
         self.pending: Dict[str, Dict[int, bytes]] = {}
         #: the boundary of the last capture (or of the head loaded)
         self.next_round = 0
@@ -444,50 +475,46 @@ class BlobTable:
     def stage(self, next_round: int, states: Dict[int, bytes],
               events: Dict[Hashable, bytes], live: List[Hashable]) -> None:
         """Lay the fresh ``states`` and ``events`` blobs out as this
-        boundary's segment.
+        boundary's segment, hashing each once.
 
         ``live`` lists every key alive at the boundary; references to
         anything else are forgotten.  When that leaves the referenced
         segments holding more than ``_GARBAGE_FACTOR`` times the live
         bytes, every live blob is rewritten into the new segment instead —
-        the segments it replaces lose their last reference and are pruned.
+        read back verified, keeping its SHA-256 — and the segments it
+        replaces lose their last reference and are pruned.
         """
-        fresh = {**states, **events}
+        fresh = {key: (blob, hashlib.sha256(blob).hexdigest())
+                 for key, blob in {**states, **events}.items()}
         kept = {key: self.refs[key] for key in live if key not in fresh}
-        digests = {key: self.digests[key] for key in kept}
-        digests.update((key, hashlib.sha256(blob).hexdigest())
-                       for key, blob in fresh.items())
-        fresh_bytes = sum(len(blob) for blob in fresh.values())
+        fresh_bytes = sum(len(blob) for blob, _ in fresh.values())
         live_bytes = fresh_bytes + sum(ref.length for ref in kept.values())
         held_bytes = fresh_bytes + sum(
-            self.segments[name][0]
+            self.segments[name]
             for name in {ref.segment for ref in kept.values()})
         if held_bytes > _GARBAGE_FACTOR * live_bytes:
-            fresh = {key: fresh[key] if key in fresh else self.read(key)
+            fresh = {key: fresh[key] if key in fresh
+                     else (self.read(key), kept[key].sha256)
                      for key in live}
             kept = {}
         name = f"blobs-{next_round:06d}.bin"
-        # the segment is never joined: its blobs stay separate objects, and
-        # its digest is taken as they are laid out
+        # the segment is never joined: its blobs stay separate objects
         blobs: Dict[int, bytes] = {}
-        digest = hashlib.sha256()
         offset = 0
-        for key, blob in fresh.items():
-            kept[key] = BlobRef(name, offset, len(blob))
+        for key, (blob, digest) in fresh.items():
+            kept[key] = BlobRef(name, offset, len(blob), digest)
             blobs[offset] = blob
-            digest.update(blob)
             offset += len(blob)
         held = {ref.segment for ref in kept.values()}
         self.refs = kept
-        self.digests = digests
-        self.segments = {held_name: record
-                         for held_name, record in self.segments.items()
+        self.segments = {held_name: length
+                         for held_name, length in self.segments.items()
                          if held_name in held}
         self.pending = {held_name: data
                         for held_name, data in self.pending.items()
                         if held_name in held}
         if blobs:
-            self.segments[name] = (offset, digest.hexdigest())
+            self.segments[name] = offset
             self.pending[name] = blobs
         self.next_round = next_round
 
@@ -495,19 +522,30 @@ class BlobTable:
         """The blob of the state or event ``key`` names, verified.
 
         The blob is found through ``refs`` (which follows a compaction into
-        the new segment, pending or not) and checked against its digest; a
-        missing or mismatched blob raises :class:`SegmentError` naming the
-        file.
+        the new segment, pending or not) and checked against its
+        reference; a missing or mismatched blob raises
+        :class:`SegmentError` naming the file.
         """
         ref = self.refs[key]
         return _read_blob(self.directory / ref.segment, ref,
-                          self.digests[key], self.pending.get(ref.segment))
+                          self.pending.get(ref.segment))
 
     def load(self, key: Hashable) -> Any:
         """A fresh copy of the state or event ``key`` names, unpickled
         from its verified blob (:meth:`read`)."""
         return _unpickle(self.read(key),
                          self.directory / self.refs[key].segment)
+
+    def hold(self, store, queue) -> None:
+        """Become the loader of ``store`` and ``queue`` (None for a
+        scheduler without one): each lets go of what it holds clean — every
+        blob ``refs`` names is on disk — and reads it back through
+        :meth:`load`."""
+        store.spill(self.load)
+        self.holder = store
+        if queue is not None:
+            queue.spill(self.load)
+            self.queue = queue
 
 
 def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
@@ -516,12 +554,15 @@ def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
 
     Training continues mutating the global parameters and client states in
     place, and a checkpoint that aliased them would silently describe a
-    *later* round than it claims — so the small parts are deep-copied and
-    every client state written since the previous boundary (the store's
-    dirty set) and every event new to the queue is pickled *now*, into
+    *later* round than it claims — so the strategy attributes and scheduler
+    scalars are deep-copied, the history's records (append-only: see
+    :meth:`TrainingHistory.append`) are listed, not copied, and every
+    client state written since the previous boundary (the store's dirty
+    set) and every event new to the queue is pickled *now*, into
     ``table``'s next pending segment.  Everything else keeps the reference
     ``table`` already holds — a spilled state or event is never read back:
-    it is clean, and its reference is live.  The returned head is what
+    it is clean, and its reference is live.  An event's reference is paired
+    with its stub: its heap position and round.  The returned head is what
     :func:`save_checkpoint` writes, together with ``table.pending``.
     """
     if next_round <= table.next_round:
@@ -539,7 +580,7 @@ def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
         next_round=int(next_round),
         method=history.method,
         dataset=history.dataset,
-        records=copy.deepcopy(history.records),
+        records=list(history.records),
         strategy_attrs=copy.deepcopy(strategy_attrs),
         rng=rng_state(core.context.rng),
         client_states={},
@@ -569,7 +610,9 @@ def capture_run(core, scheduler, history: TrainingHistory, next_round: int,
     head.client_states = {client_id: table.refs[client_id]
                           for client_id in ids}
     head.scheduler.update(
-        (name, [table.refs[_event_key(event)] for event in queued])
+        (name, [(SpilledEvent(event.finish_time, event.client_id,
+                              event.round_index),
+                 table.refs[_event_key(event)]) for event in queued])
         for name, queued in event_lists.items())
     head.segments = dict(table.segments)
     return head
@@ -592,16 +635,20 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     (:meth:`CheckpointManager.resumed`): when the manager's directory
     still holds what the capsule was loaded from, the manager copies the
     capsule's table, so its next save references the blobs already there
-    instead of rewriting them, and when the run spills it adopts the
-    states into the store *unread*: each is unpickled when the run first
-    reads it.  Every other
-    state is adopted as ``checkpoint.client_states`` hands it out — a
-    loaded capsule unpickles a fresh one on every read, a capsule built in
-    memory deep-copies its own — so the store owns it, nothing is copied
-    twice, and the same capsule restores again unchanged.  The state store
-    is left *clean* (it now equals the checkpoint).  Nothing restored points
-    back at ``checkpoint``, so it lives only as long as the caller's
-    reference: the round loop drops its own once this returns.
+    instead of rewriting them, and when the run spills it hands that table
+    back: the states are adopted into the store and the queued events
+    pushed into the scheduler's queue *unread*, each unpickled when the
+    run first reads the state or pops the event (the table is installed
+    as the loader of the queue ``scheduler.reset()`` made before
+    ``load_state_dict`` pushes the stubs into it).  Otherwise every state and
+    event is taken as the capsule hands it out — a loaded capsule unpickles
+    a fresh one on every read, a capsule built in memory deep-copies its
+    states — so the run owns it, nothing is copied twice, and the same
+    capsule restores again unchanged.  The FedBuff buffer is always read
+    here.  The state store is left *clean* (it now equals the checkpoint).
+    Nothing restored points back at ``checkpoint``, so it lives only as
+    long as the caller's reference: the round loop drops its own once this
+    returns.
     """
     if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointMismatch(
@@ -629,13 +676,20 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     states = checkpoint.client_states
     if not isinstance(states, _ClientStates):  # a capsule built in memory
         states = _ClientStates(states)
-    unread = manager.resumed(checkpoint, core) if manager is not None else ()
-    for client_id in states:
-        if client_id not in unread:
+    scheduler_state = dict(checkpoint.scheduler)
+    store = core.clients.state_store
+    table = manager.resumed(checkpoint, core) if manager is not None else None
+    if table is None:
+        for client_id in states:
             core.clients.update_state(client_id, states[client_id])
-    core.clients.state_store.take_dirty()
+    else:
+        store.adopt_spilled(states, table.load)
+        table.hold(store, scheduler.queue)
+        if "events" in scheduler_state:
+            scheduler_state["events"] = scheduler_state["events"].stubs
+    store.take_dirty()
     history.records = copy.deepcopy(checkpoint.records)
-    scheduler.load_state_dict(checkpoint.scheduler)
+    scheduler.load_state_dict(scheduler_state)
     return checkpoint.next_round
 
 
@@ -741,58 +795,48 @@ def _unpickle(blob, source: Path):
             f"{type(error).__name__}: {error}") from error
 
 
+def _blob_refs(head: RunCheckpoint) -> Dict[Hashable, BlobRef]:
+    """Every blob reference ``head`` holds, keyed as a running table keys
+    them: a state by its client id, an event by ``(round_index,
+    client_id)``."""
+    refs: Dict[Hashable, BlobRef] = {
+        client_id: entry for client_id, entry in head.client_states.items()
+        if isinstance(entry, BlobRef)}
+    for name in _EVENT_LISTS:
+        for entry in head.scheduler.get(name, ()):
+            if not isinstance(entry, ClientEvent):  # (stub, ref)
+                refs[_event_key(entry[0])] = entry[1]
+    return refs
+
+
 def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
     """Load one checkpoint (module docstring: trusted input).
 
     The trust root of every blob read: references resolve against the
-    head's own directory.  The head is verified before it is unpickled, and
-    then each referenced segment in turn: its bytes are read and checked
-    against the head's table, the references into it are range-checked, the
-    reference and SHA-256 of each blob it holds go into the capsule's
-    :class:`BlobTable` (a state keyed by its client id, a queued event by
-    ``(round_index, client_id)``, as the running table keys them), the
-    queued events it holds are unpickled — and its bytes are dropped before
-    the next segment is read.  The client states stay references behind a
-    read-only :class:`_ClientStates` over that table, which unpickles
-    fresh, re-verified states on each read, so the capsule holds no state
-    of its own.
+    head's own directory.  The head is verified before it is unpickled;
+    then every blob it references is read once, one at a time, and checked
+    against its reference's SHA-256 — so a corrupt, missing or replaced
+    segment fails the load, naming the file — and dropped.  Nothing else
+    is unpickled, and bytes no reference names are not read: the
+    references go into the capsule's :class:`BlobTable`, and the client
+    states and queued events stay references behind a read-only
+    :class:`_ClientStates` and :class:`_QueuedEvents` over it, which
+    unpickle fresh, re-verified states and events on each read, so the
+    capsule holds none of its own.
     """
     path = Path(path)
     head = read_head(path)
     table = BlobTable(path.parent)
     table.next_round = head.next_round
     table.segments = dict(head.segments)
-    scheduler = dict(head.scheduler)
-    # segment name -> (event list or None for a state, key, ref)
-    blobs: Dict[str, List[Tuple[Optional[list], Hashable, BlobRef]]] = {}
-    for client_id, entry in head.client_states.items():
-        if isinstance(entry, BlobRef):
-            blobs.setdefault(entry.segment, []).append(
-                (None, client_id, entry))
-    for name in _EVENT_LISTS:
-        if name in scheduler:
-            events = scheduler[name] = list(scheduler[name])
-            for index, entry in enumerate(events):
-                if isinstance(entry, BlobRef):
-                    blobs.setdefault(entry.segment, []).append(
-                        (events, index, entry))
-    for segment, members in blobs.items():
-        if segment not in head.segments:
+    table.refs = _blob_refs(head)
+    for ref in table.refs.values():
+        if ref.segment not in head.segments:
             raise CheckpointError(
-                f"reference into unlisted segment {segment!r}")
-        source = path.parent / segment
-        data = _read_segment(source, *head.segments[segment])
-        for events, key, ref in members:
-            blob = memoryview(data)[ref.offset:ref.offset + ref.length]
-            if ref.offset < 0 or len(blob) != ref.length:
-                raise CheckpointError(
-                    f"reference {ref} reaches outside its segment")
-            if events is not None:
-                events[key] = _unpickle(blob, source)
-                key = _event_key(events[key])
-            table.refs[key] = ref
-            table.digests[key] = hashlib.sha256(blob).hexdigest()
-        del data, blob
+                f"reference into unlisted segment {ref.segment!r}")
+        _read_blob(path.parent / ref.segment, ref, None)
+    scheduler = {name: _QueuedEvents(value, table) if name in _EVENT_LISTS
+                 else value for name, value in head.scheduler.items()}
     return dataclasses.replace(
         head, scheduler=scheduler, segments={},
         client_states=_ClientStates(head.client_states, table))
@@ -812,10 +856,12 @@ class CheckpointManager:
     is on disk, :class:`TrainingInterrupted` aborts the run — the CI
     resume-smoke job and the golden resume suite interrupt runs this way.
 
-    The manager records its last/total save wall-clock and bytes
-    (``last_save_seconds``, ``last_bytes`` — head plus segments written by
-    that save, ...) so a caller can read checkpoint cost without
-    instrumenting the trainer.
+    The manager records its last/total boundary wall-clock and save bytes
+    so a caller can read checkpoint cost without instrumenting the
+    trainer: ``last_save_seconds`` / ``total_save_seconds`` time a whole
+    boundary — :meth:`after_round`'s capture (pickling, staging, a
+    compaction's reads), save and spill, or :meth:`emergency`'s save — and
+    ``last_bytes`` is the head plus the segments the last save wrote.
     """
 
     def __init__(self, directory: Union[str, Path], *, every: int = 1,
@@ -870,17 +916,14 @@ class CheckpointManager:
                 and round_index >= self.stop_after_round)
 
     def save(self, checkpoint: RunCheckpoint) -> Path:
-        started = time.perf_counter()
         pending = self._table.pending
-        segment_bytes = sum(checkpoint.segments[name][0]
+        segment_bytes = sum(checkpoint.segments[name]
                             for name in checkpoint.segments if name in pending)
         path = save_checkpoint(self.path_for(checkpoint.next_round),
                                checkpoint, pending)
         pending.clear()
         if checkpoint is self._unsaved:
             self._unsaved = None
-        self.last_save_seconds = time.perf_counter() - started
-        self.total_save_seconds += self.last_save_seconds
         self.last_bytes = path.stat().st_size + segment_bytes
         self.saves += 1
         self._head_segments[path.name] = frozenset(checkpoint.segments)
@@ -902,18 +945,15 @@ class CheckpointManager:
         reads the state or pops the event.  Between saves, the states and
         events of the pending boundaries stay resident.
         """
+        started = time.perf_counter()
         self._unsaved = capture_run(core, scheduler, history,
                                     round_index + 1, self._table)
         if self.due(round_index):
             self.save(self._unsaved)
             if self.spills(core):
-                table = self._table
-                store = core.clients.state_store
-                store.spill(table.load)
-                table.holder = store
-                if scheduler.queue is not None:
-                    scheduler.queue.spill(table.load)
-                    table.queue = scheduler.queue
+                self._table.hold(core.clients.state_store, scheduler.queue)
+        self.last_save_seconds = time.perf_counter() - started
+        self.total_save_seconds += self.last_save_seconds
         if (self.stop_after_round is not None
                 and round_index >= self.stop_after_round):
             raise TrainingInterrupted(
@@ -931,7 +971,11 @@ class CheckpointManager:
         """
         if self._unsaved is None:
             return None
-        return self.save(self._unsaved)
+        started = time.perf_counter()
+        path = self.save(self._unsaved)
+        self.last_save_seconds = time.perf_counter() - started
+        self.total_save_seconds += self.last_save_seconds
+        return path
 
     @staticmethod
     def spills(core) -> bool:
@@ -945,7 +989,8 @@ class CheckpointManager:
         """
         return core.dataset.num_clients > core.config.fleet.shard_cache
 
-    def resumed(self, checkpoint: RunCheckpoint, core) -> Set[int]:
+    def resumed(self, checkpoint: RunCheckpoint, core
+                ) -> Optional[BlobTable]:
         """The run continues from ``checkpoint`` (called by ``restore_run``).
 
         When this manager's directory still holds what the capsule was
@@ -953,46 +998,39 @@ class CheckpointManager:
         head or to the directory, unless a later run there pruned or
         replaced it — the blobs it references are here: the table starts as
         a copy of the capsule's (its dicts copied, never shared, so one
-        capsule resumes any number of runs), the next save writes only what
-        changes, and — when ``core``'s run :meth:`spills` — every state
-        whose blob is on disk is adopted into the store unread.  Returns
-        the ids so adopted.
+        capsule resumes any number of runs) and the next save writes only
+        what changes.  Returns that table when ``core``'s run
+        :meth:`spills`, for ``restore_run`` to adopt every state and queued
+        event through it unread; else None.
         Otherwise the table stays empty, the first save is a full one, and
-        nothing is adopted here: ``restore_run`` reads every state through
-        the capsule, so a blob gone since the load raises
-        :class:`SegmentError` before anything is written.  The manager
-        keeps the copy, never the capsule.
+        ``restore_run`` reads every state and event through the capsule, so
+        a blob gone since the load raises :class:`SegmentError` before
+        anything is written.  The manager keeps the copy, never the
+        capsule.  A self-contained capsule references nothing to continue
+        from.
         """
-        states = checkpoint.client_states
-        loaded = states.table if isinstance(states, _ClientStates) else None
-        if loaded is None or not self._holds(loaded):
-            return set()
+        loaded = getattr(checkpoint.client_states, "table", None)
+        if loaded is None or not loaded.refs or not self._holds(loaded):
+            return None
         table = self._table
         table.reset()
         table.next_round = loaded.next_round
         table.refs = dict(loaded.refs)
-        table.digests = dict(loaded.digests)
         table.segments = dict(loaded.segments)
-        if not self.spills(core):
-            return set()
-        unread = {client_id for client_id in states
-                  if client_id in table.refs}
-        store = core.clients.state_store
-        store.adopt_spilled(unread, table.load)
-        table.holder = store
-        return unread
+        return table if self.spills(core) else None
 
     def _holds(self, loaded: BlobTable) -> bool:
         """Whether this directory still holds what ``loaded`` was read
-        from: its head, listing the same segments (names, lengths,
-        SHA-256s), each still its recorded length.  A later run here
-        removes that head when it replaces or prunes one of them, unless it
-        writes the same head again."""
+        from: its head, with the same references (SHA-256s included) and
+        segment lengths, each segment still its recorded length.  A later
+        run here removes that head when it replaces or prunes one of them,
+        unless it writes the same head again."""
         try:
             head = read_head(self.path_for(loaded.next_round))
-            return head.segments == loaded.segments and all(
-                (self.directory / name).stat().st_size == length
-                for name, (length, _) in loaded.segments.items())
+            return (head.segments == loaded.segments
+                    and _blob_refs(head) == loaded.refs
+                    and all((self.directory / name).stat().st_size == length
+                            for name, length in loaded.segments.items()))
         except (CheckpointError, FileNotFoundError):
             return False
 

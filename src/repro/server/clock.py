@@ -42,17 +42,20 @@ class ClientEvent:
 class SpilledEvent(NamedTuple):
     """What the queue holds in place of an event whose blob is on disk.
 
-    Its fields are the event's checkpoint key ``(round_index,
-    client_id)``, which is all the queue's loader needs to read the event
-    back (:meth:`EventQueue.spill`).
+    Its fields are the event's heap position ``(finish_time, client_id)``
+    and its round, so a checkpoint head stores it as the entry's stub and
+    a resume rebuilds the queue from it unread; the loader reads the event
+    back by its checkpoint key ``(round_index, client_id)``
+    (:meth:`EventQueue.spill`).
     """
 
-    round_index: int
+    finish_time: float
     client_id: int
+    round_index: int
 
 
-#: reads a spilled event back by its key (installed by the checkpoint layer)
-EventLoader = Callable[[SpilledEvent], ClientEvent]
+#: reads a spilled event back by its ``(round_index, client_id)`` key
+EventLoader = Callable[[Tuple[int, int]], ClientEvent]
 
 
 class EventQueue:
@@ -63,11 +66,12 @@ class EventQueue:
     fully deterministic.
 
     Each heap entry is ``(finish_time, client_id, entry)``, where ``entry``
-    is the event itself or, once the checkpoint layer has spilled it, a
-    :class:`SpilledEvent` stub that :meth:`pop` reads back through the
-    loader :meth:`spill` installed.  Only this module touches the heap
-    (``tools/invariants.py``: ``queue-entries-through-the-queue``), so a
-    stub never reaches code that expects an event.  :meth:`snapshot` is
+    is the event itself or, once the checkpoint layer has spilled it (or a
+    resume pushed it unread), a :class:`SpilledEvent` stub that
+    :meth:`pop` reads back through the loader :meth:`spill` installed.
+    Only this module touches the heap (``tools/invariants.py``:
+    ``queue-entries-through-the-queue``), so a stub never reaches code
+    that expects an event.  :meth:`snapshot` is
     the one exception: it returns stubs unread, because its caller, a
     checkpoint capture, already references their blobs.
     """
@@ -76,7 +80,7 @@ class EventQueue:
         self._heap: List[Tuple[float, int, Any]] = []
         self._loader: Optional[EventLoader] = None
 
-    def push(self, event: ClientEvent) -> None:
+    def push(self, event: Union[ClientEvent, SpilledEvent]) -> None:
         heapq.heappush(self._heap, (event.finish_time, event.client_id, event))
 
     def pop(self) -> ClientEvent:
@@ -88,7 +92,7 @@ class EventQueue:
             raise IndexError("pop from an empty event queue")
         entry = self._heap[0][2]
         if isinstance(entry, SpilledEvent):
-            entry = self._loader(entry)
+            entry = self._loader((entry.round_index, entry.client_id))
         heapq.heappop(self._heap)
         return entry
 
@@ -113,16 +117,15 @@ class EventQueue:
         self._loader = loader
         for index, (finish_time, client_id, entry) in enumerate(self._heap):
             if isinstance(entry, ClientEvent):
-                self._heap[index] = (finish_time, client_id,
-                                     SpilledEvent(entry.round_index,
-                                                  client_id))
+                self._heap[index] = (finish_time, client_id, SpilledEvent(
+                    finish_time, client_id, entry.round_index))
 
     def unspill(self) -> None:
         """Read every spilled event back (before its loader goes away)."""
         for index, (finish_time, client_id, entry) in enumerate(self._heap):
             if isinstance(entry, SpilledEvent):
-                self._heap[index] = (finish_time, client_id,
-                                     self._loader(entry))
+                self._heap[index] = (finish_time, client_id, self._loader(
+                    (entry.round_index, client_id)))
 
     def __len__(self) -> int:
         return len(self._heap)

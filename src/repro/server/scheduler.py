@@ -303,10 +303,14 @@ class _EventDrivenScheduler(Scheduler):
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state_dict`: fills the queue :meth:`reset`
+        made.  ``state["events"]`` may hold
+        :class:`~repro.server.clock.SpilledEvent` stubs — a resume that
+        rebuilds the queue unread — which the loader the checkpoint layer
+        installed on that queue first reads back on pop."""
         self._version = int(state["version"])
         self._clock = SimClock(state["clock_now"])
         self._in_flight = set(state["in_flight"])
-        self.queue = EventQueue()
         for event in state["events"]:
             self.queue.push(event)
 

@@ -108,6 +108,12 @@ class TrainingHistory:
     records: List[RoundRecord] = field(default_factory=list)
 
     def append(self, record: RoundRecord) -> None:
+        """Add the next round's record.
+
+        Records are append-only: nothing mutates a :class:`RoundRecord`
+        once it is appended, so a checkpoint capture lists
+        ``self.records`` instead of copying each record.
+        """
         if self.records and record.round_index <= self.records[-1].round_index:
             raise ValueError("round records must be appended in increasing order")
         self.records.append(record)

@@ -23,6 +23,7 @@ import gc
 import hashlib
 import json
 import pickle
+import re
 import time
 import tracemalloc
 import weakref
@@ -679,10 +680,14 @@ class TestSpilledStates:
         return {aggregation: _history_digest(self._trainer(aggregation).run())
                 for aggregation in ("sync", "fedasync", "fedbuff")}
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("backend,every", [
+        pytest.param(backend, every,
+                     id=backend if every == 1 else f"{backend}-every{every}")
+        for every in (1, 2) for backend in ("inline", "thread", "process")])
     @pytest.mark.parametrize("aggregation", ["sync", "fedasync", "fedbuff"])
     def test_spilled_and_resumed_histories_equal_the_plain_run(
-            self, aggregation, backend, references, tmp_path, monkeypatch):
+            self, aggregation, backend, every, references, tmp_path,
+            monkeypatch):
         loads = []
         real_load = BlobTable.load
 
@@ -698,9 +703,10 @@ class TestSpilledStates:
                 real_after_round(manager, core, scheduler, history,
                                  round_index)
             finally:
-                # every reference the table keeps has a digest to verify
-                table = manager._table
-                assert table.refs.keys() <= table.digests.keys()
+                # every reference the table keeps carries a digest to
+                # verify
+                assert all(re.fullmatch(r"[0-9a-f]{64}", ref.sha256)
+                           for ref in manager._table.refs.values())
 
         monkeypatch.setattr(CheckpointManager, "after_round", after_round)
         pool = {"inline": contextlib.nullcontext,
@@ -708,7 +714,8 @@ class TestSpilledStates:
                 "process": lambda: ProcessPoolExecutor(2)}[backend]
         with pool() as executor:
             whole = self._trainer(aggregation, executor)
-            spilled = whole.run(checkpoint_dir=tmp_path / "whole")
+            spilled = whole.run(checkpoint_dir=tmp_path / "whole",
+                                checkpoint_every=every)
             store = whole.clients.state_store
             # the run spilled, and read spilled states back — and popped
             # spilled events through the table
@@ -718,9 +725,11 @@ class TestSpilledStates:
                 == (aggregation != "sync")
             with pytest.raises(TrainingInterrupted):
                 self._trainer(aggregation, executor).run(
-                    checkpoint_dir=tmp_path / "resumed", stop_after_round=2)
+                    checkpoint_dir=tmp_path / "resumed", stop_after_round=2,
+                    checkpoint_every=every)
             resumed = self._trainer(aggregation, executor).run(
-                checkpoint_dir=tmp_path / "resumed", resume_from="auto")
+                checkpoint_dir=tmp_path / "resumed", resume_from="auto",
+                checkpoint_every=every)
         assert _history_digest(spilled) == references[aggregation]
         assert _history_digest(resumed) == references[aggregation]
 

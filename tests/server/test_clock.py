@@ -62,19 +62,42 @@ class TestEventQueue:
             queue.push(queued)
         loads = []
 
-        def loader(stub):
-            loads.append(stub)
-            return events[stub.client_id]
+        def loader(key):
+            loads.append(key)
+            return events[key[1]]
 
         queue.spill(loader)
-        assert queue.snapshot() == [SpilledEvent(3, 2), SpilledEvent(3, 4),
-                                    SpilledEvent(3, 1)]
+        # each stub is its event's heap position and round
+        assert queue.snapshot() == [SpilledEvent(1.0, 2, 3),
+                                    SpilledEvent(1.0, 4, 3),
+                                    SpilledEvent(3.0, 1, 3)]
         queue.push(event(0.5, 9))  # queued after the spill: resident
         assert queue.pop().client_id == 9 and loads == []
+        # the loader is handed the checkpoint key (round_index, client_id)
         assert queue.pop() is events[2] and loads == [(3, 2)]
         queue.unspill()
         assert queue.snapshot() == [events[4], events[1]]
         assert loads == [(3, 2), (3, 4), (3, 1)]
+
+    def test_a_queue_rebuilt_from_stubs_pops_in_order(self):
+        """What a resume that adopts a queue unread pushes: the stubs
+        alone order the heap, and each pop reads its event back."""
+        events = {cid: event(finish, cid, round_index=2)
+                  for finish, cid in [(2.0, 5), (1.0, 7), (2.0, 3)]}
+        queue = EventQueue()
+        for queued in events.values():
+            queue.push(SpilledEvent(queued.finish_time, queued.client_id,
+                                    queued.round_index))
+        loads = []
+
+        def loader(key):
+            loads.append(key)
+            return events[key[1]]
+
+        queue.spill(loader)
+        assert [queue.pop() for _ in events] \
+            == [events[7], events[3], events[5]]
+        assert loads == [(2, 7), (2, 3), (2, 5)]
 
     def test_a_failed_read_leaves_the_queue_as_it_was(self):
         queue = EventQueue()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import importlib.util
 import json
 import os
@@ -28,7 +29,7 @@ import pytest
 
 from repro import checkpoint as checkpoint_module
 from repro.baselines import build_strategy
-from repro.checkpoint import (CheckpointError, CheckpointManager,
+from repro.checkpoint import (BlobTable, CheckpointError, CheckpointManager,
                               CheckpointMismatch, RunCheckpoint, SegmentError,
                               TrainingInterrupted, load_checkpoint,
                               read_head, resolve_resume, restore_run,
@@ -36,9 +37,10 @@ from repro.checkpoint import (CheckpointError, CheckpointManager,
 from repro.experiments import preset_for, run_method, scaled
 from repro.experiments.presets import build_experiment
 from repro.federated import FederatedTrainer, FleetConfig
-from repro.federated.fleet import _SPILLED
+from repro.federated.fleet import _SPILLED, FleetStateStore
 from repro.parallel import ThreadPoolExecutor
-from repro.server.clock import SpilledEvent
+from repro.server import scheduler as scheduler_module
+from repro.server.clock import EventQueue, SpilledEvent
 from repro.server.scheduler import build_scheduler
 from repro.systems.metrics import TrainingHistory
 
@@ -201,7 +203,7 @@ class TestDigestRefusal:
         checkpoint.version = 1
         save_checkpoint(manager.path_for(checkpoint.next_round), checkpoint)
         with pytest.raises(CheckpointMismatch,
-                           match="checkpoint version 1 != supported 3"):
+                           match="checkpoint version 1 != supported 4"):
             run_method("fedavg", golden.golden_preset("ideal"),
                        checkpoint_dir=directory, resume=True)
 
@@ -460,6 +462,18 @@ class TestCapsuleReuse:
                 for client_id, state in copied.client_states.items()} \
             == {client_id: pickle.dumps(state)
                 for client_id, state in capsule.client_states.items()}
+        # the queued events and the FedBuff buffer materialize too
+        for name in ("events", "buffer"):
+            if name in capsule.scheduler:
+                assert type(copied.scheduler[name]) is list
+                assert [pickle.dumps(event)
+                        for event in copied.scheduler[name]] \
+                    == [pickle.dumps(event)
+                        for event in capsule.scheduler[name]]
+                assert all(type(event).__name__ == "ClientEvent"
+                           for event in copied.scheduler[name])
+        assert bool(copied.scheduler.get("events")) \
+            == (capsule.scheduler["name"] == "fedbuff")
 
     @pytest.mark.parametrize("fate", ["pruned", "overwritten"])
     def test_a_segment_gone_since_the_load_is_named(self, interrupted, fate):
@@ -692,12 +706,18 @@ class TestResumeByPathFromTheRunsOwnDirectory:
                        "directory": directory}[form]
         adopted, carried = [], []
         real_resumed = CheckpointManager.resumed
+        real_adopt_spilled = FleetStateStore.adopt_spilled
         real_after_round = CheckpointManager.after_round
 
         def resumed(manager, checkpoint, core):
-            unread = real_resumed(manager, checkpoint, core)
-            adopted.append((set(unread), set(checkpoint.client_states)))
-            return unread
+            table = real_resumed(manager, checkpoint, core)
+            assert table is manager._table
+            adopted.append(set(checkpoint.client_states))
+            return table
+
+        def adopt_spilled(store, client_ids, loader):
+            adopted.append(set(client_ids))
+            real_adopt_spilled(store, client_ids, loader)
 
         def after_round(manager, core, scheduler, history, round_index):
             real_after_round(manager, core, scheduler, history, round_index)
@@ -706,11 +726,12 @@ class TestResumeByPathFromTheRunsOwnDirectory:
                 carried.append(set(head.segments) & written)
 
         monkeypatch.setattr(CheckpointManager, "resumed", resumed)
+        monkeypatch.setattr(FleetStateStore, "adopt_spilled", adopt_spilled)
         monkeypatch.setattr(CheckpointManager, "after_round", after_round)
         resumed_run = spill_trainer().run(checkpoint_dir=directory,
                                           resume_from=resume_from)
         assert history_json(resumed_run) == reference
-        [(unread, saved)] = adopted
+        [saved, unread] = adopted
         assert saved and unread == saved
         # the first save references segments written before the resume
         assert carried[0]
@@ -809,13 +830,12 @@ class TestACorruptBlobMetByACompaction:
                 data = bytearray(path.read_bytes())
                 data[ref.offset + ref.length // 2] ^= 0xFF
                 path.write_bytes(data)
-            before = (dict(table.refs), dict(table.digests),
-                      dict(table.segments))
+            before = (dict(table.refs), dict(table.segments))
             try:
                 real(manager, core, scheduler, history, round_index)
             except SegmentError as error:
                 met.append((str(error), originals, before,
-                            (table.refs, table.digests, table.segments)))
+                            (table.refs, table.segments)))
                 raise
             # no compaction at this boundary: undo the corruption
             for path, data in originals.items():
@@ -865,7 +885,8 @@ class TestSpilledEventsOnDisk:
         queued = queue.snapshot()
         assert queued and spilled_events(queue) == queued
         head = read_head(manager.checkpoint_paths()[-1])
-        ref = head.scheduler["events"][0]  # the first to pop
+        stub, ref = head.scheduler["events"][0]  # the first to pop
+        assert stub == queued[0]
         segment = tmp_path / ref.segment
         if fate == "flipped":
             data = bytearray(segment.read_bytes())
@@ -893,7 +914,8 @@ class TestSpilledEventsOnDisk:
 
         # ... out of a segment that has been pruned since
         gone = [entry for entry in queued
-                if refs[entry].segment != first_written(entry)
+                if refs[(entry.round_index, entry.client_id)].segment
+                != first_written(entry)
                 and not (tmp_path / first_written(entry)).exists()]
         assert gone
         latest = load_checkpoint(manager.checkpoint_paths()[-1])
@@ -927,6 +949,218 @@ class TestSpilledEventsOnDisk:
         assert spilled_events(queue) == [] and table.queue is None
         assert [pickle.dumps(queue.pop()) for _ in events] \
             == [pickle.dumps(event) for event in events[::-1]]
+
+
+def flip_byte(path, position):
+    data = bytearray(path.read_bytes())
+    data[position] ^= 0xFF
+    path.write_bytes(data)
+
+
+class TestOneDigestPerBlob:
+    """Each reference carries its blob's SHA-256, the head records only
+    segment lengths, and a load checks every referenced blob once and
+    unpickles nothing but the head; a resume into its own directory
+    rebuilds the queue from the head's stubs, unread."""
+
+    @pytest.fixture(params=["fedasync", "fedbuff"])
+    def spilled_resume(self, request, tmp_path):
+        """(aggregation, directory interrupted after round 3) of a fleet
+        whose checkpointed runs spill."""
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            spill_trainer(request.param).run(checkpoint_dir=directory,
+                                             stop_after_round=3)
+        return request.param, directory
+
+    def test_a_version_3_head_is_refused_naming_the_file(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            run_method("fedavg", golden.golden_preset("ideal"),
+                       checkpoint_dir=directory, stop_after_round=0)
+        head = CheckpointManager(directory).checkpoint_paths()[-1]
+        data = bytearray(head.read_bytes())
+        data[4:8] = (3).to_bytes(4, "little")  # the header's version field
+        head.write_bytes(data)
+        message = re.escape(f"{head}: checkpoint version 3 != supported 4")
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(head)
+        with pytest.raises(CheckpointError, match=message):
+            run_method("fedavg", golden.golden_preset("ideal"),
+                       checkpoint_dir=directory, resume=True)
+
+    def test_a_load_hashes_each_referenced_blob_once_and_unpickles_nothing(
+            self, spilled_resume, monkeypatch):
+        _, directory = spilled_resume
+        path = CheckpointManager(directory).checkpoint_paths()[-1]
+        head = read_head(path)
+        refs = [*head.client_states.values(),
+                *(ref for name in ("events", "buffer")
+                  for _, ref in head.scheduler.get(name, ()))]
+        assert refs and all(isinstance(ref, checkpoint_module.BlobRef)
+                            for ref in refs)
+        assert head.segments == {
+            name: (directory / name).stat().st_size
+            for name in {ref.segment for ref in refs}}
+        hashed, unpickled = [], []
+        real_sha256, real_unpickle = (hashlib.sha256,
+                                      checkpoint_module._unpickle)
+
+        def sha256(data=b""):
+            hashed.append(bytes(data))
+            return real_sha256(data)
+
+        def unpickle(blob, source):
+            unpickled.append(source)
+            return real_unpickle(blob, source)
+
+        monkeypatch.setattr(checkpoint_module.hashlib, "sha256", sha256)
+        monkeypatch.setattr(checkpoint_module, "_unpickle", unpickle)
+        capsule = load_checkpoint(path)
+        monkeypatch.undo()
+        # the head's payload once, then every referenced blob once
+        payload = path.read_bytes()[checkpoint_module._HEADER.size:]
+        blobs = []
+        for ref in refs:
+            with open(directory / ref.segment, "rb") as handle:
+                handle.seek(ref.offset)
+                blobs.append(handle.read(ref.length))
+        assert sorted(hashed) == sorted([payload, *blobs])
+        assert unpickled == [path]
+        assert [real_sha256(blob).hexdigest() for blob in blobs] \
+            == [ref.sha256 for ref in refs]
+        assert capsule.scheduler["events"].stubs \
+            == [stub for stub, _ in head.scheduler["events"]]
+
+    def test_a_stage_hashes_each_fresh_blob_once(self, tmp_path,
+                                                 monkeypatch):
+        blobs = {cid: pickle.dumps({"v": np.full(8, float(cid))})
+                 for cid in range(4)}
+        table, hashed = BlobTable(tmp_path), []
+        real_sha256 = hashlib.sha256
+
+        def sha256(data=b""):
+            hashed.append(bytes(data))
+            return real_sha256(data)
+
+        monkeypatch.setattr(checkpoint_module.hashlib, "sha256", sha256)
+        table.stage(1, blobs, {}, list(blobs))
+        assert sorted(hashed) == sorted(blobs.values())
+        assert table.segments == {
+            "blobs-000001.bin": sum(map(len, blobs.values()))}
+        # a compaction reads each kept blob back verified — one hash each
+        # — and rewrites it under the SHA-256 its reference carries
+        monkeypatch.setattr(checkpoint_module, "_GARBAGE_FACTOR", 1)
+        hashed.clear()
+        fresh = {0: pickle.dumps({"v": np.zeros(8)})}
+        table.stage(2, fresh, {}, list(blobs))
+        assert sorted(hashed) == sorted([fresh[0], blobs[1], blobs[2],
+                                         blobs[3]])
+        assert set(table.segments) == {"blobs-000002.bin"}
+        assert {cid: table.read(cid) for cid in blobs} == {**blobs, **fresh}
+
+    def test_a_resume_in_its_own_directory_pops_each_event_from_its_blob(
+            self, spilled_resume, monkeypatch):
+        aggregation, directory = spilled_resume
+        reference = history_json(spill_trainer(aggregation).run())
+        head = read_head(CheckpointManager(directory).checkpoint_paths()[-1])
+        loads, restored, popped = [], [], []
+        real_load, real_pop = BlobTable.load, EventQueue.pop
+        real_restore = scheduler_module.restore_run
+
+        def load(table, key):
+            loads.append((table, key))
+            return real_load(table, key)
+
+        def restore_run(core, scheduler, checkpoint, history, manager):
+            start = real_restore(core, scheduler, checkpoint, history,
+                                 manager)
+            restored.append((manager, scheduler.queue.snapshot(),
+                             [key for _, key in loads
+                              if isinstance(key, tuple)]))
+            return start
+
+        def pop(queue):
+            entry = queue._heap[0][2]
+            before = len(loads)
+            event = real_pop(queue)
+            if isinstance(entry, SpilledEvent):
+                [(table, key)] = loads[before:]
+                popped.append((table, key, entry))
+            return event
+
+        monkeypatch.setattr(BlobTable, "load", load)
+        monkeypatch.setattr(scheduler_module, "restore_run", restore_run)
+        monkeypatch.setattr(EventQueue, "pop", pop)
+        resumed = spill_trainer(aggregation).run(checkpoint_dir=directory,
+                                                 resume_from="auto")
+        assert history_json(resumed) == reference
+        [(manager, queued, read_at_restore)] = restored
+        # the queue was rebuilt from the head's stubs, none of them read;
+        # only the FedBuff buffer was
+        assert queued and queued == [stub for stub, _
+                                     in head.scheduler["events"]]
+        assert read_at_restore == [(stub.round_index, stub.client_id)
+                                   for stub, _
+                                   in head.scheduler.get("buffer", ())]
+        # each stub popped was read then, through the run's own table —
+        # the resumed queue's among them (a fedbuff run ends with some
+        # still queued)
+        assert {entry for _, _, entry in popped} & set(queued)
+        for table, key, entry in popped:
+            assert table is manager._table
+            assert key == (entry.round_index, entry.client_id)
+
+    def test_a_flipped_byte_in_a_queued_events_blob_fails_the_load(
+            self, spilled_resume, monkeypatch):
+        aggregation, directory = spilled_resume
+        path = CheckpointManager(directory).checkpoint_paths()[-1]
+        stub, ref = read_head(path).scheduler["events"][-1]
+        segment = directory / ref.segment
+        flip_byte(segment, ref.offset + ref.length // 2)
+        unpickled = []
+        real_unpickle = checkpoint_module._unpickle
+
+        def unpickle(blob, source):
+            unpickled.append(source)
+            return real_unpickle(blob, source)
+
+        monkeypatch.setattr(checkpoint_module, "_unpickle", unpickle)
+        with pytest.raises(SegmentError, match=re.escape(str(segment))):
+            load_checkpoint(path)
+        assert unpickled == [path]
+        before = {entry.name: entry.read_bytes()
+                  for entry in directory.iterdir()}
+        with pytest.raises(SegmentError, match=re.escape(str(segment))):
+            spill_trainer(aggregation).run(checkpoint_dir=directory,
+                                           resume_from="auto")
+        assert {entry.name: entry.read_bytes()
+                for entry in directory.iterdir()} == before
+
+    def test_a_flipped_byte_in_a_dead_region_still_resumes(self, tmp_path):
+        """Bytes no reference names are never unpickled, so they are not
+        checked: the trust scope is the referenced blobs."""
+        preset = lambda: async_preset("sync")
+        reference = history_json(run_method("fedlps", preset()))
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            run_method("fedlps", preset(), checkpoint_dir=directory,
+                       stop_after_round=4)
+        head = read_head(CheckpointManager(directory).checkpoint_paths()[-1])
+        live = {}
+        for ref in head.client_states.values():
+            live.setdefault(ref.segment, set()).update(
+                range(ref.offset, ref.offset + ref.length))
+        dead = [(name, position)
+                for name, length in sorted(head.segments.items())
+                for position in range(length)
+                if position not in live[name]]
+        assert dead  # superseded blobs, not compacted yet
+        name, position = dead[len(dead) // 2]
+        flip_byte(directory / name, position)
+        resumed = run_method("fedlps", preset(), checkpoint_dir=directory,
+                             resume=True)
+        assert history_json(resumed) == reference
 
 
 class TestBoundaryOverheads:

@@ -39,6 +39,7 @@ from repro.experiments import preset_for, run_method, scaled
 from repro.experiments.presets import build_experiment
 from repro.federated import FederatedTrainer
 from repro.parallel import ProcessPoolExecutor
+from repro.server.clock import SpilledEvent
 from repro.server.core import ServerCore
 
 
@@ -248,9 +249,16 @@ class TestEquivalenceWithFullCapture:
             head = read_head(manager.path_for(round_index + 1))
             entries = (head.scheduler["events"]
                        + head.scheduler.get("buffer", []))
-            assert all(isinstance(entry, BlobRef) for entry in entries)
+            events = (oracle.scheduler["events"]
+                      + oracle.scheduler.get("buffer", []))
+            # each entry pairs the event's stub — heap position and round
+            # — with the reference of its blob
+            assert [stub for stub, _ in entries] == [
+                SpilledEvent(event.finish_time, event.client_id,
+                             event.round_index) for event in events]
+            assert all(isinstance(ref, BlobRef) for _, ref in entries)
             own = f"blobs-{round_index + 1:06d}.bin"
-            carried.append(sum(entry.segment != own for entry in entries))
+            carried.append(sum(ref.segment != own for _, ref in entries))
 
         at_every_boundary(check)
         preset = lambda: small_preset(aggregation, "flaky", num_clients=24,

@@ -44,12 +44,12 @@ MUTATIONS = {
     "no-deep-copied-restored-states": (
         "src/repro/checkpoint.py", None,
         "copy.deepcopy(checkpoint.client_states)"),
-    "_read_segment-callers": (
-        "src/repro/checkpoint.py", None,
-        "def reread(path, record): return _read_segment(path, *record)"),
     "_read_blob-callers": (
         "src/repro/checkpoint.py", None,
-        "def compact(path, ref, sha): return _read_blob(path, ref, sha, None)"),
+        "def compact(path, ref): return _read_blob(path, ref, None)"),
+    "_unpickle-callers": (
+        "src/repro/checkpoint.py", None,
+        "def materialize(blob, path): return _unpickle(blob, path)"),
     "one-remember_accuracy-call": (
         "src/repro/federated/fleet.py", None, "store.remember_accuracy(0, 1.0)"),
     "remember_accuracy-called-in-server-core": (

@@ -367,14 +367,18 @@ RULES: dict[str, Rule] = {
     # loaded capsule unpickles on every read, never a deep copy of them.
     "no-deep-copied-restored-states": Absent(
         r"deepcopy\(.*client_states", ("src",)),
-    # One verified reader per checkpoint blob: load_checkpoint verifies
-    # whole segments (the trust root) and records every blob's reference
-    # and digest in the capsule's BlobTable; every later read of a blob (a
-    # capsule's state, a spilled entry, a compaction) is BlobTable.read.
-    "_read_segment-callers": Callers(
-        "_read_segment", ("src",), (f"{CHECKPOINT}:load_checkpoint",)),
+    # One verifier per checkpoint blob: every blob is checked against the
+    # SHA-256 its reference carries by _read_blob, whether load_checkpoint
+    # (the trust root) checks it in the segment it read once or a later
+    # read (a capsule's state or event, a spilled entry, a compaction) goes
+    # through BlobTable.read; and only BlobTable.load and read_head
+    # unpickle, so a load unpickles nothing but the head.
     "_read_blob-callers": Callers(
-        "_read_blob", ("src",), (f"{CHECKPOINT}:read",)),
+        "_read_blob", ("src",),
+        (f"{CHECKPOINT}:read", f"{CHECKPOINT}:load_checkpoint")),
+    "_unpickle-callers": Callers(
+        "_unpickle", ("src",),
+        (f"{CHECKPOINT}:load", f"{CHECKPOINT}:read_head")),
     # One evaluation memo: evaluate_personalized is its only writer and only
     # FleetStateStore's write hooks drop an entry.
     "one-remember_accuracy-call": Count(
