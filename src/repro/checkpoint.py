@@ -45,11 +45,11 @@ access does not); an event is frozen, keyed ``(round_index, client_id)``,
 and serialized when first seen in the queue.  The run digest is computed
 once per core, not per boundary.
 
-**What a run holds.**  Once a checkpointed run's fleet outgrows
-``fleet.shard_cache``, each committed save lets the state store go of every
-clean state outside the boundary's dirty set, and the scheduler's event
-queue of every queued event — their blobs are on disk.  The next read of
-such a state, or the pop of such an event, is a *cold read*:
+**What a run holds.**  Whatever the fleet size, each committed save of a
+checkpointed run lets the state store go of every clean state outside the
+boundary's dirty set, and the scheduler's event queue of every queued
+event — their blobs are on disk.  The next read of such a state, or the
+pop of such an event, is a *cold read*:
 :meth:`BlobTable.load` finds the blob through the table's references
 (which follow compaction), checks it against the SHA-256 its reference
 carries and unpickles a fresh object; a state stays resident until the
@@ -146,7 +146,7 @@ import numpy as np
 
 from .server.clock import ClientEvent, SpilledEvent
 from .systems.metrics import RoundRecord, TrainingHistory
-from .util import canonicalize, positive_int
+from .util import canonicalize, non_negative_int, positive_int
 
 #: the layout version every head's header carries (3: framed heads that
 #: reference blob segments; 4: a SHA-256 per blob reference, and queued
@@ -176,6 +176,9 @@ _EVENT_LISTS = ("events", "buffer")
 #: a save compacts once referenced segment bytes exceed this many times the
 #: live blob bytes
 _GARBAGE_FACTOR = 2
+
+#: heads a :class:`CheckpointManager` keeps on disk (the oldest are pruned)
+_KEEP_HEADS = 2
 
 
 class CheckpointError(RuntimeError):
@@ -635,16 +638,17 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     (:meth:`CheckpointManager.resumed`): when the manager's directory
     still holds what the capsule was loaded from, the manager copies the
     capsule's table, so its next save references the blobs already there
-    instead of rewriting them, and when the run spills it hands that table
-    back: the states are adopted into the store and the queued events
-    pushed into the scheduler's queue *unread*, each unpickled when the
-    run first reads the state or pops the event (the table is installed
-    as the loader of the queue ``scheduler.reset()`` made before
-    ``load_state_dict`` pushes the stubs into it).  Otherwise every state and
-    event is taken as the capsule hands it out — a loaded capsule unpickles
-    a fresh one on every read, a capsule built in memory deep-copies its
-    states — so the run owns it, nothing is copied twice, and the same
-    capsule restores again unchanged.  The FedBuff buffer is always read
+    instead of rewriting them, and hands that table back: the states are
+    adopted into the store and the queued events pushed into the
+    scheduler's queue *unread*, each unpickled when the run first reads
+    the state or pops the event (the table is installed as the loader of
+    the queue ``scheduler.reset()`` made before ``load_state_dict`` pushes
+    the stubs into it).  Otherwise (a capsule from another directory, one
+    built in memory, or no manager) every state and event is taken as the
+    capsule hands it out — a loaded capsule unpickles a fresh one on every
+    read, a capsule built in memory deep-copies its states — so the run
+    owns it, nothing is copied twice, and the same capsule restores again
+    unchanged.  The FedBuff buffer is always read
     here.  The state store is left *clean* (it now equals the checkpoint).
     Nothing restored points back at ``checkpoint``, so it lives only as
     long as the caller's reference: the round loop drops its own once this
@@ -678,7 +682,7 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
         states = _ClientStates(states)
     scheduler_state = dict(checkpoint.scheduler)
     store = core.clients.state_store
-    table = manager.resumed(checkpoint, core) if manager is not None else None
+    table = manager.resumed(checkpoint) if manager is not None else None
     if table is None:
         for client_id in states:
             core.clients.update_state(client_id, states[client_id])
@@ -845,16 +849,17 @@ def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
 class CheckpointManager:
     """Round-boundary checkpointing into one directory.
 
-    ``every`` selects which round boundaries persist (1 = every round);
-    ``keep`` bounds the *heads* on disk (oldest pruned after a successful
-    write, so at least one complete checkpoint always survives a crash
-    mid-save thanks to the atomic rename) — and with them every segment a
-    kept head or the running table references, nothing else.  Heads beyond
-    the boundary just saved (a directory reused without resume) are not
-    "newest": they are removed, never the head just written.  ``stop_after_round`` turns the
-    manager into a deterministic preemption: once that round's checkpoint
-    is on disk, :class:`TrainingInterrupted` aborts the run — the CI
-    resume-smoke job and the golden resume suite interrupt runs this way.
+    ``every`` selects which round boundaries persist (1 = every round).
+    The directory keeps the ``_KEEP_HEADS`` newest *heads* (oldest pruned
+    after a successful write, so at least one complete checkpoint always
+    survives a crash mid-save thanks to the atomic rename) — and with them
+    every segment a kept head or the running table references, nothing
+    else.  Heads beyond the boundary just saved (a directory reused without
+    resume) are not "newest": they are removed, never the head just
+    written.  ``stop_after_round`` turns the manager into a deterministic
+    preemption: once that round's checkpoint is on disk,
+    :class:`TrainingInterrupted` aborts the run — the CI resume-smoke job
+    and the golden resume suite interrupt runs this way.
 
     The manager records its last/total boundary wall-clock and save bytes
     so a caller can read checkpoint cost without instrumenting the
@@ -865,12 +870,11 @@ class CheckpointManager:
     """
 
     def __init__(self, directory: Union[str, Path], *, every: int = 1,
-                 keep: int = 2, stop_after_round: Optional[int] = None
-                 ) -> None:
+                 stop_after_round: Optional[int] = None) -> None:
         self.directory = Path(directory)
         self.every = positive_int(every, "every")
-        self.keep = positive_int(keep, "keep")
-        self.stop_after_round = stop_after_round
+        self.stop_after_round = non_negative_int(
+            stop_after_round, "stop_after_round", optional=True)
         self.last_save_seconds = 0.0
         self.last_bytes = 0
         self.total_save_seconds = 0.0
@@ -910,8 +914,10 @@ class CheckpointManager:
     # ------------------------------------------------------------------- api
     def due(self, round_index: int) -> bool:
         """Whether the boundary after ``round_index`` should persist."""
-        if (round_index + 1) % self.every == 0:
-            return True
+        return (round_index + 1) % self.every == 0 or self._stops(round_index)
+
+    def _stops(self, round_index: int) -> bool:
+        """Whether the run is interrupted after ``round_index``."""
         return (self.stop_after_round is not None
                 and round_index >= self.stop_after_round)
 
@@ -938,24 +944,22 @@ class CheckpointManager:
         pickled into a pending segment, no disk) so :meth:`emergency`
         always has the most recent boundary to persist even when
         ``every > 1`` skips the save.  Once a save has committed — every
-        blob the table references is then on disk — a run that spills
-        (:meth:`spills`) lets the state store go of every state outside
-        the boundary's dirty set and the event queue of every queued
-        event, and :meth:`BlobTable.load` reads one back when the run next
-        reads the state or pops the event.  Between saves, the states and
-        events of the pending boundaries stay resident.
+        blob the table references is then on disk — the state store lets
+        go of every state outside the boundary's dirty set and the event
+        queue of every queued event, whatever the fleet size, and
+        :meth:`BlobTable.load` reads one back when the run next reads the
+        state or pops the event.  Between saves, the states and events of
+        the pending boundaries stay resident.
         """
         started = time.perf_counter()
         self._unsaved = capture_run(core, scheduler, history,
                                     round_index + 1, self._table)
         if self.due(round_index):
             self.save(self._unsaved)
-            if self.spills(core):
-                self._table.hold(core.clients.state_store, scheduler.queue)
+            self._table.hold(core.clients.state_store, scheduler.queue)
         self.last_save_seconds = time.perf_counter() - started
         self.total_save_seconds += self.last_save_seconds
-        if (self.stop_after_round is not None
-                and round_index >= self.stop_after_round):
+        if self._stops(round_index):
             raise TrainingInterrupted(
                 f"training stopped after round {round_index} "
                 f"(checkpoint for round {round_index + 1} saved in "
@@ -977,20 +981,7 @@ class CheckpointManager:
         self.total_save_seconds += self.last_save_seconds
         return path
 
-    @staticmethod
-    def spills(core) -> bool:
-        """Whether ``core``'s run keeps its clean states and its queued
-        events in their segments.
-
-        Only once the fleet outgrows ``fleet.shard_cache`` — the regime in
-        which a training chunk stops pinning its shards too: a client is
-        then rarely read again soon, so a cold read is cheaper than the
-        memory.  A fleet that fits the cache keeps every state resident.
-        """
-        return core.dataset.num_clients > core.config.fleet.shard_cache
-
-    def resumed(self, checkpoint: RunCheckpoint, core
-                ) -> Optional[BlobTable]:
+    def resumed(self, checkpoint: RunCheckpoint) -> Optional[BlobTable]:
         """The run continues from ``checkpoint`` (called by ``restore_run``).
 
         When this manager's directory still holds what the capsule was
@@ -998,14 +989,13 @@ class CheckpointManager:
         head or to the directory, unless a later run there pruned or
         replaced it — the blobs it references are here: the table starts as
         a copy of the capsule's (its dicts copied, never shared, so one
-        capsule resumes any number of runs) and the next save writes only
-        what changes.  Returns that table when ``core``'s run
-        :meth:`spills`, for ``restore_run`` to adopt every state and queued
-        event through it unread; else None.
-        Otherwise the table stays empty, the first save is a full one, and
-        ``restore_run`` reads every state and event through the capsule, so
-        a blob gone since the load raises :class:`SegmentError` before
-        anything is written.  The manager keeps the copy, never the
+        capsule resumes any number of runs), the next save writes only what
+        changes, and the table is returned for ``restore_run`` to adopt
+        every state and queued event through it unread.  Otherwise it
+        returns None: the table stays empty, the first save is a full one,
+        and ``restore_run`` reads every state and event through the
+        capsule, so a blob gone since the load raises :class:`SegmentError`
+        before anything is written.  The manager keeps the copy, never the
         capsule.  A self-contained capsule references nothing to continue
         from.
         """
@@ -1017,7 +1007,7 @@ class CheckpointManager:
         table.next_round = loaded.next_round
         table.refs = dict(loaded.refs)
         table.segments = dict(loaded.segments)
-        return table if self.spills(core) else None
+        return table
 
     def _holds(self, loaded: BlobTable) -> bool:
         """Whether this directory still holds what ``loaded`` was read
@@ -1040,7 +1030,7 @@ class CheckpointManager:
         return load_checkpoint(paths[-1]) if paths else None
 
     def _prune(self, saved_round: int) -> None:
-        """Drop every head but the ``keep`` newest up to ``saved_round``
+        """Drop every head but the ``_KEEP_HEADS`` newest up to ``saved_round``
         (the boundary just saved), then every segment that neither a kept
         head nor the live table references (superseded ones and orphans).
         The ``.tmp`` files of a crashed save go first: every save of this
@@ -1056,7 +1046,7 @@ class CheckpointManager:
                 _unlink(entry)
         heads = self._heads()
         kept = [path for next_round, path in heads
-                if next_round <= saved_round][-self.keep:]
+                if next_round <= saved_round][-_KEEP_HEADS:]
         for _, stale in heads:
             if stale not in kept:
                 self._head_segments.pop(stale.name, None)

@@ -37,23 +37,9 @@ class FleetConfig:
     round, a 64-client sweep, 20 fedlps rounds: 556 shard builds instead
     of 250, at about 0.3 ms each; 512 clients: 633 instead of 458).
 
-    The same switch governs client states in a checkpointed run: once the
-    fleet outgrows ``shard_cache``, every committed save lets the state
-    store go of each clean state outside that boundary's dirty set (its
-    blob is on disk), a resume adopts the saved states unread, and a state
-    the run reads again is re-read from its segment and verified — a cold
-    read.  Resident states then track the working set, not every client
-    ever trained.  Just above the cache the cold reads cost little: the
-    run above with a save every round made 308 of them (67 ms of an
-    8.5 s run) at 257 clients and 225 (51–68 ms of 8.5–10 s) at 512,
-    while resident states fell from 246 to 32 and from 375 to 32.  The
-    event-driven schedulers' queued events follow the states: each
-    committed save lets the queue go of every queued event, and a pop reads
-    its event back (about 140 µs for a 39 KB mnist event: read, SHA-256,
-    unpickle), so the queue's backlog no longer grows resident memory
-    round by round.  The FedBuff buffer, under ``buffer_size`` events,
-    stays resident.  A run without a checkpoint directory, or one whose
-    fleet fits the cache, keeps every state and event resident.
+    ``shard_cache`` does not shape what a checkpointed run keeps of its
+    client states and queued events: every committed save spills both,
+    whatever the fleet size (:mod:`repro.checkpoint`, "What a run holds").
 
     ``eval_clients`` caps the personalized-evaluation sweep, which is
     otherwise O(num_clients) per evaluated round for a method that tests

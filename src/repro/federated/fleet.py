@@ -16,9 +16,9 @@ view every federation — virtual or hand-built — is served through:
   initialize a client's state through their ``init_client_state`` hook the
   first time the client is materialized (pure per client, so the order in
   which clients first appear cannot change a result).  In a checkpointed
-  run whose fleet outgrows ``FleetConfig.shard_cache`` a clean entry keeps
-  no state in memory: it is read back from its checkpoint segment when
-  next read (:meth:`FleetStateStore.spill`).
+  run a clean entry keeps no state in memory after a committed save: it
+  is read back from its checkpoint segment when next read
+  (:meth:`FleetStateStore.spill`).
 
 ``fleet[cid]`` (participant access) builds a new :class:`Client` over the
 stored state and persists it; ``fleet.observer(cid)`` builds one whose

@@ -656,10 +656,11 @@ class TestStoreSpill:
 
 
 class TestSpilledStates:
-    """A checkpointed fleet larger than ``fleet.shard_cache`` keeps only its
-    working set of client states resident, and none of its queued events:
-    a clean state or a queued event lives in its verified segment and is
-    read back when the run next reads the state or pops the event."""
+    """A checkpointed fleet keeps only its working set of client states
+    resident, and none of its queued events, whatever its size against
+    ``fleet.shard_cache``: a clean state or a queued event lives in its
+    verified segment and is read back when the run next reads the state or
+    pops the event."""
 
     ROUNDS = 6
 
@@ -733,34 +734,57 @@ class TestSpilledStates:
         assert _history_digest(spilled) == references[aggregation]
         assert _history_digest(resumed) == references[aggregation]
 
-    @pytest.mark.parametrize("every", [1, 2])
+    @pytest.mark.parametrize("every,shard_cache", [
+        pytest.param(1, 8, id="1"), pytest.param(2, 8, id="2"),
+        # a fleet that fits the cache spills the same way
+        pytest.param(1, 40, id="fits-the-cache")])
     def test_after_a_save_only_the_boundarys_dirty_set_is_resident(
-            self, every, tmp_path, monkeypatch):
+            self, every, shard_cache, tmp_path, monkeypatch):
         real = CheckpointManager.after_round
-        seen = []
+        real_load = BlobTable.load
+        seen, loads = [], []
+        # the states the last committed save spilled, and ``loads`` then
+        spilled, mark = set(), 0
+
+        def load(table, key):
+            loads.append(key)
+            return real_load(table, key)
 
         def after_round(manager, core, scheduler, history, round_index):
+            nonlocal mark
             store = core.clients.state_store
             dirty = set(store._dirty)
-            before = set(_resident(store))
+            before = _resident(store)
+            # a spilled state came back only through the table
+            assert spilled & set(before) <= set(loads[mark:])
             queued = _resident_events(scheduler.queue)
             real(manager, core, scheduler, history, round_index)
-            resident = set(_resident(store))
+            resident = _resident(store)
             events = _resident_events(scheduler.queue)
             if manager.due(round_index):
-                assert resident <= dirty
+                # the working set stays resident, the very same objects
+                assert set(resident) == dirty
+                assert all(resident[cid] is before[cid] for cid in dirty)
                 # every queued event, this boundary's fresh ones too
                 assert events == []
+                spilled.clear()
+                spilled.update(set(store.ids()) - dirty)
+                mark = len(loads)
             else:  # the pending boundary's states and events stay resident
-                assert resident == before
+                assert set(resident) == set(before)
                 assert [id(event) for event in events] \
                     == [id(event) for event in queued]
             seen.append((len(store), len(resident), len(scheduler.queue),
                          len(queued)))
 
+        monkeypatch.setattr(BlobTable, "load", load)
         monkeypatch.setattr(CheckpointManager, "after_round", after_round)
-        trainer = self._trainer("fedbuff")
-        trainer.run(checkpoint_dir=tmp_path, checkpoint_every=every)
+        trainer = self._trainer("fedbuff", shard_cache=shard_cache)
+        history = trainer.run(checkpoint_dir=tmp_path,
+                              checkpoint_every=every)
+        assert _history_digest(history) == _history_digest(
+            self._trainer("fedbuff", shard_cache=shard_cache).run())
+        assert any(isinstance(key, int) for key in loads)
         assert len(seen) == self.ROUNDS
         assert seen[-1][1] < seen[-1][0]
         # the queue carried events across boundaries, resident until a save
@@ -801,28 +825,6 @@ class TestSpilledStates:
             == _history_digest(self._trainer("fedbuff").run())
         assert any(isinstance(key, tuple) for key in pending_reads)
         assert any(isinstance(key, int) for key in pending_reads)
-
-    def test_a_fleet_that_fits_the_cache_spills_nothing(self, tmp_path,
-                                                         monkeypatch):
-        real = CheckpointManager.after_round
-        previous = {}
-
-        def after_round(manager, core, scheduler, history, round_index):
-            working = set(core.clients.state_store._dirty)
-            real(manager, core, scheduler, history, round_index)
-            states = _resident(core.clients.state_store)
-            assert len(states) == len(core.clients.state_store)
-            for cid, state in previous.items():
-                if cid not in working:
-                    assert states[cid] is state
-            previous.clear()
-            previous.update(states)
-
-        monkeypatch.setattr(BlobTable, "load", None)  # never called
-        monkeypatch.setattr(CheckpointManager, "after_round", after_round)
-        trainer = self._trainer("fedbuff", shard_cache=40)
-        trainer.run(checkpoint_dir=tmp_path)
-        assert previous
 
 
 class TestFleetConfigValidation:

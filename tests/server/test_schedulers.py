@@ -303,3 +303,56 @@ class TestAsyncBeatsSyncOnSimTime:
         # the async server also finishes the whole run in less sim time:
         # stragglers no longer gate the round cadence
         assert fedasync.total_sim_time < sync.total_sim_time
+
+
+class TestAsyncBacklogPin:
+    """The uncapped dispatch's backlog, as the schedulers leave it today.
+
+    Every round dispatches a fresh cohort while fedasync consumes one
+    round's share of arrivals and fedbuff buffers them, so on a fleet much
+    larger than the cohort the queue and the staleness grow every round.
+    These are the exact values of the unmodified schedulers: a cap on the
+    clients in flight (FedBuff's concurrency, Nguyen et al. 2022,
+    https://arxiv.org/abs/2106.06639) will show up here as a deliberate
+    diff.
+    """
+
+    #: ``len(scheduler.queue)`` after each round's ``settle``, and each
+    #: round's ``staleness_mean``
+    PINS = {
+        "fedasync": (
+            [0, 2, 4, 5, 7, 8, 10, 13, 14, 14, 16, 16],
+            [3.0, 3.5, 5.5, 7.5, 8.5, 10.5, 10.5, 12.5, 11.5, 17.5, 17.5,
+             16.5]),
+        "fedbuff": (
+            [3, 9, 15, 20, 26, 28, 34, 41, 45, 48, 52, 56],
+            [0.5, 2.0, 2.5, 4.5, 4.5, 3.5, 7.0, 7.0, 12.5, 14.0, 12.0,
+             14.5]),
+    }
+
+    @pytest.mark.parametrize("aggregation", sorted(PINS))
+    def test_queue_length_and_staleness_per_round(self, aggregation,
+                                                  monkeypatch):
+        import repro.server.scheduler as scheduler_module
+
+        lengths = []
+        real_settle = scheduler_module._EventDrivenScheduler.settle
+
+        def settle(scheduler, core, round_index, updates, costs, history):
+            settled = real_settle(scheduler, core, round_index, updates,
+                                  costs, history)
+            lengths.append(len(scheduler.queue))
+            return settled
+
+        monkeypatch.setattr(scheduler_module._EventDrivenScheduler, "settle",
+                            settle)
+        preset = scaled(preset_for("mnist"), num_clients=400,
+                        clients_per_round=8, num_rounds=12, eval_clients=4,
+                        local_iterations=1, examples_per_client=16,
+                        batch_size=8, scenario="flaky",
+                        aggregation=aggregation, seed=0)
+        history = run_method("fedlps", preset)
+        queue, staleness = self.PINS[aggregation]
+        assert lengths == queue
+        assert [record.staleness_mean for record in history.records] \
+            == staleness

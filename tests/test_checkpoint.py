@@ -41,6 +41,7 @@ from repro.federated.fleet import _SPILLED, FleetStateStore
 from repro.parallel import ThreadPoolExecutor
 from repro.server import scheduler as scheduler_module
 from repro.server.clock import EventQueue, SpilledEvent
+from repro.server.core import ServerCore
 from repro.server.scheduler import build_scheduler
 from repro.systems.metrics import TrainingHistory
 
@@ -215,8 +216,9 @@ class TestCheckpointManager:
                              strategy_attrs={}, rng={"bit_generator": "PCG64"},
                              client_states={}, scheduler={"name": "sync"})
 
-    def test_keep_prunes_oldest(self, tmp_path):
-        manager = CheckpointManager(tmp_path, keep=2)
+    def test_keep_prunes_oldest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(checkpoint_module, "_KEEP_HEADS", 2)
+        manager = CheckpointManager(tmp_path)
         for next_round in (1, 2, 3, 4):
             manager.save(self._dummy(next_round))
         names = [path.name for path in manager.checkpoint_paths()]
@@ -229,6 +231,22 @@ class TestCheckpointManager:
         manager = CheckpointManager(tmp_path, every=3, stop_after_round=4)
         # the interruption round always persists, aligned or not
         assert manager.due(4)
+
+    @pytest.mark.parametrize("value,error", [
+        (-1, ValueError), (1.5, TypeError), ("3", TypeError)])
+    def test_a_bad_stop_after_round_fails_before_any_round(
+            self, value, error, tmp_path, monkeypatch):
+        with pytest.raises(error, match="stop_after_round"):
+            CheckpointManager(tmp_path, stop_after_round=value)
+        selected = []
+        monkeypatch.setattr(ServerCore, "select_clients",
+                            lambda core, round_index: selected.append(
+                                round_index))
+        with pytest.raises(error, match="stop_after_round"):
+            run_method("fedavg", golden.golden_preset("ideal"),
+                       checkpoint_dir=tmp_path, stop_after_round=value)
+        assert selected == []
+        assert not any(tmp_path.iterdir())
 
     def test_save_is_atomic_and_ignores_tmp_litter(self, tmp_path):
         manager = CheckpointManager(tmp_path)
@@ -539,8 +557,9 @@ class TestTheLoadedCapsuleIsLetGo:
 
 
 def spill_trainer(aggregation="fedbuff"):
-    """40 clients, a shard cache of 8: a fleet whose checkpointed runs
-    keep clean client states in their segments."""
+    """40 clients, a shard cache of 8 (past the shard switch too); its
+    checkpointed runs keep clean client states in their segments, as
+    every checkpointed run does."""
     preset = scaled(preset_for("mnist"), num_clients=40, num_rounds=8,
                     clients_per_round=6, examples_per_client=16,
                     local_iterations=1, batch_size=8, seed=3,
@@ -691,7 +710,7 @@ class TestResumeByPathFromTheRunsOwnDirectory:
     """A resume by the path of a head, or of the directory, that is the
     run's own checkpoint directory continues from the loaded capsule's
     table, as ``"auto"`` does: the first save writes only what changed,
-    and a spilling run adopts the saved states unread."""
+    and the run adopts the saved states unread."""
 
     @pytest.mark.parametrize("form", ["head", "directory"])
     def test_a_resume_by_path_is_incremental(self, form, tmp_path,
@@ -709,8 +728,8 @@ class TestResumeByPathFromTheRunsOwnDirectory:
         real_adopt_spilled = FleetStateStore.adopt_spilled
         real_after_round = CheckpointManager.after_round
 
-        def resumed(manager, checkpoint, core):
-            table = real_resumed(manager, checkpoint, core)
+        def resumed(manager, checkpoint):
+            table = real_resumed(manager, checkpoint)
             assert table is manager._table
             adopted.append(set(checkpoint.client_states))
             return table
@@ -1227,4 +1246,4 @@ class TestBoundaryOverheads:
             while position < len(events) and events[position][0] == "unlink":
                 position, unlinked = position + 1, unlinked + 1
         assert position == len(events)
-        assert unlinked >= 4  # keep=2: every save from the third prunes
+        assert unlinked >= 4  # two heads kept: each save from the third prunes

@@ -104,13 +104,29 @@ def assert_blobs_share_nothing(blobs) -> None:
                 f"{label} and {owner[identity]} share a mutable object")
 
 
-def reference_capture(core, scheduler, history, next_round) -> RunCheckpoint:
+def reference_capture(core, scheduler, history, next_round,
+                      table) -> RunCheckpoint:
     """The full deep-copy capture this layout replaced, kept verbatim —
-    plus the one property of it the per-blob comparison cannot see."""
+    plus the one property of it the per-blob comparison cannot see.
+
+    A queued event spilled by an earlier save is read back through the
+    manager's ``table`` first, as the queue's pop would read it; each
+    event was compared live at the boundary that first queued it.
+    """
+
+    def state_dict():
+        state = scheduler.state_dict()
+        if "events" in state:  # the FedBuff buffer is never spilled
+            state["events"] = [
+                table.load((entry.round_index, entry.client_id))
+                if isinstance(entry, SpilledEvent) else entry
+                for entry in state["events"]]
+        return state
+
     states = core.clients.state_store.snapshot()
     assert_blobs_share_nothing(
         (f"state {client_id}", state) for client_id, state in states.items())
-    scheduler_state = scheduler.state_dict()
+    scheduler_state = state_dict()
     events = [(f"{name} {index}", event)
               for name in ("events", "buffer")
               for index, event in enumerate(scheduler_state.pop(name, ()))]
@@ -129,7 +145,7 @@ def reference_capture(core, scheduler, history, next_round) -> RunCheckpoint:
         rng=rng_state(core.context.rng),
         client_states=copy.deepcopy(core.clients.state_store.snapshot()),
         scheduler={"name": scheduler.name,
-                   **copy.deepcopy(scheduler.state_dict())},
+                   **copy.deepcopy(state_dict())},
     )
 
 
@@ -189,7 +205,8 @@ def at_every_boundary(monkeypatch):
         return real_evaluate(core)
 
     def after_round(self, core, scheduler, history, round_index):
-        oracle = reference_capture(core, scheduler, history, round_index + 1)
+        oracle = reference_capture(core, scheduler, history, round_index + 1,
+                                   self._table)
         boundary["store"] = core.clients.state_store
         boundary["states"] = {
             client_id: _canonical_pickle(state)
@@ -286,15 +303,6 @@ class TestEquivalenceWithFullCapture:
         assert oracle_checked == [0, 1, 2, 3, 4]
 
 
-def _force_keep(monkeypatch, keep):
-    """Every manager the run builds keeps ``keep`` heads (no CLI knob)."""
-    real_init = CheckpointManager.__init__
-    monkeypatch.setattr(
-        CheckpointManager, "__init__",
-        lambda self, directory, **kwargs: real_init(
-            self, directory, **{**kwargs, "keep": keep}))
-
-
 class _Killed(BaseException):
     """Not an ``Exception``: escapes the emergency guard like a SIGKILL."""
 
@@ -367,7 +375,7 @@ class TestLifecycle:
                                                      monkeypatch,
                                                      at_every_boundary):
         """(iv) every kept head stays loadable; nothing else stays."""
-        _force_keep(monkeypatch, keep)
+        monkeypatch.setattr(checkpoint_module, "_KEEP_HEADS", keep)
         seen = []
 
         def check(manager, round_index, oracle):
@@ -419,7 +427,7 @@ class TestLifecycle:
                                    at_every_boundary):
         """(vi) 6 clients re-touched for 40 rounds: segments on disk never
         exceed twice the live blobs, and compaction really ran."""
-        _force_keep(monkeypatch, 1)
+        monkeypatch.setattr(checkpoint_module, "_KEEP_HEADS", 1)
         written = []
 
         def check(manager, round_index, oracle):
@@ -473,7 +481,7 @@ class TestLifecycle:
         """A finished run's heads are a future the rerun rewrites: they go
         at its first save, its own newest heads stay loadable through
         every compaction, and it can be interrupted and resumed."""
-        _force_keep(monkeypatch, keep)
+        monkeypatch.setattr(checkpoint_module, "_KEEP_HEADS", keep)
         preset = lambda **extra: small_preset(
             num_clients=10, num_rounds=16, clients_per_round=3,
             local_iterations=1, **extra)
@@ -546,7 +554,7 @@ class TestCostTracksTheCohort:
     @pytest.fixture
     def save_sizes(self, monkeypatch):
         """``(last_bytes, live_bytes)`` of the manager after every save."""
-        _force_keep(monkeypatch, 1)
+        monkeypatch.setattr(checkpoint_module, "_KEEP_HEADS", 1)
         sizes = []
         real = CheckpointManager.save
 

@@ -50,6 +50,9 @@ MUTATIONS = {
     "_unpickle-callers": (
         "src/repro/checkpoint.py", None,
         "def materialize(blob, path): return _unpickle(blob, path)"),
+    "retired-resident-switch": (
+        "src/repro/checkpoint.py", None,
+        "def spi" "lls(core):\n    return False"),
     "one-remember_accuracy-call": (
         "src/repro/federated/fleet.py", None, "store.remember_accuracy(0, 1.0)"),
     "remember_accuracy-called-in-server-core": (

@@ -379,6 +379,12 @@ RULES: dict[str, Rule] = {
     "_unpickle-callers": Callers(
         "_unpickle", ("src",),
         (f"{CHECKPOINT}:load", f"{CHECKPOINT}:read_head")),
+    # One resident policy: every committed save of a checkpointed run
+    # spills its clean states and queued events, whatever the fleet size,
+    # so the manager's fleet-size switch stays gone (the store's and the
+    # queue's own spill() are the mechanism, not the switch).
+    "retired-resident-switch": Absent(
+        r"def spills\b|\.spills\(", ("src", "tests", "examples", "README.md")),
     # One evaluation memo: evaluate_personalized is its only writer and only
     # FleetStateStore's write hooks drop an entry.
     "one-remember_accuracy-call": Count(
