@@ -54,17 +54,15 @@ pop of such an event, is a *cold read*:
 (which follow compaction), checks it against the SHA-256 its reference
 carries and unpickles a fresh object; a state stays resident until the
 next save, an event is consumed.  The FedBuff buffer (fewer than
-``buffer_size`` events) stays resident.  A resume from the manager's own
-directory (``"auto"``, or a path to a head or to the directory there)
-that still holds what it was loaded from continues from a copy of the
-loaded capsule's table, so its first save writes only what changed, and
-adopts every saved state and queued event the same way, unread: the
-queue is rebuilt from the head's stubs and each pop reads through the
-table.  Elsewhere a resume holds one copy of every state and event: the
-loaded capsule keeps only the references, and each read re-reads and
-re-verifies one blob and unpickles a fresh object, which
-:func:`restore_run` adopts into the store or pushes into the queue as it
-is.  A boundary never holds its segment twice: the pending segment is its
+``buffer_size`` events) stays resident.  Every resume starts the same way,
+through a copy of the loaded capsule's table: it adopts every saved state
+unread, rebuilds the queue from the head's stubs (each pop reads through
+the table) and reads only the FedBuff buffer.  When the manager's
+directory still holds what the capsule was loaded from (``"auto"``, or a
+path to a head or to the directory there), the first save writes only
+what changed; otherwise it rewrites every live blob, read and verified
+from the capsule's directory, into the manager's first segment.  A
+boundary never holds its segment twice: the pending segment is its
 blobs, each hashed once as it is laid out and streamed to disk by the
 save, never one joined copy.
 
@@ -75,7 +73,7 @@ save, never one joined copy.
     events first queued since the previous boundary (or, after a
     compaction, of every live blob).  Written once, blob by blob (tmp,
     fsync, rename), never modified; it carries no header of its own.  A
-    loaded capsule's state or event, a spilled state or queued event and a
+    spilled state or queued event, the FedBuff buffer at a resume and a
     blob a compaction rewrites are read back from here, one verified blob
     at a time (:meth:`BlobTable.read`).
 ``checkpoint-<next_round>.pkl``
@@ -87,9 +85,8 @@ save, never one joined copy.
     :class:`~repro.server.clock.SpilledEvent` stub — its heap position
     ``(finish_time, client_id)`` and its round — with such a reference,
     and whose ``segments`` table records the length of every segment it
-    references.  A head that references nothing (what
-    ``save_checkpoint(path, materialized_capsule)`` writes) is a
-    self-contained checkpoint.
+    references.  This is the only form: a loaded capsule pickles back to
+    the head it was loaded from.
 
 A save writes the new segment *before* the head, and the head's atomic
 rename is the commit point: a crash in between leaves an orphan segment
@@ -102,12 +99,12 @@ rename, before the prune unlinks anything, so a crash cannot lose the new
 head after the heads and segments it replaces are gone.
 :func:`load_checkpoint` is the trust root: it verifies the head against
 its header, reads every blob it references once and checks it against
-its reference's SHA-256, unpickles nothing else, and returns a capsule
-whose client states and queued events stay references behind the
-:class:`BlobTable` it built — so a directory reused by another run (which
-replaces ``blobs-000001.bin`` under an old head) is refused, not resumed,
-and a segment pruned or replaced *after* the load makes the next read of
-one of its blobs raise :class:`SegmentError` naming the file.  Every blob
+its reference's SHA-256, unpickles nothing else, and returns the head
+with the :class:`BlobTable` it built — so a directory reused by another
+run (which replaces ``blobs-000001.bin`` under an old head) is refused,
+not resumed, and a segment pruned or replaced *after* the load makes the
+next read of one of its blobs raise :class:`SegmentError` naming the
+file (a resume from such a capsule fails before it writes).  Every blob
 a run unpickles is checked against its reference first — at the load,
 and again at every later read or compaction; bytes no reference names
 (the dead blobs of an uncompacted segment) are never unpickled, and never
@@ -128,23 +125,20 @@ you wrote.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
 import json
 import os
 import pickle
 import re
 import struct
-import time
 import weakref
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import (Any, Dict, Hashable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .server.clock import ClientEvent, SpilledEvent
+from .server.clock import SpilledEvent
 from .systems.metrics import RoundRecord, TrainingHistory
 from .util import canonicalize, non_negative_int, positive_int
 
@@ -170,7 +164,7 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _MAGIC = b"RPCK"
 _HEADER = struct.Struct("<4sIQ32s")
 
-#: the scheduler-state entries that are lists of ``ClientEvent``
+#: the scheduler-state entries that list queued events
 _EVENT_LISTS = ("events", "buffer")
 
 #: a save compacts once referenced segment bytes exceed this many times the
@@ -292,17 +286,18 @@ class BlobRef:
 
 @dataclass
 class RunCheckpoint:
-    """Everything needed to continue a run from a round boundary.
+    """Everything needed to continue a run from a round boundary: a head.
 
-    :func:`load_checkpoint` returns it *loaded*: ``client_states`` is a
-    read-only mapping and ``scheduler["events"]`` / ``["buffer"]`` are
-    read-only sequences over the head's :class:`BlobTable` that unpickle a
-    fresh state or event on every read (:class:`_ClientStates`,
-    :class:`_QueuedEvents`), and ``segments`` is empty.  What
-    :func:`capture_run` builds and a head file holds is the same capsule
-    with :class:`BlobRef` entries in their place — for an event, the pair
-    of its :class:`~repro.server.clock.SpilledEvent` stub and its
-    reference.
+    :func:`capture_run` builds it and a head file holds it, in one form:
+    ``client_states`` maps each participant to the :class:`BlobRef` of its
+    state, each ``scheduler["events"]`` / ``["buffer"]`` entry pairs a
+    queued event's :class:`~repro.server.clock.SpilledEvent` stub with the
+    reference of its blob, and ``segments`` records the length of every
+    segment those point into.  :func:`load_checkpoint` returns the head
+    with ``table`` set: the verified :class:`BlobTable` of its references,
+    which every read of a state or event goes through.  Pickling drops the
+    table, so ``save_checkpoint(path, load_checkpoint(path))`` rewrites
+    the head that was loaded.
     """
 
     version: int
@@ -316,12 +311,20 @@ class RunCheckpoint:
     strategy_attrs: Dict[str, Any]
     #: bit-generator state of the shared selection/strategy stream
     rng: Dict[str, Any]
-    #: sparse ``{client_id: state}`` — participants only
-    client_states: Mapping[int, Any]
+    #: sparse ``{client_id: BlobRef}`` — participants only
+    client_states: Dict[int, BlobRef]
     #: scheduler-specific state (name, aggregation version, clock, events)
     scheduler: Dict[str, Any] = field(default_factory=dict)
     #: ``{segment name: length}`` of every referenced segment
     segments: Dict[str, int] = field(default_factory=dict)
+    #: the verified references of a loaded head (never pickled)
+    table: Optional["BlobTable"] = field(default=None, compare=False,
+                                         repr=False)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("table", None)
+        return state
 
 
 def _event_key(event) -> Tuple[int, int]:
@@ -356,77 +359,6 @@ def _read_blob(path: Path, ref: BlobRef,
     return blob
 
 
-class _ClientStates(Mapping):
-    """The read-only ``{client_id: state}`` of a loaded capsule.
-
-    A view over the capsule's :class:`BlobTable`: it holds references, not
-    states, and every read hands back a fresh state its caller owns — for a
-    :class:`BlobRef`, what :meth:`BlobTable.load` reads: the blob re-read
-    (from the page cache), re-verified against its reference's SHA-256 and
-    unpickled; for a state stored in the head itself (a self-contained
-    checkpoint, or a capsule built in memory), a deep copy.  So
-    :func:`restore_run` adopts what it reads with no copy of its own, a
-    resumed run holds one copy of every state, and the capsule stays
-    reusable: a second restore from it reads untouched states.  A segment
-    pruned or overwritten since the load raises :class:`SegmentError`
-    naming the file.  Pickling materializes the mapping into a plain dict,
-    without the table.
-    """
-
-    def __init__(self, entries: Mapping[int, Any],
-                 table: Optional[BlobTable] = None) -> None:
-        self._entries = dict(entries)
-        #: the loaded head's table, or None for a capsule built in memory
-        self.table = table
-
-    def __getitem__(self, client_id: int):
-        entry = self._entries[client_id]
-        if isinstance(entry, BlobRef):
-            return self.table.load(client_id)
-        return copy.deepcopy(entry)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __reduce__(self):
-        return dict, (dict(self.items()),)
-
-
-class _QueuedEvents(Sequence):
-    """A read-only event list of a loaded capsule (``scheduler["events"]``
-    or ``["buffer"]``), a view over its :class:`BlobTable` as
-    :class:`_ClientStates` is.
-
-    Built from a head's entries, ``stubs`` holds each event's
-    :class:`~repro.server.clock.SpilledEvent` (or, in a self-contained
-    checkpoint, the event itself); every read of a stub hands back a fresh
-    event, re-read, re-verified and unpickled by :meth:`BlobTable.load`.
-    So a resume that adopts the capsule unread pushes the stubs, and any
-    other reads the events here, at restore.  Pickling materializes the
-    sequence into a plain list, without the table.
-    """
-
-    def __init__(self, entries: List[Any], table: BlobTable) -> None:
-        self.stubs = [entry if isinstance(entry, ClientEvent) else entry[0]
-                      for entry in entries]
-        self.table = table
-
-    def __getitem__(self, index: int):
-        entry = self.stubs[index]
-        if isinstance(entry, SpilledEvent):
-            return self.table.load(_event_key(entry))
-        return entry
-
-    def __len__(self) -> int:
-        return len(self.stubs)
-
-    def __reduce__(self):
-        return list, (list(self),)
-
-
 class BlobTable:
     """Which blob holds each live client state and queued event.
 
@@ -438,12 +370,12 @@ class BlobTable:
     ``{offset: blob}`` in segment order (more than one segment only while
     ``every > 1`` skips saves).  :func:`capture_run` stages each boundary's
     new blobs here; :func:`save_checkpoint` streams the pending segments to
-    disk.  A loaded capsule carries the table of its head, which
-    :meth:`CheckpointManager.resumed` copies to continue from it.
+    disk.  A loaded capsule carries the table of its head, which every
+    resume copies to continue from it (:meth:`continue_from`).
 
     Every blob read after the load goes through :meth:`read`, which
     verifies the one blob against its reference: a spilled entry's
-    (:meth:`load`), a loaded capsule's state or event and a blob a
+    (:meth:`load`), the FedBuff buffer's at a resume and a blob a
     compaction rewrites.  The table is also the loader of spilled entries:
     ``holder`` is the state store and ``queue`` the event queue that
     spilled against ``refs`` (:meth:`hold`), and :meth:`reset` has both
@@ -470,6 +402,25 @@ class BlobTable:
         self.pending: Dict[str, Dict[int, bytes]] = {}
         #: the boundary of the last capture (or of the head loaded)
         self.next_round = 0
+        #: where ``refs`` point until the next :meth:`stage` rewrites every
+        #: live blob into ``directory`` (:meth:`continue_from`), or None
+        self.origin: Optional[Path] = None
+
+    def continue_from(self, loaded: BlobTable,
+                      origin: Optional[Path] = None) -> BlobTable:
+        """Start over from a copy of ``loaded``'s references (its dicts
+        copied, never shared, so one capsule resumes any number of runs).
+
+        ``origin`` is the directory ``loaded`` was read from when this
+        table's directory does not hold it: reads go there until the next
+        :meth:`stage` compacts every live blob into this directory.
+        """
+        self.reset()
+        self.next_round = loaded.next_round
+        self.refs = dict(loaded.refs)
+        self.segments = dict(loaded.segments)
+        self.origin = origin
+        return self
 
     @property
     def live_bytes(self) -> int:
@@ -483,9 +434,10 @@ class BlobTable:
         ``live`` lists every key alive at the boundary; references to
         anything else are forgotten.  When that leaves the referenced
         segments holding more than ``_GARBAGE_FACTOR`` times the live
-        bytes, every live blob is rewritten into the new segment instead —
-        read back verified, keeping its SHA-256 — and the segments it
-        replaces lose their last reference and are pruned.
+        bytes, or while ``origin`` is set, every live blob is rewritten
+        into the new segment instead — read back verified, keeping its
+        SHA-256 — and the segments it replaces lose their last reference
+        and are pruned.
         """
         fresh = {key: (blob, hashlib.sha256(blob).hexdigest())
                  for key, blob in {**states, **events}.items()}
@@ -495,11 +447,13 @@ class BlobTable:
         held_bytes = fresh_bytes + sum(
             self.segments[name]
             for name in {ref.segment for ref in kept.values()})
-        if held_bytes > _GARBAGE_FACTOR * live_bytes:
+        if (self.origin is not None
+                or held_bytes > _GARBAGE_FACTOR * live_bytes):
             fresh = {key: fresh[key] if key in fresh
                      else (self.read(key), kept[key].sha256)
                      for key in live}
             kept = {}
+            self.origin = None
         name = f"blobs-{next_round:06d}.bin"
         # the segment is never joined: its blobs stay separate objects
         blobs: Dict[int, bytes] = {}
@@ -530,14 +484,14 @@ class BlobTable:
         :class:`SegmentError` naming the file.
         """
         ref = self.refs[key]
-        return _read_blob(self.directory / ref.segment, ref,
+        return _read_blob((self.origin or self.directory) / ref.segment, ref,
                           self.pending.get(ref.segment))
 
     def load(self, key: Hashable) -> Any:
         """A fresh copy of the state or event ``key`` names, unpickled
         from its verified blob (:meth:`read`)."""
-        return _unpickle(self.read(key),
-                         self.directory / self.refs[key].segment)
+        return _unpickle(self.read(key), (self.origin or self.directory)
+                         / self.refs[key].segment)
 
     def hold(self, store, queue) -> None:
         """Become the loader of ``store`` and ``queue`` (None for a
@@ -633,31 +587,35 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     belong to this run (different config/seed/strategy/dataset/model) or to
     this scheduler.
 
-    ``manager`` — the run's checkpointer, if it has one — is told first
-    which checkpoint the run continues from
-    (:meth:`CheckpointManager.resumed`): when the manager's directory
-    still holds what the capsule was loaded from, the manager copies the
-    capsule's table, so its next save references the blobs already there
-    instead of rewriting them, and hands that table back: the states are
-    adopted into the store and the queued events pushed into the
-    scheduler's queue *unread*, each unpickled when the run first reads
-    the state or pops the event (the table is installed as the loader of
-    the queue ``scheduler.reset()`` made before ``load_state_dict`` pushes
-    the stubs into it).  Otherwise (a capsule from another directory, one
-    built in memory, or no manager) every state and event is taken as the
-    capsule hands it out — a loaded capsule unpickles a fresh one on every
-    read, a capsule built in memory deep-copies its states — so the run
-    owns it, nothing is copied twice, and the same capsule restores again
-    unchanged.  The FedBuff buffer is always read
-    here.  The state store is left *clean* (it now equals the checkpoint).
-    Nothing restored points back at ``checkpoint``, so it lives only as
-    long as the caller's reference: the round loop drops its own once this
-    returns.
+    ``checkpoint`` is a head :func:`load_checkpoint` returned; one
+    without its table (built in memory, or unpickled) raises
+    :class:`CheckpointError`.  Its states are adopted into the store and
+    its queued events pushed into the scheduler's queue *unread*, through
+    a copy of its table: the one ``manager`` — the run's checkpointer, if
+    it has one — continues from (:meth:`CheckpointManager.resumed`), else
+    a copy of its own.  Each is unpickled when the run first reads the
+    state or pops the event (the table is installed as the loader of the
+    queue ``scheduler.reset()`` made before ``load_state_dict`` pushes
+    the stubs into it); only the FedBuff buffer is read here.  So the run
+    holds one copy of what it reads, and the same capsule restores again
+    unchanged.  Unless the manager's directory holds the capsule, the run
+    reads the capsule's segments after this returns: into another
+    directory until its first save, without a manager until it has read
+    every state and popped every event; one pruned or replaced meanwhile
+    fails that read with :class:`SegmentError`.  The state store is left
+    *clean* (it now equals the checkpoint).  Nothing restored points back
+    at ``checkpoint``, so it lives only as long as the caller's
+    reference: the round loop drops its own once this returns.
     """
     if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointMismatch(
             f"checkpoint version {checkpoint.version} != supported "
             f"{CHECKPOINT_VERSION}")
+    loaded = checkpoint.table
+    if loaded is None:
+        raise CheckpointError(
+            "restore_run needs a checkpoint load_checkpoint returned "
+            "(one built in memory or unpickled has no blob table)")
     digest = _digest_of(core)
     if checkpoint.digest != digest:
         raise CheckpointMismatch(
@@ -677,21 +635,20 @@ def restore_run(core, scheduler, checkpoint: RunCheckpoint,
     # the context is shared between core and strategy; swapping its rng
     # resumes the selection/strategy stream mid-sequence
     core.context.rng = restore_rng(checkpoint.rng)
-    states = checkpoint.client_states
-    if not isinstance(states, _ClientStates):  # a capsule built in memory
-        states = _ClientStates(states)
-    scheduler_state = dict(checkpoint.scheduler)
+    table = (manager.resumed(checkpoint) if manager is not None
+             else BlobTable(loaded.directory).continue_from(loaded))
     store = core.clients.state_store
-    table = manager.resumed(checkpoint) if manager is not None else None
-    if table is None:
-        for client_id in states:
-            core.clients.update_state(client_id, states[client_id])
-    else:
-        store.adopt_spilled(states, table.load)
-        table.hold(store, scheduler.queue)
-        if "events" in scheduler_state:
-            scheduler_state["events"] = scheduler_state["events"].stubs
+    store.adopt_spilled(checkpoint.client_states, table.load)
+    table.hold(store, scheduler.queue)
     store.take_dirty()
+    scheduler_state = dict(checkpoint.scheduler)
+    if "events" in scheduler_state:
+        scheduler_state["events"] = [
+            stub for stub, _ in scheduler_state["events"]]
+    if "buffer" in scheduler_state:
+        scheduler_state["buffer"] = [
+            table.load(_event_key(stub))
+            for stub, _ in scheduler_state["buffer"]]
     history.records = copy.deepcopy(checkpoint.records)
     scheduler.load_state_dict(scheduler_state)
     return checkpoint.next_round
@@ -738,8 +695,10 @@ def save_checkpoint(path: Union[str, Path], checkpoint: RunCheckpoint,
     (:attr:`BlobTable.pending`, ``{offset: blob}`` in segment order);
     those ``checkpoint`` references are streamed next to ``path`` first,
     blob by blob and each segment atomically, so the head's own rename
-    commits a checkpoint whose every reference resolves.  A materialized
-    ``checkpoint`` references nothing and becomes one self-contained file.
+    commits a checkpoint whose every reference resolves.  A loaded
+    ``checkpoint`` saved without ``pending`` rewrites its head alone: its
+    table is not pickled, and its segments must already be next to
+    ``path``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -803,13 +762,10 @@ def _blob_refs(head: RunCheckpoint) -> Dict[Hashable, BlobRef]:
     """Every blob reference ``head`` holds, keyed as a running table keys
     them: a state by its client id, an event by ``(round_index,
     client_id)``."""
-    refs: Dict[Hashable, BlobRef] = {
-        client_id: entry for client_id, entry in head.client_states.items()
-        if isinstance(entry, BlobRef)}
+    refs: Dict[Hashable, BlobRef] = dict(head.client_states)
     for name in _EVENT_LISTS:
-        for entry in head.scheduler.get(name, ()):
-            if not isinstance(entry, ClientEvent):  # (stub, ref)
-                refs[_event_key(entry[0])] = entry[1]
+        for stub, ref in head.scheduler.get(name, ()):
+            refs[_event_key(stub)] = ref
     return refs
 
 
@@ -821,12 +777,10 @@ def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
     then every blob it references is read once, one at a time, and checked
     against its reference's SHA-256 — so a corrupt, missing or replaced
     segment fails the load, naming the file — and dropped.  Nothing else
-    is unpickled, and bytes no reference names are not read: the
-    references go into the capsule's :class:`BlobTable`, and the client
-    states and queued events stay references behind a read-only
-    :class:`_ClientStates` and :class:`_QueuedEvents` over it, which
-    unpickle fresh, re-verified states and events on each read, so the
-    capsule holds none of its own.
+    is unpickled, and bytes no reference names are not read.  The head
+    comes back as it was written, with the references in its ``table``:
+    each read of a state or event through it re-reads, re-verifies and
+    unpickles a fresh one, so the capsule holds none of its own.
     """
     path = Path(path)
     head = read_head(path)
@@ -839,11 +793,8 @@ def load_checkpoint(path: Union[str, Path]) -> RunCheckpoint:
             raise CheckpointError(
                 f"reference into unlisted segment {ref.segment!r}")
         _read_blob(path.parent / ref.segment, ref, None)
-    scheduler = {name: _QueuedEvents(value, table) if name in _EVENT_LISTS
-                 else value for name, value in head.scheduler.items()}
-    return dataclasses.replace(
-        head, scheduler=scheduler, segments={},
-        client_states=_ClientStates(head.client_states, table))
+    head.table = table
+    return head
 
 
 class CheckpointManager:
@@ -861,12 +812,9 @@ class CheckpointManager:
     :class:`TrainingInterrupted` aborts the run — the CI resume-smoke job
     and the golden resume suite interrupt runs this way.
 
-    The manager records its last/total boundary wall-clock and save bytes
-    so a caller can read checkpoint cost without instrumenting the
-    trainer: ``last_save_seconds`` / ``total_save_seconds`` time a whole
-    boundary — :meth:`after_round`'s capture (pickling, staging, a
-    compaction's reads), save and spill, or :meth:`emergency`'s save — and
-    ``last_bytes`` is the head plus the segments the last save wrote.
+    ``saves`` counts the saves and ``last_bytes`` is the head plus the
+    segments the last one wrote; the time they take is ``bench/``'s to
+    measure.
     """
 
     def __init__(self, directory: Union[str, Path], *, every: int = 1,
@@ -875,9 +823,7 @@ class CheckpointManager:
         self.every = positive_int(every, "every")
         self.stop_after_round = non_negative_int(
             stop_after_round, "stop_after_round", optional=True)
-        self.last_save_seconds = 0.0
         self.last_bytes = 0
-        self.total_save_seconds = 0.0
         self.saves = 0
         self._table = BlobTable(self.directory)
         # the latest boundary's head while it is not on disk (``every > 1``
@@ -951,14 +897,11 @@ class CheckpointManager:
         state or pops the event.  Between saves, the states and events of
         the pending boundaries stay resident.
         """
-        started = time.perf_counter()
         self._unsaved = capture_run(core, scheduler, history,
                                     round_index + 1, self._table)
         if self.due(round_index):
             self.save(self._unsaved)
             self._table.hold(core.clients.state_store, scheduler.queue)
-        self.last_save_seconds = time.perf_counter() - started
-        self.total_save_seconds += self.last_save_seconds
         if self._stops(round_index):
             raise TrainingInterrupted(
                 f"training stopped after round {round_index} "
@@ -975,39 +918,27 @@ class CheckpointManager:
         """
         if self._unsaved is None:
             return None
-        started = time.perf_counter()
-        path = self.save(self._unsaved)
-        self.last_save_seconds = time.perf_counter() - started
-        self.total_save_seconds += self.last_save_seconds
-        return path
+        return self.save(self._unsaved)
 
-    def resumed(self, checkpoint: RunCheckpoint) -> Optional[BlobTable]:
-        """The run continues from ``checkpoint`` (called by ``restore_run``).
+    def resumed(self, checkpoint: RunCheckpoint) -> BlobTable:
+        """The run continues from the loaded ``checkpoint`` (called by
+        ``restore_run``): the manager's table becomes a copy of the
+        capsule's, returned for ``restore_run`` to adopt every state and
+        queued event through it unread.  The manager keeps the copy, never
+        the capsule.
 
-        When this manager's directory still holds what the capsule was
-        loaded from (:meth:`_holds`) — after ``"auto"``, or a path to a
-        head or to the directory, unless a later run there pruned or
-        replaced it — the blobs it references are here: the table starts as
-        a copy of the capsule's (its dicts copied, never shared, so one
-        capsule resumes any number of runs), the next save writes only what
-        changes, and the table is returned for ``restore_run`` to adopt
-        every state and queued event through it unread.  Otherwise it
-        returns None: the table stays empty, the first save is a full one,
-        and ``restore_run`` reads every state and event through the
-        capsule, so a blob gone since the load raises :class:`SegmentError`
-        before anything is written.  The manager keeps the copy, never the
-        capsule.  A self-contained capsule references nothing to continue
-        from.
+        When this directory still holds what the capsule was loaded from
+        (:meth:`_holds`) — after ``"auto"``, or a path to a head or to the
+        directory, unless a later run here pruned or replaced it — the
+        next save writes only what changes.  Otherwise the table reads
+        from the capsule's directory until the first save rewrites every
+        live blob, verified, into its own segment here, so a blob gone
+        since the load raises :class:`SegmentError` before anything is
+        written.
         """
-        loaded = getattr(checkpoint.client_states, "table", None)
-        if loaded is None or not loaded.refs or not self._holds(loaded):
-            return None
-        table = self._table
-        table.reset()
-        table.next_round = loaded.next_round
-        table.refs = dict(loaded.refs)
-        table.segments = dict(loaded.segments)
-        return table
+        loaded = checkpoint.table
+        return self._table.continue_from(
+            loaded, None if self._holds(loaded) else loaded.directory)
 
     def _holds(self, loaded: BlobTable) -> bool:
         """Whether this directory still holds what ``loaded`` was read
@@ -1085,20 +1016,20 @@ def resolve_resume(resume_from, manager: Optional[CheckpointManager]
     Accepted forms:
 
     * ``None`` — no resume;
-    * ``"auto"`` (or ``True``) — the latest checkpoint in the manager's
+    * ``"auto"`` — the latest checkpoint in the manager's
       directory, or a fresh start when there is none yet (so "always run
       with resume" is a safe spot/preemptible idiom);
-    * a :class:`RunCheckpoint` — used as-is; a loaded one can resume any
+    * a loaded :class:`RunCheckpoint` — used as-is; it can resume any
       number of runs, each reading fresh states from its segments (which
       must still be on disk);
     * a path to a checkpoint file, or to a directory of them (latest wins;
       an empty or missing explicit path is an error, unlike ``"auto"``).
     """
-    if resume_from is None or resume_from is False:
+    if resume_from is None:
         return None
     if isinstance(resume_from, RunCheckpoint):
         return resume_from
-    if resume_from is True or resume_from == "auto":
+    if resume_from == "auto":
         if manager is None:
             raise CheckpointError(
                 "resume_from='auto' needs a checkpoint directory")

@@ -474,8 +474,11 @@ class TestStoreDropsOnEveryWrite:
             run_method("fedlps", tiny_preset(), checkpoint_dir=tmp_path,
                        stop_after_round=2)
         capsule = CheckpointManager(tmp_path).latest()
-        assert b"_remembered" not in pickle.dumps(capsule)
-        assert b"evaluation_stats" not in pickle.dumps(capsule)
+        # the head, and every state and event blob it references
+        data = b"".join([pickle.dumps(capsule),
+                         *map(capsule.table.read, capsule.table.refs)])
+        assert b"_remembered" not in data
+        assert b"evaluation_stats" not in data
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5])

@@ -810,12 +810,8 @@ class TestSpilledStates:
                     pickle.loads(blobs[ref.offset]))
                 # the state or event the last committed head holds
                 head = CheckpointManager(table.directory).latest()
-                expected = (head.client_states[key] if isinstance(key, int)
-                            else next(event for event
-                                      in head.scheduler["events"]
-                                      if (event.round_index,
-                                          event.client_id) == key))
-                assert pickle.dumps(value) == pickle.dumps(expected)
+                assert pickle.dumps(value) \
+                    == pickle.dumps(head.table.load(key))
             return value
 
         monkeypatch.setattr(BlobTable, "load", load)

@@ -13,6 +13,7 @@ that predate the checkpoint subsystem.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -122,7 +123,7 @@ class TestAsyncSchedulerResume:
         # boundaries; the checkpoint must carry it (else resume would
         # silently drop those clients' updates)
         assert checkpoint.scheduler["name"] == "fedasync"
-        events = checkpoint.scheduler["events"]
+        events = [stub for stub, _ in checkpoint.scheduler["events"]]
         assert {e.client_id for e in events} \
             == set(checkpoint.scheduler["in_flight"])
         finish_times = [e.finish_time for e in events]
@@ -258,7 +259,6 @@ class TestCheckpointManager:
         assert manager.latest().next_round == 1
         assert manager.last_bytes \
             == (tmp_path / "checkpoint-000001.pkl").stat().st_size
-        assert manager.last_save_seconds >= 0.0
 
     def test_the_next_save_removes_a_crashed_saves_tmp_files(self, tmp_path):
         manager = CheckpointManager(tmp_path)
@@ -307,7 +307,28 @@ class TestResolveResume:
         manager = CheckpointManager(tmp_path)
         assert resolve_resume("auto", manager) is None
         assert resolve_resume(None, manager) is None
-        assert resolve_resume(False, manager) is None
+
+    @pytest.mark.parametrize("form", ["read_head", "unpickled"])
+    def test_a_capsule_without_its_table_is_refused(self, tmp_path, form):
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            spill_trainer("sync").run(checkpoint_dir=directory,
+                                      stop_after_round=1)
+        path = CheckpointManager(directory).checkpoint_paths()[-1]
+        head = (read_head(path) if form == "read_head"
+                else pickle.loads(pickle.dumps(load_checkpoint(path))))
+        assert head.table is None
+        assert resolve_resume(head, None) is head
+        before = {item.name: item.read_bytes()
+                  for item in directory.iterdir()}
+        # restore_run, the one reader of the table, refuses it
+        with pytest.raises(CheckpointError, match="load_checkpoint"):
+            spill_trainer("sync").run(resume_from=head)
+        with pytest.raises(CheckpointError, match="load_checkpoint"):
+            spill_trainer("sync").run(checkpoint_dir=directory,
+                                      resume_from=head)
+        assert {item.name: item.read_bytes()
+                for item in directory.iterdir()} == before
 
     def test_explicit_paths_are_strict(self, tmp_path):
         empty = tmp_path / "empty"
@@ -394,6 +415,24 @@ def _tamper(value):
             _tamper(item)
 
 
+def states_of(capsule) -> dict:
+    """A loaded capsule's ``{client_id: state}``, each read through its
+    table."""
+    return {client_id: capsule.table.load(client_id)
+            for client_id in capsule.client_states}
+
+
+def assert_same_head(head, other) -> None:
+    """Two heads hold the same references, stubs, segments, records and
+    scalars (the strategy attributes compared as pickles: numpy arrays)."""
+    for spec in dataclasses.fields(RunCheckpoint):
+        if spec.compare and spec.name != "strategy_attrs":
+            assert getattr(head, spec.name) == getattr(other, spec.name), \
+                spec.name
+    assert pickle.dumps(head.strategy_attrs) \
+        == pickle.dumps(other.strategy_attrs)
+
+
 class TestCapsuleReuse:
     """A loaded capsule holds references: each read unpickles fresh states,
     so a restore adopts them without a copy and the capsule stays reusable."""
@@ -441,18 +480,11 @@ class TestCapsuleReuse:
             assert self._resume(preset, first, executor) == reference
             assert self._resume(preset, second, executor) == reference
 
-    @pytest.mark.parametrize("form", ["segments", "self-contained"])
-    def test_a_restored_run_never_writes_into_the_capsule(
-            self, interrupted, form, tmp_path):
+    def test_a_restored_run_never_writes_into_the_capsule(self, interrupted):
         _, preset, directory = interrupted
         capsule = CheckpointManager(directory).latest()
-        if form == "self-contained":
-            whole = save_checkpoint(tmp_path / "whole" / "checkpoint.pkl",
-                                    capsule)
-            assert read_head(whole).segments == {}
-            capsule = load_checkpoint(whole)
         before = {client_id: pickle.dumps(state)
-                  for client_id, state in capsule.client_states.items()}
+                  for client_id, state in states_of(capsule).items()}
         core = build_trainer(self.METHOD, preset())
         scheduler = build_scheduler(core.config)
         core.strategy.setup(core.context)
@@ -466,48 +498,66 @@ class TestCapsuleReuse:
         for client_id, state in restored.items():
             assert pickle.dumps(state) != before[client_id]
         assert {client_id: pickle.dumps(state)
-                for client_id, state in capsule.client_states.items()} \
-            == before
-        assert pickle.dumps(capsule.client_states[min(before)]) \
-            == before[min(before)]
+                for client_id, state in states_of(capsule).items()} == before
 
-    def test_pickling_a_capsule_materializes_it(self, interrupted):
+    def test_pickling_a_loaded_capsule_yields_its_head(self, interrupted):
+        """... without the table: a loaded capsule is its verified head
+        plus the references it read, and only the head is data."""
         _, _, directory = interrupted
-        capsule = CheckpointManager(directory).latest()
+        path = CheckpointManager(directory).checkpoint_paths()[-1]
+        capsule = load_checkpoint(path)
         copied = pickle.loads(pickle.dumps(capsule))
-        assert type(copied.client_states) is dict
-        assert {client_id: pickle.dumps(state)
-                for client_id, state in copied.client_states.items()} \
-            == {client_id: pickle.dumps(state)
-                for client_id, state in capsule.client_states.items()}
-        # the queued events and the FedBuff buffer materialize too
-        for name in ("events", "buffer"):
-            if name in capsule.scheduler:
-                assert type(copied.scheduler[name]) is list
-                assert [pickle.dumps(event)
-                        for event in copied.scheduler[name]] \
-                    == [pickle.dumps(event)
-                        for event in capsule.scheduler[name]]
-                assert all(type(event).__name__ == "ClientEvent"
-                           for event in copied.scheduler[name])
+        assert capsule.table is not None and copied.table is None
+        assert b"BlobTable" not in pickle.dumps(capsule)
+        assert_same_head(copied, read_head(path))
+        assert all(isinstance(ref, checkpoint_module.BlobRef)
+                   for ref in copied.client_states.values())
         assert bool(copied.scheduler.get("events")) \
             == (capsule.scheduler["name"] == "fedbuff")
+
+    def test_saving_a_loaded_capsule_rewrites_its_head(self, interrupted):
+        """The call the fleet probe times, ``save_checkpoint(path,
+        load_checkpoint(path))``: the head loads back the same, and no
+        segment is written or touched."""
+        _, _, directory = interrupted
+        path = CheckpointManager(directory).checkpoint_paths()[-1]
+        segments = {segment.name: segment.read_bytes()
+                    for segment in directory.glob("blobs-*.bin")}
+        before = load_checkpoint(path)
+        save_checkpoint(path, load_checkpoint(path))
+        after = load_checkpoint(path)
+        # fields, not bytes: a re-pickled head may differ in its memo
+        assert_same_head(after, before)
+        assert after.table.refs == before.table.refs
+        assert {segment.name: segment.read_bytes()
+                for segment in directory.glob("blobs-*.bin")} == segments
+
+    def test_a_loaded_capsule_saved_without_its_segments_is_refused(
+            self, interrupted, tmp_path):
+        _, _, directory = interrupted
+        capsule = CheckpointManager(directory).latest()
+        path = save_checkpoint(tmp_path / "bare" / "checkpoint-000003.pkl",
+                               capsule)
+        first = next(iter(capsule.client_states.values())).segment
+        with pytest.raises(SegmentError, match=re.escape(
+                f"checkpoint segment {path.parent / first} is missing")):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("fate", ["pruned", "overwritten"])
     def test_a_segment_gone_since_the_load_is_named(self, interrupted, fate):
         _, _, directory = interrupted
         path = CheckpointManager(directory).checkpoint_paths()[-1]
         capsule = load_checkpoint(path)
-        client_id, ref = next(iter(read_head(path).client_states.items()))
+        client_id, ref = next(iter(capsule.client_states.items()))
         segment = directory / ref.segment
         if fate == "pruned":
             segment.unlink()
         else:
             segment.write_bytes(b"another run's blobs")
         with pytest.raises(SegmentError, match=re.escape(str(segment))):
-            capsule.client_states[client_id]
+            capsule.table.load(client_id)
         with pytest.raises(SegmentError, match=re.escape(str(segment))):
-            dict(capsule.client_states.items())
+            states_of(capsule)
 
 
 class TestTheLoadedCapsuleIsLetGo:
@@ -586,12 +636,15 @@ class TestSpilledStatesOnDisk:
         return directory
 
     @staticmethod
-    def _restored(directory):
-        """A fresh core restored from the directory's latest checkpoint
-        by the manager that loaded it, and the capsule."""
+    def _restored(directory, manager="own"):
+        """A fresh core restored from the directory's latest checkpoint,
+        and the capsule.  ``manager`` is where the resumed run checkpoints:
+        its ``"own"`` directory, ``"another"`` one, or ``"none"``."""
         core = spill_trainer()
-        manager = CheckpointManager(directory)
-        capsule = manager.latest()
+        capsule = CheckpointManager(directory).latest()
+        manager = {"own": CheckpointManager(directory),
+                   "another": CheckpointManager(directory.parent / "other"),
+                   "none": None}[manager]
         scheduler = build_scheduler(core.config)
         core.strategy.setup(core.context)
         scheduler.reset()
@@ -600,8 +653,9 @@ class TestSpilledStatesOnDisk:
                     manager)
         return core, capsule
 
+    @pytest.mark.parametrize("manager", ["own", "another", "none"])
     def test_a_resume_unpickles_no_state_until_it_is_read(
-            self, interrupted, monkeypatch):
+            self, interrupted, manager, monkeypatch):
         unpickled = []
         real = checkpoint_module._unpickle
 
@@ -612,7 +666,7 @@ class TestSpilledStatesOnDisk:
             return value
 
         monkeypatch.setattr(checkpoint_module, "_unpickle", counting)
-        core, capsule = self._restored(interrupted)
+        core, capsule = self._restored(interrupted, manager)
         store = core.clients.state_store
         assert len(store) == len(capsule.client_states) > 0
         assert unpickled == []
@@ -622,7 +676,37 @@ class TestSpilledStatesOnDisk:
         assert unpickled == [state]
         assert spilled_ids(store) == store.ids()[1:]
         assert pickle.dumps(state) \
-            == pickle.dumps(capsule.client_states[client_id])
+            == pickle.dumps(capsule.table.load(client_id))
+
+    @pytest.mark.parametrize("manager", ["another", "none"])
+    def test_a_resume_elsewhere_reads_the_capsules_segments_lazily(
+            self, interrupted, manager, tmp_path):
+        """A resume without a checkpoint directory, or into another one,
+        reads the capsule's segments until each state is first read (and,
+        into another directory, until its first save): a segment gone in
+        that window fails the next cold read, naming the file, and the
+        run writes nothing."""
+        core, capsule = self._restored(interrupted, manager)
+        store = core.clients.state_store
+        client_id = store.ids()[0]
+        segment = interrupted / capsule.client_states[client_id].segment
+        segment.unlink()
+        with pytest.raises(SegmentError, match=re.escape(str(segment))):
+            store.get(client_id)
+        for name in capsule.segments:
+            (interrupted / name).unlink(missing_ok=True)
+        before = {path.name: path.read_bytes()
+                  for path in interrupted.iterdir()}
+        other = tmp_path / "resumed"
+        with pytest.raises(SegmentError) as failure:
+            spill_trainer().run(
+                checkpoint_dir=other if manager == "another" else None,
+                resume_from=capsule)
+        assert any(str(interrupted / name) in str(failure.value)
+                   for name in capsule.segments)
+        assert {path.name: path.read_bytes()
+                for path in interrupted.iterdir()} == before
+        assert not other.exists() or list(other.iterdir()) == []
 
     @pytest.mark.parametrize("how", ["resumed", "spilled"])
     def test_a_flipped_byte_in_a_spilled_blob_names_the_file(
@@ -681,7 +765,7 @@ class TestSpilledStatesOnDisk:
         assert set(gone) & set(spilled_ids(store))
         for cid in gone:
             assert pickle.dumps(store.get(cid)) \
-                == pickle.dumps(latest.client_states[cid])
+                == pickle.dumps(latest.table.load(cid))
 
 
     def test_a_table_reset_reads_spilled_states_back_first(self, tmp_path):
@@ -779,7 +863,7 @@ class TestACapsuleReusedInItsOwnDirectory:
         else:
             outcome = ("resumed", history_json(resumed))
         for path in CheckpointManager(directory).checkpoint_paths():
-            dict(load_checkpoint(path).client_states.items())
+            states_of(load_checkpoint(path))
         return outcome
 
     def test_resumed_twice_while_compacting(self, tmp_path, monkeypatch):
@@ -939,7 +1023,9 @@ class TestSpilledEventsOnDisk:
         assert gone
         latest = load_checkpoint(manager.checkpoint_paths()[-1])
         assert [pickle.dumps(queue.pop()) for _ in queued] \
-            == [pickle.dumps(event) for event in latest.scheduler["events"]]
+            == [pickle.dumps(latest.table.load((stub.round_index,
+                                                stub.client_id)))
+                for stub, _ in latest.scheduler["events"]]
 
     def test_a_table_reset_reads_spilled_events_back_first(self, tmp_path):
         from repro.checkpoint import BlobTable
@@ -1048,8 +1134,7 @@ class TestOneDigestPerBlob:
         assert unpickled == [path]
         assert [real_sha256(blob).hexdigest() for blob in blobs] \
             == [ref.sha256 for ref in refs]
-        assert capsule.scheduler["events"].stubs \
-            == [stub for stub, _ in head.scheduler["events"]]
+        assert capsule.scheduler["events"] == head.scheduler["events"]
 
     def test_a_stage_hashes_each_fresh_blob_once(self, tmp_path,
                                                  monkeypatch):

@@ -44,6 +44,9 @@ MUTATIONS = {
     "no-deep-copied-restored-states": (
         "src/repro/checkpoint.py", None,
         "copy.deepcopy(checkpoint.client_states)"),
+    "retired-self-" "contained-form": (
+        "tests/test_checkpoint.py", None,
+        "# a self-" "contained head inlines every state"),
     "_read_blob-callers": (
         "src/repro/checkpoint.py", None,
         "def compact(path, ref): return _read_blob(path, ref, None)"),
@@ -96,6 +99,9 @@ MUTATIONS = {
     "_balanced_chunks-callers": (
         SERVER_CORE, None, "def stray(ids): return _balanced_chunks(ids, 2)"),
     "retired-second-benchmark-harness": (".gitignore", None, "BEN" "CH_*.json"),
+    "no-wall-clock-in-src": (
+        "src/repro/checkpoint.py", None,
+        "started = time.perf_" "counter()"),
     "retired-grid-helpers": ("README.md", None, "Call `run_" "sweep` for a grid."),
     "retired-ablation-helpers": (
         "tests/conftest.py", None, "# fedlps_" "with_pattern(0.5)"),
