@@ -288,6 +288,32 @@ class TestAsyncHistories:
             assert len(batch) == len(set(batch)), batch
 
 
+class TestFedAsyncIsABufferOfOne:
+    """FedBuff that flushes every arrival and waits for a whole cohort's
+    worth of them each round is FedAsync, history for history."""
+
+    @pytest.mark.parametrize("scenario", ["ideal", "flaky"])
+    @pytest.mark.parametrize("method", ["fedavg", "fedlps", "fedper", "cs"])
+    def test_histories_are_byte_identical(self, method, scenario):
+        from repro.baselines import build_strategy
+        from repro.experiments.presets import build_experiment
+        from repro.federated import FederatedTrainer
+
+        def history(aggregation, **config_overrides):
+            dataset, model_builder, config, fleet = build_experiment(
+                tiny_preset(scenario, aggregation, num_clients=24,
+                            clients_per_round=6, num_rounds=5, seed=3))
+            for name, value in config_overrides.items():
+                setattr(config, name, value)
+            run = FederatedTrainer(build_strategy(method), dataset,
+                                   model_builder, config=config,
+                                   fleet=fleet).run()
+            return json.dumps(run.to_dict(), sort_keys=True)
+
+        assert history("fedbuff", buffer_size=1,
+                       async_arrivals_per_round=6) == history("fedasync")
+
+
 class TestAsyncBeatsSyncOnSimTime:
     """The acceptance scenario: fedasync reaches the smoke preset's target
     accuracy in less cumulative sim-time than sync under ``flaky``."""
