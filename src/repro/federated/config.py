@@ -93,20 +93,22 @@ class FederatedConfig:
     # None runs the paper's ideal setting where every client always finishes
     scenario: Optional[ScenarioConfig] = None
     # server aggregation mode: "sync" (the paper's synchronous round loop),
-    # "fedasync" (aggregate every arrival, staleness-weighted) or "fedbuff"
-    # (aggregate buffered batches of ``buffer_size`` arrivals)
+    # "fedbuff" (aggregate buffered batches of ``buffer_size`` arrivals,
+    # staleness-weighted) or "fedasync" (fedbuff with a buffer of one:
+    # aggregate every arrival)
     aggregation: str = "sync"
     # FedAsync mixing rate: a fresh update moves the global model by
     # ``async_alpha``; an update ``s`` server versions stale by
     # ``async_alpha / (1 + s) ** staleness_exponent``
     async_alpha: float = 0.6
     staleness_exponent: float = 0.5
-    # FedBuff buffer: aggregate every ``buffer_size`` arrivals; a partial
-    # buffer at run end is never flushed
+    # FedBuff buffer: aggregate every ``buffer_size`` arrivals (fedasync
+    # always flushes every arrival); a partial buffer at run end is never
+    # flushed
     buffer_size: int = 2
     # arrivals the async server consumes before dispatching the next round;
-    # None picks the scheduler default (clients_per_round for fedasync,
-    # buffer_size for fedbuff)
+    # None picks the mode's default (clients_per_round for fedasync,
+    # max(buffer_size, ceil(clients_per_round / 2)) for fedbuff)
     async_arrivals_per_round: Optional[int] = None
     # wire codec for the parameter round trip (``repro.parallel.codec``):
     # "dense" is the historical raw-float64 wire format; "sparse" is a

@@ -10,12 +10,12 @@ loop, :meth:`repro.server.scheduler.Scheduler.run`:
 
 * ``"sync"`` — the paper's synchronous round (select, fan out, wait for
   everyone, aggregate).
-* ``"fedasync"`` — FedAsync-style asynchronous aggregation: the server
-  consumes client completions in simulated-time order and folds every
-  arrival into the global model with the staleness-decayed weight
-  ``alpha / (1 + staleness)^a``.
-* ``"fedbuff"`` — FedBuff-style buffered aggregation: arrivals accumulate
-  and are aggregated every ``buffer_size`` completions.
+* ``"fedbuff"`` — FedBuff-style buffered aggregation: the server consumes
+  client completions in simulated-time order; they accumulate and are
+  aggregated every ``buffer_size`` completions, staleness-weighted.
+* ``"fedasync"`` — FedAsync-style asynchronous aggregation, FedBuff with a
+  buffer of one: every arrival moves the global model by the
+  staleness-decayed weight ``alpha / (1 + staleness)^a``.
 
 All three shapes share the executor fan-out (on pool backends per-round
 client work crosses the worker boundary through the shared-memory broadcast

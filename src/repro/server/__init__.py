@@ -2,13 +2,14 @@
 
 The server is split into three layers:
 
-* :mod:`repro.server.clock` — a simulated clock and a completion-event
-  queue ordered by the pure key ``(finish_time, client_id)``;
+* :mod:`repro.server.clock` — the completion-event queue, ordered by the
+  pure key ``(finish_time, client_id)``;
 * :mod:`repro.server.scheduler` — the one round loop
   (:meth:`Scheduler.run`) and the training *shape* as its two hooks:
-  synchronous rounds (:class:`SyncScheduler`), FedAsync-style per-arrival
-  aggregation (:class:`AsyncScheduler`) and FedBuff-style buffered
-  aggregation (:class:`BufferedScheduler`);
+  synchronous rounds (:class:`SyncScheduler`) and event-driven buffered
+  aggregation (:class:`EventDrivenScheduler`), which merges every
+  ``buffer_size`` arrivals under FedBuff and every arrival under FedAsync,
+  FedBuff with a buffer of one;
 * :mod:`repro.server.policy` — staleness-weighted merging of arrivals
   into the global model, separate from the averaging kernels.
 
@@ -17,17 +18,14 @@ schedulers compose; ``repro.federated.FederatedTrainer`` is the same class
 under its historical name.
 """
 
-from .clock import ClientEvent, EventQueue, SimClock
+from .clock import ClientEvent, EventQueue
 from .core import (ServerCore, dataset_from_blocks, dataset_to_blocks,
                    materialized_session)
-from .policy import (AggregationPolicy, Arrival, mix_params, staleness_decay,
-                     staleness_weight)
-from .scheduler import (SCHEDULERS, AsyncScheduler, BufferedScheduler,
-                        Scheduler, SyncScheduler, available_aggregations,
-                        build_scheduler)
+from .policy import AggregationPolicy, Arrival, mix_params, staleness_decay
+from .scheduler import (EventDrivenScheduler, Scheduler, SyncScheduler,
+                        available_aggregations, build_scheduler)
 
 __all__ = [
-    "SimClock",
     "EventQueue",
     "ClientEvent",
     "ServerCore",
@@ -37,13 +35,10 @@ __all__ = [
     "AggregationPolicy",
     "Arrival",
     "staleness_decay",
-    "staleness_weight",
     "mix_params",
     "Scheduler",
     "SyncScheduler",
-    "AsyncScheduler",
-    "BufferedScheduler",
-    "SCHEDULERS",
+    "EventDrivenScheduler",
     "available_aggregations",
     "build_scheduler",
 ]

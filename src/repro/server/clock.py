@@ -1,6 +1,6 @@
-"""Simulated clock and completion-event queue for the event-driven server.
+"""The completion-event queue of the event-driven server.
 
-The asynchronous schedulers never look at real wall-clock time: every client
+The asynchronous scheduler never looks at real wall-clock time: every client
 completion is a :class:`ClientEvent` whose ``finish_time`` is derived from
 the scenario/cost-model latency of its dispatch, and the
 :class:`EventQueue` orders events by the pure sort key ``(finish_time,
@@ -132,24 +132,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-
-class SimClock:
-    """Monotonic simulated wall clock advanced by consumed events."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
-
-    def advance_to(self, timestamp: float) -> float:
-        """Move forward to ``timestamp`` (never backwards) and return now.
-
-        An event can legitimately carry a finish time in the clock's past —
-        a straggler from an old round consumed after newer, faster arrivals
-        already advanced the clock — in which case consuming it costs no
-        additional sim time.
-        """
-        self.now = max(self.now, float(timestamp))
-        return self.now
-
-    def __repr__(self) -> str:
-        return f"SimClock(now={self.now})"

@@ -1,25 +1,25 @@
 """Aggregation policies: how arrivals are merged into the global model.
 
 The synchronous round loop merges a full cohort through
-``strategy.aggregate`` and nothing else.  The asynchronous schedulers
-additionally need *staleness weighting*: an update that trained on global
+``strategy.aggregate`` and nothing else.  The event-driven scheduler
+additionally needs *staleness weighting*: an update that trained on global
 parameters ``s`` server versions old should move the global model less than
-a fresh one.  That weighting lives here, separate from both the schedulers
-(which decide *when* to merge) and the ``weighted_average`` kernels in
+a fresh one.  That weighting lives here, separate from both the scheduler
+(which decides *when* to merge) and the ``weighted_average`` kernels in
 ``repro.nn.params`` (which only know how to average, not how much to trust).
 
 The merge is strategy-agnostic: the policy asks the strategy to aggregate
 the arrival batch exactly as it would in a synchronous round (so residual
 reconstruction, masked averaging and any other method-specific math keeps
 working), then mixes the resulting candidate back into the previous global
-parameters with the staleness-decayed weight:
+parameters with the staleness-decayed weight of the batch:
 
     global <- (1 - w) * global_prev + w * candidate,
-    w = alpha / (1 + staleness)^a          (FedAsync, Xie et al.)
+    w = alpha * mean_i 1 / (1 + staleness_i)^a
 
-For a buffered flush (FedBuff, Nguyen et al.) the batch carries several
-arrivals with individual stalenesses; the mixing weight is ``alpha`` times
-the mean of their individual decay factors.
+A FedBuff flush (Nguyen et al.) carries several arrivals with individual
+stalenesses; a FedAsync batch (Xie et al.) is one arrival, whose weight is
+``alpha / (1 + staleness)^a``.
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ def staleness_decay(staleness: float, *, exponent: float = 0.5) -> float:
     non_negative(staleness, "staleness")
     non_negative(exponent, "the staleness exponent")
     return float(1.0 / (1.0 + staleness) ** exponent)
-
-
-def staleness_weight(staleness: float, *, alpha: float = 0.6,
-                     exponent: float = 0.5) -> float:
-    """Mixing weight ``alpha / (1 + s)^a`` of an update ``s`` versions stale."""
-    in_range(alpha, "alpha", 0, 1, low_open=True)
-    return alpha * staleness_decay(staleness, exponent=exponent)
 
 
 def mix_params(previous: Mapping[str, np.ndarray],
@@ -91,11 +84,6 @@ class AggregationPolicy:
     def __init__(self, *, alpha: float = 0.6, exponent: float = 0.5) -> None:
         self.alpha = in_range(alpha, "alpha", 0, 1, low_open=True)
         self.exponent = non_negative(exponent, "the staleness exponent")
-
-    def weight(self, staleness: float) -> float:
-        """Mixing weight for a single update ``staleness`` versions old."""
-        return staleness_weight(staleness, alpha=self.alpha,
-                                exponent=self.exponent)
 
     def batch_weight(self, arrivals: Sequence[Arrival]) -> float:
         """Mixing weight for a flush: alpha x mean per-arrival decay."""

@@ -6,29 +6,29 @@ split off the unreachable → :meth:`~Scheduler.admit` → fan the local
 updates out (``run_local_updates``, results in dispatch order) → bill
 costs / flops / bytes → :meth:`~Scheduler.settle` → ``post_round`` →
 evaluate-or-carry → one :class:`~repro.systems.metrics.RoundRecord` →
-checkpoint hook.  The three shapes differ only in the two hooks — *who may
-be dispatched* and *how the round's arrivals are folded into the global
-model*:
+checkpoint hook.  The shapes differ only in the two hooks — *who may be
+dispatched* and *how the round's arrivals are folded into the global
+model* — and there are two classes:
 
 * :class:`SyncScheduler` — the paper's synchronous round: everyone
   reachable is admitted; ``settle`` lets the scenario cut stragglers and
   aggregates the survivors as one batch.  Its histories are bit-identical
   to the original monolithic trainer loop (the golden fixtures enforce it).
-* :class:`AsyncScheduler` — FedAsync-style (Xie et al., asynchronous
-  federated optimization): ``settle`` consumes client completions in sim
-  order and folds **every arrival** into the global model immediately, with
-  the staleness-decayed weight ``alpha / (1 + staleness)^a``.
-* :class:`BufferedScheduler` — FedBuff-style (Nguyen et al., buffered
-  asynchronous aggregation): arrivals accumulate in a buffer that is
-  aggregated every ``buffer_size`` arrivals; a partial buffer at run end is
-  never flushed.
+* :class:`EventDrivenScheduler` — the asynchronous modes: ``settle``
+  consumes client completions in sim order into a buffer and merges it as
+  one staleness-weighted batch every ``flush`` arrivals
+  (:func:`async_shape`).  FedBuff (Nguyen et al., buffered asynchronous
+  aggregation) flushes every ``buffer_size`` arrivals and never merges a
+  partial buffer left at run end; FedAsync (Xie et al., asynchronous
+  federated optimization) is FedBuff with a buffer of one: every arrival
+  moves the global model by ``alpha / (1 + staleness)^a``.
 
 Fleet contract
     Schedulers operate on client *ids* against the core's fleet view: the
     only ``Client`` objects that come into existence are the ones the
     core binds for the dispatched cohort (and the evaluation sweep),
     so a scheduler never needs — and never causes — O(num_clients) work.
-    Per-client bookkeeping here (``in_flight``, FedBuff buffers) must stay
+    Per-client bookkeeping here (``in_flight``, the buffer) must stay
     sparse: sets of ids for clients that actually have work outstanding.
 
 Determinism contract
@@ -47,9 +47,11 @@ Determinism contract
 Async round shape
     Each simulated "round" dispatches a fresh cohort (same selection,
     availability and over-selection machinery as sync — ``admit`` skips
-    clients still busy with an earlier dispatch) and ``settle`` then
-    consumes ``async_arrivals_per_round`` completions from the global
-    in-flight pool before the next dispatch.  Because the earliest
+    clients still in flight or buffered) and ``settle`` then consumes the
+    round's share of completions from the global in-flight pool before the
+    next dispatch: ``async_arrivals_per_round``, by default
+    ``clients_per_round`` for FedAsync and ``max(buffer_size,
+    ceil(clients_per_round / 2))`` for FedBuff.  Because the earliest
     completions win, stragglers no longer gate the round cadence: their
     updates land rounds later with a staleness discount, while the sim
     clock advances at the pace of the fast clients.  In-flight work left at
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,7 +74,7 @@ from ..federated.config import AGGREGATIONS, FederatedConfig
 from ..federated.strategy import ClientUpdate
 from ..systems.cost import CostBreakdown, LocalCostModel
 from ..systems.metrics import RoundRecord, TrainingHistory
-from .clock import ClientEvent, EventQueue, SimClock
+from .clock import ClientEvent, EventQueue
 from .core import ServerCore
 from .policy import AggregationPolicy, Arrival
 
@@ -264,29 +266,60 @@ class SyncScheduler(Scheduler):
         return kept_updates, kept_costs, list(outcome.stragglers), fields
 
 
-class _EventDrivenScheduler(Scheduler):
-    """Shared machinery of the asynchronous (event-consuming) schedulers.
+def async_shape(mode: str, config: FederatedConfig) -> Tuple[int, int]:
+    """``(flush, arrivals)`` of an event-driven mode.
 
-    Subclasses decide what happens per consumed completion
-    (:meth:`consume`) and how many completions a round waits for
-    (:meth:`arrivals_per_round`); the base class owns the two hooks — who
-    is still busy, and pushing a dispatch into the event queue then
-    consuming the round's share of completions off the sim clock.
+    The buffer is merged as one batch each time it holds ``flush``
+    arrivals, and each round consumes ``arrivals`` completions
+    (``config.async_arrivals_per_round``, or the mode's default).  FedAsync
+    is FedBuff with a buffer of one: ``flush`` is 1 and a round waits for a
+    whole cohort's worth of arrivals; FedBuff flushes every
+    ``buffer_size`` and waits for ``max(buffer_size, ceil(clients_per_round
+    / 2))``.  The scheduler reads which async mode runs here alone.
+    """
+    if mode == "fedasync":
+        flush, default = 1, config.clients_per_round
+    else:
+        flush = config.buffer_size
+        default = max(flush, math.ceil(config.clients_per_round / 2))
+    arrivals = config.async_arrivals_per_round
+    return flush, default if arrivals is None else arrivals
+
+
+class EventDrivenScheduler(Scheduler):
+    """FedAsync and FedBuff: consume completions, merge every ``flush``.
+
+    ``settle`` pushes the dispatched cohort's completions into the event
+    queue, pops the round's share of arrivals in ``(finish_time,
+    client_id)`` order into the buffer, and merges the buffer as one batch
+    each time it holds ``flush`` arrivals (:func:`async_shape`), with each
+    arrival's staleness measured at merge time.  The sim clock is a float
+    advanced by ``max`` to each consumed finish time, so it never moves
+    backwards.
+
+    A buffered client stays blocked until its update is merged (one
+    un-incorporated update per client), so a merge never carries a client
+    twice and the ``{client_id: cost}`` bookkeeping handed to
+    ``post_round`` stays one-to-one with the merged updates; ``buffer_size``
+    must therefore not exceed the number of clients.  A partial buffer at
+    run end is never merged.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.reset()
 
-    # ------------------------------------------------------------- subclass
     def reset(self) -> None:
-        """Clear per-run state; called at the start of every :meth:`run`."""
+        # a reused instance must not leak the previous run's clock, queue
+        # or never-merged tail into the next run
         self._version = 0
-        self.queue = EventQueue()
-        self._clock = SimClock()
+        self._clock = 0.0
         self._in_flight: set = set()
+        self._buffer: List[ClientEvent] = []
+        self.queue = EventQueue()
 
     def state_dict(self) -> Dict[str, Any]:
-        """Version counter, sim clock, in-flight pool and queued events.
+        """Version counter, sim clock, in-flight pool, queue and buffer.
 
         The events ride in the queue's deterministic ``(finish_time,
         client_id)`` snapshot order, so two checkpoints of the same run
@@ -297,9 +330,10 @@ class _EventDrivenScheduler(Scheduler):
         """
         return {
             "version": self._version,
-            "clock_now": self._clock.now,
+            "clock_now": self._clock,
             "in_flight": sorted(self._in_flight),
             "events": self.queue.snapshot(),
+            "buffer": list(self._buffer),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -307,162 +341,67 @@ class _EventDrivenScheduler(Scheduler):
         made.  ``state["events"]`` may hold
         :class:`~repro.server.clock.SpilledEvent` stubs — a resume that
         rebuilds the queue unread — which the loader the checkpoint layer
-        installed on that queue first reads back on pop."""
+        installed on that queue first reads back on pop.  A FedAsync head
+        written before FedAsync shared FedBuff's buffer has no
+        ``"buffer"``: its buffer is empty."""
         self._version = int(state["version"])
-        self._clock = SimClock(state["clock_now"])
+        self._clock = float(state["clock_now"])
         self._in_flight = set(state["in_flight"])
         for event in state["events"]:
             self.queue.push(event)
+        self._buffer = list(state.get("buffer", ()))
 
-    def arrivals_per_round(self, config: FederatedConfig) -> int:
-        raise NotImplementedError
-
-    def consume(self, core: ServerCore, policy: AggregationPolicy,
-                round_index: int, event: ClientEvent) -> List[Arrival]:
-        """Fold one completion in; returns the arrivals aggregated *now*."""
-        raise NotImplementedError
-
-    def pending_buffer(self) -> int:
-        """Arrivals held back for a future aggregation (FedBuff buffer)."""
-        return 0
-
-    def pending_clients(self) -> set:
-        """Clients whose consumed arrival has not been aggregated yet.
-
-        They count as busy alongside the in-flight set: at most one
-        un-incorporated update per client may exist at any time, so a flush
-        batch can never carry the same client twice and the per-round
-        ``{client_id: cost}`` bookkeeping handed to ``post_round`` stays
-        one-to-one with the aggregated updates.
-        """
-        return set()
-
-    # ---------------------------------------------------------------- hooks
     def admit(self, available):
         # a client still computing an earlier dispatch — or whose update is
-        # still waiting in the aggregation buffer — cannot take a new one;
-        # it is reported alongside the unavailable clients
-        blocked = self._in_flight | self.pending_clients()
+        # still waiting in the buffer — cannot take a new one; it is
+        # reported alongside the unavailable clients
+        blocked = self._in_flight.union(e.client_id for e in self._buffer)
         return ([cid for cid in available if cid not in blocked],
                 sorted(cid for cid in available if cid in blocked))
 
     def settle(self, core, round_index, updates, costs, history):
         config = core.config
+        flush, arrivals = async_shape(self.name, config)
         policy = AggregationPolicy(alpha=config.async_alpha,
                                    exponent=config.staleness_exponent)
-        clock = self._clock
-        round_start = clock.now
+        round_start = self._clock
         for update in updates:
             client_id = update.client_id
             latency = core.latency(round_index, client_id,
                                    costs[client_id].total_seconds)
             self.queue.push(ClientEvent(
-                finish_time=clock.now + latency, client_id=client_id,
+                finish_time=round_start + latency, client_id=client_id,
                 round_index=round_index, dispatch_version=self._version,
                 update=update, cost=costs[client_id]))
             self._in_flight.add(client_id)
 
-        aggregated: List[Arrival] = []
-        for _ in range(self.arrivals_per_round(config)):
-            if not self.queue:
-                break
+        merged: List[Arrival] = []
+        for _ in range(min(arrivals, len(self.queue))):
             event = self.queue.pop()
-            clock.advance_to(event.finish_time)
+            self._clock = max(self._clock, float(event.finish_time))
             self._in_flight.discard(event.client_id)
-            aggregated += self.consume(core, policy, round_index, event)
+            self._buffer.append(event)
+            if len(self._buffer) < flush:
+                continue
+            batch = [Arrival(update=e.update,
+                             staleness=self._version - e.dispatch_version,
+                             cost=e.cost)
+                     for e in self._buffer]
+            with core.reduce_context():
+                policy.merge(core.strategy, round_index, batch)
+            self._version += 1
+            self._buffer = []
+            merged += batch
         fields = dict(
-            sim_time=clock.now - round_start,
+            sim_time=self._clock - round_start,
             # the clock itself, never a running sum of ``sim_time`` — the
             # two are not bit-equal
-            cumulative_sim_time=clock.now,
-            staleness_mean=(float(np.mean([a.staleness for a in aggregated]))
-                            if aggregated else 0.0),
-            buffer_size=self.pending_buffer())
-        return ([a.update for a in aggregated],
-                {a.update.client_id: a.cost for a in aggregated}, [], fields)
-
-
-class AsyncScheduler(_EventDrivenScheduler):
-    """FedAsync: every arrival immediately moves the global model."""
-
-    name = "fedasync"
-
-    def arrivals_per_round(self, config: FederatedConfig) -> int:
-        if config.async_arrivals_per_round is not None:
-            return config.async_arrivals_per_round
-        return max(1, config.clients_per_round)
-
-    def consume(self, core, policy, round_index, event):
-        arrival = Arrival(update=event.update,
-                          staleness=self._version - event.dispatch_version,
-                          cost=event.cost)
-        with core.reduce_context():
-            policy.merge(core.strategy, round_index, [arrival])
-        self._version += 1
-        return [arrival]
-
-
-class BufferedScheduler(_EventDrivenScheduler):
-    """FedBuff: aggregate every ``buffer_size`` arrivals as one batch.
-
-    Buffered clients stay blocked until their update is flushed (one
-    un-incorporated update per client), so ``buffer_size`` must not exceed
-    the number of clients — a larger buffer can never fill and the global
-    model would never move.
-    """
-
-    name = "fedbuff"
-
-    def reset(self) -> None:
-        # a reused scheduler instance must not leak the previous run's
-        # never-flushed tail into the next run's first flush
-        super().reset()
-        self._buffer: List[ClientEvent] = []
-
-    def state_dict(self) -> Dict[str, Any]:
-        state = super().state_dict()
-        state["buffer"] = list(self._buffer)
-        return state
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        super().load_state_dict(state)
-        self._buffer = list(state["buffer"])
-
-    def arrivals_per_round(self, config: FederatedConfig) -> int:
-        if config.async_arrivals_per_round is not None:
-            return config.async_arrivals_per_round
-        return max(config.buffer_size,
-                   math.ceil(config.clients_per_round / 2))
-
-    def pending_buffer(self) -> int:
-        return len(self._buffer)
-
-    def pending_clients(self) -> set:
-        return {event.client_id for event in self._buffer}
-
-    def consume(self, core, policy, round_index, event):
-        self._buffer.append(event)
-        if len(self._buffer) < core.config.buffer_size:
-            return []
-        # staleness is measured at flush time, against the current version
-        batch = [Arrival(update=e.update,
-                         staleness=self._version - e.dispatch_version,
-                         cost=e.cost)
-                 for e in self._buffer]
-        with core.reduce_context():
-            policy.merge(core.strategy, round_index, batch)
-        self._version += 1
-        self._buffer = []
-        return batch
-
-
-SCHEDULERS: Dict[str, Type[Scheduler]] = {
-    "sync": SyncScheduler,
-    "fedasync": AsyncScheduler,
-    "fedbuff": BufferedScheduler,
-}
-
-assert tuple(sorted(SCHEDULERS)) == tuple(sorted(AGGREGATIONS))
+            cumulative_sim_time=self._clock,
+            staleness_mean=(float(np.mean([a.staleness for a in merged]))
+                            if merged else 0.0),
+            buffer_size=len(self._buffer))
+        return ([a.update for a in merged],
+                {a.update.client_id: a.cost for a in merged}, [], fields)
 
 
 def available_aggregations() -> List[str]:
@@ -470,11 +409,8 @@ def available_aggregations() -> List[str]:
     return list(AGGREGATIONS)
 
 
-def build_scheduler(config: FederatedConfig,
-                    aggregation: Optional[str] = None) -> Scheduler:
-    """Instantiate the scheduler for a config's aggregation mode."""
-    key = (aggregation or config.aggregation).lower()
-    if key not in SCHEDULERS:
-        raise ValueError(f"unknown aggregation mode {key!r}; "
-                         f"choose from {available_aggregations()}")
-    return SCHEDULERS[key]()
+def build_scheduler(config: FederatedConfig) -> Scheduler:
+    """The scheduler for ``config.aggregation`` (which the config checked)."""
+    if config.aggregation == "sync":
+        return SyncScheduler()
+    return EventDrivenScheduler(config.aggregation)

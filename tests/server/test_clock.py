@@ -1,9 +1,8 @@
-"""Unit tests for the sim clock and the completion-event queue."""
+"""Unit tests for the completion-event queue."""
 
 import pytest
 
-from repro.server.clock import (ClientEvent, EventQueue, SimClock,
-                                SpilledEvent)
+from repro.server.clock import ClientEvent, EventQueue, SpilledEvent
 from repro.federated.strategy import ClientUpdate
 from repro.systems.cost import CostBreakdown
 
@@ -112,17 +111,3 @@ class TestEventQueue:
         with pytest.raises(OSError, match="no blob"):
             queue.pop()
         assert queue.snapshot() == before and len(queue) == 2
-
-class TestSimClock:
-    def test_advances_forward(self):
-        clock = SimClock()
-        assert clock.advance_to(2.5) == 2.5
-        assert clock.now == 2.5
-
-    def test_never_moves_backwards(self):
-        # a straggler from an old round can finish "before" the current sim
-        # time; consuming it must not rewind the clock
-        clock = SimClock()
-        clock.advance_to(5.0)
-        assert clock.advance_to(3.0) == 5.0
-        assert clock.now == 5.0

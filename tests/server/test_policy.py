@@ -5,11 +5,19 @@ import pytest
 
 from repro.federated.strategy import ClientUpdate, Strategy
 from repro.server.policy import (AggregationPolicy, Arrival, mix_params,
-                                 staleness_decay, staleness_weight)
+                                 staleness_decay)
+
+
+def one_arrival_weight(staleness, *, alpha, exponent):
+    """The weight FedAsync merges with: a batch of one arrival."""
+    update = ClientUpdate(client_id=0, params={}, num_examples=1,
+                          train_accuracy=0.0, train_loss=0.0)
+    policy = AggregationPolicy(alpha=alpha, exponent=exponent)
+    return policy.batch_weight([Arrival(update=update, staleness=staleness)])
 
 
 class TestStalenessWeightOracle:
-    """The decay weight is exactly ``alpha / (1 + s)^a`` — no surprises."""
+    """A one-arrival batch weighs exactly ``alpha / (1 + s)^a``."""
 
     @pytest.mark.parametrize("staleness,alpha,exponent", [
         (0, 0.6, 0.5), (1, 0.6, 0.5), (4, 0.6, 0.5),
@@ -17,30 +25,32 @@ class TestStalenessWeightOracle:
     ])
     def test_matches_closed_form(self, staleness, alpha, exponent):
         expected = alpha / (1.0 + staleness) ** exponent
-        assert staleness_weight(staleness, alpha=alpha,
-                                exponent=exponent) == expected
+        assert one_arrival_weight(staleness, alpha=alpha,
+                                  exponent=exponent) == expected
 
     def test_fresh_update_gets_alpha(self):
-        assert staleness_weight(0, alpha=0.6, exponent=0.5) == 0.6
+        assert one_arrival_weight(0, alpha=0.6, exponent=0.5) == 0.6
 
     def test_weight_decreases_with_staleness(self):
-        weights = [staleness_weight(s, alpha=0.6, exponent=0.5)
+        weights = [one_arrival_weight(s, alpha=0.6, exponent=0.5)
                    for s in range(6)]
         assert weights == sorted(weights, reverse=True)
         assert all(w > 0 for w in weights)
 
     def test_zero_exponent_ignores_staleness(self):
-        assert staleness_weight(100, alpha=0.3, exponent=0.0) == 0.3
+        assert one_arrival_weight(100, alpha=0.3, exponent=0.0) == 0.3
 
     def test_negative_staleness_rejected(self):
         with pytest.raises(ValueError):
             staleness_decay(-1)
+        with pytest.raises(ValueError):
+            one_arrival_weight(-1, alpha=0.6, exponent=0.5)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError):
-            staleness_weight(0, alpha=0.0)
+            one_arrival_weight(0, alpha=0.0, exponent=0.5)
         with pytest.raises(ValueError):
-            staleness_weight(0, alpha=1.5)
+            one_arrival_weight(0, alpha=1.5, exponent=0.5)
 
 
 class TestMixParams:

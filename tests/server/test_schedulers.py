@@ -12,8 +12,8 @@ from repro.federated.config import FederatedConfig
 from repro.federated.strategy import ClientUpdate, Strategy
 from repro.server.clock import ClientEvent
 from repro.server.policy import AggregationPolicy
-from repro.server.scheduler import (AsyncScheduler, BufferedScheduler,
-                                    SyncScheduler, build_scheduler)
+from repro.server.scheduler import (EventDrivenScheduler, SyncScheduler,
+                                    async_shape, build_scheduler)
 from repro.systems.cost import CostBreakdown
 
 TINY = dict(num_clients=10, num_rounds=8, clients_per_round=3,
@@ -66,132 +66,196 @@ def test_scheduler_lattice_is_pinned(cell, batch_cohort):
 
 
 class _FakeCore:
-    """The minimal core surface ``consume`` touches: config + strategy."""
+    """The core surface the event-driven ``settle`` touches: config,
+    strategy, reduce context and each client's dispatch latency."""
 
-    def __init__(self, buffer_size=3):
-        self.config = FederatedConfig(buffer_size=buffer_size)
+    def __init__(self, **config):
+        self.config = FederatedConfig(**config)
         self.strategy = Strategy()
         self.strategy.global_params = {"w": np.array([0.0])}
+        self.latencies = {}
+
+    def latency(self, round_index, client_id, seconds):
+        return self.latencies.get(client_id, 1.0)
 
     def reduce_context(self):
         from contextlib import nullcontext
         return nullcontext()
 
 
+def _update(client_id, value):
+    return ClientUpdate(client_id=client_id,
+                        params={"w": np.array([float(value)])},
+                        num_examples=1, train_accuracy=0.0, train_loss=0.0)
+
+
 def _event(client_id, value, dispatch_version=0, finish=1.0):
-    update = ClientUpdate(client_id=client_id,
-                          params={"w": np.array([float(value)])},
-                          num_examples=1, train_accuracy=0.0, train_loss=0.0)
     return ClientEvent(finish_time=finish, client_id=client_id,
                        round_index=0, dispatch_version=dispatch_version,
-                       update=update, cost=CostBreakdown(0.0, 0.0))
+                       update=_update(client_id, value),
+                       cost=CostBreakdown(0.0, 0.0))
+
+
+def _settle(scheduler, core, dispatched=(), round_index=0):
+    """Dispatch ``(client_id, value)`` pairs and settle the round; returns
+    the merged client ids and the record fields."""
+    updates = [_update(client_id, value) for client_id, value in dispatched]
+    costs = {u.client_id: CostBreakdown(0.0, 0.0) for u in updates}
+    merged, merged_costs, late, fields = scheduler.settle(
+        core, round_index, updates, costs, None)
+    assert late == [] and set(merged_costs) == {u.client_id for u in merged}
+    return [u.client_id for u in merged], fields
 
 
 class TestBuildScheduler:
-    def test_modes_map_to_classes(self):
+    def test_modes_map_to_the_two_classes(self):
         assert isinstance(build_scheduler(FederatedConfig()), SyncScheduler)
-        assert isinstance(
-            build_scheduler(FederatedConfig(aggregation="fedasync")),
-            AsyncScheduler)
-        assert isinstance(
-            build_scheduler(FederatedConfig(aggregation="fedbuff")),
-            BufferedScheduler)
+        for mode in ("fedasync", "fedbuff"):
+            scheduler = build_scheduler(FederatedConfig(aggregation=mode))
+            assert isinstance(scheduler, EventDrivenScheduler)
+            assert scheduler.name == mode
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            build_scheduler(FederatedConfig(), "fedwhat")
+    def test_unknown_mode_rejected_by_the_config(self):
+        with pytest.raises(ValueError, match="unknown aggregation mode"):
+            FederatedConfig(aggregation="fedwhat")
+
+    def test_fedasync_is_fedbuff_with_a_buffer_of_one(self):
+        config = FederatedConfig(clients_per_round=7, buffer_size=3)
+        assert async_shape("fedasync", config) == (1, 7)
+        assert async_shape("fedbuff", config) == (3, 4)
+        config.buffer_size = 5
+        assert async_shape("fedbuff", config) == (5, 5)
+        config.async_arrivals_per_round = 2
+        assert async_shape("fedasync", config) == (1, 2)
+        assert async_shape("fedbuff", config) == (5, 2)
 
 
 class TestFedBuffFlush:
     """Oracle: aggregate every K arrivals, never the partial tail."""
 
     def test_flushes_exactly_every_k_arrivals(self):
-        core = _FakeCore(buffer_size=3)
-        scheduler = BufferedScheduler()
-        policy = AggregationPolicy(alpha=1.0, exponent=0.5)
-        flushed = []
-        for index in range(7):
-            flushed.append(
-                scheduler.consume(core, policy, 0, _event(index, 6.0)))
+        core = _FakeCore(buffer_size=3, async_arrivals_per_round=1,
+                         async_alpha=1.0)
+        scheduler = EventDrivenScheduler("fedbuff")
+        rounds = [_settle(scheduler, core, [(index, 6.0)], index)
+                  for index in range(7)]
         # arrivals 3 and 6 trigger flushes of exactly K entries each
-        sizes = [len(batch) for batch in flushed]
-        assert sizes == [0, 0, 3, 0, 0, 3, 0]
-        assert scheduler._version == 2
+        assert [len(merged) for merged, _ in rounds] == [0, 0, 3, 0, 0, 3, 0]
+        assert [fields["buffer_size"] for _, fields in rounds] \
+            == [1, 2, 0, 1, 2, 0, 1]
+        assert scheduler.state_dict()["version"] == 2
 
     def test_never_flushed_tail_leaves_global_untouched(self):
         # the run ends with 2 < K arrivals in the buffer: they must never
         # reach the global parameters
-        core = _FakeCore(buffer_size=3)
-        scheduler = BufferedScheduler()
-        policy = AggregationPolicy(alpha=1.0, exponent=0.5)
-        for index in range(3):
-            scheduler.consume(core, policy, 0, _event(index, 6.0))
+        core = _FakeCore(buffer_size=3, async_arrivals_per_round=3,
+                         async_alpha=1.0)
+        scheduler = EventDrivenScheduler("fedbuff")
+        _settle(scheduler, core, [(index, 6.0) for index in range(3)])
         after_flush = core.strategy.global_params["w"].copy()
         np.testing.assert_allclose(after_flush, [6.0])
-        for index in range(3, 5):
-            scheduler.consume(core, policy, 0, _event(index, 999.0))
+        merged, fields = _settle(scheduler, core,
+                                 [(index, 999.0) for index in range(3, 5)])
+        assert merged == [] and fields["buffer_size"] == 2
         np.testing.assert_array_equal(core.strategy.global_params["w"],
                                       after_flush)
-        assert scheduler.pending_buffer() == 2
+
+    def test_buffered_clients_are_not_readmitted(self):
+        core = _FakeCore(buffer_size=3, async_arrivals_per_round=1)
+        scheduler = EventDrivenScheduler("fedbuff")
+        core.latencies = {0: 1.0, 1: 2.0}
+        _settle(scheduler, core, [(0, 1.0), (1, 1.0)])
+        # client 0 sits in the buffer, client 1 is still in flight
+        assert scheduler.admit([0, 1, 2]) == ([2], [0, 1])
 
     def test_reset_clears_the_never_flushed_tail(self):
         # a reused scheduler must not leak run-1's tail into run 2's flush
-        core = _FakeCore(buffer_size=3)
-        scheduler = BufferedScheduler()
-        policy = AggregationPolicy(alpha=1.0, exponent=0.5)
-        for index in range(2):
-            scheduler.consume(core, policy, 0, _event(index, 999.0))
-        assert scheduler.pending_buffer() == 2
+        core = _FakeCore(buffer_size=3, async_arrivals_per_round=3,
+                         async_alpha=1.0)
+        scheduler = EventDrivenScheduler("fedbuff")
+        _, fields = _settle(scheduler, core, [(0, 999.0), (1, 999.0)])
+        assert fields["buffer_size"] == 2
         scheduler.reset()
-        assert scheduler.pending_buffer() == 0
-        assert scheduler._version == 0
-        for index in range(3):
-            scheduler.consume(core, policy, 0, _event(index, 6.0))
+        assert scheduler.state_dict() == dict(
+            version=0, clock_now=0.0, in_flight=[], events=[], buffer=[])
+        _settle(scheduler, core, [(index, 6.0) for index in range(3)])
         # the flush averages only the post-reset events
         np.testing.assert_allclose(core.strategy.global_params["w"], [6.0])
 
-    def test_reused_scheduler_instance_reruns_cleanly(self):
+    def test_flush_staleness_measured_at_flush_time(self):
+        # four clients dispatched at version 0: the first flush moves the
+        # server to version 1, so the second carries staleness 1
+        core = _FakeCore(buffer_size=2, async_arrivals_per_round=2,
+                         staleness_exponent=1.0)
+        core.latencies = {index: 1.0 + index for index in range(4)}
+        scheduler = EventDrivenScheduler("fedbuff")
+        first, fields = _settle(scheduler, core,
+                                [(index, 4.0) for index in range(4)])
+        assert first == [0, 1] and fields["staleness_mean"] == 0.0
+        second, fields = _settle(scheduler, core, round_index=1)
+        assert second == [2, 3] and fields["staleness_mean"] == 1.0
+
+
+class TestAsyncConsume:
+    """Flush 1: every arrival is merged on its own, as it lands."""
+
+    def test_every_arrival_aggregates_and_bumps_version(self):
+        core = _FakeCore(async_alpha=0.5, staleness_exponent=0.5,
+                         async_arrivals_per_round=1)
+        core.latencies = {0: 1.0, 1: 2.0}
+        scheduler = EventDrivenScheduler("fedasync")
+        merged, fields = _settle(scheduler, core, [(0, 8.0), (1, 8.0)])
+        assert merged == [0] and fields["staleness_mean"] == 0.0
+        np.testing.assert_allclose(core.strategy.global_params["w"], [4.0])
+        # dispatched at version 0, consumed at version 1 -> staleness 1
+        merged, fields = _settle(scheduler, core, round_index=1)
+        assert merged == [1] and fields["staleness_mean"] == 1.0
+        assert fields["buffer_size"] == 0
+        assert scheduler.state_dict()["version"] == 2
+
+
+class TestSimulatedClock:
+    """The sim clock is a float moved by ``max`` over consumed events."""
+
+    def test_advances_to_the_consumed_finish_time(self):
+        core = _FakeCore(async_arrivals_per_round=1)
+        core.latencies = {0: 2.5}
+        scheduler = EventDrivenScheduler("fedasync")
+        _, fields = _settle(scheduler, core, [(0, 1.0)])
+        assert fields["sim_time"] == 2.5
+        assert fields["cumulative_sim_time"] == 2.5
+
+    def test_a_stale_finish_time_never_rewinds_the_clock(self):
+        # an event whose finish time is in the clock's past (loaded into the
+        # queue directly) costs no sim time and must not rewind the clock
+        core = _FakeCore(async_arrivals_per_round=1)
+        scheduler = EventDrivenScheduler("fedasync")
+        scheduler.load_state_dict(dict(
+            version=1, clock_now=5.0, in_flight=[0],
+            events=[_event(0, 1.0, finish=3.0)], buffer=[]))
+        merged, fields = _settle(scheduler, core, round_index=1)
+        assert merged == [0]
+        assert fields["sim_time"] == 0.0
+        assert fields["cumulative_sim_time"] == 5.0
+        assert scheduler.state_dict()["clock_now"] == 5.0
+
+
+class TestReusedInstance:
+    @pytest.mark.parametrize("aggregation", ["fedasync", "fedbuff"])
+    def test_reused_scheduler_instance_reruns_cleanly(self, aggregation):
         from repro.baselines import build_strategy
         from repro.experiments.presets import build_experiment
         from repro.server.core import ServerCore
-        from repro.server.scheduler import BufferedScheduler
 
-        scheduler = BufferedScheduler()
+        scheduler = EventDrivenScheduler(aggregation)
         histories = []
         for _ in range(2):
             dataset, model_builder, config, fleet = build_experiment(
-                tiny_preset("flaky", "fedbuff", num_rounds=3))
+                tiny_preset("flaky", aggregation, num_rounds=3))
             core = ServerCore(build_strategy("fedavg"), dataset,
                               model_builder, config=config, fleet=fleet)
             histories.append(scheduler.run(core))
         assert histories[0].to_dict() == histories[1].to_dict()
-
-    def test_flush_staleness_measured_at_flush_time(self):
-        # entries dispatched at version 0 but flushed at version 1 carry
-        # staleness 1; with exponent 1.0 the decay is 1/2
-        core = _FakeCore(buffer_size=2)
-        scheduler = BufferedScheduler()
-        policy = AggregationPolicy(alpha=1.0, exponent=1.0)
-        for index in range(2):  # first flush -> version 1
-            scheduler.consume(core, policy, 0, _event(index, 4.0))
-        batch = scheduler.consume(core, policy, 0, _event(2, 8.0))
-        assert batch == []
-        batch = scheduler.consume(core, policy, 0, _event(3, 8.0))
-        assert [arrival.staleness for arrival in batch] == [1, 1]
-
-
-class TestAsyncConsume:
-    def test_every_arrival_aggregates_and_bumps_version(self):
-        core = _FakeCore()
-        scheduler = AsyncScheduler()
-        policy = AggregationPolicy(alpha=0.5, exponent=0.5)
-        first = scheduler.consume(core, policy, 0, _event(0, 8.0))
-        assert [a.staleness for a in first] == [0]
-        np.testing.assert_allclose(core.strategy.global_params["w"], [4.0])
-        second = scheduler.consume(core, policy, 0, _event(1, 8.0, 0))
-        # dispatched at version 0, consumed at version 1 -> staleness 1
-        assert [a.staleness for a in second] == [1]
-        assert scheduler._version == 2
 
 
 class TestAsyncHistories:
@@ -362,7 +426,7 @@ class TestAsyncBacklogPin:
         import repro.server.scheduler as scheduler_module
 
         lengths = []
-        real_settle = scheduler_module._EventDrivenScheduler.settle
+        real_settle = scheduler_module.EventDrivenScheduler.settle
 
         def settle(scheduler, core, round_index, updates, costs, history):
             settled = real_settle(scheduler, core, round_index, updates,
@@ -370,7 +434,7 @@ class TestAsyncBacklogPin:
             lengths.append(len(scheduler.queue))
             return settled
 
-        monkeypatch.setattr(scheduler_module._EventDrivenScheduler, "settle",
+        monkeypatch.setattr(scheduler_module.EventDrivenScheduler, "settle",
                             settle)
         preset = scaled(preset_for("mnist"), num_clients=400,
                         clients_per_round=8, num_rounds=12, eval_clients=4,

@@ -101,7 +101,7 @@ def async_preset(aggregation: str):
                   scenario="flaky", aggregation=aggregation)
 
 
-class TestAsyncSchedulerResume:
+class TestEventDrivenResume:
     """fedasync/fedbuff carry queue/clock/buffer state across the boundary."""
 
     @pytest.mark.parametrize("aggregation", ["fedasync", "fedbuff"])
@@ -130,6 +130,23 @@ class TestAsyncSchedulerResume:
         assert finish_times == sorted(finish_times)
         assert checkpoint.scheduler["clock_now"] > 0.0
         assert checkpoint.scheduler["version"] > 0
+
+    def test_a_fedasync_head_without_a_buffer_resumes(self, tmp_path):
+        # fedasync heads from before fedasync shared fedbuff's buffer have
+        # no "buffer" entry (same CHECKPOINT_VERSION): it reads as empty
+        reference = run_method("fedavg", async_preset("fedasync"))
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TrainingInterrupted):
+            run_method("fedavg", async_preset("fedasync"),
+                       checkpoint_dir=directory, stop_after_round=2)
+        manager = CheckpointManager(directory)
+        head = manager.latest()
+        assert head.scheduler.pop("buffer") == []
+        save_checkpoint(manager.path_for(head.next_round), head)
+        assert "buffer" not in manager.latest().scheduler
+        resumed = run_method("fedavg", async_preset("fedasync"),
+                             checkpoint_dir=directory, resume=True)
+        assert history_json(resumed) == history_json(reference)
 
 
 class TestThreadBackendResume:

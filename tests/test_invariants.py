@@ -38,6 +38,10 @@ MUTATIONS = {
                     "after_round", "restore_run")},
     "retired-report-channels": (
         SERVER_CORE, None, "executor.map(fn, items, ordered=True)"),
+    "one-merge-call": (
+        SCHEDULER, None, "policy.merge(core.strategy, 0, [arrival])"),
+    "retired-async-shapes": (
+        "tests/server/test_clock.py", None, "clock = Sim" "Clock(0.0)"),
     "no-deep-copied-state-store": (
         "src/repro/checkpoint.py", None,
         "copy.deepcopy(fleet.state_store.snapshot())"),

@@ -358,6 +358,14 @@ RULES: dict[str, Rule] = {
                     "after_round", "restore_run")},
     "retired-report-channels": Absent(
         r"ordered=|take_wire_report|take_fault_report", ("src",)),
+    # One event-driven scheduler: FedAsync is FedBuff with a buffer of one,
+    # so arrivals are merged at one call site, and the per-mode classes,
+    # their hook base class, the clock object and the single-arrival weight
+    # stay gone.
+    "one-merge-call": Count(r"\.merge\(", (SCHEDULER,), 1),
+    "retired-async-shapes": Absent(
+        r"AsyncScheduler|_EventDrivenScheduler|SimClock|staleness_weight",
+        ("src", "tests", "examples", "README.md")),
     # One checkpoint capture, incremental: a boundary pickles the dirty
     # client states only; the full deep copy is the oracle in
     # tests/test_checkpoint_layout.py.
